@@ -385,23 +385,52 @@ const MSG_HIST_NAMES: [&str; 9] = [
     "dc_msg_readmitack_handle_us",
 ];
 
-/// Which end-to-end latency histogram a SQL statement lands in, by its
+/// The end-to-end statement latency histograms, in [`stmt_kind`] order:
+/// one per [`STMT_KEYWORDS`] entry, then the pool for everything else.
+const STMT_HIST_NAMES: [&str; STMT_KEYWORDS.len() + 1] = [
+    "stmt_select_us",
+    "stmt_insert_us",
+    "stmt_update_us",
+    "stmt_delete_us",
+    "stmt_create_us",
+    "stmt_other_us",
+];
+
+const STMT_KEYWORDS: [&str; 5] = ["select", "insert", "update", "delete", "create"];
+
+/// Which [`STMT_HIST_NAMES`] histogram a SQL statement lands in, by its
 /// leading keyword. Unknown statement shapes pool into `stmt_other_us`
 /// rather than minting unbounded histogram names from user input.
-fn stmt_hist_name(sql: &str) -> &'static str {
+fn stmt_kind(sql: &str) -> usize {
     let first = sql.split_whitespace().next().unwrap_or("");
-    if first.eq_ignore_ascii_case("select") {
-        "stmt_select_us"
-    } else if first.eq_ignore_ascii_case("insert") {
-        "stmt_insert_us"
-    } else if first.eq_ignore_ascii_case("update") {
-        "stmt_update_us"
-    } else if first.eq_ignore_ascii_case("delete") {
-        "stmt_delete_us"
-    } else if first.eq_ignore_ascii_case("create") {
-        "stmt_create_us"
-    } else {
-        "stmt_other_us"
+    STMT_KEYWORDS
+        .iter()
+        .position(|kw| first.eq_ignore_ascii_case(kw))
+        .unwrap_or(STMT_KEYWORDS.len())
+}
+
+/// Telemetry handles of the SQL choke point ([`RingNode::run_sql`]),
+/// resolved once at spawn so a statement costs atomic bumps, not
+/// registry lookups.
+struct SqlMetrics {
+    statements: Arc<dc_obs::Counter>,
+    errors: Arc<dc_obs::Counter>,
+    stmt_hists: [Arc<dc_obs::Histogram>; STMT_HIST_NAMES.len()],
+    template_hits: Arc<dc_obs::Counter>,
+    template_misses: Arc<dc_obs::Counter>,
+    template_entries: Arc<dc_obs::Gauge>,
+}
+
+impl SqlMetrics {
+    fn new(obs: &dc_obs::Registry) -> SqlMetrics {
+        SqlMetrics {
+            statements: obs.counter("sql_statements"),
+            errors: obs.counter("sql_errors"),
+            stmt_hists: std::array::from_fn(|i| obs.histogram(STMT_HIST_NAMES[i])),
+            template_hits: obs.counter("template_hits"),
+            template_misses: obs.counter("template_misses"),
+            template_entries: obs.gauge("template_entries"),
+        }
     }
 }
 
@@ -1869,6 +1898,7 @@ pub struct RingNode {
     next_query: AtomicU64,
     next_frag: Arc<AtomicU32>,
     templates: mal::TemplateCache,
+    sql_metrics: SqlMetrics,
 }
 
 impl RingNode {
@@ -2075,6 +2105,7 @@ impl RingNode {
             meta,
             notify,
             transport,
+            sql_metrics: SqlMetrics::new(&obs),
             obs,
             event_loop: Some(event_loop),
             pump: Some(pump),
@@ -2125,14 +2156,14 @@ impl RingNode {
     /// wire protocol ships these columns, and text is rendered only at
     /// edges that want text.
     pub fn execute(&self, sql: &str) -> Result<ResultSet, DcError> {
-        self.run_sql(sql, &self.templates).map_err(DcError::from)
+        self.run_sql(sql).map_err(DcError::from)
     }
 
     /// Compile and execute one SQL statement; returns the rendered
     /// output. A thin rendering shim over [`RingNode::execute`], kept
     /// for callers that only want text.
     pub fn submit_sql(&self, sql: &str) -> Result<String, MalError> {
-        self.run_sql(sql, &self.templates).map(|rs| rs.render())
+        self.run_sql(sql).map(|rs| rs.render())
     }
 
     /// The choke point every SQL entry path funnels through
@@ -2141,45 +2172,59 @@ impl RingNode {
     /// statement kind and statement/error counters bumped — so the
     /// in-process ring, `dcsh`, and the wire server all feed the same
     /// `stmt_*_us` histograms.
-    pub(crate) fn run_sql(
-        &self,
-        sql: &str,
-        templates: &mal::TemplateCache,
-    ) -> Result<ResultSet, MalError> {
+    fn run_sql(&self, sql: &str) -> Result<ResultSet, MalError> {
         let qid = self.next_query.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let result = self.compile(sql, templates).and_then(|plan| self.run_plan(qid, &plan));
-        self.obs.counter("sql_statements").inc();
+        let result = self
+            .compile(sql)
+            .and_then(|(template, params)| self.run_bound(qid, &template, &params));
+        self.sql_metrics.statements.inc();
         if result.is_err() {
-            self.obs.counter("sql_errors").inc();
+            self.sql_metrics.errors.inc();
         }
-        self.obs.histogram(stmt_hist_name(sql)).record_elapsed_micros(start);
+        self.sql_metrics.stmt_hists[stmt_kind(sql)].record_elapsed_micros(start);
         result
     }
 
-    /// Compile `sql` against this node's metadata replica.
-    pub(crate) fn compile(
-        &self,
-        sql: &str,
-        templates: &mal::TemplateCache,
-    ) -> Result<Arc<mal::Program>, MalError> {
-        let meta = self.meta.read();
-        templates.get_or_compile(sql, || {
-            sqlfront::compile_sql(sql, &meta)
-                .map(|p| mal::common_subexpression_eliminate(&p))
-                .map(|p| mal::dc_optimize(&p))
-        })
+    /// The query template (§3.2) of `sql`'s shape and the statement's own
+    /// literals to bind to its parameter slots. Only a shape this node
+    /// has not cached is code-generated (against this node's metadata
+    /// replica) and optimized; a compile error caches nothing.
+    fn compile(&self, sql: &str) -> Result<(Arc<mal::Program>, Vec<mal::Const>), MalError> {
+        let parsed = sqlfront::parse_template(sql)?;
+        let params = parsed.bindings()?;
+        if let Some(template) = self.templates.get(&parsed.key) {
+            self.sql_metrics.template_hits.inc();
+            return Ok((template, params));
+        }
+        let plan = sqlfront::compile_stmt(&parsed.stmt, &self.meta.read())?;
+        let plan = mal::dc_optimize(&mal::common_subexpression_eliminate(&plan));
+        let template = self.templates.insert(parsed.key, plan);
+        self.sql_metrics.template_misses.inc();
+        self.sql_metrics.template_entries.set(self.templates.len() as i64);
+        Ok((template, params))
     }
 
     /// Execute an already-compiled MAL plan with the given query id,
     /// returning the typed result the plan's sink published.
     pub fn run_plan(&self, qid: u64, plan: &mal::Program) -> Result<ResultSet, MalError> {
+        self.run_bound(qid, plan, &plan.params)
+    }
+
+    /// [`RingNode::run_plan`] with `params` bound to the plan's
+    /// parameter slots in place of its own.
+    fn run_bound(
+        &self,
+        qid: u64,
+        plan: &mal::Program,
+        params: &[mal::Const],
+    ) -> Result<ResultSet, MalError> {
         // A per-query session sharing the node's hooks.
         let session =
             SessionCtx::new(Arc::clone(&self.session.catalog), Arc::clone(&self.session.store))
                 .with_dc(self.hooks.clone() as Arc<dyn mal::DcHooks>)
                 .with_query_id(qid);
-        let result = mal::run_dataflow(plan, &session, 4);
+        let result = mal::run_dataflow_bound(plan, params, &session, 4);
         // Always clean up interest, success or failure.
         let _ = self.tx.send(NodeEvent::Cmd(Cmd::QueryDone { query: QueryId(qid) }));
         result?;
@@ -2325,7 +2370,6 @@ impl Drop for RingNode {
 pub struct Ring {
     nodes: Vec<RingNode>,
     next_bat: AtomicU64,
-    templates: mal::TemplateCache,
 }
 
 /// Builder for [`Ring`].
@@ -2389,7 +2433,7 @@ impl RingBuilder {
                 RingNode::spawn(NodeId(i as u16), Arc::new(t) as Arc<dyn RingTransport>, opts)
             })
             .collect();
-        Ring { nodes, next_bat: AtomicU64::new(1), templates: mal::TemplateCache::new() }
+        Ring { nodes, next_bat: AtomicU64::new(1) }
     }
 }
 
@@ -2486,13 +2530,13 @@ impl Ring {
     /// returning the typed [`ResultSet`] (the canonical query API; see
     /// [`RingNode::execute`]).
     pub fn execute(&self, node_idx: usize, sql: &str) -> Result<ResultSet, DcError> {
-        self.nodes[node_idx].run_sql(sql, &self.templates).map_err(DcError::from)
+        self.nodes[node_idx].execute(sql)
     }
 
     /// Compile and execute one SQL statement on the given node; returns
     /// the rendered output (a rendering shim over [`Ring::execute`]).
     pub fn submit_sql(&self, node_idx: usize, sql: &str) -> Result<String, MalError> {
-        self.nodes[node_idx].run_sql(sql, &self.templates).map(|rs| rs.render())
+        self.nodes[node_idx].submit_sql(sql)
     }
 
     /// Execute an already-compiled MAL plan on a node.
@@ -2576,16 +2620,57 @@ mod tests {
     #[test]
     fn repeated_queries_share_templates() {
         let ring = demo_ring(2);
-        // Identical statements share one cached plan; a different
-        // constant compiles fresh (plans bake literals in — see
-        // `TemplateCache::get_or_compile`) and must return its own rows,
-        // not the cached statement's.
+        let template_stats = |i: usize| {
+            let obs = ring.node(i).obs();
+            (obs.counter("template_hits").get(), obs.counter("template_misses").get())
+        };
+        // Each node keeps its own cache, keyed by statement shape: the
+        // first statement of a shape compiles, and a statement differing
+        // only in its constants is a hit that binds its own values — it
+        // must return its own rows, not the cached statement's.
         ring.submit_sql(0, "select amount from c where amount >= 10").unwrap();
         ring.submit_sql(1, "select amount from c where amount >= 10").unwrap();
-        let (hits, misses) = ring.templates.stats();
-        assert_eq!((hits, misses), (1, 1), "identical statement reused");
+        assert_eq!((template_stats(0), template_stats(1)), ((0, 1), (0, 1)), "one cache per node");
         let out = ring.submit_sql(1, "select amount from c where amount >= 35").unwrap();
-        assert!(out.contains("[ 40 ]") && !out.contains("[ 30 ]"), "fresh constants: {out}");
+        assert_eq!(template_stats(1), (1, 1), "same shape, other constant: a hit");
+        assert!(out.contains("[ 40 ]") && !out.contains("[ 30 ]"), "own constants: {out}");
+        assert_eq!(ring.node(1).obs().gauge("template_entries").get(), 1);
+        // A compile error is not cached; a later success of that shape is.
+        assert!(ring.submit_sql(1, "select x from ghost where x = 1").is_err());
+        assert_eq!(template_stats(1), (1, 1), "the failed compile left no entry");
+        ring.execute(1, "create table ghost (x int)").unwrap();
+        ring.execute(1, "insert into ghost values (1), (2)").unwrap();
+        let rs = ring.execute(1, "select x from ghost where x = 1").unwrap();
+        assert_eq!(rs.row_count(), 1);
+        let before = template_stats(1);
+        let rs = ring.execute(1, "select x from ghost where x = 2").unwrap();
+        assert_eq!(rs.cell(0, 0), batstore::Val::Int(2));
+        assert_eq!(template_stats(1), (before.0 + 1, before.1), "now a cached shape");
+    }
+
+    #[test]
+    fn plan_shaping_numbers_stay_in_the_template_key() {
+        let ring = demo_ring(1);
+        let misses = || ring.node(0).obs().counter("template_misses").get();
+        let amounts = |sql: &str| -> Vec<batstore::Val> {
+            let rs = ring.execute(0, sql).unwrap();
+            (0..rs.row_count()).map(|r| rs.cell(r, 0)).collect()
+        };
+        let ints = |v: &[i32]| v.iter().map(|&i| batstore::Val::Int(i)).collect::<Vec<_>>();
+        // LIMIT is compiled into the plan (a slice bound), not bound.
+        assert_eq!(amounts("select amount from c order by amount limit 2"), ints(&[10, 20]));
+        assert_eq!(amounts("select amount from c order by amount limit 3"), ints(&[10, 20, 30]));
+        assert_eq!(misses(), 2, "limit 2 and limit 3 are different templates");
+        // So is an IN list's length: one selection per element.
+        let in2 = "select amount from c where amount in (10, 40) order by amount";
+        let in3 = "select amount from c where amount in (10, 20, 40) order by amount";
+        assert_eq!(amounts(in2), ints(&[10, 40]));
+        assert_eq!(amounts(in3), ints(&[10, 20, 40]));
+        assert_eq!(misses(), 4, "2- and 3-element IN lists are different templates");
+        // Equal arity with other values is the same template.
+        let other = "select amount from c where amount in (30, 20, 10) order by amount";
+        assert_eq!(amounts(other), ints(&[10, 20, 30]));
+        assert_eq!(misses(), 4);
     }
 
     #[test]

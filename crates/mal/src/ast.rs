@@ -37,6 +37,11 @@ impl fmt::Display for Const {
 pub enum Arg {
     Var(VarId),
     Const(Const),
+    /// Parameter slot of a query template (§3.2), printed `A<slot>`: the
+    /// value comes from the binding the plan runs with — by default
+    /// [`Program::params`], the literals of the statement it was
+    /// compiled from.
+    Param(u32),
 }
 
 /// One instruction: zero or more targets assigned from a call.
@@ -65,7 +70,7 @@ impl Instr {
     pub fn uses(&self) -> impl Iterator<Item = VarId> + '_ {
         self.args.iter().filter_map(|a| match a {
             Arg::Var(v) => Some(*v),
-            Arg::Const(_) => None,
+            Arg::Const(_) | Arg::Param(_) => None,
         })
     }
 
@@ -84,11 +89,33 @@ pub struct Program {
     /// Variable names; `VarId` indexes here.
     pub vars: Vec<String>,
     pub instrs: Vec<Instr>,
+    /// Default binding of each [`Arg::Param`] slot. A plan is a template
+    /// over its slots; these values make it self-contained, and running
+    /// it with another vector of the same length is a template hit.
+    pub params: Vec<Const>,
 }
 
 impl Program {
     pub fn new(module: &str, name: &str) -> Program {
-        Program { module: module.into(), name: name.into(), vars: Vec::new(), instrs: Vec::new() }
+        Program {
+            module: module.into(),
+            name: name.into(),
+            vars: Vec::new(),
+            instrs: Vec::new(),
+            params: Vec::new(),
+        }
+    }
+
+    /// This program's header, variables and parameter bindings with no
+    /// instructions: what a rewriting pass starts its output from.
+    pub fn empty_like(&self) -> Program {
+        Program {
+            module: self.module.clone(),
+            name: self.name.clone(),
+            vars: self.vars.clone(),
+            instrs: Vec::new(),
+            params: self.params.clone(),
+        }
     }
 
     /// Intern a variable name, returning its id (existing or fresh).
@@ -136,7 +163,16 @@ impl Program {
 
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "function {}.{}():void;", self.module, self.name)?;
+        // Parameter slots print MonetDB-style in the header, each with the
+        // value it is bound to by default.
+        write!(f, "function {}.{}(", self.module, self.name)?;
+        for (slot, c) in self.params.iter().enumerate() {
+            if slot > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "A{slot} := {c}")?;
+        }
+        writeln!(f, "):void;")?;
         for instr in &self.instrs {
             write!(f, "    ")?;
             match instr.targets.len() {
@@ -161,6 +197,7 @@ impl fmt::Display for Program {
                 match a {
                     Arg::Var(v) => write!(f, "{}", self.var_name(*v))?,
                     Arg::Const(c) => write!(f, "{c}")?,
+                    Arg::Param(slot) => write!(f, "A{slot}")?,
                 }
             }
             writeln!(f, ");")?;
@@ -233,6 +270,24 @@ mod tests {
         });
         let s = p.to_string();
         assert!(s.contains("(Xg,Xe) := group.new(X0, 0@0);"), "{s}");
+    }
+
+    #[test]
+    fn display_parameter_slots_and_bindings() {
+        let mut p = Program::new("user", "s1_1");
+        let (b, x) = (p.var("X1"), p.var("X2"));
+        p.params = vec![Const::Int(30), Const::Str("eu".into())];
+        p.push(Instr::assign(
+            x,
+            "algebra",
+            "select",
+            vec![Arg::Var(b), Arg::Param(0), Arg::Param(1)],
+        ));
+        let s = p.to_string();
+        assert!(s.starts_with("function user.s1_1(A0 := 30, A1 := \"eu\"):void;\n"), "{s}");
+        assert!(s.contains("X2 := algebra.select(X1, A0, A1);"), "{s}");
+        assert_eq!(p.empty_like().params, p.params);
+        assert!(p.empty_like().is_empty());
     }
 
     #[test]

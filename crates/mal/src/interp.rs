@@ -10,7 +10,7 @@
 //!   threads keep running, which is exactly how query execution overlaps
 //!   with ring data arrival.
 
-use crate::ast::{Arg, Instr, Program};
+use crate::ast::{Arg, Const, Instr, Program};
 use crate::context::SessionCtx;
 use crate::error::{MalError, Result};
 use crate::modules::Registry;
@@ -48,15 +48,44 @@ impl Interpreter {
     }
 
     pub fn run(&self, prog: &Program, ctx: &SessionCtx) -> Result<Env> {
-        run_dataflow_with(prog, ctx, &self.registry, self.threads)
+        run_dataflow_with(prog, &prog.params, ctx, &self.registry, self.threads)
     }
 
     pub fn run_seq(&self, prog: &Program, ctx: &SessionCtx) -> Result<Env> {
-        run_sequential_with(prog, ctx, &self.registry)
+        run_sequential_with(prog, &prog.params, ctx, &self.registry)
     }
 }
 
-fn resolve_args(instr: &Instr, env: &[Option<MVal>], prog: &Program) -> Result<Vec<MVal>> {
+fn const_val(c: &Const) -> MVal {
+    match c {
+        Const::Int(v) => MVal::Int(*v),
+        Const::Dbl(v) => MVal::Dbl(*v),
+        Const::Str(s) => MVal::Str(s.clone()),
+        Const::Oid(o) => MVal::Oid(*o),
+        Const::Nil => MVal::Void,
+    }
+}
+
+/// A binding must fill exactly the slots the plan was compiled with.
+fn check_binding(prog: &Program, params: &[Const]) -> Result<()> {
+    if params.len() == prog.params.len() {
+        return Ok(());
+    }
+    Err(MalError::BadCall(format!(
+        "{}.{} has {} parameter slots, {} values bound",
+        prog.module,
+        prog.name,
+        prog.params.len(),
+        params.len()
+    )))
+}
+
+fn resolve_args(
+    instr: &Instr,
+    env: &[Option<MVal>],
+    prog: &Program,
+    params: &[Const],
+) -> Result<Vec<MVal>> {
     instr
         .args
         .iter()
@@ -64,13 +93,11 @@ fn resolve_args(instr: &Instr, env: &[Option<MVal>], prog: &Program) -> Result<V
             Arg::Var(v) => env[v.0 as usize]
                 .clone()
                 .ok_or_else(|| MalError::Undefined(prog.var_name(*v).to_string())),
-            Arg::Const(c) => Ok(match c {
-                crate::ast::Const::Int(v) => MVal::Int(*v),
-                crate::ast::Const::Dbl(v) => MVal::Dbl(*v),
-                crate::ast::Const::Str(s) => MVal::Str(s.clone()),
-                crate::ast::Const::Oid(o) => MVal::Oid(*o),
-                crate::ast::Const::Nil => MVal::Void,
-            }),
+            Arg::Const(c) => Ok(const_val(c)),
+            Arg::Param(slot) => params
+                .get(*slot as usize)
+                .map(const_val)
+                .ok_or_else(|| MalError::Undefined(format!("A{slot}"))),
         })
         .collect()
 }
@@ -90,18 +117,25 @@ fn apply(instr: &Instr, outs: Vec<MVal>, env: &mut [Option<MVal>]) -> Result<()>
     Ok(())
 }
 
-/// Linear interpretation with the standard registry.
+/// Linear interpretation with the standard registry and the plan's own
+/// parameter bindings.
 pub fn run_sequential(prog: &Program, ctx: &SessionCtx) -> Result<Env> {
-    run_sequential_with(prog, ctx, &Registry::standard())
+    run_sequential_with(prog, &prog.params, ctx, Registry::shared())
 }
 
-pub fn run_sequential_with(prog: &Program, ctx: &SessionCtx, registry: &Registry) -> Result<Env> {
+pub fn run_sequential_with(
+    prog: &Program,
+    params: &[Const],
+    ctx: &SessionCtx,
+    registry: &Registry,
+) -> Result<Env> {
+    check_binding(prog, params)?;
     let mut env: Env = vec![None; prog.vars.len()];
     for instr in &prog.instrs {
         let f = registry
             .lookup(&instr.module, &instr.func)
             .ok_or_else(|| MalError::UnknownFunction(instr.qualified_name()))?;
-        let args = resolve_args(instr, &env, prog)?;
+        let args = resolve_args(instr, &env, prog, params)?;
         let outs = f(ctx, &args)?;
         apply(instr, outs, &mut env)?;
     }
@@ -165,24 +199,39 @@ struct SchedState {
     error: Option<MalError>,
 }
 
-/// Dataflow-parallel interpretation with the standard registry.
+/// Dataflow-parallel interpretation with the standard registry and the
+/// plan's own parameter bindings.
 pub fn run_dataflow(prog: &Program, ctx: &SessionCtx, threads: usize) -> Result<Env> {
-    run_dataflow_with(prog, ctx, &Registry::standard(), threads)
+    run_dataflow_with(prog, &prog.params, ctx, Registry::shared(), threads)
+}
+
+/// [`run_dataflow`] with `params` bound to the plan's slots in place of
+/// its own: how a cached query template (§3.2) runs another statement of
+/// the same shape.
+pub fn run_dataflow_bound(
+    prog: &Program,
+    params: &[Const],
+    ctx: &SessionCtx,
+    threads: usize,
+) -> Result<Env> {
+    run_dataflow_with(prog, params, ctx, Registry::shared(), threads)
 }
 
 pub fn run_dataflow_with(
     prog: &Program,
+    params: &[Const],
     ctx: &SessionCtx,
     registry: &Registry,
     threads: usize,
 ) -> Result<Env> {
+    check_binding(prog, params)?;
     let n = prog.instrs.len();
     if n == 0 {
         return Ok(vec![None; prog.vars.len()]);
     }
     let threads = threads.clamp(1, n);
     if threads == 1 {
-        return run_sequential_with(prog, ctx, registry);
+        return run_sequential_with(prog, params, ctx, registry);
     }
 
     let deps = dependencies(prog);
@@ -210,7 +259,7 @@ pub fn run_dataflow_with(
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| worker(prog, ctx, registry, &shared, &dependents, n));
+            scope.spawn(|| worker(prog, params, ctx, registry, &shared, &dependents, n));
         }
     });
 
@@ -223,6 +272,7 @@ pub fn run_dataflow_with(
 
 fn worker(
     prog: &Program,
+    params: &[Const],
     ctx: &SessionCtx,
     registry: &Registry,
     shared: &Shared,
@@ -238,7 +288,7 @@ fn worker(
                 }
                 if let Some(idx) = st.ready.pop_front() {
                     let instr = &prog.instrs[idx];
-                    match resolve_args(instr, &st.env, prog) {
+                    match resolve_args(instr, &st.env, prog, params) {
                         Ok(args) => {
                             st.inflight += 1;
                             break (idx, args);
@@ -375,6 +425,45 @@ mod tests {
             parse_program("function user.q():void;\nX1 := bat.reverse(Xghost);\nend q;").unwrap();
         let ctx = paper_ctx();
         assert!(matches!(run_sequential(&prog, &ctx).unwrap_err(), MalError::Undefined(_)));
+    }
+
+    #[test]
+    fn parameter_slots_bind_per_run() {
+        // select id from t where id >= A0, printed: the plan's own binding
+        // by default, another vector of the same length on request.
+        let mut prog = Program::new("user", "q");
+        let (b, sel) = (prog.var("X1"), prog.var("X2"));
+        let name = |s: &str| Arg::Const(Const::Str(s.into()));
+        prog.push(Instr::assign(
+            b,
+            "sql",
+            "bind",
+            vec![name("sys"), name("t"), name("id"), Arg::Const(Const::Int(0))],
+        ));
+        prog.push(Instr::assign(
+            sel,
+            "algebra",
+            "thetauselect",
+            vec![Arg::Var(b), Arg::Param(0), name(">=")],
+        ));
+        prog.push(Instr::call("io", "print", vec![Arg::Var(sel)]));
+        prog.params = vec![Const::Int(3)];
+
+        let rows =
+            |ctx: &SessionCtx| ctx.take_output().lines().filter(|l| l.starts_with('[')).count();
+        let ctx = paper_ctx();
+        run_sequential(&prog, &ctx).unwrap();
+        assert_eq!(rows(&ctx), 1, "id >= 3");
+        run_dataflow(&prog, &ctx, 4).unwrap();
+        assert_eq!(rows(&ctx), 1);
+        run_dataflow_bound(&prog, &[Const::Int(2)], &ctx, 4).unwrap();
+        assert_eq!(rows(&ctx), 2, "id >= 2, bound over the default");
+        assert_eq!(prog.params, vec![Const::Int(3)], "binding leaves the template alone");
+        // A binding fills exactly the plan's slots.
+        for bad in [&[][..], &[Const::Int(1), Const::Int(2)][..]] {
+            let e = run_dataflow_bound(&prog, bad, &ctx, 4).unwrap_err();
+            assert!(matches!(e, MalError::BadCall(_)), "{e}");
+        }
     }
 
     #[test]

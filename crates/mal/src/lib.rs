@@ -17,7 +17,8 @@
 //!   `sql.bind` becomes a `datacyclotron.request`, a blocking
 //!   `datacyclotron.pin` is injected before first use, and `unpin` calls
 //!   release the fragments (reproducing Table 1 → Table 2 exactly),
-//! * [`template`] — the query-template cache of §3.2.
+//! * [`template`] — the bounded query-template cache of §3.2: plans carry
+//!   parameter slots ([`Arg::Param`]) and are cached by statement shape.
 
 pub mod ast;
 pub mod context;
@@ -32,7 +33,7 @@ pub mod value;
 pub use ast::{Arg, Const, Instr, Program, VarId};
 pub use context::{DcHooks, LocalHooks, SessionCtx};
 pub use error::{MalError, Result};
-pub use interp::{run_dataflow, run_sequential, Interpreter};
+pub use interp::{run_dataflow, run_dataflow_bound, run_sequential, Interpreter};
 pub use optimizer::{
     common_subexpression_eliminate, dc_optimize, dead_code_eliminate, expression_key,
 };

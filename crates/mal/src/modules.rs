@@ -7,15 +7,17 @@ use crate::error::{MalError, Result};
 use crate::value::{MVal, ResultSet};
 use batstore::{ops, Bat, Val};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A native operator implementation. Receives resolved argument values,
 /// returns the values for the instruction's targets (usually one).
 pub type NativeFn = Arc<dyn Fn(&SessionCtx, &[MVal]) -> Result<Vec<MVal>> + Send + Sync>;
 
-/// The module registry: `(module, function) → implementation`.
+/// The module registry: `(module, function) → implementation`. Names
+/// are the `'static` literals the modules register under, so a lookup
+/// by borrowed names hashes them in place.
 pub struct Registry {
-    fns: HashMap<(String, String), NativeFn>,
+    fns: HashMap<(&'static str, &'static str), NativeFn>,
 }
 
 impl Registry {
@@ -25,18 +27,18 @@ impl Registry {
 
     pub fn register(
         &mut self,
-        module: &str,
-        func: &str,
+        module: &'static str,
+        func: &'static str,
         f: impl Fn(&SessionCtx, &[MVal]) -> Result<Vec<MVal>> + Send + Sync + 'static,
     ) {
-        self.fns.insert((module.to_string(), func.to_string()), Arc::new(f));
+        self.fns.insert((module, func), Arc::new(f));
     }
 
-    pub fn lookup(&self, module: &str, func: &str) -> Option<&NativeFn> {
-        // Avoid allocating on the hot path: (module, func) keyed lookup
-        // via a borrowed tuple is not possible with String keys, so keep a
-        // scratch key. Lookup cost is dominated by the hash anyway.
-        self.fns.get(&(module.to_string(), func.to_string()))
+    pub fn lookup<'a>(&'a self, module: &'a str, func: &'a str) -> Option<&'a NativeFn> {
+        // The map is covariant in its key, so it is read here as one keyed
+        // by `(&'a str, &'a str)`: no owned key is built per instruction.
+        let fns: &'a HashMap<(&'a str, &'a str), NativeFn> = &self.fns;
+        fns.get(&(module, func))
     }
 
     pub fn len(&self) -> usize {
@@ -45,6 +47,14 @@ impl Registry {
 
     pub fn is_empty(&self) -> bool {
         self.fns.is_empty()
+    }
+
+    /// The process-wide [`Registry::standard`], built on first use: what
+    /// [`crate::run_dataflow`] and [`crate::run_sequential`] interpret
+    /// every statement against.
+    pub fn shared() -> &'static Registry {
+        static SHARED: OnceLock<Registry> = OnceLock::new();
+        SHARED.get_or_init(Registry::standard)
     }
 
     /// The standard library: everything the paper's plans and the SQL

@@ -16,8 +16,7 @@ use std::collections::HashMap;
 
 /// Rewrite a plan to fetch its persistent BATs through the Data Cyclotron.
 pub fn dc_optimize(prog: &Program) -> Program {
-    let mut out = Program::new(&prog.module, &prog.name);
-    out.vars = prog.vars.clone();
+    let mut out = prog.empty_like();
 
     // Pass 1: find binds, allocate request-ticket variables, and hoist the
     // request calls ("The optimizer replaces each BAT bind call by a
@@ -73,8 +72,7 @@ pub fn dc_optimize(prog: &Program) -> Program {
 /// have effects (or, for `pin`, blocking semantics) and are never merged.
 pub fn common_subexpression_eliminate(prog: &Program) -> Program {
     const PURE_MODULES: &[&str] = &["bat", "algebra", "aggr", "group"];
-    let mut out = Program::new(&prog.module, &prog.name);
-    out.vars = prog.vars.clone();
+    let mut out = prog.empty_like();
     // Value numbering: canonical expression text → the vars holding it.
     let mut value_of: HashMap<String, Vec<VarId>> = HashMap::new();
     // Current substitution for each var (identity unless merged).
@@ -121,6 +119,11 @@ pub fn expression_key(instr: &Instr, prog: &Program) -> String {
             Arg::Const(c) => {
                 let _ = write!(s, "{c}");
             }
+            // By slot, never by bound value: a merge must hold for every
+            // binding the template is later run with.
+            Arg::Param(slot) => {
+                let _ = write!(s, "A{slot}");
+            }
         }
     }
     s.push(')');
@@ -146,8 +149,7 @@ pub fn dead_code_eliminate(prog: &Program) -> Program {
         }
     }
 
-    let mut out = Program::new(&prog.module, &prog.name);
-    out.vars = prog.vars.clone();
+    let mut out = prog.empty_like();
     for (i, instr) in prog.instrs.iter().enumerate() {
         if keep[i] {
             out.push(instr.clone());
@@ -194,6 +196,7 @@ end s1_2;
                         .map(|a| match a {
                             Arg::Var(v) => p.var_name(*v).to_string(),
                             Arg::Const(c) => c.to_string(),
+                            Arg::Param(slot) => format!("A{slot}"),
                         })
                         .collect(),
                 )
@@ -320,6 +323,26 @@ end s1_2;
         .unwrap();
         let o = common_subexpression_eliminate(&p);
         assert_eq!(o.len(), p.len() - 2, "{o}");
+    }
+
+    #[test]
+    fn cse_merges_parameters_by_slot_not_by_value() {
+        // A0 and A1 are bound to the same value today; a later binding of
+        // the template may differ, so only the repeated A0 may merge.
+        let mut p = Program::new("user", "q");
+        let ty = || Arg::Const(crate::ast::Const::Str("int".into()));
+        let (a, b, c) = (p.var("X1"), p.var("X2"), p.var("X3"));
+        p.params = vec![crate::ast::Const::Int(7), crate::ast::Const::Int(7)];
+        p.push(Instr::assign(a, "bat", "literal", vec![ty(), Arg::Param(0)]));
+        p.push(Instr::assign(b, "bat", "literal", vec![ty(), Arg::Param(1)]));
+        p.push(Instr::assign(c, "bat", "literal", vec![ty(), Arg::Param(0)]));
+        p.push(Instr::call("io", "print", vec![Arg::Var(a), Arg::Var(b), Arg::Var(c)]));
+        let o = common_subexpression_eliminate(&p);
+        assert_eq!(o.len(), p.len() - 1, "{o}");
+        assert_eq!(o.instrs[2].args, vec![Arg::Var(a), Arg::Var(b), Arg::Var(a)]);
+        assert_eq!(o.params, p.params, "rewrites keep the bindings");
+        assert_eq!(dc_optimize(&o).params, p.params);
+        assert_eq!(dead_code_eliminate(&o).params, p.params);
     }
 
     #[test]

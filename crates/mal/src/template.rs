@@ -2,70 +2,42 @@
 //! into a parametrized representation, called a query template, by
 //! factoring out its literal constants … The query templates are kept in
 //! a query cache."
+//!
+//! A template is a compiled [`Program`] whose statement literals are
+//! [`crate::Arg::Param`] slots; its key is the statement's *shape* — the
+//! front-end parser's own token stream with each value literal replaced
+//! by a placeholder (`sqlfront::parse_template`). Anything that shapes
+//! the plan (table and column names, `LIMIT n`, IN-list and VALUES arity)
+//! stays in the key, so a hit only has to bind the statement's literals
+//! to the cached plan's slots.
 
 use crate::ast::Program;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Normalize a SQL text into its template key: literal constants become
-/// `?`, whitespace collapses, keywords lower-case. Two queries differing
-/// only in constants share one plan template.
-pub fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut last_space = true;
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' => {
-                // String literal → ?
-                for c2 in chars.by_ref() {
-                    if c2 == '\'' {
-                        break;
-                    }
-                }
-                out.push('?');
-                last_space = false;
-            }
-            '0'..='9' => {
-                // Numeric literal (identifiers with digits are handled
-                // below since we only get here when not inside a word).
-                while matches!(chars.peek(), Some('0'..='9') | Some('.')) {
-                    chars.next();
-                }
-                out.push('?');
-                last_space = false;
-            }
-            c if c.is_whitespace() => {
-                if !last_space {
-                    out.push(' ');
-                    last_space = true;
-                }
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                out.push(c.to_ascii_lowercase());
-                // Consume the rest of the word including digits, so
-                // `table2` stays an identifier and is not templated.
-                while matches!(chars.peek(), Some(c2) if c2.is_alphanumeric() || *c2 == '_') {
-                    out.push(chars.next().unwrap().to_ascii_lowercase());
-                }
-                last_space = false;
-            }
-            c => {
-                out.push(c);
-                last_space = false;
-            }
-        }
-    }
-    out.trim().to_string()
+/// Most templates a cache keeps. A serving node sees a handful of shapes
+/// per application; the bound is for the shapes an ad-hoc client can
+/// invent without end (table names, IN-list lengths).
+pub const TEMPLATE_CACHE_CAP: usize = 128;
+
+struct Entry {
+    plan: Arc<Program>,
+    last_used: u64,
 }
 
-/// A concurrent template cache with hit statistics.
+#[derive(Default)]
+struct Lru {
+    map: HashMap<String, Entry>,
+    /// Logical clock: bumped on every hit and insert.
+    tick: u64,
+}
+
+/// A concurrent template cache holding at most [`TEMPLATE_CACHE_CAP`]
+/// plans, evicting the least recently used.
 #[derive(Default)]
 pub struct TemplateCache {
-    map: Mutex<HashMap<String, Arc<Program>>>,
-    hits: Mutex<u64>,
-    misses: Mutex<u64>,
+    lru: Mutex<Lru>,
 }
 
 impl TemplateCache {
@@ -73,46 +45,40 @@ impl TemplateCache {
         Self::default()
     }
 
-    /// Fetch the cached plan for `sql`, compiling it with `compile` on
-    /// miss.
-    ///
-    /// The cache key is the *exact* statement text, not its
-    /// [`normalize_sql`] template: compiled plans currently bake literal
-    /// constants in, so serving a same-shape statement with different
-    /// constants from the cache would silently replay the first
-    /// statement's values (wrong SELECT results, duplicated INSERT
-    /// rows). Normalized-key sharing can return once plans carry real
-    /// parameter slots.
-    pub fn get_or_compile<E>(
-        &self,
-        sql: &str,
-        compile: impl FnOnce() -> Result<Program, E>,
-    ) -> Result<Arc<Program>, E> {
-        let key = sql.trim().to_string();
-        if let Some(p) = self.map.lock().get(&key) {
-            *self.hits.lock() += 1;
-            return Ok(Arc::clone(p));
-        }
-        let prog = Arc::new(compile()?);
-        *self.misses.lock() += 1;
-        self.map.lock().insert(key, Arc::clone(&prog));
-        Ok(prog)
+    /// The template cached under `key`, marked most recently used.
+    pub fn get(&self, key: &str) -> Option<Arc<Program>> {
+        let mut lru = self.lru.lock();
+        lru.tick += 1;
+        let tick = lru.tick;
+        let entry = lru.map.get_mut(key)?;
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.plan))
     }
 
-    pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.lock(), *self.misses.lock())
+    /// Cache `plan` under `key`, first evicting the least recently used
+    /// template when the cache is full. Eviction scans the entries: it
+    /// happens only beside a compile, which costs far more.
+    pub fn insert(&self, key: String, plan: Program) -> Arc<Program> {
+        let plan = Arc::new(plan);
+        let mut lru = self.lru.lock();
+        lru.tick += 1;
+        let last_used = lru.tick;
+        if lru.map.len() >= TEMPLATE_CACHE_CAP && !lru.map.contains_key(&key) {
+            let oldest = lru.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
+            if let Some(oldest) = oldest {
+                lru.map.remove(&oldest);
+            }
+        }
+        lru.map.insert(key, Entry { plan: Arc::clone(&plan), last_used });
+        plan
     }
 
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.lru.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    pub fn clear(&self) {
-        self.map.lock().clear();
     }
 }
 
@@ -120,63 +86,48 @@ impl TemplateCache {
 mod tests {
     use super::*;
 
-    #[test]
-    fn constants_factored_out() {
-        let a = normalize_sql("select x from t where a = 5 and b = 'foo'");
-        let b = normalize_sql("SELECT x FROM t WHERE a = 99 AND b = 'bar'");
-        assert_eq!(a, b);
-        assert!(a.contains('?'));
+    fn plan(name: &str) -> Program {
+        Program::new("user", name)
     }
 
     #[test]
-    fn identifiers_with_digits_preserved() {
-        let a = normalize_sql("select c1 from table2");
-        assert_eq!(a, "select c1 from table2");
-    }
-
-    #[test]
-    fn whitespace_collapsed() {
-        assert_eq!(normalize_sql("select   x\n\tfrom t"), "select x from t");
-    }
-
-    #[test]
-    fn different_shapes_differ() {
-        assert_ne!(normalize_sql("select x from t"), normalize_sql("select y from t"));
-    }
-
-    #[test]
-    fn cache_hits_on_identical_statement_only() {
+    fn get_returns_what_insert_cached() {
         let cache = TemplateCache::new();
-        let mk = || -> Result<Program, ()> { Ok(Program::new("user", "t")) };
-        cache.get_or_compile("select x from t where a = 1", mk).unwrap();
-        cache.get_or_compile("  select x from t where a = 1 ", mk).unwrap();
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (1, 1));
+        assert!(cache.get("select x from t where a = ?").is_none());
+        assert!(cache.is_empty());
+        cache.insert("select x from t where a = ?".into(), plan("q1"));
+        assert_eq!(cache.get("select x from t where a = ?").unwrap().name, "q1");
+        assert!(cache.get("select y from t where a = ?").is_none(), "another shape");
+        // Re-inserting a key replaces its plan without growing the cache.
+        cache.insert("select x from t where a = ?".into(), plan("q2"));
+        assert_eq!(cache.get("select x from t where a = ?").unwrap().name, "q2");
         assert_eq!(cache.len(), 1);
-        // Different constants compile fresh: cached plans bake literals
-        // in, so serving `a = 2` from `a = 1`'s plan would replay the
-        // wrong constant.
-        cache.get_or_compile("select x from t where a = 2", mk).unwrap();
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (1, 2));
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
-    fn cache_compile_error_propagates() {
+    fn bounded_with_most_recent_shape_kept() {
         let cache = TemplateCache::new();
-        let r = cache.get_or_compile("select x from t", || Err("boom"));
-        assert_eq!(r.unwrap_err(), "boom");
-        assert!(cache.is_empty());
+        for i in 0..10_000 {
+            cache.insert(format!("select c from t{i} where a = ?"), plan("q"));
+            assert!(cache.len() <= TEMPLATE_CACHE_CAP);
+        }
+        assert_eq!(cache.len(), TEMPLATE_CACHE_CAP);
+        assert!(cache.get("select c from t9999 where a = ?").is_some(), "newest shape hits");
+        assert!(cache.get("select c from t0 where a = ?").is_none(), "oldest shape evicted");
     }
 
     #[test]
-    fn clear_resets() {
+    fn eviction_is_least_recently_used() {
         let cache = TemplateCache::new();
-        cache
-            .get_or_compile("select 1", || -> Result<Program, ()> { Ok(Program::new("u", "x")) })
-            .unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
+        for i in 0..TEMPLATE_CACHE_CAP {
+            cache.insert(format!("k{i}"), plan("q"));
+        }
+        // Touch the oldest entry; the next insert must evict `k1` instead.
+        assert!(cache.get("k0").is_some());
+        cache.insert("fresh".into(), plan("q"));
+        assert_eq!(cache.len(), TEMPLATE_CACHE_CAP);
+        assert!(cache.get("k0").is_some(), "recently used survives");
+        assert!(cache.get("k1").is_none(), "least recently used evicted");
+        assert!(cache.get("fresh").is_some());
     }
 }

@@ -24,15 +24,26 @@ pub enum Expr {
     Lit(Val),
 }
 
+/// A value literal of a statement: a WHERE constant, a `SET` value, one
+/// cell of a `VALUES` row. `slot` is its query-template parameter slot
+/// (§3.2): literals are numbered 0, 1, … in the order the parser consumes
+/// their tokens, and the compiled plan reads the value through
+/// `mal::Arg::Param(slot)`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Literal {
+    pub slot: u32,
+    pub val: Val,
+}
+
 /// One WHERE conjunct.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Predicate {
     /// `col op literal`
-    Cmp { col: ColRef, op: String, lit: Val },
+    Cmp { col: ColRef, op: String, lit: Literal },
     /// `col BETWEEN lo AND hi`
-    Between { col: ColRef, lo: Val, hi: Val },
+    Between { col: ColRef, lo: Literal, hi: Literal },
     /// `col IN (v1, v2, …)`
-    InList { col: ColRef, vals: Vec<Val> },
+    InList { col: ColRef, vals: Vec<Literal> },
     /// `left = right` over two columns (join predicate).
     ColEq { left: ColRef, right: ColRef },
 }
@@ -113,7 +124,7 @@ pub struct InsertStmt {
     pub table: String,
     /// Explicit column order; `None` means the table's declared order.
     pub columns: Option<Vec<String>>,
-    pub rows: Vec<Vec<Val>>,
+    pub rows: Vec<Vec<Literal>>,
 }
 
 /// `UPDATE [schema.]t SET c = v [, …] [WHERE <predicates>]`.
@@ -122,7 +133,7 @@ pub struct UpdateStmt {
     pub schema: String,
     pub table: String,
     /// `SET` assignments in statement order.
-    pub assignments: Vec<(String, Val)>,
+    pub assignments: Vec<(String, Literal)>,
     /// Conjunction of WHERE predicates; empty means every row.
     pub predicates: Vec<Predicate>,
 }

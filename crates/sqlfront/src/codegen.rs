@@ -61,17 +61,47 @@ impl<'a> Gen<'a> {
         Arg::Const(Const::Int(v))
     }
 
-    fn cval(v: &Val) -> Result<Arg> {
-        Ok(Arg::Const(match v {
-            Val::Int(x) => Const::Int(*x as i64),
-            Val::Lng(x) => Const::Int(*x),
-            Val::Dbl(x) => Const::Dbl(*x),
-            Val::Str(s) => Const::Str(s.clone()),
-            Val::Bool(b) => Const::Int(*b as i64),
-            Val::Oid(o) => Const::Oid(*o),
-            other => return Err(err(format!("unsupported literal {other:?}"))),
-        }))
+    fn param(&mut self, lit: &Literal) -> Result<Arg> {
+        param(&mut self.prog.params, lit)
     }
+}
+
+impl crate::StmtTemplate {
+    /// What a cached plan of this shape is bound to so that it runs this
+    /// statement: one constant per parameter slot.
+    pub fn bindings(&self) -> Result<Vec<Const>> {
+        self.literals.iter().map(literal_const).collect()
+    }
+}
+
+/// The MAL constant a statement literal binds its parameter slot to.
+/// Codegen (the slot's default binding) and a template hit
+/// ([`crate::StmtTemplate::bindings`]) both convert through here.
+fn literal_const(v: &Val) -> Result<Const> {
+    Ok(match v {
+        Val::Int(x) => Const::Int(*x as i64),
+        Val::Lng(x) => Const::Int(*x),
+        Val::Dbl(x) => Const::Dbl(*x),
+        Val::Str(s) => Const::Str(s.clone()),
+        Val::Bool(b) => Const::Int(*b as i64),
+        Val::Oid(o) => Const::Oid(*o),
+        other => return Err(err(format!("unsupported literal {other:?}"))),
+    })
+}
+
+/// Every statement literal compiles to its parameter slot, never to a
+/// baked-in constant: the literal's value becomes the slot's default
+/// binding in `params` and nothing else about the plan may depend on it,
+/// which is what lets one plan serve every statement of its shape.
+/// Codegen does not visit literals in slot order (INSERT goes column by
+/// column), hence the resize.
+fn param(params: &mut Vec<Const>, lit: &Literal) -> Result<Arg> {
+    let slot = lit.slot as usize;
+    if params.len() <= slot {
+        params.resize(slot + 1, Const::Nil);
+    }
+    params[slot] = literal_const(&lit.val)?;
+    Ok(Arg::Param(lit.slot))
 }
 
 /// Per-table compile state.
@@ -155,25 +185,19 @@ impl<'a> Compiler<'a> {
             Predicate::Cmp { col, op, lit } => {
                 let ti = self.table_idx(&col.table, &col.column)?;
                 let b = self.bind(ti, &col.column)?;
+                let v = self.g.param(lit)?;
                 let f = if op == "=" {
-                    self.g.emit("algebra", "uselect", vec![Arg::Var(b), Gen::cval(lit)?])
+                    self.g.emit("algebra", "uselect", vec![Arg::Var(b), v])
                 } else {
-                    self.g.emit(
-                        "algebra",
-                        "thetauselect",
-                        vec![Arg::Var(b), Gen::cval(lit)?, Gen::cstr(op)],
-                    )
+                    self.g.emit("algebra", "thetauselect", vec![Arg::Var(b), v, Gen::cstr(op)])
                 };
                 (col, f)
             }
             Predicate::Between { col, lo, hi } => {
                 let ti = self.table_idx(&col.table, &col.column)?;
                 let b = self.bind(ti, &col.column)?;
-                let f = self.g.emit(
-                    "algebra",
-                    "select",
-                    vec![Arg::Var(b), Gen::cval(lo)?, Gen::cval(hi)?],
-                );
+                let (lo, hi) = (self.g.param(lo)?, self.g.param(hi)?);
+                let f = self.g.emit("algebra", "select", vec![Arg::Var(b), lo, hi]);
                 (col, f)
             }
             Predicate::InList { col, vals } => {
@@ -183,10 +207,11 @@ impl<'a> Compiler<'a> {
                 let ti = self.table_idx(&col.table, &col.column)?;
                 let b = self.bind(ti, &col.column)?;
                 // Union of equality selections (head-keyed kunion).
-                let mut acc =
-                    self.g.emit("algebra", "uselect", vec![Arg::Var(b), Gen::cval(&vals[0])?]);
+                let first = self.g.param(&vals[0])?;
+                let mut acc = self.g.emit("algebra", "uselect", vec![Arg::Var(b), first]);
                 for v in &vals[1..] {
-                    let u = self.g.emit("algebra", "uselect", vec![Arg::Var(b), Gen::cval(v)?]);
+                    let v = self.g.param(v)?;
+                    let u = self.g.emit("algebra", "uselect", vec![Arg::Var(b), v]);
                     acc = self.g.emit("algebra", "kunion", vec![Arg::Var(acc), Arg::Var(u)]);
                 }
                 (col, acc)
@@ -946,7 +971,7 @@ fn compile_insert(i: &InsertStmt, catalog: &Catalog) -> Result<Program> {
         let mut args = Vec::with_capacity(i.rows.len() + 1);
         args.push(Gen::cstr(col.ty.name()));
         for row in &i.rows {
-            args.push(Gen::cval(&row[pos])?);
+            args.push(g.param(&row[pos])?);
         }
         batch_vars.push(g.emit("bat", "literal", args));
     }
@@ -965,6 +990,7 @@ fn compile_insert(i: &InsertStmt, catalog: &Catalog) -> Result<Program> {
 /// against row ids computed from a possibly stale circulating copy.
 fn push_pred_args(
     args: &mut Vec<Arg>,
+    params: &mut Vec<Const>,
     preds: &[Predicate],
     def: &batstore::TableDef,
 ) -> Result<()> {
@@ -986,14 +1012,14 @@ fn push_pred_args(
                 args.push(Gen::cstr("cmp"));
                 args.push(Gen::cstr(&col.column));
                 args.push(Gen::cstr(op));
-                args.push(Gen::cval(lit)?);
+                args.push(param(params, lit)?);
             }
             Predicate::Between { col, lo, hi } => {
                 check_col(col)?;
                 args.push(Gen::cstr("between"));
                 args.push(Gen::cstr(&col.column));
-                args.push(Gen::cval(lo)?);
-                args.push(Gen::cval(hi)?);
+                args.push(param(params, lo)?);
+                args.push(param(params, hi)?);
             }
             Predicate::InList { col, vals } => {
                 if vals.is_empty() {
@@ -1004,7 +1030,7 @@ fn push_pred_args(
                 args.push(Gen::cstr(&col.column));
                 args.push(Gen::cint(vals.len() as i64));
                 for v in vals {
-                    args.push(Gen::cval(v)?);
+                    args.push(param(params, v)?);
                 }
             }
             Predicate::ColEq { left, right } => {
@@ -1042,11 +1068,11 @@ fn compile_update(u: &UpdateStmt, catalog: &Catalog) -> Result<Program> {
         names.push(name.as_str());
     }
     let mut args = vec![Gen::cstr(&u.schema), Gen::cstr(&u.table), Gen::cstr(&names.join(","))];
-    for (_, v) in &u.assignments {
-        args.push(Gen::cval(v)?);
-    }
-    push_pred_args(&mut args, &u.predicates, def)?;
     let mut prog = Program::new("user", "s1_1");
+    for (_, v) in &u.assignments {
+        args.push(param(&mut prog.params, v)?);
+    }
+    push_pred_args(&mut args, &mut prog.params, &u.predicates, def)?;
     prog.push(Instr::call("sql", "update", args));
     Ok(prog)
 }
@@ -1058,8 +1084,8 @@ fn compile_delete(d: &DeleteStmt, catalog: &Catalog) -> Result<Program> {
         .table(&d.schema, &d.table)
         .map_err(|e| err(format!("unknown table {}.{}: {e}", d.schema, d.table)))?;
     let mut args = vec![Gen::cstr(&d.schema), Gen::cstr(&d.table)];
-    push_pred_args(&mut args, &d.predicates, def)?;
     let mut prog = Program::new("user", "s1_1");
+    push_pred_args(&mut args, &mut prog.params, &d.predicates, def)?;
     prog.push(Instr::call("sql", "delete", args));
     Ok(prog)
 }
@@ -1347,6 +1373,48 @@ mod tests {
         ] {
             assert!(compile_sql(bad, &catalog).is_err(), "should fail: {bad}");
         }
+    }
+
+    #[test]
+    fn literals_compile_to_parameter_slots() {
+        let (catalog, _) = setup();
+        // Two statements of one shape compile to the same instructions;
+        // only the default bindings of the slots differ.
+        let shape = |a: &str, b: &str, c: &str| {
+            format!(
+                "select amount from c where amount > {a} and t_id in ({b}, {c}) \
+                 order by amount limit 2"
+            )
+        };
+        let p = compile_sql(&shape("15", "2", "9"), &catalog).unwrap();
+        let q = compile_sql(&shape("-4", "'x'", "5000000000"), &catalog).unwrap();
+        assert_eq!((&p.instrs, &p.vars), (&q.instrs, &q.vars));
+        assert_eq!(p.params, vec![Const::Int(15), Const::Int(2), Const::Int(9)]);
+        assert_eq!(
+            q.params,
+            vec![Const::Int(-4), Const::Str("x".into()), Const::Int(5_000_000_000)]
+        );
+        let slots = |prog: &Program| -> Vec<u32> {
+            prog.instrs
+                .iter()
+                .flat_map(|i| &i.args)
+                .filter_map(|a| match a {
+                    Arg::Param(slot) => Some(*slot),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(slots(&p), vec![0, 1, 2]);
+        // INSERT numbers its literals row by row (token order) and emits
+        // them column by column.
+        let i = compile_sql("insert into c values (1, 10), (2, 20)", &catalog).unwrap();
+        assert_eq!(i.params, [1, 10, 2, 20].map(Const::Int).to_vec());
+        assert_eq!(slots(&i), vec![0, 2, 1, 3]);
+        // UPDATE: assignments first, then the WHERE literals.
+        let u =
+            compile_sql("update c set amount = 7 where t_id between 2 and 3", &catalog).unwrap();
+        assert_eq!(u.params, [7, 2, 3].map(Const::Int).to_vec());
+        assert_eq!(slots(&u), vec![0, 1, 2]);
     }
 
     #[test]

@@ -15,14 +15,19 @@
 //! Table 1 — `sql.bind`, selection pushdown, `reverse`/`join`/`markT`
 //! plumbing, `resultSet`/`rsCol`/`exportResult` — so the Data Cyclotron
 //! optimizer ([`mal::dc_optimize`]) applies to them unchanged.
+//!
+//! Every value literal compiles to a parameter slot (`mal::Arg::Param`)
+//! whose default binding is the literal itself, so a compiled plan is at
+//! once self-contained and the query template (§3.2) of every statement
+//! with the same [`StmtTemplate::key`].
 
 pub mod ast;
 pub mod codegen;
 pub mod parser;
 
-pub use ast::{CreateStmt, Expr, InsertStmt, OrderKey, Query, SelectItem, Stmt, TableRef};
+pub use ast::{CreateStmt, Expr, InsertStmt, Literal, OrderKey, Query, SelectItem, Stmt, TableRef};
 pub use codegen::{compile, compile_sql, compile_stmt};
-pub use parser::{parse_query, parse_stmt};
+pub use parser::{parse_query, parse_stmt, parse_template, StmtTemplate};
 
 use mal::{MalError, Result};
 

@@ -95,12 +95,38 @@ fn lex(sql: &str) -> Result<Vec<Tok>> {
     Ok(toks)
 }
 
+impl Tok {
+    /// This token's text in a template key.
+    fn push_text(&self, out: &mut String) {
+        match self {
+            Tok::Word(s) | Tok::Num(s) | Tok::Sym(s) => out.push_str(s),
+            Tok::Str(s) => {
+                out.push('\'');
+                out.push_str(s);
+                out.push('\'');
+            }
+            Tok::Star => out.push('*'),
+            Tok::Comma => out.push(','),
+            Tok::Dot => out.push('.'),
+            Tok::LParen => out.push('('),
+            Tok::RParen => out.push(')'),
+        }
+    }
+}
+
 struct P {
     toks: Vec<Tok>,
     pos: usize,
+    /// Token position and value of every literal [`parse_literal`] has
+    /// consumed; the index is the literal's template slot.
+    literals: Vec<(usize, Val)>,
 }
 
 impl P {
+    fn new(sql: &str) -> Result<P> {
+        Ok(P { toks: lex(sql)?, pos: 0, literals: Vec::new() })
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -157,21 +183,33 @@ fn parse_colref(p: &mut P) -> Result<ColRef> {
     }
 }
 
-fn parse_literal(p: &mut P) -> Result<Val> {
-    match p.next()? {
+/// The one place a value literal is consumed: it takes the next template
+/// slot, and its token is what [`parse_template`] blanks out of the key.
+/// A number read any other way (`LIMIT n`, a type precision) shapes the
+/// plan and so stays in the key.
+fn parse_literal(p: &mut P) -> Result<Literal> {
+    let at = p.pos;
+    let val = match p.next()? {
         Tok::Num(s) => {
             if s.contains('.') {
-                s.parse::<f64>().map(Val::Dbl).map_err(|e| err(format!("bad number: {e}")))
+                s.parse::<f64>().map(Val::Dbl).map_err(|e| err(format!("bad number: {e}")))?
             } else {
                 let v: i64 = s.parse().map_err(|e| err(format!("bad number: {e}")))?;
-                Ok(if let Ok(small) = i32::try_from(v) { Val::Int(small) } else { Val::Lng(v) })
+                if let Ok(small) = i32::try_from(v) {
+                    Val::Int(small)
+                } else {
+                    Val::Lng(v)
+                }
             }
         }
-        Tok::Str(s) => Ok(Val::Str(s)),
-        Tok::Word(w) if w.eq_ignore_ascii_case("true") => Ok(Val::Bool(true)),
-        Tok::Word(w) if w.eq_ignore_ascii_case("false") => Ok(Val::Bool(false)),
-        other => Err(err(format!("expected literal, got {other:?}"))),
-    }
+        Tok::Str(s) => Val::Str(s),
+        Tok::Word(w) if w.eq_ignore_ascii_case("true") => Val::Bool(true),
+        Tok::Word(w) if w.eq_ignore_ascii_case("false") => Val::Bool(false),
+        other => return Err(err(format!("expected literal, got {other:?}"))),
+    };
+    let slot = p.literals.len() as u32;
+    p.literals.push((at, val.clone()));
+    Ok(Literal { slot, val })
 }
 
 fn parse_select_item(p: &mut P) -> Result<SelectItem> {
@@ -281,21 +319,60 @@ fn parse_qualified_table(p: &mut P) -> Result<(String, String)> {
 
 /// Parse one statement: SELECT, CREATE TABLE, INSERT, UPDATE, or DELETE.
 pub fn parse_stmt(sql: &str) -> Result<Stmt> {
-    let toks = lex(sql)?;
-    let mut p = P { toks, pos: 0 };
+    parse_any(&mut P::new(sql)?)
+}
+
+fn parse_any(p: &mut P) -> Result<Stmt> {
     if p.peek_kw("create") {
-        return parse_create(&mut p);
+        parse_create(p)
+    } else if p.peek_kw("insert") {
+        parse_insert(p)
+    } else if p.peek_kw("update") {
+        parse_update(p)
+    } else if p.peek_kw("delete") {
+        parse_delete(p)
+    } else {
+        parse_select(p).map(Stmt::Select)
     }
-    if p.peek_kw("insert") {
-        return parse_insert(&mut p);
+}
+
+/// A parsed statement with its query-template identity (paper §3.2).
+#[derive(Clone, Debug, PartialEq)]
+pub struct StmtTemplate {
+    pub stmt: Stmt,
+    /// The statement's shape: its tokens, single-spaced, with each value
+    /// literal replaced by `?`. Two statements with equal keys compile to
+    /// the same plan up to the bindings of its parameter slots.
+    pub key: String,
+    /// The literals in slot order — the values `stmt` carries, and what a
+    /// cached plan of this shape is bound to on a hit.
+    pub literals: Vec<Val>,
+}
+
+/// [`parse_stmt`], also deriving the template key and literal vector from
+/// that same parse: the key is built from the parser's own token stream,
+/// blanking exactly the tokens `parse_literal` consumed, so it cannot
+/// disagree with the parser about what a literal is.
+pub fn parse_template(sql: &str) -> Result<StmtTemplate> {
+    let mut p = P::new(sql)?;
+    let stmt = parse_any(&mut p)?;
+
+    let mut key = String::with_capacity(sql.len());
+    let mut literals = Vec::with_capacity(p.literals.len());
+    let mut next_literal = p.literals.into_iter().peekable();
+    for (at, tok) in p.toks.iter().enumerate() {
+        if at > 0 {
+            key.push(' ');
+        }
+        match next_literal.next_if(|(lit_at, _)| *lit_at == at) {
+            Some((_, val)) => {
+                key.push('?');
+                literals.push(val);
+            }
+            None => tok.push_text(&mut key),
+        }
     }
-    if p.peek_kw("update") {
-        return parse_update(&mut p);
-    }
-    if p.peek_kw("delete") {
-        return parse_delete(&mut p);
-    }
-    parse_query(sql).map(Stmt::Select)
+    Ok(StmtTemplate { stmt, key, literals })
 }
 
 /// The `WHERE` conjunction shared by UPDATE and DELETE (absent means
@@ -442,7 +519,7 @@ fn parse_insert(p: &mut P) -> Result<Stmt> {
             }
         }
         if let Some(prev) = rows.last() {
-            let prev: &Vec<Val> = prev;
+            let prev: &Vec<Literal> = prev;
             if row.len() != prev.len() {
                 return Err(err("all inserted rows must have the same arity"));
             }
@@ -485,12 +562,15 @@ fn parse_table_ref(p: &mut P) -> Result<TableRef> {
 
 /// Parse one SELECT statement.
 pub fn parse_query(sql: &str) -> Result<Query> {
-    let mut p = P { toks: lex(sql)?, pos: 0 };
+    parse_select(&mut P::new(sql)?)
+}
+
+fn parse_select(p: &mut P) -> Result<Query> {
     p.expect_kw("select")?;
 
     let mut q = Query { distinct: p.eat_kw("distinct"), ..Query::default() };
     loop {
-        q.select.push(parse_select_item(&mut p)?);
+        q.select.push(parse_select_item(p)?);
         if p.peek() == Some(&Tok::Comma) {
             p.next()?;
         } else {
@@ -500,7 +580,7 @@ pub fn parse_query(sql: &str) -> Result<Query> {
 
     p.expect_kw("from")?;
     loop {
-        q.from.push(parse_table_ref(&mut p)?);
+        q.from.push(parse_table_ref(p)?);
         // Explicit `[INNER] JOIN t [alias] ON a.x = b.y` items: the join
         // table enters the FROM list and the ON equality becomes a
         // [`Predicate::ColEq`] conjunct — exactly the shape the comma +
@@ -510,14 +590,14 @@ pub fn parse_query(sql: &str) -> Result<Query> {
                 return Err(err("expected JOIN after INNER"));
             }
             p.expect_kw("join")?;
-            q.from.push(parse_table_ref(&mut p)?);
+            q.from.push(parse_table_ref(p)?);
             p.expect_kw("on")?;
-            let left = parse_colref(&mut p)?;
+            let left = parse_colref(p)?;
             match p.next()? {
                 Tok::Sym(op) if op == "=" => {}
                 other => return Err(err(format!("JOIN ON supports only '=', got {other:?}"))),
             }
-            let right = parse_colref(&mut p)?;
+            let right = parse_colref(p)?;
             q.predicates.push(Predicate::ColEq { left, right });
         }
         if p.peek() == Some(&Tok::Comma) {
@@ -529,7 +609,7 @@ pub fn parse_query(sql: &str) -> Result<Query> {
 
     if p.eat_kw("where") {
         loop {
-            q.predicates.push(parse_predicate(&mut p)?);
+            q.predicates.push(parse_predicate(p)?);
             if !p.eat_kw("and") {
                 break;
             }
@@ -540,7 +620,7 @@ pub fn parse_query(sql: &str) -> Result<Query> {
         p.next()?;
         p.expect_kw("by")?;
         loop {
-            q.group_by.push(parse_colref(&mut p)?);
+            q.group_by.push(parse_colref(p)?);
             if p.peek() == Some(&Tok::Comma) {
                 p.next()?;
             } else {
@@ -552,7 +632,7 @@ pub fn parse_query(sql: &str) -> Result<Query> {
     if p.peek_kw("order") {
         p.next()?;
         p.expect_kw("by")?;
-        let col = parse_colref(&mut p)?;
+        let col = parse_colref(p)?;
         let descending = p.eat_kw("desc");
         if !descending {
             p.eat_kw("asc");
@@ -624,7 +704,10 @@ mod tests {
             parse_query("select a from t where a >= 10 and b = 'x' and c between 1 and 5").unwrap();
         assert_eq!(q.predicates.len(), 3);
         assert!(matches!(&q.predicates[0], Predicate::Cmp { op, .. } if op == ">="));
-        assert!(matches!(&q.predicates[1], Predicate::Cmp { lit: Val::Str(_), .. }));
+        assert!(matches!(
+            &q.predicates[1],
+            Predicate::Cmp { lit: Literal { val: Val::Str(_), slot: 1 }, .. }
+        ));
         assert!(matches!(&q.predicates[2], Predicate::Between { .. }));
     }
 
@@ -657,8 +740,16 @@ mod tests {
     #[test]
     fn negative_and_float_literals() {
         let q = parse_query("select a from t where a > -5 and b < 2.5").unwrap();
-        assert!(matches!(&q.predicates[0], Predicate::Cmp { lit: Val::Int(-5), .. }));
-        assert!(matches!(&q.predicates[1], Predicate::Cmp { lit: Val::Dbl(x), .. } if *x == 2.5));
+        let lits: Vec<&Literal> = q
+            .predicates
+            .iter()
+            .map(|p| match p {
+                Predicate::Cmp { lit, .. } => lit,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(lits[0], &Literal { slot: 0, val: Val::Int(-5) });
+        assert_eq!(lits[1], &Literal { slot: 1, val: Val::Dbl(2.5) });
     }
 
     #[test]
@@ -696,7 +787,14 @@ mod tests {
             panic!("expected INSERT")
         };
         assert_eq!(i.rows.len(), 2);
-        assert_eq!(i.rows[1], vec![Val::Int(2), Val::Str("y".into())]);
+        // Slots follow token order: row-major through the VALUES list.
+        assert_eq!(
+            i.rows[1],
+            vec![
+                Literal { slot: 2, val: Val::Int(2) },
+                Literal { slot: 3, val: Val::Str("y".into()) }
+            ]
+        );
         assert!(i.columns.is_none());
 
         let Stmt::Insert(i) = parse_stmt("insert into s.t (b, a) values (1, 2)").unwrap() else {
@@ -721,7 +819,10 @@ mod tests {
         assert_eq!((u.schema.as_str(), u.table.as_str()), ("s", "t"));
         assert_eq!(
             u.assignments,
-            vec![("a".to_string(), Val::Int(1)), ("b".to_string(), Val::Str("x".into()))]
+            vec![
+                ("a".to_string(), Literal { slot: 0, val: Val::Int(1) }),
+                ("b".to_string(), Literal { slot: 1, val: Val::Str("x".into()) })
+            ]
         );
         assert_eq!(u.predicates.len(), 2);
         assert!(matches!(&u.predicates[0], Predicate::Cmp { op, .. } if op == ">="));
@@ -763,6 +864,69 @@ mod tests {
         assert!(parse_stmt("insert into t (a, b) values (1)").is_err(), "arity vs column list");
         assert!(parse_stmt("insert into t values (1), (1, 2)").is_err(), "ragged rows");
         assert!(parse_stmt("insert into t values 1").is_err(), "missing parens");
+    }
+
+    #[test]
+    fn template_key_blanks_exactly_the_value_literals() {
+        let a = parse_template("select x from t where a = 5 and b = 'foo' and c between 1 and 2.5")
+            .unwrap();
+        let b = parse_template(
+            "select x\n\tfrom t  where a=-99 and b = 'it is 7 or select ?' and c between 0 and 1.0;",
+        )
+        .unwrap();
+        assert_eq!(a.key, "select x from t where a = ? and b = ? and c between ? and ?");
+        assert_eq!(a.key, b.key, "whitespace, signs, quotes and ';' do not reach the key");
+        assert_eq!(
+            b.literals,
+            vec![Val::Int(-99), Val::Str("it is 7 or select ?".into()), Val::Int(0), Val::Dbl(1.0)]
+        );
+        // `lng`-range ints and booleans are literals like any other.
+        let c = parse_template("select x from t where a = 5000000000 and b = true").unwrap();
+        assert_eq!(c.key, "select x from t where a = ? and b = ?");
+        assert_eq!(c.literals, vec![Val::Lng(5_000_000_000), Val::Bool(true)]);
+        // Digits inside identifiers are not literals; names stay verbatim
+        // (identifiers are case-sensitive, so the key is too).
+        let d = parse_template("select c1 from table2 T where T.c1 < 3").unwrap();
+        assert_eq!(d.key, "select c1 from table2 T where T . c1 < ?");
+        // The statement carries the same values, by slot.
+        let Stmt::Select(q) = &d.stmt else { panic!() };
+        assert!(matches!(&q.predicates[0],
+            Predicate::Cmp { lit, .. } if lit.val == d.literals[lit.slot as usize]));
+    }
+
+    #[test]
+    fn template_key_keeps_what_shapes_the_plan() {
+        let key = |sql: &str| parse_template(sql).unwrap().key;
+        // LIMIT n and type precisions are read outside `parse_literal`.
+        assert_ne!(key("select a from t limit 2"), key("select a from t limit 5"));
+        assert_eq!(
+            key("select a from t where a > 1 limit 2"),
+            "select a from t where a > ? limit 2"
+        );
+        assert_eq!(
+            key("create table t (a int, s varchar(32))"),
+            "create table t ( a int , s varchar ( 32 ) )"
+        );
+        // Arity: each IN element and VALUES cell is its own placeholder.
+        assert_ne!(
+            key("select a from t where a in (1, 2)"),
+            key("select a from t where a in (1, 2, 3)")
+        );
+        assert_eq!(
+            key("insert into t values (1, 'x'), (2, 'y')"),
+            "insert into t values ( ? , ? ) , ( ? , ? )"
+        );
+        assert_ne!(key("insert into t values (1), (2)"), key("insert into t values (1, 2)"));
+        // Different shapes differ; equal shapes with other literals agree.
+        assert_ne!(key("select x from t"), key("select y from t"));
+        assert_eq!(
+            key("update t set v = 1, s = 'a' where k in (1, 2)"),
+            key("update t set v = -7, s = 'select' where k in (30, 40)")
+        );
+        assert_eq!(key("delete from t where k = 1"), key("delete from t where k = 20000000000"));
+        // A statement that does not parse has no template.
+        assert!(parse_template("select a from t where a = 1e3").is_err());
+        assert!(parse_template("select a from t where").is_err());
     }
 
     #[test]

@@ -92,6 +92,53 @@ fn insert_and_select_across_tcp_nodes() {
     }
 }
 
+/// Routed mutations served from a template hit (§3.2): node 2 owns
+/// nothing, so its INSERTs and UPDATEs travel the ring to node 0. Only
+/// the first statement of each shape compiles; every later one binds its
+/// own literals to the cached plan and must apply those — not the cached
+/// statement's — exactly once at the owner.
+#[test]
+fn routed_mutations_from_template_hits_apply_their_own_values_once() {
+    let nodes = spawn_tcp_ring(3);
+    nodes[0].execute("create table kv (k int, v varchar(16))").unwrap();
+    nodes[2].wait_for_table_timeout("sys", "kv", Duration::from_secs(10)).unwrap();
+
+    let template_stats = || {
+        let obs = nodes[2].obs();
+        (obs.counter("template_hits").get(), obs.counter("template_misses").get())
+    };
+    for (k, v) in [(1, "one"), (2, "two"), (3, "three")] {
+        let rs = nodes[2].execute(&format!("insert into kv values ({k}, '{v}')")).unwrap();
+        assert_eq!(rs.affected, Some(1));
+    }
+    assert_eq!(template_stats(), (2, 1), "one INSERT shape: compiled once, hit twice");
+    for (k, v) in [(1, "uno"), (2, "dos")] {
+        let rs = nodes[2].execute(&format!("update kv set v = '{v}' where k = {k}")).unwrap();
+        assert_eq!(rs.affected, Some(1), "k = {k}");
+    }
+    assert_eq!(template_stats(), (3, 2), "one UPDATE shape: compiled once, hit once");
+
+    // The owner reads its authoritative payload: three rows, each with
+    // the values of the statement that wrote it.
+    let rs = nodes[0].execute("select k, v from kv order by k").unwrap();
+    let got: Vec<(Val, Val)> =
+        (0..rs.row_count()).map(|r| (rs.cell(r, 0), rs.cell(r, 1))).collect();
+    let want: Vec<(Val, Val)> = [(1, "uno"), (2, "dos"), (3, "three")]
+        .iter()
+        .map(|&(k, v)| (Val::Int(k), Val::Str(v.into())))
+        .collect();
+    assert_eq!(got, want);
+    let owner = nodes[0].stats().unwrap();
+    // Appends count one batch per column of `kv`.
+    assert_eq!((owner.appends_applied, owner.mutations_applied), (3 * 2, 2), "each applied once");
+    let origin = nodes[2].stats().unwrap();
+    assert_eq!((origin.appends_failed, origin.mutations_failed), (0, 0));
+
+    for n in nodes {
+        n.shutdown();
+    }
+}
+
 #[test]
 fn driver_loaded_tables_join_across_tcp_nodes() {
     let nodes = spawn_tcp_ring(2);

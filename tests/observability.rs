@@ -121,6 +121,57 @@ fn latency_and_stats_views_reflect_executed_statements() {
     assert!(matches!(rs.cell(0, 1), Val::Str(_)));
 }
 
+/// Point statements with fresh literals every time — the shape of an
+/// OLTP client — must cost a node a handful of query templates (§3.2),
+/// not one cached plan per statement: `dc.stats` shows the entry and
+/// miss counts staying at the number of *shapes* while the hits track
+/// the statements served.
+#[test]
+fn distinct_literal_statements_share_a_handful_of_templates() {
+    let ring = Ring::builder(3).build();
+    ring.execute(0, "create table kv (id int, v int, tag varchar(16))").unwrap();
+    for i in 1..3 {
+        ring.node(i).wait_for_table_timeout("sys", "kv", Duration::from_secs(10)).unwrap();
+    }
+    let rows: Vec<String> = (0..50).map(|k| format!("({k}, {}, 't{k}')", k * 7)).collect();
+    ring.execute(0, &format!("insert into kv values {}", rows.join(", "))).unwrap();
+
+    let iterations = 200;
+    for i in 0..iterations {
+        let (node, fresh) = (i % 3, 1000 + i);
+        for sql in [
+            format!("select id, v, tag from kv where id = {}", i % 50),
+            format!("update kv set v = {} where id = {}", i * 3, (i * 11) % 50),
+            format!("insert into kv values ({fresh}, {i}, 'n{fresh}')"),
+            format!("delete from kv where id = {fresh}"),
+        ] {
+            ring.execute(node, &sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+    }
+
+    let mut hits_total = 0;
+    for i in 0..3 {
+        let rs = ring.execute(i, "select name, value from dc.stats").unwrap();
+        let stat = |want: &str| {
+            (0..rs.row_count())
+                .find(|&r| rs.cell(r, 0) == Val::Str(want.into()))
+                .map(|r| match rs.cell(r, 1) {
+                    Val::Lng(v) => v,
+                    other => panic!("dc.stats value {other:?}"),
+                })
+                .unwrap_or_else(|| panic!("{want} missing from dc.stats"))
+        };
+        let (entries, misses) = (stat("obs_template_entries"), stat("obs_template_misses"));
+        assert!((4..=16).contains(&entries), "node {i}: {entries} template entries");
+        assert!((4..=16).contains(&misses), "node {i}: {misses} template misses");
+        // Every statement was one or the other — this read included, which
+        // is not yet counted as served while it runs.
+        assert_eq!(stat("obs_template_hits") + misses, stat("obs_sql_statements") + 1, "node {i}");
+        hits_total += stat("obs_template_hits");
+    }
+    assert!(hits_total >= 4 * iterations as i64 - 3 * 16, "hits ≈ statements served: {hits_total}");
+}
+
 /// Unknown views and columns fail with a helpful error instead of a
 /// panic, on the same path a framed client would see.
 #[test]

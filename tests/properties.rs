@@ -414,3 +414,139 @@ proptest! {
         prop_assert!(m.items_broadcast >= distinct);
     }
 }
+
+// ---- query templates (§3.2): a hit answers like a fresh compile --------
+
+/// Literal pools for the generated statements. Every literal is a
+/// template parameter, so values that look like SQL — `?`, digits,
+/// keywords inside strings, negative and `lng`-range ints — must bind as
+/// plain data.
+const INTS: &[&str] = &["-7", "-1", "0", "1", "2", "3", "40", "2147483647", "-2147483648"];
+const LNGS: &[&str] = &["5000000000", "-9000000000", "2147483648", "12"];
+const DBLS: &[&str] = &["-2.5", "0.0", "1.25", "3.5", "100.0"];
+const STRS: &[&str] =
+    &["'a'", "'b?'", "'it is 7'", "'select'", "'x = 1 or ?'", "'42'", "'limit 5'", "''"];
+
+/// Draws literals from the pools; `any` widens a slot to several pools
+/// (an `int` column may be handed a `lng`-range int or a string).
+struct Picker {
+    picks: Vec<u32>,
+    at: usize,
+}
+
+impl Picker {
+    fn any(&mut self, pools: &[&[&'static str]]) -> &'static str {
+        let n = self.picks[self.at % self.picks.len()] as usize;
+        self.at += 1;
+        let pool = pools[n % pools.len()];
+        pool[(n / pools.len()) % pool.len()]
+    }
+
+    fn of(&mut self, pool: &[&'static str]) -> &'static str {
+        self.any(&[pool])
+    }
+}
+
+/// One statement of `shape` over `kv (id int, big lng, f dbl, tag
+/// varchar)`. `op` and `limit` shape the plan and so belong to the
+/// template key; everything `p` draws is a bound parameter.
+fn template_stmt(shape: u8, op: &str, limit: usize, p: &mut Picker) -> String {
+    match shape {
+        0 => format!(
+            "select id, tag from kv where id {op} {} order by id limit {limit}",
+            p.any(&[INTS, LNGS])
+        ),
+        1 => format!(
+            "select id, f from kv where f between {} and {} order by id",
+            p.of(DBLS),
+            p.of(DBLS)
+        ),
+        2 => format!(
+            "select id, big from kv where tag in ({}, {}, {}) order by id desc",
+            p.of(STRS),
+            p.of(STRS),
+            p.of(STRS)
+        ),
+        3 => format!(
+            "insert into kv values ({}, {}, {}, {}), ({}, {}, {}, {})",
+            p.of(INTS),
+            p.of(LNGS),
+            p.of(DBLS),
+            p.of(STRS),
+            p.of(INTS),
+            p.of(LNGS),
+            p.of(DBLS),
+            p.of(STRS)
+        ),
+        4 => format!(
+            "update kv set tag = {}, big = {} where id {op} {}",
+            p.of(STRS),
+            p.of(LNGS),
+            p.of(INTS)
+        ),
+        5 => format!("delete from kv where id in ({}, {})", p.of(INTS), p.of(INTS)),
+        // A string may land on the `int` column, on a read …
+        6 => format!("select id from kv where id = {} order by id", p.any(&[INTS, STRS])),
+        // … and on a write.
+        _ => format!("update kv set id = {} where big > {}", p.any(&[INTS, STRS]), p.of(LNGS)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Two statements of one shape with different literal vectors go
+    /// through one node's template cache — the first compiles, the second
+    /// is a hit that only binds — and each must answer exactly like a
+    /// fresh `compile_sql` + run of its own text on a twin ring: same
+    /// cells, same affected counts, same error for a string bound to an
+    /// `int` column, same table afterwards.
+    #[test]
+    fn template_hit_equals_fresh_compile(
+        shape in 0u8..8,
+        op in 0usize..6,
+        limit in 1usize..6,
+        picks in prop::collection::vec(any::<u32>(), 16),
+    ) {
+        use batstore::ColType;
+        use datacyclotron::{DcError, Ring};
+
+        let cols = [("id", ColType::Int), ("big", ColType::Lng), ("f", ColType::Dbl), ("tag", ColType::Str)];
+        let base = "insert into kv values (0, 1, 0.5, 'a'), (1, 5000000000, 1.25, 'b?'), \
+                    (2, -3, 3.5, 'select'), (3, 12, -2.5, '42'), (40, 7, 100.0, 'a'), (-7, 0, 0.0, '')";
+        let (cached, fresh) = (Ring::builder(1).build(), Ring::builder(1).build());
+        for ring in [&cached, &fresh] {
+            ring.execute(0, "create table kv (id int, big lng, f dbl, tag varchar(16))").unwrap();
+            ring.execute(0, base).unwrap();
+        }
+        // The fresh path compiles against a catalog of its own that knows
+        // the same table, and never touches a template cache.
+        let mut shadow = batstore::Catalog::new();
+        shadow.create_table(&mut batstore::BatStore::new(), "sys", "kv", &cols, &[]).unwrap();
+        let mut next_qid = 1_000_000;
+        let mut run_fresh = |sql: &str| -> Result<batstore::ResultSet, DcError> {
+            next_qid += 1;
+            let plan = sqlfront::compile_sql_dc(sql, &shadow)?;
+            Ok(fresh.run_plan(0, next_qid, &plan)?)
+        };
+        let obs = cached.node(0).obs();
+        let counts = || (obs.counter("template_hits").get(), obs.counter("template_misses").get());
+
+        let op = ["=", "<", "<=", ">", ">=", "<>"][op];
+        let mut picker = Picker { picks, at: 0 };
+        for round in 0..2 {
+            let sql = template_stmt(shape, op, limit, &mut picker);
+            let before = counts();
+            let got = cached.execute(0, &sql);
+            let want = run_fresh(&sql);
+            let (hits, misses) = counts();
+            if round == 0 {
+                prop_assert_eq!((hits, misses), (before.0, before.1 + 1), "first of its shape: {}", sql);
+            } else {
+                prop_assert_eq!((hits, misses), (before.0 + 1, before.1), "same shape again: {}", sql);
+            }
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", sql);
+        }
+        let table = "select id, big, f, tag from kv";
+        prop_assert_eq!(cached.execute(0, table).unwrap(), fresh.execute(0, table).unwrap());
+    }
+}
