@@ -3,20 +3,11 @@
 //! nodes. 1200 queries per node at 8 q/s, query classes drawn from
 //! N(10, 2²), 4 cores per node, operator segments scheduled per the
 //! paper's calibration rule.
-//!
-//! A second section executes the real TPC-H subset (Q1/Q3/Q6) over a
-//! live in-process 3-node ring — SQL all the way down, with the join
-//! planner choosing shuffle vs broadcast — and writes `BENCH_tpch.json`
-//! (per-query rows, latency, and ring bytes moved) so CI accumulates a
-//! perf trajectory next to `BENCH_hotset.json` and `BENCH_obs.json`.
 
-use datacyclotron::{DcConfig, Ring};
 use dc_workloads::tpch::{self, monetdb_baseline_secs, TpchParams};
 use netsim::SimDuration;
 use ringsim::report::{write_csv, AsciiTable};
 use ringsim::{Measurements, RingSim, SimParams};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 fn run_ring(nodes: usize, params: &TpchParams, seed: u64) -> (Measurements, f64) {
     let w = tpch::generate(params, nodes, seed);
@@ -53,78 +44,9 @@ fn single_node(params: &TpchParams, seed: u64) -> (f64, f64, f64) {
     (makespan, w.queries.len() as f64 / makespan, util)
 }
 
-fn summed(ring: &Ring, pick: impl Fn(&datacyclotron::NodeStats) -> u64) -> u64 {
-    (0..ring.len()).map(|i| pick(&ring.node(i).stats().unwrap())).sum()
-}
-
-/// Execute the real TPC-H subset over a live 3-node ring and write
-/// `BENCH_tpch.json`. `scale` multiplies the generated row counts and
-/// the per-query repetition count.
-fn run_live_subset(scale: f64) {
-    println!("\n== Live subset: Q1/Q3/Q6 over a 3-node ring ==\n");
-    let data = tpch::sql::generate(scale.max(0.1), 42);
-    let ring = Ring::builder(3)
-        .config(DcConfig {
-            load_interval: SimDuration::from_millis(2),
-            resend_timeout: SimDuration::from_millis(500),
-            ..DcConfig::default()
-        })
-        .build();
-    // Round-robin column placement: every multi-column plan spans nodes.
-    ring.load_table("sys", "customer", data.customer).unwrap();
-    ring.load_table("sys", "orders", data.orders).unwrap();
-    ring.load_table("sys", "lineitem", data.lineitem).unwrap();
-
-    let reps = ((3.0 * scale).round() as usize).max(1);
-    let mut table = AsciiTable::new(&["query", "rows", "avg ms", "ring bytes moved"]);
-    let mut json = String::from("{\n  \"bench\": \"tpch\",\n");
-    let _ = writeln!(json, "  \"scale\": {scale},");
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    json.push_str("  \"queries\": {\n");
-
-    let queries = tpch::sql::queries();
-    for (qi, (name, stmt)) in queries.iter().enumerate() {
-        let before = summed(&ring, |s| s.ring_query_bytes_moved);
-        let t0 = Instant::now();
-        let mut rows = 0;
-        for rep in 0..reps {
-            // Rotate the submitting node: queries settle anywhere (§4.2).
-            let rs = ring.execute(rep % 3, stmt).unwrap();
-            rows = rs.row_count();
-        }
-        let avg_ms = t0.elapsed().as_secs_f64() * 1000.0 / reps as f64;
-        let moved = summed(&ring, |s| s.ring_query_bytes_moved) - before;
-        assert!(moved > 0, "{name}: no ring bytes moved — not a distributed run");
-
-        table.row(&[
-            name.to_string(),
-            format!("{rows}"),
-            format!("{avg_ms:.2}"),
-            format!("{moved}"),
-        ]);
-        let comma = if qi + 1 < queries.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    \"{name}\": {{ \"rows\": {rows}, \"avg_ms\": {avg_ms:.3}, \"bytes_moved\": {moved} }}{comma}"
-        );
-    }
-    json.push_str("  },\n");
-    let moved_total = summed(&ring, |s| s.ring_query_bytes_moved);
-    let _ = writeln!(json, "  \"ring_query_bytes_moved_total\": {moved_total}");
-    json.push_str("}\n");
-
-    println!("{}", table.render());
-    std::fs::write("BENCH_tpch.json", &json).expect("write BENCH_tpch.json");
-    println!("{json}");
-    println!("wrote BENCH_tpch.json");
-    ring.shutdown();
-}
-
 fn main() {
     let scale = dc_bench::scale();
     dc_bench::banner("TPC-H SF-5 calibration", "Table 4");
-
-    run_live_subset(scale);
 
     let params =
         TpchParams { queries_per_node: (1200.0 * scale) as usize, ..TpchParams::default() };

@@ -13,21 +13,18 @@
 //! SQL → MAL → DC optimizer → dataflow interpreter, with `pin` calls
 //! blocking until fragments flow past. Table metadata is *not* shared:
 //! each node owns its catalogs, kept in sync by [`DcMsg::Catalog`]
-//! gossip circulating once around the ring, and SQL `INSERT`s route row
-//! batches to the fragment owners as [`DcMsg::Append`] messages (§6.4).
+//! gossip circulating once around the ring, and statements for a remote
+//! owner's fragments travel there as [`DcMsg::Routed`] messages (§6.4;
+//! see [`crate::routed`]).
 
 use crate::catalog::OwnedState;
 use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
-use crate::hotset::{
-    spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, ReadmitTracker, SpillQueue,
-};
+use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, SpillQueue};
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::msg::{
-    AppendMsg, CatalogCol, CatalogMsg, DcMsg, EvictMsg, MutAckMsg, MutOp, MutateMsg, ReadmitAckMsg,
-    ReadmitMsg,
-};
+use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg, EvictMsg, MutOp, RoutedBody};
 use crate::proto::{DcNode, Effect, PinOutcome};
+use crate::routed::{Due, Pending, Routed};
 use crate::runtime::{CatalogNotify, Cmd, FragInfo, RingCatalog, RingHooks, Waiter};
 use crate::stats::NodeStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
@@ -229,29 +226,6 @@ impl PayloadSlot {
     }
 }
 
-/// One routed statement awaiting its owner acknowledgement at the
-/// origin, with everything needed to resend it and to fail it loudly.
-struct PendingOp {
-    ack: Arc<Waiter<u64>>,
-    /// The exact frame to resend (ids make re-delivery idempotent at
-    /// the owner, so resending a statement that *was* applied is safe).
-    msg: DcMsg,
-    /// When the current attempt gives up and the next begins.
-    deadline: Instant,
-    /// Wait before the attempt after next (doubles each resend).
-    backoff: Duration,
-    retries_left: u32,
-    attempts: u32,
-    /// "mutation" or "append" — for stats attribution and the error.
-    what: &'static str,
-    table: String,
-}
-
-/// Entries the owner-side dedup cache retains. Old entries only matter
-/// while their origin might still resend (a few seconds); 4096 covers
-/// every plausible in-flight window at a few hundred bytes each.
-const APPLIED_CACHE_CAP: usize = 4096;
-
 /// A fresh statement-id epoch for one node incarnation. Statement ids
 /// restart at 1 on every spawn, so the dedup cache and ack matching key
 /// on `(origin, epoch, id)`: without the epoch, a restarted origin's
@@ -269,12 +243,12 @@ fn fresh_boot_epoch() -> u64 {
 }
 
 /// What became of a SQL `INSERT` batch at this node: applied in place, or
-/// packaged as a ring message the caller must register for ack-tracking.
+/// packaged as the parts the caller must route to the owner.
 enum AppendOutcome {
     /// Locally owned — the batch is durable; carries the row count.
     Applied(u64),
-    /// Foreign owner — route `msg` clockwise under statement id `id`.
-    Routed { id: u64, msg: DcMsg, table: String },
+    /// Foreign owner — route `parts` clockwise.
+    Routed { parts: Vec<(BatId, Bytes)>, table: String },
 }
 
 struct NodeCtx {
@@ -296,33 +270,9 @@ struct NodeCtx {
     /// node handle and namespaced by node id so allocations on different
     /// ring members never collide.
     next_frag: Arc<AtomicU32>,
-    /// Statements this node originated that are traveling the ring
-    /// toward a remote owner (`Mutate`/`Append`), keyed by origin-local
-    /// statement id. The owner's [`MutAckMsg`] (or the message cycling
-    /// back unowned) resolves them; entries whose ack never comes are
-    /// re-sent on a backoff schedule and failed loudly once the retry
-    /// budget is spent — see [`NodeCtx::service_pending`].
-    pending_ops: HashMap<u64, PendingOp>,
-    next_mut: u64,
-    /// This incarnation's statement-id epoch (see [`fresh_boot_epoch`]):
-    /// stamped on every routed `Mutate`/`Append`, echoed in acks, and
-    /// part of the owner-side dedup key.
-    boot_epoch: u64,
-    /// How long one attempt waits for the owner's ack before resending.
-    ack_timeout: Duration,
-    /// Resends after the first attempt before the statement fails.
-    ack_retries: u32,
-    /// Owner-side idempotence: results of routed statements already
-    /// applied here, keyed `(origin, origin boot epoch, statement id)`.
-    /// A re-delivered frame (duplicate, origin retry racing a slow ack)
-    /// re-sends the cached ack instead of re-applying — on top of the
-    /// §6.4 version gate, which protects replay but not live
-    /// double-apply. The epoch keeps a restarted origin's reused
-    /// statement ids from aliasing entries its prior incarnation left
-    /// behind.
-    applied_ops: HashMap<(u16, u64, u64), Result<u64, String>>,
-    /// FIFO of `applied_ops` keys, oldest first, bounding the cache.
-    applied_order: std::collections::VecDeque<(u16, u64, u64)>,
+    /// Routed statements: the ones this node originated and awaits acks
+    /// for, and the results of the ones it applied as owner.
+    routed: Routed,
     /// Wakes `wait_for_table` callers when catalog state changes.
     notify: Arc<CatalogNotify>,
     /// Durable storage, when the node has a data dir.
@@ -332,15 +282,13 @@ struct NodeCtx {
     obs: Arc<dc_obs::Registry>,
     /// Per-[`DcMsg`]-kind handling-latency histograms, indexed by
     /// [`msg_kind`] so the hot loop never does a name lookup.
-    msg_hists: [Arc<dc_obs::Histogram>; 9],
+    msg_hists: [Arc<dc_obs::Histogram>; MSG_HIST_NAMES.len()],
     /// Residency accounting against the node's memory budget: which
     /// owned fragments hold RAM, which are spilled to disk.
     hotset: HotsetAccounting,
     /// Cold fragments queued for the two-phase "checkpoint, then drop"
     /// spill.
     spill_queue: SpillQueue,
-    /// In-flight `Readmit` requests this node originated.
-    readmits: ReadmitTracker,
     /// Fragments other ring members announced as spilled ([`EvictMsg`]):
     /// a pin that must-waits on one of these routes a `Readmit` instead
     /// of waiting for a circulation that will never come.
@@ -349,6 +297,8 @@ struct NodeCtx {
     spill_hist: Arc<dc_obs::Histogram>,
     /// Disk-to-ring latency of fragment re-admissions.
     readmit_hist: Arc<dc_obs::Histogram>,
+    /// Catalog gossip messages merged into this node's catalogs.
+    gossip_applied: Arc<dc_obs::Counter>,
     /// Live hot-set gauges, in order: resident bytes, spilled bytes,
     /// spilled fragment count, current LOIT ladder level.
     hotset_gauges: [Arc<dc_obs::Gauge>; 4],
@@ -362,27 +312,27 @@ fn msg_kind(msg: &DcMsg) -> usize {
         DcMsg::Bat { .. } => 0,
         DcMsg::Request(_) => 1,
         DcMsg::Catalog(_) => 2,
-        DcMsg::Append(_) => 3,
-        DcMsg::Mutate(_) => 4,
-        DcMsg::MutAck(_) => 5,
-        DcMsg::Evict(_) => 6,
-        DcMsg::Readmit(_) => 7,
-        DcMsg::ReadmitAck(_) => 8,
+        DcMsg::Routed(m) => match m.body {
+            RoutedBody::Append { .. } => 3,
+            RoutedBody::Mutate { .. } => 4,
+            RoutedBody::Readmit { .. } => 5,
+        },
+        DcMsg::Ack(_) => 6,
+        DcMsg::Evict(_) => 7,
     }
 }
 
 /// The histogram names backing [`NodeCtx::msg_hists`], in [`msg_kind`]
 /// order.
-const MSG_HIST_NAMES: [&str; 9] = [
+const MSG_HIST_NAMES: [&str; 8] = [
     "dc_msg_bat_handle_us",
     "dc_msg_request_handle_us",
     "dc_msg_catalog_handle_us",
     "dc_msg_append_handle_us",
     "dc_msg_mutate_handle_us",
-    "dc_msg_mutack_handle_us",
-    "dc_msg_evict_handle_us",
     "dc_msg_readmit_handle_us",
-    "dc_msg_readmitack_handle_us",
+    "dc_msg_ack_handle_us",
+    "dc_msg_evict_handle_us",
 ];
 
 /// The end-to-end statement latency histograms, in [`stmt_kind`] order:
@@ -481,108 +431,56 @@ impl NodeCtx {
     /// configured budget instead of hanging until the caller's pin
     /// timeout.
     fn service_pending(&mut self) {
-        if self.pending_ops.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let due: Vec<u64> =
-            self.pending_ops.iter().filter(|(_, p)| p.deadline <= now).map(|(&id, _)| id).collect();
-        for id in due {
-            let p = self.pending_ops.get_mut(&id).expect("due id present");
-            if p.retries_left > 0 {
-                p.retries_left -= 1;
-                p.attempts += 1;
-                p.deadline = now + p.backoff;
-                p.backoff *= 2;
-                self.node.stats.retries += 1;
-                self.obs.trace(
-                    self.boot_epoch,
-                    id,
-                    "retry",
-                    format!("{} on {}, attempt {}", p.what, p.table, p.attempts),
-                );
-                // A failing resend (edge still severed) is fine: the
-                // next deadline fires again, and the budget bounds it.
-                let _ = self.transport.send_data(p.msg.clone());
-            } else {
-                let p = self.pending_ops.remove(&id).expect("due id present");
-                self.node.stats.timeouts += 1;
-                self.obs.trace(
-                    self.boot_epoch,
-                    id,
-                    "timeout",
-                    format!("{} on {} after {} attempts", p.what, p.table, p.attempts),
-                );
-                match p.what {
-                    "mutation" => self.node.stats.mutations_failed += 1,
-                    // A dead readmit is not a failed write: clear the
-                    // in-flight marker so a later pin can route a fresh
-                    // one, and leave the blocked pin to the Fig. 3
-                    // timeout-resend fallback.
-                    "readmit" => {
-                        self.readmits.complete(id);
-                    }
-                    _ => self.node.stats.appends_failed += 1,
+        for due in self.routed.poll(Instant::now()) {
+            match due {
+                Due::Resend { id, what, attempt, frame } => {
+                    self.node.stats.retries += 1;
+                    let detail = format!("{what}, attempt {attempt}");
+                    self.obs.trace(self.routed.epoch(), id, "retry", detail);
+                    // A failing resend (edge still severed) is fine: the
+                    // next deadline fires again, and the budget bounds it.
+                    let _ = self.transport.send_data(frame);
                 }
-                p.ack.fulfill(Err(format!(
-                    "{} on {} timed out after {} attempts: no acknowledgement from the \
-                     fragment owner within the retry budget; whether it applied is unknown",
-                    p.what, p.table, p.attempts
-                )));
+                Due::TimedOut(p) => {
+                    self.node.stats.timeouts += 1;
+                    let detail = format!("{} after {} attempts", p.what(), p.attempts);
+                    self.obs.trace(self.routed.epoch(), p.msg.id, "timeout", detail);
+                    let err = p.timeout_error();
+                    self.settle(p, Err(err));
+                }
             }
         }
     }
 
     /// Send a routed statement's first attempt and register it for
-    /// ack-tracking. A failed first send (severed edge) is absorbed: the
-    /// retry schedule re-sends it, and the budget bounds the wait.
-    fn route_op(
+    /// ack-tracking; false if [`Routed::begin`] refused it. A failed
+    /// first send (severed edge) is absorbed: the retry schedule re-sends
+    /// it, and the budget bounds the wait.
+    fn route(
         &mut self,
-        id: u64,
-        msg: DcMsg,
-        ack: Arc<Waiter<u64>>,
-        what: &'static str,
-        table: String,
-    ) {
-        self.obs.trace(self.boot_epoch, id, "route", format!("{what} on {table}"));
-        let _ = self.transport.send_data(msg.clone());
-        self.pending_ops.insert(
-            id,
-            PendingOp {
-                ack,
-                msg,
-                deadline: Instant::now() + self.ack_timeout,
-                backoff: self.ack_timeout * 2,
-                retries_left: self.ack_retries,
-                attempts: 1,
-                what,
-                table,
-            },
-        );
-    }
-
-    /// Record a routed statement's result in the owner-side dedup cache.
-    fn remember_applied(&mut self, key: (u16, u64, u64), result: Result<u64, String>) {
-        if self.applied_order.len() >= APPLIED_CACHE_CAP {
-            if let Some(old) = self.applied_order.pop_front() {
-                self.applied_ops.remove(&old);
-            }
-        }
-        self.applied_order.push_back(key);
-        self.applied_ops.insert(key, result);
+        target: String,
+        body: RoutedBody,
+        waiter: Option<Arc<Waiter<u64>>>,
+    ) -> bool {
+        let Some(p) = self.routed.begin(self.node.id, target, body, waiter, Instant::now()) else {
+            return false;
+        };
+        self.obs.trace(p.msg.epoch, p.msg.id, "route", p.what());
+        let _ = self.transport.send_data(DcMsg::Routed(p.msg.clone()));
+        true
     }
 
     /// Deliver a routed statement's result to its origin: resolved
-    /// locally when ownership moved to us mid-flight, otherwise as a
-    /// [`MutAckMsg`] clockwise. A lost ack is counted loudly, but the
+    /// locally when ownership moved to us mid-flight, otherwise as an
+    /// [`AckMsg`] clockwise. A lost ack is counted loudly, but the
     /// origin's retry will re-deliver the statement and the dedup cache
     /// will re-send this result.
     fn answer_routed(&mut self, origin: NodeId, epoch: u64, id: u64, result: Result<u64, String>) {
         self.obs.trace(epoch, id, "ack_sent", format!("to {origin}"));
-        let ack = MutAckMsg { target: origin, epoch, id, result };
+        let ack = AckMsg { target: origin, epoch, id, result };
         if origin == self.node.id {
-            self.finish_mutation(ack);
-        } else if let Err(e) = self.transport.send_data(DcMsg::MutAck(ack)) {
+            self.finish_routed(ack);
+        } else if let Err(e) = self.transport.send_data(DcMsg::Ack(ack)) {
             self.node.stats.mutation_acks_lost += 1;
             eprintln!(
                 "[dc-node {}] statement {} applied but its ack could not be sent: {e}",
@@ -697,116 +595,90 @@ impl NodeCtx {
                 self.apply_catalog(&c);
                 let _ = self.transport.send_data(DcMsg::Catalog(c));
             }
-            DcMsg::Append(a) => {
-                // All parts of a batch share one owner (enforced at the
-                // sender), so one membership test routes the whole
+            DcMsg::Routed(m) => {
+                // All parts of an append share one owner (enforced at
+                // the sender), so one membership test routes the whole
                 // message and the owner applies it atomically in this
                 // single event.
-                if a.parts.iter().any(|(bat, _)| self.node.s1.is_owner(*bat)) {
-                    // Retried appends re-deliver the same statement id;
-                    // the dedup cache replays the first outcome instead
-                    // of growing the fragment twice.
-                    let key = (a.origin.0, a.epoch, a.id);
-                    let result = match self.applied_ops.get(&key) {
-                        Some(cached) => {
-                            self.node.stats.mutations_deduped += 1;
-                            self.obs.trace(
-                                a.epoch,
-                                a.id,
-                                "dedup",
-                                format!("append from {} re-delivered", a.origin),
-                            );
-                            cached.clone()
+                let owned = match &m.body {
+                    RoutedBody::Append { parts } => {
+                        parts.iter().any(|(bat, _)| self.node.s1.is_owner(*bat))
+                    }
+                    RoutedBody::Mutate { schema, table, .. } => {
+                        self.mutation_owner(schema, table) == Ok(self.node.id)
+                    }
+                    RoutedBody::Readmit { bat } => self.node.s1.is_owner(*bat),
+                };
+                if owned {
+                    let what = match &m.body {
+                        RoutedBody::Append { .. } => format!("append from {}", m.origin),
+                        RoutedBody::Mutate { schema, table, .. } => {
+                            format!("mutation on {schema}.{table}")
                         }
-                        None => {
-                            let r = self.apply_remote_append(&a);
-                            self.obs.trace(
-                                a.epoch,
-                                a.id,
-                                "apply",
-                                match &r {
-                                    Ok(rows) => format!("append from {}, {rows} rows", a.origin),
-                                    Err(e) => format!("append from {} failed: {e}", a.origin),
-                                },
-                            );
-                            self.remember_applied(key, r.clone());
-                            r
+                        RoutedBody::Readmit { bat } => {
+                            format!("readmit of {bat} from {}", m.origin)
                         }
                     };
-                    self.answer_routed(a.origin, a.epoch, a.id, result);
-                } else if a.origin != self.node.id {
-                    let _ = self.transport.send_data(DcMsg::Append(a));
-                } else {
-                    // Back at the origin without finding an owner: the
-                    // fragment is gone (the §4.2.3 analog of a request
-                    // circling back); fail the blocked INSERT loudly.
-                    self.node.stats.appends_dropped += 1;
-                    self.finish_mutation(MutAckMsg {
-                        target: a.origin,
-                        epoch: a.epoch,
-                        id: a.id,
-                        result: Err("no owner found for the append (fragments gone?)".into()),
-                    });
-                }
-            }
-            DcMsg::Mutate(m) => match self.mutation_owner(&m.schema, &m.table) {
-                Ok(owner) if owner == self.node.id => {
-                    // Same dedup as appends: a re-delivered UPDATE must
-                    // not re-apply on top of its own first application.
+                    // A retry re-delivers the same statement id; the
+                    // dedup cache replays the first outcome instead of
+                    // growing, rewriting or re-injecting the fragment
+                    // twice.
                     let key = (m.origin.0, m.epoch, m.id);
-                    let result = match self.applied_ops.get(&key) {
+                    let result = match self.routed.applied(key) {
                         Some(cached) => {
                             self.node.stats.mutations_deduped += 1;
-                            self.obs.trace(
-                                m.epoch,
-                                m.id,
-                                "dedup",
-                                format!("mutation on {}.{} re-delivered", m.schema, m.table),
-                            );
+                            self.obs.trace(m.epoch, m.id, "dedup", format!("{what} re-delivered"));
                             cached.clone()
                         }
                         None => {
-                            let r = self.apply_mutation(&m.schema, &m.table, &m.op, &m.preds);
-                            self.obs.trace(
-                                m.epoch,
-                                m.id,
-                                "apply",
-                                match &r {
-                                    Ok(rows) => {
-                                        format!("mutation on {}.{}, {rows} rows", m.schema, m.table)
-                                    }
-                                    Err(e) => {
-                                        format!("mutation on {}.{} failed: {e}", m.schema, m.table)
-                                    }
-                                },
-                            );
-                            self.remember_applied(key, r.clone());
+                            let r = match &m.body {
+                                RoutedBody::Append { parts } => self.apply_remote_append(parts),
+                                RoutedBody::Mutate { schema, table, op, preds } => {
+                                    self.apply_mutation(schema, table, op, preds)
+                                }
+                                RoutedBody::Readmit { bat } => self.admit_fragment(*bat),
+                            };
+                            let detail = match &r {
+                                Ok(rows) => format!("{what}, {rows} rows"),
+                                Err(e) => format!("{what} failed: {e}"),
+                            };
+                            self.obs.trace(m.epoch, m.id, "apply", detail);
+                            self.routed.remember(key, r.clone());
                             r
                         }
                     };
                     self.answer_routed(m.origin, m.epoch, m.id, result);
-                }
-                _ if m.origin == self.node.id => {
-                    // Cycled the whole ring without finding an owner.
-                    self.finish_mutation(MutAckMsg {
+                } else if m.origin != self.node.id {
+                    let _ = self.transport.send_data(DcMsg::Routed(m));
+                } else {
+                    // Back at the origin without finding an owner: the
+                    // fragment is gone (the §4.2.3 analog of a request
+                    // circling back); fail the blocked statement loudly.
+                    let err = match &m.body {
+                        RoutedBody::Append { .. } => {
+                            self.node.stats.appends_dropped += 1;
+                            "no owner found for the append (fragments gone?)".to_string()
+                        }
+                        RoutedBody::Mutate { schema, table, .. } => {
+                            format!("no owner found for {schema}.{table} (fragments gone?)")
+                        }
+                        RoutedBody::Readmit { bat } => {
+                            format!("no owner found for {bat} re-admission")
+                        }
+                    };
+                    self.finish_routed(AckMsg {
                         target: m.origin,
                         epoch: m.epoch,
                         id: m.id,
-                        result: Err(format!(
-                            "no owner found for {}.{} (fragments gone?)",
-                            m.schema, m.table
-                        )),
+                        result: Err(err),
                     });
                 }
-                _ => {
-                    let _ = self.transport.send_data(DcMsg::Mutate(m));
-                }
-            },
-            DcMsg::MutAck(a) => {
+            }
+            DcMsg::Ack(a) => {
                 if a.target == self.node.id {
-                    self.finish_mutation(a);
+                    self.finish_routed(a);
                 } else {
-                    let _ = self.transport.send_data(DcMsg::MutAck(a));
+                    let _ = self.transport.send_data(DcMsg::Ack(a));
                 }
             }
             DcMsg::Evict(e) => {
@@ -818,138 +690,48 @@ impl NodeCtx {
                 }
                 self.remote_spilled.insert(e.bat);
                 self.obs.trace(
-                    self.boot_epoch,
+                    self.routed.epoch(),
                     0,
                     "evict_seen",
                     format!("{} spilled by {} ({} bytes)", e.bat, e.owner, e.size),
                 );
                 let _ = self.transport.send_data(DcMsg::Evict(e));
             }
-            DcMsg::Readmit(r) => {
-                if self.node.s1.is_owner(r.bat) {
-                    // Retried readmits re-deliver the same statement id;
-                    // the dedup cache guarantees at most one reload and
-                    // re-injection per routed request.
-                    let key = (r.origin.0, r.epoch, r.id);
-                    let result = match self.applied_ops.get(&key) {
-                        Some(cached) => {
-                            self.node.stats.mutations_deduped += 1;
-                            self.obs.trace(
-                                r.epoch,
-                                r.id,
-                                "dedup",
-                                format!("readmit of {} from {} re-delivered", r.bat, r.origin),
-                            );
-                            cached.clone()
-                        }
-                        None => {
-                            let res = self.admit_fragment(r.bat);
-                            self.obs.trace(
-                                r.epoch,
-                                r.id,
-                                "apply",
-                                match &res {
-                                    Ok(_) => format!("readmit of {} from {}", r.bat, r.origin),
-                                    Err(e) => format!(
-                                        "readmit of {} from {} failed: {e}",
-                                        r.bat, r.origin
-                                    ),
-                                },
-                            );
-                            self.remember_applied(key, res.clone());
-                            res
-                        }
-                    };
-                    self.finish_readmit_answer(r.origin, r.epoch, r.id, r.bat, result);
-                } else if r.origin != self.node.id {
-                    let _ = self.transport.send_data(DcMsg::Readmit(r));
-                } else {
-                    // Cycled the whole ring without finding an owner.
-                    self.finish_readmit(ReadmitAckMsg {
-                        target: r.origin,
-                        epoch: r.epoch,
-                        id: r.id,
-                        result: Err(format!("no owner found for {} re-admission", r.bat)),
-                    });
-                }
-            }
-            DcMsg::ReadmitAck(a) => {
-                if a.target == self.node.id {
-                    self.finish_readmit(a);
-                } else {
-                    let _ = self.transport.send_data(DcMsg::ReadmitAck(a));
-                }
-            }
         }
     }
 
-    /// Resolve a routed statement's acknowledgement to the caller blocked
-    /// on it. Acks from a previous incarnation of this node (epoch
-    /// mismatch — still circulating from before a restart) and unmatched
-    /// ids are ignored without side effects — the waiter already timed
-    /// out, or a duplicate ack arrived for a statement we settled on an
-    /// earlier delivery (counting failures there would double-book them).
-    fn finish_mutation(&mut self, ack: MutAckMsg) {
-        if ack.epoch != self.boot_epoch {
-            return;
-        }
-        if let Some(p) = self.pending_ops.remove(&ack.id) {
-            let outcome = match &ack.result {
-                Ok(rows) => format!("{} on {} ok, {rows} rows", p.what, p.table),
-                Err(e) => format!("{} on {} failed: {e}", p.what, p.table),
-            };
-            self.obs.trace(ack.epoch, ack.id, "ack", outcome);
-            if ack.result.is_err() {
-                match p.what {
-                    "mutation" => self.node.stats.mutations_failed += 1,
-                    "readmit" => {} // not a write; nothing durable failed
-                    _ => self.node.stats.appends_failed += 1,
-                }
-            }
-            p.ack.fulfill(ack.result);
-        }
+    /// Resolve a routed statement's acknowledgement at its origin. An
+    /// ack that matches nothing pending (see [`Routed::ack`]) has no side
+    /// effects — counting failures there would double-book them.
+    fn finish_routed(&mut self, ack: AckMsg) {
+        let Some(p) = self.routed.ack(ack.epoch, ack.id) else { return };
+        let outcome = match &ack.result {
+            Ok(rows) => format!("{} ok, {rows} rows", p.what()),
+            Err(e) => format!("{} failed: {e}", p.what()),
+        };
+        self.obs.trace(ack.epoch, ack.id, "ack", outcome);
+        self.settle(p, ack.result);
     }
 
-    /// Deliver a readmit's result to its origin: resolved locally when we
-    /// are the origin, otherwise as a [`ReadmitAckMsg`] clockwise. A lost
-    /// ack is counted; the origin's retry re-delivers the `Readmit` and
-    /// the dedup cache re-sends this result.
-    fn finish_readmit_answer(
-        &mut self,
-        origin: NodeId,
-        epoch: u64,
-        id: u64,
-        bat: BatId,
-        result: Result<u64, String>,
-    ) {
-        self.obs.trace(epoch, id, "ack_sent", format!("readmit of {bat} to {origin}"));
-        let ack = ReadmitAckMsg { target: origin, epoch, id, result };
-        if origin == self.node.id {
-            self.finish_readmit(ack);
-        } else if let Err(e) = self.transport.send_data(DcMsg::ReadmitAck(ack)) {
-            self.node.stats.mutation_acks_lost += 1;
-            eprintln!(
-                "[dc-node {}] readmit {} applied but its ack could not be sent: {e}",
-                self.node.id, id
-            );
-        }
-    }
-
-    /// Resolve a readmit acknowledgement at its origin: clear the
-    /// in-flight tracker (so the fragment's circulating copy, not the
-    /// Evict announcement, now governs pin behavior) and settle the
-    /// routed statement like any other ack.
-    fn finish_readmit(&mut self, ack: ReadmitAckMsg) {
-        if ack.epoch != self.boot_epoch {
-            return;
-        }
-        if let Some(bat) = self.readmits.complete(ack.id) {
-            if ack.result.is_ok() {
-                self.remote_spilled.remove(&bat);
+    /// A routed statement this node originated is over (acked, or timed
+    /// out): book the outcome and wake the caller blocked on it.
+    fn settle(&mut self, p: Pending, result: Result<u64, String>) {
+        match (&p.msg.body, &result) {
+            (RoutedBody::Mutate { .. }, Err(_)) => self.node.stats.mutations_failed += 1,
+            (RoutedBody::Append { .. }, Err(_)) => self.node.stats.appends_failed += 1,
+            // The fragment's circulating copy, not the Evict
+            // announcement, now governs pin behavior. A failed readmit
+            // is not a failed write: a later pin can route a fresh one,
+            // and the blocked pin is left to the Fig. 3 timeout-resend
+            // fallback.
+            (RoutedBody::Readmit { bat }, Ok(_)) => {
+                self.remote_spilled.remove(bat);
             }
+            _ => {}
         }
-        let ReadmitAckMsg { target, epoch, id, result } = ack;
-        self.finish_mutation(MutAckMsg { target, epoch, id, result });
+        if let Some(waiter) = p.waiter {
+            waiter.fulfill(result);
+        }
     }
 
     /// Owner-side handling of a routed `Readmit`: make the fragment
@@ -1005,7 +787,7 @@ impl NodeCtx {
         self.node.stats.loi_readmits += 1;
         self.readmit_hist.record_elapsed_micros(start);
         self.obs.trace(
-            self.boot_epoch,
+            self.routed.epoch(),
             0,
             "readmit",
             format!("{bat} reloaded from disk ({size} bytes, spilled at v{})", info.version),
@@ -1057,7 +839,7 @@ impl NodeCtx {
             self.node.stats.loi_evictions += 1;
             self.spill_hist.record_elapsed_micros(spill.queued);
             self.obs.trace(
-                self.boot_epoch,
+                self.routed.epoch(),
                 0,
                 "evict",
                 format!("{} spilled ({} bytes, v{})", spill.bat, spill.size, spill.version),
@@ -1103,19 +885,12 @@ impl NodeCtx {
     /// somewhere on the ring, route a `Readmit` to its owner instead of
     /// waiting for a circulation that will never come on its own.
     fn maybe_route_readmit(&mut self, bat: BatId) {
-        if !self.remote_spilled.contains(&bat) || self.readmits.is_pending(bat) {
-            return;
+        // Nothing waits on the answer: the pin already waits on S3.
+        if self.remote_spilled.contains(&bat)
+            && self.route(format!("{bat}"), RoutedBody::Readmit { bat }, None)
+        {
+            self.node.stats.readmits_routed += 1;
         }
-        let id = self.next_mut;
-        self.next_mut += 1;
-        self.readmits.begin(bat, id);
-        self.node.stats.readmits_routed += 1;
-        // Nothing blocks on this waiter — the pin already waits on S3 —
-        // but route_op needs one for its timeout bookkeeping.
-        let ack = Arc::new(Waiter::default());
-        let msg =
-            DcMsg::Readmit(ReadmitMsg { origin: self.node.id, epoch: self.boot_epoch, id, bat });
-        self.route_op(id, msg, ack, "readmit", format!("{bat}"));
     }
 
     /// Push the hot-set residency totals and LOIT level into the node's
@@ -1178,7 +953,7 @@ impl NodeCtx {
             );
         }
         publish_table(&self.catalog, &self.meta, c);
-        self.obs.counter("gossip_applied").inc();
+        self.gossip_applied.inc();
         self.obs.trace(0, 0, "gossip", format!("{}.{} from {}", c.schema, c.table, c.origin));
         self.notify.bump();
     }
@@ -1188,9 +963,8 @@ impl NodeCtx {
     /// ack. The whole batch applies or none of it does (a half-applied
     /// multi-column INSERT would leave the table ragged forever); dropped
     /// batches are still counted per part (`appends_dropped`).
-    fn apply_remote_append(&mut self, a: &AppendMsg) -> Result<u64, String> {
-        let decoded: Result<Vec<(BatId, Bat)>, String> = a
-            .parts
+    fn apply_remote_append(&mut self, parts: &[(BatId, Bytes)]) -> Result<u64, String> {
+        let decoded: Result<Vec<(BatId, Bat)>, String> = parts
             .iter()
             .map(|(bat, rows)| {
                 storage::bat_from_bytes(rows).map(|b| (*bat, b)).map_err(|e| e.to_string())
@@ -1198,20 +972,20 @@ impl NodeCtx {
             .collect();
         let applied = decoded.and_then(|cols| {
             let rows = cols.first().map(|(_, b)| b.count() as u64).unwrap_or(0);
-            let parts: Vec<(BatId, &Column)> =
+            let tails: Vec<(BatId, &Column)> =
                 cols.iter().map(|(bat, b)| (*bat, b.tail())).collect();
-            self.append_batch(&parts).map(|()| rows)
+            self.append_batch(&tails).map(|()| rows)
         });
         match &applied {
             Ok(_) => {
-                self.node.stats.appends_applied += a.parts.len() as u64;
+                self.node.stats.appends_applied += parts.len() as u64;
                 if let Some((schema, table)) =
-                    a.parts.first().and_then(|(bat, _)| self.catalog.table_of(*bat))
+                    parts.first().and_then(|(bat, _)| self.catalog.table_of(*bat))
                 {
                     self.readvertise_table(&schema, &table);
                 }
             }
-            Err(_) => self.node.stats.appends_dropped += a.parts.len() as u64,
+            Err(_) => self.node.stats.appends_dropped += parts.len() as u64,
         }
         applied
     }
@@ -1338,8 +1112,8 @@ impl NodeCtx {
             Cmd::Append { schema, table, cols, ack } => {
                 match self.append_table(&schema, &table, &cols) {
                     Ok(AppendOutcome::Applied(rows)) => ack.fulfill(Ok(rows)),
-                    Ok(AppendOutcome::Routed { id, msg, table }) => {
-                        self.route_op(id, msg, ack, "append", table);
+                    Ok(AppendOutcome::Routed { parts, table }) => {
+                        self.route(table, RoutedBody::Append { parts }, Some(ack));
                     }
                     Err(e) => ack.fulfill(Err(e)),
                 }
@@ -1352,26 +1126,18 @@ impl NodeCtx {
                     }
                     Ok(_) => {
                         // Route the logical mutation clockwise to the
-                        // owner; the ack resolves when the MutAck comes
+                        // owner; the ack resolves when the Ack comes
                         // back, and the per-attempt timeout resends it
                         // (or fails it) if the ack never does.
                         if let Err(e) = mutation_fits_wire(&op, &preds) {
                             ack.fulfill(Err(e));
                         } else {
-                            let id = self.next_mut;
-                            self.next_mut += 1;
-                            let table_str = format!("{schema}.{table}");
-                            let msg = MutateMsg {
-                                origin: self.node.id,
-                                epoch: self.boot_epoch,
-                                id,
-                                schema,
-                                table,
-                                op,
-                                preds,
-                            };
                             self.node.stats.mutations_routed += 1;
-                            self.route_op(id, DcMsg::Mutate(msg), ack, "mutation", table_str);
+                            self.route(
+                                format!("{schema}.{table}"),
+                                RoutedBody::Mutate { schema, table, op, preds },
+                                Some(ack),
+                            );
                         }
                     }
                 }
@@ -1452,8 +1218,8 @@ impl NodeCtx {
 
     /// SQL `INSERT` at this node: locally-owned fragments are appended in
     /// place ([`AppendOutcome::Applied`]); foreign ones produce a
-    /// [`AppendOutcome::Routed`] message for the caller to register with
-    /// [`NodeCtx::route_op`] — sending is deferred so the statement gets
+    /// [`AppendOutcome::Routed`] batch for the caller to hand to
+    /// [`NodeCtx::route`] — sending is deferred so the statement gets
     /// the same timeout/retry protection as a routed UPDATE.
     fn append_table(
         &mut self,
@@ -1510,15 +1276,7 @@ impl NodeCtx {
                     (info.bat, rows)
                 })
                 .collect();
-            let id = self.next_mut;
-            self.next_mut += 1;
-            let msg = DcMsg::Append(AppendMsg {
-                origin: self.node.id,
-                epoch: self.boot_epoch,
-                id,
-                parts,
-            });
-            Ok(AppendOutcome::Routed { id, msg, table: format!("{schema}.{table}") })
+            Ok(AppendOutcome::Routed { parts, table: format!("{schema}.{table}") })
         }
     }
 
@@ -2036,23 +1794,17 @@ impl RingNode {
             cache: HashMap::new(),
             waiting: HashMap::new(),
             next_frag: Arc::clone(&next_frag),
-            pending_ops: HashMap::new(),
-            next_mut: 1,
-            boot_epoch: fresh_boot_epoch(),
-            ack_timeout: opts.ack_timeout,
-            ack_retries: opts.ack_retries,
-            applied_ops: HashMap::new(),
-            applied_order: std::collections::VecDeque::new(),
+            routed: Routed::new(fresh_boot_epoch(), opts.ack_timeout, opts.ack_retries),
             notify: Arc::clone(&notify),
             persist,
             obs: Arc::clone(&obs),
             msg_hists: std::array::from_fn(|i| obs.histogram(MSG_HIST_NAMES[i])),
             hotset,
             spill_queue: SpillQueue::default(),
-            readmits: ReadmitTracker::default(),
             remote_spilled: HashSet::new(),
             spill_hist: obs.histogram("spill_us"),
             readmit_hist: obs.histogram("readmit_us"),
+            gossip_applied: obs.counter("gossip_applied"),
             hotset_gauges: [
                 obs.gauge("hotset_resident_bytes"),
                 obs.gauge("hotset_spilled_bytes"),
@@ -2159,16 +1911,9 @@ impl RingNode {
         self.run_sql(sql).map_err(DcError::from)
     }
 
-    /// Compile and execute one SQL statement; returns the rendered
-    /// output. A thin rendering shim over [`RingNode::execute`], kept
-    /// for callers that only want text.
-    pub fn submit_sql(&self, sql: &str) -> Result<String, MalError> {
-        self.run_sql(sql).map(|rs| rs.render())
-    }
-
     /// The choke point every SQL entry path funnels through
-    /// ([`RingNode::execute`], [`RingNode::submit_sql`], and the [`Ring`]
-    /// equivalents): compile + run, with end-to-end latency recorded per
+    /// ([`RingNode::execute`] and [`Ring::execute`]): compile + run, with
+    /// end-to-end latency recorded per
     /// statement kind and statement/error counters bumped — so the
     /// in-process ring, `dcsh`, and the wire server all feed the same
     /// `stmt_*_us` histograms.
@@ -2333,10 +2078,6 @@ impl RingNode {
         &self.catalog
     }
 
-    pub(crate) fn meta(&self) -> &Arc<RwLock<Catalog>> {
-        &self.meta
-    }
-
     pub(crate) fn send(&self, cmd: Cmd) -> Result<(), MalError> {
         self.tx.send(NodeEvent::Cmd(cmd)).map_err(|_| MalError::Dc("ring node is down".into()))
     }
@@ -2446,8 +2187,8 @@ impl Ring {
     ///
     /// let ring = Ring::builder(2).build();
     /// ring.load_table("sys", "t", vec![("id", Column::from(vec![1, 2, 3]))]).unwrap();
-    /// let out = ring.submit_sql(0, "select id from t where id >= 2").unwrap();
-    /// assert!(out.contains("[ 2 ]") && out.contains("[ 3 ]"));
+    /// let rs = ring.execute(0, "select id from t where id >= 2 order by id").unwrap();
+    /// assert_eq!(rs.columns[0].data.tail(), &Column::from(vec![2, 3]));
     /// ```
     pub fn builder(n: usize) -> RingBuilder {
         RingBuilder::new(n)
@@ -2498,30 +2239,17 @@ impl Ring {
             origin: self.nodes[0].id,
             schema: schema.to_string(),
             table: table.to_string(),
-            columns: columns.clone(),
+            columns,
         };
         self.nodes[0].send(Cmd::PublishTable { table: gossip, gossip: true })?;
 
         // The gossip circulates asynchronously; make the load synchronous
-        // so a submit on any node immediately after sees the table.
-        let deadline = Instant::now() + Duration::from_secs(10);
+        // so a statement on any node immediately after sees the table.
+        // `publish_table` fills the ring catalog before the metadata the
+        // wait watches, so every column lookup succeeds once it returns.
         for node in &self.nodes {
-            loop {
-                let ready = node.meta().read().table(schema, table).is_ok()
-                    && columns
-                        .iter()
-                        .all(|c| node.ring_catalog().lookup(schema, table, &c.name).is_some());
-                if ready {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    return Err(MalError::Dc(format!(
-                        "catalog gossip for {schema}.{table} never reached {}",
-                        node.id
-                    )));
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            node.wait_for_table_timeout(schema, table, Duration::from_secs(10))
+                .map_err(|e| MalError::Dc(e.message().to_string()))?;
         }
         Ok(())
     }
@@ -2531,12 +2259,6 @@ impl Ring {
     /// [`RingNode::execute`]).
     pub fn execute(&self, node_idx: usize, sql: &str) -> Result<ResultSet, DcError> {
         self.nodes[node_idx].execute(sql)
-    }
-
-    /// Compile and execute one SQL statement on the given node; returns
-    /// the rendered output (a rendering shim over [`Ring::execute`]).
-    pub fn submit_sql(&self, node_idx: usize, sql: &str) -> Result<String, MalError> {
-        self.nodes[node_idx].submit_sql(sql)
     }
 
     /// Execute an already-compiled MAL plan on a node.
@@ -2558,7 +2280,7 @@ impl Ring {
     /// Compile `sql` against the given node's metadata replica and
     /// render both the front-end plan and its Data Cyclotron rewrite
     /// (EXPLAIN, Tables 1/2 style). Takes the node index like
-    /// [`Ring::submit_sql`] — each node compiles against its own replica.
+    /// [`Ring::execute`] — each node compiles against its own replica.
     pub fn explain_sql(&self, node_idx: usize, sql: &str) -> Result<(String, String), MalError> {
         self.nodes[node_idx].explain_sql(sql)
     }
@@ -2577,6 +2299,19 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batstore::Val;
+
+    /// The first column of `rs`, as integers.
+    fn ints(rs: &ResultSet) -> Vec<i64> {
+        (0..rs.row_count()).map(|r| rs.cell(r, 0).as_i64().expect("an integer cell")).collect()
+    }
+
+    /// Every row of `rs`, as cells.
+    fn rows(rs: &ResultSet) -> Vec<Vec<Val>> {
+        (0..rs.row_count())
+            .map(|r| (0..rs.column_count()).map(|c| rs.cell(r, c)).collect())
+            .collect()
+    }
 
     fn demo_ring(n: usize) -> Ring {
         let ring = Ring::builder(n)
@@ -2603,17 +2338,16 @@ mod tests {
     #[test]
     fn paper_query_end_to_end_on_ring() {
         let ring = demo_ring(3);
-        let out = ring.submit_sql(0, "select c.t_id from t, c where c.t_id = t.id").unwrap();
-        assert_eq!(out.matches("[ 2 ]").count(), 2, "{out}");
-        assert_eq!(out.matches("[ 3 ]").count(), 1, "{out}");
+        let rs = ring.execute(0, "select c.t_id from t, c where c.t_id = t.id order by t_id");
+        assert_eq!(ints(&rs.unwrap()), [2, 2, 3]);
     }
 
     #[test]
     fn every_node_can_execute() {
         let ring = demo_ring(4);
         for i in 0..4 {
-            let out = ring.submit_sql(i, "select amount from c where amount >= 30").unwrap();
-            assert!(out.contains("[ 30 ]") && out.contains("[ 40 ]"), "node {i}: {out}");
+            let rs = ring.execute(i, "select amount from c where amount >= 30 order by amount");
+            assert_eq!(ints(&rs.unwrap()), [30, 40], "node {i}");
         }
     }
 
@@ -2628,15 +2362,15 @@ mod tests {
         // first statement of a shape compiles, and a statement differing
         // only in its constants is a hit that binds its own values — it
         // must return its own rows, not the cached statement's.
-        ring.submit_sql(0, "select amount from c where amount >= 10").unwrap();
-        ring.submit_sql(1, "select amount from c where amount >= 10").unwrap();
+        ring.execute(0, "select amount from c where amount >= 10").unwrap();
+        ring.execute(1, "select amount from c where amount >= 10").unwrap();
         assert_eq!((template_stats(0), template_stats(1)), ((0, 1), (0, 1)), "one cache per node");
-        let out = ring.submit_sql(1, "select amount from c where amount >= 35").unwrap();
+        let rs = ring.execute(1, "select amount from c where amount >= 35").unwrap();
         assert_eq!(template_stats(1), (1, 1), "same shape, other constant: a hit");
-        assert!(out.contains("[ 40 ]") && !out.contains("[ 30 ]"), "own constants: {out}");
+        assert_eq!(ints(&rs), [40], "own constants");
         assert_eq!(ring.node(1).obs().gauge("template_entries").get(), 1);
         // A compile error is not cached; a later success of that shape is.
-        assert!(ring.submit_sql(1, "select x from ghost where x = 1").is_err());
+        assert!(ring.execute(1, "select x from ghost where x = 1").is_err());
         assert_eq!(template_stats(1), (1, 1), "the failed compile left no entry");
         ring.execute(1, "create table ghost (x int)").unwrap();
         ring.execute(1, "insert into ghost values (1), (2)").unwrap();
@@ -2652,31 +2386,27 @@ mod tests {
     fn plan_shaping_numbers_stay_in_the_template_key() {
         let ring = demo_ring(1);
         let misses = || ring.node(0).obs().counter("template_misses").get();
-        let amounts = |sql: &str| -> Vec<batstore::Val> {
-            let rs = ring.execute(0, sql).unwrap();
-            (0..rs.row_count()).map(|r| rs.cell(r, 0)).collect()
-        };
-        let ints = |v: &[i32]| v.iter().map(|&i| batstore::Val::Int(i)).collect::<Vec<_>>();
+        let amounts = |sql: &str| ints(&ring.execute(0, sql).unwrap());
         // LIMIT is compiled into the plan (a slice bound), not bound.
-        assert_eq!(amounts("select amount from c order by amount limit 2"), ints(&[10, 20]));
-        assert_eq!(amounts("select amount from c order by amount limit 3"), ints(&[10, 20, 30]));
+        assert_eq!(amounts("select amount from c order by amount limit 2"), [10, 20]);
+        assert_eq!(amounts("select amount from c order by amount limit 3"), [10, 20, 30]);
         assert_eq!(misses(), 2, "limit 2 and limit 3 are different templates");
         // So is an IN list's length: one selection per element.
         let in2 = "select amount from c where amount in (10, 40) order by amount";
         let in3 = "select amount from c where amount in (10, 20, 40) order by amount";
-        assert_eq!(amounts(in2), ints(&[10, 40]));
-        assert_eq!(amounts(in3), ints(&[10, 20, 40]));
+        assert_eq!(amounts(in2), [10, 40]);
+        assert_eq!(amounts(in3), [10, 20, 40]);
         assert_eq!(misses(), 4, "2- and 3-element IN lists are different templates");
         // Equal arity with other values is the same template.
         let other = "select amount from c where amount in (30, 20, 10) order by amount";
-        assert_eq!(amounts(other), ints(&[10, 20, 30]));
+        assert_eq!(amounts(other), [10, 20, 30]);
         assert_eq!(misses(), 4);
     }
 
     #[test]
     fn missing_table_fails_cleanly() {
         let ring = demo_ring(2);
-        assert!(ring.submit_sql(0, "select x from ghost").is_err());
+        assert!(ring.execute(0, "select x from ghost").is_err());
     }
 
     #[test]
@@ -2699,21 +2429,18 @@ mod tests {
         let rs = ring.execute(0, "select count(*) from ev").unwrap();
         assert_eq!(rs.columns[0].col_type(), batstore::ColType::Lng);
         assert_eq!(rs.columns[0].sql_type, "lng");
-        // Errors surface with their message; the shim agrees with the
-        // typed path.
+        // Errors surface with their message.
         let err = ring.execute(0, "select x from ghost").unwrap_err();
         assert!(err.message().contains("ghost"), "{err:?}");
-        let typed = ring.execute(1, "select amount from c where amount >= 30").unwrap();
-        let rendered = ring.submit_sql(1, "select amount from c where amount >= 30").unwrap();
-        assert_eq!(typed.render(), rendered);
     }
 
     #[test]
     fn single_node_ring_works() {
         let ring = demo_ring(1);
-        let out =
-            ring.submit_sql(0, "select amount from c where amount between 15 and 35").unwrap();
-        assert!(out.contains("[ 20 ]") && out.contains("[ 30 ]"), "{out}");
+        let rs = ring
+            .execute(0, "select amount from c where amount between 15 and 35 order by amount")
+            .unwrap();
+        assert_eq!(ints(&rs), [20, 30]);
     }
 
     #[test]
@@ -2735,14 +2462,11 @@ mod tests {
     #[test]
     fn distinct_and_in_list_over_ring() {
         let ring = demo_ring(3);
-        let out = ring.submit_sql(1, "select distinct t_id from c order by t_id").unwrap();
-        let rows: Vec<&str> = out.lines().filter(|l| l.starts_with('[')).collect();
-        assert_eq!(rows, vec!["[ 2 ]", "[ 3 ]", "[ 9 ]"], "{out}");
-        let out = ring
-            .submit_sql(2, "select amount from c where t_id in (2, 9) order by amount")
-            .unwrap();
-        let rows: Vec<&str> = out.lines().filter(|l| l.starts_with('[')).collect();
-        assert_eq!(rows, vec!["[ 10 ]", "[ 20 ]", "[ 40 ]"], "{out}");
+        let rs = ring.execute(1, "select distinct t_id from c order by t_id").unwrap();
+        assert_eq!(ints(&rs), [2, 3, 9]);
+        let rs =
+            ring.execute(2, "select amount from c where t_id in (2, 9) order by amount").unwrap();
+        assert_eq!(ints(&rs), [10, 20, 40]);
     }
 
     #[test]
@@ -2758,10 +2482,10 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = ring.submit_sql(0, "select a, b, sum(v) from pairs group by a, b").unwrap();
-        let rows = out.lines().filter(|l| l.starts_with('[')).count();
-        assert_eq!(rows, 3, "{out}");
-        assert!(out.contains("30"), "x,1 sums to 30: {out}");
+        let rs = ring.execute(0, "select a, b, sum(v) from pairs group by a, b").unwrap();
+        assert_eq!(rs.row_count(), 3, "{rs:?}");
+        let x1 = rows(&rs).into_iter().find(|r| r[..2] == [Val::from("x"), Val::from(1)]);
+        assert_eq!(x1.and_then(|r| r[2].as_i64()), Some(30), "x,1 sums to 30: {rs:?}");
     }
 
     #[test]
@@ -2772,39 +2496,41 @@ mod tests {
             for _ in 0..4 {
                 let r = Arc::clone(&ring);
                 joins.push(std::thread::spawn(move || {
-                    r.submit_sql(i, "select c.t_id from t, c where c.t_id = t.id").unwrap()
+                    r.execute(i, "select c.t_id from t, c where c.t_id = t.id").unwrap()
                 }));
             }
         }
         for j in joins {
-            let out = j.join().unwrap();
-            assert_eq!(out.matches("[ 2 ]").count(), 2);
+            let rs = j.join().unwrap();
+            assert_eq!(ints(&rs).iter().filter(|&&v| v == 2).count(), 2);
         }
     }
 
     #[test]
     fn create_insert_select_on_ring() {
         let ring = demo_ring(3);
-        let out = ring.submit_sql(0, "create table logs (k int, msg varchar(16))").unwrap();
-        assert!(out.contains("created"), "{out}");
+        let rs = ring.execute(0, "create table logs (k int, msg varchar(16))").unwrap();
+        assert!(rs.info.as_deref().unwrap_or("").contains("created"), "{rs:?}");
         // The DDL gossip replicates; other nodes soon compile against it.
         ring.node(2).wait_for_table_timeout("sys", "logs", Duration::from_secs(5)).unwrap();
-        let out = ring.submit_sql(0, "insert into logs values (1, 'boot'), (2, 'ready')").unwrap();
-        assert!(out.contains("2 rows affected"), "{out}");
+        let rs = ring.execute(0, "insert into logs values (1, 'boot'), (2, 'ready')").unwrap();
+        assert_eq!(rs.affected, Some(2));
         // Owner-local read-your-writes.
-        let out = ring.submit_sql(0, "select msg from logs where k = 2").unwrap();
-        assert!(out.contains("ready"), "{out}");
+        let rs = ring.execute(0, "select msg from logs where k = 2").unwrap();
+        assert_eq!(rows(&rs), [[Val::from("ready")]]);
         // A remote node pulls the fresh fragments through the ring.
-        let out = ring.submit_sql(2, "select k, msg from logs order by k").unwrap();
-        let rows: Vec<&str> = out.lines().filter(|l| l.starts_with('[')).collect();
-        assert_eq!(rows, vec!["[ 1,\t\"boot\" ]", "[ 2,\t\"ready\" ]"], "{out}");
+        let rs = ring.execute(2, "select k, msg from logs order by k").unwrap();
+        assert_eq!(
+            rows(&rs),
+            [[Val::from(1), Val::from("boot")], [Val::from(2), Val::from("ready")]]
+        );
     }
 
     #[test]
     fn update_delete_on_owner_node() {
         let ring = demo_ring(2);
-        ring.submit_sql(0, "create table acct (id int, bal lng, tag varchar(8))").unwrap();
-        ring.submit_sql(0, "insert into acct values (1, 10, 'a'), (2, 20, 'b'), (3, 30, 'a')")
+        ring.execute(0, "create table acct (id int, bal lng, tag varchar(8))").unwrap();
+        ring.execute(0, "insert into acct values (1, 10, 'a'), (2, 20, 'b'), (3, 30, 'a')")
             .unwrap();
         let rs = ring.execute(0, "update acct set bal = 99 where tag = 'a'").unwrap();
         assert_eq!(rs.affected, Some(2));
@@ -2824,9 +2550,9 @@ mod tests {
     #[test]
     fn remote_mutation_routes_to_owner_and_acks_count() {
         let ring = demo_ring(3);
-        ring.submit_sql(0, "create table kv (k int, v int)").unwrap();
+        ring.execute(0, "create table kv (k int, v int)").unwrap();
         ring.node(2).wait_for_table_timeout("sys", "kv", Duration::from_secs(5)).unwrap();
-        ring.submit_sql(0, "insert into kv values (1, 10), (2, 20), (3, 30)").unwrap();
+        ring.execute(0, "insert into kv values (1, 10), (2, 20), (3, 30)").unwrap();
         // Node 2 owns nothing: the logical mutation travels the ring to
         // node 0, is applied there, and the ack carries the real count.
         let rs = ring.execute(2, "update kv set v = 7 where k >= 2").unwrap();
@@ -2846,33 +2572,33 @@ mod tests {
     fn mutation_errors_surface_at_the_origin() {
         let ring = demo_ring(2);
         // Unknown table fails at compile time on the origin.
-        assert!(ring.submit_sql(1, "update ghost set a = 1").is_err());
+        assert!(ring.execute(1, "update ghost set a = 1").is_err());
         // Mixed-owner table: the round-robin loaded `c` cannot be
         // mutated atomically.
-        let err = ring.submit_sql(0, "update c set amount = 1 where t_id = 2").unwrap_err();
+        let err = ring.execute(0, "update c set amount = 1 where t_id = 2").unwrap_err();
         assert!(err.to_string().contains("multiple nodes"), "{err}");
-        let err = ring.submit_sql(1, "delete from c").unwrap_err();
+        let err = ring.execute(1, "delete from c").unwrap_err();
         assert!(err.to_string().contains("multiple nodes"), "{err}");
         // Type errors detected at the owner surface in the ack.
-        ring.submit_sql(0, "create table typed (n int)").unwrap();
+        ring.execute(0, "create table typed (n int)").unwrap();
         ring.node(1).wait_for_table_timeout("sys", "typed", Duration::from_secs(5)).unwrap();
-        ring.submit_sql(0, "insert into typed values (1)").unwrap();
-        let err = ring.submit_sql(1, "update typed set n = 'oops'").unwrap_err();
+        ring.execute(0, "insert into typed values (1)").unwrap();
+        let err = ring.execute(1, "update typed set n = 'oops'").unwrap_err();
         assert!(err.to_string().contains("type"), "{err}");
         // … and even when the WHERE clause matches nothing: a statement
         // that can never apply must not quietly ack zero.
-        let err = ring.submit_sql(1, "update typed set n = 'oops' where n = 777").unwrap_err();
+        let err = ring.execute(1, "update typed set n = 'oops' where n = 777").unwrap_err();
         assert!(err.to_string().contains("type"), "{err}");
     }
 
     #[test]
     fn mutation_readvertises_versions_ring_wide() {
         let ring = demo_ring(3);
-        ring.submit_sql(0, "create table seq (v int)").unwrap();
+        ring.execute(0, "create table seq (v int)").unwrap();
         for n in 1..3 {
             ring.node(n).wait_for_table_timeout("sys", "seq", Duration::from_secs(5)).unwrap();
         }
-        ring.submit_sql(0, "insert into seq values (1), (2), (3)").unwrap();
+        ring.execute(0, "insert into seq values (1), (2), (3)").unwrap();
         ring.execute(1, "update seq set v = 9 where v = 2").unwrap();
         // The owner re-gossips (size, version); every replica converges.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -2931,32 +2657,28 @@ mod tests {
     fn node_recovers_tables_and_rows_from_data_dir() {
         let dir = scratch_dir("recover");
         let node = durable_node(&dir, 16 << 20);
-        node.submit_sql("create table logs (k int, msg varchar(16))").unwrap();
-        node.submit_sql("insert into logs values (1, 'boot'), (2, 'ready')").unwrap();
-        node.submit_sql("insert into logs values (3, 'steady')").unwrap();
+        node.execute("create table logs (k int, msg varchar(16))").unwrap();
+        node.execute("insert into logs values (1, 'boot'), (2, 'ready')").unwrap();
+        node.execute("insert into logs values (3, 'steady')").unwrap();
         node.shutdown();
 
         // Everything came back from disk: catalog, rows, and versions.
         let node = durable_node(&dir, 16 << 20);
-        let out = node.submit_sql("select k, msg from logs order by k").unwrap();
-        let rows: Vec<&str> = out.lines().filter(|l| l.starts_with('[')).collect();
-        assert_eq!(
-            rows,
-            vec!["[ 1,\t\"boot\" ]", "[ 2,\t\"ready\" ]", "[ 3,\t\"steady\" ]"],
-            "{out}"
-        );
+        let rs = node.execute("select k, msg from logs order by k").unwrap();
+        let want = [(1, "boot"), (2, "ready"), (3, "steady")];
+        assert_eq!(rows(&rs), want.map(|(k, msg)| [Val::from(k), Val::from(msg)]));
         // The engine keeps working durably: appends and fresh DDL use
         // fragment ids beyond the recovered ones.
-        node.submit_sql("insert into logs values (4, 'again')").unwrap();
-        node.submit_sql("create table other (x int)").unwrap();
-        node.submit_sql("insert into other values (42)").unwrap();
+        node.execute("insert into logs values (4, 'again')").unwrap();
+        node.execute("create table other (x int)").unwrap();
+        node.execute("insert into other values (42)").unwrap();
         node.shutdown();
 
         let node = durable_node(&dir, 16 << 20);
-        let out = node.submit_sql("select count(*) from logs").unwrap();
-        assert!(out.contains("[ 4 ]"), "{out}");
-        let out = node.submit_sql("select x from other").unwrap();
-        assert!(out.contains("[ 42 ]"), "{out}");
+        let rs = node.execute("select count(*) from logs").unwrap();
+        assert_eq!(ints(&rs), [4]);
+        let rs = node.execute("select x from other").unwrap();
+        assert_eq!(ints(&rs), [42]);
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2965,22 +2687,21 @@ mod tests {
     fn node_recovers_mutations_from_data_dir() {
         let dir = scratch_dir("recover_mut");
         let node = durable_node(&dir, 16 << 20);
-        node.submit_sql("create table acct (id int, bal int)").unwrap();
-        node.submit_sql("insert into acct values (1, 10), (2, 20), (3, 30)").unwrap();
-        node.submit_sql("update acct set bal = 99 where id in (1, 3)").unwrap();
-        node.submit_sql("delete from acct where id = 2").unwrap();
+        node.execute("create table acct (id int, bal int)").unwrap();
+        node.execute("insert into acct values (1, 10), (2, 20), (3, 30)").unwrap();
+        node.execute("update acct set bal = 99 where id in (1, 3)").unwrap();
+        node.execute("delete from acct where id = 2").unwrap();
         node.shutdown();
 
         let node = durable_node(&dir, 16 << 20);
-        let out = node.submit_sql("select id, bal from acct order by id").unwrap();
-        let rows: Vec<&str> = out.lines().filter(|l| l.starts_with('[')).collect();
-        assert_eq!(rows, vec!["[ 1,\t99 ]", "[ 3,\t99 ]"], "{out}");
+        let rs = node.execute("select id, bal from acct order by id").unwrap();
+        assert_eq!(rows(&rs), [[1, 99], [3, 99]].map(|r| r.map(Val::from)));
         // And keeps mutating durably after recovery.
-        node.submit_sql("update acct set bal = 1 where id = 3").unwrap();
+        node.execute("update acct set bal = 1 where id = 3").unwrap();
         node.shutdown();
         let node = durable_node(&dir, 16 << 20);
-        let out = node.submit_sql("select bal from acct where id = 3").unwrap();
-        assert!(out.contains("[ 1 ]"), "{out}");
+        let rs = node.execute("select bal from acct where id = 3").unwrap();
+        assert_eq!(ints(&rs), [1]);
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2991,17 +2712,17 @@ mod tests {
         // 1-byte threshold: a checkpoint after every mutation, maximal
         // checkpoint/WAL overlap on recovery.
         let node = durable_node(&dir, 1);
-        node.submit_sql("create table seq (v int)").unwrap();
+        node.execute("create table seq (v int)").unwrap();
         for i in 0..10 {
-            node.submit_sql(&format!("insert into seq values ({i})")).unwrap();
+            node.execute(&format!("insert into seq values ({i})")).unwrap();
         }
-        node.submit_sql("update seq set v = 100 where v between 0 and 4").unwrap();
-        node.submit_sql("delete from seq where v = 100").unwrap();
+        node.execute("update seq set v = 100 where v between 0 and 4").unwrap();
+        node.execute("delete from seq where v = 100").unwrap();
         node.shutdown();
 
         let node = durable_node(&dir, 1);
-        let out = node.submit_sql("select count(*) from seq").unwrap();
-        assert!(out.contains("[ 5 ]"), "exactly the five non-rewritten rows survive: {out}");
+        let rs = node.execute("select count(*) from seq").unwrap();
+        assert_eq!(ints(&rs), [5], "exactly the five non-rewritten rows survive");
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3010,8 +2731,8 @@ mod tests {
     fn empty_data_dir_starts_clean() {
         let dir = scratch_dir("empty");
         let node = durable_node(&dir, 16 << 20);
-        assert!(node.submit_sql("select x from ghost").is_err());
-        node.submit_sql("create table t (x int)").unwrap();
+        assert!(node.execute("select x from ghost").is_err());
+        node.execute("create table t (x int)").unwrap();
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3022,15 +2743,15 @@ mod tests {
         // A 1-byte threshold checkpoints after every mutation, so the
         // run interleaves checkpoints with WAL appends constantly.
         let node = durable_node(&dir, 1);
-        node.submit_sql("create table seq (v int)").unwrap();
+        node.execute("create table seq (v int)").unwrap();
         for i in 0..20 {
-            node.submit_sql(&format!("insert into seq values ({i})")).unwrap();
+            node.execute(&format!("insert into seq values ({i})")).unwrap();
         }
         node.shutdown();
 
         let node = durable_node(&dir, 1);
-        let out = node.submit_sql("select count(*) from seq").unwrap();
-        assert!(out.contains("[ 20 ]"), "no lost or double-applied appends: {out}");
+        let rs = node.execute("select count(*) from seq").unwrap();
+        assert_eq!(ints(&rs), [20], "no lost or double-applied appends");
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3039,8 +2760,8 @@ mod tests {
     fn torn_wal_tail_recovers_the_prefix() {
         let dir = scratch_dir("torn");
         let node = durable_node(&dir, 16 << 20);
-        node.submit_sql("create table t (x int)").unwrap();
-        node.submit_sql("insert into t values (1), (2)").unwrap();
+        node.execute("create table t (x int)").unwrap();
+        node.execute("insert into t values (1), (2)").unwrap();
         node.shutdown();
 
         // Simulate a crash mid-append: garbage at the end of the newest
@@ -3053,8 +2774,8 @@ mod tests {
         drop(f);
 
         let node = durable_node(&dir, 16 << 20);
-        let out = node.submit_sql("select count(*) from t").unwrap();
-        assert!(out.contains("[ 2 ]"), "prefix before the tear intact: {out}");
+        let rs = node.execute("select count(*) from t").unwrap();
+        assert_eq!(ints(&rs), [2], "prefix before the tear intact");
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3063,7 +2784,7 @@ mod tests {
     fn data_dir_of_another_node_refused() {
         let dir = scratch_dir("foreign");
         let node = durable_node(&dir, 16 << 20);
-        node.submit_sql("create table t (x int)").unwrap();
+        node.execute("create table t (x int)").unwrap();
         node.shutdown();
 
         let t = mem::ring(1).pop().expect("one node");
@@ -3110,8 +2831,8 @@ mod tests {
     fn tiny_budget_spills_and_readmits_on_demand() {
         let dir = scratch_dir("budget");
         let node = budget_node(&dir, 1);
-        node.submit_sql("create table cold (k int, v int)").unwrap();
-        node.submit_sql("insert into cold values (1, 10), (2, 20), (3, 30)").unwrap();
+        node.execute("create table cold (k int, v int)").unwrap();
+        node.execute("insert into cold values (1, 10), (2, 20), (3, 30)").unwrap();
 
         // A 1-byte budget makes every owned fragment excess: both columns
         // are checkpointed (the bat file IS the at-rest format) and their
@@ -3135,24 +2856,23 @@ mod tests {
 
         // Querying the evicted table re-admits its fragments from disk
         // and answers with the correct typed rows.
-        let out = node.submit_sql("select k, v from cold order by k").unwrap();
-        let rows: Vec<&str> = out.lines().filter(|l| l.starts_with('[')).collect();
-        assert_eq!(rows, vec!["[ 1,\t10 ]", "[ 2,\t20 ]", "[ 3,\t30 ]"], "{out}");
+        let rs = node.execute("select k, v from cold order by k").unwrap();
+        assert_eq!(rows(&rs), [[1, 10], [2, 20], [3, 30]].map(|r| r.map(Val::from)));
         let stats = node.stats().unwrap();
         assert!(stats.loi_readmits >= 1, "re-admission not counted: {stats:?}");
 
         // Appends against spilled fragments re-admit first, then apply.
-        node.submit_sql("insert into cold values (4, 40)").unwrap();
+        node.execute("insert into cold values (4, 40)").unwrap();
         node.shutdown();
 
         // Restart with the same budget: spilled fragments recover from
         // the checkpoint (payload-less snapshots keep their bat files),
         // the WAL tail replays, and queries still answer correctly.
         let node = budget_node(&dir, 1);
-        let out = node.submit_sql("select count(*) from cold").unwrap();
-        assert!(out.contains("[ 4 ]"), "{out}");
-        let out = node.submit_sql("select v from cold where k = 4").unwrap();
-        assert!(out.contains("[ 40 ]"), "{out}");
+        let rs = node.execute("select count(*) from cold").unwrap();
+        assert_eq!(ints(&rs), [4]);
+        let rs = node.execute("select v from cold where k = 4").unwrap();
+        assert_eq!(ints(&rs), [40]);
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3162,26 +2882,26 @@ mod tests {
         // Demo table `c` was round-robin loaded: its two columns have
         // different owners, so a split (non-atomic) append is refused.
         let ring = demo_ring(2);
-        let err = ring.submit_sql(0, "insert into c values (5, 50)").unwrap_err();
+        let err = ring.execute(0, "insert into c values (5, 50)").unwrap_err();
         assert!(err.to_string().contains("multiple nodes"), "{err}");
     }
 
     #[test]
     fn remote_insert_routes_to_owner() {
         let ring = demo_ring(2);
-        ring.submit_sql(0, "create table kv (k int, v int)").unwrap();
+        ring.execute(0, "create table kv (k int, v int)").unwrap();
         ring.node(1).wait_for_table_timeout("sys", "kv", Duration::from_secs(5)).unwrap();
         // Node 1 does not own the fragments: the row batch travels the
         // ring to node 0 and is applied there (§6.4), asynchronously.
-        let out = ring.submit_sql(1, "insert into kv values (7, 70)").unwrap();
-        assert!(out.contains("1 rows affected"), "{out}");
+        let rs = ring.execute(1, "insert into kv values (7, 70)").unwrap();
+        assert_eq!(rs.affected, Some(1));
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let out = ring.submit_sql(0, "select v from kv where k = 7").unwrap();
-            if out.contains("[ 70 ]") {
+            let rs = ring.execute(0, "select v from kv where k = 7").unwrap();
+            if ints(&rs) == [70] {
                 break;
             }
-            assert!(Instant::now() < deadline, "append never reached the owner: {out}");
+            assert!(Instant::now() < deadline, "append never reached the owner: {rs:?}");
             std::thread::sleep(Duration::from_millis(10));
         }
     }

@@ -24,8 +24,11 @@
 //!   accounting, cold-fragment spill ("checkpoint, then drop"), and
 //!   on-demand re-admission of evicted fragments.
 //! * [`msg`] — ring message types and their binary codec, including the
-//!   catalog-replication and row-append messages of a distributed
+//!   catalog-replication and routed-statement messages of a distributed
 //!   deployment.
+//! * [`routed`] — how a statement reaches its fragment owner exactly
+//!   once: the origin's pending/retry table and the owner's dedup cache
+//!   behind routed INSERT, UPDATE/DELETE and re-admission.
 //! * [`transport`] — the §4.3 network-layer seam ([`RingTransport`])
 //!   plus the default in-process fabric; the TCP fabric lives in the
 //!   `dc-transport` crate.
@@ -58,6 +61,7 @@ pub mod loi;
 pub mod msg;
 pub mod proto;
 pub mod requests;
+pub mod routed;
 pub mod runtime;
 pub mod stats;
 pub mod transport;
@@ -71,7 +75,7 @@ pub use error::DcError;
 pub use hotset::{HotsetRow, HotsetSnapshot};
 pub use ids::{BatId, NodeId, QueryId};
 pub use loi::{new_loi, LoitLadder};
-pub use msg::{decode, encode, AppendMsg, BatHeader, CatalogCol, CatalogMsg, DcMsg, ReqMsg};
+pub use msg::{decode, encode, BatHeader, CatalogCol, CatalogMsg, DcMsg, ReqMsg};
 pub use proto::{DcNode, Effect, PinOutcome};
 pub use stats::{FaultStats, NodeStats};
 pub use transport::fault::{Edge, FaultEvent, FaultPlan, FaultTransport};

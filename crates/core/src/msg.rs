@@ -6,8 +6,9 @@
 //! scheme, plus two distributed-deployment messages the paper's network
 //! layer implies but does not spell out: [`CatalogMsg`] replicates table
 //! metadata clockwise so every node can compile SQL without a shared
-//! catalog, and [`AppendMsg`] carries row appends clockwise toward the
-//! fragment owner (§6.4 updates). The codec is a hand-written
+//! catalog, and [`RoutedMsg`] carries a statement clockwise to the
+//! fragment owner (§6.4 updates, §4.4 re-admission), answered by one
+//! [`AckMsg`]. The codec is a hand-written
 //! little-endian layout over `bytes` — small, allocation-light, and fully
 //! round-trip tested.
 
@@ -111,7 +112,7 @@ impl CatalogMsg {
     }
 }
 
-/// What a [`MutateMsg`] does at the fragment owner.
+/// What a [`RoutedBody::Mutate`] does at the fragment owner.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MutOp {
     /// `UPDATE`: write each `(column, value)` assignment into the
@@ -121,62 +122,59 @@ pub enum MutOp {
     Delete,
 }
 
-/// A SQL UPDATE/DELETE traveling clockwise toward the fragment owner
-/// (§6.4: the owner rewrites its authoritative copy and bumps the
-/// version). The mutation is *logical* — assignments plus WHERE
-/// predicates — because row positions computed anywhere else could be
-/// stale by the time the message arrives. `(epoch, id)` identifies the
-/// statement: `id` counts statements within one origin incarnation and
-/// `epoch` is the origin's per-boot nonce, so ids reused after an
-/// origin restart can never alias a prior incarnation's statements in
-/// the owner's dedup cache. The owner answers with a [`MutAckMsg`]
-/// carrying both, so the origin can report a correct affected-row count
-/// synchronously. If the message returns to its origin the owner is
-/// gone and the origin fails the statement.
+/// What a [`RoutedMsg`] asks of the fragment owner — the only part of a
+/// routed statement that differs by kind.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MutateMsg {
+pub enum RoutedBody {
+    /// SQL INSERT (§6.4: "when a node N processes an update request, for
+    /// a BAT f…"). Each part pairs a fragment id with a serialized BAT of
+    /// its new tail values; all parts share an owner, which applies the
+    /// whole batch in a single event so multi-column INSERTs stay atomic
+    /// even when appends from several nodes interleave on the ring.
+    Append { parts: Vec<(BatId, Bytes)> },
+    /// SQL UPDATE/DELETE (§6.4: the owner rewrites its authoritative copy
+    /// and bumps the version). The mutation is *logical* — assignments
+    /// plus WHERE predicates — because row positions computed anywhere
+    /// else could be stale by the time the message arrives.
+    Mutate { schema: String, table: String, op: MutOp, preds: Vec<RowPredicate> },
+    /// Re-admission demand for a spilled fragment (§4.4): "reload `bat`
+    /// from your disk and re-inject it into circulation". The answer is
+    /// `Ok(1)` if this delivery re-admitted it, `Ok(0)` if it was already
+    /// in (or entering) the ring — either way the origin's pin resolves
+    /// when the fragment flows past.
+    Readmit { bat: BatId },
+}
+
+/// A statement traveling clockwise toward the fragment owner, which
+/// applies it at most once and answers with an [`AckMsg`]. `(epoch, id)`
+/// identifies the statement: `id` counts statements within one origin
+/// incarnation and `epoch` is the origin's per-boot nonce, so ids reused
+/// after an origin restart can never alias a prior incarnation's
+/// statements in the owner's dedup cache. A retried frame deduplicates
+/// at the owner instead of applying twice. If the message returns to its
+/// origin the owner is gone and the origin fails the statement.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RoutedMsg {
     pub origin: NodeId,
     /// The origin's per-boot epoch nonce (statement-id namespace).
     pub epoch: u64,
     pub id: u64,
-    pub schema: String,
-    pub table: String,
-    pub op: MutOp,
-    pub preds: Vec<RowPredicate>,
+    pub body: RoutedBody,
 }
 
-/// The owner's answer to a [`MutateMsg`], traveling clockwise until it
-/// reaches `target` (the mutation's origin). Echoes the statement's
+/// The owner's answer to a [`RoutedMsg`], traveling clockwise until it
+/// reaches `target` (the statement's origin). Echoes the statement's
 /// `(epoch, id)`: an ack from before the origin's restart must not
 /// resolve a statement of its new incarnation that reuses the id.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MutAckMsg {
+pub struct AckMsg {
     pub target: NodeId,
     /// The acknowledged statement's origin-boot epoch, echoed back.
     pub epoch: u64,
     pub id: u64,
-    /// Affected-row count, or the owner-side failure.
+    /// Affected-row (or re-admitted-fragment) count, or the owner-side
+    /// failure.
     pub result: Result<u64, String>,
-}
-
-/// A row append traveling clockwise toward the fragment owner (§6.4:
-/// "when a node N processes an update request, for a BAT f…"). Each
-/// part pairs a fragment id with a serialized BAT of its new tail
-/// values; all parts of one message share an owner, which applies the
-/// whole batch in a single event so multi-column INSERTs stay atomic
-/// even when appends from several nodes interleave on the ring.
-/// `(epoch, id)` is origin-local (the same statement-id space as
-/// [`MutateMsg`]): the owner answers with a [`MutAckMsg`] carrying
-/// both, so the origin can retry a lost append and the owner can
-/// suppress a re-delivered one. If the message returns to its origin
-/// the owner is gone and the origin fails the statement.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AppendMsg {
-    pub origin: NodeId,
-    /// The origin's per-boot epoch nonce (statement-id namespace).
-    pub epoch: u64,
-    pub id: u64,
-    pub parts: Vec<(BatId, Bytes)>,
 }
 
 /// Hot-set management notice (§4.4): the owner took `bat` off the ring
@@ -184,7 +182,7 @@ pub struct AppendMsg {
 /// Travels clockwise, circulate-once like [`CatalogMsg`]: every node
 /// notes "this fragment is at rest at its owner" so a later query knows
 /// a plain request will not be answered by a passing copy and routes a
-/// [`ReadmitMsg`] instead. `version` is the fragment's version at spill
+/// [`RoutedBody::Readmit`] instead. `version` is the fragment's version at spill
 /// time — versions are preserved across spill, so a reader holding the
 /// Evict notice can still trust cached stale copies by the usual §6.4
 /// rules.
@@ -194,36 +192,6 @@ pub struct EvictMsg {
     pub bat: BatId,
     pub version: u32,
     pub size: u64,
-}
-
-/// A re-admission demand traveling clockwise toward the owner of a
-/// spilled fragment: "reload `bat` from your disk and re-inject it into
-/// circulation". `(epoch, id)` is origin-local (the same statement-id
-/// space as [`MutateMsg`]), so a retried Readmit deduplicates at the
-/// owner instead of double-injecting, and the owner answers with a
-/// [`ReadmitAckMsg`] carrying both. If the message returns to its origin
-/// the owner is gone and the origin fails the pending operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReadmitMsg {
-    pub origin: NodeId,
-    /// The origin's per-boot epoch nonce (statement-id namespace).
-    pub epoch: u64,
-    pub id: u64,
-    pub bat: BatId,
-}
-
-/// The owner's answer to a [`ReadmitMsg`], traveling clockwise until it
-/// reaches `target`. `Ok(1)` means the fragment was re-admitted by this
-/// delivery, `Ok(0)` that it was already in (or entering) the ring —
-/// either way the origin's pin resolves when the fragment flows past.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReadmitAckMsg {
-    pub target: NodeId,
-    /// The acknowledged demand's origin-boot epoch, echoed back.
-    pub epoch: u64,
-    pub id: u64,
-    /// Fragments re-admitted by this delivery, or the owner-side failure.
-    pub result: Result<u64, String>,
 }
 
 /// Everything that flows between neighbors.
@@ -236,18 +204,12 @@ pub enum DcMsg {
     Request(ReqMsg),
     /// Clockwise catalog replication.
     Catalog(CatalogMsg),
-    /// Clockwise row append routed to the fragment owner.
-    Append(AppendMsg),
-    /// Clockwise logical UPDATE/DELETE routed to the fragment owner.
-    Mutate(MutateMsg),
-    /// Clockwise mutation acknowledgement routed back to the origin.
-    MutAck(MutAckMsg),
+    /// Clockwise statement routed to the fragment owner.
+    Routed(RoutedMsg),
+    /// Clockwise acknowledgement routed back to the statement's origin.
+    Ack(AckMsg),
     /// Clockwise circulate-once notice that the owner spilled a fragment.
     Evict(EvictMsg),
-    /// Clockwise re-admission demand routed to a spilled fragment's owner.
-    Readmit(ReadmitMsg),
-    /// Clockwise re-admission acknowledgement routed back to the origin.
-    ReadmitAck(ReadmitAckMsg),
 }
 
 fn val_wire_size(v: &Val) -> u64 {
@@ -274,27 +236,26 @@ impl DcMsg {
             DcMsg::Bat { header, .. } => header.wire_size(),
             DcMsg::Request(_) => REQUEST_WIRE_BYTES,
             DcMsg::Catalog(c) => c.wire_size(),
-            DcMsg::Append(a) => {
-                32 + a.parts.iter().map(|(_, rows)| 12 + rows.len() as u64).sum::<u64>()
-            }
-            DcMsg::Mutate(m) => {
-                let assigns = match &m.op {
-                    MutOp::Update(a) => {
-                        a.iter().map(|(n, v)| 2 + n.len() as u64 + val_wire_size(v)).sum()
-                    }
-                    MutOp::Delete => 0,
-                };
-                24 + m.schema.len() as u64
-                    + m.table.len() as u64
-                    + assigns
-                    + m.preds.iter().map(pred_wire_size).sum::<u64>()
-            }
-            DcMsg::MutAck(a) => 32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0),
+            DcMsg::Routed(m) => match &m.body {
+                RoutedBody::Append { parts } => {
+                    32 + parts.iter().map(|(_, rows)| 12 + rows.len() as u64).sum::<u64>()
+                }
+                RoutedBody::Mutate { schema, table, op, preds } => {
+                    let assigns = match op {
+                        MutOp::Update(a) => {
+                            a.iter().map(|(n, v)| 2 + n.len() as u64 + val_wire_size(v)).sum()
+                        }
+                        MutOp::Delete => 0,
+                    };
+                    24 + schema.len() as u64
+                        + table.len() as u64
+                        + assigns
+                        + preds.iter().map(pred_wire_size).sum::<u64>()
+                }
+                RoutedBody::Readmit { .. } => 24,
+            },
+            DcMsg::Ack(a) => 32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0),
             DcMsg::Evict(_) => 19,
-            DcMsg::Readmit(_) => 23,
-            DcMsg::ReadmitAck(a) => {
-                32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0)
-            }
         }
     }
 }
@@ -302,12 +263,13 @@ impl DcMsg {
 const TAG_BAT: u8 = 1;
 const TAG_REQ: u8 = 2;
 const TAG_CATALOG: u8 = 3;
-const TAG_APPEND: u8 = 4;
-const TAG_MUTATE: u8 = 5;
-const TAG_MUTACK: u8 = 6;
-const TAG_EVICT: u8 = 7;
-const TAG_READMIT: u8 = 8;
-const TAG_READMITACK: u8 = 9;
+const TAG_ROUTED: u8 = 4;
+const TAG_ACK: u8 = 5;
+const TAG_EVICT: u8 = 6;
+
+const BODY_APPEND: u8 = 1;
+const BODY_MUTATE: u8 = 2;
+const BODY_READMIT: u8 = 3;
 
 const VAL_NIL: u8 = 0;
 const VAL_OID: u8 = 1;
@@ -531,51 +493,55 @@ pub fn encode(msg: &DcMsg) -> Bytes {
             }
             b.freeze()
         }
-        DcMsg::Append(a) => {
-            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
-            b.put_u8(TAG_APPEND);
-            b.put_u16_le(a.origin.0);
-            b.put_u64_le(a.epoch);
-            b.put_u64_le(a.id);
-            let nparts = a.parts.len().min(u16::MAX as usize);
-            b.put_u16_le(nparts as u16);
-            for (bat, rows) in a.parts.iter().take(nparts) {
-                b.put_u32_le(bat.0);
-                b.put_u64_le(rows.len() as u64);
-                b.put_slice(rows);
-            }
-            b.freeze()
-        }
-        DcMsg::Mutate(m) => {
+        DcMsg::Routed(m) => {
             let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 16);
-            b.put_u8(TAG_MUTATE);
+            b.put_u8(TAG_ROUTED);
             b.put_u16_le(m.origin.0);
             b.put_u64_le(m.epoch);
             b.put_u64_le(m.id);
-            put_str(&mut b, &m.schema);
-            put_str(&mut b, &m.table);
-            match &m.op {
-                MutOp::Update(assigns) => {
-                    b.put_u8(1);
-                    let n = assigns.len().min(u16::MAX as usize);
-                    b.put_u16_le(n as u16);
-                    for (name, v) in assigns.iter().take(n) {
-                        put_str(&mut b, name);
-                        put_val(&mut b, v);
+            match &m.body {
+                RoutedBody::Append { parts } => {
+                    b.put_u8(BODY_APPEND);
+                    let nparts = parts.len().min(u16::MAX as usize);
+                    b.put_u16_le(nparts as u16);
+                    for (bat, rows) in parts.iter().take(nparts) {
+                        b.put_u32_le(bat.0);
+                        b.put_u64_le(rows.len() as u64);
+                        b.put_slice(rows);
                     }
                 }
-                MutOp::Delete => b.put_u8(2),
-            }
-            let n = m.preds.len().min(u16::MAX as usize);
-            b.put_u16_le(n as u16);
-            for p in m.preds.iter().take(n) {
-                put_pred(&mut b, p);
+                RoutedBody::Mutate { schema, table, op, preds } => {
+                    b.put_u8(BODY_MUTATE);
+                    put_str(&mut b, schema);
+                    put_str(&mut b, table);
+                    match op {
+                        MutOp::Update(assigns) => {
+                            b.put_u8(1);
+                            let n = assigns.len().min(u16::MAX as usize);
+                            b.put_u16_le(n as u16);
+                            for (name, v) in assigns.iter().take(n) {
+                                put_str(&mut b, name);
+                                put_val(&mut b, v);
+                            }
+                        }
+                        MutOp::Delete => b.put_u8(2),
+                    }
+                    let n = preds.len().min(u16::MAX as usize);
+                    b.put_u16_le(n as u16);
+                    for p in preds.iter().take(n) {
+                        put_pred(&mut b, p);
+                    }
+                }
+                RoutedBody::Readmit { bat } => {
+                    b.put_u8(BODY_READMIT);
+                    b.put_u32_le(bat.0);
+                }
             }
             b.freeze()
         }
-        DcMsg::MutAck(a) => {
+        DcMsg::Ack(a) => {
             let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
-            b.put_u8(TAG_MUTACK);
+            b.put_u8(TAG_ACK);
             b.put_u16_le(a.target.0);
             b.put_u64_le(a.epoch);
             b.put_u64_le(a.id);
@@ -598,33 +564,6 @@ pub fn encode(msg: &DcMsg) -> Bytes {
             b.put_u32_le(e.bat.0);
             b.put_u32_le(e.version);
             b.put_u64_le(e.size);
-            b.freeze()
-        }
-        DcMsg::Readmit(r) => {
-            let mut b = BytesMut::with_capacity(24);
-            b.put_u8(TAG_READMIT);
-            b.put_u16_le(r.origin.0);
-            b.put_u64_le(r.epoch);
-            b.put_u64_le(r.id);
-            b.put_u32_le(r.bat.0);
-            b.freeze()
-        }
-        DcMsg::ReadmitAck(a) => {
-            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
-            b.put_u8(TAG_READMITACK);
-            b.put_u16_le(a.target.0);
-            b.put_u64_le(a.epoch);
-            b.put_u64_le(a.id);
-            match &a.result {
-                Ok(n) => {
-                    b.put_u8(1);
-                    b.put_u64_le(*n);
-                }
-                Err(e) => {
-                    b.put_u8(0);
-                    put_str(&mut b, e);
-                }
-            }
             b.freeze()
         }
     }
@@ -702,73 +641,83 @@ pub fn decode(mut buf: &[u8]) -> Result<DcMsg, String> {
             }
             Ok(DcMsg::Catalog(CatalogMsg { origin, schema, table, columns }))
         }
-        TAG_APPEND => {
-            if buf.remaining() < 20 {
-                return Err("truncated append header".into());
+        TAG_ROUTED => {
+            // origin + epoch + id + the body tag that follows.
+            if buf.remaining() < 19 {
+                return Err("truncated routed header".into());
             }
             let origin = NodeId(buf.get_u16_le());
             let epoch = buf.get_u64_le();
             let id = buf.get_u64_le();
-            let nparts = buf.get_u16_le() as usize;
-            let mut parts = Vec::with_capacity(nparts.min(1024));
-            for _ in 0..nparts {
-                if buf.remaining() < 12 {
-                    return Err("truncated append part header".into());
-                }
-                let bat = BatId(buf.get_u32_le());
-                let len = buf.get_u64_le() as usize;
-                if buf.remaining() < len {
-                    return Err(format!(
-                        "truncated append rows: want {len}, have {}",
-                        buf.remaining()
-                    ));
-                }
-                parts.push((bat, Bytes::copy_from_slice(&buf[..len])));
-                buf.advance(len);
-            }
-            Ok(DcMsg::Append(AppendMsg { origin, epoch, id, parts }))
-        }
-        TAG_MUTATE => {
-            if buf.remaining() < 18 {
-                return Err("truncated mutate header".into());
-            }
-            let origin = NodeId(buf.get_u16_le());
-            let epoch = buf.get_u64_le();
-            let id = buf.get_u64_le();
-            let schema = get_str(&mut buf)?;
-            let table = get_str(&mut buf)?;
-            if buf.is_empty() {
-                return Err("truncated mutate op".into());
-            }
-            let op = match buf.get_u8() {
-                1 => {
+            let body = match buf.get_u8() {
+                BODY_APPEND => {
                     if buf.remaining() < 2 {
-                        return Err("truncated assignment count".into());
+                        return Err("truncated append part count".into());
+                    }
+                    let nparts = buf.get_u16_le() as usize;
+                    let mut parts = Vec::with_capacity(nparts.min(1024));
+                    for _ in 0..nparts {
+                        if buf.remaining() < 12 {
+                            return Err("truncated append part header".into());
+                        }
+                        let bat = BatId(buf.get_u32_le());
+                        let len = buf.get_u64_le() as usize;
+                        if buf.remaining() < len {
+                            return Err(format!(
+                                "truncated append rows: want {len}, have {}",
+                                buf.remaining()
+                            ));
+                        }
+                        parts.push((bat, Bytes::copy_from_slice(&buf[..len])));
+                        buf.advance(len);
+                    }
+                    RoutedBody::Append { parts }
+                }
+                BODY_MUTATE => {
+                    let schema = get_str(&mut buf)?;
+                    let table = get_str(&mut buf)?;
+                    if buf.is_empty() {
+                        return Err("truncated mutate op".into());
+                    }
+                    let op = match buf.get_u8() {
+                        1 => {
+                            if buf.remaining() < 2 {
+                                return Err("truncated assignment count".into());
+                            }
+                            let n = buf.get_u16_le() as usize;
+                            let mut assigns = Vec::with_capacity(n.min(1024));
+                            for _ in 0..n {
+                                let name = get_str(&mut buf)?;
+                                assigns.push((name, get_val(&mut buf)?));
+                            }
+                            MutOp::Update(assigns)
+                        }
+                        2 => MutOp::Delete,
+                        other => return Err(format!("unknown mutation op tag {other}")),
+                    };
+                    if buf.remaining() < 2 {
+                        return Err("truncated predicate count".into());
                     }
                     let n = buf.get_u16_le() as usize;
-                    let mut assigns = Vec::with_capacity(n.min(1024));
+                    let mut preds = Vec::with_capacity(n.min(1024));
                     for _ in 0..n {
-                        let name = get_str(&mut buf)?;
-                        assigns.push((name, get_val(&mut buf)?));
+                        preds.push(get_pred(&mut buf)?);
                     }
-                    MutOp::Update(assigns)
+                    RoutedBody::Mutate { schema, table, op, preds }
                 }
-                2 => MutOp::Delete,
-                other => return Err(format!("unknown mutation op tag {other}")),
+                BODY_READMIT => {
+                    if buf.remaining() < 4 {
+                        return Err("truncated readmit demand".into());
+                    }
+                    RoutedBody::Readmit { bat: BatId(buf.get_u32_le()) }
+                }
+                other => return Err(format!("unknown routed body tag {other}")),
             };
-            if buf.remaining() < 2 {
-                return Err("truncated predicate count".into());
-            }
-            let n = buf.get_u16_le() as usize;
-            let mut preds = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                preds.push(get_pred(&mut buf)?);
-            }
-            Ok(DcMsg::Mutate(MutateMsg { origin, epoch, id, schema, table, op, preds }))
+            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, body }))
         }
-        TAG_MUTACK => {
+        TAG_ACK => {
             if buf.remaining() < 19 {
-                return Err("truncated mutation ack".into());
+                return Err("truncated ack".into());
             }
             let target = NodeId(buf.get_u16_le());
             let epoch = buf.get_u64_le();
@@ -782,7 +731,7 @@ pub fn decode(mut buf: &[u8]) -> Result<DcMsg, String> {
                 }
                 _ => Err(get_str(&mut buf)?),
             };
-            Ok(DcMsg::MutAck(MutAckMsg { target, epoch, id, result }))
+            Ok(DcMsg::Ack(AckMsg { target, epoch, id, result }))
         }
         TAG_EVICT => {
             if buf.remaining() < 18 {
@@ -794,35 +743,6 @@ pub fn decode(mut buf: &[u8]) -> Result<DcMsg, String> {
                 version: buf.get_u32_le(),
                 size: buf.get_u64_le(),
             }))
-        }
-        TAG_READMIT => {
-            if buf.remaining() < 22 {
-                return Err("truncated readmit demand".into());
-            }
-            Ok(DcMsg::Readmit(ReadmitMsg {
-                origin: NodeId(buf.get_u16_le()),
-                epoch: buf.get_u64_le(),
-                id: buf.get_u64_le(),
-                bat: BatId(buf.get_u32_le()),
-            }))
-        }
-        TAG_READMITACK => {
-            if buf.remaining() < 19 {
-                return Err("truncated readmit ack".into());
-            }
-            let target = NodeId(buf.get_u16_le());
-            let epoch = buf.get_u64_le();
-            let id = buf.get_u64_le();
-            let result = match buf.get_u8() {
-                1 => {
-                    if buf.remaining() < 8 {
-                        return Err("truncated readmit ack count".into());
-                    }
-                    Ok(buf.get_u64_le())
-                }
-                _ => Err(get_str(&mut buf)?),
-            };
-            Ok(DcMsg::ReadmitAck(ReadmitAckMsg { target, epoch, id, result }))
         }
         other => Err(format!("unknown message tag {other}")),
     }
@@ -941,12 +861,13 @@ mod tests {
         assert!(decode(&enc).unwrap_err().contains("type tag"));
     }
 
+    fn routed(body: RoutedBody) -> DcMsg {
+        DcMsg::Routed(RoutedMsg { origin: NodeId(2), epoch: 0xdead_beef_cafe, id: 77, body })
+    }
+
     #[test]
     fn append_round_trip_and_truncation() {
-        let m = DcMsg::Append(AppendMsg {
-            origin: NodeId(3),
-            epoch: 0xfeed_beef,
-            id: 42,
+        let m = routed(RoutedBody::Append {
             parts: vec![
                 (BatId(9), Bytes::from_static(b"col-k-batch")),
                 (BatId(10), Bytes::from_static(b"col-v")),
@@ -954,17 +875,14 @@ mod tests {
         });
         let enc = encode(&m);
         assert_eq!(decode(&enc).unwrap(), m);
-        for cut in [2, 5, 10, 15, enc.len() - 1] {
+        for cut in [2, 5, 10, 15, 20, 21, enc.len() - 1] {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
         }
         assert!(m.wire_size() >= 32 + 11 + 5);
     }
 
     fn mutate_msg() -> DcMsg {
-        DcMsg::Mutate(MutateMsg {
-            origin: NodeId(2),
-            epoch: 31_337,
-            id: 77,
+        routed(RoutedBody::Mutate {
             schema: "sys".into(),
             table: "acct".into(),
             op: MutOp::Update(vec![
@@ -995,10 +913,7 @@ mod tests {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
         }
         // DELETE with no predicates (the smallest mutation).
-        let d = DcMsg::Mutate(MutateMsg {
-            origin: NodeId(0),
-            epoch: 1,
-            id: 1,
+        let d = routed(RoutedBody::Mutate {
             schema: "sys".into(),
             table: "t".into(),
             op: MutOp::Delete,
@@ -1009,10 +924,28 @@ mod tests {
     }
 
     #[test]
-    fn mut_ack_round_trip_both_outcomes() {
-        let ok = DcMsg::MutAck(MutAckMsg { target: NodeId(1), epoch: 5, id: 9, result: Ok(4) });
+    fn readmit_round_trip_and_truncation() {
+        let m = routed(RoutedBody::Readmit { bat: BatId(9000) });
+        let enc = encode(&m);
+        assert_eq!(decode(&enc).unwrap(), m);
+        assert_eq!(enc.len() as u64, m.wire_size());
+        for cut in 0..enc.len() {
+            assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
+        }
+    }
+
+    #[test]
+    fn unknown_routed_body_rejected() {
+        let mut enc = encode(&routed(RoutedBody::Readmit { bat: BatId(1) })).to_vec();
+        enc[19] = 99; // the body tag follows tag(1) + origin(2) + epoch(8) + id(8)
+        assert!(decode(&enc).unwrap_err().contains("body tag"));
+    }
+
+    #[test]
+    fn ack_round_trip_both_outcomes() {
+        let ok = DcMsg::Ack(AckMsg { target: NodeId(1), epoch: 5, id: 9, result: Ok(4) });
         assert_eq!(decode(&encode(&ok)).unwrap(), ok);
-        let err = DcMsg::MutAck(MutAckMsg {
+        let err = DcMsg::Ack(AckMsg {
             target: NodeId(3),
             epoch: 6,
             id: 10,
@@ -1045,40 +978,6 @@ mod tests {
         assert_eq!(decode(&enc).unwrap(), m);
         assert_eq!(enc.len() as u64, m.wire_size());
         for cut in 0..enc.len() {
-            assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
-        }
-    }
-
-    #[test]
-    fn readmit_round_trip_and_truncation() {
-        let m = DcMsg::Readmit(ReadmitMsg {
-            origin: NodeId(1),
-            epoch: 0xdead_beef_cafe,
-            id: 31,
-            bat: BatId(9000),
-        });
-        let enc = encode(&m);
-        assert_eq!(decode(&enc).unwrap(), m);
-        assert_eq!(enc.len() as u64, m.wire_size());
-        for cut in 0..enc.len() {
-            assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
-        }
-    }
-
-    #[test]
-    fn readmit_ack_round_trip_both_outcomes() {
-        let ok =
-            DcMsg::ReadmitAck(ReadmitAckMsg { target: NodeId(1), epoch: 5, id: 9, result: Ok(1) });
-        assert_eq!(decode(&encode(&ok)).unwrap(), ok);
-        let err = DcMsg::ReadmitAck(ReadmitAckMsg {
-            target: NodeId(3),
-            epoch: 6,
-            id: 10,
-            result: Err("fragment not owned here".into()),
-        });
-        let enc = encode(&err);
-        assert_eq!(decode(&enc).unwrap(), err);
-        for cut in [1, 4, 11, 18, enc.len() - 1] {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
         }
     }

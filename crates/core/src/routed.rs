@@ -1,0 +1,319 @@
+//! The routed-request engine: how a statement reaches its fragment owner
+//! exactly once and how the answer gets back.
+//!
+//! Every write goes to the fragment's owner (§6.4) and so does every
+//! demand for an at-rest fragment (§4.4), so INSERT, UPDATE/DELETE and
+//! re-admission share one discipline. The origin stamps the statement
+//! `(boot epoch, id)`, sends it clockwise as a [`RoutedMsg`] and keeps it
+//! in the pending table; an attempt whose [`crate::msg::AckMsg`] misses
+//! its deadline is resent with doubled backoff, and once the retry budget
+//! is spent the statement fails with a classified timeout. The owner
+//! remembers each `(origin, epoch, id)` result in a bounded FIFO cache,
+//! so a re-delivered frame (a duplicate, or a retry racing a slow ack)
+//! replays the first answer instead of applying twice.
+//!
+//! This module does no I/O and reads no clock: the event loop passes
+//! `now` in and sends the frames, counts and traces it hands back.
+
+use crate::ids::{BatId, NodeId};
+use crate::msg::{DcMsg, RoutedBody, RoutedMsg};
+use crate::runtime::Waiter;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Entries the owner-side dedup cache retains. Old entries only matter
+/// while their origin might still resend (a few seconds); 4096 covers
+/// every plausible in-flight window at a few hundred bytes each.
+pub const APPLIED_CACHE_CAP: usize = 4096;
+
+/// Owner-side dedup key: `(origin, origin boot epoch, statement id)`.
+/// The epoch keeps a restarted origin's reused statement ids from
+/// aliasing entries its prior incarnation left behind.
+pub type StmtKey = (u16, u64, u64);
+
+/// One routed statement awaiting its owner acknowledgement at the
+/// origin, with everything needed to resend it and to fail it loudly.
+pub struct Pending {
+    /// The exact statement to resend (ids make re-delivery idempotent at
+    /// the owner, so resending one that *was* applied is safe). Its body
+    /// is the statement's kind.
+    pub msg: RoutedMsg,
+    /// What the statement acts on (`schema.table`, or a fragment id),
+    /// for traces and the timeout error.
+    pub target: String,
+    /// The caller blocked on the answer; a re-admission has none (its
+    /// pin waits on the fragment itself).
+    pub waiter: Option<Arc<Waiter<u64>>>,
+    /// Sends so far.
+    pub attempts: u32,
+    /// When the current attempt gives up and the next begins.
+    deadline: Instant,
+    /// Wait before the attempt after next (doubles each resend).
+    backoff: Duration,
+    retries_left: u32,
+}
+
+impl Pending {
+    /// `"mutation on sys.acct"` — the statement as traces and errors
+    /// name it.
+    pub fn what(&self) -> String {
+        let kind = match self.msg.body {
+            RoutedBody::Append { .. } => "append",
+            RoutedBody::Mutate { .. } => "mutation",
+            RoutedBody::Readmit { .. } => "readmit",
+        };
+        format!("{kind} on {}", self.target)
+    }
+
+    /// The classified error a statement fails with once its retry
+    /// budget is spent.
+    pub fn timeout_error(&self) -> String {
+        format!(
+            "{} timed out after {} attempts: no acknowledgement from the fragment owner \
+             within the retry budget; whether it applied is unknown",
+            self.what(),
+            self.attempts
+        )
+    }
+}
+
+/// What [`Routed::poll`] found past its deadline.
+pub enum Due {
+    /// Send `frame` again; `attempt` counts sends including this one.
+    Resend { id: u64, what: String, attempt: u32, frame: DcMsg },
+    /// The retry budget is spent; the statement left the pending table.
+    TimedOut(Pending),
+}
+
+pub struct Routed {
+    /// This incarnation's statement-id epoch: stamped on every routed
+    /// statement, echoed in acks, and part of the owner-side dedup key.
+    epoch: u64,
+    next_id: u64,
+    /// How long one attempt waits for the owner's ack before resending.
+    ack_timeout: Duration,
+    /// Resends after the first attempt before the statement fails.
+    ack_retries: u32,
+    /// Statements this node originated, keyed by statement id.
+    pending: HashMap<u64, Pending>,
+    /// Results of routed statements already applied here, as owner.
+    applied: HashMap<StmtKey, Result<u64, String>>,
+    /// FIFO of `applied` keys, oldest first, bounding the cache.
+    applied_order: VecDeque<StmtKey>,
+}
+
+impl Routed {
+    pub fn new(epoch: u64, ack_timeout: Duration, ack_retries: u32) -> Routed {
+        Routed {
+            epoch,
+            next_id: 1,
+            ack_timeout,
+            ack_retries,
+            pending: HashMap::new(),
+            applied: HashMap::new(),
+            applied_order: VecDeque::new(),
+        }
+    }
+
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Register a statement `origin` is about to route; the caller sends
+    /// the returned entry's `msg` as the first attempt. Refuses (`None`)
+    /// a re-admission of a fragment that already has one in flight: the
+    /// earlier request's retries cover it.
+    pub fn begin(
+        &mut self,
+        origin: NodeId,
+        target: String,
+        body: RoutedBody,
+        waiter: Option<Arc<Waiter<u64>>>,
+        now: Instant,
+    ) -> Option<&Pending> {
+        if let RoutedBody::Readmit { bat } = body {
+            if self.readmit_in_flight(bat) {
+                return None;
+            }
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let p = Pending {
+            msg: RoutedMsg { origin, epoch: self.epoch, id, body },
+            target,
+            waiter,
+            attempts: 1,
+            deadline: now + self.ack_timeout,
+            backoff: self.ack_timeout * 2,
+            retries_left: self.ack_retries,
+        };
+        Some(self.pending.entry(id).or_insert(p))
+    }
+
+    fn readmit_in_flight(&self, bat: BatId) -> bool {
+        self.pending
+            .values()
+            .any(|p| matches!(p.msg.body, RoutedBody::Readmit { bat: b } if b == bat))
+    }
+
+    /// Statements whose ack deadline passed: each is either due a resend
+    /// (its next deadline doubles) or, with the budget spent, removed and
+    /// handed back to be failed.
+    pub fn poll(&mut self, now: Instant) -> Vec<Due> {
+        let mut due = Vec::new();
+        let mut spent = Vec::new();
+        for (&id, p) in self.pending.iter_mut().filter(|(_, p)| p.deadline <= now) {
+            if p.retries_left == 0 {
+                spent.push(id);
+                continue;
+            }
+            p.retries_left -= 1;
+            p.attempts += 1;
+            p.deadline = now + p.backoff;
+            p.backoff *= 2;
+            due.push(Due::Resend {
+                id,
+                what: p.what(),
+                attempt: p.attempts,
+                frame: DcMsg::Routed(p.msg.clone()),
+            });
+        }
+        due.extend(spent.into_iter().filter_map(|id| self.pending.remove(&id)).map(Due::TimedOut));
+        due
+    }
+
+    /// Match an acknowledgement to its pending statement. Acks from a
+    /// previous incarnation of this node (epoch mismatch — still
+    /// circulating from before a restart) and unmatched ids (the
+    /// statement timed out, or an earlier delivery of the ack settled it)
+    /// resolve nothing.
+    pub fn ack(&mut self, epoch: u64, id: u64) -> Option<Pending> {
+        if epoch != self.epoch {
+            return None;
+        }
+        self.pending.remove(&id)
+    }
+
+    /// The result this node, as owner, already answered `key` with.
+    pub fn applied(&self, key: StmtKey) -> Option<&Result<u64, String>> {
+        self.applied.get(&key)
+    }
+
+    /// Record the result of a routed statement applied here.
+    pub fn remember(&mut self, key: StmtKey, result: Result<u64, String>) {
+        if self.applied_order.len() >= APPLIED_CACHE_CAP {
+            if let Some(old) = self.applied_order.pop_front() {
+                self.applied.remove(&old);
+            }
+        }
+        self.applied_order.push_back(key);
+        self.applied.insert(key, result);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TIMEOUT: Duration = Duration::from_millis(100);
+    const ME: NodeId = NodeId(1);
+
+    fn mutate() -> RoutedBody {
+        RoutedBody::Mutate {
+            schema: "sys".into(),
+            table: "acct".into(),
+            op: crate::msg::MutOp::Delete,
+            preds: vec![],
+        }
+    }
+
+    fn readmit(bat: u32) -> RoutedBody {
+        RoutedBody::Readmit { bat: BatId(bat) }
+    }
+
+    #[test]
+    fn deadline_resends_with_doubled_backoff_then_times_out() {
+        let t0 = Instant::now();
+        let mut r = Routed::new(7, TIMEOUT, 2);
+        let first = r.begin(ME, "sys.acct".into(), mutate(), None, t0).unwrap().msg.clone();
+        assert_eq!((first.origin, first.epoch), (ME, 7));
+        let (id, frame) = (first.id, DcMsg::Routed(first));
+
+        assert!(r.poll(t0 + TIMEOUT / 2).is_empty(), "nothing is due before the deadline");
+        // Attempt 2 at +100ms; the next wait is the doubled 200ms.
+        let due = r.poll(t0 + TIMEOUT);
+        let [Due::Resend { id: rid, what, attempt: 2, frame: again }] = &due[..] else {
+            panic!("expected one resend")
+        };
+        assert_eq!((*rid, what.as_str()), (id, "mutation on sys.acct"));
+        assert_eq!(*again, frame, "the resent frame is the first one, ids and all");
+        assert!(r.poll(t0 + TIMEOUT * 3 - Duration::from_millis(1)).is_empty());
+        // Attempt 3 at +300ms; the next wait doubles again to 400ms.
+        assert!(matches!(r.poll(t0 + TIMEOUT * 3)[..], [Due::Resend { attempt: 3, .. }]));
+        assert!(r.poll(t0 + TIMEOUT * 7 - Duration::from_millis(1)).is_empty());
+        // Budget spent at +700ms: the statement fails, naming its attempts.
+        let due = r.poll(t0 + TIMEOUT * 7);
+        let [Due::TimedOut(p)] = &due[..] else { panic!("expected a timeout") };
+        let err = p.timeout_error();
+        assert!(err.starts_with("mutation on sys.acct timed out after 3 attempts"), "{err}");
+        assert!(r.poll(t0 + TIMEOUT * 100).is_empty(), "a failed statement is forgotten");
+        assert!(r.ack(7, id).is_none(), "a late ack finds nothing to resolve");
+    }
+
+    #[test]
+    fn foreign_epoch_ack_is_ignored_and_a_duplicate_resolves_once() {
+        let t0 = Instant::now();
+        let mut r = Routed::new(7, TIMEOUT, 2);
+        let waiter = Arc::new(Waiter::default());
+        let id =
+            r.begin(ME, "sys.acct".into(), mutate(), Some(Arc::clone(&waiter)), t0).unwrap().msg.id;
+        assert!(r.ack(6, id).is_none(), "an ack from a prior incarnation resolves nothing");
+        let p = r.ack(7, id).expect("the matching ack resolves the statement");
+        assert!(Arc::ptr_eq(p.waiter.as_ref().unwrap(), &waiter));
+        assert!(r.ack(7, id).is_none(), "its duplicate does not");
+        assert!(r.poll(t0 + TIMEOUT * 100).is_empty(), "an acked statement is never resent");
+    }
+
+    #[test]
+    fn dedup_cache_replays_the_first_result_and_evicts_fifo() {
+        let mut r = Routed::new(7, TIMEOUT, 2);
+        assert!(r.applied((2, 9, 0)).is_none());
+        r.remember((2, 9, 0), Ok(3));
+        r.remember((2, 9, 1), Err("type mismatch".into()));
+        assert_eq!(r.applied((2, 9, 0)), Some(&Ok(3)));
+        assert_eq!(r.applied((2, 9, 1)), Some(&Err("type mismatch".into())));
+        assert!(r.applied((2, 10, 0)).is_none(), "another epoch's id 0 is another statement");
+        for id in 2..APPLIED_CACHE_CAP as u64 {
+            r.remember((2, 9, id), Ok(id));
+        }
+        assert!(r.applied((2, 9, 0)).is_some(), "at the cap nothing is evicted yet");
+        r.remember((2, 9, APPLIED_CACHE_CAP as u64), Ok(0));
+        assert!(r.applied((2, 9, 0)).is_none(), "one past the cap evicts the oldest");
+        assert!(r.applied((2, 9, 1)).is_some(), "and only the oldest");
+    }
+
+    #[test]
+    fn one_readmit_in_flight_per_fragment() {
+        let t0 = Instant::now();
+        let mut r = Routed::new(7, TIMEOUT, 0);
+        let id = r.begin(ME, "bat9".into(), readmit(9), None, t0).unwrap().msg.id;
+        assert!(r.begin(ME, "bat9".into(), readmit(9), None, t0).is_none(), "one is in flight");
+        assert!(r.begin(ME, "bat8".into(), readmit(8), None, t0).is_some(), "other fragment");
+        assert!(r.begin(ME, "sys.acct".into(), mutate(), None, t0).is_some());
+        assert!(
+            r.begin(ME, "sys.acct".into(), mutate(), None, t0).is_some(),
+            "writes never refused"
+        );
+        // No retries configured: the first missed deadline times all four
+        // out, freeing the fragment's slot.
+        let timed_out = r.poll(t0 + TIMEOUT);
+        assert_eq!(timed_out.len(), 4);
+        assert!(timed_out.iter().all(|d| matches!(d, Due::TimedOut(_))));
+        let again = r.begin(ME, "bat9".into(), readmit(9), None, t0 + TIMEOUT).unwrap().msg.id;
+        assert!(again > id, "a fresh demand is a fresh statement");
+        // An ack frees it just the same.
+        assert!(r.ack(7, again).is_some());
+        assert!(r.begin(ME, "bat9".into(), readmit(9), None, t0 + TIMEOUT).is_some());
+    }
+}

@@ -216,13 +216,13 @@ pub enum Cmd {
     },
     /// SQL DML: append rows column-at-a-time. Fragments owned locally
     /// are updated in place (version bump, §6.4); foreign fragments are
-    /// routed clockwise to their owner as [`crate::msg::AppendMsg`]s.
+    /// routed clockwise to their owner ([`crate::msg::RoutedBody::Append`]).
     Append { schema: String, table: String, cols: Vec<(String, Column)>, ack: Arc<Waiter<u64>> },
     /// SQL UPDATE/DELETE: a logical mutation. Applied in place when this
     /// node owns the table's fragments (version bump + re-advertise,
     /// §6.4); otherwise routed clockwise to the owner as a
-    /// [`crate::msg::MutateMsg`], with the ack fulfilled when the
-    /// owner's [`crate::msg::MutAckMsg`] comes back — so the caller
+    /// [`crate::msg::RoutedBody::Mutate`], with the ack fulfilled when
+    /// the owner's [`crate::msg::AckMsg`] comes back — so the caller
     /// reports a correct affected-row count even for remote mutations.
     Mutate {
         schema: String,
@@ -255,6 +255,17 @@ pub struct RingHooks {
     /// The node's telemetry registry; `dc.*` system views read from it.
     pub obs: Arc<dc_obs::Registry>,
     tickets: Mutex<Vec<BatId>>,
+    joins: JoinCounters,
+}
+
+/// The `ring_join*` counters, resolved once at spawn so a planned join
+/// costs atomic bumps, not registry lookups.
+struct JoinCounters {
+    colocated: Arc<dc_obs::Counter>,
+    routed: Arc<dc_obs::Counter>,
+    broadcast: Arc<dc_obs::Counter>,
+    shuffle: Arc<dc_obs::Counter>,
+    bytes_planned: Arc<dc_obs::Counter>,
 }
 
 impl RingHooks {
@@ -265,7 +276,14 @@ impl RingHooks {
         pin_timeout: Duration,
         obs: Arc<dc_obs::Registry>,
     ) -> Self {
-        RingHooks { node, tx, catalog, pin_timeout, obs, tickets: Mutex::new(Vec::new()) }
+        let joins = JoinCounters {
+            colocated: obs.counter("ring_joins_colocated"),
+            routed: obs.counter("ring_joins_routed"),
+            broadcast: obs.counter("ring_joins_broadcast"),
+            shuffle: obs.counter("ring_joins_shuffle"),
+            bytes_planned: obs.counter("ring_join_bytes_planned"),
+        };
+        RingHooks { node, tx, catalog, pin_timeout, obs, tickets: Mutex::new(Vec::new()), joins }
     }
 
     /// Snapshot the event loop's protocol counters (the same round trip
@@ -371,17 +389,10 @@ impl DcHooks for RingHooks {
         };
         let colocated = matches!((&l, &r),
             (Some(l), Some(r)) if l.owner == self.node && r.owner == self.node);
-        self.obs
-            .counter(if colocated { "ring_joins_colocated" } else { "ring_joins_routed" })
-            .inc();
-        self.obs
-            .counter(if strategy == "broadcast" {
-                "ring_joins_broadcast"
-            } else {
-                "ring_joins_shuffle"
-            })
-            .inc();
-        self.obs.counter("ring_join_bytes_planned").add(planned_bytes);
+        let j = &self.joins;
+        (if colocated { &j.colocated } else { &j.routed }).inc();
+        (if strategy == "broadcast" { &j.broadcast } else { &j.shuffle }).inc();
+        j.bytes_planned.add(planned_bytes);
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for the ring message codec, covering the full `DcMsg`
-//! surface: the query-circulation path (`Bat`/`Request`), the framed
-//! mutation path (`Mutate`/`MutAck`/`Append`/`Catalog`), and the
-//! hot-set path (`Evict`/`Readmit`/`ReadmitAck`). Arbitrary messages
+//! surface: the query-circulation path (`Bat`/`Request`), the routed
+//! path (`Routed` with each body, `Ack`), and the circulate-once notices
+//! (`Catalog`/`Evict`). Arbitrary messages
 //! round-trip byte-exactly, every strict prefix of a valid frame is
 //! rejected (never mis-decoded or panicked on), and hostile count/length
 //! prefixes neither panic nor provoke an unbounded allocation.
@@ -16,10 +16,9 @@ use batstore::ops::CmpOp;
 use batstore::{ColType, RowPredicate, Val};
 use bytes::Bytes;
 use datacyclotron::msg::{
-    decode, encode, BatHeader, EvictMsg, MutAckMsg, MutOp, MutateMsg, ReadmitAckMsg, ReadmitMsg,
-    ReqMsg,
+    decode, encode, AckMsg, BatHeader, EvictMsg, MutOp, ReqMsg, RoutedBody, RoutedMsg,
 };
-use datacyclotron::{AppendMsg, BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
+use datacyclotron::{BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
 use proptest::prelude::*;
 
 /// A deterministic value of the given kind. Doubles stay finite:
@@ -62,6 +61,15 @@ fn pred_from(kind: u8, seed: i64, text: &str, nin: usize) -> RowPredicate {
     }
 }
 
+fn routed_from(seed: i64, body: RoutedBody) -> DcMsg {
+    DcMsg::Routed(RoutedMsg {
+        origin: NodeId(seed.unsigned_abs() as u16),
+        epoch: seed.unsigned_abs().wrapping_mul(31),
+        id: seed.unsigned_abs().wrapping_mul(7),
+        body,
+    })
+}
+
 fn mutate_from(kind: u8, seed: i64, text: &str, nassign: usize, npred: usize) -> DcMsg {
     let op = if kind.is_multiple_of(2) {
         MutOp::Update(
@@ -72,21 +80,21 @@ fn mutate_from(kind: u8, seed: i64, text: &str, nassign: usize, npred: usize) ->
     } else {
         MutOp::Delete
     };
-    DcMsg::Mutate(MutateMsg {
-        origin: NodeId(seed.unsigned_abs() as u16),
-        epoch: seed.unsigned_abs().wrapping_mul(31),
-        id: seed.unsigned_abs().wrapping_mul(7),
-        schema: "sys".into(),
-        table: format!("t{}", kind % 7),
-        op,
-        preds: (0..npred)
-            .map(|i| pred_from(kind.wrapping_add(i as u8), seed + i as i64, text, 1 + i % 4))
-            .collect(),
-    })
+    routed_from(
+        seed,
+        RoutedBody::Mutate {
+            schema: "sys".into(),
+            table: format!("t{}", kind % 7),
+            op,
+            preds: (0..npred)
+                .map(|i| pred_from(kind.wrapping_add(i as u8), seed + i as i64, text, 1 + i % 4))
+                .collect(),
+        },
+    )
 }
 
-fn mutack_from(seed: i64, text: &str) -> DcMsg {
-    DcMsg::MutAck(MutAckMsg {
+fn ack_from(seed: i64, text: &str) -> DcMsg {
+    DcMsg::Ack(AckMsg {
         target: NodeId(seed.unsigned_abs() as u16),
         epoch: seed.unsigned_abs().wrapping_mul(13),
         id: seed.unsigned_abs(),
@@ -122,21 +130,7 @@ fn evict_from(seed: i64) -> DcMsg {
 }
 
 fn readmit_from(seed: i64) -> DcMsg {
-    DcMsg::Readmit(ReadmitMsg {
-        origin: NodeId(seed.unsigned_abs() as u16),
-        epoch: seed.unsigned_abs().wrapping_mul(17),
-        id: seed.unsigned_abs().wrapping_mul(3),
-        bat: BatId(seed.unsigned_abs() as u32),
-    })
-}
-
-fn readmitack_from(seed: i64, text: &str) -> DcMsg {
-    DcMsg::ReadmitAck(ReadmitAckMsg {
-        target: NodeId(seed.unsigned_abs() as u16),
-        epoch: seed.unsigned_abs().wrapping_mul(19),
-        id: seed.unsigned_abs(),
-        result: if seed % 2 == 0 { Ok(seed.unsigned_abs() % 2) } else { Err(text.to_string()) },
-    })
+    routed_from(seed, RoutedBody::Readmit { bat: BatId(seed.unsigned_abs() as u32) })
 }
 
 fn bat_from(kind: u8, seed: i64, npayload: usize) -> DcMsg {
@@ -173,34 +167,32 @@ fn request_from(seed: i64) -> DcMsg {
 }
 
 fn append_from(kind: u8, seed: i64, text: &str, nparts: usize) -> DcMsg {
-    DcMsg::Append(AppendMsg {
-        origin: NodeId(seed.unsigned_abs() as u16),
-        epoch: seed.unsigned_abs().wrapping_mul(23),
-        id: seed.unsigned_abs().wrapping_mul(5),
-        parts: (0..nparts)
-            .map(|i| {
-                let mut rows = text.as_bytes().to_vec();
-                rows.push(kind.wrapping_add(i as u8));
-                (BatId((seed.unsigned_abs() as u32).wrapping_add(i as u32)), Bytes::from(rows))
-            })
-            .collect(),
-    })
+    routed_from(
+        seed,
+        RoutedBody::Append {
+            parts: (0..nparts)
+                .map(|i| {
+                    let mut rows = text.as_bytes().to_vec();
+                    rows.push(kind.wrapping_add(i as u8));
+                    (BatId((seed.unsigned_abs() as u32).wrapping_add(i as u32)), Bytes::from(rows))
+                })
+                .collect(),
+        },
+    )
 }
 
-/// One message of every `DcMsg` shape from the same inputs: the
-/// query-circulation path (`Bat`/`Request`), the mutation path, and the
-/// hot-set path.
+/// One message of every `DcMsg` shape from the same inputs, `Routed`
+/// once per body.
 fn messages(kind: u8, seed: i64, text: &str, n1: usize, n2: usize) -> Vec<DcMsg> {
     vec![
         bat_from(kind, seed, n1),
         request_from(seed),
         append_from(kind, seed, text, n1),
         mutate_from(kind, seed, text, n1, n2),
-        mutack_from(seed, text),
+        readmit_from(seed),
+        ack_from(seed, text),
         catalog_from(kind, seed, text, n1),
         evict_from(seed),
-        readmit_from(seed),
-        readmitack_from(seed, text),
     ]
 }
 
@@ -266,13 +258,7 @@ proptest! {
         prop_assert!(decode(&catalog).is_err());
 
         // Append: valid empty-parts frame, then a lying part count.
-        let mut append = encode(&DcMsg::Append(datacyclotron::AppendMsg {
-            origin: NodeId(1),
-            epoch: 4,
-            id: 9,
-            parts: vec![],
-        }))
-        .to_vec();
+        let mut append = encode(&append_from(1, 7, "x", 0)).to_vec();
         let len = append.len();
         append[len - 2..].copy_from_slice(&count.to_le_bytes());
         prop_assert!(decode(&append).is_err());
@@ -289,9 +275,9 @@ proptest! {
         prop_assert!(decode(&bat).is_err());
 
         let mut append = encode(&append_from(1, seed, "rows", 1)).to_vec();
-        // tag(1) + origin(2) + epoch(8) + id(8) + count(2) + bat(4) = 25
-        // bytes, then the u64 row-bytes length of the only part.
-        append[25..33].copy_from_slice(&claim.to_le_bytes());
+        // tag(1) + origin(2) + epoch(8) + id(8) + body(1) + count(2) +
+        // bat(4) = 26 bytes, then the u64 row-bytes length of the only part.
+        append[26..34].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&append).is_err());
     }
 
@@ -299,8 +285,8 @@ proptest! {
     /// bytes errors instead of reading out of bounds.
     #[test]
     fn hostile_string_lengths_rejected(claim in 64u16..u16::MAX) {
-        // MutAck Err-result: the message text is the final field.
-        let wire = encode(&DcMsg::MutAck(MutAckMsg {
+        // Ack Err-result: the message text is the final field.
+        let wire = encode(&DcMsg::Ack(AckMsg {
             target: NodeId(2),
             epoch: 1,
             id: 3,
@@ -312,14 +298,9 @@ proptest! {
         bytes[20..22].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bytes).is_err());
 
-        // ReadmitAck Err-result: identical layout, independent decode arm.
-        let wire = encode(&DcMsg::ReadmitAck(ReadmitAckMsg {
-            target: NodeId(2),
-            epoch: 1,
-            id: 3,
-            result: Err("boom".into()),
-        }));
-        let mut bytes = wire.to_vec();
+        // Routed Mutate: the schema name follows the same 20 bytes (the
+        // body tag sits where the ack has its ok-flag).
+        let mut bytes = encode(&mutate_from(1, 7, "x", 0, 0)).to_vec();
         bytes[20..22].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bytes).is_err());
     }

@@ -31,15 +31,15 @@ fn main() {
     // 3. The paper's running example, §3.2: any node can execute it.
     let sql = "select c.t_id from t, c where c.t_id = t.id";
     println!("SQL> {sql}");
-    let out = ring.submit_sql(0, sql).expect("query");
-    println!("{out}");
+    let out = ring.execute(0, sql).expect("query");
+    println!("{}", out.render());
 
     // 4. Queries settle anywhere — run from every node and from the
     //    node the §6.1 bidding would pick.
     for node in 0..3 {
-        let out = ring.submit_sql(node, "select amount from c where amount >= 30").expect("query");
-        let rows: Vec<&str> = out.lines().filter(|l| l.starts_with('[')).collect();
-        println!("node {node}: {rows:?}");
+        let rs = ring.execute(node, "select amount from c where amount >= 30").expect("query");
+        let amounts: Vec<_> = (0..rs.row_count()).map(|r| rs.cell(r, 0)).collect();
+        println!("node {node}: {amounts:?}");
     }
 
     println!("\nDone: the hot set circulated, every node answered.");

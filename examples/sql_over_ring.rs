@@ -38,8 +38,8 @@ fn main() {
     for (i, sql) in queries.iter().enumerate() {
         let node = i % 4; // spread queries over the ring
         println!("── node {node} ── SQL> {sql}");
-        match ring.submit_sql(node, sql) {
-            Ok(out) => println!("{out}"),
+        match ring.execute(node, sql) {
+            Ok(rs) => println!("{}", rs.render()),
             Err(e) => println!("error: {e}"),
         }
     }
@@ -48,9 +48,8 @@ fn main() {
     // the compiled plan (§3.2 query templates).
     for threshold in [11, 13, 17] {
         let sql = format!("select count(*) from sales where amount > {threshold}");
-        let out = ring.submit_sql(0, &sql).unwrap();
-        let row = out.lines().find(|l| l.starts_with('[')).unwrap_or("-");
-        println!("amount > {threshold}: {row}");
+        let rs = ring.execute(0, &sql).unwrap();
+        println!("amount > {threshold}: {:?}", rs.cell(0, 0));
     }
 
     // Show the plan rewrite explicitly on a fresh catalog snapshot.

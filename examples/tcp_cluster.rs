@@ -90,13 +90,7 @@ fn main() {
                     // This demo drives the raw protocol; the engine-level
                     // catalog/append/mutation/hot-set machinery is
                     // exercised by the sql_tcp_cluster example instead.
-                    DcMsg::Catalog(_)
-                    | DcMsg::Append(_)
-                    | DcMsg::Mutate(_)
-                    | DcMsg::MutAck(_)
-                    | DcMsg::Evict(_)
-                    | DcMsg::Readmit(_)
-                    | DcMsg::ReadmitAck(_) => Vec::new(),
+                    _ => Vec::new(),
                 };
                 let mut loaded = Vec::new();
                 for e in effects {

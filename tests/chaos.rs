@@ -18,7 +18,7 @@ mod support;
 
 use batstore::ops::CmpOp;
 use batstore::{RowPredicate, Val};
-use datacyclotron::msg::{MutOp, MutateMsg, ReadmitMsg};
+use datacyclotron::msg::{MutOp, RoutedBody, RoutedMsg};
 use datacyclotron::transport::mem;
 use datacyclotron::{
     DataDir, DcConfig, DcError, DcMsg, Edge, FaultEvent, FaultPlan, FaultTransport, FsyncPolicy,
@@ -173,9 +173,18 @@ fn stalled_edge_delays_but_dedup_keeps_state_exact() {
     );
     assert!(ring.faults[1].stats().stalls() >= 1, "no stall was injected");
     // The 250ms retry fired into the 600ms stall, so the owner saw the
-    // statement at least twice and must have deduplicated the replay.
-    let owner = ring.nodes[0].stats().unwrap();
-    assert!(owner.mutations_deduped >= 1, "owner never deduplicated: {owner:?}");
+    // statement at least twice and must deduplicate the replay — which
+    // it handles just after the first delivery, whose ack may reach the
+    // origin first.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let owner = ring.nodes[0].stats().unwrap();
+        if owner.mutations_deduped >= 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "owner never deduplicated: {owner:?}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
 
     // A follow-up mutation lands after the stalled batch: final state is
     // the *second* write, i.e. order was preserved.
@@ -296,18 +305,20 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
     settle();
 
     let forged = |epoch: u64, bal: i32| {
-        DcMsg::Mutate(MutateMsg {
+        DcMsg::Routed(RoutedMsg {
             origin: NodeId(1),
             epoch,
             id: 999,
-            schema: "sys".into(),
-            table: "acct".into(),
-            op: MutOp::Update(vec![("bal".into(), Val::Int(bal))]),
-            preds: vec![RowPredicate::Cmp {
-                column: "id".into(),
-                op: CmpOp::Eq,
-                value: Val::Int(1),
-            }],
+            body: RoutedBody::Mutate {
+                schema: "sys".into(),
+                table: "acct".into(),
+                op: MutOp::Update(vec![("bal".into(), Val::Int(bal))]),
+                preds: vec![RowPredicate::Cmp {
+                    column: "id".into(),
+                    op: CmpOp::Eq,
+                    value: Val::Int(1),
+                }],
+            },
         })
     };
     // "First incarnation" of node 1 spends statement id 999 at the
@@ -372,7 +383,12 @@ fn dropped_readmit_ack_readmits_exactly_once() {
     let base = ring.nodes[0].stats().unwrap();
 
     // "Node 1" demands re-admission; the owner reloads from disk once.
-    let forged = DcMsg::Readmit(ReadmitMsg { origin: NodeId(1), epoch: 0xA, id: 424, bat });
+    let forged = DcMsg::Routed(RoutedMsg {
+        origin: NodeId(1),
+        epoch: 0xA,
+        id: 424,
+        body: RoutedBody::Readmit { bat },
+    });
     ring.faults[1].send_data(forged.clone()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {

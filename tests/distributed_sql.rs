@@ -7,7 +7,7 @@
 //! fragment owners (§6.4), and SELECTs on any node pull the fragments
 //! through the ring.
 
-use batstore::{Column, Val};
+use batstore::{Column, ResultSet, Val};
 use datacyclotron::{DcConfig, NodeId, NodeOptions, RingNode, RingTransport};
 use dc_client::{Client, ClientError};
 use dc_transport::tcp::join_ring;
@@ -42,8 +42,9 @@ fn spawn_tcp_ring(n: usize) -> Vec<RingNode> {
     joins.into_iter().map(|j| j.join().unwrap()).collect()
 }
 
-fn rows(out: &str) -> Vec<&str> {
-    out.lines().filter(|l| l.starts_with('[')).collect()
+/// Every row of `rs`, as cells.
+fn rows(rs: &ResultSet) -> Vec<Vec<Val>> {
+    (0..rs.row_count()).map(|r| (0..rs.column_count()).map(|c| rs.cell(r, c)).collect()).collect()
 }
 
 #[test]
@@ -51,39 +52,39 @@ fn insert_and_select_across_tcp_nodes() {
     let nodes = spawn_tcp_ring(3);
 
     // DDL on node 0; the catalog gossip replicates over TCP.
-    let out = nodes[0].submit_sql("create table kv (k int, v varchar(16))").unwrap();
-    assert!(out.contains("created"), "{out}");
+    let rs = nodes[0].execute("create table kv (k int, v varchar(16))").unwrap();
+    assert!(rs.info.as_deref().unwrap_or("").contains("created"), "{rs:?}");
     for n in &nodes[1..] {
         n.wait_for_table_timeout("sys", "kv", Duration::from_secs(10)).unwrap();
     }
 
     // INSERT through sqlfront → MAL → ring on the owner node.
-    let out = nodes[0].submit_sql("insert into kv values (1, 'hello'), (2, 'ring')").unwrap();
-    assert!(out.contains("2 rows affected"), "{out}");
+    let rs = nodes[0].execute("insert into kv values (1, 'hello'), (2, 'ring')").unwrap();
+    assert_eq!(rs.affected, Some(2));
 
     // SELECT on every node, including the two that hold no data: their
     // pins block until the fragments flow past over TCP.
     for n in &nodes {
-        let out = n.submit_sql("select k, v from kv order by k").unwrap();
+        let rs = n.execute("select k, v from kv order by k").unwrap();
         assert_eq!(
-            rows(&out),
-            vec!["[ 1,\t\"hello\" ]", "[ 2,\t\"ring\" ]"],
-            "node {}: {out}",
+            rows(&rs),
+            [[Val::from(1), Val::from("hello")], [Val::from(2), Val::from("ring")]],
+            "node {}",
             n.id
         );
     }
 
     // A remote INSERT: node 2 does not own the fragments, so the row
     // batch travels the ring to node 0 and is applied there.
-    let out = nodes[2].submit_sql("insert into kv values (3, 'tcp')").unwrap();
-    assert!(out.contains("1 rows affected"), "{out}");
+    let rs = nodes[2].execute("insert into kv values (3, 'tcp')").unwrap();
+    assert_eq!(rs.affected, Some(1));
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let out = nodes[1].submit_sql("select v from kv where k = 3").unwrap();
-        if out.contains("\"tcp\"") {
+        let rs = nodes[1].execute("select v from kv where k = 3").unwrap();
+        if rows(&rs) == [[Val::from("tcp")]] {
             break;
         }
-        assert!(Instant::now() < deadline, "remote append never became visible: {out}");
+        assert!(Instant::now() < deadline, "remote append never became visible: {rs:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
 
@@ -163,9 +164,8 @@ fn driver_loaded_tables_join_across_tcp_nodes() {
     // The paper's example query joins fragments owned by different
     // processes; both nodes must agree on the answer.
     for n in &nodes {
-        let out = n.submit_sql("select c.t_id from t, c where c.t_id = t.id").unwrap();
-        assert_eq!(out.matches("[ 2 ]").count(), 2, "node {}: {out}", n.id);
-        assert_eq!(out.matches("[ 3 ]").count(), 1, "node {}: {out}", n.id);
+        let rs = n.execute("select c.t_id from t, c where c.t_id = t.id order by t_id").unwrap();
+        assert_eq!(rows(&rs), [[Val::from(2)], [Val::from(2)], [Val::from(3)]], "node {}", n.id);
     }
 
     // EXPLAIN works against the replicated metadata.

@@ -1,7 +1,7 @@
 //! End-to-end SQL over a live in-process ring: correctness against a
 //! single-node reference execution, concurrency, and the DC rewrite path.
 
-use batstore::{BatStore, Catalog, Column};
+use batstore::{BatStore, Catalog, Column, Val};
 use datacyclotron::{DcConfig, Ring};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -72,7 +72,7 @@ fn ring_matches_reference_on_variety_of_queries() {
     ];
     for (i, sql) in queries.iter().enumerate() {
         let want = reference(sql);
-        let got = result_rows(&ring.submit_sql(i % 4, sql).unwrap());
+        let got = result_rows(&ring.execute(i % 4, sql).unwrap().render());
         assert_eq!(got, want, "query diverged on ring: {sql}");
     }
 }
@@ -81,10 +81,10 @@ fn ring_matches_reference_on_variety_of_queries() {
 fn sorted_results_identical_across_nodes() {
     let ring = ring_under_test(3);
     let sql = "select amount from sales where amount >= 50 order by amount";
-    let baseline = result_rows(&ring.submit_sql(0, sql).unwrap());
+    let baseline = result_rows(&ring.execute(0, sql).unwrap().render());
     assert!(!baseline.is_empty());
     for node in 1..3 {
-        let rows = result_rows(&ring.submit_sql(node, sql).unwrap());
+        let rows = result_rows(&ring.execute(node, sql).unwrap().render());
         assert_eq!(rows, baseline, "node {node} diverged");
     }
 }
@@ -104,7 +104,7 @@ fn heavy_concurrency_many_nodes() {
             };
             let mut outs = Vec::new();
             for _ in 0..5 {
-                outs.push(result_rows(&r.submit_sql(node, sql).unwrap()));
+                outs.push(result_rows(&r.execute(node, sql).unwrap().render()));
             }
             outs
         }));
@@ -122,17 +122,17 @@ fn bidding_places_queries_on_data_owners() {
     // valid index and execution from it must work.
     let node = ring.place_query(&[datacyclotron::BatId(1), datacyclotron::BatId(2)]);
     assert!(node < 4);
-    let out = ring.submit_sql(node, "select count(*) from sales").unwrap();
-    assert!(out.contains("[ 200 ]"), "{out}");
+    let rs = ring.execute(node, "select count(*) from sales").unwrap();
+    assert_eq!(rs.cell(0, 0), Val::Lng(200));
 }
 
 #[test]
 fn errors_propagate_cleanly() {
     let ring = ring_under_test(2);
-    assert!(ring.submit_sql(0, "select ghost from sales").is_err());
-    assert!(ring.submit_sql(0, "select amount from missing_table").is_err());
-    assert!(ring.submit_sql(0, "not sql at all").is_err());
+    assert!(ring.execute(0, "select ghost from sales").is_err());
+    assert!(ring.execute(0, "select amount from missing_table").is_err());
+    assert!(ring.execute(0, "not sql at all").is_err());
     // The ring still works afterwards.
-    let out = ring.submit_sql(0, "select count(*) from sales").unwrap();
-    assert!(out.contains("[ 200 ]"));
+    let rs = ring.execute(0, "select count(*) from sales").unwrap();
+    assert_eq!(rs.cell(0, 0), Val::Lng(200));
 }

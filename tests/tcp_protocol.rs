@@ -42,13 +42,7 @@ impl TestNode {
             let effects = match msg {
                 DcMsg::Request(r) => self.dc.on_request(r),
                 DcMsg::Bat { header, .. } => self.dc.on_bat(header),
-                DcMsg::Catalog(_)
-                | DcMsg::Append(_)
-                | DcMsg::Mutate(_)
-                | DcMsg::MutAck(_)
-                | DcMsg::Evict(_)
-                | DcMsg::Readmit(_)
-                | DcMsg::ReadmitAck(_) => Vec::new(),
+                _ => Vec::new(),
             };
             self.execute(effects, &mut out);
         }
