@@ -32,7 +32,8 @@ use batstore::{ops, storage, Bat, BatStore, Catalog, Column, ResultSet, RowPredi
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dc_persist::{
-    Checkpointer, ColRec, FragSnap, ReplacePart, Snapshot, TableRec, WalRecord, WalWriter,
+    CheckpointMetrics, Checkpointer, ColRec, FragSnap, ReplacePart, Snapshot, TableRec, WalRecord,
+    WalWriter,
 };
 use mal::{MalError, SessionCtx};
 use netsim::SimTime;
@@ -161,6 +162,15 @@ struct PersistCtx {
     checkpoint_wal_bytes: u64,
     bytes_since_checkpoint: u64,
     checkpointer: Checkpointer,
+    /// The fragment versions the last committed checkpoint names —
+    /// exactly the `bats/<id>.v<version>.bat` files its GC kept. A
+    /// resident fragment still at its durable version is *clean*: its
+    /// RAM payload can be dropped with no further I/O.
+    durable: HashMap<BatId, u32>,
+    /// The snapshot the checkpointer is writing: its sequence number
+    /// (the `completed()` count that means it committed) and the
+    /// versions it names, which become `durable` on commit.
+    in_flight: Option<(u64, HashMap<BatId, u32>)>,
     /// Every table this node knows, keyed `schema.table` — the catalog
     /// half of a snapshot.
     tables: HashMap<String, CatalogMsg>,
@@ -175,6 +185,22 @@ impl PersistCtx {
         let n = self.wal.append(rec).map_err(|e| format!("wal append: {e}"))?;
         self.bytes_since_checkpoint += n;
         Ok(n)
+    }
+
+    /// Learn the fate of the snapshot handed to the checkpointer: once
+    /// it committed, the versions it named are the durable ones; if the
+    /// writer went idle without committing, it failed and `durable`
+    /// stands.
+    fn settle_checkpoint(&mut self) {
+        let Some((seq, _)) = &self.in_flight else { return };
+        // `idle` first: the writer bumps `completed` before it clears
+        // `busy`, so an idle writer's count is final.
+        let idle = self.checkpointer.idle();
+        if self.checkpointer.completed() >= *seq {
+            self.durable = self.in_flight.take().expect("checked above").1;
+        } else if idle {
+            self.in_flight = None;
+        }
     }
 }
 
@@ -286,14 +312,15 @@ struct NodeCtx {
     /// Residency accounting against the node's memory budget: which
     /// owned fragments hold RAM, which are spilled to disk.
     hotset: HotsetAccounting,
-    /// Cold fragments queued for the two-phase "checkpoint, then drop"
-    /// spill.
+    /// Dirty cold fragments queued for the two-phase "checkpoint, then
+    /// drop" spill (clean ones are dropped at once, see `begin_spill`).
     spill_queue: SpillQueue,
     /// Fragments other ring members announced as spilled ([`EvictMsg`]):
     /// a pin that must-waits on one of these routes a `Readmit` instead
     /// of waiting for a circulation that will never come.
     remote_spilled: HashSet<BatId>,
-    /// Queue-to-drop latency of finalized spills.
+    /// Queue-to-drop latency of dirty (two-phase) spills only: a clean
+    /// spill waits for nothing and records no sample.
     spill_hist: Arc<dc_obs::Histogram>,
     /// Disk-to-ring latency of fragment re-admissions.
     readmit_hist: Arc<dc_obs::Histogram>,
@@ -523,11 +550,12 @@ impl NodeCtx {
     /// checkpointer. Appends keep flowing into the new generation while
     /// the checkpoint is written behind the node.
     fn maybe_checkpoint(&mut self) {
-        // A queued spill that no snapshot carries yet forces a checkpoint
-        // ahead of the WAL-bytes trigger: its payload cannot be dropped
-        // until a checkpoint holding it commits.
+        // A queued (dirty) spill that no snapshot carries yet forces a
+        // checkpoint ahead of the WAL-bytes trigger: its payload cannot be
+        // dropped until a checkpoint naming its version commits.
         let spill_wants = self.spill_queue.has_unsubmitted();
         let Some(p) = self.persist.as_mut() else { return };
+        p.settle_checkpoint();
         if (p.bytes_since_checkpoint < p.checkpoint_wal_bytes && !spill_wants)
             || !p.checkpointer.idle()
         {
@@ -545,6 +573,8 @@ impl NodeCtx {
         p.wal = wal;
         p.gen = next_gen;
         p.bytes_since_checkpoint = 0;
+        // Every resident fragment rides along with its payload; the
+        // writer skips the ones whose version already has its file.
         let mut frags: Vec<FragSnap> = self
             .disk
             .iter()
@@ -555,12 +585,13 @@ impl NodeCtx {
             })
             .collect();
         // Spilled fragments ride along payload-less: their at-rest copy
-        // already exists from the checkpoint that finalized the spill,
-        // and the entry keeps the file out of garbage collection and the
-        // version in the catalog snapshot.
+        // is the file of the version they were spilled at, and the entry
+        // keeps that file out of garbage collection and the version in
+        // the catalog snapshot.
         for (bat, info) in self.hotset.spilled_iter() {
             frags.push(FragSnap { bat: bat.0, version: info.version, payload: None });
         }
+        let names = frags.iter().map(|f| (BatId(f.bat), f.version)).collect();
         let snap = Snapshot {
             node: self.node.id.0,
             replay_from: next_gen,
@@ -571,7 +602,9 @@ impl NodeCtx {
             self.node.stats.checkpoints += 1;
             // This snapshot carries every currently queued spill payload
             // and will be checkpoint `completed() + 1`.
-            self.spill_queue.mark_submitted(p.checkpointer.completed() + 1);
+            let seq = p.checkpointer.completed() + 1;
+            p.in_flight = Some((seq, names));
+            self.spill_queue.mark_submitted(seq);
         }
     }
 
@@ -763,10 +796,11 @@ impl NodeCtx {
     }
 
     /// Guarantee the owned fragment's payload is in RAM, reloading the
-    /// spilled checkpoint file if necessary. Returns whether a disk
-    /// reload happened. The spilled version is preserved: the file was
-    /// written at the version the catalog still records (spilled
-    /// fragments are immutable — mutations reload first).
+    /// file of the version it was spilled at if necessary. Returns
+    /// whether a disk reload happened. That version is the one the
+    /// catalog still records (spilled fragments are immutable —
+    /// mutations reload first), and the reloaded payload is clean: the
+    /// file it came from stays, so spilling it again costs nothing.
     fn ensure_resident(&mut self, bat: BatId) -> Result<bool, String> {
         if self.disk.contains_key(&bat) {
             return Ok(false);
@@ -778,7 +812,7 @@ impl NodeCtx {
             return Err(format!("owned {bat} spilled but the node has no data dir"));
         };
         let start = Instant::now();
-        let payload = storage::load_bat(&p.dir.bat_path(bat.0))
+        let payload = storage::load_bat(&p.dir.bat_path(bat.0, info.version))
             .map_err(|e| format!("reloading spilled {bat}: {e}"))?;
         let size = payload.byte_size() as u64;
         self.disk.insert(bat, StoredFrag::new(Arc::new(payload)));
@@ -795,26 +829,36 @@ impl NodeCtx {
         Ok(true)
     }
 
-    /// Queue a cold fragment for the two-phase spill. No-op without a
-    /// data dir (diskless nodes have nowhere to put the at-rest copy, so
-    /// `Effect::Unload` stays the historical no-op) or if the payload is
-    /// not actually resident.
+    /// Move a cold fragment's payload out of RAM. A *clean* victim —
+    /// still at the version whose file the last committed checkpoint
+    /// names — is dropped at once; a *dirty* one is queued for the
+    /// two-phase spill and dropped when a checkpoint naming its version
+    /// commits. No-op if the payload is not resident, without a data dir
+    /// (nowhere to put the at-rest copy), or without a memory budget
+    /// (nothing to enforce: the payload just stops circulating and stays
+    /// resident, as on diskless nodes).
     fn begin_spill(&mut self, bat: BatId) {
-        if self.persist.is_none() {
+        let Some(p) = self.persist.as_ref() else { return };
+        if self.hotset.mem_budget().is_none() || !self.disk.contains_key(&bat) {
             return;
         }
         let Some(owned) = self.node.s1.get(bat) else { return };
         let (version, size) = (owned.version, owned.size);
-        if !self.disk.contains_key(&bat) {
-            return;
+        if p.durable.get(&bat) == Some(&version) {
+            self.finish_spill(bat, version, size);
+        } else {
+            // A snapshot being written right now may already carry this
+            // version; its commit is then all the spill waits for.
+            let riding = p
+                .in_flight
+                .as_ref()
+                .and_then(|(seq, names)| (names.get(&bat) == Some(&version)).then_some(*seq));
+            self.spill_queue.push(bat, version, size, riding);
         }
-        self.spill_queue.push(bat, version, size);
     }
 
-    /// Finalize spills whose carrying checkpoint has committed: verify
-    /// the fragment is still cold and unchanged, then drop the RAM
-    /// payload — the checkpoint's `bats/<id>.bat` is now the only copy —
-    /// and announce the eviction around the ring.
+    /// Finalize dirty spills whose carrying checkpoint has committed, if
+    /// the fragment is still cold and unchanged.
     fn service_spills(&mut self) {
         if self.spill_queue.is_empty() {
             return;
@@ -827,35 +871,41 @@ impl NodeCtx {
                 .s1
                 .get(spill.bat)
                 .is_some_and(|o| o.state == OwnedState::OnDisk && o.version == spill.version);
-            if !still_cold {
-                // A mutation or re-demand raced the checkpoint; the RAM
-                // copy is the truth, keep it.
-                continue;
+            // Otherwise a mutation or re-demand raced the checkpoint; the
+            // RAM copy is the truth, keep it.
+            if still_cold && self.finish_spill(spill.bat, spill.version, spill.size) {
+                self.spill_hist.record_elapsed_micros(spill.queued);
             }
-            if self.disk.remove(&spill.bat).is_none() {
-                continue;
-            }
-            self.hotset.note_spilled(spill.bat, spill.version, spill.size);
-            self.node.stats.loi_evictions += 1;
-            self.spill_hist.record_elapsed_micros(spill.queued);
-            self.obs.trace(
-                self.routed.epoch(),
-                0,
-                "evict",
-                format!("{} spilled ({} bytes, v{})", spill.bat, spill.size, spill.version),
-            );
-            let _ = self.transport.send_data(DcMsg::Evict(EvictMsg {
-                owner: self.node.id,
-                bat: spill.bat,
-                version: spill.version,
-                size: spill.size,
-            }));
         }
     }
 
-    /// Queue the coldest off-ring fragments for spill until projected
-    /// residency fits the memory budget. Runs every tick; bytes already
-    /// queued count as "on their way out" so an in-flight checkpoint
+    /// Drop a resident payload whose `bats/<id>.v<version>.bat` is
+    /// committed — that file is now the only copy — and announce the
+    /// eviction around the ring. False if there was no payload to drop.
+    fn finish_spill(&mut self, bat: BatId, version: u32, size: u64) -> bool {
+        if self.disk.remove(&bat).is_none() {
+            return false;
+        }
+        self.hotset.note_spilled(bat, version, size);
+        self.node.stats.loi_evictions += 1;
+        self.obs.trace(
+            self.routed.epoch(),
+            0,
+            "evict",
+            format!("{bat} spilled ({size} bytes, v{version})"),
+        );
+        let _ = self.transport.send_data(DcMsg::Evict(EvictMsg {
+            owner: self.node.id,
+            bat,
+            version,
+            size,
+        }));
+        true
+    }
+
+    /// Spill the coldest off-ring fragments until projected residency
+    /// fits the memory budget. Runs every tick; bytes queued behind a
+    /// checkpoint count as "on their way out" so an in-flight checkpoint
     /// does not cause over-spill.
     fn enforce_budget(&mut self) {
         if self.persist.is_none() {
@@ -1532,11 +1582,10 @@ impl NodeCtx {
                     }
                 }
                 Effect::Unload(bat) => {
-                    // Fig. 5: the fragment leaves the hot set. With a
-                    // data dir this starts the two-phase spill of the RAM
-                    // payload ("checkpoint, then drop"); diskless nodes
-                    // keep the historical behavior — the payload simply
-                    // stops being forwarded but stays in memory.
+                    // Fig. 5: the fragment leaves the hot set. On a node
+                    // with a data dir and a memory budget its RAM payload
+                    // is spilled; anywhere else it simply stops being
+                    // forwarded and stays in memory.
                     self.begin_spill(bat);
                 }
                 Effect::Deliver { header, queries } => {
@@ -1613,9 +1662,11 @@ pub struct NodeOptions {
     pub ack_retries: u32,
     /// Soft cap on resident owned-fragment bytes. When projected
     /// residency exceeds it, the coldest off-ring fragments (lowest
-    /// Eq. 1 LOI) are spilled to the data dir and dropped from RAM.
+    /// Eq. 1 LOI) are spilled to the data dir and dropped from RAM, as
+    /// is every fragment the owner unloads from the ring (Fig. 5).
     /// Requires `data_dir`; ignored on diskless nodes (they have nowhere
-    /// to put the at-rest copy). `None` disables spilling.
+    /// to put the at-rest copy). `None` disables spilling: unloaded
+    /// fragments stay resident.
     pub mem_budget: Option<u64>,
 }
 
@@ -1745,7 +1796,12 @@ impl RingNode {
 
             // Startup compaction: fold whatever was replayed into one
             // fresh checkpoint + empty WAL, so the next crash replays a
-            // short tail.
+            // short tail. Recovery left exactly the committed fragment
+            // files, so only fragments the WAL tail moved are rewritten.
+            let durable: HashMap<BatId, u32> = disk
+                .keys()
+                .map(|b| (*b, node.s1.get(*b).map(|o| o.version).unwrap_or(0)))
+                .collect();
             let snap = Snapshot {
                 node: id.0,
                 replay_from: rec.next_gen,
@@ -1754,22 +1810,22 @@ impl RingNode {
                     .iter()
                     .map(|(b, f)| FragSnap {
                         bat: b.0,
-                        version: node.s1.get(*b).map(|o| o.version).unwrap_or(0),
+                        version: durable[b],
                         payload: Some(Arc::clone(&f.bat)),
                     })
                     .collect(),
             };
-            dc_persist::write_checkpoint(&pdir, &snap)
-                .map_err(|e| format!("startup checkpoint: {e}"))?;
+            let checkpoint_metrics = CheckpointMetrics::register(&obs);
+            checkpoint_metrics.count(
+                dc_persist::write_checkpoint(&pdir, &snap)
+                    .map_err(|e| format!("startup checkpoint: {e}"))?,
+            );
             let mut wal = WalWriter::create(&pdir.wal_path(rec.next_gen), dd.fsync)
                 .map_err(|e| format!("creating WAL: {e}"))?;
             let wal_append_hist = obs.histogram("wal_append_us");
             let wal_sync_hist = obs.histogram("wal_fsync_us");
             wal.set_metrics(Arc::clone(&wal_append_hist), Arc::clone(&wal_sync_hist));
-            let checkpointer = Checkpointer::spawn_with_metrics(
-                pdir.clone(),
-                Some(obs.histogram("checkpoint_us")),
-            );
+            let checkpointer = Checkpointer::spawn(pdir.clone(), checkpoint_metrics);
             persist = Some(PersistCtx {
                 dir: pdir,
                 wal,
@@ -1778,6 +1834,8 @@ impl RingNode {
                 checkpoint_wal_bytes: dd.checkpoint_wal_bytes,
                 bytes_since_checkpoint: 0,
                 checkpointer,
+                durable,
+                in_flight: None,
                 tables,
                 wal_append_hist,
                 wal_sync_hist,
@@ -2874,6 +2932,82 @@ mod tests {
         let rs = node.execute("select v from cold where k = 4").unwrap();
         assert_eq!(ints(&rs), [40]);
         node.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_only_evict_readmit_cycle_writes_nothing() {
+        const ROWS: i32 = 1000;
+        let dir = scratch_dir("clean_spill");
+        // Room for three of the four columns: one table fits, two do not.
+        let col_bytes = Bat::dense(Column::from(vec![0i32; ROWS as usize])).byte_size() as u64;
+        let node = budget_node(&dir, 3 * col_bytes);
+        for t in ["a", "b"] {
+            let (k, v): (Vec<i32>, Vec<i32>) = (0..ROWS).map(|i| (i, 2 * i)).unzip();
+            node.load_table("sys", t, vec![("k", Column::from(k)), ("v", Column::from(v))])
+                .unwrap();
+        }
+        let written = node.obs().counter("checkpoint_frags_written");
+        let skipped = node.obs().counter("checkpoint_frags_skipped");
+        let bat_files = || {
+            let mut names: Vec<String> = std::fs::read_dir(dir.join("bats"))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let sum_k: i64 = (0..ROWS as i64).sum();
+        let sweep = |bump_a: i64| {
+            for (t, bump) in [("a", bump_a), ("b", 0)] {
+                let rs = node.execute(&format!("select sum(k), sum(v) from {t}")).unwrap();
+                assert_eq!(rows(&rs), [[sum_k + bump, 2 * sum_k].map(Val::from)], "table {t}");
+            }
+        };
+
+        // The initial spill is dirty: it waits for the first checkpoint,
+        // which carries (and writes) all four fragments.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while node.hotset().unwrap().resident_bytes > 3 * col_bytes || written.get() < 4 {
+            assert!(Instant::now() < deadline, "initial spill never settled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(bat_files().len(), 4);
+
+        // From here every fragment is clean: alternating reads evict and
+        // re-admit on every sweep without a single checkpoint.
+        let before = node.stats().unwrap();
+        for _ in 0..10 {
+            sweep(0);
+        }
+        let after = node.stats().unwrap();
+        assert_eq!(after.checkpoints, before.checkpoints, "a clean spill forced a checkpoint");
+        assert!(after.loi_evictions >= before.loi_evictions + 10, "{after:?}");
+        assert!(after.loi_readmits >= before.loi_readmits + 10, "{after:?}");
+        assert_eq!(written.get(), 4, "a fragment version was written twice");
+
+        // An UPDATE moves one column to v1 (`a.k`, the lowest id and so
+        // the victim of every sweep). Its next spill is dirty again: one
+        // checkpoint writes exactly that one file, finds the other
+        // residents already there, and its GC drops the v0 file.
+        node.execute("update a set k = 5000 where k = 3").unwrap();
+        let moved = node.hotset().unwrap().rows.iter().find(|r| r.version == 1).unwrap().bat;
+        let (old, new) = (format!("{}.v0.bat", moved.0), format!("{}.v1.bat", moved.0));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            sweep(5000 - 3);
+            let files = bat_files();
+            if files.contains(&new) && !files.contains(&old) {
+                assert_eq!(files.len(), 4, "superseded versions leaked: {files:?}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "v1 never checkpointed: {files:?}");
+        }
+        // (Shutdown joins the checkpointer, which books a checkpoint's
+        // counts after its GC.)
+        node.shutdown();
+        assert_eq!(written.get(), 5, "one new file per distinct version");
+        assert!(skipped.get() > 0, "unchanged residents must be skipped, not rewritten");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,9 +6,9 @@
 use crate::ids::BatId;
 use std::collections::HashMap;
 
-/// A fragment whose payload lives only in `bats/<id>.bat` on the
-/// owner's disk. The version is pinned: a spilled fragment cannot be
-/// mutated without first being reloaded, so file and catalog agree.
+/// A fragment whose payload lives only in `bats/<id>.v<version>.bat` on
+/// the owner's disk. The version is pinned: a spilled fragment cannot
+/// be mutated without first being reloaded, so file and catalog agree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpilledFrag {
     pub version: u32,
@@ -42,8 +42,8 @@ impl HotsetAccounting {
         self.resident_bytes = self.resident_bytes - old + bytes;
     }
 
-    /// The payload was dropped from RAM; `bats/<id>.bat` is now the only
-    /// copy.
+    /// The payload was dropped from RAM; the file of `version` is now
+    /// the only copy.
     pub fn note_spilled(&mut self, bat: BatId, version: u32, size: u64) {
         if let Some(old) = self.resident.remove(&bat) {
             self.resident_bytes -= old;

@@ -1,7 +1,10 @@
-//! The two-phase spill queue. Eviction is "checkpoint, then drop": a
-//! fragment queued for spill stays resident until a checkpoint carrying
-//! its payload commits — that checkpoint's `bats/<id>.bat` *is* the
-//! at-rest copy — and only then may the engine drop the RAM payload.
+//! The two-phase spill queue. Evicting a *dirty* fragment — one whose
+//! current version no committed checkpoint has written yet — is
+//! "checkpoint, then drop": it stays resident until a checkpoint
+//! carrying its payload commits — that checkpoint's
+//! `bats/<id>.v<version>.bat` *is* the at-rest copy — and only then may
+//! the engine drop the RAM payload. (A clean fragment never enters the
+//! queue: its file exists, so the engine drops it at once.)
 //! Entries learn which checkpoint they wait for when the snapshot is
 //! submitted ([`SpillQueue::mark_submitted`]) and become actionable
 //! once the checkpointer's completed counter reaches it
@@ -33,18 +36,14 @@ pub struct SpillQueue {
 
 impl SpillQueue {
     /// Queue a spill; returns false (and does nothing) if one is already
-    /// pending for the fragment.
-    pub fn push(&mut self, bat: BatId, version: u32, size: u64) -> bool {
+    /// pending for the fragment. `ready_at` is the checkpoint already
+    /// being written that carries this very version, if there is one —
+    /// otherwise the entry waits for the next snapshot to be submitted.
+    pub fn push(&mut self, bat: BatId, version: u32, size: u64, ready_at: Option<u64>) -> bool {
         if self.is_pending(bat) {
             return false;
         }
-        self.entries.push(PendingSpill {
-            bat,
-            version,
-            size,
-            ready_at: None,
-            queued: Instant::now(),
-        });
+        self.entries.push(PendingSpill { bat, version, size, ready_at, queued: Instant::now() });
         true
     }
 
@@ -103,8 +102,8 @@ mod tests {
     #[test]
     fn two_phase_lifecycle() {
         let mut q = SpillQueue::default();
-        assert!(q.push(BatId(1), 4, 100));
-        assert!(!q.push(BatId(1), 4, 100), "dedup while pending");
+        assert!(q.push(BatId(1), 4, 100, None));
+        assert!(!q.push(BatId(1), 4, 100, None), "dedup while pending");
         assert!(q.has_unsubmitted());
         assert_eq!(q.queued_bytes(), 100);
         assert!(q.take_ready(99).is_empty(), "nothing ready before submit");
@@ -122,13 +121,13 @@ mod tests {
     #[test]
     fn later_pushes_wait_for_their_own_checkpoint() {
         let mut q = SpillQueue::default();
-        q.push(BatId(1), 0, 10);
+        q.push(BatId(1), 0, 10, None);
         q.mark_submitted(1);
-        q.push(BatId(2), 0, 20); // queued after the first snapshot went out
+        q.push(BatId(2), 0, 20, None); // queued after the first snapshot went out
+        q.push(BatId(3), 0, 30, Some(1)); // queued later too, but that snapshot carries it
         assert!(q.has_unsubmitted());
-        let ready = q.take_ready(1);
-        assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].bat, BatId(1));
+        let ready: Vec<BatId> = q.take_ready(1).iter().map(|e| e.bat).collect();
+        assert_eq!(ready, [BatId(1), BatId(3)]);
         assert_eq!(q.len(), 1, "bat 2 still waits for its snapshot");
         assert_eq!(q.queued_bytes(), 20);
     }
@@ -136,7 +135,7 @@ mod tests {
     #[test]
     fn cancel_removes_pending_entry() {
         let mut q = SpillQueue::default();
-        q.push(BatId(5), 1, 64);
+        q.push(BatId(5), 1, 64, None);
         q.cancel(BatId(5));
         assert!(q.is_empty());
         q.mark_submitted(1);

@@ -6,9 +6,10 @@
 //!
 //! * [`accounting`] — byte-accurate residency/spill bookkeeping and
 //!   coldest-first victim selection against a per-node memory budget,
-//! * [`evict`] — the two-phase "checkpoint, then drop" spill queue
-//!   (the checkpoint `bats/<id>.bat` format *is* the at-rest format;
-//!   eviction never re-serializes).
+//! * [`evict`] — the two-phase "checkpoint, then drop" spill queue for
+//!   fragments that changed since the last checkpoint (the checkpoint's
+//!   `bats/<id>.v<version>.bat` *is* the at-rest copy; a fragment whose
+//!   version already has that file is dropped without queueing).
 //!
 //! On-demand re-admission of an evicted fragment is a routed request
 //! like any write: see [`crate::routed`].

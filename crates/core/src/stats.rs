@@ -94,8 +94,8 @@ pub struct NodeStats {
     /// WAL records replayed during startup recovery.
     pub recovered_wal_records: u64,
     /// Owned fragments spilled to the data dir by hot-set management:
-    /// the in-RAM payload was dropped after a checkpoint made
-    /// `bats/<id>.bat` the at-rest copy.
+    /// the in-RAM payload was dropped once a committed checkpoint named
+    /// `bats/<id>.v<version>.bat`, the at-rest copy.
     pub loi_evictions: u64,
     /// Spilled/off-hot-set fragments re-admitted into service: reloaded
     /// from disk on local demand, or injected back into the ring for a

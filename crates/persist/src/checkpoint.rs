@@ -4,18 +4,21 @@
 //! A checkpoint is written *behind* a running node: the event loop
 //! captures a [`Snapshot`] (cheap — fragment payloads are `Arc`-shared),
 //! rotates to a fresh WAL generation, and hands the snapshot to the
-//! [`Checkpointer`] thread. The thread writes every fragment payload and
-//! the catalog snapshot via atomic renames, then commits by atomically
-//! bumping `MANIFEST.replay_from` — only after that are older WAL
-//! generations and orphaned fragment files deleted. A crash anywhere in
-//! the sequence leaves either the old checkpoint (WAL tail still
-//! replays) or the new one (overlapping WAL records are skipped by
-//! version), never a torn mix.
+//! [`Checkpointer`] thread. The thread writes the payload of every
+//! `(fragment, version)` that has no file yet — each pair is written at
+//! most once, under a name no committed checkpoint refers to — then
+//! commits by atomically replacing `catalog.snap` (which fragment
+//! versions exist) and `MANIFEST` (where WAL replay starts). Only after
+//! that are older WAL generations and superseded fragment files deleted.
+//! A crash anywhere in the sequence leaves either the old checkpoint
+//! (its files untouched, the WAL tail still replays) or the new one
+//! (overlapping WAL records are skipped by version), never a torn mix:
+//! an uncommitted checkpoint cannot touch a file the committed one
+//! names.
 
-use crate::datadir::{DataDir, Manifest};
+use crate::datadir::{sync_dir, write_atomic, write_then_rename, DataDir, Manifest};
 use crate::wal::{encode_record, TableRec, WalRecord};
 use batstore::{storage, Bat};
-use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -28,10 +31,11 @@ pub struct FragSnap {
     pub bat: u32,
     pub version: u32,
     /// `Some` for resident fragments (the checkpoint writes the payload
-    /// file); `None` for fragments already spilled to `bats/<id>.bat` —
-    /// the checkpoint format *is* the at-rest format, so a spilled
-    /// fragment's file is reused verbatim: the entry only keeps the file
-    /// out of garbage collection and its version in the catalog snapshot.
+    /// file unless this version already has one); `None` for fragments
+    /// spilled to `bats/<id>.v<version>.bat` — the checkpoint format
+    /// *is* the at-rest format, so a spilled fragment's file is reused
+    /// verbatim: the entry only keeps the file out of garbage collection
+    /// and its version in the catalog snapshot.
     pub payload: Option<Arc<Bat>>,
 }
 
@@ -47,18 +51,19 @@ pub struct Snapshot {
     pub frags: Vec<FragSnap>,
 }
 
-/// Write a complete checkpoint and commit it via the manifest. Old WAL
-/// generations and fragment files outside the snapshot are removed after
-/// the commit.
-pub fn write_checkpoint(dir: &DataDir, snap: &Snapshot) -> io::Result<()> {
-    let mut live: HashSet<u32> = HashSet::new();
-    for f in &snap.frags {
-        if let Some(payload) = &f.payload {
-            storage::save_bat(&dir.bat_path(f.bat), payload)
-                .map_err(|e| io::Error::other(e.to_string()))?;
-        }
-        live.insert(f.bat);
-    }
+/// How many fragment payloads one checkpoint had to write, and how many
+/// it found already on disk at their version.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CheckpointStats {
+    pub frags_written: u64,
+    pub frags_skipped: u64,
+}
+
+/// Write a complete checkpoint and commit it via the catalog snapshot
+/// and the manifest. Old WAL generations and fragment files the
+/// snapshot does not name are removed after the commit.
+pub fn write_checkpoint(dir: &DataDir, snap: &Snapshot) -> io::Result<CheckpointStats> {
+    let stats = write_fragment_files(dir, snap)?;
     let mut bytes = Vec::new();
     for t in &snap.tables {
         bytes.extend_from_slice(&encode_record(&WalRecord::Table(t.clone())));
@@ -69,27 +74,43 @@ pub fn write_checkpoint(dir: &DataDir, snap: &Snapshot) -> io::Result<()> {
             version: f.version,
         }));
     }
-    crate::datadir::write_atomic(&dir.snap_path(), &bytes)?;
+    write_atomic(&dir.snap_path(), &bytes)?;
     dir.write_manifest(&Manifest { node: snap.node, replay_from: snap.replay_from })?;
 
-    // Commit done; everything below is cleanup.
+    // Commit done; everything below is cleanup, retried by the next
+    // checkpoint if it fails.
     for gen in dir.wal_generations()? {
         if gen < snap.replay_from {
             let _ = std::fs::remove_file(dir.wal_path(gen));
         }
     }
-    if let Ok(entries) = std::fs::read_dir(dir.root().join("bats")) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(id) = name.strip_suffix(".bat").and_then(|s| s.parse::<u32>().ok()) {
-                if !live.contains(&id) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
+    let _ = dir.retain_bats(&snap.frags.iter().map(|f| dir.bat_path(f.bat, f.version)).collect());
+    Ok(stats)
+}
+
+/// The pre-commit phase of a checkpoint: give every resident
+/// `(fragment, version)` of the snapshot its file. A file that exists is
+/// complete (it was renamed into place) and holds exactly this payload
+/// (recovery deleted whatever a crashed predecessor left), so it is
+/// skipped; `bats/` is synced once for all the files written.
+pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result<CheckpointStats> {
+    let mut stats = CheckpointStats::default();
+    for f in &snap.frags {
+        let Some(payload) = &f.payload else { continue };
+        let path = dir.bat_path(f.bat, f.version);
+        if path.exists() {
+            stats.frags_skipped += 1;
+        } else {
+            write_then_rename(&path, |w| {
+                storage::write_bat(w, payload).map_err(|e| io::Error::other(e.to_string()))
+            })?;
+            stats.frags_written += 1;
         }
     }
-    Ok(())
+    if stats.frags_written > 0 {
+        sync_dir(&dir.bats_dir());
+    }
+    Ok(stats)
 }
 
 /// A background thread draining checkpoint jobs one at a time.
@@ -100,17 +121,39 @@ pub struct Checkpointer {
     completed: Arc<AtomicU64>,
 }
 
-impl Checkpointer {
-    pub fn spawn(dir: DataDir) -> Checkpointer {
-        Self::spawn_with_metrics(dir, None)
+/// Telemetry handles the checkpoint writers feed: how long each
+/// committed checkpoint took (microseconds) and how many fragment
+/// payloads it wrote versus found already on disk — "incremental" made
+/// checkable on a live node.
+#[derive(Clone)]
+pub struct CheckpointMetrics {
+    duration: Arc<dc_obs::Histogram>,
+    frags_written: Arc<dc_obs::Counter>,
+    frags_skipped: Arc<dc_obs::Counter>,
+}
+
+impl CheckpointMetrics {
+    /// Resolve `checkpoint_us`, `checkpoint_frags_written` and
+    /// `checkpoint_frags_skipped` in `obs`.
+    pub fn register(obs: &dc_obs::Registry) -> CheckpointMetrics {
+        CheckpointMetrics {
+            duration: obs.histogram("checkpoint_us"),
+            frags_written: obs.counter("checkpoint_frags_written"),
+            frags_skipped: obs.counter("checkpoint_frags_skipped"),
+        }
     }
 
-    /// [`Checkpointer::spawn`] with a duration histogram (microseconds):
-    /// every committed checkpoint records how long its write took.
-    pub fn spawn_with_metrics(
-        dir: DataDir,
-        duration: Option<Arc<dc_obs::Histogram>>,
-    ) -> Checkpointer {
+    /// Book the fragment files of one committed checkpoint. (Public for
+    /// the startup compaction, which runs [`write_checkpoint`] inline
+    /// and stays out of the duration histogram.)
+    pub fn count(&self, stats: CheckpointStats) {
+        self.frags_written.add(stats.frags_written);
+        self.frags_skipped.add(stats.frags_skipped);
+    }
+}
+
+impl Checkpointer {
+    pub fn spawn(dir: DataDir, metrics: CheckpointMetrics) -> Checkpointer {
         let (tx, rx) = channel::<Snapshot>();
         let busy = Arc::new(AtomicBool::new(false));
         let completed = Arc::new(AtomicU64::new(0));
@@ -118,14 +161,14 @@ impl Checkpointer {
         let handle = std::thread::spawn(move || {
             while let Ok(snap) = rx.recv() {
                 let start = std::time::Instant::now();
-                if let Err(e) = write_checkpoint(&dir, &snap) {
+                match write_checkpoint(&dir, &snap) {
                     // The node keeps running on the previous checkpoint +
                     // a longer WAL; only durability compaction is lost.
-                    eprintln!("[dc-persist] checkpoint failed: {e}");
-                } else {
-                    completed2.fetch_add(1, Ordering::Relaxed);
-                    if let Some(h) = &duration {
-                        h.record_elapsed_micros(start);
+                    Err(e) => eprintln!("[dc-persist] checkpoint failed: {e}"),
+                    Ok(stats) => {
+                        completed2.fetch_add(1, Ordering::Relaxed);
+                        metrics.duration.record_elapsed_micros(start);
+                        metrics.count(stats);
                     }
                 }
                 busy2.store(false, Ordering::Release);
@@ -211,21 +254,57 @@ mod tests {
         }
     }
 
+    fn written(n: u64) -> CheckpointStats {
+        CheckpointStats { frags_written: n, frags_skipped: 0 }
+    }
+
     #[test]
     fn checkpoint_commits_and_cleans() {
         let root = scratch("commit");
         let dir = DataDir::open(&root).unwrap();
-        // Pre-existing junk the checkpoint should clear.
+        // Pre-existing junk the checkpoint should clear: an old WAL, a
+        // fragment no snapshot names, a superseded version of one it
+        // does, and a temp file a crashed writer left behind.
         std::fs::write(dir.wal_path(1), b"old").unwrap();
-        storage::save_bat(&dir.bat_path(99), &Bat::dense(Column::from(vec![9]))).unwrap();
+        let junk = [dir.bat_path(99, 0), dir.bat_path(5, 1), dir.bats_dir().join(".5.v2.bat.tmp")];
+        for p in &junk {
+            std::fs::write(p, b"junk").unwrap();
+        }
 
-        write_checkpoint(&dir, &snap(0, 2)).unwrap();
+        assert_eq!(write_checkpoint(&dir, &snap(0, 2)).unwrap(), written(1));
 
         assert_eq!(dir.read_manifest().unwrap(), Some(Manifest { node: 0, replay_from: 2 }));
         assert!(!dir.wal_path(1).exists(), "pre-checkpoint WAL removed");
-        assert!(!dir.bat_path(99).exists(), "orphaned fragment removed");
-        let back = storage::load_bat(&dir.bat_path(5)).unwrap();
+        for p in &junk {
+            assert!(!p.exists(), "{} not collected", p.display());
+        }
+        let back = storage::load_bat(&dir.bat_path(5, 2)).unwrap();
         assert_eq!(back.count(), 3);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn each_fragment_version_is_written_once() {
+        let root = scratch("once");
+        let dir = DataDir::open(&root).unwrap();
+        assert_eq!(write_checkpoint(&dir, &snap(0, 2)).unwrap(), written(1));
+        let first = std::fs::metadata(dir.bat_path(5, 2)).unwrap().modified().unwrap();
+
+        // The same version again: nothing to write, the file is reused.
+        let again = write_checkpoint(&dir, &snap(0, 3)).unwrap();
+        assert_eq!(again, CheckpointStats { frags_written: 0, frags_skipped: 1 });
+        assert_eq!(std::fs::metadata(dir.bat_path(5, 2)).unwrap().modified().unwrap(), first);
+
+        // The version moved: one new file, and the superseded one goes
+        // only after the commit that stops naming it.
+        let mut moved = snap(0, 4);
+        moved.frags[0].version = 3;
+        moved.frags[0].payload = Some(Arc::new(Bat::dense(Column::from(vec![1, 2, 3, 4]))));
+        assert_eq!(write_fragment_files(&dir, &moved).unwrap(), written(1));
+        assert!(dir.bat_path(5, 2).exists(), "uncommitted checkpoint must not touch v2");
+        assert_eq!(write_checkpoint(&dir, &moved).unwrap().frags_skipped, 1);
+        assert!(!dir.bat_path(5, 2).exists(), "superseded version collected after commit");
+        assert_eq!(storage::load_bat(&dir.bat_path(5, 3)).unwrap().count(), 4);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -235,15 +314,15 @@ mod tests {
         let dir = DataDir::open(&root).unwrap();
         // First checkpoint writes the payload — this is the spill.
         write_checkpoint(&dir, &snap(0, 2)).unwrap();
-        assert!(dir.bat_path(5).exists());
+        assert!(dir.bat_path(5, 2).exists());
 
         // Later checkpoints carry the fragment payload-less: the file
         // must survive GC and the catalog snapshot must keep its version.
         let mut later = snap(0, 3);
         later.frags[0].payload = None;
-        write_checkpoint(&dir, &later).unwrap();
-        assert!(dir.bat_path(5).exists(), "spilled file must not be GC'd");
-        let back = storage::load_bat(&dir.bat_path(5)).unwrap();
+        assert_eq!(write_checkpoint(&dir, &later).unwrap(), CheckpointStats::default());
+        assert!(dir.bat_path(5, 2).exists(), "spilled file must not be GC'd");
+        let back = storage::load_bat(&dir.bat_path(5, 2)).unwrap();
         assert_eq!(back.count(), 3, "spilled payload untouched");
         std::fs::remove_dir_all(&root).ok();
     }
@@ -252,13 +331,17 @@ mod tests {
     fn background_checkpointer_single_flight() {
         let root = scratch("bg");
         let dir = DataDir::open(&root).unwrap();
-        let ck = Checkpointer::spawn(dir.clone());
+        let obs = dc_obs::Registry::new(1);
+        let ck = Checkpointer::spawn(dir.clone(), CheckpointMetrics::register(&obs));
         assert!(ck.submit(snap(1, 3)));
         ck.quiesce();
         assert_eq!(ck.completed(), 1);
         assert!(ck.submit(snap(1, 4)));
         ck.quiesce();
         assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 4);
+        assert_eq!(obs.counter("checkpoint_frags_written").get(), 1);
+        assert_eq!(obs.counter("checkpoint_frags_skipped").get(), 1);
+        assert_eq!(obs.histogram("checkpoint_us").snapshot().count, 2);
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -3,20 +3,25 @@
 //!
 //! ```text
 //! <root>/
-//!   MANIFEST          node id + first WAL generation to replay (atomic)
-//!   catalog.snap      checkpointed catalog: Table + FragMeta records
-//!   wal-<gen>.log     append-only WAL generations (usually just one)
-//!   bats/<id>.bat     checkpointed fragment payloads (batstore format)
+//!   MANIFEST                  node id + first WAL generation to replay (atomic)
+//!   catalog.snap              checkpointed catalog: Table + FragMeta records
+//!   wal-<gen>.log             append-only WAL generations (usually just one)
+//!   bats/<id>.v<version>.bat  fragment payloads (batstore format), immutable
 //! ```
 //!
 //! Every multi-byte file (manifest, catalog snapshot, BAT snapshots) is
 //! written to a temp file in the same directory and atomically renamed
 //! into place, so no crash can leave a torn copy under the real name.
-//! The WAL is the only file mutated in place, and its frames carry CRCs
-//! precisely so a torn tail is detectable.
+//! The manifest and the catalog snapshot are replaced that way; a
+//! fragment file is never replaced at all — it is named by the
+//! `(id, version)` pair whose payload it holds, written once, and
+//! deleted once no committed catalog snapshot names it. The WAL is the
+//! only file mutated in place, and its frames carry CRCs precisely so a
+//! torn tail is detectable.
 
+use std::collections::HashSet;
 use std::fs::File;
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const MANIFEST_MAGIC: &[u8; 4] = b"DCM1";
@@ -42,9 +47,9 @@ pub struct DataDir {
 impl DataDir {
     /// Open (creating if needed) the directory skeleton.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<DataDir> {
-        let root = root.into();
-        std::fs::create_dir_all(root.join("bats"))?;
-        Ok(DataDir { root })
+        let dir = DataDir { root: root.into() };
+        std::fs::create_dir_all(dir.bats_dir())?;
+        Ok(dir)
     }
 
     pub fn root(&self) -> &Path {
@@ -63,8 +68,29 @@ impl DataDir {
         self.root.join(format!("wal-{gen:06}.log"))
     }
 
-    pub fn bat_path(&self, bat: u32) -> PathBuf {
-        self.root.join("bats").join(format!("{bat}.bat"))
+    pub fn bats_dir(&self) -> PathBuf {
+        self.root.join("bats")
+    }
+
+    /// The file holding fragment `bat`'s payload at `version`. Because
+    /// the name carries the version, the file is immutable: it exists
+    /// only complete (renamed into place) and is never overwritten.
+    pub fn bat_path(&self, bat: u32, version: u32) -> PathBuf {
+        self.bats_dir().join(format!("{bat}.v{version}.bat"))
+    }
+
+    /// Delete every file under `bats/` that `keep` does not list:
+    /// superseded versions after a checkpoint commit, and at recovery
+    /// whatever a crashed checkpoint left behind. Only the checkpoint
+    /// writer and recovery call this, never concurrently.
+    pub fn retain_bats(&self, keep: &HashSet<PathBuf>) -> io::Result<()> {
+        for entry in std::fs::read_dir(self.bats_dir())? {
+            let path = entry?.path();
+            if !keep.contains(&path) {
+                std::fs::remove_file(&path)?;
+            }
+        }
+        Ok(())
     }
 
     /// WAL generations present on disk, ascending.
@@ -114,20 +140,36 @@ impl DataDir {
 /// directory, fsync, atomic rename, then a best-effort directory sync so
 /// the rename itself is durable.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_then_rename(path, |w| w.write_all(bytes))?;
+    sync_dir(path.parent().unwrap_or_else(|| Path::new(".")));
+    Ok(())
+}
+
+/// The first half of [`write_atomic`], with the content streamed by
+/// `fill`: the file appears under `path` complete or not at all, but the
+/// rename is durable only after a [`sync_dir`] of its directory — which
+/// a caller writing several files into one directory pays once.
+pub(crate) fn write_then_rename(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
     let tmp = dir.join(format!(".{name}.tmp"));
     {
-        use std::io::Write;
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        fill(&mut w)?;
+        w.flush()?;
+        w.get_ref().sync_all()?;
     }
-    std::fs::rename(&tmp, path)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// Best-effort fsync of a directory, making renames into it durable.
+pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@ pub mod datadir;
 pub mod recover;
 pub mod wal;
 
-pub use checkpoint::{write_checkpoint, Checkpointer, FragSnap, Snapshot};
+pub use checkpoint::{
+    write_checkpoint, CheckpointMetrics, CheckpointStats, Checkpointer, FragSnap, Snapshot,
+};
 pub use datadir::{DataDir, Manifest};
 pub use recover::{recover, RecFrag, Recovered};
 pub use wal::{

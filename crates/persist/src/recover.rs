@@ -3,11 +3,18 @@
 //! died. Replay is idempotent: a WAL record whose effects are already in
 //! the checkpoint is skipped by version, so the checkpoint/WAL overlap a
 //! mid-checkpoint crash leaves behind applies once, not twice.
+//!
+//! Recovery also deletes every fragment file the committed catalog
+//! snapshot does not name. Such a file is what a checkpoint that crashed
+//! before its commit left behind, and checkpoints write a
+//! `(fragment, version)` only when its file is absent: after a torn WAL
+//! tail the node can mint a *different* payload under that same version
+//! number, which an adopted orphan would silently replace.
 
 use crate::datadir::DataDir;
 use crate::wal::{replay_wal, TableRec, WalRecord};
 use batstore::{storage, Bat};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// An owned fragment rebuilt from disk.
 #[derive(Debug)]
@@ -40,7 +47,9 @@ pub struct Recovered {
 pub fn recover(dir: &DataDir, node: u16) -> Result<Recovered, String> {
     let manifest = dir.read_manifest().map_err(|e| format!("reading MANIFEST: {e}"))?;
     let Some(manifest) = manifest else {
-        // Fresh directory: nothing to replay.
+        // Fresh directory: nothing to replay, and nothing committed for
+        // a fragment file to belong to.
+        drop_unnamed(dir, &HashSet::new())?;
         return Ok(Recovered {
             tables: Vec::new(),
             frags: HashMap::new(),
@@ -77,17 +86,21 @@ pub fn recover(dir: &DataDir, node: u16) -> Result<Recovered, String> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(format!("reading catalog snapshot: {e}")),
     };
+    let mut named = HashSet::new();
     for rec in snap {
         match rec {
             WalRecord::Table(t) => upsert_table(&mut tables, t),
             WalRecord::FragMeta { bat, version } => {
-                let payload = storage::load_bat(&dir.bat_path(bat))
-                    .map_err(|e| format!("loading fragment {bat}: {e}"))?;
+                let path = dir.bat_path(bat, version);
+                let payload = storage::load_bat(&path)
+                    .map_err(|e| format!("loading fragment {bat} v{version}: {e}"))?;
                 frags.insert(bat, RecFrag { version, bat: payload });
+                named.insert(path);
             }
             other => return Err(format!("unexpected snapshot record {other:?}")),
         }
     }
+    drop_unnamed(dir, &named)?;
 
     // 2. WAL tail, oldest generation first, stopping at the first tear.
     let gens = dir.wal_generations().map_err(|e| format!("listing WALs: {e}"))?;
@@ -126,6 +139,12 @@ pub fn recover(dir: &DataDir, node: u16) -> Result<Recovered, String> {
     }
 
     Ok(Recovered { tables, frags, wal_records, wal_skipped, torn, next_gen: max_gen + 1 })
+}
+
+/// Delete the fragment files the committed snapshot does not name (see
+/// the module docs for why none may survive into the next checkpoint).
+fn drop_unnamed(dir: &DataDir, named: &HashSet<std::path::PathBuf>) -> Result<(), String> {
+    dir.retain_bats(named).map_err(|e| format!("clearing uncommitted fragment files: {e}"))
 }
 
 enum Applied {
@@ -251,9 +270,10 @@ fn apply_append(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{write_checkpoint, FragSnap, Snapshot};
-    use crate::wal::{ColRec, FsyncPolicy, WalWriter};
-    use batstore::{ColType, Column};
+    use crate::checkpoint::{write_checkpoint, write_fragment_files, FragSnap, Snapshot};
+    use crate::wal::{encode_record, ColRec, FsyncPolicy, WalWriter};
+    use batstore::{ColType, Column, Val};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
@@ -546,5 +566,166 @@ mod tests {
         assert_eq!((f.version, f.bat.count()), (0, 0));
         assert_eq!(f.bat.tail_type(), ColType::Int);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    // ---- crashes around a checkpoint ---------------------------------------
+
+    /// A snapshot of the one-column table `t` whose fragment 7 holds
+    /// `vals`, one append per value (so its version is `vals.len()`).
+    fn snap_of(vals: &[i32], replay_from: u64) -> Snapshot {
+        Snapshot {
+            node: 0,
+            replay_from,
+            tables: vec![table_rec(0, 7)],
+            frags: vec![FragSnap {
+                bat: 7,
+                version: vals.len() as u32,
+                payload: Some(Arc::new(Bat::dense(Column::from(vals.to_vec())))),
+            }],
+        }
+    }
+
+    /// The WAL frames taking fragment 7 from `from` values to all of
+    /// `vals`, one `Append` per value.
+    fn append_frames(vals: &[i32], from: usize) -> Vec<Vec<u8>> {
+        (from..vals.len())
+            .map(|i| {
+                encode_record(&WalRecord::Append {
+                    bat: 7,
+                    version: i as u32 + 1,
+                    rows: rows(vec![vals[i]]),
+                })
+            })
+            .collect()
+    }
+
+    fn tails(f: &RecFrag) -> Vec<Val> {
+        (0..f.bat.count()).map(|i| f.bat.bun(i).1).collect()
+    }
+
+    fn ints(vals: &[i32]) -> Vec<Val> {
+        vals.iter().map(|&v| Val::Int(v)).collect()
+    }
+
+    fn bat_files(dir: &DataDir) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir.bats_dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Checkpoint A (fragment at v3) committed, WAL tail `Append` v4 and
+    /// v5, then checkpoint B crashes after its fragment-file phase: the
+    /// v5 file is on disk, `catalog.snap` and `MANIFEST` are still A's.
+    fn crashed_mid_checkpoint(tag: &str) -> (std::path::PathBuf, DataDir) {
+        let root = scratch(tag);
+        std::fs::remove_dir_all(&root).ok();
+        let dir = DataDir::open(&root).unwrap();
+        let all = [1, 2, 3, 4, 5];
+        write_checkpoint(&dir, &snap_of(&all[..3], 2)).unwrap();
+        std::fs::write(dir.wal_path(2), append_frames(&all, 3).concat()).unwrap();
+        write_fragment_files(&dir, &snap_of(&all, 3)).unwrap();
+        assert_eq!(bat_files(&dir), ["7.v3.bat", "7.v5.bat"]);
+        (root, dir)
+    }
+
+    #[test]
+    fn partial_checkpoint_recovers_the_committed_one_plus_tail_once() {
+        let (root, dir) = crashed_mid_checkpoint("partial");
+        let rec = recover(&dir, 0).unwrap();
+        let f = &rec.frags[&7];
+        assert_eq!((f.version, tails(f)), (5, ints(&[1, 2, 3, 4, 5])), "A + tail, applied once");
+        assert_eq!((rec.wal_records, rec.wal_skipped), (2, 0));
+        assert_eq!(bat_files(&dir), ["7.v3.bat"], "B's uncommitted file is gone");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn completed_checkpoint_skips_the_overlapping_tail() {
+        let (root, dir) = crashed_mid_checkpoint("completed");
+        // B commits after all (replay_from left stale so the WAL overlaps).
+        write_checkpoint(&dir, &snap_of(&[1, 2, 3, 4, 5], 2)).unwrap();
+        assert_eq!(bat_files(&dir), ["7.v5.bat"]);
+        let rec = recover(&dir, 0).unwrap();
+        let f = &rec.frags[&7];
+        assert_eq!((f.version, tails(f)), (5, ints(&[1, 2, 3, 4, 5])));
+        assert_eq!((rec.wal_records, rec.wal_skipped), (0, 2));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn orphan_of_a_torn_version_is_never_adopted() {
+        let (root, dir) = crashed_mid_checkpoint("orphan");
+        // The crash also tore the WAL inside the v5 append.
+        let wal = std::fs::read(dir.wal_path(2)).unwrap();
+        std::fs::write(dir.wal_path(2), &wal[..wal.len() - 3]).unwrap();
+
+        let rec = recover(&dir, 0).unwrap();
+        let f = &rec.frags[&7];
+        assert!(rec.torn);
+        assert_eq!((f.version, tails(f)), (4, ints(&[1, 2, 3, 4])));
+        assert_eq!(bat_files(&dir), ["7.v3.bat"], "orphan v5 gone before any checkpoint");
+
+        // The restarted node mints a different v5; its checkpoint must
+        // write that payload, not find the orphan "already there".
+        let stats = write_checkpoint(&dir, &snap_of(&[1, 2, 3, 4, 99], rec.next_gen)).unwrap();
+        assert_eq!(stats.frags_written, 1);
+        let rec = recover(&dir, 0).unwrap();
+        let f = &rec.frags[&7];
+        assert_eq!((f.version, tails(f)), (5, ints(&[1, 2, 3, 4, 99])));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Whatever the crash point — a WAL torn anywhere in its tail, a
+        /// checkpoint that got as far as its fragment files, or both —
+        /// recovery returns a prefix of the history with every append
+        /// applied once, keeps only the committed fragment file, and the
+        /// next life's checkpoint is read back exactly.
+        #[test]
+        fn any_crash_point_recovers_a_prefix_applied_once(
+            vals in prop::collection::vec(-1000i32..1000, 1..10),
+            committed in 0usize..10,
+            partial in 0usize..12,   // >= 10: no partial checkpoint
+            cut in 0usize..40,       // bytes torn off the WAL's end
+            next in 1000i32..2000,
+        ) {
+            let root = scratch("crashpoints");
+            std::fs::remove_dir_all(&root).ok();
+            let dir = DataDir::open(&root).unwrap();
+            let committed = committed.min(vals.len());
+            write_checkpoint(&dir, &snap_of(&vals[..committed], 2)).unwrap();
+            let frames = append_frames(&vals, committed);
+            let wal = frames.concat();
+            let kept = wal.len().saturating_sub(cut);
+            std::fs::write(dir.wal_path(2), &wal[..kept]).unwrap();
+            if partial < 10 {
+                let upto = partial.clamp(committed, vals.len());
+                write_fragment_files(&dir, &snap_of(&vals[..upto], 3)).unwrap();
+            }
+            // The appends whose whole frame survived the tear.
+            let mut ends = Vec::new();
+            for f in &frames {
+                ends.push(ends.last().copied().unwrap_or(0) + f.len());
+            }
+            let survived = committed + ends.iter().filter(|&&e| e <= kept).count();
+
+            let rec = recover(&dir, 0).unwrap();
+            let f = &rec.frags[&7];
+            prop_assert_eq!((f.version as usize, tails(f)), (survived, ints(&vals[..survived])));
+            prop_assert_eq!(rec.torn, kept != 0 && !ends.contains(&kept));
+            prop_assert_eq!(bat_files(&dir), [format!("7.v{committed}.bat")]);
+
+            let mut life2 = vals[..survived].to_vec();
+            life2.push(next);
+            write_checkpoint(&dir, &snap_of(&life2, rec.next_gen)).unwrap();
+            let rec = recover(&dir, 0).unwrap();
+            let f = &rec.frags[&7];
+            prop_assert_eq!((f.version as usize, tails(f)), (survived + 1, ints(&life2)));
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 }

@@ -175,8 +175,12 @@ pub fn join_ring_capped(
     };
 
     // Dial both neighbors with retry: peers may not be listening yet.
+    // A refused connect usually means the peer is milliseconds from
+    // listening (ring members start together), so the wait backs off
+    // from 1 ms, doubling to a 50 ms cap.
     let dial = |addr: SocketAddr, hello: u8| -> Result<TcpStream, TransportError> {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut wait = Duration::from_millis(1);
         loop {
             match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
                 Ok(mut s) => {
@@ -188,7 +192,8 @@ pub fn join_ring_capped(
                     if std::time::Instant::now() > deadline {
                         return Err(TransportError::Io(e));
                     }
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(wait);
+                    wait = (wait * 2).min(Duration::from_millis(50));
                 }
             }
         }

@@ -538,7 +538,16 @@ fn run_seeded_mix(seed: u64, clients: usize, keys: usize) {
         joins.push(std::thread::spawn(move || support::client_script(addr, cid, keys)));
     }
     for j in joins {
-        j.join().expect("client thread panicked under chaos");
+        if let Err(payload) = j.join() {
+            // The script panics with the statement and the error it got
+            // (`client 2: `update …`: …`); a bare `Any { .. }` hides both.
+            let said = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("<non-string panic payload>");
+            panic!("seed {seed:#x}: client thread panicked under chaos: {said}");
+        }
     }
 
     let injected: u64 = ring.faults.iter().map(|f| f.stats().faults_injected()).sum();
