@@ -9,10 +9,19 @@ use crate::value::{ColType, Val};
 /// Lightweight properties, used to steer algorithm selection (the paper
 /// §3.1: "Additional BAT properties are used to steer selection of more
 /// efficient algorithms, e.g., sorted columns lead to sort-merge join").
+///
+/// A claim is a promise: `true` means the kernels may rely on it, `false`
+/// means "not known". Operators set claims *structurally* — a filter
+/// keeps its input's order, a `reverse` swaps head and tail claims —
+/// and only a BAT entering from outside ([`Bat::new`], [`Bat::dense`],
+/// decode) is scanned to find them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Props {
     /// Tail is non-decreasing.
     pub tail_sorted: bool,
+    /// Head is non-decreasing (always true of a `void` head): what lets
+    /// joins and set operations merge instead of hash.
+    pub head_sorted: bool,
     /// Head values are unique.
     pub head_key: bool,
     /// Tail contains no nil values (always true in this kernel: nils are
@@ -35,6 +44,7 @@ impl Bat {
         }
         let props = Props {
             tail_sorted: tail.is_sorted(),
+            head_sorted: head.is_sorted(),
             head_key: matches!(head, Column::Void { .. }),
             no_nil: true,
         };
@@ -43,15 +53,18 @@ impl Bat {
 
     /// The common case: dense head `0@0, 1@0, …` over a tail column.
     pub fn dense(tail: Column) -> Bat {
-        let len = tail.len();
-        let props = Props { tail_sorted: tail.is_sorted(), head_key: true, no_nil: true };
-        Bat { head: Column::Void { seq: 0, len }, tail, props }
+        Bat::dense_from(0, tail)
     }
 
     /// Dense head starting at `seq`.
     pub fn dense_from(seq: u64, tail: Column) -> Bat {
         let len = tail.len();
-        let props = Props { tail_sorted: tail.is_sorted(), head_key: true, no_nil: true };
+        let props = Props {
+            tail_sorted: tail.is_sorted(),
+            head_sorted: true,
+            head_key: true,
+            no_nil: true,
+        };
         Bat { head: Column::Void { seq, len }, tail, props }
     }
 
@@ -105,11 +118,24 @@ impl Bat {
     }
 
     /// Construct with explicitly claimed properties (used by operators
-    /// that guarantee them structurally, avoiding O(n) re-checks).
+    /// that guarantee them structurally, avoiding O(n) re-checks). A
+    /// debug build checks every claim it is handed, so the test suites
+    /// verify each operator's claims on every call; a release build
+    /// trusts them.
     pub fn with_props(head: Column, tail: Column, props: Props) -> Result<Bat> {
         if head.len() != tail.len() {
             return Err(BatError::LengthMismatch { left: head.len(), right: tail.len() });
         }
+        let (h, t) = (head.col_type(), tail.col_type());
+        debug_assert!(
+            !props.tail_sorted || tail.is_sorted(),
+            "tail_sorted claimed of this {t} tail"
+        );
+        debug_assert!(
+            !props.head_sorted || head.is_sorted(),
+            "head_sorted claimed of this {h} head"
+        );
+        debug_assert!(!props.head_key || head.is_key(), "head_key claimed of this {h} head");
         Ok(Bat { head, tail, props })
     }
 
@@ -118,8 +144,10 @@ impl Bat {
     pub fn append(&mut self, head: Val, tail: Val) -> Result<()> {
         self.head.push(&head)?;
         self.tail.push(&tail)?;
+        let dense = matches!(self.head, Column::Void { .. });
         self.props.tail_sorted = false;
-        self.props.head_key = matches!(self.head, Column::Void { .. });
+        self.props.head_sorted = dense;
+        self.props.head_key = dense;
         Ok(())
     }
 
@@ -138,12 +166,11 @@ impl Bat {
         Ok(Bat::dense_from(seq, tail))
     }
 
-    /// Gather rows by position into a new BAT.
+    /// Gather rows by position into a new BAT. An arbitrary index list
+    /// guarantees no order and no uniqueness, so nothing is claimed.
     pub fn gather(&self, idx: &[usize]) -> Bat {
-        let head = self.head.gather(idx);
-        let tail = self.tail.gather(idx);
-        let props = Props { tail_sorted: tail.is_sorted(), head_key: false, no_nil: true };
-        Bat { head, tail, props }
+        let props = Props { no_nil: true, ..Props::default() };
+        Bat { head: self.head.gather(idx), tail: self.tail.gather(idx), props }
     }
 
     /// Contiguous row range `[lo, hi)` — MAL's `algebra.slice`.
@@ -152,12 +179,8 @@ impl Bat {
         let lo = lo.min(hi);
         let head = self.head.slice(lo, hi);
         let tail = self.tail.slice(lo, hi);
-        let props = Props {
-            tail_sorted: self.props.tail_sorted,
-            head_key: self.props.head_key,
-            no_nil: true,
-        };
-        Bat { head, tail, props }
+        // A contiguous range keeps every claim of the whole.
+        Bat { head, tail, props: self.props }
     }
 
     /// Render the first `limit` BUNs, MonetDB `io.print` style; used by
@@ -196,6 +219,30 @@ mod tests {
         assert!(b.props().head_key);
         assert!(b.props().tail_sorted);
         assert_eq!(b.byte_size(), 12);
+    }
+
+    #[test]
+    fn new_scans_what_enters_from_outside() {
+        let b = Bat::new(Column::from(vec![3u64, 5, 5]), Column::from(vec![2, 1, 3])).unwrap();
+        assert!(b.props().head_sorted && !b.props().tail_sorted && !b.props().head_key);
+        let b = Bat::new(Column::from(vec![5u64, 3]), Column::from(vec![1, 1])).unwrap();
+        assert!(!b.props().head_sorted && b.props().tail_sorted);
+        assert!(Bat::dense_from(9, Column::from(vec![2, 1])).props().head_sorted);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn with_props_checks_its_claims_in_debug_builds() {
+        let claim = |head: Vec<u64>, tail: Vec<i32>, props: Props| {
+            std::panic::catch_unwind(|| Bat::with_props(head.into(), tail.into(), props)).is_err()
+        };
+        let none = Props::default();
+        assert!(!claim(vec![2, 1, 1], vec![2, 1, 0], none), "no claim, nothing to check");
+        assert!(claim(vec![1, 2], vec![2, 1], Props { tail_sorted: true, ..none }));
+        assert!(claim(vec![2, 1], vec![1, 2], Props { head_sorted: true, ..none }));
+        assert!(claim(vec![1, 1], vec![1, 2], Props { head_key: true, ..none }));
+        let all = Props { tail_sorted: true, head_sorted: true, head_key: true, no_nil: true };
+        assert!(!claim(vec![1, 2], vec![1, 1], all));
     }
 
     #[test]

@@ -141,24 +141,43 @@ impl Column {
 
     /// Build a new column from the given indices of this one.
     pub fn gather(&self, idx: &[usize]) -> Column {
+        self.gather_iter(idx.iter().copied())
+    }
+
+    /// [`Column::gather`] over any replayable sequence of positions, so a
+    /// kernel that can compute them (an oid minus a sequence base, a
+    /// `u32` index list) fetches without building a `Vec<usize>` first.
+    pub(crate) fn gather_iter(&self, idx: impl Iterator<Item = usize> + Clone) -> Column {
         match self {
-            Column::Void { seq, .. } => Column::Oid(idx.iter().map(|&i| seq + i as u64).collect()),
-            Column::Oid(v) => Column::Oid(idx.iter().map(|&i| v[i]).collect()),
-            Column::Int(v) => Column::Int(idx.iter().map(|&i| v[i]).collect()),
-            Column::Lng(v) => Column::Lng(idx.iter().map(|&i| v[i]).collect()),
-            Column::Dbl(v) => Column::Dbl(idx.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(v.gather(idx)),
-            Column::Bool(v) => Column::Bool(idx.iter().map(|&i| v[i]).collect()),
-            Column::Date(v) => Column::Date(idx.iter().map(|&i| v[i]).collect()),
+            Column::Void { seq, len } => Column::Oid(
+                idx.map(|i| {
+                    debug_assert!(i < *len);
+                    seq + i as u64
+                })
+                .collect(),
+            ),
+            Column::Oid(v) => Column::Oid(idx.map(|i| v[i]).collect()),
+            Column::Int(v) => Column::Int(idx.map(|i| v[i]).collect()),
+            Column::Lng(v) => Column::Lng(idx.map(|i| v[i]).collect()),
+            Column::Dbl(v) => Column::Dbl(idx.map(|i| v[i]).collect()),
+            Column::Str(v) => Column::Str(v.gather_iter(idx)),
+            Column::Bool(v) => Column::Bool(idx.map(|i| v[i]).collect()),
+            Column::Date(v) => Column::Date(idx.map(|i| v[i]).collect()),
         }
     }
 
-    /// Contiguous sub-column `[lo, hi)`.
+    /// Contiguous sub-column `[lo, hi)`: a copy of the sub-slice.
     pub fn slice(&self, lo: usize, hi: usize) -> Column {
         debug_assert!(lo <= hi && hi <= self.len());
         match self {
             Column::Void { seq, .. } => Column::Void { seq: seq + lo as u64, len: hi - lo },
-            _ => self.gather(&(lo..hi).collect::<Vec<_>>()),
+            Column::Oid(v) => Column::Oid(v[lo..hi].to_vec()),
+            Column::Int(v) => Column::Int(v[lo..hi].to_vec()),
+            Column::Lng(v) => Column::Lng(v[lo..hi].to_vec()),
+            Column::Dbl(v) => Column::Dbl(v[lo..hi].to_vec()),
+            Column::Str(v) => Column::Str(v.slice(lo, hi)),
+            Column::Bool(v) => Column::Bool(v[lo..hi].to_vec()),
+            Column::Date(v) => Column::Date(v[lo..hi].to_vec()),
         }
     }
 
@@ -287,10 +306,22 @@ impl Column {
             Column::Oid(v) => v.windows(2).all(|w| w[0] <= w[1]),
             Column::Int(v) => v.windows(2).all(|w| w[0] <= w[1]),
             Column::Lng(v) => v.windows(2).all(|w| w[0] <= w[1]),
-            Column::Dbl(v) => v.windows(2).all(|w| w[0] <= w[1]),
+            Column::Dbl(v) => v.windows(2).all(|w| dbl_order(w[0], w[1]) != Ordering::Greater),
             Column::Str(v) => (1..v.len()).all(|i| v.get(i - 1) <= v.get(i)),
             Column::Bool(v) => v.windows(2).all(|w| w[0] <= w[1]),
             Column::Date(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        }
+    }
+
+    /// Are the values pairwise distinct (as [`Column::key`] equates them)?
+    /// O(n) with a hash set: for checks at the edges, not for kernels.
+    pub fn is_key(&self) -> bool {
+        match self {
+            Column::Void { .. } => true,
+            _ => {
+                let mut seen = std::collections::HashSet::with_capacity(self.len());
+                (0..self.len()).all(|i| seen.insert(self.key(i)))
+            }
         }
     }
 
@@ -308,9 +339,7 @@ impl Column {
             Column::Oid(v) => idx.sort_by_key(|&i| v[i]),
             Column::Int(v) => idx.sort_by_key(|&i| v[i]),
             Column::Lng(v) => idx.sort_by_key(|&i| v[i]),
-            Column::Dbl(v) => {
-                idx.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).unwrap_or(Ordering::Equal))
-            }
+            Column::Dbl(v) => idx.sort_by(|&a, &b| dbl_order(v[a], v[b])),
             Column::Str(v) => idx.sort_by(|&a, &b| v.get(a).cmp(v.get(b))),
             Column::Bool(v) => idx.sort_by_key(|&i| v[i]),
             Column::Date(v) => idx.sort_by_key(|&i| v[i]),
@@ -365,6 +394,14 @@ impl Column {
     pub fn iter_vals(&self) -> impl Iterator<Item = Val> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// The order `dbl` columns sort in and are "sorted" by: the numbers'
+/// own, with every `NaN` after them and equal to each other. (A
+/// comparator that called `NaN` equal to everything is no total order,
+/// and the standard sort panics on one.)
+fn dbl_order(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 impl From<Vec<i32>> for Column {
@@ -452,6 +489,14 @@ mod tests {
     }
 
     #[test]
+    fn slice_copies_the_sub_range_of_each_type() {
+        assert_eq!(Column::from(vec![1, 2, 3, 4]).slice(1, 3), Column::Int(vec![2, 3]));
+        assert_eq!(Column::from(vec![1.5, 2.5]).slice(2, 2), Column::Dbl(vec![]));
+        assert_eq!(Column::from(vec!["a", "bc", "d"]).slice(1, 3), Column::from(vec!["bc", "d"]));
+        assert_eq!(Column::Bool(vec![true, false]).slice(0, 1), Column::Bool(vec![true]));
+    }
+
+    #[test]
     fn keys_equate_within_domain() {
         let a = Column::from(vec![5i32, 6]);
         let b = Column::from(vec![5i32]);
@@ -499,6 +544,19 @@ mod tests {
     fn sort_perm_stable() {
         let c = Column::from(vec![1, 0, 1, 0]);
         assert_eq!(c.sort_perm(false), vec![1, 3, 0, 2]);
+    }
+
+    #[test]
+    fn nan_sorts_last_and_such_a_column_counts_as_sorted() {
+        let nan = f64::NAN;
+        let c = Column::from(vec![2.0, nan, -1.0, nan, 0.5, -0.0, 0.0, 7.0, nan, 3.0, 1.0, 9.0]);
+        let sorted = c.gather(&c.sort_perm(false));
+        let Column::Dbl(v) = &sorted else { panic!() };
+        assert_eq!(&v[..9], &[-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.0, 9.0]);
+        assert!(v[9..].iter().all(|x| x.is_nan()));
+        assert!(sorted.is_sorted());
+        assert!(!Column::from(vec![nan, 1.0]).is_sorted());
+        assert!(Column::from(vec![nan, nan]).is_sorted());
     }
 
     #[test]

@@ -4,10 +4,18 @@
 
 /// An append-only string column: `offs` has `len + 1` entries delimiting
 /// each value's bytes in `bytes`.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StrCol {
     offs: Vec<u32>,
     bytes: Vec<u8>,
+}
+
+/// The empty column still holds its leading offset, which a derived
+/// `Default` would not.
+impl Default for StrCol {
+    fn default() -> Self {
+        StrCol::new()
+    }
 }
 
 impl StrCol {
@@ -52,11 +60,33 @@ impl StrCol {
 
     /// Build a new column from selected indices of this one.
     pub fn gather(&self, idx: &[usize]) -> StrCol {
-        let mut out = StrCol::with_capacity(idx.len(), idx.len() * 8);
-        for &i in idx {
+        self.gather_iter(idx.iter().copied())
+    }
+
+    /// [`StrCol::gather`] over any replayable index sequence. A first
+    /// pass over `offs` sums the selected lengths, so the heap is sized
+    /// once however long the strings are.
+    pub(crate) fn gather_iter(&self, idx: impl Iterator<Item = usize> + Clone) -> StrCol {
+        let (mut n, mut bytes) = (0usize, 0usize);
+        for i in idx.clone() {
+            n += 1;
+            bytes += (self.offs[i + 1] - self.offs[i]) as usize;
+        }
+        let mut out = StrCol::with_capacity(n, bytes);
+        for i in idx {
             out.push(self.get(i));
         }
         out
+    }
+
+    /// Contiguous sub-column `[lo, hi)`: one copy of the offsets (rebased)
+    /// and one of the bytes they span.
+    pub fn slice(&self, lo: usize, hi: usize) -> StrCol {
+        let (base, end) = (self.offs[lo], self.offs[hi]);
+        StrCol {
+            offs: self.offs[lo..=hi].iter().map(|o| o - base).collect(),
+            bytes: self.bytes[base as usize..end as usize].to_vec(),
+        }
     }
 
     /// Raw parts for serialization.
@@ -117,6 +147,14 @@ mod tests {
     }
 
     #[test]
+    fn default_is_the_empty_column() {
+        let mut c = StrCol::default();
+        assert_eq!((c.len(), c.byte_size()), (0, 4));
+        c.push("a");
+        assert_eq!(c.get(0), "a");
+    }
+
+    #[test]
     fn iter_and_collect() {
         let c: StrCol = ["a", "bb", "ccc"].into_iter().collect();
         let v: Vec<&str> = c.iter().collect();
@@ -130,6 +168,26 @@ mod tests {
         assert_eq!(g.get(0), "w");
         assert_eq!(g.get(1), "y");
         assert_eq!(g.len(), 2);
+    }
+
+    #[test]
+    fn gather_sizes_the_heap_exactly() {
+        let long = "x".repeat(1000);
+        let c: StrCol = [long.as_str(), "y", long.as_str()].into_iter().collect();
+        let g = c.gather(&[0, 2, 0]);
+        assert_eq!(g.bytes.len(), 3000);
+        assert_eq!(g.bytes.capacity(), 3000, "no regrowth, no slack");
+        assert_eq!(g.get(2), long);
+    }
+
+    #[test]
+    fn slice_rebases_offsets() {
+        let c: StrCol = ["ab", "", "cde", "f"].into_iter().collect();
+        let s = c.slice(1, 3);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec!["", "cde"]);
+        assert_eq!(s.raw_parts(), (&[0u32, 0, 3][..], &b"cde"[..]));
+        assert!(c.slice(4, 4).is_empty());
+        assert_eq!(c.slice(0, 4), c);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! [`group_by`].
 
 use crate::bat::{Bat, Props};
-use crate::column::{Column, Key};
+use crate::column::Column;
 use crate::error::{BatError, Result};
+use crate::ops::cells::{with_cells, with_keys, Cells};
+use crate::ops::hash::{Chains, Key};
 use crate::value::Val;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// `aggr.count(b)`.
 pub fn count(b: &Bat) -> u64 {
@@ -42,28 +44,32 @@ fn narrow_sum(total: i128) -> Result<i64> {
 
 /// `aggr.min(b)`; `Nil` on empty input.
 pub fn min(b: &Bat) -> Val {
-    extremum(b, std::cmp::Ordering::Less)
+    extremum(b, Ordering::Less)
 }
 
 /// `aggr.max(b)`; `Nil` on empty input.
 pub fn max(b: &Bat) -> Val {
-    extremum(b, std::cmp::Ordering::Greater)
+    extremum(b, Ordering::Greater)
 }
 
-fn extremum(b: &Bat, want: std::cmp::Ordering) -> Val {
-    let mut best: Option<Val> = None;
-    for i in 0..b.count() {
-        let v = b.tail().get(i);
-        match &best {
-            None => best = Some(v),
-            Some(cur) => {
-                if v.try_cmp(cur) == Some(want) {
-                    best = Some(v);
-                }
-            }
-        }
+/// Does `x` displace `best` when looking for the `want`-most value? A
+/// `NaN` compares neither way: it displaces nothing and, once first,
+/// nothing displaces it.
+fn beats<T: PartialOrd>(x: T, best: T, want: Ordering) -> bool {
+    match want {
+        Ordering::Less => x < best,
+        _ => x > best,
     }
-    best.unwrap_or(Val::Nil)
+}
+
+fn extremum(b: &Bat, want: Ordering) -> Val {
+    let at = with_cells!(b.tail(), |vals| {
+        let mut cells = vals.cells().enumerate();
+        cells.next().map(|first| {
+            cells.fold(first, |best, cell| if beats(cell.1, best.1, want) { cell } else { best }).0
+        })
+    });
+    at.map_or(Val::Nil, |i| b.tail().get(i))
 }
 
 /// `aggr.avg(b)`; `Nil` on empty input.
@@ -76,35 +82,69 @@ pub fn avg(b: &Bat) -> Result<Val> {
     Ok(Val::Dbl(s.as_f64().expect("sum is numeric") / n))
 }
 
+/// Group ids in first-appearance order for the keys `keys` yields, and
+/// the row each group first appeared at. Keys are hashed as the machine
+/// values they are ([`Key`]), into a table that holds one `u32` per
+/// group and compares against the representative row's key.
+fn group_rows<C: Cells>(keys: C) -> Result<(Vec<u64>, Vec<usize>)>
+where
+    C::Cell: Key,
+{
+    let mut table = Chains::growing();
+    let mut gids: Vec<u64> = Vec::with_capacity(keys.len());
+    let mut reps: Vec<usize> = Vec::new();
+    for (i, key) in keys.cells().enumerate() {
+        let hash = key.hash(&table.seed);
+        let known = table.chain(hash).find(|&g| keys.at(reps[g]) == key);
+        let gid = match known {
+            Some(g) => g,
+            None => {
+                reps.push(i);
+                table.push(hash, |seed, g| keys.at(reps[g]).hash(seed))?
+            }
+        };
+        gids.push(gid as u64);
+    }
+    Ok((gids, reps))
+}
+
+/// `(prior group id, value)` per row: the key `group.derive` groups by.
+#[derive(Clone, Copy)]
+struct Refined<'a, C>(&'a [u64], C);
+
+impl<C: Cells> Cells for Refined<'_, C> {
+    type Cell = (u64, C::Cell);
+
+    fn len(self) -> usize {
+        self.0.len()
+    }
+
+    fn at(self, i: usize) -> (u64, C::Cell) {
+        (self.0[i], self.1.at(i))
+    }
+}
+
+/// The grouping BAT `b.head → group id`; it pairs one id with each BUN
+/// of `b`, whose head claims it therefore keeps.
+fn grouping(b: &Bat, gids: Vec<u64>) -> Bat {
+    let props = Props { tail_sorted: false, ..b.props() };
+    Bat::with_props(b.head().clone(), Column::Oid(gids), props).expect("one id per BUN")
+}
+
 /// `group.new(b)`: group BUNs by tail value. Returns `(grp, ext)`:
 /// * `grp`: `b.head → group-id` (one BUN per input BUN),
 /// * `ext`: `group-id → representative tail value` (one BUN per group,
 ///   in first-appearance order).
 pub fn group_by(b: &Bat) -> (Bat, Bat) {
-    let mut ids: HashMap<Key<'_>, u64> = HashMap::new();
-    let mut gids: Vec<u64> = Vec::with_capacity(b.count());
-    let mut reps: Vec<usize> = Vec::new();
-    for i in 0..b.count() {
-        let next = ids.len() as u64;
-        let gid = *ids.entry(b.tail().key(i)).or_insert_with(|| {
-            reps.push(i);
-            next
-        });
-        gids.push(gid);
-    }
-    let grp = Bat::with_props(
-        b.head().clone(),
-        Column::Oid(gids),
-        Props { tail_sorted: false, head_key: b.props().head_key, no_nil: true },
-    )
-    .expect("parallel");
+    let (gids, reps) =
+        with_keys!(b.tail(), |keys| group_rows(keys)).expect("a BAT's rows fit the group table");
     let ext = Bat::with_props(
         Column::Void { seq: 0, len: reps.len() },
         b.tail().gather(&reps),
-        Props { tail_sorted: false, head_key: true, no_nil: true },
+        Props { tail_sorted: false, head_sorted: true, head_key: true, no_nil: true },
     )
     .expect("parallel");
-    (grp, ext)
+    (grouping(b, gids), ext)
 }
 
 /// `group.derive(b, grp)`: refine an existing grouping by a further
@@ -115,31 +155,15 @@ pub fn group_by(b: &Bat) -> (Bat, Bat) {
 pub fn group_derive(b: &Bat, grp: &Bat) -> Result<(Bat, Bat)> {
     check_grouped(b, grp)?;
     let ids = group_ids(grp)?;
-    let mut seen: HashMap<(u64, Key<'_>), u64> = HashMap::new();
-    let mut gids: Vec<u64> = Vec::with_capacity(b.count());
-    let mut reps: Vec<usize> = Vec::new();
-    for (i, &id) in ids.iter().enumerate() {
-        let key = (id, b.tail().key(i));
-        let next = seen.len() as u64;
-        let gid = *seen.entry(key).or_insert_with(|| {
-            reps.push(i);
-            next
-        });
-        gids.push(gid);
-    }
-    let grp2 = Bat::with_props(
-        b.head().clone(),
-        Column::Oid(gids),
-        Props { tail_sorted: false, head_key: b.props().head_key, no_nil: true },
-    )
-    .expect("parallel");
-    let ext2 = Bat::with_props(
+    let (gids, reps) = with_keys!(b.tail(), |keys| group_rows(Refined(ids, keys)))?;
+    // First appearances are found in row order: `reps` ascends.
+    let ext = Bat::with_props(
         Column::Void { seq: 0, len: reps.len() },
         Column::Oid(reps.iter().map(|&i| i as u64).collect()),
-        Props { tail_sorted: true, head_key: true, no_nil: true },
+        Props { tail_sorted: true, head_sorted: true, head_key: true, no_nil: true },
     )
     .expect("parallel");
-    Ok((grp2, ext2))
+    Ok((grouping(b, gids), ext))
 }
 
 /// Distinct tail values of `b`, in first-appearance order (SELECT
@@ -227,50 +251,50 @@ fn narrow_grouped(acc: Vec<i128>) -> Result<Vec<i64>> {
 pub fn grouped_avg(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
     let sums = grouped_sum(vals, grp, ngroups)?;
     let counts = grouped_count(grp, ngroups)?;
-    let mut out = Vec::with_capacity(ngroups);
-    for g in 0..ngroups {
-        let s = sums.tail().get(g).as_f64().expect("numeric");
-        let c = counts.tail().get(g).as_f64().expect("numeric");
-        out.push(if c == 0.0 { 0.0 } else { s / c });
-    }
+    let counts = counts.tail().as_lng().expect("counts are lng");
+    let avg = |s: f64, c: i64| if c == 0 { 0.0 } else { s / c as f64 };
+    let out = match sums.tail() {
+        Column::Lng(s) => s.iter().zip(counts).map(|(&s, &c)| avg(s as f64, c)).collect(),
+        Column::Dbl(s) => s.iter().zip(counts).map(|(&s, &c)| avg(s, c)).collect(),
+        other => {
+            return Err(BatError::TypeMismatch {
+                expected: "numeric",
+                got: other.col_type().name().to_string(),
+            })
+        }
+    };
     Ok(Bat::dense(Column::Dbl(out)))
 }
 
 /// `aggr.min` per group.
 pub fn grouped_min(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
-    grouped_extremum(vals, grp, ngroups, std::cmp::Ordering::Less)
+    grouped_extremum(vals, grp, ngroups, Ordering::Less)
 }
 
 /// `aggr.max` per group.
 pub fn grouped_max(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
-    grouped_extremum(vals, grp, ngroups, std::cmp::Ordering::Greater)
+    grouped_extremum(vals, grp, ngroups, Ordering::Greater)
 }
 
-fn grouped_extremum(
-    vals: &Bat,
-    grp: &Bat,
-    ngroups: usize,
-    want: std::cmp::Ordering,
-) -> Result<Bat> {
-    check_grouped(vals, grp)?;
-    let ids = group_ids(grp)?;
-    let mut best: Vec<Option<usize>> = vec![None; ngroups];
-    for (i, &g) in ids.iter().enumerate() {
+/// The row holding each group's `want`-most value (first of equals).
+fn best_rows<C: Cells>(vals: C, ids: &[u64], ngroups: usize, want: Ordering) -> Result<Vec<usize>> {
+    let mut best: Vec<Option<(usize, C::Cell)>> = vec![None; ngroups];
+    for ((i, x), &g) in vals.cells().enumerate().zip(ids) {
         let slot = &mut best[group_slot(g, ngroups)?];
-        match slot {
-            None => *slot = Some(i),
-            Some(j) => {
-                if vals.tail().cmp_elem(i, vals.tail(), *j) == Some(want) {
-                    *slot = Some(i);
-                }
-            }
+        if slot.is_none_or(|(_, cur)| beats(x, cur, want)) {
+            *slot = Some((i, x));
         }
     }
-    let idx: Vec<usize> = best
-        .into_iter()
-        .map(|o| o.ok_or_else(|| BatError::Invalid("empty group".into())))
-        .collect::<Result<_>>()?;
-    Ok(Bat::dense(vals.tail().gather(&idx)))
+    best.into_iter()
+        .map(|o| o.map(|(i, _)| i).ok_or_else(|| BatError::Invalid("empty group".into())))
+        .collect()
+}
+
+fn grouped_extremum(vals: &Bat, grp: &Bat, ngroups: usize, want: Ordering) -> Result<Bat> {
+    check_grouped(vals, grp)?;
+    let ids = group_ids(grp)?;
+    let rows = with_cells!(vals.tail(), |cells| best_rows(cells, ids, ngroups, want))?;
+    Ok(Bat::dense(vals.tail().gather(&rows)))
 }
 
 #[cfg(test)]

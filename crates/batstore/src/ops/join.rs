@@ -2,20 +2,56 @@
 //! head and yields `(l.head, r.tail)` for every match — the workhorse of
 //! MonetDB's binary algebra.
 //!
-//! Algorithm selection per the BAT properties: a sort-merge pass when both
-//! join columns are sorted, otherwise a hash join building on the smaller
-//! side.
+//! The algorithm is chosen from what the two BATs know about themselves
+//! (§3.1), in this order:
+//!
+//! 1. `r.head` is `void` — a **positional fetch**: the oid minus the
+//!    sequence base *is* the position, so the join is one bounds-checked
+//!    gather. Every projection `sqlfront` emits (`join(candidates,
+//!    column)`) is this.
+//! 2. `l.tail` and `r.head` both claim ascending order — a typed **merge**
+//!    (never for `dbl`, whose keys are bit patterns and not so ordered).
+//! 3. Otherwise a typed **hash** join, built on the smaller side.
+//!
+//! Every path emits the same BUNs in the same order: `l`-major, and
+//! within one `l` row by ascending `r` position.
 
 use crate::bat::{Bat, Props};
-use crate::column::{Column, Key};
+use crate::column::Column;
 use crate::error::{BatError, Result};
-use std::collections::HashMap;
+use crate::ops::cells::{with_key_pair, Cells};
+use crate::ops::hash::{check_rows, Chains, Key};
 
 /// `algebra.join(l, r)`: inner equi-join of `l.tail` with `r.head`,
 /// producing `(l.head, r.tail)` pairs in l-major order.
 pub fn join(l: &Bat, r: &Bat) -> Result<Bat> {
-    let (li, ri) = join_index(l.tail(), r.head())?;
-    build_joined(l, r, &li, &ri)
+    let mismatch = || BatError::TypeMismatch {
+        expected: l.tail_type().name(),
+        got: r.head_type().name().to_string(),
+    };
+    if let Column::Void { seq, .. } = r.head() {
+        return match l.tail() {
+            Column::Oid(oids) => fetch(l, oids.iter().copied(), *seq, r),
+            Column::Void { seq: first, len } => fetch(l, *first..*first + *len as u64, *seq, r),
+            _ => Err(mismatch()),
+        };
+    }
+    check_rows(l.count().max(r.count()))?;
+    let sorted = l.props().tail_sorted && r.props().head_sorted;
+    let (li, ri) =
+        with_key_pair!(l.tail(), r.head(), |a, b| pairs(a, b, sorted)?, return Err(mismatch()));
+    // `li` never decreases, so the output head is ordered as `l`'s is.
+    let props = Props {
+        tail_sorted: false,
+        head_sorted: l.props().head_sorted,
+        head_key: l.props().head_key && r.props().head_key,
+        no_nil: true,
+    };
+    Bat::with_props(
+        l.head().gather_iter(li.iter().map(|&i| i as usize)),
+        r.tail().gather_iter(ri.iter().map(|&j| j as usize)),
+        props,
+    )
 }
 
 /// Left outer join is intentionally absent from the paper's plans; what
@@ -26,88 +62,117 @@ pub fn leftjoin(l: &Bat, r: &Bat) -> Result<Bat> {
     join(l, r)
 }
 
-/// Positions `(li, ri)` of matching pairs between two columns.
-fn join_index(left: &Column, right: &Column) -> Result<(Vec<usize>, Vec<usize>)> {
-    if !left.join_compatible(right) {
-        return Err(BatError::TypeMismatch {
-            expected: left.col_type().name(),
-            got: right.col_type().name().to_string(),
-        });
-    }
-    if left.is_sorted() && right.is_sorted() {
-        merge_join_index(left, right)
+/// The join against a dense head starting at `seq`: `oids` are `l`'s
+/// tail, and the BUN of `r` an oid names sits at `oid - seq`. An oid
+/// outside `r` matches nothing and its row drops out, as in any inner
+/// join; when none does (the usual case: candidates were selected from
+/// this very table) `l`'s head is kept as it is, `void` included.
+fn fetch(l: &Bat, oids: impl Iterator<Item = u64> + Clone, seq: u64, r: &Bat) -> Result<Bat> {
+    let len = r.count() as u64;
+    // In `0..len` exactly when the oid is one of `r`'s: an oid below
+    // `seq` wraps far above it.
+    let pos = |oid: u64| oid.wrapping_sub(seq);
+    let (head, tail) = if oids.clone().all(|o| pos(o) < len) {
+        (l.head().clone(), r.tail().gather_iter(oids.map(|o| pos(o) as usize)))
     } else {
-        Ok(hash_join_index(left, right))
-    }
-}
-
-fn hash_join_index(left: &Column, right: &Column) -> (Vec<usize>, Vec<usize>) {
-    // Build on the smaller input, probe with the larger; emit in
-    // probe-major order, then swap back if we built on the left.
-    let (build, probe, swapped) =
-        if left.len() <= right.len() { (left, right, true) } else { (right, left, false) };
-
-    let mut table: HashMap<Key<'_>, Vec<usize>> = HashMap::with_capacity(build.len());
-    for i in 0..build.len() {
-        table.entry(build.key(i)).or_default().push(i);
-    }
-    let mut bi = Vec::new();
-    let mut pi = Vec::new();
-    for j in 0..probe.len() {
-        if let Some(matches) = table.get(&probe.key(j)) {
-            for &i in matches {
-                bi.push(i);
-                pi.push(j);
-            }
-        }
-    }
-    if swapped {
-        // build == left: (bi, pi) are (left, right) but in right-major
-        // order; re-sort to left-major for deterministic plan output.
-        let mut perm: Vec<usize> = (0..bi.len()).collect();
-        perm.sort_by_key(|&k| (bi[k], pi[k]));
-        (perm.iter().map(|&k| bi[k]).collect(), perm.iter().map(|&k| pi[k]).collect())
-    } else {
-        (pi, bi)
-    }
-}
-
-fn merge_join_index(left: &Column, right: &Column) -> Result<(Vec<usize>, Vec<usize>)> {
-    let (mut li, mut ri) = (Vec::new(), Vec::new());
-    let (n, m) = (left.len(), right.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < n && j < m {
-        // `join_compatible` was checked by the caller, but this kernel is
-        // reachable from arbitrary SQL: an incomparable element pair is a
-        // classified error, never a panic in the event loop.
-        let ord = left.cmp_elem(i, right, j).ok_or_else(|| BatError::TypeMismatch {
-            expected: left.col_type().name(),
-            got: right.col_type().name().to_string(),
-        })?;
-        match ord {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full cross product of the equal runs.
-                let mut j2 = j;
-                while j2 < m && left.cmp_elem(i, right, j2) == Some(std::cmp::Ordering::Equal) {
-                    li.push(i);
-                    ri.push(j2);
-                    j2 += 1;
-                }
-                i += 1;
-                // j stays: the next left element may match the same run.
-            }
-        }
-    }
-    Ok((li, ri))
-}
-
-fn build_joined(l: &Bat, r: &Bat, li: &[usize], ri: &[usize]) -> Result<Bat> {
-    let head = l.head().gather(li);
-    let tail = r.tail().gather(ri);
-    let props = Props { tail_sorted: tail.is_sorted(), head_key: false, no_nil: true };
+        let hits = oids.clone().enumerate().filter(|&(_, o)| pos(o) < len);
+        (
+            l.head().gather_iter(hits.map(|(i, _)| i)),
+            r.tail().gather_iter(oids.map(pos).filter(|&p| p < len).map(|p| p as usize)),
+        )
+    };
+    // Each `l` row matches at most once, in place; ascending oids fetch
+    // ascending positions.
+    let props = Props {
+        tail_sorted: l.props().tail_sorted && r.props().tail_sorted,
+        head_sorted: l.props().head_sorted,
+        head_key: l.props().head_key,
+        no_nil: true,
+    };
     Bat::with_props(head, tail, props)
+}
+
+/// Matching positions `(li, ri)`, `l`-major: merged when both columns
+/// are `sorted` on cells that order as their values do, hashed otherwise.
+fn pairs<A, B>(l: A, r: B, sorted: bool) -> Result<(Vec<u32>, Vec<u32>)>
+where
+    A: Cells,
+    B: Cells<Cell = A::Cell>,
+    A::Cell: Key,
+{
+    if sorted && A::ORDERED {
+        Ok(merge_pairs(l, r))
+    } else {
+        hash_pairs(l, r)
+    }
+}
+
+/// Matching positions `(li, ri)` of two ascending columns.
+fn merge_pairs<A: Cells, B: Cells<Cell = A::Cell>>(l: A, r: B) -> (Vec<u32>, Vec<u32>) {
+    let (mut li, mut ri) = (Vec::new(), Vec::new());
+    let (n, m) = (l.len(), r.len());
+    let mut j = 0;
+    for i in 0..n {
+        let key = l.at(i);
+        while j < m && r.at(j) < key {
+            j += 1;
+        }
+        if j == m {
+            break;
+        }
+        // The whole run of equal keys; `j` stays at its start, since the
+        // next `l` row may match the same run.
+        let mut run = j;
+        while run < m && r.at(run) == key {
+            li.push(i as u32);
+            ri.push(run as u32);
+            run += 1;
+        }
+    }
+    (li, ri)
+}
+
+/// Matching positions `(li, ri)` of two columns in any order. The table
+/// is built on the smaller side; its chains yield ascending positions.
+fn hash_pairs<A, B>(l: A, r: B) -> Result<(Vec<u32>, Vec<u32>)>
+where
+    A: Cells,
+    B: Cells<Cell = A::Cell>,
+    A::Cell: Key,
+{
+    let (mut li, mut ri) = (Vec::new(), Vec::new());
+    if r.len() <= l.len() {
+        let table = Chains::build(r.len(), |seed, j| r.at(j).hash(seed))?;
+        for (i, key) in l.cells().enumerate() {
+            for j in table.chain(key.hash(&table.seed)).filter(|&j| r.at(j) == key) {
+                li.push(i as u32);
+                ri.push(j as u32);
+            }
+        }
+        return Ok((li, ri));
+    }
+    // Built on `l`, probed in `r` order: the pairs arrive `r`-major.
+    // Counting them per `l` row and placing each at its row's next slot
+    // is a stable sort back to `l`-major order.
+    let table = Chains::build(l.len(), |seed, i| l.at(i).hash(seed))?;
+    let mut next = vec![0usize; l.len() + 1];
+    for (j, key) in r.cells().enumerate() {
+        for i in table.chain(key.hash(&table.seed)).filter(|&i| l.at(i) == key) {
+            li.push(i as u32);
+            ri.push(j as u32);
+            next[i + 1] += 1;
+        }
+    }
+    for i in 0..l.len() {
+        next[i + 1] += next[i];
+    }
+    let (mut lo, mut ro) = (vec![0u32; li.len()], vec![0u32; ri.len()]);
+    for (&i, &j) in li.iter().zip(&ri) {
+        let at = &mut next[i as usize];
+        (lo[*at], ro[*at]) = (i, j);
+        *at += 1;
+    }
+    Ok((lo, ro))
 }
 
 #[cfg(test)]
@@ -138,26 +203,54 @@ mod tests {
 
     #[test]
     fn hash_and_merge_agree() {
-        // Same data sorted (merge path) vs shuffled (hash path) must give
-        // the same multiset of (l.head value, r.tail value) pairs.
-        let l_sorted = Bat::dense(Column::from(vec![1, 2, 2, 5, 7]));
+        // The same BUNs in tail order (merge path) and shuffled (hash
+        // path) must give the same multiset of (l.head, r.tail) pairs:
+        // the heads are explicit oids, so they travel with their rows.
+        let buns = [(10u64, 1), (11, 2), (12, 2), (13, 5), (14, 7)];
+        let l = |order: [usize; 5]| {
+            Bat::new(
+                Column::Oid(order.iter().map(|&i| buns[i].0).collect()),
+                Column::Int(order.iter().map(|&i| buns[i].1).collect()),
+            )
+            .unwrap()
+        };
+        let (l_sorted, l_shuf) = (l([0, 1, 2, 3, 4]), l([4, 2, 3, 1, 0]));
         let r_sorted = reverse(&Bat::dense(Column::from(vec![2, 2, 5, 6])));
+        assert!(l_sorted.props().tail_sorted && r_sorted.props().head_sorted);
+        assert!(!l_shuf.props().tail_sorted);
         let merged = join(&l_sorted, &r_sorted).unwrap();
-
-        let l_shuf = Bat::dense(Column::from(vec![7, 2, 5, 2, 1]));
         let hashed = join(&l_shuf, &r_sorted).unwrap();
 
-        let mut a: Vec<(Val, Val)> = (0..merged.count())
-            .map(|i| (merged.bun(i).1.clone(), merged.bun(i).1.clone()))
-            .collect();
-        let mut b: Vec<(Val, Val)> = (0..hashed.count())
-            .map(|i| (hashed.bun(i).1.clone(), hashed.bun(i).1.clone()))
-            .collect();
-        let key = |v: &(Val, Val)| format!("{:?}", v);
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
+        let pairs = |j: &Bat| {
+            let mut pairs: Vec<(Val, Val)> = (0..j.count()).map(|i| j.bun(i)).collect();
+            pairs.sort_by_key(|p| format!("{p:?}"));
+            pairs
+        };
+        assert_eq!(pairs(&merged), pairs(&hashed));
         assert_eq!(merged.count(), 5, "2x2 cross product + one 5-match");
+        assert_eq!(merged.bun(0), (Val::Oid(11), Val::Oid(0)));
+        assert_eq!(hashed.bun(0), (Val::Oid(12), Val::Oid(0)), "l-major in l's own order");
+    }
+
+    #[test]
+    fn dense_right_head_is_a_positional_fetch() {
+        // Candidates (a select's head oids, renumbered) against a base
+        // column: the oid is the position. Heads stay as they were —
+        // void here — when every candidate is one of the column's rows.
+        let base = Bat::dense_from(100, Column::from(vec!["a", "b", "c", "d"]));
+        let candidates = Bat::dense(Column::Oid(vec![103, 100, 103]));
+        let j = join(&candidates, &base).unwrap();
+        assert_eq!(j.head(), &Column::Void { seq: 0, len: 3 });
+        assert_eq!(j.tail(), &Column::from(vec!["d", "a", "d"]));
+        // An oid outside the column matches nothing; its row drops out.
+        let stray = Bat::dense(Column::Oid(vec![99, 101, 104, 102]));
+        let j = join(&stray, &base).unwrap();
+        assert_eq!(j.head(), &Column::Oid(vec![1, 3]));
+        assert_eq!(j.tail(), &Column::from(vec!["b", "c"]));
+        // Ascending oids into a sorted column fetch a sorted tail.
+        let asc = Bat::dense(Column::Oid(vec![100, 102, 103]));
+        assert!(join(&asc, &base).unwrap().props().tail_sorted);
+        assert!(!join(&candidates, &base).unwrap().props().tail_sorted);
     }
 
     #[test]

@@ -5,10 +5,23 @@
 //! Naming follows MonetDB's `algebra`/`bat` modules: `select`, `uselect`,
 //! `join`, `reverse`, `mark`, `mirror`, `semijoin`, `kdifference`,
 //! `slice`, plus group/aggregate and sort kernels.
+//!
+//! No loop here touches a [`crate::Val`]: kernels are generic over typed
+//! views of the raw column storage (`cells`), selections share one scan
+//! core (`scan`), and the equality kernels one seeded hash table
+//! (`hash`). Which algorithm runs — positional fetch, merge or hash — is
+//! read off the operands' column types and [`Props`]; every operator
+//! states the `Props` of its result structurally. The generic
+//! `Val`-per-row kernels these replaced are the `#[cfg(test)]` `oracle`.
 
 mod aggregate;
+mod cells;
+mod hash;
 mod join;
 mod mutate;
+#[cfg(test)]
+mod oracle;
+mod scan;
 mod select;
 mod setops;
 mod sort;
@@ -28,10 +41,17 @@ use crate::column::Column;
 use crate::error::Result;
 
 /// `bat.reverse(b)`: swap head and tail. O(1) in MonetDB; here the void
-/// head must be materialized.
+/// head must be materialized. What was claimed of the head now holds of
+/// the tail and the other way round; nothing says the old tail is a key.
 pub fn reverse(b: &Bat) -> Bat {
     let (head, tail) = (b.head().clone().materialize(), b.tail().clone());
-    let props = Props { tail_sorted: head.is_sorted(), head_key: false, no_nil: true };
+    let p = b.props();
+    let props = Props {
+        tail_sorted: p.head_sorted,
+        head_sorted: p.tail_sorted,
+        head_key: false,
+        no_nil: true,
+    };
     // reverse(head→tail) = (tail→head); lengths are equal by construction.
     Bat::with_props(tail, head, props).expect("reverse preserves length")
 }
@@ -40,7 +60,7 @@ pub fn reverse(b: &Bat) -> Bat {
 pub fn mirror(b: &Bat) -> Bat {
     let head = b.head().clone();
     let tail = b.head().clone().materialize();
-    let props = Props { tail_sorted: tail.is_sorted(), head_key: b.props().head_key, no_nil: true };
+    let props = Props { tail_sorted: b.props().head_sorted, ..b.props() };
     Bat::with_props(head, tail, props).expect("mirror preserves length")
 }
 
@@ -50,7 +70,7 @@ pub fn mirror(b: &Bat) -> Bat {
 pub fn mark_tail(b: &Bat, base: u64) -> Bat {
     let head = b.head().clone();
     let len = head.len();
-    let props = Props { tail_sorted: true, head_key: b.props().head_key, no_nil: true };
+    let props = Props { tail_sorted: true, ..b.props() };
     Bat::with_props(head, Column::Void { seq: base, len }, props).expect("markT preserves length")
 }
 
@@ -59,7 +79,7 @@ pub fn mark_tail(b: &Bat, base: u64) -> Bat {
 pub fn mark_head(b: &Bat, base: u64) -> Bat {
     let tail = b.tail().clone();
     let len = tail.len();
-    let props = Props { tail_sorted: b.props().tail_sorted, head_key: true, no_nil: true };
+    let props = Props { head_sorted: true, head_key: true, ..b.props() };
     Bat::with_props(Column::Void { seq: base, len }, tail, props).expect("markH preserves length")
 }
 
@@ -71,15 +91,15 @@ pub fn slice(b: &Bat, lo: usize, hi: usize) -> Bat {
 
 /// `algebra.project(b, v)`: constant tail of `v` aligned with `b`'s head.
 pub fn project_const(b: &Bat, v: &crate::value::Val) -> Result<Bat> {
-    let head = b.head().clone();
-    let mut tail =
-        Column::empty(v.col_type().ok_or_else(|| {
-            crate::error::BatError::Invalid("cannot project nil constant".into())
-        })?);
-    for _ in 0..head.len() {
-        tail.push(v)?;
-    }
-    Bat::new(head, tail)
+    let ty = v
+        .col_type()
+        .ok_or_else(|| crate::error::BatError::Invalid("cannot project nil constant".into()))?;
+    let mut one = Column::empty(ty);
+    one.push(v)?;
+    let tail = one.gather_iter(std::iter::repeat_n(0, b.count()));
+    // Equal values are in order.
+    let props = Props { tail_sorted: true, ..b.props() };
+    Bat::with_props(b.head().clone(), tail, props)
 }
 
 #[cfg(test)]

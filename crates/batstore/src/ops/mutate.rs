@@ -13,6 +13,8 @@
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::error::{BatError, Result};
+use crate::ops::cells::{with_cells, Cells};
+use crate::ops::scan::{Pred, Scan};
 use crate::ops::CmpOp;
 use crate::value::Val;
 use std::sync::Arc;
@@ -39,76 +41,53 @@ impl RowPredicate {
     }
 }
 
-fn incomparable(col: &Column, v: &Val) -> BatError {
-    BatError::TypeMismatch { expected: col.col_type().name(), got: format!("{v:?}") }
-}
-
-/// Validate that `v` is comparable against the column (checked on the
-/// first row; a mismatched literal must fail loudly, not select nothing).
-fn check_comparable(col: &Column, v: &Val) -> Result<()> {
-    if !col.is_empty() && col.cmp_val(0, v).is_none() {
-        return Err(incomparable(col, v));
+impl RowPredicate {
+    fn pred(&self) -> Pred<'_> {
+        match self {
+            RowPredicate::Cmp { op, value, .. } => Pred::Cmp(*op, value),
+            RowPredicate::Between { lo, hi, .. } => Pred::Between(lo, hi),
+            RowPredicate::InList { values, .. } => Pred::In(values),
+        }
     }
-    Ok(())
 }
 
 /// Row positions (ascending) satisfying the conjunction of `preds` over
 /// the table's columns, resolved through `lookup`. With no predicates,
-/// every row matches.
+/// every row matches. Each predicate is one pass of the typed scan (the
+/// selections' core) over its column: a literal the column's type cannot
+/// be compared with fails loudly, whatever the rows hold.
 pub fn matching_rows(
     lookup: &dyn Fn(&str) -> Option<Arc<Bat>>,
     row_count: usize,
     preds: &[RowPredicate],
 ) -> Result<Vec<usize>> {
-    let mut mask = vec![true; row_count];
+    let mut rows: Option<Vec<usize>> = None;
     for p in preds {
         let bat = lookup(p.column())
             .ok_or_else(|| BatError::NotFound(format!("column '{}'", p.column())))?;
         if bat.count() != row_count {
             return Err(BatError::LengthMismatch { left: bat.count(), right: row_count });
         }
-        let col = bat.tail();
-        match p {
-            RowPredicate::Cmp { op, value, .. } => {
-                check_comparable(col, value)?;
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && col.cmp_val(i, value).map(|o| op.matches(o)).unwrap_or(false);
-                }
-            }
-            RowPredicate::Between { lo, hi, .. } => {
-                check_comparable(col, lo)?;
-                check_comparable(col, hi)?;
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && col
-                            .cmp_val(i, lo)
-                            .map(|o| o != std::cmp::Ordering::Less)
-                            .unwrap_or(false)
-                        && col
-                            .cmp_val(i, hi)
-                            .map(|o| o != std::cmp::Ordering::Greater)
-                            .unwrap_or(false);
-                }
-            }
-            RowPredicate::InList { values, .. } => {
-                if values.is_empty() {
-                    return Err(BatError::Invalid("IN list must not be empty".into()));
-                }
-                for v in values {
-                    check_comparable(col, v)?;
-                }
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && values.iter().any(|v| {
-                            col.cmp_val(i, v)
-                                .map(|o| o == std::cmp::Ordering::Equal)
-                                .unwrap_or(false)
-                        });
-                }
-            }
+        if matches!(p, RowPredicate::InList { values, .. } if values.is_empty()) {
+            return Err(BatError::Invalid("IN list must not be empty".into()));
         }
+        let (col, pred) = (bat.tail(), p.pred());
+        let (ty, mut hits) = (col.col_type(), Vec::new());
+        with_cells!(col, |vals| {
+            Scan::scan(vals.cells(), ty, &pred, &mut |rows, _| hits.extend_from_slice(rows))
+        })?;
+        // Both lists ascend: keep the earlier conjuncts' rows this one
+        // matched too.
+        if let Some(rows) = &rows {
+            let mut earlier = rows.iter().copied().peekable();
+            hits.retain(|&i| {
+                while earlier.next_if(|&j| j < i).is_some() {}
+                earlier.peek() == Some(&i)
+            });
+        }
+        rows = Some(hits);
     }
-    Ok(mask.iter().enumerate().filter_map(|(i, &m)| if m { Some(i) } else { None }).collect())
+    Ok(rows.unwrap_or_else(|| (0..row_count).collect()))
 }
 
 /// The void-head sequence of a persistent column BAT; mutation targets
@@ -139,15 +118,16 @@ pub fn scatter_const(b: &Bat, rows: &[usize], v: &Val) -> Result<Bat> {
         }
         hit[r] = true;
     }
-    let old = b.tail();
-    let mut tail = Column::empty(old.col_type());
-    for (i, &h) in hit.iter().enumerate() {
-        if h {
-            tail.push(v)?;
-        } else {
-            tail.push(&old.get(i))?;
-        }
+    if let Column::Void { .. } = b.tail() {
+        return Err(BatError::Invalid("a void tail holds no constant".into()));
     }
+    // The constant joins the column as one more row, coerced by the
+    // rules INSERT appends follow; each hit then reads that row instead
+    // of its own.
+    let n = b.count();
+    let mut with_new = b.tail().clone();
+    with_new.push(v)?;
+    let tail = with_new.gather_iter((0..n).map(|i| if hit[i] { n } else { i }));
     Ok(Bat::dense_from(seq, tail))
 }
 
@@ -235,6 +215,31 @@ mod tests {
         let empty_in =
             matching_rows(&l, 4, &[RowPredicate::InList { column: "k".into(), values: vec![] }]);
         assert!(empty_in.is_err());
+    }
+
+    #[test]
+    fn a_bigint_key_above_2_pow_53_matches_only_itself() {
+        let big = 1i64 << 53;
+        let ids = Arc::new(Bat::dense(Column::from(vec![big, big + 1, big + 2])));
+        let lookup = |name: &str| (name == "id").then(|| Arc::clone(&ids));
+        let rows = |p: RowPredicate| matching_rows(&lookup, 3, &[p]).unwrap();
+        let column = || "id".to_string();
+        assert_eq!(
+            rows(RowPredicate::Cmp { column: column(), op: CmpOp::Eq, value: Val::Lng(big + 1) }),
+            vec![1]
+        );
+        assert_eq!(
+            rows(RowPredicate::InList { column: column(), values: vec![Val::Lng(big + 1)] }),
+            vec![1]
+        );
+        assert_eq!(
+            rows(RowPredicate::Between {
+                column: column(),
+                lo: Val::Lng(big + 1),
+                hi: Val::Lng(big + 2)
+            }),
+            vec![1, 2]
+        );
     }
 
     #[test]

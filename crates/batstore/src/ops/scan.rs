@@ -1,0 +1,374 @@
+//! The typed scan core: every selection (`select_range`, `theta_select`,
+//! `uselect`) and `matching_rows` filters a column through [`Scan::scan`].
+//!
+//! A predicate is resolved **once** against the column's type: its
+//! constants are placed in the column's own value space (an `int` column
+//! compares `i32` to `i32`), or found to lie outside it (every `i32` is
+//! below `5_000_000_000`, so `<` keeps all rows and `=` none), or the
+//! pair is found incomparable — a string against a number is a
+//! [`BatError::TypeMismatch`] decided from the two types, whatever the
+//! rows hold. What runs per row is one monomorphised comparison over the
+//! raw values, with no branch on its outcome ([`pass`]).
+//!
+//! The comparison rule is [`Val::try_cmp`]'s: two integer-class values
+//! (`oid`/`int`/`lng`/`date`, `bit` as 0/1) compare exactly; a pair with
+//! a `dbl` side compares as `f64`, and `NaN` matches nothing, `<>`
+//! included; `nil` sorts below every value.
+
+use crate::error::{BatError, Result};
+use crate::ops::CmpOp;
+use crate::value::{ColType, Val};
+use std::cmp::Ordering;
+
+/// A filter over one column, constants still as the plan carried them.
+pub(crate) enum Pred<'a> {
+    Cmp(CmpOp, &'a Val),
+    /// Inclusive on both sides.
+    Between(&'a Val, &'a Val),
+    In(&'a [Val]),
+}
+
+impl<'a> Pred<'a> {
+    fn consts(&self) -> impl Iterator<Item = &'a Val> {
+        let (pair, list) = match *self {
+            Pred::Cmp(_, v) => ([Some(v), None], &[][..]),
+            Pred::Between(lo, hi) => ([Some(lo), Some(hi)], &[][..]),
+            Pred::In(vs) => ([None, None], vs),
+        };
+        pair.into_iter().flatten().chain(list)
+    }
+
+    /// The same filter as single-constant comparisons: all of them must
+    /// hold for `Between`, any of them for `In`.
+    fn singles(&self) -> Vec<Pred<'a>> {
+        match *self {
+            Pred::Cmp(op, v) => vec![Pred::Cmp(op, v)],
+            Pred::Between(lo, hi) => vec![Pred::Cmp(CmpOp::Ge, lo), Pred::Cmp(CmpOp::Le, hi)],
+            Pred::In(vs) => vs.iter().map(|v| Pred::Cmp(CmpOp::Eq, v)).collect(),
+        }
+    }
+}
+
+impl CmpOp {
+    /// `k op c` on machine values. `<>` is "ordered, and not equal", so
+    /// a `NaN` on either side fails it like every other operator.
+    #[inline(always)]
+    fn holds<K: PartialOrd>(self, k: K, c: K) -> bool {
+        match self {
+            CmpOp::Lt => k < c,
+            CmpOp::Le => k <= c,
+            CmpOp::Eq => k == c,
+            CmpOp::Ne => k.partial_cmp(&c).is_some_and(Ordering::is_ne),
+            CmpOp::Ge => k >= c,
+            CmpOp::Gt => k > c,
+        }
+    }
+}
+
+/// A constant, placed relative to the values a column type can hold.
+enum Const<K> {
+    Is(K),
+    /// Below every value of the type (`nil`, or an integer under its range).
+    Below,
+    /// Above every value of the type.
+    Above,
+}
+
+/// A predicate with its constants in the value space `K`.
+enum Test<K> {
+    All,
+    None,
+    Cmp(CmpOp, K),
+    Between(K, K),
+    In(Vec<K>),
+}
+
+impl<K: Copy + PartialOrd> Test<K> {
+    fn resolve<'a>(
+        pred: &Pred<'a>,
+        place: impl Fn(&'a Val) -> Result<Const<K>>,
+    ) -> Result<Test<K>> {
+        use CmpOp::*;
+        Ok(match *pred {
+            Pred::Cmp(op, v) => match place(v)? {
+                Const::Is(c) => Test::Cmp(op, c),
+                Const::Below if matches!(op, Gt | Ge | Ne) => Test::All,
+                Const::Above if matches!(op, Lt | Le | Ne) => Test::All,
+                Const::Below | Const::Above => Test::None,
+            },
+            Pred::Between(lo, hi) => match (place(lo)?, place(hi)?) {
+                (Const::Above, _) | (_, Const::Below) => Test::None,
+                (Const::Below, Const::Above) => Test::All,
+                (Const::Below, Const::Is(hi)) => Test::Cmp(Le, hi),
+                (Const::Is(lo), Const::Above) => Test::Cmp(Ge, lo),
+                (Const::Is(lo), Const::Is(hi)) => Test::Between(lo, hi),
+            },
+            Pred::In(vs) => {
+                let mut set = Vec::with_capacity(vs.len());
+                for v in vs {
+                    if let Const::Is(c) = place(v)? {
+                        set.push(c);
+                    }
+                }
+                if set.is_empty() {
+                    Test::None
+                } else {
+                    Test::In(set)
+                }
+            }
+        })
+    }
+
+    fn holds(&self, k: K) -> bool {
+        match self {
+            Test::All => true,
+            Test::None => false,
+            Test::Cmp(op, c) => op.holds(k, *c),
+            Test::Between(lo, hi) => k >= *lo && k <= *hi,
+            Test::In(set) => set.contains(&k),
+        }
+    }
+}
+
+/// Where a scan delivers what qualifies: the positions and the values,
+/// a batch at a time, in order. Called once per [`BATCH`] qualifying
+/// rows, so it is a `dyn` call: the loops are instantiated per column
+/// type and predicate, not once more per consumer.
+pub(crate) type Emit<'e, T> = &'e mut dyn FnMut(&[usize], &[T]);
+
+/// Rows a pass hands on at a time: small enough for the stack and the
+/// L1 cache, large enough that the hand-over is paid once per few
+/// hundred qualifying rows.
+const BATCH: usize = 256;
+
+/// The loop under every scan. A row is written to the batch whether it
+/// qualifies or not and only a qualifying one advances the fill — there
+/// is no branch on the data to mispredict, so a predicate half the rows
+/// pass costs what one all of them pass does. `emit` receives the
+/// qualifying positions and values a full batch at a time (and the
+/// rest at the end), in order.
+fn pass<T: Copy + Default>(
+    vals: impl Iterator<Item = T>,
+    keep: impl Fn(T) -> bool,
+    emit: Emit<'_, T>,
+) {
+    let (mut rows, mut kept) = ([0usize; BATCH], [T::default(); BATCH]);
+    let mut fill = 0;
+    for (i, x) in vals.enumerate() {
+        (rows[fill], kept[fill]) = (i, x);
+        fill += usize::from(keep(x));
+        if fill == BATCH {
+            emit(&rows, &kept);
+            fill = 0;
+        }
+    }
+    emit(&rows[..fill], &kept[..fill]);
+}
+
+/// One pass over `vals`, the test's shape and operator chosen outside
+/// the loop: each arm is its own loop around one comparison.
+fn run<T: Copy + Default, K: Copy + PartialOrd>(
+    vals: impl Iterator<Item = T>,
+    key: impl Fn(T) -> K,
+    test: &Test<K>,
+    emit: Emit<'_, T>,
+) {
+    macro_rules! cmp {
+        ($op:expr, $c:expr) => {
+            pass(vals, |x| $op.holds(key(x), $c), emit)
+        };
+    }
+    match *test {
+        Test::None => {}
+        Test::All => pass(vals, |_| true, emit),
+        Test::Cmp(CmpOp::Lt, c) => cmp!(CmpOp::Lt, c),
+        Test::Cmp(CmpOp::Le, c) => cmp!(CmpOp::Le, c),
+        Test::Cmp(CmpOp::Eq, c) => cmp!(CmpOp::Eq, c),
+        Test::Cmp(CmpOp::Ne, c) => cmp!(CmpOp::Ne, c),
+        Test::Cmp(CmpOp::Ge, c) => cmp!(CmpOp::Ge, c),
+        Test::Cmp(CmpOp::Gt, c) => cmp!(CmpOp::Gt, c),
+        Test::Between(lo, hi) => pass(
+            vals,
+            |x| {
+                let k = key(x);
+                k >= lo && k <= hi
+            },
+            emit,
+        ),
+        Test::In(ref set) => pass(vals, |x| set.contains(&key(x)), emit),
+    }
+}
+
+fn incomparable(ty: ColType, v: &Val) -> BatError {
+    BatError::TypeMismatch { expected: ty.name(), got: format!("{v:?}") }
+}
+
+/// A numeric constant as `f64`: the space a pair with a `dbl` side
+/// compares in.
+fn place_f64(ty: ColType, v: &Val) -> Result<Const<f64>> {
+    match v {
+        Val::Nil => Ok(Const::Below),
+        v => v.as_f64().map(Const::Is).ok_or_else(|| incomparable(ty, v)),
+    }
+}
+
+/// A value type a column stores, able to filter itself.
+pub(crate) trait Scan: Copy + Default {
+    /// Call `emit(positions, values)` with the values of `vals` (a
+    /// column of type `ty`) that satisfy `pred` and where they sit, a
+    /// batch at a time, in position order.
+    fn scan(
+        vals: impl Iterator<Item = Self>,
+        ty: ColType,
+        pred: &Pred<'_>,
+        emit: Emit<'_, Self>,
+    ) -> Result<()>;
+}
+
+impl Scan for f64 {
+    fn scan(
+        vals: impl Iterator<Item = f64>,
+        ty: ColType,
+        pred: &Pred<'_>,
+        emit: Emit<'_, f64>,
+    ) -> Result<()> {
+        let test = Test::resolve(pred, |v| place_f64(ty, v))?;
+        run(vals, |x| x, &test, emit);
+        Ok(())
+    }
+}
+
+impl<'s> Scan for &'s str {
+    fn scan(
+        vals: impl Iterator<Item = &'s str>,
+        ty: ColType,
+        pred: &Pred<'_>,
+        emit: Emit<'_, &'s str>,
+    ) -> Result<()> {
+        let test = Test::resolve(pred, |v| match v {
+            Val::Nil => Ok(Const::Below),
+            Val::Str(s) => Ok(Const::Is(s.as_str())),
+            v => Err(incomparable(ty, v)),
+        })?;
+        run(vals, |x| x, &test, emit);
+        Ok(())
+    }
+}
+
+/// An integer-class storage type (`bool` counts as 0/1).
+trait Int: Copy + PartialOrd {
+    /// Where the exact integer `c` falls among this type's values.
+    fn place(c: i128) -> Const<Self>;
+    fn to_f64(self) -> f64;
+}
+
+macro_rules! int_types {
+    ($($t:ty),*) => {$(
+        impl Int for $t {
+            fn place(c: i128) -> Const<$t> {
+                match <$t>::try_from(c) {
+                    Ok(c) => Const::Is(c),
+                    Err(_) if c < 0 => Const::Below,
+                    Err(_) => Const::Above,
+                }
+            }
+
+            fn to_f64(self) -> f64 {
+                self as f64
+            }
+        }
+
+        impl Scan for $t {
+            fn scan(
+                vals: impl Iterator<Item = $t>,
+                ty: ColType,
+                pred: &Pred<'_>,
+                emit: Emit<'_, $t>,
+            ) -> Result<()> {
+                scan_int(vals, ty, pred, emit)
+            }
+        }
+    )*};
+}
+int_types!(i32, i64, u64);
+
+impl Int for bool {
+    fn place(c: i128) -> Const<bool> {
+        match c {
+            0 => Const::Is(false),
+            1 => Const::Is(true),
+            c if c < 0 => Const::Below,
+            _ => Const::Above,
+        }
+    }
+
+    fn to_f64(self) -> f64 {
+        f64::from(u8::from(self))
+    }
+}
+
+impl Scan for bool {
+    fn scan(
+        vals: impl Iterator<Item = bool>,
+        ty: ColType,
+        pred: &Pred<'_>,
+        emit: Emit<'_, bool>,
+    ) -> Result<()> {
+        scan_int(vals, ty, pred, emit)
+    }
+}
+
+/// An integer column's predicate in the one space all its constants
+/// share: the column's own type when they are integers, `f64` when they
+/// are `dbl`.
+enum IntTest<T> {
+    Exact(Test<T>),
+    Float(Test<f64>),
+}
+
+impl<T: Int> IntTest<T> {
+    /// `pred`'s constants must not mix integers with `dbl`s.
+    fn resolve(ty: ColType, pred: &Pred<'_>) -> Result<IntTest<T>> {
+        if pred.consts().any(|v| matches!(v, Val::Dbl(_))) {
+            return Ok(IntTest::Float(Test::resolve(pred, |v| place_f64(ty, v))?));
+        }
+        Ok(IntTest::Exact(Test::resolve(pred, |v| match v {
+            Val::Nil => Ok(Const::Below),
+            v => v.as_i128().map(T::place).ok_or_else(|| incomparable(ty, v)),
+        })?))
+    }
+
+    fn holds(&self, x: T) -> bool {
+        match self {
+            IntTest::Exact(t) => t.holds(x),
+            IntTest::Float(t) => t.holds(x.to_f64()),
+        }
+    }
+}
+
+fn scan_int<T: Int + Default>(
+    vals: impl Iterator<Item = T>,
+    ty: ColType,
+    pred: &Pred<'_>,
+    emit: Emit<'_, T>,
+) -> Result<()> {
+    let dbls = pred.consts().filter(|v| matches!(v, Val::Dbl(_))).count();
+    let ints = pred.consts().filter(|v| v.as_i128().is_some()).count();
+    if dbls > 0 && ints > 0 {
+        // `between 5 and 7.5`: each constant compares in its own space
+        // (the integer exactly, the `dbl` as `f64`), so the filter runs
+        // as its single-constant parts, resolved one by one.
+        let parts: Vec<IntTest<T>> =
+            pred.singles().iter().map(|p| IntTest::resolve(ty, p)).collect::<Result<_>>()?;
+        match pred {
+            Pred::In(_) => pass(vals, |x| parts.iter().any(|p| p.holds(x)), emit),
+            _ => pass(vals, |x| parts.iter().all(|p| p.holds(x)), emit),
+        }
+        return Ok(());
+    }
+    match IntTest::resolve(ty, pred)? {
+        IntTest::Exact(test) => run(vals, |x| x, &test, emit),
+        IntTest::Float(test) => run(vals, T::to_f64, &test, emit),
+    }
+    Ok(())
+}

@@ -2,9 +2,13 @@
 //! the head values of qualifying BUNs (so downstream joins can realign on
 //! OIDs) and filter on the tail.
 
-use crate::bat::{Bat, Props};
-use crate::error::{BatError, Result};
-use crate::value::Val;
+use crate::bat::Bat;
+use crate::column::Column;
+use crate::error::Result;
+use crate::heap::StrCol;
+use crate::ops::cells::{with_cells, Cells};
+use crate::ops::scan::{Pred, Scan};
+use crate::value::{ColType, Val};
 use std::cmp::Ordering;
 
 /// Comparison operators for `theta_select`.
@@ -54,31 +58,10 @@ impl CmpOp {
     }
 }
 
-fn incomparable(b: &Bat, v: &Val) -> BatError {
-    BatError::TypeMismatch { expected: b.tail_type().name(), got: format!("{v:?}") }
-}
-
 /// `algebra.select(b, lo, hi)`: BUNs whose tail lies in `[lo, hi]`
 /// (inclusive bounds, MonetDB's default).
 pub fn select_range(b: &Bat, lo: &Val, hi: &Val) -> Result<Bat> {
-    // Validate comparability on a non-empty column using the first row.
-    if !b.is_empty() {
-        if b.tail().cmp_val(0, lo).is_none() {
-            return Err(incomparable(b, lo));
-        }
-        if b.tail().cmp_val(0, hi).is_none() {
-            return Err(incomparable(b, hi));
-        }
-    }
-    let tail = b.tail();
-    let idx: Vec<usize> = (0..b.count())
-        .filter(|&i| {
-            let against_lo = tail.cmp_val(i, lo).unwrap_or(Ordering::Less);
-            let against_hi = tail.cmp_val(i, hi).unwrap_or(Ordering::Greater);
-            against_lo != Ordering::Less && against_hi != Ordering::Greater
-        })
-        .collect();
-    Ok(gather_with_head(b, &idx))
+    filter(b, &Pred::Between(lo, hi))
 }
 
 /// `algebra.uselect(b, v)`: equality selection.
@@ -88,25 +71,74 @@ pub fn uselect(b: &Bat, v: &Val) -> Result<Bat> {
 
 /// `algebra.thetauselect(b, op, v)`: general comparison selection.
 pub fn theta_select(b: &Bat, op: CmpOp, v: &Val) -> Result<Bat> {
-    if !b.is_empty() && b.tail().cmp_val(0, v).is_none() {
-        return Err(incomparable(b, v));
-    }
-    let tail = b.tail();
-    let idx: Vec<usize> = (0..b.count())
-        .filter(|&i| tail.cmp_val(i, v).map(|o| op.matches(o)).unwrap_or(false))
-        .collect();
-    Ok(gather_with_head(b, &idx))
+    filter(b, &Pred::Cmp(op, v))
 }
 
-fn gather_with_head(b: &Bat, idx: &[usize]) -> Bat {
-    let head = b.head().gather(idx);
-    let tail = b.tail().gather(idx);
-    let props = Props {
-        tail_sorted: b.props().tail_sorted || tail.is_sorted(),
-        head_key: b.props().head_key,
-        no_nil: true,
+/// Where a select collects the tail values it keeps.
+trait Kept<T>: Default {
+    fn keep(&mut self, batch: &[T]);
+}
+
+impl<T: Copy> Kept<T> for Vec<T> {
+    fn keep(&mut self, batch: &[T]) {
+        self.extend_from_slice(batch);
+    }
+}
+
+impl Kept<&str> for StrCol {
+    fn keep(&mut self, batch: &[&str]) {
+        batch.iter().for_each(|s| self.push(s));
+    }
+}
+
+/// One pass of the typed scan over the tail, writing each qualifying
+/// BUN's head oid and tail value as it is found. A filter keeps its
+/// input's order and drops rows only, so every claim of the input holds
+/// of the output.
+fn filter(b: &Bat, pred: &Pred<'_>) -> Result<Bat> {
+    let ty = b.tail_type();
+    let (head, tail) =
+        with_cells!(b.tail(), |vals, wrap| kept(b.head(), vals.cells(), ty, pred, wrap))?;
+    Bat::with_props(head, tail, b.props())
+}
+
+fn kept<T: Scan, O: Kept<T>>(
+    head: &Column,
+    vals: impl Iterator<Item = T>,
+    ty: ColType,
+    pred: &Pred<'_>,
+    wrap: impl FnOnce(O) -> Column,
+) -> Result<(Column, Column)> {
+    let mut tail = O::default();
+    let head = match head {
+        Column::Void { seq, .. } => {
+            let mut oids = Vec::new();
+            T::scan(vals, ty, pred, &mut |rows, xs| {
+                oids.extend(rows.iter().map(|&i| seq + i as u64));
+                tail.keep(xs);
+            })?;
+            Column::Oid(oids)
+        }
+        Column::Oid(h) => {
+            let mut oids = Vec::new();
+            T::scan(vals, ty, pred, &mut |rows, xs| {
+                oids.extend(rows.iter().map(|&i| h[i]));
+                tail.keep(xs);
+            })?;
+            Column::Oid(oids)
+        }
+        // A head that is not an oid column (a reversed BAT): note the
+        // positions and fetch the heads once.
+        other => {
+            let mut kept_rows = Vec::new();
+            T::scan(vals, ty, pred, &mut |rows, xs| {
+                kept_rows.extend_from_slice(rows);
+                tail.keep(xs);
+            })?;
+            other.gather(&kept_rows)
+        }
     };
-    Bat::with_props(head, tail, props).expect("gather preserves alignment")
+    Ok((head, wrap(tail)))
 }
 
 #[cfg(test)]
@@ -157,6 +189,58 @@ mod tests {
     #[test]
     fn type_mismatch_rejected() {
         assert!(uselect(&sample(), &Val::Str("x".into())).is_err());
+        // Decided from the two types, not from the rows: an empty column
+        // refuses the same literal.
+        let empty = Bat::empty(crate::value::ColType::Int);
+        assert!(matches!(
+            uselect(&empty, &Val::from("x")),
+            Err(crate::error::BatError::TypeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn bigints_above_2_pow_53_compare_exactly() {
+        // As f64 the two neighbours are one number: `=` used to return
+        // both and `>` neither.
+        let big = 1i64 << 53;
+        let b = Bat::dense(Column::from(vec![big, big + 1]));
+        let eq = uselect(&b, &Val::Lng(big + 1)).unwrap();
+        assert_eq!((eq.count(), eq.bun(0)), (1, (Val::Oid(1), Val::Lng(big + 1))));
+        assert_eq!(theta_select(&b, CmpOp::Gt, &Val::Lng(big)).unwrap().count(), 1);
+        assert_eq!(theta_select(&b, CmpOp::Ne, &Val::Lng(big)).unwrap().count(), 1);
+        assert_eq!(select_range(&b, &Val::Lng(big + 1), &Val::Lng(big + 1)).unwrap().count(), 1);
+        // An oid above i64::MAX against a negative bigint: i128 holds both.
+        let oids = Bat::dense(Column::Oid(vec![u64::MAX, 0]));
+        assert_eq!(theta_select(&oids, CmpOp::Gt, &Val::Lng(-1)).unwrap().count(), 2);
+        // A constant outside the column's type keeps all rows or none.
+        let ints = sample();
+        assert_eq!(theta_select(&ints, CmpOp::Lt, &Val::Lng(1 << 40)).unwrap().count(), 5);
+        assert_eq!(uselect(&ints, &Val::Lng(1 << 40)).unwrap().count(), 0);
+        // A dbl side makes the pair compare as f64: the neighbours tie.
+        assert_eq!(uselect(&b, &Val::Dbl(big as f64)).unwrap().count(), 2);
+    }
+
+    #[test]
+    fn nan_matches_nothing() {
+        let b = Bat::dense(Column::from(vec![1.0, f64::NAN, 3.0]));
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ne, CmpOp::Ge, CmpOp::Gt] {
+            let kept = theta_select(&b, op, &Val::Dbl(2.0)).unwrap();
+            assert!(kept.tail().as_dbl().unwrap().iter().all(|x| !x.is_nan()), "{op:?}");
+            assert_eq!(theta_select(&b, op, &Val::Dbl(f64::NAN)).unwrap().count(), 0, "{op:?}");
+        }
+        assert_eq!(theta_select(&b, CmpOp::Ne, &Val::Dbl(2.0)).unwrap().count(), 2);
+    }
+
+    #[test]
+    fn heads_and_claims_survive_selection() {
+        let b = Bat::new(Column::Oid(vec![7, 9, 11, 30]), Column::from(vec![1, 2, 2, 5])).unwrap();
+        let s = theta_select(&b, CmpOp::Ge, &Val::Int(2)).unwrap();
+        assert_eq!(s.head(), &Column::Oid(vec![9, 11, 30]));
+        assert!(s.props().tail_sorted && s.props().head_sorted);
+        // A non-oid head (a reversed BAT) is fetched by position.
+        let r = crate::ops::reverse(&b);
+        let s = uselect(&r, &Val::Oid(11)).unwrap();
+        assert_eq!(s.bun(0), (Val::Int(2), Val::Oid(11)));
     }
 
     #[test]

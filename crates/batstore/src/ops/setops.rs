@@ -1,52 +1,97 @@
 //! Set-style operators keyed on the head column: `semijoin` (keep BUNs of
 //! `l` whose head appears in `r`'s head), `kdifference` (keep those that
-//! do not), `kintersect` (alias with MonetDB's historical name).
+//! do not), `kintersect` (alias with MonetDB's historical name), `kunion`.
+//!
+//! Membership is tested by what the two heads know about themselves
+//! (§3.1): `r`'s head `void` — a range test, no table at all; both heads
+//! claiming ascending order (selections keep their input's order, so
+//! candidate lists nearly always do) — a merge; otherwise a typed hash
+//! set of `r`'s heads.
 
 use crate::bat::{Bat, Props};
-use crate::column::Key;
+use crate::column::Column;
 use crate::error::{BatError, Result};
-use std::collections::HashSet;
+use crate::ops::cells::{with_key_pair, Cells};
+use crate::ops::hash::{check_rows, Chains, Key};
+use crate::value::ColType;
 
-fn head_set<'a>(b: &'a Bat) -> HashSet<Key<'a>> {
-    (0..b.count()).map(|i| b.head().key(i)).collect()
+fn mismatch(l: ColType, r: ColType) -> BatError {
+    BatError::TypeMismatch { expected: l.name(), got: r.name().to_string() }
 }
 
-fn filter_by_head(l: &Bat, keep: impl Fn(&Key<'_>) -> bool) -> Bat {
-    let idx: Vec<usize> = (0..l.count()).filter(|&i| keep(&l.head().key(i))).collect();
-    let head = l.head().gather(&idx);
-    let tail = l.tail().gather(&idx);
-    let props =
-        Props { tail_sorted: l.props().tail_sorted, head_key: l.props().head_key, no_nil: true };
-    // Both columns are gathered by the same index list, so the only
-    // `with_props` failure mode (length mismatch) cannot occur for any
-    // input — this is a local invariant, not a reachable-from-SQL path.
-    Bat::with_props(head, tail, props).expect("parallel gather")
-}
-
-fn check_heads(l: &Bat, r: &Bat) -> Result<()> {
-    if !l.head().join_compatible(r.head()) {
-        return Err(BatError::TypeMismatch {
-            expected: l.head_type().name(),
-            got: r.head_type().name().to_string(),
-        });
+/// Positions of `l` whose value is among `r`'s (`want`) or is not
+/// (`!want`), ascending: by a merge when both columns are `sorted` on
+/// cells that order as their values do, through a hash set otherwise.
+fn member_rows<A, B>(l: A, r: B, sorted: bool, want: bool) -> Result<Vec<u32>>
+where
+    A: Cells,
+    B: Cells<Cell = A::Cell>,
+    A::Cell: Key,
+{
+    let mut rows = Vec::new();
+    if sorted && A::ORDERED {
+        let (m, mut j) = (r.len(), 0);
+        for (i, key) in l.cells().enumerate() {
+            while j < m && r.at(j) < key {
+                j += 1;
+            }
+            if (j < m && r.at(j) == key) == want {
+                rows.push(i as u32);
+            }
+        }
+    } else {
+        let set = Chains::build(r.len(), |seed, j| r.at(j).hash(seed))?;
+        for (i, key) in l.cells().enumerate() {
+            if set.chain(key.hash(&set.seed)).any(|j| r.at(j) == key) == want {
+                rows.push(i as u32);
+            }
+        }
     }
-    Ok(())
+    Ok(rows)
+}
+
+/// [`member_rows`] of two head columns, by the cheapest test their
+/// types and claims allow.
+fn head_member_rows(l: &Bat, r: &Bat, want: bool) -> Result<Vec<u32>> {
+    check_rows(l.count().max(r.count()))?;
+    if let Column::Void { seq, len } = *r.head() {
+        // `r`'s heads are exactly `seq..seq + len`.
+        let inside = |oid: u64| (oid.wrapping_sub(seq) < len as u64) == want;
+        let rows = |oids: &mut dyn Iterator<Item = u64>| {
+            oids.enumerate().filter(|&(_, o)| inside(o)).map(|(i, _)| i as u32).collect()
+        };
+        return match l.head() {
+            Column::Oid(oids) => Ok(rows(&mut oids.iter().copied())),
+            Column::Void { seq: first, len } => Ok(rows(&mut (*first..*first + *len as u64))),
+            other => Err(mismatch(other.col_type(), ColType::Void)),
+        };
+    }
+    let sorted = l.props().head_sorted && r.props().head_sorted;
+    with_key_pair!(
+        l.head(),
+        r.head(),
+        |a, b| member_rows(a, b, sorted, want),
+        Err(mismatch(l.head_type(), r.head_type()))
+    )
+}
+
+/// The BUNs of `l` at `rows` (ascending). Dropping rows keeps order and
+/// uniqueness, so every claim of `l` holds of the result.
+fn keep_rows(l: &Bat, rows: &[u32]) -> Result<Bat> {
+    let rows = rows.iter().map(|&i| i as usize);
+    Bat::with_props(l.head().gather_iter(rows.clone()), l.tail().gather_iter(rows), l.props())
 }
 
 /// `algebra.semijoin(l, r)`: BUNs of `l` whose head occurs among `r`'s
 /// heads.
 pub fn semijoin(l: &Bat, r: &Bat) -> Result<Bat> {
-    check_heads(l, r)?;
-    let set = head_set(r);
-    Ok(filter_by_head(l, |k| set.contains(k)))
+    keep_rows(l, &head_member_rows(l, r, true)?)
 }
 
 /// `algebra.kdifference(l, r)`: BUNs of `l` whose head does *not* occur
 /// among `r`'s heads.
 pub fn kdifference(l: &Bat, r: &Bat) -> Result<Bat> {
-    check_heads(l, r)?;
-    let set = head_set(r);
-    Ok(filter_by_head(l, |k| !set.contains(k)))
+    keep_rows(l, &head_member_rows(l, r, false)?)
 }
 
 /// MonetDB's `kintersect` — same as semijoin on heads.
@@ -58,24 +103,29 @@ pub fn kintersect(l: &Bat, r: &Bat) -> Result<Bat> {
 /// head does not occur in `l` (head-keyed set union, keeping `l`'s
 /// values on conflicts). The OR / IN-list kernel.
 pub fn kunion(l: &Bat, r: &Bat) -> Result<Bat> {
-    check_heads(l, r)?;
+    if !l.head().join_compatible(r.head()) {
+        return Err(mismatch(l.head_type(), r.head_type()));
+    }
     if !l.tail().join_compatible(r.tail()) {
-        return Err(BatError::TypeMismatch {
-            expected: l.tail_type().name(),
-            got: r.tail_type().name().to_string(),
-        });
+        return Err(mismatch(l.tail_type(), r.tail_type()));
     }
-    let lset = head_set(l);
+    let extra = head_member_rows(r, l, false)?;
+    if extra.is_empty() {
+        return Ok(l.clone());
+    }
+    let rows = extra.iter().map(|&i| i as usize);
     let mut head = l.head().clone().materialize();
+    head.try_extend(&r.head().gather_iter(rows.clone()))?;
     let mut tail = l.tail().clone();
-    for i in 0..r.count() {
-        if !lset.contains(&r.head().key(i)) {
-            let (h, t) = r.bun(i);
-            head.push(&h)?;
-            tail.push(&t)?;
-        }
-    }
-    Bat::new(head, tail)
+    tail.try_extend(&r.tail().gather_iter(rows))?;
+    // `r`'s BUNs follow `l`'s, so no order is claimed; the added heads
+    // are none of `l`'s, and distinct when `r`'s are.
+    let props = Props {
+        head_key: l.props().head_key && r.props().head_key,
+        no_nil: true,
+        ..Props::default()
+    };
+    Bat::with_props(head, tail, props)
 }
 
 #[cfg(test)]

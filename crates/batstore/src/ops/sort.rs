@@ -12,7 +12,8 @@ pub fn sort_tail(b: &Bat, descending: bool) -> Bat {
     let perm = b.tail().sort_perm(descending);
     let head = b.head().gather(&perm);
     let tail = b.tail().gather(&perm);
-    let props = Props { tail_sorted: !descending, head_key: b.props().head_key, no_nil: true };
+    // A permutation keeps the heads distinct, not in order.
+    let props = Props { tail_sorted: !descending, head_sorted: false, ..b.props() };
     Bat::with_props(head, tail, props).expect("permutation preserves length")
 }
 

@@ -150,6 +150,19 @@ impl Val {
         })
     }
 
+    /// Exact integer view of the integer-class types (oid/int/lng/date,
+    /// `Bool` as 0/1); `i128` holds a `u64` oid beside a negative `i64`.
+    pub fn as_i128(&self) -> Option<i128> {
+        Some(match self {
+            Val::Oid(v) => *v as i128,
+            Val::Int(v) => *v as i128,
+            Val::Lng(v) => *v as i128,
+            Val::Date(v) => *v as i128,
+            Val::Bool(b) => *b as i128,
+            _ => return None,
+        })
+    }
+
     pub fn as_i64(&self) -> Option<i64> {
         Some(match self {
             Val::Oid(v) => *v as i64,
@@ -169,18 +182,19 @@ impl Val {
 
     /// Total order with numeric coercion across numeric types; `Nil`
     /// sorts first (MonetDB convention); mismatched non-numeric types are
-    /// incomparable (`None`).
+    /// incomparable (`None`). Two integer-class values compare exactly —
+    /// a `bigint` above 2^53 is not its `f64` neighbour — and a pair goes
+    /// through `f64` only when one side is `Dbl` (NaN is incomparable).
     pub fn try_cmp(&self, other: &Val) -> Option<Ordering> {
         match (self, other) {
             (Val::Nil, Val::Nil) => Some(Ordering::Equal),
             (Val::Nil, _) => Some(Ordering::Less),
             (_, Val::Nil) => Some(Ordering::Greater),
             (Val::Str(a), Val::Str(b)) => Some(a.as_str().cmp(b.as_str())),
-            (Val::Bool(a), Val::Bool(b)) => Some(a.cmp(b)),
-            _ => {
-                let (a, b) = (self.as_f64()?, other.as_f64()?);
-                a.partial_cmp(&b)
-            }
+            _ => match (self.as_i128(), other.as_i128()) {
+                (Some(a), Some(b)) => Some(a.cmp(&b)),
+                _ => self.as_f64()?.partial_cmp(&other.as_f64()?),
+            },
         }
     }
 }
@@ -275,6 +289,19 @@ mod tests {
         assert_eq!(Val::Int(3).try_cmp(&Val::Lng(3)), Some(Ordering::Equal));
         assert_eq!(Val::Int(3).try_cmp(&Val::Dbl(3.5)), Some(Ordering::Less));
         assert_eq!(Val::Lng(10).try_cmp(&Val::Int(2)), Some(Ordering::Greater));
+    }
+
+    #[test]
+    fn integers_compare_exactly_above_2_pow_53() {
+        let big = 1i64 << 53;
+        assert_eq!(Val::Lng(big).try_cmp(&Val::Lng(big + 1)), Some(Ordering::Less));
+        assert_eq!(Val::Lng(big + 1).try_cmp(&Val::Lng(big + 1)), Some(Ordering::Equal));
+        assert_eq!(Val::Oid(u64::MAX).try_cmp(&Val::Lng(-1)), Some(Ordering::Greater));
+        assert_eq!(Val::Oid(u64::MAX).try_cmp(&Val::Oid(u64::MAX - 1)), Some(Ordering::Greater));
+        assert_eq!(Val::Bool(true).try_cmp(&Val::Int(1)), Some(Ordering::Equal));
+        // One `Dbl` side: the pair compares as `f64`, so the neighbours tie.
+        assert_eq!(Val::Lng(big + 1).try_cmp(&Val::Dbl(big as f64)), Some(Ordering::Equal));
+        assert_eq!(Val::Dbl(f64::NAN).try_cmp(&Val::Int(1)), None);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! * netsim event-queue throughput (simulation scalability),
 //! * MAL interpreter dispatch — the paper claims "well below one µsec
 //!   per instruction" (§3.2); `mal_interpreter_per_instruction` measures
-//!   a 64-instruction plan, so per-instruction cost is the reading ÷ 64.
+//!   a 64-instruction plan, so per-instruction cost is the reading ÷ 64,
+//! * the `batstore::ops` kernels at 64 k rows, one benchmark per
+//!   algorithm a BAT's properties can select (`bench_kernels`): per-row
+//!   cost is the reading ÷ 65 536.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use datacyclotron::msg::BatHeader;
@@ -128,12 +131,86 @@ fn bench_interpreter(c: &mut Criterion) {
     });
 }
 
+/// Each kernel path at 64 k rows: the positional, merge and hash joins,
+/// the typed scan on three column types, the merge and hash semijoins,
+/// and grouping at a handful and at thousands of distinct keys.
+fn bench_kernels(c: &mut Criterion) {
+    use batstore::{ops, Bat, Column, Val};
+
+    const N: usize = 1 << 16;
+    // splitmix64 of the row number: values a branch predictor cannot
+    // learn, as a generated table's are.
+    let random = |i: usize| {
+        let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 1) as usize
+    };
+    let ints = Bat::dense(Column::Int((0..N).map(|i| (random(i) % 10_000) as i32).collect()));
+    let lngs = Bat::dense(Column::Lng((0..N).map(|i| (random(i) % 10_000) as i64).collect()));
+    let flags: Vec<&str> =
+        (0..N).map(|i| ["A", "N", "R", "AF", "NO", "RF"][random(i) % 6]).collect();
+    let strs = Bat::dense(Column::from(flags));
+
+    // Positional: a candidate list (every other row) fetched from a column.
+    let candidates = Bat::dense(Column::Oid((0..N as u64).step_by(2).collect()));
+    c.bench_function("kernel_join_positional_32k_of_64k", |b| {
+        b.iter(|| black_box(ops::join(&candidates, &lngs).unwrap()))
+    });
+
+    // FK→PK: 64 k foreign keys against 16 k primary keys, first in key
+    // order on both sides (merge), then shuffled (hash).
+    let pk = ops::reverse(&Bat::dense(Column::Int((0..N as i32 / 4).collect())));
+    let fk_sorted = Bat::dense(Column::Int((0..N as i32).map(|i| i / 4).collect()));
+    let fk_shuffled =
+        Bat::dense(Column::Int((0..N).map(|i| (random(i) % (N / 4)) as i32).collect()));
+    c.bench_function("kernel_join_merge_fk_pk_64k_x_16k", |b| {
+        b.iter(|| black_box(ops::join(&fk_sorted, &pk).unwrap()))
+    });
+    c.bench_function("kernel_join_hash_fk_pk_64k_x_16k", |b| {
+        b.iter(|| black_box(ops::join(&fk_shuffled, &pk).unwrap()))
+    });
+
+    c.bench_function("kernel_select_int_64k", |b| {
+        b.iter(|| black_box(ops::theta_select(&ints, ops::CmpOp::Lt, &Val::Int(2_500)).unwrap()))
+    });
+    c.bench_function("kernel_select_lng_range_64k", |b| {
+        b.iter(|| black_box(ops::select_range(&lngs, &Val::Int(2_500), &Val::Int(5_000)).unwrap()))
+    });
+    c.bench_function("kernel_select_str_64k", |b| {
+        b.iter(|| black_box(ops::uselect(&strs, &Val::from("NO")).unwrap()))
+    });
+
+    // The same two candidate lists, ascending (merge) and with the
+    // right one reordered so it no longer claims an order (hash).
+    let left = ops::theta_select(&ints, ops::CmpOp::Lt, &Val::Int(5_000)).unwrap();
+    let right = ops::theta_select(&lngs, ops::CmpOp::Ge, &Val::Int(2_500)).unwrap();
+    let right_unordered = ops::sort_tail(&right, false);
+    c.bench_function("kernel_semijoin_merge_32k_x_48k", |b| {
+        b.iter(|| black_box(ops::semijoin(&left, &right).unwrap()))
+    });
+    c.bench_function("kernel_semijoin_hash_32k_x_48k", |b| {
+        b.iter(|| black_box(ops::semijoin(&left, &right_unordered).unwrap()))
+    });
+
+    c.bench_function("kernel_group_by_6_keys_64k", |b| b.iter(|| black_box(ops::group_by(&strs))));
+    let many = Bat::dense(Column::Int((0..N).map(|i| (random(i) % 6_000) as i32).collect()));
+    c.bench_function("kernel_group_by_6000_keys_64k", |b| {
+        b.iter(|| black_box(ops::group_by(&many)))
+    });
+    let (grp, _) = ops::group_by(&strs);
+    c.bench_function("kernel_group_derive_6_x_10000_keys_64k", |b| {
+        b.iter(|| black_box(ops::group_derive(&ints, &grp).unwrap()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_loi,
     bench_propagation,
     bench_codec,
     bench_eventqueue,
-    bench_interpreter
+    bench_interpreter,
+    bench_kernels
 );
 criterion_main!(benches);

@@ -9,6 +9,11 @@
 //!   Blocking `pin` calls park only their worker; independent instruction
 //!   threads keep running, which is exactly how query execution overlaps
 //!   with ring data arrival.
+//!
+//! Both modes free an intermediate as soon as its last reader has run
+//! (§4.1: `unpin` "releases the BAT"): the environment gives the value up
+//! and it is dropped there and then, so a statement's resident set is
+//! what is still *live*, not the sum of everything it computed.
 
 use crate::ast::{Arg, Const, Instr, Program};
 use crate::context::SessionCtx;
@@ -19,7 +24,9 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Final variable environment after a successful run; index by `VarId`.
+/// Variable environment after a successful run; index by `VarId`. It
+/// holds what is still live then: a value every reader of which has run
+/// was freed on the way.
 pub type Env = Vec<Option<MVal>>;
 
 /// A reusable interpreter (registry + thread budget).
@@ -102,7 +109,26 @@ fn resolve_args(
         .collect()
 }
 
-fn apply(instr: &Instr, outs: Vec<MVal>, env: &mut [Option<MVal>]) -> Result<()> {
+/// How many argument positions of the plan read each variable.
+fn reader_counts(prog: &Program) -> Vec<u32> {
+    let mut readers = vec![0u32; prog.vars.len()];
+    for v in prog.instrs.iter().flat_map(Instr::uses) {
+        readers[v.0 as usize] += 1;
+    }
+    readers
+}
+
+/// `instr` has run: bind `outs` to its targets and count its reads as
+/// done. Returns every value the plan has thereby finished with — an
+/// argument this was the last reader of (bare calls read too), a result
+/// nobody reads, a value a target displaced — for the caller to drop
+/// once it holds no lock.
+fn complete(
+    instr: &Instr,
+    outs: Vec<MVal>,
+    env: &mut [Option<MVal>],
+    readers: &mut [u32],
+) -> Result<Vec<MVal>> {
     if outs.len() < instr.targets.len() {
         return Err(MalError::BadCall(format!(
             "{} returned {} values for {} targets",
@@ -111,10 +137,22 @@ fn apply(instr: &Instr, outs: Vec<MVal>, env: &mut [Option<MVal>]) -> Result<()>
             instr.targets.len()
         )));
     }
+    let mut dead = Vec::new();
     for (t, v) in instr.targets.iter().zip(outs) {
-        env[t.0 as usize] = Some(v);
+        let slot = &mut env[t.0 as usize];
+        dead.extend(slot.replace(v));
+        if readers[t.0 as usize] == 0 {
+            dead.extend(slot.take());
+        }
     }
-    Ok(())
+    for v in instr.uses() {
+        let left = &mut readers[v.0 as usize];
+        *left -= 1;
+        if *left == 0 {
+            dead.extend(env[v.0 as usize].take());
+        }
+    }
+    Ok(dead)
 }
 
 /// Linear interpretation with the standard registry and the plan's own
@@ -131,13 +169,17 @@ pub fn run_sequential_with(
 ) -> Result<Env> {
     check_binding(prog, params)?;
     let mut env: Env = vec![None; prog.vars.len()];
+    let mut readers = reader_counts(prog);
     for instr in &prog.instrs {
         let f = registry
             .lookup(&instr.module, &instr.func)
             .ok_or_else(|| MalError::UnknownFunction(instr.qualified_name()))?;
         let args = resolve_args(instr, &env, prog, params)?;
         let outs = f(ctx, &args)?;
-        apply(instr, outs, &mut env)?;
+        // The argument clones go first, so a value whose last reader
+        // this was is freed by the line after.
+        drop(args);
+        drop(complete(instr, outs, &mut env, &mut readers)?);
     }
     Ok(env)
 }
@@ -192,6 +234,8 @@ struct Shared {
 
 struct SchedState {
     env: Env,
+    /// Reads of each variable still to come (see [`complete`]).
+    readers: Vec<u32>,
     remaining: Vec<usize>,
     ready: VecDeque<usize>,
     inflight: usize,
@@ -248,6 +292,7 @@ pub fn run_dataflow_with(
     let shared = Shared {
         env: Mutex::new(SchedState {
             env: vec![None; prog.vars.len()],
+            readers: reader_counts(prog),
             remaining,
             ready,
             inflight: 0,
@@ -257,10 +302,13 @@ pub fn run_dataflow_with(
         cond: Condvar::new(),
     };
 
+    // The calling thread is a worker like the others, not parked for
+    // the run: a short statement often finishes on it alone.
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 1..threads {
             scope.spawn(|| worker(prog, params, ctx, registry, &shared, &dependents, n));
         }
+        worker(prog, params, ctx, registry, &shared, &dependents, n);
     });
 
     let state = shared.env.into_inner();
@@ -318,20 +366,19 @@ fn worker(
             None => Err(MalError::UnknownFunction(instr.qualified_name())),
         };
 
-        let mut st = shared.env.lock();
+        // Release the argument clones before queueing for the lock.
+        drop(args);
+
+        let mut guard = shared.env.lock();
+        let st = &mut *guard;
         st.inflight -= 1;
-        match result {
+        match result.and_then(|outs| complete(instr, outs, &mut st.env, &mut st.readers)) {
             Err(e) => {
                 st.error = Some(e);
                 shared.cond.notify_all();
                 return;
             }
-            Ok(outs) => {
-                if let Err(e) = apply(instr, outs, &mut st.env) {
-                    st.error = Some(e);
-                    shared.cond.notify_all();
-                    return;
-                }
+            Ok(dead) => {
                 st.completed += 1;
                 for &d in &dependents[idx] {
                     st.remaining[d] -= 1;
@@ -340,7 +387,12 @@ fn worker(
                     }
                 }
                 shared.cond.notify_all();
-                if st.completed == total {
+                let done = st.completed == total;
+                // Freeing a column is the allocator's time, not the
+                // scheduler's: the other workers get the lock first.
+                drop(guard);
+                drop(dead);
+                if done {
                     return;
                 }
             }
@@ -407,6 +459,106 @@ mod tests {
         let c2 = paper_ctx();
         run_dataflow(&prog, &c2, 8).unwrap();
         assert_eq!(c1.take_output(), c2.take_output());
+    }
+
+    /// `X1 := test.make(); X2 := test.len(X1); test.gone(X2);` over a
+    /// registry whose `make` keeps a `Weak` to the BAT it returns and
+    /// whose `gone` succeeds once that BAT has been freed. `gone` is the
+    /// plan's last instruction, so it can only succeed if the interpreter
+    /// released `X1` after `test.len` — its last reader — and not when
+    /// the environment is dropped on return.
+    fn weak_plan() -> (Program, Registry) {
+        use std::sync::Weak;
+        let made: Arc<Mutex<Weak<batstore::Bat>>> = Arc::new(Mutex::new(Weak::new()));
+        let mut registry = Registry::standard();
+        let slot = Arc::clone(&made);
+        registry.register("test", "make", move |_, _| {
+            let bat = Arc::new(batstore::Bat::dense(Column::from(vec![1, 2, 3])));
+            *slot.lock() = Arc::downgrade(&bat);
+            Ok(vec![MVal::Bat(bat)])
+        });
+        registry.register("test", "len", |_, args| {
+            Ok(vec![MVal::Int(args[0].as_bat().expect("a BAT").count() as i64)])
+        });
+        registry.register("test", "gone", move |_, _| {
+            // In dataflow mode the worker that retired `test.len` frees
+            // the BAT just after it publishes this instruction as ready:
+            // wait for it, but not for the end of the plan.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while made.lock().upgrade().is_some() {
+                if std::time::Instant::now() > deadline {
+                    return Err(MalError::Exec(
+                        "intermediate still alive at the last instruction".into(),
+                    ));
+                }
+                std::thread::yield_now();
+            }
+            Ok(vec![])
+        });
+        let mut prog = Program::new("user", "q");
+        let (x1, x2) = (prog.var("X1"), prog.var("X2"));
+        prog.push(Instr::assign(x1, "test", "make", vec![]));
+        prog.push(Instr::assign(x2, "test", "len", vec![Arg::Var(x1)]));
+        prog.push(Instr::call("test", "gone", vec![Arg::Var(x2)]));
+        (prog, registry)
+    }
+
+    #[test]
+    fn intermediate_is_freed_after_its_last_reader() {
+        let ctx = paper_ctx();
+        let (prog, registry) = weak_plan();
+        let env = run_sequential_with(&prog, &[], &ctx, &registry).unwrap();
+        assert!(env.iter().all(Option::is_none), "every value had a last reader");
+        let (prog, registry) = weak_plan();
+        let env = run_dataflow_with(&prog, &[], &ctx, &registry, 3).unwrap();
+        assert!(env.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn unread_results_are_dropped_and_live_ones_returned() {
+        // X1 is read by nothing and goes at once; nothing is left over.
+        let prog = parse_program("function user.q():void;\nX1 := bat.pack(7);\nend q;").unwrap();
+        let ctx = paper_ctx();
+        assert_eq!(reader_counts(&prog), vec![0]);
+        assert!(run_sequential(&prog, &ctx).unwrap()[0].is_none());
+        // A value read twice by one instruction is counted twice and
+        // released once, after that instruction.
+        let prog = parse_program(
+            "function user.q():void;\nX1 := bat.pack(7);\nX2 := algebra.kunion(X1, X1);\nio.print(X2);\nend q;",
+        )
+        .unwrap();
+        assert_eq!(reader_counts(&prog), vec![2, 1]);
+        for env in [run_sequential(&prog, &ctx).unwrap(), run_dataflow(&prog, &ctx, 2).unwrap()] {
+            assert!(env.iter().all(Option::is_none));
+        }
+        assert_eq!(ctx.take_output().matches("[ 0@0, 7 ]").count(), 2);
+    }
+
+    #[test]
+    fn an_error_in_one_worker_releases_the_waiting_ones() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // One failing instruction and a chain that depends on it: while
+        // it runs, every other worker waits on the condvar; the error
+        // must wake them to exit, and start nothing further.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let mut registry = Registry::standard();
+        registry.register("test", "fail", |_, _| Err(MalError::Exec("boom".into())));
+        let count = Arc::clone(&ran);
+        registry.register("test", "after", move |_, _| {
+            count.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![MVal::Int(0)])
+        });
+        let mut prog = Program::new("user", "q");
+        let mut prev = prog.var("X0");
+        prog.push(Instr::assign(prev, "test", "fail", vec![]));
+        for i in 1..8 {
+            let next = prog.var(&format!("X{i}"));
+            prog.push(Instr::assign(next, "test", "after", vec![Arg::Var(prev)]));
+            prev = next;
+        }
+        let e = run_dataflow_with(&prog, &[], &paper_ctx(), &registry, 4).unwrap_err();
+        assert!(matches!(e, MalError::Exec(ref m) if m == "boom"), "{e}");
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -93,6 +93,56 @@ fn insert_and_select_across_tcp_nodes() {
     }
 }
 
+/// Integers compare as integers, at every layer a `bigint` key passes
+/// through. 2^53 + 1 and 2^53 + 3 are not `f64`s: compared as floats
+/// (as every select and every UPDATE/DELETE predicate once was) each
+/// equals its even neighbour, so `WHERE id = 9007199254740993` would
+/// return — and a DELETE erase — two rows. Node 0 owns the table (its
+/// statements apply locally); node 2 owns nothing (its mutations are
+/// routed to node 0, its SELECTs pull the fragments off the ring).
+#[test]
+fn bigint_keys_above_2_pow_53_compare_exactly_local_and_routed() {
+    const BASE: i64 = 1 << 53;
+    let nodes = spawn_tcp_ring(3);
+    nodes[0].execute("create table big (id bigint, v int)").unwrap();
+    nodes[2].wait_for_table_timeout("sys", "big", Duration::from_secs(10)).unwrap();
+    let values: Vec<String> = (0..6).map(|i| format!("({}, {i})", BASE + i)).collect();
+    let rs = nodes[0].execute(&format!("insert into big values {}", values.join(", "))).unwrap();
+    assert_eq!(rs.affected, Some(6));
+
+    let v_where = |node: &RingNode, pred: &str| -> Vec<Val> {
+        let rs = node.execute(&format!("select v from big where {pred} order by v")).unwrap();
+        (0..rs.row_count()).map(|r| rs.cell(r, 0)).collect()
+    };
+    for node in [&nodes[0], &nodes[2]] {
+        assert_eq!(v_where(node, &format!("id = {}", BASE + 1)), [Val::Int(1)], "{}", node.id);
+        assert_eq!(v_where(node, &format!("id > {BASE}")).len(), 5, "{}", node.id);
+        assert_eq!(v_where(node, &format!("id <> {}", BASE + 3)).len(), 5, "{}", node.id);
+        let between = format!("id between {} and {}", BASE + 1, BASE + 3);
+        assert_eq!(v_where(node, &between), [Val::Int(1), Val::Int(2), Val::Int(3)], "{}", node.id);
+    }
+
+    // UPDATE and DELETE of one odd key each, at the owner and routed to it.
+    for (node, key) in [(&nodes[0], BASE + 1), (&nodes[2], BASE + 3)] {
+        let rs = node.execute(&format!("update big set v = 100 where id = {key}")).unwrap();
+        assert_eq!(rs.affected, Some(1), "update of {key} on {}", node.id);
+    }
+    let rs = nodes[0].execute("select id from big where v = 100 order by id").unwrap();
+    assert_eq!(rows(&rs), [[Val::Lng(BASE + 1)], [Val::Lng(BASE + 3)]]);
+    for (node, key) in [(&nodes[0], BASE + 1), (&nodes[2], BASE + 3)] {
+        let rs = node.execute(&format!("delete from big where id = {key}")).unwrap();
+        assert_eq!(rs.affected, Some(1), "delete of {key} on {}", node.id);
+    }
+    let rs = nodes[0].execute("select id, v from big order by id").unwrap();
+    let survivors: Vec<Vec<Val>> =
+        [0, 2, 4, 5].iter().map(|&i| vec![Val::Lng(BASE + i), Val::Int(i as i32)]).collect();
+    assert_eq!(rows(&rs), survivors, "each DELETE erased its own row and no neighbour");
+
+    for n in nodes {
+        n.shutdown();
+    }
+}
+
 /// Routed mutations served from a template hit (§3.2): node 2 owns
 /// nothing, so its INSERTs and UPDATEs travel the ring to node 0. Only
 /// the first statement of each shape compiles; every later one binds its

@@ -3,7 +3,7 @@
 //! arithmetic invariants, and protocol liveness under arbitrary request
 //! interleavings.
 
-use batstore::{ops, Bat, Column, Val};
+use batstore::{ops, Bat, ColType, Column, Val};
 use bytes::Bytes;
 use datacyclotron::msg::BatHeader;
 use datacyclotron::{
@@ -88,6 +88,350 @@ proptest! {
         prop_assert_eq!(back.count(), b.count());
         for i in 0..b.count() {
             prop_assert_eq!(back.bun(i), b.bun(i));
+        }
+    }
+}
+
+// ---- typed kernels vs `Val`-level oracles ---------------------------------
+//
+// The kernels pick an algorithm from a BAT's column types and claimed
+// properties; these properties draw every column type, head shape,
+// operator and constant type, and hold each result to an oracle written
+// here over `Val`s (`Column::get`, `Val::try_cmp`), nested loops and
+// `BTreeMap`s — nothing the kernels themselves run.
+
+mod kernels {
+    use batstore::{Bat, BatError, ColType, Column, Val};
+
+    pub const BIG: i64 = 1 << 53;
+    pub const TYPES: [ColType; 8] = [
+        ColType::Void,
+        ColType::Oid,
+        ColType::Int,
+        ColType::Lng,
+        ColType::Dbl,
+        ColType::Str,
+        ColType::Bool,
+        ColType::Date,
+    ];
+
+    /// One value of `ty` per pick, from a pool where values recur and
+    /// the edges are present (extremes, neighbours above 2^53, `NaN`,
+    /// both zeros, the empty and a long string).
+    pub fn column(ty: ColType, picks: &[u32]) -> Column {
+        fn of<T: Clone>(pool: &[T], picks: &[u32]) -> Vec<T> {
+            picks.iter().map(|&p| pool[p as usize % pool.len()].clone()).collect()
+        }
+        let ints = [i32::MIN, -3, -1, 0, 1, 2, 3, 4, 7, i32::MAX];
+        match ty {
+            ColType::Void => Column::Void { seq: 3, len: picks.len() },
+            ColType::Oid => Column::Oid(of(&[0, 1, 2, 3, 4, 5, 8, u64::MAX - 1, u64::MAX], picks)),
+            ColType::Int => Column::Int(of(&ints, picks)),
+            ColType::Date => Column::Date(of(&ints, picks)),
+            ColType::Lng => Column::Lng(of(
+                &[i64::MIN, -BIG - 1, -1, 0, 1, 2, 3, BIG, BIG + 1, BIG + 2, i64::MAX],
+                picks,
+            )),
+            ColType::Dbl => Column::Dbl(of(
+                &[f64::NEG_INFINITY, -1.5, -0.0, 0.0, 1.0, 2.5, 3.0, BIG as f64, f64::NAN],
+                picks,
+            )),
+            ColType::Str => Column::from(of(
+                &["", "a", "ab", "b", "N", "a string of some length", "héllo"],
+                picks,
+            )),
+            ColType::Bool => Column::Bool(picks.iter().map(|p| p % 2 == 1).collect()),
+        }
+    }
+
+    /// A head of `n` rows: dense from a non-zero base, ascending oids
+    /// with gaps, oids in no order, or oids with duplicates.
+    pub fn head(shape: usize, n: usize, picks: &[u32]) -> Column {
+        let at = |i: usize| picks[i % picks.len().max(1)] as u64;
+        match shape % 4 {
+            0 => Column::Void { seq: 100, len: n },
+            1 => Column::Oid((0..n as u64).map(|i| 3 * i + 1).collect()),
+            2 => {
+                let mut oids: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
+                for i in (1..n).rev() {
+                    oids.swap(i, (at(i) % (i as u64 + 1)) as usize);
+                }
+                Column::Oid(oids)
+            }
+            _ => Column::Oid((0..n).map(|i| at(i) % 5).collect()),
+        }
+    }
+
+    pub fn constant(pick: u32) -> Val {
+        let pool = [
+            Val::Nil,
+            Val::Int(-1),
+            Val::Int(0),
+            Val::Int(3),
+            Val::Lng(2),
+            Val::Lng(BIG + 1),
+            Val::Lng(i64::MIN),
+            Val::Lng(5_000_000_000),
+            Val::Oid(3),
+            Val::Oid(u64::MAX),
+            Val::Date(2),
+            Val::Bool(true),
+            Val::Dbl(2.5),
+            Val::Dbl(3.0),
+            Val::Dbl(BIG as f64),
+            Val::Dbl(f64::NAN),
+            Val::from(""),
+            Val::from("ab"),
+        ];
+        pool[pick as usize % pool.len()].clone()
+    }
+
+    /// A value as text, `dbl` by bit pattern (`NaN` equals itself, the
+    /// zeros differ): how the equality kernels see it.
+    pub fn canon(v: Val) -> String {
+        match v {
+            Val::Dbl(d) => format!("dbl:{:016x}", d.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    pub fn buns(b: &Bat) -> Vec<(String, String)> {
+        (0..b.count()).map(|i| (canon(b.head().get(i)), canon(b.tail().get(i)))).collect()
+    }
+
+    /// Every property a kernel claimed of its output is true of it.
+    pub fn assert_claims(b: &Bat, what: &str) {
+        let p = b.props();
+        assert!(!p.tail_sorted || b.tail().is_sorted(), "{what}: tail_sorted claimed");
+        assert!(!p.head_sorted || b.head().is_sorted(), "{what}: head_sorted claimed");
+        assert!(!p.head_key || b.head().is_key(), "{what}: head_key claimed");
+    }
+
+    /// The rows of `b` in `rows` order, as the BUNs a kernel should emit.
+    pub fn rows_of(b: &Bat, rows: &[usize]) -> Vec<(String, String)> {
+        rows.iter().map(|&i| (canon(b.head().get(i)), canon(b.tail().get(i)))).collect()
+    }
+
+    /// Strings compare with strings, everything else with each other,
+    /// `nil` with all: decided from the types alone.
+    pub fn comparable(ty: ColType, v: &Val) -> bool {
+        v.is_nil() || (ty == ColType::Str) == matches!(v, Val::Str(_))
+    }
+
+    pub fn is_mismatch<T: std::fmt::Debug>(r: &Result<T, BatError>) -> bool {
+        matches!(r, Err(BatError::TypeMismatch { .. }))
+    }
+}
+
+proptest! {
+    /// Every column type × head shape × operator × constant type: the
+    /// typed select and `matching_rows` keep exactly the rows the `Val`
+    /// comparison keeps, and refuse exactly the literals whose type does
+    /// not compare with the column's.
+    #[test]
+    fn typed_select_and_matching_rows_equal_the_val_filter(
+        ty in 0usize..8,
+        shape in 0usize..4,
+        op in 0usize..6,
+        consts in (any::<u32>(), any::<u32>()),
+        picks in prop::collection::vec(any::<u32>(), 0..60),
+    ) {
+        use kernels::*;
+        use ops::{CmpOp, RowPredicate};
+        use std::cmp::Ordering;
+        use std::sync::Arc;
+
+        let ty = TYPES[ty];
+        let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ne, CmpOp::Ge, CmpOp::Gt][op];
+        let (v, w) = (constant(consts.0), constant(consts.1));
+        let b = Bat::new(head(shape, picks.len(), &picks), column(ty, &picks)).unwrap();
+        let cmp = |i: usize, c: &Val| b.tail().get(i).try_cmp(c);
+        let all = 0..b.count();
+
+        let theta = ops::theta_select(&b, op, &v);
+        let column = || "c".to_string();
+        let shared = Arc::new(Bat::dense(b.tail().clone()));
+        let lookup = |name: &str| (name == "c").then(|| Arc::clone(&shared));
+        let matched = ops::matching_rows(
+            &lookup,
+            b.count(),
+            &[RowPredicate::Cmp { column: column(), op, value: v.clone() }],
+        );
+        if comparable(ty, &v) {
+            let want: Vec<usize> =
+                all.clone().filter(|&i| cmp(i, &v).is_some_and(|o| op.matches(o))).collect();
+            let theta = theta.unwrap();
+            prop_assert_eq!(buns(&theta), rows_of(&b, &want), "{} {:?}", op.symbol(), v);
+            assert_claims(&theta, "theta_select");
+            prop_assert_eq!(matched.unwrap(), want);
+        } else {
+            prop_assert!(is_mismatch(&theta) && is_mismatch(&matched), "{:?} / {:?}", theta, matched);
+        }
+
+        let range = ops::select_range(&b, &v, &w);
+        let between = ops::matching_rows(
+            &lookup,
+            b.count(),
+            &[RowPredicate::Between { column: column(), lo: v.clone(), hi: w.clone() }],
+        );
+        let listed = ops::matching_rows(
+            &lookup,
+            b.count(),
+            &[RowPredicate::InList { column: column(), values: vec![v.clone(), w.clone()] }],
+        );
+        if comparable(ty, &v) && comparable(ty, &w) {
+            let inside = |&i: &usize| {
+                cmp(i, &v).is_some_and(|o| o != Ordering::Less)
+                    && cmp(i, &w).is_some_and(|o| o != Ordering::Greater)
+            };
+            let want: Vec<usize> = all.clone().filter(inside).collect();
+            let range = range.unwrap();
+            prop_assert_eq!(buns(&range), rows_of(&b, &want), "[{:?}, {:?}]", v, w);
+            assert_claims(&range, "select_range");
+            prop_assert_eq!(between.unwrap(), want);
+            let equal = |i: usize, c: &Val| cmp(i, c) == Some(Ordering::Equal);
+            let want: Vec<usize> = all.filter(|&i| equal(i, &v) || equal(i, &w)).collect();
+            prop_assert_eq!(listed.unwrap(), want, "in ({:?}, {:?})", v, w);
+        } else {
+            prop_assert!(is_mismatch(&range) && is_mismatch(&between) && is_mismatch(&listed));
+        }
+    }
+
+    /// Positional (dense right head), merge (both sides ascending) and
+    /// hash (any order, built on either side) joins each emit the nested
+    /// loop's BUNs in the nested loop's order — out-of-range and
+    /// duplicate oids and empty sides included.
+    #[test]
+    fn every_join_path_equals_the_nested_loop(
+        ty in 1usize..8,
+        path in 0usize..4,
+        lhead in 0usize..4,
+        lpicks in prop::collection::vec(any::<u32>(), 0..40),
+        rpicks in prop::collection::vec(any::<u32>(), 0..40),
+    ) {
+        use kernels::*;
+        let ty = TYPES[ty];
+        let ascending = |c: Column| match &c {
+            // `NaN` keeps a dbl column out of order whatever is done.
+            Column::Dbl(v) if v.iter().any(|x| x.is_nan()) => c,
+            _ => c.gather(&c.sort_perm(false)),
+        };
+        let (ltail, rhead) = match path {
+            // r's head dense: l's oids are positions, some outside it.
+            0 => (column(ColType::Oid, &lpicks), Column::Void { seq: 2, len: rpicks.len() }),
+            1 => (ascending(column(ty, &lpicks)), ascending(column(ty, &rpicks))),
+            2 => (column(ty, &lpicks), ascending(column(ty, &rpicks))),
+            _ => (column(ty, &lpicks), column(ty, &rpicks)),
+        };
+        let l = Bat::new(head(lhead, ltail.len(), &lpicks), ltail).unwrap();
+        let r = Bat::new(rhead, column(TYPES[2 + rpicks.len() % 6], &rpicks)).unwrap();
+        let joined = ops::join(&l, &r).unwrap();
+        let mut want = Vec::new();
+        for i in 0..l.count() {
+            for j in 0..r.count() {
+                if canon(l.tail().get(i)) == canon(r.head().get(j)) {
+                    want.push((canon(l.head().get(i)), canon(r.tail().get(j))));
+                }
+            }
+        }
+        prop_assert_eq!(buns(&joined), want);
+        assert_claims(&joined, "join");
+        prop_assert_eq!(buns(&ops::leftjoin(&l, &r).unwrap()), buns(&joined));
+    }
+
+    /// `semijoin` / `kdifference` / `kunion` against a set of head
+    /// values, on the range test (dense right head), the merge (both
+    /// heads ascending) and the hash path — and the merge and hash paths
+    /// agree with each other on the same BUNs.
+    #[test]
+    fn set_operation_paths_agree_with_a_btreeset(
+        ty in 0usize..8,
+        path in 0usize..3,
+        lpicks in prop::collection::vec(any::<u32>(), 0..40),
+        rpicks in prop::collection::vec(any::<u32>(), 0..40),
+    ) {
+        use kernels::*;
+        use std::collections::BTreeSet;
+        let ty = TYPES[ty];
+        let ascending = |c: Column| match &c {
+            Column::Dbl(v) if v.iter().any(|x| x.is_nan()) => c,
+            _ => c.gather(&c.sort_perm(false)),
+        };
+        let (lhead, rhead) = match path {
+            0 => (column(ColType::Oid, &lpicks), Column::Void { seq: 2, len: rpicks.len() }),
+            1 => (ascending(column(ty, &lpicks)), ascending(column(ty, &rpicks))),
+            _ => (column(ty, &lpicks), column(ty, &rpicks)),
+        };
+        let l = Bat::new(lhead, column(ColType::Int, &lpicks)).unwrap();
+        let r = Bat::new(rhead, column(ColType::Int, &rpicks)).unwrap();
+        let heads = |b: &Bat| -> BTreeSet<String> { buns(b).into_iter().map(|(h, _)| h).collect() };
+        let (in_l, in_r) = (heads(&l), heads(&r));
+        let l_rows = |keep: bool| -> Vec<usize> {
+            (0..l.count()).filter(|&i| in_r.contains(&canon(l.head().get(i))) == keep).collect()
+        };
+        let semi = ops::semijoin(&l, &r).unwrap();
+        let diff = ops::kdifference(&l, &r).unwrap();
+        prop_assert_eq!(buns(&semi), rows_of(&l, &l_rows(true)));
+        prop_assert_eq!(buns(&diff), rows_of(&l, &l_rows(false)));
+        prop_assert_eq!(buns(&ops::kintersect(&l, &r).unwrap()), buns(&semi));
+        let union = ops::kunion(&l, &r).unwrap();
+        let added: Vec<usize> =
+            (0..r.count()).filter(|&i| !in_l.contains(&canon(r.head().get(i)))).collect();
+        let mut want = buns(&l);
+        want.extend(rows_of(&r, &added));
+        prop_assert_eq!(buns(&union), want);
+        for (what, out) in [("semijoin", &semi), ("kdifference", &diff), ("kunion", &union)] {
+            assert_claims(out, what);
+        }
+        // The same right side with its order — and the claim that picks
+        // the merge — undone takes the hash path to the same answer.
+        let undone = r.gather(&(0..r.count()).rev().collect::<Vec<_>>());
+        prop_assert_eq!(buns(&ops::semijoin(&l, &undone).unwrap()), buns(&semi));
+        prop_assert_eq!(buns(&ops::kdifference(&l, &undone).unwrap()), buns(&diff));
+    }
+
+    /// `group.new` and `group.derive` number groups in first-appearance
+    /// order, exactly as a `BTreeMap` from key to next-free id does.
+    #[test]
+    fn grouping_equals_a_btreemap_in_first_appearance_order(
+        ty in 0usize..8,
+        refine_ty in 0usize..8,
+        picks in prop::collection::vec(any::<u32>(), 0..120),
+        refine in prop::collection::vec(any::<u32>(), 120),
+    ) {
+        use kernels::*;
+        use std::collections::BTreeMap;
+        fn number<K: Ord>(keys: impl Iterator<Item = K>) -> (Vec<u64>, Vec<usize>) {
+            let mut ids: BTreeMap<K, u64> = BTreeMap::new();
+            let (mut gids, mut reps) = (Vec::new(), Vec::new());
+            for (i, key) in keys.enumerate() {
+                let next = ids.len() as u64;
+                gids.push(*ids.entry(key).or_insert_with(|| {
+                    reps.push(i);
+                    next
+                }));
+            }
+            (gids, reps)
+        }
+        let b = Bat::dense_from(7, column(TYPES[ty], &picks));
+        let key = |i: usize| canon(b.tail().get(i));
+        let (grp, ext) = ops::group_by(&b);
+        let (gids, reps) = number((0..b.count()).map(key));
+        prop_assert_eq!(grp.tail().as_oid().unwrap(), &gids[..]);
+        prop_assert_eq!(grp.head(), b.head());
+        let ext_keys: Vec<String> = (0..ext.count()).map(|g| canon(ext.tail().get(g))).collect();
+        prop_assert_eq!(ext_keys, reps.iter().map(|&i| key(i)).collect::<Vec<_>>());
+        prop_assert_eq!(buns(&ops::distinct(&b)), buns(&ext));
+
+        let other = Bat::dense_from(7, column(TYPES[refine_ty], &refine[..picks.len()]));
+        let (grp2, ext2) = ops::group_derive(&other, &grp).unwrap();
+        let (gids2, reps2) =
+            number((0..b.count()).map(|i| (gids[i], canon(other.tail().get(i)))));
+        prop_assert_eq!(grp2.tail().as_oid().unwrap(), &gids2[..]);
+        let reps2: Vec<u64> = reps2.into_iter().map(|i| i as u64).collect();
+        prop_assert_eq!(ext2.tail().as_oid().unwrap(), &reps2[..]);
+        for (what, out) in [("grp", &grp), ("ext", &ext), ("grp'", &grp2), ("ext'", &ext2)] {
+            assert_claims(out, what);
         }
     }
 }

@@ -11,10 +11,11 @@
 //! must report nonzero `ring_query_bytes_moved`, proving the fragments
 //! were pulled off the wire rather than found locally.
 
-use batstore::Val;
+use batstore::{Column, Val};
 use datacyclotron::{DcConfig, NodeId, NodeOptions, Ring, RingNode, RingTransport};
 use dc_transport::tcp::join_ring;
 use dc_workloads::tpch::sql as tpch;
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,6 +121,131 @@ fn tpch_subset_matches_single_node_over_tcp_ring() {
         n.shutdown();
     }
     single.shutdown();
+}
+
+/// One generated table, read as plain vectors.
+struct Rows<'a>(&'a tpch::Table);
+
+impl Rows<'_> {
+    fn column(&self, name: &str) -> &Column {
+        &self.0.iter().find(|(n, _)| *n == name).unwrap_or_else(|| panic!("no column {name}")).1
+    }
+    fn ints(&self, name: &str) -> &[i32] {
+        self.column(name).as_int().unwrap_or_else(|| panic!("{name} is not int"))
+    }
+    fn lngs(&self, name: &str) -> &[i64] {
+        self.column(name).as_lng().unwrap_or_else(|| panic!("{name} is not lng"))
+    }
+    fn strs(&self, name: &str) -> Vec<&str> {
+        self.column(name)
+            .as_str_col()
+            .unwrap_or_else(|| panic!("{name} is not str"))
+            .iter()
+            .collect()
+    }
+}
+
+/// Q1, Q3 and Q6 evaluated a row at a time over the generator's vectors:
+/// plain loops and a `BTreeMap`, no `batstore::ops`, no MAL, no SQL. Every
+/// other reference in the tree (the single-node ring above, the ledger's
+/// `LocalDb`) runs the same kernels as the system under test, so a kernel
+/// bug is invisible to them; this one shares no code with the engine.
+fn row_at_a_time(data: &tpch::TpchData) -> Vec<(&'static str, Vec<Vec<Val>>)> {
+    let (c, o, l) = (Rows(&data.customer), Rows(&data.orders), Rows(&data.lineitem));
+    let (shipdate, quantity) = (l.ints("l_shipdate"), l.lngs("l_quantity"));
+    let (price, discount) = (l.lngs("l_extendedprice"), l.lngs("l_discount"));
+
+    // Q1: groups in first-appearance order, then a stable sort on the
+    // one ORDER BY key — equal flags keep the order they appeared in.
+    let (flag, status) = (l.strs("l_returnflag"), l.strs("l_linestatus"));
+    let mut slot_of: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    let mut groups: Vec<(&str, &str, i64, i64, i64, i64)> = Vec::new();
+    for i in 0..shipdate.len() {
+        if shipdate[i] <= 19980902 {
+            let slot = *slot_of.entry((flag[i], status[i])).or_insert_with(|| {
+                groups.push((flag[i], status[i], 0, 0, 0, 0));
+                groups.len() - 1
+            });
+            let g = &mut groups[slot];
+            (g.2, g.3, g.4, g.5) = (g.2 + quantity[i], g.3 + price[i], g.4 + discount[i], g.5 + 1);
+        }
+    }
+    groups.sort_by_key(|g| g.0);
+    let q1 = groups
+        .iter()
+        .map(|&(flag, status, qty, price, disc, n)| {
+            let avg = Val::Dbl(disc as f64 / n as f64);
+            vec![
+                Val::from(flag),
+                Val::from(status),
+                Val::Lng(qty),
+                Val::Lng(price),
+                avg,
+                Val::Lng(n),
+            ]
+        })
+        .collect();
+
+    // Q3: nested loops over the two foreign keys; the group key starts
+    // with the (unique) order key, which is also the ORDER BY key.
+    let segment = c.strs("c_mktsegment");
+    let (custkey, o_custkey) = (c.ints("c_custkey"), o.ints("o_custkey"));
+    let (orderkey, l_orderkey) = (o.ints("o_orderkey"), l.ints("l_orderkey"));
+    let (orderdate, priority) = (o.ints("o_orderdate"), o.ints("o_shippriority"));
+    let mut revenue: BTreeMap<(i32, i32, i32), i64> = BTreeMap::new();
+    for ci in (0..custkey.len()).filter(|&ci| segment[ci] == "BUILDING") {
+        for oi in (0..orderkey.len()).filter(|&oi| o_custkey[oi] == custkey[ci]) {
+            if orderdate[oi] >= 19950315 {
+                continue;
+            }
+            for li in (0..l_orderkey.len()).filter(|&li| l_orderkey[li] == orderkey[oi]) {
+                if shipdate[li] > 19950315 {
+                    *revenue.entry((orderkey[oi], orderdate[oi], priority[oi])).or_insert(0) +=
+                        price[li];
+                }
+            }
+        }
+    }
+    let q3 = revenue
+        .iter()
+        .take(10)
+        .map(|(&(key, date, prio), &sum)| {
+            vec![Val::Int(key), Val::Int(date), Val::Int(prio), Val::Lng(sum)]
+        })
+        .collect();
+
+    // Q6.
+    let (mut sum, mut n) = (0i64, 0i64);
+    for i in 0..shipdate.len() {
+        if (19940101..=19941231).contains(&shipdate[i])
+            && (5..=7).contains(&discount[i])
+            && quantity[i] < 24
+        {
+            (sum, n) = (sum + price[i], n + 1);
+        }
+    }
+    vec![("q1", q1), ("q3", q3), ("q6", vec![vec![Val::Lng(sum), Val::Lng(n)]])]
+}
+
+#[test]
+fn tpch_subset_matches_a_row_at_a_time_evaluation() {
+    for (scale, seed) in [(1.0, 42), (10.0, 42), (1.0, 1729), (10.0, 1729)] {
+        let data = tpch::generate(scale, seed);
+        let expected = row_at_a_time(&data);
+        let ring = Ring::builder(1).build();
+        ring.load_table("sys", "customer", data.customer).unwrap();
+        ring.load_table("sys", "orders", data.orders).unwrap();
+        ring.load_table("sys", "lineitem", data.lineitem).unwrap();
+        for ((name, stmt), (oracle_name, want)) in tpch::queries().into_iter().zip(expected) {
+            assert_eq!(name, oracle_name);
+            let got = ring.execute(0, stmt).unwrap();
+            let got: Vec<Vec<Val>> = (0..got.row_count())
+                .map(|r| (0..got.column_count()).map(|c| got.cell(r, c)).collect())
+                .collect();
+            assert_eq!(got, want, "{name} at scale {scale}, seed {seed}");
+        }
+        ring.shutdown();
+    }
 }
 
 /// The EXPLAIN surface shows the compile-time join classification that
