@@ -57,6 +57,27 @@ fn bench_serialization(c: &mut Criterion) {
     c.bench_function("bat_from_bytes_4mb", |b| {
         b.iter(|| black_box(batstore::storage::bat_from_bytes(&bytes).unwrap()))
     });
+
+    // One fragment of each column type the ring carries, at the row
+    // count of a `tpch_ring` lineitem column.
+    const ROWS: usize = 40_000;
+    let words = ["DELIVER IN PERSON", "MAIL", "", "TAKE BACK RETURN", "héllo"];
+    let columns = [
+        ("int", Column::Int((0..ROWS as i32).collect())),
+        ("lng", Column::Lng((0..ROWS as i64).map(|i| i << 20).collect())),
+        ("dbl", Column::Dbl((0..ROWS).map(|i| i as f64 * 0.25).collect())),
+        ("str", Column::from((0..ROWS).map(|i| words[i % words.len()]).collect::<Vec<_>>())),
+    ];
+    for (ty, column) in columns {
+        let bat = Bat::dense(column);
+        c.bench_function(&format!("bat_to_bytes_{ty}_40k"), |b| {
+            b.iter(|| black_box(batstore::storage::bat_to_bytes(&bat)))
+        });
+        let bytes = batstore::storage::bat_to_bytes(&bat);
+        c.bench_function(&format!("bat_from_bytes_{ty}_40k"), |b| {
+            b.iter(|| black_box(batstore::storage::bat_from_bytes(&bytes).unwrap()))
+        });
+    }
 }
 
 criterion_group!(

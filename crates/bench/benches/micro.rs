@@ -2,7 +2,12 @@
 //!
 //! * LOI update arithmetic (runs once per BAT per owner pass),
 //! * request/BAT propagation handlers (the per-message protocol cost),
-//! * message codec encode/decode (TCP transport hot path),
+//! * message codec encode/decode of a header-only frame,
+//! * the ring's data plane (`bench_ring_hop`; run it alone with
+//!   `cargo bench -p dc-bench --bench micro -- ring_hop`): encode and
+//!   owned-frame decode of a 340 KB `Bat` frame, and `send_data` → `recv`
+//!   of that frame and of a header-only one between two `join_ring`
+//!   members over loopback TCP,
 //! * netsim event-queue throughput (simulation scalability),
 //! * MAL interpreter dispatch — the paper claims "well below one µsec
 //!   per instruction" (§3.2); `mal_interpreter_per_instruction` measures
@@ -14,7 +19,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use datacyclotron::msg::BatHeader;
 use datacyclotron::{
-    decode, encode, new_loi, BatId, DcConfig, DcMsg, DcNode, NodeId, QueryId, ReqMsg,
+    decode, decode_frame, encode, new_loi, BatId, DcConfig, DcMsg, DcNode, NodeId, QueryId, ReqMsg,
+    RingTransport,
 };
 use netsim::{EventQueue, SimTime};
 
@@ -87,6 +93,48 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("codec_encode_header", |b| b.iter(|| black_box(encode(black_box(&msg)))));
     let bytes = encode(&msg);
     c.bench_function("codec_decode_header", |b| b.iter(|| black_box(decode(black_box(&bytes)))));
+}
+
+/// What one hop of a circulating fragment costs. `bench_codec` above
+/// only ever sees a frame without a payload; these carry one the size of
+/// a `tpch_ring` lineitem column.
+fn bench_ring_hop(c: &mut Criterion) {
+    let column = batstore::Bat::dense(batstore::Column::Lng((0..42_500).collect()));
+    let payload = bytes::Bytes::from(batstore::storage::bat_to_bytes(&column));
+    let with_payload =
+        |payload| DcMsg::Bat { header: BatHeader::fresh(NodeId(0), BatId(1), 340_000), payload };
+    let msg = with_payload(Some(payload));
+    c.bench_function("ring_hop/encode_340kb", |b| b.iter(|| black_box(encode(black_box(&msg)))));
+    let frame = encode(&msg);
+    // The frame handle is cloned per iteration, as a reader hands each
+    // received buffer over once: the decode itself must not copy.
+    c.bench_function("ring_hop/decode_frame_340kb", |b| {
+        b.iter(|| black_box(decode_frame(black_box(frame.clone()))))
+    });
+
+    let reserved: Vec<std::net::TcpListener> =
+        (0..2).map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+    let addrs: Vec<_> = reserved.iter().map(|l| l.local_addr().expect("addr")).collect();
+    drop(reserved);
+    let peer = {
+        let addrs = addrs.clone();
+        std::thread::spawn(move || dc_transport::tcp::join_ring(&addrs, 1).expect("join"))
+    };
+    let sender = dc_transport::tcp::join_ring(&addrs, 0).expect("join");
+    let receiver = peer.join().expect("peer");
+    for (id, msg) in [
+        ("ring_hop/tcp_send_recv_340kb", msg.clone()),
+        ("ring_hop/tcp_send_recv_header_only", with_payload(None)),
+    ] {
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                sender.send_data(msg.clone()).expect("send_data");
+                black_box(receiver.recv())
+            })
+        });
+    }
+    sender.close();
+    receiver.close();
 }
 
 fn bench_eventqueue(c: &mut Criterion) {
@@ -209,6 +257,7 @@ criterion_group!(
     bench_loi,
     bench_propagation,
     bench_codec,
+    bench_ring_hop,
     bench_eventqueue,
     bench_interpreter,
     bench_kernels

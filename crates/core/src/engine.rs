@@ -25,12 +25,12 @@ use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg, EvictMsg, MutOp, RoutedBody};
 use crate::proto::{DcNode, Effect, PinOutcome};
 use crate::routed::{Due, Pending, Routed};
-use crate::runtime::{CatalogNotify, Cmd, FragInfo, RingCatalog, RingHooks, Waiter};
+use crate::runtime::{CatalogNotify, Cmd, Frag, FragInfo, RingCatalog, RingHooks, Waiter};
 use crate::stats::NodeStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
 use batstore::{ops, storage, Bat, BatStore, Catalog, Column, ResultSet, RowPredicate};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use dc_persist::{
     CheckpointMetrics, Checkpointer, ColRec, FragSnap, ReplacePart, Snapshot, TableRec, WalRecord,
     WalWriter,
@@ -206,50 +206,26 @@ impl PersistCtx {
 
 /// Events arriving at a node's event loop.
 pub enum NodeEvent {
-    /// A ring message drained from the transport by the pump thread.
+    /// A ring message, put here by the sink the node attached to its
+    /// transport — on the thread that received it.
     Ring(DcMsg),
     /// DBMS-layer command (request/pin/unpin/…).
     Cmd(Cmd),
 }
 
-/// A fragment payload held by a node: decoded for local delivery, with
-/// the serialized form memoized lazily — fragments that never enter the
-/// ring (owner-local tables, or repeated appends between passes) never
-/// pay the encoding.
-struct StoredFrag {
-    bat: Arc<Bat>,
-    wire: Option<Bytes>,
+/// The payload of the `Bat` frame being handled: the bytes as they
+/// arrived, which is what gets forwarded, and the cell over them that
+/// local waiters and the cache share. The event loop looks inside
+/// neither. (The two are kept apart because the cell lets its bytes go
+/// the moment some query decodes it, which can be before the forward.)
+struct Inbound {
+    wire: Bytes,
+    frag: Frag,
 }
 
-impl StoredFrag {
-    fn new(bat: Arc<Bat>) -> StoredFrag {
-        StoredFrag { bat, wire: None }
-    }
-
-    fn wire(&mut self) -> Bytes {
-        self.wire.get_or_insert_with(|| Bytes::from(storage::bat_to_bytes(&self.bat))).clone()
-    }
-}
-
-/// The inbound payload of the message being handled, decoded at most
-/// once no matter how many effects consume it.
-struct PayloadSlot {
-    wire: Option<Bytes>,
-    decoded: Option<Arc<Bat>>,
-}
-
-impl PayloadSlot {
-    fn new(wire: Option<Bytes>) -> PayloadSlot {
-        PayloadSlot { wire, decoded: None }
-    }
-
-    fn bat(&mut self) -> Option<Arc<Bat>> {
-        if self.decoded.is_none() {
-            self.decoded =
-                self.wire.as_ref().and_then(|w| storage::bat_from_bytes(w).ok()).map(Arc::new);
-        }
-        self.decoded.clone()
-    }
+/// The `Bat` of an owned fragment.
+fn owned_bat(frag: &Frag) -> Arc<Bat> {
+    frag.bat().expect("an owner's cell is built from its Bat")
 }
 
 /// A fresh statement-id epoch for one node incarnation. Statement ids
@@ -286,10 +262,12 @@ struct NodeCtx {
     /// This node's SQL metadata catalog (names and types only; the data
     /// lives in the ring).
     meta: Arc<RwLock<Catalog>>,
-    /// Owned fragment payloads ("local disk").
-    disk: HashMap<BatId, StoredFrag>,
-    /// Cached passing fragments (the §4.2.1 local cache).
-    cache: HashMap<BatId, StoredFrag>,
+    /// Owned fragment payloads ("local disk"): cells built from the
+    /// authoritative `Bat`, their wire form memoised on first send.
+    disk: HashMap<BatId, Frag>,
+    /// Cached passing fragments (the §4.2.1 local cache): the very cells
+    /// their frames arrived as.
+    cache: HashMap<BatId, Frag>,
     /// Blocked pins per BAT.
     waiting: HashMap<BatId, Vec<(QueryId, Arc<Waiter>)>>,
     /// Fragment-id allocator for SQL-created tables, shared with the
@@ -329,6 +307,8 @@ struct NodeCtx {
     /// Live hot-set gauges, in order: resident bytes, spilled bytes,
     /// spilled fragment count, current LOIT ladder level.
     hotset_gauges: [Arc<dc_obs::Gauge>; 4],
+    /// Mirror of [`RingTransport::frames_rejected`].
+    frames_rejected: Arc<dc_obs::Counter>,
     started: Instant,
     tick_every: Duration,
 }
@@ -442,12 +422,12 @@ impl NodeCtx {
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
             }
             let effects = self.node.tick();
-            self.execute(effects, &mut PayloadSlot::new(None));
+            self.execute(effects, None);
             self.enforce_budget();
             self.maybe_checkpoint();
             self.service_spills();
             self.service_pending();
-            self.sync_hotset_telemetry();
+            self.sync_telemetry();
         }
     }
 
@@ -581,7 +561,7 @@ impl NodeCtx {
             .map(|(b, f)| FragSnap {
                 bat: b.0,
                 version: self.node.s1.get(*b).map(|o| o.version).unwrap_or(0),
-                payload: Some(Arc::clone(&f.bat)),
+                payload: Some(owned_bat(f)),
             })
             .collect();
         // Spilled fragments ride along payload-less: their at-rest copy
@@ -615,11 +595,13 @@ impl NodeCtx {
                 // ring, whatever Evict announcements said earlier.
                 self.remote_spilled.remove(&header.bat);
                 let effects = self.node.on_bat(header);
-                self.execute(effects, &mut PayloadSlot::new(payload));
+                let inbound =
+                    payload.map(|wire| Inbound { frag: Frag::from_wire(wire.clone()), wire });
+                self.execute(effects, inbound.as_ref());
             }
             DcMsg::Request(req) => {
                 let effects = self.node.on_request(req);
-                self.execute(effects, &mut PayloadSlot::new(None));
+                self.execute(effects, None);
             }
             DcMsg::Catalog(c) => {
                 if c.origin == self.node.id {
@@ -789,7 +771,7 @@ impl NodeCtx {
                     self.node.stats.loi_readmits += 1;
                 }
                 let effects = self.node.bat_loaded(bat);
-                self.execute(effects, &mut PayloadSlot::new(None));
+                self.execute(effects, None);
                 Ok(1)
             }
         }
@@ -815,7 +797,7 @@ impl NodeCtx {
         let payload = storage::load_bat(&p.dir.bat_path(bat.0, info.version))
             .map_err(|e| format!("reloading spilled {bat}: {e}"))?;
         let size = payload.byte_size() as u64;
-        self.disk.insert(bat, StoredFrag::new(Arc::new(payload)));
+        self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
         self.hotset.note_reloaded(bat);
         self.hotset.note_resident(bat, size);
         self.node.stats.loi_readmits += 1;
@@ -944,9 +926,12 @@ impl NodeCtx {
     }
 
     /// Push the hot-set residency totals and LOIT level into the node's
-    /// gauge registry, and mirror the ladder's transition count into
-    /// [`NodeStats`].
-    fn sync_hotset_telemetry(&mut self) {
+    /// gauge registry, mirror the ladder's transition count into
+    /// [`NodeStats`], and the transport's rejected-frame count into
+    /// `ring_frames_rejected`.
+    fn sync_telemetry(&mut self) {
+        let rejected = self.transport.frames_rejected();
+        self.frames_rejected.add(rejected.saturating_sub(self.frames_rejected.get()));
         self.node.stats.loit_transitions = self.node.ladder.transitions;
         self.hotset_gauges[0].set(self.hotset.resident_bytes() as i64);
         self.hotset_gauges[1].set(self.hotset.spilled_bytes() as i64);
@@ -1060,7 +1045,7 @@ impl NodeCtx {
         for (bat, vals) in parts {
             let frag =
                 self.disk.get(bat).ok_or_else(|| format!("owned {bat} missing from disk"))?;
-            let grown = frag.bat.extend_tail(vals).map_err(|e| e.to_string())?;
+            let grown = owned_bat(frag).extend_tail(vals).map_err(|e| e.to_string())?;
             let version = self.node.s1.get(*bat).map(|o| o.version + 1).unwrap_or(1);
             staged.push((*bat, version, grown));
         }
@@ -1076,9 +1061,8 @@ impl NodeCtx {
                 .collect(),
         ))?;
         for (bat, version, grown) in staged {
-            let frag = StoredFrag::new(Arc::new(grown));
-            let size = frag.bat.byte_size() as u64;
-            self.disk.insert(bat, frag);
+            let size = grown.byte_size() as u64;
+            self.disk.insert(bat, Frag::from_bat(Arc::new(grown)));
             self.hotset.note_resident(bat, size);
             if let Some(owned) = self.node.s1.get_mut(bat) {
                 owned.size = size;
@@ -1094,11 +1078,11 @@ impl NodeCtx {
         match cmd {
             Cmd::Request { query, bat } => {
                 let effects = self.node.local_request(query, bat);
-                self.execute(effects, &mut PayloadSlot::new(None));
+                self.execute(effects, None);
             }
             Cmd::Pin { query, bat, waiter } => {
                 let (outcome, effects) = self.node.pin(query, bat);
-                self.execute(effects, &mut PayloadSlot::new(None));
+                self.execute(effects, None);
                 match outcome {
                     PinOutcome::OwnedLocal => {
                         // The owned payload may have been spilled; a
@@ -1106,7 +1090,7 @@ impl NodeCtx {
                         let r = self.ensure_resident(bat).and_then(|_| {
                             self.disk
                                 .get(&bat)
-                                .map(|f| Arc::clone(&f.bat))
+                                .cloned()
                                 .ok_or_else(|| format!("owned fragment {bat} missing from disk"))
                         });
                         waiter.fulfill(r);
@@ -1115,7 +1099,7 @@ impl NodeCtx {
                         let r = self
                             .cache
                             .get(&bat)
-                            .map(|f| Arc::clone(&f.bat))
+                            .cloned()
                             .ok_or_else(|| format!("cached fragment {bat} missing payload"));
                         waiter.fulfill(r);
                     }
@@ -1130,11 +1114,11 @@ impl NodeCtx {
             }
             Cmd::Unpin { query, bat } => {
                 let effects = self.node.unpin(query, bat);
-                self.execute(effects, &mut PayloadSlot::new(None));
+                self.execute(effects, None);
             }
             Cmd::QueryDone { query } => {
                 let effects = self.node.query_done(query);
-                self.execute(effects, &mut PayloadSlot::new(None));
+                self.execute(effects, None);
             }
             Cmd::StoreOwned { bat, payload } => {
                 // Driver-side bulk load: the whole payload is the durable
@@ -1152,7 +1136,7 @@ impl NodeCtx {
                     );
                 }
                 let size = payload.byte_size() as u64;
-                self.disk.insert(bat, StoredFrag::new(payload));
+                self.disk.insert(bat, Frag::from_bat(payload));
                 self.hotset.note_resident(bat, size);
                 self.node.register_owned(bat, size);
             }
@@ -1256,7 +1240,7 @@ impl NodeCtx {
         self.persist_table(&gossip)?;
         for (bat, payload) in payloads {
             let size = payload.byte_size() as u64;
-            self.disk.insert(bat, StoredFrag::new(payload));
+            self.disk.insert(bat, Frag::from_bat(payload));
             self.hotset.note_resident(bat, size);
             self.node.register_owned(bat, size);
         }
@@ -1399,7 +1383,7 @@ impl NodeCtx {
                 .disk
                 .get(&info.bat)
                 .ok_or_else(|| format!("owned {} missing from disk", info.bat))?;
-            payloads.push((name.clone(), info.bat, Arc::clone(&frag.bat)));
+            payloads.push((name.clone(), info.bat, owned_bat(frag)));
         }
         let row_count = payloads.first().map(|(_, _, b)| b.count()).unwrap_or(0);
         let rows = {
@@ -1483,9 +1467,8 @@ impl NodeCtx {
             MutOp::Delete => WalRecord::Delete(parts),
         })?;
         for (bat, version, b) in staged {
-            let frag = StoredFrag::new(Arc::new(b));
-            let size = frag.bat.byte_size() as u64;
-            self.disk.insert(bat, frag);
+            let size = b.byte_size() as u64;
+            self.disk.insert(bat, Frag::from_bat(Arc::new(b)));
             self.hotset.note_resident(bat, size);
             if let Some(owned) = self.node.s1.get_mut(bat) {
                 owned.size = size;
@@ -1537,19 +1520,18 @@ impl NodeCtx {
         node_frag_id(self.node.id, self.next_frag.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn execute(&mut self, effects: Vec<Effect>, payload: &mut PayloadSlot) {
+    fn execute(&mut self, effects: Vec<Effect>, inbound: Option<&Inbound>) {
         for e in effects {
             match e {
                 Effect::SendBat(h) => {
                     // Owned fragments forward the authoritative disk copy
                     // (fresh after appends); foreign ones relay the
-                    // inbound or cached payload untouched.
-                    let wire = if let Some(f) = self.disk.get_mut(&h.bat) {
-                        Some(f.wire())
-                    } else if let Some(w) = payload.wire.clone() {
-                        Some(w)
-                    } else {
-                        self.cache.get_mut(&h.bat).map(|f| f.wire())
+                    // inbound bytes untouched, or — a header-only frame
+                    // met a cached copy — the cache's.
+                    let wire = match (self.disk.get(&h.bat), inbound) {
+                        (Some(owned), _) => Some(owned.wire()),
+                        (None, Some(inbound)) => Some(inbound.wire.clone()),
+                        (None, None) => self.cache.get(&h.bat).map(Frag::wire),
                     };
                     if let Some(wire) = wire {
                         // A send error means the successor died; the ring
@@ -1570,7 +1552,7 @@ impl NodeCtx {
                         Ok(_) => {
                             self.spill_queue.cancel(bat);
                             let effects = self.node.bat_loaded(bat);
-                            self.execute(effects, payload);
+                            self.execute(effects, inbound);
                         }
                         Err(err) => {
                             eprintln!(
@@ -1589,10 +1571,12 @@ impl NodeCtx {
                     self.begin_spill(bat);
                 }
                 Effect::Deliver { header, queries } => {
-                    let off_ring = payload.bat();
-                    let p = off_ring
-                        .clone()
-                        .or_else(|| self.cache.get(&header.bat).map(|f| Arc::clone(&f.bat)));
+                    // The waiters get the cell, not a `Bat`: each decodes
+                    // (once between them) on its own thread, after this
+                    // loop has moved on to forwarding the frame.
+                    let frag = inbound
+                        .map(|i| i.frag.clone())
+                        .or_else(|| self.cache.get(&header.bat).cloned());
                     if let Some(list) = self.waiting.remove(&header.bat) {
                         let (to_serve, keep): (Vec<_>, Vec<_>) =
                             list.into_iter().partition(|(q, _)| queries.contains(q));
@@ -1603,23 +1587,19 @@ impl NodeCtx {
                         // arrived over the ring and fulfills at least one
                         // registered query cost one payload transfer.
                         // Cache- and owner-served pins move nothing.
-                        if off_ring.is_some() && !to_serve.is_empty() {
+                        if inbound.is_some() && !to_serve.is_empty() {
                             self.node.stats.ring_query_bytes_moved += header.size;
                         }
                         for (_, w) in to_serve {
-                            match &p {
-                                Some(p) => w.fulfill(Ok(Arc::clone(p))),
-                                None => w.fulfill(Err(format!(
-                                    "fragment {} payload unavailable",
-                                    header.bat
-                                ))),
-                            }
+                            w.fulfill(frag.clone().ok_or_else(|| {
+                                format!("fragment {} payload unavailable", header.bat)
+                            }));
                         }
                     }
                 }
                 Effect::CacheInsert(bat) => {
-                    if let (Some(b), Some(w)) = (payload.bat(), payload.wire.clone()) {
-                        self.cache.insert(bat, StoredFrag { bat: b, wire: Some(w) });
+                    if let Some(inbound) = inbound {
+                        self.cache.insert(bat, inbound.frag.clone());
                     }
                 }
                 Effect::CacheEvict(bat) => {
@@ -1703,7 +1683,6 @@ pub struct RingNode {
     transport: Arc<dyn RingTransport>,
     obs: Arc<dc_obs::Registry>,
     event_loop: Option<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
     next_query: AtomicU64,
     next_frag: Arc<AtomicU32>,
     templates: mal::TemplateCache,
@@ -1711,8 +1690,8 @@ pub struct RingNode {
 }
 
 impl RingNode {
-    /// Start a node: spawns its event loop plus a pump thread draining
-    /// the transport into it. Panics if the node's data dir (when
+    /// Start a node: spawns its event loop and attaches it to the
+    /// transport's inbound stream. Panics if the node's data dir (when
     /// configured) cannot be opened or recovered — see
     /// [`RingNode::try_spawn`] for the fallible form.
     pub fn spawn(id: NodeId, transport: Arc<dyn RingTransport>, opts: NodeOptions) -> RingNode {
@@ -1725,7 +1704,13 @@ impl RingNode {
         transport: Arc<dyn RingTransport>,
         opts: NodeOptions,
     ) -> Result<RingNode, String> {
-        let (tx, rx) = bounded::<NodeEvent>(4096);
+        // Unbounded: the transport's sink runs on a neighbor's event loop
+        // (memory fabric) or a socket reader and must never block — full
+        // bounded queues around a ring are a deadlock — and commands come
+        // from callers that then wait for their answer, so what queues
+        // here is bounded by the fragments in circulation plus the
+        // threads using the node.
+        let (tx, rx) = unbounded::<NodeEvent>();
         let catalog = Arc::new(RingCatalog::new());
         let meta = Arc::new(RwLock::new(Catalog::new()));
         let notify = Arc::new(CatalogNotify::new());
@@ -1737,7 +1722,7 @@ impl RingNode {
         let transport: Arc<dyn RingTransport> = Arc::new(MeteredTransport::new(transport, &obs));
 
         let mut node = DcNode::new(id, opts.cfg.clone());
-        let mut disk: HashMap<BatId, StoredFrag> = HashMap::new();
+        let mut disk: HashMap<BatId, Frag> = HashMap::new();
         let mut hotset = HotsetAccounting::new(opts.mem_budget);
         let mut persist = None;
         let mut readvertise: Vec<CatalogMsg> = Vec::new();
@@ -1759,7 +1744,7 @@ impl RingNode {
                     owned.version = f.version;
                 }
                 hotset.note_resident(bat, size);
-                disk.insert(bat, StoredFrag::new(payload));
+                disk.insert(bat, Frag::from_bat(payload));
             }
 
             // Rebuild both catalogs; owned tables re-enter the gossip
@@ -1770,7 +1755,7 @@ impl RingNode {
                 let mut c = catalog_msg(t);
                 for col in &mut c.columns {
                     if let Some(f) = disk.get(&col.bat) {
-                        col.size = f.bat.byte_size() as u64;
+                        col.size = owned_bat(f).byte_size() as u64;
                     }
                     if let Some(owned) = node.s1.get(col.bat) {
                         col.version = owned.version;
@@ -1811,7 +1796,7 @@ impl RingNode {
                     .map(|(b, f)| FragSnap {
                         bat: b.0,
                         version: durable[b],
-                        payload: Some(Arc::clone(&f.bat)),
+                        payload: Some(owned_bat(f)),
                     })
                     .collect(),
             };
@@ -1869,20 +1854,20 @@ impl RingNode {
                 obs.gauge("hotset_spilled_frags"),
                 obs.gauge("loit_level"),
             ],
+            frames_rejected: obs.counter("ring_frames_rejected"),
             started: Instant::now(),
             tick_every: opts.tick_every,
         };
         let event_loop = std::thread::spawn(move || ctx.run());
 
-        let pump_transport = Arc::clone(&transport);
-        let pump_tx = tx.clone();
-        let pump = std::thread::spawn(move || {
-            while let Some(msg) = pump_transport.recv() {
-                if pump_tx.send(NodeEvent::Ring(msg)).is_err() {
-                    break;
-                }
-            }
-        });
+        // From here on every inbound frame — starting with whatever
+        // arrived while the node was recovering — lands in the event
+        // channel on the thread that received it: one hand-off. A send
+        // can only fail once the loop has exited, during `stop`.
+        let sink_tx = tx.clone();
+        transport.attach(Box::new(move |msg| {
+            let _ = sink_tx.send(NodeEvent::Ring(msg));
+        }));
 
         let hooks = Arc::new(RingHooks::new(
             id,
@@ -1918,7 +1903,6 @@ impl RingNode {
             sql_metrics: SqlMetrics::new(&obs),
             obs,
             event_loop: Some(event_loop),
-            pump: Some(pump),
             next_query: AtomicU64::new(1),
             next_frag,
             templates: mal::TemplateCache::new(),
@@ -2146,12 +2130,9 @@ impl RingNode {
             let _ = t.join();
         }
         self.transport.close();
-        if let Some(t) = self.pump.take() {
-            let _ = t.join();
-        }
     }
 
-    /// Stop the node: event loop, transport links, pump.
+    /// Stop the node: event loop, then transport links.
     pub fn shutdown(mut self) {
         self.stop();
     }

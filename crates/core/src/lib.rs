@@ -75,7 +75,7 @@ pub use error::DcError;
 pub use hotset::{HotsetRow, HotsetSnapshot};
 pub use ids::{BatId, NodeId, QueryId};
 pub use loi::{new_loi, LoitLadder};
-pub use msg::{decode, encode, BatHeader, CatalogCol, CatalogMsg, DcMsg, ReqMsg};
+pub use msg::{decode, decode_frame, encode, BatHeader, CatalogCol, CatalogMsg, DcMsg, ReqMsg};
 pub use proto::{DcNode, Effect, PinOutcome};
 pub use stats::{FaultStats, NodeStats};
 pub use transport::fault::{Edge, FaultEvent, FaultPlan, FaultTransport};

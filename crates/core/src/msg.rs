@@ -10,7 +10,11 @@
 //! fragment owner (§6.4 updates, §4.4 re-admission), answered by one
 //! [`AckMsg`]. The codec is a hand-written
 //! little-endian layout over `bytes` — small, allocation-light, and fully
-//! round-trip tested.
+//! round-trip tested. It never copies a fragment: the encoder yields a
+//! [`Frame`] that *refers* to the payloads the message already holds (a
+//! transport writes the pieces with one vectored write), and the decoder
+//! takes the received frame whole ([`decode_frame`]) and hands back
+//! payloads that are slices of it.
 
 use crate::ids::{BatId, NodeId};
 use batstore::ops::CmpOp;
@@ -446,12 +450,69 @@ fn get_pred(buf: &mut &[u8]) -> Result<RowPredicate, String> {
     }
 }
 
-/// Serialize a message for the TCP transport.
+/// An encoded message, not yet contiguous: `head` is every byte the
+/// encoder produced itself, and each cut is a payload the message already
+/// held (a `Bat`'s fragment, an `Append`'s parts) with the position in
+/// `head` it follows. A transport writes [`Frame::pieces`] in order and
+/// so never builds a second copy of a fragment; [`Frame::into_bytes`]
+/// concatenates for callers that want one buffer.
+pub struct Frame {
+    head: BytesMut,
+    /// `(at, payload)`: `payload` sits between `head[..at]` and
+    /// `head[at..]`; `at` ascends.
+    cuts: Vec<(usize, Bytes)>,
+}
+
+impl Frame {
+    /// Encoded length in bytes: what the length prefix of a framed
+    /// transport announces.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.cuts.iter().map(|(_, p)| p.len()).sum::<usize>()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The frame's bytes in wire order as borrowed, non-empty pieces.
+    pub fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let mut from = 0;
+        let cut_pieces = self.cuts.iter().flat_map(move |(at, payload)| {
+            let head = &self.head[from..*at];
+            from = *at;
+            [head, &payload[..]]
+        });
+        let tail = self.cuts.last().map_or(0, |(at, _)| *at);
+        cut_pieces.chain([&self.head[tail..]]).filter(|p| !p.is_empty())
+    }
+
+    /// One contiguous buffer. A frame without payloads is handed over as
+    /// it is; one with payloads is copied together.
+    pub fn into_bytes(self) -> Bytes {
+        if self.cuts.is_empty() {
+            return self.head.freeze();
+        }
+        let mut out = BytesMut::with_capacity(self.len());
+        for piece in self.pieces() {
+            out.put_slice(piece);
+        }
+        out.freeze()
+    }
+}
+
+/// Serialize a message into one contiguous buffer.
 pub fn encode(msg: &DcMsg) -> Bytes {
-    match msg {
+    frame(msg).into_bytes()
+}
+
+/// Serialize a message for a framed transport without copying its
+/// payloads.
+pub fn frame(msg: &DcMsg) -> Frame {
+    let mut cuts = Vec::new();
+    let head = match msg {
         DcMsg::Bat { header, payload } => {
             let plen = payload.as_ref().map(|p| p.len()).unwrap_or(0);
-            let mut b = BytesMut::with_capacity(48 + plen);
+            let mut b = BytesMut::with_capacity(48);
             b.put_u8(TAG_BAT);
             b.put_u16_le(header.owner.0);
             b.put_u32_le(header.bat.0);
@@ -464,16 +525,16 @@ pub fn encode(msg: &DcMsg) -> Bytes {
             b.put_u8(header.updating as u8);
             b.put_u64_le(plen as u64);
             if let Some(p) = payload {
-                b.put_slice(p);
+                cuts.push((b.len(), p.clone()));
             }
-            b.freeze()
+            b
         }
         DcMsg::Request(r) => {
             let mut b = BytesMut::with_capacity(8);
             b.put_u8(TAG_REQ);
             b.put_u16_le(r.origin.0);
             b.put_u32_le(r.bat.0);
-            b.freeze()
+            b
         }
         DcMsg::Catalog(c) => {
             let mut b = BytesMut::with_capacity(c.wire_size() as usize + 16);
@@ -491,10 +552,14 @@ pub fn encode(msg: &DcMsg) -> Bytes {
                 b.put_u16_le(col.owner.0);
                 b.put_u32_le(col.version);
             }
-            b.freeze()
+            b
         }
         DcMsg::Routed(m) => {
-            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 16);
+            let payloads = match &m.body {
+                RoutedBody::Append { parts } => parts.iter().map(|(_, rows)| rows.len()).sum(),
+                _ => 0,
+            };
+            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 16 - payloads);
             b.put_u8(TAG_ROUTED);
             b.put_u16_le(m.origin.0);
             b.put_u64_le(m.epoch);
@@ -507,7 +572,7 @@ pub fn encode(msg: &DcMsg) -> Bytes {
                     for (bat, rows) in parts.iter().take(nparts) {
                         b.put_u32_le(bat.0);
                         b.put_u64_le(rows.len() as u64);
-                        b.put_slice(rows);
+                        cuts.push((b.len(), rows.clone()));
                     }
                 }
                 RoutedBody::Mutate { schema, table, op, preds } => {
@@ -537,7 +602,7 @@ pub fn encode(msg: &DcMsg) -> Bytes {
                     b.put_u32_le(bat.0);
                 }
             }
-            b.freeze()
+            b
         }
         DcMsg::Ack(a) => {
             let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
@@ -555,7 +620,7 @@ pub fn encode(msg: &DcMsg) -> Bytes {
                     put_str(&mut b, e);
                 }
             }
-            b.freeze()
+            b
         }
         DcMsg::Evict(e) => {
             let mut b = BytesMut::with_capacity(24);
@@ -564,13 +629,28 @@ pub fn encode(msg: &DcMsg) -> Bytes {
             b.put_u32_le(e.bat.0);
             b.put_u32_le(e.version);
             b.put_u64_le(e.size);
-            b.freeze()
+            b
         }
-    }
+    };
+    Frame { head, cuts }
 }
 
-/// Deserialize a message; rejects truncated or foreign frames.
-pub fn decode(mut buf: &[u8]) -> Result<DcMsg, String> {
+/// Deserialize a message from borrowed bytes; rejects truncated or
+/// foreign frames. A thin entry point over [`decode_frame`] for callers
+/// that do not own the buffer: it pays one copy of the frame, which the
+/// owning path does not.
+pub fn decode(buf: &[u8]) -> Result<DcMsg, String> {
+    decode_frame(Bytes::copy_from_slice(buf))
+}
+
+/// Deserialize a received frame; rejects truncated or foreign frames.
+/// The frame is taken whole so that a `Bat` payload and each `Append`
+/// part come back as slices sharing its allocation — no payload byte is
+/// copied.
+pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
+    let mut buf: &[u8] = &frame;
+    // Where `buf` stands in `frame`, for slicing payloads out of it.
+    let at = |buf: &[u8]| frame.len() - buf.len();
     if buf.is_empty() {
         return Err("empty frame".into());
     }
@@ -599,7 +679,7 @@ pub fn decode(mut buf: &[u8]) -> Result<DcMsg, String> {
                     buf.remaining()
                 ));
             }
-            let payload = if plen == 0 { None } else { Some(Bytes::copy_from_slice(&buf[..plen])) };
+            let payload = (plen > 0).then(|| frame.slice(at(buf)..at(buf) + plen));
             Ok(DcMsg::Bat { header, payload })
         }
         TAG_REQ => {
@@ -668,7 +748,7 @@ pub fn decode(mut buf: &[u8]) -> Result<DcMsg, String> {
                                 buf.remaining()
                             ));
                         }
-                        parts.push((bat, Bytes::copy_from_slice(&buf[..len])));
+                        parts.push((bat, frame.slice(at(buf)..at(buf) + len)));
                         buf.advance(len);
                     }
                     RoutedBody::Append { parts }

@@ -3,12 +3,15 @@
 //!
 //! Query threads call [`RingHooks`] (the [`mal::DcHooks`] implementation
 //! injected into plans by the DC optimizer); the node's event loop
-//! fulfills waiters when fragments arrive from the predecessor.
+//! fulfills waiters when fragments arrive from the predecessor. What it
+//! hands them is a [`Frag`], the fragment as the node holds it — the
+//! pinning query, not the event loop, turns it into a `Bat`.
 
 use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::{CatalogMsg, MutOp};
 use crate::stats::NodeStats;
-use batstore::{Bat, ColType, Column, RowPredicate, Val};
+use batstore::{storage, Bat, ColType, Column, RowPredicate, Val};
+use bytes::Bytes;
 use crossbeam::channel::Sender;
 use mal::{DcHooks, MalError};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -110,9 +113,94 @@ impl RingCatalog {
     }
 }
 
-/// A blocked caller fulfilled by the node event loop: pins wait for an
-/// `Arc<Bat>`, DDL/DML commands wait for a row count.
-pub struct Waiter<T = Arc<Bat>> {
+/// One fragment as a node holds it: a shared cell with two sides, the
+/// `Bat` the kernels read and the `DCB1` bytes the ring carries, each
+/// produced from the other at most once, on the first thread that asks,
+/// under the cell's own lock. A cell is built from whichever side its
+/// node has first — the payload slice of an inbound frame, or the owner's
+/// `Bat` — and the event loop passes it to waiters, the cache and the
+/// owner's store by handle, without looking inside.
+#[derive(Clone)]
+pub struct Frag(Arc<Mutex<Sides>>);
+
+enum Sides {
+    /// Arrived off the ring and not yet pinned by anybody.
+    Wire(Bytes),
+    /// Decoded, or built by its owner. An owner's cell memoises the wire
+    /// form on its first send; a cell that arrived as wire let those
+    /// bytes go when it was decoded (whoever forwards the frame holds
+    /// its own handle), so a cached fragment is held once.
+    Bat { bat: Arc<Bat>, wire: Option<Bytes> },
+    /// Arrived as bytes that are not a BAT: every pin gets the reason.
+    Corrupt { wire: Bytes, reason: String },
+}
+
+/// Which sides are filled, not the payload.
+impl std::fmt::Debug for Frag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &*self.0.lock() {
+            Sides::Wire(wire) => write!(f, "Frag::Wire({} bytes)", wire.len()),
+            Sides::Bat { bat, wire } => {
+                write!(f, "Frag::Bat({} rows, wire: {})", bat.count(), wire.is_some())
+            }
+            Sides::Corrupt { reason, .. } => write!(f, "Frag::Corrupt({reason})"),
+        }
+    }
+}
+
+impl Frag {
+    /// The cell of a fragment its owner holds (or a node otherwise has
+    /// in decoded form).
+    pub fn from_bat(bat: Arc<Bat>) -> Frag {
+        Frag(Arc::new(Mutex::new(Sides::Bat { bat, wire: None })))
+    }
+
+    /// The cell of a fragment that arrived as a frame's payload.
+    pub fn from_wire(wire: Bytes) -> Frag {
+        Frag(Arc::new(Mutex::new(Sides::Wire(wire))))
+    }
+
+    /// The fragment as a `Bat`, decoding it if this is the first call on
+    /// a cell that arrived as wire. Runs on the caller's thread: a pin
+    /// pays for its own decode, and concurrent pins of one cell wait for
+    /// the first instead of repeating it.
+    pub fn bat(&self) -> Result<Arc<Bat>, String> {
+        let mut sides = self.0.lock();
+        let wire = match &*sides {
+            Sides::Bat { bat, .. } => return Ok(Arc::clone(bat)),
+            Sides::Corrupt { reason, .. } => return Err(reason.clone()),
+            Sides::Wire(wire) => wire.clone(),
+        };
+        match storage::bat_from_bytes(&wire) {
+            Ok(bat) => {
+                let bat = Arc::new(bat);
+                *sides = Sides::Bat { bat: Arc::clone(&bat), wire: None };
+                Ok(bat)
+            }
+            Err(e) => {
+                let reason = format!("payload is not a valid BAT: {e}");
+                *sides = Sides::Corrupt { wire, reason: reason.clone() };
+                Err(reason)
+            }
+        }
+    }
+
+    /// The fragment in wire form, encoding it if this cell has only the
+    /// `Bat` (and remembering the result).
+    pub fn wire(&self) -> Bytes {
+        let mut sides = self.0.lock();
+        match &mut *sides {
+            Sides::Wire(wire) | Sides::Corrupt { wire, .. } => wire.clone(),
+            Sides::Bat { bat, wire } => {
+                wire.get_or_insert_with(|| Bytes::from(storage::bat_to_bytes(bat))).clone()
+            }
+        }
+    }
+}
+
+/// A blocked caller fulfilled by the node event loop: pins wait for a
+/// [`Frag`], DDL/DML commands wait for a row count.
+pub struct Waiter<T = Frag> {
     slot: Mutex<Option<Result<T, String>>>,
     cv: Condvar,
 }
@@ -198,7 +286,7 @@ impl CatalogNotify {
 pub enum Cmd {
     /// Register interest (the `datacyclotron.request` call).
     Request { query: QueryId, bat: BatId },
-    /// Blocking pin; the waiter is fulfilled with the fragment.
+    /// Blocking pin; the waiter is fulfilled with the fragment's cell.
     Pin { query: QueryId, bat: BatId, waiter: Arc<Waiter> },
     /// Release a pin.
     Unpin { query: QueryId, bat: BatId },
@@ -343,7 +431,17 @@ impl DcHooks for RingHooks {
         let bat = self.bat_of_ticket(ticket)?;
         let waiter = Arc::new(Waiter::default());
         self.send(Cmd::Pin { query: QueryId(query), bat, waiter: Arc::clone(&waiter) })?;
-        waiter.wait(self.pin_timeout).map_err(MalError::Dc)
+        let frag = waiter.wait(self.pin_timeout).map_err(MalError::Dc)?;
+        // The decode (if this fragment came off the ring and nobody
+        // pinned it yet) happens here, on the query's thread; the event
+        // loop has long since forwarded the frame.
+        frag.bat().map_err(|e| {
+            // The pin was granted on a payload nobody can use. Give it
+            // back, so the cache lets the bad copy go instead of serving
+            // it to the next query too.
+            let _ = self.send(Cmd::Unpin { query: QueryId(query), bat });
+            MalError::Dc(format!("fragment {bat}: {e}"))
+        })
     }
 
     fn unpin(&self, query: u64, ticket: u64) -> Result<(), MalError> {
@@ -649,11 +747,45 @@ mod tests {
         let w2 = Arc::clone(&w);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            w2.fulfill(Ok(Arc::new(Bat::dense(batstore::Column::from(vec![1])))));
+            w2.fulfill(Ok(Frag::from_bat(Arc::new(Bat::dense(batstore::Column::from(vec![1]))))));
         });
         let got = w.wait(Duration::from_secs(5)).unwrap();
-        assert_eq!(got.count(), 1);
+        assert_eq!(got.bat().unwrap().count(), 1);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn frag_fills_each_side_once_and_holds_a_ring_copy_once() {
+        let bat = Arc::new(Bat::dense(Column::from(vec![1, 2, 3])));
+        // Owner side: the Bat is authoritative, the wire form is made on
+        // the first send and reused after.
+        let owned = Frag::from_bat(Arc::clone(&bat));
+        assert!(Arc::ptr_eq(&owned.bat().unwrap(), &bat));
+        let wire = owned.wire();
+        assert_eq!(wire.as_ptr(), owned.wire().as_ptr(), "encoded once");
+        assert!(Arc::ptr_eq(&owned.bat().unwrap(), &bat), "the Bat stays");
+
+        // Ring side: a clone is the same cell, the decode happens once,
+        // and the wire bytes are let go by it.
+        let held = wire.to_vec();
+        let arrived = Frag::from_wire(Bytes::from(held.clone()));
+        let cached = arrived.clone();
+        let first = arrived.bat().unwrap();
+        assert!(Arc::ptr_eq(&first, &cached.bat().unwrap()), "decoded once, shared");
+        assert_eq!(first.tail(), bat.tail());
+        assert!(matches!(&*cached.0.lock(), Sides::Bat { wire: None, .. }), "held once");
+        // Forwarding from such a cell (a header-only frame met a cached
+        // copy) re-encodes to the same bytes.
+        assert_eq!(&cached.wire()[..], &held[..]);
+    }
+
+    #[test]
+    fn frag_remembers_a_corrupt_payload() {
+        let frag = Frag::from_wire(Bytes::from_static(b"DCB1 but not really"));
+        let e = frag.bat().unwrap_err();
+        assert!(e.contains("not a valid BAT"), "{e}");
+        assert_eq!(frag.clone().bat().unwrap_err(), e, "same answer for every pin");
+        assert_eq!(&frag.wire()[..], b"DCB1 but not really");
     }
 
     #[test]

@@ -20,10 +20,23 @@
 //!
 //! A third implementation, [`fault::FaultTransport`], wraps either
 //! fabric and injects seeded, deterministic faults for the chaos suite.
+//!
+//! Every fabric member has one inbound queue, an [`Inbox`], with a
+//! replaceable consumer: until somebody [`RingTransport::attach`]es,
+//! frames queue and [`RingTransport::recv`] pulls them; afterwards each
+//! frame goes from the thread that produced it (a TCP reader, or the
+//! neighbor's `send_*` call on the memory fabric) straight into the
+//! attached sink — one hand-off between the wire and a node's event loop.
 
 use crate::msg::DcMsg;
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 
 pub mod fault;
+
+/// The consumer a node attaches to its fabric member: called once per
+/// inbound message, in arrival order, never concurrently.
+pub type Sink = Box<dyn FnMut(DcMsg) + Send>;
 
 /// A node's view of the ring fabric.
 pub trait RingTransport: Send + Sync {
@@ -32,15 +45,117 @@ pub trait RingTransport: Send + Sync {
     /// Send a request anti-clockwise (to the predecessor).
     fn send_request(&self, msg: DcMsg) -> Result<(), TransportError>;
     /// Receive the next inbound message (blocking); `None` when the ring
-    /// shut down or [`RingTransport::close`] was called.
+    /// shut down or [`RingTransport::close`] was called. Once a sink is
+    /// attached nothing queues, so this only ever returns `None`, on
+    /// close.
     fn recv(&self) -> Option<DcMsg>;
+    /// Hand the member's inbound stream to `sink`: first, in order,
+    /// every message that already arrived and was not yet `recv`ed, then
+    /// each later one as it arrives, on the thread that received it. The
+    /// order of arrival on each edge (§4.3) is kept across the switch,
+    /// and no message is delivered twice or skipped, whatever races the
+    /// call.
+    fn attach(&self, sink: Sink);
     /// Bytes currently buffered toward the successor (the BAT queue load
     /// that LOIT adaptation observes).
     fn outbound_bytes(&self) -> u64;
+    /// Inbound frames this member refused — longer than its frame cap,
+    /// or not decodable — each of which cost the edge its connection.
+    /// Fabrics that carry messages, not bytes, never refuse one.
+    fn frames_rejected(&self) -> u64 {
+        0
+    }
     /// Tear down the node's links: any thread blocked in
     /// [`RingTransport::recv`] unblocks and every subsequent `recv`
-    /// returns `None`. Idempotent.
+    /// returns `None`. When `close` returns the last call into an
+    /// attached sink has returned and no further one is made. Idempotent.
     fn close(&self);
+}
+
+/// One fabric member's inbound queue (see the module doc). Producers
+/// [`Inbox::push`]; the consumer is either whoever calls
+/// [`Inbox::recv`] or, once attached, the sink. The sink runs under the
+/// inbox's lock: that is what serialises the two edges' producers, keeps
+/// the hand-over atomic, and lets [`Inbox::close`] promise that no call
+/// outlives it — so a sink must not block for long (the engine's is a
+/// send into an unbounded channel).
+#[derive(Default)]
+pub struct Inbox {
+    state: Mutex<InboxState>,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct InboxState {
+    queue: VecDeque<DcMsg>,
+    sink: Option<Sink>,
+    closed: bool,
+}
+
+impl Inbox {
+    pub fn new() -> Inbox {
+        Inbox::default()
+    }
+
+    /// Deliver one inbound message: to the sink if one is attached, else
+    /// onto the queue. False if the inbox is closed (the message is
+    /// dropped).
+    pub fn push(&self, msg: DcMsg) -> bool {
+        let mut st = self.state.lock();
+        if st.closed {
+            return false;
+        }
+        match st.sink.as_mut() {
+            Some(sink) => sink(msg),
+            None => {
+                st.queue.push_back(msg);
+                self.arrived.notify_one();
+            }
+        }
+        true
+    }
+
+    /// See [`RingTransport::attach`]. A no-op on a closed inbox.
+    pub fn attach(&self, mut sink: Sink) {
+        let mut st = self.state.lock();
+        if st.closed {
+            return;
+        }
+        // Producers wait on the lock meanwhile, so what they push next
+        // follows what is drained here.
+        st.queue.drain(..).for_each(&mut sink);
+        st.sink = Some(sink);
+    }
+
+    /// Block for the next queued message; `None` once closed.
+    pub fn recv(&self) -> Option<DcMsg> {
+        let mut st = self.state.lock();
+        loop {
+            if st.closed {
+                return None;
+            }
+            if let Some(msg) = st.queue.pop_front() {
+                return Some(msg);
+            }
+            self.arrived.wait(&mut st);
+        }
+    }
+
+    /// The next queued message, if one is waiting.
+    pub fn try_recv(&self) -> Option<DcMsg> {
+        self.state.lock().queue.pop_front()
+    }
+
+    /// Stop delivering: wake blocked `recv`s, drop the sink and whatever
+    /// is still queued. Taking the lock waits out a sink call in
+    /// progress, so none is running or will start once this returns.
+    pub fn close(&self) {
+        let mut st = self.state.lock();
+        st.closed = true;
+        st.sink = None;
+        st.queue.clear();
+        self.arrived.notify_all();
+    }
 }
 
 #[derive(Debug)]
@@ -79,12 +194,34 @@ pub struct MeteredTransport {
     inner: std::sync::Arc<dyn RingTransport>,
     data_frames_out: std::sync::Arc<dc_obs::Counter>,
     data_bytes_out: std::sync::Arc<dc_obs::Counter>,
-    data_frames_in: std::sync::Arc<dc_obs::Counter>,
-    data_bytes_in: std::sync::Arc<dc_obs::Counter>,
     req_frames_out: std::sync::Arc<dc_obs::Counter>,
     req_bytes_out: std::sync::Arc<dc_obs::Counter>,
+    inbound: InboundMeters,
+}
+
+/// The inbound half of the meters, cloneable so an attached sink can
+/// count where the frames now arrive.
+#[derive(Clone)]
+struct InboundMeters {
+    data_frames_in: std::sync::Arc<dc_obs::Counter>,
+    data_bytes_in: std::sync::Arc<dc_obs::Counter>,
     req_frames_in: std::sync::Arc<dc_obs::Counter>,
     req_bytes_in: std::sync::Arc<dc_obs::Counter>,
+}
+
+impl InboundMeters {
+    fn count(&self, msg: &DcMsg) {
+        // Requests are the only traffic on the anti-clockwise edge;
+        // everything else (BATs, gossip, appends, mutations, acks)
+        // arrived from the predecessor on the data edge.
+        if matches!(msg, DcMsg::Request(_)) {
+            self.req_frames_in.inc();
+            self.req_bytes_in.add(msg.wire_size());
+        } else {
+            self.data_frames_in.inc();
+            self.data_bytes_in.add(msg.wire_size());
+        }
+    }
 }
 
 impl MeteredTransport {
@@ -93,12 +230,14 @@ impl MeteredTransport {
             inner,
             data_frames_out: obs.counter("ring_data_frames_out"),
             data_bytes_out: obs.counter("ring_data_bytes_out"),
-            data_frames_in: obs.counter("ring_data_frames_in"),
-            data_bytes_in: obs.counter("ring_data_bytes_in"),
             req_frames_out: obs.counter("ring_req_frames_out"),
             req_bytes_out: obs.counter("ring_req_bytes_out"),
-            req_frames_in: obs.counter("ring_req_frames_in"),
-            req_bytes_in: obs.counter("ring_req_bytes_in"),
+            inbound: InboundMeters {
+                data_frames_in: obs.counter("ring_data_frames_in"),
+                data_bytes_in: obs.counter("ring_data_bytes_in"),
+                req_frames_in: obs.counter("ring_req_frames_in"),
+                req_bytes_in: obs.counter("ring_req_bytes_in"),
+            },
         }
     }
 }
@@ -122,21 +261,24 @@ impl RingTransport for MeteredTransport {
 
     fn recv(&self) -> Option<DcMsg> {
         let msg = self.inner.recv()?;
-        // Requests are the only traffic on the anti-clockwise edge;
-        // everything else (BATs, gossip, appends, mutations, acks)
-        // arrived from the predecessor on the data edge.
-        if matches!(msg, DcMsg::Request(_)) {
-            self.req_frames_in.inc();
-            self.req_bytes_in.add(msg.wire_size());
-        } else {
-            self.data_frames_in.inc();
-            self.data_bytes_in.add(msg.wire_size());
-        }
+        self.inbound.count(&msg);
         Some(msg)
+    }
+
+    fn attach(&self, mut sink: Sink) {
+        let meters = self.inbound.clone();
+        self.inner.attach(Box::new(move |msg| {
+            meters.count(&msg);
+            sink(msg);
+        }));
     }
 
     fn outbound_bytes(&self) -> u64 {
         self.inner.outbound_bytes()
+    }
+
+    fn frames_rejected(&self) -> u64 {
+        self.inner.frames_rejected()
     }
 
     fn close(&self) {
@@ -145,37 +287,29 @@ impl RingTransport for MeteredTransport {
 }
 
 pub mod mem {
-    //! In-process ring fabric over crossbeam channels.
+    //! In-process ring fabric: each member's [`Inbox`] is shared with its
+    //! two neighbors, whose `send_*` calls push into it.
     //!
     //! Zero-copy in the sense that [`DcMsg`] payloads are refcounted
     //! `Bytes`: forwarding a fragment around the in-memory ring never
     //! copies its body.
 
-    use super::{RingTransport, TransportError};
+    use super::{Inbox, RingTransport, Sink, TransportError};
     use crate::msg::DcMsg;
-    use crossbeam::channel::{unbounded, Receiver, Sender};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    enum MemEvent {
-        Msg(DcMsg),
-        /// Close sentinel a node sends to its own inbox to unblock `recv`.
-        Close,
-    }
 
     /// One node's endpoints.
     pub struct MemNode {
-        data_tx: Sender<MemEvent>,
-        req_tx: Sender<MemEvent>,
-        rx: Receiver<MemEvent>,
-        /// Loops back to our own inbox so `close` can wake a blocked
-        /// `recv`.
-        self_tx: Sender<MemEvent>,
-        closed: AtomicBool,
+        /// The successor's inbox (clockwise data edge).
+        succ: Arc<Inbox>,
+        /// The predecessor's inbox (anti-clockwise request edge).
+        pred: Arc<Inbox>,
+        inbox: Arc<Inbox>,
         /// Shared with the successor: bytes we have queued toward it.
         out_bytes: Arc<AtomicU64>,
         /// Shared with the predecessor: bytes it queued toward us (we
-        /// decrement on receive).
+        /// decrement as messages leave the inbox).
         in_bytes: Arc<AtomicU64>,
     }
 
@@ -184,19 +318,16 @@ pub mod mem {
     /// exactly what the live engine needs for one-node deployments.
     pub fn ring(n: usize) -> Vec<MemNode> {
         assert!(n >= 1, "a ring needs at least one node");
-        let channels: Vec<(Sender<MemEvent>, Receiver<MemEvent>)> =
-            (0..n).map(|_| unbounded()).collect();
+        let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Arc::new(Inbox::new())).collect();
         let counters: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
         (0..n)
             .map(|i| {
                 let succ = (i + 1) % n;
                 let pred = (i + n - 1) % n;
                 MemNode {
-                    data_tx: channels[succ].0.clone(),
-                    req_tx: channels[pred].0.clone(),
-                    rx: channels[i].1.clone(),
-                    self_tx: channels[i].0.clone(),
-                    closed: AtomicBool::new(false),
+                    succ: Arc::clone(&inboxes[succ]),
+                    pred: Arc::clone(&inboxes[pred]),
+                    inbox: Arc::clone(&inboxes[i]),
                     out_bytes: Arc::clone(&counters[i]),
                     in_bytes: Arc::clone(&counters[pred]),
                 }
@@ -204,33 +335,43 @@ pub mod mem {
             .collect()
     }
 
+    /// A message left the inbox: take it off the predecessor's queue
+    /// count. Everything except requests traveled the data edge and was
+    /// counted by the sender's `send_data`; requests arrive on the other
+    /// edge and were never added, so draining them would underflow.
+    fn drained(in_bytes: &AtomicU64, msg: &DcMsg) {
+        if !matches!(msg, DcMsg::Request(_)) {
+            in_bytes.fetch_sub(msg.wire_size(), Ordering::Relaxed);
+        }
+    }
+
     impl RingTransport for MemNode {
         fn send_data(&self, msg: DcMsg) -> Result<(), TransportError> {
-            self.out_bytes.fetch_add(msg.wire_size(), Ordering::Relaxed);
-            self.data_tx.send(MemEvent::Msg(msg)).map_err(|_| TransportError::Disconnected)
+            let size = msg.wire_size();
+            self.out_bytes.fetch_add(size, Ordering::Relaxed);
+            if self.succ.push(msg) {
+                return Ok(());
+            }
+            self.out_bytes.fetch_sub(size, Ordering::Relaxed);
+            Err(TransportError::Disconnected)
         }
 
         fn send_request(&self, msg: DcMsg) -> Result<(), TransportError> {
-            self.req_tx.send(MemEvent::Msg(msg)).map_err(|_| TransportError::Disconnected)
+            self.pred.push(msg).then_some(()).ok_or(TransportError::Disconnected)
         }
 
         fn recv(&self) -> Option<DcMsg> {
-            if self.closed.load(Ordering::Acquire) {
-                return None;
-            }
-            match self.rx.recv().ok()? {
-                MemEvent::Close => None,
-                MemEvent::Msg(msg) => {
-                    // Everything except requests traveled the data edge
-                    // and was counted by the sender's `send_data`;
-                    // requests arrive on the other edge and were never
-                    // added, so draining them would underflow.
-                    if !matches!(msg, DcMsg::Request(_)) {
-                        self.in_bytes.fetch_sub(msg.wire_size(), Ordering::Relaxed);
-                    }
-                    Some(msg)
-                }
-            }
+            let msg = self.inbox.recv()?;
+            drained(&self.in_bytes, &msg);
+            Some(msg)
+        }
+
+        fn attach(&self, mut sink: Sink) {
+            let in_bytes = Arc::clone(&self.in_bytes);
+            self.inbox.attach(Box::new(move |msg| {
+                drained(&in_bytes, &msg);
+                sink(msg);
+            }));
         }
 
         fn outbound_bytes(&self) -> u64 {
@@ -238,8 +379,7 @@ pub mod mem {
         }
 
         fn close(&self) {
-            self.closed.store(true, Ordering::Release);
-            let _ = self.self_tx.send(MemEvent::Close);
+            self.inbox.close();
         }
     }
 

@@ -29,7 +29,7 @@
 //! Delivery runs on one background thread per wrapper, which also keeps
 //! per-edge FIFO order across stalls and wakes for scripted events.
 
-use super::{RingTransport, TransportError};
+use super::{RingTransport, Sink, TransportError};
 use crate::msg::DcMsg;
 use crate::stats::FaultStats;
 use netsim::DetRng;
@@ -362,8 +362,18 @@ impl RingTransport for FaultTransport {
         self.shared.inner.recv()
     }
 
+    /// Faults perturb the send side only; the inbound stream is the
+    /// inner fabric's.
+    fn attach(&self, sink: Sink) {
+        self.shared.inner.attach(sink);
+    }
+
     fn outbound_bytes(&self) -> u64 {
         self.shared.inner.outbound_bytes()
+    }
+
+    fn frames_rejected(&self) -> u64 {
+        self.shared.inner.frames_rejected()
     }
 
     fn close(&self) {

@@ -3,8 +3,9 @@
 //! path (`Routed` with each body, `Ack`), and the circulate-once notices
 //! (`Catalog`/`Evict`). Arbitrary messages
 //! round-trip byte-exactly, every strict prefix of a valid frame is
-//! rejected (never mis-decoded or panicked on), and hostile count/length
-//! prefixes neither panic nor provoke an unbounded allocation.
+//! rejected (never mis-decoded or panicked on), hostile count/length
+//! prefixes neither panic nor provoke an unbounded allocation, and a
+//! frame decoded by value gives back payloads that are slices of it.
 //!
 //! Distributed query execution (§3) deliberately introduces no new wire
 //! message: registered queries ride the existing `Request` (interest)
@@ -16,7 +17,8 @@ use batstore::ops::CmpOp;
 use batstore::{ColType, RowPredicate, Val};
 use bytes::Bytes;
 use datacyclotron::msg::{
-    decode, encode, AckMsg, BatHeader, EvictMsg, MutOp, ReqMsg, RoutedBody, RoutedMsg,
+    decode, decode_frame, encode, frame, AckMsg, BatHeader, EvictMsg, MutOp, ReqMsg, RoutedBody,
+    RoutedMsg,
 };
 use datacyclotron::{BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
 use proptest::prelude::*;
@@ -213,23 +215,63 @@ proptest! {
     /// Every strict prefix of a valid frame errors — the codec never
     /// mis-decodes a truncated mutation into a shorter valid one (which
     /// would apply a *different* statement at the owner) and never
-    /// panics on one.
+    /// panics on one. All of them, through the owning decoder (the
+    /// borrowed `decode` is a wrapper over it).
     #[test]
     fn truncated_frames_error_not_panic(kind in any::<u8>(),
                                         seed in -100_000i64..100_000,
                                         chars in prop::collection::vec(any::<char>(), 0..16),
                                         n1 in 0usize..4,
-                                        n2 in 0usize..4,
-                                        cut_pick in 0usize..4096) {
+                                        n2 in 0usize..4) {
         let text: String = chars.into_iter().collect();
         for msg in messages(kind, seed, &text, n1, n2) {
             let wire = encode(&msg);
-            let cut = cut_pick % wire.len(); // < len: strict prefix
-            prop_assert!(
-                decode(&wire[..cut]).is_err(),
-                "prefix {cut}/{} of {msg:?} decoded",
-                wire.len()
-            );
+            for cut in 0..wire.len() {
+                prop_assert!(
+                    decode_frame(wire.slice(..cut)).is_err(),
+                    "prefix {cut}/{} of {msg:?} decoded",
+                    wire.len()
+                );
+            }
+        }
+    }
+
+    /// Decoding a frame by value copies no payload: a `Bat`'s fragment
+    /// and every `Append` part come back byte-equal to what was sent and
+    /// lying inside the frame's own allocation. The encoder's pieces,
+    /// written in order, are the same bytes `encode` concatenates.
+    #[test]
+    fn owned_frames_share_their_allocation(kind in any::<u8>(),
+                                           seed in -100_000i64..100_000,
+                                           chars in prop::collection::vec(any::<char>(), 0..16),
+                                           nparts in 0usize..5,
+                                           npayload in 0usize..300) {
+        let text: String = chars.into_iter().collect();
+        let within = |outer: &Bytes, inner: &Bytes| {
+            let (outer, inner) = (outer.as_ptr_range(), inner.as_ptr_range());
+            outer.start <= inner.start && inner.end <= outer.end
+        };
+        for msg in [bat_from(kind & !1, seed, npayload), append_from(kind, seed, &text, nparts)] {
+            let wire = encode(&msg);
+            let pieces: Vec<u8> = frame(&msg).pieces().flatten().copied().collect();
+            prop_assert_eq!(&pieces[..], &wire[..]);
+            prop_assert_eq!(frame(&msg).len(), wire.len());
+
+            let back = decode_frame(wire.clone()).unwrap();
+            prop_assert_eq!(&back, &msg);
+            match back {
+                DcMsg::Bat { payload, .. } => {
+                    let payload = payload.expect("an even kind carries a payload");
+                    prop_assert!(within(&wire, &payload), "Bat payload was copied");
+                }
+                DcMsg::Routed(RoutedMsg { body: RoutedBody::Append { parts }, .. }) => {
+                    prop_assert_eq!(parts.len(), nparts);
+                    for (_, rows) in &parts {
+                        prop_assert!(within(&wire, rows), "Append part was copied");
+                    }
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 

@@ -513,6 +513,27 @@ mod tests {
         assert!(back.is_empty());
     }
 
+    /// A `Store` record written before the `DCB1` codec moved columns in
+    /// blocks (its rows came from the per-element encoder): it must still
+    /// frame-check, decode and yield the same BAT, and today's encoder
+    /// must produce the very same bytes — WALs in existing data dirs stay
+    /// replayable.
+    #[test]
+    fn store_record_from_an_older_build_still_replays() {
+        use batstore::{storage, Bat, Column};
+        let fixture: &[u8] = include_bytes!("../fixtures/store_record.wal");
+        let (recs, torn) = decode_frames(fixture);
+        assert!(!torn);
+        let [WalRecord::Store { bat: 42, version: 3, rows }] = &recs[..] else {
+            panic!("unexpected fixture contents: {recs:?}");
+        };
+        let want = Bat::dense_from(100, Column::from(vec![1i64 << 40, -5, 0]));
+        let got = storage::bat_from_bytes(rows).unwrap();
+        assert_eq!((got.head(), got.tail()), (want.head(), want.tail()));
+        let rec = WalRecord::Store { bat: 42, version: 3, rows: storage::bat_to_bytes(&want) };
+        assert_eq!(encode_record(&rec), fixture);
+    }
+
     #[test]
     fn absurd_length_is_a_tear_not_an_allocation() {
         let mut buf = Vec::new();

@@ -5,8 +5,9 @@
 //! solution" (§4). RDMA hardware is unavailable here, so this crate
 //! provides the fall-back as a first-class citizen:
 //!
-//! * [`mem`] — an in-process ring over crossbeam channels (refcounted
-//!   `Bytes` payloads), used by the live engine and tests,
+//! * [`mem`] — an in-process ring whose members push into each other's
+//!   inbound queues (refcounted `Bytes` payloads), used by the live
+//!   engine and tests,
 //! * [`tcp`] — a real TCP ring with length-prefixed frames carrying the
 //!   `datacyclotron::msg` codec, suitable for multi-process deployment
 //!   on a LAN.
@@ -14,8 +15,10 @@
 //! Both implement [`RingTransport`] (defined in `datacyclotron` so the
 //! engine can consume it without a dependency cycle; re-exported here):
 //! each node sends BATs clockwise to its successor and requests
-//! anti-clockwise to its predecessor, and drains one inbound stream of
-//! [`datacyclotron::DcMsg`].
+//! anti-clockwise to its predecessor, and has one inbound stream of
+//! [`datacyclotron::DcMsg`] — pulled with `recv`, or, once a node
+//! `attach`es a sink, pushed into it by the thread that received each
+//! frame.
 //!
 //! The crate also ships [`sqlserve`] — the server side of the
 //! `dc-client` framed SQL protocol — and the `dc-node` binary: a

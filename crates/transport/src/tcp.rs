@@ -5,6 +5,14 @@
 //! channels with guaranteed order of arrival" the paper requires of its
 //! network layer (§4.3).
 //!
+//! A fragment crosses a hop without being copied in user space: the
+//! sender hands the kernel the length prefix, the message head and the
+//! payload it already holds in one vectored write, and the receiver
+//! reads the frame into one buffer that *becomes* the message's payload
+//! (`decode_frame`). The reader thread then puts the message straight
+//! into the member's [`Inbox`] — the node's event channel, once a node
+//! attached.
+//!
 //! The ring *heals*: each node keeps its listener open for its whole
 //! lifetime, replacing an inbound neighbor stream whenever a new one
 //! arrives, and a failed outbound write triggers one redial of the
@@ -15,10 +23,12 @@
 //! machinery (§4.2.3).
 
 use crate::{RingTransport, TransportError};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use datacyclotron::{decode, encode, DcMsg};
+use bytes::Bytes;
+use datacyclotron::msg::{decode_frame, frame, Frame};
+use datacyclotron::transport::{Inbox, Sink};
+use datacyclotron::DcMsg;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,11 +41,38 @@ use std::time::Duration;
 /// claimed length up front — the buffer grows only as bytes arrive.
 pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
 
+/// The most a reader reserves on the word of a length prefix alone.
+/// Frames up to this size (every fragment of the sizes the ring is run
+/// with) are read into one exactly-sized buffer; a longer one starts
+/// here and doubles only as bytes actually arrive.
+const FRAME_RESERVE: usize = 1 << 20;
+
 /// Write one frame.
 pub fn write_frame(stream: &mut impl Write, msg: &DcMsg) -> std::io::Result<()> {
-    let bytes = encode(msg);
-    stream.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    stream.write_all(&bytes)?;
+    write_pieces(stream, &frame(msg))
+}
+
+/// Length prefix, message head and payloads in one vectored write: no
+/// buffer is built to hold them together. Short writes are finished.
+fn write_pieces(stream: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
+    let len = u32::try_from(frame.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a message of {} bytes does not fit a frame's 32-bit length", frame.len()),
+        )
+    })?;
+    let prefix = len.to_le_bytes();
+    let mut slices: Vec<IoSlice<'_>> =
+        std::iter::once(&prefix[..]).chain(frame.pieces()).map(IoSlice::new).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -70,18 +107,28 @@ pub fn read_frame_capped(
             format!("frame of {len} bytes exceeds the {max_frame}-byte cap"),
         ));
     }
-    // `take` + `read_to_end` grows the buffer geometrically as data
-    // actually arrives: an untrusted length never turns into an upfront
-    // allocation.
-    let mut buf = Vec::new();
-    stream.take(len as u64).read_to_end(&mut buf)?;
-    if buf.len() < len {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("truncated frame: want {len} bytes, got {}", buf.len()),
-        ));
+    // One buffer, which becomes the message's payload. An unverified
+    // length never commits more than `FRAME_RESERVE`; past that the
+    // buffer at most doubles, and only once it is full of bytes that
+    // really arrived (`reserve_exact`, so it ends no larger than the
+    // frame). Reading through `take` fills exactly the spare capacity.
+    let mut buf = Vec::with_capacity(len.min(FRAME_RESERVE));
+    while buf.len() < len {
+        if buf.len() == buf.capacity() {
+            buf.reserve_exact((len - buf.len()).min(buf.len()));
+        }
+        let want = (buf.capacity() - buf.len()).min(len - buf.len());
+        let got = stream.by_ref().take(want as u64).read_to_end(&mut buf)?;
+        if got < want {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("truncated frame: want {len} bytes, got {}", buf.len()),
+            ));
+        }
     }
-    decode(&buf).map(Some).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    decode_frame(Bytes::from(buf))
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// How long a send-path redial waits for one TCP connect. A refused
@@ -97,16 +144,29 @@ pub struct TcpNode {
     me: usize,
     data_out: Mutex<Option<TcpStream>>,
     req_out: Mutex<Option<TcpStream>>,
-    inbox: Receiver<DcMsg>,
     out_bytes: Arc<AtomicU64>,
-    closed: Arc<AtomicBool>,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    // The current inbound stream per edge (data, requests): `close` can
-    // force the reader threads off their blocking reads without waiting
-    // for peers, and a replaced stream is dropped — a flapping neighbor
-    // must not accumulate descriptors.
-    inbound: Arc<Mutex<[Option<TcpStream>; 2]>>,
+    inbound: Arc<Inbound>,
+}
+
+/// What the acceptor and the reader threads share with the node.
+struct Inbound {
+    inbox: Inbox,
+    closed: AtomicBool,
+    /// The most a frame may hold. Ring members share one cap: what this
+    /// member refuses to read its neighbors would refuse too, so it also
+    /// refuses to send it.
+    max_frame: usize,
+    /// Frames refused (over the cap, or undecodable).
+    rejected: AtomicU64,
+    readers: Mutex<Vec<JoinHandle<()>>>,
+    /// The current inbound stream per edge (data, requests), tagged with
+    /// the serial number of the connection: `close` can force the reader
+    /// threads off their blocking reads without waiting for peers, a
+    /// replaced stream is shut and dropped — a flapping neighbor must not
+    /// accumulate descriptors — and a reader that gives up on its stream
+    /// clears the slot only if it still holds *that* stream.
+    streams: Mutex<[Option<(u64, TcpStream)>; 2]>,
 }
 
 /// Establish a full TCP ring on the given addresses with the default
@@ -163,15 +223,18 @@ pub fn join_ring_capped(
 
     let listener = TcpListener::bind(addrs[me])?;
 
-    let (tx, inbox) = unbounded::<DcMsg>();
     let out_bytes = Arc::new(AtomicU64::new(0));
-    let closed = Arc::new(AtomicBool::new(false));
-    let readers = Arc::new(Mutex::new(Vec::new()));
-    let inbound = Arc::new(Mutex::new([None, None]));
+    let inbound = Arc::new(Inbound {
+        inbox: Inbox::new(),
+        closed: AtomicBool::new(false),
+        max_frame,
+        rejected: AtomicU64::new(0),
+        readers: Mutex::new(Vec::new()),
+        streams: Mutex::new([None, None]),
+    });
     let acceptor = {
-        let (closed, readers, inbound) =
-            (Arc::clone(&closed), Arc::clone(&readers), Arc::clone(&inbound));
-        std::thread::spawn(move || accept_loop(listener, tx, closed, readers, inbound, max_frame))
+        let inbound = Arc::clone(&inbound);
+        std::thread::spawn(move || accept_loop(listener, inbound))
     };
 
     // Dial both neighbors with retry: peers may not be listening yet.
@@ -206,11 +269,8 @@ pub fn join_ring_capped(
         me,
         data_out: Mutex::new(Some(data_out)),
         req_out: Mutex::new(Some(req_out)),
-        inbox,
         out_bytes,
-        closed,
         acceptor: Mutex::new(Some(acceptor)),
-        readers,
         inbound,
     })
 }
@@ -220,19 +280,13 @@ pub fn join_ring_capped(
 /// dial, `b'R'` from the successor's request dial) and *replaces* the
 /// current stream on that edge — which is how a restarted or reconnecting
 /// neighbor re-attaches mid-flight.
-fn accept_loop(
-    listener: TcpListener,
-    tx: Sender<DcMsg>,
-    closed: Arc<AtomicBool>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    inbound: Arc<Mutex<[Option<TcpStream>; 2]>>,
-    max_frame: usize,
-) {
+fn accept_loop(listener: TcpListener, inbound: Arc<Inbound>) {
+    let mut serial = 0u64;
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) => {
-                if closed.load(Ordering::Acquire) {
+                if inbound.closed.load(Ordering::Acquire) {
                     return;
                 }
                 // Persistent failures (EMFILE and friends) must not spin
@@ -242,7 +296,7 @@ fn accept_loop(
                 continue;
             }
         };
-        if closed.load(Ordering::Acquire) {
+        if inbound.closed.load(Ordering::Acquire) {
             return;
         }
         let mut stream = stream;
@@ -261,22 +315,58 @@ fn accept_loop(
             _ => continue,
         };
         let Ok(clone) = stream.try_clone() else { continue };
+        serial += 1;
         // The new stream takes over the edge; the replaced one is shut
         // (its reader exits) and dropped — reconnects must not leak
         // descriptors, threads, or registry slots.
-        if let Some(old) = inbound.lock()[slot].replace(clone) {
+        if let Some((_, old)) = inbound.streams.lock()[slot].replace((serial, clone)) {
             let _ = old.shutdown(std::net::Shutdown::Both);
         }
-        let tx = tx.clone();
-        let mut r = readers.lock();
+        let reader = {
+            let inbound = Arc::clone(&inbound);
+            std::thread::spawn(move || read_loop(stream, slot, serial, &inbound))
+        };
+        let mut r = inbound.readers.lock();
         r.retain(|h| !h.is_finished());
-        r.push(std::thread::spawn(move || {
-            while let Ok(Some(msg)) = read_frame_capped(&mut stream, max_frame) {
-                if tx.send(msg).is_err() {
-                    break;
+        r.push(reader);
+    }
+}
+
+/// One inbound connection's reader: frames go straight into the inbox
+/// (the node's event channel, once attached). However the stream ends,
+/// the reader shuts it down — both handles — and gives up its slot.
+/// That matters most when it ends because a frame was *refused*: left
+/// open, the socket would go on accepting the neighbor's writes with
+/// nobody reading them, every later frame on the edge would vanish while
+/// `send_*` reported success, and a full socket buffer would finally
+/// block the neighbor's event loop in `write` for good. Shut down, the
+/// neighbor's next write fails and its send path redials.
+fn read_loop(mut stream: TcpStream, slot: usize, serial: u64, inbound: &Inbound) {
+    loop {
+        match read_frame_capped(&mut stream, inbound.max_frame) {
+            Ok(Some(msg)) => {
+                if !inbound.inbox.push(msg) {
+                    break; // closed
                 }
             }
-        }));
+            Ok(None) => break,
+            Err(e) => {
+                // Over the cap, or not a message: refused. (Anything else
+                // is the connection dying under us — a peer killed
+                // mid-frame, or `close` — which is nobody's bad frame.)
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    inbound.rejected.fetch_add(1, Ordering::Relaxed);
+                    let edge = ["data", "request"][slot];
+                    eprintln!("[dc-transport] inbound {edge} edge dropped: {e}");
+                }
+                break;
+            }
+        }
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let mut streams = inbound.streams.lock();
+    if streams[slot].as_ref().is_some_and(|(held, _)| *held == serial) {
+        streams[slot] = None;
     }
 }
 
@@ -292,20 +382,30 @@ impl TcpNode {
         hello: u8,
         msg: &DcMsg,
     ) -> Result<(), TransportError> {
+        let frame = frame(msg);
+        let max_frame = self.inbound.max_frame;
+        if frame.len() > max_frame {
+            // The neighbor would refuse it and drop the connection with
+            // it; refuse here, where the caller can still be told.
+            return Err(TransportError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("frame of {} bytes exceeds the {max_frame}-byte cap", frame.len()),
+            )));
+        }
         let mut guard = out.lock();
         if let Some(s) = guard.as_mut() {
-            if write_frame(s, msg).is_ok() {
+            if write_pieces(s, &frame).is_ok() {
                 return Ok(());
             }
         }
         *guard = None;
-        if self.closed.load(Ordering::Acquire) {
+        if self.inbound.closed.load(Ordering::Acquire) {
             return Err(TransportError::Disconnected);
         }
         let mut fresh = TcpStream::connect_timeout(&peer, REDIAL_TIMEOUT)?;
         fresh.set_nodelay(true).ok();
         fresh.write_all(&[hello])?;
-        write_frame(&mut fresh, msg)?;
+        write_pieces(&mut fresh, &frame)?;
         *guard = Some(fresh);
         Ok(())
     }
@@ -333,20 +433,30 @@ impl RingTransport for TcpNode {
     }
 
     fn recv(&self) -> Option<DcMsg> {
-        self.inbox.recv().ok()
+        self.inbound.inbox.recv()
+    }
+
+    fn attach(&self, sink: Sink) {
+        self.inbound.inbox.attach(sink);
     }
 
     fn outbound_bytes(&self) -> u64 {
         self.out_bytes.load(Ordering::Relaxed)
     }
 
-    /// Tear down the node: shut both outgoing streams, force every
-    /// inbound stream shut so the reader threads leave their blocking
-    /// reads immediately, wake and join the acceptor, then join the
-    /// readers. Safe to call in any order across ring members — no peer
-    /// coordination is required — and idempotent.
+    fn frames_rejected(&self) -> u64 {
+        self.inbound.rejected.load(Ordering::Relaxed)
+    }
+
+    /// Tear down the node: stop delivering (blocked `recv`s wake, the
+    /// attached sink has seen its last call), shut both outgoing
+    /// streams, force every inbound stream shut so the reader threads
+    /// leave their blocking reads immediately, wake and join the
+    /// acceptor, then join the readers. Safe to call in any order across
+    /// ring members — no peer coordination is required — and idempotent.
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.inbound.closed.store(true, Ordering::Release);
+        self.inbound.inbox.close();
         for out in [&self.data_out, &self.req_out] {
             if let Some(mut guard) = out.try_lock() {
                 if let Some(s) = guard.take() {
@@ -361,12 +471,12 @@ impl RingTransport for TcpNode {
         if let Some(a) = self.acceptor.lock().take() {
             let _ = a.join();
         }
-        for s in self.inbound.lock().iter_mut() {
-            if let Some(s) = s.take() {
+        for s in self.inbound.streams.lock().iter_mut() {
+            if let Some((_, s)) = s.take() {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
         }
-        for r in self.readers.lock().drain(..) {
+        for r in self.inbound.readers.lock().drain(..) {
             let _ = r.join();
         }
     }
@@ -375,18 +485,13 @@ impl RingTransport for TcpNode {
 impl TcpNode {
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<DcMsg> {
-        self.inbox.try_recv().ok()
+        self.inbound.inbox.try_recv()
     }
 
     /// Consuming alias of [`RingTransport::close`].
     pub fn shutdown(self) {
         self.close();
     }
-}
-
-/// Sender side used by tests/tools to speak the frame protocol directly.
-pub fn sender_of(tx: &Sender<DcMsg>) -> Sender<DcMsg> {
-    tx.clone()
 }
 
 #[cfg(test)]
@@ -476,6 +581,135 @@ mod tests {
         for n in nodes {
             n.shutdown();
         }
+    }
+
+    /// Two members with their own frame caps, joined into a ring of two
+    /// (both of member 0's edges lead to member 1).
+    fn capped_pair(cap0: usize, cap1: usize) -> (TcpNode, TcpNode) {
+        let addrs = local_addrs(2);
+        let peer = {
+            let addrs = addrs.clone();
+            std::thread::spawn(move || join_ring_capped(&addrs, 1, cap1).unwrap())
+        };
+        let n0 = join_ring_capped(&addrs, 0, cap0).unwrap();
+        (n0, peer.join().unwrap())
+    }
+
+    fn bat_of(bytes: usize) -> DcMsg {
+        DcMsg::Bat {
+            header: BatHeader::fresh(NodeId(0), BatId(1), bytes as u64),
+            payload: (bytes > 0).then(|| Bytes::from(vec![7u8; bytes])),
+        }
+    }
+
+    #[test]
+    fn rejected_frame_does_not_wedge_the_edge() {
+        // Member 1 reads with a 1 KiB cap; member 0 (default cap) sends
+        // it a 4 KiB frame, which member 1 must refuse. The refusal
+        // costs the connection — and only the connection: the sender's
+        // next write fails, it redials, and later frames arrive. (With
+        // the refused stream left open, every one of them vanished into
+        // a socket nobody read.)
+        let (n0, n1) = capped_pair(DEFAULT_MAX_FRAME, 1024);
+        n0.send_data(bat_of(4096)).unwrap();
+        let mut arrived = 0;
+        for _ in 0..50 {
+            let _ = n0.send_data(bat_of(0));
+            std::thread::sleep(Duration::from_millis(20));
+            while n1.try_recv().is_some() {
+                arrived += 1;
+            }
+        }
+        assert!(arrived > 0, "no frame crossed the edge after the rejected one");
+        assert_eq!(n1.frames_rejected(), 1);
+        // An undecodable frame under the cap is refused the same way.
+        let mut raw = TcpStream::connect(n1.addrs[1]).unwrap();
+        raw.write_all(b"D\x03\x00\x00\x00\xff\xff\xff").unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while n1.frames_rejected() < 2 {
+            assert!(std::time::Instant::now() < deadline, "garbage frame never counted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        n0.shutdown();
+        n1.shutdown();
+    }
+
+    #[test]
+    fn over_cap_frame_is_refused_at_the_sender() {
+        let (n0, n1) = capped_pair(1024, 1024);
+        let err = n0.send_data(bat_of(4096)).unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{err}"
+        );
+        assert!(err.to_string().contains("1024-byte cap"), "{err}");
+        assert_eq!(n0.outbound_bytes(), 0, "a refused frame is not queued");
+        // Nothing was written, so the edge is intact: the next frame is
+        // the first thing member 1 sees.
+        n0.send_data(bat_of(512)).unwrap();
+        assert_eq!(n1.recv().unwrap(), bat_of(512));
+        assert_eq!(n1.frames_rejected(), 0);
+        n0.shutdown();
+        n1.shutdown();
+    }
+
+    #[test]
+    fn frames_longer_than_the_reservation_grow_as_they_arrive() {
+        // Past `FRAME_RESERVE` the read buffer doubles; the frame must
+        // come out whole, and a stream that ends early must say so.
+        let msg = bat_of(3 * FRAME_RESERVE + 17);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &msg).unwrap();
+        assert_eq!(read_frame(&mut &buf[..]).unwrap().unwrap(), msg);
+        let err = read_frame(&mut &buf[..buf.len() - 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+
+        /// Hands out at most 1000 bytes per `read`, as a socket might.
+        struct Dribble<'a>(&'a [u8]);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = out.len().min(self.0.len()).min(1000);
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        assert_eq!(read_frame(&mut Dribble(&buf)).unwrap().unwrap(), msg);
+    }
+
+    #[test]
+    fn short_vectored_writes_are_finished() {
+        /// Accepts at most 7 bytes per call, from the first slice only.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(7);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let msg = DcMsg::Routed(datacyclotron::msg::RoutedMsg {
+            origin: NodeId(1),
+            epoch: 2,
+            id: 3,
+            body: datacyclotron::msg::RoutedBody::Append {
+                parts: vec![
+                    (BatId(9), Bytes::from(vec![1u8; 100])),
+                    (BatId(10), Bytes::new()),
+                    (BatId(11), Bytes::from(vec![2u8; 33])),
+                ],
+            },
+        });
+        let mut out = Trickle(Vec::new());
+        write_frame(&mut out, &msg).unwrap();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, &msg).unwrap();
+        assert_eq!(out.0, whole);
+        assert_eq!(&whole[4..], &datacyclotron::encode(&msg)[..], "same bytes as `encode`");
+        assert_eq!(read_frame(&mut &out.0[..]).unwrap().unwrap(), msg);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use batstore::{RowPredicate, Val};
 use datacyclotron::msg::{MutOp, RoutedBody, RoutedMsg};
 use datacyclotron::transport::mem;
 use datacyclotron::{
-    DataDir, DcConfig, DcError, DcMsg, Edge, FaultEvent, FaultPlan, FaultTransport, FsyncPolicy,
-    NodeId, NodeOptions, RingNode, RingTransport,
+    BatHeader, DataDir, DcConfig, DcError, DcMsg, Edge, FaultEvent, FaultPlan, FaultTransport,
+    FsyncPolicy, NodeId, NodeOptions, RingNode, RingTransport,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,6 +62,11 @@ fn chaos_ring_with(
             cfg: DcConfig {
                 load_interval: netsim::SimDuration::from_millis(5),
                 resend_timeout: netsim::SimDuration::from_millis(200),
+                // Scaled down with `resend_timeout`: a fragment frame
+                // the plan drops is reloaded by its owner after 2 s, not
+                // the default 15 s — at which two drops in one pin's
+                // wait add up to the 30 s pin timeout, to the tick.
+                lost_after: netsim::SimDuration::from_secs(2),
                 ..DcConfig::default()
             },
             pin_timeout: Duration::from_secs(30),
@@ -344,6 +349,64 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
         assert!(Instant::now() < deadline, "duplicate frame never deduped: {owner:?}");
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+/// A forged `Bat` frame whose payload is not `DCB1` at all reaches a node
+/// with a `SELECT` blocked on that fragment. The event loop hands the
+/// payload on unopened (it neither decodes nor validates it), so it is
+/// the pinning query that finds out: it must fail with an error naming
+/// the fragment and the codec's reason — not panic, not hang, and not
+/// leave the bad copy behind for the next statement.
+#[test]
+fn corrupt_fragment_payload_fails_the_select_and_nothing_else() {
+    let ring = chaos_ring(0xBADB, FaultPlan::quiet);
+    ring.setup_acct();
+    ring.nodes[0].execute("insert into acct values (1, 10), (2, 20)").unwrap();
+    settle();
+
+    // Node 1's requests cannot reach the owner (node 0), so its SELECT
+    // blocks in `pin` until something flows past...
+    ring.faults[1].sever(Edge::Request);
+    let reader = {
+        let node = Arc::clone(&ring.nodes[1]);
+        std::thread::spawn(move || node.execute("select id, bal from acct order by id"))
+    };
+    // ...and what flows past, sent into node 1 over node 0's data edge,
+    // claims to be the table's fragments.
+    let frags: Vec<_> = ["id", "bal"]
+        .iter()
+        .map(|col| ring.nodes[1].ring_catalog().lookup("sys", "acct", col).expect("gossiped"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !reader.is_finished() {
+        assert!(Instant::now() < deadline, "the SELECT never met the forged fragment");
+        for f in &frags {
+            let garbage = bytes::Bytes::from_static(b"XXXX this is not a BAT");
+            let mut header = BatHeader::fresh(NodeId(0), f.bat, garbage.len() as u64);
+            header.version = f.version;
+            ring.faults[0].send_data(DcMsg::Bat { header, payload: Some(garbage) }).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let err = reader.join().expect("no panic on the query thread").unwrap_err();
+    let text = err.to_string();
+    assert!(
+        frags.iter().any(|f| text.contains(&format!("fragment {}", f.bat))),
+        "error does not name the fragment: {text}"
+    );
+    assert!(text.contains("bad magic"), "error does not carry the codec's reason: {text}");
+
+    // The edge heals; the very next statement on that node is answered
+    // from the real fragments, and every node still agrees.
+    ring.faults[1].heal(Edge::Request);
+    let rs = ring.nodes[1].execute("select id, bal from acct order by id").unwrap();
+    assert_eq!(rs.row_count(), 2);
+    assert_eq!((rs.cell(0, 1), rs.cell(1, 1)), (Val::Int(10), Val::Int(20)));
+    ring.await_rows(
+        "select id, bal from acct order by id",
+        &[(1, 10), (2, 20)],
+        Duration::from_secs(20),
+    );
 }
 
 /// Hot-set chaos: a Readmit retried after its ack was lost re-admits the
