@@ -7,7 +7,9 @@
 //!   `cargo bench -p dc-bench --bench micro -- ring_hop`): encode and
 //!   owned-frame decode of a 340 KB `Bat` frame, and `send_data` → `recv`
 //!   of that frame and of a header-only one between two `join_ring`
-//!   members over loopback TCP,
+//!   members over loopback TCP, and one rotation of it round three
+//!   members with the payload on every hop vs on the one hop that leads
+//!   to the requester,
 //! * netsim event-queue throughput (simulation scalability),
 //! * MAL interpreter dispatch — the paper claims "well below one µsec
 //!   per instruction" (§3.2); `mal_interpreter_per_instruction` measures
@@ -40,7 +42,7 @@ fn bench_propagation(c: &mut Criterion) {
     c.bench_function("bat_propagation_no_interest", |b| {
         let mut node = DcNode::new(NodeId(1), DcConfig::default());
         let h = BatHeader::fresh(NodeId(0), BatId(7), 5 << 20);
-        b.iter(|| black_box(node.on_bat(black_box(h))));
+        b.iter(|| black_box(node.on_bat(black_box(h), true)));
     });
 
     c.bench_function("bat_propagation_owner_cycle", |b| {
@@ -55,7 +57,7 @@ fn bench_propagation(c: &mut Criterion) {
             h.loi = 1.0;
             h.copies = 8;
             h.hops = 9;
-            black_box(node.on_bat(black_box(h)))
+            black_box(node.on_bat(black_box(h), true))
         });
     });
 
@@ -67,7 +69,7 @@ fn bench_propagation(c: &mut Criterion) {
             let qid = QueryId(q);
             let _ = node.local_request(qid, BatId(3));
             let _ = node.pin(qid, BatId(3));
-            let eff = node.on_bat(BatHeader::fresh(NodeId(0), BatId(3), 1 << 20));
+            let eff = node.on_bat(BatHeader::fresh(NodeId(0), BatId(3), 1 << 20), true);
             let _ = node.unpin(qid, BatId(3));
             let _ = node.query_done(qid);
             black_box(eff)
@@ -112,29 +114,60 @@ fn bench_ring_hop(c: &mut Criterion) {
         b.iter(|| black_box(decode_frame(black_box(frame.clone()))))
     });
 
-    let reserved: Vec<std::net::TcpListener> =
-        (0..2).map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
-    let addrs: Vec<_> = reserved.iter().map(|l| l.local_addr().expect("addr")).collect();
-    drop(reserved);
-    let peer = {
-        let addrs = addrs.clone();
-        std::thread::spawn(move || dc_transport::tcp::join_ring(&addrs, 1).expect("join"))
-    };
-    let sender = dc_transport::tcp::join_ring(&addrs, 0).expect("join");
-    let receiver = peer.join().expect("peer");
+    let pair = tcp_ring(2);
     for (id, msg) in [
         ("ring_hop/tcp_send_recv_340kb", msg.clone()),
         ("ring_hop/tcp_send_recv_header_only", with_payload(None)),
     ] {
         c.bench_function(id, |b| {
             b.iter(|| {
-                sender.send_data(msg.clone()).expect("send_data");
-                black_box(receiver.recv())
+                pair[0].send_data(msg.clone()).expect("send_data");
+                black_box(pair[1].recv())
             })
         });
     }
-    sender.close();
-    receiver.close();
+
+    // One rotation of that fragment round a three-member ring, each
+    // member forwarding what it received: the bytes on every hop (the
+    // paper's ring), against the bytes on the one hop that leads to the
+    // node that asked and the header alone on the other two.
+    let ring = tcp_ring(3);
+    for (id, laden_hops) in
+        [("ring_hop/rotation_340kb_all_payload", 3), ("ring_hop/rotation_340kb_scoped", 1)]
+    {
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                let mut frame = msg.clone();
+                for hop in 0..3 {
+                    if hop == laden_hops {
+                        let DcMsg::Bat { header, .. } = frame else { unreachable!("a Bat frame") };
+                        frame = DcMsg::Bat { header, payload: None };
+                    }
+                    ring[hop].send_data(frame).expect("send_data");
+                    frame = ring[(hop + 1) % 3].recv().expect("recv");
+                }
+                black_box(frame)
+            })
+        });
+    }
+    for member in pair.iter().chain(&ring) {
+        member.close();
+    }
+}
+
+/// `n` [`join_ring`](dc_transport::tcp::join_ring) members over loopback.
+fn tcp_ring(n: usize) -> Vec<dc_transport::tcp::TcpNode> {
+    let reserved: Vec<std::net::TcpListener> =
+        (0..n).map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+    let addrs: Vec<_> = reserved.iter().map(|l| l.local_addr().expect("addr")).collect();
+    drop(reserved);
+    let joins: Vec<_> = (0..n)
+        .map(|me| {
+            let addrs = addrs.clone();
+            std::thread::spawn(move || dc_transport::tcp::join_ring(&addrs, me).expect("join"))
+        })
+        .collect();
+    joins.into_iter().map(|j| j.join().expect("member")).collect()
 }
 
 fn bench_eventqueue(c: &mut Criterion) {

@@ -50,7 +50,7 @@ fn ring_row(dataset: &Dataset, queries: &[QuerySpec]) -> Row {
         worst: m.lifetime_quantile(1.0),
         throughput: m.throughput(),
         // Ring bytes actually moved: every BAT hop crosses one link.
-        channel_gb: m.stats.bytes_forwarded as f64 / (1u64 << 30) as f64,
+        channel_gb: m.data_link_bytes as f64 / (1u64 << 30) as f64,
     }
 }
 

@@ -22,7 +22,7 @@ use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
 use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, SpillQueue};
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg, EvictMsg, MutOp, RoutedBody};
+use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg, MutOp, RoutedBody};
 use crate::proto::{DcNode, Effect, PinOutcome};
 use crate::routed::{Due, Pending, Routed};
 use crate::runtime::{CatalogNotify, Cmd, Frag, FragInfo, RingCatalog, RingHooks, Waiter};
@@ -38,7 +38,7 @@ use dc_persist::{
 use mal::{MalError, SessionCtx};
 use netsim::SimTime;
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -213,11 +213,12 @@ pub enum NodeEvent {
     Cmd(Cmd),
 }
 
-/// The payload of the `Bat` frame being handled: the bytes as they
-/// arrived, which is what gets forwarded, and the cell over them that
-/// local waiters and the cache share. The event loop looks inside
-/// neither. (The two are kept apart because the cell lets its bytes go
-/// the moment some query decodes it, which can be before the forward.)
+/// The payload of the `Bat` frame being handled — a frame that came as
+/// its header alone has none: the bytes as they arrived, which is what
+/// gets forwarded, and the cell over them that local waiters and the
+/// cache share. The event loop looks inside neither. (The two are kept
+/// apart because the cell lets its bytes go the moment some query
+/// decodes it, which can be before the forward.)
 struct Inbound {
     wire: Bytes,
     frag: Frag,
@@ -293,10 +294,6 @@ struct NodeCtx {
     /// Dirty cold fragments queued for the two-phase "checkpoint, then
     /// drop" spill (clean ones are dropped at once, see `begin_spill`).
     spill_queue: SpillQueue,
-    /// Fragments other ring members announced as spilled ([`EvictMsg`]):
-    /// a pin that must-waits on one of these routes a `Readmit` instead
-    /// of waiting for a circulation that will never come.
-    remote_spilled: HashSet<BatId>,
     /// Queue-to-drop latency of dirty (two-phase) spills only: a clean
     /// spill waits for nothing and records no sample.
     spill_hist: Arc<dc_obs::Histogram>,
@@ -322,24 +319,20 @@ fn msg_kind(msg: &DcMsg) -> usize {
         DcMsg::Routed(m) => match m.body {
             RoutedBody::Append { .. } => 3,
             RoutedBody::Mutate { .. } => 4,
-            RoutedBody::Readmit { .. } => 5,
         },
-        DcMsg::Ack(_) => 6,
-        DcMsg::Evict(_) => 7,
+        DcMsg::Ack(_) => 5,
     }
 }
 
 /// The histogram names backing [`NodeCtx::msg_hists`], in [`msg_kind`]
 /// order.
-const MSG_HIST_NAMES: [&str; 8] = [
+const MSG_HIST_NAMES: [&str; 6] = [
     "dc_msg_bat_handle_us",
     "dc_msg_request_handle_us",
     "dc_msg_catalog_handle_us",
     "dc_msg_append_handle_us",
     "dc_msg_mutate_handle_us",
-    "dc_msg_readmit_handle_us",
     "dc_msg_ack_handle_us",
-    "dc_msg_evict_handle_us",
 ];
 
 /// The end-to-end statement latency histograms, in [`stmt_kind`] order:
@@ -460,21 +453,12 @@ impl NodeCtx {
     }
 
     /// Send a routed statement's first attempt and register it for
-    /// ack-tracking; false if [`Routed::begin`] refused it. A failed
-    /// first send (severed edge) is absorbed: the retry schedule re-sends
-    /// it, and the budget bounds the wait.
-    fn route(
-        &mut self,
-        target: String,
-        body: RoutedBody,
-        waiter: Option<Arc<Waiter<u64>>>,
-    ) -> bool {
-        let Some(p) = self.routed.begin(self.node.id, target, body, waiter, Instant::now()) else {
-            return false;
-        };
+    /// ack-tracking. A failed first send (severed edge) is absorbed: the
+    /// retry schedule re-sends it, and the budget bounds the wait.
+    fn route(&mut self, target: String, body: RoutedBody, waiter: Arc<Waiter<u64>>) {
+        let p = self.routed.begin(self.node.id, target, body, waiter, Instant::now());
         self.obs.trace(p.msg.epoch, p.msg.id, "route", p.what());
         let _ = self.transport.send_data(DcMsg::Routed(p.msg.clone()));
-        true
     }
 
     /// Deliver a routed statement's result to its origin: resolved
@@ -591,10 +575,7 @@ impl NodeCtx {
     fn on_ring(&mut self, msg: DcMsg) {
         match msg {
             DcMsg::Bat { header, payload } => {
-                // A circulating copy proves the fragment is back in the
-                // ring, whatever Evict announcements said earlier.
-                self.remote_spilled.remove(&header.bat);
-                let effects = self.node.on_bat(header);
+                let effects = self.node.on_bat(header, payload.is_some());
                 let inbound =
                     payload.map(|wire| Inbound { frag: Frag::from_wire(wire.clone()), wire });
                 self.execute(effects, inbound.as_ref());
@@ -622,7 +603,6 @@ impl NodeCtx {
                     RoutedBody::Mutate { schema, table, .. } => {
                         self.mutation_owner(schema, table) == Ok(self.node.id)
                     }
-                    RoutedBody::Readmit { bat } => self.node.s1.is_owner(*bat),
                 };
                 if owned {
                     let what = match &m.body {
@@ -630,14 +610,10 @@ impl NodeCtx {
                         RoutedBody::Mutate { schema, table, .. } => {
                             format!("mutation on {schema}.{table}")
                         }
-                        RoutedBody::Readmit { bat } => {
-                            format!("readmit of {bat} from {}", m.origin)
-                        }
                     };
                     // A retry re-delivers the same statement id; the
                     // dedup cache replays the first outcome instead of
-                    // growing, rewriting or re-injecting the fragment
-                    // twice.
+                    // growing or rewriting the fragment twice.
                     let key = (m.origin.0, m.epoch, m.id);
                     let result = match self.routed.applied(key) {
                         Some(cached) => {
@@ -651,7 +627,6 @@ impl NodeCtx {
                                 RoutedBody::Mutate { schema, table, op, preds } => {
                                     self.apply_mutation(schema, table, op, preds)
                                 }
-                                RoutedBody::Readmit { bat } => self.admit_fragment(*bat),
                             };
                             let detail = match &r {
                                 Ok(rows) => format!("{what}, {rows} rows"),
@@ -677,9 +652,6 @@ impl NodeCtx {
                         RoutedBody::Mutate { schema, table, .. } => {
                             format!("no owner found for {schema}.{table} (fragments gone?)")
                         }
-                        RoutedBody::Readmit { bat } => {
-                            format!("no owner found for {bat} re-admission")
-                        }
                     };
                     self.finish_routed(AckMsg {
                         target: m.origin,
@@ -695,22 +667,6 @@ impl NodeCtx {
                 } else {
                     let _ = self.transport.send_data(DcMsg::Ack(a));
                 }
-            }
-            DcMsg::Evict(e) => {
-                // Circulate once, like Catalog: every node learns the
-                // fragment left the ring so its pins route `Readmit`s
-                // instead of waiting for a circulation that won't come.
-                if e.owner == self.node.id {
-                    return; // completed its cycle
-                }
-                self.remote_spilled.insert(e.bat);
-                self.obs.trace(
-                    self.routed.epoch(),
-                    0,
-                    "evict_seen",
-                    format!("{} spilled by {} ({} bytes)", e.bat, e.owner, e.size),
-                );
-                let _ = self.transport.send_data(DcMsg::Evict(e));
             }
         }
     }
@@ -734,47 +690,9 @@ impl NodeCtx {
         match (&p.msg.body, &result) {
             (RoutedBody::Mutate { .. }, Err(_)) => self.node.stats.mutations_failed += 1,
             (RoutedBody::Append { .. }, Err(_)) => self.node.stats.appends_failed += 1,
-            // The fragment's circulating copy, not the Evict
-            // announcement, now governs pin behavior. A failed readmit
-            // is not a failed write: a later pin can route a fresh one,
-            // and the blocked pin is left to the Fig. 3 timeout-resend
-            // fallback.
-            (RoutedBody::Readmit { bat }, Ok(_)) => {
-                self.remote_spilled.remove(bat);
-            }
             _ => {}
         }
-        if let Some(waiter) = p.waiter {
-            waiter.fulfill(result);
-        }
-    }
-
-    /// Owner-side handling of a routed `Readmit`: make the fragment
-    /// resident (reloading its checkpoint file if it was spilled) and
-    /// re-inject it into ring circulation. Idempotent at every layer —
-    /// already-circulating states are left alone.
-    fn admit_fragment(&mut self, bat: BatId) -> Result<u64, String> {
-        let Some(owned) = self.node.s1.get(bat) else {
-            return Err(format!("{bat} is not owned by this node"));
-        };
-        let state = owned.state;
-        match state {
-            // Already circulating (or a load is already in flight): the
-            // requester's pin will catch the copy as it passes.
-            OwnedState::InRing { .. } | OwnedState::Loading | OwnedState::Pending { .. } => Ok(0),
-            OwnedState::OnDisk => {
-                let reloaded = self.ensure_resident(bat)?;
-                self.spill_queue.cancel(bat);
-                if !reloaded {
-                    // No disk reload happened (the payload never left
-                    // RAM), but this is still a re-admission event.
-                    self.node.stats.loi_readmits += 1;
-                }
-                let effects = self.node.bat_loaded(bat);
-                self.execute(effects, None);
-                Ok(1)
-            }
-        }
+        p.waiter.fulfill(result);
     }
 
     /// Guarantee the owned fragment's payload is in RAM, reloading the
@@ -862,8 +780,10 @@ impl NodeCtx {
     }
 
     /// Drop a resident payload whose `bats/<id>.v<version>.bat` is
-    /// committed — that file is now the only copy — and announce the
-    /// eviction around the ring. False if there was no payload to drop.
+    /// committed: that file is now the only copy. Nobody is told — the
+    /// next request to reach this owner finds the fragment off the ring
+    /// and reloads it (Fig. 3 outcome 4). False if there was no payload
+    /// to drop.
     fn finish_spill(&mut self, bat: BatId, version: u32, size: u64) -> bool {
         if self.disk.remove(&bat).is_none() {
             return false;
@@ -876,12 +796,6 @@ impl NodeCtx {
             "evict",
             format!("{bat} spilled ({size} bytes, v{version})"),
         );
-        let _ = self.transport.send_data(DcMsg::Evict(EvictMsg {
-            owner: self.node.id,
-            bat,
-            version,
-            size,
-        }));
         true
     }
 
@@ -910,18 +824,6 @@ impl NodeCtx {
             .collect();
         for bat in spill_victims(candidates, excess) {
             self.begin_spill(bat);
-        }
-    }
-
-    /// If the fragment a pin just blocked on is known to be spilled
-    /// somewhere on the ring, route a `Readmit` to its owner instead of
-    /// waiting for a circulation that will never come on its own.
-    fn maybe_route_readmit(&mut self, bat: BatId) {
-        // Nothing waits on the answer: the pin already waits on S3.
-        if self.remote_spilled.contains(&bat)
-            && self.route(format!("{bat}"), RoutedBody::Readmit { bat }, None)
-        {
-            self.node.stats.readmits_routed += 1;
         }
     }
 
@@ -1105,10 +1007,6 @@ impl NodeCtx {
                     }
                     PinOutcome::MustWait => {
                         self.waiting.entry(bat).or_default().push((query, waiter));
-                        // If the fragment is known spilled at its owner,
-                        // a circulation will not come on its own — ask
-                        // the owner to re-admit it.
-                        self.maybe_route_readmit(bat);
                     }
                 }
             }
@@ -1147,7 +1045,7 @@ impl NodeCtx {
                 match self.append_table(&schema, &table, &cols) {
                     Ok(AppendOutcome::Applied(rows)) => ack.fulfill(Ok(rows)),
                     Ok(AppendOutcome::Routed { parts, table }) => {
-                        self.route(table, RoutedBody::Append { parts }, Some(ack));
+                        self.route(table, RoutedBody::Append { parts }, ack);
                     }
                     Err(e) => ack.fulfill(Err(e)),
                 }
@@ -1170,7 +1068,7 @@ impl NodeCtx {
                             self.route(
                                 format!("{schema}.{table}"),
                                 RoutedBody::Mutate { schema, table, op, preds },
-                                Some(ack),
+                                ack,
                             );
                         }
                     }
@@ -1523,22 +1421,19 @@ impl NodeCtx {
     fn execute(&mut self, effects: Vec<Effect>, inbound: Option<&Inbound>) {
         for e in effects {
             match e {
-                Effect::SendBat(h) => {
-                    // Owned fragments forward the authoritative disk copy
-                    // (fresh after appends); foreign ones relay the
-                    // inbound bytes untouched, or — a header-only frame
-                    // met a cached copy — the cache's.
-                    let wire = match (self.disk.get(&h.bat), inbound) {
-                        (Some(owned), _) => Some(owned.wire()),
-                        (None, Some(inbound)) => Some(inbound.wire.clone()),
-                        (None, None) => self.cache.get(&h.bat).map(Frag::wire),
+                Effect::SendBat { header, payload } => {
+                    // The protocol said whether this hop carries the
+                    // bytes; here is only where they come from. An owner
+                    // sends its authoritative copy (fresh after appends),
+                    // anybody else relays the inbound bytes untouched.
+                    let payload = match self.disk.get(&header.bat) {
+                        _ if !payload => None,
+                        Some(owned) => Some(owned.wire()),
+                        None => inbound.map(|i| i.wire.clone()),
                     };
-                    if let Some(wire) = wire {
-                        // A send error means the successor died; the ring
-                        // must heal (pulsating rings, §6.3) — drop here.
-                        let _ =
-                            self.transport.send_data(DcMsg::Bat { header: h, payload: Some(wire) });
-                    }
+                    // A send error means the successor died; the ring
+                    // must heal (pulsating rings, §6.3) — drop here.
+                    let _ = self.transport.send_data(DcMsg::Bat { header, payload });
                 }
                 Effect::SendRequest(r) => {
                     let _ = self.transport.send_request(DcMsg::Request(r));
@@ -1574,9 +1469,7 @@ impl NodeCtx {
                     // The waiters get the cell, not a `Bat`: each decodes
                     // (once between them) on its own thread, after this
                     // loop has moved on to forwarding the frame.
-                    let frag = inbound
-                        .map(|i| i.frag.clone())
-                        .or_else(|| self.cache.get(&header.bat).cloned());
+                    let frag = inbound.map(|i| i.frag.clone());
                     if let Some(list) = self.waiting.remove(&header.bat) {
                         let (to_serve, keep): (Vec<_>, Vec<_>) =
                             list.into_iter().partition(|(q, _)| queries.contains(q));
@@ -1844,7 +1737,6 @@ impl RingNode {
             msg_hists: std::array::from_fn(|i| obs.histogram(MSG_HIST_NAMES[i])),
             hotset,
             spill_queue: SpillQueue::default(),
-            remote_spilled: HashSet::new(),
             spill_hist: obs.histogram("spill_us"),
             readmit_hist: obs.histogram("readmit_us"),
             gossip_applied: obs.counter("gossip_applied"),

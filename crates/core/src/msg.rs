@@ -7,10 +7,10 @@
 //! layer implies but does not spell out: [`CatalogMsg`] replicates table
 //! metadata clockwise so every node can compile SQL without a shared
 //! catalog, and [`RoutedMsg`] carries a statement clockwise to the
-//! fragment owner (§6.4 updates, §4.4 re-admission), answered by one
-//! [`AckMsg`]. The codec is a hand-written
-//! little-endian layout over `bytes` — small, allocation-light, and fully
-//! round-trip tested. It never copies a fragment: the encoder yields a
+//! fragment owner (§6.4 updates), answered by one [`AckMsg`]. The codec
+//! is a hand-written little-endian layout over `bytes` — small,
+//! allocation-light, and fully round-trip tested. It never copies a
+//! fragment: the encoder yields a
 //! [`Frame`] that *refers* to the payloads the message already holds (a
 //! transport writes the pieces with one vectored write), and the decoder
 //! takes the received frame whole ([`decode_frame`]) and hands back
@@ -61,7 +61,9 @@ impl BatHeader {
         }
     }
 
-    /// Bytes this message occupies on the wire (header + payload).
+    /// Bytes a frame carrying this BAT occupies on the wire (header +
+    /// payload). A header travelling alone costs [`HEADER_WIRE_BYTES`];
+    /// see [`DcMsg::wire_size`].
     pub fn wire_size(&self) -> u64 {
         HEADER_WIRE_BYTES + self.size
     }
@@ -141,12 +143,6 @@ pub enum RoutedBody {
     /// plus WHERE predicates — because row positions computed anywhere
     /// else could be stale by the time the message arrives.
     Mutate { schema: String, table: String, op: MutOp, preds: Vec<RowPredicate> },
-    /// Re-admission demand for a spilled fragment (§4.4): "reload `bat`
-    /// from your disk and re-inject it into circulation". The answer is
-    /// `Ok(1)` if this delivery re-admitted it, `Ok(0)` if it was already
-    /// in (or entering) the ring — either way the origin's pin resolves
-    /// when the fragment flows past.
-    Readmit { bat: BatId },
 }
 
 /// A statement traveling clockwise toward the fragment owner, which
@@ -176,33 +172,16 @@ pub struct AckMsg {
     /// The acknowledged statement's origin-boot epoch, echoed back.
     pub epoch: u64,
     pub id: u64,
-    /// Affected-row (or re-admitted-fragment) count, or the owner-side
-    /// failure.
+    /// Affected-row count, or the owner-side failure.
     pub result: Result<u64, String>,
-}
-
-/// Hot-set management notice (§4.4): the owner took `bat` off the ring
-/// (its LOI fell below LOIT) and spilled the payload to its local disk.
-/// Travels clockwise, circulate-once like [`CatalogMsg`]: every node
-/// notes "this fragment is at rest at its owner" so a later query knows
-/// a plain request will not be answered by a passing copy and routes a
-/// [`RoutedBody::Readmit`] instead. `version` is the fragment's version at spill
-/// time — versions are preserved across spill, so a reader holding the
-/// Evict notice can still trust cached stale copies by the usual §6.4
-/// rules.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvictMsg {
-    pub owner: NodeId,
-    pub bat: BatId,
-    pub version: u32,
-    pub size: u64,
 }
 
 /// Everything that flows between neighbors.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DcMsg {
-    /// Clockwise data flow. `payload` carries the serialized BAT in the
-    /// live engine; the simulator ships headers only.
+    /// Clockwise data flow. What circulates is the header; `payload`
+    /// carries the serialized BAT on the hops that lead toward a node
+    /// that asked for it (see [`crate::proto`]).
     Bat { header: BatHeader, payload: Option<Bytes> },
     /// Anti-clockwise request flow.
     Request(ReqMsg),
@@ -212,8 +191,6 @@ pub enum DcMsg {
     Routed(RoutedMsg),
     /// Clockwise acknowledgement routed back to the statement's origin.
     Ack(AckMsg),
-    /// Clockwise circulate-once notice that the owner spilled a fragment.
-    Evict(EvictMsg),
 }
 
 fn val_wire_size(v: &Val) -> u64 {
@@ -237,7 +214,9 @@ fn pred_wire_size(p: &RowPredicate) -> u64 {
 impl DcMsg {
     pub fn wire_size(&self) -> u64 {
         match self {
-            DcMsg::Bat { header, .. } => header.wire_size(),
+            // A header travelling alone is billed for the header alone.
+            DcMsg::Bat { header, payload: Some(_) } => header.wire_size(),
+            DcMsg::Bat { payload: None, .. } => HEADER_WIRE_BYTES,
             DcMsg::Request(_) => REQUEST_WIRE_BYTES,
             DcMsg::Catalog(c) => c.wire_size(),
             DcMsg::Routed(m) => match &m.body {
@@ -256,10 +235,8 @@ impl DcMsg {
                         + assigns
                         + preds.iter().map(pred_wire_size).sum::<u64>()
                 }
-                RoutedBody::Readmit { .. } => 24,
             },
             DcMsg::Ack(a) => 32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0),
-            DcMsg::Evict(_) => 19,
         }
     }
 }
@@ -269,11 +246,9 @@ const TAG_REQ: u8 = 2;
 const TAG_CATALOG: u8 = 3;
 const TAG_ROUTED: u8 = 4;
 const TAG_ACK: u8 = 5;
-const TAG_EVICT: u8 = 6;
 
 const BODY_APPEND: u8 = 1;
 const BODY_MUTATE: u8 = 2;
-const BODY_READMIT: u8 = 3;
 
 const VAL_NIL: u8 = 0;
 const VAL_OID: u8 = 1;
@@ -597,10 +572,6 @@ pub fn frame(msg: &DcMsg) -> Frame {
                         put_pred(&mut b, p);
                     }
                 }
-                RoutedBody::Readmit { bat } => {
-                    b.put_u8(BODY_READMIT);
-                    b.put_u32_le(bat.0);
-                }
             }
             b
         }
@@ -620,15 +591,6 @@ pub fn frame(msg: &DcMsg) -> Frame {
                     put_str(&mut b, e);
                 }
             }
-            b
-        }
-        DcMsg::Evict(e) => {
-            let mut b = BytesMut::with_capacity(24);
-            b.put_u8(TAG_EVICT);
-            b.put_u16_le(e.owner.0);
-            b.put_u32_le(e.bat.0);
-            b.put_u32_le(e.version);
-            b.put_u64_le(e.size);
             b
         }
     };
@@ -785,12 +747,6 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
                     }
                     RoutedBody::Mutate { schema, table, op, preds }
                 }
-                BODY_READMIT => {
-                    if buf.remaining() < 4 {
-                        return Err("truncated readmit demand".into());
-                    }
-                    RoutedBody::Readmit { bat: BatId(buf.get_u32_le()) }
-                }
                 other => return Err(format!("unknown routed body tag {other}")),
             };
             Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, body }))
@@ -812,17 +768,6 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
                 _ => Err(get_str(&mut buf)?),
             };
             Ok(DcMsg::Ack(AckMsg { target, epoch, id, result }))
-        }
-        TAG_EVICT => {
-            if buf.remaining() < 18 {
-                return Err("truncated evict notice".into());
-            }
-            Ok(DcMsg::Evict(EvictMsg {
-                owner: NodeId(buf.get_u16_le()),
-                bat: BatId(buf.get_u32_le()),
-                version: buf.get_u32_le(),
-                size: buf.get_u64_le(),
-            }))
         }
         other => Err(format!("unknown message tag {other}")),
     }
@@ -874,7 +819,10 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        assert!(decode(&[77, 0, 0]).is_err());
+        // 6 was the spill notice older members gossiped.
+        for tag in [6, 77] {
+            assert!(decode(&[tag, 0, 0]).unwrap_err().contains("unknown message tag"));
+        }
     }
 
     #[test]
@@ -1004,21 +952,14 @@ mod tests {
     }
 
     #[test]
-    fn readmit_round_trip_and_truncation() {
-        let m = routed(RoutedBody::Readmit { bat: BatId(9000) });
-        let enc = encode(&m);
-        assert_eq!(decode(&enc).unwrap(), m);
-        assert_eq!(enc.len() as u64, m.wire_size());
-        for cut in 0..enc.len() {
-            assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
-        }
-    }
-
-    #[test]
     fn unknown_routed_body_rejected() {
-        let mut enc = encode(&routed(RoutedBody::Readmit { bat: BatId(1) })).to_vec();
-        enc[19] = 99; // the body tag follows tag(1) + origin(2) + epoch(8) + id(8)
-        assert!(decode(&enc).unwrap_err().contains("body tag"));
+        let mut enc = encode(&mutate_msg()).to_vec();
+        // The body tag follows tag(1) + origin(2) + epoch(8) + id(8); 3
+        // was the re-admission demand, which no longer exists.
+        for tag in [3, 99] {
+            enc[19] = tag;
+            assert!(decode(&enc).unwrap_err().contains("body tag"));
+        }
     }
 
     #[test]
@@ -1044,22 +985,6 @@ mod tests {
         let DcMsg::Catalog(c) = decode(&encode(&m)).unwrap() else { panic!() };
         assert_eq!(c.columns[0].version, 3);
         assert_eq!(c.columns[1].version, 0);
-    }
-
-    #[test]
-    fn evict_round_trip_and_truncation() {
-        let m = DcMsg::Evict(EvictMsg {
-            owner: NodeId(2),
-            bat: BatId(77),
-            version: 5,
-            size: 3 * 1024 * 1024,
-        });
-        let enc = encode(&m);
-        assert_eq!(decode(&enc).unwrap(), m);
-        assert_eq!(enc.len() as u64, m.wire_size());
-        for cut in 0..enc.len() {
-            assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
-        }
     }
 
     #[test]

@@ -14,6 +14,27 @@
 //! * [`DcNode::tick`] — `loadAll` (postponed loads, oldest first),
 //!   `resend` (request-loss recovery), LOIT ladder adaptation from the
 //!   local queue load, and owner-side lost-BAT detection.
+//!
+//! **Payloads follow requests.** On the paper's RDMA ring a hop costs
+//! the CPU nothing, so every hot BAT travels whole through every node;
+//! on a fabric where a payload hop is real work only the *header* has to
+//! make every hop of every cycle (Eq. 1 reads nothing else). Whether a
+//! frame also carries the fragment's bytes is decided here, by three
+//! rules, and told to the driver in [`Effect::SendBat`]:
+//!
+//! 1. a header-only frame at a non-owner satisfies nothing — the S2 entry
+//!    and the cache are left exactly as they were;
+//! 2. a non-owner forwards the payload iff a request from another origin
+//!    passed (or was absorbed) here since it last forwarded that payload
+//!    — a request travels anti-clockwise through exactly the nodes that
+//!    sit between the owner and the requester on the clockwise data path;
+//! 3. the owner attaches its authoritative payload iff it was asked since
+//!    the header last left (`interest_since_pass`), and whenever it loads
+//!    the BAT; nobody else ever attaches one.
+//!
+//! A driver that reports a payload on every arriving frame and ships one
+//! on every hop (the simulator: the paper's ring) sees the algorithms of
+//! Figs. 3–5 unchanged.
 
 use crate::catalog::{OwnedState, S1Catalog};
 use crate::config::DcConfig;
@@ -23,12 +44,16 @@ use crate::msg::{BatHeader, ReqMsg};
 use crate::requests::{LocalCache, S2Requests};
 use crate::stats::NodeStats;
 use netsim::SimTime;
+use std::collections::HashMap;
 
 /// Instructions to the driver. The protocol never performs I/O itself.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Effect {
-    /// Forward a BAT clockwise to the successor.
-    SendBat(BatHeader),
+    /// Forward a BAT frame clockwise to the successor: always the header,
+    /// and with it the fragment's bytes iff `payload` — the owner's
+    /// authoritative copy at the owner, the arriving frame's anywhere
+    /// else.
+    SendBat { header: BatHeader, payload: bool },
     /// Send a request anti-clockwise to the predecessor.
     SendRequest(ReqMsg),
     /// Read an owned BAT from local disk; the driver calls
@@ -73,6 +98,10 @@ pub struct DcNode {
     /// the driver before invoking handlers.
     queue_bytes: u64,
     last_load_all: SimTime,
+    /// BATs somebody downstream asked for — a request from another origin
+    /// was forwarded or absorbed here — since this node last forwarded
+    /// their payload, with the time of the latest such request.
+    asked_downstream: HashMap<BatId, SimTime>,
 }
 
 impl DcNode {
@@ -91,6 +120,7 @@ impl DcNode {
             now: SimTime::ZERO,
             queue_bytes: 0,
             last_load_all: SimTime::ZERO,
+            asked_downstream: HashMap::new(),
         }
     }
 
@@ -257,6 +287,11 @@ impl DcNode {
             };
         }
 
+        // Outcomes 5 and 6: the requester sits downstream of us on the
+        // data path, so the payload this request summons must pass
+        // through here with its bytes.
+        self.asked_downstream.insert(bat, self.now);
+
         // Outcome 5: we have the same request outstanding — absorb.
         // Absorption is only safe while our own request is *freshly* in
         // flight toward the owner (the paper's `request_is_sent` check):
@@ -288,16 +323,20 @@ impl DcNode {
     }
 
     /// BAT Propagation (Fig. 4) and, at the owner, Hot Data Set
-    /// Management (Fig. 5).
-    pub fn on_bat(&mut self, mut h: BatHeader) -> Vec<Effect> {
+    /// Management (Fig. 5). `payload` says whether the arriving frame
+    /// carries the fragment's bytes.
+    pub fn on_bat(&mut self, mut h: BatHeader, payload: bool) -> Vec<Effect> {
         h.hops += 1;
 
         if h.owner == self.id {
-            return self.hot_set_management(h);
+            return self.hot_set_management(h, payload);
         }
 
         let mut effects = Vec::new();
-        if self.s2.contains(bat_of(&h)) {
+        // A header travelling alone satisfies nothing: in particular our
+        // request stays in flight (clearing that would make `tick`
+        // re-send at once) until the bytes it asked for arrive.
+        if payload && self.s2.contains(h.bat) {
             let now = self.now;
             let entry = self.s2.get_mut(h.bat).expect("contains checked");
             // The pass satisfies our outstanding request.
@@ -340,38 +379,48 @@ impl DcNode {
                 }
             }
         }
-        self.stats.bats_forwarded += 1;
-        self.stats.bytes_forwarded += h.size;
-        effects.push(Effect::SendBat(h));
+        // The bytes travel on only toward somebody who asked; the mark
+        // is spent by the payload it summoned.
+        let payload = payload && self.asked_downstream.remove(&h.bat).is_some();
+        effects.push(self.forward(h, payload));
         effects
+    }
+
+    fn forward(&mut self, header: BatHeader, payload: bool) -> Effect {
+        self.stats.bats_forwarded += 1;
+        if payload {
+            self.stats.bytes_forwarded += header.size;
+        }
+        Effect::SendBat { header, payload }
     }
 
     /// Fig. 5: the owner re-scores the BAT each cycle and drops it below
     /// the threshold.
-    fn hot_set_management(&mut self, mut h: BatHeader) -> Vec<Effect> {
+    fn hot_set_management(&mut self, mut h: BatHeader, payload: bool) -> Vec<Effect> {
         let now = self.now;
         let loit = self.ladder.current();
         let overloaded = self.queue_load_fraction() >= self.cfg.high_watermark;
         let Some(owned) = self.s1.get_mut(h.bat) else {
             // A BAT claiming us as owner that we do not know: ownership
-            // moved (pulsating rings) — forward untouched.
-            self.stats.bats_forwarded += 1;
-            self.stats.bytes_forwarded += h.size;
-            return vec![Effect::SendBat(h)];
+            // moved (pulsating rings) — forward the frame as it came.
+            return vec![self.forward(h, payload)];
         };
         owned.touches += h.copies as u64;
         h.cycles += 1;
         owned.max_cycles = owned.max_cycles.max(h.cycles);
         let nl = new_loi(h.loi, h.copies, h.hops, h.cycles);
         owned.last_loi = nl;
-        // Demand hold: requests that reached us mid-cycle (outcome 2)
-        // were ignored on the promise that the circulating BAT would
-        // serve them; unloading now would strand those requesters until
-        // their resend timers fire, then force the disk reload anyway.
-        // Grant one more cycle — unless the queue is under capacity
+        // Requests that reached us mid-cycle (outcome 2) were ignored on
+        // the promise that the circulating BAT would serve them. That
+        // promise is kept twice over. The next cycle carries the payload
+        // (only for them: unasked, the header goes round alone). And —
+        // demand hold — unloading now would strand those requesters until
+        // their resend timers fire, then force the disk reload anyway:
+        // grant one more cycle, unless the queue is under capacity
         // pressure, where Fig. 5's eviction must win (the requester is
         // rescued by resend, the paper's §4.2.3 recovery path).
-        let demand_hold = self.cfg.demand_hold && owned.interest_since_pass > 0 && !overloaded;
+        let asked = owned.interest_since_pass > 0;
+        let demand_hold = self.cfg.demand_hold && asked && !overloaded;
         owned.interest_since_pass = 0;
         if nl < loit && !demand_hold {
             owned.state = OwnedState::OnDisk;
@@ -387,17 +436,16 @@ impl DcNode {
         // Refresh the administrative view: appends at the owner may have
         // grown the fragment and bumped its version (§6.4) while this
         // copy circulated; the next cycle advertises the current state
-        // (the driver forwards the owner's authoritative payload).
+        // (and what the driver attaches is the owner's current payload).
         h.size = owned.size;
         h.version = owned.version;
         owned.state = OwnedState::InRing { last_seen: now };
-        self.stats.bats_forwarded += 1;
-        self.stats.bytes_forwarded += h.size;
-        vec![Effect::SendBat(h)]
+        vec![self.forward(h, asked)]
     }
 
     /// Driver callback: a `LoadFromDisk` completed; the BAT enters the
-    /// storage ring at its owner.
+    /// storage ring at its owner, payload attached — a load is always
+    /// the answer to a request.
     pub fn bat_loaded(&mut self, bat: BatId) -> Vec<Effect> {
         let now = self.now;
         let id = self.id;
@@ -409,7 +457,7 @@ impl DcNode {
         let mut header = BatHeader::fresh(id, bat, owned.size);
         header.version = owned.version;
         self.stats.bats_loaded += 1;
-        vec![Effect::SendBat(header)]
+        vec![Effect::SendBat { header, payload: true }]
     }
 
     fn queue_fits(&self, size: u64) -> bool {
@@ -464,18 +512,21 @@ impl DcNode {
 
         // Owner-side lost-BAT detection: an in-ring BAT that has not come
         // around for too long reverts to disk so re-requests can reload.
-        for bat in self.s1.lost_bats(now, self.cfg.lost_after) {
+        let lost_after = self.cfg.lost_after;
+        for bat in self.s1.lost_bats(now, lost_after) {
             self.s1.set_state(bat, OwnedState::OnDisk);
             self.stats.bats_lost += 1;
         }
 
+        // A "somebody downstream asked" mark the payload never came for
+        // is dropped on the same clock. No waiting requester loses by it:
+        // it has re-sent — and re-marked its whole path — every
+        // `resend_timeout`, of which `lost_after` holds several. What
+        // expires is what stale or forged requests left behind.
+        self.asked_downstream.retain(|_, asked_at| now.since(*asked_at) <= lost_after);
+
         effects
     }
-}
-
-#[inline]
-fn bat_of(h: &BatHeader) -> BatId {
-    h.bat
 }
 
 #[cfg(test)]
@@ -552,7 +603,7 @@ mod tests {
         // Load completes: the BAT enters the ring.
         let eff = n.bat_loaded(BatId(5));
         match &eff[..] {
-            [Effect::SendBat(h)] => {
+            [Effect::SendBat { header: h, payload: true }] => {
                 assert_eq!(h.owner, NodeId(1));
                 assert_eq!(h.loi, 0.0);
                 assert_eq!(h.cycles, 0);
@@ -592,7 +643,7 @@ mod tests {
         assert_eq!(n.pin(QueryId(2), BatId(9)).0, PinOutcome::MustWait);
         at(&mut n, 250);
         let h = BatHeader::fresh(NodeId(0), BatId(9), 100);
-        let eff = n.on_bat(h);
+        let eff = n.on_bat(h, true);
         let deliver = eff
             .iter()
             .find_map(|e| match e {
@@ -607,7 +658,7 @@ mod tests {
         let fwd = eff
             .iter()
             .find_map(|e| match e {
-                Effect::SendBat(h) => Some(*h),
+                Effect::SendBat { header, .. } => Some(*header),
                 _ => None,
             })
             .expect("must forward");
@@ -622,9 +673,11 @@ mod tests {
     fn passing_bat_without_interest_only_forwards() {
         let mut n = node(2);
         let h = BatHeader::fresh(NodeId(0), BatId(9), 100);
-        let eff = n.on_bat(h);
+        let eff = n.on_bat(h, true);
         assert_eq!(eff.len(), 1);
-        assert!(matches!(eff[0], Effect::SendBat(h2) if h2.hops == 1 && h2.copies == 0));
+        assert!(
+            matches!(eff[0], Effect::SendBat { header: h2, .. } if h2.hops == 1 && h2.copies == 0)
+        );
     }
 
     #[test]
@@ -632,7 +685,7 @@ mod tests {
         let mut n = node(2);
         n.local_request(QueryId(1), BatId(9));
         // No pin yet (plan still upstream); the BAT passes.
-        let eff = n.on_bat(BatHeader::fresh(NodeId(0), BatId(9), 100));
+        let eff = n.on_bat(BatHeader::fresh(NodeId(0), BatId(9), 100), true);
         assert!(
             eff.iter().any(|e| matches!(e, Effect::CacheInsert(b) if *b == BatId(9))),
             "fragment cached for the future pin: {eff:?}"
@@ -645,6 +698,189 @@ mod tests {
         assert!(eff.is_empty(), "entry still registered");
         let eff = n.query_done(QueryId(1));
         assert!(eff.iter().any(|e| matches!(e, Effect::CacheEvict(_))));
+    }
+
+    // ---- payloads follow requests ----------------------------------------
+
+    fn sent(eff: &[Effect]) -> (BatHeader, bool) {
+        match eff.last() {
+            Some(Effect::SendBat { header, payload }) => (*header, *payload),
+            other => panic!("the frame must be forwarded last: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn header_only_frame_satisfies_nothing() {
+        let mut n = node(2);
+        at(&mut n, 10);
+        n.local_request(QueryId(1), BatId(9));
+        assert_eq!(n.pin(QueryId(1), BatId(9)).0, PinOutcome::MustWait);
+        let before = n.s2.get(BatId(9)).cloned();
+        at(&mut n, 250);
+        let eff = n.on_bat(BatHeader::fresh(NodeId(0), BatId(9), 100), false);
+        let (h, payload) = sent(&eff);
+        assert_eq!(eff.len(), 1, "no Deliver, no CacheInsert: {eff:?}");
+        assert!(!payload, "nobody here can attach one");
+        assert_eq!((h.hops, h.copies), (1, 0), "the header aged a hop and was used by nobody");
+        assert_eq!(n.s2.get(BatId(9)).cloned(), before, "S2 entry bit for bit");
+        assert!(!n.cache.contains(BatId(9)));
+        assert_eq!((n.stats.deliveries, n.stats.latency_count), (0, 0));
+        assert_eq!((n.stats.bats_forwarded, n.stats.bytes_forwarded), (1, 0));
+        // Still in flight and fresh: no re-send on the next tick.
+        assert!(n.tick().is_empty());
+        assert_eq!(n.stats.requests_resent, 0);
+    }
+
+    #[test]
+    fn foreign_requests_mark_and_own_requests_do_not() {
+        let foreign = ReqMsg { origin: NodeId(7), bat: BatId(9) };
+        // Outcome 6: forwarded.
+        let mut n = node(2);
+        n.on_request(foreign);
+        assert!(n.asked_downstream.contains_key(&BatId(9)));
+        // Outcome 5, covered: absorbed behind our own fresh request.
+        let mut n = node(2);
+        n.local_request(QueryId(1), BatId(9));
+        let _ = n.pin(QueryId(1), BatId(9));
+        assert!(n.asked_downstream.is_empty(), "our own request and pin mark nothing");
+        assert!(n.on_request(foreign).is_empty());
+        assert!(n.asked_downstream.contains_key(&BatId(9)));
+        // Outcome 5, take-over: ours was served, theirs re-dispatches it.
+        let mut n = node(2);
+        n.local_request(QueryId(1), BatId(9));
+        n.on_bat(BatHeader::fresh(NodeId(0), BatId(9), 100), true);
+        assert!(n.asked_downstream.is_empty());
+        let own = ReqMsg { origin: NodeId(2), bat: BatId(9) };
+        assert_eq!(n.on_request(foreign), vec![Effect::SendRequest(own)]);
+        assert!(n.asked_downstream.contains_key(&BatId(9)));
+        // Outcome 1 (our own request came home) and the owner's outcomes
+        // 2–4 mark nothing: the owner keeps `interest_since_pass`.
+        let mut n = node(2);
+        n.local_request(QueryId(1), BatId(9));
+        n.on_request(own);
+        n.register_owned(BatId(5), 100);
+        n.on_request(ReqMsg { origin: NodeId(7), bat: BatId(5) });
+        n.on_request(ReqMsg { origin: NodeId(7), bat: BatId(5) });
+        assert!(n.asked_downstream.is_empty());
+    }
+
+    #[test]
+    fn payload_is_forwarded_once_per_mark() {
+        let mut n = node(2);
+        let h = BatHeader::fresh(NodeId(0), BatId(9), 100);
+        assert!(!sent(&n.on_bat(h, true)).1, "nobody downstream asked: the bytes stop here");
+        n.on_request(ReqMsg { origin: NodeId(7), bat: BatId(9) });
+        assert!(!sent(&n.on_bat(h, false)).1, "a header cannot spend the mark");
+        assert!(sent(&n.on_bat(h, true)).1, "the payload the request summoned goes on");
+        assert!(!sent(&n.on_bat(h, true)).1, "and spent the mark");
+        assert_eq!((n.stats.bats_forwarded, n.stats.bytes_forwarded), (4, 100));
+        // A local reader does not make the node forward the bytes either.
+        n.local_request(QueryId(1), BatId(9));
+        let eff = n.on_bat(h, true);
+        assert!(eff.contains(&Effect::CacheInsert(BatId(9))), "{eff:?}");
+        assert!(!sent(&eff).1);
+    }
+
+    #[test]
+    fn owner_attaches_payload_only_when_asked_since_the_last_pass() {
+        let mut n = node(0);
+        n.register_owned(BatId(3), 100);
+        n.s1.set_state(BatId(3), OwnedState::InRing { last_seen: SimTime::ZERO });
+        let hot = BatHeader { copies: 8, hops: 8, ..BatHeader::fresh(NodeId(0), BatId(3), 100) };
+        // What the arriving frame carried does not matter to the owner.
+        for arrived_with in [true, false] {
+            assert!(!sent(&n.on_bat(hot, arrived_with)).1, "unasked: the header goes on alone");
+        }
+        assert_eq!(n.stats.bytes_forwarded, 0);
+        // Outcome 2 is remembered until the header next leaves.
+        assert!(n.on_request(ReqMsg { origin: NodeId(4), bat: BatId(3) }).is_empty());
+        assert!(sent(&n.on_bat(hot, false)).1, "asked since the last pass");
+        assert!(!sent(&n.on_bat(hot, false)).1, "one request, one payload pass");
+        assert_eq!((n.stats.bats_forwarded, n.stats.bytes_forwarded), (4, 100));
+    }
+
+    #[test]
+    fn marks_expire_after_lost_after() {
+        let mut n = node(2);
+        let req = ReqMsg { origin: NodeId(7), bat: BatId(9) };
+        n.on_request(req);
+        at(&mut n, 1_500);
+        n.on_request(ReqMsg { bat: BatId(8), ..req });
+        at(&mut n, 2_000);
+        n.tick();
+        assert_eq!(n.asked_downstream.len(), 2, "lost_after (2 s) not exceeded yet");
+        at(&mut n, 2_001);
+        n.tick();
+        assert!(!n.asked_downstream.contains_key(&BatId(9)), "stale mark dropped");
+        assert!(n.asked_downstream.contains_key(&BatId(8)), "younger one kept");
+        assert!(!sent(&n.on_bat(BatHeader::fresh(NodeId(0), BatId(9), 100), true)).1);
+        // A requester still waiting re-sends, which re-marks.
+        n.on_request(req);
+        at(&mut n, 4_000);
+        n.tick();
+        assert!(sent(&n.on_bat(BatHeader::fresh(NodeId(0), BatId(9), 100), true)).1);
+    }
+
+    proptest::proptest! {
+        /// The simulator's statement. A driver that reports a payload on
+        /// every arriving frame and ignores the flag sees Figs. 3–5 as
+        /// they were before the rule: the marks are all the state it
+        /// added, and scrambling them between calls moves the flag (and
+        /// `bytes_forwarded`, which counts flagged hops) and nothing else.
+        #[test]
+        fn fed_a_payload_on_every_frame_only_the_flag_depends_on_the_marks(
+            ops in proptest::collection::vec((0u8..6, 0u8..4, 0u8..3), 1..80),
+        ) {
+            let (mut a, mut b) = (node(2), node(2));
+            a.register_owned(BatId(5), 100);
+            b.register_owned(BatId(5), 100);
+            for (step, &(op, x, y)) in ops.iter().enumerate() {
+                // Bat 5 is ours, 6 and 7 are node 0's; node ids 0..4
+                // include our own.
+                let (bat, query) = (BatId(5 + y as u32), QueryId(x as u64));
+                let owner = if y == 0 { NodeId(2) } else { NodeId(0) };
+                let header =
+                    BatHeader { copies: x as u32, hops: 3, ..BatHeader::fresh(owner, bat, 100) };
+                let call = |n: &mut DcNode| {
+                    at(n, step as u64 * 40);
+                    let mut eff = match op {
+                        0 => n.local_request(query, bat),
+                        1 => n.pin(query, bat).1,
+                        2 => n.on_request(ReqMsg { origin: NodeId(x as u16), bat }),
+                        3 => n.on_bat(header, true),
+                        4 => [n.unpin(query, bat), n.query_done(query)].concat(),
+                        _ => {
+                            // `resend` walks a `HashMap`.
+                            let mut eff = n.tick();
+                            eff.sort_by_key(|e| format!("{e:?}"));
+                            eff
+                        }
+                    };
+                    if let Some(Effect::LoadFromDisk { bat, .. }) = eff.first().cloned() {
+                        eff.extend(n.bat_loaded(bat));
+                    }
+                    for e in &mut eff {
+                        if let Effect::SendBat { payload, .. } = e {
+                            *payload = true;
+                        }
+                    }
+                    eff
+                };
+                proptest::prop_assert_eq!(call(&mut a), call(&mut b), "step {}", step);
+                if x % 2 == 0 {
+                    b.asked_downstream.clear();
+                } else {
+                    b.asked_downstream.insert(bat, b.now);
+                }
+            }
+            let view = |n: &DcNode| {
+                let mut counters = n.stats.counters();
+                counters.retain(|(name, _)| *name != "bytes_forwarded");
+                let bats = [5, 6, 7].map(BatId);
+                (counters, bats.map(|b| n.s2.get(b).cloned()), n.s1.state(BatId(5)), n.cache.len())
+            };
+            proptest::prop_assert_eq!(view(&a), view(&b));
+        }
     }
 
     // ---- Fig. 5: hot-set management --------------------------------------
@@ -660,7 +896,7 @@ mod tests {
         let mut h = BatHeader::fresh(NodeId(0), BatId(3), 100);
         h.copies = 1;
         h.hops = 8; // +1 on arrival = 9
-        let eff = n.on_bat(h);
+        let eff = n.on_bat(h, true);
         assert_eq!(eff, vec![Effect::Unload(BatId(3))]);
         assert_eq!(n.s1.state(BatId(3)), Some(OwnedState::OnDisk));
         assert_eq!(n.stats.bats_unloaded, 1);
@@ -675,9 +911,9 @@ mod tests {
         let mut h = BatHeader::fresh(NodeId(0), BatId(3), 100);
         h.copies = 8;
         h.hops = 8; // all nodes used it
-        let eff = n.on_bat(h);
+        let eff = n.on_bat(h, true);
         match &eff[..] {
-            [Effect::SendBat(h2)] => {
+            [Effect::SendBat { header: h2, .. }] => {
                 assert_eq!(h2.cycles, 1);
                 assert_eq!(h2.copies, 0);
                 assert_eq!(h2.hops, 0);
@@ -701,15 +937,18 @@ mod tests {
         // The BAT comes around cold (copies 0): below threshold, but the
         // pending requester holds it in the ring for one more cycle.
         let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
-        let eff = n.on_bat(h);
-        assert!(matches!(&eff[..], [Effect::SendBat(_)]), "kept despite LOI 0 < 0.5: {eff:?}");
+        let eff = n.on_bat(h, true);
+        assert!(
+            matches!(&eff[..], [Effect::SendBat { payload: true, .. }]),
+            "kept despite LOI 0 < 0.5, and sent with the payload it was asked for: {eff:?}"
+        );
         assert_eq!(n.stats.demand_holds, 1);
         assert_eq!(n.stats.bats_unloaded, 0);
         // Next pass with no new interest: the normal Fig. 5 drop.
         let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
         let mut h = h;
         h.cycles = 1;
-        let eff = n.on_bat(h);
+        let eff = n.on_bat(h, true);
         assert_eq!(eff, vec![Effect::Unload(BatId(3))]);
         assert_eq!(n.stats.bats_unloaded, 1);
     }
@@ -724,7 +963,7 @@ mod tests {
         n.s1.set_state(BatId(3), OwnedState::InRing { last_seen: SimTime::ZERO });
         assert!(n.on_request(ReqMsg { origin: NodeId(4), bat: BatId(3) }).is_empty());
         let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
-        assert_eq!(n.on_bat(h), vec![Effect::Unload(BatId(3))]);
+        assert_eq!(n.on_bat(h, true), vec![Effect::Unload(BatId(3))]);
         assert_eq!(n.stats.demand_holds, 0);
     }
 
@@ -739,7 +978,7 @@ mod tests {
         assert!(n.queue_load_fraction() >= 0.8, "setup: must be overloaded");
         assert!(n.on_request(ReqMsg { origin: NodeId(4), bat: BatId(3) }).is_empty());
         let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
-        let eff = n.on_bat(h);
+        let eff = n.on_bat(h, true);
         assert_eq!(eff, vec![Effect::Unload(BatId(3))]);
         assert_eq!(n.stats.demand_holds, 0);
     }
@@ -854,8 +1093,8 @@ mod tests {
         // moved): forward untouched rather than dropping data.
         let mut n = node(3);
         let h = BatHeader::fresh(NodeId(3), BatId(77), 10);
-        let eff = n.on_bat(h);
+        let eff = n.on_bat(h, true);
         assert_eq!(eff.len(), 1);
-        assert!(matches!(eff[0], Effect::SendBat(_)));
+        assert!(matches!(eff[0], Effect::SendBat { payload: true, .. }), "as it came");
     }
 }

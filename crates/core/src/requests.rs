@@ -15,7 +15,7 @@ use netsim::SimTime;
 use std::collections::{HashMap, HashSet};
 
 /// One outstanding request (S2 row) for a BAT.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestEntry {
     /// Local queries registered on this BAT.
     pub queries: HashSet<QueryId>,

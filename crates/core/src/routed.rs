@@ -1,9 +1,8 @@
 //! The routed-request engine: how a statement reaches its fragment owner
 //! exactly once and how the answer gets back.
 //!
-//! Every write goes to the fragment's owner (§6.4) and so does every
-//! demand for an at-rest fragment (§4.4), so INSERT, UPDATE/DELETE and
-//! re-admission share one discipline. The origin stamps the statement
+//! Every write goes to the fragment's owner (§6.4), so INSERT and
+//! UPDATE/DELETE share one discipline. The origin stamps the statement
 //! `(boot epoch, id)`, sends it clockwise as a [`RoutedMsg`] and keeps it
 //! in the pending table; an attempt whose [`crate::msg::AckMsg`] misses
 //! its deadline is resent with doubled backoff, and once the retry budget
@@ -15,7 +14,7 @@
 //! This module does no I/O and reads no clock: the event loop passes
 //! `now` in and sends the frames, counts and traces it hands back.
 
-use crate::ids::{BatId, NodeId};
+use crate::ids::NodeId;
 use crate::msg::{DcMsg, RoutedBody, RoutedMsg};
 use crate::runtime::Waiter;
 use std::collections::{HashMap, VecDeque};
@@ -39,12 +38,11 @@ pub struct Pending {
     /// the owner, so resending one that *was* applied is safe). Its body
     /// is the statement's kind.
     pub msg: RoutedMsg,
-    /// What the statement acts on (`schema.table`, or a fragment id),
-    /// for traces and the timeout error.
+    /// What the statement acts on (`schema.table`), for traces and the
+    /// timeout error.
     pub target: String,
-    /// The caller blocked on the answer; a re-admission has none (its
-    /// pin waits on the fragment itself).
-    pub waiter: Option<Arc<Waiter<u64>>>,
+    /// The caller blocked on the answer.
+    pub waiter: Arc<Waiter<u64>>,
     /// Sends so far.
     pub attempts: u32,
     /// When the current attempt gives up and the next begins.
@@ -61,7 +59,6 @@ impl Pending {
         let kind = match self.msg.body {
             RoutedBody::Append { .. } => "append",
             RoutedBody::Mutate { .. } => "mutation",
-            RoutedBody::Readmit { .. } => "readmit",
         };
         format!("{kind} on {}", self.target)
     }
@@ -121,22 +118,15 @@ impl Routed {
     }
 
     /// Register a statement `origin` is about to route; the caller sends
-    /// the returned entry's `msg` as the first attempt. Refuses (`None`)
-    /// a re-admission of a fragment that already has one in flight: the
-    /// earlier request's retries cover it.
+    /// the returned entry's `msg` as the first attempt.
     pub fn begin(
         &mut self,
         origin: NodeId,
         target: String,
         body: RoutedBody,
-        waiter: Option<Arc<Waiter<u64>>>,
+        waiter: Arc<Waiter<u64>>,
         now: Instant,
-    ) -> Option<&Pending> {
-        if let RoutedBody::Readmit { bat } = body {
-            if self.readmit_in_flight(bat) {
-                return None;
-            }
-        }
+    ) -> &Pending {
         let id = self.next_id;
         self.next_id += 1;
         let p = Pending {
@@ -148,13 +138,7 @@ impl Routed {
             backoff: self.ack_timeout * 2,
             retries_left: self.ack_retries,
         };
-        Some(self.pending.entry(id).or_insert(p))
-    }
-
-    fn readmit_in_flight(&self, bat: BatId) -> bool {
-        self.pending
-            .values()
-            .any(|p| matches!(p.msg.body, RoutedBody::Readmit { bat: b } if b == bat))
+        self.pending.entry(id).or_insert(p)
     }
 
     /// Statements whose ack deadline passed: each is either due a resend
@@ -228,15 +212,15 @@ mod tests {
         }
     }
 
-    fn readmit(bat: u32) -> RoutedBody {
-        RoutedBody::Readmit { bat: BatId(bat) }
+    fn waiter() -> Arc<Waiter<u64>> {
+        Arc::new(Waiter::default())
     }
 
     #[test]
     fn deadline_resends_with_doubled_backoff_then_times_out() {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 2);
-        let first = r.begin(ME, "sys.acct".into(), mutate(), None, t0).unwrap().msg.clone();
+        let first = r.begin(ME, "sys.acct".into(), mutate(), waiter(), t0).msg.clone();
         assert_eq!((first.origin, first.epoch), (ME, 7));
         let (id, frame) = (first.id, DcMsg::Routed(first));
 
@@ -265,12 +249,11 @@ mod tests {
     fn foreign_epoch_ack_is_ignored_and_a_duplicate_resolves_once() {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 2);
-        let waiter = Arc::new(Waiter::default());
-        let id =
-            r.begin(ME, "sys.acct".into(), mutate(), Some(Arc::clone(&waiter)), t0).unwrap().msg.id;
+        let waiter = waiter();
+        let id = r.begin(ME, "sys.acct".into(), mutate(), Arc::clone(&waiter), t0).msg.id;
         assert!(r.ack(6, id).is_none(), "an ack from a prior incarnation resolves nothing");
         let p = r.ack(7, id).expect("the matching ack resolves the statement");
-        assert!(Arc::ptr_eq(p.waiter.as_ref().unwrap(), &waiter));
+        assert!(Arc::ptr_eq(&p.waiter, &waiter));
         assert!(r.ack(7, id).is_none(), "its duplicate does not");
         assert!(r.poll(t0 + TIMEOUT * 100).is_empty(), "an acked statement is never resent");
     }
@@ -291,29 +274,5 @@ mod tests {
         r.remember((2, 9, APPLIED_CACHE_CAP as u64), Ok(0));
         assert!(r.applied((2, 9, 0)).is_none(), "one past the cap evicts the oldest");
         assert!(r.applied((2, 9, 1)).is_some(), "and only the oldest");
-    }
-
-    #[test]
-    fn one_readmit_in_flight_per_fragment() {
-        let t0 = Instant::now();
-        let mut r = Routed::new(7, TIMEOUT, 0);
-        let id = r.begin(ME, "bat9".into(), readmit(9), None, t0).unwrap().msg.id;
-        assert!(r.begin(ME, "bat9".into(), readmit(9), None, t0).is_none(), "one is in flight");
-        assert!(r.begin(ME, "bat8".into(), readmit(8), None, t0).is_some(), "other fragment");
-        assert!(r.begin(ME, "sys.acct".into(), mutate(), None, t0).is_some());
-        assert!(
-            r.begin(ME, "sys.acct".into(), mutate(), None, t0).is_some(),
-            "writes never refused"
-        );
-        // No retries configured: the first missed deadline times all four
-        // out, freeing the fragment's slot.
-        let timed_out = r.poll(t0 + TIMEOUT);
-        assert_eq!(timed_out.len(), 4);
-        assert!(timed_out.iter().all(|d| matches!(d, Due::TimedOut(_))));
-        let again = r.begin(ME, "bat9".into(), readmit(9), None, t0 + TIMEOUT).unwrap().msg.id;
-        assert!(again > id, "a fresh demand is a fresh statement");
-        // An ack frees it just the same.
-        assert!(r.ack(7, again).is_some());
-        assert!(r.begin(ME, "bat9".into(), readmit(9), None, t0 + TIMEOUT).is_some());
     }
 }

@@ -53,6 +53,11 @@ impl RingCatalog {
         self.cols.read().get(&Self::key(schema, table, column)).copied()
     }
 
+    /// Whether any published column is this fragment.
+    pub fn names(&self, bat: BatId) -> bool {
+        self.cols.read().values().any(|info| info.bat == bat)
+    }
+
     pub fn len(&self) -> usize {
         self.cols.read().len()
     }
@@ -342,7 +347,6 @@ pub struct RingHooks {
     pub pin_timeout: Duration,
     /// The node's telemetry registry; `dc.*` system views read from it.
     pub obs: Arc<dc_obs::Registry>,
-    tickets: Mutex<Vec<BatId>>,
     joins: JoinCounters,
 }
 
@@ -371,7 +375,7 @@ impl RingHooks {
             shuffle: obs.counter("ring_joins_shuffle"),
             bytes_planned: obs.counter("ring_join_bytes_planned"),
         };
-        RingHooks { node, tx, catalog, pin_timeout, obs, tickets: Mutex::new(Vec::new()), joins }
+        RingHooks { node, tx, catalog, pin_timeout, obs, joins }
     }
 
     /// Snapshot the event loop's protocol counters (the same round trip
@@ -391,11 +395,13 @@ impl RingHooks {
         ack.wait_for_outcome(self.pin_timeout, "hotset request timed out").map_err(MalError::Dc)
     }
 
+    /// A ticket is the fragment's id, so the hooks keep nothing per
+    /// request; one the catalog does not name was never handed out.
     fn bat_of_ticket(&self, ticket: u64) -> Result<BatId, MalError> {
-        self.tickets
-            .lock()
-            .get(ticket as usize)
-            .copied()
+        u32::try_from(ticket)
+            .map(BatId)
+            .ok()
+            .filter(|bat| self.catalog.names(*bat))
             .ok_or_else(|| MalError::Dc(format!("unknown ticket {ticket}")))
     }
 
@@ -418,13 +424,8 @@ impl DcHooks for RingHooks {
             .catalog
             .lookup(schema, table, column)
             .ok_or_else(|| MalError::Dc(format!("unknown fragment {schema}.{table}.{column}")))?;
-        let ticket = {
-            let mut t = self.tickets.lock();
-            t.push(info.bat);
-            (t.len() - 1) as u64
-        };
         self.send(Cmd::Request { query: QueryId(query), bat: info.bat })?;
-        Ok(ticket)
+        Ok(info.bat.0 as u64)
     }
 
     fn pin(&self, query: u64, ticket: u64) -> Result<Arc<Bat>, MalError> {
@@ -717,6 +718,31 @@ mod tests {
     }
 
     #[test]
+    fn tickets_are_fragment_ids_and_hooks_keep_nothing_per_statement() {
+        let catalog = Arc::new(RingCatalog::new());
+        let info = FragInfo { bat: BatId(0x0100_0007), size: 100, owner: NodeId(2), version: 0 };
+        catalog.publish("sys", "t", "id", info);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let obs = Arc::new(dc_obs::Registry::new(0));
+        let hooks = RingHooks::new(NodeId(0), tx, catalog, Duration::from_millis(10), obs);
+        // The ten-thousandth statement gets the ticket the first one got:
+        // it is a function of the catalog, not of what was asked before.
+        for query in 0..10_000 {
+            assert_eq!(hooks.request(query, "sys", "t", "id").unwrap(), 0x0100_0007);
+        }
+        assert_eq!(rx.len(), 10_000, "one `Cmd::Request` each, nothing else");
+        hooks.unpin(1, 0x0100_0007).unwrap();
+        // Ids the catalog does not name, or that no fragment id can be.
+        for ticket in [0, 0x0100_0008, u64::MAX] {
+            let e = hooks.unpin(1, ticket).unwrap_err().to_string();
+            assert!(e.contains(&format!("unknown ticket {ticket}")), "{e}");
+            let e = hooks.pin(1, ticket).map(|_| ()).unwrap_err().to_string();
+            assert!(e.contains("unknown ticket"), "{e}");
+        }
+        assert_eq!(rx.len(), 10_001, "an unknown ticket reaches no event loop");
+    }
+
+    #[test]
     fn catalog_notify_wakes_waiters_and_times_out() {
         let n = Arc::new(CatalogNotify::new());
         let seen = n.current();
@@ -774,8 +800,8 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &cached.bat().unwrap()), "decoded once, shared");
         assert_eq!(first.tail(), bat.tail());
         assert!(matches!(&*cached.0.lock(), Sides::Bat { wire: None, .. }), "held once");
-        // Forwarding from such a cell (a header-only frame met a cached
-        // copy) re-encodes to the same bytes.
+        // Asked for its wire form again, such a cell re-encodes to the
+        // same bytes.
         assert_eq!(&cached.wire()[..], &held[..]);
     }
 

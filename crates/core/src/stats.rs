@@ -24,9 +24,10 @@ pub struct NodeStats {
     /// Requests that returned to us as origin: the BAT does not exist
     /// (outcome 1).
     pub requests_returned: u64,
-    /// BATs forwarded to the successor.
+    /// BAT frames forwarded to the successor, with or without payload.
     pub bats_forwarded: u64,
-    /// Payload bytes forwarded to the successor (ring traffic volume).
+    /// Payload bytes forwarded to the successor (ring traffic volume): a
+    /// frame forwarded as its header alone adds nothing.
     pub bytes_forwarded: u64,
     /// Own BATs pulled out of the ring by LOI decision.
     pub bats_unloaded: u64,
@@ -97,13 +98,9 @@ pub struct NodeStats {
     /// the in-RAM payload was dropped once a committed checkpoint named
     /// `bats/<id>.v<version>.bat`, the at-rest copy.
     pub loi_evictions: u64,
-    /// Spilled/off-hot-set fragments re-admitted into service: reloaded
-    /// from disk on local demand, or injected back into the ring for a
-    /// remote `Readmit`.
+    /// Spilled fragments re-admitted into service: reloaded from disk
+    /// for a local pin, a mutation, or a ring request (Fig. 3 outcome 4).
     pub loi_readmits: u64,
-    /// `Readmit` requests this node routed to remote fragment owners
-    /// (queries touching evicted tables).
-    pub readmits_routed: u64,
     /// LOIT ladder raise/lower transitions at this node (§5.2
     /// adaptation activity; mirrored from the ladder each tick).
     pub loit_transitions: u64,
@@ -170,7 +167,6 @@ impl NodeStats {
             recovered_wal_records,
             loi_evictions,
             loi_readmits,
-            readmits_routed,
             loit_transitions,
             // Latency distributions are reported through `dc.latency`,
             // not as bare counters (except the sample count).
@@ -211,7 +207,6 @@ impl NodeStats {
             ("recovered_wal_records", *recovered_wal_records),
             ("loi_evictions", *loi_evictions),
             ("loi_readmits", *loi_readmits),
-            ("readmits_routed", *readmits_routed),
             ("loit_transitions", *loit_transitions),
             ("latency_count", *latency_count),
         ]
@@ -256,7 +251,6 @@ impl NodeStats {
             recovered_wal_records,
             loi_evictions,
             loi_readmits,
-            readmits_routed,
             loit_transitions,
             max_request_latency,
             latency_sum,
@@ -294,7 +288,6 @@ impl NodeStats {
         self.recovered_wal_records += recovered_wal_records;
         self.loi_evictions += loi_evictions;
         self.loi_readmits += loi_readmits;
-        self.readmits_routed += readmits_routed;
         self.loit_transitions += loit_transitions;
         for (&bat, &lat) in max_request_latency {
             let slot = self.max_request_latency.entry(bat).or_default();

@@ -184,16 +184,18 @@ impl From<std::io::Error> for TransportError {
 }
 
 /// A [`RingTransport`] decorator that meters per-edge traffic into an
-/// observability [`dc_obs::Registry`]: frames and payload bytes, in and
-/// out, split by edge (clockwise data vs anti-clockwise request). This is
-/// the paper's "bytes moved around the ring" statistic (Fig. 9/10),
-/// measured uniformly for every fabric — the live engine wraps whatever
-/// transport it is handed, so the in-process and TCP rings report the
-/// same counters.
+/// observability [`dc_obs::Registry`]: frames and bytes
+/// ([`DcMsg::wire_size`]), in and out, split by edge (clockwise data vs
+/// anti-clockwise request), and how many of the `Bat` frames sent were a
+/// header travelling without its payload. This is the paper's "bytes
+/// moved around the ring" statistic (Fig. 9/10), measured uniformly for
+/// every fabric — the live engine wraps whatever transport it is handed,
+/// so the in-process and TCP rings report the same counters.
 pub struct MeteredTransport {
     inner: std::sync::Arc<dyn RingTransport>,
     data_frames_out: std::sync::Arc<dc_obs::Counter>,
     data_bytes_out: std::sync::Arc<dc_obs::Counter>,
+    bat_frames_header_only: std::sync::Arc<dc_obs::Counter>,
     req_frames_out: std::sync::Arc<dc_obs::Counter>,
     req_bytes_out: std::sync::Arc<dc_obs::Counter>,
     inbound: InboundMeters,
@@ -230,6 +232,7 @@ impl MeteredTransport {
             inner,
             data_frames_out: obs.counter("ring_data_frames_out"),
             data_bytes_out: obs.counter("ring_data_bytes_out"),
+            bat_frames_header_only: obs.counter("ring_bat_frames_header_only"),
             req_frames_out: obs.counter("ring_req_frames_out"),
             req_bytes_out: obs.counter("ring_req_bytes_out"),
             inbound: InboundMeters {
@@ -245,9 +248,13 @@ impl MeteredTransport {
 impl RingTransport for MeteredTransport {
     fn send_data(&self, msg: DcMsg) -> Result<(), TransportError> {
         let size = msg.wire_size();
+        let header_only = matches!(msg, DcMsg::Bat { payload: None, .. });
         self.inner.send_data(msg).inspect(|()| {
             self.data_frames_out.inc();
             self.data_bytes_out.add(size);
+            if header_only {
+                self.bat_frames_header_only.inc();
+            }
         })
     }
 
@@ -390,7 +397,10 @@ pub mod mem {
         use crate::msg::{BatHeader, ReqMsg};
 
         fn bat_msg(id: u32, size: u64) -> DcMsg {
-            DcMsg::Bat { header: BatHeader::fresh(NodeId(0), BatId(id), size), payload: None }
+            DcMsg::Bat {
+                header: BatHeader::fresh(NodeId(0), BatId(id), size),
+                payload: Some(bytes::Bytes::from(vec![0u8; size as usize])),
+            }
         }
 
         #[test]

@@ -1,11 +1,11 @@
 //! Property tests for the ring message codec, covering the full `DcMsg`
 //! surface: the query-circulation path (`Bat`/`Request`), the routed
-//! path (`Routed` with each body, `Ack`), and the circulate-once notices
-//! (`Catalog`/`Evict`). Arbitrary messages
-//! round-trip byte-exactly, every strict prefix of a valid frame is
-//! rejected (never mis-decoded or panicked on), hostile count/length
-//! prefixes neither panic nor provoke an unbounded allocation, and a
-//! frame decoded by value gives back payloads that are slices of it.
+//! path (`Routed` with each body, `Ack`), and the circulate-once
+//! `Catalog` gossip. Arbitrary messages round-trip byte-exactly, every
+//! strict prefix of a valid frame is rejected (never mis-decoded or
+//! panicked on), hostile count/length prefixes neither panic nor provoke
+//! an unbounded allocation, and a frame decoded by value gives back
+//! payloads that are slices of it.
 //!
 //! Distributed query execution (§3) deliberately introduces no new wire
 //! message: registered queries ride the existing `Request` (interest)
@@ -17,8 +17,8 @@ use batstore::ops::CmpOp;
 use batstore::{ColType, RowPredicate, Val};
 use bytes::Bytes;
 use datacyclotron::msg::{
-    decode, decode_frame, encode, frame, AckMsg, BatHeader, EvictMsg, MutOp, ReqMsg, RoutedBody,
-    RoutedMsg,
+    decode, decode_frame, encode, frame, AckMsg, BatHeader, MutOp, ReqMsg, RoutedBody, RoutedMsg,
+    HEADER_WIRE_BYTES,
 };
 use datacyclotron::{BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
 use proptest::prelude::*;
@@ -122,19 +122,6 @@ fn catalog_from(kind: u8, seed: i64, text: &str, ncols: usize) -> DcMsg {
     })
 }
 
-fn evict_from(seed: i64) -> DcMsg {
-    DcMsg::Evict(EvictMsg {
-        owner: NodeId(seed.unsigned_abs() as u16),
-        bat: BatId(seed.unsigned_abs() as u32),
-        version: (seed.unsigned_abs() % 10_000) as u32,
-        size: seed.unsigned_abs().wrapping_mul(977),
-    })
-}
-
-fn readmit_from(seed: i64) -> DcMsg {
-    routed_from(seed, RoutedBody::Readmit { bat: BatId(seed.unsigned_abs() as u32) })
-}
-
 fn bat_from(kind: u8, seed: i64, npayload: usize) -> DcMsg {
     // `Some(empty)` is canonicalized to `None` on decode, so a present
     // payload always carries at least one byte.
@@ -191,10 +178,8 @@ fn messages(kind: u8, seed: i64, text: &str, n1: usize, n2: usize) -> Vec<DcMsg>
         request_from(seed),
         append_from(kind, seed, text, n1),
         mutate_from(kind, seed, text, n1, n2),
-        readmit_from(seed),
         ack_from(seed, text),
         catalog_from(kind, seed, text, n1),
-        evict_from(seed),
     ]
 }
 
@@ -272,6 +257,26 @@ proptest! {
                 }
                 other => panic!("{other:?}"),
             }
+        }
+    }
+
+    /// `wire_size()` is what the traffic meters and the queue-load mirror
+    /// add up, so it has to follow the bytes a `Bat` frame really
+    /// carries: a header travelling alone is billed the header, not the
+    /// fragment it describes. Both forms stay within 8 bytes of the
+    /// encoded frame (the payload-length field `HEADER_WIRE_BYTES` does
+    /// not count).
+    #[test]
+    fn bat_wire_size_follows_the_payload(seed in -100_000i64..100_000,
+                                         npayload in 1usize..2_000) {
+        let DcMsg::Bat { mut header, .. } = bat_from(1, seed, 0) else { unreachable!() };
+        header.size = npayload as u64;
+        let alone = DcMsg::Bat { header, payload: None };
+        let laden = DcMsg::Bat { header, payload: Some(Bytes::from(vec![7u8; npayload])) };
+        prop_assert_eq!(alone.wire_size(), HEADER_WIRE_BYTES);
+        prop_assert_eq!(laden.wire_size(), HEADER_WIRE_BYTES + npayload as u64);
+        for m in [alone, laden] {
+            prop_assert_eq!(frame(&m).len() as u64 - m.wire_size(), 8);
         }
     }
 

@@ -1,4 +1,11 @@
 //! The simulation driver: ring topology, event dispatch, query lifecycle.
+//!
+//! This driver models the *paper's* ring, on which a hop carries the BAT:
+//! it tells [`DcNode::on_bat`] that every arriving frame has its payload,
+//! charges every link the whole `wire_size()`, and does not read the
+//! protocol's payload decision ([`Effect::SendBat`]'s flag). Scoping
+//! payloads to the requesters — what the live engine does over TCP —
+//! would remove the very congestion Figs. 6 and 10/11 are about.
 
 use crate::cores::CoreSched;
 use crate::measure::Measurements;
@@ -352,7 +359,7 @@ impl RingSim {
             Ev::Arrive(q) => self.on_arrive(now, q),
             Ev::BatMsg { node, header } => {
                 self.sync(node, now);
-                let effects = self.nodes[node].dc.on_bat(header);
+                let effects = self.nodes[node].dc.on_bat(header, true);
                 self.apply(now, node, effects);
             }
             Ev::ReqMsg { node, req } => {
@@ -553,7 +560,7 @@ impl RingSim {
     fn apply(&mut self, now: SimTime, node: usize, effects: Vec<Effect>) {
         for e in effects {
             match e {
-                Effect::SendBat(h) => {
+                Effect::SendBat { header: h, .. } => {
                     let succ = self.succ(node);
                     match self.nodes[node].data.enqueue(now, h.wire_size()) {
                         EnqueueOutcome::Accepted { arrives, .. } => {
@@ -682,6 +689,7 @@ impl RingSim {
                 self.m.bat_max_cycles[i] = self.m.bat_max_cycles[i].max(owned.max_cycles);
             }
             self.m.stats.merge(&n.dc.stats);
+            self.m.data_link_bytes += n.data.bytes_sent;
         }
         for (&bat, &lat) in self.m.stats.max_request_latency.clone().iter() {
             let secs = lat.as_secs_f64();

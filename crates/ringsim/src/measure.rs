@@ -35,6 +35,10 @@ pub struct Measurements {
     /// DropTail losses.
     pub bat_drops: u64,
     pub request_drops: u64,
+    /// Bytes the clockwise data links carried: every BAT hop, header and
+    /// payload (the protocol's own `bytes_forwarded` counts only hops on
+    /// which it would have *chosen* to ship the payload).
+    pub data_link_bytes: u64,
     /// CPU utilization (Table 4; only meaningful with bounded cores).
     pub cpu_utilization: f64,
     /// Ring size over time (§6.3 pulsating rings; one point per growth).

@@ -9,9 +9,13 @@
 //! sender hands the kernel the length prefix, the message head and the
 //! payload it already holds in one vectored write, and the receiver
 //! reads the frame into one buffer that *becomes* the message's payload
-//! (`decode_frame`). The reader thread then puts the message straight
-//! into the member's [`Inbox`] — the node's event channel, once a node
-//! attached.
+//! (`decode_frame`). Most frames on the ring are small — headers
+//! travelling without their payload, requests, acks — so the reader goes
+//! through a `SMALL_READ` (4 KiB) buffer: a small frame costs one `read`,
+//! and a fragment-sized body still lands directly in its final buffer (a
+//! buffered reader hands large reads straight through). The reader
+//! thread then puts the message straight into the member's [`Inbox`] —
+//! the node's event channel, once a node attached.
 //!
 //! The ring *heals*: each node keeps its listener open for its whole
 //! lifetime, replacing an inbound neighbor stream whenever a new one
@@ -28,7 +32,7 @@ use datacyclotron::msg::{decode_frame, frame, Frame};
 use datacyclotron::transport::{Inbox, Sink};
 use datacyclotron::DcMsg;
 use parking_lot::Mutex;
-use std::io::{IoSlice, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,6 +50,11 @@ pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
 /// with) are read into one exactly-sized buffer; a longer one starts
 /// here and doubles only as bytes actually arrive.
 const FRAME_RESERVE: usize = 1 << 20;
+
+/// Capacity of the buffer an inbound stream is read through: room for
+/// several header, request and ack frames (all under 100 bytes), small
+/// enough that what is copied out of it ahead of a large body is noise.
+const SMALL_READ: usize = 4096;
 
 /// Write one frame.
 pub fn write_frame(stream: &mut impl Write, msg: &DcMsg) -> std::io::Result<()> {
@@ -341,9 +350,10 @@ fn accept_loop(listener: TcpListener, inbound: Arc<Inbound>) {
 /// `send_*` reported success, and a full socket buffer would finally
 /// block the neighbor's event loop in `write` for good. Shut down, the
 /// neighbor's next write fails and its send path redials.
-fn read_loop(mut stream: TcpStream, slot: usize, serial: u64, inbound: &Inbound) {
+fn read_loop(stream: TcpStream, slot: usize, serial: u64, inbound: &Inbound) {
+    let mut reader = BufReader::with_capacity(SMALL_READ, &stream);
     loop {
-        match read_frame_capped(&mut stream, inbound.max_frame) {
+        match read_frame_capped(&mut reader, inbound.max_frame) {
             Ok(Some(msg)) => {
                 if !inbound.inbox.push(msg) {
                     break; // closed
@@ -675,6 +685,51 @@ mod tests {
             }
         }
         assert_eq!(read_frame(&mut Dribble(&buf)).unwrap().unwrap(), msg);
+    }
+
+    #[test]
+    fn small_frames_cost_one_read_and_large_bodies_bypass_the_buffer() {
+        /// A socket stand-in that records how much each `read` was
+        /// offered.
+        struct Offered<'a>(&'a [u8], Vec<usize>);
+        impl Read for Offered<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.1.push(out.len());
+                let n = out.len().min(self.0.len());
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let small = [
+            bat_of(0),
+            DcMsg::Request(ReqMsg { origin: NodeId(1), bat: BatId(2) }),
+            DcMsg::Ack(datacyclotron::msg::AckMsg {
+                target: NodeId(1),
+                epoch: 2,
+                id: 3,
+                result: Ok(4),
+            }),
+        ];
+        let large = bat_of(340_000);
+        let mut wire = Vec::new();
+        for m in small.iter().chain([&large]) {
+            write_frame(&mut wire, m).unwrap();
+        }
+        let mut reader = BufReader::with_capacity(SMALL_READ, Offered(&wire, Vec::new()));
+        for m in &small {
+            assert_eq!(&read_frame(&mut reader).unwrap().unwrap(), m);
+        }
+        assert_eq!(reader.get_ref().1, [SMALL_READ], "three small frames, one read");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), large);
+        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF through the buffer");
+        // What the first read had not already pulled in went straight
+        // into the frame's own buffer (`read_to_end` asks for more than
+        // the small buffer holds, so every such read is handed through),
+        // and the last read is the probe that found EOF.
+        let (probe, body) = reader.get_ref().1[1..].split_last().expect("more reads");
+        assert!(!body.is_empty() && body.iter().all(|&n| n > SMALL_READ), "{body:?}");
+        assert_eq!(*probe, SMALL_READ);
     }
 
     #[test]

@@ -95,7 +95,7 @@ fn main() {
             "Data Cyclotron ring",
             ring.mean_lifetime(),
             ring.lifetime_quantile(0.95),
-            ring.stats.bytes_forwarded as f64 / (1u64 << 30) as f64,
+            ring.data_link_bytes as f64 / (1u64 << 30) as f64,
         ),
         (
             "DataCycle (flat push)",

@@ -409,89 +409,56 @@ fn corrupt_fragment_payload_fails_the_select_and_nothing_else() {
     );
 }
 
-/// Hot-set chaos: a Readmit retried after its ack was lost re-admits the
-/// spilled fragment exactly once. Node 0 is durable with a 1-byte memory
-/// budget, so its `acct` fragments really spill to disk; forged Readmit
-/// frames sent through node 1's transport handle simulate the origin's
-/// first demand and its retry (the ack of the first having been
-/// "dropped") deterministically — the owner must reload from disk once
-/// and answer the replay from its dedup cache, never double-injecting.
+/// Hot-set chaos: a spilled fragment comes back on the plain request
+/// path (Fig. 3 outcome 4 — there is no other), so what protects a pin on
+/// it is what protects any pin: `resend` and the owner's lost-BAT clock.
+/// Node 0 is durable with a budget, so the `id` fragment it unloads
+/// really leaves RAM; the frame that carries the re-admitted payload
+/// toward the requester is dropped. The pin is served all the same, after
+/// a resend, and the owner reloaded the file once — the second load finds
+/// the payload still resident.
 #[test]
-fn dropped_readmit_ack_readmits_exactly_once() {
+fn dropped_first_payload_of_a_readmitted_fragment_is_resent() {
     let dir = std::env::temp_dir().join(format!("dc_chaos_readmit_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let ring = chaos_ring_with(0xD209, FaultPlan::quiet, |i, opts| {
         if i == 0 {
             opts.data_dir = Some(DataDir::new(&dir).fsync(FsyncPolicy::Off));
-            opts.mem_budget = Some(1);
+            opts.mem_budget = Some(1 << 20);
         }
     });
     ring.setup_acct();
     let rs = ring.nodes[0].execute("insert into acct values (1, 10), (2, 20)").unwrap();
     assert_eq!(rs.affected, Some(2));
-    settle();
+    // A statement that pins one fragment, `id`, and no other.
+    let total =
+        |node: usize| ring.nodes[node].execute("select sum(id) from acct").unwrap().cell(0, 0);
 
-    // The 1-byte budget evicts the fragments: checkpointed to the data
-    // dir (the bat file is the at-rest format), payloads dropped. Pick a
-    // spilled `acct` fragment to demand back.
+    // One read puts `id` on the ring; unrenewed, its LOI decays, the
+    // owner unloads it and — a budgeted node — spills it to its file.
+    assert_eq!(total(1), Val::Lng(3));
     let deadline = Instant::now() + Duration::from_secs(20);
-    let bat = loop {
+    loop {
         let snap = ring.nodes[0].hotset().unwrap();
-        if let Some(r) = snap.rows.iter().find(|r| r.state == "spilled" && r.table == "sys.acct") {
-            break r.bat;
-        }
-        assert!(Instant::now() < deadline, "acct never spilled: {snap:?}");
-        std::thread::sleep(Duration::from_millis(25));
-    };
-    let base = ring.nodes[0].stats().unwrap();
-
-    // "Node 1" demands re-admission; the owner reloads from disk once.
-    let forged = DcMsg::Routed(RoutedMsg {
-        origin: NodeId(1),
-        epoch: 0xA,
-        id: 424,
-        body: RoutedBody::Readmit { bat },
-    });
-    ring.faults[1].send_data(forged.clone()).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let owner = ring.nodes[0].stats().unwrap();
-        if owner.loi_readmits > base.loi_readmits {
-            assert_eq!(owner.loi_readmits, base.loi_readmits + 1, "one demand, one reload");
+        if snap.rows.iter().any(|r| r.state == "spilled" && r.table == "sys.acct") {
             break;
         }
-        assert!(Instant::now() < deadline, "owner never re-admitted: {owner:?}");
+        assert!(Instant::now() < deadline, "acct.id never spilled: {snap:?}");
         std::thread::sleep(Duration::from_millis(25));
     }
+    settle();
+    let base = (ring.nodes[0].stats().unwrap(), ring.nodes[1].stats().unwrap());
 
-    // The retry after the "dropped" ack: same (origin, epoch, id). The
-    // owner answers from its dedup cache instead of reloading or
-    // re-injecting a second copy. (The live node 1 ignores both acks —
-    // foreign epoch — exactly as a restarted origin would.)
-    ring.faults[1].send_data(forged).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let owner = ring.nodes[0].stats().unwrap();
-        if owner.mutations_deduped > base.mutations_deduped {
-            assert_eq!(
-                owner.loi_readmits,
-                base.loi_readmits + 1,
-                "the retry must not reload again: {owner:?}"
-            );
-            break;
-        }
-        assert!(Instant::now() < deadline, "retried Readmit never deduped: {owner:?}");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-
-    // End to end under the same budget: queries from every node block on
-    // the ring, the fragments are re-admitted on demand, and the typed
-    // rows come back exact.
-    ring.await_rows(
-        "select id, bal from acct order by id",
-        &[(1, 10), (2, 20)],
-        Duration::from_secs(20),
-    );
+    // The owner's next data frame is the re-admitted fragment on its way
+    // to node 1, its successor.
+    ring.faults[0].drop_next(Edge::Data, 1);
+    assert_eq!(total(1), Val::Lng(3), "served after the resend");
+    assert_eq!(ring.faults[0].stats().drops(), 1);
+    let (owner, requester) = (ring.nodes[0].stats().unwrap(), ring.nodes[1].stats().unwrap());
+    assert!(requester.requests_resent > base.1.requests_resent, "{requester:?}");
+    assert_eq!(owner.bats_lost, base.0.bats_lost + 1, "the dropped frame was the BAT: {owner:?}");
+    assert_eq!(owner.bats_loaded, base.0.bats_loaded + 2, "loaded, lost, loaded again");
+    assert_eq!(owner.loi_readmits, base.0.loi_readmits + 1, "one reload from disk: {owner:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -136,7 +136,7 @@ fn version_header_flows_through_the_ring() {
     assert!(matches!(effects[0], datacyclotron::Effect::LoadFromDisk { .. }));
     let effects = owner.bat_loaded(BatId(1));
     match &effects[..] {
-        [datacyclotron::Effect::SendBat(h)] => assert_eq!(h.version, 2),
+        [datacyclotron::Effect::SendBat { header, .. }] => assert_eq!(header.version, 2),
         other => panic!("{other:?}"),
     }
 }
@@ -149,7 +149,7 @@ fn stale_cache_versions_detectable() {
     node.local_request(QueryId(1), BatId(9));
     let mut h = datacyclotron::msg::BatHeader::fresh(NodeId(0), BatId(9), 50);
     h.version = 1;
-    node.on_bat(h);
+    node.on_bat(h, true);
     assert_eq!(node.cache.get(BatId(9)).unwrap().version, 1);
 
     let vt = VersionTable::new();

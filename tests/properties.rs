@@ -610,7 +610,7 @@ proptest! {
             let _ = node.pin(QueryId(q as u64), BatId(5));
         }
         // The BAT passes once: everyone is served, fragment cached.
-        let effects = node.on_bat(BatHeader::fresh(NodeId(0), BatId(5), 100));
+        let effects = node.on_bat(BatHeader::fresh(NodeId(0), BatId(5), 100), true);
         let delivered: usize = effects
             .iter()
             .filter_map(|e| match e {

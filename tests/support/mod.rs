@@ -38,29 +38,37 @@ pub fn spawn_sql_front(nodes: &[Arc<RingNode>]) -> Vec<SocketAddr> {
     sql_addrs
 }
 
-/// An n-node TCP ring with SQL endpoints, using the test-friendly
-/// timing profile (fast load/resend cadence, 30s pin timeout).
-pub fn spawn_tcp_cluster(n: usize) -> Cluster {
-    let addrs = free_addrs(n);
-    let mut joins = Vec::new();
-    for me in 0..n {
-        let addrs = addrs.clone();
-        joins.push(std::thread::spawn(move || {
-            let transport = Arc::new(join_ring(&addrs, me).unwrap()) as Arc<dyn RingTransport>;
-            let opts = NodeOptions {
-                cfg: DcConfig {
-                    load_interval: netsim::SimDuration::from_millis(5),
-                    resend_timeout: netsim::SimDuration::from_millis(500),
-                    ..DcConfig::default()
-                },
-                pin_timeout: Duration::from_secs(30),
-                ..NodeOptions::default()
-            };
-            RingNode::spawn(NodeId(me as u16), transport, opts)
-        }));
+/// The test-friendly timing profile: fast load/resend cadence.
+pub fn test_cfg() -> DcConfig {
+    DcConfig {
+        load_interval: netsim::SimDuration::from_millis(5),
+        resend_timeout: netsim::SimDuration::from_millis(500),
+        ..DcConfig::default()
     }
+}
+
+/// `n` engine nodes joined into a ring over loopback TCP (30s pin
+/// timeout), in node order.
+pub fn spawn_tcp_ring(n: usize, cfg: DcConfig) -> Vec<RingNode> {
+    let addrs = free_addrs(n);
+    let joins: Vec<_> = (0..n)
+        .map(|me| {
+            let (addrs, cfg) = (addrs.clone(), cfg.clone());
+            std::thread::spawn(move || {
+                let transport = Arc::new(join_ring(&addrs, me).unwrap()) as Arc<dyn RingTransport>;
+                let opts =
+                    NodeOptions { cfg, pin_timeout: Duration::from_secs(30), ..Default::default() };
+                RingNode::spawn(NodeId(me as u16), transport, opts)
+            })
+        })
+        .collect();
+    joins.into_iter().map(|j| j.join().unwrap()).collect()
+}
+
+/// An n-node TCP ring with SQL endpoints, using [`test_cfg`].
+pub fn spawn_tcp_cluster(n: usize) -> Cluster {
     let nodes: Vec<Arc<RingNode>> =
-        joins.into_iter().map(|j| Arc::new(j.join().unwrap())).collect();
+        spawn_tcp_ring(n, test_cfg()).into_iter().map(Arc::new).collect();
     let sql_addrs = spawn_sql_front(&nodes);
     Cluster { nodes, sql_addrs }
 }

@@ -11,40 +11,25 @@
 //! must report nonzero `ring_query_bytes_moved`, proving the fragments
 //! were pulled off the wire rather than found locally.
 
-use batstore::{Column, Val};
-use datacyclotron::{DcConfig, NodeId, NodeOptions, Ring, RingNode, RingTransport};
-use dc_transport::tcp::join_ring;
+mod support;
+
+use batstore::{Column, ResultSet, Val};
+use datacyclotron::Ring;
 use dc_workloads::tpch::sql as tpch;
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
 use std::time::Duration;
+use support::{spawn_tcp_ring, test_cfg};
 
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let ls: Vec<TcpListener> = (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    ls.iter().map(|l| l.local_addr().unwrap()).collect()
-}
-
-fn spawn_tcp_ring(n: usize) -> Vec<RingNode> {
-    let addrs = free_addrs(n);
-    let mut joins = Vec::new();
-    for me in 0..n {
-        let addrs = addrs.clone();
-        joins.push(std::thread::spawn(move || {
-            let transport = Arc::new(join_ring(&addrs, me).unwrap()) as Arc<dyn RingTransport>;
-            let opts = NodeOptions {
-                cfg: DcConfig {
-                    load_interval: netsim::SimDuration::from_millis(5),
-                    resend_timeout: netsim::SimDuration::from_millis(500),
-                    ..DcConfig::default()
-                },
-                pin_timeout: Duration::from_secs(30),
-                ..NodeOptions::default()
-            };
-            RingNode::spawn(NodeId(me as u16), transport, opts)
-        }));
+/// `got` is `expected`, cell for cell and type for type.
+fn assert_same_answer(got: &ResultSet, expected: &ResultSet, what: &str) {
+    assert_eq!(got.column_count(), expected.column_count(), "{what}");
+    assert_eq!(got.row_count(), expected.row_count(), "{what}");
+    for c in 0..expected.column_count() {
+        assert_eq!(got.columns[c].col_type(), expected.columns[c].col_type(), "{what} column {c}");
+        for r in 0..expected.row_count() {
+            assert_eq!(got.cell(r, c), expected.cell(r, c), "{what} cell ({r},{c})");
+        }
     }
-    joins.into_iter().map(|j| j.join().unwrap()).collect()
 }
 
 #[test]
@@ -58,7 +43,7 @@ fn tpch_subset_matches_single_node_over_tcp_ring() {
     single.load_table("sys", "lineitem", data.lineitem.clone()).unwrap();
 
     // System under test: one table per node, joined over TCP.
-    let nodes = spawn_tcp_ring(3);
+    let nodes = spawn_tcp_ring(3, test_cfg());
     nodes[0].load_table("sys", "customer", data.customer).unwrap();
     nodes[1].load_table("sys", "orders", data.orders).unwrap();
     nodes[2].load_table("sys", "lineitem", data.lineitem).unwrap();
@@ -76,26 +61,7 @@ fn tpch_subset_matches_single_node_over_tcp_ring() {
         // matter which tables it owns locally.
         for node in &nodes {
             let got = node.execute(stmt).unwrap();
-            assert_eq!(got.column_count(), expected.column_count(), "{name} on {}", node.id);
-            assert_eq!(got.row_count(), expected.row_count(), "{name} on {}", node.id);
-            for c in 0..expected.column_count() {
-                assert_eq!(
-                    got.columns[c].col_type(),
-                    expected.columns[c].col_type(),
-                    "{name} on {} column {c}",
-                    node.id
-                );
-            }
-            for r in 0..expected.row_count() {
-                for c in 0..expected.column_count() {
-                    assert_eq!(
-                        got.cell(r, c),
-                        expected.cell(r, c),
-                        "{name} on {} cell ({r},{c})",
-                        node.id
-                    );
-                }
-            }
+            assert_same_answer(&got, &expected, &format!("{name} on {}", node.id));
         }
     }
 
@@ -121,6 +87,60 @@ fn tpch_subset_matches_single_node_over_tcp_ring() {
         n.shutdown();
     }
     single.shutdown();
+}
+
+/// Where the data sits must not show in the answer (Ameloot et al.'s
+/// parallel-correctness: the same result under every distribution of the
+/// input) — and since payloads follow requests, where it sits and who asks
+/// is exactly what decides which hops carry bytes. Q1, Q3 and Q6, asked
+/// from every node of 3- and 4-node rings under every placement of the
+/// three tables on single owners, equal the single-node answers cell for
+/// cell, with no request ever re-sent.
+#[test]
+fn tpch_subset_is_the_same_under_every_single_owner_placement() {
+    let data = tpch::generate(1.0, 42);
+    let tables = || {
+        [
+            ("customer", data.customer.clone()),
+            ("orders", data.orders.clone()),
+            ("lineitem", data.lineitem.clone()),
+        ]
+    };
+    let single = Ring::builder(1).build();
+    for (table, cols) in tables() {
+        single.load_table("sys", table, cols).unwrap();
+    }
+    let expected: Vec<_> =
+        tpch::queries().into_iter().map(|(_, stmt)| single.execute(0, stmt).unwrap()).collect();
+    single.shutdown();
+
+    for n in [3, 4] {
+        for placement in 0..n * n * n {
+            let owners = [placement % n, placement / n % n, placement / (n * n)];
+            let ring = Ring::builder(n).pin_timeout(Duration::from_secs(30)).build();
+            for ((table, cols), &owner) in tables().into_iter().zip(&owners) {
+                ring.node(owner).load_table("sys", table, cols).unwrap();
+            }
+            for node in 0..n {
+                for table in ["customer", "orders", "lineitem"] {
+                    let waited = Duration::from_secs(15);
+                    ring.node(node).wait_for_table_timeout("sys", table, waited).unwrap();
+                }
+            }
+            for ((name, stmt), expected) in tpch::queries().into_iter().zip(&expected) {
+                for node in 0..n {
+                    let got = ring.execute(node, stmt).unwrap();
+                    let what = format!("{name} on node {node} of {n}, tables at {owners:?}");
+                    assert_same_answer(&got, expected, &what);
+                }
+            }
+            for node in 0..n {
+                let stats = ring.node(node).stats().unwrap();
+                assert_eq!(stats.requests_resent, 0, "node {node} of {n}, tables at {owners:?}");
+            }
+            ring.shutdown();
+        }
+    }
 }
 
 /// One generated table, read as plain vectors.
