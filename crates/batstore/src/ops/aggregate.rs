@@ -37,7 +37,7 @@ pub fn sum(b: &Bat) -> Result<Val> {
 }
 
 /// Narrow an `i128` accumulator back to the `Lng` output type.
-fn narrow_sum(total: i128) -> Result<i64> {
+pub(crate) fn narrow_sum(total: i128) -> Result<i64> {
     i64::try_from(total)
         .map_err(|_| BatError::Overflow(format!("sum {total} does not fit in a 64-bit integer")))
 }
@@ -55,7 +55,7 @@ pub fn max(b: &Bat) -> Val {
 /// Does `x` displace `best` when looking for the `want`-most value? A
 /// `NaN` compares neither way: it displaces nothing and, once first,
 /// nothing displaces it.
-fn beats<T: PartialOrd>(x: T, best: T, want: Ordering) -> bool {
+pub(crate) fn beats<T: PartialOrd>(x: T, best: T, want: Ordering) -> bool {
     match want {
         Ordering::Less => x < best,
         _ => x > best,

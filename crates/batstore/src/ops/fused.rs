@@ -1,0 +1,707 @@
+//! The fused scan → group → aggregate operator: one pass over a table's
+//! rows that evaluates a conjunction of single-column predicates, groups
+//! the survivors by zero or more key columns and folds `count` / `sum` /
+//! `avg` / `min` / `max` — [`BATCH`] row positions at a time, never
+//! building a column-length intermediate. It is the SELECT-side sibling
+//! of [`matching_rows`](crate::ops::matching_rows): the same
+//! [`RowPredicate`] conjuncts over columns found through a lookup, the
+//! same scan core, the same batches.
+//!
+//! What it keeps of the operator chain it replaces (`select` →
+//! `semijoin` → `markT` → `reverse` → `join` → `group.new`/`derive` →
+//! `aggr.*`), cell for cell:
+//!
+//! 1. Every conjunct is resolved against its column's type before the
+//!    first row is read, so a literal its column cannot be compared with
+//!    is a [`BatError::TypeMismatch`] whatever the rows hold. Later
+//!    conjuncts then test only the survivors of earlier ones.
+//! 2. Groups are numbered in first-appearance order over the qualifying
+//!    rows in position order.
+//! 3. Integer sums accumulate in `i128` and narrow once
+//!    ([`BatError::Overflow`]); `dbl` sums add in position order; `avg`
+//!    is the narrowed sum over the count; `min`/`max` keep the first of
+//!    equals. With no key there is exactly one output row, also when no
+//!    row qualifies — `count` and `sum` are then 0, while `avg`, `min`
+//!    and `max` would be NULL, which no typed column holds: an error.
+//! 4. With no predicate a batch is a range of positions, not a list, and
+//!    an ungrouped `count` reads no row at all.
+//!
+//! Per row there is no `Val` and no `dyn` call: columns are dispatched on
+//! their type once per statement into boxed typed stages, and a stage is
+//! called once per batch.
+
+use crate::bat::{Bat, Props};
+use crate::column::Column;
+use crate::error::{BatError, Result};
+use crate::ops::aggregate::{beats, narrow_sum};
+use crate::ops::cells::{with_cells, with_keys, Cells};
+use crate::ops::hash::{check_rows, Chains, Key};
+use crate::ops::scan::{Pred, Scan, BATCH};
+use crate::ops::RowPredicate;
+use crate::value::ColType;
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+/// One aggregate of [`scan_aggregate`], over the named column.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Aggregate {
+    /// `count(*)`: how many rows of the group qualified.
+    Count,
+    Sum(String),
+    Avg(String),
+    Min(String),
+    Max(String),
+}
+
+impl Aggregate {
+    fn name(&self) -> &'static str {
+        match self {
+            Aggregate::Count => "count",
+            Aggregate::Sum(_) => "sum",
+            Aggregate::Avg(_) => "avg",
+            Aggregate::Min(_) => "min",
+            Aggregate::Max(_) => "max",
+        }
+    }
+
+    fn column(&self) -> Option<&str> {
+        match self {
+            Aggregate::Count => None,
+            Aggregate::Sum(c) | Aggregate::Avg(c) | Aggregate::Min(c) | Aggregate::Max(c) => {
+                Some(c)
+            }
+        }
+    }
+}
+
+/// The row positions one round works on: a range while nothing has
+/// filtered the rows, else the positions the conjuncts kept (ascending).
+#[derive(Clone, Copy)]
+enum Batch<'a> {
+    Range(usize, usize),
+    Rows(&'a [usize]),
+}
+
+impl Batch<'_> {
+    fn len(self) -> usize {
+        match self {
+            Batch::Range(lo, hi) => hi - lo,
+            Batch::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// The position of the batch's `j`-th row.
+    fn at(self, j: usize) -> usize {
+        match self {
+            Batch::Range(lo, _) => lo + j,
+            Batch::Rows(rows) => rows[j],
+        }
+    }
+
+    /// `f(j, i, cell)` for the batch's `j`-th row, which sits at
+    /// position `i` of `cells`.
+    #[inline(always)]
+    fn each<C: Cells>(self, cells: C, mut f: impl FnMut(usize, usize, C::Cell)) {
+        match self {
+            Batch::Range(lo, hi) => (lo..hi).enumerate().for_each(|(j, i)| f(j, i, cells.at(i))),
+            Batch::Rows(rows) => {
+                rows.iter().enumerate().for_each(|(j, &i)| f(j, i, cells.at(i)));
+            }
+        }
+    }
+}
+
+/// One WHERE conjunct over its column, resolved.
+trait Conjunct {
+    /// Scan the whole column, handing on the positions that qualify a
+    /// batch at a time.
+    fn drive(&self, sink: &mut dyn FnMut(&[usize]));
+
+    /// Keep, at the front of `rows` and in order, the positions among
+    /// them that qualify; returns how many.
+    fn refine(&self, rows: &mut [usize]) -> usize;
+}
+
+struct Filtered<'p, C: Cells>
+where
+    C::Cell: Scan,
+{
+    cells: C,
+    filter: <C::Cell as Scan>::Filter<'p>,
+}
+
+impl<C: Cells> Conjunct for Filtered<'_, C>
+where
+    C::Cell: Scan,
+{
+    fn drive(&self, sink: &mut dyn FnMut(&[usize])) {
+        C::Cell::apply(&self.filter, self.cells.cells(), &mut |rows, _| sink(rows));
+    }
+
+    fn refine(&self, rows: &mut [usize]) -> usize {
+        // The scan reads candidate `j` before it can emit `j`, and what
+        // it emits ascends, so a survivor is written at or before the
+        // place it was read from: the list compacts in place.
+        let (cells, rows) = (self.cells, Cell::from_mut(rows).as_slice_of_cells());
+        let mut kept = 0;
+        let candidates = rows.iter().map(|i| cells.at(i.get()));
+        C::Cell::apply(&self.filter, candidates, &mut |hits, _| {
+            for &j in hits {
+                rows[kept].set(rows[j].get());
+                kept += 1;
+            }
+        });
+        kept
+    }
+}
+
+fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 'a>> {
+    fn filtered<'p, C: Cells + 'p>(
+        cells: C,
+        ty: ColType,
+        pred: &Pred<'p>,
+    ) -> Result<Box<dyn Conjunct + 'p>>
+    where
+        C::Cell: Scan,
+    {
+        Ok(Box::new(Filtered { cells, filter: C::Cell::resolve(ty, pred)? }))
+    }
+    if matches!(p, RowPredicate::InList { values, .. } if values.is_empty()) {
+        return Err(BatError::Invalid("IN list must not be empty".into()));
+    }
+    let (ty, pred) = (bat.tail_type(), p.pred());
+    with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred))
+}
+
+/// Distinct keys, numbered in first-appearance order.
+struct Codes<K> {
+    table: Chains,
+    keys: Vec<K>,
+}
+
+impl<K: Key> Codes<K> {
+    fn new() -> Codes<K> {
+        Codes { table: Chains::growing(), keys: Vec::new() }
+    }
+
+    #[inline(always)]
+    fn code(&mut self, key: K) -> u32 {
+        let hash = key.hash(&self.table.seed);
+        let known = self.table.chain(hash).find(|&c| self.keys[c] == key);
+        match known {
+            Some(code) => code as u32,
+            None => self.admit(key, hash),
+        }
+    }
+
+    /// A key not seen before takes the next number: once per distinct
+    /// key, so kept out of the per-row loop.
+    #[cold]
+    #[inline(never)]
+    fn admit(&mut self, key: K, hash: u64) -> u32 {
+        let Codes { table, keys } = self;
+        let code = table
+            .push(hash, |seed, c| keys[c].hash(seed))
+            .expect("distinct keys are no more than the rows, whose number was checked");
+        keys.push(key);
+        code as u32
+    }
+}
+
+/// One GROUP BY column.
+trait KeyColumn {
+    /// Write to `out[j]` the code of the batch's `j`-th row: the number
+    /// its value has among the column's distinct values seen so far.
+    fn codes(&mut self, batch: Batch<'_>, out: &mut [u32; BATCH]);
+}
+
+struct Coded<C: Cells> {
+    cells: C,
+    seen: Codes<C::Cell>,
+}
+
+impl<C: Cells> KeyColumn for Coded<C>
+where
+    C::Cell: Key,
+{
+    fn codes(&mut self, batch: Batch<'_>, out: &mut [u32; BATCH]) {
+        let seen = &mut self.seen;
+        batch.each(self.cells, |j, _, key| out[j] = seen.code(key));
+    }
+}
+
+fn key_column(bat: &Bat) -> Box<dyn KeyColumn + '_> {
+    fn coded<'a, C: Cells + 'a>(cells: C) -> Box<dyn KeyColumn + 'a>
+    where
+        C::Cell: Key,
+    {
+        Box::new(Coded { cells, seen: Codes::new() })
+    }
+    with_keys!(bat.tail(), |cells| coded(cells))
+}
+
+/// One aggregate's accumulators, a slot per group.
+trait Fold {
+    /// Fold the batch's cells into their rows' groups: `gids[j]` for its
+    /// `j`-th row, group 0 for every row when there are no keys.
+    fn fold(&mut self, batch: Batch<'_>, gids: Option<&[u32]>, groups: usize);
+
+    /// The output column, a cell per group; `counts` are the groups' row
+    /// counts.
+    fn finish(self: Box<Self>, counts: &[i64]) -> Result<Column>;
+}
+
+/// `sum` or `avg` of an integer column: exact in `i128`, narrowed once.
+struct IntSum<C> {
+    cells: C,
+    acc: Vec<i128>,
+    avg: bool,
+}
+
+impl<C: Cells> Fold for IntSum<C>
+where
+    C::Cell: Into<i128>,
+{
+    fn fold(&mut self, batch: Batch<'_>, gids: Option<&[u32]>, groups: usize) {
+        self.acc.resize(groups, 0);
+        let acc = &mut self.acc;
+        match gids {
+            None => {
+                let mut sum = 0;
+                batch.each(self.cells, |_, _, x| sum += x.into());
+                acc[0] += sum;
+            }
+            Some(gids) => batch.each(self.cells, |j, _, x| acc[gids[j] as usize] += x.into()),
+        }
+    }
+
+    fn finish(mut self: Box<Self>, counts: &[i64]) -> Result<Column> {
+        self.acc.resize(counts.len(), 0);
+        let sums = self.acc.into_iter().map(narrow_sum).collect::<Result<Vec<i64>>>()?;
+        Ok(if self.avg {
+            Column::Dbl(sums.iter().zip(counts).map(|(&s, &n)| s as f64 / n as f64).collect())
+        } else {
+            Column::Lng(sums)
+        })
+    }
+}
+
+/// `sum` or `avg` of a `dbl` column, added in position order.
+struct DblSum<'a> {
+    cells: &'a [f64],
+    acc: Vec<f64>,
+    avg: bool,
+}
+
+impl Fold for DblSum<'_> {
+    fn fold(&mut self, batch: Batch<'_>, gids: Option<&[u32]>, groups: usize) {
+        self.acc.resize(groups, 0.0);
+        let acc = &mut self.acc;
+        match gids {
+            None => {
+                let mut sum = acc[0];
+                batch.each(self.cells, |_, _, x| sum += x);
+                acc[0] = sum;
+            }
+            Some(gids) => batch.each(self.cells, |j, _, x| acc[gids[j] as usize] += x),
+        }
+    }
+
+    fn finish(mut self: Box<Self>, counts: &[i64]) -> Result<Column> {
+        self.acc.resize(counts.len(), 0.0);
+        if self.avg {
+            self.acc.iter_mut().zip(counts).for_each(|(s, &n)| *s /= n as f64);
+        }
+        Ok(Column::Dbl(self.acc))
+    }
+}
+
+/// `min` or `max`: per group, the row holding the `want`-most value
+/// (first of equals) and that value.
+struct Extremum<'a, C: Cells> {
+    column: &'a Column,
+    cells: C,
+    best: Vec<(usize, C::Cell)>,
+    want: Ordering,
+}
+
+impl<C: Cells> Fold for Extremum<'_, C> {
+    fn fold(&mut self, batch: Batch<'_>, gids: Option<&[u32]>, _groups: usize) {
+        let (best, want) = (&mut self.best, self.want);
+        // Groups are numbered as they appear, so a row of a group this
+        // fold has not met yet carries the next free slot's number.
+        batch.each(self.cells, |j, i, x| match best.get_mut(gids.map_or(0, |g| g[j] as usize)) {
+            None => best.push((i, x)),
+            Some(slot) if beats(x, slot.1, want) => *slot = (i, x),
+            Some(_) => {}
+        });
+    }
+
+    fn finish(self: Box<Self>, _counts: &[i64]) -> Result<Column> {
+        Ok(self.column.gather_iter(self.best.iter().map(|&(i, _)| i)))
+    }
+}
+
+fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
+    fn extremum<'a, C: Cells + 'a>(
+        column: &'a Column,
+        cells: C,
+        want: Ordering,
+    ) -> Box<dyn Fold + 'a> {
+        Box::new(Extremum { column, cells, best: Vec::new(), want })
+    }
+    let column = bat.tail();
+    let avg = matches!(agg, Aggregate::Avg(_));
+    Ok(match agg {
+        Aggregate::Count => unreachable!("count(*) has no column to fold"),
+        Aggregate::Sum(_) | Aggregate::Avg(_) => match column {
+            Column::Int(v) => Box::new(IntSum { cells: &v[..], acc: Vec::new(), avg }),
+            Column::Lng(v) => Box::new(IntSum { cells: &v[..], acc: Vec::new(), avg }),
+            Column::Oid(v) => Box::new(IntSum { cells: &v[..], acc: Vec::new(), avg }),
+            Column::Dbl(v) => Box::new(DblSum { cells: &v[..], acc: Vec::new(), avg }),
+            other => {
+                return Err(BatError::TypeMismatch {
+                    expected: "numeric",
+                    got: other.col_type().name().to_string(),
+                })
+            }
+        },
+        Aggregate::Min(_) => with_cells!(column, |cells| extremum(column, cells, Ordering::Less)),
+        Aggregate::Max(_) => {
+            with_cells!(column, |cells| extremum(column, cells, Ordering::Greater))
+        }
+    })
+}
+
+/// Everything a round updates.
+struct Rounds<'a> {
+    keys: Vec<Box<dyn KeyColumn + 'a>>,
+    /// Per key after the first: `(group so far, this key's code)` pairs,
+    /// numbered as they appear — the refined group.
+    refined: Vec<Codes<u64>>,
+    /// Each group's first row.
+    firsts: Vec<usize>,
+    /// How many rows qualified.
+    qualified: usize,
+    /// Each group's row count, kept when an aggregate reads it.
+    counts: Option<Vec<i64>>,
+    folds: Vec<Box<dyn Fold + 'a>>,
+    gids: [u32; BATCH],
+    codes: [u32; BATCH],
+}
+
+impl Rounds<'_> {
+    fn round(&mut self, batch: Batch<'_>) {
+        let n = batch.len();
+        self.qualified += n;
+        let mut gids = None;
+        if let Some((first, more)) = self.keys.split_first_mut() {
+            // One typed pass per key column gives each row a small code;
+            // combining the codes is integer work.
+            first.codes(batch, &mut self.gids);
+            for (key, refined) in more.iter_mut().zip(&mut self.refined) {
+                key.codes(batch, &mut self.codes);
+                for (gid, &code) in self.gids[..n].iter_mut().zip(&self.codes) {
+                    *gid = refined.code(u64::from(*gid) << 32 | u64::from(code));
+                }
+            }
+            let ids = &self.gids[..n];
+            for (j, &gid) in ids.iter().enumerate() {
+                if gid as usize == self.firsts.len() {
+                    self.firsts.push(batch.at(j));
+                }
+            }
+            gids = Some(ids);
+        }
+        let groups = if gids.is_some() { self.firsts.len() } else { 1 };
+        if let Some(counts) = &mut self.counts {
+            counts.resize(groups, 0);
+            match gids {
+                None => counts[0] += n as i64,
+                Some(gids) => gids.iter().for_each(|&g| counts[g as usize] += 1),
+            }
+        }
+        for fold in &mut self.folds {
+            fold.fold(batch, gids, groups);
+        }
+    }
+}
+
+/// A dense output BAT over `tail`.
+fn dense(tail: Column, tail_sorted: bool) -> Bat {
+    let props = Props { tail_sorted, head_sorted: true, head_key: true, no_nil: true };
+    Bat::with_props(Column::Void { seq: 0, len: tail.len() }, tail, props).expect("parallel")
+}
+
+/// Filter, group and aggregate a table of `row_count` rows in one pass.
+///
+/// Columns are found by name through `lookup` (as
+/// [`matching_rows`](crate::ops::matching_rows) finds them); each must
+/// hold `row_count` rows. A row qualifies when every one of `preds` holds
+/// of it; qualifying rows fall into one group per distinct combination of
+/// their `keys` values (one group in all when `keys` is empty), numbered
+/// in first-appearance order. Returns one dense BAT per key (the group's
+/// key value) followed by one per aggregate, a BUN per group.
+pub fn scan_aggregate(
+    lookup: &dyn Fn(&str) -> Option<Arc<Bat>>,
+    row_count: usize,
+    preds: &[RowPredicate],
+    keys: &[&str],
+    aggs: &[Aggregate],
+) -> Result<Vec<Bat>> {
+    check_rows(row_count)?;
+    let fetch = |name: &str| {
+        let bat = lookup(name).ok_or_else(|| BatError::NotFound(format!("column '{name}'")))?;
+        if bat.count() != row_count {
+            return Err(BatError::LengthMismatch { left: bat.count(), right: row_count });
+        }
+        Ok(bat)
+    };
+    let pred_cols = preds.iter().map(|p| fetch(p.column())).collect::<Result<Vec<_>>>()?;
+    let key_cols = keys.iter().map(|k| fetch(k)).collect::<Result<Vec<_>>>()?;
+    let agg_cols =
+        aggs.iter().map(|a| a.column().map(fetch).transpose()).collect::<Result<Vec<_>>>()?;
+
+    // Everything is placed against its column's type before a row is read.
+    let conjuncts =
+        preds.iter().zip(&pred_cols).map(|(p, b)| conjunct(b, p)).collect::<Result<Vec<_>>>()?;
+    let folds = aggs
+        .iter()
+        .zip(&agg_cols)
+        .filter_map(|(a, b)| b.as_ref().map(|b| fold(a, b)))
+        .collect::<Result<Vec<_>>>()?;
+    let counted = aggs.iter().any(|a| matches!(a, Aggregate::Count | Aggregate::Avg(_)));
+    let mut rounds = Rounds {
+        keys: key_cols.iter().map(|b| key_column(b)).collect(),
+        refined: keys.iter().skip(1).map(|_| Codes::new()).collect(),
+        firsts: Vec::new(),
+        qualified: 0,
+        counts: counted.then(Vec::new),
+        folds,
+        gids: [0; BATCH],
+        codes: [0; BATCH],
+    };
+
+    match conjuncts.split_first() {
+        // Unfiltered rows need no position list; without keys there is
+        // no per-row group id to buffer either, so all rows are one batch.
+        None => {
+            let step = if keys.is_empty() { row_count.max(1) } else { BATCH };
+            for lo in (0..row_count).step_by(step) {
+                rounds.round(Batch::Range(lo, row_count.min(lo + step)));
+            }
+        }
+        Some((first, [])) => first.drive(&mut |rows| rounds.round(Batch::Rows(rows))),
+        Some((first, rest)) => {
+            let mut kept = [0; BATCH];
+            first.drive(&mut |rows| {
+                let mut n = rows.len();
+                kept[..n].copy_from_slice(rows);
+                for conjunct in rest {
+                    n = conjunct.refine(&mut kept[..n]);
+                }
+                rounds.round(Batch::Rows(&kept[..n]));
+            });
+        }
+    }
+
+    let Rounds { firsts, qualified, counts, folds, .. } = rounds;
+    let groups = if keys.is_empty() { 1 } else { firsts.len() };
+    let mut counts = counts.unwrap_or_default();
+    counts.resize(groups, 0);
+    let mut out: Vec<Bat> =
+        key_cols.iter().map(|b| dense(b.tail().gather(&firsts), b.props().tail_sorted)).collect();
+    // The one group of an ungrouped aggregate exists without rows too.
+    let nothing = keys.is_empty() && qualified == 0;
+    let mut folds = folds.into_iter();
+    for agg in aggs {
+        let column = match agg {
+            Aggregate::Count => Column::Lng(counts.clone()),
+            Aggregate::Avg(_) | Aggregate::Min(_) | Aggregate::Max(_) if nothing => {
+                return Err(BatError::Invalid(format!(
+                    "{} over zero rows is NULL, which this engine cannot represent",
+                    agg.name()
+                )))
+            }
+            _ => folds.next().expect("one fold per aggregate over a column").finish(&counts)?,
+        };
+        out.push(Bat::dense(column));
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::CmpOp;
+    use crate::value::Val;
+
+    /// `flag`, `status` (strings), `qty` (lng), `price` (dbl), `day` (int).
+    fn lineitem() -> impl Fn(&str) -> Option<Arc<Bat>> {
+        let cols = [
+            ("flag", Column::from(vec!["N", "A", "N", "R", "A", "N"])),
+            ("status", Column::from(vec!["O", "F", "O", "F", "F", "F"])),
+            ("qty", Column::from(vec![10i64, 20, 30, 40, 50, 60])),
+            ("price", Column::from(vec![1.5, 2.5, 3.5, 4.5, 5.5, 6.5])),
+            ("day", Column::from(vec![1, 2, 3, 4, 5, 6])),
+        ]
+        .map(|(name, col)| (name, Arc::new(Bat::dense(col))));
+        move |name: &str| cols.iter().find(|(n, _)| *n == name).map(|(_, b)| Arc::clone(b))
+    }
+
+    fn cmp(column: &str, op: CmpOp, value: Val) -> RowPredicate {
+        RowPredicate::Cmp { column: column.into(), op, value }
+    }
+
+    fn tails(out: &[Bat]) -> Vec<Vec<Val>> {
+        out.iter().map(|b| b.tail().iter_vals().collect()).collect()
+    }
+
+    #[test]
+    fn filters_groups_and_folds_in_first_appearance_order() {
+        let out = scan_aggregate(
+            &lineitem(),
+            6,
+            &[cmp("day", CmpOp::Le, Val::Int(5))],
+            &["flag", "status"],
+            &[
+                Aggregate::Sum("qty".into()),
+                Aggregate::Avg("price".into()),
+                Aggregate::Count,
+                Aggregate::Min("day".into()),
+                Aggregate::Max("qty".into()),
+            ],
+        )
+        .unwrap();
+        // (N,O) rows 0,2; (A,F) rows 1,4; (R,F) row 3.
+        assert_eq!(
+            tails(&out),
+            vec![
+                vec![Val::from("N"), Val::from("A"), Val::from("R")],
+                vec![Val::from("O"), Val::from("F"), Val::from("F")],
+                vec![Val::Lng(40), Val::Lng(70), Val::Lng(40)],
+                vec![Val::Dbl(2.5), Val::Dbl(4.0), Val::Dbl(4.5)],
+                vec![Val::Lng(2), Val::Lng(2), Val::Lng(1)],
+                vec![Val::Int(1), Val::Int(2), Val::Int(4)],
+                vec![Val::Lng(30), Val::Lng(50), Val::Lng(40)],
+            ]
+        );
+    }
+
+    #[test]
+    fn later_conjuncts_see_only_the_survivors_and_all_resolve_up_front() {
+        let table = lineitem();
+        let between =
+            RowPredicate::Between { column: "qty".into(), lo: Val::Int(20), hi: Val::Int(50) };
+        let listed = RowPredicate::InList {
+            column: "flag".into(),
+            values: vec![Val::from("A"), Val::from("R")],
+        };
+        let preds = [cmp("day", CmpOp::Ge, Val::Int(2)), between, listed];
+        let out = scan_aggregate(
+            &table,
+            6,
+            &preds,
+            &[],
+            &[Aggregate::Count, Aggregate::Sum("qty".into())],
+        );
+        assert_eq!(tails(&out.unwrap()), vec![vec![Val::Lng(3)], vec![Val::Lng(110)]]);
+        // The first conjunct keeps nothing; the last one's literal is
+        // still placed against its column, and refused.
+        let preds = [cmp("day", CmpOp::Gt, Val::Int(100)), cmp("flag", CmpOp::Lt, Val::Int(5))];
+        let out = scan_aggregate(&table, 6, &preds, &[], &[Aggregate::Count]);
+        assert!(matches!(out, Err(BatError::TypeMismatch { .. })), "{out:?}");
+        let empty_in = RowPredicate::InList { column: "day".into(), values: vec![] };
+        assert!(matches!(
+            scan_aggregate(&table, 6, &[empty_in], &[], &[Aggregate::Count]),
+            Err(BatError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn nothing_qualifying_is_one_row_of_zeros_or_no_group_at_all() {
+        let table = lineitem();
+        let none = [cmp("day", CmpOp::Gt, Val::Int(100))];
+        let zeros =
+            [Aggregate::Count, Aggregate::Sum("qty".into()), Aggregate::Sum("price".into())];
+        let out = scan_aggregate(&table, 6, &none, &[], &zeros).unwrap();
+        assert_eq!(tails(&out), vec![vec![Val::Lng(0)], vec![Val::Lng(0)], vec![Val::Dbl(0.0)]]);
+        for agg in [Aggregate::Avg("qty".into()), Aggregate::Min("flag".into())] {
+            let name = agg.name();
+            let e = scan_aggregate(&table, 6, &none, &[], &[Aggregate::Count, agg]).unwrap_err();
+            assert!(matches!(e, BatError::Invalid(_)), "{e}");
+            assert!(e.to_string().contains(&format!("{name} over zero rows is NULL")), "{e}");
+        }
+        // Grouped: no rows, no groups, typed empty columns.
+        let aggs = [Aggregate::Avg("qty".into()), Aggregate::Max("flag".into())];
+        let out = scan_aggregate(&table, 6, &none, &["status"], &aggs).unwrap();
+        let types: Vec<_> = out.iter().map(|b| (b.count(), b.tail_type().name())).collect();
+        assert_eq!(types, vec![(0, "str"), (0, "dbl"), (0, "str")]);
+    }
+
+    #[test]
+    fn sums_overflow_and_refuse_strings_like_the_separate_kernels() {
+        let big = Arc::new(Bat::dense(Column::from(vec![i64::MAX, 1, 5])));
+        let keys = Arc::new(Bat::dense(Column::from(vec![1, 1, 2])));
+        let table = |name: &str| match name {
+            "big" => Some(Arc::clone(&big)),
+            "k" => Some(Arc::clone(&keys)),
+            _ => None,
+        };
+        let sum = [Aggregate::Sum("big".into())];
+        assert!(matches!(scan_aggregate(&table, 3, &[], &["k"], &sum), Err(BatError::Overflow(_))));
+        assert!(matches!(
+            scan_aggregate(&table, 3, &[], &[], &[Aggregate::Avg("big".into())]),
+            Err(BatError::Overflow(_))
+        ));
+        let out = scan_aggregate(&table, 3, &[cmp("k", CmpOp::Eq, Val::Int(2))], &["k"], &sum);
+        assert_eq!(tails(&out.unwrap()), vec![vec![Val::Int(2)], vec![Val::Lng(5)]]);
+        let e = scan_aggregate(&lineitem(), 6, &[], &[], &[Aggregate::Sum("flag".into())]);
+        assert!(matches!(e, Err(BatError::TypeMismatch { .. })));
+        // Columns must exist and hold the table's row count.
+        assert!(matches!(
+            scan_aggregate(&table, 3, &[], &["ghost"], &[Aggregate::Count]),
+            Err(BatError::NotFound(_))
+        ));
+        assert!(matches!(
+            scan_aggregate(&table, 4, &[], &["k"], &[Aggregate::Count]),
+            Err(BatError::LengthMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn many_batches_and_many_groups_agree_with_the_separate_kernels() {
+        use crate::ops;
+        let n = 5 * BATCH + 17;
+        let key1: Vec<i32> = (0..n).map(|i| (i * 7 % 13) as i32).collect();
+        let key2: Vec<&str> = (0..n).map(|i| ["x", "a longer key", "y"][i * 5 % 3]).collect();
+        let vals: Vec<i64> = (0..n).map(|i| (i as i64 * 37) % 101 - 50).collect();
+        let cols = [
+            Arc::new(Bat::dense(Column::from(key1))),
+            Arc::new(Bat::dense(Column::from(key2))),
+            Arc::new(Bat::dense(Column::from(vals))),
+        ];
+        let table = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&cols[i]));
+        let keep = cmp("2", CmpOp::Ge, Val::Int(-20));
+        let aggs = [Aggregate::Sum("2".into()), Aggregate::Count, Aggregate::Min("2".into())];
+        let fused = scan_aggregate(&table, n, &[keep], &["0", "1"], &aggs).unwrap();
+
+        let sel = ops::theta_select(&cols[2], CmpOp::Ge, &Val::Int(-20)).unwrap();
+        let rows = ops::reverse(&ops::mark_tail(&sel, 0));
+        let fetch = |c: &Bat| ops::join(&rows, c).unwrap();
+        let (k1, k2, v) = (fetch(&cols[0]), fetch(&cols[1]), fetch(&cols[2]));
+        let (g1, _) = ops::group_by(&k1);
+        let (grp, ext) = ops::group_derive(&k2, &g1).unwrap();
+        let groups = ext.count();
+        let chain = [
+            ops::join(&ext, &k1).unwrap(),
+            ops::join(&ext, &k2).unwrap(),
+            ops::grouped_sum(&v, &grp, groups).unwrap(),
+            ops::grouped_count(&grp, groups).unwrap(),
+            ops::grouped_min(&v, &grp, groups).unwrap(),
+        ];
+        assert_eq!(tails(&fused), tails(&chain));
+        assert!(groups > 30, "{groups} groups");
+    }
+}

@@ -4,7 +4,10 @@
 //!
 //! Naming follows MonetDB's `algebra`/`bat` modules: `select`, `uselect`,
 //! `join`, `reverse`, `mark`, `mirror`, `semijoin`, `kdifference`,
-//! `slice`, plus group/aggregate and sort kernels.
+//! `slice`, plus group/aggregate and sort kernels — and one operator
+//! MonetDB's algebra does not have: [`scan_aggregate`], which filters,
+//! groups and aggregates in one pass without materialising anything in
+//! between (what `sqlfront` emits for every aggregation).
 //!
 //! No loop here touches a [`crate::Val`]: kernels are generic over typed
 //! views of the raw column storage (`cells`), selections share one scan
@@ -16,6 +19,7 @@
 
 mod aggregate;
 mod cells;
+mod fused;
 mod hash;
 mod join;
 mod mutate;
@@ -30,6 +34,7 @@ pub use aggregate::{
     avg, count, distinct, group_by, group_derive, grouped_avg, grouped_count, grouped_max,
     grouped_min, grouped_sum, max, min, sum,
 };
+pub use fused::{scan_aggregate, Aggregate};
 pub use join::{join, leftjoin};
 pub use mutate::{erase_rows, matching_rows, scatter_const, RowPredicate};
 pub use select::{select_range, theta_select, uselect, CmpOp};

@@ -42,7 +42,7 @@ impl RowPredicate {
 }
 
 impl RowPredicate {
-    fn pred(&self) -> Pred<'_> {
+    pub(crate) fn pred(&self) -> Pred<'_> {
         match self {
             RowPredicate::Cmp { op, value, .. } => Pred::Cmp(*op, value),
             RowPredicate::Between { lo, hi, .. } => Pred::Between(lo, hi),

@@ -1,7 +1,10 @@
 //! The typed scan core: every selection (`select_range`, `theta_select`,
-//! `uselect`) and `matching_rows` filters a column through [`Scan::scan`].
+//! `uselect`), `matching_rows` and each conjunct of the fused
+//! `scan_aggregate` filters through [`Scan`].
 //!
-//! A predicate is resolved **once** against the column's type: its
+//! A predicate is resolved **once** against the column's type
+//! ([`Scan::resolve`], apart from running it, [`Scan::apply`], so that a
+//! statement's every conjunct is checked before any row is read): its
 //! constants are placed in the column's own value space (an `int` column
 //! compares `i32` to `i32`), or found to lie outside it (every `i32` is
 //! below `5_000_000_000`, so `<` keeps all rows and `=` none), or the
@@ -66,7 +69,7 @@ impl CmpOp {
 }
 
 /// A constant, placed relative to the values a column type can hold.
-enum Const<K> {
+pub(crate) enum Const<K> {
     Is(K),
     /// Below every value of the type (`nil`, or an integer under its range).
     Below,
@@ -75,7 +78,7 @@ enum Const<K> {
 }
 
 /// A predicate with its constants in the value space `K`.
-enum Test<K> {
+pub(crate) enum Test<K> {
     All,
     None,
     Cmp(CmpOp, K),
@@ -139,7 +142,7 @@ pub(crate) type Emit<'e, T> = &'e mut dyn FnMut(&[usize], &[T]);
 /// Rows a pass hands on at a time: small enough for the stack and the
 /// L1 cache, large enough that the hand-over is paid once per few
 /// hundred qualifying rows.
-const BATCH: usize = 256;
+pub(crate) const BATCH: usize = 256;
 
 /// The loop under every scan. A row is written to the batch whether it
 /// qualifies or not and only a qualifying one advances the fill — there
@@ -214,49 +217,61 @@ fn place_f64(ty: ColType, v: &Val) -> Result<Const<f64>> {
 
 /// A value type a column stores, able to filter itself.
 pub(crate) trait Scan: Copy + Default {
-    /// Call `emit(positions, values)` with the values of `vals` (a
-    /// column of type `ty`) that satisfy `pred` and where they sit, a
-    /// batch at a time, in position order.
+    /// A predicate with its constants placed among this type's values.
+    type Filter<'p>;
+
+    /// Place `pred`'s constants against a column of type `ty`. This is
+    /// where a literal the column cannot be compared with is refused:
+    /// once per predicate, before any row is read.
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<Self::Filter<'p>>;
+
+    /// Call `emit(positions, values)` with the values of `vals` that
+    /// satisfy `filter` and where they sit in `vals`, a batch at a
+    /// time, in order.
+    fn apply(filter: &Self::Filter<'_>, vals: impl Iterator<Item = Self>, emit: Emit<'_, Self>);
+
+    /// [`Scan::resolve`], then [`Scan::apply`] over a whole column.
     fn scan(
         vals: impl Iterator<Item = Self>,
         ty: ColType,
         pred: &Pred<'_>,
         emit: Emit<'_, Self>,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        Self::apply(&Self::resolve(ty, pred)?, vals, emit);
+        Ok(())
+    }
 }
 
 impl Scan for f64 {
-    fn scan(
-        vals: impl Iterator<Item = f64>,
-        ty: ColType,
-        pred: &Pred<'_>,
-        emit: Emit<'_, f64>,
-    ) -> Result<()> {
-        let test = Test::resolve(pred, |v| place_f64(ty, v))?;
-        run(vals, |x| x, &test, emit);
-        Ok(())
+    type Filter<'p> = Test<f64>;
+
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<Test<f64>> {
+        Test::resolve(pred, |v| place_f64(ty, v))
+    }
+
+    fn apply(filter: &Test<f64>, vals: impl Iterator<Item = f64>, emit: Emit<'_, f64>) {
+        run(vals, |x| x, filter, emit);
     }
 }
 
 impl<'s> Scan for &'s str {
-    fn scan(
-        vals: impl Iterator<Item = &'s str>,
-        ty: ColType,
-        pred: &Pred<'_>,
-        emit: Emit<'_, &'s str>,
-    ) -> Result<()> {
-        let test = Test::resolve(pred, |v| match v {
+    type Filter<'p> = Test<&'p str>;
+
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<Test<&'p str>> {
+        Test::resolve(pred, |v| match v {
             Val::Nil => Ok(Const::Below),
             Val::Str(s) => Ok(Const::Is(s.as_str())),
             v => Err(incomparable(ty, v)),
-        })?;
-        run(vals, |x| x, &test, emit);
-        Ok(())
+        })
+    }
+
+    fn apply(filter: &Test<&str>, vals: impl Iterator<Item = &'s str>, emit: Emit<'_, &'s str>) {
+        run(vals, |x| x, filter, emit);
     }
 }
 
 /// An integer-class storage type (`bool` counts as 0/1).
-trait Int: Copy + PartialOrd {
+pub(crate) trait Int: Copy + PartialOrd {
     /// Where the exact integer `c` falls among this type's values.
     fn place(c: i128) -> Const<Self>;
     fn to_f64(self) -> f64;
@@ -279,13 +294,18 @@ macro_rules! int_types {
         }
 
         impl Scan for $t {
-            fn scan(
+            type Filter<'p> = IntFilter<$t>;
+
+            fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<IntFilter<$t>> {
+                IntFilter::resolve(ty, pred)
+            }
+
+            fn apply(
+                filter: &IntFilter<$t>,
                 vals: impl Iterator<Item = $t>,
-                ty: ColType,
-                pred: &Pred<'_>,
                 emit: Emit<'_, $t>,
-            ) -> Result<()> {
-                scan_int(vals, ty, pred, emit)
+            ) {
+                filter.apply(vals, emit)
             }
         }
     )*};
@@ -308,20 +328,21 @@ impl Int for bool {
 }
 
 impl Scan for bool {
-    fn scan(
-        vals: impl Iterator<Item = bool>,
-        ty: ColType,
-        pred: &Pred<'_>,
-        emit: Emit<'_, bool>,
-    ) -> Result<()> {
-        scan_int(vals, ty, pred, emit)
+    type Filter<'p> = IntFilter<bool>;
+
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<IntFilter<bool>> {
+        IntFilter::resolve(ty, pred)
+    }
+
+    fn apply(filter: &IntFilter<bool>, vals: impl Iterator<Item = bool>, emit: Emit<'_, bool>) {
+        filter.apply(vals, emit)
     }
 }
 
 /// An integer column's predicate in the one space all its constants
 /// share: the column's own type when they are integers, `f64` when they
 /// are `dbl`.
-enum IntTest<T> {
+pub(crate) enum IntTest<T> {
     Exact(Test<T>),
     Float(Test<f64>),
 }
@@ -346,29 +367,39 @@ impl<T: Int> IntTest<T> {
     }
 }
 
-fn scan_int<T: Int + Default>(
-    vals: impl Iterator<Item = T>,
-    ty: ColType,
-    pred: &Pred<'_>,
-    emit: Emit<'_, T>,
-) -> Result<()> {
-    let dbls = pred.consts().filter(|v| matches!(v, Val::Dbl(_))).count();
-    let ints = pred.consts().filter(|v| v.as_i128().is_some()).count();
-    if dbls > 0 && ints > 0 {
-        // `between 5 and 7.5`: each constant compares in its own space
-        // (the integer exactly, the `dbl` as `f64`), so the filter runs
-        // as its single-constant parts, resolved one by one.
-        let parts: Vec<IntTest<T>> =
-            pred.singles().iter().map(|p| IntTest::resolve(ty, p)).collect::<Result<_>>()?;
-        match pred {
-            Pred::In(_) => pass(vals, |x| parts.iter().any(|p| p.holds(x)), emit),
-            _ => pass(vals, |x| parts.iter().all(|p| p.holds(x)), emit),
+/// An integer column's whole predicate, resolved.
+pub(crate) enum IntFilter<T> {
+    One(IntTest<T>),
+    /// `between 5 and 7.5`: each constant compares in its own space (the
+    /// integer exactly, the `dbl` as `f64`), so the filter runs as its
+    /// single-constant parts, resolved one by one — all of which must
+    /// hold (`between`) …
+    All(Vec<IntTest<T>>),
+    /// … or any of them (`in`).
+    Any(Vec<IntTest<T>>),
+}
+
+impl<T: Int + Default> IntFilter<T> {
+    fn resolve(ty: ColType, pred: &Pred<'_>) -> Result<IntFilter<T>> {
+        let dbls = pred.consts().filter(|v| matches!(v, Val::Dbl(_))).count();
+        let ints = pred.consts().filter(|v| v.as_i128().is_some()).count();
+        if dbls == 0 || ints == 0 {
+            return Ok(IntFilter::One(IntTest::resolve(ty, pred)?));
         }
-        return Ok(());
+        let parts =
+            pred.singles().iter().map(|p| IntTest::resolve(ty, p)).collect::<Result<_>>()?;
+        Ok(match pred {
+            Pred::In(_) => IntFilter::Any(parts),
+            _ => IntFilter::All(parts),
+        })
     }
-    match IntTest::resolve(ty, pred)? {
-        IntTest::Exact(test) => run(vals, |x| x, &test, emit),
-        IntTest::Float(test) => run(vals, T::to_f64, &test, emit),
+
+    fn apply(&self, vals: impl Iterator<Item = T>, emit: Emit<'_, T>) {
+        match self {
+            IntFilter::One(IntTest::Exact(test)) => run(vals, |x| x, test, emit),
+            IntFilter::One(IntTest::Float(test)) => run(vals, T::to_f64, test, emit),
+            IntFilter::All(parts) => pass(vals, |x| parts.iter().all(|p| p.holds(x)), emit),
+            IntFilter::Any(parts) => pass(vals, |x| parts.iter().any(|p| p.holds(x)), emit),
+        }
     }
-    Ok(())
 }

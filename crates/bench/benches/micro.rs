@@ -16,7 +16,10 @@
 //!   a 64-instruction plan, so per-instruction cost is the reading ÷ 64,
 //! * the `batstore::ops` kernels at 64 k rows, one benchmark per
 //!   algorithm a BAT's properties can select (`bench_kernels`): per-row
-//!   cost is the reading ÷ 65 536.
+//!   cost is the reading ÷ 65 536,
+//! * the fused scan → group → aggregate operator on a Q1, a Q6 and a
+//!   `count(*)` shape, each beside the chain of separate kernels it
+//!   replaces (`bench_fused`; run with `-- fused`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use datacyclotron::msg::BatHeader;
@@ -212,6 +215,15 @@ fn bench_interpreter(c: &mut Criterion) {
     });
 }
 
+/// splitmix64: values a branch predictor cannot learn, as a generated
+/// table's are.
+fn splitmix(x: u64) -> usize {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 1) as usize
+}
+
 /// Each kernel path at 64 k rows: the positional, merge and hash joins,
 /// the typed scan on three column types, the merge and hash semijoins,
 /// and grouping at a handful and at thousands of distinct keys.
@@ -219,14 +231,7 @@ fn bench_kernels(c: &mut Criterion) {
     use batstore::{ops, Bat, Column, Val};
 
     const N: usize = 1 << 16;
-    // splitmix64 of the row number: values a branch predictor cannot
-    // learn, as a generated table's are.
-    let random = |i: usize| {
-        let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) >> 1) as usize
-    };
+    let random = |i: usize| splitmix(i as u64);
     let ints = Bat::dense(Column::Int((0..N).map(|i| (random(i) % 10_000) as i32).collect()));
     let lngs = Bat::dense(Column::Lng((0..N).map(|i| (random(i) % 10_000) as i64).collect()));
     let flags: Vec<&str> =
@@ -285,6 +290,113 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
+/// The fused scan → group → aggregate operator at 64 k rows, each shape
+/// beside the chain of separate kernels `sqlfront` emitted for it before
+/// (`cargo bench -p dc-bench --bench micro -- fused`): per-row cost is
+/// the reading ÷ 65 536.
+fn bench_fused(c: &mut Criterion) {
+    use batstore::ops::{self, Aggregate, CmpOp, RowPredicate};
+    use batstore::{Bat, Column, Val};
+    use std::sync::Arc;
+
+    const N: usize = 1 << 16;
+    let random = |i: usize, salt: u64| splitmix(i as u64 ^ salt << 32);
+    // A lineitem in miniature: a date over seven years, two flag columns,
+    // three `lng` measures.
+    let date =
+        |i: usize| 19_920_101 + (random(i, 1) % 7) as i32 * 10_000 + (random(i, 2) % 1_231) as i32;
+    let lng = |salt: u64, range: usize| {
+        Arc::new(Bat::dense(Column::Lng(
+            (0..N).map(|i| (random(i, salt) % range) as i64).collect(),
+        )))
+    };
+    let flags = |salt: u64, pool: &[&'static str]| {
+        let v: Vec<&str> = (0..N).map(|i| pool[random(i, salt) % pool.len()]).collect();
+        Arc::new(Bat::dense(Column::from(v)))
+    };
+    let cols = [
+        Arc::new(Bat::dense(Column::Int((0..N).map(date).collect()))),
+        flags(3, &["A", "N", "R"]),
+        flags(4, &["F", "O"]),
+        lng(5, 50),
+        lng(6, 100_000),
+        lng(7, 11),
+    ];
+    let [shipdate, flag, status, quantity, price, discount] = &cols;
+    let table = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&cols[i]));
+    let column = |i: usize| i.to_string();
+    let fetch = |rows: &Bat, col: &Bat| ops::join(rows, col).unwrap();
+
+    // Q1: one `<=` conjunct nearly every row passes, two string keys,
+    // three sums and a count.
+    let cutoff = Val::Int(19_980_902);
+    let q1_pred = [RowPredicate::Cmp { column: column(0), op: CmpOp::Le, value: cutoff.clone() }];
+    let q1_aggs = [
+        Aggregate::Sum(column(3)),
+        Aggregate::Sum(column(4)),
+        Aggregate::Sum(column(5)),
+        Aggregate::Count,
+    ];
+    c.bench_function("fused/q1_shape", |b| {
+        b.iter(|| {
+            black_box(ops::scan_aggregate(&table, N, &q1_pred, &["1", "2"], &q1_aggs).unwrap())
+        })
+    });
+    c.bench_function("fused/q1_shape_chain", |b| {
+        b.iter(|| {
+            let sel = ops::theta_select(shipdate, CmpOp::Le, &cutoff).unwrap();
+            let rows = ops::reverse(&ops::mark_tail(&sel, 0));
+            let (k1, k2) = (fetch(&rows, flag), fetch(&rows, status));
+            let (g1, _) = ops::group_by(&k1);
+            let (grp, ext) = ops::group_derive(&k2, &g1).unwrap();
+            let n = ext.count();
+            black_box((
+                fetch(&ext, &k1),
+                fetch(&ext, &k2),
+                ops::grouped_sum(&fetch(&rows, quantity), &grp, n).unwrap(),
+                ops::grouped_sum(&fetch(&rows, price), &grp, n).unwrap(),
+                ops::grouped_sum(&fetch(&rows, discount), &grp, n).unwrap(),
+                ops::grouped_count(&grp, n).unwrap(),
+            ))
+        })
+    });
+
+    // Q6: three conjuncts that together keep about one row in fifty,
+    // ungrouped.
+    let between = |i: usize, lo: i32, hi: i32| RowPredicate::Between {
+        column: column(i),
+        lo: Val::Int(lo),
+        hi: Val::Int(hi),
+    };
+    let q6_preds = [
+        between(0, 19_940_101, 19_941_231),
+        between(5, 5, 7),
+        RowPredicate::Cmp { column: column(3), op: CmpOp::Lt, value: Val::Int(24) },
+    ];
+    let q6_aggs = [Aggregate::Sum(column(4)), Aggregate::Count];
+    c.bench_function("fused/q6_shape", |b| {
+        b.iter(|| black_box(ops::scan_aggregate(&table, N, &q6_preds, &[], &q6_aggs).unwrap()))
+    });
+    c.bench_function("fused/q6_shape_chain", |b| {
+        b.iter(|| {
+            let year =
+                ops::select_range(shipdate, &Val::Int(19_940_101), &Val::Int(19_941_231)).unwrap();
+            let disc = ops::select_range(discount, &Val::Int(5), &Val::Int(7)).unwrap();
+            let qty = ops::theta_select(quantity, CmpOp::Lt, &Val::Int(24)).unwrap();
+            let sel = ops::semijoin(&ops::semijoin(&year, &disc).unwrap(), &qty).unwrap();
+            let rows = ops::reverse(&ops::mark_tail(&sel, 0));
+            black_box((ops::sum(&fetch(&rows, price)).unwrap(), ops::count(&rows)))
+        })
+    });
+
+    c.bench_function("fused/count_star", |b| {
+        b.iter(|| black_box(ops::scan_aggregate(&table, N, &[], &[], &[Aggregate::Count]).unwrap()))
+    });
+    c.bench_function("fused/count_star_chain", |b| {
+        b.iter(|| black_box(ops::count(&ops::mirror(shipdate))))
+    });
+}
+
 criterion_group!(
     benches,
     bench_loi,
@@ -293,6 +405,7 @@ criterion_group!(
     bench_ring_hop,
     bench_eventqueue,
     bench_interpreter,
-    bench_kernels
+    bench_kernels,
+    bench_fused
 );
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the durability subsystem: WAL append
 //! throughput under each fsync policy (the per-INSERT overhead a durable
-//! node adds) and replay throughput (the restart cost per WAL byte).
+//! node adds), replay throughput (the restart cost per WAL byte) and the
+//! frame checksum on its own.
 
 use batstore::{storage, Bat, Column};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -67,5 +68,13 @@ fn bench_wal_replay(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_wal_append, bench_wal_replay);
+/// The checksum over a `Store` record the size of a `hotset_sweep`
+/// column (80 KB): what every WAL byte pays, written and replayed.
+fn bench_crc(c: &mut Criterion) {
+    let record: Vec<u8> =
+        (0..80_022u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    c.bench_function("wal_crc32_80kb", |b| b.iter(|| black_box(dc_persist::wal::crc32(&record))));
+}
+
+criterion_group!(benches, bench_wal_append, bench_wal_replay, bench_crc);
 criterion_main!(benches);

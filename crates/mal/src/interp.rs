@@ -8,7 +8,10 @@
 //!   interpreter threads following the dataflow dependencies" (§4.1).
 //!   Blocking `pin` calls park only their worker; independent instruction
 //!   threads keep running, which is exactly how query execution overlaps
-//!   with ring data arrival.
+//!   with ring data arrival. The calling thread is the first worker; a
+//!   further one is started only for work that can run beside the busy
+//!   ones (`Run::workers_wanted`), so a plan that is one chain runs
+//!   on the caller alone.
 //!
 //! Both modes free an intermediate as soon as its last reader has run
 //! (§4.1: `unpin` "releases the BAT"): the environment gives the value up
@@ -238,8 +241,14 @@ struct SchedState {
     readers: Vec<u32>,
     remaining: Vec<usize>,
     ready: VecDeque<usize>,
+    /// Which instructions are being executed right now …
+    running: Vec<bool>,
+    /// … and how many.
     inflight: usize,
     completed: usize,
+    /// Workers alive, the calling thread included; one that has been
+    /// spawned and not started yet counts.
+    workers: usize,
     error: Option<MalError>,
 }
 
@@ -268,14 +277,28 @@ pub fn run_dataflow_with(
     registry: &Registry,
     threads: usize,
 ) -> Result<Env> {
-    check_binding(prog, params)?;
+    dataflow(prog, params, ctx, registry, threads).0
+}
+
+/// [`run_dataflow_with`], also telling how many worker threads the run
+/// started beside the calling one.
+fn dataflow(
+    prog: &Program,
+    params: &[Const],
+    ctx: &SessionCtx,
+    registry: &Registry,
+    threads: usize,
+) -> (Result<Env>, usize) {
+    if let Err(e) = check_binding(prog, params) {
+        return (Err(e), 0);
+    }
     let n = prog.instrs.len();
     if n == 0 {
-        return Ok(vec![None; prog.vars.len()]);
+        return (Ok(vec![None; prog.vars.len()]), 0);
     }
     let threads = threads.clamp(1, n);
     if threads == 1 {
-        return run_sequential_with(prog, params, ctx, registry);
+        return (run_sequential_with(prog, params, ctx, registry), 0);
     }
 
     let deps = dependencies(prog);
@@ -295,105 +318,166 @@ pub fn run_dataflow_with(
             readers: reader_counts(prog),
             remaining,
             ready,
+            running: vec![false; n],
             inflight: 0,
             completed: 0,
+            workers: 1,
             error: None,
         }),
         cond: Condvar::new(),
     };
+    let (deps, dependents) = (&deps[..], &dependents[..]);
+    let run = Run { prog, params, ctx, registry, shared: &shared, deps, dependents, threads };
 
-    // The calling thread is a worker like the others, not parked for
-    // the run: a short statement often finishes on it alone.
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| worker(prog, params, ctx, registry, &shared, &dependents, n));
-        }
-        worker(prog, params, ctx, registry, &shared, &dependents, n);
-    });
+    // The calling thread is the first worker, and for a plan with
+    // nothing to run beside (see `Run::workers_wanted`) the only one.
+    std::thread::scope(|scope| run.work(scope));
 
     let state = shared.env.into_inner();
+    let spawned = state.workers - 1;
     match state.error {
-        Some(e) => Err(e),
-        None => Ok(state.env),
+        Some(e) => (Err(e), spawned),
+        None => (Ok(state.env), spawned),
     }
 }
 
-fn worker(
-    prog: &Program,
-    params: &[Const],
-    ctx: &SessionCtx,
-    registry: &Registry,
-    shared: &Shared,
-    dependents: &[Vec<usize>],
-    total: usize,
-) {
-    loop {
-        let (idx, args) = {
-            let mut st = shared.env.lock();
-            loop {
-                if st.error.is_some() || st.completed == total {
-                    return;
-                }
-                if let Some(idx) = st.ready.pop_front() {
-                    let instr = &prog.instrs[idx];
-                    match resolve_args(instr, &st.env, prog, params) {
-                        Ok(args) => {
-                            st.inflight += 1;
-                            break (idx, args);
-                        }
-                        Err(e) => {
-                            st.error = Some(e);
-                            shared.cond.notify_all();
-                            return;
+/// What every worker of one dataflow run shares.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    prog: &'a Program,
+    params: &'a [Const],
+    ctx: &'a SessionCtx,
+    registry: &'a Registry,
+    shared: &'a Shared,
+    deps: &'a [Vec<usize>],
+    dependents: &'a [Vec<usize>],
+    threads: usize,
+}
+
+impl<'a> Run<'a> {
+    /// How many new workers the worker that has just taken instruction
+    /// `taken` should leave behind for what is still ready. A thread
+    /// costs some 20 µs to start — more than most statements'
+    /// instructions take — so one is started only for work that can run
+    /// *beside* what the live workers are doing:
+    ///
+    /// * every live worker is busy (a `pin` blocked on the ring is), the
+    ///   width allows another, and
+    /// * `taken` has inputs and something waits for it — an instruction
+    ///   without inputs (`request`, `io.stdout`) computes from the plan's
+    ///   constants, not from data, one nothing waits for (`unpin`,
+    ///   `exportResult`) closes a value: both are over before a thread
+    ///   could start — and
+    /// * a ready instruction is all that a further one still waits for,
+    ///   besides what *other* workers are running: taking it now lets
+    ///   that one start earlier. One worker per such instruction.
+    ///
+    /// A ready instruction whose every consumer also waits for `taken`,
+    /// or for something neither done nor running (the `pin`s in front of
+    /// one fused aggregation), is left to the next worker that comes
+    /// free — this one, as a rule, and no later than its consumer could
+    /// have started.
+    fn workers_wanted(&self, st: &SchedState, taken: usize) -> usize {
+        if st.workers > st.inflight
+            || self.deps[taken].is_empty()
+            || self.dependents[taken].is_empty()
+        {
+            return 0;
+        }
+        let releases = |d: usize| {
+            let elsewhere = |&&i: &&usize| st.running[i] && i != taken;
+            st.remaining[d] == 1 + self.deps[d].iter().filter(elsewhere).count()
+        };
+        let worth_a_worker = |&&i: &&usize| self.dependents[i].iter().any(|&d| releases(d));
+        st.ready.iter().filter(worth_a_worker).count().min(self.threads - st.workers)
+    }
+
+    fn work<'scope>(self, scope: &'scope std::thread::Scope<'scope, 'a>)
+    where
+        'a: 'scope,
+    {
+        let Run { prog, params, ctx, registry, shared, dependents, .. } = self;
+        let total = prog.instrs.len();
+        loop {
+            let (idx, args, wanted) = {
+                let mut st = shared.env.lock();
+                loop {
+                    if st.error.is_some() || st.completed == total {
+                        return;
+                    }
+                    if let Some(idx) = st.ready.pop_front() {
+                        let instr = &prog.instrs[idx];
+                        match resolve_args(instr, &st.env, prog, params) {
+                            Ok(args) => {
+                                st.inflight += 1;
+                                st.running[idx] = true;
+                                let wanted = self.workers_wanted(&st, idx);
+                                st.workers += wanted;
+                                break (idx, args, wanted);
+                            }
+                            Err(e) => {
+                                st.error = Some(e);
+                                shared.cond.notify_all();
+                                return;
+                            }
                         }
                     }
+                    // Nothing ready: if nothing is in flight either, the plan
+                    // has a dependency cycle (cannot happen for straight-line
+                    // MAL, but guard anyway).
+                    if st.inflight == 0 {
+                        st.error = Some(MalError::Exec("dataflow stalled (cyclic plan?)".into()));
+                        shared.cond.notify_all();
+                        return;
+                    }
+                    shared.cond.wait(&mut st);
                 }
-                // Nothing ready: if nothing is in flight either, the plan
-                // has a dependency cycle (cannot happen for straight-line
-                // MAL, but guard anyway).
-                if st.inflight == 0 {
-                    st.error = Some(MalError::Exec("dataflow stalled (cyclic plan?)".into()));
+            };
+
+            // Started with the lock released: the others go on meanwhile.
+            for _ in 0..wanted {
+                scope.spawn(move || self.work(scope));
+            }
+
+            let instr = &prog.instrs[idx];
+            let result = match registry.lookup(&instr.module, &instr.func) {
+                Some(f) => f(ctx, &args),
+                None => Err(MalError::UnknownFunction(instr.qualified_name())),
+            };
+
+            // Release the argument clones before queueing for the lock.
+            drop(args);
+
+            let mut guard = shared.env.lock();
+            let st = &mut *guard;
+            st.inflight -= 1;
+            st.running[idx] = false;
+            match result.and_then(|outs| complete(instr, outs, &mut st.env, &mut st.readers)) {
+                Err(e) => {
+                    st.error = Some(e);
                     shared.cond.notify_all();
                     return;
                 }
-                shared.cond.wait(&mut st);
-            }
-        };
-
-        let instr = &prog.instrs[idx];
-        let result = match registry.lookup(&instr.module, &instr.func) {
-            Some(f) => f(ctx, &args),
-            None => Err(MalError::UnknownFunction(instr.qualified_name())),
-        };
-
-        // Release the argument clones before queueing for the lock.
-        drop(args);
-
-        let mut guard = shared.env.lock();
-        let st = &mut *guard;
-        st.inflight -= 1;
-        match result.and_then(|outs| complete(instr, outs, &mut st.env, &mut st.readers)) {
-            Err(e) => {
-                st.error = Some(e);
-                shared.cond.notify_all();
-                return;
-            }
-            Ok(dead) => {
-                st.completed += 1;
-                for &d in &dependents[idx] {
-                    st.remaining[d] -= 1;
-                    if st.remaining[d] == 0 {
-                        st.ready.push_back(d);
+                Ok(dead) => {
+                    st.completed += 1;
+                    for &d in &dependents[idx] {
+                        st.remaining[d] -= 1;
+                        if st.remaining[d] == 0 {
+                            st.ready.push_back(d);
+                        }
                     }
-                }
-                shared.cond.notify_all();
-                let done = st.completed == total;
-                // Freeing a column is the allocator's time, not the
-                // scheduler's: the other workers get the lock first.
-                drop(guard);
-                drop(dead);
-                if done {
-                    return;
+                    // Only a worker waiting for work has anything to wake for.
+                    if st.workers > st.inflight + 1 {
+                        shared.cond.notify_all();
+                    }
+                    let done = st.completed == total;
+                    // Freeing a column is the allocator's time, not the
+                    // scheduler's: the other workers get the lock first.
+                    drop(guard);
+                    drop(dead);
+                    if done {
+                        return;
+                    }
                 }
             }
         }
@@ -559,6 +643,107 @@ mod tests {
         let e = run_dataflow_with(&prog, &[], &paper_ctx(), &registry, 4).unwrap_err();
         assert!(matches!(e, MalError::Exec(ref m) if m == "boom"), "{e}");
         assert_eq!(ran.load(Ordering::SeqCst), 0);
+    }
+
+    /// A registry with `test.src()` (no inputs), `test.step(x…)` and
+    /// `test.meet(x…)`, which returns once two calls of it are running
+    /// at the same time — or fails after ten seconds alone.
+    fn meeting_registry() -> Registry {
+        let mut registry = Registry::standard();
+        registry.register("test", "src", |_, _| Ok(vec![MVal::Int(0)]));
+        registry.register("test", "step", |_, _| Ok(vec![MVal::Int(0)]));
+        let arrived = Arc::new((Mutex::new(0usize), Condvar::new()));
+        registry.register("test", "meet", move |_, _| {
+            let (count, cond) = &*arrived;
+            let mut count = count.lock();
+            *count += 1;
+            cond.notify_all();
+            while *count < 2 {
+                if cond.wait_for(&mut count, std::time::Duration::from_secs(10)).timed_out() {
+                    return Err(MalError::Exec("the other chain never ran beside this one".into()));
+                }
+            }
+            Ok(vec![MVal::Int(0)])
+        });
+        registry
+    }
+
+    /// `X<i> := test.<func>(X<dep>…)` per entry.
+    fn plan_of(instrs: &[(&str, &[usize])]) -> Program {
+        let mut prog = Program::new("user", "q");
+        let vars: Vec<_> = (0..instrs.len()).map(|i| prog.var(&format!("X{i}"))).collect();
+        for (i, (func, deps)) in instrs.iter().enumerate() {
+            let args = deps.iter().map(|&d| Arg::Var(vars[d])).collect();
+            prog.push(Instr::assign(vars[i], "test", func, args));
+        }
+        prog
+    }
+
+    #[test]
+    fn a_plan_with_nothing_to_run_beside_starts_no_thread() {
+        let registry = meeting_registry();
+        let ctx = paper_ctx();
+        // A chain: never two instructions ready.
+        let chain = plan_of(&[
+            ("src", &[]),
+            ("step", &[0]),
+            ("step", &[1]),
+            ("step", &[2]),
+            ("step", &[3]),
+            ("step", &[4]),
+        ]);
+        // The shape of a fused aggregation: requests, a pin behind each,
+        // one instruction that needs every pin, then a chain. The pins are
+        // ready together, but none of them lets anything start earlier.
+        let fan_in = plan_of(&[
+            ("src", &[]),
+            ("src", &[]),
+            ("src", &[]),
+            ("step", &[0]),
+            ("step", &[1]),
+            ("step", &[2]),
+            ("step", &[3, 4, 5]),
+            ("step", &[6]),
+            ("step", &[7]),
+        ]);
+        for (what, prog) in [("chain", &chain), ("fan-in", &fan_in)] {
+            let (env, spawned) = dataflow(prog, &[], &ctx, &registry, 4);
+            env.unwrap();
+            assert_eq!(spawned, 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn independent_chains_still_run_beside_each_other() {
+        let registry = meeting_registry();
+        // Two chains that share nothing; the second link of each waits
+        // for the other chain's to be running.
+        let prog = plan_of(&[
+            ("src", &[]),
+            ("src", &[]),
+            ("meet", &[0]),
+            ("meet", &[1]),
+            ("step", &[2]),
+            ("step", &[3]),
+        ]);
+        let (env, spawned) = dataflow(&prog, &[], &paper_ctx(), &registry, 4);
+        env.unwrap();
+        assert_eq!(spawned, 1, "one worker beside the caller is all two chains need");
+        // A blocked instruction counts as busy: what becomes ready behind
+        // it, and would let its consumer start, gets a worker. Here the
+        // join of two branches, one of which blocks until the other's
+        // work is running.
+        let prog = plan_of(&[
+            ("src", &[]),
+            ("meet", &[0]),
+            ("step", &[0]),
+            ("meet", &[2]),
+            ("step", &[1, 3]),
+        ]);
+        let (env, spawned) = dataflow(&prog, &[], &paper_ctx(), &meeting_registry(), 4);
+        env.unwrap();
+        assert_eq!(spawned, 1);
+        // At width 1 the same plan could never meet: it is not run here.
     }
 
     #[test]

@@ -119,29 +119,34 @@ fn arg_val(args: &[MVal], i: usize, name: &str) -> Result<Val> {
     })
 }
 
-/// Decode the flat predicate encoding the SQL front-end emits into
-/// `sql.update`/`sql.delete` calls, starting at arg `i`:
+/// Decode the flat predicate encoding the SQL front-end emits, starting
+/// at arg `i` and ending at the first argument that opens no predicate
+/// (returned as the second value):
 ///
 /// ```text
 /// "cmp", column, op-symbol, literal
 /// "between", column, lo, hi
 /// "in", column, n, v1, …, vn
 /// ```
+///
+/// `column` turns the argument in column position into the name the
+/// predicate carries: `sql.update`/`sql.delete` pass the column's name,
+/// `aggr.scan` the bound column itself.
 fn parse_predicates(
     args: &[MVal],
     mut i: usize,
     name: &str,
-) -> Result<Vec<batstore::RowPredicate>> {
+    mut column: impl FnMut(usize) -> Result<String>,
+) -> Result<(Vec<batstore::RowPredicate>, usize)> {
     use batstore::RowPredicate;
     let mut preds = Vec::new();
-    while i < args.len() {
-        let kind = arg_str(args, i, name)?;
+    while let Some(kind @ ("cmp" | "between" | "in")) = args.get(i).and_then(MVal::as_str) {
+        if args.len() < i + 3 + usize::from(kind != "in") {
+            return Err(MalError::BadCall(format!("{name}: truncated {kind} predicate")));
+        }
+        let column = column(i + 1)?;
         match kind {
             "cmp" => {
-                if args.len() < i + 4 {
-                    return Err(MalError::BadCall(format!("{name}: truncated cmp predicate")));
-                }
-                let column = arg_str(args, i + 1, name)?.to_string();
                 let sym = arg_str(args, i + 2, name)?;
                 let op = batstore::ops::CmpOp::from_symbol(sym)
                     .ok_or_else(|| MalError::BadCall(format!("{name}: bad op '{sym}'")))?;
@@ -150,38 +155,37 @@ fn parse_predicates(
                 i += 4;
             }
             "between" => {
-                if args.len() < i + 4 {
-                    return Err(MalError::BadCall(format!("{name}: truncated between predicate")));
-                }
-                preds.push(RowPredicate::Between {
-                    column: arg_str(args, i + 1, name)?.to_string(),
-                    lo: arg_val(args, i + 2, name)?,
-                    hi: arg_val(args, i + 3, name)?,
-                });
+                let (lo, hi) = (arg_val(args, i + 2, name)?, arg_val(args, i + 3, name)?);
+                preds.push(RowPredicate::Between { column, lo, hi });
                 i += 4;
             }
-            "in" => {
-                if args.len() < i + 3 {
-                    return Err(MalError::BadCall(format!("{name}: truncated in predicate")));
-                }
-                let column = arg_str(args, i + 1, name)?.to_string();
+            _ => {
                 let n = arg_int(args, i + 2, name)?.max(0) as usize;
                 if args.len() < i + 3 + n {
                     return Err(MalError::BadCall(format!("{name}: in-list claims {n} values")));
                 }
-                let mut values = Vec::with_capacity(n);
-                for k in 0..n {
-                    values.push(arg_val(args, i + 3 + k, name)?);
-                }
+                let values =
+                    (0..n).map(|k| arg_val(args, i + 3 + k, name)).collect::<Result<_>>()?;
                 preds.push(RowPredicate::InList { column, values });
                 i += 3 + n;
             }
-            other => {
-                return Err(MalError::BadCall(format!("{name}: unknown predicate kind '{other}'")))
-            }
         }
     }
-    Ok(preds)
+    Ok((preds, i))
+}
+
+/// The predicates of a `sql.update`/`sql.delete` call: columns by name,
+/// and nothing but predicates from arg `i` on.
+fn named_predicates(args: &[MVal], i: usize, name: &str) -> Result<Vec<batstore::RowPredicate>> {
+    let (preds, end) =
+        parse_predicates(args, i, name, |at| arg_str(args, at, name).map(str::to_string))?;
+    match args.get(end) {
+        None => Ok(preds),
+        Some(other) => Err(MalError::BadCall(format!(
+            "{name}: unknown predicate kind '{}'",
+            other.as_str().unwrap_or(other.type_name())
+        ))),
+    }
 }
 
 fn one(v: MVal) -> Result<Vec<MVal>> {
@@ -315,7 +319,7 @@ fn register_sql(r: &mut Registry) {
         for (i, name) in names.iter().enumerate() {
             assigns.push((name.to_string(), arg_val(args, i + 3, "sql.update")?));
         }
-        let preds = parse_predicates(args, 3 + names.len(), "sql.update")?;
+        let preds = named_predicates(args, 3 + names.len(), "sql.update")?;
         let n = ctx.hooks().update_rows(ctx.query_id, schema, table, &assigns, &preds)?;
         ctx.set_result(batstore::ResultSet::with_affected(n));
         Ok(vec![])
@@ -328,7 +332,7 @@ fn register_sql(r: &mut Registry) {
             return Err(MalError::BadCall("sql.delete: expected at least 2 args".into()));
         }
         let (schema, table) = (arg_str(args, 0, "sql.delete")?, arg_str(args, 1, "sql.delete")?);
-        let preds = parse_predicates(args, 2, "sql.delete")?;
+        let preds = named_predicates(args, 2, "sql.delete")?;
         let n = ctx.hooks().delete_rows(ctx.query_id, schema, table, &preds)?;
         ctx.set_result(batstore::ResultSet::with_affected(n));
         Ok(vec![])
@@ -578,8 +582,12 @@ fn register_bat_algebra(r: &mut Registry) {
         want(args, 3, "algebra.slice")?;
         let b = arg_bat(args, 0, "algebra.slice")?;
         let lo = arg_int(args, 1, "algebra.slice")?.max(0) as usize;
-        let hi = arg_int(args, 2, "algebra.slice")?.max(0) as usize;
-        bat(ops::slice(b, lo, hi))
+        // Inclusive bounds: `hi` below `lo` (`limit 0` is `[0, -1]`) is
+        // the empty range, typed like `b`.
+        match usize::try_from(arg_int(args, 2, "algebra.slice")?) {
+            Ok(hi) if hi >= lo => bat(ops::slice(b, lo, hi)),
+            _ => bat(b.slice(lo, lo)),
+        }
     });
 
     r.register("algebra", "sortTail", |_ctx, args| {
@@ -636,6 +644,59 @@ fn register_aggregates(r: &mut Registry) {
     r.register("aggr", "avg", |_ctx, args| {
         want(args, 1, "aggr.avg")?;
         one(MVal::from_val(ops::avg(arg_bat(args, 0, "aggr.avg")?)?))
+    });
+
+    // aggr.scan(rows, <predicates>, ["by", key…], <aggregates>) → (one BAT
+    // per key, one per aggregate): filter, group and aggregate in one
+    // pass over cache-sized batches (`ops::scan_aggregate`). `rows` is any
+    // column of the table (it gives the row count); predicates are the
+    // `sql.update` encoding with the bound column in place of its name;
+    // an aggregate is `"count*"` or `"sum"|"avg"|"min"|"max", column`.
+    // Every column operand must be aligned with `rows`, whether a bound
+    // table column or a projection of a join result.
+    r.register("aggr", "scan", |_ctx, args| {
+        let name = "aggr.scan";
+        if args.is_empty() {
+            return Err(MalError::BadCall(format!("{name}: expected a column")));
+        }
+        // The kernel finds columns by name: here, their argument index.
+        let column = |at: usize| arg_bat(args, at, name).map(|_| at.to_string());
+        let rows = arg_bat(args, 0, name)?.count();
+        let (preds, mut i) = parse_predicates(args, 1, name, column)?;
+        let mut keys = Vec::new();
+        if args.get(i).and_then(MVal::as_str) == Some("by") {
+            i += 1;
+            while args.get(i).is_some_and(|a| a.as_bat().is_some()) {
+                keys.push(i.to_string());
+                i += 1;
+            }
+        }
+        let mut aggs = Vec::new();
+        while i < args.len() {
+            let make = match arg_str(args, i, name)? {
+                "count*" => {
+                    aggs.push(ops::Aggregate::Count);
+                    i += 1;
+                    continue;
+                }
+                "sum" => ops::Aggregate::Sum,
+                "avg" => ops::Aggregate::Avg,
+                "min" => ops::Aggregate::Min,
+                "max" => ops::Aggregate::Max,
+                other => {
+                    return Err(MalError::BadCall(format!("{name}: unknown aggregate '{other}'")))
+                }
+            };
+            if i + 1 >= args.len() {
+                return Err(MalError::BadCall(format!("{name}: aggregate without a column")));
+            }
+            aggs.push(make(column(i + 1)?));
+            i += 2;
+        }
+        let lookup = |at: &str| at.parse::<usize>().ok().and_then(|at| args[at].as_bat().cloned());
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let out = ops::scan_aggregate(&lookup, rows, &preds, &keys, &aggs)?;
+        Ok(out.into_iter().map(|b| MVal::Bat(Arc::new(b))).collect())
     });
 
     // group.new(b) → (grp: head→groupid, ext: groupid→representative).

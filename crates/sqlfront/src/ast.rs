@@ -48,6 +48,19 @@ pub enum Predicate {
     ColEq { left: ColRef, right: ColRef },
 }
 
+impl Predicate {
+    /// The column a single-table predicate filters; a column-to-column
+    /// comparison has none.
+    pub fn column(&self) -> Option<&ColRef> {
+        match self {
+            Predicate::Cmp { col, .. }
+            | Predicate::Between { col, .. }
+            | Predicate::InList { col, .. } => Some(col),
+            Predicate::ColEq { .. } => None,
+        }
+    }
+}
+
 /// Aggregate functions in the select list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggFn {

@@ -21,6 +21,21 @@
 //! `(result-row → table-oid)` BAT and composes it as joins accumulate.
 //! Single-table predicates are pushed down onto the bound columns before
 //! any join (the "selection push-down" heuristic of §3.2).
+//!
+//! Aggregation is one instruction, whatever the statement's shape
+//! (`compile_aggregates`): `aggr.scan` filters, groups and folds in one
+//! pass over the bound columns, so a single-table aggregate is its binds,
+//! that instruction, and the ORDER BY / LIMIT / result-set plumbing —
+//! TPC-H Q1:
+//!
+//! ```text
+//! X1 := sql.bind("sys","lineitem","l_shipdate",0);      -- … X2–X6
+//! (X7,X8,X9,X10,X11,X12) := aggr.scan(X1, "cmp", X1, "<=", A0,
+//!     "by", X2, X3, "sum", X4, "sum", X5, "avg", X6, "count*");
+//! ```
+//!
+//! Over a join the same instruction takes the join result's projected
+//! columns and no predicate. `group.*` is emitted for DISTINCT only.
 
 use crate::ast::*;
 use crate::err;
@@ -104,6 +119,8 @@ fn param(params: &mut Vec<Const>, lit: &Literal) -> Result<Arg> {
     Ok(Arg::Param(lit.slot))
 }
 
+const SELF_COMPARISON: &str = "self-comparison within one table is not supported";
+
 /// Per-table compile state.
 struct TableState {
     tref: TableRef,
@@ -168,6 +185,20 @@ impl<'a> Compiler<'a> {
         Ok(v)
     }
 
+    /// `sql.bind` the table's first declared column: any column tells how
+    /// many rows the table has.
+    fn bind_first(&mut self, ti: usize) -> Result<VarId> {
+        let tref = &self.tables[ti].tref;
+        let def = self.g.catalog.table(&tref.schema, &tref.table)?;
+        let first = def
+            .columns
+            .first()
+            .ok_or_else(|| err(format!("table '{}' has no columns", tref.table)))?
+            .name
+            .clone();
+        self.bind(ti, &first)
+    }
+
     /// Apply the table's accumulated selection to a bound column:
     /// `semijoin(col, sel)`.
     fn selected(&mut self, ti: usize, col: VarId) -> VarId {
@@ -229,6 +260,15 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
+    /// Selection push-down, then the join result: afterwards every
+    /// table has its row map.
+    fn select_and_join(&mut self, q: &Query, joins: &[(ColRef, ColRef)]) -> Result<()> {
+        for p in &q.predicates {
+            self.push_selection(p)?;
+        }
+        self.build_joins(joins)
+    }
+
     /// Build the join result, producing row maps for every table.
     fn build_joins(&mut self, joins: &[(ColRef, ColRef)]) -> Result<()> {
         if self.tables.len() == 1 {
@@ -245,15 +285,7 @@ impl<'a> Compiler<'a> {
                 }
                 None => {
                     // All rows: mirror of any column gives (oid→oid).
-                    let tref = self.tables[ti].tref.clone();
-                    let def = self.g.catalog.table(&tref.schema, &tref.table)?;
-                    let first = def
-                        .columns
-                        .first()
-                        .ok_or_else(|| err(format!("table '{}' has no columns", tref.table)))?
-                        .name
-                        .clone();
-                    let b = self.bind(ti, &first)?;
+                    let b = self.bind_first(ti)?;
                     self.g.emit("bat", "mirror", vec![Arg::Var(b)])
                 }
             };
@@ -269,7 +301,7 @@ impl<'a> Compiler<'a> {
             let li = self.table_idx(&lc.table, &lc.column)?;
             let ri = self.table_idx(&rc.table, &rc.column)?;
             if li == ri {
-                return Err(err("self-comparison within one table is not supported"));
+                return Err(err(SELF_COMPARISON));
             }
             let l_joined = self.tables[li].rowmap.is_some();
             let r_joined = self.tables[ri].rowmap.is_some();
@@ -409,15 +441,35 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    /// `(res → value)` for an output column.
-    fn project(&mut self, col: &ColRef) -> Result<(VarId, ColType, String)> {
+    fn label(&self, ti: usize) -> String {
+        format!("{}.{}", self.tables[ti].tref.schema, self.tables[ti].tref.table)
+    }
+
+    /// A column reference resolved and bound: its table, the bound
+    /// column and its type.
+    fn bound(&mut self, col: &ColRef) -> Result<(usize, VarId, ColType)> {
         let ti = self.table_idx(&col.table, &col.column)?;
         let ty = self.column_type(ti, &col.column)?;
-        let b = self.bind(ti, &col.column)?;
+        Ok((ti, self.bind(ti, &col.column)?, ty))
+    }
+
+    /// `(res → value)` for an output column.
+    fn project(&mut self, col: &ColRef) -> Result<(VarId, ColType, String)> {
+        let (ti, b, ty) = self.bound(col)?;
         let rowmap = self.tables[ti].rowmap.expect("rowmaps built before projection");
         let v = self.g.emit("algebra", "join", vec![Arg::Var(rowmap), Arg::Var(b)]);
-        let label = format!("{}.{}", self.tables[ti].tref.schema, self.tables[ti].tref.table);
-        Ok((v, ty, label))
+        Ok((v, ty, self.label(ti)))
+    }
+
+    /// A column as an operand of the fused aggregation, row-aligned with
+    /// its other operands: over one table the bound column itself (the
+    /// instruction does the filtering), over a join result its projection.
+    fn aligned(&mut self, col: &ColRef) -> Result<(VarId, ColType, String)> {
+        if self.tables.len() > 1 {
+            return self.project(col);
+        }
+        let (ti, b, ty) = self.bound(col)?;
+        Ok((b, ty, self.label(ti)))
     }
 }
 
@@ -467,10 +519,6 @@ pub fn compile(q: &Query, catalog: &Catalog) -> Result<Program> {
             .collect(),
     };
 
-    // Selection push-down.
-    for p in &q.predicates {
-        c.push_selection(p)?;
-    }
     let joins: Vec<(ColRef, ColRef)> = q
         .predicates
         .iter()
@@ -479,15 +527,19 @@ pub fn compile(q: &Query, catalog: &Catalog) -> Result<Program> {
             _ => None,
         })
         .collect();
-    c.build_joins(&joins)?;
+
+    if c.tables.len() == 1 && !joins.is_empty() {
+        return Err(err(SELF_COMPARISON));
+    }
 
     let mut outs: Vec<OutCol> = Vec::new();
     if q.has_aggregates() {
-        compile_aggregate_outputs(&mut c, q, &mut outs)?;
+        compile_aggregates(&mut c, q, &joins, &mut outs)?;
     } else {
         if !q.group_by.is_empty() {
             return Err(err("GROUP BY requires aggregates in the select list"));
         }
+        c.select_and_join(q, &joins)?;
         for item in &q.select {
             match item {
                 SelectItem::Col(col) => {
@@ -542,15 +594,13 @@ pub fn compile(q: &Query, catalog: &Catalog) -> Result<Program> {
     Ok(c.g.prog)
 }
 
-fn agg_result_type(f: AggFn, input: Option<ColType>) -> &'static str {
+fn agg_result_type(f: AggFn, input: ColType) -> &'static str {
     match f {
         AggFn::Count => "lng",
         AggFn::Avg => "dbl",
-        AggFn::Sum => match input {
-            Some(ColType::Dbl) => "dbl",
-            _ => "lng",
-        },
-        AggFn::Min | AggFn::Max => input.map(|t| t.name()).unwrap_or("lng"),
+        AggFn::Sum if input == ColType::Dbl => "dbl",
+        AggFn::Sum => "lng",
+        AggFn::Min | AggFn::Max => input.name(),
     }
 }
 
@@ -594,186 +644,118 @@ fn apply_distinct(c: &mut Compiler, outs: &mut [OutCol]) {
     }
 }
 
-fn compile_aggregate_outputs(c: &mut Compiler, q: &Query, outs: &mut Vec<OutCol>) -> Result<()> {
-    if q.group_by.len() > 1 {
-        return compile_multi_group_by(c, q, outs);
-    }
-    if q.group_by.is_empty() {
-        // Whole-column aggregates; non-aggregate items are invalid.
-        for item in &q.select {
-            match item {
-                SelectItem::Col(colref) => {
-                    return Err(err(format!("column '{}' must appear in GROUP BY", colref.column)))
-                }
-                SelectItem::Star => {
-                    return Err(err("SELECT * cannot be mixed with aggregates"));
-                }
-                SelectItem::Agg { f, col } => {
-                    let (scalar, name, ty) = match col {
-                        Some(colref) => {
-                            let (v, ty, _) = c.project(colref)?;
-                            let s = c.g.emit("aggr", f.name(), vec![Arg::Var(v)]);
-                            (s, format!("{}_{}", f.name(), colref.column), Some(ty))
-                        }
-                        None => {
-                            // COUNT(*): count over any row map.
-                            let rowmap = c.tables[0].rowmap.expect("rowmaps built");
-                            let s = c.g.emit("aggr", "count", vec![Arg::Var(rowmap)]);
-                            (s, "count".to_string(), None)
-                        }
-                    };
-                    // Pack under the *declared* aggregate type so the
-                    // typed result schema is stable (a small SUM must
-                    // still be a lng column, not an int one).
-                    let sql_type = agg_result_type(*f, ty);
-                    let packed =
-                        c.g.emit("bat", "pack", vec![Arg::Var(scalar), Gen::cstr(sql_type)]);
-                    outs.push(OutCol { var: packed, table_label: "sys".into(), name, sql_type });
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    // Grouped aggregation.
-    let key = &q.group_by[0];
-    let (keyvals, key_ty, key_label) = c.project(key)?;
-    let grp = c.g.fresh();
-    let ext = c.g.fresh();
-    c.g.prog.push(Instr {
-        targets: vec![grp, ext],
-        module: "group".into(),
-        func: "new".into(),
-        args: vec![Arg::Var(keyvals)],
-    });
-    let ngroups = c.g.emit("aggr", "count", vec![Arg::Var(ext)]);
-
+/// Every aggregating SELECT ends in one `aggr.scan`: the conjunction of
+/// single-table predicates, the GROUP BY keys (none: one group) and the
+/// aggregates, evaluated in one pass over the table's bound columns. An
+/// aggregate over a join result goes through the same instruction with
+/// the row-aligned projections of the join as operands and no predicate
+/// (those were pushed below the join).
+fn compile_aggregates(
+    c: &mut Compiler,
+    q: &Query,
+    joins: &[(ColRef, ColRef)],
+    outs: &mut Vec<OutCol>,
+) -> Result<()> {
     for item in &q.select {
         match item {
-            SelectItem::Col(colref) => {
-                if colref.column != key.column {
-                    return Err(err(format!("column '{}' must appear in GROUP BY", colref.column)));
-                }
-                outs.push(OutCol {
-                    var: ext,
-                    table_label: key_label.clone(),
-                    name: key.column.clone(),
-                    sql_type: key_ty.name(),
-                });
+            SelectItem::Col(col) if !q.group_by.iter().any(|k| k.column == col.column) => {
+                return Err(err(format!("column '{}' must appear in GROUP BY", col.column)))
             }
-            SelectItem::Agg { f: AggFn::Count, col: None } => {
-                let v = c.g.emit("aggr", "countFor", vec![Arg::Var(grp), Arg::Var(ngroups)]);
-                outs.push(OutCol {
-                    var: v,
-                    table_label: "sys".into(),
-                    name: "count".into(),
-                    sql_type: "lng",
-                });
-            }
-            SelectItem::Agg { f, col: Some(colref) } => {
-                let (vals, ty, _) = c.project(colref)?;
-                let func = format!("{}For", f.name());
-                let v =
-                    c.g.emit("aggr", &func, vec![Arg::Var(vals), Arg::Var(grp), Arg::Var(ngroups)]);
-                outs.push(OutCol {
-                    var: v,
-                    table_label: "sys".into(),
-                    name: format!("{}_{}", f.name(), colref.column),
-                    sql_type: agg_result_type(*f, Some(ty)),
-                });
-            }
-            SelectItem::Agg { f, col: None } => {
+            SelectItem::Agg { f, col: None } if *f != AggFn::Count => {
                 return Err(err(format!("{}(*) is not supported", f.name())))
             }
-            SelectItem::Star => {
-                return Err(err("SELECT * cannot be mixed with aggregates"));
-            }
+            SelectItem::Star => return Err(err("SELECT * cannot be mixed with aggregates")),
+            _ => {}
         }
     }
-    Ok(())
-}
 
-/// Multi-column GROUP BY: `group.new` on the first key, `group.derive`
-/// for each further key, key columns re-projected through the
-/// representative rows, aggregates over the refined group ids.
-fn compile_multi_group_by(c: &mut Compiler, q: &Query, outs: &mut Vec<OutCol>) -> Result<()> {
-    // Project every key column into result space first.
-    let mut key_cols = Vec::new();
+    // Operands after the first: predicates, "by" keys, aggregates. The
+    // first is where the row count comes from: a column the statement
+    // reads anyway.
+    let (mut args, mut rows) = (Vec::new(), None);
+    if c.tables.len() == 1 {
+        let filtered: Vec<&ColRef> = q.predicates.iter().filter_map(Predicate::column).collect();
+        let mut bound = Vec::with_capacity(filtered.len());
+        for col in filtered {
+            let v = c.aligned(col)?.0;
+            rows.get_or_insert(v);
+            bound.push(Arg::Var(v));
+        }
+        push_pred_args(&mut args, &mut c.g.prog.params, &q.predicates, bound)?;
+    } else {
+        c.select_and_join(q, joins)?;
+    }
+
+    if !q.group_by.is_empty() {
+        args.push(Gen::cstr("by"));
+    }
+    let mut keys = Vec::with_capacity(q.group_by.len());
     for key in &q.group_by {
-        let (v, ty, label) = c.project(key)?;
-        key_cols.push((key.column.clone(), v, ty, label));
+        let (v, ty, label) = c.aligned(key)?;
+        rows.get_or_insert(v);
+        args.push(Arg::Var(v));
+        keys.push((ty, label));
     }
-    let grp0 = c.g.fresh();
-    let ext0 = c.g.fresh();
-    c.g.prog.push(Instr {
-        targets: vec![grp0, ext0],
-        module: "group".into(),
-        func: "new".into(),
-        args: vec![Arg::Var(key_cols[0].1)],
-    });
-    let mut grp = grp0;
-    let mut ext = ext0;
-    for (_, v, _, _) in key_cols.iter().skip(1) {
-        let g2 = c.g.fresh();
-        let e2 = c.g.fresh();
-        c.g.prog.push(Instr {
-            targets: vec![g2, e2],
-            module: "group".into(),
-            func: "derive".into(),
-            args: vec![Arg::Var(*v), Arg::Var(grp)],
-        });
-        grp = g2;
-        ext = e2;
-    }
-    let ngroups = c.g.emit("aggr", "count", vec![Arg::Var(ext)]);
-
+    // Name and result type of each aggregate, in select-list order.
+    let mut aggs = Vec::new();
     for item in &q.select {
         match item {
-            SelectItem::Col(colref) => {
-                let Some((name, v, ty, label)) =
-                    key_cols.iter().find(|(n, ..)| *n == colref.column)
-                else {
-                    return Err(err(format!("column '{}' must appear in GROUP BY", colref.column)));
+            // Without NULLs every row counts, whatever column is named
+            // (which must exist all the same).
+            SelectItem::Agg { f: AggFn::Count, col } => {
+                let name = match col {
+                    Some(col) => {
+                        let ti = c.table_idx(&col.table, &col.column)?;
+                        c.column_type(ti, &col.column)?;
+                        format!("count_{}", col.column)
+                    }
+                    None => "count".to_string(),
                 };
-                // ext maps group → representative row; join re-projects
-                // the key value per group.
-                let kv = c.g.emit("algebra", "join", vec![Arg::Var(ext), Arg::Var(*v)]);
-                outs.push(OutCol {
-                    var: kv,
-                    table_label: label.clone(),
-                    name: name.clone(),
-                    sql_type: ty.name(),
-                });
+                args.push(Gen::cstr("count*"));
+                aggs.push((name, "lng"));
             }
-            SelectItem::Agg { f: AggFn::Count, col: None } => {
-                let v = c.g.emit("aggr", "countFor", vec![Arg::Var(grp), Arg::Var(ngroups)]);
-                outs.push(OutCol {
-                    var: v,
-                    table_label: "sys".into(),
-                    name: "count".into(),
-                    sql_type: "lng",
-                });
+            SelectItem::Agg { f, col } => {
+                let col = col.as_ref().expect("checked above");
+                let (v, ty, _) = c.aligned(col)?;
+                rows.get_or_insert(v);
+                args.extend([Gen::cstr(f.name()), Arg::Var(v)]);
+                aggs.push((format!("{}_{}", f.name(), col.column), agg_result_type(*f, ty)));
             }
-            SelectItem::Agg { f, col: Some(colref) } => {
-                let (vals, ty, _) = c.project(colref)?;
-                let func = format!("{}For", f.name());
-                let v =
-                    c.g.emit("aggr", &func, vec![Arg::Var(vals), Arg::Var(grp), Arg::Var(ngroups)]);
-                outs.push(OutCol {
-                    var: v,
-                    table_label: "sys".into(),
-                    name: format!("{}_{}", f.name(), colref.column),
-                    sql_type: agg_result_type(*f, Some(ty)),
-                });
-            }
-            SelectItem::Agg { f, col: None } => {
-                return Err(err(format!("{}(*) is not supported", f.name())))
-            }
-            SelectItem::Star => {
-                return Err(err("SELECT * cannot be mixed with aggregates"));
-            }
+            _ => {}
         }
     }
+    // A bare `count(*)` reads the table's first column (of a join
+    // result: a row map), as the separate operators did.
+    let rows = match (rows, c.tables[0].rowmap) {
+        (Some(v), _) => v,
+        (None, Some(rowmap)) => rowmap,
+        (None, None) => c.bind_first(0)?,
+    };
+    args.insert(0, Arg::Var(rows));
+
+    // One target per key, then one per aggregate; the select list picks
+    // among them in its own order.
+    let targets: Vec<VarId> = (0..keys.len() + aggs.len()).map(|_| c.g.fresh()).collect();
+    let mut aggs = aggs.into_iter().zip(&targets[keys.len()..]);
+    for item in &q.select {
+        outs.push(match item {
+            SelectItem::Col(col) => {
+                let at = q.group_by.iter().position(|k| k.column == col.column);
+                let at = at.expect("checked above");
+                OutCol {
+                    var: targets[at],
+                    table_label: keys[at].1.clone(),
+                    name: col.column.clone(),
+                    sql_type: keys[at].0.name(),
+                }
+            }
+            _ => {
+                let ((name, sql_type), &var) = aggs.next().expect("one per aggregate item");
+                OutCol { var, table_label: "sys".into(), name, sql_type }
+            }
+        });
+    }
+    c.g.prog.push(Instr { targets, module: "aggr".into(), func: "scan".into(), args });
     Ok(())
 }
 
@@ -794,7 +776,9 @@ fn apply_order_limit(c: &mut Compiler, q: &Query, outs: &mut [OutCol]) -> Result
         }
     }
     if let Some(n) = q.limit {
-        let hi = n.saturating_sub(1) as i64;
+        // `slice` bounds are inclusive: `limit 0` is `[0, -1]`, the empty
+        // range, as MonetDB writes it.
+        let hi = i64::try_from(n).unwrap_or(i64::MAX) - 1;
         for o in outs.iter_mut() {
             o.var =
                 c.g.emit("algebra", "slice", vec![Arg::Var(o.var), Gen::cint(0), Gen::cint(hi)]);
@@ -982,58 +966,51 @@ fn compile_insert(i: &InsertStmt, catalog: &Catalog) -> Result<Program> {
     Ok(g.prog)
 }
 
-/// Validate a single-table predicate column reference and append the
-/// flat predicate encoding `sql.update`/`sql.delete` expect:
-/// `"cmp", col, op, lit` / `"between", col, lo, hi` / `"in", col, n, v…`.
-/// The mutation travels as *logical* predicates — the fragment owner
-/// evaluates them against its authoritative payload (§6.4), never
-/// against row ids computed from a possibly stale circulating copy.
+/// Append the flat predicate encoding `sql.update`/`sql.delete`/
+/// `aggr.scan` expect: `"cmp", col, op, lit` / `"between", col, lo, hi` /
+/// `"in", col, n, v…`, with `columns` — one per predicate, validated by
+/// the caller — in column position: the name for a mutation, which
+/// travels as *logical* predicates the fragment owner evaluates against
+/// its authoritative payload (§6.4), never against row ids computed from a
+/// possibly stale circulating copy; the bound column for `aggr.scan`.
 fn push_pred_args(
     args: &mut Vec<Arg>,
     params: &mut Vec<Const>,
     preds: &[Predicate],
-    def: &batstore::TableDef,
+    columns: Vec<Arg>,
 ) -> Result<()> {
-    let check_col = |c: &ColRef| -> Result<()> {
-        if let Some(alias) = &c.table {
-            if *alias != def.name {
-                return Err(err(format!("unknown table alias '{alias}'")));
-            }
-        }
-        if def.column(&c.column).is_none() {
-            return Err(err(format!("unknown column '{}.{}'", def.name, c.column)));
-        }
-        Ok(())
-    };
-    for p in preds {
+    for (p, column) in preds.iter().zip(columns) {
         match p {
-            Predicate::Cmp { col, op, lit } => {
-                check_col(col)?;
-                args.push(Gen::cstr("cmp"));
-                args.push(Gen::cstr(&col.column));
-                args.push(Gen::cstr(op));
-                args.push(param(params, lit)?);
+            Predicate::Cmp { op, lit, .. } => {
+                args.extend([Gen::cstr("cmp"), column, Gen::cstr(op), param(params, lit)?]);
             }
-            Predicate::Between { col, lo, hi } => {
-                check_col(col)?;
-                args.push(Gen::cstr("between"));
-                args.push(Gen::cstr(&col.column));
-                args.push(param(params, lo)?);
-                args.push(param(params, hi)?);
+            Predicate::Between { lo, hi, .. } => {
+                let (lo, hi) = (param(params, lo)?, param(params, hi)?);
+                args.extend([Gen::cstr("between"), column, lo, hi]);
             }
-            Predicate::InList { col, vals } => {
+            Predicate::InList { vals, .. } => {
                 if vals.is_empty() {
                     return Err(err("IN list must not be empty"));
                 }
-                check_col(col)?;
-                args.push(Gen::cstr("in"));
-                args.push(Gen::cstr(&col.column));
-                args.push(Gen::cint(vals.len() as i64));
+                args.extend([Gen::cstr("in"), column, Gen::cint(vals.len() as i64)]);
                 for v in vals {
                     args.push(param(params, v)?);
                 }
             }
-            Predicate::ColEq { left, right } => {
+            Predicate::ColEq { .. } => unreachable!("has no column: refused by the caller"),
+        }
+    }
+    Ok(())
+}
+
+/// The WHERE columns of an UPDATE/DELETE, by name, each checked against
+/// the table.
+fn mutation_columns(preds: &[Predicate], def: &batstore::TableDef) -> Result<Vec<Arg>> {
+    preds
+        .iter()
+        .map(|p| {
+            let Some(c) = p.column() else {
+                let Predicate::ColEq { left, right } = p else { unreachable!("has a column") };
                 return Err(err(format!(
                     "column-to-column predicates are not supported in UPDATE/DELETE \
                      ({}.{} = {}.{})",
@@ -1041,11 +1018,19 @@ fn push_pred_args(
                     left.column,
                     right.table.as_deref().unwrap_or(""),
                     right.column
-                )))
+                )));
+            };
+            if let Some(alias) = &c.table {
+                if *alias != def.name {
+                    return Err(err(format!("unknown table alias '{alias}'")));
+                }
             }
-        }
-    }
-    Ok(())
+            if def.column(&c.column).is_none() {
+                return Err(err(format!("unknown column '{}.{}'", def.name, c.column)));
+            }
+            Ok(Gen::cstr(&c.column))
+        })
+        .collect()
 }
 
 /// `UPDATE` lowers to one `sql.update` sink carrying the assignments and
@@ -1072,7 +1057,8 @@ fn compile_update(u: &UpdateStmt, catalog: &Catalog) -> Result<Program> {
     for (_, v) in &u.assignments {
         args.push(param(&mut prog.params, v)?);
     }
-    push_pred_args(&mut args, &mut prog.params, &u.predicates, def)?;
+    let columns = mutation_columns(&u.predicates, def)?;
+    push_pred_args(&mut args, &mut prog.params, &u.predicates, columns)?;
     prog.push(Instr::call("sql", "update", args));
     Ok(prog)
 }
@@ -1085,7 +1071,8 @@ fn compile_delete(d: &DeleteStmt, catalog: &Catalog) -> Result<Program> {
         .map_err(|e| err(format!("unknown table {}.{}: {e}", d.schema, d.table)))?;
     let mut args = vec![Gen::cstr(&d.schema), Gen::cstr(&d.table)];
     let mut prog = Program::new("user", "s1_1");
-    push_pred_args(&mut args, &mut prog.params, &d.predicates, def)?;
+    let columns = mutation_columns(&d.predicates, def)?;
+    push_pred_args(&mut args, &mut prog.params, &d.predicates, columns)?;
     prog.push(Instr::call("sql", "delete", args));
     Ok(prog)
 }
@@ -1293,6 +1280,115 @@ mod tests {
         assert_eq!(lines, vec!["[ 40 ]", "[ 30 ]"], "{out}");
     }
 
+    /// The typed result of `sql` over the `setup()` tables, run through
+    /// CSE and the DC optimizer as a node runs it.
+    fn result(sql: &str) -> mal::Result<batstore::ResultSet> {
+        let (catalog, store) = setup();
+        let prog = crate::compile_sql_dc(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let ctx = SessionCtx::new(Arc::new(RwLock::new(catalog)), store);
+        mal::run_dataflow(&prog, &ctx, 4)?;
+        Ok(ctx.take_result())
+    }
+
+    #[test]
+    fn limit_zero_answers_no_rows_and_keeps_the_columns() {
+        for sql in [
+            "select t_id, amount from c limit 0",
+            "select t_id, amount from c order by amount desc limit 0",
+            "select t_id, amount from c where amount > 1000 limit 0",
+        ] {
+            let rs = result(sql).unwrap();
+            assert_eq!((rs.row_count(), rs.column_count()), (0, 2), "{sql}");
+            assert_eq!(rs.columns[1].name, "amount", "{sql}");
+            assert_eq!(rs.columns[1].col_type(), ColType::Int, "{sql}");
+        }
+        let rs = result("select region, sum(amount) from sales group by region limit 0").unwrap();
+        assert_eq!((rs.row_count(), rs.columns[1].col_type()), (0, ColType::Lng));
+        // One more than nothing is one row, and a limit beyond the table all of it.
+        assert_eq!(result("select amount from c limit 1").unwrap().row_count(), 1);
+        assert_eq!(result("select amount from c limit 99").unwrap().row_count(), 4);
+    }
+
+    #[test]
+    fn aggregates_over_zero_rows() {
+        // What has a value over nothing answers it: one row of zeros.
+        let rs = result("select count(*), sum(amount), count(amount) from c where amount > 100");
+        let rs = rs.unwrap();
+        assert_eq!(rs.row_count(), 1);
+        assert_eq!([rs.cell(0, 0), rs.cell(0, 1), rs.cell(0, 2)], [0, 0, 0].map(Val::Lng));
+        // What would be NULL is an error that says so, naming the aggregate.
+        for f in ["avg", "min", "max"] {
+            let e = result(&format!("select count(*), {f}(amount) from c where amount > 100"));
+            let e = e.unwrap_err();
+            assert!(matches!(e, mal::MalError::Bat(batstore::BatError::Invalid(_))), "{e:?}");
+            let why = format!("{f} over zero rows is NULL, which this engine cannot represent");
+            assert!(e.to_string().contains(&why), "{e}");
+        }
+        // A grouped aggregate over nothing has no group to answer for.
+        let rs = result(
+            "select region, avg(amount), min(amount), count(*) from sales \
+             where amount > 100 group by region",
+        )
+        .unwrap();
+        assert_eq!((rs.row_count(), rs.column_count()), (0, 4));
+        let types: Vec<ColType> = rs.columns.iter().map(|c| c.col_type()).collect();
+        assert_eq!(types, [ColType::Str, ColType::Dbl, ColType::Int, ColType::Lng]);
+        // Over an empty join result too.
+        let rs =
+            result("select count(*), sum(c.amount) from t, c where c.t_id = t.id and t.id > 7");
+        let rs = rs.unwrap();
+        assert_eq!([rs.cell(0, 0), rs.cell(0, 1)], [Val::Lng(0), Val::Lng(0)]);
+    }
+
+    #[test]
+    fn every_aggregation_is_one_fused_instruction() {
+        let (catalog, _) = setup();
+        let calls = |sql: &str| -> Vec<String> {
+            let prog = compile_sql(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            prog.instrs.iter().map(|i| i.qualified_name()).collect()
+        };
+        let single_table = [
+            "select count(*) from c",
+            "select count(*), sum(amount) from c where amount > 5 and t_id in (2, 3)",
+            "select sum(amount), min(amount), max(amount), avg(amount) from c",
+            "select region, sum(amount), count(*) from sales group by region order by region",
+            "select sum(amount), region, amount from sales where amount between 1 and 20 \
+             group by region, amount order by region limit 2",
+        ];
+        for sql in single_table {
+            let calls = calls(sql);
+            assert_eq!(calls.iter().filter(|c| *c == "aggr.scan").count(), 1, "{sql}: {calls:?}");
+            // Binds, the fused instruction, then ORDER BY / LIMIT and
+            // the result set: no selection, candidate list, projection,
+            // grouping or packing of its own.
+            let fused = calls.iter().position(|c| c == "aggr.scan").unwrap();
+            assert!(calls[..fused].iter().all(|c| c == "sql.bind"), "{sql}: {calls:?}");
+            for gone in ["group.", "bat.pack", "bat.mirror", "algebra.semijoin", "For"] {
+                assert!(!calls.iter().any(|c| c.contains(gone)), "{sql}: {gone} in {calls:?}");
+            }
+        }
+        // Over a join the selections and the join stay; the aggregation
+        // over its projected columns is the same one instruction.
+        let calls = calls(
+            "select t.id, sum(c.amount), count(*) from t, c \
+             where c.t_id = t.id and c.amount > 5 group by t.id",
+        );
+        assert_eq!(calls.iter().filter(|c| *c == "aggr.scan").count(), 1, "{calls:?}");
+        assert!(calls.iter().any(|c| c == "algebra.thetauselect"), "{calls:?}");
+        assert!(!calls.iter().any(|c| c.starts_with("group.") || c.ends_with("For")), "{calls:?}");
+        // Every literal of the fused instruction is a parameter slot, in
+        // token order.
+        let prog = compile_sql(single_table[4], &catalog).unwrap();
+        let fused = prog.instrs.iter().find(|i| i.is("aggr", "scan")).unwrap();
+        let slots: Vec<u32> = fused
+            .args
+            .iter()
+            .filter_map(|a| if let Arg::Param(slot) = a { Some(*slot) } else { None })
+            .collect();
+        assert_eq!(slots, [0, 1]);
+        assert_eq!(fused.targets.len(), 3, "two keys and one aggregate");
+    }
+
     #[test]
     fn three_way_join() {
         // t ⋈ c ⋈ sales via amounts equality: c.amount vs sales.amount
@@ -1329,6 +1425,12 @@ mod tests {
             "select region from sales group by region", // group-by without aggregates
             "select amount, sum(amount) from sales group by region", // non-key column
             "select id from t order by ghost",
+            "select count(*) from c where t_id = amount", // one table, two columns
+            "select amount from c where t_id = amount",
+            "select count(ghost) from c",
+            "select sum(amount) from c where ghost > 1",
+            "select sum(amount) from c where amount in ()",
+            "select *, count(*) from c",
         ] {
             assert!(compile_sql(bad, &catalog).is_err(), "should fail: {bad}");
         }

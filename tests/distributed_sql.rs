@@ -143,6 +143,74 @@ fn bigint_keys_above_2_pow_53_compare_exactly_local_and_routed() {
     }
 }
 
+/// `LIMIT 0` and aggregates over zero qualifying rows, asked of the
+/// owner, of a node that owns nothing (its columns come off the ring) and
+/// of a single-node ring: no row for `limit 0` with the typed columns
+/// intact; one row of zeros for `count`/`sum`; and for `avg`/`min`/`max`,
+/// whose answer would be NULL, one and the same error text on every path.
+#[test]
+fn limit_zero_and_aggregates_over_nothing_answer_alike_on_every_path() {
+    let nodes = spawn_tcp_ring(3);
+    let single = datacyclotron::Ring::builder(1).build();
+    let setup = [
+        "create table m (a int, b bigint, s varchar(8))",
+        "insert into m values (1, 10, 'x'), (2, 20, 'y'), (3, 30, 'x')",
+    ];
+    for stmt in setup {
+        nodes[0].execute(stmt).unwrap();
+        single.execute(0, stmt).unwrap();
+    }
+    nodes[2].wait_for_table_timeout("sys", "m", Duration::from_secs(10)).unwrap();
+    type Run<'a> = &'a dyn Fn(&str) -> Result<ResultSet, datacyclotron::DcError>;
+    let paths: [(&str, Run<'_>); 3] = [
+        ("owner", &|sql| nodes[0].execute(sql)),
+        ("non-owner", &|sql| nodes[2].execute(sql)),
+        ("single node", &|sql| single.execute(0, sql)),
+    ];
+
+    for (path, run) in paths {
+        for sql in ["select a, s from m limit 0", "select a, s from m order by a desc limit 0"] {
+            let rs = run(sql).unwrap();
+            assert_eq!((rs.row_count(), rs.column_count()), (0, 2), "{sql} on the {path}");
+            let types: Vec<_> = rs.columns.iter().map(|c| c.col_type()).collect();
+            assert_eq!(
+                types,
+                [batstore::ColType::Int, batstore::ColType::Str],
+                "{sql} on the {path}"
+            );
+        }
+        let rs = run("select count(*), sum(b) from m where a > 100").unwrap();
+        assert_eq!(rows(&rs), [[Val::Lng(0), Val::Lng(0)]], "{path}");
+        let rs = run("select s, avg(b), max(a) from m where a > 100 group by s").unwrap();
+        assert_eq!((rs.row_count(), rs.column_count()), (0, 3), "{path}");
+        // With rows, the same statements answer as ever.
+        let rs = run("select count(*), sum(b), avg(b), min(s), max(a) from m where a > 1").unwrap();
+        assert_eq!(
+            rows(&rs),
+            [[Val::Lng(2), Val::Lng(50), Val::Dbl(25.0), Val::from("x"), Val::Int(3)]],
+            "{path}"
+        );
+    }
+    for f in ["avg", "min", "max"] {
+        let sql = format!("select count(*), sum(b), {f}(b) from m where a > 100");
+        let errors: Vec<String> = paths
+            .iter()
+            .map(|(path, run)| match run(&sql) {
+                Err(e @ datacyclotron::DcError::Exec(_)) => e.to_string(),
+                other => panic!("{sql} on the {path}: {other:?}"),
+            })
+            .collect();
+        let why = format!("{f} over zero rows is NULL, which this engine cannot represent");
+        assert!(errors[0].contains(&why), "{}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+    }
+
+    for n in nodes {
+        n.shutdown();
+    }
+    single.shutdown();
+}
+
 /// Routed mutations served from a template hit (§3.2): node 2 owns
 /// nothing, so its INSERTs and UPDATEs travel the ring to node 0. Only
 /// the first statement of each shape compiles; every later one binds its

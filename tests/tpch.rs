@@ -268,6 +268,64 @@ fn tpch_subset_matches_a_row_at_a_time_evaluation() {
     }
 }
 
+/// What EXPLAIN shows of aggregation: Q1 and Q6 bind (request, pin)
+/// their columns, run **one** fused `aggr.scan` over them and go straight
+/// to ORDER BY / the result set — no selection, candidate list,
+/// projection or grouping instruction; Q3 keeps its selections and joins
+/// and aggregates the join's projected columns in the same one
+/// instruction.
+#[test]
+fn explain_shows_one_fused_instruction_per_aggregation() {
+    let data = tpch::generate(0.25, 7);
+    let ring = Ring::builder(1).build();
+    ring.load_table("sys", "customer", data.customer).unwrap();
+    ring.load_table("sys", "orders", data.orders).unwrap();
+    ring.load_table("sys", "lineitem", data.lineitem).unwrap();
+    // `X := module.func(…)` / `module.func(…)` per line → `module.func`.
+    let calls = |plan: &str| -> Vec<String> {
+        plan.lines()
+            .map(|l| l.split_once(":= ").map_or(l, |(_, call)| call).trim())
+            .filter(|call| !call.starts_with("function") && !call.starts_with("end"))
+            .filter_map(|call| call.split_once('(').map(|(name, _)| name.to_string()))
+            .collect()
+    };
+    const SEPARATE: [&str; 9] = [
+        "algebra.select",
+        "algebra.uselect",
+        "algebra.thetauselect",
+        "algebra.semijoin",
+        "bat.mirror",
+        "bat.pack",
+        "group.new",
+        "group.derive",
+        "aggr.sumFor",
+    ];
+    for (name, stmt) in [("q1", tpch::Q1), ("q6", tpch::Q6)] {
+        for plan in <[String; 2]>::from(ring.explain_sql(0, stmt).unwrap()) {
+            let calls = calls(&plan);
+            let fused: Vec<usize> = (0..calls.len()).filter(|&i| calls[i] == "aggr.scan").collect();
+            assert_eq!(fused.len(), 1, "{name}:\n{plan}");
+            for gone in SEPARATE {
+                assert!(!calls.iter().any(|c| c == gone), "{name} holds {gone}:\n{plan}");
+            }
+            // Up to the fused instruction the plan only fetches columns
+            // (`markT` and `join` after it are ORDER BY's).
+            let fetches = ["sql.bind", "datacyclotron.request", "datacyclotron.pin"];
+            let before = &calls[..fused[0]];
+            assert!(before.iter().all(|c| fetches.contains(&c.as_str())), "{name}:\n{plan}");
+        }
+    }
+    let (q6, _) = ring.explain_sql(0, tpch::Q6).unwrap();
+    assert!(!q6.contains("algebra."), "Q6 needs no algebra at all:\n{q6}");
+
+    let (q3, _) = ring.explain_sql(0, tpch::Q3).unwrap();
+    let calls = calls(&q3);
+    assert_eq!(calls.iter().filter(|c| *c == "aggr.scan").count(), 1, "{q3}");
+    assert!(!calls.iter().any(|c| c.starts_with("group.") || c.ends_with("For")), "{q3}");
+    assert!(!calls.iter().any(|c| c == "bat.pack" || c == "aggr.sum" || c == "aggr.count"), "{q3}");
+    ring.shutdown();
+}
+
 /// The EXPLAIN surface shows the compile-time join classification that
 /// drives the runtime strategy choice.
 #[test]
