@@ -112,11 +112,6 @@ impl Bat {
         (self.head.get(i), self.tail.get(i))
     }
 
-    /// Decompose into columns (consumes).
-    pub fn into_parts(self) -> (Column, Column) {
-        (self.head, self.tail)
-    }
-
     /// Construct with explicitly claimed properties (used by operators
     /// that guarantee them structurally, avoiding O(n) re-checks). A
     /// debug build checks every claim it is handed, so the test suites

@@ -63,12 +63,6 @@ impl BatStore {
         key
     }
 
-    pub fn insert_shared(&mut self, bat: Arc<Bat>) -> BatKey {
-        let key = BatKey(self.bats.len() as u32);
-        self.bats.push(Some(bat));
-        key
-    }
-
     pub fn get(&self, key: BatKey) -> Result<Arc<Bat>> {
         self.bats
             .get(key.0 as usize)
@@ -341,10 +335,6 @@ impl Catalog {
 
     pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
         self.tables.values()
-    }
-
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
     }
 }
 

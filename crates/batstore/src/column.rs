@@ -120,11 +120,6 @@ impl Column {
         norm(self.col_type()) == norm(other.col_type())
     }
 
-    /// Compare elements `self[i]` vs `other[j]` with numeric coercion.
-    pub fn cmp_elem(&self, i: usize, other: &Column, j: usize) -> Option<Ordering> {
-        self.get(i).try_cmp(&other.get(j))
-    }
-
     /// Compare element `i` against a constant.
     pub fn cmp_val(&self, i: usize, v: &Val) -> Option<Ordering> {
         self.get(i).try_cmp(v)
@@ -382,15 +377,6 @@ impl Column {
         }
     }
 
-    /// OID value at position `i` when this column is a head (Void or Oid).
-    pub fn oid_at(&self, i: usize) -> Option<u64> {
-        match self {
-            Column::Void { seq, len } if i < *len => Some(seq + i as u64),
-            Column::Oid(v) => v.get(i).copied(),
-            _ => None,
-        }
-    }
-
     pub fn iter_vals(&self) -> impl Iterator<Item = Val> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
@@ -440,8 +426,6 @@ mod tests {
         assert_eq!(c.len(), 5);
         assert_eq!(c.byte_size(), 0);
         assert_eq!(c.get(2), Val::Oid(12));
-        assert_eq!(c.oid_at(4), Some(14));
-        assert_eq!(c.oid_at(5), None);
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //!   key-ness) used to pick algorithms,
 //! * [`ops`] — the operator library appearing in the paper's MAL plans
 //!   (`select`, `uselect`, `join`, `reverse`, `mark`, `mirror`, `semijoin`)
-//!   plus the usual analytic set (group/aggregate, sort, slice, topn),
+//!   plus the fused scan → group → aggregate operator, sort and slice,
 //! * [`Catalog`] / [`BatStore`] — schema.table.column → BAT binding
 //!   (the `sql.bind` of the plans),
 //! * [`storage`] — binary persistence (the "cold data on attached disks"
 //!   of the paper's data loader),
 //! * [`resultset`] — typed query results (named, typed columns plus
-//!   DDL/DML outcomes) with a binary wire form reusing the BAT encoding,
-//! * [`partition`] — horizontal fragmentation into ring-sized BATs.
+//!   DDL/DML outcomes) with a binary wire form reusing the BAT encoding.
 
 pub mod bat;
 pub mod catalog;
@@ -27,7 +26,6 @@ pub mod column;
 pub mod error;
 pub mod heap;
 pub mod ops;
-pub mod partition;
 pub mod resultset;
 pub mod storage;
 pub mod value;

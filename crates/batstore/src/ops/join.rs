@@ -54,14 +54,6 @@ pub fn join(l: &Bat, r: &Bat) -> Result<Bat> {
     )
 }
 
-/// Left outer join is intentionally absent from the paper's plans; what
-/// the front-end needs is `leftjoin`, MonetDB's name for the *inner* join
-/// that preserves the left order (which `join` already does here; provided
-/// as an alias for plan readability).
-pub fn leftjoin(l: &Bat, r: &Bat) -> Result<Bat> {
-    join(l, r)
-}
-
 /// The join against a dense head starting at `seq`: `oids` are `l`'s
 /// tail, and the BUN of `r` an oid names sits at `oid - seq`. An oid
 /// outside `r` matches nothing and its row drops out, as in any inner
@@ -281,13 +273,6 @@ mod tests {
         let l = Bat::dense(Column::from(vec![1, 2, 3]));
         let r = reverse(&Bat::dense(Column::from(vec![10, 20])));
         assert_eq!(join(&l, &r).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn leftjoin_alias() {
-        let l = Bat::dense(Column::from(vec![1, 2]));
-        let r = reverse(&Bat::dense(Column::from(vec![2])));
-        assert_eq!(leftjoin(&l, &r).unwrap().count(), join(&l, &r).unwrap().count());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! analytic set needed by the SQL front-end.
 //!
 //! Naming follows MonetDB's `algebra`/`bat` modules: `select`, `uselect`,
-//! `join`, `reverse`, `mark`, `mirror`, `semijoin`, `kdifference`,
-//! `slice`, plus group/aggregate and sort kernels — and one operator
+//! `join`, `reverse`, `mark`, `mirror`, `semijoin`, `kunion`, `slice`,
+//! plus sort and grouping kernels — and one operator
 //! MonetDB's algebra does not have: [`scan_aggregate`], which filters,
 //! groups and aggregates in one pass without materialising anything in
 //! between (what `sqlfront` emits for every aggregation).
@@ -30,20 +30,16 @@ mod select;
 mod setops;
 mod sort;
 
-pub use aggregate::{
-    avg, count, distinct, group_by, group_derive, grouped_avg, grouped_count, grouped_max,
-    grouped_min, grouped_sum, max, min, sum,
-};
+pub use aggregate::{group_by, grouped_sum};
 pub use fused::{scan_aggregate, Aggregate};
-pub use join::{join, leftjoin};
+pub use join::join;
 pub use mutate::{erase_rows, matching_rows, scatter_const, RowPredicate};
 pub use select::{select_range, theta_select, uselect, CmpOp};
-pub use setops::{kdifference, kintersect, kunion, semijoin};
-pub use sort::{sort_tail, topn};
+pub use setops::{kunion, semijoin};
+pub use sort::sort_tail;
 
 use crate::bat::{Bat, Props};
 use crate::column::Column;
-use crate::error::Result;
 
 /// `bat.reverse(b)`: swap head and tail. O(1) in MonetDB; here the void
 /// head must be materialized. What was claimed of the head now holds of
@@ -92,19 +88,6 @@ pub fn mark_head(b: &Bat, base: u64) -> Bat {
 /// (inclusive, MonetDB-style).
 pub fn slice(b: &Bat, lo: usize, hi: usize) -> Bat {
     b.slice(lo, hi.saturating_add(1))
-}
-
-/// `algebra.project(b, v)`: constant tail of `v` aligned with `b`'s head.
-pub fn project_const(b: &Bat, v: &crate::value::Val) -> Result<Bat> {
-    let ty = v
-        .col_type()
-        .ok_or_else(|| crate::error::BatError::Invalid("cannot project nil constant".into()))?;
-    let mut one = Column::empty(ty);
-    one.push(v)?;
-    let tail = one.gather_iter(std::iter::repeat_n(0, b.count()));
-    // Equal values are in order.
-    let props = Props { tail_sorted: true, ..b.props() };
-    Bat::with_props(b.head().clone(), tail, props)
 }
 
 #[cfg(test)]
@@ -158,13 +141,5 @@ mod tests {
         let s = slice(&b123(), 1, 2);
         assert_eq!(s.count(), 2);
         assert_eq!(s.bun(0).1, Val::Int(20));
-    }
-
-    #[test]
-    fn project_const_aligns() {
-        let p = project_const(&b123(), &Val::Int(7)).unwrap();
-        assert_eq!(p.count(), 3);
-        assert_eq!(p.bun(2), (Val::Oid(2), Val::Int(7)));
-        assert!(project_const(&b123(), &Val::Nil).is_err());
     }
 }

@@ -1,6 +1,5 @@
 //! Set-style operators keyed on the head column: `semijoin` (keep BUNs of
-//! `l` whose head appears in `r`'s head), `kdifference` (keep those that
-//! do not), `kintersect` (alias with MonetDB's historical name), `kunion`.
+//! `l` whose head appears in `r`'s head) and `kunion`.
 //!
 //! Membership is tested by what the two heads know about themselves
 //! (§3.1): `r`'s head `void` — a range test, no table at all; both heads
@@ -88,17 +87,6 @@ pub fn semijoin(l: &Bat, r: &Bat) -> Result<Bat> {
     keep_rows(l, &head_member_rows(l, r, true)?)
 }
 
-/// `algebra.kdifference(l, r)`: BUNs of `l` whose head does *not* occur
-/// among `r`'s heads.
-pub fn kdifference(l: &Bat, r: &Bat) -> Result<Bat> {
-    keep_rows(l, &head_member_rows(l, r, false)?)
-}
-
-/// MonetDB's `kintersect` — same as semijoin on heads.
-pub fn kintersect(l: &Bat, r: &Bat) -> Result<Bat> {
-    semijoin(l, r)
-}
-
 /// `algebra.kunion(l, r)`: all BUNs of `l`, plus those BUNs of `r` whose
 /// head does not occur in `l` (head-keyed set union, keeping `l`'s
 /// values on conflicts). The OR / IN-list kernel.
@@ -147,19 +135,6 @@ mod tests {
         assert_eq!(s.count(), 2);
         assert_eq!(s.bun(0), (Val::Oid(1), Val::Int(11)));
         assert_eq!(s.bun(1), (Val::Oid(3), Val::Int(13)));
-    }
-
-    #[test]
-    fn kdifference_complements_semijoin() {
-        let s = semijoin(&l(), &r()).unwrap();
-        let d = kdifference(&l(), &r()).unwrap();
-        assert_eq!(s.count() + d.count(), l().count());
-        assert_eq!(d.bun(0), (Val::Oid(0), Val::Int(10)));
-    }
-
-    #[test]
-    fn kintersect_is_semijoin() {
-        assert_eq!(kintersect(&l(), &r()).unwrap().count(), semijoin(&l(), &r()).unwrap().count());
     }
 
     #[test]

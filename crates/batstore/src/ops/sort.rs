@@ -1,7 +1,6 @@
-//! Ordering operators: stable sort on the tail and top-N selection.
+//! Ordering: a stable sort on the tail.
 
 use crate::bat::{Bat, Props};
-use crate::error::Result;
 
 /// `algebra.sortTail(b)`: BUNs reordered so the tail is non-decreasing
 /// (stable). `descending` flips the order.
@@ -15,13 +14,6 @@ pub fn sort_tail(b: &Bat, descending: bool) -> Bat {
     // A permutation keeps the heads distinct, not in order.
     let props = Props { tail_sorted: !descending, head_sorted: false, ..b.props() };
     Bat::with_props(head, tail, props).expect("permutation preserves length")
-}
-
-/// First `n` BUNs by tail order (ascending unless `descending`): the
-/// `ORDER BY … LIMIT n` kernel. Uses a full sort; n is small in practice.
-pub fn topn(b: &Bat, n: usize, descending: bool) -> Result<Bat> {
-    let sorted = sort_tail(b, descending);
-    Ok(sorted.slice(0, n))
 }
 
 #[cfg(test)]
@@ -53,18 +45,6 @@ mod tests {
         let b = Bat::dense(Column::from(vec![1, 2, 3]));
         let s = sort_tail(&b, false);
         assert_eq!(s, b);
-    }
-
-    #[test]
-    fn topn_limits() {
-        let b = Bat::dense(Column::from(vec![5, 3, 9, 1]));
-        let t = topn(&b, 2, false).unwrap();
-        assert_eq!(t.count(), 2);
-        assert_eq!(t.bun(0).1, Val::Int(1));
-        assert_eq!(t.bun(1).1, Val::Int(3));
-        let t = topn(&b, 100, true).unwrap();
-        assert_eq!(t.count(), 4, "n larger than input clamps");
-        assert_eq!(t.bun(0).1, Val::Int(9));
     }
 
     #[test]

@@ -79,18 +79,6 @@ impl ColType {
             _ => return None,
         })
     }
-
-    /// Fixed width in bytes of one element as stored (strings report the
-    /// pointer-side cost; their bytes live in the heap).
-    pub fn elem_width(self) -> usize {
-        match self {
-            ColType::Void => 0,
-            ColType::Oid | ColType::Lng | ColType::Dbl => 8,
-            ColType::Int | ColType::Date => 4,
-            ColType::Str => 4, // offset entry
-            ColType::Bool => 1,
-        }
-    }
 }
 
 impl fmt::Display for ColType {

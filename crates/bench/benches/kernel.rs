@@ -39,7 +39,6 @@ fn bench_group_aggregate(c: &mut Criterion) {
     c.bench_function("grouped_sum_1m", |b| {
         b.iter(|| black_box(ops::grouped_sum(&b1m, &grp, ext.count()).unwrap()))
     });
-    c.bench_function("sum_1m", |b| b.iter(|| black_box(ops::sum(&b1m).unwrap())));
 }
 
 fn bench_sort(c: &mut Criterion) {

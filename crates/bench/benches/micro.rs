@@ -18,8 +18,7 @@
 //!   algorithm a BAT's properties can select (`bench_kernels`): per-row
 //!   cost is the reading ÷ 65 536,
 //! * the fused scan → group → aggregate operator on a Q1, a Q6 and a
-//!   `count(*)` shape, each beside the chain of separate kernels it
-//!   replaces (`bench_fused`; run with `-- fused`).
+//!   `count(*)` shape (`bench_fused`; run with `-- fused`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use datacyclotron::msg::BatHeader;
@@ -198,7 +197,7 @@ fn bench_interpreter(c: &mut Criterion) {
     // dispatch overhead rather than kernel work.
     let mut text = String::from("function user.bench():void;\nX0 := io.stdout();\n");
     for i in 1..=63 {
-        text.push_str(&format!("X{i} := bat.pack({i});\n"));
+        text.push_str(&format!("X{i} := bat.literal(\"int\", {i});\n"));
     }
     text.push_str("end bench;\n");
     let prog = mal::parse_program(&text).unwrap();
@@ -284,16 +283,11 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("kernel_group_by_6000_keys_64k", |b| {
         b.iter(|| black_box(ops::group_by(&many)))
     });
-    let (grp, _) = ops::group_by(&strs);
-    c.bench_function("kernel_group_derive_6_x_10000_keys_64k", |b| {
-        b.iter(|| black_box(ops::group_derive(&ints, &grp).unwrap()))
-    });
 }
 
-/// The fused scan → group → aggregate operator at 64 k rows, each shape
-/// beside the chain of separate kernels `sqlfront` emitted for it before
-/// (`cargo bench -p dc-bench --bench micro -- fused`): per-row cost is
-/// the reading ÷ 65 536.
+/// The fused scan → group → aggregate operator at 64 k rows (`cargo bench
+/// -p dc-bench --bench micro -- fused`): per-row cost is the reading ÷
+/// 65 536.
 fn bench_fused(c: &mut Criterion) {
     use batstore::ops::{self, Aggregate, CmpOp, RowPredicate};
     use batstore::{Bat, Column, Val};
@@ -322,10 +316,8 @@ fn bench_fused(c: &mut Criterion) {
         lng(6, 100_000),
         lng(7, 11),
     ];
-    let [shipdate, flag, status, quantity, price, discount] = &cols;
     let table = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&cols[i]));
     let column = |i: usize| i.to_string();
-    let fetch = |rows: &Bat, col: &Bat| ops::join(rows, col).unwrap();
 
     // Q1: one `<=` conjunct nearly every row passes, two string keys,
     // three sums and a count.
@@ -342,25 +334,6 @@ fn bench_fused(c: &mut Criterion) {
             black_box(ops::scan_aggregate(&table, N, &q1_pred, &["1", "2"], &q1_aggs).unwrap())
         })
     });
-    c.bench_function("fused/q1_shape_chain", |b| {
-        b.iter(|| {
-            let sel = ops::theta_select(shipdate, CmpOp::Le, &cutoff).unwrap();
-            let rows = ops::reverse(&ops::mark_tail(&sel, 0));
-            let (k1, k2) = (fetch(&rows, flag), fetch(&rows, status));
-            let (g1, _) = ops::group_by(&k1);
-            let (grp, ext) = ops::group_derive(&k2, &g1).unwrap();
-            let n = ext.count();
-            black_box((
-                fetch(&ext, &k1),
-                fetch(&ext, &k2),
-                ops::grouped_sum(&fetch(&rows, quantity), &grp, n).unwrap(),
-                ops::grouped_sum(&fetch(&rows, price), &grp, n).unwrap(),
-                ops::grouped_sum(&fetch(&rows, discount), &grp, n).unwrap(),
-                ops::grouped_count(&grp, n).unwrap(),
-            ))
-        })
-    });
-
     // Q6: three conjuncts that together keep about one row in fifty,
     // ungrouped.
     let between = |i: usize, lo: i32, hi: i32| RowPredicate::Between {
@@ -377,23 +350,8 @@ fn bench_fused(c: &mut Criterion) {
     c.bench_function("fused/q6_shape", |b| {
         b.iter(|| black_box(ops::scan_aggregate(&table, N, &q6_preds, &[], &q6_aggs).unwrap()))
     });
-    c.bench_function("fused/q6_shape_chain", |b| {
-        b.iter(|| {
-            let year =
-                ops::select_range(shipdate, &Val::Int(19_940_101), &Val::Int(19_941_231)).unwrap();
-            let disc = ops::select_range(discount, &Val::Int(5), &Val::Int(7)).unwrap();
-            let qty = ops::theta_select(quantity, CmpOp::Lt, &Val::Int(24)).unwrap();
-            let sel = ops::semijoin(&ops::semijoin(&year, &disc).unwrap(), &qty).unwrap();
-            let rows = ops::reverse(&ops::mark_tail(&sel, 0));
-            black_box((ops::sum(&fetch(&rows, price)).unwrap(), ops::count(&rows)))
-        })
-    });
-
     c.bench_function("fused/count_star", |b| {
         b.iter(|| black_box(ops::scan_aggregate(&table, N, &[], &[], &[Aggregate::Count]).unwrap()))
-    });
-    c.bench_function("fused/count_star_chain", |b| {
-        b.iter(|| black_box(ops::count(&ops::mirror(shipdate))))
     });
 }
 

@@ -93,17 +93,6 @@ impl RingCatalog {
         })
     }
 
-    /// Distinct owner nodes across every published fragment — the live
-    /// estimate of the ring width `p` for the Beame et al. join-cost
-    /// rule (gossip is the only ring-membership signal a node has).
-    pub fn distinct_owners(&self) -> usize {
-        let cols = self.cols.read();
-        let mut owners: Vec<NodeId> = cols.values().map(|i| i.owner).collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners.len()
-    }
-
     /// How many of the given fragments each node owns (the data term of a
     /// §6.1 bid).
     pub fn owner_counts(&self, bats: &[BatId]) -> HashMap<NodeId, usize> {
@@ -341,43 +330,14 @@ pub enum Cmd {
 
 /// The [`DcHooks`] implementation wired into MAL plans on ring nodes.
 pub struct RingHooks {
-    pub node: NodeId,
     pub tx: Sender<super::engine::NodeEvent>,
     pub catalog: Arc<RingCatalog>,
     pub pin_timeout: Duration,
     /// The node's telemetry registry; `dc.*` system views read from it.
     pub obs: Arc<dc_obs::Registry>,
-    joins: JoinCounters,
-}
-
-/// The `ring_join*` counters, resolved once at spawn so a planned join
-/// costs atomic bumps, not registry lookups.
-struct JoinCounters {
-    colocated: Arc<dc_obs::Counter>,
-    routed: Arc<dc_obs::Counter>,
-    broadcast: Arc<dc_obs::Counter>,
-    shuffle: Arc<dc_obs::Counter>,
-    bytes_planned: Arc<dc_obs::Counter>,
 }
 
 impl RingHooks {
-    pub fn new(
-        node: NodeId,
-        tx: Sender<super::engine::NodeEvent>,
-        catalog: Arc<RingCatalog>,
-        pin_timeout: Duration,
-        obs: Arc<dc_obs::Registry>,
-    ) -> Self {
-        let joins = JoinCounters {
-            colocated: obs.counter("ring_joins_colocated"),
-            routed: obs.counter("ring_joins_routed"),
-            broadcast: obs.counter("ring_joins_broadcast"),
-            shuffle: obs.counter("ring_joins_shuffle"),
-            bytes_planned: obs.counter("ring_join_bytes_planned"),
-        };
-        RingHooks { node, tx, catalog, pin_timeout, obs, joins }
-    }
-
     /// Snapshot the event loop's protocol counters (the same round trip
     /// [`crate::RingNode::stats`] makes). Safe to call from a MAL sink:
     /// plans run on caller threads, so the event loop is free to answer.
@@ -448,51 +408,6 @@ impl DcHooks for RingHooks {
     fn unpin(&self, query: u64, ticket: u64) -> Result<(), MalError> {
         let bat = self.bat_of_ticket(ticket)?;
         self.send(Cmd::Unpin { query: QueryId(query), bat })
-    }
-
-    /// Classify one planned equi-join against the live ring state. The
-    /// compile-time strategy (from the metadata replica's row counts) is
-    /// re-derived from the gossiped fragment sizes when available —
-    /// replicas may compile before any data lands — and the join is
-    /// counted co-located (both sides owned here: no ring movement
-    /// needed) or routed (at least one side circulates in).
-    #[allow(clippy::too_many_arguments)]
-    fn join_plan(
-        &self,
-        _query: u64,
-        schema: &str,
-        ltab: &str,
-        lcol: &str,
-        rtab: &str,
-        rcol: &str,
-        strategy: &str,
-        est_bytes: u64,
-    ) -> Result<(), MalError> {
-        let l = self.catalog.lookup(schema, ltab, lcol);
-        let r = self.catalog.lookup(schema, rtab, rcol);
-        let (strategy, planned_bytes) = match (&l, &r) {
-            (Some(l), Some(r)) if l.size + r.size > 0 => {
-                // Beame/Koutris/Suciu: broadcast the smaller side
-                // (p·min(|R|,|S|) bytes) vs. hash-shuffle both sides
-                // (|R|+|S| bytes); pick the cheaper.
-                let p = self.catalog.distinct_owners().max(1) as u64;
-                let broadcast = p * l.size.min(r.size);
-                let shuffle = l.size + r.size;
-                if broadcast <= shuffle {
-                    ("broadcast", broadcast)
-                } else {
-                    ("shuffle", shuffle)
-                }
-            }
-            _ => (strategy, est_bytes),
-        };
-        let colocated = matches!((&l, &r),
-            (Some(l), Some(r)) if l.owner == self.node && r.owner == self.node);
-        let j = &self.joins;
-        (if colocated { &j.colocated } else { &j.routed }).inc();
-        (if strategy == "broadcast" { &j.broadcast } else { &j.shuffle }).inc();
-        j.bytes_planned.add(planned_bytes);
-        Ok(())
     }
 
     fn create_table(
@@ -724,7 +639,7 @@ mod tests {
         catalog.publish("sys", "t", "id", info);
         let (tx, rx) = crossbeam::channel::unbounded();
         let obs = Arc::new(dc_obs::Registry::new(0));
-        let hooks = RingHooks::new(NodeId(0), tx, catalog, Duration::from_millis(10), obs);
+        let hooks = RingHooks { tx, catalog, pin_timeout: Duration::from_millis(10), obs };
         // The ten-thousandth statement gets the ticket the first one got:
         // it is a function of the catalog, not of what was asked before.
         for query in 0..10_000 {

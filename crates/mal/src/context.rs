@@ -31,28 +31,6 @@ pub trait DcHooks: Send + Sync {
     /// region may be reclaimed once all pins are gone.
     fn unpin(&self, query: u64, ticket: u64) -> Result<()>;
 
-    /// `datacyclotron.joinplan(schema, ltab, lcol, rtab, rcol, strategy,
-    /// est_bytes)`: planner annotation for one equi-join. Codegen chose
-    /// `strategy` ("shuffle" or "broadcast") from its compile-time
-    /// catalog size estimates; a ring seam re-validates against the live
-    /// gossiped fragment sizes, classifies the join as co-located vs.
-    /// routed, and feeds the telemetry counters. Purely observational —
-    /// the default is a no-op so in-process execution needs nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn join_plan(
-        &self,
-        _query: u64,
-        _schema: &str,
-        _ltab: &str,
-        _lcol: &str,
-        _rtab: &str,
-        _rcol: &str,
-        _strategy: &str,
-        _est_bytes: u64,
-    ) -> Result<()> {
-        Ok(())
-    }
-
     /// `sql.createTable`: register a new table. On a ring node this
     /// makes the node the owner of the (empty) column fragments and
     /// replicates the metadata around the ring.

@@ -25,46 +25,11 @@ use crate::modules::Registry;
 use crate::value::MVal;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Variable environment after a successful run; index by `VarId`. It
 /// holds what is still live then: a value every reader of which has run
 /// was freed on the way.
 pub type Env = Vec<Option<MVal>>;
-
-/// A reusable interpreter (registry + thread budget).
-pub struct Interpreter {
-    registry: Arc<Registry>,
-    pub threads: usize,
-}
-
-impl Default for Interpreter {
-    fn default() -> Self {
-        Interpreter::new()
-    }
-}
-
-impl Interpreter {
-    pub fn new() -> Self {
-        Interpreter { registry: Arc::new(Registry::standard()), threads: 4 }
-    }
-
-    pub fn with_registry(registry: Registry) -> Self {
-        Interpreter { registry: Arc::new(registry), threads: 4 }
-    }
-
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    pub fn run(&self, prog: &Program, ctx: &SessionCtx) -> Result<Env> {
-        run_dataflow_with(prog, &prog.params, ctx, &self.registry, self.threads)
-    }
-
-    pub fn run_seq(&self, prog: &Program, ctx: &SessionCtx) -> Result<Env> {
-        run_sequential_with(prog, &prog.params, ctx, &self.registry)
-    }
-}
 
 fn const_val(c: &Const) -> MVal {
     match c {
@@ -490,6 +455,7 @@ mod tests {
     use crate::parser::{parse_program, PAPER_TABLE1};
     use batstore::{BatStore, Catalog, Column};
     use parking_lot::RwLock;
+    use std::sync::Arc;
 
     fn paper_ctx() -> SessionCtx {
         let mut catalog = Catalog::new();
@@ -601,14 +567,15 @@ mod tests {
     #[test]
     fn unread_results_are_dropped_and_live_ones_returned() {
         // X1 is read by nothing and goes at once; nothing is left over.
-        let prog = parse_program("function user.q():void;\nX1 := bat.pack(7);\nend q;").unwrap();
+        let prog = parse_program("function user.q():void;\nX1 := bat.literal(\"int\", 7);\nend q;")
+            .unwrap();
         let ctx = paper_ctx();
         assert_eq!(reader_counts(&prog), vec![0]);
         assert!(run_sequential(&prog, &ctx).unwrap()[0].is_none());
         // A value read twice by one instruction is counted twice and
         // released once, after that instruction.
         let prog = parse_program(
-            "function user.q():void;\nX1 := bat.pack(7);\nX2 := algebra.kunion(X1, X1);\nio.print(X2);\nend q;",
+            "function user.q():void;\nX1 := bat.literal(\"int\", 7);\nX2 := algebra.kunion(X1, X1);\nio.print(X2);\nend q;",
         )
         .unwrap();
         assert_eq!(reader_counts(&prog), vec![2, 1]);
@@ -835,15 +802,5 @@ mod tests {
         let prog = parse_program("function user.q():void;\nend q;").unwrap();
         let ctx = paper_ctx();
         assert!(run_dataflow(&prog, &ctx, 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn interpreter_facade() {
-        let interp = Interpreter::new();
-        let prog = parse_program(PAPER_TABLE1).unwrap();
-        let ctx = paper_ctx();
-        interp.run(&prog, &ctx).unwrap();
-        assert!(ctx.take_output().contains("[ 3 ]"));
-        assert!(interp.registry().len() > 10);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`interp`] — a sequential and a dataflow-parallel interpreter with a
 //!   per-instruction overhead well under the paper's 1 µs budget,
 //! * [`modules`] — the built-in operator modules (`bat`, `algebra`,
-//!   `aggr`, `group`, `sql`, `io`) bound to the `batstore` kernel, and the
+//!   `aggr`, `sql`, `io`) bound to the `batstore` kernel, and the
 //!   `datacyclotron` module bound to a [`context::DcHooks`] implementation
 //!   provided by the ring engine,
 //! * [`optimizer`] — the Data Cyclotron optimizer of §4.1: every
@@ -33,7 +33,7 @@ pub mod value;
 pub use ast::{Arg, Const, Instr, Program, VarId};
 pub use context::{DcHooks, LocalHooks, SessionCtx};
 pub use error::{MalError, Result};
-pub use interp::{run_dataflow, run_dataflow_bound, run_sequential, Interpreter};
+pub use interp::{run_dataflow, run_dataflow_bound, run_sequential};
 pub use optimizer::{
     common_subexpression_eliminate, dc_optimize, dead_code_eliminate, expression_key,
 };

@@ -71,7 +71,7 @@ pub fn dc_optimize(prog: &Program) -> Program {
 /// Only pure modules participate — `sql`, `io` and `datacyclotron` calls
 /// have effects (or, for `pin`, blocking semantics) and are never merged.
 pub fn common_subexpression_eliminate(prog: &Program) -> Program {
-    const PURE_MODULES: &[&str] = &["bat", "algebra", "aggr", "group"];
+    const PURE_MODULES: &[&str] = &["bat", "algebra", "aggr"];
     let mut out = prog.empty_like();
     // Value numbering: canonical expression text → the vars holding it.
     let mut value_of: HashMap<String, Vec<VarId>> = HashMap::new();

@@ -114,20 +114,6 @@ impl MVal {
             _ => None,
         }
     }
-
-    /// Convert a kernel scalar into a MAL value.
-    pub fn from_val(v: Val) -> MVal {
-        match v {
-            Val::Nil => MVal::Void,
-            Val::Oid(o) => MVal::Oid(o),
-            Val::Int(i) => MVal::Int(i as i64),
-            Val::Lng(l) => MVal::Int(l),
-            Val::Dbl(d) => MVal::Dbl(d),
-            Val::Str(s) => MVal::Str(s),
-            Val::Bool(b) => MVal::Bool(b),
-            Val::Date(d) => MVal::Int(d as i64),
-        }
-    }
 }
 
 impl fmt::Debug for MVal {
@@ -172,14 +158,6 @@ mod tests {
         assert!(out.contains("% sys.c.t_id"), "{out}");
         assert!(out.contains("% int"), "{out}");
         assert!(out.contains("[ 7 ]"), "{out}");
-    }
-
-    #[test]
-    fn from_val_conversions() {
-        assert!(matches!(MVal::from_val(Val::Int(3)), MVal::Int(3)));
-        assert!(matches!(MVal::from_val(Val::Lng(5)), MVal::Int(5)));
-        assert!(matches!(MVal::from_val(Val::Nil), MVal::Void));
-        assert!(matches!(MVal::from_val(Val::from("x")), MVal::Str(_)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Measurement collection for the paper's figures and tables.
 
-use datacyclotron::{BatId, NodeStats};
+use datacyclotron::NodeStats;
 use netsim::metrics::TimeSeries;
 use std::collections::BTreeMap;
 
@@ -78,10 +78,6 @@ impl Measurements {
     /// Queries finished by `t` seconds (reading the cumulative series).
     pub fn finished_at(&self, t: f64) -> f64 {
         self.finished.value_at(t).unwrap_or(0.0)
-    }
-
-    pub fn max_latency_of(&self, bat: BatId) -> Option<f64> {
-        self.max_request_latency.get(&bat.0).copied()
     }
 }
 

@@ -35,7 +35,8 @@
 //! ```
 //!
 //! Over a join the same instruction takes the join result's projected
-//! columns and no predicate. `group.*` is emitted for DISTINCT only.
+//! columns and no predicate. DISTINCT is that instruction with keys and
+//! no aggregate, over the output columns.
 
 use crate::ast::*;
 use crate::err;
@@ -330,67 +331,8 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    /// Estimated resident bytes of one join column: catalog row count ×
-    /// the column type's in-memory width. The compile-time input to the
-    /// shuffle-vs-broadcast decision; the ring seam re-validates against
-    /// live gossiped fragment sizes when the plan runs.
-    fn column_bytes(&self, ti: usize, column: &str) -> Result<u64> {
-        let t = &self.tables[ti].tref;
-        let def = self.g.catalog.table(&t.schema, &t.table)?;
-        let width: u64 = match self.column_type(ti, column)? {
-            ColType::Bool => 1,
-            ColType::Int | ColType::Date => 4,
-            // Strings are heap values; 16 bytes is the planning estimate.
-            ColType::Str => 16,
-            ColType::Void | ColType::Oid | ColType::Lng | ColType::Dbl => 8,
-        };
-        Ok(def.row_count as u64 * width)
-    }
-
-    /// Annotate one equi-join with its distribution strategy, chosen per
-    /// Beame/Koutris/Suciu ("Communication Cost in Parallel Query
-    /// Processing"): over `p` nodes, broadcasting the smaller side moves
-    /// `p·min(|R|,|S|)` bytes while hash-shuffling both sides moves
-    /// `|R|+|S|`; take whichever is cheaper. The annotation is a
-    /// void-target `datacyclotron.joinplan` call — impure module, so CSE
-    /// and DCE leave it alone — that the execution seam turns into
-    /// co-located/routed classification and telemetry.
-    fn emit_join_plan(&mut self, li: usize, lcol: &str, ri: usize, rcol: &str) -> Result<()> {
-        // The planning ring size: the paper's deployment unit is a
-        // 3-node ring (our acceptance suite); the ring seam recomputes
-        // with the actual ring width at run time.
-        const PLANNED_RING_NODES: u64 = 3;
-        let lb = self.column_bytes(li, lcol)?;
-        let rb = self.column_bytes(ri, rcol)?;
-        let broadcast_cost = PLANNED_RING_NODES * lb.min(rb);
-        let shuffle_cost = lb + rb;
-        let (strategy, moved) = if broadcast_cost <= shuffle_cost {
-            ("broadcast", broadcast_cost)
-        } else {
-            ("shuffle", shuffle_cost)
-        };
-        let schema = self.tables[li].tref.schema.clone();
-        let ltab = self.tables[li].tref.table.clone();
-        let rtab = self.tables[ri].tref.table.clone();
-        self.g.emit_void(
-            "datacyclotron",
-            "joinplan",
-            vec![
-                Gen::cstr(&schema),
-                Gen::cstr(&ltab),
-                Gen::cstr(lcol),
-                Gen::cstr(&rtab),
-                Gen::cstr(rcol),
-                Gen::cstr(strategy),
-                Gen::cint(moved.min(i64::MAX as u64) as i64),
-            ],
-        );
-        Ok(())
-    }
-
     /// First join: `(oidL → oidR)` pairs, then row maps via markT/markH.
     fn first_join(&mut self, li: usize, lcol: &str, ri: usize, rcol: &str) -> Result<()> {
-        self.emit_join_plan(li, lcol, ri, rcol)?;
         let lb = self.bind(li, lcol)?;
         let lb = self.selected(li, lb);
         let rb = self.bind(ri, rcol)?;
@@ -413,7 +355,6 @@ impl<'a> Compiler<'a> {
     /// `joined.jcol = new.ncol`; renumbers the result space and composes
     /// all existing row maps.
     fn extend_join(&mut self, ji: usize, jcol: &str, ni: usize, ncol: &str) -> Result<()> {
-        self.emit_join_plan(ji, jcol, ni, ncol)?;
         let jmap = self.tables[ji].rowmap.expect("caller checked");
         let jb = self.bind(ji, jcol)?;
         // (res→val) for the joined side.
@@ -557,9 +498,7 @@ pub fn compile(q: &Query, catalog: &Catalog) -> Result<Program> {
         }
     }
 
-    // SELECT DISTINCT (non-aggregate queries): group the output columns
-    // and keep one representative row per group.
-    if q.distinct && !q.has_aggregates() {
+    if q.distinct {
         apply_distinct(&mut c, &mut outs);
     }
 
@@ -604,44 +543,18 @@ fn agg_result_type(f: AggFn, input: ColType) -> &'static str {
     }
 }
 
-/// Deduplicate the output columns: chain `group.new`/`group.derive`
-/// over them, then re-project every column through the representative
-/// rows (`ext` maps group → representative row position).
+/// SELECT DISTINCT, after any aggregation: one keys-only `aggr.scan`
+/// over the output columns, which keeps each distinct row once, in the
+/// order it first appears.
 fn apply_distinct(c: &mut Compiler, outs: &mut [OutCol]) {
-    let grp0 = c.g.fresh();
-    let ext0 = c.g.fresh();
-    c.g.prog.push(Instr {
-        targets: vec![grp0, ext0],
-        module: "group".into(),
-        func: "new".into(),
-        args: vec![Arg::Var(outs[0].var)],
-    });
-    let mut grp = grp0;
-    for o in outs.iter().skip(1) {
-        let g2 = c.g.fresh();
-        let e2 = c.g.fresh();
-        c.g.prog.push(Instr {
-            targets: vec![g2, e2],
-            module: "group".into(),
-            func: "derive".into(),
-            args: vec![Arg::Var(o.var), Arg::Var(grp)],
-        });
-        grp = g2;
-    }
-    if outs.len() == 1 {
-        // group.new's ext is already (group → value).
-        outs[0].var = ext0;
-        return;
-    }
-    // Representative row positions come from the final derive's ext; we
-    // recompute it as mirror-of-groups to keep the single-column case
-    // simple: mark one row per group via ext of the last derive.
-    // The last pushed instruction's second target is that ext.
-    let last = c.g.prog.instrs.last().expect("derive pushed");
-    let ext = last.targets[1];
+    let mut args = vec![Arg::Var(outs[0].var), Gen::cstr("by")];
+    args.extend(outs.iter().map(|o| Arg::Var(o.var)));
+    let mut targets = Vec::with_capacity(outs.len());
     for o in outs.iter_mut() {
-        o.var = c.g.emit("algebra", "join", vec![Arg::Var(ext), Arg::Var(o.var)]);
+        o.var = c.g.fresh();
+        targets.push(o.var);
     }
+    c.g.prog.push(Instr { targets, module: "aggr".into(), func: "scan".into(), args });
 }
 
 /// Every aggregating SELECT ends in one `aggr.scan`: the conjunction of

@@ -45,11 +45,6 @@ pub fn sweep(
         .collect()
 }
 
-/// The paper's sweep: 5, 10, 15, 20 nodes.
-pub fn paper_sweep(seed: u64) -> Vec<ScalePoint> {
-    sweep(&[5, 10, 15, 20], 400.0, SimDuration::from_secs(60), seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

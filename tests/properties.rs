@@ -339,13 +339,12 @@ proptest! {
         }
         prop_assert_eq!(buns(&joined), want);
         assert_claims(&joined, "join");
-        prop_assert_eq!(buns(&ops::leftjoin(&l, &r).unwrap()), buns(&joined));
     }
 
-    /// `semijoin` / `kdifference` / `kunion` against a set of head
-    /// values, on the range test (dense right head), the merge (both
-    /// heads ascending) and the hash path — and the merge and hash paths
-    /// agree with each other on the same BUNs.
+    /// `semijoin` / `kunion` against a set of head values, on the range
+    /// test (dense right head), the merge (both heads ascending) and the
+    /// hash path — and the merge and hash paths agree with each other on
+    /// the same BUNs.
     #[test]
     fn set_operation_paths_agree_with_a_btreeset(
         ty in 0usize..8,
@@ -369,38 +368,31 @@ proptest! {
         let r = Bat::new(rhead, column(ColType::Int, &rpicks)).unwrap();
         let heads = |b: &Bat| -> BTreeSet<String> { buns(b).into_iter().map(|(h, _)| h).collect() };
         let (in_l, in_r) = (heads(&l), heads(&r));
-        let l_rows = |keep: bool| -> Vec<usize> {
-            (0..l.count()).filter(|&i| in_r.contains(&canon(l.head().get(i))) == keep).collect()
-        };
+        let l_rows: Vec<usize> =
+            (0..l.count()).filter(|&i| in_r.contains(&canon(l.head().get(i)))).collect();
         let semi = ops::semijoin(&l, &r).unwrap();
-        let diff = ops::kdifference(&l, &r).unwrap();
-        prop_assert_eq!(buns(&semi), rows_of(&l, &l_rows(true)));
-        prop_assert_eq!(buns(&diff), rows_of(&l, &l_rows(false)));
-        prop_assert_eq!(buns(&ops::kintersect(&l, &r).unwrap()), buns(&semi));
+        prop_assert_eq!(buns(&semi), rows_of(&l, &l_rows));
         let union = ops::kunion(&l, &r).unwrap();
         let added: Vec<usize> =
             (0..r.count()).filter(|&i| !in_l.contains(&canon(r.head().get(i)))).collect();
         let mut want = buns(&l);
         want.extend(rows_of(&r, &added));
         prop_assert_eq!(buns(&union), want);
-        for (what, out) in [("semijoin", &semi), ("kdifference", &diff), ("kunion", &union)] {
+        for (what, out) in [("semijoin", &semi), ("kunion", &union)] {
             assert_claims(out, what);
         }
         // The same right side with its order — and the claim that picks
         // the merge — undone takes the hash path to the same answer.
         let undone = r.gather(&(0..r.count()).rev().collect::<Vec<_>>());
         prop_assert_eq!(buns(&ops::semijoin(&l, &undone).unwrap()), buns(&semi));
-        prop_assert_eq!(buns(&ops::kdifference(&l, &undone).unwrap()), buns(&diff));
     }
 
-    /// `group.new` and `group.derive` number groups in first-appearance
-    /// order, exactly as a `BTreeMap` from key to next-free id does.
+    /// `group_by` numbers groups in first-appearance order, exactly as a
+    /// `BTreeMap` from key to next-free id does.
     #[test]
     fn grouping_equals_a_btreemap_in_first_appearance_order(
         ty in 0usize..8,
-        refine_ty in 0usize..8,
         picks in prop::collection::vec(any::<u32>(), 0..120),
-        refine in prop::collection::vec(any::<u32>(), 120),
     ) {
         use kernels::*;
         use std::collections::BTreeMap;
@@ -424,16 +416,7 @@ proptest! {
         prop_assert_eq!(grp.head(), b.head());
         let ext_keys: Vec<String> = (0..ext.count()).map(|g| canon(ext.tail().get(g))).collect();
         prop_assert_eq!(ext_keys, reps.iter().map(|&i| key(i)).collect::<Vec<_>>());
-        prop_assert_eq!(buns(&ops::distinct(&b)), buns(&ext));
-
-        let other = Bat::dense_from(7, column(TYPES[refine_ty], &refine[..picks.len()]));
-        let (grp2, ext2) = ops::group_derive(&other, &grp).unwrap();
-        let (gids2, reps2) =
-            number((0..b.count()).map(|i| (gids[i], canon(other.tail().get(i)))));
-        prop_assert_eq!(grp2.tail().as_oid().unwrap(), &gids2[..]);
-        let reps2: Vec<u64> = reps2.into_iter().map(|i| i as u64).collect();
-        prop_assert_eq!(ext2.tail().as_oid().unwrap(), &reps2[..]);
-        for (what, out) in [("grp", &grp), ("ext", &ext), ("grp'", &grp2), ("ext'", &ext2)] {
+        for (what, out) in [("grp", &grp), ("ext", &ext)] {
             assert_claims(out, what);
         }
     }
@@ -441,11 +424,8 @@ proptest! {
 
 // ---- the fused scan → group → aggregate operator --------------------------
 //
-// Held to the algebra it replaced, two ways: the kernel against a
-// row-at-a-time evaluation written here over `Val`s (cell for cell, error
-// for error), and the plan `sqlfront` emits against the chain of separate
-// instructions it used to emit, written out here in textual MAL (BUN for
-// BUN).
+// Held to a row-at-a-time evaluation written here over `Val`s: cell for
+// cell, error for error.
 
 mod fused {
     use super::kernels::{canon, column, comparable, constant};
@@ -680,9 +660,10 @@ mod fused {
 proptest! {
     /// Column types × 0–3 conjuncts of every kind and constant type
     /// (mixed int/`dbl` bounds, out-of-range and mismatched literals in
-    /// any position, empty IN lists) × 0–3 keys × every aggregate, over
-    /// tables of up to three batches: the fused kernel answers what the
-    /// row-at-a-time evaluation answers, or fails the way it fails.
+    /// any position, empty IN lists) × 0–3 keys × every aggregate — or,
+    /// with a key, none at all (DISTINCT) — over tables of up to three
+    /// batches: the fused kernel answers what the row-at-a-time evaluation
+    /// answers, or fails the way it fails.
     #[test]
     fn fused_kernel_equals_a_row_at_a_time_evaluation(
         picks in prop::collection::vec(any::<u32>(), 0..700),
@@ -695,7 +676,8 @@ proptest! {
         let cols = table(&picks);
         let preds: Vec<_> = (0..dice.roll(4)).map(|_| predicate(&mut dice)).collect();
         let keys: Vec<usize> = (0..dice.roll(4)).map(|_| dice.roll(TYPES.len())).collect();
-        let aggs: Vec<_> = (0..1 + dice.roll(4)).map(|_| aggregate(&mut dice)).collect();
+        let n_aggs = if keys.is_empty() { 1 + dice.roll(4) } else { dice.roll(5) };
+        let aggs: Vec<_> = (0..n_aggs).map(|_| aggregate(&mut dice)).collect();
 
         let bats: Vec<Arc<Bat>> = cols.iter().map(|c| Arc::new(Bat::dense(c.clone()))).collect();
         let lookup = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&bats[i]));
@@ -720,516 +702,6 @@ proptest! {
             }
             (Err(got), Err(want)) => prop_assert_eq!(failure(&got), want, "{}: {}", what, got),
             (got, want) => panic!("{what}: kernel {got:?}, row at a time {want:?}"),
-        }
-    }
-}
-
-/// Statements over `t (c0 int, c1 lng, c2 dbl, c3 date, c4 str, c5 bit)`
-/// — optionally joined with `u (k int, w lng)` on `t.c0 = u.k` — rendered
-/// twice: as SQL, which `sqlfront` compiles to the fused instruction, and
-/// as the textual MAL plan `sqlfront` emitted for the same statement
-/// before: selections intersected by `semijoin`, a row map, one
-/// projection per column, `group.new`/`group.derive`, `aggr.*For` (or
-/// `aggr.*` and `bat.pack` without keys), then the same ORDER BY / LIMIT /
-/// result-set plumbing.
-mod plans {
-    use super::fused::{Dice, TYPES};
-    use batstore::ColType;
-    use std::collections::HashMap;
-    use std::fmt::Write;
-
-    /// `u.w` and `u.k`, as column numbers.
-    const W: usize = 6;
-    const K: usize = 7;
-
-    fn column_type(c: usize) -> ColType {
-        if c == W {
-            ColType::Lng
-        } else {
-            TYPES[c]
-        }
-    }
-
-    fn sql_name(c: usize) -> String {
-        if c == W {
-            "u.w".into()
-        } else {
-            format!("t.c{c}")
-        }
-    }
-
-    fn bare_name(c: usize) -> String {
-        if c == W {
-            "w".into()
-        } else {
-            format!("c{c}")
-        }
-    }
-
-    pub enum Cond {
-        Cmp(usize, &'static str, &'static str),
-        Between(usize, &'static str, &'static str),
-        In(usize, Vec<&'static str>),
-    }
-
-    #[derive(Clone, Copy, PartialEq)]
-    pub enum Agg {
-        CountStar,
-        Count(usize),
-        Sum(usize),
-        Avg(usize),
-        Min(usize),
-        Max(usize),
-    }
-
-    impl Agg {
-        /// `(function, column)`; `count(*)` has no column.
-        fn parts(self) -> (&'static str, Option<usize>) {
-            match self {
-                Agg::CountStar => ("count", None),
-                Agg::Count(c) => ("count", Some(c)),
-                Agg::Sum(c) => ("sum", Some(c)),
-                Agg::Avg(c) => ("avg", Some(c)),
-                Agg::Min(c) => ("min", Some(c)),
-                Agg::Max(c) => ("max", Some(c)),
-            }
-        }
-
-        /// The result column's name.
-        fn name(self) -> String {
-            match self.parts() {
-                (f, None) => f.into(),
-                (f, Some(c)) => format!("{f}_{}", bare_name(c)),
-            }
-        }
-
-        fn sql(self) -> String {
-            match self.parts() {
-                (f, None) => format!("{f}(*)"),
-                (f, Some(c)) => format!("{f}({})", sql_name(c)),
-            }
-        }
-
-        /// The declared type of the result.
-        fn result_type(self) -> &'static str {
-            match self {
-                Agg::CountStar | Agg::Count(_) => "lng",
-                Agg::Avg(_) => "dbl",
-                Agg::Sum(c) if column_type(c) == ColType::Dbl => "dbl",
-                Agg::Sum(_) => "lng",
-                Agg::Min(c) | Agg::Max(c) => column_type(c).name(),
-            }
-        }
-    }
-
-    pub struct Stmt {
-        pub join: bool,
-        pub conds: Vec<Cond>,
-        pub keys: Vec<usize>,
-        pub aggs: Vec<Agg>,
-        /// ORDER BY the first select item, descending or not.
-        pub order: Option<bool>,
-        pub limit: Option<usize>,
-    }
-
-    /// A literal for a column of type `ty`: mostly of a type that
-    /// compares with it (an `int` column also meets `lng`-range and `dbl`
-    /// constants), one in ten of the other kind. All are written alike in
-    /// SQL and in MAL, but for the quotes.
-    fn literal(dice: &mut Dice<'_>, ty: ColType) -> &'static str {
-        const NUMBERS: [&str; 12] = [
-            "-3",
-            "0",
-            "1",
-            "2",
-            "3",
-            "7",
-            "2147483647",
-            "5000000000",
-            "-9000000000",
-            "9007199254740993",
-            "2.5",
-            "-1.5",
-        ];
-        const STRINGS: [&str; 5] = ["'a'", "'ab'", "'N'", "''", "'b'"];
-        let strings = (ty == ColType::Str) != (dice.roll(10) == 0);
-        if strings {
-            STRINGS[dice.roll(STRINGS.len())]
-        } else {
-            NUMBERS[dice.roll(NUMBERS.len())]
-        }
-    }
-
-    impl Stmt {
-        pub fn draw(dice: &mut Dice<'_>) -> Stmt {
-            let join = dice.roll(4) == 0;
-            let columns = if join { W + 1 } else { W };
-            let conds = (0..dice.roll(4))
-                .map(|_| {
-                    let c = dice.roll(columns);
-                    let ty = column_type(c);
-                    match dice.roll(3) {
-                        0 => {
-                            let op = ["=", "<", "<=", ">", ">=", "<>"][dice.roll(6)];
-                            Cond::Cmp(c, op, literal(dice, ty))
-                        }
-                        1 => Cond::Between(c, literal(dice, ty), literal(dice, ty)),
-                        _ => {
-                            Cond::In(c, (0..1 + dice.roll(3)).map(|_| literal(dice, ty)).collect())
-                        }
-                    }
-                })
-                .collect();
-            let mut keys: Vec<usize> = Vec::new();
-            for _ in 0..dice.roll(4) {
-                let key = dice.roll(columns);
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-            }
-            let aggs = (0..1 + dice.roll(4))
-                .map(|_| {
-                    let any = dice.roll(columns);
-                    let numeric =
-                        if dice.roll(4) == 0 { any } else { [0, 1, 2, W][any % 4] % columns };
-                    match dice.roll(6) {
-                        0 => Agg::CountStar,
-                        // Grouped `count(column)` was a bad call (three
-                        // arguments to `aggr.countFor`): nothing to compare.
-                        1 if keys.is_empty() => Agg::Count(any),
-                        1 | 2 => Agg::Sum(numeric),
-                        3 => Agg::Avg(numeric),
-                        // An ungrouped `min`/`max` of a `date` came out of
-                        // `aggr.min` as an `int` that `bat.pack` refused.
-                        4 | 5 if keys.is_empty() && column_type(any) == ColType::Date => {
-                            Agg::Max(0)
-                        }
-                        4 => Agg::Min(any),
-                        _ => Agg::Max(any),
-                    }
-                })
-                .collect();
-            let order = [None, Some(false), Some(true)][dice.roll(3)];
-            let limit = (dice.roll(4) == 0).then(|| dice.roll(4));
-            Stmt { join, conds, keys, aggs, order, limit }
-        }
-
-        /// Whether a `sum`/`avg` is over a column that has none: such a
-        /// statement fails either way, but the fused instruction says so
-        /// before it reads a row, the chain when it gets there.
-        pub fn sums_a_non_number(&self) -> bool {
-            self.aggs.iter().any(|a| match a {
-                Agg::Sum(c) | Agg::Avg(c) => {
-                    !matches!(column_type(*c), ColType::Int | ColType::Lng | ColType::Dbl)
-                }
-                _ => false,
-            })
-        }
-
-        fn item_names(&self) -> Vec<String> {
-            let keys = self.keys.iter().map(|&k| bare_name(k));
-            keys.chain(self.aggs.iter().map(|a| a.name())).collect()
-        }
-
-        pub fn sql(&self) -> String {
-            let keys = self.keys.iter().map(|&k| sql_name(k));
-            let items: Vec<String> = keys.chain(self.aggs.iter().map(|a| a.sql())).collect();
-            let mut sql = format!("select {} from t", items.join(", "));
-            let mut conds: Vec<String> = self
-                .conds
-                .iter()
-                .map(|c| match c {
-                    Cond::Cmp(c, op, v) => format!("{} {op} {v}", sql_name(*c)),
-                    Cond::Between(c, lo, hi) => format!("{} between {lo} and {hi}", sql_name(*c)),
-                    Cond::In(c, vs) => format!("{} in ({})", sql_name(*c), vs.join(", ")),
-                })
-                .collect();
-            if self.join {
-                sql.push_str(", u");
-                conds.push("t.c0 = u.k".into());
-            }
-            if !conds.is_empty() {
-                write!(sql, " where {}", conds.join(" and ")).unwrap();
-            }
-            if !self.keys.is_empty() {
-                let keys: Vec<String> = self.keys.iter().map(|&k| sql_name(k)).collect();
-                write!(sql, " group by {}", keys.join(", ")).unwrap();
-            }
-            if let Some(descending) = self.order {
-                let dir = if descending { " desc" } else { "" };
-                write!(sql, " order by {}{dir}", self.item_names()[0]).unwrap();
-            }
-            if let Some(n) = self.limit {
-                write!(sql, " limit {n}").unwrap();
-            }
-            sql
-        }
-
-        /// The plan of separate instructions.
-        pub fn separate_instructions(&self) -> String {
-            Chain::default().plan(self)
-        }
-    }
-
-    /// The plan text under construction.
-    #[derive(Default)]
-    struct Chain {
-        text: String,
-        vars: usize,
-        /// `sql.bind`s so far, by column number.
-        bound: HashMap<usize, String>,
-    }
-
-    impl Chain {
-        fn emit(&mut self, call: String) -> String {
-            self.vars += 1;
-            let var = format!("X{}", self.vars);
-            writeln!(self.text, "    {var} := {call};").unwrap();
-            var
-        }
-
-        fn emit_pair(&mut self, call: String) -> (String, String) {
-            self.vars += 2;
-            let (a, b) = (format!("X{}", self.vars - 1), format!("X{}", self.vars));
-            writeln!(self.text, "    ({a},{b}) := {call};").unwrap();
-            (a, b)
-        }
-
-        fn bind(&mut self, c: usize) -> String {
-            if let Some(var) = self.bound.get(&c) {
-                return var.clone();
-            }
-            let (table, column) = match c {
-                K => ("u", "k".to_string()),
-                W => ("u", "w".to_string()),
-                c => ("t", format!("c{c}")),
-            };
-            let var = self.emit(format!("sql.bind(\"sys\",\"{table}\",\"{column}\",0)"));
-            self.bound.insert(c, var.clone());
-            var
-        }
-
-        fn plan(mut self, stmt: &Stmt) -> String {
-            let mal = |lit: &str| lit.replace('\'', "\"");
-            // Selection push-down: one candidate list per conjunct, the
-            // lists of one table intersected as they come.
-            let mut selection: [Option<String>; 2] = [None, None];
-            for cond in &stmt.conds {
-                let (c, filtered) = match cond {
-                    Cond::Cmp(c, "=", v) => {
-                        let b = self.bind(*c);
-                        (*c, self.emit(format!("algebra.uselect({b}, {})", mal(v))))
-                    }
-                    Cond::Cmp(c, op, v) => {
-                        let b = self.bind(*c);
-                        (*c, self.emit(format!("algebra.thetauselect({b}, {}, \"{op}\")", mal(v))))
-                    }
-                    Cond::Between(c, lo, hi) => {
-                        let b = self.bind(*c);
-                        (*c, self.emit(format!("algebra.select({b}, {}, {})", mal(lo), mal(hi))))
-                    }
-                    Cond::In(c, vs) => {
-                        let b = self.bind(*c);
-                        let mut acc = self.emit(format!("algebra.uselect({b}, {})", mal(vs[0])));
-                        for v in &vs[1..] {
-                            let one = self.emit(format!("algebra.uselect({b}, {})", mal(v)));
-                            acc = self.emit(format!("algebra.kunion({acc}, {one})"));
-                        }
-                        // A union lists the first value's rows first;
-                        // `sqlfront` left it at that, so an IN list as a
-                        // table's first conjunct numbered groups (and
-                        // added `dbl`s) in that order. Back in position
-                        // order, which is what the fused operator keeps.
-                        if vs.len() > 1 {
-                            acc = self.emit(format!("algebra.semijoin({b}, {acc})"));
-                        }
-                        (*c, acc)
-                    }
-                };
-                let slot = &mut selection[usize::from(c == W)];
-                *slot = Some(match slot.take() {
-                    None => filtered,
-                    Some(prev) => self.emit(format!("algebra.semijoin({prev}, {filtered})")),
-                });
-            }
-            // Row maps: `(result row → oid)` per table.
-            let rowmaps: [String; 2] = if stmt.join {
-                let selected = |chain: &mut Chain, column: usize, table: usize| {
-                    let b = chain.bind(column);
-                    match &selection[table] {
-                        Some(sel) if *sel != b => {
-                            chain.emit(format!("algebra.semijoin({b}, {sel})"))
-                        }
-                        _ => b,
-                    }
-                };
-                let (l, r) = (selected(&mut self, 0, 0), selected(&mut self, K, 1));
-                let reversed = self.emit(format!("bat.reverse({r})"));
-                let pairs = self.emit(format!("algebra.join({l}, {reversed})"));
-                let marked = self.emit(format!("algebra.markT({pairs}, 0@0)"));
-                [
-                    self.emit(format!("bat.reverse({marked})")),
-                    self.emit(format!("algebra.markH({pairs}, 0@0)")),
-                ]
-            } else {
-                let rowmap = match &selection[0] {
-                    Some(sel) => {
-                        let marked = self.emit(format!("algebra.markT({sel}, 0@0)"));
-                        self.emit(format!("bat.reverse({marked})"))
-                    }
-                    None => {
-                        let first = self.bind(0);
-                        self.emit(format!("bat.mirror({first})"))
-                    }
-                };
-                [rowmap, String::new()]
-            };
-            let project = |chain: &mut Chain, c: usize| {
-                let b = chain.bind(c);
-                chain.emit(format!("algebra.join({}, {b})", rowmaps[usize::from(c == W)]))
-            };
-
-            let mut outs: Vec<(String, &'static str)> = Vec::new();
-            if stmt.keys.is_empty() {
-                for agg in &stmt.aggs {
-                    let scalar = match agg.parts() {
-                        (_, None) => self.emit(format!("aggr.count({})", rowmaps[0])),
-                        (f, Some(c)) => {
-                            let vals = project(&mut self, c);
-                            self.emit(format!("aggr.{f}({vals})"))
-                        }
-                    };
-                    let ty = agg.result_type();
-                    outs.push((self.emit(format!("bat.pack({scalar}, \"{ty}\")")), ty));
-                }
-            } else {
-                let keyvals: Vec<String> =
-                    stmt.keys.iter().map(|&k| project(&mut self, k)).collect();
-                let (mut grp, mut ext) = self.emit_pair(format!("group.new({})", keyvals[0]));
-                for vals in &keyvals[1..] {
-                    (grp, ext) = self.emit_pair(format!("group.derive({vals}, {grp})"));
-                }
-                let groups = self.emit(format!("aggr.count({ext})"));
-                for (&k, vals) in stmt.keys.iter().zip(&keyvals) {
-                    // One key: `ext` holds its values; more: the groups'
-                    // first rows, through which each key is fetched.
-                    let out = match keyvals.len() {
-                        1 => ext.clone(),
-                        _ => self.emit(format!("algebra.join({ext}, {vals})")),
-                    };
-                    outs.push((out, column_type(k).name()));
-                }
-                for agg in &stmt.aggs {
-                    let out = match agg.parts() {
-                        (_, None) => self.emit(format!("aggr.countFor({grp}, {groups})")),
-                        (f, Some(c)) => {
-                            let vals = project(&mut self, c);
-                            self.emit(format!("aggr.{f}For({vals}, {grp}, {groups})"))
-                        }
-                    };
-                    outs.push((out, agg.result_type()));
-                }
-            }
-
-            if let Some(descending) = stmt.order {
-                let sort = if descending { "sortReverseTail" } else { "sortTail" };
-                let sorted = self.emit(format!("algebra.{sort}({})", outs[0].0));
-                let marked = self.emit(format!("algebra.markT({sorted}, 0@0)"));
-                let perm = self.emit(format!("bat.reverse({marked})"));
-                for out in &mut outs {
-                    out.0 = self.emit(format!("algebra.join({perm}, {})", out.0));
-                }
-            }
-            if let Some(n) = stmt.limit {
-                for out in &mut outs {
-                    out.0 = self.emit(format!("algebra.slice({}, 0, {})", out.0, n as i64 - 1));
-                }
-            }
-            let rs = self.emit(format!("sql.resultSet({}, 1, {})", outs.len(), outs[0].0));
-            for ((out, ty), name) in outs.iter().zip(stmt.item_names()) {
-                let column =
-                    format!("sql.rsCol({rs}, \"sys\", \"{name}\", \"{ty}\", 32, 0, {out})");
-                writeln!(self.text, "    {column};").unwrap();
-            }
-            let stream = self.emit("io.stdout()".into());
-            format!(
-                "function user.chain():void;\n{}    sql.exportResult({stream}, {rs});\nend chain;\n",
-                self.text
-            )
-        }
-    }
-}
-
-proptest! {
-    /// The same generated table and statement through the fused emission
-    /// and through the chain of separate instructions it replaced (both
-    /// run by the same interpreter over the same registry, where
-    /// `algebra.*`, `group.*` and `aggr.*For` stay registered): the same
-    /// columns of the same types, BUN for BUN.
-    #[test]
-    fn fused_plan_equals_the_chain_of_separate_instructions(
-        picks in prop::collection::vec(any::<u32>(), 0..600),
-        dice in prop::collection::vec(any::<u32>(), 64),
-    ) {
-        use batstore::{BatError, BatStore, Catalog};
-        use mal::MalError;
-        use parking_lot::RwLock;
-        use std::sync::Arc;
-
-        let stmt = plans::Stmt::draw(&mut fused::Dice(&dice, 0));
-        let (mut catalog, mut store) = (Catalog::new(), BatStore::new());
-        let names: Vec<String> = (0..fused::TYPES.len()).map(|c| format!("c{c}")).collect();
-        let t = names.iter().map(String::as_str).zip(fused::table(&picks)).collect();
-        catalog.create_table_columnar(&mut store, "sys", "t", t).unwrap();
-        let u = vec![
-            ("k", Column::from(vec![0, 1, 1, 2, 7, 9])),
-            ("w", Column::from(vec![10i64, 20, 30, i64::MAX, 50, 60])),
-        ];
-        catalog.create_table_columnar(&mut store, "sys", "u", u).unwrap();
-
-        let sql = stmt.sql();
-        let fused = sqlfront::compile_sql(&sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let text = stmt.separate_instructions();
-        let chain = mal::parse_program(&text).unwrap_or_else(|e| panic!("{sql}:\n{text}\n{e}"));
-        prop_assert_eq!(fused.instrs.iter().filter(|i| i.is("aggr", "scan")).count(), 1);
-        prop_assert!(!text.contains("aggr.scan"));
-
-        let ctx = mal::SessionCtx::new(Arc::new(RwLock::new(catalog)), Arc::new(RwLock::new(store)));
-        let run = |plan: &mal::Program| mal::run_sequential(plan, &ctx).map(|_| ctx.take_result());
-        // A `dbl` by bit pattern, the two zeros alike: an ungrouped sum
-        // used to start from `-0.0` (what `Iterator::sum` starts from),
-        // a grouped one from `0.0`; the fused operator starts both from
-        // `0.0`.
-        let cell = |v: Val| match v {
-            Val::Dbl(d) if d.to_bits() << 1 == 0 => "dbl:zero".to_string(),
-            other => kernels::canon(other),
-        };
-        match (run(&fused), run(&chain)) {
-            (Ok(got), Ok(want)) => {
-                prop_assert_eq!(got.column_count(), want.column_count(), "{}", sql);
-                prop_assert_eq!(got.row_count(), want.row_count(), "{}\n{}", sql, text);
-                for c in 0..want.column_count() {
-                    let (g, w) = (&got.columns[c], &want.columns[c]);
-                    prop_assert_eq!((&g.name, g.col_type()), (&w.name, w.col_type()), "{}", sql);
-                    for r in 0..want.row_count() {
-                        let (g, w) = (cell(got.cell(r, c)), cell(want.cell(r, c)));
-                        prop_assert_eq!(g, w, "{} ({}, {})\n{}", sql, r, c, text);
-                    }
-                }
-            }
-            // `avg`/`min`/`max` over no row at all was `nil` handed to
-            // `bat.pack`: a bad call. It is a kernel error now.
-            (Err(MalError::Bat(got)), Err(MalError::BadCall(was))) => {
-                prop_assert!(was.contains("bat.pack") && stmt.keys.is_empty(), "{}: {}", sql, was);
-                let null = got.to_string().contains("over zero rows is NULL");
-                prop_assert!(null || stmt.sums_a_non_number(), "{}: {}", sql, got);
-            }
-            (Err(MalError::Bat(got)), Err(MalError::Bat(want))) => {
-                let same = std::mem::discriminant(&got) == std::mem::discriminant(&want);
-                prop_assert!(same || stmt.sums_a_non_number(), "{}: {} / {}", sql, got, want);
-                prop_assert!(!matches!(got, BatError::Invalid(_)), "{}: {}", sql, got);
-            }
-            (got, want) => panic!("{sql}:\n{text}\nfused {got:?}\nchain {want:?}"),
         }
     }
 }
@@ -1639,14 +1111,24 @@ fn template_stmt(shape: u8, op: &str, limit: usize, p: &mut Picker) -> String {
             p.of(DBLS),
             p.of(DBLS)
         ),
-        // … and a grouped one with an IN list, ORDER BY and LIMIT.
-        _ => format!(
+        // … and a grouped one with an IN list, ORDER BY and LIMIT …
+        9 => format!(
             "select tag, sum(big), avg(f), count(*) from kv where big in ({}, {}, {}) and id {op} {} \
              group by tag, id order by tag limit {limit}",
             p.of(LNGS),
             p.of(INTS),
             p.of(LNGS),
             p.of(INTS)
+        ),
+        // … and DISTINCT, over plain columns and over aggregates.
+        10 => format!(
+            "select distinct tag, big from kv where id {op} {} order by tag limit {limit}",
+            p.any(&[INTS, LNGS])
+        ),
+        _ => format!(
+            "select distinct tag, count(*) from kv where big {op} {} group by tag, id \
+             order by tag desc limit {limit}",
+            p.of(LNGS)
         ),
     }
 }
@@ -1661,7 +1143,7 @@ proptest! {
     /// `int` column, same table afterwards.
     #[test]
     fn template_hit_equals_fresh_compile(
-        shape in 0u8..10,
+        shape in 0u8..12,
         op in 0usize..6,
         limit in 0usize..6,
         picks in prop::collection::vec(any::<u32>(), 16),
