@@ -216,85 +216,36 @@ impl Catalog {
         Ok(added)
     }
 
-    /// `UPDATE`: write each assignment's value into every row matching
-    /// the predicate conjunction (§6.4's owner-side in-place rewrite on
-    /// a single node). Returns the number of rows touched. Assignments
-    /// and predicates are validated — and the matching rows computed —
-    /// before any column changes, so a bad statement leaves the table
-    /// untouched.
-    pub fn update_rows(
+    /// `UPDATE`/`DELETE` on a single node: the rows matching the
+    /// predicate conjunction get each assignment, or leave every column
+    /// in lockstep (§6.4's owner-side rewrite, by the same
+    /// [`crate::ops::stage`] a ring owner runs). Returns the number of
+    /// rows matched. Every rewritten column is staged before any is
+    /// replaced, so a bad statement leaves the table untouched.
+    pub fn mutate_rows(
         &mut self,
         store: &mut BatStore,
         schema: &str,
         table: &str,
-        assigns: &[(String, Val)],
-        preds: &[crate::ops::RowPredicate],
-    ) -> Result<usize> {
-        if assigns.is_empty() {
-            return Err(BatError::Invalid("UPDATE needs at least one assignment".into()));
-        }
-        let def = self.table(schema, table)?;
-        // Resolve assignment columns up front: an UPDATE naming a ghost
-        // or duplicate column, or assigning an incompatible value, fails
-        // whether or not anything matches.
-        let mut targets = Vec::with_capacity(assigns.len());
-        let mut seen: Vec<&str> = Vec::with_capacity(assigns.len());
-        for (name, v) in assigns {
-            if seen.contains(&name.as_str()) {
-                return Err(BatError::Invalid(format!("column '{name}' assigned twice")));
-            }
-            seen.push(name);
-            let cd = def
-                .column(name)
-                .ok_or_else(|| BatError::NotFound(format!("{schema}.{table}.{name}")))?;
-            Column::empty(cd.ty).push(v)?;
-            targets.push((cd.bat, v));
-        }
-        let rows = {
-            let lookup = |name: &str| def.column(name).and_then(|c| store.get(c.bat).ok());
-            crate::ops::matching_rows(&lookup, def.row_count, preds)?
-        };
-        if rows.is_empty() {
-            return Ok(0);
-        }
-        // Stage every rewritten column before replacing any, so a type
-        // error cannot leave the table half-updated.
-        let mut staged = Vec::with_capacity(targets.len());
-        for (key, v) in targets {
-            staged.push((key, crate::ops::scatter_const(&*store.get(key)?, &rows, v)?));
-        }
-        for (key, bat) in staged {
-            store.replace(key, bat)?;
-        }
-        Ok(rows.len())
-    }
-
-    /// `DELETE`: remove every row matching the predicate conjunction
-    /// from all columns in lockstep. Returns the number of rows removed.
-    pub fn delete_rows(
-        &mut self,
-        store: &mut BatStore,
-        schema: &str,
-        table: &str,
+        op: &crate::ops::MutOp,
         preds: &[crate::ops::RowPredicate],
     ) -> Result<usize> {
         let def = self.table(schema, table)?;
-        let rows = {
-            let lookup = |name: &str| def.column(name).and_then(|c| store.get(c.bat).ok());
-            crate::ops::matching_rows(&lookup, def.row_count, preds)?
-        };
-        if rows.is_empty() {
-            return Ok(0);
-        }
-        let mut staged = Vec::with_capacity(def.columns.len());
-        for cd in &def.columns {
-            staged.push((cd.bat, crate::ops::erase_rows(&*store.get(cd.bat)?, &rows)?));
-        }
-        for (key, bat) in staged {
+        let cols = def
+            .columns
+            .iter()
+            .map(|c| Ok((c.name.as_str(), store.get(c.bat)?)))
+            .collect::<Result<Vec<_>>>()?;
+        let staged = crate::ops::stage(&cols, op, preds)?;
+        let keys: Vec<BatKey> = staged.columns.iter().map(|(i, _)| def.columns[*i].bat).collect();
+        for (key, (_, bat)) in keys.into_iter().zip(staged.columns) {
             store.replace(key, bat)?;
         }
-        self.tables.get_mut(&qual(schema, table)).expect("looked up above").row_count -= rows.len();
-        Ok(rows.len())
+        if matches!(op, crate::ops::MutOp::Delete) {
+            self.tables.get_mut(&qual(schema, table)).expect("looked up above").row_count -=
+                staged.matched;
+        }
+        Ok(staged.matched)
     }
 
     pub fn drop_table(&mut self, store: &mut BatStore, schema: &str, table: &str) -> Result<()> {
@@ -469,74 +420,43 @@ mod tests {
 
     #[test]
     fn update_rows_rewrites_matching_rows_only() {
-        use crate::ops::{CmpOp, RowPredicate};
+        use crate::ops::{CmpOp, MutOp, RowPredicate};
         let (mut cat, mut store) = setup();
-        let n = cat
-            .update_rows(
-                &mut store,
-                "sys",
-                "t",
-                &[("name".to_string(), Val::from("won"))],
-                &[RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(1) }],
-            )
-            .unwrap();
-        assert_eq!(n, 1);
+        let mut update = |assigns: &[(&str, Val)], preds: &[RowPredicate]| {
+            let assigns = assigns.iter().map(|(n, v)| (n.to_string(), v.clone())).collect();
+            cat.mutate_rows(&mut store, "sys", "t", &MutOp::Update(assigns), preds)
+        };
+        let id_is =
+            |v: i32| [RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(v) }];
+        assert_eq!(update(&[("name", Val::from("won"))], &id_is(1)).unwrap(), 1);
+        // No matches → 0 affected, nothing rewritten.
+        assert_eq!(update(&[("id", Val::Int(9))], &id_is(77)).unwrap(), 0);
+        // Bad assignment column / type errors leave the table untouched.
+        assert!(update(&[("ghost", Val::Int(1))], &[]).is_err());
+        assert!(update(&[("id", Val::from("x"))], &[]).is_err());
+        assert!(update(&[], &[]).is_err(), "empty SET");
+        // A duplicate assignment is rejected (live apply and WAL replay
+        // could disagree on which value wins), and a type-mismatched
+        // value fails even when the WHERE clause matches nothing.
+        assert!(update(&[("id", Val::Int(1)), ("id", Val::Int(2))], &[]).is_err());
+        assert!(update(&[("id", Val::from("x"))], &id_is(777)).is_err());
         let names = store.get(cat.bind("sys", "t", "name").unwrap()).unwrap();
         assert_eq!(names.bun(0).1, Val::from("won"));
         assert_eq!(names.bun(1).1, Val::from("two"), "non-matching row untouched");
         assert_eq!(cat.table("sys", "t").unwrap().row_count, 2, "UPDATE never changes row count");
-        // No matches → 0 affected, nothing rewritten.
-        let n = cat
-            .update_rows(
-                &mut store,
-                "sys",
-                "t",
-                &[("id".to_string(), Val::Int(9))],
-                &[RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(77) }],
-            )
-            .unwrap();
-        assert_eq!(n, 0);
-        // Bad assignment column / type errors leave the table untouched.
-        assert!(cat
-            .update_rows(&mut store, "sys", "t", &[("ghost".to_string(), Val::Int(1))], &[])
-            .is_err());
-        assert!(cat
-            .update_rows(&mut store, "sys", "t", &[("id".to_string(), Val::from("x"))], &[])
-            .is_err());
-        assert!(cat.update_rows(&mut store, "sys", "t", &[], &[]).is_err(), "empty SET");
-        // A duplicate assignment is rejected (live apply and WAL replay
-        // could disagree on which value wins), and a type-mismatched
-        // value fails even when the WHERE clause matches nothing.
-        assert!(cat
-            .update_rows(
-                &mut store,
-                "sys",
-                "t",
-                &[("id".to_string(), Val::Int(1)), ("id".to_string(), Val::Int(2))],
-                &[],
-            )
-            .is_err());
-        assert!(cat
-            .update_rows(
-                &mut store,
-                "sys",
-                "t",
-                &[("id".to_string(), Val::from("x"))],
-                &[RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(777) }],
-            )
-            .is_err());
         assert_eq!(store.get(cat.bind("sys", "t", "id").unwrap()).unwrap().bun(0).1, Val::Int(1));
     }
 
     #[test]
     fn delete_rows_shrinks_all_columns_in_lockstep() {
-        use crate::ops::{CmpOp, RowPredicate};
+        use crate::ops::{CmpOp, MutOp, RowPredicate};
         let (mut cat, mut store) = setup();
         let n = cat
-            .delete_rows(
+            .mutate_rows(
                 &mut store,
                 "sys",
                 "t",
+                &MutOp::Delete,
                 &[RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(1) }],
             )
             .unwrap();
@@ -551,7 +471,7 @@ mod tests {
             Val::from("two")
         );
         // Unconditional DELETE empties the table but keeps its schema.
-        let n = cat.delete_rows(&mut store, "sys", "t", &[]).unwrap();
+        let n = cat.mutate_rows(&mut store, "sys", "t", &MutOp::Delete, &[]).unwrap();
         assert_eq!(n, 1);
         assert_eq!(cat.table("sys", "t").unwrap().row_count, 0);
         assert!(cat.bind("sys", "t", "id").is_ok());

@@ -33,7 +33,9 @@ mod sort;
 pub use aggregate::{group_by, grouped_sum};
 pub use fused::{scan_aggregate, Aggregate};
 pub use join::join;
-pub use mutate::{erase_rows, matching_rows, scatter_const, RowPredicate};
+pub use mutate::{
+    erase_rows, matching_rows, scatter_const, stage, MutOp, Mutation, RowPredicate, Staged,
+};
 pub use select::{select_range, theta_select, uselect, CmpOp};
 pub use setops::{kunion, semijoin};
 pub use sort::sort_tail;

@@ -9,6 +9,12 @@
 //! owner *logically* and are evaluated there against the authoritative
 //! payload — never as pre-computed row ids, which would be stale the
 //! moment a concurrent mutation shifted the rows.
+//!
+//! A [`Mutation`] is that logical statement, and it has one binary form
+//! ([`Mutation::encode`]): the ring carries it to the owner in it and the
+//! owner's WAL logs it in it. [`stage`] is what the owner runs — live,
+//! and again when recovery replays the log — so both compute the same
+//! columns from the same statement.
 
 use crate::bat::Bat;
 use crate::column::Column;
@@ -18,6 +24,84 @@ use crate::ops::scan::{Pred, Scan};
 use crate::ops::CmpOp;
 use crate::value::Val;
 use std::sync::Arc;
+
+/// What a [`Mutation`] does to the rows its predicates match.
+#[derive(Clone, Debug, PartialEq)]
+pub enum MutOp {
+    /// `UPDATE`: write each `(column, value)` assignment into the
+    /// matching rows.
+    Update(Vec<(String, Val)>),
+    /// `DELETE`: remove the matching rows from every column in lockstep.
+    Delete,
+}
+
+/// A SQL `UPDATE`/`DELETE` in its logical form: the table, the
+/// operation and the WHERE conjuncts.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Mutation {
+    pub schema: String,
+    pub table: String,
+    pub op: MutOp,
+    pub preds: Vec<RowPredicate>,
+}
+
+/// A mutation evaluated against a table but not applied: how many rows
+/// it matched and, for every column it rewrites, the column's position
+/// in the table and its new payload (none when nothing matched).
+#[derive(Debug)]
+pub struct Staged {
+    pub matched: usize,
+    pub columns: Vec<(usize, Bat)>,
+}
+
+/// Evaluate `op` under `preds` against the table whose columns are
+/// `cols` (name and payload, in the table's order) and build every
+/// rewritten column, touching none. The assignments are checked even
+/// when no row matches — every column exists, none is assigned twice
+/// (which value won would depend on the order of application), and each
+/// accepts its value — so a statement that can never apply fails the
+/// same way on an empty table as on a full one.
+pub fn stage(cols: &[(&str, Arc<Bat>)], op: &MutOp, preds: &[RowPredicate]) -> Result<Staged> {
+    let targets: Vec<usize> = match op {
+        MutOp::Update(assigns) => {
+            if assigns.is_empty() {
+                return Err(BatError::Invalid("UPDATE needs at least one assignment".into()));
+            }
+            let mut targets = Vec::with_capacity(assigns.len());
+            for (name, v) in assigns {
+                let i = cols
+                    .iter()
+                    .position(|(n, _)| n == name)
+                    .ok_or_else(|| BatError::NotFound(format!("column '{name}'")))?;
+                if targets.contains(&i) {
+                    return Err(BatError::Invalid(format!("column '{name}' assigned twice")));
+                }
+                Column::empty(cols[i].1.tail_type()).push(v)?;
+                targets.push(i);
+            }
+            targets
+        }
+        MutOp::Delete => (0..cols.len()).collect(),
+    };
+    let row_count = cols.first().map_or(0, |(_, b)| b.count());
+    let lookup = |name: &str| cols.iter().find(|(n, _)| *n == name).map(|(_, b)| Arc::clone(b));
+    let rows = matching_rows(&lookup, row_count, preds)?;
+    if rows.is_empty() {
+        return Ok(Staged { matched: 0, columns: Vec::new() });
+    }
+    let columns = match op {
+        MutOp::Update(assigns) => targets
+            .iter()
+            .zip(assigns)
+            .map(|(&i, (_, v))| Ok((i, scatter_const(&cols[i].1, &rows, v)?)))
+            .collect::<Result<_>>()?,
+        MutOp::Delete => targets
+            .iter()
+            .map(|&i| Ok((i, erase_rows(&cols[i].1, &rows)?)))
+            .collect::<Result<_>>()?,
+    };
+    Ok(Staged { matched: rows.len(), columns })
+}
 
 /// One WHERE conjunct as it travels to the fragment owner.
 #[derive(Clone, Debug, PartialEq)]
@@ -149,6 +233,269 @@ pub fn erase_rows(b: &Bat, rows: &[usize]) -> Result<Bat> {
     Ok(Bat::dense_from(seq, b.tail().gather(&keep)))
 }
 
+// ---- codec ---------------------------------------------------------------
+//
+// Little-endian; strings, assignment, predicate and IN-list counts are
+// `u16`-prefixed: schema, table, op tag (1 = update: count, then
+// `(name, value)` pairs; 2 = delete), predicate count, predicates.
+
+const OP_UPDATE: u8 = 1;
+const OP_DELETE: u8 = 2;
+
+const VAL_NIL: u8 = 0;
+const VAL_OID: u8 = 1;
+const VAL_INT: u8 = 2;
+const VAL_LNG: u8 = 3;
+const VAL_DBL: u8 = 4;
+const VAL_STR: u8 = 5;
+const VAL_BOOL: u8 = 6;
+const VAL_DATE: u8 = 7;
+
+const PRED_CMP: u8 = 1;
+const PRED_BETWEEN: u8 = 2;
+const PRED_IN: u8 = 3;
+
+const MAX_FIELD: usize = u16::MAX as usize;
+
+fn put_u16(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&(n.min(MAX_FIELD) as u16).to_le_bytes());
+}
+
+/// A string longer than a `u16` length is cut at a char boundary rather
+/// than framed corruptly; [`Mutation::check_encodable`] is what keeps one
+/// from getting here.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    let mut len = s.len().min(MAX_FIELD);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    put_u16(out, len);
+    out.extend_from_slice(&s.as_bytes()[..len]);
+}
+
+fn put_val(out: &mut Vec<u8>, v: &Val) {
+    match v {
+        Val::Nil => out.push(VAL_NIL),
+        Val::Oid(x) => {
+            out.push(VAL_OID);
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        Val::Int(x) => {
+            out.push(VAL_INT);
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        Val::Lng(x) => {
+            out.push(VAL_LNG);
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        Val::Dbl(x) => {
+            out.push(VAL_DBL);
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        Val::Str(s) => {
+            out.push(VAL_STR);
+            put_str(out, s);
+        }
+        Val::Bool(x) => {
+            out.push(VAL_BOOL);
+            out.push(*x as u8);
+        }
+        Val::Date(x) => {
+            out.push(VAL_DATE);
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+}
+
+fn put_pred(out: &mut Vec<u8>, p: &RowPredicate) {
+    match p {
+        RowPredicate::Cmp { column, op, value } => {
+            out.push(PRED_CMP);
+            put_str(out, column);
+            put_str(out, op.symbol());
+            put_val(out, value);
+        }
+        RowPredicate::Between { column, lo, hi } => {
+            out.push(PRED_BETWEEN);
+            put_str(out, column);
+            put_val(out, lo);
+            put_val(out, hi);
+        }
+        RowPredicate::InList { column, values } => {
+            out.push(PRED_IN);
+            put_str(out, column);
+            put_u16(out, values.len());
+            for v in values.iter().take(MAX_FIELD) {
+                put_val(out, v);
+            }
+        }
+    }
+}
+
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> std::result::Result<&'a [u8], String> {
+    if buf.len() < n {
+        return Err(format!("truncated {what}: want {n}, have {}", buf.len()));
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+fn get_array<const N: usize>(buf: &mut &[u8], what: &str) -> std::result::Result<[u8; N], String> {
+    Ok(take(buf, N, what)?.try_into().expect("take returned N bytes"))
+}
+
+fn get_u8(buf: &mut &[u8], what: &str) -> std::result::Result<u8, String> {
+    Ok(take(buf, 1, what)?[0])
+}
+
+fn get_u16(buf: &mut &[u8], what: &str) -> std::result::Result<usize, String> {
+    Ok(u16::from_le_bytes(get_array(buf, what)?) as usize)
+}
+
+fn get_str(buf: &mut &[u8]) -> std::result::Result<String, String> {
+    let len = get_u16(buf, "string length")?;
+    let bytes = take(buf, len, "string")?;
+    String::from_utf8(bytes.to_vec()).map_err(|e| format!("bad utf8: {e}"))
+}
+
+fn get_val(buf: &mut &[u8]) -> std::result::Result<Val, String> {
+    Ok(match get_u8(buf, "value tag")? {
+        VAL_NIL => Val::Nil,
+        VAL_OID => Val::Oid(u64::from_le_bytes(get_array(buf, "value")?)),
+        VAL_INT => Val::Int(i32::from_le_bytes(get_array(buf, "value")?)),
+        VAL_LNG => Val::Lng(i64::from_le_bytes(get_array(buf, "value")?)),
+        VAL_DBL => Val::Dbl(f64::from_le_bytes(get_array(buf, "value")?)),
+        VAL_STR => Val::Str(get_str(buf)?),
+        VAL_BOOL => Val::Bool(get_u8(buf, "value")? != 0),
+        VAL_DATE => Val::Date(i32::from_le_bytes(get_array(buf, "value")?)),
+        other => return Err(format!("unknown value tag {other}")),
+    })
+}
+
+fn get_pred(buf: &mut &[u8]) -> std::result::Result<RowPredicate, String> {
+    match get_u8(buf, "predicate tag")? {
+        PRED_CMP => {
+            let column = get_str(buf)?;
+            let sym = get_str(buf)?;
+            let op = CmpOp::from_symbol(&sym).ok_or_else(|| format!("bad op '{sym}'"))?;
+            Ok(RowPredicate::Cmp { column, op, value: get_val(buf)? })
+        }
+        PRED_BETWEEN => {
+            let column = get_str(buf)?;
+            let lo = get_val(buf)?;
+            Ok(RowPredicate::Between { column, lo, hi: get_val(buf)? })
+        }
+        PRED_IN => {
+            let column = get_str(buf)?;
+            let n = get_u16(buf, "in-list count")?;
+            // Each value is at least its tag byte: bound the allocation
+            // by what the buffer can hold.
+            let mut values = Vec::with_capacity(n.min(buf.len()));
+            for _ in 0..n {
+                values.push(get_val(buf)?);
+            }
+            Ok(RowPredicate::InList { column, values })
+        }
+        other => Err(format!("unknown predicate tag {other}")),
+    }
+}
+
+impl Mutation {
+    /// Append the mutation's binary form to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.schema);
+        put_str(out, &self.table);
+        match &self.op {
+            MutOp::Update(assigns) => {
+                out.push(OP_UPDATE);
+                put_u16(out, assigns.len());
+                for (name, v) in assigns.iter().take(MAX_FIELD) {
+                    put_str(out, name);
+                    put_val(out, v);
+                }
+            }
+            MutOp::Delete => out.push(OP_DELETE),
+        }
+        put_u16(out, self.preds.len());
+        for p in self.preds.iter().take(MAX_FIELD) {
+            put_pred(out, p);
+        }
+    }
+
+    /// Read one mutation off the front of `buf`, advancing it; rejects a
+    /// truncated or malformed encoding without allocating what its counts
+    /// claim.
+    pub fn decode(buf: &mut &[u8]) -> std::result::Result<Mutation, String> {
+        let schema = get_str(buf)?;
+        let table = get_str(buf)?;
+        let op = match get_u8(buf, "mutation op")? {
+            OP_UPDATE => {
+                let n = get_u16(buf, "assignment count")?;
+                let mut assigns = Vec::with_capacity(n.min(buf.len()));
+                for _ in 0..n {
+                    let name = get_str(buf)?;
+                    assigns.push((name, get_val(buf)?));
+                }
+                MutOp::Update(assigns)
+            }
+            OP_DELETE => MutOp::Delete,
+            other => return Err(format!("unknown mutation op tag {other}")),
+        };
+        let n = get_u16(buf, "predicate count")?;
+        let mut preds = Vec::with_capacity(n.min(buf.len()));
+        for _ in 0..n {
+            preds.push(get_pred(buf)?);
+        }
+        Ok(Mutation { schema, table, op, preds })
+    }
+
+    /// Whether every count and string fits its `u16` field. A statement
+    /// that does not must be refused before it is routed or logged: a
+    /// truncated WHERE conjunct would *widen* the match, and a truncated
+    /// literal would write another value.
+    pub fn check_encodable(&self) -> std::result::Result<(), String> {
+        let too_long = |what: &str, n: usize| {
+            Err(format!("mutation too large to encode: {what} of {n} (max {MAX_FIELD})"))
+        };
+        let mut strings: Vec<&str> = vec![&self.schema, &self.table];
+        let mut vals: Vec<&Val> = Vec::new();
+        if let MutOp::Update(assigns) = &self.op {
+            if assigns.len() > MAX_FIELD {
+                return too_long("assignment list", assigns.len());
+            }
+            for (name, v) in assigns {
+                strings.push(name);
+                vals.push(v);
+            }
+        }
+        if self.preds.len() > MAX_FIELD {
+            return too_long("predicate list", self.preds.len());
+        }
+        for p in &self.preds {
+            strings.push(p.column());
+            match p {
+                RowPredicate::Cmp { value, .. } => vals.push(value),
+                RowPredicate::Between { lo, hi, .. } => vals.extend([lo, hi]),
+                RowPredicate::InList { values, .. } => {
+                    if values.len() > MAX_FIELD {
+                        return too_long("IN list", values.len());
+                    }
+                    vals.extend(values);
+                }
+            }
+        }
+        strings.extend(vals.into_iter().filter_map(|v| match v {
+            Val::Str(s) => Some(s.as_str()),
+            _ => None,
+        }));
+        match strings.into_iter().find(|s| s.len() > MAX_FIELD) {
+            Some(s) => too_long("string", s.len()),
+            None => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +624,40 @@ mod tests {
         let empty = erase_rows(&v, &[0, 1, 2, 3]).unwrap();
         assert_eq!(empty.count(), 0);
         assert_eq!(empty.tail_type(), crate::value::ColType::Str);
+    }
+
+    #[test]
+    fn only_what_the_codec_can_hold_is_encodable() {
+        let m = |op: MutOp, preds: Vec<RowPredicate>| Mutation {
+            schema: "sys".into(),
+            table: "t".into(),
+            op,
+            preds,
+        };
+        let wide = vec![Val::Int(1); u16::MAX as usize + 1];
+        let long = Val::Str("x".repeat(u16::MAX as usize + 1));
+        let in_list = |values| RowPredicate::InList { column: "k".into(), values };
+        let fits =
+            m(MutOp::Update(vec![("v".into(), Val::Int(1))]), vec![in_list(vec![Val::Int(1)])]);
+        assert!(fits.check_encodable().is_ok());
+        for too_big in [
+            m(MutOp::Delete, vec![in_list(wide)]),
+            m(MutOp::Update(vec![("v".into(), long.clone())]), vec![]),
+            m(
+                MutOp::Delete,
+                vec![RowPredicate::Cmp { column: "k".into(), op: CmpOp::Eq, value: long }],
+            ),
+        ] {
+            let err = too_big.check_encodable().unwrap_err();
+            assert!(err.contains("too large"), "{err}");
+        }
+        // What fits round-trips, and decoding consumes exactly its bytes.
+        let mut buf = Vec::new();
+        fits.encode(&mut buf);
+        buf.push(0xAB);
+        let mut rest = &buf[..];
+        assert_eq!(Mutation::decode(&mut rest).unwrap(), fits);
+        assert_eq!(rest, [0xAB]);
     }
 
     #[test]

@@ -22,18 +22,18 @@ use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
 use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, SpillQueue};
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg, MutOp, RoutedBody};
+use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg, RoutedBody};
 use crate::proto::{DcNode, Effect, PinOutcome};
 use crate::routed::{Due, Pending, Routed};
 use crate::runtime::{CatalogNotify, Cmd, Frag, FragInfo, RingCatalog, RingHooks, Waiter};
 use crate::stats::NodeStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
-use batstore::{ops, storage, Bat, BatStore, Catalog, Column, ResultSet, RowPredicate};
+use batstore::ops::{self, Mutation};
+use batstore::{storage, Bat, BatStore, Catalog, Column, ResultSet};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dc_persist::{
-    CheckpointMetrics, Checkpointer, ColRec, FragSnap, ReplacePart, Snapshot, TableRec, WalRecord,
-    WalWriter,
+    CheckpointMetrics, Checkpointer, ColRec, FragSnap, Snapshot, TableRec, WalRecord, WalWriter,
 };
 use mal::{MalError, SessionCtx};
 use netsim::SimTime;
@@ -97,37 +97,6 @@ fn catalog_msg(t: &TableRec) -> CatalogMsg {
     }
 }
 
-/// The wire codec frames assignment, predicate, and IN-list counts as
-/// `u16`s; a statement that would overflow them must be rejected before
-/// routing — silent truncation of a WHERE conjunct would *widen* the
-/// match at the owner. (Owner-local mutations never hit the wire and
-/// carry no such limit.)
-fn mutation_fits_wire(op: &MutOp, preds: &[RowPredicate]) -> Result<(), String> {
-    const MAX: usize = u16::MAX as usize;
-    if preds.len() > MAX {
-        return Err(format!("cannot route mutation: {} WHERE predicates (max {MAX})", preds.len()));
-    }
-    if let MutOp::Update(assigns) = op {
-        if assigns.len() > MAX {
-            return Err(format!(
-                "cannot route mutation: {} assignments (max {MAX})",
-                assigns.len()
-            ));
-        }
-    }
-    for p in preds {
-        if let RowPredicate::InList { values, .. } = p {
-            if values.len() > MAX {
-                return Err(format!(
-                    "cannot route mutation: IN list of {} values (max {MAX})",
-                    values.len()
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Merge table metadata into a node's catalogs (the in-memory half of
 /// [`NodeCtx::apply_catalog`], shared with startup recovery).
 fn publish_table(catalog: &RingCatalog, meta: &RwLock<Catalog>, c: &CatalogMsg) {
@@ -162,10 +131,11 @@ struct PersistCtx {
     checkpoint_wal_bytes: u64,
     bytes_since_checkpoint: u64,
     checkpointer: Checkpointer,
-    /// The fragment versions the last committed checkpoint names —
-    /// exactly the `bats/<id>.v<version>.bat` files its GC kept. A
-    /// resident fragment still at its durable version is *clean*: its
-    /// RAM payload can be dropped with no further I/O.
+    /// The fragment versions whose `bats/<id>.v<version>.bat` file a
+    /// committed record names — a bulk load's `FragMeta`, or the last
+    /// checkpoint that named the fragment. A resident fragment still at
+    /// its durable version is *clean*: its RAM payload can be dropped
+    /// with no further I/O.
     durable: HashMap<BatId, u32>,
     /// The snapshot the checkpointer is writing: its sequence number
     /// (the `completed()` count that means it committed) and the
@@ -181,23 +151,27 @@ struct PersistCtx {
 }
 
 impl PersistCtx {
-    fn log(&mut self, rec: &WalRecord) -> Result<u64, String> {
+    /// Append `rec`. Toward the checkpoint trigger it counts its frame
+    /// plus `rewritten`: the payload bytes replaying it rebuilds, which
+    /// a logical record does not carry but recovery still pays for.
+    fn log(&mut self, rec: &WalRecord, rewritten: u64) -> Result<u64, String> {
         let n = self.wal.append(rec).map_err(|e| format!("wal append: {e}"))?;
-        self.bytes_since_checkpoint += n;
+        self.bytes_since_checkpoint += n + rewritten;
         Ok(n)
     }
 
     /// Learn the fate of the snapshot handed to the checkpointer: once
-    /// it committed, the versions it named are the durable ones; if the
-    /// writer went idle without committing, it failed and `durable`
-    /// stands.
+    /// it committed, the versions it named are durable (beside any a load
+    /// made durable meanwhile); if the writer went idle without
+    /// committing, it failed and `durable` stands.
     fn settle_checkpoint(&mut self) {
         let Some((seq, _)) = &self.in_flight else { return };
         // `idle` first: the writer bumps `completed` before it clears
         // `busy`, so an idle writer's count is final.
         let idle = self.checkpointer.idle();
         if self.checkpointer.completed() >= *seq {
-            self.durable = self.in_flight.take().expect("checked above").1;
+            let named = self.in_flight.take().expect("checked above").1;
+            self.durable.extend(named);
         } else if idle {
             self.in_flight = None;
         }
@@ -301,6 +275,9 @@ struct NodeCtx {
     readmit_hist: Arc<dc_obs::Histogram>,
     /// Catalog gossip messages merged into this node's catalogs.
     gossip_applied: Arc<dc_obs::Counter>,
+    /// Durable writes that failed where nothing could be refused: a
+    /// gossiped table's WAL record, a bulk load's file or record.
+    persist_errors: Arc<dc_obs::Counter>,
     /// Live hot-set gauges, in order: resident bytes, spilled bytes,
     /// spilled fragment count, current LOIT ladder level.
     hotset_gauges: [Arc<dc_obs::Gauge>; 4],
@@ -318,7 +295,7 @@ fn msg_kind(msg: &DcMsg) -> usize {
         DcMsg::Catalog(_) => 2,
         DcMsg::Routed(m) => match m.body {
             RoutedBody::Append { .. } => 3,
-            RoutedBody::Mutate { .. } => 4,
+            RoutedBody::Mutate(_) => 4,
         },
         DcMsg::Ack(_) => 5,
     }
@@ -480,14 +457,25 @@ impl NodeCtx {
         }
     }
 
-    /// Append a durable mutation to the WAL (ahead of applying it); a
-    /// no-op for diskless nodes.
-    fn log_durable(&mut self, rec: &WalRecord) -> Result<(), String> {
+    /// Append a durable change to the WAL (ahead of applying it); a
+    /// no-op for diskless nodes. `rewritten`: see [`PersistCtx::log`].
+    fn log_durable(&mut self, rec: &WalRecord, rewritten: u64) -> Result<(), String> {
         if let Some(p) = self.persist.as_mut() {
-            let n = p.log(rec)?;
+            let n = p.log(rec, rewritten)?;
             self.node.stats.wal_records += 1;
             self.node.stats.wal_bytes += n;
         }
+        Ok(())
+    }
+
+    /// Make a bulk-loaded fragment durable: its version-0 file, synced,
+    /// then the `FragMeta` naming it. Only after both is it durable — so
+    /// its first spill drops it at once instead of forcing a checkpoint.
+    fn store_durably(&mut self, bat: BatId, payload: &Bat) -> Result<(), String> {
+        let Some(p) = self.persist.as_ref() else { return Ok(()) };
+        p.dir.write_fragment(bat.0, 0, payload).map_err(|e| format!("writing its file: {e}"))?;
+        self.log_durable(&WalRecord::FragMeta { bat: bat.0, version: 0 }, 0)?;
+        self.persist.as_mut().expect("checked above").durable.insert(bat, 0);
         Ok(())
     }
 
@@ -503,7 +491,7 @@ impl NodeCtx {
         let key = format!("{}.{}", c.schema, c.table);
         let known = self.persist.as_ref().expect("checked above").tables.contains_key(&key);
         if !known {
-            self.log_durable(&WalRecord::Table(table_rec(c)))?;
+            self.log_durable(&WalRecord::Table(table_rec(c)), 0)?;
         }
         self.persist.as_mut().expect("checked above").tables.insert(key, c.clone());
         Ok(())
@@ -600,16 +588,14 @@ impl NodeCtx {
                     RoutedBody::Append { parts } => {
                         parts.iter().any(|(bat, _)| self.node.s1.is_owner(*bat))
                     }
-                    RoutedBody::Mutate { schema, table, .. } => {
-                        self.mutation_owner(schema, table) == Ok(self.node.id)
+                    RoutedBody::Mutate(mm) => {
+                        self.mutation_owner(&mm.schema, &mm.table) == Ok(self.node.id)
                     }
                 };
                 if owned {
                     let what = match &m.body {
                         RoutedBody::Append { .. } => format!("append from {}", m.origin),
-                        RoutedBody::Mutate { schema, table, .. } => {
-                            format!("mutation on {schema}.{table}")
-                        }
+                        RoutedBody::Mutate(mm) => format!("mutation on {}.{}", mm.schema, mm.table),
                     };
                     // A retry re-delivers the same statement id; the
                     // dedup cache replays the first outcome instead of
@@ -624,9 +610,7 @@ impl NodeCtx {
                         None => {
                             let r = match &m.body {
                                 RoutedBody::Append { parts } => self.apply_remote_append(parts),
-                                RoutedBody::Mutate { schema, table, op, preds } => {
-                                    self.apply_mutation(schema, table, op, preds)
-                                }
+                                RoutedBody::Mutate(mm) => self.apply_mutation(mm),
                             };
                             let detail = match &r {
                                 Ok(rows) => format!("{what}, {rows} rows"),
@@ -649,8 +633,11 @@ impl NodeCtx {
                             self.node.stats.appends_dropped += 1;
                             "no owner found for the append (fragments gone?)".to_string()
                         }
-                        RoutedBody::Mutate { schema, table, .. } => {
-                            format!("no owner found for {schema}.{table} (fragments gone?)")
+                        RoutedBody::Mutate(mm) => {
+                            format!(
+                                "no owner found for {}.{} (fragments gone?)",
+                                mm.schema, mm.table
+                            )
                         }
                     };
                     self.finish_routed(AckMsg {
@@ -688,7 +675,7 @@ impl NodeCtx {
     /// out): book the outcome and wake the caller blocked on it.
     fn settle(&mut self, p: Pending, result: Result<u64, String>) {
         match (&p.msg.body, &result) {
-            (RoutedBody::Mutate { .. }, Err(_)) => self.node.stats.mutations_failed += 1,
+            (RoutedBody::Mutate(_), Err(_)) => self.node.stats.mutations_failed += 1,
             (RoutedBody::Append { .. }, Err(_)) => self.node.stats.appends_failed += 1,
             _ => {}
         }
@@ -730,8 +717,8 @@ impl NodeCtx {
     }
 
     /// Move a cold fragment's payload out of RAM. A *clean* victim —
-    /// still at the version whose file the last committed checkpoint
-    /// names — is dropped at once; a *dirty* one is queued for the
+    /// still at a version whose file a committed record names — is
+    /// dropped at once; a *dirty* one is queued for the
     /// two-phase spill and dropped when a checkpoint naming its version
     /// commits. No-op if the payload is not resident, without a data dir
     /// (nowhere to put the at-rest copy), or without a memory budget
@@ -880,10 +867,11 @@ impl NodeCtx {
 
     /// Merge gossiped table metadata into this node's catalogs, logging
     /// it durably first. A WAL failure here cannot reject the gossip (the
-    /// origin already committed), so it degrades to a warning: the node
-    /// serves the table from memory but would forget it on restart.
+    /// origin already committed): the node serves the table from memory
+    /// but would forget it on restart, and `persist_errors` counts it.
     fn apply_catalog(&mut self, c: &CatalogMsg) {
         if let Err(e) = self.persist_table(c) {
+            self.persist_errors.inc();
             eprintln!(
                 "[dc-node {}] table {}.{} applied but not durable: {e}",
                 self.node.id, c.schema, c.table
@@ -948,31 +936,45 @@ impl NodeCtx {
             let frag =
                 self.disk.get(bat).ok_or_else(|| format!("owned {bat} missing from disk"))?;
             let grown = owned_bat(frag).extend_tail(vals).map_err(|e| e.to_string())?;
-            let version = self.node.s1.get(*bat).map(|o| o.version + 1).unwrap_or(1);
-            staged.push((*bat, version, grown));
+            staged.push((*bat, self.next_version(*bat), grown));
         }
-        self.log_durable(&WalRecord::AppendBatch(
-            staged
-                .iter()
-                .zip(parts)
-                .map(|((bat, version, _), (_, vals))| dc_persist::AppendPart {
-                    bat: bat.0,
-                    version: *version,
-                    rows: storage::bat_to_bytes(&Bat::dense((*vals).clone())),
-                })
-                .collect(),
-        ))?;
+        self.log_durable(
+            &WalRecord::AppendBatch(
+                staged
+                    .iter()
+                    .zip(parts)
+                    .map(|((bat, version, _), (_, vals))| dc_persist::AppendPart {
+                        bat: bat.0,
+                        version: *version,
+                        rows: storage::bat_to_bytes(&Bat::dense((*vals).clone())),
+                    })
+                    .collect(),
+            ),
+            0,
+        )?;
         for (bat, version, grown) in staged {
-            let size = grown.byte_size() as u64;
-            self.disk.insert(bat, Frag::from_bat(Arc::new(grown)));
-            self.hotset.note_resident(bat, size);
-            if let Some(owned) = self.node.s1.get_mut(bat) {
-                owned.size = size;
-                owned.version = version;
-            }
-            self.catalog.update_meta(bat, size, version);
+            self.install(bat, version, grown);
         }
         Ok(())
+    }
+
+    /// The version an owned fragment's next change produces (§6.4).
+    fn next_version(&self, bat: BatId) -> u32 {
+        self.node.s1.get(bat).map(|o| o.version + 1).unwrap_or(1)
+    }
+
+    /// Make `payload` an owned fragment's authoritative copy at
+    /// `version`: swap the disk payload, bump the version, and update
+    /// this node's catalog replica.
+    fn install(&mut self, bat: BatId, version: u32, payload: Bat) {
+        let size = payload.byte_size() as u64;
+        self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
+        self.hotset.note_resident(bat, size);
+        if let Some(owned) = self.node.s1.get_mut(bat) {
+            owned.size = size;
+            owned.version = version;
+        }
+        self.catalog.update_meta(bat, size, version);
     }
 
     /// Returns true on shutdown.
@@ -1019,15 +1021,12 @@ impl NodeCtx {
                 self.execute(effects, None);
             }
             Cmd::StoreOwned { bat, payload } => {
-                // Driver-side bulk load: the whole payload is the durable
-                // unit. Logging cannot reject the load (no ack channel);
-                // a failure is loud and the fragment is memory-only.
-                let log = self.log_durable(&WalRecord::Store {
-                    bat: bat.0,
-                    version: 0,
-                    rows: storage::bat_to_bytes(&payload),
-                });
-                if let Err(e) = log {
+                // Driver-side bulk load. A durability failure cannot
+                // reject it (no ack channel): the fragment stays resident
+                // and dirty — never dropped before some checkpoint has
+                // written it — and `persist_errors` counts it.
+                if let Err(e) = self.store_durably(bat, &payload) {
+                    self.persist_errors.inc();
                     eprintln!(
                         "[dc-node {}] fragment {bat} loaded but not durable: {e}",
                         self.node.id
@@ -1050,27 +1049,20 @@ impl NodeCtx {
                     Err(e) => ack.fulfill(Err(e)),
                 }
             }
-            Cmd::Mutate { schema, table, op, preds, ack } => {
-                match self.mutation_owner(&schema, &table) {
+            Cmd::Mutate { m, ack } => {
+                // The ring and the WAL carry the statement in one encoding;
+                // one it cannot hold is refused before anything happens.
+                match m.check_encodable().and_then(|()| self.mutation_owner(&m.schema, &m.table)) {
                     Err(e) => ack.fulfill(Err(e)),
-                    Ok(owner) if owner == self.node.id => {
-                        ack.fulfill(self.apply_mutation(&schema, &table, &op, &preds));
-                    }
+                    Ok(owner) if owner == self.node.id => ack.fulfill(self.apply_mutation(&m)),
                     Ok(_) => {
                         // Route the logical mutation clockwise to the
                         // owner; the ack resolves when the Ack comes
                         // back, and the per-attempt timeout resends it
                         // (or fails it) if the ack never does.
-                        if let Err(e) = mutation_fits_wire(&op, &preds) {
-                            ack.fulfill(Err(e));
-                        } else {
-                            self.node.stats.mutations_routed += 1;
-                            self.route(
-                                format!("{schema}.{table}"),
-                                RoutedBody::Mutate { schema, table, op, preds },
-                                ack,
-                            );
-                        }
+                        self.node.stats.mutations_routed += 1;
+                        let target = format!("{}.{}", m.schema, m.table);
+                        self.route(target, RoutedBody::Mutate(m), ack);
                     }
                 }
             }
@@ -1250,21 +1242,15 @@ impl NodeCtx {
     }
 
     /// Apply a logical UPDATE/DELETE at this node, the fragment owner
-    /// (§6.4): evaluate the predicates against the authoritative disk
-    /// payloads, stage the rewritten columns, WAL the whole mutation as
-    /// *one* record of complete replacement payloads, then swap the disk
+    /// (§6.4): stage it against the authoritative disk payloads
+    /// ([`ops::stage`], which WAL replay runs too), log the statement and
+    /// the versions it reaches as *one* record, then swap the disk
     /// copies, bump the fragment versions, and re-advertise the table so
     /// every replica converges on the new (size, version) view. Stale
     /// copies already circulating keep serving readers that accept them;
     /// the next owner pass re-enters the ring with the fresh payload.
-    fn apply_mutation(
-        &mut self,
-        schema: &str,
-        table: &str,
-        op: &MutOp,
-        preds: &[RowPredicate],
-    ) -> Result<u64, String> {
-        let frags = self.table_frags(schema, table)?;
+    fn apply_mutation(&mut self, m: &Mutation) -> Result<u64, String> {
+        let frags = self.table_frags(&m.schema, &m.table)?;
         // Spilled columns reload first: a mutation must apply against the
         // RAM copy, bumping the version past the stale at-rest file.
         for (_, info) in &frags {
@@ -1272,111 +1258,38 @@ impl NodeCtx {
                 self.ensure_resident(info.bat)?;
             }
         }
-        let mut payloads: Vec<(String, BatId, Arc<Bat>)> = Vec::with_capacity(frags.len());
+        let mut cols = Vec::with_capacity(frags.len());
         for (name, info) in &frags {
             if !self.node.s1.is_owner(info.bat) {
-                return Err(format!("node {} does not own {schema}.{table}", self.node.id));
+                return Err(format!("node {} does not own {}.{}", self.node.id, m.schema, m.table));
             }
             let frag = self
                 .disk
                 .get(&info.bat)
                 .ok_or_else(|| format!("owned {} missing from disk", info.bat))?;
-            payloads.push((name.clone(), info.bat, owned_bat(frag)));
+            cols.push((name.as_str(), owned_bat(frag)));
         }
-        let row_count = payloads.first().map(|(_, _, b)| b.count()).unwrap_or(0);
-        let rows = {
-            let lookup = |name: &str| {
-                payloads.iter().find(|(n, _, _)| n == name).map(|(_, _, b)| Arc::clone(b))
-            };
-            ops::matching_rows(&lookup, row_count, preds).map_err(|e| e.to_string())?
-        };
-        // Validate UPDATE assignments even when nothing matches, so a
-        // bad statement fails identically on empty and non-empty rows:
-        // columns must exist, be assigned at most once (a duplicate
-        // would make live apply and version-gated WAL replay disagree on
-        // which value wins), and accept the value's type.
-        let targets: Vec<(BatId, &Arc<Bat>)> = match op {
-            MutOp::Update(assigns) => {
-                if assigns.is_empty() {
-                    return Err("UPDATE needs at least one assignment".into());
-                }
-                let mut seen: Vec<&str> = Vec::with_capacity(assigns.len());
-                assigns
-                    .iter()
-                    .map(|(name, v)| {
-                        if seen.contains(&name.as_str()) {
-                            return Err(format!("column '{name}' assigned twice"));
-                        }
-                        seen.push(name);
-                        let (bat, payload) = payloads
-                            .iter()
-                            .find(|(n, _, _)| n == name)
-                            .map(|(_, bat, b)| (*bat, b))
-                            .ok_or_else(|| format!("unknown column {schema}.{table}.{name}"))?;
-                        batstore::Column::empty(payload.tail_type())
-                            .push(v)
-                            .map_err(|e| e.to_string())?;
-                        Ok((bat, payload))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-            MutOp::Delete => payloads.iter().map(|(_, bat, b)| (*bat, b)).collect(),
-        };
-        if rows.is_empty() {
+        let staged = ops::stage(&cols, &m.op, &m.preds).map_err(|e| e.to_string())?;
+        if staged.matched == 0 {
             return Ok(0);
         }
-        // Stage every rewritten column before logging or applying: a
-        // type error must reject the whole statement.
-        let staged: Vec<(BatId, u32, Bat)> = match op {
-            MutOp::Update(assigns) => assigns
-                .iter()
-                .zip(&targets)
-                .map(|((_, v), (bat, payload))| {
-                    let version = self.node.s1.get(*bat).map(|o| o.version + 1).unwrap_or(1);
-                    ops::scatter_const(payload, &rows, v)
-                        .map(|b| (*bat, version, b))
-                        .map_err(|e| e.to_string())
-                })
-                .collect::<Result<_, _>>()?,
-            MutOp::Delete => targets
-                .iter()
-                .map(|(bat, payload)| {
-                    let version = self.node.s1.get(*bat).map(|o| o.version + 1).unwrap_or(1);
-                    ops::erase_rows(payload, &rows)
-                        .map(|b| (*bat, version, b))
-                        .map_err(|e| e.to_string())
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        // WAL ahead of every in-memory effect, all columns in one
-        // CRC-framed record of complete payloads: a crash can never
-        // half-apply a multi-column UPDATE, and replay is idempotent by
-        // version (`> current` applies, anything else skips).
-        let parts: Vec<ReplacePart> = staged
+        let versions: Vec<(BatId, u32)> = staged
+            .columns
             .iter()
-            .map(|(bat, version, b)| ReplacePart {
-                bat: bat.0,
-                version: *version,
-                rows: storage::bat_to_bytes(b),
-            })
+            .map(|(i, _)| (frags[*i].1.bat, self.next_version(frags[*i].1.bat)))
             .collect();
-        self.log_durable(&match op {
-            MutOp::Update(_) => WalRecord::Update(parts),
-            MutOp::Delete => WalRecord::Delete(parts),
-        })?;
-        for (bat, version, b) in staged {
-            let size = b.byte_size() as u64;
-            self.disk.insert(bat, Frag::from_bat(Arc::new(b)));
-            self.hotset.note_resident(bat, size);
-            if let Some(owned) = self.node.s1.get_mut(bat) {
-                owned.size = size;
-                owned.version = version;
-            }
-            self.catalog.update_meta(bat, size, version);
+        // WAL ahead of every in-memory effect, the whole statement in one
+        // CRC-framed record: a crash never half-applies it, and replay
+        // re-executes it only against exactly the versions it ran on.
+        let rewritten = staged.columns.iter().map(|(_, b)| b.byte_size() as u64).sum();
+        let logged = versions.iter().map(|(bat, v)| (bat.0, *v)).collect();
+        self.log_durable(&WalRecord::Mutate { m: m.clone(), versions: logged }, rewritten)?;
+        for ((bat, version), (_, payload)) in versions.into_iter().zip(staged.columns) {
+            self.install(bat, version, payload);
         }
         self.node.stats.mutations_applied += 1;
-        self.readvertise_table(schema, table);
-        Ok(rows.len() as u64)
+        self.readvertise_table(&m.schema, &m.table);
+        Ok(staged.matched as u64)
     }
 
     /// Gossip the table's current catalog entry (sizes and versions as
@@ -1630,7 +1543,7 @@ impl RingNode {
             // Rebuild owned fragments ("local disk") and the S1 catalog.
             for (raw, f) in rec.frags {
                 let bat = BatId(raw);
-                let payload = Arc::new(f.bat);
+                let payload = f.bat;
                 let size = payload.byte_size() as u64;
                 node.register_owned(bat, size);
                 if let Some(owned) = node.s1.get_mut(bat) {
@@ -1740,6 +1653,7 @@ impl RingNode {
             spill_hist: obs.histogram("spill_us"),
             readmit_hist: obs.histogram("readmit_us"),
             gossip_applied: obs.counter("gossip_applied"),
+            persist_errors: obs.counter("persist_errors"),
             hotset_gauges: [
                 obs.gauge("hotset_resident_bytes"),
                 obs.gauge("hotset_spilled_bytes"),
@@ -2708,6 +2622,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A durable one-node ring takes a seeded stream of INSERTs, UPDATEs
+    /// (one and two assignments, `=`/BETWEEN/IN, `str` columns) and
+    /// DELETEs over a created and a bulk-loaded table, checkpointing
+    /// every few statements, and is dropped without a `shutdown`. The
+    /// respawned node holds every cell, and every fragment at its version.
+    #[test]
+    fn random_mutations_survive_a_drop_cell_for_cell_and_version_for_version() {
+        let dir = scratch_dir("random_mutations");
+        let node = durable_node(&dir, 2048);
+        node.execute("create table acct (id int, bal lng, tag varchar(8))").unwrap();
+        let tags: Vec<String> = (0..40).map(|i| format!("b{}", i % 4)).collect();
+        let tags: Vec<&str> = tags.iter().map(String::as_str).collect();
+        let cols =
+            vec![("k", Column::from((0..40).collect::<Vec<i32>>())), ("s", Column::from(tags))];
+        node.load_table("sys", "bulk", cols).unwrap();
+        node.wait_for_table_timeout("sys", "bulk", Duration::from_secs(5)).unwrap();
+        let mut rng = netsim::DetRng::new(0x5eed_0022);
+        for _ in 0..80 {
+            let (a, b, n) = (rng.index(12), rng.index(12), rng.uniform_u64(0, 999));
+            let sql = match rng.index(6) {
+                0 | 1 => format!("insert into acct values ({a}, {n}, 't{}')", b % 3),
+                2 => format!("update acct set bal = {n} where id = {a}"),
+                3 => {
+                    format!("update acct set bal = {n}, tag = 'u{b}' where id between {a} and {b}")
+                }
+                4 => format!("delete from acct where tag in ('t{}', 'u{b}')", a % 3),
+                _ => format!("update bulk set s = 'x{n}' where k >= {}", a * 3 + b),
+            };
+            node.execute(&sql).unwrap();
+        }
+        let state = |node: &RingNode| {
+            // No ORDER BY: rows in storage order, which must match too.
+            let cells = ["select id, bal, tag from acct", "select k, s from bulk"]
+                .map(|q| rows(&node.execute(q).unwrap()));
+            let versions: Vec<(BatId, u32, u64)> =
+                node.hotset().unwrap().rows.iter().map(|r| (r.bat, r.version, r.size)).collect();
+            (cells, versions)
+        };
+        let before = state(&node);
+        assert!(before.1.iter().any(|(_, v, _)| *v > 5), "the stream moved versions: {before:?}");
+        assert!(node.stats().unwrap().checkpoints > 0, "no checkpoint interleaved");
+        drop(node);
+
+        let node = durable_node(&dir, 2048);
+        assert_eq!(state(&node), before);
+        node.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn data_dir_of_another_node_refused() {
         let dir = scratch_dir("foreign");
@@ -2835,31 +2798,32 @@ mod tests {
             }
         };
 
-        // The initial spill is dirty: it waits for the first checkpoint,
-        // which carries (and writes) all four fragments.
+        // Each load wrote its fragment's version-0 file, so the initial
+        // spill is already clean: it drops the coldest at once.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while node.hotset().unwrap().resident_bytes > 3 * col_bytes || written.get() < 4 {
+        while node.hotset().unwrap().resident_bytes > 3 * col_bytes {
             assert!(Instant::now() < deadline, "initial spill never settled");
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(bat_files().len(), 4);
 
-        // From here every fragment is clean: alternating reads evict and
-        // re-admit on every sweep without a single checkpoint.
+        // Alternating reads evict and re-admit on every sweep; through
+        // the load, the spill and all of it, no checkpoint runs and no
+        // fragment file is written again.
         let before = node.stats().unwrap();
         for _ in 0..10 {
             sweep(0);
         }
         let after = node.stats().unwrap();
-        assert_eq!(after.checkpoints, before.checkpoints, "a clean spill forced a checkpoint");
+        assert_eq!(after.checkpoints, 0, "a clean spill forced a checkpoint");
         assert!(after.loi_evictions >= before.loi_evictions + 10, "{after:?}");
         assert!(after.loi_readmits >= before.loi_readmits + 10, "{after:?}");
-        assert_eq!(written.get(), 4, "a fragment version was written twice");
+        assert_eq!(written.get(), 0, "a fragment version was written twice");
 
         // An UPDATE moves one column to v1 (`a.k`, the lowest id and so
-        // the victim of every sweep). Its next spill is dirty again: one
+        // the victim of every sweep). Its next spill is dirty: one
         // checkpoint writes exactly that one file, finds the other
-        // residents already there, and its GC drops the v0 file.
+        // residents' files already there, and its GC drops the v0 file.
         node.execute("update a set k = 5000 where k = 3").unwrap();
         let moved = node.hotset().unwrap().rows.iter().find(|r| r.version == 1).unwrap().bat;
         let (old, new) = (format!("{}.v0.bat", moved.0), format!("{}.v1.bat", moved.0));
@@ -2876,8 +2840,51 @@ mod tests {
         // (Shutdown joins the checkpointer, which books a checkpoint's
         // counts after its GC.)
         node.shutdown();
-        assert_eq!(written.get(), 5, "one new file per distinct version");
+        assert_eq!(written.get(), 1, "one new file per distinct version");
         assert!(skipped.get() > 0, "unchanged residents must be skipped, not rewritten");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_load_whose_file_cannot_be_written_is_counted_and_never_dropped() {
+        let dir = scratch_dir("load_error");
+        // A 1-byte budget: both columns are excess the moment they load.
+        let node = budget_node(&dir, 1);
+        let (blocked, clean) = (node_frag_id(node.id, 1), node_frag_id(node.id, 2));
+        // Tests run as root, so a read-only directory would not stop the
+        // write; a directory where the temp file goes does.
+        let obstruction = dir.join("bats").join(format!(".{}.v0.bat.tmp", blocked.0));
+        std::fs::create_dir(&obstruction).unwrap();
+        let cols = vec![("k", Column::from(vec![1, 2, 3])), ("v", Column::from(vec![10, 20, 30]))];
+        node.load_table("sys", "t", cols).unwrap();
+
+        let rs = node.execute("select name, value from dc.stats").unwrap();
+        let errors = (0..rs.row_count())
+            .find(|&r| rs.cell(r, 0) == Val::from("obs_persist_errors"))
+            .map(|r| rs.cell(r, 1));
+        assert_eq!(errors, Some(Val::Lng(1)));
+
+        // The durable column's spill is clean and drops it at once; the
+        // other waits for a checkpoint to write its file, which the
+        // obstruction fails — so it is never dropped.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let snap = node.hotset().unwrap();
+            let state = |bat| snap.rows.iter().find(|r| r.bat == bat).map(|r| r.state);
+            assert_ne!(
+                state(blocked),
+                Some("spilled"),
+                "a load that never reached disk was dropped"
+            );
+            if state(clean) == Some("spilled") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the durable column never spilled: {:?}", snap.rows);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let rs = node.execute("select k, v from t order by k").unwrap();
+        assert_eq!(rows(&rs), [[1, 10], [2, 20], [3, 30]].map(|r| r.map(Val::from)));
+        node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 

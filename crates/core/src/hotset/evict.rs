@@ -1,5 +1,6 @@
 //! The two-phase spill queue. Evicting a *dirty* fragment — one whose
-//! current version no committed checkpoint has written yet — is
+//! current version has no file yet (neither its load nor a committed
+//! checkpoint wrote one) — is
 //! "checkpoint, then drop": it stays resident until a checkpoint
 //! carrying its payload commits — that checkpoint's
 //! `bats/<id>.v<version>.bat` *is* the at-rest copy — and only then may

@@ -14,10 +14,11 @@
 //! [`Frame`] that *refers* to the payloads the message already holds (a
 //! transport writes the pieces with one vectored write), and the decoder
 //! takes the received frame whole ([`decode_frame`]) and hands back
-//! payloads that are slices of it.
+//! payloads that are slices of it. A mutation's body is
+//! [`Mutation::encode`]'s, the form the owner's WAL logs it in.
 
 use crate::ids::{BatId, NodeId};
-use batstore::ops::CmpOp;
+pub use batstore::ops::{MutOp, Mutation};
 use batstore::{ColType, RowPredicate, Val};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -118,16 +119,6 @@ impl CatalogMsg {
     }
 }
 
-/// What a [`RoutedBody::Mutate`] does at the fragment owner.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MutOp {
-    /// `UPDATE`: write each `(column, value)` assignment into the
-    /// matching rows.
-    Update(Vec<(String, Val)>),
-    /// `DELETE`: remove the matching rows from every column in lockstep.
-    Delete,
-}
-
 /// What a [`RoutedMsg`] asks of the fragment owner — the only part of a
 /// routed statement that differs by kind.
 #[derive(Clone, Debug, PartialEq)]
@@ -141,8 +132,9 @@ pub enum RoutedBody {
     /// SQL UPDATE/DELETE (§6.4: the owner rewrites its authoritative copy
     /// and bumps the version). The mutation is *logical* — assignments
     /// plus WHERE predicates — because row positions computed anywhere
-    /// else could be stale by the time the message arrives.
-    Mutate { schema: String, table: String, op: MutOp, preds: Vec<RowPredicate> },
+    /// else could be stale by the time the message arrives; it travels in
+    /// the encoding the owner's WAL logs it in ([`Mutation::encode`]).
+    Mutate(Mutation),
 }
 
 /// A statement traveling clockwise toward the fragment owner, which
@@ -223,17 +215,17 @@ impl DcMsg {
                 RoutedBody::Append { parts } => {
                     32 + parts.iter().map(|(_, rows)| 12 + rows.len() as u64).sum::<u64>()
                 }
-                RoutedBody::Mutate { schema, table, op, preds } => {
-                    let assigns = match op {
+                RoutedBody::Mutate(m) => {
+                    let assigns = match &m.op {
                         MutOp::Update(a) => {
                             a.iter().map(|(n, v)| 2 + n.len() as u64 + val_wire_size(v)).sum()
                         }
                         MutOp::Delete => 0,
                     };
-                    24 + schema.len() as u64
-                        + table.len() as u64
+                    24 + m.schema.len() as u64
+                        + m.table.len() as u64
                         + assigns
-                        + preds.iter().map(pred_wire_size).sum::<u64>()
+                        + m.preds.iter().map(pred_wire_size).sum::<u64>()
                 }
             },
             DcMsg::Ack(a) => 32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0),
@@ -249,19 +241,6 @@ const TAG_ACK: u8 = 5;
 
 const BODY_APPEND: u8 = 1;
 const BODY_MUTATE: u8 = 2;
-
-const VAL_NIL: u8 = 0;
-const VAL_OID: u8 = 1;
-const VAL_INT: u8 = 2;
-const VAL_LNG: u8 = 3;
-const VAL_DBL: u8 = 4;
-const VAL_STR: u8 = 5;
-const VAL_BOOL: u8 = 6;
-const VAL_DATE: u8 = 7;
-
-const PRED_CMP: u8 = 1;
-const PRED_BETWEEN: u8 = 2;
-const PRED_IN: u8 = 3;
 
 fn put_str(b: &mut BytesMut, s: &str) {
     // Identifiers longer than a u16 length cannot be framed. Truncate at
@@ -287,142 +266,6 @@ fn get_str(buf: &mut &[u8]) -> Result<String, String> {
     let s = std::str::from_utf8(&buf[..len]).map_err(|e| format!("bad utf8: {e}"))?.to_string();
     buf.advance(len);
     Ok(s)
-}
-
-fn put_val(b: &mut BytesMut, v: &Val) {
-    match v {
-        Val::Nil => b.put_u8(VAL_NIL),
-        Val::Oid(x) => {
-            b.put_u8(VAL_OID);
-            b.put_u64_le(*x);
-        }
-        Val::Int(x) => {
-            b.put_u8(VAL_INT);
-            b.put_u32_le(*x as u32);
-        }
-        Val::Lng(x) => {
-            b.put_u8(VAL_LNG);
-            b.put_u64_le(*x as u64);
-        }
-        Val::Dbl(x) => {
-            b.put_u8(VAL_DBL);
-            b.put_f64_le(*x);
-        }
-        Val::Str(s) => {
-            b.put_u8(VAL_STR);
-            put_str(b, s);
-        }
-        Val::Bool(x) => {
-            b.put_u8(VAL_BOOL);
-            b.put_u8(*x as u8);
-        }
-        Val::Date(x) => {
-            b.put_u8(VAL_DATE);
-            b.put_u32_le(*x as u32);
-        }
-    }
-}
-
-fn get_val(buf: &mut &[u8]) -> Result<Val, String> {
-    if buf.is_empty() {
-        return Err("truncated value tag".into());
-    }
-    let tag = buf.get_u8();
-    let need = |buf: &&[u8], n: usize| {
-        if buf.remaining() < n {
-            Err(format!("truncated value: want {n}, have {}", buf.remaining()))
-        } else {
-            Ok(())
-        }
-    };
-    Ok(match tag {
-        VAL_NIL => Val::Nil,
-        VAL_OID => {
-            need(buf, 8)?;
-            Val::Oid(buf.get_u64_le())
-        }
-        VAL_INT => {
-            need(buf, 4)?;
-            Val::Int(buf.get_u32_le() as i32)
-        }
-        VAL_LNG => {
-            need(buf, 8)?;
-            Val::Lng(buf.get_u64_le() as i64)
-        }
-        VAL_DBL => {
-            need(buf, 8)?;
-            Val::Dbl(buf.get_f64_le())
-        }
-        VAL_STR => Val::Str(get_str(buf)?),
-        VAL_BOOL => {
-            need(buf, 1)?;
-            Val::Bool(buf.get_u8() != 0)
-        }
-        VAL_DATE => {
-            need(buf, 4)?;
-            Val::Date(buf.get_u32_le() as i32)
-        }
-        other => return Err(format!("unknown value tag {other}")),
-    })
-}
-
-fn put_pred(b: &mut BytesMut, p: &RowPredicate) {
-    match p {
-        RowPredicate::Cmp { column, op, value } => {
-            b.put_u8(PRED_CMP);
-            put_str(b, column);
-            put_str(b, op.symbol());
-            put_val(b, value);
-        }
-        RowPredicate::Between { column, lo, hi } => {
-            b.put_u8(PRED_BETWEEN);
-            put_str(b, column);
-            put_val(b, lo);
-            put_val(b, hi);
-        }
-        RowPredicate::InList { column, values } => {
-            b.put_u8(PRED_IN);
-            put_str(b, column);
-            let n = values.len().min(u16::MAX as usize);
-            b.put_u16_le(n as u16);
-            for v in values.iter().take(n) {
-                put_val(b, v);
-            }
-        }
-    }
-}
-
-fn get_pred(buf: &mut &[u8]) -> Result<RowPredicate, String> {
-    if buf.is_empty() {
-        return Err("truncated predicate tag".into());
-    }
-    match buf.get_u8() {
-        PRED_CMP => {
-            let column = get_str(buf)?;
-            let sym = get_str(buf)?;
-            let op = CmpOp::from_symbol(&sym).ok_or_else(|| format!("bad op '{sym}'"))?;
-            Ok(RowPredicate::Cmp { column, op, value: get_val(buf)? })
-        }
-        PRED_BETWEEN => {
-            let column = get_str(buf)?;
-            let lo = get_val(buf)?;
-            let hi = get_val(buf)?;
-            Ok(RowPredicate::Between { column, lo, hi })
-        }
-        PRED_IN => {
-            let column = get_str(buf)?;
-            if buf.remaining() < 2 {
-                return Err("truncated in-list count".into());
-            }
-            let n = buf.get_u16_le() as usize;
-            let mut values = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                values.push(get_val(buf)?);
-            }
-            Ok(RowPredicate::InList { column, values })
-        }
-        other => Err(format!("unknown predicate tag {other}")),
-    }
 }
 
 /// An encoded message, not yet contiguous: `head` is every byte the
@@ -550,27 +393,11 @@ pub fn frame(msg: &DcMsg) -> Frame {
                         cuts.push((b.len(), rows.clone()));
                     }
                 }
-                RoutedBody::Mutate { schema, table, op, preds } => {
+                RoutedBody::Mutate(m) => {
                     b.put_u8(BODY_MUTATE);
-                    put_str(&mut b, schema);
-                    put_str(&mut b, table);
-                    match op {
-                        MutOp::Update(assigns) => {
-                            b.put_u8(1);
-                            let n = assigns.len().min(u16::MAX as usize);
-                            b.put_u16_le(n as u16);
-                            for (name, v) in assigns.iter().take(n) {
-                                put_str(&mut b, name);
-                                put_val(&mut b, v);
-                            }
-                        }
-                        MutOp::Delete => b.put_u8(2),
-                    }
-                    let n = preds.len().min(u16::MAX as usize);
-                    b.put_u16_le(n as u16);
-                    for p in preds.iter().take(n) {
-                        put_pred(&mut b, p);
-                    }
+                    let mut body = Vec::new();
+                    m.encode(&mut body);
+                    b.put_slice(&body);
                 }
             }
             b
@@ -715,38 +542,7 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
                     }
                     RoutedBody::Append { parts }
                 }
-                BODY_MUTATE => {
-                    let schema = get_str(&mut buf)?;
-                    let table = get_str(&mut buf)?;
-                    if buf.is_empty() {
-                        return Err("truncated mutate op".into());
-                    }
-                    let op = match buf.get_u8() {
-                        1 => {
-                            if buf.remaining() < 2 {
-                                return Err("truncated assignment count".into());
-                            }
-                            let n = buf.get_u16_le() as usize;
-                            let mut assigns = Vec::with_capacity(n.min(1024));
-                            for _ in 0..n {
-                                let name = get_str(&mut buf)?;
-                                assigns.push((name, get_val(&mut buf)?));
-                            }
-                            MutOp::Update(assigns)
-                        }
-                        2 => MutOp::Delete,
-                        other => return Err(format!("unknown mutation op tag {other}")),
-                    };
-                    if buf.remaining() < 2 {
-                        return Err("truncated predicate count".into());
-                    }
-                    let n = buf.get_u16_le() as usize;
-                    let mut preds = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        preds.push(get_pred(&mut buf)?);
-                    }
-                    RoutedBody::Mutate { schema, table, op, preds }
-                }
+                BODY_MUTATE => RoutedBody::Mutate(Mutation::decode(&mut buf)?),
                 other => return Err(format!("unknown routed body tag {other}")),
             };
             Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, body }))
@@ -776,6 +572,7 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batstore::ops::CmpOp;
 
     fn hdr() -> BatHeader {
         BatHeader {
@@ -910,7 +707,7 @@ mod tests {
     }
 
     fn mutate_msg() -> DcMsg {
-        routed(RoutedBody::Mutate {
+        routed(RoutedBody::Mutate(Mutation {
             schema: "sys".into(),
             table: "acct".into(),
             op: MutOp::Update(vec![
@@ -929,7 +726,7 @@ mod tests {
                     values: vec![Val::Str("a".into()), Val::Bool(true), Val::Date(123)],
                 },
             ],
-        })
+        }))
     }
 
     #[test]
@@ -941,12 +738,12 @@ mod tests {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
         }
         // DELETE with no predicates (the smallest mutation).
-        let d = routed(RoutedBody::Mutate {
+        let d = routed(RoutedBody::Mutate(Mutation {
             schema: "sys".into(),
             table: "t".into(),
             op: MutOp::Delete,
             preds: vec![],
-        });
+        }));
         assert_eq!(decode(&encode(&d)).unwrap(), d);
         assert!(m.wire_size() > d.wire_size());
     }

@@ -849,12 +849,7 @@ mod tests {
                         2 => n.on_request(ReqMsg { origin: NodeId(x as u16), bat }),
                         3 => n.on_bat(header, true),
                         4 => [n.unpin(query, bat), n.query_done(query)].concat(),
-                        _ => {
-                            // `resend` walks a `HashMap`.
-                            let mut eff = n.tick();
-                            eff.sort_by_key(|e| format!("{e:?}"));
-                            eff
-                        }
+                        _ => n.tick(),
                     };
                     if let Some(Effect::LoadFromDisk { bat, .. }) = eff.first().cloned() {
                         eff.extend(n.bat_loaded(bat));

@@ -12,7 +12,7 @@
 
 use crate::ids::{BatId, QueryId};
 use netsim::SimTime;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One outstanding request (S2 row) for a BAT.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,10 +57,12 @@ impl RequestEntry {
     }
 }
 
-/// S2: outstanding requests keyed by BAT.
+/// S2: outstanding requests keyed by BAT. Ordered, so that whatever
+/// walks it — a finished query's cleanup, the `resend` sweep — emits its
+/// effects in ascending `BatId`, the same on every run and every node.
 #[derive(Default)]
 pub struct S2Requests {
-    map: HashMap<BatId, RequestEntry>,
+    map: BTreeMap<BatId, RequestEntry>,
 }
 
 impl S2Requests {

@@ -58,7 +58,7 @@ impl Pending {
     pub fn what(&self) -> String {
         let kind = match self.msg.body {
             RoutedBody::Append { .. } => "append",
-            RoutedBody::Mutate { .. } => "mutation",
+            RoutedBody::Mutate(_) => "mutation",
         };
         format!("{kind} on {}", self.target)
     }
@@ -204,12 +204,12 @@ mod tests {
     const ME: NodeId = NodeId(1);
 
     fn mutate() -> RoutedBody {
-        RoutedBody::Mutate {
+        RoutedBody::Mutate(crate::msg::Mutation {
             schema: "sys".into(),
             table: "acct".into(),
             op: crate::msg::MutOp::Delete,
             preds: vec![],
-        }
+        })
     }
 
     fn waiter() -> Arc<Waiter<u64>> {

@@ -8,9 +8,10 @@
 //! pinning query, not the event loop, turns it into a `Bat`.
 
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::msg::{CatalogMsg, MutOp};
+use crate::msg::CatalogMsg;
 use crate::stats::NodeStats;
-use batstore::{storage, Bat, ColType, Column, RowPredicate, Val};
+use batstore::ops::Mutation;
+use batstore::{storage, Bat, ColType, Column};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use mal::{DcHooks, MalError};
@@ -306,13 +307,7 @@ pub enum Cmd {
     /// [`crate::msg::RoutedBody::Mutate`], with the ack fulfilled when
     /// the owner's [`crate::msg::AckMsg`] comes back — so the caller
     /// reports a correct affected-row count even for remote mutations.
-    Mutate {
-        schema: String,
-        table: String,
-        op: MutOp,
-        preds: Vec<RowPredicate>,
-        ack: Arc<Waiter<u64>>,
-    },
+    Mutate { m: Mutation, ack: Arc<Waiter<u64>> },
     /// Publish externally-assembled table metadata into this node's
     /// catalogs (driver-side loads); optionally gossip it clockwise.
     PublishTable { table: CatalogMsg, gossip: bool },
@@ -444,40 +439,9 @@ impl DcHooks for RingHooks {
         ack.wait(self.pin_timeout).map_err(MalError::Dc)
     }
 
-    fn update_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        assigns: &[(String, Val)],
-        preds: &[RowPredicate],
-    ) -> Result<u64, MalError> {
+    fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64, MalError> {
         let ack = Arc::new(Waiter::<u64>::default());
-        self.send(Cmd::Mutate {
-            schema: schema.to_string(),
-            table: table.to_string(),
-            op: MutOp::Update(assigns.to_vec()),
-            preds: preds.to_vec(),
-            ack: Arc::clone(&ack),
-        })?;
-        ack.wait_for_outcome(self.pin_timeout, MUT_ACK_TIMEOUT).map_err(MalError::Dc)
-    }
-
-    fn delete_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        preds: &[RowPredicate],
-    ) -> Result<u64, MalError> {
-        let ack = Arc::new(Waiter::<u64>::default());
-        self.send(Cmd::Mutate {
-            schema: schema.to_string(),
-            table: table.to_string(),
-            op: MutOp::Delete,
-            preds: preds.to_vec(),
-            ack: Arc::clone(&ack),
-        })?;
+        self.send(Cmd::Mutate { m, ack: Arc::clone(&ack) })?;
         ack.wait_for_outcome(self.pin_timeout, MUT_ACK_TIMEOUT).map_err(MalError::Dc)
     }
 

@@ -17,8 +17,8 @@ use batstore::ops::CmpOp;
 use batstore::{ColType, RowPredicate, Val};
 use bytes::Bytes;
 use datacyclotron::msg::{
-    decode, decode_frame, encode, frame, AckMsg, BatHeader, MutOp, ReqMsg, RoutedBody, RoutedMsg,
-    HEADER_WIRE_BYTES,
+    decode, decode_frame, encode, frame, AckMsg, BatHeader, MutOp, Mutation, ReqMsg, RoutedBody,
+    RoutedMsg, HEADER_WIRE_BYTES,
 };
 use datacyclotron::{BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
 use proptest::prelude::*;
@@ -84,14 +84,14 @@ fn mutate_from(kind: u8, seed: i64, text: &str, nassign: usize, npred: usize) ->
     };
     routed_from(
         seed,
-        RoutedBody::Mutate {
+        RoutedBody::Mutate(Mutation {
             schema: "sys".into(),
             table: format!("t{}", kind % 7),
             op,
             preds: (0..npred)
                 .map(|i| pred_from(kind.wrapping_add(i as u8), seed + i as i64, text, 1 + i % 4))
                 .collect(),
-        },
+        }),
     )
 }
 

@@ -9,7 +9,8 @@
 //! memory and put into the DBMS space").
 
 use crate::error::{MalError, Result};
-use batstore::{Bat, BatStore, Catalog, ColType, Column, RowPredicate, Val};
+use batstore::ops::Mutation;
+use batstore::{Bat, BatStore, Catalog, ColType, Column};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -57,33 +58,14 @@ pub trait DcHooks: Send + Sync {
         Err(MalError::Dc(format!("this DC seam cannot append to {schema}.{table}")))
     }
 
-    /// `sql.update`: write each assignment into every row matching the
-    /// predicate conjunction; returns the number of rows touched. On a
-    /// ring node the *logical* mutation is routed to the fragment owner,
-    /// which evaluates the predicates against its authoritative payload
-    /// and bumps the fragment versions (§6.4).
-    fn update_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        _assigns: &[(String, Val)],
-        _preds: &[RowPredicate],
-    ) -> Result<u64> {
-        Err(MalError::Dc(format!("this DC seam cannot update {schema}.{table}")))
-    }
-
-    /// `sql.delete`: remove every row matching the predicate conjunction
-    /// from all columns in lockstep; returns the number of rows removed.
-    /// Owner-routed on ring nodes, exactly like [`DcHooks::update_rows`].
-    fn delete_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        _preds: &[RowPredicate],
-    ) -> Result<u64> {
-        Err(MalError::Dc(format!("this DC seam cannot delete from {schema}.{table}")))
+    /// `sql.update` / `sql.delete`: write each assignment into, or
+    /// remove, every row matching the predicate conjunction; returns the
+    /// number of rows matched. On a ring node the *logical* mutation is
+    /// routed to the fragment owner, which evaluates the predicates
+    /// against its authoritative payload and bumps the fragment versions
+    /// (§6.4).
+    fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64> {
+        Err(MalError::Dc(format!("this DC seam cannot mutate {}.{}", m.schema, m.table)))
     }
 
     /// `sql.sysview`: materialize a read-only `dc.*` system view
@@ -157,29 +139,10 @@ impl DcHooks for LocalHooks {
         Ok(catalog.append_rows(&mut store, schema, table, cols)? as u64)
     }
 
-    fn update_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        assigns: &[(String, Val)],
-        preds: &[RowPredicate],
-    ) -> Result<u64> {
+    fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64> {
         let mut catalog = self.catalog.write();
         let mut store = self.store.write();
-        Ok(catalog.update_rows(&mut store, schema, table, assigns, preds)? as u64)
-    }
-
-    fn delete_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        preds: &[RowPredicate],
-    ) -> Result<u64> {
-        let mut catalog = self.catalog.write();
-        let mut store = self.store.write();
-        Ok(catalog.delete_rows(&mut store, schema, table, preds)? as u64)
+        Ok(catalog.mutate_rows(&mut store, &m.schema, &m.table, &m.op, &m.preds)? as u64)
     }
 }
 

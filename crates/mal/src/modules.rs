@@ -5,6 +5,7 @@
 use crate::context::SessionCtx;
 use crate::error::{MalError, Result};
 use crate::value::{MVal, ResultSet};
+use batstore::ops::{MutOp, Mutation};
 use batstore::{ops, Bat, Val};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -303,7 +304,13 @@ fn register_sql(r: &mut Registry) {
             assigns.push((name.to_string(), arg_val(args, i + 3, "sql.update")?));
         }
         let preds = named_predicates(args, 3 + names.len(), "sql.update")?;
-        let n = ctx.hooks().update_rows(ctx.query_id, schema, table, &assigns, &preds)?;
+        let m = Mutation {
+            schema: schema.to_string(),
+            table: table.to_string(),
+            op: MutOp::Update(assigns),
+            preds,
+        };
+        let n = ctx.hooks().mutate_rows(ctx.query_id, m)?;
         ctx.set_result(batstore::ResultSet::with_affected(n));
         Ok(vec![])
     });
@@ -316,7 +323,13 @@ fn register_sql(r: &mut Registry) {
         }
         let (schema, table) = (arg_str(args, 0, "sql.delete")?, arg_str(args, 1, "sql.delete")?);
         let preds = named_predicates(args, 2, "sql.delete")?;
-        let n = ctx.hooks().delete_rows(ctx.query_id, schema, table, &preds)?;
+        let m = Mutation {
+            schema: schema.to_string(),
+            table: table.to_string(),
+            op: MutOp::Delete,
+            preds,
+        };
+        let n = ctx.hooks().mutate_rows(ctx.query_id, m)?;
         ctx.set_result(batstore::ResultSet::with_affected(n));
         Ok(vec![])
     });

@@ -9,16 +9,18 @@
 //! most once, under a name no committed checkpoint refers to — then
 //! commits by atomically replacing `catalog.snap` (which fragment
 //! versions exist) and `MANIFEST` (where WAL replay starts). Only after
-//! that are older WAL generations and superseded fragment files deleted.
+//! that are older WAL generations and the superseded versions of the
+//! fragments it names deleted (a bulk load may write a fragment's first
+//! file while this runs; the snapshot does not name it, so it stays).
 //! A crash anywhere in the sequence leaves either the old checkpoint
 //! (its files untouched, the WAL tail still replays) or the new one
 //! (overlapping WAL records are skipped by version), never a torn mix:
 //! an uncommitted checkpoint cannot touch a file the committed one
 //! names.
 
-use crate::datadir::{sync_dir, write_atomic, write_then_rename, DataDir, Manifest};
+use crate::datadir::{sync_dir, write_atomic, write_bat_file, DataDir, Manifest};
 use crate::wal::{encode_record, TableRec, WalRecord};
-use batstore::{storage, Bat};
+use batstore::Bat;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -84,15 +86,16 @@ pub fn write_checkpoint(dir: &DataDir, snap: &Snapshot) -> io::Result<Checkpoint
             let _ = std::fs::remove_file(dir.wal_path(gen));
         }
     }
-    let _ = dir.retain_bats(&snap.frags.iter().map(|f| dir.bat_path(f.bat, f.version)).collect());
+    let _ = dir.collect_superseded(&snap.frags.iter().map(|f| (f.bat, f.version)).collect());
     Ok(stats)
 }
 
 /// The pre-commit phase of a checkpoint: give every resident
 /// `(fragment, version)` of the snapshot its file. A file that exists is
 /// complete (it was renamed into place) and holds exactly this payload
-/// (recovery deleted whatever a crashed predecessor left), so it is
-/// skipped; `bats/` is synced once for all the files written.
+/// (a bulk load wrote it, or recovery deleted whatever a crashed
+/// predecessor left), so it is skipped; `bats/` is synced once for all
+/// the files written.
 pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result<CheckpointStats> {
     let mut stats = CheckpointStats::default();
     for f in &snap.frags {
@@ -101,9 +104,7 @@ pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result
         if path.exists() {
             stats.frags_skipped += 1;
         } else {
-            write_then_rename(&path, |w| {
-                storage::write_bat(w, payload).map_err(|e| io::Error::other(e.to_string()))
-            })?;
+            write_bat_file(&path, payload)?;
             stats.frags_written += 1;
         }
     }
@@ -224,7 +225,7 @@ impl Drop for Checkpointer {
 mod tests {
     use super::*;
     use crate::wal::ColRec;
-    use batstore::{ColType, Column};
+    use batstore::{storage, ColType, Column};
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("dc_ckpt_{tag}_{}", std::process::id()))
@@ -263,11 +264,14 @@ mod tests {
         let root = scratch("commit");
         let dir = DataDir::open(&root).unwrap();
         // Pre-existing junk the checkpoint should clear: an old WAL, a
-        // fragment no snapshot names, a superseded version of one it
-        // does, and a temp file a crashed writer left behind.
+        // superseded version of the fragment it names, and a temp file a
+        // crashed writer left behind for it. A fragment it does not name
+        // is a bulk load racing the checkpoint (the load's record
+        // follows its file): that file, and its temp, stay.
         std::fs::write(dir.wal_path(1), b"old").unwrap();
-        let junk = [dir.bat_path(99, 0), dir.bat_path(5, 1), dir.bats_dir().join(".5.v2.bat.tmp")];
-        for p in &junk {
+        let junk = [dir.bat_path(5, 1), dir.bats_dir().join(".5.v2.bat.tmp")];
+        let loading = [dir.bat_path(99, 0), dir.bats_dir().join(".98.v0.bat.tmp")];
+        for p in junk.iter().chain(&loading) {
             std::fs::write(p, b"junk").unwrap();
         }
 
@@ -277,6 +281,9 @@ mod tests {
         assert!(!dir.wal_path(1).exists(), "pre-checkpoint WAL removed");
         for p in &junk {
             assert!(!p.exists(), "{} not collected", p.display());
+        }
+        for p in &loading {
+            assert!(p.exists(), "{} collected under a running load", p.display());
         }
         let back = storage::load_bat(&dir.bat_path(5, 2)).unwrap();
         assert_eq!(back.count(), 3);

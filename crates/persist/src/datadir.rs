@@ -14,12 +14,14 @@
 //! into place, so no crash can leave a torn copy under the real name.
 //! The manifest and the catalog snapshot are replaced that way; a
 //! fragment file is never replaced at all — it is named by the
-//! `(id, version)` pair whose payload it holds, written once, and
-//! deleted once no committed catalog snapshot names it. The WAL is the
-//! only file mutated in place, and its frames carry CRCs precisely so a
-//! torn tail is detectable.
+//! `(id, version)` pair whose payload it holds, written once (by a bulk
+//! load for version 0, by a checkpoint otherwise), and deleted once a
+//! committed checkpoint names a later version of the fragment. The WAL
+//! is the only file mutated in place, and its frames carry CRCs
+//! precisely so a torn tail is detectable.
 
-use std::collections::HashSet;
+use batstore::{storage, Bat};
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -79,14 +81,42 @@ impl DataDir {
         self.bats_dir().join(format!("{bat}.v{version}.bat"))
     }
 
-    /// Delete every file under `bats/` that `keep` does not list:
-    /// superseded versions after a checkpoint commit, and at recovery
-    /// whatever a crashed checkpoint left behind. Only the checkpoint
-    /// writer and recovery call this, never concurrently.
+    /// Give `(bat, version)` its file, durably: temp file, fsync, rename,
+    /// then a sync of `bats/` — done before any record names the file.
+    pub fn write_fragment(&self, bat: u32, version: u32, payload: &Bat) -> io::Result<()> {
+        write_bat_file(&self.bat_path(bat, version), payload)?;
+        sync_dir(&self.bats_dir());
+        Ok(())
+    }
+
+    /// Delete every file under `bats/` that `keep` does not list. Only
+    /// recovery calls this — before the node runs, so no load or
+    /// checkpoint can be writing a file it would take for an orphan.
     pub fn retain_bats(&self, keep: &HashSet<PathBuf>) -> io::Result<()> {
         for entry in std::fs::read_dir(self.bats_dir())? {
             let path = entry?.path();
             if !keep.contains(&path) {
+                std::fs::remove_file(&path)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// After a checkpoint commit: delete every file of a fragment in
+    /// `named` (id → committed version) other than that version's, its
+    /// superseded versions and a crashed writer's temp files. Files of
+    /// fragments the snapshot does not name are left alone — a bulk load
+    /// may have written one after the snapshot was captured.
+    pub fn collect_superseded(&self, named: &HashMap<u32, u32>) -> io::Result<()> {
+        for entry in std::fs::read_dir(self.bats_dir())? {
+            let path = entry?.path();
+            let superseded = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(frag_of_file)
+                .and_then(|bat| named.get(&bat).map(|&v| self.bat_path(bat, v) != path))
+                .unwrap_or(false);
+            if superseded {
                 std::fs::remove_file(&path)?;
             }
         }
@@ -134,6 +164,20 @@ impl DataDir {
         bytes.extend_from_slice(&m.replay_from.to_le_bytes());
         write_atomic(&self.manifest_path(), &bytes)
     }
+}
+
+/// The fragment id of a `bats/` file name — `<id>.v<version>.bat`, or
+/// the `.<id>.v<version>.bat.tmp` it is written as.
+fn frag_of_file(name: &str) -> Option<u32> {
+    name.trim_start_matches('.').split_once(".v")?.0.parse().ok()
+}
+
+/// A fragment payload under `path`, complete or not at all (see
+/// [`write_then_rename`]).
+pub(crate) fn write_bat_file(path: &Path, payload: &Bat) -> io::Result<()> {
+    write_then_rename(path, |w| {
+        storage::write_bat(w, payload).map_err(|e| io::Error::other(e.to_string()))
+    })
 }
 
 /// Write `bytes` under `path` crash-safely: temp file in the same

@@ -3,11 +3,13 @@
 //! The paper keeps the hot set circulating in memory while "cold data
 //! resides on attached disks" (§3, §4.2). This crate is that disk: a
 //! per-node data directory holding a manifest, a catalog snapshot, one
-//! append-only write-ahead log, and checkpointed fragment payloads in
-//! `batstore::storage`'s binary format. A node logs every durable
-//! mutation *ahead* of applying it, checkpoints owned fragments in the
-//! background, and on restart replays manifest → snapshots → WAL tail to
-//! stand back up with its catalog and fragments intact — then merely
+//! append-only write-ahead log, and fragment payloads in
+//! `batstore::storage`'s binary format, one file per fragment version. A
+//! node logs every durable change *ahead* of applying it — naming or
+//! describing fragment versions, never repeating a file's payload —
+//! checkpoints owned fragments in the background, and on restart replays
+//! manifest → snapshots → WAL tail to stand back up with its catalog and
+//! fragments intact — then merely
 //! re-advertises them on the ring rather than re-shipping anything
 //! (data movement, not recovery, is the scarce resource in parallel
 //! query processing).
@@ -35,6 +37,4 @@ pub use checkpoint::{
 };
 pub use datadir::{DataDir, Manifest};
 pub use recover::{recover, RecFrag, Recovered};
-pub use wal::{
-    replay_wal, AppendPart, ColRec, FsyncPolicy, ReplacePart, TableRec, WalRecord, WalWriter,
-};
+pub use wal::{replay_wal, AppendPart, ColRec, FsyncPolicy, TableRec, WalRecord, WalWriter};

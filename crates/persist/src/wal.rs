@@ -1,7 +1,9 @@
-//! The write-ahead log: every durable mutation of a node — table
-//! creation (local DDL or gossip-applied metadata), initial fragment
-//! payloads, and row appends with their §6.4 version bumps — is framed,
-//! checksummed, and appended here *before* it is applied in memory.
+//! The write-ahead log: every durable change of a node — table creation
+//! (local DDL or gossip-applied metadata), bulk-loaded fragments, row
+//! appends and UPDATE/DELETE statements with their §6.4 version bumps —
+//! is framed, checksummed, and appended here *before* it is applied in
+//! memory. A record names or describes a fragment version; it never
+//! holds a payload the version's `bats/` file already holds.
 //!
 //! Frame layout (little-endian):
 //! ```text
@@ -12,8 +14,11 @@
 //! Replay ([`replay_wal`]) walks frames until the file ends or a frame
 //! fails its length or CRC check — a *tear*. Everything before the tear
 //! is applied; the tear and anything after it are discarded, which is
-//! exactly the contract a crash mid-append requires.
+//! exactly the contract a crash mid-append requires. An intact frame of
+//! a record kind this build no longer writes is not a tear: it is
+//! refused, by name, because replaying around it would lose data.
 
+use batstore::ops::Mutation;
 use batstore::ColType;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -54,15 +59,12 @@ pub struct TableRec {
     pub cols: Vec<ColRec>,
 }
 
-/// One durable mutation.
+/// One durable change.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
     /// Table metadata became known at this node (CREATE TABLE here, or
     /// catalog gossip from elsewhere).
     Table(TableRec),
-    /// An owned fragment's payload is now exactly `rows` (serialized
-    /// BAT) at `version` — the driver-side bulk load path.
-    Store { bat: u32, version: u32, rows: Vec<u8> },
     /// `rows` (a serialized BAT of tail values) was appended to an owned
     /// fragment, producing `version`. Replay applies a record only when
     /// `version == current + 1`, making checkpoint/WAL-tail overlap
@@ -74,22 +76,18 @@ pub enum WalRecord {
     /// batch replays or the tear discards all of it. Each part follows
     /// [`WalRecord::Append`]'s version rules independently.
     AppendBatch(Vec<AppendPart>),
-    /// Snapshot-only: an owned fragment checkpointed at `version` (the
-    /// payload lives in the data dir's `bats/` file, not the record).
+    /// An owned fragment's payload at `version` is the data dir's
+    /// `bats/<bat>.v<version>.bat` — the same statement in the WAL (a
+    /// bulk load wrote and synced that file first) as in `catalog.snap`
+    /// (a checkpoint did).
     FragMeta { bat: u32, version: u32 },
-    /// A SQL `UPDATE` applied at the fragment owner: each part carries a
-    /// touched column's *complete* replacement payload at its bumped
-    /// version (§6.4). One CRC-framed record holds every assigned
-    /// column, so a crash can never half-apply a multi-column UPDATE:
-    /// either the whole record replays or the tear discards all of it.
-    /// Replay applies a part only when `version > current` — complete
-    /// payloads are state, not deltas, so overlap and gaps are both
-    /// idempotent.
-    Update(Vec<ReplacePart>),
-    /// A SQL `DELETE` applied at the fragment owner: every column of the
-    /// table, shrunk in lockstep, as complete replacement payloads.
-    /// Same atomicity and version-gating rules as [`WalRecord::Update`].
-    Delete(Vec<ReplacePart>),
+    /// A SQL `UPDATE`/`DELETE` applied at the fragment owner: the
+    /// statement as it was routed, and the version each column it
+    /// rewrote reached (`(bat, version)`, in table order). Replay
+    /// re-executes the statement with [`batstore::ops::stage`], and only
+    /// when every such column stands at exactly `version - 1`; one frame
+    /// holds the whole statement, so a crash never half-applies it.
+    Mutate { m: Mutation, versions: Vec<(u32, u32)> },
 }
 
 /// One fragment's slice of an [`WalRecord::AppendBatch`].
@@ -100,23 +98,16 @@ pub struct AppendPart {
     pub rows: Vec<u8>,
 }
 
-/// One fragment's slice of an [`WalRecord::Update`] or
-/// [`WalRecord::Delete`]: the fragment's complete serialized payload
-/// *after* the mutation, at its bumped version.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplacePart {
-    pub bat: u32,
-    pub version: u32,
-    pub rows: Vec<u8>,
-}
-
 const TAG_TABLE: u8 = 1;
-const TAG_STORE: u8 = 2;
 const TAG_APPEND: u8 = 3;
 const TAG_FRAG_META: u8 = 4;
 const TAG_APPEND_BATCH: u8 = 5;
-const TAG_UPDATE: u8 = 6;
-const TAG_DELETE: u8 = 7;
+const TAG_MUTATE: u8 = 8;
+
+/// Tags earlier builds wrote and this one does not read: `Store` carried
+/// a bulk load's whole payload, `Update`/`Delete` every rewritten
+/// column's.
+const RETIRED: [(u8, &str); 3] = [(2, "Store"), (6, "Update"), (7, "Delete")];
 
 /// Frames larger than this are treated as corruption, not data. Row
 /// batches are INSERT-statement sized; even bulk loads stay far below.
@@ -243,8 +234,8 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                 out.extend_from_slice(&c.owner.to_le_bytes());
             }
         }
-        WalRecord::Store { bat, version, rows } | WalRecord::Append { bat, version, rows } => {
-            out.push(if matches!(rec, WalRecord::Store { .. }) { TAG_STORE } else { TAG_APPEND });
+        WalRecord::Append { bat, version, rows } => {
+            out.push(TAG_APPEND);
             out.extend_from_slice(&bat.to_le_bytes());
             out.extend_from_slice(&version.to_le_bytes());
             out.extend_from_slice(rows);
@@ -260,15 +251,14 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                 out.extend_from_slice(&p.rows);
             }
         }
-        WalRecord::Update(parts) | WalRecord::Delete(parts) => {
-            out.push(if matches!(rec, WalRecord::Update(_)) { TAG_UPDATE } else { TAG_DELETE });
-            let nparts = parts.len().min(u16::MAX as usize);
-            out.extend_from_slice(&(nparts as u16).to_le_bytes());
-            for p in parts.iter().take(nparts) {
-                out.extend_from_slice(&p.bat.to_le_bytes());
-                out.extend_from_slice(&p.version.to_le_bytes());
-                out.extend_from_slice(&(p.rows.len() as u64).to_le_bytes());
-                out.extend_from_slice(&p.rows);
+        WalRecord::Mutate { m, versions } => {
+            out.push(TAG_MUTATE);
+            m.encode(&mut out);
+            let n = versions.len().min(u16::MAX as usize);
+            out.extend_from_slice(&(n as u16).to_le_bytes());
+            for (bat, version) in versions.iter().take(n) {
+                out.extend_from_slice(&bat.to_le_bytes());
+                out.extend_from_slice(&version.to_le_bytes());
             }
         }
         WalRecord::FragMeta { bat, version } => {
@@ -307,15 +297,10 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             }
             Ok(WalRecord::Table(TableRec { origin, schema, table, cols }))
         }
-        tag @ (TAG_STORE | TAG_APPEND) => {
+        TAG_APPEND => {
             let bat = c.u32()?;
             let version = c.u32()?;
-            let rows = c.0.to_vec();
-            if tag == TAG_STORE {
-                Ok(WalRecord::Store { bat, version, rows })
-            } else {
-                Ok(WalRecord::Append { bat, version, rows })
-            }
+            Ok(WalRecord::Append { bat, version, rows: c.0.to_vec() })
         }
         TAG_APPEND_BATCH => {
             let nparts = c.u16()? as usize;
@@ -329,20 +314,14 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             Ok(WalRecord::AppendBatch(parts))
         }
         TAG_FRAG_META => Ok(WalRecord::FragMeta { bat: c.u32()?, version: c.u32()? }),
-        tag @ (TAG_UPDATE | TAG_DELETE) => {
-            let nparts = c.u16()? as usize;
-            let mut parts = Vec::with_capacity(nparts.min(1024));
-            for _ in 0..nparts {
-                let bat = c.u32()?;
-                let version = c.u32()?;
-                let len = c.u64()? as usize;
-                parts.push(ReplacePart { bat, version, rows: c.take(len)?.to_vec() });
+        TAG_MUTATE => {
+            let m = Mutation::decode(&mut c.0)?;
+            let n = c.u16()? as usize;
+            let mut versions = Vec::with_capacity(n.min(c.0.len() / 8));
+            for _ in 0..n {
+                versions.push((c.u32()?, c.u32()?));
             }
-            if tag == TAG_UPDATE {
-                Ok(WalRecord::Update(parts))
-            } else {
-                Ok(WalRecord::Delete(parts))
-            }
+            Ok(WalRecord::Mutate { m, versions })
         }
         other => Err(format!("unknown record tag {other}")),
     }
@@ -350,26 +329,34 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
 
 /// Parse a buffer of concatenated frames, stopping cleanly at the first
 /// tear (short frame, bad CRC, or undecodable payload). Returns the
-/// records before the tear and whether one was found.
-pub fn decode_frames(mut buf: &[u8]) -> (Vec<WalRecord>, bool) {
+/// records before the tear and whether one was found — or an error
+/// naming the kind, when an intact frame holds a record kind an older build
+/// wrote and this one does not read (`Store`, `Update`, `Delete`).
+pub fn decode_frames(mut buf: &[u8]) -> Result<(Vec<WalRecord>, bool), String> {
     let mut records = Vec::new();
     while buf.len() >= 8 {
         let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
         if len > MAX_RECORD || buf.len() - 8 < len {
-            return (records, true);
+            return Ok((records, true));
         }
         let payload = &buf[8..8 + len];
         if crc32(payload) != crc {
-            return (records, true);
+            return Ok((records, true));
+        }
+        if let Some((tag, kind)) = RETIRED.iter().find(|(t, _)| payload.first() == Some(t)) {
+            return Err(format!(
+                "record {} holds a retired {kind} record (tag {tag}), written by an older build",
+                records.len()
+            ));
         }
         match decode_payload(payload) {
             Ok(rec) => records.push(rec),
-            Err(_) => return (records, true),
+            Err(_) => return Ok((records, true)),
         }
         buf = &buf[8 + len..];
     }
-    (records, !buf.is_empty())
+    Ok((records, !buf.is_empty()))
 }
 
 // ---- writer -------------------------------------------------------------
@@ -458,20 +445,42 @@ pub struct Replay {
 }
 
 /// Replay a WAL file; a missing file replays as empty (a node that
-/// crashed before its first append).
+/// crashed before its first append). A retired record kind is an
+/// `InvalidData` error that names it.
 pub fn replay_wal(path: &Path) -> std::io::Result<Replay> {
     let buf = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let (records, torn) = decode_frames(&buf);
+    let (records, torn) =
+        decode_frames(&buf).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     Ok(Replay { records, torn })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use batstore::ops::{CmpOp, MutOp, RowPredicate};
+    use batstore::Val;
+
+    /// `oltp_mix`'s UPDATE shape: `update kv set v = 4711 where id = 42`,
+    /// rewriting column `v` (fragment 10) to version 3.
+    fn update_record() -> WalRecord {
+        WalRecord::Mutate {
+            m: Mutation {
+                schema: "sys".into(),
+                table: "kv".into(),
+                op: MutOp::Update(vec![("v".into(), Val::Int(4711))]),
+                preds: vec![RowPredicate::Cmp {
+                    column: "id".into(),
+                    op: CmpOp::Eq,
+                    value: Val::Int(42),
+                }],
+            },
+            versions: vec![(10, 3)],
+        }
+    }
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -484,18 +493,33 @@ mod tests {
                     ColRec { name: "v".into(), ty: ColType::Str, bat: 10, size: 0, owner: 2 },
                 ],
             }),
-            WalRecord::Store { bat: 9, version: 0, rows: vec![1, 2, 3] },
+            WalRecord::FragMeta { bat: 9, version: 0 },
             WalRecord::Append { bat: 9, version: 1, rows: vec![4, 5] },
             WalRecord::AppendBatch(vec![
                 AppendPart { bat: 9, version: 2, rows: vec![6] },
                 AppendPart { bat: 10, version: 1, rows: vec![7, 8] },
             ]),
             WalRecord::FragMeta { bat: 10, version: 7 },
-            WalRecord::Update(vec![
-                ReplacePart { bat: 9, version: 3, rows: vec![1, 1, 1] },
-                ReplacePart { bat: 10, version: 2, rows: vec![2, 2] },
-            ]),
-            WalRecord::Delete(vec![ReplacePart { bat: 9, version: 4, rows: vec![] }]),
+            update_record(),
+            WalRecord::Mutate {
+                m: Mutation {
+                    schema: "sys".into(),
+                    table: "kv".into(),
+                    op: MutOp::Delete,
+                    preds: vec![
+                        RowPredicate::Between {
+                            column: "k".into(),
+                            lo: Val::Int(1),
+                            hi: Val::Int(9),
+                        },
+                        RowPredicate::InList {
+                            column: "v".into(),
+                            values: vec![Val::from("a"), Val::from("é")],
+                        },
+                    ],
+                },
+                versions: vec![(9, 4), (10, 4)],
+            },
         ]
     }
 
@@ -515,7 +539,7 @@ mod tests {
         for r in &recs {
             buf.extend_from_slice(&encode_record(r));
         }
-        let (back, torn) = decode_frames(&buf);
+        let (back, torn) = decode_frames(&buf).unwrap();
         assert!(!torn);
         assert_eq!(back, recs);
     }
@@ -528,40 +552,57 @@ mod tests {
             buf.extend_from_slice(&encode_record(r));
         }
         // Cut the final frame short: everything before it still replays.
-        let (back, torn) = decode_frames(&buf[..buf.len() - 3]);
+        let (back, torn) = decode_frames(&buf[..buf.len() - 3]).unwrap();
         assert!(torn);
         assert_eq!(back, recs[..recs.len() - 1]);
     }
 
     #[test]
     fn bit_flip_detected_by_crc() {
-        let mut buf = encode_record(&WalRecord::Store { bat: 1, version: 0, rows: vec![7; 32] });
+        let mut buf = encode_record(&WalRecord::Append { bat: 1, version: 1, rows: vec![7; 32] });
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
-        let (back, torn) = decode_frames(&buf);
+        let (back, torn) = decode_frames(&buf).unwrap();
         assert!(torn);
         assert!(back.is_empty());
     }
 
-    /// A `Store` record written before the `DCB1` codec moved columns in
-    /// blocks (its rows came from the per-element encoder): it must still
-    /// frame-check, decode and yield the same BAT, and today's encoder
-    /// must produce the very same bytes — WALs in existing data dirs stay
-    /// replayable.
+    /// A frame with a valid checksum around a retired record kind, as an
+    /// older build wrote it (only the tag matters).
+    pub(crate) fn retired_frame(tag: u8) -> Vec<u8> {
+        let payload = [tag, 42, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3];
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
     #[test]
-    fn store_record_from_an_older_build_still_replays() {
-        use batstore::{storage, Bat, Column};
-        let fixture: &[u8] = include_bytes!("../fixtures/store_record.wal");
-        let (recs, torn) = decode_frames(fixture);
-        assert!(!torn);
-        let [WalRecord::Store { bat: 42, version: 3, rows }] = &recs[..] else {
-            panic!("unexpected fixture contents: {recs:?}");
-        };
-        let want = Bat::dense_from(100, Column::from(vec![1i64 << 40, -5, 0]));
-        let got = storage::bat_from_bytes(rows).unwrap();
-        assert_eq!((got.head(), got.tail()), (want.head(), want.tail()));
-        let rec = WalRecord::Store { bat: 42, version: 3, rows: storage::bat_to_bytes(&want) };
-        assert_eq!(encode_record(&rec), fixture);
+    fn a_retired_record_kind_is_refused_by_name_not_torn() {
+        for (tag, kind) in RETIRED {
+            let mut buf = encode_record(&WalRecord::FragMeta { bat: 1, version: 0 });
+            buf.extend_from_slice(&retired_frame(tag));
+            let err = decode_frames(&buf).unwrap_err();
+            assert!(err.contains(kind) && err.contains("record 1"), "{err}");
+        }
+    }
+
+    /// The bytes this build logs for a bulk load and for `oltp_mix`'s
+    /// UPDATE, frozen: a change to either encoding breaks every data
+    /// dir written before it, so it must be a deliberate one.
+    #[test]
+    fn frag_meta_and_mutate_records_match_their_fixtures() {
+        let cases: [(&[u8], WalRecord); 2] = [
+            (
+                include_bytes!("../fixtures/frag_meta_record.wal"),
+                WalRecord::FragMeta { bat: 16_777_217, version: 0 },
+            ),
+            (include_bytes!("../fixtures/mutate_record.wal"), update_record()),
+        ];
+        for (fixture, rec) in cases {
+            assert_eq!(decode_frames(fixture).unwrap(), (vec![rec.clone()], false));
+            assert_eq!(encode_record(&rec), fixture, "{rec:?}");
+        }
     }
 
     #[test]
@@ -569,7 +610,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         buf.extend_from_slice(&[0u8; 12]);
-        let (back, torn) = decode_frames(&buf);
+        let (back, torn) = decode_frames(&buf).unwrap();
         assert!(torn && back.is_empty());
     }
 

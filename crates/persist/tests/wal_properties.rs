@@ -1,19 +1,27 @@
 //! Property tests for the WAL codec: arbitrary records round-trip
 //! through frames, and arbitrary frame prefixes never panic the decoder.
 
-use batstore::ColType;
+use batstore::ops::{CmpOp, MutOp, Mutation, RowPredicate};
+use batstore::{ColType, Val};
 use dc_persist::wal::{crc32, decode_frames, decode_payload, encode_record};
-use dc_persist::{ColRec, ReplacePart, TableRec, WalRecord};
+use dc_persist::{AppendPart, ColRec, TableRec, WalRecord};
 use proptest::prelude::*;
 
 fn record_from(seed: (u8, u32, u32, Vec<u8>, String)) -> WalRecord {
     let (kind, bat, version, rows, name) = seed;
-    match kind % 6 {
-        0 => WalRecord::Store { bat, version, rows },
-        1 => WalRecord::Append { bat, version, rows },
-        2 => WalRecord::FragMeta { bat, version },
-        3 => WalRecord::Update(replace_parts(bat, version, &rows)),
-        4 => WalRecord::Delete(replace_parts(bat, version, &rows)),
+    match kind % 5 {
+        0 => WalRecord::Append { bat, version, rows },
+        1 => WalRecord::FragMeta { bat, version },
+        2 => WalRecord::AppendBatch(
+            (0..(bat % 4))
+                .map(|i| AppendPart {
+                    bat: bat.wrapping_add(i),
+                    version: version.wrapping_add(i),
+                    rows: rows.iter().skip(i as usize).copied().collect(),
+                })
+                .collect(),
+        ),
+        3 => mutate_record(bat, version, &rows, name),
         _ => WalRecord::Table(TableRec {
             origin: (bat % 64) as u16,
             schema: "sys".into(),
@@ -29,21 +37,47 @@ fn record_from(seed: (u8, u32, u32, Vec<u8>, String)) -> WalRecord {
     }
 }
 
-/// A multi-part mutation record: 0–3 fragments sharing one frame, with
-/// differing payload slices so part boundaries are exercised.
-fn replace_parts(bat: u32, version: u32, rows: &[u8]) -> Vec<ReplacePart> {
-    (0..(bat % 4))
-        .map(|i| ReplacePart {
-            bat: bat.wrapping_add(i),
-            version: version.wrapping_add(i),
-            rows: rows.iter().skip(i as usize).copied().collect(),
+/// An UPDATE (0–3 assignments) or DELETE under 0–3 predicates of every
+/// kind, rewriting 0–3 fragments: counts, strings and values vary with
+/// the seed so every field boundary is exercised.
+fn mutate_record(bat: u32, version: u32, rows: &[u8], name: String) -> WalRecord {
+    let n = (bat % 4) as usize;
+    let val = |i: usize| match (version as usize + i) % 4 {
+        0 => Val::Int(bat as i32),
+        1 => Val::Lng(-(version as i64)),
+        2 => Val::Str(name.clone()),
+        _ => Val::Dbl(rows.len() as f64 * 0.5),
+    };
+    let op = if version.is_multiple_of(3) {
+        MutOp::Delete
+    } else {
+        MutOp::Update((0..n).map(|i| (format!("c{i}"), val(i))).collect())
+    };
+    let preds = (0..(version % 4) as usize)
+        .map(|i| match i {
+            0 => RowPredicate::Cmp { column: name.clone(), op: CmpOp::Le, value: val(i) },
+            1 => RowPredicate::Between { column: "k".into(), lo: val(i), hi: val(i + 1) },
+            _ => RowPredicate::InList { column: "s".into(), values: (0..n).map(val).collect() },
         })
-        .collect()
+        .collect();
+    WalRecord::Mutate {
+        m: Mutation { schema: "sys".into(), table: name, op, preds },
+        versions: (0..n as u32).map(|i| (bat.wrapping_add(i), version.wrapping_add(i))).collect(),
+    }
+}
+
+/// A frame around `payload` with a correct checksum.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
 }
 
 proptest! {
     #[test]
-    fn wal_record_round_trip(kind in 0u8..6,
+    fn wal_record_round_trip(kind in 0u8..5,
                              bat in 0u32..u32::MAX,
                              version in 0u32..u32::MAX,
                              rows in prop::collection::vec(0u8..=255, 0..128),
@@ -54,13 +88,13 @@ proptest! {
         // And through the frame parser, including as a multi-record run.
         let mut buf = frame.clone();
         buf.extend_from_slice(&frame);
-        let (back, torn) = decode_frames(&buf);
+        let (back, torn) = decode_frames(&buf).unwrap();
         prop_assert!(!torn);
         prop_assert_eq!(back, vec![rec.clone(), rec]);
     }
 
     #[test]
-    fn truncated_frames_tear_without_panicking(kind in 0u8..6,
+    fn truncated_frames_tear_without_panicking(kind in 0u8..5,
                                                bat in 0u32..1000,
                                                version in 0u32..1000,
                                                rows in prop::collection::vec(0u8..=255, 0..64),
@@ -68,62 +102,58 @@ proptest! {
         let rec = record_from((kind, bat, version, rows, "t".into()));
         let frame = encode_record(&rec);
         let cut = cut.min(frame.len().saturating_sub(1));
-        let (back, torn) = decode_frames(&frame[..cut]);
+        let (back, torn) = decode_frames(&frame[..cut]).unwrap();
         // A strict prefix either tears or (len < 8 leftover) yields nothing.
         prop_assert!(back.is_empty());
         prop_assert!(torn || cut < 8);
     }
 
     #[test]
-    fn mutation_tail_truncation_keeps_the_prefix(version in 0u32..1000,
+    fn mutation_tail_truncation_keeps_the_prefix(version in 1u32..1000,
                                                  rows in prop::collection::vec(0u8..=255, 1..64),
                                                  cut in 1usize..32) {
-        // A good Append frame followed by a torn Update frame: replay
-        // keeps the append, discards the whole mutation — never a
+        // A good Append frame followed by a torn two-column Mutate frame:
+        // replay keeps the append, discards the whole mutation — never a
         // partial multi-column apply.
         let good = encode_record(&WalRecord::Append { bat: 1, version, rows: rows.clone() });
-        let update = encode_record(&WalRecord::Update(vec![
-            ReplacePart { bat: 1, version: version.wrapping_add(1), rows: rows.clone() },
-            ReplacePart { bat: 2, version: version.wrapping_add(1), rows },
-        ]));
+        let mutate = encode_record(&mutate_record(2, version, &rows, "kv".into()));
         let mut buf = good.clone();
-        let keep = update.len().saturating_sub(cut);
-        buf.extend_from_slice(&update[..keep]);
-        let (back, torn) = decode_frames(&buf);
+        let keep = mutate.len().saturating_sub(cut);
+        buf.extend_from_slice(&mutate[..keep]);
+        let (back, torn) = decode_frames(&buf).unwrap();
         prop_assert!(torn);
         prop_assert_eq!(back.len(), 1);
         prop_assert!(matches!(back[0], WalRecord::Append { .. }));
     }
 
     #[test]
-    fn hostile_part_counts_and_lengths_rejected_without_allocation(
-        nparts in 0u16..=u16::MAX,
-        claimed in 0u64..=u64::MAX,
-        which in 0u8..2,
+    fn hostile_counts_and_lengths_rejected_without_allocation(
+        n in 1u16..=u16::MAX,
+        claimed in 1u64..=u64::MAX,
     ) {
-        let tag = 6u8 + which; // the Update / Delete record tags
-        // Hand-build a frame whose payload claims `nparts` parts and a
-        // first-part length of `claimed` bytes while carrying none of
-        // them. The decoder must fail by *bounds checking*, not by
-        // allocating what the header promises (`Vec::with_capacity` is
-        // capped, `take()` validates before copying).
-        let mut payload = vec![tag];
-        payload.extend_from_slice(&nparts.to_le_bytes());
-        payload.extend_from_slice(&1u32.to_le_bytes());     // bat
-        payload.extend_from_slice(&1u32.to_le_bytes());     // version
-        payload.extend_from_slice(&claimed.to_le_bytes());  // rows length
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        if nparts == 0 {
-            // Zero parts is a valid empty mutation; the trailing junk is
-            // simply not part of the record.
-            prop_assert!(decode_payload(&frame[8..]).is_ok());
-        } else if claimed > 0 {
-            prop_assert!(decode_payload(&frame[8..]).is_err());
+        // Payloads claiming `n` parts (an AppendBatch, its first part
+        // claiming `claimed` bytes) or `n` IN-list values (a Mutate)
+        // while carrying none of them. The decoder must fail by *bounds
+        // checking*, not by allocating what the header promises.
+        let mut batch = vec![5u8];
+        batch.extend_from_slice(&n.to_le_bytes());
+        batch.extend_from_slice(&1u32.to_le_bytes()); // bat
+        batch.extend_from_slice(&1u32.to_le_bytes()); // version
+        batch.extend_from_slice(&claimed.to_le_bytes()); // rows length
+        let mut mutate = vec![8u8];
+        Mutation {
+            schema: "sys".into(),
+            table: "t".into(),
+            op: MutOp::Delete,
+            preds: vec![RowPredicate::InList { column: "c".into(), values: vec![] }],
+        }
+        .encode(&mut mutate);
+        let at = mutate.len() - 2; // the IN list's count comes last
+        mutate[at..].copy_from_slice(&n.to_le_bytes());
+        for payload in [batch, mutate] {
+            prop_assert!(decode_payload(&payload).is_err());
             // Through the frame parser it reads as a tear, not a panic.
-            let (back, torn) = decode_frames(&frame);
+            let (back, torn) = decode_frames(&framed(&payload)).unwrap();
             prop_assert!(torn && back.is_empty());
         }
     }

@@ -159,9 +159,11 @@ fn dataset_over_budget_spills_and_readmits_with_exact_results() {
     }
 }
 
-/// Restarting an owner with spilled fragments recovers its state: the
-/// checkpoint's payload-less snapshots keep the bat files alive, and a
-/// fresh process answers queries over the formerly-spilled data.
+/// Restarting owners after load and spill — before any checkpoint has
+/// run — recovers their state: each bulk load wrote its fragment's
+/// version-0 file and logged a record naming it, so the spills were
+/// clean, nothing forced a checkpoint, and a fresh process answers every
+/// table exactly over the formerly-spilled data.
 #[test]
 fn owner_restart_recovers_spilled_fragments() {
     let dir = scratch("restart");
@@ -175,18 +177,23 @@ fn owner_restart_recovers_spilled_fragments() {
             assert!(Instant::now() < deadline, "no fragment ever spilled");
             std::thread::sleep(Duration::from_millis(25));
         }
+        assert_eq!(summed(&ring, |s| s.checkpoints), 0, "a spill of loaded data checkpointed");
         ring.shutdown();
     }
 
-    // Same dirs, same budget: recovery reloads the checkpoints (spilled
-    // fragments come back from their bat files) and re-enforces the
-    // budget. A note: the *tables* gossip is in each node's catalog, so
-    // queries work from any node immediately.
+    // Same dirs, same budget: recovery reloads each fragment from the file
+    // its load logged and re-enforces the budget. The *tables* gossip is in
+    // each node's catalog, so queries work from any node immediately.
     let ring = budget_ring(&dir);
-    for t in [0, 7, 19] {
-        let rs = ring.execute(t % 3, &format!("select a from t{t} where k = 321")).unwrap();
-        assert_eq!(rs.row_count(), 1, "t{t} lost rows across restart");
-        assert_eq!(rs.cell(0, 0), Val::Int(321 * 3 + 1), "t{t} corrupted across restart");
+    let (sum_a, sum_b): (i64, i64) =
+        (0..ROWS as i64).fold((0, 0), |(a, b), k| (a + 3 * k + 1, b + k % 7));
+    for t in 0..TABLES {
+        let rs =
+            ring.execute(t % 3, &format!("select count(*), sum(a), sum(b) from t{t}")).unwrap();
+        let row: Vec<Option<i64>> = (0..3).map(|c| rs.cell(0, c).as_i64()).collect();
+        assert_eq!(row, [Some(ROWS as i64), Some(sum_a), Some(sum_b)], "t{t} across restart");
     }
+    let rs = ring.execute(1, "select a from t7 where k = 321").unwrap();
+    assert_eq!(rs.cell(0, 0), Val::Int(321 * 3 + 1), "t7 corrupted across restart");
     std::fs::remove_dir_all(&dir).ok();
 }
