@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for design choices the paper leaves open or that
+//! this reproduction adds:
 //!
 //! 1. fixed vs dynamic LOIT ladder under the skewed workload (§5.2's
 //!    motivation for adaptation),
@@ -45,7 +46,7 @@ fn micro_run(params: SimParams, scale: f64) -> Measurements {
 
 fn main() {
     let scale = dc_bench::scale() * 0.5; // ablations run several configs
-    dc_bench::banner("design-choice ablations", "DESIGN.md §8");
+    dc_bench::banner("design-choice ablations", "§5.2, §4.2.3, §6.1");
 
     // ---- 1. fixed vs dynamic LOIT under workload churn -----------------
     println!("\n[1] LOIT: fixed levels vs the adaptive ladder (skewed workload)");
@@ -177,7 +178,7 @@ fn main() {
     println!("toward pure processing time (§6.1's \"highly efficient shared-nothing");
     println!("intra-query parallelism\"); finer splitting buys more locality.\n");
 
-    // ---- 6. demand hold (DESIGN.md §2 interpretation) --------------------
+    // ---- 6. demand hold (`DcConfig::demand_hold`, not in the paper) ------
     // A lightly loaded fast ring: rotations are quick, so Eq. 1 yields
     // few copies per cycle and Fig. 5 cools fragments aggressively.
     // Requests racing a fragment's final cycle are ignored (outcome 2)

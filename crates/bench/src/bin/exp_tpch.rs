@@ -56,7 +56,8 @@ fn main() {
         AsciiTable::new(&["#nodes", "exec(sec)", "throughput", "throughP/node", "CPU%"]);
     let mut csv = String::from("nodes,exec_sec,throughput,throughput_per_node,cpu_pct\n");
 
-    // MonetDB baseline row (real-DBMS inefficiency model; DESIGN.md §4).
+    // MonetDB baseline row (real-DBMS inefficiency model; see
+    // `tpch::monetdb_baseline_secs`).
     {
         let w = tpch::generate(&params, 1, 1);
         let total_work: f64 = w.queries.iter().map(|q| q.net_work().as_secs_f64()).sum();

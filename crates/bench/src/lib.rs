@@ -1,7 +1,7 @@
 //! # dc-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! full index):
+//! One binary per table/figure of the paper (the same index is in the
+//! README's "Experiments" section):
 //!
 //! | binary         | reproduces                      |
 //! |----------------|---------------------------------|

@@ -66,9 +66,9 @@ pub struct DcConfig {
     pub resend_timeout: SimDuration,
     /// Owner-side lost-BAT detection: an in-ring BAT not seen for this
     /// long is assumed dropped and reverts to disk so a re-request can
-    /// reload it. (Interpretation; see DESIGN.md — without it, a dropped
-    /// BAT would be permanently "loaded" and outcome 2 would ignore all
-    /// re-requests.)
+    /// reload it. (Not in the paper, which assumes a lossless ring:
+    /// without it, a dropped BAT would be permanently "loaded" and
+    /// outcome 2 would ignore all re-requests.)
     pub lost_after: SimDuration,
     /// Local fragment cache capacity (the "local cache" the pin call
     /// checks, §4.2.1). Passing BATs with registered local interest are
@@ -76,9 +76,10 @@ pub struct DcConfig {
     pub cache_capacity: u64,
     /// Owner-side demand hold: keep a below-threshold BAT one more cycle
     /// when requests arrived since its last pass and the queue is under
-    /// the high watermark (see DESIGN.md §2 — without it, requests that
-    /// race a BAT's final cycle starve until `resend`). Disable to get
-    /// the paper's literal Fig. 5.
+    /// the high watermark. Not in the paper: without it, requests that
+    /// race a BAT's final cycle starve until `resend` (`exp_ablation`'s
+    /// sixth table measures both). Disable to get the paper's literal
+    /// Fig. 5.
     pub demand_hold: bool,
 }
 

@@ -137,10 +137,12 @@ struct PersistCtx {
     /// its durable version is *clean*: its RAM payload can be dropped
     /// with no further I/O.
     durable: HashMap<BatId, u32>,
-    /// The snapshot the checkpointer is writing: its sequence number
-    /// (the `completed()` count that means it committed) and the
-    /// versions it names, which become `durable` on commit.
-    in_flight: Option<(u64, HashMap<BatId, u32>)>,
+    /// Checkpoints committed since spawn.
+    committed: u64,
+    /// The versions named by the snapshot the checkpointer is writing —
+    /// at most one, checkpoint `committed + 1` if it commits, its outcome
+    /// a [`NodeEvent::Checkpointed`]. They become `durable` on commit.
+    in_flight: Option<HashMap<BatId, u32>>,
     /// Every table this node knows, keyed `schema.table` — the catalog
     /// half of a snapshot.
     tables: HashMap<String, CatalogMsg>,
@@ -159,23 +161,6 @@ impl PersistCtx {
         self.bytes_since_checkpoint += n + rewritten;
         Ok(n)
     }
-
-    /// Learn the fate of the snapshot handed to the checkpointer: once
-    /// it committed, the versions it named are durable (beside any a load
-    /// made durable meanwhile); if the writer went idle without
-    /// committing, it failed and `durable` stands.
-    fn settle_checkpoint(&mut self) {
-        let Some((seq, _)) = &self.in_flight else { return };
-        // `idle` first: the writer bumps `completed` before it clears
-        // `busy`, so an idle writer's count is final.
-        let idle = self.checkpointer.idle();
-        if self.checkpointer.completed() >= *seq {
-            let named = self.in_flight.take().expect("checked above").1;
-            self.durable.extend(named);
-        } else if idle {
-            self.in_flight = None;
-        }
-    }
 }
 
 /// Events arriving at a node's event loop.
@@ -185,6 +170,9 @@ pub enum NodeEvent {
     Ring(DcMsg),
     /// DBMS-layer command (request/pin/unpin/…).
     Cmd(Cmd),
+    /// The checkpointer finished the snapshot in flight; `committed`
+    /// says whether it is now the node's checkpoint.
+    Checkpointed { committed: bool },
 }
 
 /// The payload of the `Bat` frame being handled — a frame that came as
@@ -278,13 +266,23 @@ struct NodeCtx {
     /// Durable writes that failed where nothing could be refused: a
     /// gossiped table's WAL record, a bulk load's file or record.
     persist_errors: Arc<dc_obs::Counter>,
-    /// Live hot-set gauges, in order: resident bytes, spilled bytes,
-    /// spilled fragment count, current LOIT ladder level.
-    hotset_gauges: [Arc<dc_obs::Gauge>; 4],
-    /// Mirror of [`RingTransport::frames_rejected`].
+    /// The LOIT ladder's current rung, set whenever the protocol tick
+    /// may have moved it.
+    loit_level: Arc<dc_obs::Gauge>,
+    /// [`RingTransport::frames_rejected`], brought up to date whenever
+    /// the counters are read.
     frames_rejected: Arc<dc_obs::Counter>,
     started: Instant,
-    tick_every: Duration,
+    /// The protocol tick's period (`cfg.load_interval`, the `loadAll`
+    /// period of §4.2.3) and when it is next due.
+    load_interval: Duration,
+    next_tick: Instant,
+    /// Set by whatever made residency grow or took an owned fragment off
+    /// the ring; the budget is enforced once the event is handled.
+    budget_due: bool,
+    /// Set by a WAL append, a spill enqueue or a checkpoint's outcome;
+    /// the checkpoint trigger runs once the event is handled.
+    checkpoint_due: bool,
 }
 
 /// Histogram index for a ring message (see [`NodeCtx::msg_hists`]).
@@ -362,20 +360,23 @@ impl SqlMetrics {
 }
 
 impl NodeCtx {
-    fn now(&self) -> SimTime {
-        SimTime(self.started.elapsed().as_nanos() as u64)
+    /// `at` on the protocol's clock: time since the node started.
+    fn sim_time(&self, at: Instant) -> SimTime {
+        SimTime(at.duration_since(self.started).as_nanos() as u64)
     }
 
-    fn sync(&mut self) {
-        let now = self.now();
-        self.node.set_time(now);
-        self.node.set_queue_bytes(self.transport.outbound_bytes());
-    }
-
+    /// Handle events until shutdown. Between events the loop sleeps until
+    /// the earliest deadline — the protocol tick or a routed statement's
+    /// ack — and after each event it runs only what is due: the timed
+    /// duties whose deadline passed (so a steady stream of frames cannot
+    /// starve them), then the budget and checkpoint triggers the event
+    /// itself set.
     fn run(mut self) {
         loop {
-            let ev = self.rx.recv_timeout(self.tick_every);
-            self.sync();
+            let next_due =
+                self.routed.next_deadline().map_or(self.next_tick, |d| d.min(self.next_tick));
+            let ev = self.rx.recv_timeout(next_due.saturating_duration_since(Instant::now()));
+            self.node.set_time(self.sim_time(Instant::now()));
             match ev {
                 Ok(NodeEvent::Ring(msg)) => {
                     let kind = msg_kind(&msg);
@@ -388,27 +389,41 @@ impl NodeCtx {
                         return; // shutdown
                     }
                 }
+                Ok(NodeEvent::Checkpointed { committed }) => self.on_checkpointed(committed),
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
             }
-            let effects = self.node.tick();
-            self.execute(effects, None);
-            self.enforce_budget();
-            self.maybe_checkpoint();
-            self.service_spills();
-            self.service_pending();
-            self.sync_telemetry();
+            let now = Instant::now();
+            if now >= self.next_tick {
+                // One instant for both clocks: ticks are then at least
+                // `load_interval` apart on the protocol's clock too, so
+                // its `loadAll` gate never skips one.
+                self.next_tick = now + self.load_interval;
+                self.node.set_time(self.sim_time(now));
+                let effects = self.node.tick();
+                self.loit_level.set(self.node.ladder.level_index() as i64);
+                self.execute(effects, None);
+                // The lost-BAT clock may have taken fragments off the ring.
+                self.budget_due = true;
+            }
+            if self.routed.next_deadline().is_some_and(|d| d <= now) {
+                self.service_pending(now);
+            }
+            if std::mem::take(&mut self.budget_due) {
+                self.enforce_budget();
+            }
+            if std::mem::take(&mut self.checkpoint_due) {
+                self.maybe_checkpoint();
+            }
         }
     }
 
     /// Resend routed statements whose ack deadline passed, and fail the
-    /// ones whose retry budget is spent. Runs every loop iteration (the
-    /// `recv_timeout` tick bounds the check latency), so an origin
-    /// blocked on a dead or severed owner edge errors out within the
-    /// configured budget instead of hanging until the caller's pin
-    /// timeout.
-    fn service_pending(&mut self) {
-        for due in self.routed.poll(Instant::now()) {
+    /// ones whose retry budget is spent — so an origin blocked on a dead
+    /// or severed owner edge errors out within the configured budget
+    /// instead of hanging until the caller's pin timeout.
+    fn service_pending(&mut self, now: Instant) {
+        for due in self.routed.poll(now) {
             match due {
                 Due::Resend { id, what, attempt, frame } => {
                     self.node.stats.retries += 1;
@@ -464,6 +479,7 @@ impl NodeCtx {
             let n = p.log(rec, rewritten)?;
             self.node.stats.wal_records += 1;
             self.node.stats.wal_bytes += n;
+            self.checkpoint_due = true;
         }
         Ok(())
     }
@@ -500,16 +516,17 @@ impl NodeCtx {
     /// Once enough WAL has accumulated, rotate to a fresh generation and
     /// hand a snapshot of owned fragments + catalog to the background
     /// checkpointer. Appends keep flowing into the new generation while
-    /// the checkpoint is written behind the node.
+    /// the checkpoint is written behind the node. Runs after an event
+    /// that appended to the WAL, queued a spill, or settled the previous
+    /// checkpoint — never between a record and the change it logs.
     fn maybe_checkpoint(&mut self) {
         // A queued (dirty) spill that no snapshot carries yet forces a
         // checkpoint ahead of the WAL-bytes trigger: its payload cannot be
         // dropped until a checkpoint naming its version commits.
         let spill_wants = self.spill_queue.has_unsubmitted();
         let Some(p) = self.persist.as_mut() else { return };
-        p.settle_checkpoint();
         if (p.bytes_since_checkpoint < p.checkpoint_wal_bytes && !spill_wants)
-            || !p.checkpointer.idle()
+            || p.in_flight.is_some()
         {
             return;
         }
@@ -552,12 +569,25 @@ impl NodeCtx {
         };
         if p.checkpointer.submit(snap) {
             self.node.stats.checkpoints += 1;
-            // This snapshot carries every currently queued spill payload
-            // and will be checkpoint `completed() + 1`.
-            let seq = p.checkpointer.completed() + 1;
-            p.in_flight = Some((seq, names));
-            self.spill_queue.mark_submitted(seq);
+            // This snapshot carries every currently queued spill payload.
+            p.in_flight = Some(names);
+            self.spill_queue.mark_submitted(p.committed + 1);
         }
+    }
+
+    /// The checkpointer finished the snapshot in flight. On a commit the
+    /// versions it names are durable (beside any a load made durable
+    /// meanwhile) and the spills that waited for it drop their payloads;
+    /// on a failure `durable` stands. Either way the next snapshot may go.
+    fn on_checkpointed(&mut self, committed: bool) {
+        let Some(p) = self.persist.as_mut() else { return };
+        let Some(named) = p.in_flight.take() else { return };
+        if committed {
+            p.committed += 1;
+            p.durable.extend(named);
+            self.service_spills();
+        }
+        self.checkpoint_due = true;
     }
 
     fn on_ring(&mut self, msg: DcMsg) {
@@ -704,7 +734,7 @@ impl NodeCtx {
         let size = payload.byte_size() as u64;
         self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
         self.hotset.note_reloaded(bat);
-        self.hotset.note_resident(bat, size);
+        self.note_resident(bat, size);
         self.node.stats.loi_readmits += 1;
         self.readmit_hist.record_elapsed_micros(start);
         self.obs.trace(
@@ -714,6 +744,14 @@ impl NodeCtx {
             format!("{bat} reloaded from disk ({size} bytes, spilled at v{})", info.version),
         );
         Ok(true)
+    }
+
+    /// An owned payload is in RAM at `size` bytes: account for it, and
+    /// enforce the budget once the current event is handled (not now: the
+    /// caller is about to use the payload).
+    fn note_resident(&mut self, bat: BatId, size: u64) {
+        self.hotset.note_resident(bat, size);
+        self.budget_due = true;
     }
 
     /// Move a cold fragment's payload out of RAM. A *clean* victim —
@@ -739,28 +777,29 @@ impl NodeCtx {
             let riding = p
                 .in_flight
                 .as_ref()
-                .and_then(|(seq, names)| (names.get(&bat) == Some(&version)).then_some(*seq));
-            self.spill_queue.push(bat, version, size, riding);
+                .and_then(|names| (names.get(&bat) == Some(&version)).then_some(p.committed + 1));
+            if self.spill_queue.push(bat, version, size, riding) {
+                self.checkpoint_due = true;
+            }
         }
     }
 
     /// Finalize dirty spills whose carrying checkpoint has committed, if
     /// the fragment is still cold and unchanged.
     fn service_spills(&mut self) {
-        if self.spill_queue.is_empty() {
-            return;
-        }
         let Some(p) = self.persist.as_ref() else { return };
-        let completed = p.checkpointer.completed();
-        for spill in self.spill_queue.take_ready(completed) {
+        for spill in self.spill_queue.take_ready(p.committed) {
             let still_cold = self
                 .node
                 .s1
                 .get(spill.bat)
                 .is_some_and(|o| o.state == OwnedState::OnDisk && o.version == spill.version);
-            // Otherwise a mutation or re-demand raced the checkpoint; the
-            // RAM copy is the truth, keep it.
-            if still_cold && self.finish_spill(spill.bat, spill.version, spill.size) {
+            if !still_cold {
+                // A mutation or re-demand raced the checkpoint; the RAM
+                // copy is the truth, keep it — and its bytes no longer
+                // count as on their way out.
+                self.budget_due = true;
+            } else if self.finish_spill(spill.bat, spill.version, spill.size) {
                 self.spill_hist.record_elapsed_micros(spill.queued);
             }
         }
@@ -787,9 +826,10 @@ impl NodeCtx {
     }
 
     /// Spill the coldest off-ring fragments until projected residency
-    /// fits the memory budget. Runs every tick; bytes queued behind a
-    /// checkpoint count as "on their way out" so an in-flight checkpoint
-    /// does not cause over-spill.
+    /// fits the memory budget. Runs after residency grew or an owned
+    /// fragment left the ring; bytes queued behind a checkpoint count as
+    /// "on their way out" so an in-flight checkpoint does not cause
+    /// over-spill.
     fn enforce_budget(&mut self) {
         if self.persist.is_none() {
             return;
@@ -812,20 +852,6 @@ impl NodeCtx {
         for bat in spill_victims(candidates, excess) {
             self.begin_spill(bat);
         }
-    }
-
-    /// Push the hot-set residency totals and LOIT level into the node's
-    /// gauge registry, mirror the ladder's transition count into
-    /// [`NodeStats`], and the transport's rejected-frame count into
-    /// `ring_frames_rejected`.
-    fn sync_telemetry(&mut self) {
-        let rejected = self.transport.frames_rejected();
-        self.frames_rejected.add(rejected.saturating_sub(self.frames_rejected.get()));
-        self.node.stats.loit_transitions = self.node.ladder.transitions;
-        self.hotset_gauges[0].set(self.hotset.resident_bytes() as i64);
-        self.hotset_gauges[1].set(self.hotset.spilled_bytes() as i64);
-        self.hotset_gauges[2].set(self.hotset.spilled_count() as i64);
-        self.hotset_gauges[3].set(self.node.ladder.level_index() as i64);
     }
 
     /// One row per owned fragment plus the node-wide residency totals,
@@ -969,7 +995,7 @@ impl NodeCtx {
     fn install(&mut self, bat: BatId, version: u32, payload: Bat) {
         let size = payload.byte_size() as u64;
         self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
-        self.hotset.note_resident(bat, size);
+        self.note_resident(bat, size);
         if let Some(owned) = self.node.s1.get_mut(bat) {
             owned.size = size;
             owned.version = version;
@@ -1034,7 +1060,7 @@ impl NodeCtx {
                 }
                 let size = payload.byte_size() as u64;
                 self.disk.insert(bat, Frag::from_bat(payload));
-                self.hotset.note_resident(bat, size);
+                self.note_resident(bat, size);
                 self.node.register_owned(bat, size);
             }
             Cmd::CreateTable { schema, table, cols, ack } => {
@@ -1067,6 +1093,10 @@ impl NodeCtx {
                 }
             }
             Cmd::Stats { ack } => {
+                // Read before every rendering of the counters (`dc.stats`,
+                // `dc-node metrics`), so it needs no other refresh.
+                let rejected = self.transport.frames_rejected();
+                self.frames_rejected.add(rejected.saturating_sub(self.frames_rejected.get()));
                 ack.fulfill(Ok(self.node.stats.clone()));
             }
             Cmd::Hotset { ack } => {
@@ -1131,7 +1161,7 @@ impl NodeCtx {
         for (bat, payload) in payloads {
             let size = payload.byte_size() as u64;
             self.disk.insert(bat, Frag::from_bat(payload));
-            self.hotset.note_resident(bat, size);
+            self.note_resident(bat, size);
             self.node.register_owned(bat, size);
         }
         publish_table(&self.catalog, &self.meta, &gossip);
@@ -1359,6 +1389,7 @@ impl NodeCtx {
                     match self.ensure_resident(bat) {
                         Ok(_) => {
                             self.spill_queue.cancel(bat);
+                            self.budget_due = true;
                             let effects = self.node.bat_loaded(bat);
                             self.execute(effects, inbound);
                         }
@@ -1377,6 +1408,7 @@ impl NodeCtx {
                     // is spilled; anywhere else it simply stops being
                     // forwarded and stays in memory.
                     self.begin_spill(bat);
+                    self.budget_due = true;
                 }
                 Effect::Deliver { header, queries } => {
                     // The waiters get the cell, not a `Bat`: each decodes
@@ -1431,8 +1463,6 @@ pub struct NodeOptions {
     pub cfg: DcConfig,
     /// How long a blocked `pin` (or DDL/DML ack) waits before erroring.
     pub pin_timeout: Duration,
-    /// Event-loop maintenance cadence (`loadAll`, `resend`, LOIT).
-    pub tick_every: Duration,
     /// Durable node-local storage. `None` (the default) keeps the node
     /// memory-only; `Some` turns on write-ahead logging, background
     /// checkpointing, and recovery-on-spawn from the directory.
@@ -1461,7 +1491,6 @@ impl Default for NodeOptions {
         NodeOptions {
             cfg: DcConfig::default(),
             pin_timeout: Duration::from_secs(30),
-            tick_every: Duration::from_millis(5),
             data_dir: None,
             // 1.2s × (1+2+4+8) = 18s worst case: inside the 30s
             // pin_timeout above AND the 20s pin_timeout `dc-node`
@@ -1529,7 +1558,7 @@ impl RingNode {
 
         let mut node = DcNode::new(id, opts.cfg.clone());
         let mut disk: HashMap<BatId, Frag> = HashMap::new();
-        let mut hotset = HotsetAccounting::new(opts.mem_budget);
+        let mut hotset = HotsetAccounting::new(opts.mem_budget, &obs);
         let mut persist = None;
         let mut readvertise: Vec<CatalogMsg> = Vec::new();
 
@@ -1616,7 +1645,11 @@ impl RingNode {
             let wal_append_hist = obs.histogram("wal_append_us");
             let wal_sync_hist = obs.histogram("wal_fsync_us");
             wal.set_metrics(Arc::clone(&wal_append_hist), Arc::clone(&wal_sync_hist));
-            let checkpointer = Checkpointer::spawn(pdir.clone(), checkpoint_metrics);
+            // The outcome of each snapshot comes back as an event.
+            let done = tx.clone();
+            let checkpointer = Checkpointer::spawn(pdir.clone(), checkpoint_metrics, move |ok| {
+                let _ = done.send(NodeEvent::Checkpointed { committed: ok });
+            });
             persist = Some(PersistCtx {
                 dir: pdir,
                 wal,
@@ -1626,6 +1659,7 @@ impl RingNode {
                 bytes_since_checkpoint: 0,
                 checkpointer,
                 durable,
+                committed: 0,
                 in_flight: None,
                 tables,
                 wal_append_hist,
@@ -1633,6 +1667,11 @@ impl RingNode {
             });
         }
 
+        let loit_level = obs.gauge("loit_level");
+        loit_level.set(node.ladder.level_index() as i64);
+        // A zero `load_interval` would turn the loop's sleep into a spin.
+        let load_interval =
+            Duration::from_nanos(opts.cfg.load_interval.as_nanos()).max(Duration::from_millis(1));
         let ctx = NodeCtx {
             node,
             rx,
@@ -1654,15 +1693,14 @@ impl RingNode {
             readmit_hist: obs.histogram("readmit_us"),
             gossip_applied: obs.counter("gossip_applied"),
             persist_errors: obs.counter("persist_errors"),
-            hotset_gauges: [
-                obs.gauge("hotset_resident_bytes"),
-                obs.gauge("hotset_spilled_bytes"),
-                obs.gauge("hotset_spilled_frags"),
-                obs.gauge("loit_level"),
-            ],
+            loit_level,
             frames_rejected: obs.counter("ring_frames_rejected"),
             started: Instant::now(),
-            tick_every: opts.tick_every,
+            load_interval,
+            next_tick: Instant::now() + load_interval,
+            // Recovery may have brought back more than the budget holds.
+            budget_due: true,
+            checkpoint_due: false,
         };
         let event_loop = std::thread::spawn(move || ctx.run());
 
@@ -2484,7 +2522,6 @@ mod tests {
                     ..DcConfig::default()
                 },
                 pin_timeout: Duration::from_secs(10),
-                tick_every: Duration::from_millis(2),
                 data_dir: Some(
                     crate::config::DataDir::new(dir)
                         .fsync(crate::config::FsyncPolicy::Off)
@@ -2708,7 +2745,6 @@ mod tests {
                     ..DcConfig::default()
                 },
                 pin_timeout: Duration::from_secs(10),
-                tick_every: Duration::from_millis(2),
                 data_dir: Some(
                     crate::config::DataDir::new(dir).fsync(crate::config::FsyncPolicy::Off),
                 ),

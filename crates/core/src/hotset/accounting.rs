@@ -5,6 +5,7 @@
 
 use crate::ids::BatId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A fragment whose payload lives only in `bats/<id>.v<version>.bat` on
 /// the owner's disk. The version is pinned: a spilled fragment cannot
@@ -16,7 +17,9 @@ pub struct SpilledFrag {
 }
 
 /// Byte-accurate bookkeeping for one node; totals are maintained
-/// incrementally so the per-tick budget check is O(1).
+/// incrementally so the budget check is O(1), and every change is
+/// published at once to the node's `hotset_resident_bytes`,
+/// `hotset_spilled_bytes` and `hotset_spilled_frags` gauges.
 #[derive(Default)]
 pub struct HotsetAccounting {
     mem_budget: Option<u64>,
@@ -24,11 +27,22 @@ pub struct HotsetAccounting {
     spilled: HashMap<BatId, SpilledFrag>,
     resident_bytes: u64,
     spilled_bytes: u64,
+    /// The three gauges, in that order.
+    gauges: [Arc<dc_obs::Gauge>; 3],
 }
 
 impl HotsetAccounting {
-    pub fn new(mem_budget: Option<u64>) -> Self {
-        HotsetAccounting { mem_budget, ..Default::default() }
+    pub fn new(mem_budget: Option<u64>, obs: &dc_obs::Registry) -> Self {
+        let gauges = ["hotset_resident_bytes", "hotset_spilled_bytes", "hotset_spilled_frags"]
+            .map(|name| obs.gauge(name));
+        HotsetAccounting { mem_budget, gauges, ..Default::default() }
+    }
+
+    fn publish(&self) {
+        let totals = [self.resident_bytes, self.spilled_bytes, self.spilled.len() as u64];
+        for (gauge, v) in self.gauges.iter().zip(totals) {
+            gauge.set(v as i64);
+        }
     }
 
     pub fn mem_budget(&self) -> Option<u64> {
@@ -40,6 +54,7 @@ impl HotsetAccounting {
     pub fn note_resident(&mut self, bat: BatId, bytes: u64) {
         let old = self.resident.insert(bat, bytes).unwrap_or(0);
         self.resident_bytes = self.resident_bytes - old + bytes;
+        self.publish();
     }
 
     /// The payload was dropped from RAM; the file of `version` is now
@@ -50,6 +65,7 @@ impl HotsetAccounting {
         }
         let prev = self.spilled.insert(bat, SpilledFrag { version, size });
         self.spilled_bytes = self.spilled_bytes - prev.map_or(0, |p| p.size) + size;
+        self.publish();
     }
 
     /// The payload came back from disk; the fragment is resident again.
@@ -80,10 +96,6 @@ impl HotsetAccounting {
         self.spilled_bytes
     }
 
-    pub fn spilled_count(&self) -> usize {
-        self.spilled.len()
-    }
-
     /// Resident bytes over the budget; 0 when unbudgeted or under it.
     pub fn excess(&self) -> u64 {
         self.mem_budget.map_or(0, |b| self.resident_bytes.saturating_sub(b))
@@ -92,14 +104,14 @@ impl HotsetAccounting {
 
 /// Coldest-first victim selection: order `(bat, last_loi, size)`
 /// candidates by ascending interest (ties broken by id so runs are
-/// deterministic) and take just enough to cover `excess` bytes.
+/// deterministic) and take just enough to cover `excess` bytes. The
+/// order is total (`f64::total_cmp`), so not even a NaN score can
+/// break the sort.
 pub fn spill_victims(mut candidates: Vec<(BatId, f64, u64)>, excess: u64) -> Vec<BatId> {
     if excess == 0 {
         return Vec::new();
     }
-    candidates.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0 .0.cmp(&b.0 .0))
-    });
+    candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0 .0.cmp(&b.0 .0)));
     let mut covered = 0u64;
     let mut out = Vec::new();
     for (bat, _, size) in candidates {
@@ -117,28 +129,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn residency_totals_track_moves() {
-        let mut acc = HotsetAccounting::new(Some(100));
+    fn residency_totals_track_moves_and_reach_the_gauges_at_once() {
+        let obs = dc_obs::Registry::new(0);
+        let gauges = || {
+            ["hotset_resident_bytes", "hotset_spilled_bytes", "hotset_spilled_frags"]
+                .map(|name| obs.gauge(name).get())
+        };
+        let mut acc = HotsetAccounting::new(Some(100), &obs);
         acc.note_resident(BatId(1), 60);
         acc.note_resident(BatId(2), 50);
         assert_eq!(acc.resident_bytes(), 110);
         assert_eq!(acc.excess(), 10);
+        assert_eq!(gauges(), [110, 0, 0]);
 
         acc.note_spilled(BatId(1), 3, 60);
         assert_eq!(acc.resident_bytes(), 50);
         assert_eq!(acc.spilled_bytes(), 60);
         assert_eq!(acc.spilled_get(BatId(1)), Some(SpilledFrag { version: 3, size: 60 }));
         assert_eq!(acc.excess(), 0);
+        assert_eq!(gauges(), [50, 60, 1]);
 
         assert_eq!(acc.note_reloaded(BatId(1)), Some(SpilledFrag { version: 3, size: 60 }));
         assert_eq!(acc.resident_bytes(), 110);
         assert_eq!(acc.spilled_bytes(), 0);
         assert!(!acc.is_spilled(BatId(1)));
+        assert_eq!(gauges(), [110, 0, 0]);
     }
 
     #[test]
     fn renoting_resident_adjusts_for_growth() {
-        let mut acc = HotsetAccounting::new(None);
+        let mut acc = HotsetAccounting::new(None, &dc_obs::Registry::new(0));
         acc.note_resident(BatId(7), 10);
         acc.note_resident(BatId(7), 25); // an append grew it
         assert_eq!(acc.resident_bytes(), 25);
@@ -155,6 +175,12 @@ mod tests {
         ];
         // 50 bytes over: the two coldest (ids 2,3 at LOI 0.1) cover 60.
         assert_eq!(spill_victims(cands.clone(), 50), vec![BatId(2), BatId(3)]);
-        assert_eq!(spill_victims(cands, 0), Vec::<BatId>::new());
+        assert_eq!(spill_victims(cands.clone(), 0), Vec::<BatId>::new());
+        // A NaN score does not unsettle the order of the others: it sorts
+        // after every number and is taken last.
+        let mut with_nan = cands;
+        with_nan.insert(1, (BatId(5), f64::NAN, 10));
+        assert_eq!(spill_victims(with_nan.clone(), 50), vec![BatId(2), BatId(3)]);
+        assert_eq!(spill_victims(with_nan, 1_000), [2, 3, 4, 1, 5].map(BatId));
     }
 }

@@ -8,7 +8,7 @@
 //! queue: its file exists, so the engine drops it at once.)
 //! Entries learn which checkpoint they wait for when the snapshot is
 //! submitted ([`SpillQueue::mark_submitted`]) and become actionable
-//! once the checkpointer's completed counter reaches it
+//! once the node has seen that many checkpoints commit
 //! ([`SpillQueue::take_ready`]).
 
 use crate::ids::BatId;
@@ -73,11 +73,12 @@ impl SpillQueue {
         }
     }
 
-    /// Drain entries whose checkpoint has committed.
-    pub fn take_ready(&mut self, completed: u64) -> Vec<PendingSpill> {
+    /// Drain entries whose checkpoint has committed: `committed` is how
+    /// many have.
+    pub fn take_ready(&mut self, committed: u64) -> Vec<PendingSpill> {
         let (ready, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.entries)
             .into_iter()
-            .partition(|e| e.ready_at.is_some_and(|s| s <= completed));
+            .partition(|e| e.ready_at.is_some_and(|s| s <= committed));
         self.entries = rest;
         ready
     }
@@ -85,14 +86,6 @@ impl SpillQueue {
     /// Drop a pending spill (the fragment was re-demanded).
     pub fn cancel(&mut self, bat: BatId) {
         self.entries.retain(|e| e.bat != bat);
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -115,8 +108,7 @@ mod tests {
         let ready = q.take_ready(3);
         assert_eq!(ready.len(), 1);
         assert_eq!((ready[0].bat, ready[0].version, ready[0].size), (BatId(1), 4, 100));
-        assert!(q.is_empty());
-        assert_eq!(q.queued_bytes(), 0);
+        assert_eq!(q.queued_bytes(), 0, "nothing left");
     }
 
     #[test]
@@ -129,8 +121,7 @@ mod tests {
         assert!(q.has_unsubmitted());
         let ready: Vec<BatId> = q.take_ready(1).iter().map(|e| e.bat).collect();
         assert_eq!(ready, [BatId(1), BatId(3)]);
-        assert_eq!(q.len(), 1, "bat 2 still waits for its snapshot");
-        assert_eq!(q.queued_bytes(), 20);
+        assert_eq!(q.queued_bytes(), 20, "bat 2 still waits for its snapshot");
     }
 
     #[test]
@@ -138,7 +129,7 @@ mod tests {
         let mut q = SpillQueue::default();
         q.push(BatId(5), 1, 64, None);
         q.cancel(BatId(5));
-        assert!(q.is_empty());
+        assert!(!q.is_pending(BatId(5)));
         q.mark_submitted(1);
         assert!(q.take_ready(1).is_empty());
     }

@@ -39,14 +39,12 @@ pub fn new_loi(loi: f64, copies: u32, hops: u32, cycles: u32) -> f64 {
 pub struct LoitLadder {
     levels: Vec<f64>,
     idx: usize,
-    /// Number of raise/lower transitions (for the ablation benches).
-    pub transitions: u64,
 }
 
 impl LoitLadder {
     pub fn new(levels: Vec<f64>, start: usize) -> Self {
         assert!(!levels.is_empty() && start < levels.len());
-        LoitLadder { levels, idx: start, transitions: 0 }
+        LoitLadder { levels, idx: start }
     }
 
     pub fn fixed(level: f64) -> Self {
@@ -71,11 +69,9 @@ impl LoitLadder {
     pub fn adapt(&mut self, load_fraction: f64, high: f64, low: f64) -> Option<Direction> {
         if load_fraction > high && self.idx + 1 < self.levels.len() {
             self.idx += 1;
-            self.transitions += 1;
             Some(Direction::Raised)
         } else if load_fraction < low && self.idx > 0 {
             self.idx -= 1;
-            self.transitions += 1;
             Some(Direction::Lowered)
         } else {
             None
@@ -151,7 +147,6 @@ mod tests {
         assert_eq!(lad.adapt(0.6, 0.8, 0.4), None);
         assert_eq!(lad.adapt(0.3, 0.8, 0.4), Some(Direction::Lowered));
         assert_eq!(lad.current(), 0.6);
-        assert_eq!(lad.transitions, 3);
     }
 
     #[test]

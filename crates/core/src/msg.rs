@@ -461,6 +461,11 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
                 version: buf.get_u32_le(),
                 updating: buf.get_u8() != 0,
             };
+            // Eq. 1 over a NaN or infinite score never falls below the
+            // threshold again: such a fragment could never leave the ring.
+            if !header.loi.is_finite() {
+                return Err(format!("BAT header with a non-finite LOI ({})", header.loi));
+            }
             let plen = buf.get_u64_le() as usize;
             if buf.remaining() < plen {
                 return Err(format!(

@@ -94,9 +94,6 @@ pub struct DcNode {
     pub ladder: LoitLadder,
     pub stats: NodeStats,
     now: SimTime,
-    /// Local BAT-queue occupancy in bytes, mirrored from the transport by
-    /// the driver before invoking handlers.
-    queue_bytes: u64,
     last_load_all: SimTime,
     /// BATs somebody downstream asked for — a request from another origin
     /// was forwarded or absorbed here — since this node last forwarded
@@ -118,7 +115,6 @@ impl DcNode {
             ladder,
             stats: NodeStats::default(),
             now: SimTime::ZERO,
-            queue_bytes: 0,
             last_load_all: SimTime::ZERO,
             asked_downstream: HashMap::new(),
         }
@@ -132,13 +128,6 @@ impl DcNode {
 
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Mirror the transport's outgoing-queue occupancy (kept for
-    /// observability; protocol decisions use [`Self::queue_load_fraction`]
-    /// which reflects the node's hot-set share of ring storage).
-    pub fn set_queue_bytes(&mut self, bytes: u64) {
-        self.queue_bytes = bytes;
     }
 
     /// The "local BAT queue load" of §4.4: this owner's bytes currently
@@ -465,7 +454,8 @@ impl DcNode {
     }
 
     /// Periodic maintenance: LOIT adaptation, `loadAll`, `resend`, and
-    /// lost-BAT detection. Call at the driver's tick cadence.
+    /// lost-BAT detection. Call every `cfg.load_interval` (the `loadAll`
+    /// period) or more often.
     pub fn tick(&mut self) -> Vec<Effect> {
         let mut effects = Vec::new();
         let now = self.now;
@@ -473,7 +463,9 @@ impl DcNode {
         // LOIT ladder from the local queue load (§5.2: above 80% raise a
         // level, below 40% lower a level).
         let load = self.queue_load_fraction();
-        self.ladder.adapt(load, self.cfg.high_watermark, self.cfg.low_watermark);
+        if self.ladder.adapt(load, self.cfg.high_watermark, self.cfg.low_watermark).is_some() {
+            self.stats.loit_transitions += 1;
+        }
 
         // loadAll: every T, start the oldest pending loads that fit; a
         // BAT that does not fit is skipped in favor of the next.
@@ -1062,6 +1054,10 @@ mod tests {
         n.s1.set_state(BatId(1), OwnedState::OnDisk); // 0% < 40%
         n.tick();
         assert_eq!(n.loit(), 0.6);
+        assert_eq!(n.stats.loit_transitions, 3, "raise, raise, lower");
+        n.tick(); // one more step down, then the bottom rung holds
+        n.tick();
+        assert_eq!((n.loit(), n.stats.loit_transitions), (0.1, 4));
     }
 
     #[test]

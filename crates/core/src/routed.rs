@@ -12,7 +12,8 @@
 //! replays the first answer instead of applying twice.
 //!
 //! This module does no I/O and reads no clock: the event loop passes
-//! `now` in and sends the frames, counts and traces it hands back.
+//! `now` in, sends the frames, counts and traces it hands back, and
+//! sleeps until [`Routed::next_deadline`].
 
 use crate::ids::NodeId;
 use crate::msg::{DcMsg, RoutedBody, RoutedMsg};
@@ -167,6 +168,12 @@ impl Routed {
         due
     }
 
+    /// When the earliest pending attempt runs out: the event loop's next
+    /// [`Routed::poll`] is due then. `None` while nothing awaits an ack.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.pending.values().map(|p| p.deadline).min()
+    }
+
     /// Match an acknowledgement to its pending statement. Acks from a
     /// previous incarnation of this node (epoch mismatch — still
     /// circulating from before a restart) and unmatched ids (the
@@ -243,6 +250,25 @@ mod tests {
         assert!(err.starts_with("mutation on sys.acct timed out after 3 attempts"), "{err}");
         assert!(r.poll(t0 + TIMEOUT * 100).is_empty(), "a failed statement is forgotten");
         assert!(r.ack(7, id).is_none(), "a late ack finds nothing to resolve");
+    }
+
+    #[test]
+    fn next_deadline_is_the_earliest_pending_attempt() {
+        let t0 = Instant::now();
+        let mut r = Routed::new(7, TIMEOUT, 2);
+        assert_eq!(r.next_deadline(), None, "nothing pending, nothing due");
+        let a = r.begin(ME, "sys.a".into(), mutate(), waiter(), t0).msg.id;
+        let later = t0 + TIMEOUT / 2;
+        let b = r.begin(ME, "sys.b".into(), mutate(), waiter(), later).msg.id;
+        assert_eq!(r.next_deadline(), Some(t0 + TIMEOUT), "the first statement's deadline");
+        // `a` is resent at its deadline and waits the doubled backoff;
+        // `b`'s first deadline is now the earliest.
+        assert_eq!(r.poll(t0 + TIMEOUT).len(), 1);
+        assert_eq!(r.next_deadline(), Some(later + TIMEOUT));
+        assert!(r.ack(7, b).is_some());
+        assert_eq!(r.next_deadline(), Some(t0 + TIMEOUT + TIMEOUT * 2), "`a`'s resend");
+        assert!(r.ack(7, a).is_some());
+        assert_eq!(r.next_deadline(), None);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct NodeStats {
     /// Own BATs pulled out of the ring by LOI decision.
     pub bats_unloaded: u64,
     /// Below-threshold BATs kept one more cycle because requests arrived
-    /// mid-cycle (demand hold; see DESIGN.md §2).
+    /// mid-cycle (see [`crate::DcConfig::demand_hold`]).
     pub demand_holds: u64,
     /// Own BATs (re-)loaded into the ring.
     pub bats_loaded: u64,
@@ -102,7 +102,7 @@ pub struct NodeStats {
     /// for a local pin, a mutation, or a ring request (Fig. 3 outcome 4).
     pub loi_readmits: u64,
     /// LOIT ladder raise/lower transitions at this node (§5.2
-    /// adaptation activity; mirrored from the ladder each tick).
+    /// adaptation activity), counted by the tick that moves the ladder.
     pub loit_transitions: u64,
     /// Maximum observed request latency per BAT at this requester
     /// (Fig. 10 aggregates the per-ring max).

@@ -6,8 +6,7 @@
 //! arrival" (§4.3). [`RingTransport`] captures exactly that contract:
 //! ordered, asynchronous delivery of [`DcMsg`]s to the two ring
 //! neighbors — BATs clockwise to the successor, requests anti-clockwise
-//! to the predecessor — plus the outbound-queue occupancy the LOIT
-//! ladder observes (§4.4).
+//! to the predecessor.
 //!
 //! The live engine ([`crate::engine`]) is written purely against this
 //! trait. Two fabrics implement it:
@@ -56,9 +55,6 @@ pub trait RingTransport: Send + Sync {
     /// and no message is delivered twice or skipped, whatever races the
     /// call.
     fn attach(&self, sink: Sink);
-    /// Bytes currently buffered toward the successor (the BAT queue load
-    /// that LOIT adaptation observes).
-    fn outbound_bytes(&self) -> u64;
     /// Inbound frames this member refused — longer than its frame cap,
     /// or not decodable — each of which cost the edge its connection.
     /// Fabrics that carry messages, not bytes, never refuse one.
@@ -280,10 +276,6 @@ impl RingTransport for MeteredTransport {
         }));
     }
 
-    fn outbound_bytes(&self) -> u64 {
-        self.inner.outbound_bytes()
-    }
-
     fn frames_rejected(&self) -> u64 {
         self.inner.frames_rejected()
     }
@@ -303,7 +295,6 @@ pub mod mem {
 
     use super::{Inbox, RingTransport, Sink, TransportError};
     use crate::msg::DcMsg;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// One node's endpoints.
@@ -313,11 +304,6 @@ pub mod mem {
         /// The predecessor's inbox (anti-clockwise request edge).
         pred: Arc<Inbox>,
         inbox: Arc<Inbox>,
-        /// Shared with the successor: bytes we have queued toward it.
-        out_bytes: Arc<AtomicU64>,
-        /// Shared with the predecessor: bytes it queued toward us (we
-        /// decrement as messages leave the inbox).
-        in_bytes: Arc<AtomicU64>,
     }
 
     /// Build a fully-wired in-process ring of `n` nodes. A single-node
@@ -326,41 +312,18 @@ pub mod mem {
     pub fn ring(n: usize) -> Vec<MemNode> {
         assert!(n >= 1, "a ring needs at least one node");
         let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Arc::new(Inbox::new())).collect();
-        let counters: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
         (0..n)
-            .map(|i| {
-                let succ = (i + 1) % n;
-                let pred = (i + n - 1) % n;
-                MemNode {
-                    succ: Arc::clone(&inboxes[succ]),
-                    pred: Arc::clone(&inboxes[pred]),
-                    inbox: Arc::clone(&inboxes[i]),
-                    out_bytes: Arc::clone(&counters[i]),
-                    in_bytes: Arc::clone(&counters[pred]),
-                }
+            .map(|i| MemNode {
+                succ: Arc::clone(&inboxes[(i + 1) % n]),
+                pred: Arc::clone(&inboxes[(i + n - 1) % n]),
+                inbox: Arc::clone(&inboxes[i]),
             })
             .collect()
     }
 
-    /// A message left the inbox: take it off the predecessor's queue
-    /// count. Everything except requests traveled the data edge and was
-    /// counted by the sender's `send_data`; requests arrive on the other
-    /// edge and were never added, so draining them would underflow.
-    fn drained(in_bytes: &AtomicU64, msg: &DcMsg) {
-        if !matches!(msg, DcMsg::Request(_)) {
-            in_bytes.fetch_sub(msg.wire_size(), Ordering::Relaxed);
-        }
-    }
-
     impl RingTransport for MemNode {
         fn send_data(&self, msg: DcMsg) -> Result<(), TransportError> {
-            let size = msg.wire_size();
-            self.out_bytes.fetch_add(size, Ordering::Relaxed);
-            if self.succ.push(msg) {
-                return Ok(());
-            }
-            self.out_bytes.fetch_sub(size, Ordering::Relaxed);
-            Err(TransportError::Disconnected)
+            self.succ.push(msg).then_some(()).ok_or(TransportError::Disconnected)
         }
 
         fn send_request(&self, msg: DcMsg) -> Result<(), TransportError> {
@@ -368,21 +331,11 @@ pub mod mem {
         }
 
         fn recv(&self) -> Option<DcMsg> {
-            let msg = self.inbox.recv()?;
-            drained(&self.in_bytes, &msg);
-            Some(msg)
+            self.inbox.recv()
         }
 
-        fn attach(&self, mut sink: Sink) {
-            let in_bytes = Arc::clone(&self.in_bytes);
-            self.inbox.attach(Box::new(move |msg| {
-                drained(&in_bytes, &msg);
-                sink(msg);
-            }));
-        }
-
-        fn outbound_bytes(&self) -> u64 {
-            self.out_bytes.load(Ordering::Relaxed)
+        fn attach(&self, sink: Sink) {
+            self.inbox.attach(sink);
         }
 
         fn close(&self) {
@@ -427,35 +380,6 @@ pub mod mem {
                 DcMsg::Request(r) => assert_eq!(r.bat, BatId(9)),
                 other => panic!("{other:?}"),
             }
-        }
-
-        #[test]
-        fn outbound_bytes_tracks_queue() {
-            let nodes = ring(2);
-            assert_eq!(nodes[0].outbound_bytes(), 0);
-            nodes[0].send_data(bat_msg(1, 1000)).unwrap();
-            let queued = nodes[0].outbound_bytes();
-            assert!(queued >= 1000, "queued={queued}");
-            let _ = nodes[1].recv().unwrap();
-            assert_eq!(nodes[0].outbound_bytes(), 0, "drained on receive");
-        }
-
-        #[test]
-        fn non_bat_data_messages_drain_the_queue_counter() {
-            // Catalog gossip (and appends) travel the data edge: their
-            // bytes must leave the outbound counter on receipt, or DDL
-            // traffic permanently inflates the LOIT ladder's queue view.
-            let nodes = ring(2);
-            let gossip = DcMsg::Catalog(crate::msg::CatalogMsg {
-                origin: NodeId(0),
-                schema: "sys".into(),
-                table: "t".into(),
-                columns: vec![],
-            });
-            nodes[0].send_data(gossip).unwrap();
-            assert!(nodes[0].outbound_bytes() > 0);
-            let _ = nodes[1].recv().unwrap();
-            assert_eq!(nodes[0].outbound_bytes(), 0, "gossip drained on receive");
         }
 
         #[test]

@@ -368,10 +368,6 @@ impl RingTransport for FaultTransport {
         self.shared.inner.attach(sink);
     }
 
-    fn outbound_bytes(&self) -> u64 {
-        self.shared.inner.outbound_bytes()
-    }
-
     fn frames_rejected(&self) -> u64 {
         self.shared.inner.frames_rejected()
     }

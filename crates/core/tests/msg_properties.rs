@@ -260,12 +260,11 @@ proptest! {
         }
     }
 
-    /// `wire_size()` is what the traffic meters and the queue-load mirror
-    /// add up, so it has to follow the bytes a `Bat` frame really
-    /// carries: a header travelling alone is billed the header, not the
-    /// fragment it describes. Both forms stay within 8 bytes of the
-    /// encoded frame (the payload-length field `HEADER_WIRE_BYTES` does
-    /// not count).
+    /// `wire_size()` is what the traffic meters add up, so it has to
+    /// follow the bytes a `Bat` frame really carries: a header
+    /// travelling alone is billed the header, not the fragment it
+    /// describes. Both forms stay within 8 bytes of the encoded frame
+    /// (the payload-length field `HEADER_WIRE_BYTES` does not count).
     #[test]
     fn bat_wire_size_follows_the_payload(seed in -100_000i64..100_000,
                                          npayload in 1usize..2_000) {
@@ -278,6 +277,20 @@ proptest! {
         for m in [alone, laden] {
             prop_assert_eq!(frame(&m).len() as u64 - m.wire_size(), 8);
         }
+    }
+
+    /// A `Bat` header whose LOI is not a finite number is refused like
+    /// any malformed frame: at the owner Eq. 1 would carry the NaN (or
+    /// infinity) forward, it would never fall below the threshold, and
+    /// the fragment could never be unloaded.
+    #[test]
+    fn non_finite_loi_is_refused(seed in -100_000i64..100_000,
+                                 which in 0usize..3) {
+        let loi = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][which];
+        let DcMsg::Bat { mut header, payload } = bat_from(0, seed, 4) else { unreachable!() };
+        header.loi = loi;
+        let err = decode(&encode(&DcMsg::Bat { header, payload })).unwrap_err();
+        prop_assert!(err.contains("non-finite LOI"), "{err}");
     }
 
     /// Arbitrary garbage never panics the decoder.

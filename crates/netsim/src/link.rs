@@ -84,8 +84,6 @@ impl Link {
     }
 
     /// Bytes sitting in (or currently leaving) the sender queue at `now`.
-    /// This is the "BAT queue load" the Data Cyclotron's LOIT adaptation
-    /// observes.
     pub fn queued_bytes(&mut self, now: SimTime) -> u64 {
         self.expire(now);
         self.queued_bytes

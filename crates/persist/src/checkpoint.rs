@@ -22,7 +22,6 @@ use crate::datadir::{sync_dir, write_atomic, write_bat_file, DataDir, Manifest};
 use crate::wal::{encode_record, TableRec, WalRecord};
 use batstore::Bat;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -114,12 +113,13 @@ pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result
     Ok(stats)
 }
 
-/// A background thread draining checkpoint jobs one at a time.
+/// A background thread writing the snapshots it is handed, in order,
+/// and reporting each outcome — whether it committed — to the callback
+/// it was spawned with. The owner keeps at most one in flight and learns
+/// of the commit from that report; nothing here is polled.
 pub struct Checkpointer {
     tx: Option<Sender<Snapshot>>,
     handle: Option<JoinHandle<()>>,
-    busy: Arc<AtomicBool>,
-    completed: Arc<AtomicU64>,
 }
 
 /// Telemetry handles the checkpoint writers feed: how long each
@@ -154,61 +154,36 @@ impl CheckpointMetrics {
 }
 
 impl Checkpointer {
-    pub fn spawn(dir: DataDir, metrics: CheckpointMetrics) -> Checkpointer {
+    /// Start the writer. `done(committed)` runs on its thread once per
+    /// submitted snapshot, after the commit and its cleanup — or after
+    /// the failure, which leaves the node on the previous checkpoint and
+    /// a longer WAL: only durability compaction is lost.
+    pub fn spawn(
+        dir: DataDir,
+        metrics: CheckpointMetrics,
+        mut done: impl FnMut(bool) + Send + 'static,
+    ) -> Checkpointer {
         let (tx, rx) = channel::<Snapshot>();
-        let busy = Arc::new(AtomicBool::new(false));
-        let completed = Arc::new(AtomicU64::new(0));
-        let (busy2, completed2) = (Arc::clone(&busy), Arc::clone(&completed));
         let handle = std::thread::spawn(move || {
             while let Ok(snap) = rx.recv() {
                 let start = std::time::Instant::now();
-                match write_checkpoint(&dir, &snap) {
-                    // The node keeps running on the previous checkpoint +
-                    // a longer WAL; only durability compaction is lost.
+                let result = write_checkpoint(&dir, &snap);
+                match &result {
                     Err(e) => eprintln!("[dc-persist] checkpoint failed: {e}"),
                     Ok(stats) => {
-                        completed2.fetch_add(1, Ordering::Relaxed);
                         metrics.duration.record_elapsed_micros(start);
-                        metrics.count(stats);
+                        metrics.count(*stats);
                     }
                 }
-                busy2.store(false, Ordering::Release);
+                done(result.is_ok());
             }
         });
-        Checkpointer { tx: Some(tx), handle: Some(handle), busy, completed }
+        Checkpointer { tx: Some(tx), handle: Some(handle) }
     }
 
-    /// Queue a snapshot unless one is already being written; returns
-    /// whether it was accepted (callers simply retry on a later trigger).
+    /// Hand a snapshot to the writer; false if its thread is gone.
     pub fn submit(&self, snap: Snapshot) -> bool {
-        if self.busy.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        match self.tx.as_ref().expect("live until drop").send(snap) {
-            Ok(()) => true,
-            Err(_) => {
-                self.busy.store(false, Ordering::Release);
-                false
-            }
-        }
-    }
-
-    /// Whether no checkpoint is currently being written (a `submit` now
-    /// would be accepted).
-    pub fn idle(&self) -> bool {
-        !self.busy.load(Ordering::Acquire)
-    }
-
-    /// Checkpoints committed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Wait until no checkpoint is in flight (tests and shutdown).
-    pub fn quiesce(&self) {
-        while self.busy.load(Ordering::Acquire) {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        self.tx.as_ref().expect("live until drop").send(snap).is_ok()
     }
 }
 
@@ -335,16 +310,29 @@ mod tests {
     }
 
     #[test]
-    fn background_checkpointer_single_flight() {
+    fn background_checkpointer_reports_each_outcome() {
         let root = scratch("bg");
         let dir = DataDir::open(&root).unwrap();
         let obs = dc_obs::Registry::new(1);
-        let ck = Checkpointer::spawn(dir.clone(), CheckpointMetrics::register(&obs));
+        let (tx, done) = std::sync::mpsc::channel();
+        let ck = Checkpointer::spawn(dir.clone(), CheckpointMetrics::register(&obs), move |ok| {
+            let _ = tx.send(ok);
+        });
+        let outcome = || done.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
         assert!(ck.submit(snap(1, 3)));
-        ck.quiesce();
-        assert_eq!(ck.completed(), 1);
+        assert!(outcome(), "committed");
+        assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 3);
         assert!(ck.submit(snap(1, 4)));
-        ck.quiesce();
+        assert!(outcome());
+        assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 4);
+        // A snapshot whose fragment file cannot be written fails, says
+        // so, and leaves the committed checkpoint in place.
+        std::fs::create_dir(dir.bats_dir().join(".6.v0.bat.tmp")).unwrap();
+        let mut blocked = snap(1, 5);
+        blocked.frags[0].bat = 6;
+        blocked.frags[0].version = 0;
+        assert!(ck.submit(blocked));
+        assert!(!outcome(), "reported as failed");
         assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 4);
         assert_eq!(obs.counter("checkpoint_frags_written").get(), 1);
         assert_eq!(obs.counter("checkpoint_frags_skipped").get(), 1);

@@ -327,12 +327,9 @@ impl RingSim {
         (n + self.nodes.len() - 1) % self.nodes.len()
     }
 
-    /// Synchronize a node's clock and queue mirror before a handler runs.
+    /// Synchronize a node's clock before a handler runs.
     fn sync(&mut self, n: usize, now: SimTime) {
-        let queued = self.nodes[n].data.queued_bytes(now);
-        let dc = &mut self.nodes[n].dc;
-        dc.set_time(now);
-        dc.set_queue_bytes(queued);
+        self.nodes[n].dc.set_time(now);
     }
 
     /// Run to completion (all queries finished/failed) or the horizon.
@@ -791,6 +788,28 @@ mod tests {
         assert!(peak > 10_000_000.0, "hot set never built up: peak={peak}");
         assert!(m.stats.bats_loaded > 0);
         assert!(m.stats.bats_forwarded > 0);
+    }
+
+    #[test]
+    fn overloaded_dynamic_ladder_counts_its_transitions() {
+        // Queues a few fragments deep: owners fill past the high
+        // watermark, and the default §5.2 ladder has to climb.
+        let nodes = 4;
+        let ds = small_dataset(nodes);
+        let qs = micro::generate(
+            &MicroParams {
+                queries_per_second_per_node: 10.0,
+                duration: SimDuration::from_secs(4),
+                ..MicroParams::default()
+            },
+            &ds,
+            nodes,
+            5,
+        );
+        let params = SimParams::default().with_queue_capacity(16 << 20);
+        assert!(params.dc.loit_levels.len() > 1, "the default ladder is dynamic");
+        let m = RingSim::new(nodes, ds, qs, params).run();
+        assert!(m.stats.loit_transitions > 0, "the ladder never moved");
     }
 
     #[test]

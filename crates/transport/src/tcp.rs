@@ -153,7 +153,6 @@ pub struct TcpNode {
     me: usize,
     data_out: Mutex<Option<TcpStream>>,
     req_out: Mutex<Option<TcpStream>>,
-    out_bytes: Arc<AtomicU64>,
     acceptor: Mutex<Option<JoinHandle<()>>>,
     inbound: Arc<Inbound>,
 }
@@ -232,7 +231,6 @@ pub fn join_ring_capped(
 
     let listener = TcpListener::bind(addrs[me])?;
 
-    let out_bytes = Arc::new(AtomicU64::new(0));
     let inbound = Arc::new(Inbound {
         inbox: Inbox::new(),
         closed: AtomicBool::new(false),
@@ -278,7 +276,6 @@ pub fn join_ring_capped(
         me,
         data_out: Mutex::new(Some(data_out)),
         req_out: Mutex::new(Some(req_out)),
-        out_bytes,
         acceptor: Mutex::new(Some(acceptor)),
         inbound,
     })
@@ -431,11 +428,7 @@ impl TcpNode {
 
 impl RingTransport for TcpNode {
     fn send_data(&self, msg: DcMsg) -> Result<(), TransportError> {
-        let size = msg.wire_size();
-        self.out_bytes.fetch_add(size, Ordering::Relaxed);
-        let result = self.send_edge(&self.data_out, self.succ(), b'D', &msg);
-        self.out_bytes.fetch_sub(size, Ordering::Relaxed);
-        result
+        self.send_edge(&self.data_out, self.succ(), b'D', &msg)
     }
 
     fn send_request(&self, msg: DcMsg) -> Result<(), TransportError> {
@@ -448,10 +441,6 @@ impl RingTransport for TcpNode {
 
     fn attach(&self, sink: Sink) {
         self.inbound.inbox.attach(sink);
-    }
-
-    fn outbound_bytes(&self) -> u64 {
-        self.out_bytes.load(Ordering::Relaxed)
     }
 
     fn frames_rejected(&self) -> u64 {
@@ -653,7 +642,6 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("1024-byte cap"), "{err}");
-        assert_eq!(n0.outbound_bytes(), 0, "a refused frame is not queued");
         // Nothing was written, so the edge is intact: the next frame is
         // the first thing member 1 sees.
         n0.send_data(bat_of(512)).unwrap();

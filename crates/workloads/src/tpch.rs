@@ -3,7 +3,7 @@
 //! The paper calibrates its simulator with MonetDB execution traces of
 //! the 22 TPC-H queries at scale factor 5: per-operator times and the
 //! column/index BATs each query touches. Those traces are not available,
-//! so this module synthesizes the closest equivalent (see DESIGN.md §4):
+//! so this module synthesizes the closest equivalent:
 //!
 //! * the real TPC-H schema at SF-5 row counts, with realistic per-column
 //!   byte widths plus the foreign-key join indices the paper mentions,

@@ -70,7 +70,6 @@ fn chaos_ring_with(
                 ..DcConfig::default()
             },
             pin_timeout: Duration::from_secs(30),
-            tick_every: Duration::from_millis(2),
             ack_timeout: ACK_TIMEOUT,
             ack_retries: ACK_RETRIES,
             ..NodeOptions::default()
