@@ -6,6 +6,7 @@
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::error::{BatError, Result};
+use crate::ops::{stage, MutOp, Mutation};
 use crate::value::{ColType, Val};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -170,80 +171,34 @@ impl Catalog {
         Ok(())
     }
 
-    /// Append rows to an existing table, column-at-a-time. Every column
-    /// of the table must appear exactly once in `cols` and all appended
-    /// columns must have the same length (SQL INSERT semantics).
-    pub fn append_rows(
-        &mut self,
-        store: &mut BatStore,
-        schema: &str,
-        table: &str,
-        cols: &[(String, Column)],
-    ) -> Result<usize> {
-        let def = self
-            .tables
-            .get(&qual(schema, table))
-            .ok_or_else(|| BatError::NotFound(qual(schema, table)))?;
-        if cols.len() != def.columns.len() {
-            return Err(BatError::Invalid(format!(
-                "INSERT must cover all {} columns of {}, got {}",
-                def.columns.len(),
-                qual(schema, table),
-                cols.len()
-            )));
-        }
-        let added = cols.first().map(|(_, c)| c.len()).unwrap_or(0);
-        let mut keyed: Vec<(BatKey, &Column)> = Vec::with_capacity(cols.len());
-        for (name, col) in cols {
-            let cd = def
-                .column(name)
-                .ok_or_else(|| BatError::NotFound(format!("{schema}.{table}.{name}")))?;
-            if col.len() != added {
-                return Err(BatError::LengthMismatch { left: col.len(), right: added });
-            }
-            keyed.push((cd.bat, col));
-        }
-        // Validate all extensions before mutating any column so a type
-        // error cannot leave the table ragged.
-        let mut extended = Vec::with_capacity(keyed.len());
-        for (key, col) in keyed {
-            extended.push((key, store.get(key)?.extend_tail(col)?));
-        }
-        for (key, bat) in extended {
-            store.replace(key, bat)?;
-        }
-        self.tables.get_mut(&qual(schema, table)).expect("looked up above").row_count += added;
-        Ok(added)
-    }
-
-    /// `UPDATE`/`DELETE` on a single node: the rows matching the
-    /// predicate conjunction get each assignment, or leave every column
-    /// in lockstep (§6.4's owner-side rewrite, by the same
-    /// [`crate::ops::stage`] a ring owner runs). Returns the number of
-    /// rows matched. Every rewritten column is staged before any is
-    /// replaced, so a bad statement leaves the table untouched.
-    pub fn mutate_rows(
-        &mut self,
-        store: &mut BatStore,
-        schema: &str,
-        table: &str,
-        op: &crate::ops::MutOp,
-        preds: &[crate::ops::RowPredicate],
-    ) -> Result<usize> {
-        let def = self.table(schema, table)?;
+    /// `INSERT`/`UPDATE`/`DELETE` on a single node: the rows are
+    /// appended, or the rows matching the predicate conjunction get each
+    /// assignment, or leave every column in lockstep (§6.4's owner-side
+    /// rewrite, by the same [`crate::ops::stage`] a ring owner runs).
+    /// Returns the number of rows matched (added). Every rewritten
+    /// column is staged before any is replaced, so a bad statement leaves
+    /// the table untouched.
+    pub fn mutate_rows(&mut self, store: &mut BatStore, m: &Mutation) -> Result<usize> {
+        let def = self.table(&m.schema, &m.table)?;
         let cols = def
             .columns
             .iter()
             .map(|c| Ok((c.name.as_str(), store.get(c.bat)?)))
             .collect::<Result<Vec<_>>>()?;
-        let staged = crate::ops::stage(&cols, op, preds)?;
+        let staged = stage(&cols, &m.op, &m.preds)?;
         let keys: Vec<BatKey> = staged.columns.iter().map(|(i, _)| def.columns[*i].bat).collect();
         for (key, (_, bat)) in keys.into_iter().zip(staged.columns) {
             store.replace(key, bat)?;
         }
-        if matches!(op, crate::ops::MutOp::Delete) {
-            self.tables.get_mut(&qual(schema, table)).expect("looked up above").row_count -=
-                staged.matched;
+        let row_count = &mut self
+            .tables
+            .get_mut(&qual(&m.schema, &m.table))
+            .expect("looked up above")
+            .row_count;
+        match m.op {
+            MutOp::Insert(_) => *row_count += staged.matched,
+            MutOp::Delete => *row_count -= staged.matched,
+            MutOp::Update(_) => {}
         }
         Ok(staged.matched)
     }
@@ -292,6 +247,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{CmpOp, RowPredicate};
 
     fn setup() -> (Catalog, BatStore) {
         let mut cat = Catalog::new();
@@ -361,21 +317,24 @@ mod tests {
         assert!(cat.table_by_name("t").is_err(), "ambiguous now");
     }
 
+    /// A mutation of `sys.t`.
+    fn on_t(op: MutOp, preds: &[RowPredicate]) -> Mutation {
+        Mutation { schema: "sys".into(), table: "t".into(), op, preds: preds.to_vec() }
+    }
+
+    fn insert(cols: &[(&str, Column)]) -> Mutation {
+        on_t(MutOp::Insert(cols.iter().map(|(n, c)| (n.to_string(), c.clone())).collect()), &[])
+    }
+
     #[test]
-    fn append_rows_grows_all_columns() {
+    fn insert_grows_all_columns() {
         let (mut cat, mut store) = setup();
-        let n = cat
-            .append_rows(
-                &mut store,
-                "sys",
-                "t",
-                &[
-                    ("id".to_string(), Column::from(vec![3, 4])),
-                    ("name".to_string(), Column::from(vec!["three", "four"])),
-                ],
-            )
-            .unwrap();
-        assert_eq!(n, 2);
+        // Named in any order.
+        let m = insert(&[
+            ("name", Column::from(vec!["three", "four"])),
+            ("id", Column::from(vec![3, 4])),
+        ]);
+        assert_eq!(cat.mutate_rows(&mut store, &m).unwrap(), 2);
         let def = cat.table("sys", "t").unwrap();
         assert_eq!(def.row_count, 4);
         let ids = store.get(def.column("id").unwrap().bat).unwrap();
@@ -384,47 +343,40 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_rejects_partial_or_ragged() {
+    fn insert_rejects_partial_ragged_or_predicated() {
         let (mut cat, mut store) = setup();
-        // Missing a column.
-        assert!(cat
-            .append_rows(&mut store, "sys", "t", &[("id".to_string(), Column::from(vec![3]))])
-            .is_err());
-        // Ragged lengths.
-        assert!(cat
-            .append_rows(
-                &mut store,
-                "sys",
-                "t",
-                &[
-                    ("id".to_string(), Column::from(vec![3, 4])),
-                    ("name".to_string(), Column::from(vec!["x"])),
-                ],
-            )
-            .is_err());
-        // Type mismatch leaves the table untouched.
-        assert!(cat
-            .append_rows(
-                &mut store,
-                "sys",
-                "t",
-                &[
-                    ("id".to_string(), Column::from(vec!["oops"])),
-                    ("name".to_string(), Column::from(vec!["x"])),
-                ],
-            )
-            .is_err());
+        let id = |v: Vec<i32>| ("id", Column::from(v));
+        let name = |v: Vec<&str>| ("name", Column::from(v));
+        let bad = [
+            // Missing a column; one named twice; one the table lacks.
+            insert(&[id(vec![3])]),
+            insert(&[id(vec![3]), id(vec![4])]),
+            insert(&[id(vec![3]), ("ghost", Column::from(vec!["x"]))]),
+            // Ragged lengths; a type mismatch.
+            insert(&[id(vec![3, 4]), name(vec!["x"])]),
+            insert(&[("id", Column::from(vec!["oops"])), name(vec!["x"])]),
+            // A WHERE clause.
+            on_t(
+                MutOp::Insert(vec![("id".into(), Column::from(vec![3]))]),
+                &[RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(1) }],
+            ),
+        ];
+        for m in bad {
+            assert!(cat.mutate_rows(&mut store, &m).is_err(), "{m:?}");
+        }
+        let err = cat.mutate_rows(&mut store, &insert(&[id(vec![3])])).unwrap_err();
+        assert!(err.to_string().contains("INSERT must cover all 2 columns, got 1"), "{err}");
         assert_eq!(cat.table("sys", "t").unwrap().row_count, 2, "no partial append");
         assert_eq!(store.get(cat.bind("sys", "t", "id").unwrap()).unwrap().count(), 2);
+        assert_eq!(store.get(cat.bind("sys", "t", "name").unwrap()).unwrap().count(), 2);
     }
 
     #[test]
     fn update_rows_rewrites_matching_rows_only() {
-        use crate::ops::{CmpOp, MutOp, RowPredicate};
         let (mut cat, mut store) = setup();
         let mut update = |assigns: &[(&str, Val)], preds: &[RowPredicate]| {
             let assigns = assigns.iter().map(|(n, v)| (n.to_string(), v.clone())).collect();
-            cat.mutate_rows(&mut store, "sys", "t", &MutOp::Update(assigns), preds)
+            cat.mutate_rows(&mut store, &on_t(MutOp::Update(assigns), preds))
         };
         let id_is =
             |v: i32| [RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(v) }];
@@ -449,17 +401,10 @@ mod tests {
 
     #[test]
     fn delete_rows_shrinks_all_columns_in_lockstep() {
-        use crate::ops::{CmpOp, MutOp, RowPredicate};
         let (mut cat, mut store) = setup();
-        let n = cat
-            .mutate_rows(
-                &mut store,
-                "sys",
-                "t",
-                &MutOp::Delete,
-                &[RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(1) }],
-            )
-            .unwrap();
+        let id_is_1 =
+            [RowPredicate::Cmp { column: "id".into(), op: CmpOp::Eq, value: Val::Int(1) }];
+        let n = cat.mutate_rows(&mut store, &on_t(MutOp::Delete, &id_is_1)).unwrap();
         assert_eq!(n, 1);
         let def = cat.table("sys", "t").unwrap();
         assert_eq!(def.row_count, 1);
@@ -471,7 +416,7 @@ mod tests {
             Val::from("two")
         );
         // Unconditional DELETE empties the table but keeps its schema.
-        let n = cat.mutate_rows(&mut store, "sys", "t", &MutOp::Delete, &[]).unwrap();
+        let n = cat.mutate_rows(&mut store, &on_t(MutOp::Delete, &[])).unwrap();
         assert_eq!(n, 1);
         assert_eq!(cat.table("sys", "t").unwrap().row_count, 0);
         assert!(cat.bind("sys", "t", "id").is_ok());

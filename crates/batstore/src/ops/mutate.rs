@@ -1,4 +1,4 @@
-//! Selective-mutation kernels — the storage primitives behind SQL
+//! Mutation kernels — the storage primitives behind SQL `INSERT`,
 //! `UPDATE` and `DELETE` (the paper's §6.4 "space for updates": the
 //! fragment owner rewrites its authoritative copy and bumps the
 //! version; stale copies keep circulating for readers that accept
@@ -22,12 +22,16 @@ use crate::error::{BatError, Result};
 use crate::ops::cells::{with_cells, Cells};
 use crate::ops::scan::{Pred, Scan};
 use crate::ops::CmpOp;
+use crate::storage;
 use crate::value::Val;
 use std::sync::Arc;
 
-/// What a [`Mutation`] does to the rows its predicates match.
+/// What a [`Mutation`] does to the table.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MutOp {
+    /// `INSERT`: append the new rows, given per column name. Takes no
+    /// predicates.
+    Insert(Vec<(String, Column)>),
     /// `UPDATE`: write each `(column, value)` assignment into the
     /// matching rows.
     Update(Vec<(String, Val)>),
@@ -35,7 +39,7 @@ pub enum MutOp {
     Delete,
 }
 
-/// A SQL `UPDATE`/`DELETE` in its logical form: the table, the
+/// A SQL `INSERT`/`UPDATE`/`DELETE` in its logical form: the table, the
 /// operation and the WHERE conjuncts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Mutation {
@@ -46,8 +50,9 @@ pub struct Mutation {
 }
 
 /// A mutation evaluated against a table but not applied: how many rows
-/// it matched and, for every column it rewrites, the column's position
-/// in the table and its new payload (none when nothing matched).
+/// it matched (an INSERT: added) and, for every column it rewrites, the
+/// column's position in the table and its new payload (an UPDATE or
+/// DELETE that matched nothing rewrites none).
 #[derive(Debug)]
 pub struct Staged {
     pub matched: usize,
@@ -61,27 +66,33 @@ pub struct Staged {
 /// (which value won would depend on the order of application), and each
 /// accepts its value — so a statement that can never apply fails the
 /// same way on an empty table as on a full one.
+///
+/// An INSERT takes no predicates and must give every column of the
+/// table exactly once, all with one row count; it extends every column
+/// (values coerce into the column type as [`Bat::extend_tail`] allows)
+/// and "matches" the rows it adds.
 pub fn stage(cols: &[(&str, Arc<Bat>)], op: &MutOp, preds: &[RowPredicate]) -> Result<Staged> {
-    let targets: Vec<usize> = match op {
+    let assigns: Option<Vec<(usize, &Val)>> = match op {
+        MutOp::Insert(given) => return stage_insert(cols, given, preds),
         MutOp::Update(assigns) => {
             if assigns.is_empty() {
                 return Err(BatError::Invalid("UPDATE needs at least one assignment".into()));
             }
-            let mut targets = Vec::with_capacity(assigns.len());
+            let mut targets: Vec<(usize, &Val)> = Vec::with_capacity(assigns.len());
             for (name, v) in assigns {
                 let i = cols
                     .iter()
                     .position(|(n, _)| n == name)
                     .ok_or_else(|| BatError::NotFound(format!("column '{name}'")))?;
-                if targets.contains(&i) {
+                if targets.iter().any(|&(t, _)| t == i) {
                     return Err(BatError::Invalid(format!("column '{name}' assigned twice")));
                 }
                 Column::empty(cols[i].1.tail_type()).push(v)?;
-                targets.push(i);
+                targets.push((i, v));
             }
-            targets
+            Some(targets)
         }
-        MutOp::Delete => (0..cols.len()).collect(),
+        MutOp::Delete => None,
     };
     let row_count = cols.first().map_or(0, |(_, b)| b.count());
     let lookup = |name: &str| cols.iter().find(|(n, _)| *n == name).map(|(_, b)| Arc::clone(b));
@@ -89,18 +100,48 @@ pub fn stage(cols: &[(&str, Arc<Bat>)], op: &MutOp, preds: &[RowPredicate]) -> R
     if rows.is_empty() {
         return Ok(Staged { matched: 0, columns: Vec::new() });
     }
-    let columns = match op {
-        MutOp::Update(assigns) => targets
-            .iter()
-            .zip(assigns)
-            .map(|(&i, (_, v))| Ok((i, scatter_const(&cols[i].1, &rows, v)?)))
+    let columns = match assigns {
+        Some(assigns) => assigns
+            .into_iter()
+            .map(|(i, v)| Ok((i, scatter_const(&cols[i].1, &rows, v)?)))
             .collect::<Result<_>>()?,
-        MutOp::Delete => targets
-            .iter()
-            .map(|&i| Ok((i, erase_rows(&cols[i].1, &rows)?)))
+        None => (0..cols.len())
+            .map(|i| Ok((i, erase_rows(&cols[i].1, &rows)?)))
             .collect::<Result<_>>()?,
     };
     Ok(Staged { matched: rows.len(), columns })
+}
+
+/// [`stage`] for an INSERT of `given` (column name, new values).
+fn stage_insert(
+    cols: &[(&str, Arc<Bat>)],
+    given: &[(String, Column)],
+    preds: &[RowPredicate],
+) -> Result<Staged> {
+    if !preds.is_empty() {
+        return Err(BatError::Invalid("INSERT takes no predicates".into()));
+    }
+    if given.len() != cols.len() {
+        return Err(BatError::Invalid(format!(
+            "INSERT must cover all {} columns, got {}",
+            cols.len(),
+            given.len()
+        )));
+    }
+    let added = given.first().map_or(0, |(_, vals)| vals.len());
+    let mut columns = Vec::with_capacity(cols.len());
+    for (i, (name, bat)) in cols.iter().enumerate() {
+        // As many names as columns, so a column missing here means
+        // another was given twice or is not the table's.
+        let (_, vals) = given.iter().find(|(n, _)| n == name).ok_or_else(|| {
+            BatError::Invalid(format!("INSERT must cover every column, '{name}' is missing"))
+        })?;
+        if vals.len() != added {
+            return Err(BatError::LengthMismatch { left: vals.len(), right: added });
+        }
+        columns.push((i, bat.extend_tail(vals)?));
+    }
+    Ok(Staged { matched: added, columns })
 }
 
 /// One WHERE conjunct as it travels to the fragment owner.
@@ -235,12 +276,15 @@ pub fn erase_rows(b: &Bat, rows: &[usize]) -> Result<Bat> {
 
 // ---- codec ---------------------------------------------------------------
 //
-// Little-endian; strings, assignment, predicate and IN-list counts are
-// `u16`-prefixed: schema, table, op tag (1 = update: count, then
-// `(name, value)` pairs; 2 = delete), predicate count, predicates.
+// Little-endian; strings, assignment, column, predicate and IN-list
+// counts are `u16`-prefixed: schema, table, op tag (1 = update: count,
+// then `(name, value)` pairs; 2 = delete; 3 = insert: count, then per
+// column its name, a `u32` byte length and the values as a dense BAT in
+// `storage`'s format), predicate count, predicates.
 
 const OP_UPDATE: u8 = 1;
 const OP_DELETE: u8 = 2;
+const OP_INSERT: u8 = 3;
 
 const VAL_NIL: u8 = 0;
 const VAL_OID: u8 = 1;
@@ -416,6 +460,19 @@ impl Mutation {
                 }
             }
             MutOp::Delete => out.push(OP_DELETE),
+            MutOp::Insert(given) => {
+                out.push(OP_INSERT);
+                put_u16(out, given.len());
+                for (name, vals) in given.iter().take(MAX_FIELD) {
+                    put_str(out, name);
+                    // The length goes in front once the BAT is written.
+                    let at = out.len();
+                    out.extend_from_slice(&[0; 4]);
+                    storage::write_dense(out, vals).expect("Vec<u8> writes are infallible");
+                    let len = (out.len() - at - 4) as u32;
+                    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                }
+            }
         }
         put_u16(out, self.preds.len());
         for p in self.preds.iter().take(MAX_FIELD) {
@@ -440,6 +497,18 @@ impl Mutation {
                 MutOp::Update(assigns)
             }
             OP_DELETE => MutOp::Delete,
+            OP_INSERT => {
+                let n = get_u16(buf, "column count")?;
+                let mut given = Vec::with_capacity(n.min(buf.len()));
+                for _ in 0..n {
+                    let name = get_str(buf)?;
+                    let len = u32::from_le_bytes(get_array(buf, "column length")?) as usize;
+                    let bat = storage::bat_from_bytes(take(buf, len, "column")?)
+                        .map_err(|e| format!("column '{name}': {e}"))?;
+                    given.push((name, bat.tail().clone()));
+                }
+                MutOp::Insert(given)
+            }
             other => return Err(format!("unknown mutation op tag {other}")),
         };
         let n = get_u16(buf, "predicate count")?;
@@ -450,7 +519,8 @@ impl Mutation {
         Ok(Mutation { schema, table, op, preds })
     }
 
-    /// Whether every count and string fits its `u16` field. A statement
+    /// Whether every count and string fits its `u16` field (an INSERT's
+    /// values travel as BATs, which have no such field). A statement
     /// that does not must be refused before it is routed or logged: a
     /// truncated WHERE conjunct would *widen* the match, and a truncated
     /// literal would write another value.
@@ -460,14 +530,23 @@ impl Mutation {
         };
         let mut strings: Vec<&str> = vec![&self.schema, &self.table];
         let mut vals: Vec<&Val> = Vec::new();
-        if let MutOp::Update(assigns) = &self.op {
-            if assigns.len() > MAX_FIELD {
-                return too_long("assignment list", assigns.len());
+        match &self.op {
+            MutOp::Update(assigns) => {
+                if assigns.len() > MAX_FIELD {
+                    return too_long("assignment list", assigns.len());
+                }
+                for (name, v) in assigns {
+                    strings.push(name);
+                    vals.push(v);
+                }
             }
-            for (name, v) in assigns {
-                strings.push(name);
-                vals.push(v);
+            MutOp::Insert(given) => {
+                if given.len() > MAX_FIELD {
+                    return too_long("column list", given.len());
+                }
+                strings.extend(given.iter().map(|(name, _)| name.as_str()));
             }
+            MutOp::Delete => {}
         }
         if self.preds.len() > MAX_FIELD {
             return too_long("predicate list", self.preds.len());
@@ -637,9 +716,12 @@ mod tests {
         let wide = vec![Val::Int(1); u16::MAX as usize + 1];
         let long = Val::Str("x".repeat(u16::MAX as usize + 1));
         let in_list = |values| RowPredicate::InList { column: "k".into(), values };
-        let fits =
-            m(MutOp::Update(vec![("v".into(), Val::Int(1))]), vec![in_list(vec![Val::Int(1)])]);
-        assert!(fits.check_encodable().is_ok());
+        let column = |name: &str| (name.to_string(), Column::from(vec!["a", "é"]));
+        let fits = [
+            m(MutOp::Update(vec![("v".into(), Val::Int(1))]), vec![in_list(vec![Val::Int(1)])]),
+            m(MutOp::Insert(vec![column("v"), ("k".into(), Column::from(vec![1, 2]))]), vec![]),
+        ];
+        let long_name = "x".repeat(u16::MAX as usize + 1);
         for too_big in [
             m(MutOp::Delete, vec![in_list(wide)]),
             m(MutOp::Update(vec![("v".into(), long.clone())]), vec![]),
@@ -647,17 +729,22 @@ mod tests {
                 MutOp::Delete,
                 vec![RowPredicate::Cmp { column: "k".into(), op: CmpOp::Eq, value: long }],
             ),
+            m(MutOp::Insert(vec![column("v"); u16::MAX as usize + 1]), vec![]),
+            m(MutOp::Insert(vec![column(&long_name)]), vec![]),
         ] {
             let err = too_big.check_encodable().unwrap_err();
             assert!(err.contains("too large"), "{err}");
         }
         // What fits round-trips, and decoding consumes exactly its bytes.
-        let mut buf = Vec::new();
-        fits.encode(&mut buf);
-        buf.push(0xAB);
-        let mut rest = &buf[..];
-        assert_eq!(Mutation::decode(&mut rest).unwrap(), fits);
-        assert_eq!(rest, [0xAB]);
+        for fits in fits {
+            assert!(fits.check_encodable().is_ok());
+            let mut buf = Vec::new();
+            fits.encode(&mut buf);
+            buf.push(0xAB);
+            let mut rest = &buf[..];
+            assert_eq!(Mutation::decode(&mut rest).unwrap(), fits);
+            assert_eq!(rest, [0xAB]);
+        }
     }
 
     #[test]

@@ -152,11 +152,21 @@ fn read_column(r: &mut impl Read, ty: ColType, len: usize) -> Result<Column> {
 
 /// Serialize a BAT to any writer.
 pub fn write_bat(w: &mut impl Write, bat: &Bat) -> Result<()> {
+    write_parts(w, bat.head(), bat.tail())
+}
+
+/// Serialize `tail` as the BAT [`Bat::dense`] makes of it, without
+/// building (and copying the column into) that BAT.
+pub fn write_dense(w: &mut impl Write, tail: &Column) -> Result<()> {
+    write_parts(w, &Column::Void { seq: 0, len: tail.len() }, tail)
+}
+
+fn write_parts(w: &mut impl Write, head: &Column, tail: &Column) -> Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&[type_tag(bat.head_type()), type_tag(bat.tail_type())])?;
-    write_u64(w, bat.count() as u64)?;
-    write_column(w, bat.head())?;
-    write_column(w, bat.tail())?;
+    w.write_all(&[type_tag(head.col_type()), type_tag(tail.col_type())])?;
+    write_u64(w, head.len() as u64)?;
+    write_column(w, head)?;
+    write_column(w, tail)?;
     Ok(())
 }
 

@@ -1,11 +1,11 @@
 //! Criterion benchmarks for the durability subsystem: WAL append
 //! throughput under each fsync policy (the per-INSERT overhead a durable
-//! node adds), the logical UPDATE record beside the payload record it
-//! replaced, replay throughput (the restart cost per WAL byte), recovery
-//! of a logical tail, and the frame checksum on its own.
+//! node adds), `oltp_mix`'s UPDATE and INSERT records, replay throughput
+//! (the restart cost per WAL byte), recovery of a logical tail, and the
+//! frame checksum on its own.
 
 use batstore::ops::{CmpOp, MutOp, Mutation, RowPredicate};
-use batstore::{storage, Bat, ColType, Column, Val};
+use batstore::{Bat, ColType, Column, Val};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dc_persist::wal::decode_frames;
 use dc_persist::{
@@ -20,10 +20,16 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A 1000-row INSERT batch as the WAL stores it.
-fn append_record(version: u32) -> WalRecord {
-    let rows = storage::bat_to_bytes(&Bat::dense(Column::Int((0..1000).collect())));
-    WalRecord::Append { bat: 7, version, rows }
+/// A 1000-row INSERT into a one-column table as the WAL stores it.
+fn insert_1k_record(version: u32) -> WalRecord {
+    let given = vec![("id".to_string(), Column::Int((0..1000).collect()))];
+    let m = Mutation {
+        schema: "sys".into(),
+        table: "t".into(),
+        op: MutOp::Insert(given),
+        preds: vec![],
+    };
+    WalRecord::Mutate { m, versions: vec![(7, version)] }
 }
 
 /// `oltp_mix`'s `kv`: 2 000 rows of `(id int, v int, tag varchar)`,
@@ -57,6 +63,26 @@ fn update_record(id: i32, value: i32, version: u32) -> WalRecord {
     }
 }
 
+/// `insert into kv values (<id>, 7, 'n<id>')`, as the owner logs it: the
+/// statement with its row and the version all three columns reach.
+fn insert_record(id: i32, version: u32) -> WalRecord {
+    let tag = format!("n{id}");
+    let given = vec![
+        ("id".to_string(), Column::from(vec![id])),
+        ("v".to_string(), Column::from(vec![7])),
+        ("tag".to_string(), Column::from(vec![tag.as_str()])),
+    ];
+    WalRecord::Mutate {
+        m: Mutation {
+            schema: "sys".into(),
+            table: "kv".into(),
+            op: MutOp::Insert(given),
+            preds: vec![],
+        },
+        versions: vec![(1, version), (2, version), (3, version)],
+    }
+}
+
 fn bench_wal_append(c: &mut Criterion) {
     let dir = scratch("append");
     for (name, policy) in [
@@ -68,14 +94,13 @@ fn bench_wal_append(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 version += 1;
-                black_box(w.append(&append_record(version)).expect("append"))
+                black_box(w.append(&insert_1k_record(version)).expect("append"))
             })
         });
     }
 
-    // One UPDATE of `oltp_mix`, logged as the statement — and as the
-    // complete rewritten column `v` earlier builds logged, the same bytes
-    // in an `Append` frame.
+    // One UPDATE and one INSERT of `oltp_mix`, each logged as the
+    // statement.
     let mut w = WalWriter::create(&dir.join("mutate"), FsyncPolicy::Off).expect("wal");
     let mut version = 0u32;
     c.bench_function("wal_mutate_record", |b| {
@@ -84,14 +109,11 @@ fn bench_wal_append(c: &mut Criterion) {
             black_box(w.append(&update_record(42, 4711, version)).expect("append"))
         })
     });
-    let [_, (_, v), _] = kv_columns();
-    let rows = storage::bat_to_bytes(&Bat::dense(v));
-    let mut w = WalWriter::create(&dir.join("payload"), FsyncPolicy::Off).expect("wal");
-    c.bench_function("wal_payload_record", |b| {
+    let mut w = WalWriter::create(&dir.join("insert"), FsyncPolicy::Off).expect("wal");
+    c.bench_function("wal_insert_record", |b| {
         b.iter(|| {
             version += 1;
-            let rec = WalRecord::Append { bat: 2, version, rows: rows.clone() };
-            black_box(w.append(&rec).expect("append"))
+            black_box(w.append(&insert_record(KV_ROWS, version)).expect("append"))
         })
     });
     std::fs::remove_dir_all(&dir).ok();
@@ -102,7 +124,7 @@ fn bench_wal_replay(c: &mut Criterion) {
     // + CRC, the restart-latency component dc-persist controls.
     let mut buf = Vec::new();
     for v in 1..=512u32 {
-        buf.extend_from_slice(&dc_persist::wal::encode_record(&append_record(v)));
+        buf.extend_from_slice(&dc_persist::wal::encode_record(&insert_1k_record(v)));
     }
     c.bench_function("wal_replay_512_batches", |b| {
         b.iter(|| {
@@ -117,7 +139,7 @@ fn bench_wal_replay(c: &mut Criterion) {
     let path = dir.join("wal-1.log");
     let mut w = WalWriter::create(&path, FsyncPolicy::Off).expect("wal");
     for v in 1..=512u32 {
-        w.append(&append_record(v)).expect("append");
+        w.append(&insert_1k_record(v)).expect("append");
     }
     w.sync().expect("sync");
     c.bench_function("wal_replay_512_batches_from_disk", |b| {

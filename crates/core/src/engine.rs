@@ -22,13 +22,13 @@ use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
 use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, SpillQueue};
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg, RoutedBody};
+use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg};
 use crate::proto::{DcNode, Effect, PinOutcome};
-use crate::routed::{Due, Pending, Routed};
+use crate::routed::{describe, Due, Pending, Routed};
 use crate::runtime::{CatalogNotify, Cmd, Frag, FragInfo, RingCatalog, RingHooks, Waiter};
 use crate::stats::NodeStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
-use batstore::ops::{self, Mutation};
+use batstore::ops::{self, MutOp, Mutation};
 use batstore::{storage, Bat, BatStore, Catalog, Column, ResultSet};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -207,15 +207,6 @@ fn fresh_boot_epoch() -> u64 {
     wall.wrapping_add(SEQ.fetch_add(1, Ordering::Relaxed))
 }
 
-/// What became of a SQL `INSERT` batch at this node: applied in place, or
-/// packaged as the parts the caller must route to the owner.
-enum AppendOutcome {
-    /// Locally owned — the batch is durable; carries the row count.
-    Applied(u64),
-    /// Foreign owner — route `parts` clockwise.
-    Routed { parts: Vec<(BatId, Bytes)>, table: String },
-}
-
 struct NodeCtx {
     node: DcNode,
     rx: Receiver<NodeEvent>,
@@ -291,9 +282,9 @@ fn msg_kind(msg: &DcMsg) -> usize {
         DcMsg::Bat { .. } => 0,
         DcMsg::Request(_) => 1,
         DcMsg::Catalog(_) => 2,
-        DcMsg::Routed(m) => match m.body {
-            RoutedBody::Append { .. } => 3,
-            RoutedBody::Mutate(_) => 4,
+        DcMsg::Routed(r) => match r.m.op {
+            MutOp::Insert(_) => 3,
+            MutOp::Update(_) | MutOp::Delete => 4,
         },
         DcMsg::Ack(_) => 5,
     }
@@ -447,8 +438,8 @@ impl NodeCtx {
     /// Send a routed statement's first attempt and register it for
     /// ack-tracking. A failed first send (severed edge) is absorbed: the
     /// retry schedule re-sends it, and the budget bounds the wait.
-    fn route(&mut self, target: String, body: RoutedBody, waiter: Arc<Waiter<u64>>) {
-        let p = self.routed.begin(self.node.id, target, body, waiter, Instant::now());
+    fn route(&mut self, m: Mutation, waiter: Arc<Waiter<u64>>) {
+        let p = self.routed.begin(self.node.id, m, waiter, Instant::now());
         self.obs.trace(p.msg.epoch, p.msg.id, "route", p.what());
         let _ = self.transport.send_data(DcMsg::Routed(p.msg.clone()));
     }
@@ -609,71 +600,50 @@ impl NodeCtx {
                 self.apply_catalog(&c);
                 let _ = self.transport.send_data(DcMsg::Catalog(c));
             }
-            DcMsg::Routed(m) => {
-                // All parts of an append share one owner (enforced at
-                // the sender), so one membership test routes the whole
-                // message and the owner applies it atomically in this
-                // single event.
-                let owned = match &m.body {
-                    RoutedBody::Append { parts } => {
-                        parts.iter().any(|(bat, _)| self.node.s1.is_owner(*bat))
-                    }
-                    RoutedBody::Mutate(mm) => {
-                        self.mutation_owner(&mm.schema, &mm.table) == Ok(self.node.id)
-                    }
-                };
-                if owned {
-                    let what = match &m.body {
-                        RoutedBody::Append { .. } => format!("append from {}", m.origin),
-                        RoutedBody::Mutate(mm) => format!("mutation on {}.{}", mm.schema, mm.table),
-                    };
+            DcMsg::Routed(r) => {
+                let m = &r.m;
+                if self.mutation_owner(&m.schema, &m.table) == Ok(self.node.id) {
                     // A retry re-delivers the same statement id; the
                     // dedup cache replays the first outcome instead of
-                    // growing or rewriting the fragment twice.
-                    let key = (m.origin.0, m.epoch, m.id);
+                    // growing or rewriting the fragments twice.
+                    let what = describe(m);
+                    let key = (r.origin.0, r.epoch, r.id);
                     let result = match self.routed.applied(key) {
                         Some(cached) => {
                             self.node.stats.mutations_deduped += 1;
-                            self.obs.trace(m.epoch, m.id, "dedup", format!("{what} re-delivered"));
+                            self.obs.trace(r.epoch, r.id, "dedup", format!("{what} re-delivered"));
                             cached.clone()
                         }
                         None => {
-                            let r = match &m.body {
-                                RoutedBody::Append { parts } => self.apply_remote_append(parts),
-                                RoutedBody::Mutate(mm) => self.apply_mutation(mm),
-                            };
-                            let detail = match &r {
+                            let applied = self.apply_mutation(m);
+                            let detail = match &applied {
                                 Ok(rows) => format!("{what}, {rows} rows"),
                                 Err(e) => format!("{what} failed: {e}"),
                             };
-                            self.obs.trace(m.epoch, m.id, "apply", detail);
-                            self.routed.remember(key, r.clone());
-                            r
+                            if let (MutOp::Insert(given), Err(_)) = (&m.op, &applied) {
+                                self.node.stats.appends_dropped += given.len() as u64;
+                            }
+                            self.obs.trace(r.epoch, r.id, "apply", detail);
+                            self.routed.remember(key, applied.clone());
+                            applied
                         }
                     };
-                    self.answer_routed(m.origin, m.epoch, m.id, result);
-                } else if m.origin != self.node.id {
-                    let _ = self.transport.send_data(DcMsg::Routed(m));
+                    self.answer_routed(r.origin, r.epoch, r.id, result);
+                } else if r.origin != self.node.id {
+                    let _ = self.transport.send_data(DcMsg::Routed(r));
                 } else {
                     // Back at the origin without finding an owner: the
                     // fragment is gone (the §4.2.3 analog of a request
                     // circling back); fail the blocked statement loudly.
-                    let err = match &m.body {
-                        RoutedBody::Append { .. } => {
-                            self.node.stats.appends_dropped += 1;
-                            "no owner found for the append (fragments gone?)".to_string()
-                        }
-                        RoutedBody::Mutate(mm) => {
-                            format!(
-                                "no owner found for {}.{} (fragments gone?)",
-                                mm.schema, mm.table
-                            )
-                        }
-                    };
+                    if let MutOp::Insert(_) = m.op {
+                        self.node.stats.appends_dropped += 1;
+                    }
+                    let err =
+                        format!("no owner found for {}.{} (fragments gone?)", m.schema, m.table);
                     self.finish_routed(AckMsg {
-                        target: m.origin,
-                        epoch: m.epoch,
-                        id: m.id,
+                        target: r.origin,
+                        epoch: r.epoch,
+                        id: r.id,
                         result: Err(err),
                     });
                 }
@@ -704,9 +674,9 @@ impl NodeCtx {
     /// A routed statement this node originated is over (acked, or timed
     /// out): book the outcome and wake the caller blocked on it.
     fn settle(&mut self, p: Pending, result: Result<u64, String>) {
-        match (&p.msg.body, &result) {
-            (RoutedBody::Mutate(_), Err(_)) => self.node.stats.mutations_failed += 1,
-            (RoutedBody::Append { .. }, Err(_)) => self.node.stats.appends_failed += 1,
+        match (&p.msg.m.op, &result) {
+            (MutOp::Insert(_), Err(_)) => self.node.stats.appends_failed += 1,
+            (_, Err(_)) => self.node.stats.mutations_failed += 1,
             _ => {}
         }
         p.waiter.fulfill(result);
@@ -909,81 +879,6 @@ impl NodeCtx {
         self.notify.bump();
     }
 
-    /// Apply an append batch that traveled the ring to us, the fragment
-    /// owner, returning the row count (or the failure) for the origin's
-    /// ack. The whole batch applies or none of it does (a half-applied
-    /// multi-column INSERT would leave the table ragged forever); dropped
-    /// batches are still counted per part (`appends_dropped`).
-    fn apply_remote_append(&mut self, parts: &[(BatId, Bytes)]) -> Result<u64, String> {
-        let decoded: Result<Vec<(BatId, Bat)>, String> = parts
-            .iter()
-            .map(|(bat, rows)| {
-                storage::bat_from_bytes(rows).map(|b| (*bat, b)).map_err(|e| e.to_string())
-            })
-            .collect();
-        let applied = decoded.and_then(|cols| {
-            let rows = cols.first().map(|(_, b)| b.count() as u64).unwrap_or(0);
-            let tails: Vec<(BatId, &Column)> =
-                cols.iter().map(|(bat, b)| (*bat, b.tail())).collect();
-            self.append_batch(&tails).map(|()| rows)
-        });
-        match &applied {
-            Ok(_) => {
-                self.node.stats.appends_applied += parts.len() as u64;
-                if let Some((schema, table)) =
-                    parts.first().and_then(|(bat, _)| self.catalog.table_of(*bat))
-                {
-                    self.readvertise_table(&schema, &table);
-                }
-            }
-            Err(_) => self.node.stats.appends_dropped += parts.len() as u64,
-        }
-        applied
-    }
-
-    /// Append one batch of columns to locally-owned fragments: stage and
-    /// validate every column, WAL the whole batch as *one* record, then
-    /// replace the disk payloads and bump the versions (§6.4
-    /// multi-version updates). Stale copies keep circulating for readers
-    /// that accept them; the next owner pass re-enters the ring with the
-    /// fresh payload. Because validation and logging precede every
-    /// in-memory change and the batch shares one CRC-framed WAL record,
-    /// neither a WAL failure nor a crash can leave half a row behind —
-    /// an owner-acknowledged INSERT is on disk, whole.
-    fn append_batch(&mut self, parts: &[(BatId, &Column)]) -> Result<(), String> {
-        // Mutating a spilled fragment would invalidate its at-rest copy;
-        // reload every target first so the append applies in RAM and the
-        // version gate keeps the stale file from ever being finalized.
-        for (bat, _) in parts {
-            self.ensure_resident(*bat)?;
-        }
-        let mut staged = Vec::with_capacity(parts.len());
-        for (bat, vals) in parts {
-            let frag =
-                self.disk.get(bat).ok_or_else(|| format!("owned {bat} missing from disk"))?;
-            let grown = owned_bat(frag).extend_tail(vals).map_err(|e| e.to_string())?;
-            staged.push((*bat, self.next_version(*bat), grown));
-        }
-        self.log_durable(
-            &WalRecord::AppendBatch(
-                staged
-                    .iter()
-                    .zip(parts)
-                    .map(|((bat, version, _), (_, vals))| dc_persist::AppendPart {
-                        bat: bat.0,
-                        version: *version,
-                        rows: storage::bat_to_bytes(&Bat::dense((*vals).clone())),
-                    })
-                    .collect(),
-            ),
-            0,
-        )?;
-        for (bat, version, grown) in staged {
-            self.install(bat, version, grown);
-        }
-        Ok(())
-    }
-
     /// The version an owned fragment's next change produces (§6.4).
     fn next_version(&self, bat: BatId) -> u32 {
         self.node.s1.get(bat).map(|o| o.version + 1).unwrap_or(1)
@@ -1066,15 +961,6 @@ impl NodeCtx {
             Cmd::CreateTable { schema, table, cols, ack } => {
                 ack.fulfill(self.create_table(&schema, &table, &cols));
             }
-            Cmd::Append { schema, table, cols, ack } => {
-                match self.append_table(&schema, &table, &cols) {
-                    Ok(AppendOutcome::Applied(rows)) => ack.fulfill(Ok(rows)),
-                    Ok(AppendOutcome::Routed { parts, table }) => {
-                        self.route(table, RoutedBody::Append { parts }, ack);
-                    }
-                    Err(e) => ack.fulfill(Err(e)),
-                }
-            }
             Cmd::Mutate { m, ack } => {
                 // The ring and the WAL carry the statement in one encoding;
                 // one it cannot hold is refused before anything happens.
@@ -1086,9 +972,10 @@ impl NodeCtx {
                         // owner; the ack resolves when the Ack comes
                         // back, and the per-attempt timeout resends it
                         // (or fails it) if the ack never does.
-                        self.node.stats.mutations_routed += 1;
-                        let target = format!("{}.{}", m.schema, m.table);
-                        self.route(target, RoutedBody::Mutate(m), ack);
+                        if !matches!(m.op, MutOp::Insert(_)) {
+                            self.node.stats.mutations_routed += 1;
+                        }
+                        self.route(m, ack);
                     }
                 }
             }
@@ -1170,70 +1057,6 @@ impl NodeCtx {
         Ok(0)
     }
 
-    /// SQL `INSERT` at this node: locally-owned fragments are appended in
-    /// place ([`AppendOutcome::Applied`]); foreign ones produce a
-    /// [`AppendOutcome::Routed`] batch for the caller to hand to
-    /// [`NodeCtx::route`] — sending is deferred so the statement gets
-    /// the same timeout/retry protection as a routed UPDATE.
-    fn append_table(
-        &mut self,
-        schema: &str,
-        table: &str,
-        cols: &[(String, Column)],
-    ) -> Result<AppendOutcome, String> {
-        let mut resolved = Vec::with_capacity(cols.len());
-        let mut rows = None;
-        for (name, vals) in cols {
-            let info = self
-                .catalog
-                .lookup(schema, table, name)
-                .ok_or_else(|| format!("unknown fragment {schema}.{table}.{name}"))?;
-            match rows {
-                None => rows = Some(vals.len()),
-                Some(n) if n != vals.len() => {
-                    return Err("ragged INSERT batch".into());
-                }
-                Some(_) => {}
-            }
-            resolved.push((info, vals));
-        }
-        // All fragments must share one owner: a mixed-owner INSERT would
-        // apply some columns synchronously and route others through the
-        // ring (or lose them if an owner is gone), leaving the table
-        // ragged. SQL-created tables are always single-owner; spread
-        // (round-robin loaded) tables reject SQL appends for now.
-        let mut owners = resolved.iter().map(|(i, _)| i.owner);
-        let first_owner = owners.next();
-        if owners.any(|o| Some(o) != first_owner) {
-            return Err(format!(
-                "INSERT into {schema}.{table} is not supported: its fragments are owned by \
-                 multiple nodes and a split append would not be atomic"
-            ));
-        }
-        if first_owner == Some(self.node.id) {
-            // One validated batch, one WAL record, then apply: the whole
-            // INSERT is durable and visible together, or not at all.
-            let parts: Vec<(BatId, &Column)> =
-                resolved.iter().map(|(info, vals)| (info.bat, *vals)).collect();
-            self.append_batch(&parts)?;
-            self.node.stats.appends_applied += parts.len() as u64;
-            self.readvertise_table(schema, table);
-            Ok(AppendOutcome::Applied(rows.unwrap_or(0) as u64))
-        } else {
-            // One message carries the whole batch so the owner applies
-            // every column in a single event — concurrent INSERTs from
-            // different nodes cannot interleave mid-row.
-            let parts = resolved
-                .iter()
-                .map(|(info, vals)| {
-                    let rows = Bytes::from(storage::bat_to_bytes(&Bat::dense((*vals).clone())));
-                    (info.bat, rows)
-                })
-                .collect();
-            Ok(AppendOutcome::Routed { parts, table: format!("{schema}.{table}") })
-        }
-    }
-
     /// The table's column layout as this node's replica knows it:
     /// `(name, fragment)` in declared order, resolved against the ring
     /// catalog.
@@ -1256,29 +1079,32 @@ impl NodeCtx {
     }
 
     /// The single node owning every fragment of the table, or an error:
-    /// a mutation split across owners could not be applied atomically
-    /// (the same restriction SQL INSERT enforces).
+    /// a mutation split across owners could not be applied atomically.
+    /// SQL-created tables are always single-owner; spread (round-robin
+    /// loaded) tables take no INSERT, UPDATE or DELETE for now.
     fn mutation_owner(&self, schema: &str, table: &str) -> Result<NodeId, String> {
         let frags = self.table_frags(schema, table)?;
         let mut owners = frags.iter().map(|(_, i)| i.owner);
         let first = owners.next().ok_or_else(|| format!("{schema}.{table} has no columns"))?;
         if owners.any(|o| o != first) {
             return Err(format!(
-                "UPDATE/DELETE on {schema}.{table} is not supported: its fragments are owned \
-                 by multiple nodes and a split mutation would not be atomic"
+                "mutating {schema}.{table} is not supported: its fragments are owned by \
+                 multiple nodes and a split mutation would not be atomic"
             ));
         }
         Ok(first)
     }
 
-    /// Apply a logical UPDATE/DELETE at this node, the fragment owner
-    /// (§6.4): stage it against the authoritative disk payloads
+    /// Apply a logical INSERT/UPDATE/DELETE at this node, the fragment
+    /// owner (§6.4): stage it against the authoritative disk payloads
     /// ([`ops::stage`], which WAL replay runs too), log the statement and
     /// the versions it reaches as *one* record, then swap the disk
     /// copies, bump the fragment versions, and re-advertise the table so
-    /// every replica converges on the new (size, version) view. Stale
-    /// copies already circulating keep serving readers that accept them;
-    /// the next owner pass re-enters the ring with the fresh payload.
+    /// every replica converges on the new (size, version) view. Because
+    /// staging and logging precede every in-memory change, neither a WAL
+    /// failure nor a crash leaves half a row behind. Stale copies already
+    /// circulating keep serving readers that accept them; the next owner
+    /// pass re-enters the ring with the fresh payload.
     fn apply_mutation(&mut self, m: &Mutation) -> Result<u64, String> {
         let frags = self.table_frags(&m.schema, &m.table)?;
         // Spilled columns reload first: a mutation must apply against the
@@ -1310,14 +1136,24 @@ impl NodeCtx {
             .collect();
         // WAL ahead of every in-memory effect, the whole statement in one
         // CRC-framed record: a crash never half-applies it, and replay
-        // re-executes it only against exactly the versions it ran on.
-        let rewritten = staged.columns.iter().map(|(_, b)| b.byte_size() as u64).sum();
+        // re-executes it only against exactly the versions it ran on. An
+        // INSERT's record holds its rows, so it counts toward the
+        // checkpoint trigger with its frame alone.
+        let rewritten = match m.op {
+            MutOp::Insert(_) => 0,
+            MutOp::Update(_) | MutOp::Delete => {
+                staged.columns.iter().map(|(_, b)| b.byte_size() as u64).sum()
+            }
+        };
         let logged = versions.iter().map(|(bat, v)| (bat.0, *v)).collect();
         self.log_durable(&WalRecord::Mutate { m: m.clone(), versions: logged }, rewritten)?;
         for ((bat, version), (_, payload)) in versions.into_iter().zip(staged.columns) {
             self.install(bat, version, payload);
         }
-        self.node.stats.mutations_applied += 1;
+        match &m.op {
+            MutOp::Insert(given) => self.node.stats.appends_applied += given.len() as u64,
+            MutOp::Update(_) | MutOp::Delete => self.node.stats.mutations_applied += 1,
+        }
         self.readvertise_table(&m.schema, &m.table);
         Ok(staged.matched as u64)
     }
@@ -1828,8 +1664,7 @@ impl RingNode {
             return Ok((template, params));
         }
         let plan = sqlfront::compile_stmt(&parsed.stmt, &self.meta.read())?;
-        let plan = mal::dc_optimize(&mal::common_subexpression_eliminate(&plan));
-        let template = self.templates.insert(parsed.key, plan);
+        let template = self.templates.insert(parsed.key, sqlfront::optimize(&plan));
         self.sql_metrics.template_misses.inc();
         self.sql_metrics.template_entries.set(self.templates.len() as i64);
         Ok((template, params))
@@ -1861,11 +1696,10 @@ impl RingNode {
         Ok(session.take_result())
     }
 
-    /// Render the front-end plan and its Data Cyclotron rewrite.
+    /// Render the front-end plan and the optimized plan that runs.
     pub fn explain_sql(&self, sql: &str) -> Result<(String, String), MalError> {
-        let meta = self.meta.read();
-        let plan = sqlfront::compile_sql(sql, &meta)?;
-        let dc = mal::dc_optimize(&plan);
+        let plan = sqlfront::compile_sql(sql, &self.meta.read())?;
+        let dc = sqlfront::optimize(&plan);
         Ok((plan.to_string(), dc.to_string()))
     }
 
@@ -2337,6 +2171,22 @@ mod tests {
         assert!(dc.contains("datacyclotron.request"), "{dc}");
         assert!(dc.contains("datacyclotron.pin"), "{dc}");
         assert!(dc.contains("datacyclotron.unpin"), "{dc}");
+    }
+
+    /// EXPLAIN renders the optimized plan a statement runs, CSE
+    /// included (a column projected twice is fetched once).
+    #[test]
+    fn explain_shows_the_plan_that_runs() {
+        let ring = demo_ring(1);
+        for sql in [
+            "select id, id from t",
+            "select distinct id, id from t",
+            "select c.t_id, c.t_id from t, c where c.t_id = t.id",
+        ] {
+            let (_, explained) = ring.explain_sql(0, sql).unwrap();
+            let (runs, _) = ring.node(0).compile(sql).unwrap();
+            assert_eq!(explained, runs.to_string(), "{sql}");
+        }
     }
 
     #[test]
@@ -2938,18 +2788,11 @@ mod tests {
         let ring = demo_ring(2);
         ring.execute(0, "create table kv (k int, v int)").unwrap();
         ring.node(1).wait_for_table_timeout("sys", "kv", Duration::from_secs(5)).unwrap();
-        // Node 1 does not own the fragments: the row batch travels the
-        // ring to node 0 and is applied there (§6.4), asynchronously.
+        // Node 1 does not own the fragments: the INSERT travels the ring
+        // to node 0, which applies it (§6.4) before it acknowledges.
         let rs = ring.execute(1, "insert into kv values (7, 70)").unwrap();
         assert_eq!(rs.affected, Some(1));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let rs = ring.execute(0, "select v from kv where k = 7").unwrap();
-            if ints(&rs) == [70] {
-                break;
-            }
-            assert!(Instant::now() < deadline, "append never reached the owner: {rs:?}");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let rs = ring.execute(0, "select v from kv where k = 7").unwrap();
+        assert_eq!(ints(&rs), [70], "acknowledged, so applied at the owner");
     }
 }

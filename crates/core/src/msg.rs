@@ -11,11 +11,11 @@
 //! is a hand-written little-endian layout over `bytes` — small,
 //! allocation-light, and fully round-trip tested. It never copies a
 //! fragment: the encoder yields a
-//! [`Frame`] that *refers* to the payloads the message already holds (a
-//! transport writes the pieces with one vectored write), and the decoder
-//! takes the received frame whole ([`decode_frame`]) and hands back
-//! payloads that are slices of it. A mutation's body is
-//! [`Mutation::encode`]'s, the form the owner's WAL logs it in.
+//! [`Frame`] that *refers* to the payload a `Bat` message already holds
+//! (a transport writes the pieces with one vectored write), and the
+//! decoder takes the received frame whole ([`decode_frame`]) and hands
+//! back a payload that is a slice of it. A routed statement is
+//! [`Mutation::encode`]'s form, the one the owner's WAL logs it in.
 
 use crate::ids::{BatId, NodeId};
 pub use batstore::ops::{MutOp, Mutation};
@@ -119,24 +119,6 @@ impl CatalogMsg {
     }
 }
 
-/// What a [`RoutedMsg`] asks of the fragment owner — the only part of a
-/// routed statement that differs by kind.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RoutedBody {
-    /// SQL INSERT (§6.4: "when a node N processes an update request, for
-    /// a BAT f…"). Each part pairs a fragment id with a serialized BAT of
-    /// its new tail values; all parts share an owner, which applies the
-    /// whole batch in a single event so multi-column INSERTs stay atomic
-    /// even when appends from several nodes interleave on the ring.
-    Append { parts: Vec<(BatId, Bytes)> },
-    /// SQL UPDATE/DELETE (§6.4: the owner rewrites its authoritative copy
-    /// and bumps the version). The mutation is *logical* — assignments
-    /// plus WHERE predicates — because row positions computed anywhere
-    /// else could be stale by the time the message arrives; it travels in
-    /// the encoding the owner's WAL logs it in ([`Mutation::encode`]).
-    Mutate(Mutation),
-}
-
 /// A statement traveling clockwise toward the fragment owner, which
 /// applies it at most once and answers with an [`AckMsg`]. `(epoch, id)`
 /// identifies the statement: `id` counts statements within one origin
@@ -151,7 +133,14 @@ pub struct RoutedMsg {
     /// The origin's per-boot epoch nonce (statement-id namespace).
     pub epoch: u64,
     pub id: u64,
-    pub body: RoutedBody,
+    /// The SQL INSERT/UPDATE/DELETE (§6.4: "when a node N processes an
+    /// update request, for a BAT f…" — the owner rewrites its
+    /// authoritative copy and bumps the version). It is *logical* — new
+    /// rows, or assignments plus WHERE predicates — because row positions
+    /// computed anywhere else could be stale by the time it arrives, and
+    /// it is one message, so the owner applies every column in a single
+    /// event and statements from several nodes never interleave mid-row.
+    pub m: Mutation,
 }
 
 /// The owner's answer to a [`RoutedMsg`], traveling clockwise until it
@@ -211,23 +200,23 @@ impl DcMsg {
             DcMsg::Bat { payload: None, .. } => HEADER_WIRE_BYTES,
             DcMsg::Request(_) => REQUEST_WIRE_BYTES,
             DcMsg::Catalog(c) => c.wire_size(),
-            DcMsg::Routed(m) => match &m.body {
-                RoutedBody::Append { parts } => {
-                    32 + parts.iter().map(|(_, rows)| 12 + rows.len() as u64).sum::<u64>()
-                }
-                RoutedBody::Mutate(m) => {
-                    let assigns = match &m.op {
-                        MutOp::Update(a) => {
-                            a.iter().map(|(n, v)| 2 + n.len() as u64 + val_wire_size(v)).sum()
-                        }
-                        MutOp::Delete => 0,
-                    };
-                    24 + m.schema.len() as u64
-                        + m.table.len() as u64
-                        + assigns
-                        + m.preds.iter().map(pred_wire_size).sum::<u64>()
-                }
-            },
+            DcMsg::Routed(RoutedMsg { m, .. }) => {
+                let op = match &m.op {
+                    // A column travels as a dense BAT: 22 bytes of header
+                    // (magic, type tags, row count, head) and its values.
+                    MutOp::Insert(given) => {
+                        given.iter().map(|(n, c)| 28 + n.len() as u64 + c.byte_size() as u64).sum()
+                    }
+                    MutOp::Update(a) => {
+                        a.iter().map(|(n, v)| 2 + n.len() as u64 + val_wire_size(v)).sum()
+                    }
+                    MutOp::Delete => 0,
+                };
+                24 + m.schema.len() as u64
+                    + m.table.len() as u64
+                    + op
+                    + m.preds.iter().map(pred_wire_size).sum::<u64>()
+            }
             DcMsg::Ack(a) => 32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0),
         }
     }
@@ -238,9 +227,6 @@ const TAG_REQ: u8 = 2;
 const TAG_CATALOG: u8 = 3;
 const TAG_ROUTED: u8 = 4;
 const TAG_ACK: u8 = 5;
-
-const BODY_APPEND: u8 = 1;
-const BODY_MUTATE: u8 = 2;
 
 fn put_str(b: &mut BytesMut, s: &str) {
     // Identifiers longer than a u16 length cannot be framed. Truncate at
@@ -270,10 +256,10 @@ fn get_str(buf: &mut &[u8]) -> Result<String, String> {
 
 /// An encoded message, not yet contiguous: `head` is every byte the
 /// encoder produced itself, and each cut is a payload the message already
-/// held (a `Bat`'s fragment, an `Append`'s parts) with the position in
-/// `head` it follows. A transport writes [`Frame::pieces`] in order and
-/// so never builds a second copy of a fragment; [`Frame::into_bytes`]
-/// concatenates for callers that want one buffer.
+/// held (a `Bat`'s fragment) with the position in `head` it follows. A
+/// transport writes [`Frame::pieces`] in order and so never builds a
+/// second copy of a fragment; [`Frame::into_bytes`] concatenates for
+/// callers that want one buffer.
 pub struct Frame {
     head: BytesMut,
     /// `(at, payload)`: `payload` sits between `head[..at]` and
@@ -372,34 +358,15 @@ pub fn frame(msg: &DcMsg) -> Frame {
             }
             b
         }
-        DcMsg::Routed(m) => {
-            let payloads = match &m.body {
-                RoutedBody::Append { parts } => parts.iter().map(|(_, rows)| rows.len()).sum(),
-                _ => 0,
-            };
-            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 16 - payloads);
+        DcMsg::Routed(r) => {
+            let mut body = Vec::with_capacity(msg.wire_size() as usize);
+            r.m.encode(&mut body);
+            let mut b = BytesMut::with_capacity(19 + body.len());
             b.put_u8(TAG_ROUTED);
-            b.put_u16_le(m.origin.0);
-            b.put_u64_le(m.epoch);
-            b.put_u64_le(m.id);
-            match &m.body {
-                RoutedBody::Append { parts } => {
-                    b.put_u8(BODY_APPEND);
-                    let nparts = parts.len().min(u16::MAX as usize);
-                    b.put_u16_le(nparts as u16);
-                    for (bat, rows) in parts.iter().take(nparts) {
-                        b.put_u32_le(bat.0);
-                        b.put_u64_le(rows.len() as u64);
-                        cuts.push((b.len(), rows.clone()));
-                    }
-                }
-                RoutedBody::Mutate(m) => {
-                    b.put_u8(BODY_MUTATE);
-                    let mut body = Vec::new();
-                    m.encode(&mut body);
-                    b.put_slice(&body);
-                }
-            }
+            b.put_u16_le(r.origin.0);
+            b.put_u64_le(r.epoch);
+            b.put_u64_le(r.id);
+            b.put_slice(&body);
             b
         }
         DcMsg::Ack(a) => {
@@ -433,9 +400,8 @@ pub fn decode(buf: &[u8]) -> Result<DcMsg, String> {
 }
 
 /// Deserialize a received frame; rejects truncated or foreign frames.
-/// The frame is taken whole so that a `Bat` payload and each `Append`
-/// part come back as slices sharing its allocation — no payload byte is
-/// copied.
+/// The frame is taken whole so that a `Bat` payload comes back as a
+/// slice sharing its allocation — no fragment byte is copied.
 pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
     let mut buf: &[u8] = &frame;
     // Where `buf` stands in `frame`, for slicing payloads out of it.
@@ -516,41 +482,14 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
             Ok(DcMsg::Catalog(CatalogMsg { origin, schema, table, columns }))
         }
         TAG_ROUTED => {
-            // origin + epoch + id + the body tag that follows.
-            if buf.remaining() < 19 {
+            if buf.remaining() < 18 {
                 return Err("truncated routed header".into());
             }
             let origin = NodeId(buf.get_u16_le());
             let epoch = buf.get_u64_le();
             let id = buf.get_u64_le();
-            let body = match buf.get_u8() {
-                BODY_APPEND => {
-                    if buf.remaining() < 2 {
-                        return Err("truncated append part count".into());
-                    }
-                    let nparts = buf.get_u16_le() as usize;
-                    let mut parts = Vec::with_capacity(nparts.min(1024));
-                    for _ in 0..nparts {
-                        if buf.remaining() < 12 {
-                            return Err("truncated append part header".into());
-                        }
-                        let bat = BatId(buf.get_u32_le());
-                        let len = buf.get_u64_le() as usize;
-                        if buf.remaining() < len {
-                            return Err(format!(
-                                "truncated append rows: want {len}, have {}",
-                                buf.remaining()
-                            ));
-                        }
-                        parts.push((bat, frame.slice(at(buf)..at(buf) + len)));
-                        buf.advance(len);
-                    }
-                    RoutedBody::Append { parts }
-                }
-                BODY_MUTATE => RoutedBody::Mutate(Mutation::decode(&mut buf)?),
-                other => return Err(format!("unknown routed body tag {other}")),
-            };
-            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, body }))
+            let m = Mutation::decode(&mut buf)?;
+            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, m }))
         }
         TAG_ACK => {
             if buf.remaining() < 19 {
@@ -691,28 +630,34 @@ mod tests {
         assert!(decode(&enc).unwrap_err().contains("type tag"));
     }
 
-    fn routed(body: RoutedBody) -> DcMsg {
-        DcMsg::Routed(RoutedMsg { origin: NodeId(2), epoch: 0xdead_beef_cafe, id: 77, body })
+    fn routed(m: Mutation) -> DcMsg {
+        DcMsg::Routed(RoutedMsg { origin: NodeId(2), epoch: 0xdead_beef_cafe, id: 77, m })
     }
 
     #[test]
-    fn append_round_trip_and_truncation() {
-        let m = routed(RoutedBody::Append {
-            parts: vec![
-                (BatId(9), Bytes::from_static(b"col-k-batch")),
-                (BatId(10), Bytes::from_static(b"col-v")),
-            ],
+    fn insert_round_trip_and_truncation() {
+        let given = vec![
+            ("k".into(), batstore::Column::from(vec![1, 2, 3])),
+            ("v".into(), batstore::Column::from(vec!["a", "bb", ""])),
+        ];
+        let m = routed(Mutation {
+            schema: "sys".into(),
+            table: "kv".into(),
+            op: MutOp::Insert(given),
+            preds: vec![],
         });
         let enc = encode(&m);
         assert_eq!(decode(&enc).unwrap(), m);
-        for cut in [2, 5, 10, 15, 20, 21, enc.len() - 1] {
+        for cut in [2, 5, 10, 15, 20, 21, 40, 80, enc.len() - 1] {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
         }
-        assert!(m.wire_size() >= 32 + 11 + 5);
+        // Billed near its bytes: the estimate leaves out two counts and
+        // a string column's two heap lengths.
+        assert_eq!(enc.len() - m.wire_size() as usize, 2 + 2 + 16);
     }
 
     fn mutate_msg() -> DcMsg {
-        routed(RoutedBody::Mutate(Mutation {
+        routed(Mutation {
             schema: "sys".into(),
             table: "acct".into(),
             op: MutOp::Update(vec![
@@ -731,7 +676,7 @@ mod tests {
                     values: vec![Val::Str("a".into()), Val::Bool(true), Val::Date(123)],
                 },
             ],
-        }))
+        })
     }
 
     #[test]
@@ -743,24 +688,25 @@ mod tests {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
         }
         // DELETE with no predicates (the smallest mutation).
-        let d = routed(RoutedBody::Mutate(Mutation {
+        let d = routed(Mutation {
             schema: "sys".into(),
             table: "t".into(),
             op: MutOp::Delete,
             preds: vec![],
-        }));
+        });
         assert_eq!(decode(&encode(&d)).unwrap(), d);
         assert!(m.wire_size() > d.wire_size());
     }
 
     #[test]
-    fn unknown_routed_body_rejected() {
+    fn unknown_mutation_op_rejected() {
         let mut enc = encode(&mutate_msg()).to_vec();
-        // The body tag follows tag(1) + origin(2) + epoch(8) + id(8); 3
-        // was the re-admission demand, which no longer exists.
-        for tag in [3, 99] {
-            enc[19] = tag;
-            assert!(decode(&enc).unwrap_err().contains("body tag"));
+        // The op tag follows tag(1) + origin(2) + epoch(8) + id(8) +
+        // "sys"(2+3) + "acct"(2+4).
+        assert_eq!(enc[30], 1, "offset arithmetic must hit the UPDATE tag");
+        for tag in [0, 4, 99] {
+            enc[30] = tag;
+            assert!(decode(&enc).unwrap_err().contains("op tag"));
         }
     }
 

@@ -16,7 +16,7 @@
 //! sleeps until [`Routed::next_deadline`].
 
 use crate::ids::NodeId;
-use crate::msg::{DcMsg, RoutedBody, RoutedMsg};
+use crate::msg::{DcMsg, MutOp, Mutation, RoutedMsg};
 use crate::runtime::Waiter;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -36,12 +36,8 @@ pub type StmtKey = (u16, u64, u64);
 /// origin, with everything needed to resend it and to fail it loudly.
 pub struct Pending {
     /// The exact statement to resend (ids make re-delivery idempotent at
-    /// the owner, so resending one that *was* applied is safe). Its body
-    /// is the statement's kind.
+    /// the owner, so resending one that *was* applied is safe).
     pub msg: RoutedMsg,
-    /// What the statement acts on (`schema.table`), for traces and the
-    /// timeout error.
-    pub target: String,
     /// The caller blocked on the answer.
     pub waiter: Arc<Waiter<u64>>,
     /// Sends so far.
@@ -53,15 +49,17 @@ pub struct Pending {
     retries_left: u32,
 }
 
+/// `"mutation on sys.acct"`, `"append on sys.acct"` — a routed statement
+/// as traces and errors name it.
+pub fn describe(m: &Mutation) -> String {
+    let kind = if matches!(m.op, MutOp::Insert(_)) { "append" } else { "mutation" };
+    format!("{kind} on {}.{}", m.schema, m.table)
+}
+
 impl Pending {
-    /// `"mutation on sys.acct"` — the statement as traces and errors
-    /// name it.
+    /// The statement as traces and errors name it ([`describe`]).
     pub fn what(&self) -> String {
-        let kind = match self.msg.body {
-            RoutedBody::Append { .. } => "append",
-            RoutedBody::Mutate(_) => "mutation",
-        };
-        format!("{kind} on {}", self.target)
+        describe(&self.msg.m)
     }
 
     /// The classified error a statement fails with once its retry
@@ -123,16 +121,14 @@ impl Routed {
     pub fn begin(
         &mut self,
         origin: NodeId,
-        target: String,
-        body: RoutedBody,
+        m: Mutation,
         waiter: Arc<Waiter<u64>>,
         now: Instant,
     ) -> &Pending {
         let id = self.next_id;
         self.next_id += 1;
         let p = Pending {
-            msg: RoutedMsg { origin, epoch: self.epoch, id, body },
-            target,
+            msg: RoutedMsg { origin, epoch: self.epoch, id, m },
             waiter,
             attempts: 1,
             deadline: now + self.ack_timeout,
@@ -210,13 +206,8 @@ mod tests {
     const TIMEOUT: Duration = Duration::from_millis(100);
     const ME: NodeId = NodeId(1);
 
-    fn mutate() -> RoutedBody {
-        RoutedBody::Mutate(crate::msg::Mutation {
-            schema: "sys".into(),
-            table: "acct".into(),
-            op: crate::msg::MutOp::Delete,
-            preds: vec![],
-        })
+    fn mutate(table: &str) -> Mutation {
+        Mutation { schema: "sys".into(), table: table.into(), op: MutOp::Delete, preds: vec![] }
     }
 
     fn waiter() -> Arc<Waiter<u64>> {
@@ -227,7 +218,7 @@ mod tests {
     fn deadline_resends_with_doubled_backoff_then_times_out() {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 2);
-        let first = r.begin(ME, "sys.acct".into(), mutate(), waiter(), t0).msg.clone();
+        let first = r.begin(ME, mutate("acct"), waiter(), t0).msg.clone();
         assert_eq!((first.origin, first.epoch), (ME, 7));
         let (id, frame) = (first.id, DcMsg::Routed(first));
 
@@ -257,9 +248,9 @@ mod tests {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 2);
         assert_eq!(r.next_deadline(), None, "nothing pending, nothing due");
-        let a = r.begin(ME, "sys.a".into(), mutate(), waiter(), t0).msg.id;
+        let a = r.begin(ME, mutate("a"), waiter(), t0).msg.id;
         let later = t0 + TIMEOUT / 2;
-        let b = r.begin(ME, "sys.b".into(), mutate(), waiter(), later).msg.id;
+        let b = r.begin(ME, mutate("b"), waiter(), later).msg.id;
         assert_eq!(r.next_deadline(), Some(t0 + TIMEOUT), "the first statement's deadline");
         // `a` is resent at its deadline and waits the doubled backoff;
         // `b`'s first deadline is now the earliest.
@@ -276,7 +267,7 @@ mod tests {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 2);
         let waiter = waiter();
-        let id = r.begin(ME, "sys.acct".into(), mutate(), Arc::clone(&waiter), t0).msg.id;
+        let id = r.begin(ME, mutate("acct"), Arc::clone(&waiter), t0).msg.id;
         assert!(r.ack(6, id).is_none(), "an ack from a prior incarnation resolves nothing");
         let p = r.ack(7, id).expect("the matching ack resolves the statement");
         assert!(Arc::ptr_eq(&p.waiter, &waiter));

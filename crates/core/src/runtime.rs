@@ -81,9 +81,8 @@ impl RingCatalog {
         }
     }
 
-    /// Reverse lookup: which `(schema, table)` a fragment belongs to.
-    /// Used by the owner to re-advertise a table's catalog entry after
-    /// applying a mutation that arrived as bare fragment ids.
+    /// Reverse lookup: which `(schema, table)` a fragment belongs to (the
+    /// hot-set view names each owned fragment's table).
     pub fn table_of(&self, bat: BatId) -> Option<(String, String)> {
         let cols = self.cols.read();
         cols.iter().find(|(_, info)| info.bat == bat).and_then(|(key, _)| {
@@ -297,16 +296,12 @@ pub enum Cmd {
         cols: Vec<(String, ColType)>,
         ack: Arc<Waiter<u64>>,
     },
-    /// SQL DML: append rows column-at-a-time. Fragments owned locally
-    /// are updated in place (version bump, §6.4); foreign fragments are
-    /// routed clockwise to their owner ([`crate::msg::RoutedBody::Append`]).
-    Append { schema: String, table: String, cols: Vec<(String, Column)>, ack: Arc<Waiter<u64>> },
-    /// SQL UPDATE/DELETE: a logical mutation. Applied in place when this
-    /// node owns the table's fragments (version bump + re-advertise,
-    /// §6.4); otherwise routed clockwise to the owner as a
-    /// [`crate::msg::RoutedBody::Mutate`], with the ack fulfilled when
-    /// the owner's [`crate::msg::AckMsg`] comes back — so the caller
-    /// reports a correct affected-row count even for remote mutations.
+    /// SQL INSERT/UPDATE/DELETE: a logical mutation. Applied in place
+    /// when this node owns the table's fragments (version bump +
+    /// re-advertise, §6.4); otherwise routed clockwise to the owner as a
+    /// [`crate::msg::RoutedMsg`], with the ack fulfilled when the owner's
+    /// [`crate::msg::AckMsg`] comes back — so the caller reports a
+    /// correct affected-row count even for remote mutations.
     Mutate { m: Mutation, ack: Arc<Waiter<u64>> },
     /// Publish externally-assembled table metadata into this node's
     /// catalogs (driver-side loads); optionally gossip it clockwise.
@@ -420,23 +415,6 @@ impl DcHooks for RingHooks {
             ack: Arc::clone(&ack),
         })?;
         ack.wait(self.pin_timeout).map(|_| ()).map_err(MalError::Dc)
-    }
-
-    fn append_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        cols: &[(String, Column)],
-    ) -> Result<u64, MalError> {
-        let ack = Arc::new(Waiter::<u64>::default());
-        self.send(Cmd::Append {
-            schema: schema.to_string(),
-            table: table.to_string(),
-            cols: cols.to_vec(),
-            ack: Arc::clone(&ack),
-        })?;
-        ack.wait(self.pin_timeout).map_err(MalError::Dc)
     }
 
     fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64, MalError> {

@@ -46,40 +46,40 @@ pub struct NodeStats {
     /// node. Locally-owned and cache-served pins move nothing and do not
     /// count — this is the distributed-join/aggregate data-movement cost.
     pub ring_query_bytes_moved: u64,
-    /// Row-append batches applied at this node as fragment owner (§6.4).
+    /// INSERT columns applied at this node as fragment owner (§6.4), one
+    /// per column of each INSERT.
     pub appends_applied: u64,
-    /// Row-append batches this node had to discard: the batch returned
-    /// to its origin without finding an owner, failed to decode, or its
-    /// types no longer matched the fragment. Nonzero values mean some
-    /// INSERT acknowledged elsewhere never landed.
+    /// INSERTs this node had to discard: a routed one it owns that its
+    /// table refused (one per column), or one it originated that came
+    /// back without finding an owner (one per statement).
     pub appends_dropped: u64,
-    /// Routed append batches this node originated that failed: the
-    /// owner answered with an error, the batch cycled back unowned, or
-    /// the whole ack-retry budget elapsed. The append-side twin of
-    /// `mutations_failed`, so failed routed INSERTs are observable too.
+    /// Routed INSERTs this node originated that failed: the owner
+    /// answered with an error, the statement cycled back unowned, or the
+    /// whole ack-retry budget elapsed. The INSERT twin of
+    /// `mutations_failed`.
     pub appends_failed: u64,
     /// UPDATE/DELETE mutations applied at this node as fragment owner
     /// (§6.4 version bumps).
     pub mutations_applied: u64,
-    /// Mutations this node originated that were routed clockwise to a
-    /// remote owner.
+    /// UPDATE/DELETE mutations this node originated that were routed
+    /// clockwise to a remote owner.
     pub mutations_routed: u64,
-    /// Routed mutations that failed: the message cycled back without
-    /// finding an owner, or the owner rejected it.
+    /// Routed UPDATE/DELETE mutations that failed: the message cycled
+    /// back without finding an owner, or the owner rejected it.
     pub mutations_failed: u64,
     /// Mutations this node applied (and made durable) whose
     /// acknowledgement could not be sent back to the origin — the origin
     /// times out and reports failure for a statement that succeeded.
     pub mutation_acks_lost: u64,
-    /// Routed mutations/appends re-delivered to this owner (duplicate
+    /// Routed statements re-delivered to this owner (duplicate
     /// frames, origin-side retries) and suppressed by the idempotent
     /// dedup cache: the cached ack was re-sent instead of re-applying.
     pub mutations_deduped: u64,
-    /// Routed Mutate/Append messages this origin re-sent because the
+    /// Routed statements this origin re-sent because the
     /// owner's acknowledgement did not arrive within the ack timeout
     /// (or the send itself failed on a severed edge).
     pub retries: u64,
-    /// Routed Mutate/Append statements failed loudly at this origin
+    /// Routed statements failed loudly at this origin
     /// after the whole retry budget elapsed without an acknowledgement.
     pub timeouts: u64,
     /// Queries errored out (nonexistent BAT).

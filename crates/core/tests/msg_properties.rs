@@ -1,11 +1,11 @@
 //! Property tests for the ring message codec, covering the full `DcMsg`
 //! surface: the query-circulation path (`Bat`/`Request`), the routed
-//! path (`Routed` with each body, `Ack`), and the circulate-once
+//! path (`Routed` with each mutation op, `Ack`), and the circulate-once
 //! `Catalog` gossip. Arbitrary messages round-trip byte-exactly, every
 //! strict prefix of a valid frame is rejected (never mis-decoded or
 //! panicked on), hostile count/length prefixes neither panic nor provoke
-//! an unbounded allocation, and a frame decoded by value gives back
-//! payloads that are slices of it.
+//! an unbounded allocation, and a frame decoded by value gives back a
+//! fragment that is a slice of it.
 //!
 //! Distributed query execution (§3) deliberately introduces no new wire
 //! message: registered queries ride the existing `Request` (interest)
@@ -14,11 +14,11 @@
 //! discipline as the mutation path.
 
 use batstore::ops::CmpOp;
-use batstore::{ColType, RowPredicate, Val};
+use batstore::{ColType, Column, RowPredicate, Val};
 use bytes::Bytes;
 use datacyclotron::msg::{
-    decode, decode_frame, encode, frame, AckMsg, BatHeader, MutOp, Mutation, ReqMsg, RoutedBody,
-    RoutedMsg, HEADER_WIRE_BYTES,
+    decode, decode_frame, encode, frame, AckMsg, BatHeader, MutOp, Mutation, ReqMsg, RoutedMsg,
+    HEADER_WIRE_BYTES,
 };
 use datacyclotron::{BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
 use proptest::prelude::*;
@@ -63,12 +63,12 @@ fn pred_from(kind: u8, seed: i64, text: &str, nin: usize) -> RowPredicate {
     }
 }
 
-fn routed_from(seed: i64, body: RoutedBody) -> DcMsg {
+fn routed_from(seed: i64, m: Mutation) -> DcMsg {
     DcMsg::Routed(RoutedMsg {
         origin: NodeId(seed.unsigned_abs() as u16),
         epoch: seed.unsigned_abs().wrapping_mul(31),
         id: seed.unsigned_abs().wrapping_mul(7),
-        body,
+        m,
     })
 }
 
@@ -84,15 +84,45 @@ fn mutate_from(kind: u8, seed: i64, text: &str, nassign: usize, npred: usize) ->
     };
     routed_from(
         seed,
-        RoutedBody::Mutate(Mutation {
+        Mutation {
             schema: "sys".into(),
             table: format!("t{}", kind % 7),
             op,
             preds: (0..npred)
                 .map(|i| pred_from(kind.wrapping_add(i as u8), seed + i as i64, text, 1 + i % 4))
                 .collect(),
-        }),
+        },
     )
+}
+
+/// A column of `nrows` values of the type `kind` picks, each typed
+/// value drawn as [`val_from`] would (strings from `text`).
+fn column_from(kind: u8, seed: i64, text: &str, nrows: usize) -> Column {
+    let seeds = (0..nrows as i64).map(|i| seed.wrapping_add(i));
+    match kind % 6 {
+        0 => Column::from(seeds.map(|s| s as i32).collect::<Vec<i32>>()),
+        1 => Column::from(seeds.map(|s| s.wrapping_mul(1_000_003)).collect::<Vec<i64>>()),
+        2 => Column::from(seeds.map(|s| s as f64 * 0.25).collect::<Vec<f64>>()),
+        3 => Column::Bool(seeds.map(|s| s % 2 == 0).collect()),
+        4 => Column::Date(seeds.map(|s| (s % 50_000) as i32).collect()),
+        _ => {
+            let strs: Vec<String> = seeds.map(|s| format!("{text}{s}")).collect();
+            Column::from(strs.iter().map(String::as_str).collect::<Vec<_>>())
+        }
+    }
+}
+
+fn insert_from(kind: u8, seed: i64, text: &str, ncols: usize, nrows: usize) -> DcMsg {
+    let given = (0..ncols)
+        .map(|i| (format!("c{i}"), column_from(kind.wrapping_add(i as u8), seed, text, nrows)))
+        .collect();
+    let m = Mutation {
+        schema: "sys".into(),
+        table: format!("t{text}"),
+        op: MutOp::Insert(given),
+        preds: vec![],
+    };
+    routed_from(seed, m)
 }
 
 fn ack_from(seed: i64, text: &str) -> DcMsg {
@@ -155,28 +185,13 @@ fn request_from(seed: i64) -> DcMsg {
     })
 }
 
-fn append_from(kind: u8, seed: i64, text: &str, nparts: usize) -> DcMsg {
-    routed_from(
-        seed,
-        RoutedBody::Append {
-            parts: (0..nparts)
-                .map(|i| {
-                    let mut rows = text.as_bytes().to_vec();
-                    rows.push(kind.wrapping_add(i as u8));
-                    (BatId((seed.unsigned_abs() as u32).wrapping_add(i as u32)), Bytes::from(rows))
-                })
-                .collect(),
-        },
-    )
-}
-
 /// One message of every `DcMsg` shape from the same inputs, `Routed`
-/// once per body.
+/// once per kind of op (`mutate_from` draws UPDATE or DELETE).
 fn messages(kind: u8, seed: i64, text: &str, n1: usize, n2: usize) -> Vec<DcMsg> {
     vec![
         bat_from(kind, seed, n1),
         request_from(seed),
-        append_from(kind, seed, text, n1),
+        insert_from(kind, seed, text, n1, n2),
         mutate_from(kind, seed, text, n1, n2),
         ack_from(seed, text),
         catalog_from(kind, seed, text, n1),
@@ -221,22 +236,24 @@ proptest! {
         }
     }
 
-    /// Decoding a frame by value copies no payload: a `Bat`'s fragment
-    /// and every `Append` part come back byte-equal to what was sent and
-    /// lying inside the frame's own allocation. The encoder's pieces,
-    /// written in order, are the same bytes `encode` concatenates.
+    /// Decoding a frame by value copies no fragment: a `Bat`'s payload
+    /// comes back byte-equal to what was sent and lying inside the
+    /// frame's own allocation. The encoder's pieces, written in order,
+    /// are the same bytes `encode` concatenates — for a routed INSERT
+    /// too, whose rows are part of the statement.
     #[test]
     fn owned_frames_share_their_allocation(kind in any::<u8>(),
                                            seed in -100_000i64..100_000,
                                            chars in prop::collection::vec(any::<char>(), 0..16),
-                                           nparts in 0usize..5,
+                                           ncols in 0usize..5,
                                            npayload in 0usize..300) {
         let text: String = chars.into_iter().collect();
         let within = |outer: &Bytes, inner: &Bytes| {
             let (outer, inner) = (outer.as_ptr_range(), inner.as_ptr_range());
             outer.start <= inner.start && inner.end <= outer.end
         };
-        for msg in [bat_from(kind & !1, seed, npayload), append_from(kind, seed, &text, nparts)] {
+        let nrows = npayload % 40;
+        for msg in [bat_from(kind & !1, seed, npayload), insert_from(kind, seed, &text, ncols, nrows)] {
             let wire = encode(&msg);
             let pieces: Vec<u8> = frame(&msg).pieces().flatten().copied().collect();
             prop_assert_eq!(&pieces[..], &wire[..]);
@@ -244,18 +261,9 @@ proptest! {
 
             let back = decode_frame(wire.clone()).unwrap();
             prop_assert_eq!(&back, &msg);
-            match back {
-                DcMsg::Bat { payload, .. } => {
-                    let payload = payload.expect("an even kind carries a payload");
-                    prop_assert!(within(&wire, &payload), "Bat payload was copied");
-                }
-                DcMsg::Routed(RoutedMsg { body: RoutedBody::Append { parts }, .. }) => {
-                    prop_assert_eq!(parts.len(), nparts);
-                    for (_, rows) in &parts {
-                        prop_assert!(within(&wire, rows), "Append part was copied");
-                    }
-                }
-                other => panic!("{other:?}"),
+            if let DcMsg::Bat { payload, .. } = back {
+                let payload = payload.expect("an even kind carries a payload");
+                prop_assert!(within(&wire, &payload), "Bat payload was copied");
             }
         }
     }
@@ -317,16 +325,18 @@ proptest! {
         catalog[len - 2..].copy_from_slice(&count.to_le_bytes());
         prop_assert!(decode(&catalog).is_err());
 
-        // Append: valid empty-parts frame, then a lying part count.
-        let mut append = encode(&append_from(1, 7, "x", 0)).to_vec();
-        let len = append.len();
-        append[len - 2..].copy_from_slice(&count.to_le_bytes());
-        prop_assert!(decode(&append).is_err());
+        // Insert: valid no-column frame, then a lying column count (the
+        // empty predicate count follows it).
+        let mut insert = encode(&insert_from(1, 7, "x", 0, 0)).to_vec();
+        let len = insert.len();
+        insert[len - 4..len - 2].copy_from_slice(&count.to_le_bytes());
+        prop_assert!(decode(&insert).is_err());
     }
 
     /// A BAT frame whose u64 payload-length field claims more bytes than
     /// the buffer holds errors before any allocation for the claim; an
-    /// Append part with a lying row-bytes length does the same.
+    /// INSERT column with a lying byte length does the same, and so does
+    /// one whose BAT claims more rows than its bytes hold.
     #[test]
     fn hostile_payload_lengths_rejected(claim in 1_000u64..u64::MAX, seed in -100_000i64..100_000) {
         let mut bat = encode(&bat_from(0, seed, 4)).to_vec();
@@ -334,11 +344,18 @@ proptest! {
         bat[40..48].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bat).is_err());
 
-        let mut append = encode(&append_from(1, seed, "rows", 1)).to_vec();
-        // tag(1) + origin(2) + epoch(8) + id(8) + body(1) + count(2) +
-        // bat(4) = 26 bytes, then the u64 row-bytes length of the only part.
-        append[26..34].copy_from_slice(&claim.to_le_bytes());
-        prop_assert!(decode(&append).is_err());
+        let insert = encode(&insert_from(0, seed, "", 1, 3)).to_vec();
+        // tag(1) + origin(2) + epoch(8) + id(8) + "sys"(2+3) + "t"(2+1) +
+        // op(1) + count(2) + "c0"(2+2) = 34 bytes, then the u32 byte
+        // length of the only column and its BAT: "DCB1", two type tags,
+        // then the u64 row count.
+        let mut column = insert.clone();
+        column[34..38].copy_from_slice(&(claim as u32 | 1 << 31).to_le_bytes());
+        prop_assert!(decode(&column).is_err());
+        let mut rows = insert;
+        prop_assert_eq!(&rows[38..42], b"DCB1");
+        rows[44..52].copy_from_slice(&claim.to_le_bytes());
+        prop_assert!(decode(&rows).is_err());
     }
 
     /// A string field whose u16 length prefix exceeds the remaining
@@ -358,10 +375,10 @@ proptest! {
         bytes[20..22].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bytes).is_err());
 
-        // Routed Mutate: the schema name follows the same 20 bytes (the
-        // body tag sits where the ack has its ok-flag).
+        // Routed mutation: the schema name follows tag(1) + origin(2) +
+        // epoch(8) + id(8) = 19 bytes.
         let mut bytes = encode(&mutate_from(1, 7, "x", 0, 0)).to_vec();
-        bytes[20..22].copy_from_slice(&claim.to_le_bytes());
+        bytes[19..21].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bytes).is_err());
     }
 }

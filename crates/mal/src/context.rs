@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 /// The seam between the DBMS layer and the Data Cyclotron layer (§4.1):
 /// the three calls the DC optimizer injects into plans, plus the DDL/DML
-/// entry points (`sql.createTable` / `sql.append`) that SQL statements
-/// route through so table creation and row appends reach the ring's
-/// owner/versioning machinery (§6.4) instead of a local store.
+/// entry points (`sql.createTable`, and `sql.append`/`sql.update`/
+/// `sql.delete`) that SQL statements route through so table creation and
+/// mutations reach the ring's owner/versioning machinery (§6.4) instead
+/// of a local store.
 pub trait DcHooks: Send + Sync {
     /// `datacyclotron.request(schema, table, column, access)`: announce
     /// interest; never blocks. Returns a ticket to pin against.
@@ -45,25 +46,12 @@ pub trait DcHooks: Send + Sync {
         Err(MalError::Dc(format!("this DC seam cannot create {schema}.{table}")))
     }
 
-    /// `sql.append`: append rows column-at-a-time; returns the number of
-    /// rows appended. On a ring node, appends to foreign fragments are
-    /// routed clockwise to their owner (§6.4) and applied there.
-    fn append_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        _cols: &[(String, Column)],
-    ) -> Result<u64> {
-        Err(MalError::Dc(format!("this DC seam cannot append to {schema}.{table}")))
-    }
-
-    /// `sql.update` / `sql.delete`: write each assignment into, or
-    /// remove, every row matching the predicate conjunction; returns the
-    /// number of rows matched. On a ring node the *logical* mutation is
-    /// routed to the fragment owner, which evaluates the predicates
-    /// against its authoritative payload and bumps the fragment versions
-    /// (§6.4).
+    /// `sql.append` / `sql.update` / `sql.delete`: append the rows, or
+    /// write each assignment into, or remove, every row matching the
+    /// predicate conjunction; returns the number of rows added or
+    /// matched. On a ring node the *logical* mutation is routed to the
+    /// fragment owner, which applies it to its authoritative payload and
+    /// bumps the fragment versions (§6.4).
     fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64> {
         Err(MalError::Dc(format!("this DC seam cannot mutate {}.{}", m.schema, m.table)))
     }
@@ -127,22 +115,10 @@ impl DcHooks for LocalHooks {
         Ok(())
     }
 
-    fn append_rows(
-        &self,
-        _query: u64,
-        schema: &str,
-        table: &str,
-        cols: &[(String, Column)],
-    ) -> Result<u64> {
-        let mut catalog = self.catalog.write();
-        let mut store = self.store.write();
-        Ok(catalog.append_rows(&mut store, schema, table, cols)? as u64)
-    }
-
     fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64> {
         let mut catalog = self.catalog.write();
         let mut store = self.store.write();
-        Ok(catalog.mutate_rows(&mut store, &m.schema, &m.table, &m.op, &m.preds)? as u64)
+        Ok(catalog.mutate_rows(&mut store, &m)? as u64)
     }
 }
 

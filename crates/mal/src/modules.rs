@@ -269,7 +269,13 @@ fn register_sql(r: &mut Registry) {
             let b = arg_bat(args, i + 3, "sql.append")?;
             cols.push((name.to_string(), b.tail().clone()));
         }
-        let n = ctx.hooks().append_rows(ctx.query_id, schema, table, &cols)?;
+        let m = Mutation {
+            schema: schema.to_string(),
+            table: table.to_string(),
+            op: MutOp::Insert(cols),
+            preds: Vec::new(),
+        };
+        let n = ctx.hooks().mutate_rows(ctx.query_id, m)?;
         ctx.set_result(batstore::ResultSet::with_affected(n));
         Ok(vec![])
     });

@@ -37,4 +37,4 @@ pub use checkpoint::{
 };
 pub use datadir::{DataDir, Manifest};
 pub use recover::{recover, RecFrag, Recovered};
-pub use wal::{replay_wal, AppendPart, ColRec, FsyncPolicy, TableRec, WalRecord, WalWriter};
+pub use wal::{replay_wal, ColRec, FsyncPolicy, TableRec, WalRecord, WalWriter};

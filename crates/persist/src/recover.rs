@@ -211,48 +211,16 @@ impl State<'_> {
                 Ok(Applied::Yes)
             }
             WalRecord::FragMeta { bat, version } => self.load(bat, version),
-            WalRecord::Append { bat, version, rows } => self.append(bat, version, &rows),
-            WalRecord::AppendBatch(parts) => {
-                // The record frame is the atomicity unit: all parts are on
-                // disk together. Each fragment still applies by its own
-                // version rules so checkpoint overlap skips correctly.
-                let mut any = false;
-                for p in parts {
-                    if matches!(self.append(p.bat, p.version, &p.rows)?, Applied::Yes) {
-                        any = true;
-                    }
-                }
-                Ok(if any { Applied::Yes } else { Applied::Skipped })
-            }
             WalRecord::Mutate { m, versions } => self.mutate(&m, &versions),
         }
     }
 
-    fn append(&mut self, bat: u32, version: u32, rows: &[u8]) -> Result<Applied, String> {
-        let Some(cur) = self.frags.get_mut(&bat) else {
-            // The record establishing the fragment was lost ahead of a
-            // tear; nothing safe to append onto.
-            return Ok(Applied::Skipped);
-        };
-        if version <= cur.version {
-            return Ok(Applied::Skipped); // already in the checkpoint
-        }
-        if version != cur.version + 1 {
-            // A gap means an intermediate record vanished; appending out of
-            // order would silently corrupt the fragment.
-            return Ok(Applied::Skipped);
-        }
-        let vals = storage::bat_from_bytes(rows).map_err(|e| format!("append {bat}: {e}"))?;
-        let grown = cur.bat.extend_tail(vals.tail()).map_err(|e| format!("append {bat}: {e}"))?;
-        *cur = RecFrag { version, bat: Arc::new(grown) };
-        Ok(Applied::Yes)
-    }
-
-    /// Re-execute a logged UPDATE/DELETE — only when every column it
-    /// rewrote stands at exactly the version before the one it reached,
-    /// which is the state it ran against live. Otherwise the checkpoint
-    /// already holds its effect (or a lost record separates it from the
-    /// recovered state) and it is skipped.
+    /// Re-execute a logged INSERT/UPDATE/DELETE — only when every column
+    /// it rewrote stands at exactly the version before the one it
+    /// reached, which is the state it ran against live. Otherwise the
+    /// checkpoint already holds its effect (or a lost record separates it
+    /// from the recovered state, or the fragment it grows was never
+    /// established) and it is skipped.
     fn mutate(&mut self, m: &Mutation, versions: &[(u32, u32)]) -> Result<Applied, String> {
         let next = |&(bat, version): &(u32, u32)| {
             self.frags.get(&bat).is_some_and(|f| f.version.checked_add(1) == Some(version))
@@ -292,7 +260,7 @@ impl State<'_> {
 mod tests {
     use super::*;
     use crate::checkpoint::{write_checkpoint, write_fragment_files, FragSnap, Snapshot};
-    use crate::wal::{encode_record, AppendPart, ColRec, FsyncPolicy, WalWriter};
+    use crate::wal::{encode_record, ColRec, FsyncPolicy, WalWriter};
     use batstore::ops::{CmpOp, MutOp, RowPredicate};
     use batstore::{ColType, Column, Val};
     use proptest::prelude::*;
@@ -323,10 +291,6 @@ mod tests {
         }
     }
 
-    fn rows(vals: Vec<i32>) -> Vec<u8> {
-        storage::bat_to_bytes(&Bat::dense(Column::from(vals)))
-    }
-
     /// A data dir whose manifest says replay starts at WAL generation 1.
     fn dir_at_gen_1(tag: &str) -> (std::path::PathBuf, DataDir) {
         let root = scratch(tag);
@@ -349,6 +313,27 @@ mod tests {
 
     fn eq(column: &str, v: i32) -> RowPredicate {
         RowPredicate::Cmp { column: column.into(), op: CmpOp::Eq, value: Val::Int(v) }
+    }
+
+    /// An INSERT into `table` of `(column, values)`, growing each column's
+    /// fragment (`bats`, in the same order) to `version`.
+    fn insert(table: &str, cols: &[(&str, Vec<i32>)], bats: &[u32], version: u32) -> WalRecord {
+        let given = cols.iter().map(|(n, v)| (n.to_string(), Column::from(v.clone()))).collect();
+        WalRecord::Mutate {
+            m: mutation(table, MutOp::Insert(given), vec![]),
+            versions: bats.iter().map(|&bat| (bat, version)).collect(),
+        }
+    }
+
+    /// An INSERT of `vals` into `t` (fragment 7), reaching `version`.
+    fn insert_t(vals: Vec<i32>, version: u32) -> WalRecord {
+        insert("t", &[("id", vals)], &[7], version)
+    }
+
+    /// An INSERT of one row into `kv` (fragments 7 and 8), reaching
+    /// `version`.
+    fn insert_kv(k: i32, v: i32, version: u32) -> WalRecord {
+        insert("kv", &[("k", vec![k]), ("v", vec![v])], &[7, 8], version)
     }
 
     #[test]
@@ -382,7 +367,7 @@ mod tests {
         let mut w = WalWriter::create(&dir.wal_path(1), FsyncPolicy::Off).unwrap();
         load(&dir, &mut w, 7, vec![1, 2]);
         w.append(&WalRecord::Table(table_rec(0, 7))).unwrap();
-        w.append(&WalRecord::Append { bat: 7, version: 1, rows: rows(vec![3]) }).unwrap();
+        w.append(&insert_t(vec![3], 1)).unwrap();
         w.sync().unwrap();
 
         let rec = recover(&dir, 0).unwrap();
@@ -395,15 +380,41 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    #[test]
-    fn a_retired_record_kind_refuses_recovery_by_name() {
-        let (root, dir) = dir_at_gen_1("retired");
+    /// Recovery of a WAL whose second record is an intact frame of the
+    /// retired kind `tag`: the error.
+    fn recover_past_retired(tag: u8) -> String {
+        let (root, dir) = dir_at_gen_1(&format!("retired_{tag}"));
         let mut wal = encode_record(&WalRecord::Table(table_rec(0, 7)));
-        wal.extend_from_slice(&crate::wal::tests::retired_frame(2));
+        wal.extend_from_slice(&crate::wal::tests::retired_frame(tag));
         std::fs::write(dir.wal_path(1), wal).unwrap();
         let err = recover(&dir, 0).unwrap_err();
-        assert!(err.contains("retired Store record"), "{err}");
         std::fs::remove_dir_all(&root).ok();
+        err
+    }
+
+    #[test]
+    fn a_retired_record_kind_refuses_recovery_by_name() {
+        let err = recover_past_retired(2);
+        assert!(err.contains("retired Store record"), "{err}");
+    }
+
+    /// The error names the kind the retired-kind table gives `tag`.
+    fn assert_refused_by_name(tag: u8) {
+        let (_, kind) = crate::wal::RETIRED.iter().find(|(t, _)| *t == tag).expect("retired");
+        let err = recover_past_retired(tag);
+        assert!(err.contains(&format!("retired {kind} record (tag {tag})")), "{err}");
+    }
+
+    /// A per-fragment INSERT record an older build wrote.
+    #[test]
+    fn a_retired_tag_3_record_refuses_recovery_by_name() {
+        assert_refused_by_name(3);
+    }
+
+    /// A multi-column INSERT record an older build wrote.
+    #[test]
+    fn a_retired_tag_5_record_refuses_recovery_by_name() {
+        assert_refused_by_name(5);
     }
 
     #[test]
@@ -434,19 +445,19 @@ mod tests {
         dir.write_fragment(7, 0, &Bat::dense(Column::from(vec![1]))).unwrap();
         write_checkpoint(&dir, &snap_of(&[1, 2, 3], 1)).unwrap(); // replay_from stale
         assert_eq!(bat_files(&dir), ["7.v3.bat"]);
-        // The WAL still holds the whole history plus one newer append.
+        // The WAL still holds the whole history plus one newer INSERT.
         let mut w = WalWriter::create(&dir.wal_path(1), FsyncPolicy::Off).unwrap();
         w.append(&WalRecord::FragMeta { bat: 7, version: 0 }).unwrap();
         for (version, v) in [(1, 2), (2, 3), (3, 4)] {
-            w.append(&WalRecord::Append { bat: 7, version, rows: rows(vec![v]) }).unwrap();
+            w.append(&insert_t(vec![v], version)).unwrap();
         }
-        w.append(&WalRecord::Append { bat: 7, version: 4, rows: rows(vec![5]) }).unwrap();
+        w.append(&insert_t(vec![5], 4)).unwrap();
         w.sync().unwrap();
 
         let rec = recover(&dir, 0).unwrap();
         let f = &rec.frags[&7];
         assert_eq!((f.version, tails(f)), (4, ints(&[1, 2, 3, 5])), "no double-applied rows");
-        assert_eq!(rec.wal_skipped, 4, "the load and three covered appends skipped");
+        assert_eq!(rec.wal_skipped, 4, "the load and three covered INSERTs skipped");
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -455,8 +466,9 @@ mod tests {
         let (root, dir) = dir_at_gen_1("gap");
         let mut w = WalWriter::create(&dir.wal_path(1), FsyncPolicy::Off).unwrap();
         load(&dir, &mut w, 7, vec![1]);
+        w.append(&WalRecord::Table(table_rec(0, 7))).unwrap();
         // Version 1 is missing; 2 must not apply.
-        w.append(&WalRecord::Append { bat: 7, version: 2, rows: rows(vec![9]) }).unwrap();
+        w.append(&insert_t(vec![9], 2)).unwrap();
         w.sync().unwrap();
         let rec = recover(&dir, 0).unwrap();
         assert_eq!(rec.frags[&7].bat.count(), 1);
@@ -471,8 +483,8 @@ mod tests {
         let (root, dir) = dir_at_gen_1("ddl_dml");
         let mut w = WalWriter::create(&dir.wal_path(1), FsyncPolicy::Off).unwrap();
         w.append(&WalRecord::Table(table_rec(0, 7))).unwrap();
-        w.append(&WalRecord::Append { bat: 7, version: 1, rows: rows(vec![1, 2]) }).unwrap();
-        w.append(&WalRecord::Append { bat: 7, version: 2, rows: rows(vec![3]) }).unwrap();
+        w.append(&insert_t(vec![1, 2], 1)).unwrap();
+        w.append(&insert_t(vec![3], 2)).unwrap();
         w.sync().unwrap();
         let rec = recover(&dir, 0).unwrap();
         let f = &rec.frags[&7];
@@ -482,20 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_replays_all_columns_or_none() {
+    fn multi_column_insert_replays_all_columns_or_none() {
         // A multi-column INSERT is one WAL frame: both fragments grow in
-        // lockstep, and a checkpoint-covered batch skips both parts.
+        // lockstep.
         let (root, dir) = dir_at_gen_1("batch");
         let mut w = WalWriter::create(&dir.wal_path(1), FsyncPolicy::Off).unwrap();
         w.append(&WalRecord::Table(two_cols())).unwrap();
-        let batch = |version: u32, k: i32, v: i32| {
-            WalRecord::AppendBatch(vec![
-                AppendPart { bat: 7, version, rows: rows(vec![k]) },
-                AppendPart { bat: 8, version, rows: rows(vec![v]) },
-            ])
-        };
-        w.append(&batch(1, 1, 10)).unwrap();
-        w.append(&batch(2, 2, 20)).unwrap();
+        w.append(&insert_kv(1, 10, 1)).unwrap();
+        w.append(&insert_kv(2, 20, 2)).unwrap();
         w.sync().unwrap();
 
         let rec = recover(&dir, 0).unwrap();
@@ -503,9 +509,9 @@ mod tests {
         assert_eq!(rec.frags[&8].bat.count(), 2);
         assert_eq!((rec.frags[&7].version, rec.frags[&8].version), (2, 2));
 
-        // A torn final batch discards *both* columns — never half a row.
+        // A torn final INSERT discards *both* columns — never half a row.
         use std::io::Write;
-        let enc = encode_record(&batch(3, 3, 30));
+        let enc = encode_record(&insert_kv(3, 30, 3));
         let mut f = std::fs::OpenOptions::new().append(true).open(dir.wal_path(1)).unwrap();
         f.write_all(&enc[..enc.len() - 4]).unwrap();
         drop(f);
@@ -521,7 +527,7 @@ mod tests {
         let (root, dir) = dir_at_gen_1("mutate");
         let mut w = WalWriter::create(&dir.wal_path(1), FsyncPolicy::Off).unwrap();
         w.append(&WalRecord::Table(table_rec(0, 7))).unwrap();
-        w.append(&WalRecord::Append { bat: 7, version: 1, rows: rows(vec![1, 2, 3]) }).unwrap();
+        w.append(&insert_t(vec![1, 2, 3], 1)).unwrap();
         let set_9_where_2 =
             mutation("t", MutOp::Update(vec![("id".into(), Val::Int(9))]), vec![eq("id", 2)]);
         // UPDATE re-executes at version 2 …
@@ -547,11 +553,7 @@ mod tests {
         w.append(&WalRecord::Table(two_cols())).unwrap();
         // The statement rewrites `v` (fragment 8); the record says `k`.
         let m = mutation("kv", MutOp::Update(vec![("v".into(), Val::Int(1))]), vec![]);
-        w.append(&WalRecord::AppendBatch(vec![
-            AppendPart { bat: 7, version: 1, rows: rows(vec![5]) },
-            AppendPart { bat: 8, version: 1, rows: rows(vec![6]) },
-        ]))
-        .unwrap();
+        w.append(&insert_kv(5, 6, 1)).unwrap();
         w.append(&WalRecord::Mutate { m, versions: vec![(7, 2)] }).unwrap();
         w.sync().unwrap();
         let err = recover(&dir, 0).unwrap_err();
@@ -564,11 +566,7 @@ mod tests {
         let (root, dir) = dir_at_gen_1("torn_update");
         let mut w = WalWriter::create(&dir.wal_path(1), FsyncPolicy::Off).unwrap();
         w.append(&WalRecord::Table(two_cols())).unwrap();
-        w.append(&WalRecord::AppendBatch(vec![
-            AppendPart { bat: 7, version: 1, rows: rows(vec![1]) },
-            AppendPart { bat: 8, version: 1, rows: rows(vec![10]) },
-        ]))
-        .unwrap();
+        w.append(&insert_kv(1, 10, 1)).unwrap();
         w.sync().unwrap();
         // A crash mid-write leaves half of a two-column UPDATE frame.
         use std::io::Write;
@@ -610,7 +608,7 @@ mod tests {
     // ---- crashes around a checkpoint ---------------------------------------
 
     /// A snapshot of the one-column table `t` whose fragment 7 holds
-    /// `vals`, one append per value (so its version is `vals.len()`).
+    /// `vals`, one INSERT per value (so its version is `vals.len()`).
     fn snap_of(vals: &[i32], replay_from: u64) -> Snapshot {
         Snapshot {
             node: 0,
@@ -625,17 +623,9 @@ mod tests {
     }
 
     /// The WAL frames taking fragment 7 from `from` values to all of
-    /// `vals`, one `Append` per value.
-    fn append_frames(vals: &[i32], from: usize) -> Vec<Vec<u8>> {
-        (from..vals.len())
-            .map(|i| {
-                encode_record(&WalRecord::Append {
-                    bat: 7,
-                    version: i as u32 + 1,
-                    rows: rows(vec![vals[i]]),
-                })
-            })
-            .collect()
+    /// `vals`, one INSERT per value.
+    fn insert_frames(vals: &[i32], from: usize) -> Vec<Vec<u8>> {
+        (from..vals.len()).map(|i| encode_record(&insert_t(vec![vals[i]], i as u32 + 1))).collect()
     }
 
     fn tails(f: &RecFrag) -> Vec<Val> {
@@ -655,16 +645,16 @@ mod tests {
         names
     }
 
-    /// Checkpoint A (fragment at v3) committed, WAL tail `Append` v4 and
-    /// v5, then checkpoint B crashes after its fragment-file phase: the
-    /// v5 file is on disk, `catalog.snap` and `MANIFEST` are still A's.
+    /// Checkpoint A (fragment at v3) committed, WAL tail INSERTs to v4
+    /// and v5, then checkpoint B crashes after its fragment-file phase:
+    /// the v5 file is on disk, `catalog.snap` and `MANIFEST` are still A's.
     fn crashed_mid_checkpoint(tag: &str) -> (std::path::PathBuf, DataDir) {
         let root = scratch(tag);
         std::fs::remove_dir_all(&root).ok();
         let dir = DataDir::open(&root).unwrap();
         let all = [1, 2, 3, 4, 5];
         write_checkpoint(&dir, &snap_of(&all[..3], 2)).unwrap();
-        std::fs::write(dir.wal_path(2), append_frames(&all, 3).concat()).unwrap();
+        std::fs::write(dir.wal_path(2), insert_frames(&all, 3).concat()).unwrap();
         write_fragment_files(&dir, &snap_of(&all, 3)).unwrap();
         assert_eq!(bat_files(&dir), ["7.v3.bat", "7.v5.bat"]);
         (root, dir)
@@ -697,7 +687,7 @@ mod tests {
     #[test]
     fn orphan_of_a_torn_version_is_never_adopted() {
         let (root, dir) = crashed_mid_checkpoint("orphan");
-        // The crash also tore the WAL inside the v5 append.
+        // The crash also tore the WAL inside the v5 INSERT.
         let wal = std::fs::read(dir.wal_path(2)).unwrap();
         std::fs::write(dir.wal_path(2), &wal[..wal.len() - 3]).unwrap();
 
@@ -795,22 +785,29 @@ mod tests {
                 live.tables.push(t.clone());
                 push(record(WalRecord::Table(t)), live);
             }
-            // A multi-row INSERT.
+            // A multi-row INSERT, naming its columns in either order.
             2 if !live.tables.is_empty() => {
                 let t = pick(live);
                 let n = 1 + a % 2;
-                let parts = [key_col(n, b), str_col(n, b)]
-                    .into_iter()
-                    .zip(&t.cols)
-                    .map(|(vals, c)| {
-                        let (version, cur) = &live.frags[&c.bat];
-                        let (version, grown) = (version + 1, cur.extend_tail(&vals).unwrap());
-                        live.frags.insert(c.bat, (version, Arc::new(grown)));
-                        let rows = storage::bat_to_bytes(&Bat::dense(vals));
-                        AppendPart { bat: c.bat, version, rows }
-                    })
-                    .collect();
-                push(record(WalRecord::AppendBatch(parts)), live);
+                let mut given = Vec::new();
+                let mut versions = Vec::new();
+                for (vals, c) in [key_col(n, b), str_col(n, b)].into_iter().zip(&t.cols) {
+                    let (version, cur) = &live.frags[&c.bat];
+                    let (version, grown) = (version + 1, cur.extend_tail(&vals).unwrap());
+                    live.frags.insert(c.bat, (version, Arc::new(grown)));
+                    given.push((c.name.clone(), vals));
+                    versions.push((c.bat, version));
+                }
+                if b % 2 == 0 {
+                    given.reverse();
+                }
+                let m = Mutation {
+                    schema: "sys".into(),
+                    table: t.table.clone(),
+                    op: MutOp::Insert(given),
+                    preds: vec![],
+                };
+                push(record(WalRecord::Mutate { m, versions }), live);
             }
             // UPDATE (one or both columns) or DELETE, under a Cmp, a
             // BETWEEN, an IN list over strings, or no WHERE at all.

@@ -1,7 +1,7 @@
 //! The write-ahead log: every durable change of a node — table creation
-//! (local DDL or gossip-applied metadata), bulk-loaded fragments, row
-//! appends and UPDATE/DELETE statements with their §6.4 version bumps —
-//! is framed, checksummed, and appended here *before* it is applied in
+//! (local DDL or gossip-applied metadata), bulk-loaded fragments, and
+//! INSERT/UPDATE/DELETE statements with their §6.4 version bumps — is
+//! framed, checksummed, and appended here *before* it is applied in
 //! memory. A record names or describes a fragment version; it never
 //! holds a payload the version's `bats/` file already holds.
 //!
@@ -65,49 +65,30 @@ pub enum WalRecord {
     /// Table metadata became known at this node (CREATE TABLE here, or
     /// catalog gossip from elsewhere).
     Table(TableRec),
-    /// `rows` (a serialized BAT of tail values) was appended to an owned
-    /// fragment, producing `version`. Replay applies a record only when
-    /// `version == current + 1`, making checkpoint/WAL-tail overlap
-    /// idempotent.
-    Append { bat: u32, version: u32, rows: Vec<u8> },
-    /// A multi-fragment append applied as one unit — the durable form of
-    /// a multi-column INSERT batch. One CRC-framed record holds every
-    /// column, so a crash can never persist half a row: either the whole
-    /// batch replays or the tear discards all of it. Each part follows
-    /// [`WalRecord::Append`]'s version rules independently.
-    AppendBatch(Vec<AppendPart>),
     /// An owned fragment's payload at `version` is the data dir's
     /// `bats/<bat>.v<version>.bat` — the same statement in the WAL (a
     /// bulk load wrote and synced that file first) as in `catalog.snap`
     /// (a checkpoint did).
     FragMeta { bat: u32, version: u32 },
-    /// A SQL `UPDATE`/`DELETE` applied at the fragment owner: the
-    /// statement as it was routed, and the version each column it
-    /// rewrote reached (`(bat, version)`, in table order). Replay
-    /// re-executes the statement with [`batstore::ops::stage`], and only
-    /// when every such column stands at exactly `version - 1`; one frame
-    /// holds the whole statement, so a crash never half-applies it.
+    /// A SQL `INSERT`/`UPDATE`/`DELETE` applied at the fragment owner:
+    /// the statement as it was routed (an INSERT carries its rows), and
+    /// the version each column it rewrote reached (`(bat, version)`, in
+    /// table order). Replay re-executes the statement with
+    /// [`batstore::ops::stage`], and only when every such column stands
+    /// at exactly `version - 1`; one frame holds the whole statement, so
+    /// a crash never half-applies it — never persists half a row.
     Mutate { m: Mutation, versions: Vec<(u32, u32)> },
 }
 
-/// One fragment's slice of an [`WalRecord::AppendBatch`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct AppendPart {
-    pub bat: u32,
-    pub version: u32,
-    pub rows: Vec<u8>,
-}
-
 const TAG_TABLE: u8 = 1;
-const TAG_APPEND: u8 = 3;
 const TAG_FRAG_META: u8 = 4;
-const TAG_APPEND_BATCH: u8 = 5;
 const TAG_MUTATE: u8 = 8;
 
 /// Tags earlier builds wrote and this one does not read: `Store` carried
 /// a bulk load's whole payload, `Update`/`Delete` every rewritten
-/// column's.
-const RETIRED: [(u8, &str); 3] = [(2, "Store"), (6, "Update"), (7, "Delete")];
+/// column's, `Append`/`AppendBatch` an INSERT's rows per fragment.
+pub(crate) const RETIRED: [(u8, &str); 5] =
+    [(2, "Store"), (3, "Append"), (5, "AppendBatch"), (6, "Update"), (7, "Delete")];
 
 /// Frames larger than this are treated as corruption, not data. Row
 /// batches are INSERT-statement sized; even bulk loads stay far below.
@@ -234,23 +215,6 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                 out.extend_from_slice(&c.owner.to_le_bytes());
             }
         }
-        WalRecord::Append { bat, version, rows } => {
-            out.push(TAG_APPEND);
-            out.extend_from_slice(&bat.to_le_bytes());
-            out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(rows);
-        }
-        WalRecord::AppendBatch(parts) => {
-            out.push(TAG_APPEND_BATCH);
-            let nparts = parts.len().min(u16::MAX as usize);
-            out.extend_from_slice(&(nparts as u16).to_le_bytes());
-            for p in parts.iter().take(nparts) {
-                out.extend_from_slice(&p.bat.to_le_bytes());
-                out.extend_from_slice(&p.version.to_le_bytes());
-                out.extend_from_slice(&(p.rows.len() as u64).to_le_bytes());
-                out.extend_from_slice(&p.rows);
-            }
-        }
         WalRecord::Mutate { m, versions } => {
             out.push(TAG_MUTATE);
             m.encode(&mut out);
@@ -297,22 +261,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             }
             Ok(WalRecord::Table(TableRec { origin, schema, table, cols }))
         }
-        TAG_APPEND => {
-            let bat = c.u32()?;
-            let version = c.u32()?;
-            Ok(WalRecord::Append { bat, version, rows: c.0.to_vec() })
-        }
-        TAG_APPEND_BATCH => {
-            let nparts = c.u16()? as usize;
-            let mut parts = Vec::with_capacity(nparts.min(1024));
-            for _ in 0..nparts {
-                let bat = c.u32()?;
-                let version = c.u32()?;
-                let len = c.u64()? as usize;
-                parts.push(AppendPart { bat, version, rows: c.take(len)?.to_vec() });
-            }
-            Ok(WalRecord::AppendBatch(parts))
-        }
         TAG_FRAG_META => Ok(WalRecord::FragMeta { bat: c.u32()?, version: c.u32()? }),
         TAG_MUTATE => {
             let m = Mutation::decode(&mut c.0)?;
@@ -331,7 +279,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
 /// tear (short frame, bad CRC, or undecodable payload). Returns the
 /// records before the tear and whether one was found — or an error
 /// naming the kind, when an intact frame holds a record kind an older build
-/// wrote and this one does not read (`Store`, `Update`, `Delete`).
+/// wrote and this one does not read (the module's retired-kind table).
 pub fn decode_frames(mut buf: &[u8]) -> Result<(Vec<WalRecord>, bool), String> {
     let mut records = Vec::new();
     while buf.len() >= 8 {
@@ -462,7 +410,26 @@ pub fn replay_wal(path: &Path) -> std::io::Result<Replay> {
 pub(crate) mod tests {
     use super::*;
     use batstore::ops::{CmpOp, MutOp, RowPredicate};
-    use batstore::Val;
+    use batstore::{Column, Val};
+
+    /// `oltp_mix`'s INSERT shape, `insert into kv values (2042, 7,
+    /// 'n2042')`, growing fragments 9–11 to version 5.
+    fn insert_record() -> WalRecord {
+        let given = vec![
+            ("id".into(), Column::from(vec![2042])),
+            ("v".into(), Column::from(vec![7])),
+            ("tag".into(), Column::from(vec!["n2042"])),
+        ];
+        WalRecord::Mutate {
+            m: Mutation {
+                schema: "sys".into(),
+                table: "kv".into(),
+                op: MutOp::Insert(given),
+                preds: vec![],
+            },
+            versions: vec![(9, 5), (10, 5), (11, 5)],
+        }
+    }
 
     /// `oltp_mix`'s UPDATE shape: `update kv set v = 4711 where id = 42`,
     /// rewriting column `v` (fragment 10) to version 3.
@@ -494,11 +461,7 @@ pub(crate) mod tests {
                 ],
             }),
             WalRecord::FragMeta { bat: 9, version: 0 },
-            WalRecord::Append { bat: 9, version: 1, rows: vec![4, 5] },
-            WalRecord::AppendBatch(vec![
-                AppendPart { bat: 9, version: 2, rows: vec![6] },
-                AppendPart { bat: 10, version: 1, rows: vec![7, 8] },
-            ]),
+            insert_record(),
             WalRecord::FragMeta { bat: 10, version: 7 },
             update_record(),
             WalRecord::Mutate {
@@ -559,7 +522,7 @@ pub(crate) mod tests {
 
     #[test]
     fn bit_flip_detected_by_crc() {
-        let mut buf = encode_record(&WalRecord::Append { bat: 1, version: 1, rows: vec![7; 32] });
+        let mut buf = encode_record(&insert_record());
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
         let (back, torn) = decode_frames(&buf).unwrap();
@@ -603,6 +566,16 @@ pub(crate) mod tests {
             assert_eq!(decode_frames(fixture).unwrap(), (vec![rec.clone()], false));
             assert_eq!(encode_record(&rec), fixture, "{rec:?}");
         }
+    }
+
+    /// `oltp_mix`'s INSERT as this build logs it, frozen the same way.
+    /// The fixture was laid out by hand from the codec's description
+    /// (each column a dense `DCB1` BAT), not written by this encoder.
+    #[test]
+    fn insert_record_matches_its_fixture() {
+        let fixture: &[u8] = include_bytes!("../fixtures/insert_record.wal");
+        assert_eq!(decode_frames(fixture).unwrap(), (vec![insert_record()], false));
+        assert_eq!(encode_record(&insert_record()), fixture);
     }
 
     #[test]

@@ -2,25 +2,17 @@
 //! through frames, and arbitrary frame prefixes never panic the decoder.
 
 use batstore::ops::{CmpOp, MutOp, Mutation, RowPredicate};
-use batstore::{ColType, Val};
+use batstore::{ColType, Column, Val};
 use dc_persist::wal::{crc32, decode_frames, decode_payload, encode_record};
-use dc_persist::{AppendPart, ColRec, TableRec, WalRecord};
+use dc_persist::{ColRec, TableRec, WalRecord};
 use proptest::prelude::*;
 
 fn record_from(seed: (u8, u32, u32, Vec<u8>, String)) -> WalRecord {
     let (kind, bat, version, rows, name) = seed;
     match kind % 5 {
-        0 => WalRecord::Append { bat, version, rows },
+        0 => insert_record(bat, version, &rows, name),
         1 => WalRecord::FragMeta { bat, version },
-        2 => WalRecord::AppendBatch(
-            (0..(bat % 4))
-                .map(|i| AppendPart {
-                    bat: bat.wrapping_add(i),
-                    version: version.wrapping_add(i),
-                    rows: rows.iter().skip(i as usize).copied().collect(),
-                })
-                .collect(),
-        ),
+        2 => insert_record(bat.wrapping_add(1), version, &rows[rows.len() / 2..], name),
         3 => mutate_record(bat, version, &rows, name),
         _ => WalRecord::Table(TableRec {
             origin: (bat % 64) as u16,
@@ -62,6 +54,30 @@ fn mutate_record(bat: u32, version: u32, rows: &[u8], name: String) -> WalRecord
         .collect();
     WalRecord::Mutate {
         m: Mutation { schema: "sys".into(), table: name, op, preds },
+        versions: (0..n as u32).map(|i| (bat.wrapping_add(i), version.wrapping_add(i))).collect(),
+    }
+}
+
+/// An INSERT of 0–3 columns (`int`, `str`, `lng`, `dbl` by turn) with as
+/// many rows as the seed's bytes, growing as many fragments.
+fn insert_record(bat: u32, version: u32, rows: &[u8], name: String) -> WalRecord {
+    let n = (bat % 4) as usize;
+    let column = |i: usize| match (version as usize + i) % 4 {
+        0 => Column::from(rows.iter().map(|&b| i32::from(b)).collect::<Vec<i32>>()),
+        1 => {
+            let strs: Vec<String> = rows.iter().map(|&b| format!("{name}{b}")).collect();
+            Column::from(strs.iter().map(String::as_str).collect::<Vec<_>>())
+        }
+        2 => Column::from(rows.iter().map(|&b| -i64::from(b)).collect::<Vec<i64>>()),
+        _ => Column::from(rows.iter().map(|&b| f64::from(b) * 0.5).collect::<Vec<f64>>()),
+    };
+    WalRecord::Mutate {
+        m: Mutation {
+            schema: "sys".into(),
+            table: name.clone(),
+            op: MutOp::Insert((0..n).map(|i| (format!("c{i}"), column(i))).collect()),
+            preds: vec![],
+        },
         versions: (0..n as u32).map(|i| (bat.wrapping_add(i), version.wrapping_add(i))).collect(),
     }
 }
@@ -112,34 +128,42 @@ proptest! {
     fn mutation_tail_truncation_keeps_the_prefix(version in 1u32..1000,
                                                  rows in prop::collection::vec(0u8..=255, 1..64),
                                                  cut in 1usize..32) {
-        // A good Append frame followed by a torn two-column Mutate frame:
-        // replay keeps the append, discards the whole mutation — never a
-        // partial multi-column apply.
-        let good = encode_record(&WalRecord::Append { bat: 1, version, rows: rows.clone() });
+        // A good two-column INSERT frame followed by a torn two-column
+        // UPDATE/DELETE frame: replay keeps the INSERT, discards the
+        // whole mutation — never a partial multi-column apply.
+        let insert = insert_record(2, version, &rows, "kv".into());
+        let good = encode_record(&insert);
         let mutate = encode_record(&mutate_record(2, version, &rows, "kv".into()));
         let mut buf = good.clone();
         let keep = mutate.len().saturating_sub(cut);
         buf.extend_from_slice(&mutate[..keep]);
         let (back, torn) = decode_frames(&buf).unwrap();
         prop_assert!(torn);
-        prop_assert_eq!(back.len(), 1);
-        prop_assert!(matches!(back[0], WalRecord::Append { .. }));
+        prop_assert_eq!(back, vec![insert]);
     }
 
     #[test]
     fn hostile_counts_and_lengths_rejected_without_allocation(
         n in 1u16..=u16::MAX,
-        claimed in 1u64..=u64::MAX,
+        claimed in 1u32..=u32::MAX,
     ) {
-        // Payloads claiming `n` parts (an AppendBatch, its first part
+        // Payloads claiming `n` columns (an INSERT, its first column
         // claiming `claimed` bytes) or `n` IN-list values (a Mutate)
         // while carrying none of them. The decoder must fail by *bounds
         // checking*, not by allocating what the header promises.
-        let mut batch = vec![5u8];
-        batch.extend_from_slice(&n.to_le_bytes());
-        batch.extend_from_slice(&1u32.to_le_bytes()); // bat
-        batch.extend_from_slice(&1u32.to_le_bytes()); // version
-        batch.extend_from_slice(&claimed.to_le_bytes()); // rows length
+        let mut insert = vec![8u8];
+        Mutation {
+            schema: "sys".into(),
+            table: "t".into(),
+            op: MutOp::Insert(vec![]),
+            preds: vec![],
+        }
+        .encode(&mut insert);
+        // The column count sits before the (empty) predicate count.
+        insert.truncate(insert.len() - 4);
+        insert.extend_from_slice(&n.to_le_bytes());
+        insert.extend_from_slice(&[1, 0, b'c']); // a column name
+        insert.extend_from_slice(&claimed.to_le_bytes()); // its byte length
         let mut mutate = vec![8u8];
         Mutation {
             schema: "sys".into(),
@@ -150,7 +174,7 @@ proptest! {
         .encode(&mut mutate);
         let at = mutate.len() - 2; // the IN list's count comes last
         mutate[at..].copy_from_slice(&n.to_le_bytes());
-        for payload in [batch, mutate] {
+        for payload in [insert, mutate] {
             prop_assert!(decode_payload(&payload).is_err());
             // Through the frame parser it reads as a tear, not a panic.
             let (back, torn) = decode_frames(&framed(&payload)).unwrap();

@@ -31,11 +31,16 @@ pub use parser::{parse_query, parse_stmt, parse_template, StmtTemplate};
 
 use mal::{MalError, Result};
 
-/// Convenience: parse + compile + CSE + DC-optimize in one call.
+/// Convenience: parse + compile + [`optimize`] in one call.
 pub fn compile_sql_dc(sql: &str, catalog: &batstore::Catalog) -> Result<mal::Program> {
-    let plan = compile_sql(sql, catalog)?;
-    let plan = mal::common_subexpression_eliminate(&plan);
-    Ok(mal::dc_optimize(&plan))
+    Ok(optimize(&compile_sql(sql, catalog)?))
+}
+
+/// The optimizer pipeline a compiled plan runs through before execution
+/// — CSE, then the Data Cyclotron rewrite — so what EXPLAIN shows is
+/// what runs.
+pub fn optimize(plan: &mal::Program) -> mal::Program {
+    mal::dc_optimize(&mal::common_subexpression_eliminate(plan))
 }
 
 /// Shared error shortcut.

@@ -734,18 +734,10 @@ mod tests {
                 Ok(())
             }
         }
-        let msg = DcMsg::Routed(datacyclotron::msg::RoutedMsg {
-            origin: NodeId(1),
-            epoch: 2,
-            id: 3,
-            body: datacyclotron::msg::RoutedBody::Append {
-                parts: vec![
-                    (BatId(9), Bytes::from(vec![1u8; 100])),
-                    (BatId(10), Bytes::new()),
-                    (BatId(11), Bytes::from(vec![2u8; 33])),
-                ],
-            },
-        });
+        let msg = DcMsg::Bat {
+            header: BatHeader::fresh(NodeId(1), BatId(9), 100),
+            payload: Some(Bytes::from(vec![1u8; 100])),
+        };
         let mut out = Trickle(Vec::new());
         write_frame(&mut out, &msg).unwrap();
         let mut whole = Vec::new();

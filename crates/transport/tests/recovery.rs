@@ -120,11 +120,11 @@ fn sigkilled_node_recovers_its_data_and_rejoins_the_ring() {
     assert_eq!(rs.cell(0, 0), Val::Lng(acked.len() as i64 + 1), "{}", rs.render());
 }
 
-/// §6.4 mutation durability: UPDATEs and DELETEs — issued from
+/// §6.4 mutation durability: UPDATEs, DELETEs and INSERTs — issued from
 /// *non-owner* nodes, so they travel the ring and come back as typed
-/// acks — survive a SIGKILL of the owner. Every acknowledged mutation
-/// (not just INSERTs) must be visible ring-wide after the owner
-/// restarts from its `--data-dir`.
+/// acks, which the owner sends only after its WAL append — survive a
+/// SIGKILL of the owner. Every acknowledged mutation must be visible
+/// ring-wide after the owner restarts from its `--data-dir`.
 #[test]
 fn sigkilled_owner_recovers_acknowledged_mutations() {
     let ring = free_addrs(3);
@@ -161,6 +161,10 @@ fn sigkilled_owner_recovers_acknowledged_mutations() {
     }
     let rs = sql(sqls[2], "delete from acct where id = 9").unwrap();
     assert_eq!(rs.affected, Some(1), "{}", rs.render());
+    for (node, id) in [(1, 20), (2, 21)] {
+        let rs = sql(sqls[node], &format!("insert into acct values ({id}, {})", id * 3)).unwrap();
+        assert_eq!(rs.affected, Some(1), "insert at node {node}: {}", rs.render());
+    }
 
     // SIGKILL the owner mid-workload, right after those acks.
     let mut child = cluster.children[0].take().expect("node 0 running");
@@ -171,8 +175,11 @@ fn sigkilled_owner_recovers_acknowledged_mutations() {
     wait_ready(sqls[0], "revived node 0");
 
     // Every acknowledged mutation is visible from every node: the six
-    // rewritten balances and the deleted row, nothing else.
-    let want: Vec<(Val, Val)> = (0..9).map(|k| (Val::Int(k), Val::Int(bal[k as usize]))).collect();
+    // rewritten balances, the deleted row and the two routed rows,
+    // nothing else.
+    let mut want: Vec<(Val, Val)> =
+        (0..9).map(|k| (Val::Int(k), Val::Int(bal[k as usize]))).collect();
+    want.extend([20, 21].map(|id| (Val::Int(id), Val::Int(id * 3))));
     for (i, s) in sqls.iter().enumerate() {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {

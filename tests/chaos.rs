@@ -18,7 +18,7 @@ mod support;
 
 use batstore::ops::CmpOp;
 use batstore::{RowPredicate, Val};
-use datacyclotron::msg::{MutOp, Mutation, RoutedBody, RoutedMsg};
+use datacyclotron::msg::{MutOp, Mutation, RoutedMsg};
 use datacyclotron::transport::mem;
 use datacyclotron::{
     BatHeader, DataDir, DcConfig, DcError, DcMsg, Edge, FaultEvent, FaultPlan, FaultTransport,
@@ -313,7 +313,7 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
             origin: NodeId(1),
             epoch,
             id: 999,
-            body: RoutedBody::Mutate(Mutation {
+            m: Mutation {
                 schema: "sys".into(),
                 table: "acct".into(),
                 op: MutOp::Update(vec![("bal".into(), Val::Int(bal))]),
@@ -322,7 +322,7 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
                     op: CmpOp::Eq,
                     value: Val::Int(1),
                 }],
-            }),
+            },
         })
     };
     // "First incarnation" of node 1 spends statement id 999 at the

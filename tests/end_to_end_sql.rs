@@ -137,6 +137,35 @@ fn errors_propagate_cleanly() {
     assert_eq!(rs.cell(0, 0), Val::Lng(200));
 }
 
+/// A plan that appends to some of a table's columns is refused on a ring
+/// node, at the owner and routed to it, as on a single node: the
+/// statement errors and every column keeps its rows.
+#[test]
+fn a_partial_insert_is_refused_on_a_ring_node() {
+    // A plan compiled against a one-column shape of `t` …
+    let mut shape = Catalog::new();
+    let a = [("a", batstore::ColType::Int)];
+    shape.create_table(&mut BatStore::new(), "sys", "t", &a, &[]).unwrap();
+    let plan = sqlfront::compile_sql("insert into t values (5)", &shape).unwrap();
+    // … run where `t` is `(a int, b int)`, owned by node 0.
+    let ring = Ring::builder(2).build();
+    ring.execute(0, "create table t (a int, b int)").unwrap();
+    ring.execute(0, "insert into t values (1, 2)").unwrap();
+    let wait = std::time::Duration::from_secs(10);
+    ring.node(1).wait_for_table_timeout("sys", "t", wait).unwrap();
+    for node in [0, 1] {
+        let err = ring.run_plan(node, 1_000_000 + node as u64, &plan).unwrap_err();
+        assert!(err.to_string().contains("INSERT must cover all 2 columns, got 1"), "{err}");
+        for col in ["a", "b"] {
+            let rs = ring.execute(0, &format!("select {col} from t")).unwrap();
+            assert_eq!(rs.row_count(), 1, "column {col} after the plan on node {node}");
+        }
+    }
+    let rs = ring.execute(0, "select a, b from t").unwrap();
+    assert_eq!((rs.cell(0, 0), rs.cell(0, 1)), (Val::Int(1), Val::Int(2)));
+    ring.shutdown();
+}
+
 /// Each statement of `cases`, asked of one node and of every node of a
 /// three-node ring over `table` (its columns spread over the ring's
 /// nodes), answers the expected rows — each cell as its `Debug` text, so
