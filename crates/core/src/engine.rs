@@ -20,7 +20,7 @@
 use crate::catalog::OwnedState;
 use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
-use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, SpillQueue};
+use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot};
 use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg};
 use crate::proto::{DcNode, Effect, PinOutcome};
@@ -45,11 +45,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Fragment-id namespace for node-created tables: the top byte is
-/// `(node % 255) + 1`, staying clear of the low id space
-/// `Ring::load_table` hands out and never overflowing `u32`. Node 255
-/// shares node 0's namespace — rings that large are beyond this
-/// engine's scope (rings in the paper top out at 64).
+/// The id of the `n`th fragment a node allocates, created or loaded: the
+/// top byte is `(node % 255) + 1`, so ids of different owners never
+/// collide and never overflow `u32`, and a restarted node resumes past
+/// every id it recovered. Node 255 shares node 0's namespace — rings
+/// that large are beyond this engine's scope (rings in the paper top out
+/// at 64).
 fn node_frag_id(node: NodeId, n: u32) -> BatId {
     BatId(((node.0 as u32 % 255 + 1) << 24) | (n & 0x00ff_ffff))
 }
@@ -132,16 +133,14 @@ struct PersistCtx {
     bytes_since_checkpoint: u64,
     checkpointer: Checkpointer,
     /// The fragment versions whose `bats/<id>.v<version>.bat` file a
-    /// committed record names — a bulk load's `FragMeta`, or the last
-    /// checkpoint that named the fragment. A resident fragment still at
-    /// its durable version is *clean*: its RAM payload can be dropped
-    /// with no further I/O.
+    /// committed record names — the `FragMeta` of a bulk load or a
+    /// spill, or the last checkpoint that named the fragment. A resident
+    /// fragment still at its durable version is *clean*: its RAM payload
+    /// can be dropped with no further I/O.
     durable: HashMap<BatId, u32>,
-    /// Checkpoints committed since spawn.
-    committed: u64,
     /// The versions named by the snapshot the checkpointer is writing —
-    /// at most one, checkpoint `committed + 1` if it commits, its outcome
-    /// a [`NodeEvent::Checkpointed`]. They become `durable` on commit.
+    /// at most one, its outcome a [`NodeEvent::Checkpointed`]. They
+    /// become `durable` on commit.
     in_flight: Option<HashMap<BatId, u32>>,
     /// Every table this node knows, keyed `schema.table` — the catalog
     /// half of a snapshot.
@@ -154,8 +153,10 @@ struct PersistCtx {
 
 impl PersistCtx {
     /// Append `rec`. Toward the checkpoint trigger it counts its frame
-    /// plus `rewritten`: the payload bytes replaying it rebuilds, which
-    /// a logical record does not carry but recovery still pays for.
+    /// plus `rewritten`: payload bytes the record does not carry but a
+    /// checkpoint settles — the bytes replaying a logical record
+    /// rebuilds, or the file a spill wrote, whose predecessor only a
+    /// checkpoint's GC deletes.
     fn log(&mut self, rec: &WalRecord, rewritten: u64) -> Result<u64, String> {
         let n = self.wal.append(rec).map_err(|e| format!("wal append: {e}"))?;
         self.bytes_since_checkpoint += n + rewritten;
@@ -224,9 +225,9 @@ struct NodeCtx {
     cache: HashMap<BatId, Frag>,
     /// Blocked pins per BAT.
     waiting: HashMap<BatId, Vec<(QueryId, Arc<Waiter>)>>,
-    /// Fragment-id allocator for SQL-created tables, shared with the
-    /// node handle and namespaced by node id so allocations on different
-    /// ring members never collide.
+    /// Fragment-id allocator for created and loaded tables, shared with
+    /// the node handle and namespaced by node id so allocations on
+    /// different ring members never collide.
     next_frag: Arc<AtomicU32>,
     /// Routed statements: the ones this node originated and awaits acks
     /// for, and the results of the ones it applied as owner.
@@ -244,11 +245,8 @@ struct NodeCtx {
     /// Residency accounting against the node's memory budget: which
     /// owned fragments hold RAM, which are spilled to disk.
     hotset: HotsetAccounting,
-    /// Dirty cold fragments queued for the two-phase "checkpoint, then
-    /// drop" spill (clean ones are dropped at once, see `begin_spill`).
-    spill_queue: SpillQueue,
-    /// Queue-to-drop latency of dirty (two-phase) spills only: a clean
-    /// spill waits for nothing and records no sample.
+    /// How long a dirty spill took to write its file and record: a clean
+    /// spill writes nothing and records no sample.
     spill_hist: Arc<dc_obs::Histogram>,
     /// Disk-to-ring latency of fragment re-admissions.
     readmit_hist: Arc<dc_obs::Histogram>,
@@ -271,8 +269,8 @@ struct NodeCtx {
     /// Set by whatever made residency grow or took an owned fragment off
     /// the ring; the budget is enforced once the event is handled.
     budget_due: bool,
-    /// Set by a WAL append, a spill enqueue or a checkpoint's outcome;
-    /// the checkpoint trigger runs once the event is handled.
+    /// Set by a WAL append or a checkpoint's outcome; the checkpoint
+    /// trigger runs once the event is handled.
     checkpoint_due: bool,
 }
 
@@ -475,14 +473,25 @@ impl NodeCtx {
         Ok(())
     }
 
-    /// Make a bulk-loaded fragment durable: its version-0 file, synced,
-    /// then the `FragMeta` naming it. Only after both is it durable — so
-    /// its first spill drops it at once instead of forcing a checkpoint.
-    fn store_durably(&mut self, bat: BatId, payload: &Bat) -> Result<(), String> {
+    /// Make an owned fragment's payload at `version` durable: its
+    /// `bats/<id>.v<version>.bat` file, synced, then the `FragMeta`
+    /// naming it, counting `rewritten` toward the checkpoint trigger.
+    /// Only after both is that version clean, so dropping the payload
+    /// costs no further I/O. A bulk load stores version 0 this way, a
+    /// dirty spill the version it is at.
+    fn store_durably(
+        &mut self,
+        bat: BatId,
+        version: u32,
+        payload: &Bat,
+        rewritten: u64,
+    ) -> Result<(), String> {
         let Some(p) = self.persist.as_ref() else { return Ok(()) };
-        p.dir.write_fragment(bat.0, 0, payload).map_err(|e| format!("writing its file: {e}"))?;
-        self.log_durable(&WalRecord::FragMeta { bat: bat.0, version: 0 }, 0)?;
-        self.persist.as_mut().expect("checked above").durable.insert(bat, 0);
+        p.dir
+            .write_fragment(bat.0, version, payload)
+            .map_err(|e| format!("writing its file: {e}"))?;
+        self.log_durable(&WalRecord::FragMeta { bat: bat.0, version }, rewritten)?;
+        self.persist.as_mut().expect("checked above").durable.insert(bat, version);
         Ok(())
     }
 
@@ -508,17 +517,11 @@ impl NodeCtx {
     /// hand a snapshot of owned fragments + catalog to the background
     /// checkpointer. Appends keep flowing into the new generation while
     /// the checkpoint is written behind the node. Runs after an event
-    /// that appended to the WAL, queued a spill, or settled the previous
-    /// checkpoint — never between a record and the change it logs.
+    /// that appended to the WAL or settled the previous checkpoint —
+    /// never between a record and the change it logs.
     fn maybe_checkpoint(&mut self) {
-        // A queued (dirty) spill that no snapshot carries yet forces a
-        // checkpoint ahead of the WAL-bytes trigger: its payload cannot be
-        // dropped until a checkpoint naming its version commits.
-        let spill_wants = self.spill_queue.has_unsubmitted();
         let Some(p) = self.persist.as_mut() else { return };
-        if (p.bytes_since_checkpoint < p.checkpoint_wal_bytes && !spill_wants)
-            || p.in_flight.is_some()
-        {
+        if p.bytes_since_checkpoint < p.checkpoint_wal_bytes || p.in_flight.is_some() {
             return;
         }
         let next_gen = p.gen + 1;
@@ -560,23 +563,22 @@ impl NodeCtx {
         };
         if p.checkpointer.submit(snap) {
             self.node.stats.checkpoints += 1;
-            // This snapshot carries every currently queued spill payload.
             p.in_flight = Some(names);
-            self.spill_queue.mark_submitted(p.committed + 1);
         }
     }
 
     /// The checkpointer finished the snapshot in flight. On a commit the
-    /// versions it names are durable (beside any a load made durable
-    /// meanwhile) and the spills that waited for it drop their payloads;
-    /// on a failure `durable` stands. Either way the next snapshot may go.
+    /// versions it names are durable, unless a load or a spill made a
+    /// later one durable meanwhile; on a failure `durable` stands. Either
+    /// way the next snapshot may go.
     fn on_checkpointed(&mut self, committed: bool) {
         let Some(p) = self.persist.as_mut() else { return };
         let Some(named) = p.in_flight.take() else { return };
         if committed {
-            p.committed += 1;
-            p.durable.extend(named);
-            self.service_spills();
+            for (bat, version) in named {
+                let durable = p.durable.entry(bat).or_insert(version);
+                *durable = (*durable).max(version);
+            }
         }
         self.checkpoint_due = true;
     }
@@ -724,66 +726,39 @@ impl NodeCtx {
         self.budget_due = true;
     }
 
-    /// Move a cold fragment's payload out of RAM. A *clean* victim —
+    /// Move a cold fragment's payload out of RAM, within the event that
+    /// chose it, leaving `bats/<id>.v<version>.bat` the only copy. Nobody
+    /// is told — the next request to reach this owner finds the fragment
+    /// off the ring and reloads it (Fig. 3 outcome 4). A *clean* victim —
     /// still at a version whose file a committed record names — is
-    /// dropped at once; a *dirty* one is queued for the
-    /// two-phase spill and dropped when a checkpoint naming its version
-    /// commits. No-op if the payload is not resident, without a data dir
-    /// (nowhere to put the at-rest copy), or without a memory budget
-    /// (nothing to enforce: the payload just stops circulating and stays
-    /// resident, as on diskless nodes).
-    fn begin_spill(&mut self, bat: BatId) {
+    /// dropped at once. A *dirty* one first gets that file and record
+    /// ([`NodeCtx::store_durably`]), whatever checkpoint is in flight:
+    /// its GC deletes only versions below the ones it names. A victim
+    /// whose write fails stays resident, counted in `persist_errors`.
+    /// No-op if the
+    /// payload is not resident, without a data dir (nowhere to put the
+    /// at-rest copy), or without a memory budget (nothing to enforce: the
+    /// payload just stops circulating and stays resident, as on diskless
+    /// nodes).
+    fn spill(&mut self, bat: BatId) {
         let Some(p) = self.persist.as_ref() else { return };
-        if self.hotset.mem_budget().is_none() || !self.disk.contains_key(&bat) {
+        if self.hotset.mem_budget().is_none() {
             return;
         }
-        let Some(owned) = self.node.s1.get(bat) else { return };
+        let (Some(frag), Some(owned)) = (self.disk.get(&bat), self.node.s1.get(bat)) else {
+            return;
+        };
         let (version, size) = (owned.version, owned.size);
-        if p.durable.get(&bat) == Some(&version) {
-            self.finish_spill(bat, version, size);
-        } else {
-            // A snapshot being written right now may already carry this
-            // version; its commit is then all the spill waits for.
-            let riding = p
-                .in_flight
-                .as_ref()
-                .and_then(|names| (names.get(&bat) == Some(&version)).then_some(p.committed + 1));
-            if self.spill_queue.push(bat, version, size, riding) {
-                self.checkpoint_due = true;
+        if p.durable.get(&bat) != Some(&version) {
+            let (start, payload) = (Instant::now(), owned_bat(frag));
+            if let Err(e) = self.store_durably(bat, version, &payload, size) {
+                self.persist_errors.inc();
+                eprintln!("[dc-node {}] fragment {bat} v{version} not spilled: {e}", self.node.id);
+                return;
             }
+            self.spill_hist.record_elapsed_micros(start);
         }
-    }
-
-    /// Finalize dirty spills whose carrying checkpoint has committed, if
-    /// the fragment is still cold and unchanged.
-    fn service_spills(&mut self) {
-        let Some(p) = self.persist.as_ref() else { return };
-        for spill in self.spill_queue.take_ready(p.committed) {
-            let still_cold = self
-                .node
-                .s1
-                .get(spill.bat)
-                .is_some_and(|o| o.state == OwnedState::OnDisk && o.version == spill.version);
-            if !still_cold {
-                // A mutation or re-demand raced the checkpoint; the RAM
-                // copy is the truth, keep it — and its bytes no longer
-                // count as on their way out.
-                self.budget_due = true;
-            } else if self.finish_spill(spill.bat, spill.version, spill.size) {
-                self.spill_hist.record_elapsed_micros(spill.queued);
-            }
-        }
-    }
-
-    /// Drop a resident payload whose `bats/<id>.v<version>.bat` is
-    /// committed: that file is now the only copy. Nobody is told — the
-    /// next request to reach this owner finds the fragment off the ring
-    /// and reloads it (Fig. 3 outcome 4). False if there was no payload
-    /// to drop.
-    fn finish_spill(&mut self, bat: BatId, version: u32, size: u64) -> bool {
-        if self.disk.remove(&bat).is_none() {
-            return false;
-        }
+        self.disk.remove(&bat);
         self.hotset.note_spilled(bat, version, size);
         self.node.stats.loi_evictions += 1;
         self.obs.trace(
@@ -792,35 +767,25 @@ impl NodeCtx {
             "evict",
             format!("{bat} spilled ({size} bytes, v{version})"),
         );
-        true
     }
 
-    /// Spill the coldest off-ring fragments until projected residency
-    /// fits the memory budget. Runs after residency grew or an owned
-    /// fragment left the ring; bytes queued behind a checkpoint count as
-    /// "on their way out" so an in-flight checkpoint does not cause
-    /// over-spill.
+    /// Spill the coldest off-ring fragments until residency fits the
+    /// memory budget. Runs after residency grew or an owned fragment left
+    /// the ring.
     fn enforce_budget(&mut self) {
-        if self.persist.is_none() {
-            return;
-        }
-        let excess = self.hotset.excess().saturating_sub(self.spill_queue.queued_bytes());
-        if excess == 0 {
+        let excess = self.hotset.excess();
+        if self.persist.is_none() || excess == 0 {
             return;
         }
         let candidates: Vec<(BatId, f64, u64)> = self
             .node
             .s1
             .iter()
-            .filter(|(bat, o)| {
-                o.state == OwnedState::OnDisk
-                    && self.disk.contains_key(bat)
-                    && !self.spill_queue.is_pending(*bat)
-            })
+            .filter(|(bat, o)| o.state == OwnedState::OnDisk && self.disk.contains_key(bat))
             .map(|(bat, o)| (bat, o.last_loi, o.size))
             .collect();
         for bat in spill_victims(candidates, excess) {
-            self.begin_spill(bat);
+            self.spill(bat);
         }
     }
 
@@ -944,9 +909,10 @@ impl NodeCtx {
             Cmd::StoreOwned { bat, payload } => {
                 // Driver-side bulk load. A durability failure cannot
                 // reject it (no ack channel): the fragment stays resident
-                // and dirty — never dropped before some checkpoint has
-                // written it — and `persist_errors` counts it.
-                if let Err(e) = self.store_durably(bat, &payload) {
+                // and dirty — never dropped before its spill or a
+                // checkpoint has written it — and `persist_errors` counts
+                // it.
+                if let Err(e) = self.store_durably(bat, 0, &payload, 0) {
                     self.persist_errors.inc();
                     eprintln!(
                         "[dc-node {}] fragment {bat} loaded but not durable: {e}",
@@ -1219,13 +1185,11 @@ impl NodeCtx {
                 }
                 Effect::LoadFromDisk { bat, .. } => {
                     // Local "disk" is main memory — unless the fragment
-                    // was spilled, in which case the checkpoint file is
+                    // was spilled, in which case its version's file is
                     // reloaded first. Either way the load completes
                     // within this event.
                     match self.ensure_resident(bat) {
                         Ok(_) => {
-                            self.spill_queue.cancel(bat);
-                            self.budget_due = true;
                             let effects = self.node.bat_loaded(bat);
                             self.execute(effects, inbound);
                         }
@@ -1243,7 +1207,7 @@ impl NodeCtx {
                     // with a data dir and a memory budget its RAM payload
                     // is spilled; anywhere else it simply stops being
                     // forwarded and stays in memory.
-                    self.begin_spill(bat);
+                    self.spill(bat);
                     self.budget_due = true;
                 }
                 Effect::Deliver { header, queries } => {
@@ -1441,8 +1405,8 @@ impl RingNode {
             }
 
             // Resume the fragment-id allocator past every recovered id in
-            // this node's namespace — a fresh CREATE must never collide
-            // with a recovered fragment.
+            // this node's namespace — a fresh CREATE or load must never
+            // collide with a recovered fragment.
             let ns = id.0 as u32 % 255 + 1;
             let max_allocated =
                 disk.keys().filter(|b| b.0 >> 24 == ns).map(|b| b.0 & 0x00ff_ffff).max();
@@ -1495,7 +1459,6 @@ impl RingNode {
                 bytes_since_checkpoint: 0,
                 checkpointer,
                 durable,
-                committed: 0,
                 in_flight: None,
                 tables,
                 wal_append_hist,
@@ -1524,7 +1487,6 @@ impl RingNode {
             obs: Arc::clone(&obs),
             msg_hists: std::array::from_fn(|i| obs.histogram(MSG_HIST_NAMES[i])),
             hotset,
-            spill_queue: SpillQueue::default(),
             spill_hist: obs.histogram("spill_us"),
             readmit_hist: obs.histogram("readmit_us"),
             gossip_applied: obs.counter("gossip_applied"),
@@ -1597,22 +1559,10 @@ impl RingNode {
         table: &str,
         cols: Vec<(&str, Column)>,
     ) -> Result<(), MalError> {
-        let mut columns = Vec::with_capacity(cols.len());
-        for (name, col) in cols {
-            let bat = node_frag_id(self.id, self.next_frag.fetch_add(1, Ordering::Relaxed));
-            let ty = col.col_type();
-            let payload = Arc::new(Bat::dense(col));
-            let size = payload.byte_size() as u64;
-            self.send(Cmd::StoreOwned { bat, payload })?;
-            columns.push(CatalogCol {
-                name: name.to_string(),
-                ty,
-                bat,
-                size,
-                owner: self.id,
-                version: 0,
-            });
-        }
+        let columns = cols
+            .into_iter()
+            .map(|(name, col)| self.store_column(name, col))
+            .collect::<Result<_, _>>()?;
         let table = CatalogMsg {
             origin: self.id,
             schema: schema.to_string(),
@@ -1620,6 +1570,19 @@ impl RingNode {
             columns,
         };
         self.send(Cmd::PublishTable { table, gossip: true })
+    }
+
+    /// Hand `col` to this node as a new owned fragment and describe it
+    /// for the catalog. Its id comes from this node's allocator, like a
+    /// created table's, so it collides with no fragment this node owns,
+    /// recovered ones included.
+    fn store_column(&self, name: &str, col: Column) -> Result<CatalogCol, MalError> {
+        let bat = node_frag_id(self.id, self.next_frag.fetch_add(1, Ordering::Relaxed));
+        let ty = col.col_type();
+        let payload = Arc::new(Bat::dense(col));
+        let size = payload.byte_size() as u64;
+        self.send(Cmd::StoreOwned { bat, payload })?;
+        Ok(CatalogCol { name: name.to_string(), ty, bat, size, owner: self.id, version: 0 })
     }
 
     /// Compile and execute one SQL statement (SELECT, CREATE TABLE, or
@@ -1826,7 +1789,6 @@ impl Drop for RingNode {
 /// single-machine deployments.
 pub struct Ring {
     nodes: Vec<RingNode>,
-    next_bat: AtomicU64,
 }
 
 /// Builder for [`Ring`].
@@ -1890,7 +1852,7 @@ impl RingBuilder {
                 RingNode::spawn(NodeId(i as u16), Arc::new(t) as Arc<dyn RingTransport>, opts)
             })
             .collect();
-        Ring { nodes, next_bat: AtomicU64::new(1) }
+        Ring { nodes }
     }
 }
 
@@ -1934,23 +1896,11 @@ impl Ring {
         cols: Vec<(&str, Column)>,
     ) -> Result<(), MalError> {
         let n = self.nodes.len();
-        let mut columns = Vec::with_capacity(cols.len());
-        for (idx, (name, col)) in cols.into_iter().enumerate() {
-            let bat = BatId(self.next_bat.fetch_add(1, Ordering::Relaxed) as u32);
-            let owner_idx = idx % n;
-            let ty = col.col_type();
-            let payload = Arc::new(Bat::dense(col));
-            let size = payload.byte_size() as u64;
-            self.nodes[owner_idx].send(Cmd::StoreOwned { bat, payload })?;
-            columns.push(CatalogCol {
-                name: name.to_string(),
-                ty,
-                bat,
-                size,
-                owner: NodeId(owner_idx as u16),
-                version: 0,
-            });
-        }
+        let columns = cols
+            .into_iter()
+            .enumerate()
+            .map(|(idx, (name, col))| self.nodes[idx % n].store_column(name, col))
+            .collect::<Result<_, _>>()?;
         let gossip = CatalogMsg {
             origin: self.nodes[0].id,
             schema: schema.to_string(),
@@ -2359,8 +2309,14 @@ mod tests {
     }
 
     /// A single durable node over the in-process fabric (a one-node ring
-    /// is a self-loop).
-    fn durable_node(dir: &std::path::Path, checkpoint_bytes: u64) -> RingNode {
+    /// is a self-loop), checkpointing every `checkpoint_bytes` of WAL.
+    /// Under a `mem_budget` its coldest owned fragments spill to the data
+    /// dir.
+    fn durable_node(
+        dir: &std::path::Path,
+        checkpoint_bytes: u64,
+        mem_budget: Option<u64>,
+    ) -> RingNode {
         let t = mem::ring(1).pop().expect("one node");
         RingNode::spawn(
             NodeId(0),
@@ -2377,6 +2333,7 @@ mod tests {
                         .fsync(crate::config::FsyncPolicy::Off)
                         .checkpoint_wal_bytes(checkpoint_bytes),
                 ),
+                mem_budget,
                 ..NodeOptions::default()
             },
         )
@@ -2385,14 +2342,14 @@ mod tests {
     #[test]
     fn node_recovers_tables_and_rows_from_data_dir() {
         let dir = scratch_dir("recover");
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         node.execute("create table logs (k int, msg varchar(16))").unwrap();
         node.execute("insert into logs values (1, 'boot'), (2, 'ready')").unwrap();
         node.execute("insert into logs values (3, 'steady')").unwrap();
         node.shutdown();
 
         // Everything came back from disk: catalog, rows, and versions.
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         let rs = node.execute("select k, msg from logs order by k").unwrap();
         let want = [(1, "boot"), (2, "ready"), (3, "steady")];
         assert_eq!(rows(&rs), want.map(|(k, msg)| [Val::from(k), Val::from(msg)]));
@@ -2403,7 +2360,7 @@ mod tests {
         node.execute("insert into other values (42)").unwrap();
         node.shutdown();
 
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         let rs = node.execute("select count(*) from logs").unwrap();
         assert_eq!(ints(&rs), [4]);
         let rs = node.execute("select x from other").unwrap();
@@ -2415,20 +2372,20 @@ mod tests {
     #[test]
     fn node_recovers_mutations_from_data_dir() {
         let dir = scratch_dir("recover_mut");
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         node.execute("create table acct (id int, bal int)").unwrap();
         node.execute("insert into acct values (1, 10), (2, 20), (3, 30)").unwrap();
         node.execute("update acct set bal = 99 where id in (1, 3)").unwrap();
         node.execute("delete from acct where id = 2").unwrap();
         node.shutdown();
 
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         let rs = node.execute("select id, bal from acct order by id").unwrap();
         assert_eq!(rows(&rs), [[1, 99], [3, 99]].map(|r| r.map(Val::from)));
         // And keeps mutating durably after recovery.
         node.execute("update acct set bal = 1 where id = 3").unwrap();
         node.shutdown();
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         let rs = node.execute("select bal from acct where id = 3").unwrap();
         assert_eq!(ints(&rs), [1]);
         node.shutdown();
@@ -2440,7 +2397,7 @@ mod tests {
         let dir = scratch_dir("mut_overlap");
         // 1-byte threshold: a checkpoint after every mutation, maximal
         // checkpoint/WAL overlap on recovery.
-        let node = durable_node(&dir, 1);
+        let node = durable_node(&dir, 1, None);
         node.execute("create table seq (v int)").unwrap();
         for i in 0..10 {
             node.execute(&format!("insert into seq values ({i})")).unwrap();
@@ -2449,7 +2406,7 @@ mod tests {
         node.execute("delete from seq where v = 100").unwrap();
         node.shutdown();
 
-        let node = durable_node(&dir, 1);
+        let node = durable_node(&dir, 1, None);
         let rs = node.execute("select count(*) from seq").unwrap();
         assert_eq!(ints(&rs), [5], "exactly the five non-rewritten rows survive");
         node.shutdown();
@@ -2459,7 +2416,7 @@ mod tests {
     #[test]
     fn empty_data_dir_starts_clean() {
         let dir = scratch_dir("empty");
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         assert!(node.execute("select x from ghost").is_err());
         node.execute("create table t (x int)").unwrap();
         node.shutdown();
@@ -2471,14 +2428,14 @@ mod tests {
         let dir = scratch_dir("overlap");
         // A 1-byte threshold checkpoints after every mutation, so the
         // run interleaves checkpoints with WAL appends constantly.
-        let node = durable_node(&dir, 1);
+        let node = durable_node(&dir, 1, None);
         node.execute("create table seq (v int)").unwrap();
         for i in 0..20 {
             node.execute(&format!("insert into seq values ({i})")).unwrap();
         }
         node.shutdown();
 
-        let node = durable_node(&dir, 1);
+        let node = durable_node(&dir, 1, None);
         let rs = node.execute("select count(*) from seq").unwrap();
         assert_eq!(ints(&rs), [20], "no lost or double-applied appends");
         node.shutdown();
@@ -2488,7 +2445,7 @@ mod tests {
     #[test]
     fn torn_wal_tail_recovers_the_prefix() {
         let dir = scratch_dir("torn");
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         node.execute("create table t (x int)").unwrap();
         node.execute("insert into t values (1), (2)").unwrap();
         node.shutdown();
@@ -2502,11 +2459,24 @@ mod tests {
         f.write_all(&[77, 0, 0, 0, 1, 2, 3]).unwrap();
         drop(f);
 
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         let rs = node.execute("select count(*) from t").unwrap();
         assert_eq!(ints(&rs), [2], "prefix before the tear intact");
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn random_mutations_survive_a_drop_cell_for_cell_and_version_for_version() {
+        random_mutations_survive_a_drop("random_mutations", None);
+    }
+
+    /// The same stream under a 1-byte budget: every fragment a statement
+    /// moved spills dirty — writing its own version's file — before the
+    /// next statement runs, and between checkpoints.
+    #[test]
+    fn random_mutations_under_a_budget_survive_a_drop_cell_for_cell_and_version_for_version() {
+        random_mutations_survive_a_drop("random_mutations_budget", Some(1));
     }
 
     /// A durable one-node ring takes a seeded stream of INSERTs, UPDATEs
@@ -2514,10 +2484,9 @@ mod tests {
     /// DELETEs over a created and a bulk-loaded table, checkpointing
     /// every few statements, and is dropped without a `shutdown`. The
     /// respawned node holds every cell, and every fragment at its version.
-    #[test]
-    fn random_mutations_survive_a_drop_cell_for_cell_and_version_for_version() {
-        let dir = scratch_dir("random_mutations");
-        let node = durable_node(&dir, 2048);
+    fn random_mutations_survive_a_drop(tag: &str, mem_budget: Option<u64>) {
+        let dir = scratch_dir(tag);
+        let node = durable_node(&dir, 2048, mem_budget);
         node.execute("create table acct (id int, bal lng, tag varchar(8))").unwrap();
         let tags: Vec<String> = (0..40).map(|i| format!("b{}", i % 4)).collect();
         let tags: Vec<&str> = tags.iter().map(String::as_str).collect();
@@ -2526,6 +2495,7 @@ mod tests {
         node.load_table("sys", "bulk", cols).unwrap();
         node.wait_for_table_timeout("sys", "bulk", Duration::from_secs(5)).unwrap();
         let mut rng = netsim::DetRng::new(0x5eed_0022);
+        let mut spilled_past_v0 = false;
         for _ in 0..80 {
             let (a, b, n) = (rng.index(12), rng.index(12), rng.uniform_u64(0, 999));
             let sql = match rng.index(6) {
@@ -2538,7 +2508,10 @@ mod tests {
                 _ => format!("update bulk set s = 'x{n}' where k >= {}", a * 3 + b),
             };
             node.execute(&sql).unwrap();
+            let rows = node.hotset().unwrap().rows;
+            spilled_past_v0 |= rows.iter().any(|r| r.state == "spilled" && r.version > 0);
         }
+        assert_eq!(spilled_past_v0, mem_budget.is_some(), "a mutated fragment spilled");
         let state = |node: &RingNode| {
             // No ORDER BY: rows in storage order, which must match too.
             let cells = ["select id, bal, tag from acct", "select k, s from bulk"]
@@ -2552,16 +2525,52 @@ mod tests {
         assert!(node.stats().unwrap().checkpoints > 0, "no checkpoint interleaved");
         drop(node);
 
-        let node = durable_node(&dir, 2048);
+        let node = durable_node(&dir, 2048, mem_budget);
         assert_eq!(state(&node), before);
         node.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `Ring::load_table` takes each column's id from its owner's
+    /// allocator, which a restart resumes past every recovered id: a
+    /// table loaded after a restart leaves the ones loaded before intact.
+    #[test]
+    fn tables_loaded_across_restarts_keep_their_own_fragments() {
+        let dir = scratch_dir("load_restart");
+        let build =
+            || Ring::builder(2).data_dir_root(&dir).fsync(crate::config::FsyncPolicy::Off).build();
+        let load = |ring: &Ring, t: &str, a: Vec<i32>, b: Vec<i32>| {
+            let cols = vec![("a", Column::from(a)), ("b", Column::from(b))];
+            ring.load_table("sys", t, cols).unwrap();
+        };
+        let check = |ring: &Ring, tables: &[(&str, [[i32; 2]; 2])]| {
+            for (t, want) in tables {
+                for node in 0..2 {
+                    let rs = ring.execute(node, &format!("select a, b from {t} order by a"));
+                    assert_eq!(rows(&rs.unwrap()), want.map(|r| r.map(Val::from)), "{t} at {node}");
+                }
+            }
+        };
+        let before = ("before", [[1, 10], [2, 20]]);
+        let after = ("after", [[7, 70], [8, 80]]);
+
+        let ring = build();
+        load(&ring, before.0, vec![1, 2], vec![10, 20]);
+        ring.shutdown();
+        let ring = build();
+        load(&ring, after.0, vec![7, 8], vec![70, 80]);
+        check(&ring, &[before, after]);
+        ring.shutdown();
+        let ring = build();
+        check(&ring, &[before, after]);
+        ring.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn data_dir_of_another_node_refused() {
         let dir = scratch_dir("foreign");
-        let node = durable_node(&dir, 16 << 20);
+        let node = durable_node(&dir, 16 << 20, None);
         node.execute("create table t (x int)").unwrap();
         node.shutdown();
 
@@ -2581,39 +2590,35 @@ mod tests {
 
     // ---- hot-set management: spill and re-admission -----------------------
 
-    /// A durable one-node ring whose resident owned fragments are capped
-    /// by a memory budget: the coldest spill to the data dir.
-    fn budget_node(dir: &std::path::Path, mem_budget: u64) -> RingNode {
-        let t = mem::ring(1).pop().expect("one node");
-        RingNode::spawn(
-            NodeId(0),
-            Arc::new(t) as Arc<dyn RingTransport>,
-            NodeOptions {
-                cfg: DcConfig {
-                    load_interval: netsim::SimDuration::from_millis(5),
-                    resend_timeout: netsim::SimDuration::from_millis(500),
-                    ..DcConfig::default()
-                },
-                pin_timeout: Duration::from_secs(10),
-                data_dir: Some(
-                    crate::config::DataDir::new(dir).fsync(crate::config::FsyncPolicy::Off),
-                ),
-                mem_budget: Some(mem_budget),
-                ..NodeOptions::default()
-            },
-        )
+    /// The sorted names under `dir/bats`.
+    fn bat_files(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir.join("bats"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// `obs_persist_errors`, as `dc.stats` shows it.
+    fn persist_errors(node: &RingNode) -> i64 {
+        let rs = node.execute("select name, value from dc.stats").unwrap();
+        (0..rs.row_count())
+            .find(|&r| rs.cell(r, 0) == Val::from("obs_persist_errors"))
+            .and_then(|r| rs.cell(r, 1).as_i64())
+            .expect("obs_persist_errors in dc.stats")
     }
 
     #[test]
     fn tiny_budget_spills_and_readmits_on_demand() {
         let dir = scratch_dir("budget");
-        let node = budget_node(&dir, 1);
+        let node = durable_node(&dir, 16 << 20, Some(1));
         node.execute("create table cold (k int, v int)").unwrap();
         node.execute("insert into cold values (1, 10), (2, 20), (3, 30)").unwrap();
 
         // A 1-byte budget makes every owned fragment excess: both columns
-        // are checkpointed (the bat file IS the at-rest format) and their
-        // in-memory payloads dropped.
+        // write their version's file (the bat file IS the at-rest format)
+        // and drop their in-memory payloads.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let stats = node.stats().unwrap();
@@ -2643,9 +2648,9 @@ mod tests {
         node.shutdown();
 
         // Restart with the same budget: spilled fragments recover from
-        // the checkpoint (payload-less snapshots keep their bat files),
-        // the WAL tail replays, and queries still answer correctly.
-        let node = budget_node(&dir, 1);
+        // the files their spills' records name, the WAL tail replays, and
+        // queries still answer correctly.
+        let node = durable_node(&dir, 16 << 20, Some(1));
         let rs = node.execute("select count(*) from cold").unwrap();
         assert_eq!(ints(&rs), [4]);
         let rs = node.execute("select v from cold where k = 4").unwrap();
@@ -2660,24 +2665,16 @@ mod tests {
         let dir = scratch_dir("clean_spill");
         // Room for three of the four columns: one table fits, two do not.
         let col_bytes = Bat::dense(Column::from(vec![0i32; ROWS as usize])).byte_size() as u64;
-        let node = budget_node(&dir, 3 * col_bytes);
+        let budget = Some(3 * col_bytes);
+        let node = durable_node(&dir, 16 << 20, budget);
         for t in ["a", "b"] {
             let (k, v): (Vec<i32>, Vec<i32>) = (0..ROWS).map(|i| (i, 2 * i)).unzip();
             node.load_table("sys", t, vec![("k", Column::from(k)), ("v", Column::from(v))])
                 .unwrap();
         }
         let written = node.obs().counter("checkpoint_frags_written");
-        let skipped = node.obs().counter("checkpoint_frags_skipped");
-        let bat_files = || {
-            let mut names: Vec<String> = std::fs::read_dir(dir.join("bats"))
-                .unwrap()
-                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-                .collect();
-            names.sort();
-            names
-        };
         let sum_k: i64 = (0..ROWS as i64).sum();
-        let sweep = |bump_a: i64| {
+        let sweep = |node: &RingNode, bump_a: i64| {
             for (t, bump) in [("a", bump_a), ("b", 0)] {
                 let rs = node.execute(&format!("select sum(k), sum(v) from {t}")).unwrap();
                 assert_eq!(rows(&rs), [[sum_k + bump, 2 * sum_k].map(Val::from)], "table {t}");
@@ -2691,14 +2688,14 @@ mod tests {
             assert!(Instant::now() < deadline, "initial spill never settled");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(bat_files().len(), 4);
+        assert_eq!(bat_files(&dir).len(), 4);
 
         // Alternating reads evict and re-admit on every sweep; through
         // the load, the spill and all of it, no checkpoint runs and no
         // fragment file is written again.
         let before = node.stats().unwrap();
         for _ in 0..10 {
-            sweep(0);
+            sweep(&node, 0);
         }
         let after = node.stats().unwrap();
         assert_eq!(after.checkpoints, 0, "a clean spill forced a checkpoint");
@@ -2707,27 +2704,71 @@ mod tests {
         assert_eq!(written.get(), 0, "a fragment version was written twice");
 
         // An UPDATE moves one column to v1 (`a.k`, the lowest id and so
-        // the victim of every sweep). Its next spill is dirty: one
-        // checkpoint writes exactly that one file, finds the other
-        // residents' files already there, and its GC drops the v0 file.
+        // the victim of every sweep). Its next spill is dirty and writes
+        // the v1 file itself: still no checkpoint, and the v0 file stays
+        // until a checkpoint's GC collects it (the bytes written count
+        // toward that checkpoint's trigger; see the next test).
         node.execute("update a set k = 5000 where k = 3").unwrap();
         let moved = node.hotset().unwrap().rows.iter().find(|r| r.version == 1).unwrap().bat;
         let (old, new) = (format!("{}.v0.bat", moved.0), format!("{}.v1.bat", moved.0));
         let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            sweep(5000 - 3);
-            let files = bat_files();
-            if files.contains(&new) && !files.contains(&old) {
-                assert_eq!(files.len(), 4, "superseded versions leaked: {files:?}");
-                break;
-            }
-            assert!(Instant::now() < deadline, "v1 never checkpointed: {files:?}");
+        while !bat_files(&dir).contains(&new) {
+            sweep(&node, 5000 - 3);
+            assert!(Instant::now() < deadline, "v1 never spilled: {:?}", bat_files(&dir));
         }
-        // (Shutdown joins the checkpointer, which books a checkpoint's
-        // counts after its GC.)
+        let files = bat_files(&dir);
+        assert!(files.contains(&old) && files.len() == 5, "{files:?}");
+        assert_eq!(node.stats().unwrap().checkpoints, 0, "a dirty spill forced a checkpoint");
         node.shutdown();
-        assert_eq!(written.get(), 1, "one new file per distinct version");
-        assert!(skipped.get() > 0, "unchanged residents must be skipped, not rewritten");
+        assert_eq!(written.get(), 0, "a checkpoint wrote a fragment file");
+
+        // After a restart the startup checkpoint names v1 — a file it
+        // finds, so it writes none — and its GC leaves only that one.
+        let node = durable_node(&dir, 16 << 20, budget);
+        let files = bat_files(&dir);
+        assert!(files.contains(&new) && !files.contains(&old) && files.len() == 4, "{files:?}");
+        assert_eq!(node.obs().counter("checkpoint_frags_written").get(), 0);
+        sweep(&node, 5000 - 3);
+        node.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A dirty spill leaves the file of the version before it on disk
+    /// until a checkpoint's GC, so the file it writes counts toward the
+    /// checkpoint trigger: one-row INSERTs into a column that spills after
+    /// every statement keep checkpoints coming, and a handful of that
+    /// column's files are ever on disk, not one per statement.
+    #[test]
+    fn dirty_spills_trigger_the_checkpoints_that_collect_their_predecessors() {
+        const ROWS: i32 = 4096;
+        const INSERTS: i32 = 60;
+        let dir = scratch_dir("dirty_gc");
+        // Four spilled versions of the column fill the WAL-bytes trigger.
+        let col_bytes = Bat::dense(Column::from(vec![0i32; ROWS as usize])).byte_size() as u64;
+        let node = durable_node(&dir, 4 * col_bytes, Some(1));
+        node.load_table("sys", "log", vec![("k", Column::from((0..ROWS).collect::<Vec<_>>()))])
+            .unwrap();
+        node.wait_for_table_timeout("sys", "log", Duration::from_secs(5)).unwrap();
+        for i in 0..INSERTS {
+            node.execute(&format!("insert into log values ({})", ROWS + i)).unwrap();
+        }
+        let stats = node.stats().unwrap();
+        assert!(stats.loi_evictions >= INSERTS as u64, "{stats:?}");
+        assert!(stats.checkpoints > 0, "dirty spills never triggered a checkpoint");
+        // Once the last checkpoint settles, the files left are the version
+        // it names and those spilled since, fewer than the trigger's four.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while bat_files(&dir).len() > 5 {
+            assert!(Instant::now() < deadline, "superseded files leaked: {:?}", bat_files(&dir));
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(node);
+
+        let node = durable_node(&dir, 4 * col_bytes, Some(1));
+        let rs = node.execute("select count(*), sum(k) from log").unwrap();
+        let n = (ROWS + INSERTS) as i64;
+        assert_eq!(rows(&rs), [[n, n * (n - 1) / 2].map(Val::from)]);
+        node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2735,7 +2776,7 @@ mod tests {
     fn a_load_whose_file_cannot_be_written_is_counted_and_never_dropped() {
         let dir = scratch_dir("load_error");
         // A 1-byte budget: both columns are excess the moment they load.
-        let node = budget_node(&dir, 1);
+        let node = durable_node(&dir, 16 << 20, Some(1));
         let (blocked, clean) = (node_frag_id(node.id, 1), node_frag_id(node.id, 2));
         // Tests run as root, so a read-only directory would not stop the
         // write; a directory where the temp file goes does.
@@ -2743,35 +2784,63 @@ mod tests {
         std::fs::create_dir(&obstruction).unwrap();
         let cols = vec![("k", Column::from(vec![1, 2, 3])), ("v", Column::from(vec![10, 20, 30]))];
         node.load_table("sys", "t", cols).unwrap();
-
-        let rs = node.execute("select name, value from dc.stats").unwrap();
-        let errors = (0..rs.row_count())
-            .find(|&r| rs.cell(r, 0) == Val::from("obs_persist_errors"))
-            .map(|r| rs.cell(r, 1));
-        assert_eq!(errors, Some(Val::Lng(1)));
+        // The load's write failed, and so does every spill's retry of it.
+        assert!(persist_errors(&node) >= 1);
 
         // The durable column's spill is clean and drops it at once; the
-        // other waits for a checkpoint to write its file, which the
-        // obstruction fails — so it is never dropped.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let snap = node.hotset().unwrap();
-            let state = |bat| snap.rows.iter().find(|r| r.bat == bat).map(|r| r.state);
-            assert_ne!(
-                state(blocked),
-                Some("spilled"),
-                "a load that never reached disk was dropped"
-            );
-            if state(clean) == Some("spilled") {
-                break;
-            }
-            assert!(Instant::now() < deadline, "the durable column never spilled: {:?}", snap.rows);
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // other's spill tries to write its file, which the obstruction
+        // fails — so it is never dropped.
+        spills_while_the_other_stays(&node, clean, blocked);
         let rs = node.execute("select k, v from t order by k").unwrap();
         assert_eq!(rows(&rs), [[1, 10], [2, 20], [3, 30]].map(|r| r.map(Val::from)));
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_dirty_spill_whose_file_cannot_be_written_is_counted_and_never_dropped() {
+        let dir = scratch_dir("spill_error");
+        let node = durable_node(&dir, 16 << 20, Some(1));
+        let (blocked, clean) = (node_frag_id(node.id, 1), node_frag_id(node.id, 2));
+        let obstruction = dir.join("bats").join(format!(".{}.v1.bat.tmp", blocked.0));
+        std::fs::create_dir(&obstruction).unwrap();
+        // The INSERT moves both columns to v1, which has no file yet: each
+        // spill has to write its own, and one of them cannot.
+        node.execute("create table d (k int, v int)").unwrap();
+        node.execute("insert into d values (1, 10), (2, 20), (3, 30)").unwrap();
+        spills_while_the_other_stays(&node, clean, blocked);
+        let versions: Vec<u32> = node.hotset().unwrap().rows.iter().map(|r| r.version).collect();
+        assert_eq!(versions, [1, 1]);
+        assert!(persist_errors(&node) >= 1);
+        assert!(!bat_files(&dir).contains(&format!("{}.v1.bat", blocked.0)));
+        let want = [[1, 10], [2, 20], [3, 30]].map(|r| r.map(Val::from));
+        let rs = node.execute("select k, v from d order by k").unwrap();
+        assert_eq!(rows(&rs), want);
+        node.shutdown();
+
+        // The WAL still holds the INSERT: a restart rebuilds the column.
+        std::fs::remove_dir(&obstruction).unwrap();
+        let node = durable_node(&dir, 16 << 20, Some(1));
+        let rs = node.execute("select k, v from d order by k").unwrap();
+        assert_eq!(rows(&rs), want);
+        node.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Wait until `spills` is spilled, asserting on every look that
+    /// `stays` — a fragment whose file cannot be written — is not.
+    fn spills_while_the_other_stays(node: &RingNode, spills: BatId, stays: BatId) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let snap = node.hotset().unwrap();
+            let state = |bat| snap.rows.iter().find(|r| r.bat == bat).map(|r| r.state);
+            assert_ne!(state(stays), Some("spilled"), "a version that never reached disk dropped");
+            if state(spills) == Some("spilled") {
+                return;
+            }
+            assert!(Instant::now() < deadline, "{spills} never spilled: {:?}", snap.rows);
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

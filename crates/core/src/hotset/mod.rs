@@ -1,24 +1,21 @@
 //! Live hot-set management (§4.4/§5): ring residency by interest.
 //!
 //! The protocol core ([`crate::proto`], Fig. 5) decides *when* a
-//! fragment leaves the hot set; this module supplies the engine-side
-//! machinery that makes the decision real on a durable node:
+//! fragment leaves the hot set; [`accounting`] keeps byte-accurate
+//! residency/spill bookkeeping and picks victims coldest-first against a
+//! per-node memory budget. The engine spills a victim within the event
+//! that chose it: a fragment version's `bats/<id>.v<version>.bat` file
+//! *is* its at-rest copy, so a victim whose version has that file is
+//! dropped at once, and one mutated since first writes it and logs the
+//! record naming it — the rule a bulk load follows.
 //!
-//! * [`accounting`] — byte-accurate residency/spill bookkeeping and
-//!   coldest-first victim selection against a per-node memory budget,
-//! * [`evict`] — the two-phase "checkpoint, then drop" spill queue for
-//!   fragments that changed since the last checkpoint (the checkpoint's
-//!   `bats/<id>.v<version>.bat` *is* the at-rest copy; a fragment whose
-//!   version already has that file is dropped without queueing).
-//!
-//! On-demand re-admission of an evicted fragment is a routed request
-//! like any write: see [`crate::routed`].
+//! There is no re-admission protocol: a query that needs an evicted
+//! fragment sends the ordinary ring request, and the owner reloads the
+//! file when the request finds the fragment off the ring.
 
 pub mod accounting;
-pub mod evict;
 
 pub use accounting::{spill_victims, HotsetAccounting, SpilledFrag};
-pub use evict::{PendingSpill, SpillQueue};
 
 use crate::ids::BatId;
 

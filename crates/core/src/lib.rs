@@ -21,14 +21,15 @@
 //!   pins), plus the local fragment cache the pins check (§4.2.1).
 //! * [`loi`] — the LOI formula and the LOIT ladder.
 //! * [`hotset`] — engine-side hot-set management: budgeted residency
-//!   accounting, cold-fragment spill ("checkpoint, then drop"), and
-//!   on-demand re-admission of evicted fragments.
+//!   accounting and coldest-first victim selection. A spill drops the
+//!   payload once its version has a file a record names, writing that
+//!   file first if a mutation moved the version.
 //! * [`msg`] — ring message types and their binary codec, including the
 //!   catalog-replication and routed-statement messages of a distributed
 //!   deployment.
 //! * [`routed`] — how a statement reaches its fragment owner exactly
 //!   once: the origin's pending/retry table and the owner's dedup cache
-//!   behind routed INSERT, UPDATE/DELETE and re-admission.
+//!   behind routed INSERT, UPDATE and DELETE.
 //! * [`transport`] — the §4.3 network-layer seam ([`RingTransport`])
 //!   plus the default in-process fabric; the TCP fabric lives in the
 //!   `dc-transport` crate.

@@ -9,9 +9,9 @@
 //! most once, under a name no committed checkpoint refers to — then
 //! commits by atomically replacing `catalog.snap` (which fragment
 //! versions exist) and `MANIFEST` (where WAL replay starts). Only after
-//! that are older WAL generations and the superseded versions of the
-//! fragments it names deleted (a bulk load may write a fragment's first
-//! file while this runs; the snapshot does not name it, so it stays).
+//! that are older WAL generations and the versions below the ones it
+//! names deleted (a bulk load or a spill may write a newer file, or one
+//! of a fragment the snapshot does not name, while this runs; it stays).
 //! A crash anywhere in the sequence leaves either the old checkpoint
 //! (its files untouched, the WAL tail still replays) or the new one
 //! (overlapping WAL records are skipped by version), never a torn mix:
@@ -92,7 +92,7 @@ pub fn write_checkpoint(dir: &DataDir, snap: &Snapshot) -> io::Result<Checkpoint
 /// The pre-commit phase of a checkpoint: give every resident
 /// `(fragment, version)` of the snapshot its file. A file that exists is
 /// complete (it was renamed into place) and holds exactly this payload
-/// (a bulk load wrote it, or recovery deleted whatever a crashed
+/// (a bulk load or a spill wrote it, or recovery deleted whatever a crashed
 /// predecessor left), so it is skipped; `bats/` is synced once for all
 /// the files written.
 pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result<CheckpointStats> {
@@ -103,7 +103,7 @@ pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result
         if path.exists() {
             stats.frags_skipped += 1;
         } else {
-            write_bat_file(&path, payload)?;
+            write_bat_file(&path, "ckpt.tmp", payload)?;
             stats.frags_written += 1;
         }
     }
@@ -240,13 +240,19 @@ mod tests {
         let dir = DataDir::open(&root).unwrap();
         // Pre-existing junk the checkpoint should clear: an old WAL, a
         // superseded version of the fragment it names, and a temp file a
-        // crashed writer left behind for it. A fragment it does not name
+        // crashed writer left behind for one. A fragment it does not name
         // is a bulk load racing the checkpoint (the load's record
-        // follows its file): that file, and its temp, stay.
+        // follows its file), and a newer version of one it names is a
+        // spill's: those files, and their temps, stay.
         std::fs::write(dir.wal_path(1), b"old").unwrap();
-        let junk = [dir.bat_path(5, 1), dir.bats_dir().join(".5.v2.bat.tmp")];
-        let loading = [dir.bat_path(99, 0), dir.bats_dir().join(".98.v0.bat.tmp")];
-        for p in junk.iter().chain(&loading) {
+        let junk = [dir.bat_path(5, 1), dir.bats_dir().join(".5.v0.bat.ckpt.tmp")];
+        let racing = [
+            dir.bat_path(99, 0),
+            dir.bats_dir().join(".98.v0.bat.tmp"),
+            dir.bat_path(5, 3),
+            dir.bats_dir().join(".5.v4.bat.tmp"),
+        ];
+        for p in junk.iter().chain(&racing) {
             std::fs::write(p, b"junk").unwrap();
         }
 
@@ -257,8 +263,8 @@ mod tests {
         for p in &junk {
             assert!(!p.exists(), "{} not collected", p.display());
         }
-        for p in &loading {
-            assert!(p.exists(), "{} collected under a running load", p.display());
+        for p in &racing {
+            assert!(p.exists(), "{} collected under a running load or spill", p.display());
         }
         let back = storage::load_bat(&dir.bat_path(5, 2)).unwrap();
         assert_eq!(back.count(), 3);
@@ -294,7 +300,7 @@ mod tests {
     fn payloadless_entry_keeps_spilled_file_alive() {
         let root = scratch("spill");
         let dir = DataDir::open(&root).unwrap();
-        // First checkpoint writes the payload — this is the spill.
+        // First checkpoint writes the payload; the fragment then spills.
         write_checkpoint(&dir, &snap(0, 2)).unwrap();
         assert!(dir.bat_path(5, 2).exists());
 
@@ -327,7 +333,7 @@ mod tests {
         assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 4);
         // A snapshot whose fragment file cannot be written fails, says
         // so, and leaves the committed checkpoint in place.
-        std::fs::create_dir(dir.bats_dir().join(".6.v0.bat.tmp")).unwrap();
+        std::fs::create_dir(dir.bats_dir().join(".6.v0.bat.ckpt.tmp")).unwrap();
         let mut blocked = snap(1, 5);
         blocked.frags[0].bat = 6;
         blocked.frags[0].version = 0;

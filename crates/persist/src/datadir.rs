@@ -13,12 +13,13 @@
 //! written to a temp file in the same directory and atomically renamed
 //! into place, so no crash can leave a torn copy under the real name.
 //! The manifest and the catalog snapshot are replaced that way; a
-//! fragment file is never replaced at all — it is named by the
-//! `(id, version)` pair whose payload it holds, written once (by a bulk
-//! load for version 0, by a checkpoint otherwise), and deleted once a
+//! fragment file never changes — it is named by the `(id, version)`
+//! pair whose payload it holds, written by the bulk load or the spill
+//! whose record names it or by a checkpoint (by both at once, at worst,
+//! each renaming an identical copy into place), and deleted once a
 //! committed checkpoint names a later version of the fragment. The WAL
-//! is the only file mutated in place, and its frames carry CRCs
-//! precisely so a torn tail is detectable.
+//! is the only file mutated in place, and its
+//! frames carry CRCs precisely so a torn tail is detectable.
 
 use batstore::{storage, Bat};
 use std::collections::{HashMap, HashSet};
@@ -83,8 +84,10 @@ impl DataDir {
 
     /// Give `(bat, version)` its file, durably: temp file, fsync, rename,
     /// then a sync of `bats/` — done before any record names the file.
+    /// This is the event loop's write (a bulk load's, a spill's); the
+    /// checkpointer writes through its own temp file.
     pub fn write_fragment(&self, bat: u32, version: u32, payload: &Bat) -> io::Result<()> {
-        write_bat_file(&self.bat_path(bat, version), payload)?;
+        write_bat_file(&self.bat_path(bat, version), "tmp", payload)?;
         sync_dir(&self.bats_dir());
         Ok(())
     }
@@ -103,10 +106,11 @@ impl DataDir {
     }
 
     /// After a checkpoint commit: delete every file of a fragment in
-    /// `named` (id → committed version) other than that version's, its
-    /// superseded versions and a crashed writer's temp files. Files of
-    /// fragments the snapshot does not name are left alone — a bulk load
-    /// may have written one after the snapshot was captured.
+    /// `named` (id → committed version) at a lower version than that —
+    /// its superseded versions and their writers' leftover temp files.
+    /// Anything newer is left alone, and so are fragments the snapshot
+    /// does not name: a bulk load or a spill may have written the file
+    /// after the snapshot was captured.
     pub fn collect_superseded(&self, named: &HashMap<u32, u32>) -> io::Result<()> {
         for entry in std::fs::read_dir(self.bats_dir())? {
             let path = entry?.path();
@@ -114,8 +118,7 @@ impl DataDir {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .and_then(frag_of_file)
-                .and_then(|bat| named.get(&bat).map(|&v| self.bat_path(bat, v) != path))
-                .unwrap_or(false);
+                .is_some_and(|(bat, v)| named.get(&bat).is_some_and(|&named| v < named));
             if superseded {
                 std::fs::remove_file(&path)?;
             }
@@ -166,16 +169,21 @@ impl DataDir {
     }
 }
 
-/// The fragment id of a `bats/` file name — `<id>.v<version>.bat`, or
-/// the `.<id>.v<version>.bat.tmp` it is written as.
-fn frag_of_file(name: &str) -> Option<u32> {
-    name.trim_start_matches('.').split_once(".v")?.0.parse().ok()
+/// The fragment id and version of a `bats/` file name —
+/// `<id>.v<version>.bat`, or a `.<id>.v<version>.bat.<suffix>` temp file
+/// it is written as.
+fn frag_of_file(name: &str) -> Option<(u32, u32)> {
+    let (bat, rest) = name.trim_start_matches('.').split_once(".v")?;
+    Some((bat.parse().ok()?, rest.split('.').next()?.parse().ok()?))
 }
 
 /// A fragment payload under `path`, complete or not at all (see
-/// [`write_then_rename`]).
-pub(crate) fn write_bat_file(path: &Path, payload: &Bat) -> io::Result<()> {
-    write_then_rename(path, |w| {
+/// [`write_then_rename`]), by way of the temp file `.<name>.<tmp>`. The
+/// event loop and the checkpointer pass different `tmp`s: a spill may
+/// write the very version the snapshot in flight carries, and then each
+/// renames its own complete, identical copy into place.
+pub(crate) fn write_bat_file(path: &Path, tmp: &str, payload: &Bat) -> io::Result<()> {
+    write_then_rename(path, tmp, |w| {
         storage::write_bat(w, payload).map_err(|e| io::Error::other(e.to_string()))
     })
 }
@@ -184,22 +192,24 @@ pub(crate) fn write_bat_file(path: &Path, payload: &Bat) -> io::Result<()> {
 /// directory, fsync, atomic rename, then a best-effort directory sync so
 /// the rename itself is durable.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    write_then_rename(path, |w| w.write_all(bytes))?;
+    write_then_rename(path, "tmp", |w| w.write_all(bytes))?;
     sync_dir(path.parent().unwrap_or_else(|| Path::new(".")));
     Ok(())
 }
 
-/// The first half of [`write_atomic`], with the content streamed by
-/// `fill`: the file appears under `path` complete or not at all, but the
-/// rename is durable only after a [`sync_dir`] of its directory — which
-/// a caller writing several files into one directory pays once.
+/// The first half of [`write_atomic`], through the temp file
+/// `.<name>.<tmp>` and with the content streamed by `fill`: the file
+/// appears under `path` complete or not at all, but the rename is
+/// durable only after a [`sync_dir`] of its directory — which a caller
+/// writing several files into one directory pays once.
 pub(crate) fn write_then_rename(
     path: &Path,
+    tmp: &str,
     fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
 ) -> io::Result<()> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
-    let tmp = dir.join(format!(".{name}.tmp"));
+    let tmp = dir.join(format!(".{name}.{tmp}"));
     {
         let mut w = BufWriter::new(File::create(&tmp)?);
         fill(&mut w)?;

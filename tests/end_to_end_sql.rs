@@ -120,7 +120,8 @@ fn bidding_places_queries_on_data_owners() {
     let ring = ring_under_test(4);
     // The footprint fragments live somewhere; the chosen node must be a
     // valid index and execution from it must work.
-    let node = ring.place_query(&[datacyclotron::BatId(1), datacyclotron::BatId(2)]);
+    let bat = |col| ring.node(0).ring_catalog().lookup("sys", "sales", col).unwrap().bat;
+    let node = ring.place_query(&[bat("k"), bat("region")]);
     assert!(node < 4);
     let rs = ring.execute(node, "select count(*) from sales").unwrap();
     assert_eq!(rs.cell(0, 0), Val::Lng(200));

@@ -1,8 +1,9 @@
 //! Hot-set management acceptance (§4.4/§5): a 3-node durable ring with
 //! a per-node memory budget holds a dataset several times larger than
-//! the budget. Cold fragments spill to the nodes' data dirs
-//! ("checkpoint, then drop" — the checkpoint bat file is the at-rest
-//! format), queries against evicted tables block while their plain ring
+//! the budget. Cold fragments spill to the nodes' data dirs within the
+//! event that picks them — a fragment version's bat file is its at-rest
+//! format, written by its load or, for a version a write made, by the
+//! spill itself — queries against evicted tables block while their plain ring
 //! requests make the owners reload the fragments, and return exact typed
 //! results, and the whole mechanism is observable through `dc.stats` and
 //! `dc.hotset`.
@@ -133,6 +134,9 @@ fn dataset_over_budget_spills_and_readmits_with_exact_results() {
         assert!(Instant::now() < deadline, "oversized cold_log never spilled: {:?}", snap.rows);
         std::thread::sleep(Duration::from_millis(25));
     }
+    // cold_log was created, then INSERTed: that spill was dirty, and it
+    // wrote its own version's file instead of forcing a checkpoint.
+    assert_eq!(summed(&ring, |s| s.checkpoints), 0, "a dirty spill forced a checkpoint");
     ring.execute(1, "insert into cold_log values (9999, 42)").unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
@@ -195,5 +199,88 @@ fn owner_restart_recovers_spilled_fragments() {
     }
     let rs = ring.execute(1, "select a from t7 where k = 321").unwrap();
     assert_eq!(rs.cell(0, 0), Val::Int(321 * 3 + 1), "t7 corrupted across restart");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Budgeted write traffic, measured rather than asserted: one-row
+/// INSERTs into a two-column table larger than its owner's budget, while
+/// another node reads a small table the same owner holds. Every INSERT
+/// reloads the spilled columns and every spill after it writes their new
+/// version. Prints INSERT and read latencies and the owner's checkpoints
+/// and spills. Sizes come from the environment (`SPILL_ROWS`,
+/// `SPILL_INSERTS`, `SPILL_BUDGET_MIB`, `SPILL_PACE_MS`); run with
+/// `cargo test --release --test hotset -- --ignored --nocapture`.
+#[test]
+#[ignore = "a measurement, not a check"]
+fn budgeted_write_traffic() {
+    let env = |k: &str, default: u64| std::env::var(k).map_or(default, |v| v.parse().unwrap());
+    let (rows, inserts) = (env("SPILL_ROWS", 1 << 20) as i32, env("SPILL_INSERTS", 100) as i32);
+    let pace = Duration::from_millis(env("SPILL_PACE_MS", 0));
+    let dir = scratch("traffic");
+    let ring = Ring::builder(3)
+        .data_dir_root(&dir)
+        .fsync(FsyncPolicy::Off)
+        .mem_budget(env("SPILL_BUDGET_MIB", 4) << 20)
+        .build();
+    let (ids, vs): (Vec<i32>, Vec<i32>) = (0..rows).map(|i| (i, i * 10)).unzip();
+    let cold = vec![("id", Column::from(ids)), ("v", Column::from(vs))];
+    ring.node(0).load_table("sys", "cold_log", cold).unwrap();
+    ring.node(0).load_table("sys", "hot", vec![("k", Column::from(vec![7; 4096]))]).unwrap();
+    for (node, t) in [(1, "cold_log"), (2, "hot")] {
+        ring.node(node).wait_for_table_timeout("sys", t, Duration::from_secs(30)).unwrap();
+    }
+    let snap = || ring.node(0).hotset().unwrap();
+    while !snap().rows.iter().any(|r| r.table == "sys.cold_log" && r.state == "spilled") {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let before = ring.node(0).stats().unwrap();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let micros = |t: Instant| t.elapsed().as_micros() as u64;
+    let (mut writes, mut reads) = (Vec::new(), Vec::new());
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut lat = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let t = Instant::now();
+                let rs = ring.execute(2, "select count(*) from hot").unwrap();
+                assert_eq!(rs.cell(0, 0), Val::Lng(4096));
+                lat.push(micros(t));
+            }
+            lat
+        });
+        for i in 0..inserts {
+            let t = Instant::now();
+            ring.execute(1, &format!("insert into cold_log values ({}, {i})", rows + i)).unwrap();
+            writes.push(micros(t));
+            std::thread::sleep(pace);
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        reads = reader.join().unwrap();
+    });
+    let rs = ring.execute(0, "select count(*) from cold_log").unwrap();
+    assert_eq!(rs.cell(0, 0), Val::Lng((rows + inserts) as i64));
+    let after = ring.node(0).stats().unwrap();
+    let spill = ring.node(0).obs().histogram("spill_us").snapshot();
+    let pct = |v: &mut Vec<u64>, p: f64| {
+        v.sort_unstable();
+        v[((v.len() - 1) as f64 * p).round() as usize]
+    };
+    println!(
+        "insert_us p50 {} p99 {} max {} | read_us n {} p50 {} p99 {} max {} | \
+         checkpoints {} spills {} | dirty spill_us n {} p50 {} max {}",
+        pct(&mut writes, 0.5),
+        pct(&mut writes, 0.99),
+        pct(&mut writes, 1.0),
+        reads.len(),
+        pct(&mut reads, 0.5),
+        pct(&mut reads, 0.99),
+        pct(&mut reads, 1.0),
+        after.checkpoints - before.checkpoints,
+        after.loi_evictions - before.loi_evictions,
+        spill.count,
+        spill.p50(),
+        spill.max,
+    );
+    ring.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
