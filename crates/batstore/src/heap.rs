@@ -108,6 +108,12 @@ impl StrCol {
         std::str::from_utf8(&bytes).map_err(|e| format!("invalid utf8: {e}"))?;
         Ok(StrCol { offs, bytes })
     }
+
+    /// Room reserved for the offsets and the heap, in elements.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> (usize, usize) {
+        (self.offs.capacity(), self.bytes.capacity())
+    }
 }
 
 impl FromIterator<String> for StrCol {

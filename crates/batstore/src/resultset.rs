@@ -189,8 +189,8 @@ impl ResultSet {
         Ok(())
     }
 
-    /// Deserialize from any reader; rejects corrupt or foreign input.
-    pub fn read_from(r: &mut impl Read) -> Result<ResultSet> {
+    /// Deserialize from the front of `r`; rejects corrupt or foreign input.
+    pub fn read_from(r: &mut &[u8]) -> Result<ResultSet> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -232,8 +232,8 @@ impl ResultSet {
         out
     }
 
-    pub fn from_bytes(bytes: &[u8]) -> Result<ResultSet> {
-        ResultSet::read_from(&mut std::io::Cursor::new(bytes))
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<ResultSet> {
+        ResultSet::read_from(&mut bytes)
     }
 }
 

@@ -23,10 +23,6 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DCB1";
 
-fn type_tag(t: ColType) -> u8 {
-    t.tag()
-}
-
 fn tag_type(b: u8) -> Result<ColType> {
     ColType::from_tag(b).ok_or_else(|| BatError::Corrupt(format!("unknown type tag {b}")))
 }
@@ -42,9 +38,9 @@ fn read_u64(r: &mut impl Read) -> Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// Rows a fixed-width column moves per `write_all` / `read_exact`: the
-/// staging buffer below holds this many of the widest (8-byte) elements
-/// and lives on the stack.
+/// Rows a fixed-width column moves per `write_all`: the staging buffer
+/// below holds this many of the widest (8-byte) elements and lives on
+/// the stack.
 const BLOCK_ROWS: usize = 1024;
 
 /// Write a fixed-width column a block at a time: elements are laid out
@@ -85,39 +81,32 @@ fn write_column(w: &mut impl Write, c: &Column) -> Result<()> {
     Ok(())
 }
 
-/// Cap on any single up-front allocation while decoding (in elements or
-/// bytes). Counts in the input are untrusted: a corrupt or hostile
-/// header may claim `u64::MAX` rows, so buffers only ever *grow toward*
-/// the claimed count as bytes actually arrive — a lie hits EOF after at
-/// most one bounded chunk, the same discipline as the TCP layer's
-/// `read_frame_capped`.
-const MAX_PREALLOC: usize = 64 * 1024;
+/// The next `n` bytes of `r`, taken off its front. `n` comes from a
+/// length claimed in the input, so the bytes must be there before
+/// anything is allocated for them.
+fn take<'a>(r: &mut &'a [u8], n: Option<usize>, what: &str) -> Result<&'a [u8]> {
+    let Some(bytes) = n.and_then(|n| r.get(..n)) else {
+        return Err(BatError::Corrupt(format!("truncated {what}: {} bytes left", r.len())));
+    };
+    *r = &r[bytes.len()..];
+    Ok(bytes)
+}
 
-/// Read `len` fixed-width elements a block at a time: one `read_exact`
-/// per block into the stack buffer, then the block is decoded onto the
-/// end of the vector, which therefore never outgrows the bytes that
-/// really arrived by more than [`MAX_PREALLOC`] elements.
+/// Decode `len` fixed-width elements into a vector of exactly that
+/// length and capacity.
 fn read_fixed<const W: usize, T>(
-    r: &mut impl Read,
+    r: &mut &[u8],
     len: usize,
     decode: impl Fn([u8; W]) -> T,
 ) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(len.min(MAX_PREALLOC));
-    let mut block = [0u8; BLOCK_ROWS * 8];
-    let mut left = len;
-    while left > 0 {
-        let rows = left.min(BLOCK_ROWS);
-        let bytes = &mut block[..rows * W];
-        r.read_exact(bytes)?;
-        out.extend(
-            bytes.chunks_exact(W).map(|b| decode(b.try_into().expect("chunks_exact yields W"))),
-        );
-        left -= rows;
-    }
-    Ok(out)
+    let bytes = take(r, len.checked_mul(W), "column")?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|b| decode(b.try_into().expect("chunks_exact yields W")))
+        .collect())
 }
 
-fn read_column(r: &mut impl Read, ty: ColType, len: usize) -> Result<Column> {
+fn read_column(r: &mut &[u8], ty: ColType, len: usize) -> Result<Column> {
     Ok(match ty {
         ColType::Void => Column::Void { seq: read_u64(r)?, len },
         ColType::Oid => Column::Oid(read_fixed(r, len, u64::from_le_bytes)?),
@@ -132,17 +121,8 @@ fn read_column(r: &mut impl Read, ty: ColType, len: usize) -> Result<Column> {
                 )));
             }
             let offs = read_fixed(r, noffs, u32::from_le_bytes)?;
-            let nbytes = read_u64(r)?;
-            // Grow-as-bytes-arrive: a truncated file errors out without
-            // ever allocating the claimed size.
-            let mut bytes = Vec::with_capacity((nbytes as usize).min(MAX_PREALLOC));
-            r.take(nbytes).read_to_end(&mut bytes)?;
-            if (bytes.len() as u64) < nbytes {
-                return Err(BatError::Corrupt(format!(
-                    "truncated string heap: want {nbytes} bytes, got {}",
-                    bytes.len()
-                )));
-            }
+            let nbytes = usize::try_from(read_u64(r)?).ok();
+            let bytes = take(r, nbytes, "string heap")?.to_vec();
             Column::Str(StrCol::from_raw_parts(offs, bytes).map_err(BatError::Corrupt)?)
         }
         ColType::Bool => Column::Bool(read_fixed(r, len, |b: [u8; 1]| b[0] != 0)?),
@@ -163,23 +143,22 @@ pub fn write_dense(w: &mut impl Write, tail: &Column) -> Result<()> {
 
 fn write_parts(w: &mut impl Write, head: &Column, tail: &Column) -> Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&[type_tag(head.col_type()), type_tag(tail.col_type())])?;
+    w.write_all(&[head.col_type().tag(), tail.col_type().tag()])?;
     write_u64(w, head.len() as u64)?;
     write_column(w, head)?;
     write_column(w, tail)?;
     Ok(())
 }
 
-/// Deserialize a BAT from any reader.
-pub fn read_bat(r: &mut impl Read) -> Result<Bat> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+/// Deserialize a BAT from the front of `r`, leaving `r` just past it.
+/// Every claimed count is checked against the bytes `r` still holds.
+pub fn read_bat(r: &mut &[u8]) -> Result<Bat> {
+    let mut start = [0u8; 6];
+    r.read_exact(&mut start)?;
+    if start[..4] != MAGIC[..] {
         return Err(BatError::Corrupt("bad magic".into()));
     }
-    let mut tags = [0u8; 2];
-    r.read_exact(&mut tags)?;
-    let (ht, tt) = (tag_type(tags[0])?, tag_type(tags[1])?);
+    let (ht, tt) = (tag_type(start[4])?, tag_type(start[5])?);
     let len = read_u64(r)? as usize;
     let head = read_column(r, ht, len)?;
     let tail = read_column(r, tt, len)?;
@@ -214,11 +193,24 @@ pub fn load_bat(path: &Path) -> Result<Bat> {
     bat_from_bytes(&std::fs::read(path)?)
 }
 
-/// In-memory round-trip used by the ring transports to ship BAT payloads.
+/// In-memory round-trip used by the ring transports to ship BAT payloads:
+/// one buffer of exactly the encoding's length.
 pub fn bat_to_bytes(bat: &Bat) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bat.byte_size() + 32);
+    let mut out = Vec::with_capacity(encoded_len(bat));
     write_bat(&mut out, bat).expect("Vec<u8> writes are infallible");
     out
+}
+
+/// The length of `bat`'s `DCB1` encoding: magic, two tags and the row
+/// count, then each column — a `Void` one its seq, a `Str` one its two
+/// counts beside the values.
+fn encoded_len(bat: &Bat) -> usize {
+    let column = |c: &Column| match c {
+        Column::Void { .. } => 8,
+        Column::Str(_) => 16 + c.byte_size(),
+        _ => c.byte_size(),
+    };
+    14 + column(bat.head()) + column(bat.tail())
 }
 
 pub fn bat_from_bytes(mut bytes: &[u8]) -> Result<Bat> {
@@ -361,7 +353,7 @@ mod tests {
 
         pub fn bat_to_bytes(bat: &Bat) -> Vec<u8> {
             let mut w = MAGIC.to_vec();
-            w.extend_from_slice(&[type_tag(bat.head_type()), type_tag(bat.tail_type())]);
+            w.extend_from_slice(&[bat.head_type().tag(), bat.tail_type().tag()]);
             w.extend_from_slice(&(bat.count() as u64).to_le_bytes());
             write_column(&mut w, bat.head());
             write_column(&mut w, bat.tail());
@@ -373,7 +365,7 @@ mod tests {
             len: usize,
             decode: impl Fn([u8; W]) -> T,
         ) -> Result<Vec<T>> {
-            let mut out = Vec::with_capacity(len.min(MAX_PREALLOC));
+            let mut out = Vec::with_capacity(len.min(r.len()));
             let mut buf = [0u8; W];
             for _ in 0..len {
                 r.read_exact(&mut buf)?;
@@ -472,6 +464,7 @@ mod tests {
                     let what = format!("{:?} x {:?} x {n}", bat.head_type(), ty);
                     let bytes = bat_to_bytes(&bat);
                     assert_eq!(bytes, oracle::bat_to_bytes(&bat), "encode {what}");
+                    assert_eq!(bytes.capacity(), bytes.len(), "encode {what} reserves exactly");
                     // Value-identical on decode, compared as bytes so a
                     // `NaN` payload bit that moved would show.
                     let back = bat_from_bytes(&bytes).unwrap();
@@ -488,12 +481,40 @@ mod tests {
     }
 
     #[test]
+    fn decoded_columns_carry_no_slack() {
+        // Around the 64 Ki elements a decode used to reserve before it
+        // started doubling.
+        const KI64: usize = 64 * 1024;
+        for n in [KI64 - 1, KI64, KI64 + 1, 3 * KI64 + 7] {
+            for ty in TYPES {
+                let bat = Bat::new(column(ColType::Oid, n, 1), column(ty, n, 2)).unwrap();
+                let back = bat_from_bytes(&bat_to_bytes(&bat)).unwrap();
+                let Column::Oid(head) = back.head() else { panic!("an oid head") };
+                assert_eq!(head.capacity(), n, "oid head x {n}");
+                let (len, cap) = match back.tail() {
+                    Column::Void { .. } => continue,
+                    Column::Oid(v) => (v.len(), v.capacity()),
+                    Column::Int(v) | Column::Date(v) => (v.len(), v.capacity()),
+                    Column::Lng(v) => (v.len(), v.capacity()),
+                    Column::Dbl(v) => (v.len(), v.capacity()),
+                    Column::Bool(v) => (v.len(), v.capacity()),
+                    Column::Str(s) => {
+                        let (offs, heap) = s.raw_parts();
+                        assert_eq!(s.capacity(), (offs.len(), heap.len()), "str x {n}");
+                        continue;
+                    }
+                };
+                assert_eq!((len, cap), (n, n), "{ty:?} x {n}");
+            }
+        }
+    }
+
+    #[test]
     fn every_truncation_of_an_encoded_bat_is_an_error() {
         // Every prefix length of a BAT whose tail spans a block
         // boundary: an `Err`, never a panic, and never an allocation
-        // beyond what the bytes present plus `MAX_PREALLOC` justify (the
-        // decoders reserve `min(claim, MAX_PREALLOC)` and then grow only
-        // by decoded blocks).
+        // beyond what the bytes present justify (a column is allocated
+        // only once its claimed bytes are seen to be there).
         for ty in TYPES {
             let bytes = bat_to_bytes(&Bat::dense_from(9, column(ty, BLOCK_ROWS + 3, 3)));
             for cut in 0..bytes.len() {

@@ -7,7 +7,8 @@
 //!   `cargo bench -p dc-bench --bench micro -- ring_hop`): encode and
 //!   owned-frame decode of a 340 KB `Bat` frame, and `send_data` → `recv`
 //!   of that frame and of a header-only one between two `join_ring`
-//!   members over loopback TCP, and one rotation of it round three
+//!   members over loopback TCP — relayed as received, or encoded from the
+//!   owner's `Bat` first — and one rotation of it round three
 //!   members with the payload on every hop vs on the one hop that leads
 //!   to the requester,
 //! * netsim event-queue throughput (simulation scalability),
@@ -128,6 +129,15 @@ fn bench_ring_hop(c: &mut Criterion) {
             })
         });
     }
+    // An owner holds the `Bat` alone, so its every payload send encodes
+    // the fragment first; a relay pays `tcp_send_recv_340kb` above.
+    c.bench_function("ring_hop/owner_send_340kb", |b| {
+        b.iter(|| {
+            let payload = bytes::Bytes::from(batstore::storage::bat_to_bytes(&column));
+            pair[0].send_data(with_payload(Some(payload))).expect("send_data");
+            black_box(pair[1].recv())
+        })
+    });
 
     // One rotation of that fragment round a three-member ring, each
     // member forwarding what it received: the bytes on every hop (the

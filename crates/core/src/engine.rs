@@ -217,8 +217,8 @@ struct NodeCtx {
     /// This node's SQL metadata catalog (names and types only; the data
     /// lives in the ring).
     meta: Arc<RwLock<Catalog>>,
-    /// Owned fragment payloads ("local disk"): cells built from the
-    /// authoritative `Bat`, their wire form memoised on first send.
+    /// Owned fragment payloads ("local disk"): cells holding the
+    /// authoritative `Bat` alone; every payload send encodes it anew.
     disk: HashMap<BatId, Frag>,
     /// Cached passing fragments (the §4.2.1 local cache): the very cells
     /// their frames arrived as.
@@ -1169,11 +1169,12 @@ impl NodeCtx {
                 Effect::SendBat { header, payload } => {
                     // The protocol said whether this hop carries the
                     // bytes; here is only where they come from. An owner
-                    // sends its authoritative copy (fresh after appends),
+                    // encodes its `Bat` (fresh after writes) off the
+                    // cell's lock, into a buffer that dies with the frame;
                     // anybody else relays the inbound bytes untouched.
                     let payload = match self.disk.get(&header.bat) {
                         _ if !payload => None,
-                        Some(owned) => Some(owned.wire()),
+                        Some(owned) => Some(Bytes::from(storage::bat_to_bytes(&owned_bat(owned)))),
                         None => inbound.map(|i| i.wire.clone()),
                     };
                     // A send error means the successor died; the ring
@@ -1220,13 +1221,6 @@ impl NodeCtx {
                             list.into_iter().partition(|(q, _)| queries.contains(q));
                         if !keep.is_empty() {
                             self.waiting.insert(header.bat, keep);
-                        }
-                        // §3 bytes-moved accounting: a fragment that
-                        // arrived over the ring and fulfills at least one
-                        // registered query cost one payload transfer.
-                        // Cache- and owner-served pins move nothing.
-                        if inbound.is_some() && !to_serve.is_empty() {
-                            self.node.stats.ring_query_bytes_moved += header.size;
                         }
                         for (_, w) in to_serve {
                             w.fulfill(frag.clone().ok_or_else(|| {
@@ -2863,5 +2857,69 @@ mod tests {
         assert_eq!(rs.affected, Some(1));
         let rs = ring.execute(0, "select v from kv where k = 7").unwrap();
         assert_eq!(ints(&rs), [70], "acknowledged, so applied at the owner");
+    }
+
+    /// A fabric member that hands the test every frame its node sends
+    /// clockwise, and lets the test play the rest of the ring.
+    struct Tap {
+        sent: Sender<DcMsg>,
+        sink: parking_lot::Mutex<Option<crate::transport::Sink>>,
+    }
+
+    impl RingTransport for Tap {
+        fn send_data(&self, msg: DcMsg) -> Result<(), crate::transport::TransportError> {
+            let _ = self.sent.send(msg);
+            Ok(())
+        }
+        fn send_request(&self, _: DcMsg) -> Result<(), crate::transport::TransportError> {
+            Ok(())
+        }
+        fn recv(&self) -> Option<DcMsg> {
+            None
+        }
+        fn attach(&self, sink: crate::transport::Sink) {
+            *self.sink.lock() = Some(sink);
+        }
+        fn close(&self) {
+            self.sink.lock().take();
+        }
+    }
+
+    #[test]
+    fn an_owner_encodes_every_payload_send_and_holds_its_bat_alone() {
+        let (tx, sent) = unbounded();
+        let tap = Arc::new(Tap { sent: tx, sink: Default::default() });
+        let node = RingNode::spawn(NodeId(0), tap.clone(), NodeOptions::default());
+        let column = Column::from(vec![1, 2, 3]);
+        let want = storage::bat_to_bytes(&Bat::dense(column.clone()));
+        node.load_table("sys", "t", vec![("x", column)]).unwrap();
+        node.wait_for_table_timeout("sys", "t", Duration::from_secs(10)).unwrap();
+        let bat = node.ring_catalog().lookup("sys", "t", "x").unwrap().bat;
+        let deliver = |msg| (tap.sink.lock().as_mut().expect("attached"))(msg);
+        let ask = || deliver(DcMsg::Request(crate::msg::ReqMsg { origin: NodeId(1), bat }));
+        let next_payload = || loop {
+            match sent.recv_timeout(Duration::from_secs(10)).expect("a frame") {
+                DcMsg::Bat { header, payload: Some(bytes) } => return (header, bytes),
+                _ => continue,
+            }
+        };
+
+        // Asked by node 1, the owner loads the fragment, bytes attached;
+        // asked again while the header is out, the header's return leaves
+        // with them once more.
+        ask();
+        let (header, first) = next_payload();
+        ask();
+        deliver(DcMsg::Bat { header, payload: None });
+        let (_, second) = next_payload();
+        assert_eq!((&first[..], &second[..]), (&want[..], &want[..]));
+        assert_ne!(first.as_ptr(), second.as_ptr(), "each send encodes its own buffer");
+
+        // What the owner holds for the fragment is its `Bat`, nothing more.
+        let waiter = Arc::new(Waiter::default());
+        node.send(Cmd::Pin { query: QueryId(1), bat, waiter: Arc::clone(&waiter) }).unwrap();
+        let cell = waiter.wait(Duration::from_secs(10)).unwrap();
+        assert_eq!(format!("{cell:?}"), "Frag::Bat(3 rows)");
+        node.shutdown();
     }
 }

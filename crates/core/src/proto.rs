@@ -328,7 +328,11 @@ impl DcNode {
         if payload && self.s2.contains(h.bat) {
             let now = self.now;
             let entry = self.s2.get_mut(h.bat).expect("contains checked");
-            // The pass satisfies our outstanding request.
+            // The pass satisfies our outstanding request: its bytes came
+            // off the wire for us, pin waiting or not.
+            if entry.in_flight {
+                self.stats.ring_query_bytes_moved += h.size;
+            }
             entry.in_flight = false;
             // Record first-service latency.
             if entry.served_at.is_none() {
@@ -690,6 +694,33 @@ mod tests {
         assert!(eff.is_empty(), "entry still registered");
         let eff = n.query_done(QueryId(1));
         assert!(eff.iter().any(|e| matches!(e, Effect::CacheEvict(_))));
+    }
+
+    #[test]
+    fn bytes_moved_counts_each_payload_a_local_request_took_off_the_wire_once() {
+        let mut n = node(2);
+        let frame = |bat| BatHeader::fresh(NodeId(0), BatId(bat), 100);
+        // The payload beats the pin: cached, and the pin is served from
+        // the cache — the bytes still came off the wire, once.
+        n.local_request(QueryId(1), BatId(9));
+        n.local_request(QueryId(2), BatId(9));
+        n.on_bat(frame(9), true);
+        assert_eq!(n.pin(QueryId(1), BatId(9)).0, PinOutcome::Cached);
+        assert_eq!(n.stats.ring_query_bytes_moved, 100);
+        // The same bytes passing again, for somebody downstream, while
+        // query 2 has yet to pin: its request was already answered.
+        n.on_bat(frame(9), true);
+        assert_eq!(n.pin(QueryId(2), BatId(9)).0, PinOutcome::Cached);
+        assert_eq!(n.stats.ring_query_bytes_moved, 100);
+        // A waiting pin counts the same; a header alone, or a frame
+        // nobody here asked for, moves nothing.
+        n.local_request(QueryId(3), BatId(4));
+        assert_eq!(n.pin(QueryId(3), BatId(4)).0, PinOutcome::MustWait);
+        n.on_bat(frame(4), false);
+        n.on_bat(frame(5), true);
+        assert_eq!(n.stats.ring_query_bytes_moved, 100);
+        n.on_bat(frame(4), true);
+        assert_eq!(n.stats.ring_query_bytes_moved, 200);
     }
 
     // ---- payloads follow requests ----------------------------------------

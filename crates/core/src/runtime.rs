@@ -107,37 +107,35 @@ impl RingCatalog {
     }
 }
 
-/// One fragment as a node holds it: a shared cell with two sides, the
-/// `Bat` the kernels read and the `DCB1` bytes the ring carries, each
-/// produced from the other at most once, on the first thread that asks,
-/// under the cell's own lock. A cell is built from whichever side its
-/// node has first — the payload slice of an inbound frame, or the owner's
-/// `Bat` — and the event loop passes it to waiters, the cache and the
-/// owner's store by handle, without looking inside.
+/// One fragment as a node holds it: a shared cell that is either the
+/// `DCB1` bytes a frame brought or the `Bat` the kernels read, never
+/// both. A cell built from an inbound frame's payload slice is decoded
+/// at most once, on the first thread that asks, under the cell's own
+/// lock; an owner's cell is its `Bat` from the start, and every payload
+/// send encodes a fresh buffer from it (`NodeCtx::execute`). The event
+/// loop passes a cell to waiters, the cache and the owner's store by
+/// handle, without looking inside.
 #[derive(Clone)]
 pub struct Frag(Arc<Mutex<Sides>>);
 
 enum Sides {
     /// Arrived off the ring and not yet pinned by anybody.
     Wire(Bytes),
-    /// Decoded, or built by its owner. An owner's cell memoises the wire
-    /// form on its first send; a cell that arrived as wire let those
-    /// bytes go when it was decoded (whoever forwards the frame holds
-    /// its own handle), so a cached fragment is held once.
-    Bat { bat: Arc<Bat>, wire: Option<Bytes> },
+    /// Decoded, or built by its owner. A cell that arrived as wire lets
+    /// those bytes go when it is decoded (whoever forwards the frame
+    /// holds its own handle), so every cell holds its fragment once.
+    Bat(Arc<Bat>),
     /// Arrived as bytes that are not a BAT: every pin gets the reason.
-    Corrupt { wire: Bytes, reason: String },
+    Corrupt(String),
 }
 
-/// Which sides are filled, not the payload.
+/// Which side the cell holds, not the payload.
 impl std::fmt::Debug for Frag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &*self.0.lock() {
             Sides::Wire(wire) => write!(f, "Frag::Wire({} bytes)", wire.len()),
-            Sides::Bat { bat, wire } => {
-                write!(f, "Frag::Bat({} rows, wire: {})", bat.count(), wire.is_some())
-            }
-            Sides::Corrupt { reason, .. } => write!(f, "Frag::Corrupt({reason})"),
+            Sides::Bat(bat) => write!(f, "Frag::Bat({} rows)", bat.count()),
+            Sides::Corrupt(reason) => write!(f, "Frag::Corrupt({reason})"),
         }
     }
 }
@@ -146,7 +144,7 @@ impl Frag {
     /// The cell of a fragment its owner holds (or a node otherwise has
     /// in decoded form).
     pub fn from_bat(bat: Arc<Bat>) -> Frag {
-        Frag(Arc::new(Mutex::new(Sides::Bat { bat, wire: None })))
+        Frag(Arc::new(Mutex::new(Sides::Bat(bat))))
     }
 
     /// The cell of a fragment that arrived as a frame's payload.
@@ -160,33 +158,21 @@ impl Frag {
     /// the first instead of repeating it.
     pub fn bat(&self) -> Result<Arc<Bat>, String> {
         let mut sides = self.0.lock();
-        let wire = match &*sides {
-            Sides::Bat { bat, .. } => return Ok(Arc::clone(bat)),
-            Sides::Corrupt { reason, .. } => return Err(reason.clone()),
-            Sides::Wire(wire) => wire.clone(),
+        let decoded = match &*sides {
+            Sides::Bat(bat) => return Ok(Arc::clone(bat)),
+            Sides::Corrupt(reason) => return Err(reason.clone()),
+            Sides::Wire(wire) => storage::bat_from_bytes(wire),
         };
-        match storage::bat_from_bytes(&wire) {
+        match decoded {
             Ok(bat) => {
                 let bat = Arc::new(bat);
-                *sides = Sides::Bat { bat: Arc::clone(&bat), wire: None };
+                *sides = Sides::Bat(Arc::clone(&bat));
                 Ok(bat)
             }
             Err(e) => {
                 let reason = format!("payload is not a valid BAT: {e}");
-                *sides = Sides::Corrupt { wire, reason: reason.clone() };
+                *sides = Sides::Corrupt(reason.clone());
                 Err(reason)
-            }
-        }
-    }
-
-    /// The fragment in wire form, encoding it if this cell has only the
-    /// `Bat` (and remembering the result).
-    pub fn wire(&self) -> Bytes {
-        let mut sides = self.0.lock();
-        match &mut *sides {
-            Sides::Wire(wire) | Sides::Corrupt { wire, .. } => wire.clone(),
-            Sides::Bat { bat, wire } => {
-                wire.get_or_insert_with(|| Bytes::from(storage::bat_to_bytes(bat))).clone()
             }
         }
     }
@@ -638,28 +624,22 @@ mod tests {
     }
 
     #[test]
-    fn frag_fills_each_side_once_and_holds_a_ring_copy_once() {
+    fn frag_decodes_once_and_holds_a_ring_copy_once() {
         let bat = Arc::new(Bat::dense(Column::from(vec![1, 2, 3])));
-        // Owner side: the Bat is authoritative, the wire form is made on
-        // the first send and reused after.
+        // Owner side: the Bat is the cell.
         let owned = Frag::from_bat(Arc::clone(&bat));
         assert!(Arc::ptr_eq(&owned.bat().unwrap(), &bat));
-        let wire = owned.wire();
-        assert_eq!(wire.as_ptr(), owned.wire().as_ptr(), "encoded once");
-        assert!(Arc::ptr_eq(&owned.bat().unwrap(), &bat), "the Bat stays");
+        assert_eq!(format!("{owned:?}"), "Frag::Bat(3 rows)");
 
         // Ring side: a clone is the same cell, the decode happens once,
         // and the wire bytes are let go by it.
-        let held = wire.to_vec();
-        let arrived = Frag::from_wire(Bytes::from(held.clone()));
+        let arrived = Frag::from_wire(Bytes::from(storage::bat_to_bytes(&bat)));
         let cached = arrived.clone();
+        assert_eq!(format!("{cached:?}"), "Frag::Wire(34 bytes)");
         let first = arrived.bat().unwrap();
         assert!(Arc::ptr_eq(&first, &cached.bat().unwrap()), "decoded once, shared");
         assert_eq!(first.tail(), bat.tail());
-        assert!(matches!(&*cached.0.lock(), Sides::Bat { wire: None, .. }), "held once");
-        // Asked for its wire form again, such a cell re-encodes to the
-        // same bytes.
-        assert_eq!(&cached.wire()[..], &held[..]);
+        assert_eq!(format!("{cached:?}"), "Frag::Bat(3 rows)", "held once");
     }
 
     #[test]
@@ -668,7 +648,7 @@ mod tests {
         let e = frag.bat().unwrap_err();
         assert!(e.contains("not a valid BAT"), "{e}");
         assert_eq!(frag.clone().bat().unwrap_err(), e, "same answer for every pin");
-        assert_eq!(&frag.wire()[..], b"DCB1 but not really");
+        assert_eq!(format!("{frag:?}"), format!("Frag::Corrupt({e})"), "the bytes are let go");
     }
 
     #[test]

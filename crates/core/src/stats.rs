@@ -40,11 +40,11 @@ pub struct NodeStats {
     pub bats_lost: u64,
     /// Pin deliveries to local queries.
     pub deliveries: u64,
-    /// Payload bytes pulled off the ring to serve waiting local queries
-    /// (§3 multi-fragment evaluation): counted when a circulating
-    /// fragment is delivered to at least one registered query at this
-    /// node. Locally-owned and cache-served pins move nothing and do not
-    /// count — this is the distributed-join/aggregate data-movement cost.
+    /// Payload bytes pulled off the ring for local requests (§3
+    /// multi-fragment evaluation): once per payload frame that answers
+    /// this node's in-flight S2 entry, pin waiting or not. Owner-served
+    /// pins and frames passing an answered entry add nothing — this is
+    /// the distributed-join/aggregate data-movement cost.
     pub ring_query_bytes_moved: u64,
     /// INSERT columns applied at this node as fragment owner (§6.4), one
     /// per column of each INSERT.
