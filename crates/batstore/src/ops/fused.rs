@@ -23,6 +23,15 @@
 //!    and `max` would be NULL, which no typed column holds: an error.
 //! 4. With no predicate a batch is a range of positions, not a list, and
 //!    an ungrouped `count` reads no row at all.
+//! 5. With a [`Probe`] stage the rows are those of the scanned table
+//!    joined to a build side on one key, matched as [`crate::ops::join`]
+//!    matches (`dbl` by bit pattern). The hash table is built over the
+//!    build key once; each batch of qualifying scanned rows is probed into
+//!    it, and keys and aggregates read either side. A joined row is a
+//!    scanned row and a build row, in scanned-row order and, for one
+//!    scanned row, in build order — so groups number in first appearance
+//!    over the scanned table's positions, then build order. No column of
+//!    the join result is built.
 //!
 //! Per row there is no `Val` and no `dyn` call: columns are dispatched on
 //! their type once per statement into boxed typed stages, and a stage is
@@ -32,7 +41,7 @@ use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::ops::aggregate::{beats, narrow_sum};
-use crate::ops::cells::{with_cells, with_keys, Cells};
+use crate::ops::cells::{with_cells, with_key_pair, with_keys, Cells};
 use crate::ops::hash::{check_rows, Chains, Key};
 use crate::ops::scan::{Pred, Scan, BATCH};
 use crate::ops::RowPredicate;
@@ -72,6 +81,24 @@ impl Aggregate {
         }
     }
 }
+
+/// The hash-probe stage of [`scan_aggregate`]: the scanned table joined,
+/// on one key, to a build side — a join result or a selection, each of
+/// its columns holding a BUN per build row.
+pub struct Probe<'a> {
+    /// The scanned table's join column, found through the scan's lookup.
+    pub key: &'a str,
+    /// The build side's join column.
+    pub build_key: &'a Bat,
+    /// The build-side columns the keys and aggregates name. A name this
+    /// finds is a build column; any other is the scanned table's.
+    pub build: &'a dyn Fn(&str) -> Option<Arc<Bat>>,
+}
+
+/// Whose positions a column's rows are counted in: the scanned table's,
+/// or the build side's. Index into the two batches a round works on.
+const SCANNED: usize = 0;
+const BUILD: usize = 1;
 
 /// The row positions one round works on: a range while nothing has
 /// filtered the rows, else the positions the conjuncts kept (ascending).
@@ -170,6 +197,64 @@ fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 
     }
     let (ty, pred) = (bat.tail_type(), p.pred());
     with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred))
+}
+
+/// The probe stage, its hash table built over the build key.
+trait Matcher {
+    /// Hand `sink` the joined rows of the batch's scanned rows as
+    /// `(scanned, build)` position lists, up to [`BATCH`] pairs at a
+    /// time: in the batch's order, and for one scanned row by ascending
+    /// build position.
+    fn pairs(&self, batch: Batch<'_>, sink: &mut dyn FnMut(&[usize], &[usize]));
+}
+
+struct Hashed<A, B> {
+    scanned: A,
+    build: B,
+    table: Chains,
+}
+
+impl<A: Cells, B: Cells<Cell = A::Cell>> Matcher for Hashed<A, B>
+where
+    A::Cell: Key,
+{
+    fn pairs(&self, batch: Batch<'_>, sink: &mut dyn FnMut(&[usize], &[usize])) {
+        let Hashed { build, table, .. } = self;
+        let (mut at, mut to, mut n) = ([0; BATCH], [0; BATCH], 0);
+        batch.each(self.scanned, |_, i, key| {
+            // Chains yield ascending ids: build order within one row.
+            for j in table.chain(key.hash(&table.seed)).filter(|&j| build.at(j) == key) {
+                (at[n], to[n]) = (i, j);
+                n += 1;
+                if n == BATCH {
+                    sink(&at, &to);
+                    n = 0;
+                }
+            }
+        });
+        if n > 0 {
+            sink(&at[..n], &to[..n]);
+        }
+    }
+}
+
+/// The probe stage over two join columns of one domain (as
+/// [`crate::ops::join`] pairs them), its table built on `build`.
+fn matcher<'a>(scanned: &'a Bat, build: &'a Bat) -> Result<Box<dyn Matcher + 'a>> {
+    fn hashed<'a, A, B>(scanned: A, build: B) -> Result<Box<dyn Matcher + 'a>>
+    where
+        A: Cells + 'a,
+        B: Cells<Cell = A::Cell> + 'a,
+        A::Cell: Key,
+    {
+        let table = Chains::over(build)?;
+        Ok(Box::new(Hashed { scanned, build, table }))
+    }
+    let mismatch = || BatError::TypeMismatch {
+        expected: scanned.tail_type().name(),
+        got: build.tail_type().name().to_string(),
+    };
+    with_key_pair!(scanned.tail(), build.tail(), |a, b| hashed(a, b), Err(mismatch()))
 }
 
 /// Distinct keys, numbered in first-appearance order.
@@ -372,34 +457,39 @@ fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
     })
 }
 
-/// Everything a round updates.
+/// Everything a round updates. Each key and fold reads its column at the
+/// positions of its side ([`SCANNED`] or [`BUILD`]).
 struct Rounds<'a> {
-    keys: Vec<Box<dyn KeyColumn + 'a>>,
+    keys: Vec<(usize, Box<dyn KeyColumn + 'a>)>,
     /// Per key after the first: `(group so far, this key's code)` pairs,
     /// numbered as they appear — the refined group.
     refined: Vec<Codes<u64>>,
-    /// Each group's first row.
-    firsts: Vec<usize>,
+    /// Each group's first row, on either side.
+    firsts: Vec<[usize; 2]>,
     /// How many rows qualified.
     qualified: usize,
     /// Each group's row count, kept when an aggregate reads it.
     counts: Option<Vec<i64>>,
-    folds: Vec<Box<dyn Fold + 'a>>,
+    folds: Vec<(usize, Box<dyn Fold + 'a>)>,
     gids: [u32; BATCH],
     codes: [u32; BATCH],
 }
 
 impl Rounds<'_> {
-    fn round(&mut self, batch: Batch<'_>) {
-        let n = batch.len();
+    /// One round over the rows `sides` list: its `j`-th row sits at the
+    /// `j`-th position of each side's batch. Called once per batch from
+    /// either stage, so kept out of line.
+    #[inline(never)]
+    fn round(&mut self, sides: [Batch<'_>; 2]) {
+        let n = sides[SCANNED].len();
         self.qualified += n;
         let mut gids = None;
-        if let Some((first, more)) = self.keys.split_first_mut() {
+        if let Some(((side, first), more)) = self.keys.split_first_mut() {
             // One typed pass per key column gives each row a small code;
             // combining the codes is integer work.
-            first.codes(batch, &mut self.gids);
-            for (key, refined) in more.iter_mut().zip(&mut self.refined) {
-                key.codes(batch, &mut self.codes);
+            first.codes(sides[*side], &mut self.gids);
+            for ((side, key), refined) in more.iter_mut().zip(&mut self.refined) {
+                key.codes(sides[*side], &mut self.codes);
                 for (gid, &code) in self.gids[..n].iter_mut().zip(&self.codes) {
                     *gid = refined.code(u64::from(*gid) << 32 | u64::from(code));
                 }
@@ -407,7 +497,7 @@ impl Rounds<'_> {
             let ids = &self.gids[..n];
             for (j, &gid) in ids.iter().enumerate() {
                 if gid as usize == self.firsts.len() {
-                    self.firsts.push(batch.at(j));
+                    self.firsts.push(sides.map(|batch| batch.at(j)));
                 }
             }
             gids = Some(ids);
@@ -420,8 +510,8 @@ impl Rounds<'_> {
                 Some(gids) => gids.iter().for_each(|&g| counts[g as usize] += 1),
             }
         }
-        for fold in &mut self.folds {
-            fold.fold(batch, gids, groups);
+        for (side, fold) in &mut self.folds {
+            fold.fold(sides[*side], gids, groups);
         }
     }
 }
@@ -432,46 +522,61 @@ fn dense(tail: Column, tail_sorted: bool) -> Bat {
     Bat::with_props(Column::Void { seq: 0, len: tail.len() }, tail, props).expect("parallel")
 }
 
-/// Filter, group and aggregate a table of `row_count` rows in one pass.
+/// Filter, group and aggregate a table of `row_count` rows in one pass,
+/// joined to a build side first when there is a `probe` stage.
 ///
 /// Columns are found by name through `lookup` (as
 /// [`matching_rows`](crate::ops::matching_rows) finds them); each must
 /// hold `row_count` rows. A row qualifies when every one of `preds` holds
-/// of it; qualifying rows fall into one group per distinct combination of
-/// their `keys` values (one group in all when `keys` is empty), numbered
-/// in first-appearance order. Returns one dense BAT per key (the group's
-/// key value) followed by one per aggregate, a BUN per group.
+/// of it. With a `probe`, each qualifying row stands for its joined rows,
+/// one per build row whose key equals its own, and keys and aggregates
+/// may name build columns too (each holding a BUN per build row). The
+/// rows fall into one group per distinct combination of their `keys`
+/// values (one group in all when `keys` is empty), numbered in
+/// first-appearance order. Returns one dense BAT per key (the group's key
+/// value) followed by one per aggregate, a BUN per group.
 pub fn scan_aggregate(
     lookup: &dyn Fn(&str) -> Option<Arc<Bat>>,
     row_count: usize,
     preds: &[RowPredicate],
+    probe: Option<&Probe<'_>>,
     keys: &[&str],
     aggs: &[Aggregate],
 ) -> Result<Vec<Bat>> {
     check_rows(row_count)?;
-    let fetch = |name: &str| {
-        let bat = lookup(name).ok_or_else(|| BatError::NotFound(format!("column '{name}'")))?;
-        if bat.count() != row_count {
-            return Err(BatError::LengthMismatch { left: bat.count(), right: row_count });
+    let sized = |bat: Arc<Bat>, rows: usize| {
+        if bat.count() != rows {
+            return Err(BatError::LengthMismatch { left: bat.count(), right: rows });
         }
         Ok(bat)
     };
+    let fetch = |name: &str| {
+        let bat = lookup(name).ok_or_else(|| BatError::NotFound(format!("column '{name}'")))?;
+        sized(bat, row_count)
+    };
+    let operand = |name: &str| match probe.and_then(|p| Some(((p.build)(name)?, p))) {
+        Some((bat, p)) => Ok((BUILD, sized(bat, p.build_key.count())?)),
+        None => Ok((SCANNED, fetch(name)?)),
+    };
     let pred_cols = preds.iter().map(|p| fetch(p.column())).collect::<Result<Vec<_>>>()?;
-    let key_cols = keys.iter().map(|k| fetch(k)).collect::<Result<Vec<_>>>()?;
+    let join_col = probe.map(|p| fetch(p.key)).transpose()?;
+    let key_cols = keys.iter().map(|k| operand(k)).collect::<Result<Vec<_>>>()?;
     let agg_cols =
-        aggs.iter().map(|a| a.column().map(fetch).transpose()).collect::<Result<Vec<_>>>()?;
+        aggs.iter().map(|a| a.column().map(operand).transpose()).collect::<Result<Vec<_>>>()?;
 
     // Everything is placed against its column's type before a row is read.
     let conjuncts =
         preds.iter().zip(&pred_cols).map(|(p, b)| conjunct(b, p)).collect::<Result<Vec<_>>>()?;
+    let matcher = probe.zip(join_col.as_deref()).map(|(p, col)| matcher(col, p.build_key));
+    let matcher = matcher.transpose()?;
     let folds = aggs
         .iter()
         .zip(&agg_cols)
-        .filter_map(|(a, b)| b.as_ref().map(|b| fold(a, b)))
+        .filter_map(|(a, b)| b.as_ref().map(|(side, b)| Ok((*side, fold(a, b)?))))
         .collect::<Result<Vec<_>>>()?;
     let counted = aggs.iter().any(|a| matches!(a, Aggregate::Count | Aggregate::Avg(_)));
     let mut rounds = Rounds {
-        keys: key_cols.iter().map(|b| key_column(b)).collect(),
+        keys: key_cols.iter().map(|(side, b)| (*side, key_column(b))).collect(),
         refined: keys.iter().skip(1).map(|_| Codes::new()).collect(),
         firsts: Vec::new(),
         qualified: 0,
@@ -480,6 +585,12 @@ pub fn scan_aggregate(
         gids: [0; BATCH],
         codes: [0; BATCH],
     };
+    // The qualifying rows, or what they join; without a probe stage no
+    // column reads the build side, which is then the scanned rows again.
+    let mut feed = |batch: Batch<'_>| match &matcher {
+        None => rounds.round([batch; 2]),
+        Some(m) => m.pairs(batch, &mut |at, to| rounds.round([Batch::Rows(at), Batch::Rows(to)])),
+    };
 
     match conjuncts.split_first() {
         // Unfiltered rows need no position list; without keys there is
@@ -487,10 +598,10 @@ pub fn scan_aggregate(
         None => {
             let step = if keys.is_empty() { row_count.max(1) } else { BATCH };
             for lo in (0..row_count).step_by(step) {
-                rounds.round(Batch::Range(lo, row_count.min(lo + step)));
+                feed(Batch::Range(lo, row_count.min(lo + step)));
             }
         }
-        Some((first, [])) => first.drive(&mut |rows| rounds.round(Batch::Rows(rows))),
+        Some((first, [])) => first.drive(&mut |rows| feed(Batch::Rows(rows))),
         Some((first, rest)) => {
             let mut kept = [0; BATCH];
             first.drive(&mut |rows| {
@@ -499,7 +610,7 @@ pub fn scan_aggregate(
                 for conjunct in rest {
                     n = conjunct.refine(&mut kept[..n]);
                 }
-                rounds.round(Batch::Rows(&kept[..n]));
+                feed(Batch::Rows(&kept[..n]));
             });
         }
     }
@@ -508,8 +619,15 @@ pub fn scan_aggregate(
     let groups = if keys.is_empty() { 1 } else { firsts.len() };
     let mut counts = counts.unwrap_or_default();
     counts.resize(groups, 0);
-    let mut out: Vec<Bat> =
-        key_cols.iter().map(|b| dense(b.tail().gather(&firsts), b.props().tail_sorted)).collect();
+    // Groups appear in scanned-row order, so a sorted scanned column stays
+    // sorted; the build rows they first met follow no order.
+    let mut out: Vec<Bat> = key_cols
+        .iter()
+        .map(|(side, b)| {
+            let rows: Vec<usize> = firsts.iter().map(|f| f[*side]).collect();
+            dense(b.tail().gather(&rows), *side == SCANNED && b.props().tail_sorted)
+        })
+        .collect();
     // The one group of an ungrouped aggregate exists without rows too.
     let nothing = keys.is_empty() && qualified == 0;
     let mut folds = folds.into_iter();
@@ -522,7 +640,7 @@ pub fn scan_aggregate(
                     agg.name()
                 )))
             }
-            _ => folds.next().expect("one fold per aggregate over a column").finish(&counts)?,
+            _ => folds.next().expect("one fold per aggregate over a column").1.finish(&counts)?,
         };
         out.push(Bat::dense(column));
     }
@@ -562,6 +680,7 @@ mod tests {
             &lineitem(),
             6,
             &[cmp("day", CmpOp::Le, Val::Int(5))],
+            None,
             &["flag", "status"],
             &[
                 Aggregate::Sum("qty".into()),
@@ -601,6 +720,7 @@ mod tests {
             &table,
             6,
             &preds,
+            None,
             &[],
             &[Aggregate::Count, Aggregate::Sum("qty".into())],
         );
@@ -608,11 +728,11 @@ mod tests {
         // The first conjunct keeps nothing; the last one's literal is
         // still placed against its column, and refused.
         let preds = [cmp("day", CmpOp::Gt, Val::Int(100)), cmp("flag", CmpOp::Lt, Val::Int(5))];
-        let out = scan_aggregate(&table, 6, &preds, &[], &[Aggregate::Count]);
+        let out = scan_aggregate(&table, 6, &preds, None, &[], &[Aggregate::Count]);
         assert!(matches!(out, Err(BatError::TypeMismatch { .. })), "{out:?}");
         let empty_in = RowPredicate::InList { column: "day".into(), values: vec![] };
         assert!(matches!(
-            scan_aggregate(&table, 6, &[empty_in], &[], &[Aggregate::Count]),
+            scan_aggregate(&table, 6, &[empty_in], None, &[], &[Aggregate::Count]),
             Err(BatError::Invalid(_))
         ));
     }
@@ -623,17 +743,18 @@ mod tests {
         let none = [cmp("day", CmpOp::Gt, Val::Int(100))];
         let zeros =
             [Aggregate::Count, Aggregate::Sum("qty".into()), Aggregate::Sum("price".into())];
-        let out = scan_aggregate(&table, 6, &none, &[], &zeros).unwrap();
+        let out = scan_aggregate(&table, 6, &none, None, &[], &zeros).unwrap();
         assert_eq!(tails(&out), vec![vec![Val::Lng(0)], vec![Val::Lng(0)], vec![Val::Dbl(0.0)]]);
         for agg in [Aggregate::Avg("qty".into()), Aggregate::Min("flag".into())] {
             let name = agg.name();
-            let e = scan_aggregate(&table, 6, &none, &[], &[Aggregate::Count, agg]).unwrap_err();
+            let e =
+                scan_aggregate(&table, 6, &none, None, &[], &[Aggregate::Count, agg]).unwrap_err();
             assert!(matches!(e, BatError::Invalid(_)), "{e}");
             assert!(e.to_string().contains(&format!("{name} over zero rows is NULL")), "{e}");
         }
         // Grouped: no rows, no groups, typed empty columns.
         let aggs = [Aggregate::Avg("qty".into()), Aggregate::Max("flag".into())];
-        let out = scan_aggregate(&table, 6, &none, &["status"], &aggs).unwrap();
+        let out = scan_aggregate(&table, 6, &none, None, &["status"], &aggs).unwrap();
         let types: Vec<_> = out.iter().map(|b| (b.count(), b.tail_type().name())).collect();
         assert_eq!(types, vec![(0, "str"), (0, "dbl"), (0, "str")]);
     }
@@ -648,24 +769,70 @@ mod tests {
             _ => None,
         };
         let sum = [Aggregate::Sum("big".into())];
-        assert!(matches!(scan_aggregate(&table, 3, &[], &["k"], &sum), Err(BatError::Overflow(_))));
         assert!(matches!(
-            scan_aggregate(&table, 3, &[], &[], &[Aggregate::Avg("big".into())]),
+            scan_aggregate(&table, 3, &[], None, &["k"], &sum),
             Err(BatError::Overflow(_))
         ));
-        let out = scan_aggregate(&table, 3, &[cmp("k", CmpOp::Eq, Val::Int(2))], &["k"], &sum);
+        assert!(matches!(
+            scan_aggregate(&table, 3, &[], None, &[], &[Aggregate::Avg("big".into())]),
+            Err(BatError::Overflow(_))
+        ));
+        let out =
+            scan_aggregate(&table, 3, &[cmp("k", CmpOp::Eq, Val::Int(2))], None, &["k"], &sum);
         assert_eq!(tails(&out.unwrap()), vec![vec![Val::Int(2)], vec![Val::Lng(5)]]);
-        let e = scan_aggregate(&lineitem(), 6, &[], &[], &[Aggregate::Sum("flag".into())]);
+        let e = scan_aggregate(&lineitem(), 6, &[], None, &[], &[Aggregate::Sum("flag".into())]);
         assert!(matches!(e, Err(BatError::TypeMismatch { .. })));
         // Columns must exist and hold the table's row count.
         assert!(matches!(
-            scan_aggregate(&table, 3, &[], &["ghost"], &[Aggregate::Count]),
+            scan_aggregate(&table, 3, &[], None, &["ghost"], &[Aggregate::Count]),
             Err(BatError::NotFound(_))
         ));
         assert!(matches!(
-            scan_aggregate(&table, 4, &[], &["k"], &[Aggregate::Count]),
+            scan_aggregate(&table, 4, &[], None, &["k"], &[Aggregate::Count]),
             Err(BatError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_probe_stage_folds_each_qualifying_row_once_per_matching_build_row() {
+        let okey = Arc::new(Bat::dense(Column::from(vec![5, 2, 7, 2, 5])));
+        let price = Arc::new(Bat::dense(Column::from(vec![10i64, 20, 30, 40, 50])));
+        let table = |name: &str| match name {
+            "okey" => Some(Arc::clone(&okey)),
+            "price" => Some(Arc::clone(&price)),
+            _ => None,
+        };
+        // Key 2 has two build rows; nothing scanned has key 9.
+        let build_key = Bat::dense(Column::from(vec![2, 5, 2, 9]));
+        let prio = Arc::new(Bat::dense(Column::from(vec!["b", "x", "a", "z"])));
+        let build = |name: &str| (name == "prio").then(|| Arc::clone(&prio));
+        let probe = Probe { key: "okey", build_key: &build_key, build: &build };
+        let keep = [cmp("price", CmpOp::Ge, Val::Int(20))];
+        let aggs = [Aggregate::Sum("price".into()), Aggregate::Count];
+        let out = scan_aggregate(&table, 5, &keep, Some(&probe), &["prio"], &aggs).unwrap();
+        // Rows 1 and 3 (key 2) join build rows 0 and 2, in that order;
+        // row 2 (key 7) joins nothing; row 4 (key 5) joins build row 1.
+        let want = vec![
+            vec![Val::from("b"), Val::from("a"), Val::from("x")],
+            vec![Val::Lng(60), Val::Lng(60), Val::Lng(50)],
+            vec![Val::Lng(2), Val::Lng(2), Val::Lng(1)],
+        ];
+        assert_eq!(tails(&out), want);
+
+        // An empty build side joins nothing: one row of zeros, ungrouped.
+        let empty = Bat::dense(Column::from(Vec::<i32>::new()));
+        let probe = Probe { key: "okey", build_key: &empty, build: &|_| None };
+        let out = scan_aggregate(&table, 5, &[], Some(&probe), &[], &aggs).unwrap();
+        assert_eq!(tails(&out), vec![vec![Val::Lng(0)], vec![Val::Lng(0)]]);
+        // Keys of two domains do not join; a build column of another
+        // length is refused.
+        let strings = Bat::dense(Column::from(vec!["2"]));
+        let probe = Probe { key: "okey", build_key: &strings, build: &|_| None };
+        let e = scan_aggregate(&table, 5, &[], Some(&probe), &[], &aggs).unwrap_err();
+        assert!(matches!(e, BatError::TypeMismatch { .. }), "{e}");
+        let probe = Probe { key: "okey", build_key: &empty, build: &build };
+        let e = scan_aggregate(&table, 5, &[], Some(&probe), &["prio"], &aggs).unwrap_err();
+        assert!(matches!(e, BatError::LengthMismatch { .. }), "{e}");
     }
 
     #[test]
@@ -682,7 +849,7 @@ mod tests {
         let table = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&cols[i]));
         let keep = cmp("2", CmpOp::Ge, Val::Int(-20));
         let aggs = [Aggregate::Sum("2".into()), Aggregate::Count, Aggregate::Min("2".into())];
-        let fused = scan_aggregate(&table, n, &[keep], &["0", "1"], &aggs).unwrap();
+        let fused = scan_aggregate(&table, n, &[keep], None, &["0", "1"], &aggs).unwrap();
 
         // (key1, key2, sum, count, min) per group, in first-appearance order.
         let mut groups: Vec<(i32, &str, i64, i64, i64)> = Vec::new();

@@ -9,6 +9,7 @@
 //! process.
 
 use crate::error::{BatError, Result};
+use crate::ops::cells::Cells;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
@@ -131,13 +132,19 @@ impl Chains {
         })
     }
 
-    /// A table over entries `0..n`, entry `i` hashing to `hash_of(seed,
-    /// i)`. Filled back to front, so every chain yields ascending ids.
-    pub fn build(n: usize, hash_of: impl Fn(&Seed, usize) -> u64) -> Result<Chains> {
+    /// A table over the positions of `keys`, position `i` under its
+    /// cell's hash. Filled back to front, so every chain yields ascending
+    /// positions. One instantiation per column view serves every kernel
+    /// that hashes such a column.
+    pub fn over<C: Cells>(keys: C) -> Result<Chains>
+    where
+        C::Cell: Key,
+    {
+        let n = keys.len();
         let mut t = Chains::with_room(n)?;
         t.next.resize(n, NIL);
         for i in (0..n).rev() {
-            let b = (hash_of(&t.seed, i) >> t.shift) as usize;
+            let b = (keys.at(i).hash(&t.seed) >> t.shift) as usize;
             t.next[i] = t.heads[b];
             t.heads[b] = i as u32;
         }
@@ -190,7 +197,7 @@ mod tests {
     #[test]
     fn built_chains_yield_ascending_ids_of_every_entry() {
         let keys = [7u64, 3, 7, 9, 3, 7];
-        let t = Chains::build(keys.len(), |s, i| keys[i].hash(s)).unwrap();
+        let t = Chains::over(&keys[..]).unwrap();
         let ids =
             |k: u64| -> Vec<usize> { t.chain(k.hash(&t.seed)).filter(|&i| keys[i] == k).collect() };
         assert_eq!(ids(7), vec![0, 2, 5]);

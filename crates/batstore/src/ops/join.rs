@@ -134,7 +134,7 @@ where
 {
     let (mut li, mut ri) = (Vec::new(), Vec::new());
     if r.len() <= l.len() {
-        let table = Chains::build(r.len(), |seed, j| r.at(j).hash(seed))?;
+        let table = Chains::over(r)?;
         for (i, key) in l.cells().enumerate() {
             for j in table.chain(key.hash(&table.seed)).filter(|&j| r.at(j) == key) {
                 li.push(i as u32);
@@ -146,7 +146,7 @@ where
     // Built on `l`, probed in `r` order: the pairs arrive `r`-major.
     // Counting them per `l` row and placing each at its row's next slot
     // is a stable sort back to `l`-major order.
-    let table = Chains::build(l.len(), |seed, i| l.at(i).hash(seed))?;
+    let table = Chains::over(l)?;
     let mut next = vec![0usize; l.len() + 1];
     for (j, key) in r.cells().enumerate() {
         for i in table.chain(key.hash(&table.seed)).filter(|&i| l.at(i) == key) {

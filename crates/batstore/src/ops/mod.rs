@@ -6,8 +6,9 @@
 //! `join`, `reverse`, `mark`, `mirror`, `semijoin`, `kunion`, `slice`,
 //! plus sort and grouping kernels — and one operator
 //! MonetDB's algebra does not have: [`scan_aggregate`], which filters,
-//! groups and aggregates in one pass without materialising anything in
-//! between (what `sqlfront` emits for every aggregation).
+//! groups and aggregates in one pass — probing each batch into a hash
+//! join's build side first, when there is one — without materialising
+//! anything in between (what `sqlfront` emits for every aggregation).
 //!
 //! No loop here touches a [`crate::Val`]: kernels are generic over typed
 //! views of the raw column storage (`cells`), selections share one scan
@@ -31,7 +32,7 @@ mod setops;
 mod sort;
 
 pub use aggregate::{group_by, grouped_sum};
-pub use fused::{scan_aggregate, Aggregate};
+pub use fused::{scan_aggregate, Aggregate, Probe};
 pub use join::join;
 pub use mutate::{
     erase_rows, matching_rows, scatter_const, stage, MutOp, Mutation, RowPredicate, Staged,

@@ -39,7 +39,7 @@ where
             }
         }
     } else {
-        let set = Chains::build(r.len(), |seed, j| r.at(j).hash(seed))?;
+        let set = Chains::over(r)?;
         for (i, key) in l.cells().enumerate() {
             if set.chain(key.hash(&set.seed)).any(|j| r.at(j) == key) == want {
                 rows.push(i as u32);

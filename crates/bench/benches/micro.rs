@@ -18,8 +18,9 @@
 //! * the `batstore::ops` kernels at 64 k rows, one benchmark per
 //!   algorithm a BAT's properties can select (`bench_kernels`): per-row
 //!   cost is the reading ÷ 65 536,
-//! * the fused scan → group → aggregate operator on a Q1, a Q6 and a
-//!   `count(*)` shape (`bench_fused`; run with `-- fused`).
+//! * the fused scan → group → aggregate operator on a Q1, a Q6, a
+//!   `count(*)` and a Q3 shape, the last with its hash-probe stage
+//!   (`bench_fused`; run with `-- fused`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use datacyclotron::msg::BatHeader;
@@ -318,6 +319,8 @@ fn bench_fused(c: &mut Criterion) {
         let v: Vec<&str> = (0..N).map(|i| pool[random(i, salt) % pool.len()]).collect();
         Arc::new(Bat::dense(Column::from(v)))
     };
+    // The order key: four lines per order on average.
+    const ORDERS: usize = N / 4;
     let cols = [
         Arc::new(Bat::dense(Column::Int((0..N).map(date).collect()))),
         flags(3, &["A", "N", "R"]),
@@ -325,6 +328,7 @@ fn bench_fused(c: &mut Criterion) {
         lng(5, 50),
         lng(6, 100_000),
         lng(7, 11),
+        Arc::new(Bat::dense(Column::Int((0..N).map(|i| (random(i, 8) % ORDERS) as i32).collect()))),
     ];
     let table = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&cols[i]));
     let column = |i: usize| i.to_string();
@@ -341,7 +345,9 @@ fn bench_fused(c: &mut Criterion) {
     ];
     c.bench_function("fused/q1_shape", |b| {
         b.iter(|| {
-            black_box(ops::scan_aggregate(&table, N, &q1_pred, &["1", "2"], &q1_aggs).unwrap())
+            black_box(
+                ops::scan_aggregate(&table, N, &q1_pred, None, &["1", "2"], &q1_aggs).unwrap(),
+            )
         })
     });
     // Q6: three conjuncts that together keep about one row in fifty,
@@ -358,10 +364,33 @@ fn bench_fused(c: &mut Criterion) {
     ];
     let q6_aggs = [Aggregate::Sum(column(4)), Aggregate::Count];
     c.bench_function("fused/q6_shape", |b| {
-        b.iter(|| black_box(ops::scan_aggregate(&table, N, &q6_preds, &[], &q6_aggs).unwrap()))
+        b.iter(|| {
+            black_box(ops::scan_aggregate(&table, N, &q6_preds, None, &[], &q6_aggs).unwrap())
+        })
     });
     c.bench_function("fused/count_star", |b| {
-        b.iter(|| black_box(ops::scan_aggregate(&table, N, &[], &[], &[Aggregate::Count]).unwrap()))
+        b.iter(|| {
+            black_box(ops::scan_aggregate(&table, N, &[], None, &[], &[Aggregate::Count]).unwrap())
+        })
+    });
+
+    // Q3: a `>` conjunct that keeps about half the rows, each probed into
+    // a build side of every eighth order (2 048 rows, as a selective join
+    // of customer and orders leaves them); grouped by a build column,
+    // summing a scanned one.
+    let build_key = Bat::dense(Column::Int((0..ORDERS as i32).step_by(8).collect()));
+    let order_date = Arc::new(Bat::dense(Column::Int((0..ORDERS / 8).map(date).collect())));
+    let build = |name: &str| (name == "o_orderdate").then(|| Arc::clone(&order_date));
+    let probe = ops::Probe { key: "6", build_key: &build_key, build: &build };
+    let q3_pred =
+        [RowPredicate::Cmp { column: column(0), op: CmpOp::Gt, value: Val::Int(19_950_315) }];
+    let q3_aggs = [Aggregate::Sum(column(4))];
+    c.bench_function("fused/q3_shape", |b| {
+        b.iter(|| {
+            let keys = ["o_orderdate"];
+            let out = ops::scan_aggregate(&table, N, &q3_pred, Some(&probe), &keys, &q3_aggs);
+            black_box(out.unwrap())
+        })
     });
 }
 

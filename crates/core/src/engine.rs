@@ -610,6 +610,7 @@ impl NodeCtx {
                     // growing or rewriting the fragments twice.
                     let what = describe(m);
                     let key = (r.origin.0, r.epoch, r.id);
+                    self.routed.forget_settled(&r);
                     let result = match self.routed.applied(key) {
                         Some(cached) => {
                             self.node.stats.mutations_deduped += 1;

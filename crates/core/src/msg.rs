@@ -133,6 +133,10 @@ pub struct RoutedMsg {
     /// The origin's per-boot epoch nonce (statement-id namespace).
     pub epoch: u64,
     pub id: u64,
+    /// The origin's lowest still-pending statement id: every one of its
+    /// statements below it is settled and never sent again, so the owner
+    /// may forget their results.
+    pub settled_below: u64,
     /// The SQL INSERT/UPDATE/DELETE (§6.4: "when a node N processes an
     /// update request, for a BAT f…" — the owner rewrites its
     /// authoritative copy and bumps the version). It is *logical* — new
@@ -212,7 +216,7 @@ impl DcMsg {
                     }
                     MutOp::Delete => 0,
                 };
-                24 + m.schema.len() as u64
+                32 + m.schema.len() as u64
                     + m.table.len() as u64
                     + op
                     + m.preds.iter().map(pred_wire_size).sum::<u64>()
@@ -361,11 +365,12 @@ pub fn frame(msg: &DcMsg) -> Frame {
         DcMsg::Routed(r) => {
             let mut body = Vec::with_capacity(msg.wire_size() as usize);
             r.m.encode(&mut body);
-            let mut b = BytesMut::with_capacity(19 + body.len());
+            let mut b = BytesMut::with_capacity(27 + body.len());
             b.put_u8(TAG_ROUTED);
             b.put_u16_le(r.origin.0);
             b.put_u64_le(r.epoch);
             b.put_u64_le(r.id);
+            b.put_u64_le(r.settled_below);
             b.put_slice(&body);
             b
         }
@@ -482,14 +487,15 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
             Ok(DcMsg::Catalog(CatalogMsg { origin, schema, table, columns }))
         }
         TAG_ROUTED => {
-            if buf.remaining() < 18 {
+            if buf.remaining() < 26 {
                 return Err("truncated routed header".into());
             }
             let origin = NodeId(buf.get_u16_le());
             let epoch = buf.get_u64_le();
             let id = buf.get_u64_le();
+            let settled_below = buf.get_u64_le();
             let m = Mutation::decode(&mut buf)?;
-            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, m }))
+            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, settled_below, m }))
         }
         TAG_ACK => {
             if buf.remaining() < 19 {
@@ -631,7 +637,13 @@ mod tests {
     }
 
     fn routed(m: Mutation) -> DcMsg {
-        DcMsg::Routed(RoutedMsg { origin: NodeId(2), epoch: 0xdead_beef_cafe, id: 77, m })
+        DcMsg::Routed(RoutedMsg {
+            origin: NodeId(2),
+            epoch: 0xdead_beef_cafe,
+            id: 77,
+            settled_below: 75,
+            m,
+        })
     }
 
     #[test]
@@ -702,10 +714,10 @@ mod tests {
     fn unknown_mutation_op_rejected() {
         let mut enc = encode(&mutate_msg()).to_vec();
         // The op tag follows tag(1) + origin(2) + epoch(8) + id(8) +
-        // "sys"(2+3) + "acct"(2+4).
-        assert_eq!(enc[30], 1, "offset arithmetic must hit the UPDATE tag");
+        // settled_below(8) + "sys"(2+3) + "acct"(2+4).
+        assert_eq!(enc[38], 1, "offset arithmetic must hit the UPDATE tag");
         for tag in [0, 4, 99] {
-            enc[30] = tag;
+            enc[38] = tag;
             assert!(decode(&enc).unwrap_err().contains("op tag"));
         }
     }

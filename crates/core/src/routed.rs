@@ -7,9 +7,18 @@
 //! in the pending table; an attempt whose [`crate::msg::AckMsg`] misses
 //! its deadline is resent with doubled backoff, and once the retry budget
 //! is spent the statement fails with a classified timeout. The owner
-//! remembers each `(origin, epoch, id)` result in a bounded FIFO cache,
-//! so a re-delivered frame (a duplicate, or a retry racing a slow ack)
-//! replays the first answer instead of applying twice.
+//! remembers each `(origin, epoch, id)` result, so a re-delivered frame
+//! (a duplicate, or a retry racing a slow ack) replays the first answer
+//! instead of applying twice.
+//!
+//! The owner keeps a result exactly as long as its origin may send the
+//! statement again. Every frame carries the origin's lowest still-pending
+//! id: the statements below it are settled (acknowledged or failed) and
+//! never sent again, and the ring delivers one origin's frames to the
+//! owner in the order they were sent (per-edge FIFO, stalls included),
+//! so none of their frames is still on its way. The owner drops their
+//! results on reading it. What an origin that restarted left behind —
+//! at most its in-flight window at the crash — stays.
 //!
 //! This module does no I/O and reads no clock: the event loop passes
 //! `now` in, sends the frames, counts and traces it hands back, and
@@ -18,14 +27,9 @@
 use crate::ids::NodeId;
 use crate::msg::{DcMsg, MutOp, Mutation, RoutedMsg};
 use crate::runtime::Waiter;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Entries the owner-side dedup cache retains. Old entries only matter
-/// while their origin might still resend (a few seconds); 4096 covers
-/// every plausible in-flight window at a few hundred bytes each.
-pub const APPLIED_CACHE_CAP: usize = 4096;
 
 /// Owner-side dedup key: `(origin, origin boot epoch, statement id)`.
 /// The epoch keeps a restarted origin's reused statement ids from
@@ -95,8 +99,6 @@ pub struct Routed {
     pending: HashMap<u64, Pending>,
     /// Results of routed statements already applied here, as owner.
     applied: HashMap<StmtKey, Result<u64, String>>,
-    /// FIFO of `applied` keys, oldest first, bounding the cache.
-    applied_order: VecDeque<StmtKey>,
 }
 
 impl Routed {
@@ -108,7 +110,6 @@ impl Routed {
             ack_retries,
             pending: HashMap::new(),
             applied: HashMap::new(),
-            applied_order: VecDeque::new(),
         }
     }
 
@@ -127,8 +128,9 @@ impl Routed {
     ) -> &Pending {
         let id = self.next_id;
         self.next_id += 1;
+        let settled_below = self.pending.keys().copied().min().unwrap_or(id);
         let p = Pending {
-            msg: RoutedMsg { origin, epoch: self.epoch, id, m },
+            msg: RoutedMsg { origin, epoch: self.epoch, id, settled_below, m },
             waiter,
             attempts: 1,
             deadline: now + self.ack_timeout,
@@ -182,6 +184,16 @@ impl Routed {
         self.pending.remove(&id)
     }
 
+    /// Drop the results of the statements `r`'s origin has settled: every
+    /// one of its incarnation below `r.settled_below`. What is left is
+    /// what origins may still resend, so the scan is short.
+    pub fn forget_settled(&mut self, r: &RoutedMsg) {
+        let incarnation = (r.origin.0, r.epoch);
+        self.applied.retain(|&(origin, epoch, id), _| {
+            (origin, epoch) != incarnation || id >= r.settled_below
+        });
+    }
+
     /// The result this node, as owner, already answered `key` with.
     pub fn applied(&self, key: StmtKey) -> Option<&Result<u64, String>> {
         self.applied.get(&key)
@@ -189,12 +201,6 @@ impl Routed {
 
     /// Record the result of a routed statement applied here.
     pub fn remember(&mut self, key: StmtKey, result: Result<u64, String>) {
-        if self.applied_order.len() >= APPLIED_CACHE_CAP {
-            if let Some(old) = self.applied_order.pop_front() {
-                self.applied.remove(&old);
-            }
-        }
-        self.applied_order.push_back(key);
         self.applied.insert(key, result);
     }
 }
@@ -276,7 +282,29 @@ mod tests {
     }
 
     #[test]
-    fn dedup_cache_replays_the_first_result_and_evicts_fifo() {
+    fn each_statement_carries_the_lowest_pending_id() {
+        let t0 = Instant::now();
+        let mut r = Routed::new(7, TIMEOUT, 2);
+        let send = |r: &mut Routed| {
+            let msg = &r.begin(ME, mutate("acct"), waiter(), t0).msg;
+            (msg.id, msg.settled_below)
+        };
+        assert_eq!(send(&mut r), (1, 1), "nothing else pending: only itself");
+        assert_eq!(send(&mut r), (2, 1));
+        assert!(r.ack(7, 1).is_some());
+        assert_eq!(send(&mut r), (3, 2));
+        assert!(r.ack(7, 3).is_some(), "settling a later one leaves 2 the lowest");
+        assert_eq!(send(&mut r), (4, 2));
+    }
+
+    /// A frame from `origin`'s incarnation `epoch`, whose statements below
+    /// `settled_below` are settled.
+    fn frame(origin: u16, epoch: u64, id: u64, settled_below: u64) -> RoutedMsg {
+        RoutedMsg { origin: NodeId(origin), epoch, id, settled_below, m: mutate("acct") }
+    }
+
+    #[test]
+    fn dedup_cache_replays_the_first_result_until_its_origin_settles_it() {
         let mut r = Routed::new(7, TIMEOUT, 2);
         assert!(r.applied((2, 9, 0)).is_none());
         r.remember((2, 9, 0), Ok(3));
@@ -284,12 +312,22 @@ mod tests {
         assert_eq!(r.applied((2, 9, 0)), Some(&Ok(3)));
         assert_eq!(r.applied((2, 9, 1)), Some(&Err("type mismatch".into())));
         assert!(r.applied((2, 10, 0)).is_none(), "another epoch's id 0 is another statement");
-        for id in 2..APPLIED_CACHE_CAP as u64 {
-            r.remember((2, 9, id), Ok(id));
+        // Origin 2 still awaits statement 0 while origin 3 routes 5 000
+        // statements, each settling the one before it.
+        for id in 0..5_000 {
+            let f = frame(3, 9, id, id);
+            r.forget_settled(&f);
+            r.remember((f.origin.0, f.epoch, f.id), Ok(id));
         }
-        assert!(r.applied((2, 9, 0)).is_some(), "at the cap nothing is evicted yet");
-        r.remember((2, 9, APPLIED_CACHE_CAP as u64), Ok(0));
-        assert!(r.applied((2, 9, 0)).is_none(), "one past the cap evicts the oldest");
-        assert!(r.applied((2, 9, 1)).is_some(), "and only the oldest");
+        assert_eq!(r.applied((2, 9, 0)), Some(&Ok(3)), "a pending statement's result stays");
+        assert!(r.applied((3, 9, 4_998)).is_none(), "a settled one's goes");
+        assert!(r.applied((3, 9, 4_999)).is_some());
+        // Origin 2 settles statement 0, not 1; its next incarnation's
+        // results are another origin's.
+        r.remember((2, 10, 0), Ok(0));
+        r.forget_settled(&frame(2, 9, 5, 1));
+        assert!(r.applied((2, 9, 0)).is_none());
+        assert!(r.applied((2, 9, 1)).is_some());
+        assert!(r.applied((2, 10, 0)).is_some());
     }
 }

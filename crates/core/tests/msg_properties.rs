@@ -68,6 +68,7 @@ fn routed_from(seed: i64, m: Mutation) -> DcMsg {
         origin: NodeId(seed.unsigned_abs() as u16),
         epoch: seed.unsigned_abs().wrapping_mul(31),
         id: seed.unsigned_abs().wrapping_mul(7),
+        settled_below: seed.unsigned_abs().wrapping_mul(5),
         m,
     })
 }
@@ -345,16 +346,16 @@ proptest! {
         prop_assert!(decode(&bat).is_err());
 
         let insert = encode(&insert_from(0, seed, "", 1, 3)).to_vec();
-        // tag(1) + origin(2) + epoch(8) + id(8) + "sys"(2+3) + "t"(2+1) +
-        // op(1) + count(2) + "c0"(2+2) = 34 bytes, then the u32 byte
-        // length of the only column and its BAT: "DCB1", two type tags,
-        // then the u64 row count.
+        // tag(1) + origin(2) + epoch(8) + id(8) + settled_below(8) +
+        // "sys"(2+3) + "t"(2+1) + op(1) + count(2) + "c0"(2+2) = 42 bytes,
+        // then the u32 byte length of the only column and its BAT:
+        // "DCB1", two type tags, then the u64 row count.
         let mut column = insert.clone();
-        column[34..38].copy_from_slice(&(claim as u32 | 1 << 31).to_le_bytes());
+        column[42..46].copy_from_slice(&(claim as u32 | 1 << 31).to_le_bytes());
         prop_assert!(decode(&column).is_err());
         let mut rows = insert;
-        prop_assert_eq!(&rows[38..42], b"DCB1");
-        rows[44..52].copy_from_slice(&claim.to_le_bytes());
+        prop_assert_eq!(&rows[46..50], b"DCB1");
+        rows[52..60].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&rows).is_err());
     }
 
@@ -376,9 +377,9 @@ proptest! {
         prop_assert!(decode(&bytes).is_err());
 
         // Routed mutation: the schema name follows tag(1) + origin(2) +
-        // epoch(8) + id(8) = 19 bytes.
+        // epoch(8) + id(8) + settled_below(8) = 27 bytes.
         let mut bytes = encode(&mutate_from(1, 7, "x", 0, 0)).to_vec();
-        bytes[19..21].copy_from_slice(&claim.to_le_bytes());
+        bytes[27..29].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bytes).is_err());
     }
 }

@@ -513,14 +513,22 @@ fn register_bat_algebra(r: &mut Registry) {
 // ---- aggregates -------------------------------------------------------
 
 fn register_aggregates(r: &mut Registry) {
-    // aggr.scan(rows, <predicates>, ["by", key…], <aggregates>) → (one BAT
-    // per key, one per aggregate): filter, group and aggregate in one
-    // pass over cache-sized batches (`ops::scan_aggregate`). `rows` is any
-    // column of the table (it gives the row count); predicates are the
-    // `sql.update` encoding with the bound column in place of its name;
-    // an aggregate is `"count*"` or `"sum"|"avg"|"min"|"max", column`.
-    // Every column operand must be aligned with `rows`, whether a bound
-    // table column or a projection of a join result.
+    // aggr.scan(rows, <predicates>, ["probe", key, build…], ["by", key…],
+    // <aggregates>) → (one BAT per key, one per aggregate): filter, group
+    // and aggregate in one pass over cache-sized batches
+    // (`ops::scan_aggregate`). `rows` is any column of the scanned table
+    // (it gives the row count); predicates are the `sql.update` encoding
+    // with the bound column in place of its name; an aggregate is
+    // `"count*"` or `"sum"|"avg"|"min"|"max", column`.
+    //
+    // The probe stage joins the scanned table to a build side: `key` is
+    // the scanned table's join column, and `build…` lists the build side's
+    // join column first, then the build columns the keys and aggregates
+    // read, all aligned with each other. Each batch of qualifying scanned
+    // rows is probed into a hash table over the build key, and every
+    // joined row is grouped and folded; the join result is never built.
+    // A key or aggregate operand is a column aligned with `rows`, or the
+    // number of a build column (0 is the build key).
     r.register("aggr", "scan", |_ctx, args| {
         let name = "aggr.scan";
         if args.is_empty() {
@@ -530,11 +538,33 @@ fn register_aggregates(r: &mut Registry) {
         let column = |at: usize| arg_bat(args, at, name).map(|_| at.to_string());
         let rows = arg_bat(args, 0, name)?.count();
         let (preds, mut i) = parse_predicates(args, 1, name, column)?;
+        let (mut join_key, mut build) = (None, i..i);
+        if args.get(i).and_then(MVal::as_str) == Some("probe") {
+            if args.len() < i + 3 {
+                return Err(MalError::BadCall(format!("{name}: truncated probe stage")));
+            }
+            join_key = Some(column(i + 1)?);
+            arg_bat(args, i + 2, name)?;
+            i += 2;
+            let start = i;
+            while args.get(i).is_some_and(|a| a.as_bat().is_some()) {
+                i += 1;
+            }
+            build = start..i;
+        }
+        let operand = |at: usize| match args[at].as_int() {
+            Some(k) => usize::try_from(k)
+                .ok()
+                .filter(|&k| k < build.len())
+                .map(|k| (build.start + k).to_string())
+                .ok_or_else(|| MalError::BadCall(format!("{name}: no build column {k}"))),
+            None => column(at),
+        };
         let mut keys = Vec::new();
         if args.get(i).and_then(MVal::as_str) == Some("by") {
             i += 1;
-            while args.get(i).is_some_and(|a| a.as_bat().is_some()) {
-                keys.push(i.to_string());
+            while args.get(i).is_some_and(|a| a.as_bat().is_some() || a.as_int().is_some()) {
+                keys.push(operand(i)?);
                 i += 1;
             }
         }
@@ -557,12 +587,20 @@ fn register_aggregates(r: &mut Registry) {
             if i + 1 >= args.len() {
                 return Err(MalError::BadCall(format!("{name}: aggregate without a column")));
             }
-            aggs.push(make(column(i + 1)?));
+            aggs.push(make(operand(i + 1)?));
             i += 2;
         }
-        let lookup = |at: &str| at.parse::<usize>().ok().and_then(|at| args[at].as_bat().cloned());
+        let arg = |at: usize| args[at].as_bat().cloned();
+        let lookup = |at: &str| at.parse::<usize>().ok().and_then(arg);
+        let build_col =
+            |at: &str| at.parse::<usize>().ok().filter(|at| build.contains(at)).and_then(arg);
+        let probe = join_key.as_deref().map(|key| ops::Probe {
+            key,
+            build_key: args[build.start].as_bat().expect("checked a BAT"),
+            build: &build_col,
+        });
         let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let out = ops::scan_aggregate(&lookup, rows, &preds, &keys, &aggs)?;
+        let out = ops::scan_aggregate(&lookup, rows, &preds, probe.as_ref(), &keys, &aggs)?;
         Ok(out.into_iter().map(|b| MVal::Bat(Arc::new(b))).collect())
     });
 }
@@ -719,8 +757,23 @@ mod tests {
         let b = MVal::Bat(Arc::new(Bat::dense(Column::from(vec![5, 1, 9, 3]))));
         let s = MVal::Str;
         let args = [b.clone(), s("cmp".into()), b.clone(), s(">=".into()), MVal::Int(3)];
-        let out = call(&r, ("aggr", "scan"), &c, &[&args[..], &[s("sum".into()), b]].concat());
+        let out =
+            call(&r, ("aggr", "scan"), &c, &[&args[..], &[s("sum".into()), b.clone()]].concat());
         assert_eq!(out[0].as_bat().unwrap().bun(0).1, Val::Lng(17));
+
+        // Probed into a build side keyed 3, 5, 3: grouped by its second
+        // column (build column 1), summing the scanned one.
+        let bat = |c: Column| MVal::Bat(Arc::new(Bat::dense(c)));
+        let (key, tag) = (bat(Column::from(vec![3, 5, 3])), bat(Column::from(vec!["p", "q", "r"])));
+        let probe = [s("probe".into()), b.clone(), key, tag, s("by".into()), MVal::Int(1)];
+        let scan = [&args[..], &probe, &[s("sum".into()), b.clone()]].concat();
+        let out = call(&r, ("aggr", "scan"), &c, &scan);
+        let cells = |v: &MVal| v.as_bat().unwrap().tail().iter_vals().collect::<Vec<_>>();
+        assert_eq!(cells(&out[0]), [Val::from("q"), Val::from("p"), Val::from("r")]);
+        assert_eq!(cells(&out[1]), [Val::Lng(5), Val::Lng(3), Val::Lng(3)]);
+        // A build column the probe stage does not list is refused.
+        let scan = [&args[..], &probe[..4], &[s("by".into()), MVal::Int(2)]].concat();
+        assert!((r.lookup("aggr", "scan").unwrap())(&c, &scan).is_err());
     }
 
     #[test]

@@ -34,9 +34,37 @@
 //!     "by", X2, X3, "sum", X4, "sum", X5, "avg", X6, "count*");
 //! ```
 //!
-//! Over a join the same instruction takes the join result's projected
-//! columns and no predicate. DISTINCT is that instruction with keys and
-//! no aggregate, over the output columns.
+//! Over a join the same instruction scans the table the join chain adds
+//! last, with its own predicates, and probes each batch of its rows into
+//! a hash table over the rest of the chain — the *build side*, planned as
+//! above for the other tables and projected to the join key and the
+//! columns the statement reads from them. Keys and aggregates name a
+//! scanned column directly and a build column by its number. TPC-H Q3,
+//! lineitem scanned and probed into customer ⋈ orders:
+//!
+//! ```text
+//! X1 := sql.bind("sys","customer","c_mktsegment",0);
+//! X2 := algebra.uselect(X1, A0);
+//! X3 := sql.bind("sys","orders","o_orderdate",0);
+//! X4 := algebra.thetauselect(X3, A1, "<");
+//! X6 := algebra.semijoin(X5, X2);        -- c_custkey, selected
+//! X8 := algebra.semijoin(X7, X4);        -- o_custkey, selected
+//! X9 := bat.reverse(X8);
+//! X10 := algebra.join(X6, X9);
+//! X11 := algebra.markH(X10, 0@0);        -- (res → orders oid)
+//! X14 := algebra.join(X11, X13);         -- o_orderkey: the build key
+//! X15 := algebra.join(X11, X3);          -- o_orderdate
+//! X17 := algebra.join(X11, X16);         -- o_shippriority
+//! (X20,X21,X22,X23) := aggr.scan(X12, "cmp", X18, ">", A2,
+//!     "probe", X12, X14, X15, X17, "by", 0, 1, 2, "sum", X19);
+//! ```
+//!
+//! No lineitem-length BAT is built: `l_orderkey` (X12), `l_shipdate`
+//! (X18) and `l_extendedprice` (X19) are read by that instruction alone.
+//! An aggregate without ORDER BY lists its groups as they first appear
+//! over the scanned table's rows, and for one row in build order.
+//! DISTINCT is the instruction with keys and no aggregate, over the
+//! output columns.
 
 use crate::ast::*;
 use crate::err;
@@ -131,7 +159,14 @@ struct TableState {
     selection: Option<VarId>,
     /// `(result-row → oid)` once the table is part of the join result.
     rowmap: Option<VarId>,
+    /// Whether joining the table gives it a row map: always for a
+    /// projection; over a join aggregate, only when something reads it.
+    mapped: bool,
 }
+
+/// One join of the chain: `((joined table, its column), (new table, its
+/// column))`, tables by index.
+type JoinStep<'j> = ((usize, &'j str), (usize, &'j str));
 
 struct Compiler<'a> {
     g: Gen<'a>,
@@ -293,40 +328,58 @@ impl<'a> Compiler<'a> {
             self.tables[ti].rowmap = Some(rowmap);
             return Ok(());
         }
+        let steps = self.join_steps(joins)?;
+        self.emit_joins(&steps)
+    }
 
+    /// The join chain in the order the join predicates give it, checked
+    /// and nothing emitted: each step joins a new table (the second of
+    /// its pair) on a column of one already joined. The first step's
+    /// pair are both new; it joins its second table to its first.
+    fn join_steps<'j>(&self, joins: &'j [(ColRef, ColRef)]) -> Result<Vec<JoinStep<'j>>> {
         if joins.is_empty() {
             return Err(err("cross products are not supported: add join predicates"));
         }
-
+        let mut joined = vec![false; self.tables.len()];
+        let mut steps = Vec::with_capacity(joins.len());
         for (lc, rc) in joins {
             let li = self.table_idx(&lc.table, &lc.column)?;
             let ri = self.table_idx(&rc.table, &rc.column)?;
             if li == ri {
                 return Err(err(SELF_COMPARISON));
             }
-            let l_joined = self.tables[li].rowmap.is_some();
-            let r_joined = self.tables[ri].rowmap.is_some();
-            match (l_joined, r_joined) {
+            let step = match (joined[li], joined[ri]) {
+                (false, false) if steps.is_empty() => ((li, &*lc.column), (ri, &*rc.column)),
                 (false, false) => {
-                    if self.tables.iter().any(|t| t.rowmap.is_some()) {
-                        return Err(err(
-                            "join predicates must connect to already-joined tables in order",
-                        ));
-                    }
-                    self.first_join(li, &lc.column, ri, &rc.column)?;
+                    return Err(err(
+                        "join predicates must connect to already-joined tables in order",
+                    ));
                 }
-                (true, false) => self.extend_join(li, &lc.column, ri, &rc.column)?,
-                (false, true) => self.extend_join(ri, &rc.column, li, &lc.column)?,
-                (true, true) => {
-                    return Err(err("cyclic join predicates are not supported"));
-                }
-            }
+                (true, false) => ((li, &*lc.column), (ri, &*rc.column)),
+                (false, true) => ((ri, &*rc.column), (li, &*lc.column)),
+                (true, true) => return Err(err("cyclic join predicates are not supported")),
+            };
+            (joined[step.0 .0], joined[step.1 .0]) = (true, true);
+            steps.push(step);
         }
-        if let Some(t) = self.tables.iter().find(|t| t.rowmap.is_none()) {
+        if let Some(t) = joined.iter().position(|&j| !j) {
             return Err(err(format!(
                 "table '{}' is not connected by any join predicate",
-                t.tref.alias
+                self.tables[t].tref.alias
             )));
+        }
+        Ok(steps)
+    }
+
+    /// Emit the join chain `steps`, giving a row map to each table it
+    /// joins that is `mapped` (a table later steps join on must be).
+    fn emit_joins(&mut self, steps: &[JoinStep]) -> Result<()> {
+        for (k, &((ji, jcol), (ni, ncol))) in steps.iter().enumerate() {
+            if k == 0 {
+                self.first_join(ji, jcol, ni, ncol)?;
+            } else {
+                self.extend_join(ji, jcol, ni, ncol)?;
+            }
         }
         Ok(())
     }
@@ -339,15 +392,18 @@ impl<'a> Compiler<'a> {
         let rb = self.selected(ri, rb);
         let rrev = self.g.emit("bat", "reverse", vec![Arg::Var(rb)]);
         let pairs = self.g.emit("algebra", "join", vec![Arg::Var(lb), Arg::Var(rrev)]);
-        // (oidL→res) → reverse → (res→oidL)
-        let lmark =
-            self.g.emit("algebra", "markT", vec![Arg::Var(pairs), Arg::Const(Const::Oid(0))]);
-        let lmap = self.g.emit("bat", "reverse", vec![Arg::Var(lmark)]);
-        // (res→oidR)
-        let rmap =
-            self.g.emit("algebra", "markH", vec![Arg::Var(pairs), Arg::Const(Const::Oid(0))]);
-        self.tables[li].rowmap = Some(lmap);
-        self.tables[ri].rowmap = Some(rmap);
+        if self.tables[li].mapped {
+            // (oidL→res) → reverse → (res→oidL)
+            let lmark =
+                self.g.emit("algebra", "markT", vec![Arg::Var(pairs), Arg::Const(Const::Oid(0))]);
+            self.tables[li].rowmap = Some(self.g.emit("bat", "reverse", vec![Arg::Var(lmark)]));
+        }
+        if self.tables[ri].mapped {
+            // (res→oidR)
+            let rmap =
+                self.g.emit("algebra", "markH", vec![Arg::Var(pairs), Arg::Const(Const::Oid(0))]);
+            self.tables[ri].rowmap = Some(rmap);
+        }
         Ok(())
     }
 
@@ -355,7 +411,7 @@ impl<'a> Compiler<'a> {
     /// `joined.jcol = new.ncol`; renumbers the result space and composes
     /// all existing row maps.
     fn extend_join(&mut self, ji: usize, jcol: &str, ni: usize, ncol: &str) -> Result<()> {
-        let jmap = self.tables[ji].rowmap.expect("caller checked");
+        let jmap = self.tables[ji].rowmap.expect("a table joined on has a row map");
         let jb = self.bind(ji, jcol)?;
         // (res→val) for the joined side.
         let jvals = self.g.emit("algebra", "join", vec![Arg::Var(jmap), Arg::Var(jb)]);
@@ -376,9 +432,11 @@ impl<'a> Compiler<'a> {
                 t.rowmap = Some(composed);
             }
         }
-        let nmap =
-            self.g.emit("algebra", "markH", vec![Arg::Var(pairs), Arg::Const(Const::Oid(0))]);
-        self.tables[ni].rowmap = Some(nmap);
+        if self.tables[ni].mapped {
+            let nmap =
+                self.g.emit("algebra", "markH", vec![Arg::Var(pairs), Arg::Const(Const::Oid(0))]);
+            self.tables[ni].rowmap = Some(nmap);
+        }
         Ok(())
     }
 
@@ -402,15 +460,33 @@ impl<'a> Compiler<'a> {
         Ok((v, ty, self.label(ti)))
     }
 
-    /// A column as an operand of the fused aggregation, row-aligned with
-    /// its other operands: over one table the bound column itself (the
-    /// instruction does the filtering), over a join result its projection.
-    fn aligned(&mut self, col: &ColRef) -> Result<(VarId, ColType, String)> {
-        if self.tables.len() > 1 {
-            return self.project(col);
-        }
-        let (ti, b, ty) = self.bound(col)?;
-        Ok((b, ty, self.label(ti)))
+    /// A column of a probe stage's build side, aligned with its other
+    /// columns: projected through the table's row map when the build side
+    /// is a join, else the table's selection of it.
+    fn build_column(&mut self, ti: usize, column: &str) -> Result<VarId> {
+        let b = self.bind(ti, column)?;
+        Ok(match self.tables[ti].rowmap {
+            Some(rowmap) => self.g.emit("algebra", "join", vec![Arg::Var(rowmap), Arg::Var(b)]),
+            None => self.selected(ti, b),
+        })
+    }
+}
+
+/// The hash-probe stage of an aggregate over a join: the scanned table's
+/// join column, then the build side's key and the build columns the keys
+/// and aggregates read, which they name by position.
+struct ProbeStage {
+    key: VarId,
+    /// `(table, column)` of each build column, the build key first.
+    names: Vec<(usize, String)>,
+    columns: Vec<VarId>,
+}
+
+impl ProbeStage {
+    /// The operand naming build column `(ti, column)`.
+    fn operand(&self, ti: usize, column: &str) -> Arg {
+        let at = self.names.iter().position(|(t, name)| (*t, name.as_str()) == (ti, column));
+        Gen::cint(at.expect("every build column read is projected") as i64)
     }
 }
 
@@ -456,6 +532,7 @@ pub fn compile(q: &Query, catalog: &Catalog) -> Result<Program> {
                 bound: HashMap::new(),
                 selection: None,
                 rowmap: None,
+                mapped: true,
             })
             .collect(),
     };
@@ -557,12 +634,42 @@ fn apply_distinct(c: &mut Compiler, outs: &mut [OutCol]) {
     c.g.prog.push(Instr { targets, module: "aggr".into(), func: "scan".into(), args });
 }
 
+/// The build side of an aggregate over the join chain `steps`, whose last
+/// step adds the scanned table: the chain before that step, emitted as a
+/// projection's join would be (with the other tables' selections already
+/// pushed down), with row maps only for the tables the statement reads or
+/// a later step joins on; and the last step's join column on either side.
+fn probe_stage(c: &mut Compiler, q: &Query, steps: &[JoinStep]) -> Result<ProbeStage> {
+    let (&((bi, bcol), (si, scol)), chain) = steps.split_last().expect("a join has a step");
+    let folded = q.select.iter().filter_map(|item| match item {
+        SelectItem::Agg { f, col: Some(col) } if *f != AggFn::Count => Some(col),
+        _ => None,
+    });
+    let mut names = vec![(bi, bcol.to_string())];
+    for col in q.group_by.iter().chain(folded) {
+        let name = (c.table_idx(&col.table, &col.column)?, col.column.clone());
+        if name.0 != si && !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    for (ti, t) in c.tables.iter_mut().enumerate() {
+        let joined_on = chain.iter().skip(1).any(|&((ji, _), _)| ji == ti);
+        t.mapped = joined_on || names.iter().any(|&(read, _)| read == ti);
+    }
+    c.emit_joins(chain)?;
+    let key = c.bind(si, scol)?;
+    let columns = names.iter().map(|(ti, name)| c.build_column(*ti, name));
+    let columns = columns.collect::<Result<_>>()?;
+    Ok(ProbeStage { key, names, columns })
+}
+
 /// Every aggregating SELECT ends in one `aggr.scan`: the conjunction of
-/// single-table predicates, the GROUP BY keys (none: one group) and the
-/// aggregates, evaluated in one pass over the table's bound columns. An
-/// aggregate over a join result goes through the same instruction with
-/// the row-aligned projections of the join as operands and no predicate
-/// (those were pushed below the join).
+/// the scanned table's predicates, the GROUP BY keys (none: one group)
+/// and the aggregates, evaluated in one pass over its bound columns. Over
+/// a join the scanned table is the one the join chain adds last, and the
+/// instruction's probe stage joins each batch of its qualifying rows to
+/// the build side ([`probe_stage`]) — so no column of the scanned
+/// table's length is built besides its own.
 fn compile_aggregates(
     c: &mut Compiler,
     q: &Query,
@@ -582,31 +689,48 @@ fn compile_aggregates(
         }
     }
 
-    // Operands after the first: predicates, "by" keys, aggregates. The
-    // first is where the row count comes from: a column the statement
-    // reads anyway.
-    let (mut args, mut rows) = (Vec::new(), None);
-    if c.tables.len() == 1 {
-        let filtered: Vec<&ColRef> = q.predicates.iter().filter_map(Predicate::column).collect();
-        let mut bound = Vec::with_capacity(filtered.len());
-        for col in filtered {
-            let v = c.aligned(col)?.0;
-            rows.get_or_insert(v);
-            bound.push(Arg::Var(v));
+    // The scanned table: the only one, or over a join the one the chain
+    // adds last. Its predicates go into the instruction; the others' are
+    // pushed down into the build side.
+    let steps = if c.tables.len() > 1 { c.join_steps(joins)? } else { Vec::new() };
+    let scanned = steps.last().map_or(0, |&(_, (ti, _))| ti);
+    let mut preds = Vec::new();
+    for p in &q.predicates {
+        let Some(col) = p.column() else { continue };
+        if c.table_idx(&col.table, &col.column)? == scanned {
+            preds.push(p.clone());
+        } else {
+            c.push_selection(p)?;
         }
-        push_pred_args(&mut args, &mut c.g.prog.params, &q.predicates, bound)?;
-    } else {
-        c.select_and_join(q, joins)?;
     }
+    let probe = if steps.is_empty() { None } else { Some(probe_stage(c, q, &steps)?) };
+    let mut bound = Vec::with_capacity(preds.len());
+    for p in &preds {
+        bound.push(Arg::Var(c.bound(p.column().expect("a filter has a column"))?.1));
+    }
+    let mut args = Vec::new();
+    push_pred_args(&mut args, &mut c.g.prog.params, &preds, bound)?;
+    if let Some(stage) = &probe {
+        args.extend([Gen::cstr("probe"), Arg::Var(stage.key)]);
+        args.extend(stage.columns.iter().copied().map(Arg::Var));
+    }
+    // A key or aggregate column: the scanned table's own, or a build one.
+    let operand = |c: &mut Compiler, col: &ColRef| -> Result<(Arg, ColType, String)> {
+        let (ti, b, ty) = c.bound(col)?;
+        let arg = match &probe {
+            Some(stage) if ti != scanned => stage.operand(ti, &col.column),
+            _ => Arg::Var(b),
+        };
+        Ok((arg, ty, c.label(ti)))
+    };
 
     if !q.group_by.is_empty() {
         args.push(Gen::cstr("by"));
     }
     let mut keys = Vec::with_capacity(q.group_by.len());
     for key in &q.group_by {
-        let (v, ty, label) = c.aligned(key)?;
-        rows.get_or_insert(v);
-        args.push(Arg::Var(v));
+        let (arg, ty, label) = operand(c, key)?;
+        args.push(arg);
         keys.push((ty, label));
     }
     // Name and result type of each aggregate, in select-list order.
@@ -629,19 +753,23 @@ fn compile_aggregates(
             }
             SelectItem::Agg { f, col } => {
                 let col = col.as_ref().expect("checked above");
-                let (v, ty, _) = c.aligned(col)?;
-                rows.get_or_insert(v);
-                args.extend([Gen::cstr(f.name()), Arg::Var(v)]);
+                let (arg, ty, _) = operand(c, col)?;
+                args.extend([Gen::cstr(f.name()), arg]);
                 aggs.push((format!("{}_{}", f.name(), col.column), agg_result_type(*f, ty)));
             }
             _ => {}
         }
     }
-    // A bare `count(*)` reads the table's first column (of a join
-    // result: a row map), as the separate operators did.
-    let rows = match (rows, c.tables[0].rowmap) {
-        (Some(v), _) => v,
-        (None, Some(rowmap)) => rowmap,
+    // The first operand gives the row count: the scanned table's join
+    // column, or the first column the statement reads anyway, or (for a
+    // bare `count(*)`) its first column.
+    let read = args.iter().find_map(|a| match a {
+        Arg::Var(v) => Some(*v),
+        _ => None,
+    });
+    let rows = match (&probe, read) {
+        (Some(stage), _) => stage.key,
+        (None, Some(v)) => v,
         (None, None) => c.bind_first(0)?,
     };
     args.insert(0, Arg::Var(rows));
@@ -1280,15 +1408,28 @@ mod tests {
                 assert!(!calls.iter().any(|c| c.contains(gone)), "{sql}: {gone} in {calls:?}");
             }
         }
-        // Over a join the selections and the join stay; the aggregation
-        // over its projected columns is the same one instruction.
-        let calls = calls(
-            "select t.id, sum(c.amount), count(*) from t, c \
-             where c.t_id = t.id and c.amount > 5 group by t.id",
-        );
+        // Over a join the other table's selection stays, and the same one
+        // instruction probes the table the join adds last (`t`) into it:
+        // nothing else reads a column of `t`, and the plan is shorter than
+        // the 19 instructions that joined first and aggregated the join's
+        // projected columns.
+        let sql = "select t.id, sum(c.amount), count(*) from t, c \
+                   where c.t_id = t.id and c.amount > 5 group by t.id";
+        let calls = calls(sql);
         assert_eq!(calls.iter().filter(|c| *c == "aggr.scan").count(), 1, "{calls:?}");
         assert!(calls.iter().any(|c| c == "algebra.thetauselect"), "{calls:?}");
         assert!(!calls.iter().any(|c| c.starts_with("group.") || c.ends_with("For")), "{calls:?}");
+        assert!(calls.len() < 19, "{calls:?}");
+        let prog = compile_sql(sql, &catalog).unwrap();
+        let probed = prog
+            .instrs
+            .iter()
+            .find(|i| i.is("sql", "bind") && i.args[1] == Gen::cstr("t"))
+            .map(|i| Arg::Var(i.targets[0]))
+            .expect("t is bound");
+        for i in prog.instrs.iter().filter(|i| i.args.contains(&probed)) {
+            assert!(i.is("aggr", "scan"), "{} reads t.id:\n{prog}", i.qualified_name());
+        }
         // Every literal of the fused instruction is a parameter slot, in
         // token order.
         let prog = compile_sql(single_table[4], &catalog).unwrap();

@@ -313,6 +313,7 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
             origin: NodeId(1),
             epoch,
             id: 999,
+            settled_below: 999,
             m: Mutation {
                 schema: "sys".into(),
                 table: "acct".into(),

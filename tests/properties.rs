@@ -527,17 +527,41 @@ mod fused {
         cell.try_cmp(c).is_some_and(|o| op.matches(o))
     }
 
+    /// A joined row: its scanned position and its build position (the
+    /// scanned one again without a probe stage).
+    type Row = (usize, usize);
+
+    /// A probe stage: the build side's columns, named `b0`, `b1`, … next
+    /// to the scanned table's `0`, `1`, …, and the join column of each.
+    pub struct Join<'a> {
+        pub build: &'a [Column],
+        pub key: usize,
+        pub build_key: usize,
+    }
+
     /// The operator, a row at a time: every check before the first row,
-    /// then nested loops over `Val`s and a `Vec` of groups in
-    /// first-appearance order. Output columns as `canon` text: one per
-    /// key, then one per aggregate.
+    /// then nested loops over `Val`s — the qualifying scanned rows in
+    /// order, each joined to every build row whose key has its key's bit
+    /// pattern, in build order — and a `Vec` of groups in first-appearance
+    /// order. Output columns as `canon` text: one per key, then one per
+    /// aggregate.
     pub fn row_at_a_time(
         cols: &[Column],
+        join: Option<&Join<'_>>,
         preds: &[RowPredicate],
-        keys: &[usize],
+        keys: &[String],
         aggs: &[Aggregate],
     ) -> Result<Vec<Vec<String>>, Failure> {
-        let col = |name: &str| &cols[name.parse::<usize>().unwrap()];
+        // A column by name, and whether the build side holds it.
+        let col = |name: &str| match name.strip_prefix('b') {
+            Some(at) => (&join.expect("a probe stage").build[at.parse::<usize>().unwrap()], true),
+            None => (&cols[name.parse::<usize>().unwrap()], false),
+        };
+        // The cell of a named column in a joined row `(scanned, build)`.
+        let cell = |name: &str, (i, j): Row| match col(name) {
+            (c, true) => c.get(j),
+            (c, false) => c.get(i),
+        };
         for p in preds {
             let consts: Vec<&Val> = match p {
                 RowPredicate::Cmp { value, .. } => vec![value],
@@ -547,22 +571,24 @@ mod fused {
                 }
                 RowPredicate::InList { values, .. } => values.iter().collect(),
             };
-            if !consts.iter().all(|v| comparable(col(p.column()).col_type(), v)) {
+            if !consts.iter().all(|v| comparable(col(p.column()).0.col_type(), v)) {
                 return Err(Failure::TypeMismatch);
             }
         }
+        if join.is_some_and(|j| cols[j.key].col_type() != j.build[j.build_key].col_type()) {
+            return Err(Failure::TypeMismatch);
+        }
         for a in aggs {
             if let Aggregate::Sum(c) | Aggregate::Avg(c) = a {
-                if !matches!(col(c).col_type(), ColType::Int | ColType::Lng | ColType::Dbl) {
+                if !matches!(col(c).0.col_type(), ColType::Int | ColType::Lng | ColType::Dbl) {
                     return Err(Failure::TypeMismatch);
                 }
             }
         }
 
-        let rows = cols[0].len();
         let qualifies = |i: usize| {
             preds.iter().all(|p| {
-                let cell = col(p.column()).get(i);
+                let cell = col(p.column()).0.get(i);
                 match p {
                     RowPredicate::Cmp { op, value, .. } => holds(&cell, *op, value),
                     RowPredicate::Between { lo, hi, .. } => {
@@ -574,16 +600,29 @@ mod fused {
                 }
             })
         };
-        // (key as text, the group's rows in position order).
-        let mut groups: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
+        let mut rows = Vec::new();
+        for i in (0..cols[0].len()).filter(|&i| qualifies(i)) {
+            match join {
+                None => rows.push((i, i)),
+                Some(join) => {
+                    let key = canon(cols[join.key].get(i));
+                    let build = &join.build[join.build_key];
+                    rows.extend(
+                        (0..build.len()).filter(|&j| canon(build.get(j)) == key).map(|j| (i, j)),
+                    );
+                }
+            }
+        }
+        // (key as text, the group's rows in order).
+        let mut groups: Vec<(Vec<String>, Vec<Row>)> = Vec::new();
         if keys.is_empty() {
             groups.push((Vec::new(), Vec::new()));
         }
-        for i in (0..rows).filter(|&i| qualifies(i)) {
-            let key: Vec<String> = keys.iter().map(|&k| canon(cols[k].get(i))).collect();
+        for row in rows {
+            let key: Vec<String> = keys.iter().map(|k| canon(cell(k, row))).collect();
             match groups.iter_mut().find(|g| g.0 == key) {
-                Some(group) => group.1.push(i),
-                None => groups.push((key, vec![i])),
+                Some(group) => group.1.push(row),
+                None => groups.push((key, vec![row])),
             }
         }
 
@@ -594,23 +633,23 @@ mod fused {
             for (_, rows) in &groups {
                 let sum = |c: &str| -> Result<Val, Failure> {
                     let (mut exact, mut float) = (0i128, 0f64);
-                    for &i in rows {
-                        match col(c).get(i) {
+                    for &row in rows {
+                        match cell(c, row) {
                             Val::Int(x) => exact += i128::from(x),
                             Val::Lng(x) => exact += i128::from(x),
                             Val::Dbl(x) => float += x,
                             other => panic!("summing {other:?}"),
                         }
                     }
-                    if col(c).col_type() == ColType::Dbl {
+                    if col(c).0.col_type() == ColType::Dbl {
                         return Ok(Val::Dbl(float));
                     }
                     i64::try_from(exact).map(Val::Lng).map_err(|_| Failure::Overflow)
                 };
                 let extremum = |c: &str, want: Ordering| {
                     let mut best: Option<Val> = None;
-                    for &i in rows {
-                        let cell = col(c).get(i);
+                    for &row in rows {
+                        let cell = cell(c, row);
                         if best.as_ref().is_none_or(|b| cell.try_cmp(b) == Some(want)) {
                             best = Some(cell);
                         }
@@ -642,10 +681,10 @@ mod fused {
     }
 
     /// The type of each output column: a key's own, and an aggregate's
-    /// declared one.
-    pub fn output_types(keys: &[usize], aggs: &[Aggregate]) -> Vec<ColType> {
-        let of = |c: &str| TYPES[c.parse::<usize>().unwrap()];
-        let keys = keys.iter().map(|&k| TYPES[k]);
+    /// declared one. Both sides' columns are typed as `TYPES`.
+    pub fn output_types(keys: &[String], aggs: &[Aggregate]) -> Vec<ColType> {
+        let of = |c: &str| TYPES[c.trim_start_matches('b').parse::<usize>().unwrap()];
+        let keys = keys.iter().map(|k| of(k));
         keys.chain(aggs.iter().map(|a| match a {
             Aggregate::Count => ColType::Lng,
             Aggregate::Avg(_) => ColType::Dbl,
@@ -654,6 +693,34 @@ mod fused {
             Aggregate::Min(c) | Aggregate::Max(c) => of(c),
         }))
         .collect()
+    }
+
+    /// The kernel answers what the row-at-a-time evaluation answers —
+    /// cells, types, and every claim of each column true — or fails the
+    /// way it fails.
+    pub fn check(
+        got: Result<Vec<batstore::Bat>, BatError>,
+        want: Result<Vec<Vec<String>>, Failure>,
+        keys: &[String],
+        aggs: &[Aggregate],
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                let text =
+                    |b: &batstore::Bat| (0..b.count()).map(|g| canon(b.tail().get(g))).collect();
+                let cells: Vec<Vec<String>> = got.iter().map(text).collect();
+                assert_eq!(cells, want, "{what}");
+                let types: Vec<ColType> = got.iter().map(|b| b.tail_type()).collect();
+                assert_eq!(types, output_types(keys, aggs), "{what}");
+                for b in &got {
+                    assert_eq!(b.head(), &Column::Void { seq: 0, len: b.count() });
+                    super::kernels::assert_claims(b, what);
+                }
+            }
+            (Err(got), Err(want)) => assert_eq!(failure(&got), want, "{what}: {got}"),
+            (got, want) => panic!("{what}: kernel {got:?}, row at a time {want:?}"),
+        }
     }
 }
 
@@ -675,34 +742,94 @@ proptest! {
         let mut dice = Dice(&dice, 0);
         let cols = table(&picks);
         let preds: Vec<_> = (0..dice.roll(4)).map(|_| predicate(&mut dice)).collect();
-        let keys: Vec<usize> = (0..dice.roll(4)).map(|_| dice.roll(TYPES.len())).collect();
+        let keys: Vec<String> =
+            (0..dice.roll(4)).map(|_| dice.roll(TYPES.len()).to_string()).collect();
         let n_aggs = if keys.is_empty() { 1 + dice.roll(4) } else { dice.roll(5) };
         let aggs: Vec<_> = (0..n_aggs).map(|_| aggregate(&mut dice)).collect();
 
         let bats: Vec<Arc<Bat>> = cols.iter().map(|c| Arc::new(Bat::dense(c.clone()))).collect();
         let lookup = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&bats[i]));
-        let names: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let got = ops::scan_aggregate(&lookup, picks.len(), &preds, &names, &aggs);
-        let want = row_at_a_time(&cols, &preds, &keys, &aggs);
-        let what = format!("where {preds:?} by {keys:?}: {aggs:?}");
-        match (got, want) {
-            (Ok(got), Ok(want)) => {
-                let cells: Vec<Vec<String>> = got
-                    .iter()
-                    .map(|b| (0..b.count()).map(|g| kernels::canon(b.tail().get(g))).collect())
-                    .collect();
-                prop_assert_eq!(cells, want, "{}", what);
-                let types: Vec<ColType> = got.iter().map(|b| b.tail_type()).collect();
-                prop_assert_eq!(types, output_types(&keys, &aggs), "{}", what);
-                for b in &got {
-                    prop_assert_eq!(b.head(), &Column::Void { seq: 0, len: b.count() });
-                    kernels::assert_claims(b, &what);
-                }
-            }
-            (Err(got), Err(want)) => prop_assert_eq!(failure(&got), want, "{}: {}", what, got),
-            (got, want) => panic!("{what}: kernel {got:?}, row at a time {want:?}"),
+        let names: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let got = ops::scan_aggregate(&lookup, picks.len(), &preds, None, &names, &aggs);
+        let want = row_at_a_time(&cols, None, &preds, &keys, &aggs);
+        check(got, want, &keys, &aggs, &format!("where {preds:?} by {keys:?}: {aggs:?}"));
+    }
+
+    /// The probe stage against nested loops: a scanned table of up to
+    /// three batches joined to a build side of up to 40 rows (empty
+    /// included, sorted now and then) on an `int`, `lng`, `dbl` or `str`
+    /// key drawn from pools
+    /// where keys recur on both sides (many-to-many; `NaN` and both zeros
+    /// matched by bit pattern), now and then on keys of two domains;
+    /// conjuncts as above, one statement in eight keeping no row; keys and
+    /// every aggregate, `count(*)` included, from either side, over `lng`
+    /// pools whose sums overflow. Cell for cell, group order included, or
+    /// the same failure.
+    #[test]
+    fn probe_stage_equals_a_nested_loop_join(
+        picks in prop::collection::vec(any::<u32>(), 0..700),
+        build_picks in prop::collection::vec(any::<u32>(), 0..40),
+        dice in prop::collection::vec(any::<u32>(), 64),
+    ) {
+        use batstore::ops::{Aggregate, CmpOp, Probe, RowPredicate};
+        use fused::*;
+        use std::sync::Arc;
+
+        let mut dice = Dice(&dice, 0);
+        let (cols, mut build) = (table(&picks), table(&build_picks));
+        // One build side in four holds each column in ascending order,
+        // which its BAT then claims: groups meet build rows out of order.
+        if dice.roll(4) == 0 {
+            build = build.into_iter().map(|c| c.gather(&c.sort_perm(false))).collect();
         }
+        // `int`, `lng`, `dbl`, `str`: one statement in eight joins two
+        // different ones.
+        let domains = [0, 1, 2, 4];
+        let key = domains[dice.roll(4)];
+        let build_key = if dice.roll(8) == 0 { domains[dice.roll(4)] } else { key };
+        let mut preds: Vec<_> = (0..dice.roll(4)).map(|_| predicate(&mut dice)).collect();
+        if dice.roll(8) == 0 {
+            let none = Val::Int(i32::MIN);
+            preds.push(RowPredicate::Cmp { column: "0".into(), op: CmpOp::Lt, value: none });
+        }
+        // A column of either side.
+        let side = |dice: &mut Dice<'_>, name: String| {
+            if dice.roll(2) == 0 { name } else { format!("b{name}") }
+        };
+        let keys: Vec<String> = (0..dice.roll(4))
+            .map(|_| {
+                let name = dice.roll(TYPES.len()).to_string();
+                side(&mut dice, name)
+            })
+            .collect();
+        let n_aggs = if keys.is_empty() { 1 + dice.roll(4) } else { dice.roll(5) };
+        let aggs: Vec<Aggregate> = (0..n_aggs)
+            .map(|_| match aggregate(&mut dice) {
+                Aggregate::Count => Aggregate::Count,
+                Aggregate::Sum(c) => Aggregate::Sum(side(&mut dice, c)),
+                Aggregate::Avg(c) => Aggregate::Avg(side(&mut dice, c)),
+                Aggregate::Min(c) => Aggregate::Min(side(&mut dice, c)),
+                Aggregate::Max(c) => Aggregate::Max(side(&mut dice, c)),
+            })
+            .collect();
+
+        let bats = |cols: &[Column]| -> Vec<Arc<Bat>> {
+            cols.iter().map(|c| Arc::new(Bat::dense(c.clone()))).collect()
+        };
+        let (scanned, built) = (bats(&cols), bats(&build));
+        let lookup = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&scanned[i]));
+        let build_col = |name: &str| {
+            let at = name.strip_prefix('b')?.parse::<usize>().ok()?;
+            Some(Arc::clone(&built[at]))
+        };
+        let probe =
+            Probe { key: &key.to_string(), build_key: &built[build_key], build: &build_col };
+        let names: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let got = ops::scan_aggregate(&lookup, picks.len(), &preds, Some(&probe), &names, &aggs);
+        let join = Join { build: &build, key, build_key };
+        let want = row_at_a_time(&cols, Some(&join), &preds, &keys, &aggs);
+        let what = format!("on {key} = b{build_key} where {preds:?} by {keys:?}: {aggs:?}");
+        check(got, want, &keys, &aggs, &what);
     }
 }
 
