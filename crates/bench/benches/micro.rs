@@ -38,19 +38,19 @@ fn bench_loi(c: &mut Criterion) {
 
 fn bench_propagation(c: &mut Criterion) {
     c.bench_function("request_propagation_forward", |b| {
-        let mut node = DcNode::new(NodeId(1), DcConfig::default());
+        let mut node = DcNode::new(NodeId(1), DcConfig::default(), &dc_obs::Registry::new(0));
         let req = ReqMsg { origin: NodeId(5), bat: BatId(99) };
         b.iter(|| black_box(node.on_request(black_box(req))));
     });
 
     c.bench_function("bat_propagation_no_interest", |b| {
-        let mut node = DcNode::new(NodeId(1), DcConfig::default());
+        let mut node = DcNode::new(NodeId(1), DcConfig::default(), &dc_obs::Registry::new(0));
         let h = BatHeader::fresh(NodeId(0), BatId(7), 5 << 20);
         b.iter(|| black_box(node.on_bat(black_box(h), true)));
     });
 
     c.bench_function("bat_propagation_owner_cycle", |b| {
-        let mut node = DcNode::new(NodeId(0), DcConfig::default());
+        let mut node = DcNode::new(NodeId(0), DcConfig::default(), &dc_obs::Registry::new(0));
         node.register_owned(BatId(7), 5 << 20);
         node.s1.set_state(BatId(7), datacyclotron::OwnedState::InRing { last_seen: SimTime::ZERO });
         let mut h = BatHeader::fresh(NodeId(0), BatId(7), 5 << 20);
@@ -66,7 +66,7 @@ fn bench_propagation(c: &mut Criterion) {
     });
 
     c.bench_function("local_request_and_serve", |b| {
-        let mut node = DcNode::new(NodeId(1), DcConfig::default());
+        let mut node = DcNode::new(NodeId(1), DcConfig::default(), &dc_obs::Registry::new(0));
         let mut q = 0u64;
         b.iter(|| {
             q += 1;

@@ -62,7 +62,7 @@ fn main() {
             name.into(),
             format!("{:.2}", m.mean_lifetime()),
             format!("{:.2}", m.lifetime_quantile(0.95)),
-            format!("{}", m.stats.bats_unloaded),
+            format!("{}", m.stats.bats_unloaded.get()),
             format!("{}", m.completed),
         ]);
     }
@@ -103,7 +103,7 @@ fn main() {
         let m = micro_run(p, scale);
         t.row(&[
             name.into(),
-            format!("{}", m.stats.requests_resent),
+            format!("{}", m.stats.requests_resent.get()),
             format!("{:.2}", m.lifetime_quantile(0.95)),
             format!("{}", m.completed),
         ]);
@@ -134,7 +134,7 @@ fn main() {
             name.into(),
             format!("{:.2}", m.mean_lifetime()),
             format!("{:.2}", m.lifetime_quantile(0.95)),
-            format!("{}", m.stats.requests_dispatched),
+            format!("{}", m.stats.requests_dispatched.get()),
             format!("{}", m.completed),
         ]);
     }
@@ -168,7 +168,7 @@ fn main() {
             name.into(),
             format!("{:.2}", m.mean_lifetime()),
             format!("{:.2}", m.lifetime_quantile(0.95)),
-            format!("{}", m.stats.requests_dispatched),
+            format!("{}", m.stats.requests_dispatched.get()),
             format!("{}", m.completed),
         ]);
     }
@@ -218,7 +218,7 @@ fn main() {
             format!("{:.2}", m.mean_lifetime()),
             format!("{:.2}", m.lifetime_quantile(0.95)),
             format!("{:.2}", worst_req),
-            format!("{}", m.stats.demand_holds),
+            format!("{}", m.stats.demand_holds.get()),
         ]);
     }
     println!("{}", t.render());

@@ -76,7 +76,7 @@ impl Shell {
                 println!(".plan <sql>      show the MAL plan and its DC rewrite");
                 println!(".node <i>        settle queries on ring node i (now {})", self.node);
                 println!(".timing on|off   print query wall time (now {})", self.timing);
-                println!(".stats           session statistics");
+                println!(".stats           session counts, then the node's dc.stats and latency");
                 println!(".hotset          per-fragment residency and LOI on the current node");
                 println!(".quit            exit");
             }
@@ -116,19 +116,14 @@ impl Shell {
                 println!("ring nodes:     {}", self.ring.len());
                 println!("queries run:    {}", self.queries_run);
                 println!("current node:   {}", self.node);
-                let node = self.ring.node(self.node);
-                match node.stats() {
-                    Ok(stats) => {
-                        println!("-- node {} counters", self.node);
-                        for (name, value) in stats.counters() {
-                            if value != 0 {
-                                println!("  {name:<24} {value}");
-                            }
-                        }
+                let obs = self.ring.node(self.node).obs();
+                println!("-- node {} counters and gauges (dc.stats, zeros omitted)", self.node);
+                for (name, value) in obs.stats() {
+                    if value != 0 {
+                        println!("  {name:<32} {value}");
                     }
-                    Err(e) => println!("error reading node stats: {e}"),
                 }
-                let hists = node.obs().histograms();
+                let hists = obs.histograms();
                 let nonempty: Vec<_> = hists.iter().filter(|(_, snap)| snap.count > 0).collect();
                 if !nonempty.is_empty() {
                     println!("-- node {} latency (µs)", self.node);

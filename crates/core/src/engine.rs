@@ -26,7 +26,7 @@ use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg};
 use crate::proto::{DcNode, Effect, PinOutcome};
 use crate::routed::{describe, Due, Pending, Routed};
 use crate::runtime::{CatalogNotify, Cmd, Frag, FragInfo, RingCatalog, RingHooks, Waiter};
-use crate::stats::NodeStats;
+use crate::stats::EngineStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
 use batstore::ops::{self, MutOp, Mutation};
 use batstore::{storage, Bat, BatStore, Catalog, Column, ResultSet};
@@ -210,6 +210,8 @@ fn fresh_boot_epoch() -> u64 {
 
 struct NodeCtx {
     node: DcNode,
+    /// The engine's own counters; the protocol's are `node.stats`.
+    stats: EngineStats,
     rx: Receiver<NodeEvent>,
     transport: Arc<dyn RingTransport>,
     /// This node's replica of the ring-wide fragment catalog.
@@ -250,17 +252,9 @@ struct NodeCtx {
     spill_hist: Arc<dc_obs::Histogram>,
     /// Disk-to-ring latency of fragment re-admissions.
     readmit_hist: Arc<dc_obs::Histogram>,
-    /// Catalog gossip messages merged into this node's catalogs.
-    gossip_applied: Arc<dc_obs::Counter>,
-    /// Durable writes that failed where nothing could be refused: a
-    /// gossiped table's WAL record, a bulk load's file or record.
-    persist_errors: Arc<dc_obs::Counter>,
     /// The LOIT ladder's current rung, set whenever the protocol tick
     /// may have moved it.
     loit_level: Arc<dc_obs::Gauge>,
-    /// [`RingTransport::frames_rejected`], brought up to date whenever
-    /// the counters are read.
-    frames_rejected: Arc<dc_obs::Counter>,
     started: Instant,
     /// The protocol tick's period (`cfg.load_interval`, the `loadAll`
     /// period of §4.2.3) and when it is next due.
@@ -338,12 +332,12 @@ struct SqlMetrics {
 impl SqlMetrics {
     fn new(obs: &dc_obs::Registry) -> SqlMetrics {
         SqlMetrics {
-            statements: obs.counter("sql_statements"),
-            errors: obs.counter("sql_errors"),
+            statements: obs.counter("obs_sql_statements"),
+            errors: obs.counter("obs_sql_errors"),
             stmt_hists: std::array::from_fn(|i| obs.histogram(STMT_HIST_NAMES[i])),
-            template_hits: obs.counter("template_hits"),
-            template_misses: obs.counter("template_misses"),
-            template_entries: obs.gauge("template_entries"),
+            template_hits: obs.counter("obs_template_hits"),
+            template_misses: obs.counter("obs_template_misses"),
+            template_entries: obs.gauge("obs_template_entries"),
         }
     }
 }
@@ -415,7 +409,7 @@ impl NodeCtx {
         for due in self.routed.poll(now) {
             match due {
                 Due::Resend { id, what, attempt, frame } => {
-                    self.node.stats.retries += 1;
+                    self.stats.retries.inc();
                     let detail = format!("{what}, attempt {attempt}");
                     self.obs.trace(self.routed.epoch(), id, "retry", detail);
                     // A failing resend (edge still severed) is fine: the
@@ -423,7 +417,7 @@ impl NodeCtx {
                     let _ = self.transport.send_data(frame);
                 }
                 Due::TimedOut(p) => {
-                    self.node.stats.timeouts += 1;
+                    self.stats.timeouts.inc();
                     let detail = format!("{} after {} attempts", p.what(), p.attempts);
                     self.obs.trace(self.routed.epoch(), p.msg.id, "timeout", detail);
                     let err = p.timeout_error();
@@ -453,7 +447,7 @@ impl NodeCtx {
         if origin == self.node.id {
             self.finish_routed(ack);
         } else if let Err(e) = self.transport.send_data(DcMsg::Ack(ack)) {
-            self.node.stats.mutation_acks_lost += 1;
+            self.stats.mutation_acks_lost.inc();
             eprintln!(
                 "[dc-node {}] statement {} applied but its ack could not be sent: {e}",
                 self.node.id, id
@@ -466,8 +460,8 @@ impl NodeCtx {
     fn log_durable(&mut self, rec: &WalRecord, rewritten: u64) -> Result<(), String> {
         if let Some(p) = self.persist.as_mut() {
             let n = p.log(rec, rewritten)?;
-            self.node.stats.wal_records += 1;
-            self.node.stats.wal_bytes += n;
+            self.stats.wal_records.inc();
+            self.stats.wal_bytes.add(n);
             self.checkpoint_due = true;
         }
         Ok(())
@@ -562,7 +556,7 @@ impl NodeCtx {
             frags,
         };
         if p.checkpointer.submit(snap) {
-            self.node.stats.checkpoints += 1;
+            self.stats.checkpoints.inc();
             p.in_flight = Some(names);
         }
     }
@@ -613,7 +607,7 @@ impl NodeCtx {
                     self.routed.forget_settled(&r);
                     let result = match self.routed.applied(key) {
                         Some(cached) => {
-                            self.node.stats.mutations_deduped += 1;
+                            self.stats.mutations_deduped.inc();
                             self.obs.trace(r.epoch, r.id, "dedup", format!("{what} re-delivered"));
                             cached.clone()
                         }
@@ -624,7 +618,7 @@ impl NodeCtx {
                                 Err(e) => format!("{what} failed: {e}"),
                             };
                             if let (MutOp::Insert(given), Err(_)) = (&m.op, &applied) {
-                                self.node.stats.appends_dropped += given.len() as u64;
+                                self.stats.appends_dropped.add(given.len() as u64);
                             }
                             self.obs.trace(r.epoch, r.id, "apply", detail);
                             self.routed.remember(key, applied.clone());
@@ -639,7 +633,7 @@ impl NodeCtx {
                     // fragment is gone (the §4.2.3 analog of a request
                     // circling back); fail the blocked statement loudly.
                     if let MutOp::Insert(_) = m.op {
-                        self.node.stats.appends_dropped += 1;
+                        self.stats.appends_dropped.inc();
                     }
                     let err =
                         format!("no owner found for {}.{} (fragments gone?)", m.schema, m.table);
@@ -678,8 +672,8 @@ impl NodeCtx {
     /// out): book the outcome and wake the caller blocked on it.
     fn settle(&mut self, p: Pending, result: Result<u64, String>) {
         match (&p.msg.m.op, &result) {
-            (MutOp::Insert(_), Err(_)) => self.node.stats.appends_failed += 1,
-            (_, Err(_)) => self.node.stats.mutations_failed += 1,
+            (MutOp::Insert(_), Err(_)) => self.stats.appends_failed.inc(),
+            (_, Err(_)) => self.stats.mutations_failed.inc(),
             _ => {}
         }
         p.waiter.fulfill(result);
@@ -708,7 +702,7 @@ impl NodeCtx {
         self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
         self.hotset.note_reloaded(bat);
         self.note_resident(bat, size);
-        self.node.stats.loi_readmits += 1;
+        self.stats.loi_readmits.inc();
         self.readmit_hist.record_elapsed_micros(start);
         self.obs.trace(
             self.routed.epoch(),
@@ -735,7 +729,7 @@ impl NodeCtx {
     /// dropped at once. A *dirty* one first gets that file and record
     /// ([`NodeCtx::store_durably`]), whatever checkpoint is in flight:
     /// its GC deletes only versions below the ones it names. A victim
-    /// whose write fails stays resident, counted in `persist_errors`.
+    /// whose write fails stays resident, counted in `obs_persist_errors`.
     /// No-op if the
     /// payload is not resident, without a data dir (nowhere to put the
     /// at-rest copy), or without a memory budget (nothing to enforce: the
@@ -753,7 +747,7 @@ impl NodeCtx {
         if p.durable.get(&bat) != Some(&version) {
             let (start, payload) = (Instant::now(), owned_bat(frag));
             if let Err(e) = self.store_durably(bat, version, &payload, size) {
-                self.persist_errors.inc();
+                self.stats.obs_persist_errors.inc();
                 eprintln!("[dc-node {}] fragment {bat} v{version} not spilled: {e}", self.node.id);
                 return;
             }
@@ -761,7 +755,7 @@ impl NodeCtx {
         }
         self.disk.remove(&bat);
         self.hotset.note_spilled(bat, version, size);
-        self.node.stats.loi_evictions += 1;
+        self.stats.loi_evictions.inc();
         self.obs.trace(
             self.routed.epoch(),
             0,
@@ -830,17 +824,17 @@ impl NodeCtx {
     /// Merge gossiped table metadata into this node's catalogs, logging
     /// it durably first. A WAL failure here cannot reject the gossip (the
     /// origin already committed): the node serves the table from memory
-    /// but would forget it on restart, and `persist_errors` counts it.
+    /// but would forget it on restart, and `obs_persist_errors` counts it.
     fn apply_catalog(&mut self, c: &CatalogMsg) {
         if let Err(e) = self.persist_table(c) {
-            self.persist_errors.inc();
+            self.stats.obs_persist_errors.inc();
             eprintln!(
                 "[dc-node {}] table {}.{} applied but not durable: {e}",
                 self.node.id, c.schema, c.table
             );
         }
         publish_table(&self.catalog, &self.meta, c);
-        self.gossip_applied.inc();
+        self.stats.obs_gossip_applied.inc();
         self.obs.trace(0, 0, "gossip", format!("{}.{} from {}", c.schema, c.table, c.origin));
         self.notify.bump();
     }
@@ -911,10 +905,10 @@ impl NodeCtx {
                 // Driver-side bulk load. A durability failure cannot
                 // reject it (no ack channel): the fragment stays resident
                 // and dirty — never dropped before its spill or a
-                // checkpoint has written it — and `persist_errors` counts
+                // checkpoint has written it — and `obs_persist_errors` counts
                 // it.
                 if let Err(e) = self.store_durably(bat, 0, &payload, 0) {
-                    self.persist_errors.inc();
+                    self.stats.obs_persist_errors.inc();
                     eprintln!(
                         "[dc-node {}] fragment {bat} loaded but not durable: {e}",
                         self.node.id
@@ -940,18 +934,11 @@ impl NodeCtx {
                         // back, and the per-attempt timeout resends it
                         // (or fails it) if the ack never does.
                         if !matches!(m.op, MutOp::Insert(_)) {
-                            self.node.stats.mutations_routed += 1;
+                            self.stats.mutations_routed.inc();
                         }
                         self.route(m, ack);
                     }
                 }
-            }
-            Cmd::Stats { ack } => {
-                // Read before every rendering of the counters (`dc.stats`,
-                // `dc-node metrics`), so it needs no other refresh.
-                let rejected = self.transport.frames_rejected();
-                self.frames_rejected.add(rejected.saturating_sub(self.frames_rejected.get()));
-                ack.fulfill(Ok(self.node.stats.clone()));
             }
             Cmd::Hotset { ack } => {
                 ack.fulfill(Ok(self.hotset_snapshot()));
@@ -1118,8 +1105,8 @@ impl NodeCtx {
             self.install(bat, version, payload);
         }
         match &m.op {
-            MutOp::Insert(given) => self.node.stats.appends_applied += given.len() as u64,
-            MutOp::Update(_) | MutOp::Delete => self.node.stats.mutations_applied += 1,
+            MutOp::Insert(given) => self.stats.appends_applied.add(given.len() as u64),
+            MutOp::Update(_) | MutOp::Delete => self.stats.mutations_applied.inc(),
         }
         self.readvertise_table(&m.schema, &m.table);
         Ok(staged.matched as u64)
@@ -1311,7 +1298,6 @@ pub struct RingNode {
     meta: Arc<RwLock<Catalog>>,
     notify: Arc<CatalogNotify>,
     transport: Arc<dyn RingTransport>,
-    obs: Arc<dc_obs::Registry>,
     event_loop: Option<JoinHandle<()>>,
     next_query: AtomicU64,
     next_frag: Arc<AtomicU32>,
@@ -1351,7 +1337,8 @@ impl RingNode {
         // identical per-edge frame/byte counters.
         let transport: Arc<dyn RingTransport> = Arc::new(MeteredTransport::new(transport, &obs));
 
-        let mut node = DcNode::new(id, opts.cfg.clone());
+        let mut node = DcNode::new(id, opts.cfg.clone(), &obs);
+        let stats = EngineStats::register(&obs);
         let mut disk: HashMap<BatId, Frag> = HashMap::new();
         let mut hotset = HotsetAccounting::new(opts.mem_budget, &obs);
         let mut persist = None;
@@ -1361,8 +1348,8 @@ impl RingNode {
             let pdir = dc_persist::DataDir::open(&dd.path)
                 .map_err(|e| format!("opening data dir {}: {e}", dd.path.display()))?;
             let rec = dc_persist::recover(&pdir, id.0)?;
-            node.stats.recovered_frags = rec.frags.len() as u64;
-            node.stats.recovered_wal_records = rec.wal_records;
+            stats.recovered_frags.add(rec.frags.len() as u64);
+            stats.recovered_wal_records.add(rec.wal_records);
 
             // Rebuild owned fragments ("local disk") and the S1 catalog.
             for (raw, f) in rec.frags {
@@ -1461,13 +1448,14 @@ impl RingNode {
             });
         }
 
-        let loit_level = obs.gauge("loit_level");
+        let loit_level = obs.gauge("obs_loit_level");
         loit_level.set(node.ladder.level_index() as i64);
         // A zero `load_interval` would turn the loop's sleep into a spin.
         let load_interval =
             Duration::from_nanos(opts.cfg.load_interval.as_nanos()).max(Duration::from_millis(1));
         let ctx = NodeCtx {
             node,
+            stats,
             rx,
             transport: Arc::clone(&transport),
             catalog: Arc::clone(&catalog),
@@ -1484,10 +1472,7 @@ impl RingNode {
             hotset,
             spill_hist: obs.histogram("spill_us"),
             readmit_hist: obs.histogram("readmit_us"),
-            gossip_applied: obs.counter("gossip_applied"),
-            persist_errors: obs.counter("persist_errors"),
             loit_level,
-            frames_rejected: obs.counter("ring_frames_rejected"),
             started: Instant::now(),
             load_interval,
             next_tick: Instant::now() + load_interval,
@@ -1506,12 +1491,13 @@ impl RingNode {
             let _ = sink_tx.send(NodeEvent::Ring(msg));
         }));
 
-        let hooks = Arc::new(RingHooks {
-            tx: tx.clone(),
-            catalog: Arc::clone(&catalog),
-            pin_timeout: opts.pin_timeout,
-            obs: Arc::clone(&obs),
-        });
+        let hooks = Arc::new(RingHooks::new(
+            tx.clone(),
+            Arc::clone(&catalog),
+            opts.pin_timeout,
+            Arc::clone(&obs),
+            Arc::clone(&transport),
+        ));
         // The session's store holds nothing: the data lives in the ring.
         let store = Arc::new(RwLock::new(BatStore::new()));
         let session = Arc::new(
@@ -1537,7 +1523,6 @@ impl RingNode {
             notify,
             transport,
             sql_metrics: SqlMetrics::new(&obs),
-            obs,
             event_loop: Some(event_loop),
             next_query: AtomicU64::new(1),
             next_frag,
@@ -1703,17 +1688,6 @@ impl RingNode {
         }
     }
 
-    /// Snapshot this node's protocol counters from the event loop. The
-    /// chaos suite asserts on `retries` / `timeouts` /
-    /// `mutations_deduped` through this.
-    pub fn stats(&self) -> Result<NodeStats, DcError> {
-        let ack = Arc::new(Waiter::default());
-        self.send(Cmd::Stats { ack: Arc::clone(&ack) })
-            .map_err(|e| DcError::Ring(e.to_string()))?;
-        ack.wait_for_outcome(Duration::from_secs(10), "stats request timed out")
-            .map_err(DcError::Ring)
-    }
-
     /// Snapshot this node's hot-set view: one row per owned fragment
     /// (in-ring / on-disk / spilled, last LOI, version, size) plus the
     /// residency totals and the LOIT ladder position. Feeds the
@@ -1726,28 +1700,21 @@ impl RingNode {
             .map_err(DcError::Ring)
     }
 
-    /// This node's telemetry registry: counters, latency histograms, and
-    /// the statement trace ring. The same registry the event loop,
-    /// transport metering, and `dc.*` system views feed.
+    /// This node's telemetry registry: counters, gauges, latency
+    /// histograms, and the statement trace ring — everything the node
+    /// counts, fed by the event loop, the protocol, transport metering
+    /// and the SQL paths, and read as it stands by the `dc.*` system
+    /// views and `dc-node metrics` (its [`dc_obs::Registry::render_text`]).
+    /// `obs_ring_frames_rejected`, which the transport counts, is read
+    /// from it by this call.
     pub fn obs(&self) -> &Arc<dc_obs::Registry> {
-        &self.obs
+        self.hooks.registry()
     }
 
-    /// A one-shot Prometheus-style `name value` text dump: protocol
-    /// counters (exactly [`NodeStats::counters`]) followed by the
-    /// registry's counters, gauges, and expanded histograms. This is
-    /// what `dc-node metrics` scrapes.
-    pub fn metrics_text(&self) -> Result<String, DcError> {
-        let stats = self.stats()?;
-        let mut out = String::new();
-        for (name, v) in stats.counters() {
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        out.push_str(&self.obs.render_text());
-        Ok(out)
+    /// The value of this node's counter `name` — the `dc.stats` row of
+    /// that name — or `None` if the node keeps no counter by that name.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.obs().counter_value(name)
     }
 
     /// This node's replica of the ring-wide fragment catalog.
@@ -2016,8 +1983,11 @@ mod tests {
     fn repeated_queries_share_templates() {
         let ring = demo_ring(2);
         let template_stats = |i: usize| {
-            let obs = ring.node(i).obs();
-            (obs.counter("template_hits").get(), obs.counter("template_misses").get())
+            let node = ring.node(i);
+            (
+                node.counter("obs_template_hits").unwrap(),
+                node.counter("obs_template_misses").unwrap(),
+            )
         };
         // Each node keeps its own cache, keyed by statement shape: the
         // first statement of a shape compiles, and a statement differing
@@ -2029,7 +1999,7 @@ mod tests {
         let rs = ring.execute(1, "select amount from c where amount >= 35").unwrap();
         assert_eq!(template_stats(1), (1, 1), "same shape, other constant: a hit");
         assert_eq!(ints(&rs), [40], "own constants");
-        assert_eq!(ring.node(1).obs().gauge("template_entries").get(), 1);
+        assert_eq!(ring.node(1).obs().gauge_value("obs_template_entries"), Some(1));
         // A compile error is not cached; a later success of that shape is.
         assert!(ring.execute(1, "select x from ghost where x = 1").is_err());
         assert_eq!(template_stats(1), (1, 1), "the failed compile left no entry");
@@ -2046,7 +2016,7 @@ mod tests {
     #[test]
     fn plan_shaping_numbers_stay_in_the_template_key() {
         let ring = demo_ring(1);
-        let misses = || ring.node(0).obs().counter("template_misses").get();
+        let misses = || ring.node(0).counter("obs_template_misses").unwrap();
         let amounts = |sql: &str| ints(&ring.execute(0, sql).unwrap());
         // LIMIT is compiled into the plan (a slice bound), not bound.
         assert_eq!(amounts("select amount from c order by amount limit 2"), [10, 20]);
@@ -2517,7 +2487,7 @@ mod tests {
         };
         let before = state(&node);
         assert!(before.1.iter().any(|(_, v, _)| *v > 5), "the stream moved versions: {before:?}");
-        assert!(node.stats().unwrap().checkpoints > 0, "no checkpoint interleaved");
+        assert!(node.counter("checkpoints").unwrap() > 0, "no checkpoint interleaved");
         drop(node);
 
         let node = durable_node(&dir, 2048, mem_budget);
@@ -2615,12 +2585,8 @@ mod tests {
         // write their version's file (the bat file IS the at-rest format)
         // and drop their in-memory payloads.
         let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let stats = node.stats().unwrap();
-            if stats.loi_evictions >= 2 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "fragments never spilled: {stats:?}");
+        while node.counter("loi_evictions").unwrap() < 2 {
+            assert!(Instant::now() < deadline, "fragments never spilled");
             std::thread::sleep(Duration::from_millis(10));
         }
         let snap = node.hotset().unwrap();
@@ -2635,8 +2601,7 @@ mod tests {
         // and answers with the correct typed rows.
         let rs = node.execute("select k, v from cold order by k").unwrap();
         assert_eq!(rows(&rs), [[1, 10], [2, 20], [3, 30]].map(|r| r.map(Val::from)));
-        let stats = node.stats().unwrap();
-        assert!(stats.loi_readmits >= 1, "re-admission not counted: {stats:?}");
+        assert!(node.counter("loi_readmits").unwrap() >= 1, "re-admission not counted");
 
         // Appends against spilled fragments re-admit first, then apply.
         node.execute("insert into cold values (4, 40)").unwrap();
@@ -2667,7 +2632,12 @@ mod tests {
             node.load_table("sys", t, vec![("k", Column::from(k)), ("v", Column::from(v))])
                 .unwrap();
         }
-        let written = node.obs().counter("checkpoint_frags_written");
+        // Read only once the loop has handled everything before it
+        // (`hotset` queues behind it) or has stopped: a checkpoint starts
+        // on the loop, and shutdown joins the checkpointer writing it.
+        let obs = Arc::clone(node.obs());
+        let checkpoints = || obs.counter_value("checkpoints").unwrap();
+        let written = || obs.counter_value("obs_checkpoint_frags_written").unwrap();
         let sum_k: i64 = (0..ROWS as i64).sum();
         let sweep = |node: &RingNode, bump_a: i64| {
             for (t, bump) in [("a", bump_a), ("b", 0)] {
@@ -2688,15 +2658,17 @@ mod tests {
         // Alternating reads evict and re-admit on every sweep; through
         // the load, the spill and all of it, no checkpoint runs and no
         // fragment file is written again.
-        let before = node.stats().unwrap();
+        let moves =
+            || (node.counter("loi_evictions").unwrap(), node.counter("loi_readmits").unwrap());
+        let before = moves();
         for _ in 0..10 {
             sweep(&node, 0);
         }
-        let after = node.stats().unwrap();
-        assert_eq!(after.checkpoints, 0, "a clean spill forced a checkpoint");
-        assert!(after.loi_evictions >= before.loi_evictions + 10, "{after:?}");
-        assert!(after.loi_readmits >= before.loi_readmits + 10, "{after:?}");
-        assert_eq!(written.get(), 0, "a fragment version was written twice");
+        node.hotset().unwrap();
+        let after = moves();
+        assert_eq!(checkpoints(), 0, "a clean spill forced a checkpoint");
+        assert!(after.0 >= before.0 + 10 && after.1 >= before.1 + 10, "{before:?} → {after:?}");
+        assert_eq!(written(), 0, "a fragment version was written twice");
 
         // An UPDATE moves one column to v1 (`a.k`, the lowest id and so
         // the victim of every sweep). Its next spill is dirty and writes
@@ -2713,16 +2685,16 @@ mod tests {
         }
         let files = bat_files(&dir);
         assert!(files.contains(&old) && files.len() == 5, "{files:?}");
-        assert_eq!(node.stats().unwrap().checkpoints, 0, "a dirty spill forced a checkpoint");
         node.shutdown();
-        assert_eq!(written.get(), 0, "a checkpoint wrote a fragment file");
+        assert_eq!(checkpoints(), 0, "a dirty spill forced a checkpoint");
+        assert_eq!(written(), 0, "a checkpoint wrote a fragment file");
 
         // After a restart the startup checkpoint names v1 — a file it
         // finds, so it writes none — and its GC leaves only that one.
         let node = durable_node(&dir, 16 << 20, budget);
         let files = bat_files(&dir);
         assert!(files.contains(&new) && !files.contains(&old) && files.len() == 4, "{files:?}");
-        assert_eq!(node.obs().counter("checkpoint_frags_written").get(), 0);
+        assert_eq!(node.counter("obs_checkpoint_frags_written"), Some(0));
         sweep(&node, 5000 - 3);
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -2747,9 +2719,10 @@ mod tests {
         for i in 0..INSERTS {
             node.execute(&format!("insert into log values ({})", ROWS + i)).unwrap();
         }
-        let stats = node.stats().unwrap();
-        assert!(stats.loi_evictions >= INSERTS as u64, "{stats:?}");
-        assert!(stats.checkpoints > 0, "dirty spills never triggered a checkpoint");
+        // The last INSERT's spill follows its ack; `hotset` queues behind it.
+        node.hotset().unwrap();
+        assert!(node.counter("loi_evictions").unwrap() >= INSERTS as u64);
+        assert!(node.counter("checkpoints").unwrap() > 0, "dirty spills never triggered one");
         // Once the last checkpoint settles, the files left are the version
         // it names and those spilled since, fewer than the trigger's four.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -2779,13 +2752,14 @@ mod tests {
         std::fs::create_dir(&obstruction).unwrap();
         let cols = vec![("k", Column::from(vec![1, 2, 3])), ("v", Column::from(vec![10, 20, 30]))];
         node.load_table("sys", "t", cols).unwrap();
-        // The load's write failed, and so does every spill's retry of it.
-        assert!(persist_errors(&node) >= 1);
 
         // The durable column's spill is clean and drops it at once; the
         // other's spill tries to write its file, which the obstruction
         // fails — so it is never dropped.
         spills_while_the_other_stays(&node, clean, blocked);
+        // The load's write failed (counted before the loop answered the
+        // hot-set look above), and so does every spill's retry of it.
+        assert!(persist_errors(&node) >= 1);
         let rs = node.execute("select k, v from t order by k").unwrap();
         assert_eq!(rows(&rs), [[1, 10], [2, 20], [3, 30]].map(|r| r.map(Val::from)));
         node.shutdown();

@@ -18,8 +18,8 @@ pub struct SpilledFrag {
 
 /// Byte-accurate bookkeeping for one node; totals are maintained
 /// incrementally so the budget check is O(1), and every change is
-/// published at once to the node's `hotset_resident_bytes`,
-/// `hotset_spilled_bytes` and `hotset_spilled_frags` gauges.
+/// published at once to the node's `obs_hotset_resident_bytes`,
+/// `obs_hotset_spilled_bytes` and `obs_hotset_spilled_frags` gauges.
 #[derive(Default)]
 pub struct HotsetAccounting {
     mem_budget: Option<u64>,
@@ -33,8 +33,9 @@ pub struct HotsetAccounting {
 
 impl HotsetAccounting {
     pub fn new(mem_budget: Option<u64>, obs: &dc_obs::Registry) -> Self {
-        let gauges = ["hotset_resident_bytes", "hotset_spilled_bytes", "hotset_spilled_frags"]
-            .map(|name| obs.gauge(name));
+        let gauges =
+            ["obs_hotset_resident_bytes", "obs_hotset_spilled_bytes", "obs_hotset_spilled_frags"]
+                .map(|name| obs.gauge(name));
         HotsetAccounting { mem_budget, gauges, ..Default::default() }
     }
 
@@ -132,8 +133,8 @@ mod tests {
     fn residency_totals_track_moves_and_reach_the_gauges_at_once() {
         let obs = dc_obs::Registry::new(0);
         let gauges = || {
-            ["hotset_resident_bytes", "hotset_spilled_bytes", "hotset_spilled_frags"]
-                .map(|name| obs.gauge(name).get())
+            ["obs_hotset_resident_bytes", "obs_hotset_spilled_bytes", "obs_hotset_spilled_frags"]
+                .map(|name| obs.gauge_value(name).unwrap())
         };
         let mut acc = HotsetAccounting::new(Some(100), &obs);
         acc.note_resident(BatId(1), 60);

@@ -43,7 +43,7 @@ use crate::loi::{new_loi, LoitLadder};
 use crate::msg::{BatHeader, ReqMsg};
 use crate::requests::{LocalCache, S2Requests};
 use crate::stats::NodeStats;
-use netsim::SimTime;
+use netsim::{SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Instructions to the driver. The protocol never performs I/O itself.
@@ -93,6 +93,9 @@ pub struct DcNode {
     pub cache: LocalCache,
     pub ladder: LoitLadder,
     pub stats: NodeStats,
+    /// Maximum observed request latency per BAT at this requester
+    /// (Fig. 10 aggregates the per-ring max).
+    pub max_request_latency: HashMap<BatId, SimDuration>,
     now: SimTime,
     last_load_all: SimTime,
     /// BATs somebody downstream asked for — a request from another origin
@@ -102,7 +105,8 @@ pub struct DcNode {
 }
 
 impl DcNode {
-    pub fn new(id: NodeId, cfg: DcConfig) -> Self {
+    /// A node counting into `obs` (see [`NodeStats`]).
+    pub fn new(id: NodeId, cfg: DcConfig, obs: &dc_obs::Registry) -> Self {
         cfg.validate().expect("invalid DcConfig");
         let ladder = LoitLadder::new(cfg.loit_levels.clone(), cfg.loit_start);
         let cache = LocalCache::new(cfg.cache_capacity);
@@ -113,7 +117,8 @@ impl DcNode {
             s2: S2Requests::new(),
             cache,
             ladder,
-            stats: NodeStats::default(),
+            stats: NodeStats::register(obs),
+            max_request_latency: HashMap::new(),
             now: SimTime::ZERO,
             last_load_all: SimTime::ZERO,
             asked_downstream: HashMap::new(),
@@ -162,7 +167,7 @@ impl DcNode {
         if !entry.in_flight {
             entry.in_flight = true;
             entry.last_sent = now;
-            self.stats.requests_dispatched += 1;
+            self.stats.requests_dispatched.inc();
             return vec![Effect::SendRequest(ReqMsg { origin: id, bat })];
         }
         Vec::new()
@@ -192,7 +197,7 @@ impl DcNode {
         if !entry.in_flight {
             entry.in_flight = true;
             entry.last_sent = now;
-            self.stats.requests_dispatched += 1;
+            self.stats.requests_dispatched.inc();
             effects.push(Effect::SendRequest(ReqMsg { origin: id, bat }));
         }
         (PinOutcome::MustWait, effects)
@@ -232,9 +237,9 @@ impl DcNode {
         // Outcome 1: the request returned to its origin — the BAT does
         // not exist (anymore) in the database.
         if req.origin == self.id {
-            self.stats.requests_returned += 1;
+            self.stats.requests_returned.inc();
             if let Some(entry) = self.s2.remove(bat) {
-                self.stats.query_errors += entry.queries.len() as u64;
+                self.stats.query_errors.add(entry.queries.len() as u64);
                 let mut queries: Vec<QueryId> = entry.queries.into_iter().collect();
                 queries.sort_unstable();
                 return vec![Effect::QueryError { bat, queries }];
@@ -244,7 +249,7 @@ impl DcNode {
 
         // Outcomes 2–4: we own the BAT.
         if self.s1.is_owner(bat) {
-            self.stats.requests_owner_handled += 1;
+            self.stats.requests_owner_handled.inc();
             let now = self.now;
             let fits = self.queue_fits(self.s1.get(bat).map(|b| b.size).unwrap_or(0));
             let owned = self.s1.get_mut(bat).expect("is_owner checked");
@@ -295,19 +300,19 @@ impl DcNode {
             let now = self.now;
             let fresh_window = self.cfg.resend_timeout;
             let entry = self.s2.get_mut(bat).expect("contains checked");
-            self.stats.requests_absorbed += 1;
+            self.stats.requests_absorbed.inc();
             let covered = entry.in_flight && now.since(entry.last_sent) <= fresh_window;
             if !covered {
                 entry.in_flight = true;
                 entry.last_sent = now;
-                self.stats.requests_dispatched += 1;
+                self.stats.requests_dispatched.inc();
                 return vec![Effect::SendRequest(ReqMsg { origin: id, bat })];
             }
             return Vec::new();
         }
 
         // Outcome 6: forward toward the owner.
-        self.stats.requests_forwarded += 1;
+        self.stats.requests_forwarded.inc();
         vec![Effect::SendRequest(req)]
     }
 
@@ -331,14 +336,16 @@ impl DcNode {
             // The pass satisfies our outstanding request: its bytes came
             // off the wire for us, pin waiting or not.
             if entry.in_flight {
-                self.stats.ring_query_bytes_moved += h.size;
+                self.stats.ring_query_bytes_moved.add(h.size);
             }
             entry.in_flight = false;
             // Record first-service latency.
             if entry.served_at.is_none() {
                 entry.served_at = Some(now);
                 let lat = now.since(entry.first_requested);
-                self.stats.record_request_latency(h.bat, lat);
+                let max = self.max_request_latency.entry(h.bat).or_default();
+                *max = (*max).max(lat);
+                self.stats.latency_count.inc();
             }
             // Local cache admission ("the pin() request checks the local
             // cache"): keep the fragment if memory permits.
@@ -354,7 +361,7 @@ impl DcNode {
             waiting.sort_unstable();
             if !waiting.is_empty() {
                 h.copies += 1;
-                self.stats.deliveries += waiting.len() as u64;
+                self.stats.deliveries.add(waiting.len() as u64);
                 for q in &waiting {
                     entry.pinned_once.insert(*q);
                     if self.cache.contains(h.bat) {
@@ -380,9 +387,9 @@ impl DcNode {
     }
 
     fn forward(&mut self, header: BatHeader, payload: bool) -> Effect {
-        self.stats.bats_forwarded += 1;
+        self.stats.bats_forwarded.inc();
         if payload {
-            self.stats.bytes_forwarded += header.size;
+            self.stats.bytes_forwarded.add(header.size);
         }
         Effect::SendBat { header, payload }
     }
@@ -417,11 +424,11 @@ impl DcNode {
         owned.interest_since_pass = 0;
         if nl < loit && !demand_hold {
             owned.state = OwnedState::OnDisk;
-            self.stats.bats_unloaded += 1;
+            self.stats.bats_unloaded.inc();
             return vec![Effect::Unload(h.bat)];
         }
         if nl < loit {
-            self.stats.demand_holds += 1;
+            self.stats.demand_holds.inc();
         }
         h.loi = nl;
         h.copies = 0;
@@ -449,7 +456,7 @@ impl DcNode {
         owned.loads += 1;
         let mut header = BatHeader::fresh(id, bat, owned.size);
         header.version = owned.version;
-        self.stats.bats_loaded += 1;
+        self.stats.bats_loaded.inc();
         vec![Effect::SendBat { header, payload: true }]
     }
 
@@ -468,7 +475,7 @@ impl DcNode {
         // level, below 40% lower a level).
         let load = self.queue_load_fraction();
         if self.ladder.adapt(load, self.cfg.high_watermark, self.cfg.low_watermark).is_some() {
-            self.stats.loit_transitions += 1;
+            self.stats.loit_transitions.inc();
         }
 
         // loadAll: every T, start the oldest pending loads that fit; a
@@ -504,14 +511,14 @@ impl DcNode {
                 effects.push(Effect::SendRequest(ReqMsg { origin: id, bat }));
             }
         }
-        self.stats.requests_resent += resent;
+        self.stats.requests_resent.add(resent);
 
         // Owner-side lost-BAT detection: an in-ring BAT that has not come
         // around for too long reverts to disk so re-requests can reload.
         let lost_after = self.cfg.lost_after;
         for bat in self.s1.lost_bats(now, lost_after) {
             self.s1.set_state(bat, OwnedState::OnDisk);
-            self.stats.bats_lost += 1;
+            self.stats.bats_lost.inc();
         }
 
         // A "somebody downstream asked" mark the payload never came for
@@ -528,9 +535,12 @@ impl DcNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimDuration;
 
     fn node(id: u16) -> DcNode {
+        node_in(id, &dc_obs::Registry::new(id))
+    }
+
+    fn node_in(id: u16, obs: &dc_obs::Registry) -> DcNode {
         let cfg = DcConfig {
             queue_capacity: 1000,
             load_interval: SimDuration::from_millis(10),
@@ -538,7 +548,7 @@ mod tests {
             lost_after: SimDuration::from_secs(2),
             ..DcConfig::default()
         };
-        DcNode::new(NodeId(id), cfg)
+        DcNode::new(NodeId(id), cfg, obs)
     }
 
     fn at(node: &mut DcNode, ms: u64) {
@@ -555,7 +565,7 @@ mod tests {
         let eff = n.on_request(ReqMsg { origin: NodeId(0), bat: BatId(42) });
         assert_eq!(eff, vec![Effect::QueryError { bat: BatId(42), queries: vec![QueryId(7)] }]);
         assert!(!n.s2.contains(BatId(42)), "entry unregistered");
-        assert_eq!(n.stats.query_errors, 1);
+        assert_eq!(n.stats.query_errors.get(), 1);
     }
 
     #[test]
@@ -565,7 +575,7 @@ mod tests {
         n.s1.set_state(BatId(5), OwnedState::InRing { last_seen: SimTime::ZERO });
         let eff = n.on_request(ReqMsg { origin: NodeId(3), bat: BatId(5) });
         assert!(eff.is_empty());
-        assert_eq!(n.stats.requests_owner_handled, 1);
+        assert_eq!(n.stats.requests_owner_handled.get(), 1);
     }
 
     #[test]
@@ -615,7 +625,7 @@ mod tests {
         n.local_request(QueryId(1), BatId(9));
         let eff = n.on_request(ReqMsg { origin: NodeId(7), bat: BatId(9) });
         assert!(eff.is_empty(), "absorbed, not forwarded");
-        assert_eq!(n.stats.requests_absorbed, 1);
+        assert_eq!(n.stats.requests_absorbed.get(), 1);
     }
 
     #[test]
@@ -624,7 +634,7 @@ mod tests {
         let req = ReqMsg { origin: NodeId(7), bat: BatId(9) };
         let eff = n.on_request(req);
         assert_eq!(eff, vec![Effect::SendRequest(req)], "origin preserved");
-        assert_eq!(n.stats.requests_forwarded, 1);
+        assert_eq!(n.stats.requests_forwarded.get(), 1);
     }
 
     // ---- Fig. 4: BAT propagation ----------------------------------------
@@ -660,9 +670,31 @@ mod tests {
             .expect("must forward");
         assert_eq!(fwd.copies, 1);
         // Latency recorded: 240 ms.
-        assert_eq!(n.stats.max_request_latency[&BatId(9)], SimDuration::from_millis(240));
+        assert_eq!(n.max_request_latency[&BatId(9)], SimDuration::from_millis(240));
         // All queries pinned → entry unregistered.
         assert!(!n.s2.contains(BatId(9)));
+    }
+
+    #[test]
+    fn request_latency_keeps_each_bats_maximum() {
+        let mut n = node(2);
+        let frame = |bat| BatHeader::fresh(NodeId(0), BatId(bat), 100);
+        let served = |n: &mut DcNode, q, bat, asked, answered| {
+            at(n, asked);
+            n.local_request(QueryId(q), BatId(bat));
+            at(n, answered);
+            n.on_bat(frame(bat), true);
+            n.query_done(QueryId(q));
+        };
+        served(&mut n, 1, 9, 10, 250);
+        // A later, shorter wait for the same BAT leaves its maximum.
+        served(&mut n, 2, 9, 300, 400);
+        // Another BAT's wait is its own, longer or not.
+        served(&mut n, 3, 4, 400, 1000);
+        let want =
+            [(BatId(9), 240), (BatId(4), 600)].map(|(b, ms)| (b, SimDuration::from_millis(ms)));
+        assert_eq!(n.max_request_latency, HashMap::from(want));
+        assert_eq!(n.stats.latency_count.get(), 3, "every first service is a sample");
     }
 
     #[test]
@@ -706,21 +738,21 @@ mod tests {
         n.local_request(QueryId(2), BatId(9));
         n.on_bat(frame(9), true);
         assert_eq!(n.pin(QueryId(1), BatId(9)).0, PinOutcome::Cached);
-        assert_eq!(n.stats.ring_query_bytes_moved, 100);
+        assert_eq!(n.stats.ring_query_bytes_moved.get(), 100);
         // The same bytes passing again, for somebody downstream, while
         // query 2 has yet to pin: its request was already answered.
         n.on_bat(frame(9), true);
         assert_eq!(n.pin(QueryId(2), BatId(9)).0, PinOutcome::Cached);
-        assert_eq!(n.stats.ring_query_bytes_moved, 100);
+        assert_eq!(n.stats.ring_query_bytes_moved.get(), 100);
         // A waiting pin counts the same; a header alone, or a frame
         // nobody here asked for, moves nothing.
         n.local_request(QueryId(3), BatId(4));
         assert_eq!(n.pin(QueryId(3), BatId(4)).0, PinOutcome::MustWait);
         n.on_bat(frame(4), false);
         n.on_bat(frame(5), true);
-        assert_eq!(n.stats.ring_query_bytes_moved, 100);
+        assert_eq!(n.stats.ring_query_bytes_moved.get(), 100);
         n.on_bat(frame(4), true);
-        assert_eq!(n.stats.ring_query_bytes_moved, 200);
+        assert_eq!(n.stats.ring_query_bytes_moved.get(), 200);
     }
 
     // ---- payloads follow requests ----------------------------------------
@@ -747,11 +779,11 @@ mod tests {
         assert_eq!((h.hops, h.copies), (1, 0), "the header aged a hop and was used by nobody");
         assert_eq!(n.s2.get(BatId(9)).cloned(), before, "S2 entry bit for bit");
         assert!(!n.cache.contains(BatId(9)));
-        assert_eq!((n.stats.deliveries, n.stats.latency_count), (0, 0));
-        assert_eq!((n.stats.bats_forwarded, n.stats.bytes_forwarded), (1, 0));
+        assert_eq!((n.stats.deliveries.get(), n.stats.latency_count.get()), (0, 0));
+        assert_eq!((n.stats.bats_forwarded.get(), n.stats.bytes_forwarded.get()), (1, 0));
         // Still in flight and fresh: no re-send on the next tick.
         assert!(n.tick().is_empty());
-        assert_eq!(n.stats.requests_resent, 0);
+        assert_eq!(n.stats.requests_resent.get(), 0);
     }
 
     #[test]
@@ -796,7 +828,7 @@ mod tests {
         assert!(!sent(&n.on_bat(h, false)).1, "a header cannot spend the mark");
         assert!(sent(&n.on_bat(h, true)).1, "the payload the request summoned goes on");
         assert!(!sent(&n.on_bat(h, true)).1, "and spent the mark");
-        assert_eq!((n.stats.bats_forwarded, n.stats.bytes_forwarded), (4, 100));
+        assert_eq!((n.stats.bats_forwarded.get(), n.stats.bytes_forwarded.get()), (4, 100));
         // A local reader does not make the node forward the bytes either.
         n.local_request(QueryId(1), BatId(9));
         let eff = n.on_bat(h, true);
@@ -814,12 +846,12 @@ mod tests {
         for arrived_with in [true, false] {
             assert!(!sent(&n.on_bat(hot, arrived_with)).1, "unasked: the header goes on alone");
         }
-        assert_eq!(n.stats.bytes_forwarded, 0);
+        assert_eq!(n.stats.bytes_forwarded.get(), 0);
         // Outcome 2 is remembered until the header next leaves.
         assert!(n.on_request(ReqMsg { origin: NodeId(4), bat: BatId(3) }).is_empty());
         assert!(sent(&n.on_bat(hot, false)).1, "asked since the last pass");
         assert!(!sent(&n.on_bat(hot, false)).1, "one request, one payload pass");
-        assert_eq!((n.stats.bats_forwarded, n.stats.bytes_forwarded), (4, 100));
+        assert_eq!((n.stats.bats_forwarded.get(), n.stats.bytes_forwarded.get()), (4, 100));
     }
 
     #[test]
@@ -854,7 +886,8 @@ mod tests {
         fn fed_a_payload_on_every_frame_only_the_flag_depends_on_the_marks(
             ops in proptest::collection::vec((0u8..6, 0u8..4, 0u8..3), 1..80),
         ) {
-            let (mut a, mut b) = (node(2), node(2));
+            let (ra, rb) = (dc_obs::Registry::new(2), dc_obs::Registry::new(2));
+            let (mut a, mut b) = (node_in(2, &ra), node_in(2, &rb));
             a.register_owned(BatId(5), 100);
             b.register_owned(BatId(5), 100);
             for (step, &(op, x, y)) in ops.iter().enumerate() {
@@ -891,13 +924,13 @@ mod tests {
                     b.asked_downstream.insert(bat, b.now);
                 }
             }
-            let view = |n: &DcNode| {
-                let mut counters = n.stats.counters();
-                counters.retain(|(name, _)| *name != "bytes_forwarded");
+            let view = |n: &DcNode, obs: &dc_obs::Registry| {
+                let mut counters = obs.stats();
+                counters.retain(|(name, _)| name != "bytes_forwarded");
                 let bats = [5, 6, 7].map(BatId);
                 (counters, bats.map(|b| n.s2.get(b).cloned()), n.s1.state(BatId(5)), n.cache.len())
             };
-            proptest::prop_assert_eq!(view(&a), view(&b));
+            proptest::prop_assert_eq!(view(&a, &ra), view(&b, &rb));
         }
     }
 
@@ -917,7 +950,7 @@ mod tests {
         let eff = n.on_bat(h, true);
         assert_eq!(eff, vec![Effect::Unload(BatId(3))]);
         assert_eq!(n.s1.state(BatId(3)), Some(OwnedState::OnDisk));
-        assert_eq!(n.stats.bats_unloaded, 1);
+        assert_eq!(n.stats.bats_unloaded.get(), 1);
     }
 
     #[test]
@@ -960,15 +993,15 @@ mod tests {
             matches!(&eff[..], [Effect::SendBat { payload: true, .. }]),
             "kept despite LOI 0 < 0.5, and sent with the payload it was asked for: {eff:?}"
         );
-        assert_eq!(n.stats.demand_holds, 1);
-        assert_eq!(n.stats.bats_unloaded, 0);
+        assert_eq!(n.stats.demand_holds.get(), 1);
+        assert_eq!(n.stats.bats_unloaded.get(), 0);
         // Next pass with no new interest: the normal Fig. 5 drop.
         let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
         let mut h = h;
         h.cycles = 1;
         let eff = n.on_bat(h, true);
         assert_eq!(eff, vec![Effect::Unload(BatId(3))]);
-        assert_eq!(n.stats.bats_unloaded, 1);
+        assert_eq!(n.stats.bats_unloaded.get(), 1);
     }
 
     #[test]
@@ -976,13 +1009,13 @@ mod tests {
         // With the flag off, the owner follows Fig. 5 literally and
         // unloads despite the pending mid-cycle request.
         let cfg = DcConfig { loit_levels: vec![0.5], demand_hold: false, ..DcConfig::default() };
-        let mut n = DcNode::new(NodeId(0), cfg);
+        let mut n = DcNode::new(NodeId(0), cfg, &dc_obs::Registry::new(0));
         n.register_owned(BatId(3), 100);
         n.s1.set_state(BatId(3), OwnedState::InRing { last_seen: SimTime::ZERO });
         assert!(n.on_request(ReqMsg { origin: NodeId(4), bat: BatId(3) }).is_empty());
         let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
         assert_eq!(n.on_bat(h, true), vec![Effect::Unload(BatId(3))]);
-        assert_eq!(n.stats.demand_holds, 0);
+        assert_eq!(n.stats.demand_holds.get(), 0);
     }
 
     #[test]
@@ -990,7 +1023,7 @@ mod tests {
         // Queue nearly full: Fig. 5's eviction must win even with
         // pending interest (the requester is rescued by resend).
         let cfg = DcConfig { queue_capacity: 110, loit_levels: vec![0.5], ..DcConfig::default() };
-        let mut n = DcNode::new(NodeId(0), cfg);
+        let mut n = DcNode::new(NodeId(0), cfg, &dc_obs::Registry::new(0));
         n.register_owned(BatId(3), 100);
         n.s1.set_state(BatId(3), OwnedState::InRing { last_seen: SimTime::ZERO });
         assert!(n.queue_load_fraction() >= 0.8, "setup: must be overloaded");
@@ -998,7 +1031,7 @@ mod tests {
         let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
         let eff = n.on_bat(h, true);
         assert_eq!(eff, vec![Effect::Unload(BatId(3))]);
-        assert_eq!(n.stats.demand_holds, 0);
+        assert_eq!(n.stats.demand_holds.get(), 0);
     }
 
     // ---- tick: loadAll / resend / LOIT / lost ----------------------------
@@ -1052,7 +1085,7 @@ mod tests {
             eff.contains(&Effect::SendRequest(ReqMsg { origin: NodeId(4), bat: BatId(8) })),
             "{eff:?}"
         );
-        assert_eq!(n.stats.requests_resent, 1);
+        assert_eq!(n.stats.requests_resent.get(), 1);
         // Timer reset: no immediate second resend.
         at(&mut n, 700);
         assert!(n.tick().iter().all(|e| !matches!(e, Effect::SendRequest(_))));
@@ -1066,7 +1099,7 @@ mod tests {
         at(&mut n, 2_500);
         n.tick();
         assert_eq!(n.s1.state(BatId(1)), Some(OwnedState::OnDisk));
-        assert_eq!(n.stats.bats_lost, 1);
+        assert_eq!(n.stats.bats_lost.get(), 1);
         // And a new request now reloads it (outcome 4 again).
         let eff = n.on_request(ReqMsg { origin: NodeId(2), bat: BatId(1) });
         assert_eq!(eff, vec![Effect::LoadFromDisk { bat: BatId(1), size: 100 }]);
@@ -1085,10 +1118,10 @@ mod tests {
         n.s1.set_state(BatId(1), OwnedState::OnDisk); // 0% < 40%
         n.tick();
         assert_eq!(n.loit(), 0.6);
-        assert_eq!(n.stats.loit_transitions, 3, "raise, raise, lower");
+        assert_eq!(n.stats.loit_transitions.get(), 3, "raise, raise, lower");
         n.tick(); // one more step down, then the bottom rung holds
         n.tick();
-        assert_eq!((n.loit(), n.stats.loit_transitions), (0.1, 4));
+        assert_eq!((n.loit(), n.stats.loit_transitions.get()), (0.1, 4));
     }
 
     #[test]
@@ -1098,7 +1131,7 @@ mod tests {
         assert!(n.local_request(QueryId(1), BatId(1)).is_empty());
         assert_eq!(n.pin(QueryId(1), BatId(1)).0, PinOutcome::OwnedLocal);
         assert!(n.unpin(QueryId(1), BatId(1)).is_empty());
-        assert_eq!(n.stats.requests_dispatched, 0);
+        assert_eq!(n.stats.requests_dispatched.get(), 0);
     }
 
     #[test]
@@ -1106,7 +1139,7 @@ mod tests {
         let mut n = node(0);
         assert_eq!(n.local_request(QueryId(1), BatId(5)).len(), 1);
         assert!(n.local_request(QueryId(2), BatId(5)).is_empty(), "piggybacks");
-        assert_eq!(n.stats.requests_dispatched, 1);
+        assert_eq!(n.stats.requests_dispatched.get(), 1);
     }
 
     #[test]

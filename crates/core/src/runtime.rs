@@ -9,7 +9,7 @@
 
 use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::CatalogMsg;
-use crate::stats::NodeStats;
+use crate::transport::RingTransport;
 use batstore::ops::Mutation;
 use batstore::{storage, Bat, ColType, Column};
 use bytes::Bytes;
@@ -292,10 +292,6 @@ pub enum Cmd {
     /// Publish externally-assembled table metadata into this node's
     /// catalogs (driver-side loads); optionally gossip it clockwise.
     PublishTable { table: CatalogMsg, gossip: bool },
-    /// Snapshot this node's protocol counters (tests and monitoring
-    /// observe retries/timeouts/dedups through this, not by reaching
-    /// into the event loop).
-    Stats { ack: Arc<Waiter<NodeStats>> },
     /// Snapshot this node's hot-set view: per-fragment residency state
     /// and LOI, plus the node totals (the `dc.hotset` system view and
     /// the dcsh `.hotset` meta-statement read this).
@@ -306,21 +302,34 @@ pub enum Cmd {
 
 /// The [`DcHooks`] implementation wired into MAL plans on ring nodes.
 pub struct RingHooks {
-    pub tx: Sender<super::engine::NodeEvent>,
-    pub catalog: Arc<RingCatalog>,
-    pub pin_timeout: Duration,
+    tx: Sender<super::engine::NodeEvent>,
+    catalog: Arc<RingCatalog>,
+    pin_timeout: Duration,
     /// The node's telemetry registry; `dc.*` system views read from it.
-    pub obs: Arc<dc_obs::Registry>,
+    obs: Arc<dc_obs::Registry>,
+    /// The node's transport, which counts the frames it refused itself.
+    transport: Arc<dyn RingTransport>,
+    /// That count, as the registry shows it.
+    frames_rejected: Arc<dc_obs::Gauge>,
 }
 
 impl RingHooks {
-    /// Snapshot the event loop's protocol counters (the same round trip
-    /// [`crate::RingNode::stats`] makes). Safe to call from a MAL sink:
-    /// plans run on caller threads, so the event loop is free to answer.
-    fn stats_snapshot(&self) -> Result<NodeStats, MalError> {
-        let ack = Arc::new(Waiter::<NodeStats>::default());
-        self.send(Cmd::Stats { ack: Arc::clone(&ack) })?;
-        ack.wait_for_outcome(self.pin_timeout, "stats request timed out").map_err(MalError::Dc)
+    pub(crate) fn new(
+        tx: Sender<super::engine::NodeEvent>,
+        catalog: Arc<RingCatalog>,
+        pin_timeout: Duration,
+        obs: Arc<dc_obs::Registry>,
+        transport: Arc<dyn RingTransport>,
+    ) -> RingHooks {
+        let frames_rejected = obs.gauge("obs_ring_frames_rejected");
+        RingHooks { tx, catalog, pin_timeout, obs, transport, frames_rejected }
+    }
+
+    /// The node's registry, as every surface reads it: with the
+    /// transport's refused-frame count brought up to date first.
+    pub(crate) fn registry(&self) -> &Arc<dc_obs::Registry> {
+        self.frames_rejected.set(self.transport.frames_rejected() as i64);
+        &self.obs
     }
 
     /// Snapshot the event loop's hot-set view (per-fragment residency
@@ -412,26 +421,7 @@ impl DcHooks for RingHooks {
     fn sys_view(&self, _query: u64, view: &str) -> Result<batstore::ResultSet, MalError> {
         match view {
             "stats" => {
-                // Protocol counters first (exactly `NodeStats::counters`,
-                // name-for-name — tests diff this against
-                // `RingNode::stats()`), then registry counters and gauges
-                // under an `obs_` prefix so the two namespaces cannot
-                // collide.
-                let stats = self.stats_snapshot()?;
-                let mut names: Vec<String> = Vec::new();
-                let mut values: Vec<i64> = Vec::new();
-                for (name, v) in stats.counters() {
-                    names.push(name.to_string());
-                    values.push(v as i64);
-                }
-                for (name, v) in self.obs.counters() {
-                    names.push(format!("obs_{name}"));
-                    values.push(v as i64);
-                }
-                for (name, v) in self.obs.gauges() {
-                    names.push(format!("obs_{name}"));
-                    values.push(v);
-                }
+                let (names, values) = self.registry().stats().into_iter().unzip();
                 let mut rs = batstore::ResultSet::new();
                 push_str_col(&mut rs, "dc.stats", "name", names);
                 push_lng_col(&mut rs, "dc.stats", "value", values);
@@ -567,7 +557,8 @@ mod tests {
         catalog.publish("sys", "t", "id", info);
         let (tx, rx) = crossbeam::channel::unbounded();
         let obs = Arc::new(dc_obs::Registry::new(0));
-        let hooks = RingHooks { tx, catalog, pin_timeout: Duration::from_millis(10), obs };
+        let fabric = Arc::new(crate::transport::mem::ring(1).remove(0));
+        let hooks = RingHooks::new(tx, catalog, Duration::from_millis(10), obs, fabric);
         // The ten-thousandth statement gets the ticket the first one got:
         // it is a function of the catalog, not of what was asked before.
         for query in 0..10_000 {

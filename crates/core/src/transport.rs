@@ -226,16 +226,16 @@ impl MeteredTransport {
     pub fn new(inner: std::sync::Arc<dyn RingTransport>, obs: &dc_obs::Registry) -> Self {
         MeteredTransport {
             inner,
-            data_frames_out: obs.counter("ring_data_frames_out"),
-            data_bytes_out: obs.counter("ring_data_bytes_out"),
-            bat_frames_header_only: obs.counter("ring_bat_frames_header_only"),
-            req_frames_out: obs.counter("ring_req_frames_out"),
-            req_bytes_out: obs.counter("ring_req_bytes_out"),
+            data_frames_out: obs.counter("obs_ring_data_frames_out"),
+            data_bytes_out: obs.counter("obs_ring_data_bytes_out"),
+            bat_frames_header_only: obs.counter("obs_ring_bat_frames_header_only"),
+            req_frames_out: obs.counter("obs_ring_req_frames_out"),
+            req_bytes_out: obs.counter("obs_ring_req_bytes_out"),
             inbound: InboundMeters {
-                data_frames_in: obs.counter("ring_data_frames_in"),
-                data_bytes_in: obs.counter("ring_data_bytes_in"),
-                req_frames_in: obs.counter("ring_req_frames_in"),
-                req_bytes_in: obs.counter("ring_req_bytes_in"),
+                data_frames_in: obs.counter("obs_ring_data_frames_in"),
+                data_bytes_in: obs.counter("obs_ring_data_bytes_in"),
+                req_frames_in: obs.counter("obs_ring_req_frames_in"),
+                req_bytes_in: obs.counter("obs_ring_req_bytes_in"),
             },
         }
     }

@@ -15,9 +15,10 @@ use batstore::{Column, Val};
 use datacyclotron::msg::HEADER_WIRE_BYTES;
 use datacyclotron::transport::mem;
 use datacyclotron::{
-    BatHeader, BatId, DcConfig, DcMsg, DcNode, Effect, NodeId, NodeOptions, NodeStats, PinOutcome,
-    QueryId, ReqMsg, RingNode, RingTransport,
+    BatHeader, BatId, DcConfig, DcMsg, DcNode, Effect, NodeId, NodeOptions, PinOutcome, QueryId,
+    ReqMsg, RingNode, RingTransport,
 };
+use dc_obs::Registry;
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -89,8 +90,9 @@ struct Model {
 
 impl Model {
     fn new(n: usize, owner: usize, links: Links, lose_frame: Option<u64>) -> Model {
-        let mut nodes: Vec<DcNode> =
-            (0..n).map(|i| DcNode::new(NodeId(i as u16), DcConfig::default())).collect();
+        let mut nodes: Vec<DcNode> = (0..n)
+            .map(|i| DcNode::new(NodeId(i as u16), DcConfig::default(), &Registry::new(0)))
+            .collect();
         nodes[owner].register_owned(BAT, 4_000);
         Model {
             nodes,
@@ -332,7 +334,7 @@ impl Model {
     }
 
     fn resent(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stats.requests_resent).sum()
+        self.nodes.iter().map(|n| n.stats.requests_resent.get()).sum()
     }
 }
 
@@ -391,15 +393,15 @@ proptest! {
 
 // ---- four engine nodes over the in-memory fabric ------------------------------
 
-/// The node's counters once `done` holds of them (10 s at most).
-fn await_stats(node: &RingNode, what: &str, done: impl Fn(&NodeStats) -> bool) -> NodeStats {
+/// The node's counter `name` once `done` holds of it (10 s at most).
+fn await_counter(node: &RingNode, name: &str, done: impl Fn(u64) -> bool) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = node.stats().unwrap();
-        if done(&stats) {
-            return stats;
+        let v = node.counter(name).unwrap_or_else(|| panic!("no counter {name}"));
+        if done(v) {
+            return v;
         }
-        assert!(Instant::now() < deadline, "node {}: {what}: {stats:?}", node.id);
+        assert!(Instant::now() < deadline, "node {}: {name} stuck at {v}", node.id);
         std::thread::sleep(Duration::from_millis(2));
     }
 }
@@ -426,13 +428,13 @@ fn bytes_reach_the_requester_and_headers_everybody_else() {
     for n in &nodes {
         n.wait_for_table_timeout("sys", "t", Duration::from_secs(10)).unwrap();
     }
-    let counter = |i: usize, name: &str| nodes[i].obs().counter(name).get();
-    let data_in = |i: usize| (counter(i, "ring_data_frames_in"), counter(i, "ring_data_bytes_in"));
+    let counter = |i: usize, name: &str| nodes[i].counter(name).unwrap();
+    let data_in =
+        |i: usize| (counter(i, "obs_ring_data_frames_in"), counter(i, "obs_ring_data_bytes_in"));
     let sum = |i: usize| nodes[i].execute("select sum(x) from t").unwrap().cell(0, 0);
     let total = Val::Lng((0..4096).sum());
     // The fragment's time in the ring is over once its owner unloads it.
-    let unloaded =
-        |times: u64| await_stats(&nodes[0], "never unloaded", |s| s.bats_unloaded >= times);
+    let unloaded = |times: u64| await_counter(&nodes[0], "bats_unloaded", |v| v >= times);
     let base: Vec<_> = (0..4).map(data_in).collect();
 
     // Asked from distance 1, the bytes make one hop; the header goes on
@@ -448,11 +450,11 @@ fn bytes_reach_the_requester_and_headers_everybody_else() {
     // (The table's catalog gossip may still have been on its last hop
     // when the owner's base was read, hence no exact count here.)
     assert!(data_in(0).1 - base[0].1 < size, "the owner is not sent what it holds");
-    for (i, n) in nodes.iter().enumerate() {
+    for i in 0..4 {
         // The load went out laden; nothing anybody forwarded since was.
-        let stats = n.stats().unwrap();
-        assert_eq!(stats.bytes_forwarded, 0, "node {i}: {stats:?}");
-        assert_eq!(counter(i, "ring_bat_frames_header_only"), stats.bats_forwarded, "node {i}");
+        assert_eq!(counter(i, "bytes_forwarded"), 0, "node {i}");
+        let header_only = counter(i, "obs_ring_bat_frames_header_only");
+        assert_eq!(header_only, counter(i, "bats_forwarded"), "node {i}");
     }
 
     // Asked from distance 3, the request marks nodes 2 and 1 on its way
@@ -461,13 +463,13 @@ fn bytes_reach_the_requester_and_headers_everybody_else() {
     assert_eq!(sum(3), total);
     unloaded(2);
     assert!(data_in(3).1 - before > size);
-    for (i, n) in nodes.iter().enumerate() {
-        let stats = n.stats().unwrap();
-        assert_eq!((stats.requests_resent, stats.bats_lost), (0, 0), "node {i}: {stats:?}");
+    for i in 0..4 {
+        let (resent, lost) = (counter(i, "requests_resent"), counter(i, "bats_lost"));
+        assert_eq!((resent, lost), (0, 0), "node {i}");
     }
     // Both payloads left the owner as loads; after that 0→1 the first
     // time, 0→1→2→3 the second: two hops were forwards.
-    let forwarded: Vec<u64> = nodes.iter().map(|n| n.stats().unwrap().bytes_forwarded).collect();
+    let forwarded: Vec<u64> = (0..4).map(|i| counter(i, "bytes_forwarded")).collect();
     assert_eq!(forwarded, [0, size, size, 0]);
 
     // A header nobody can vouch for, injected between nodes 1 and 2,
@@ -476,8 +478,8 @@ fn bytes_reach_the_requester_and_headers_everybody_else() {
     let bat = nodes[0].hotset().unwrap().rows[0].bat;
     let forged = BatHeader::fresh(NodeId(0), bat, size);
     fabric[1].send_data(DcMsg::Bat { header: forged, payload: None }).unwrap();
-    let owner = unloaded(3);
-    assert_eq!((owner.bats_loaded, owner.bats_lost), (2, 0), "{owner:?}");
+    unloaded(3);
+    assert_eq!((counter(0, "bats_loaded"), counter(0, "bats_lost")), (2, 0));
 
     for n in nodes {
         n.shutdown();

@@ -24,7 +24,8 @@
 //!
 //! The registry hands out `Arc` handles ([`Registry::counter`] and
 //! friends are get-or-create), so hot paths resolve a name once and then
-//! touch only the atomic.
+//! touch only the atomic. [`counters!`] declares a struct of such handles
+//! whose field names are the registered names.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -90,6 +91,39 @@ impl Gauge {
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
+}
+
+/// Declare a struct of [`Counter`] handles whose `register` resolves
+/// each field in a [`Registry`] under the field's own name, so a counter's
+/// name is written once, where it is declared:
+///
+/// ```
+/// dc_obs::counters! {
+///     /// What a door counts.
+///     pub struct Door {
+///         /// People who came in.
+///         entered,
+///     }
+/// }
+/// let obs = dc_obs::Registry::new(0);
+/// Door::register(&obs).entered.inc();
+/// assert_eq!(obs.counter_value("entered"), Some(1));
+/// ```
+#[macro_export]
+macro_rules! counters {
+    ($(#[$attr:meta])* $vis:vis struct $name:ident { $($(#[$doc:meta])* $field:ident,)* }) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$doc])* pub $field: std::sync::Arc<$crate::Counter>,)*
+        }
+
+        impl $name {
+            /// Resolve every counter in `obs` under its field's name.
+            pub fn register(obs: &$crate::Registry) -> $name {
+                $name { $($field: obs.counter(stringify!($field)),)* }
+            }
+        }
+    };
 }
 
 // ---- histograms ----------------------------------------------------------
@@ -367,6 +401,19 @@ impl Registry {
         h
     }
 
+    /// The value of counter `name`, or `None` if no counter of that name
+    /// is registered. Unlike [`Registry::counter`] this registers
+    /// nothing, so a misspelled read cannot mint a zero that then shows
+    /// up as a metric of its own.
+    pub fn counter_value(&self, name: &str) -> Option<u64> {
+        lock(&self.counters).get(name).map(|c| c.get())
+    }
+
+    /// [`Registry::counter_value`] for a gauge.
+    pub fn gauge_value(&self, name: &str) -> Option<i64> {
+        lock(&self.gauges).get(name).map(|g| g.get())
+    }
+
     /// Record a trace event under the `(epoch, stmt)` span key.
     pub fn trace(&self, epoch: u64, stmt: u64, event: &'static str, detail: impl Into<String>) {
         self.trace.push(TraceEvent {
@@ -384,14 +431,14 @@ impl Registry {
         self.trace.snapshot()
     }
 
-    /// Every counter as `(name, value)`, name-sorted.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        lock(&self.counters).iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
-    /// Every gauge as `(name, value)`, name-sorted.
-    pub fn gauges(&self) -> Vec<(String, i64)> {
-        lock(&self.gauges).iter().map(|(k, v)| (k.clone(), v.get())).collect()
+    /// Every counter and gauge as `(name, value)`, name-sorted: the rows
+    /// of `dc.stats`.
+    pub fn stats(&self) -> Vec<(String, i64)> {
+        let mut rows: Vec<(String, i64)> =
+            lock(&self.counters).iter().map(|(k, v)| (k.clone(), v.get() as i64)).collect();
+        rows.extend(lock(&self.gauges).iter().map(|(k, v)| (k.clone(), v.get())));
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows
     }
 
     /// Every histogram as `(name, snapshot)`, name-sorted.
@@ -399,15 +446,12 @@ impl Registry {
         lock(&self.hists).iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
     }
 
-    /// Prometheus-style `name value` lines: counters and gauges verbatim,
-    /// histograms expanded to `_count`/`_sum`/`_p50`/`_p95`/`_p99`/`_max`.
+    /// Prometheus-style `name value` lines: [`Registry::stats`] verbatim,
+    /// then histograms expanded to `_count`/`_sum`/`_p50`/`_p95`/`_p99`/`_max`.
     pub fn render_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, v) in self.gauges() {
+        for (name, v) in self.stats() {
             let _ = writeln!(out, "{name} {v}");
         }
         for (name, h) in self.histograms() {
@@ -592,7 +636,22 @@ mod tests {
         assert_eq!(r.gauge("g").get(), 1);
         r.histogram("h_us").record(10);
         assert_eq!(r.histogram("h_us").snapshot().count, 1);
-        assert_eq!(r.counters(), vec![("x".to_string(), 5)]);
+        assert_eq!(r.stats(), [("g".to_string(), 1), ("x".to_string(), 5)]);
+    }
+
+    #[test]
+    fn reading_an_unknown_name_registers_nothing() {
+        let r = Registry::new(0);
+        r.counter("hits").add(3);
+        r.gauge("depth").set(-2);
+        assert_eq!((r.counter_value("hits"), r.gauge_value("depth")), (Some(3), Some(-2)));
+        for typo in ["hit", "depth_", ""] {
+            assert_eq!(r.counter_value(typo), None);
+            assert_eq!(r.gauge_value(typo), None);
+        }
+        // A gauge is not a counter, nor the other way round.
+        assert_eq!((r.counter_value("depth"), r.gauge_value("hits")), (None, None));
+        assert_eq!(r.stats(), [("depth".to_string(), -2), ("hits".to_string(), 3)], "no new row");
     }
 
     #[test]
@@ -605,8 +664,7 @@ mod tests {
             h.record(v);
         }
         let text = r.render_text();
-        assert!(text.contains("frames_out 7\n"));
-        assert!(text.contains("sessions 2\n"));
+        assert!(text.starts_with("frames_out 7\nsessions 2\n"), "counters and gauges by name");
         assert!(text.contains("stmt_select_us_count 3\n"));
         assert!(text.contains("stmt_select_us_sum 700\n"));
         assert!(text.contains("stmt_select_us_max 400\n"));

@@ -134,13 +134,13 @@ pub struct CheckpointMetrics {
 }
 
 impl CheckpointMetrics {
-    /// Resolve `checkpoint_us`, `checkpoint_frags_written` and
-    /// `checkpoint_frags_skipped` in `obs`.
+    /// Resolve `checkpoint_us`, `obs_checkpoint_frags_written` and
+    /// `obs_checkpoint_frags_skipped` in `obs`.
     pub fn register(obs: &dc_obs::Registry) -> CheckpointMetrics {
         CheckpointMetrics {
             duration: obs.histogram("checkpoint_us"),
-            frags_written: obs.counter("checkpoint_frags_written"),
-            frags_skipped: obs.counter("checkpoint_frags_skipped"),
+            frags_written: obs.counter("obs_checkpoint_frags_written"),
+            frags_skipped: obs.counter("obs_checkpoint_frags_skipped"),
         }
     }
 
@@ -340,8 +340,8 @@ mod tests {
         assert!(ck.submit(blocked));
         assert!(!outcome(), "reported as failed");
         assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 4);
-        assert_eq!(obs.counter("checkpoint_frags_written").get(), 1);
-        assert_eq!(obs.counter("checkpoint_frags_skipped").get(), 1);
+        assert_eq!(obs.counter_value("obs_checkpoint_frags_written"), Some(1));
+        assert_eq!(obs.counter_value("obs_checkpoint_frags_skipped"), Some(1));
         assert_eq!(obs.histogram("checkpoint_us").snapshot().count, 2);
         std::fs::remove_dir_all(&root).ok();
     }

@@ -12,7 +12,9 @@ use crate::measure::Measurements;
 use crate::split::{self, SplitMap, SplitParams};
 use datacyclotron::msg::BatHeader;
 use datacyclotron::OwnedState;
-use datacyclotron::{BatId, DcConfig, DcNode, Effect, NodeId, PinOutcome, QueryId, ReqMsg};
+use datacyclotron::{
+    BatId, DcConfig, DcNode, Effect, NodeId, NodeStats, PinOutcome, QueryId, ReqMsg,
+};
 use dc_workloads::{Dataset, ExecModel, QuerySpec};
 use netsim::{EnqueueOutcome, EventQueue, Link, LinkConfig, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -168,6 +170,9 @@ pub struct RingSim {
     /// under bid placement).
     settled_on: Vec<usize>,
     active_queries: Vec<usize>,
+    /// Every node of the run counts into this one registry, so it holds
+    /// the ring-wide totals (`m.stats` reads them).
+    obs: dc_obs::Registry,
     m: Measurements,
     registered_so_far: usize,
     completed: usize,
@@ -181,9 +186,10 @@ impl RingSim {
             params.link.queue_capacity_bytes, params.dc.queue_capacity,
             "link and DC queue capacities must agree"
         );
+        let obs = dc_obs::Registry::new(0);
         let mut sim_nodes = Vec::with_capacity(nodes);
         for i in 0..nodes {
-            let mut dc = DcNode::new(NodeId(i as u16), params.dc.clone());
+            let mut dc = DcNode::new(NodeId(i as u16), params.dc.clone(), &obs);
             for (b, (&size, &owner)) in dataset.sizes.iter().zip(dataset.owners.iter()).enumerate()
             {
                 if owner == i {
@@ -230,7 +236,8 @@ impl RingSim {
             split: None,
             settled_on,
             active_queries: vec![0; nodes],
-            m: Measurements::default(),
+            m: Measurements::new(NodeStats::register(&obs)),
+            obs,
             registered_so_far: 0,
             completed: 0,
             failed: 0,
@@ -276,7 +283,7 @@ impl RingSim {
 
     fn grow(&mut self, now: SimTime) {
         let id = self.nodes.len();
-        let mut dc = DcNode::new(NodeId(id as u16), self.params.dc.clone());
+        let mut dc = DcNode::new(NodeId(id as u16), self.params.dc.clone(), &self.obs);
         dc.set_time(now);
         self.nodes.push(SimNode {
             dc,
@@ -685,15 +692,11 @@ impl RingSim {
                 self.m.bat_loads[i] += owned.loads as u64;
                 self.m.bat_max_cycles[i] = self.m.bat_max_cycles[i].max(owned.max_cycles);
             }
-            self.m.stats.merge(&n.dc.stats);
-            self.m.data_link_bytes += n.data.bytes_sent;
-        }
-        for (&bat, &lat) in self.m.stats.max_request_latency.clone().iter() {
-            let secs = lat.as_secs_f64();
-            let slot = self.m.max_request_latency.entry(bat.0).or_insert(0.0);
-            if secs > *slot {
-                *slot = secs;
+            for (&bat, &lat) in &n.dc.max_request_latency {
+                let slot = self.m.max_request_latency.entry(bat.0).or_insert(0.0);
+                *slot = slot.max(lat.as_secs_f64());
             }
+            self.m.data_link_bytes += n.data.bytes_sent;
         }
 
         // CPU utilization against the makespan (bounded-cores runs).
@@ -770,6 +773,19 @@ mod tests {
     }
 
     #[test]
+    fn ring_wide_request_latency_is_the_maximum_over_nodes() {
+        // Fig. 10 plots, per BAT, the longest wait any requester saw.
+        let nodes = 3;
+        let mut sim = RingSim::new(nodes, small_dataset(nodes), Vec::new(), small_params());
+        let ms = SimDuration::from_millis;
+        sim.nodes[0].dc.max_request_latency.extend([(BatId(1), ms(240)), (BatId(2), ms(50))]);
+        sim.nodes[2].dc.max_request_latency.extend([(BatId(1), ms(100)), (BatId(3), ms(700))]);
+        sim.finalize(SimTime::ZERO);
+        let want = std::collections::BTreeMap::from([(1, 0.24), (2, 0.05), (3, 0.7)]);
+        assert_eq!(sim.m.max_request_latency, want);
+    }
+
+    #[test]
     fn hot_set_occupies_ring() {
         let nodes = 4;
         let ds = small_dataset(nodes);
@@ -786,8 +802,8 @@ mod tests {
         let m = RingSim::new(nodes, ds, qs, small_params()).run();
         let peak = m.ring_bytes.points.iter().map(|&(_, v)| v).fold(0.0, f64::max);
         assert!(peak > 10_000_000.0, "hot set never built up: peak={peak}");
-        assert!(m.stats.bats_loaded > 0);
-        assert!(m.stats.bats_forwarded > 0);
+        assert!(m.stats.bats_loaded.get() > 0);
+        assert!(m.stats.bats_forwarded.get() > 0);
     }
 
     #[test]
@@ -809,7 +825,7 @@ mod tests {
         let params = SimParams::default().with_queue_capacity(16 << 20);
         assert!(params.dc.loit_levels.len() > 1, "the default ladder is dynamic");
         let m = RingSim::new(nodes, ds, qs, params).run();
-        assert!(m.stats.loit_transitions > 0, "the ladder never moved");
+        assert!(m.stats.loit_transitions.get() > 0, "the ladder never moved");
     }
 
     #[test]
@@ -943,7 +959,7 @@ mod tests {
         // The joined node sits on the data path 2→0, so it must have
         // forwarded BATs (it owns nothing, so forwards are its only role).
         assert!(
-            m.stats.bats_forwarded > 0,
+            m.stats.bats_forwarded.get() > 0,
             "ring-wide forwarding must include the new node's hops"
         );
     }
@@ -996,10 +1012,10 @@ mod tests {
         // ring. (The micro workload requests remote BATs only, so the
         // unsplit run requests every pinned fragment.)
         assert!(
-            split.stats.requests_dispatched < unsplit.stats.requests_dispatched / 2,
+            split.stats.requests_dispatched.get() < unsplit.stats.requests_dispatched.get() / 2,
             "split {} vs unsplit {}",
-            split.stats.requests_dispatched,
-            unsplit.stats.requests_dispatched
+            split.stats.requests_dispatched.get(),
+            unsplit.stats.requests_dispatched.get()
         );
     }
 
@@ -1068,7 +1084,7 @@ mod tests {
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a.lifetimes, b.lifetimes);
-        assert_eq!(a.stats.requests_dispatched, b.stats.requests_dispatched);
+        assert_eq!(a.stats.requests_dispatched.get(), b.stats.requests_dispatched.get());
     }
 
     #[test]
@@ -1095,9 +1111,9 @@ mod tests {
         assert_eq!(m.completed, 24);
         // Ownership placement means no ring traffic at all for
         // single-fragment queries: every pin resolves locally.
-        assert_eq!(m.stats.requests_dispatched, 0, "bids should land on owners");
+        assert_eq!(m.stats.requests_dispatched.get(), 0, "bids should land on owners");
         // Contrast: fixed placement on node 0 must use the ring.
         let m0 = RingSim::new(nodes, ds, qs, small_params()).run();
-        assert!(m0.stats.requests_dispatched > 0);
+        assert!(m0.stats.requests_dispatched.get() > 0);
     }
 }

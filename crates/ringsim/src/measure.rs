@@ -5,7 +5,6 @@ use netsim::metrics::TimeSeries;
 use std::collections::BTreeMap;
 
 /// Everything a harness needs to regenerate a figure.
-#[derive(Default)]
 pub struct Measurements {
     /// Cumulative queries registered over time (Fig. 6a "regist. queries").
     pub registered: TimeSeries,
@@ -43,11 +42,40 @@ pub struct Measurements {
     pub cpu_utilization: f64,
     /// Ring size over time (§6.3 pulsating rings; one point per growth).
     pub ring_sizes: TimeSeries,
-    /// Merged protocol counters.
+    /// Ring-wide protocol counters: every node of the run counts into
+    /// the registry these handles belong to.
     pub stats: NodeStats,
 }
 
 impl Measurements {
+    /// Nothing measured yet; `stats` are the handles the run's nodes
+    /// count into.
+    pub fn new(stats: NodeStats) -> Measurements {
+        Measurements {
+            registered: TimeSeries::default(),
+            finished: TimeSeries::default(),
+            finished_by_tag: BTreeMap::new(),
+            ring_bytes: TimeSeries::default(),
+            ring_bats: TimeSeries::default(),
+            ring_bytes_by_tag: BTreeMap::new(),
+            lifetimes: Vec::new(),
+            completed: 0,
+            failed: 0,
+            makespan: 0.0,
+            bat_touches: Vec::new(),
+            bat_requests: Vec::new(),
+            bat_loads: Vec::new(),
+            bat_max_cycles: Vec::new(),
+            max_request_latency: BTreeMap::new(),
+            bat_drops: 0,
+            request_drops: 0,
+            data_link_bytes: 0,
+            cpu_utilization: 0.0,
+            ring_sizes: TimeSeries::default(),
+            stats,
+        }
+    }
+
     /// Mean lifetime in seconds.
     pub fn mean_lifetime(&self) -> f64 {
         if self.lifetimes.is_empty() {
@@ -85,11 +113,15 @@ impl Measurements {
 mod tests {
     use super::*;
 
+    fn empty() -> Measurements {
+        Measurements::new(NodeStats::register(&dc_obs::Registry::new(0)))
+    }
+
     #[test]
     fn lifetime_stats() {
         let m = Measurements {
             lifetimes: vec![(0.0, 1.0, 0), (0.0, 3.0, 0), (0.0, 2.0, 0)],
-            ..Measurements::default()
+            ..empty()
         };
         assert!((m.mean_lifetime() - 2.0).abs() < 1e-9);
         assert_eq!(m.lifetime_quantile(0.0), 1.0);
@@ -99,15 +131,15 @@ mod tests {
 
     #[test]
     fn throughput_guards_zero() {
-        let m = Measurements::default();
+        let m = empty();
         assert_eq!(m.throughput(), 0.0);
-        let m = Measurements { completed: 100, makespan: 50.0, ..Measurements::default() };
+        let m = Measurements { completed: 100, makespan: 50.0, ..empty() };
         assert!((m.throughput() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn finished_at_reads_series() {
-        let mut m = Measurements::default();
+        let mut m = empty();
         m.finished.push_secs(1.0, 10.0);
         m.finished.push_secs(2.0, 25.0);
         assert_eq!(m.finished_at(0.5), 0.0);

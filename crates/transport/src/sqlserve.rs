@@ -96,13 +96,13 @@ pub fn handle_conn(conn: TcpStream, node: &RingNode) -> io::Result<()> {
     conn.set_nodelay(true).ok();
     conn.set_read_timeout(Some(HELLO_TIMEOUT)).ok();
     let obs = node.obs();
-    let sessions = obs.gauge("sql_sessions_active");
+    let sessions = obs.gauge("obs_sql_sessions_active");
     sessions.inc();
     let _guard = SessionGuard(Arc::clone(&sessions));
     let mut conn = MeteredConn {
         inner: conn,
-        bytes_in: obs.counter("sql_frame_bytes_in"),
-        bytes_out: obs.counter("sql_frame_bytes_out"),
+        bytes_in: obs.counter("obs_sql_frame_bytes_in"),
+        bytes_out: obs.counter("obs_sql_frame_bytes_out"),
     };
     match read_frame(&mut conn, DEFAULT_MAX_FRAME)? {
         Some(Frame::Hello { version: PROTOCOL_VERSION }) => {
@@ -149,9 +149,7 @@ pub fn handle_conn(conn: TcpStream, node: &RingNode) -> io::Result<()> {
         } else if stmt == ".metrics" {
             // One-shot Prometheus-style `name value` dump of every node
             // counter, gauge, and histogram (scraped by `dc-node metrics`).
-            node.metrics_text()
-                .map(datacyclotron::ResultSet::with_info)
-                .map_err(|e| (ErrorKind::Ring, e.to_string()))
+            Ok(datacyclotron::ResultSet::with_info(node.obs().render_text()))
         } else {
             node.execute(stmt).map_err(|e| (error_kind(&e), e.to_string()))
         };

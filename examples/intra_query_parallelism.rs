@@ -51,7 +51,7 @@ fn main() {
             m.completed,
             m.mean_lifetime(),
             m.lifetime_quantile(0.95),
-            m.stats.requests_dispatched
+            m.stats.requests_dispatched.get()
         );
     }
 

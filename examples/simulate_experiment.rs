@@ -44,7 +44,7 @@ fn main() {
             m.completed,
             m.mean_lifetime(),
             m.lifetime_quantile(0.95),
-            m.stats.bats_unloaded,
+            m.stats.bats_unloaded.get(),
         );
     }
     println!("\nHigher LOIT → shorter BAT life → faster hot-set turnover →");

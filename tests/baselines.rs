@@ -288,5 +288,5 @@ fn split_ring_handles_the_gaussian_workload() {
     .run();
     assert_eq!(whole.completed, total);
     assert_eq!(split.completed, total);
-    assert!(split.stats.requests_dispatched < whole.stats.requests_dispatched);
+    assert!(split.stats.requests_dispatched.get() < whole.stats.requests_dispatched.get());
 }

@@ -81,6 +81,21 @@ fn chaos_ring_with(
 }
 
 impl ChaosRing {
+    /// Node `i`'s counter `name`.
+    fn count(&self, i: usize, name: &str) -> u64 {
+        self.nodes[i].counter(name).unwrap_or_else(|| panic!("no counter {name}"))
+    }
+
+    /// Poll until node `i`'s counter `name` is non-zero: a count an owner
+    /// bumps after the ack the caller saw (a replay it deduplicates).
+    fn await_count(&self, i: usize, name: &str) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while self.count(i, name) == 0 {
+            assert!(Instant::now() < deadline, "node {i}: {name} stayed 0");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
     fn set_chaos(&self, on: bool) {
         for f in &self.faults {
             f.set_chaos(on);
@@ -149,8 +164,7 @@ fn dropped_mutation_is_retried_and_applies_once() {
     let rs = ring.nodes[1].execute("update acct set bal = 7 where id = 1").unwrap();
     assert_eq!(rs.affected, Some(1), "retried mutation must ack exactly one row");
 
-    let stats = ring.nodes[1].stats().unwrap();
-    assert!(stats.retries >= 1, "origin never retried: {stats:?}");
+    assert!(ring.count(1, "retries") >= 1, "origin never retried");
     assert!(ring.faults[1].stats().drops() >= 1, "no drop was injected");
     ring.await_rows("select id, bal from acct order by id", &[(1, 7)], Duration::from_secs(20));
 }
@@ -180,15 +194,7 @@ fn stalled_edge_delays_but_dedup_keeps_state_exact() {
     // statement at least twice and must deduplicate the replay — which
     // it handles just after the first delivery, whose ack may reach the
     // origin first.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let owner = ring.nodes[0].stats().unwrap();
-        if owner.mutations_deduped >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "owner never deduplicated: {owner:?}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    ring.await_count(0, "mutations_deduped");
 
     // A follow-up mutation lands after the stalled batch: final state is
     // the *second* write, i.e. order was preserved.
@@ -211,18 +217,7 @@ fn duplicated_append_applies_once() {
     assert_eq!(rs.affected, Some(1));
 
     assert_eq!(ring.faults[1].stats().duplicates(), 1, "no duplicate was injected");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let owner = ring.nodes[0].stats().unwrap();
-        if owner.mutations_deduped >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "owner never saw (and deduplicated) the duplicate: {owner:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    ring.await_count(0, "mutations_deduped");
     // Exactly one row — a double-applied append would show two.
     ring.await_rows("select id, bal from acct order by id", &[(10, 3)], Duration::from_secs(20));
 }
@@ -251,9 +246,8 @@ fn severed_owner_edge_fails_fast_and_heals() {
     );
     assert!(matches!(err, DcError::Ring(_)), "expected a ring-classified error, got {err:?}");
     assert!(err.message().contains("timed out"), "unhelpful error: {err}");
-    let stats = ring.nodes[1].stats().unwrap();
-    assert!(stats.timeouts >= 1, "timeout not counted: {stats:?}");
-    assert!(stats.retries >= 1, "retries not counted: {stats:?}");
+    assert!(ring.count(1, "timeouts") >= 1, "timeout not counted");
+    assert!(ring.count(1, "retries") >= 1, "retries not counted");
     assert!(ring.faults[1].stats().severed_sends() >= 1, "sever never bit a send");
 
     // Heal and re-issue: the statement succeeds and the ring converges.
@@ -286,8 +280,7 @@ fn scripted_partition_heals_inside_the_retry_budget() {
         "partition did not delay the statement: {:?}",
         t0.elapsed()
     );
-    let stats = ring.nodes[1].stats().unwrap();
-    assert!(stats.retries >= 1, "no retry crossed the partition: {stats:?}");
+    assert!(ring.count(1, "retries") >= 1, "no retry crossed the partition");
     assert!(ring.faults[1].stats().severed_sends() >= 1, "partition never bit a send");
     ring.await_rows("select id, bal from acct order by id", &[(1, 4)], Duration::from_secs(20));
 }
@@ -335,20 +328,11 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
     // The owner must apply it, not replay the cached 111 result.
     ring.faults[1].send_data(forged(0xB, 222)).unwrap();
     ring.await_rows("select id, bal from acct order by id", &[(1, 222)], Duration::from_secs(20));
-    let owner = ring.nodes[0].stats().unwrap();
-    assert_eq!(owner.mutations_deduped, 0, "fresh-epoch statement was deduped: {owner:?}");
+    assert_eq!(ring.count(0, "mutations_deduped"), 0, "fresh-epoch statement was deduped");
 
     // A true duplicate — same epoch, same id — still dedups.
     ring.faults[1].send_data(forged(0xB, 222)).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let owner = ring.nodes[0].stats().unwrap();
-        if owner.mutations_deduped >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "duplicate frame never deduped: {owner:?}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    ring.await_count(0, "mutations_deduped");
 }
 
 /// A forged `Bat` frame whose payload is not `DCB1` at all reaches a node
@@ -447,24 +431,28 @@ fn dropped_first_payload_of_a_readmitted_fragment_is_resent() {
         std::thread::sleep(Duration::from_millis(25));
     }
     settle();
-    let base = (ring.nodes[0].stats().unwrap(), ring.nodes[1].stats().unwrap());
+    let counts = || {
+        let owner = ["bats_lost", "bats_loaded", "loi_readmits"].map(|c| ring.count(0, c));
+        (owner, ring.count(1, "requests_resent"))
+    };
+    let (base, resent) = counts();
 
     // The owner's next data frame is the re-admitted fragment on its way
     // to node 1, its successor.
     ring.faults[0].drop_next(Edge::Data, 1);
     assert_eq!(total(1), Val::Lng(3), "served after the resend");
     assert_eq!(ring.faults[0].stats().drops(), 1);
-    let (owner, requester) = (ring.nodes[0].stats().unwrap(), ring.nodes[1].stats().unwrap());
-    assert!(requester.requests_resent > base.1.requests_resent, "{requester:?}");
-    assert_eq!(owner.bats_lost, base.0.bats_lost + 1, "the dropped frame was the BAT: {owner:?}");
-    assert_eq!(owner.bats_loaded, base.0.bats_loaded + 2, "loaded, lost, loaded again");
-    assert_eq!(owner.loi_readmits, base.0.loi_readmits + 1, "one reload from disk: {owner:?}");
+    let (owner, resent_after) = counts();
+    assert!(resent_after > resent, "the requester never re-sent");
+    // The dropped frame was the BAT: loaded, lost, loaded again — but
+    // reloaded from disk once.
+    assert_eq!(owner, [base[0] + 1, base[1] + 2, base[2] + 1]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A routed INSERT whose owner edge is severed fails loudly and shows
 /// up in `appends_failed` — the INSERT twin of `mutations_failed`, so
-/// failed routed appends are observable in [`datacyclotron::NodeStats`].
+/// failed routed appends are observable in `dc.stats`.
 #[test]
 fn severed_owner_edge_counts_failed_appends() {
     let ring = chaos_ring(0xD207, FaultPlan::quiet);
@@ -476,9 +464,8 @@ fn severed_owner_edge_counts_failed_appends() {
         .execute("insert into acct values (5, 50)")
         .expect_err("append across a severed edge cannot succeed");
     assert!(matches!(err, DcError::Ring(_)), "expected a ring-classified error, got {err:?}");
-    let stats = ring.nodes[1].stats().unwrap();
-    assert!(stats.appends_failed >= 1, "failed append not counted: {stats:?}");
-    assert!(stats.timeouts >= 1, "timeout not counted: {stats:?}");
+    assert!(ring.count(1, "appends_failed") >= 1, "failed append not counted");
+    assert!(ring.count(1, "timeouts") >= 1, "timeout not counted");
 
     // Heal and re-issue: exactly one row lands.
     ring.faults[1].heal(Edge::Data);
@@ -490,8 +477,8 @@ fn severed_owner_edge_counts_failed_appends() {
 /// Counter consistency across layers: every fault the wrapper injects
 /// must cast a visible shadow in the engine's own counters. A dropped
 /// mutation frame shows up as an origin retry; a duplicated one shows up
-/// as an owner-side dedup — so `FaultStats` reconciles with
-/// `NodeStats` and no injected fault vanishes unobserved.
+/// as an owner-side dedup — so `FaultStats` reconciles with the nodes'
+/// counters and no injected fault vanishes unobserved.
 #[test]
 fn injected_faults_reconcile_with_downstream_counters() {
     let ring = chaos_ring(0xD208, FaultPlan::quiet);
@@ -519,20 +506,14 @@ fn injected_faults_reconcile_with_downstream_counters() {
     let want = injected.drops() + injected.duplicates();
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let origin = ring.nodes[1].stats().unwrap();
-        let owner = ring.nodes[0].stats().unwrap();
-        if origin.retries >= 1
-            && owner.mutations_deduped >= 1
-            && origin.retries + owner.mutations_deduped >= want
-        {
+        let (retries, dedups) = (ring.count(1, "retries"), ring.count(0, "mutations_deduped"));
+        if retries >= 1 && dedups >= 1 && retries + dedups >= want {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "injected faults never reconciled: {want} injected, \
-             origin retries {} + owner dedups {}",
-            origin.retries,
-            owner.mutations_deduped
+             origin retries {retries} + owner dedups {dedups}"
         );
         std::thread::sleep(Duration::from_millis(50));
     }

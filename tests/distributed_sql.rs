@@ -222,10 +222,8 @@ fn routed_mutations_from_template_hits_apply_their_own_values_once() {
     nodes[0].execute("create table kv (k int, v varchar(16))").unwrap();
     nodes[2].wait_for_table_timeout("sys", "kv", Duration::from_secs(10)).unwrap();
 
-    let template_stats = || {
-        let obs = nodes[2].obs();
-        (obs.counter("template_hits").get(), obs.counter("template_misses").get())
-    };
+    let count = |i: usize, name: &str| nodes[i].counter(name).unwrap();
+    let template_stats = || (count(2, "obs_template_hits"), count(2, "obs_template_misses"));
     for (k, v) in [(1, "one"), (2, "two"), (3, "three")] {
         let rs = nodes[2].execute(&format!("insert into kv values ({k}, '{v}')")).unwrap();
         assert_eq!(rs.affected, Some(1));
@@ -247,11 +245,10 @@ fn routed_mutations_from_template_hits_apply_their_own_values_once() {
         .map(|&(k, v)| (Val::Int(k), Val::Str(v.into())))
         .collect();
     assert_eq!(got, want);
-    let owner = nodes[0].stats().unwrap();
     // Appends count one batch per column of `kv`.
-    assert_eq!((owner.appends_applied, owner.mutations_applied), (3 * 2, 2), "each applied once");
-    let origin = nodes[2].stats().unwrap();
-    assert_eq!((origin.appends_failed, origin.mutations_failed), (0, 0));
+    let applied = (count(0, "appends_applied"), count(0, "mutations_applied"));
+    assert_eq!(applied, (3 * 2, 2), "each applied once");
+    assert_eq!((count(2, "appends_failed"), count(2, "mutations_failed")), (0, 0));
 
     for n in nodes {
         n.shutdown();

@@ -61,7 +61,11 @@ fn intermediates_shared_across_queries() {
     assert!(is_intermediate(a.bat), "reserved namespace");
 
     // The intermediate circulates like base data: a DC node can own it.
-    let mut node = datacyclotron::DcNode::new(NodeId(0), datacyclotron::DcConfig::default());
+    let mut node = datacyclotron::DcNode::new(
+        NodeId(0),
+        datacyclotron::DcConfig::default(),
+        &dc_obs::Registry::new(0),
+    );
     node.register_owned(a.bat, 4096);
     let effects = node.on_request(datacyclotron::ReqMsg { origin: NodeId(1), bat: a.bat });
     assert!(
@@ -130,7 +134,11 @@ fn update_lifecycle_with_concurrent_readers() {
 fn version_header_flows_through_the_ring() {
     // The version counter rides the BAT header: an owner bumps it and
     // later passes carry it.
-    let mut owner = datacyclotron::DcNode::new(NodeId(0), datacyclotron::DcConfig::default());
+    let mut owner = datacyclotron::DcNode::new(
+        NodeId(0),
+        datacyclotron::DcConfig::default(),
+        &dc_obs::Registry::new(0),
+    );
     owner.register_owned(BatId(1), 100);
     owner.s1.get_mut(BatId(1)).unwrap().version = 2;
     let effects = owner.on_request(datacyclotron::ReqMsg { origin: NodeId(1), bat: BatId(1) });
@@ -146,7 +154,11 @@ fn version_header_flows_through_the_ring() {
 fn stale_cache_versions_detectable() {
     // The local cache records the version it admitted; a version table
     // comparison detects staleness for strict readers.
-    let mut node = datacyclotron::DcNode::new(NodeId(1), datacyclotron::DcConfig::default());
+    let mut node = datacyclotron::DcNode::new(
+        NodeId(1),
+        datacyclotron::DcConfig::default(),
+        &dc_obs::Registry::new(0),
+    );
     node.local_request(QueryId(1), BatId(9));
     let mut h = datacyclotron::msg::BatHeader::fresh(NodeId(0), BatId(9), 50);
     h.version = 1;

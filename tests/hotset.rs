@@ -45,8 +45,16 @@ fn load_dataset(ring: &Ring) {
     }
 }
 
-fn summed(ring: &Ring, pick: impl Fn(&datacyclotron::NodeStats) -> u64) -> u64 {
-    (0..3).map(|i| pick(&ring.node(i).stats().unwrap())).sum()
+/// Counter `name` summed over the three nodes, each read once its event
+/// loop has handled every event queued so far (`hotset` waits behind
+/// them), so a checkpoint or spill an earlier event started is counted.
+fn summed(ring: &Ring, name: &str) -> u64 {
+    (0..3)
+        .map(|i| {
+            ring.node(i).hotset().unwrap();
+            ring.node(i).counter(name).unwrap()
+        })
+        .sum()
 }
 
 #[test]
@@ -100,7 +108,7 @@ fn dataset_over_budget_spills_and_readmits_with_exact_results() {
         assert!(Instant::now() < deadline, "the cold tables never spilled");
         std::thread::sleep(Duration::from_millis(25));
     }
-    assert!(summed(&ring, |s| s.loi_evictions) > 0, "spills must be counted");
+    assert!(summed(&ring, "loi_evictions") > 0, "spills must be counted");
 
     // `dc.hotset` (same SQL path a client uses) shows spilled fragments.
     let rs = ring.execute(0, "select bat, state, loi from dc.hotset").unwrap();
@@ -110,7 +118,7 @@ fn dataset_over_budget_spills_and_readmits_with_exact_results() {
     // Query an evicted (cold) table from every node: the pins block, the
     // fragments are re-admitted from the owners' disks, and the typed
     // results are exact — the dataset answers as if it were resident.
-    let before = summed(&ring, |s| s.loi_readmits);
+    let before = summed(&ring, "loi_readmits");
     for (i, t) in [(0usize, 3), (1, 4), (2, 5)] {
         let rs = ring.execute(i, &format!("select a, b from t{t} where k = 123")).unwrap();
         assert_eq!(rs.row_count(), 1, "t{t} lost rows across spill");
@@ -118,7 +126,7 @@ fn dataset_over_budget_spills_and_readmits_with_exact_results() {
         assert_eq!(rs.cell(0, 1), Val::Int(123 % 7), "t{t} column b corrupted");
     }
     assert!(
-        summed(&ring, |s| s.loi_readmits) > before,
+        summed(&ring, "loi_readmits") > before,
         "cold queries answered without any re-admission"
     );
 
@@ -136,7 +144,7 @@ fn dataset_over_budget_spills_and_readmits_with_exact_results() {
     }
     // cold_log was created, then INSERTed: that spill was dirty, and it
     // wrote its own version's file instead of forcing a checkpoint.
-    assert_eq!(summed(&ring, |s| s.checkpoints), 0, "a dirty spill forced a checkpoint");
+    assert_eq!(summed(&ring, "checkpoints"), 0, "a dirty spill forced a checkpoint");
     ring.execute(1, "insert into cold_log values (9999, 42)").unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
@@ -177,11 +185,11 @@ fn owner_restart_recovers_spilled_fragments() {
         // Wait until the oversubscribed nodes have spilled, so the
         // shutdown happens with real on-disk-only fragments.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while summed(&ring, |s| s.loi_evictions) == 0 {
+        while summed(&ring, "loi_evictions") == 0 {
             assert!(Instant::now() < deadline, "no fragment ever spilled");
             std::thread::sleep(Duration::from_millis(25));
         }
-        assert_eq!(summed(&ring, |s| s.checkpoints), 0, "a spill of loaded data checkpointed");
+        assert_eq!(summed(&ring, "checkpoints"), 0, "a spill of loaded data checkpointed");
         ring.shutdown();
     }
 
@@ -233,7 +241,8 @@ fn budgeted_write_traffic() {
     while !snap().rows.iter().any(|r| r.table == "sys.cold_log" && r.state == "spilled") {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let before = ring.node(0).stats().unwrap();
+    let owner = |name: &str| ring.node(0).counter(name).unwrap();
+    let before = (owner("checkpoints"), owner("loi_evictions"));
     let done = std::sync::atomic::AtomicBool::new(false);
     let micros = |t: Instant| t.elapsed().as_micros() as u64;
     let (mut writes, mut reads) = (Vec::new(), Vec::new());
@@ -259,7 +268,7 @@ fn budgeted_write_traffic() {
     });
     let rs = ring.execute(0, "select count(*) from cold_log").unwrap();
     assert_eq!(rs.cell(0, 0), Val::Lng((rows + inserts) as i64));
-    let after = ring.node(0).stats().unwrap();
+    let after = (owner("checkpoints"), owner("loi_evictions"));
     let spill = ring.node(0).obs().histogram("spill_us").snapshot();
     let pct = |v: &mut Vec<u64>, p: f64| {
         v.sort_unstable();
@@ -275,8 +284,8 @@ fn budgeted_write_traffic() {
         pct(&mut reads, 0.5),
         pct(&mut reads, 0.99),
         pct(&mut reads, 1.0),
-        after.checkpoints - before.checkpoints,
-        after.loi_evictions - before.loi_evictions,
+        after.0 - before.0,
+        after.1 - before.1,
         spill.count,
         spill.p50(),
         spill.max,

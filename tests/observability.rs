@@ -9,9 +9,168 @@
 //! origin — the full origin → owner → ack path reconstructed from
 //! `dc.trace` rows alone.
 
+mod support;
+
 use batstore::Val;
-use datacyclotron::Ring;
+use datacyclotron::transport::mem;
+use datacyclotron::{DataDir, FsyncPolicy, NodeId, NodeOptions, Ring, RingNode, RingTransport};
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The deployment the name-set tests read: a durable 3-node mem ring
+/// with a memory budget, the framed SQL front door on node 0, and a
+/// short CREATE/INSERT/UPDATE/SELECT workload — through that door, plus
+/// a routed UPDATE from node 1 and a ring read on node 2.
+struct Pinned {
+    nodes: Vec<Arc<RingNode>>,
+    /// Node 0's framed SQL endpoint.
+    door: SocketAddr,
+    dir: PathBuf,
+}
+
+impl Pinned {
+    fn deploy(tag: &str) -> Pinned {
+        let dir = std::env::temp_dir().join(format!("dc_obs_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let nodes: Vec<Arc<RingNode>> = mem::ring(3)
+            .into_iter()
+            .enumerate()
+            .map(|(i, fabric)| {
+                let opts = NodeOptions {
+                    data_dir: Some(DataDir::new(dir.join(format!("n{i}"))).fsync(FsyncPolicy::Off)),
+                    mem_budget: Some(64 << 10),
+                    ..NodeOptions::default()
+                };
+                let fabric = Arc::new(fabric) as Arc<dyn RingTransport>;
+                Arc::new(RingNode::spawn(NodeId(i as u16), fabric, opts))
+            })
+            .collect();
+        let door = support::spawn_sql_front(&nodes[..1])[0];
+        for sql in [
+            "create table kv (id int, v int)",
+            "insert into kv values (1, 10), (2, 20)",
+            "update kv set v = 11 where id = 1",
+            "select id, v from kv order by id",
+        ] {
+            support::sql(door, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        for node in &nodes[1..] {
+            node.wait_for_table_timeout("sys", "kv", Duration::from_secs(10)).unwrap();
+        }
+        assert_eq!(
+            nodes[1].execute("update kv set v = 21 where id = 2").unwrap().affected,
+            Some(1)
+        );
+        let rs = nodes[2].execute("select sum(v) from kv").unwrap();
+        assert_eq!(rs.cell(0, 0), Val::Lng(32));
+        Pinned { nodes, door, dir }
+    }
+
+    /// Node `i`'s `dc.stats` names, sorted.
+    fn stats_names(&self, i: usize) -> Vec<String> {
+        let mut names = view_names(&self.nodes[i], "select name from dc.stats");
+        names.sort();
+        names
+    }
+}
+
+impl Drop for Pinned {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
+/// The `name` column of a system-view query.
+fn view_names(node: &RingNode, sql: &str) -> Vec<String> {
+    let rs = node.execute(sql).unwrap();
+    (0..rs.row_count())
+        .map(|r| match rs.cell(r, 0) {
+            Val::Str(name) => name,
+            other => panic!("unexpected name cell {other:?}"),
+        })
+        .collect()
+}
+
+/// `dc.stats` names on every node of the pinned deployment. The ledger
+/// and CI read counters by these names, so a rename shows up here first.
+const NODE_STATS: [&str; 57] = [
+    "appends_applied",
+    "appends_dropped",
+    "appends_failed",
+    "bats_forwarded",
+    "bats_loaded",
+    "bats_lost",
+    "bats_unloaded",
+    "bytes_forwarded",
+    "checkpoints",
+    "deliveries",
+    "demand_holds",
+    "latency_count",
+    "loi_evictions",
+    "loi_readmits",
+    "loit_transitions",
+    "mutation_acks_lost",
+    "mutations_applied",
+    "mutations_deduped",
+    "mutations_failed",
+    "mutations_routed",
+    "obs_checkpoint_frags_skipped",
+    "obs_checkpoint_frags_written",
+    "obs_gossip_applied",
+    "obs_hotset_resident_bytes",
+    "obs_hotset_spilled_bytes",
+    "obs_hotset_spilled_frags",
+    "obs_loit_level",
+    "obs_persist_errors",
+    "obs_ring_bat_frames_header_only",
+    "obs_ring_data_bytes_in",
+    "obs_ring_data_bytes_out",
+    "obs_ring_data_frames_in",
+    "obs_ring_data_frames_out",
+    "obs_ring_frames_rejected",
+    "obs_ring_req_bytes_in",
+    "obs_ring_req_bytes_out",
+    "obs_ring_req_frames_in",
+    "obs_ring_req_frames_out",
+    "obs_sql_errors",
+    "obs_sql_statements",
+    "obs_template_entries",
+    "obs_template_hits",
+    "obs_template_misses",
+    "query_errors",
+    "recovered_frags",
+    "recovered_wal_records",
+    "requests_absorbed",
+    "requests_dispatched",
+    "requests_forwarded",
+    "requests_owner_handled",
+    "requests_resent",
+    "requests_returned",
+    "retries",
+    "ring_query_bytes_moved",
+    "timeouts",
+    "wal_bytes",
+    "wal_records",
+];
+
+/// The names the framed SQL front door adds on the node it serves.
+const FRONT_DOOR_STATS: [&str; 3] =
+    ["obs_sql_frame_bytes_in", "obs_sql_frame_bytes_out", "obs_sql_sessions_active"];
+
+#[test]
+fn dc_stats_names_are_pinned() {
+    let pinned = Pinned::deploy("pinned");
+    for i in 0..3 {
+        let mut want: Vec<&str> = NODE_STATS.to_vec();
+        if i == 0 {
+            want.extend(FRONT_DOOR_STATS);
+            want.sort_unstable();
+        }
+        assert_eq!(pinned.stats_names(i), want, "node {i}");
+    }
+}
 
 /// `dc.trace` rows of node `i`, decoded as
 /// `(node, epoch, stmt, event, detail)`.
@@ -181,4 +340,78 @@ fn sysview_errors_are_classified() {
     assert!(e.message().contains("unknown system view"), "{e}");
     let e = ring.execute(0, "select bogus from dc.stats").unwrap_err();
     assert!(e.message().contains("no column"), "{e}");
+}
+
+/// `.metrics` — what `dc-node metrics` prints — names each counter and
+/// gauge exactly as `dc.stats` lists it, and each `dc.latency` histogram
+/// by its `_count`/`_sum`/`_p50`/`_p95`/`_p99`/`_max` expansion.
+#[test]
+fn metrics_print_the_names_dc_stats_lists() {
+    let pinned = Pinned::deploy("metrics");
+    let text = support::sql(pinned.door, ".metrics").unwrap().info.expect("a text dump");
+    let hists = view_names(&pinned.nodes[0], "select name from dc.latency");
+    let expansion: Vec<String> = hists
+        .iter()
+        .flat_map(|h| ["count", "sum", "p50", "p95", "p99", "max"].map(|s| format!("{h}_{s}")))
+        .collect();
+    let mut plain: Vec<String> = text
+        .lines()
+        .map(|line| line.split_once(' ').expect("`name value`").0.to_string())
+        .filter(|name| !expansion.contains(name))
+        .collect();
+    plain.sort();
+    assert_eq!(plain, pinned.stats_names(0));
+}
+
+/// Every metric name in ARCHITECTURE.md's Observability table, each
+/// `{a,b}` group expanded. A name is a code span of the table's first
+/// column; nothing but commas may stand between them.
+fn documented_metrics() -> Vec<String> {
+    let doc = include_str!("../ARCHITECTURE.md");
+    let section = doc.split("\n## Observability").nth(1).expect("an Observability section");
+    let rows = section.lines().skip_while(|l| !l.starts_with("| Metric")).skip(2);
+    let mut names = Vec::new();
+    for row in rows.take_while(|l| l.starts_with('|')) {
+        let cell = row.split('|').nth(1).expect("a first column");
+        for (i, part) in cell.split('`').enumerate() {
+            if i % 2 == 1 {
+                names.extend(expand(part));
+            } else {
+                assert!(matches!(part.trim(), "" | ","), "not a metric name: {part:?} in {row}");
+            }
+        }
+    }
+    names
+}
+
+/// `a_{b,c}_{d,e}` → `a_b_d`, `a_b_e`, `a_c_d`, `a_c_e`.
+fn expand(name: &str) -> Vec<String> {
+    let Some(open) = name.find('{') else {
+        let literal =
+            name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+        assert!(literal, "not a literal or a {{a,b}} group: {name:?}");
+        return vec![name.to_string()];
+    };
+    let close = open + name[open..].find('}').expect("a closed group");
+    let (head, tail) = (&name[..open], &name[close + 1..]);
+    name[open + 1..close].split(',').flat_map(|alt| expand(&format!("{head}{alt}{tail}"))).collect()
+}
+
+/// The Observability table cannot drift from the code: on the pinned
+/// deployment each name it shows is a `dc.stats` or `dc.latency` row,
+/// and each such row is in the table. (Node 0 serves the front door, so
+/// it reports every name the others do and the door's own.)
+#[test]
+fn the_observability_table_names_what_a_node_reports() {
+    use std::collections::BTreeSet;
+    assert_eq!(expand("a_{b,c}_{d,e}"), ["a_b_d", "a_b_e", "a_c_d", "a_c_e"]);
+    let pinned = Pinned::deploy("docs");
+    let node = &pinned.nodes[0];
+    let mut reported: BTreeSet<String> = pinned.stats_names(0).into_iter().collect();
+    reported.extend(view_names(node, "select name from dc.latency"));
+    let documented: BTreeSet<String> = documented_metrics().into_iter().collect();
+    let phantom: Vec<_> = documented.difference(&reported).collect();
+    assert!(phantom.is_empty(), "documented, but no node reports them: {phantom:?}");
+    let undocumented: Vec<_> = reported.difference(&documented).collect();
+    assert!(undocumented.is_empty(), "reported, but not in ARCHITECTURE.md: {undocumented:?}");
 }

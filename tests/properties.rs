@@ -972,17 +972,17 @@ proptest! {
     ) {
         // A node that owns nothing and wants nothing forwards every
         // foreign request exactly once and never loops.
-        let mut node = DcNode::new(NodeId(99), DcConfig::default());
+        let mut node = DcNode::new(NodeId(99), DcConfig::default(), &dc_obs::Registry::new(0));
         for (&o, &b) in origins.iter().zip(&bats) {
             let effects = node.on_request(ReqMsg { origin: NodeId(o), bat: BatId(b) });
             prop_assert_eq!(effects.len(), 1);
         }
-        prop_assert_eq!(node.stats.requests_forwarded, origins.len().min(bats.len()) as u64);
+        prop_assert_eq!(node.stats.requests_forwarded.get(), origins.len().min(bats.len()) as u64);
     }
 
     #[test]
     fn owner_state_machine_never_double_loads(requests in prop::collection::vec(0u16..6, 1..50)) {
-        let mut node = DcNode::new(NodeId(0), DcConfig::default());
+        let mut node = DcNode::new(NodeId(0), DcConfig::default(), &dc_obs::Registry::new(0));
         node.register_owned(BatId(1), 1000);
         let mut loads = 0;
         for &o in &requests {
@@ -997,7 +997,7 @@ proptest! {
 
     #[test]
     fn pin_unpin_balanced_cache(pins in 1usize..20) {
-        let mut node = DcNode::new(NodeId(1), DcConfig::default());
+        let mut node = DcNode::new(NodeId(1), DcConfig::default(), &dc_obs::Registry::new(0));
         // Register interest + waiting pins from `pins` queries.
         for q in 0..pins {
             node.local_request(QueryId(q as u64), BatId(5));
@@ -1296,8 +1296,9 @@ proptest! {
             let plan = sqlfront::compile_sql_dc(sql, &shadow)?;
             Ok(fresh.run_plan(0, next_qid, &plan)?)
         };
-        let obs = cached.node(0).obs();
-        let counts = || (obs.counter("template_hits").get(), obs.counter("template_misses").get());
+        let node = cached.node(0);
+        let counts =
+            || (node.counter("obs_template_hits").unwrap(), node.counter("obs_template_misses").unwrap());
 
         let op = ["=", "<", "<=", ">", ">=", "<>"][op];
         let mut picker = Picker { picks, at: 0 };

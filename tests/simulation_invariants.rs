@@ -69,7 +69,7 @@ fn resend_fires_under_loss_and_heals() {
     assert_eq!(m.completed, total);
     if m.bat_drops > 0 {
         assert!(
-            m.stats.requests_resent > 0 || m.stats.bats_lost > 0,
+            m.stats.requests_resent.get() > 0 || m.stats.bats_lost.get() > 0,
             "losses happened ({}), some recovery path must have fired",
             m.bat_drops
         );
@@ -100,7 +100,7 @@ fn simulation_is_deterministic_across_runs() {
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.lifetimes, b.lifetimes);
     assert_eq!(a.bat_loads, b.bat_loads);
-    assert_eq!(a.stats.requests_dispatched, b.stats.requests_dispatched);
+    assert_eq!(a.stats.requests_dispatched.get(), b.stats.requests_dispatched.get());
 }
 
 #[test]
@@ -112,7 +112,7 @@ fn owner_stats_account_for_served_interest() {
     // at least the number of deliveries attributed to nodes.
     let touches: u64 = m.bat_touches.iter().sum();
     assert!(touches > 0);
-    assert!(m.stats.deliveries > 0);
+    assert!(m.stats.deliveries.get() > 0);
     let loads: u64 = m.bat_loads.iter().sum();
     assert!(loads > 0, "BATs must have been loaded into the ring");
     // Cycles only advance for loaded BATs.

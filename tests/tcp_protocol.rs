@@ -7,7 +7,7 @@ mod support;
 
 use batstore::{Bat, Column, Val};
 use bytes::Bytes;
-use datacyclotron::{BatId, DcConfig, DcMsg, NodeId, NodeStats, ReqMsg, RingNode};
+use datacyclotron::{BatId, DcConfig, DcMsg, NodeId, ReqMsg, RingNode};
 use dc_transport::tcp::{read_frame, read_frame_capped, write_frame};
 use std::time::{Duration, Instant};
 use support::{spawn_tcp_ring, test_cfg};
@@ -92,15 +92,11 @@ fn back_to_back_frames_stream_cleanly() {
 
 // ---- protocol over real sockets -----------------------------------------
 
-/// The node's counters once `done` holds of them (10 s at most).
-fn await_stats(node: &RingNode, what: &str, done: impl Fn(&NodeStats) -> bool) -> NodeStats {
+/// Block until the node's counter `name` is non-zero (10 s at most).
+fn await_counter(node: &RingNode, name: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = node.stats().unwrap();
-        if done(&stats) {
-            return stats;
-        }
-        assert!(Instant::now() < deadline, "node {}: {what}: {stats:?}", node.id);
+    while node.counter(name) == Some(0) {
+        assert!(Instant::now() < deadline, "node {}: {name} stayed 0", node.id);
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -122,25 +118,25 @@ fn request_travels_anticlockwise_and_bat_returns_clockwise() {
 
     // Anti-clockwise, node 0's predecessor *is* the owner: the request
     // reached it in one hop and node 1 never saw it.
-    let owner = nodes[2].stats().unwrap();
-    assert_eq!((owner.requests_owner_handled, owner.bats_loaded), (1, 1), "{owner:?}");
+    let count = |i: usize, name: &str| nodes[i].counter(name).unwrap();
+    let owner = (count(2, "requests_owner_handled"), count(2, "bats_loaded"));
+    assert_eq!(owner, (1, 1));
     // Clockwise, the owner's successor is node 0: the fragment arrived
     // there with its payload and answered the outstanding request.
-    let requester = nodes[0].stats().unwrap();
-    assert_eq!((requester.requests_dispatched, requester.latency_count), (1, 1), "{requester:?}");
-    assert_eq!(requester.requests_resent, 0);
+    assert_eq!((count(0, "requests_dispatched"), count(0, "latency_count")), (1, 1));
+    assert_eq!(count(0, "requests_resent"), 0);
     // And it keeps circulating: node 1 forwards it — as a header, since
     // nobody downstream of node 0 asked for the bytes.
-    let middle = await_stats(&nodes[1], "never saw the BAT", |s| s.bats_forwarded > 0);
-    assert_eq!((middle.requests_forwarded, middle.bytes_forwarded), (0, 0), "{middle:?}");
-    let bytes_in = |i: usize| nodes[i].obs().counter("ring_data_bytes_in").get();
+    await_counter(&nodes[1], "bats_forwarded");
+    assert_eq!((count(1, "requests_forwarded"), count(1, "bytes_forwarded")), (0, 0));
+    let bytes_in = |i: usize| count(i, "obs_ring_data_bytes_in");
     assert!(
         bytes_in(0) > size && bytes_in(1) < size,
         "{} / {} of {size}",
         bytes_in(0),
         bytes_in(1)
     );
-    assert!(nodes[0].obs().counter("ring_bat_frames_header_only").get() > 0);
+    assert!(count(0, "obs_ring_bat_frames_header_only") > 0);
 
     for n in nodes {
         n.shutdown();
@@ -157,9 +153,9 @@ fn hot_set_expires_over_tcp() {
     let rs = nodes[1].execute("select sum(x) from t").unwrap();
     assert_eq!(rs.cell(0, 0), Val::Lng(6));
 
-    let owner =
-        await_stats(&nodes[0], "never expired the unrenewed fragment", |s| s.bats_unloaded > 0);
-    assert_eq!((owner.bats_loaded, owner.bats_unloaded, owner.bats_lost), (1, 1, 0), "{owner:?}");
+    await_counter(&nodes[0], "bats_unloaded");
+    let owner = ["bats_loaded", "bats_unloaded", "bats_lost"].map(|c| nodes[0].counter(c).unwrap());
+    assert_eq!(owner, [1, 1, 0]);
     for n in nodes {
         n.shutdown();
     }

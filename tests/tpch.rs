@@ -67,7 +67,7 @@ fn tpch_subset_matches_single_node_over_tcp_ring() {
 
     // The answers above are only possible because remote fragments were
     // pulled off the wire: the per-node counters must show it.
-    let moved: u64 = nodes.iter().map(|n| n.stats().unwrap().ring_query_bytes_moved).sum();
+    let moved: u64 = nodes.iter().map(|n| n.counter("ring_query_bytes_moved").unwrap()).sum();
     assert!(moved > 0, "no ring bytes were moved to serve queries");
 
     for n in nodes {
@@ -122,8 +122,8 @@ fn tpch_subset_is_the_same_under_every_single_owner_placement() {
                 }
             }
             for node in 0..n {
-                let stats = ring.node(node).stats().unwrap();
-                assert_eq!(stats.requests_resent, 0, "node {node} of {n}, tables at {owners:?}");
+                let resent = ring.node(node).counter("requests_resent");
+                assert_eq!(resent, Some(0), "node {node} of {n}, tables at {owners:?}");
             }
             ring.shutdown();
         }
