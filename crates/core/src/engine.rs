@@ -12,10 +12,10 @@
 //! Queries execute on caller threads through the full DBMS stack:
 //! SQL → MAL → DC optimizer → dataflow interpreter, with `pin` calls
 //! blocking until fragments flow past. Table metadata is *not* shared:
-//! each node owns its catalogs, kept in sync by [`DcMsg::Catalog`]
-//! gossip circulating once around the ring, and statements for a remote
-//! owner's fragments travel there as [`DcMsg::Routed`] messages (§6.4;
-//! see [`crate::routed`]).
+//! each node keeps one catalog ([`RingCatalog`]), kept in sync by
+//! [`DcMsg::Catalog`] gossip circulating once around the ring, and
+//! statements for a remote owner's fragments travel there as
+//! [`DcMsg::Routed`] messages (§6.4; see [`crate::routed`]).
 
 use crate::catalog::OwnedState;
 use crate::config::{DataDir, DcConfig};
@@ -25,11 +25,11 @@ use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg};
 use crate::proto::{DcNode, Effect, PinOutcome};
 use crate::routed::{describe, Due, Pending, Routed};
-use crate::runtime::{CatalogNotify, Cmd, Frag, FragInfo, RingCatalog, RingHooks, Waiter};
+use crate::runtime::{CatalogNotify, Cmd, Frag, Publish, RingCatalog, RingHooks, Waiter};
 use crate::stats::EngineStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
 use batstore::ops::{self, MutOp, Mutation};
-use batstore::{storage, Bat, BatStore, Catalog, Column, ResultSet};
+use batstore::{storage, Bat, Column, ResultSet};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dc_persist::{
@@ -37,8 +37,7 @@ use dc_persist::{
 };
 use mal::{MalError, SessionCtx};
 use netsim::SimTime;
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,7 +89,7 @@ fn catalog_msg(t: &TableRec) -> CatalogMsg {
                 size: c.size,
                 owner: NodeId(c.owner),
                 // Fragment versions are recovered from the checkpoint
-                // (FragSnap), not the catalog mirror; the caller
+                // (FragSnap), not the table record; the caller
                 // refreshes owned columns before re-advertising.
                 version: 0,
             })
@@ -98,31 +97,9 @@ fn catalog_msg(t: &TableRec) -> CatalogMsg {
     }
 }
 
-/// Merge table metadata into a node's catalogs (the in-memory half of
-/// [`NodeCtx::apply_catalog`], shared with startup recovery).
-fn publish_table(catalog: &RingCatalog, meta: &RwLock<Catalog>, c: &CatalogMsg) {
-    for col in &c.columns {
-        catalog.publish(
-            &c.schema,
-            &c.table,
-            &col.name,
-            FragInfo { bat: col.bat, size: col.size, owner: col.owner, version: col.version },
-        );
-    }
-    let mut meta = meta.write();
-    if meta.table(&c.schema, &c.table).is_err() {
-        // The metadata catalog stores zero-row columns: only names
-        // and types are consulted by codegen on ring nodes.
-        let typed: Vec<(&str, Column)> =
-            c.columns.iter().map(|col| (col.name.as_str(), Column::empty(col.ty))).collect();
-        let _ = meta.create_table_columnar(&mut BatStore::new(), &c.schema, &c.table, typed);
-    }
-}
-
-/// The durability subsystem of one node: its WAL generation, the
-/// background checkpointer, and the durable mirror of known tables the
-/// snapshots are cut from. Present only when the node was spawned with a
-/// [`DataDir`].
+/// The durability subsystem of one node: its WAL generation and the
+/// background checkpointer. Present only when the node was spawned with
+/// a [`DataDir`].
 struct PersistCtx {
     dir: dc_persist::DataDir,
     wal: WalWriter,
@@ -142,9 +119,9 @@ struct PersistCtx {
     /// at most one, its outcome a [`NodeEvent::Checkpointed`]. They
     /// become `durable` on commit.
     in_flight: Option<HashMap<BatId, u32>>,
-    /// Every table this node knows, keyed `schema.table` — the catalog
-    /// half of a snapshot.
-    tables: HashMap<String, CatalogMsg>,
+    /// The tables (`schema.table`) the catalog holds whose `Table` record
+    /// failed to log: the next advert of each logs it again.
+    unlogged: HashSet<String>,
     /// WAL timing handles, kept so rotation can re-attach them to the
     /// fresh generation's writer (see [`NodeCtx::maybe_checkpoint`]).
     wal_append_hist: Arc<dc_obs::Histogram>,
@@ -214,11 +191,8 @@ struct NodeCtx {
     stats: EngineStats,
     rx: Receiver<NodeEvent>,
     transport: Arc<dyn RingTransport>,
-    /// This node's replica of the ring-wide fragment catalog.
+    /// This node's table catalog.
     catalog: Arc<RingCatalog>,
-    /// This node's SQL metadata catalog (names and types only; the data
-    /// lives in the ring).
-    meta: Arc<RwLock<Catalog>>,
     /// Owned fragment payloads ("local disk"): cells holding the
     /// authoritative `Bat` alone; every payload send encodes it anew.
     disk: HashMap<BatId, Frag>,
@@ -489,24 +463,6 @@ impl NodeCtx {
         Ok(())
     }
 
-    /// Mirror table metadata durably, WAL-logging it the first time this
-    /// node learns of the table. The mirror is updated only after the
-    /// log succeeds: a failed attempt leaves the table unknown, so a
-    /// retry (re-issued DDL, re-circulating gossip) logs it again rather
-    /// than acknowledging durability that never happened.
-    fn persist_table(&mut self, c: &CatalogMsg) -> Result<(), String> {
-        if self.persist.is_none() {
-            return Ok(());
-        }
-        let key = format!("{}.{}", c.schema, c.table);
-        let known = self.persist.as_ref().expect("checked above").tables.contains_key(&key);
-        if !known {
-            self.log_durable(&WalRecord::Table(table_rec(c)), 0)?;
-        }
-        self.persist.as_mut().expect("checked above").tables.insert(key, c.clone());
-        Ok(())
-    }
-
     /// Once enough WAL has accumulated, rotate to a fresh generation and
     /// hand a snapshot of owned fragments + catalog to the background
     /// checkpointer. Appends keep flowing into the new generation while
@@ -552,7 +508,7 @@ impl NodeCtx {
         let snap = Snapshot {
             node: self.node.id.0,
             replay_from: next_gen,
-            tables: p.tables.values().map(table_rec).collect(),
+            tables: self.catalog.tables().iter().map(table_rec).collect(),
             frags,
         };
         if p.checkpointer.submit(snap) {
@@ -802,11 +758,7 @@ impl NodeCtx {
                         OwnedState::OnDisk => "on-disk",
                     }
                 };
-                let table = self
-                    .catalog
-                    .table_of(bat)
-                    .map(|(s, t)| format!("{s}.{t}"))
-                    .unwrap_or_else(|| "?".into());
+                let table = self.catalog.table_of(bat).unwrap_or_else(|| "?".into());
                 HotsetRow { bat, table, state, loi: o.last_loi, version: o.version, size: o.size }
             })
             .collect();
@@ -821,21 +773,39 @@ impl NodeCtx {
         }
     }
 
-    /// Merge gossiped table metadata into this node's catalogs, logging
-    /// it durably first. A WAL failure here cannot reject the gossip (the
-    /// origin already committed): the node serves the table from memory
-    /// but would forget it on restart, and `obs_persist_errors` counts it.
+    /// Publish an advert into this node's catalog (see
+    /// [`RingCatalog::publish`]); one naming other fragments than the
+    /// table this node knows is refused and traced. A table the node
+    /// holds no durable record of — new to it, or one whose `Table` record
+    /// failed to log — is WAL-logged first. A WAL failure cannot reject
+    /// the advert (its origin already committed): the node serves the
+    /// table from memory, `obs_persist_errors` counts the failure, and the
+    /// table's next advert logs it again.
     fn apply_catalog(&mut self, c: &CatalogMsg) {
-        if let Err(e) = self.persist_table(c) {
-            self.stats.obs_persist_errors.inc();
-            eprintln!(
-                "[dc-node {}] table {}.{} applied but not durable: {e}",
-                self.node.id, c.schema, c.table
-            );
+        let name = format!("{}.{}", c.schema, c.table);
+        let outcome = self.catalog.admits(c);
+        if outcome == Publish::Refused {
+            let detail = format!("{name} from {}: not the fragments this node knows", c.origin);
+            self.obs.trace(0, 0, "gossip_refused", detail);
+            return;
         }
-        publish_table(&self.catalog, &self.meta, c);
+        let unlogged = self.persist.as_ref().is_some_and(|p| p.unlogged.contains(&name));
+        if outcome == Publish::Added || unlogged {
+            let logged = self.log_durable(&WalRecord::Table(table_rec(c)), 0);
+            if let Some(p) = self.persist.as_mut() {
+                match &logged {
+                    Ok(()) => p.unlogged.remove(&name),
+                    Err(_) => p.unlogged.insert(name.clone()),
+                };
+            }
+            if let Err(e) = logged {
+                self.stats.obs_persist_errors.inc();
+                eprintln!("[dc-node {}] table {name} applied but not durable: {e}", self.node.id);
+            }
+        }
+        self.catalog.publish(c);
         self.stats.obs_gossip_applied.inc();
-        self.obs.trace(0, 0, "gossip", format!("{}.{} from {}", c.schema, c.table, c.origin));
+        self.obs.trace(0, 0, "gossip", format!("{name} from {}", c.origin));
         self.notify.bump();
     }
 
@@ -845,9 +815,9 @@ impl NodeCtx {
     }
 
     /// Make `payload` an owned fragment's authoritative copy at
-    /// `version`: swap the disk payload, bump the version, and update
-    /// this node's catalog replica.
-    fn install(&mut self, bat: BatId, version: u32, payload: Bat) {
+    /// `version`: swap the disk payload and bump the version. Returns the
+    /// payload's size.
+    fn install(&mut self, bat: BatId, version: u32, payload: Bat) -> u64 {
         let size = payload.byte_size() as u64;
         self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
         self.note_resident(bat, size);
@@ -855,7 +825,7 @@ impl NodeCtx {
             owned.size = size;
             owned.version = version;
         }
-        self.catalog.update_meta(bat, size, version);
+        size
     }
 
     /// Returns true on shutdown.
@@ -969,7 +939,7 @@ impl NodeCtx {
         table: &str,
         cols: &[(String, batstore::ColType)],
     ) -> Result<u64, String> {
-        if self.meta.read().table(schema, table).is_ok() {
+        if self.catalog.table(schema, table).is_some() {
             return Err(format!("table {schema}.{table} already exists"));
         }
         let id = self.node.id;
@@ -998,38 +968,22 @@ impl NodeCtx {
         // WAL ahead of every in-memory effect: a failure rejects the DDL
         // outright rather than acknowledging a table that would vanish
         // on restart.
-        self.persist_table(&gossip)?;
+        self.log_durable(&WalRecord::Table(table_rec(&gossip)), 0)?;
         for (bat, payload) in payloads {
             let size = payload.byte_size() as u64;
             self.disk.insert(bat, Frag::from_bat(payload));
             self.note_resident(bat, size);
             self.node.register_owned(bat, size);
         }
-        publish_table(&self.catalog, &self.meta, &gossip);
+        self.catalog.publish(&gossip);
         self.notify.bump();
         let _ = self.transport.send_data(DcMsg::Catalog(gossip));
         Ok(0)
     }
 
-    /// The table's column layout as this node's replica knows it:
-    /// `(name, fragment)` in declared order, resolved against the ring
-    /// catalog.
-    fn table_frags(&self, schema: &str, table: &str) -> Result<Vec<(String, FragInfo)>, String> {
-        let names: Vec<String> = {
-            let meta = self.meta.read();
-            let def =
-                meta.table(schema, table).map_err(|_| format!("unknown table {schema}.{table}"))?;
-            def.columns.iter().map(|c| c.name.clone()).collect()
-        };
-        names
-            .into_iter()
-            .map(|name| {
-                self.catalog
-                    .lookup(schema, table, &name)
-                    .map(|info| (name.clone(), info))
-                    .ok_or_else(|| format!("unknown fragment {schema}.{table}.{name}"))
-            })
-            .collect()
+    /// The table's entry in this node's catalog.
+    fn table_entry(&self, schema: &str, table: &str) -> Result<CatalogMsg, String> {
+        self.catalog.table(schema, table).ok_or_else(|| format!("unknown table {schema}.{table}"))
     }
 
     /// The single node owning every fragment of the table, or an error:
@@ -1037,8 +991,8 @@ impl NodeCtx {
     /// SQL-created tables are always single-owner; spread (round-robin
     /// loaded) tables take no INSERT, UPDATE or DELETE for now.
     fn mutation_owner(&self, schema: &str, table: &str) -> Result<NodeId, String> {
-        let frags = self.table_frags(schema, table)?;
-        let mut owners = frags.iter().map(|(_, i)| i.owner);
+        let entry = self.table_entry(schema, table)?;
+        let mut owners = entry.columns.iter().map(|col| col.owner);
         let first = owners.next().ok_or_else(|| format!("{schema}.{table} has no columns"))?;
         if owners.any(|o| o != first) {
             return Err(format!(
@@ -1053,40 +1007,41 @@ impl NodeCtx {
     /// owner (§6.4): stage it against the authoritative disk payloads
     /// ([`ops::stage`], which WAL replay runs too), log the statement and
     /// the versions it reaches as *one* record, then swap the disk
-    /// copies, bump the fragment versions, and re-advertise the table so
-    /// every replica converges on the new (size, version) view. Because
-    /// staging and logging precede every in-memory change, neither a WAL
-    /// failure nor a crash leaves half a row behind. Stale copies already
-    /// circulating keep serving readers that accept them; the next owner
-    /// pass re-enters the ring with the fresh payload.
+    /// copies, bump the fragment versions, and publish and gossip the
+    /// table's next advert — one catalog write — so every replica
+    /// converges on the new (size, version) view (§6.4's "propagates f").
+    /// Because staging and logging precede every in-memory change,
+    /// neither a WAL failure nor a crash leaves half a row behind. Stale
+    /// copies already circulating keep serving readers that accept them;
+    /// the next owner pass re-enters the ring with the fresh payload.
     fn apply_mutation(&mut self, m: &Mutation) -> Result<u64, String> {
-        let frags = self.table_frags(&m.schema, &m.table)?;
+        let mut advert = self.table_entry(&m.schema, &m.table)?;
         // Spilled columns reload first: a mutation must apply against the
         // RAM copy, bumping the version past the stale at-rest file.
-        for (_, info) in &frags {
-            if self.node.s1.is_owner(info.bat) {
-                self.ensure_resident(info.bat)?;
+        for col in &advert.columns {
+            if self.node.s1.is_owner(col.bat) {
+                self.ensure_resident(col.bat)?;
             }
         }
-        let mut cols = Vec::with_capacity(frags.len());
-        for (name, info) in &frags {
-            if !self.node.s1.is_owner(info.bat) {
+        let mut cols = Vec::with_capacity(advert.columns.len());
+        for col in &advert.columns {
+            if !self.node.s1.is_owner(col.bat) {
                 return Err(format!("node {} does not own {}.{}", self.node.id, m.schema, m.table));
             }
             let frag = self
                 .disk
-                .get(&info.bat)
-                .ok_or_else(|| format!("owned {} missing from disk", info.bat))?;
-            cols.push((name.as_str(), owned_bat(frag)));
+                .get(&col.bat)
+                .ok_or_else(|| format!("owned {} missing from disk", col.bat))?;
+            cols.push((col.name.as_str(), owned_bat(frag)));
         }
         let staged = ops::stage(&cols, &m.op, &m.preds).map_err(|e| e.to_string())?;
         if staged.matched == 0 {
             return Ok(0);
         }
-        let versions: Vec<(BatId, u32)> = staged
+        let versions: Vec<(usize, u32)> = staged
             .columns
             .iter()
-            .map(|(i, _)| (frags[*i].1.bat, self.next_version(frags[*i].1.bat)))
+            .map(|(i, _)| (*i, self.next_version(advert.columns[*i].bat)))
             .collect();
         // WAL ahead of every in-memory effect, the whole statement in one
         // CRC-framed record: a crash never half-applies it, and replay
@@ -1099,52 +1054,21 @@ impl NodeCtx {
                 staged.columns.iter().map(|(_, b)| b.byte_size() as u64).sum()
             }
         };
-        let logged = versions.iter().map(|(bat, v)| (bat.0, *v)).collect();
+        let logged = versions.iter().map(|(i, v)| (advert.columns[*i].bat.0, *v)).collect();
         self.log_durable(&WalRecord::Mutate { m: m.clone(), versions: logged }, rewritten)?;
-        for ((bat, version), (_, payload)) in versions.into_iter().zip(staged.columns) {
-            self.install(bat, version, payload);
+        for ((i, version), (_, payload)) in versions.into_iter().zip(staged.columns) {
+            let col = &mut advert.columns[i];
+            col.size = self.install(col.bat, version, payload);
+            col.version = version;
         }
         match &m.op {
             MutOp::Insert(given) => self.stats.appends_applied.add(given.len() as u64),
             MutOp::Update(_) | MutOp::Delete => self.stats.mutations_applied.inc(),
         }
-        self.readvertise_table(&m.schema, &m.table);
+        advert.origin = self.node.id;
+        self.catalog.publish(&advert);
+        let _ = self.transport.send_data(DcMsg::Catalog(advert));
         Ok(staged.matched as u64)
-    }
-
-    /// Gossip the table's current catalog entry (sizes and versions as
-    /// the owner now holds them) clockwise, and refresh the durable
-    /// mirror, so every replica converges after a mutation (§6.4's
-    /// "propagates f" re-advertisement).
-    fn readvertise_table(&mut self, schema: &str, table: &str) {
-        let Ok(frags) = self.table_frags(schema, table) else { return };
-        let columns: Vec<CatalogCol> = {
-            let meta = self.meta.read();
-            let Ok(def) = meta.table(schema, table) else { return };
-            frags
-                .iter()
-                .map(|(name, info)| CatalogCol {
-                    name: name.clone(),
-                    ty: def.column(name).map(|c| c.ty).unwrap_or(batstore::ColType::Int),
-                    bat: info.bat,
-                    size: info.size,
-                    owner: info.owner,
-                    version: info.version,
-                })
-                .collect()
-        };
-        let msg = CatalogMsg {
-            origin: self.node.id,
-            schema: schema.to_string(),
-            table: table.to_string(),
-            columns,
-        };
-        // Refresh the durable mirror (already WAL-logged the first time
-        // the table became known; this only updates the snapshot view).
-        if let Some(p) = self.persist.as_mut() {
-            p.tables.insert(format!("{schema}.{table}"), msg.clone());
-        }
-        let _ = self.transport.send_data(DcMsg::Catalog(msg));
     }
 
     fn alloc_frag_id(&self) -> BatId {
@@ -1295,7 +1219,6 @@ pub struct RingNode {
     hooks: Arc<RingHooks>,
     session: Arc<SessionCtx>,
     catalog: Arc<RingCatalog>,
-    meta: Arc<RwLock<Catalog>>,
     notify: Arc<CatalogNotify>,
     transport: Arc<dyn RingTransport>,
     event_loop: Option<JoinHandle<()>>,
@@ -1328,7 +1251,6 @@ impl RingNode {
         // threads using the node.
         let (tx, rx) = unbounded::<NodeEvent>();
         let catalog = Arc::new(RingCatalog::new());
-        let meta = Arc::new(RwLock::new(Catalog::new()));
         let notify = Arc::new(CatalogNotify::new());
         let next_frag = Arc::new(AtomicU32::new(1));
         let obs = Arc::new(dc_obs::Registry::new(id.0));
@@ -1364,10 +1286,9 @@ impl RingNode {
                 disk.insert(bat, Frag::from_bat(payload));
             }
 
-            // Rebuild both catalogs; owned tables re-enter the gossip
-            // once the loop runs, with fresh sizes and versions and this
-            // node as the re-advertisement origin.
-            let mut tables = HashMap::new();
+            // Rebuild the catalog; owned tables re-enter the gossip once
+            // the loop runs, with fresh sizes and versions and this node
+            // as the re-advertisement origin.
             for t in &rec.tables {
                 let mut c = catalog_msg(t);
                 for col in &mut c.columns {
@@ -1378,8 +1299,7 @@ impl RingNode {
                         col.version = owned.version;
                     }
                 }
-                publish_table(&catalog, &meta, &c);
-                tables.insert(format!("{}.{}", c.schema, c.table), c.clone());
+                catalog.publish(&c);
                 if c.columns.iter().any(|col| col.owner == id) {
                     c.origin = id;
                     readvertise.push(c);
@@ -1407,7 +1327,7 @@ impl RingNode {
             let snap = Snapshot {
                 node: id.0,
                 replay_from: rec.next_gen,
-                tables: tables.values().map(table_rec).collect(),
+                tables: catalog.tables().iter().map(table_rec).collect(),
                 frags: disk
                     .iter()
                     .map(|(b, f)| FragSnap {
@@ -1442,7 +1362,7 @@ impl RingNode {
                 checkpointer,
                 durable,
                 in_flight: None,
-                tables,
+                unlogged: HashSet::new(),
                 wal_append_hist,
                 wal_sync_hist,
             });
@@ -1459,7 +1379,6 @@ impl RingNode {
             rx,
             transport: Arc::clone(&transport),
             catalog: Arc::clone(&catalog),
-            meta: Arc::clone(&meta),
             disk,
             cache: HashMap::new(),
             waiting: HashMap::new(),
@@ -1498,10 +1417,10 @@ impl RingNode {
             Arc::clone(&obs),
             Arc::clone(&transport),
         ));
-        // The session's store holds nothing: the data lives in the ring.
-        let store = Arc::new(RwLock::new(BatStore::new()));
+        // The session's catalog and store hold nothing: ring plans never
+        // `sql.bind`, and the data lives in the ring.
         let session = Arc::new(
-            SessionCtx::new(Arc::clone(&meta), store)
+            SessionCtx::new(Default::default(), Default::default())
                 .with_dc(hooks.clone() as Arc<dyn mal::DcHooks>),
         );
 
@@ -1519,7 +1438,6 @@ impl RingNode {
             hooks,
             session,
             catalog,
-            meta,
             notify,
             transport,
             sql_metrics: SqlMetrics::new(&obs),
@@ -1597,8 +1515,8 @@ impl RingNode {
 
     /// The query template (§3.2) of `sql`'s shape and the statement's own
     /// literals to bind to its parameter slots. Only a shape this node
-    /// has not cached is code-generated (against this node's metadata
-    /// replica) and optimized; a compile error caches nothing.
+    /// has not cached is code-generated (against this node's catalog) and
+    /// optimized; a compile error caches nothing.
     fn compile(&self, sql: &str) -> Result<(Arc<mal::Program>, Vec<mal::Const>), MalError> {
         let parsed = sqlfront::parse_template(sql)?;
         let params = parsed.bindings()?;
@@ -1606,7 +1524,7 @@ impl RingNode {
             self.sql_metrics.template_hits.inc();
             return Ok((template, params));
         }
-        let plan = sqlfront::compile_stmt(&parsed.stmt, &self.meta.read())?;
+        let plan = self.catalog.with_compiler(|c| sqlfront::compile_stmt(&parsed.stmt, c))?;
         let template = self.templates.insert(parsed.key, sqlfront::optimize(&plan));
         self.sql_metrics.template_misses.inc();
         self.sql_metrics.template_entries.set(self.templates.len() as i64);
@@ -1641,12 +1559,12 @@ impl RingNode {
 
     /// Render the front-end plan and the optimized plan that runs.
     pub fn explain_sql(&self, sql: &str) -> Result<(String, String), MalError> {
-        let plan = sqlfront::compile_sql(sql, &self.meta.read())?;
+        let plan = self.catalog.with_compiler(|c| sqlfront::compile_sql(sql, c))?;
         let dc = sqlfront::optimize(&plan);
         Ok((plan.to_string(), dc.to_string()))
     }
 
-    /// Block until this node's metadata replica knows `schema.table`
+    /// Block until this node's catalog knows `schema.table`
     /// (catalog gossip is asynchronous); `false` on timeout. Waiters
     /// sleep on a condvar the event loop notifies per applied gossip —
     /// no busy-polling, so a hundred concurrent clients waiting for DDL
@@ -1658,11 +1576,11 @@ impl RingNode {
             // the wait bumps the epoch, so the wait returns immediately
             // instead of losing the wakeup.
             let seen = self.notify.current();
-            if self.meta.read().table(schema, table).is_ok() {
+            if self.catalog.table(schema, table).is_some() {
                 return true;
             }
             if !self.notify.wait_past(seen, deadline) {
-                return self.meta.read().table(schema, table).is_ok();
+                return self.catalog.table(schema, table).is_some();
             }
         }
     }
@@ -1717,7 +1635,7 @@ impl RingNode {
         self.obs().counter_value(name)
     }
 
-    /// This node's replica of the ring-wide fragment catalog.
+    /// This node's table catalog.
     pub fn ring_catalog(&self) -> &RingCatalog {
         &self.catalog
     }
@@ -1873,8 +1791,6 @@ impl Ring {
 
         // The gossip circulates asynchronously; make the load synchronous
         // so a statement on any node immediately after sees the table.
-        // `publish_table` fills the ring catalog before the metadata the
-        // wait watches, so every column lookup succeeds once it returns.
         for node in &self.nodes {
             node.wait_for_table_timeout(schema, table, Duration::from_secs(10))
                 .map_err(|e| MalError::Dc(e.message().to_string()))?;
@@ -1905,7 +1821,7 @@ impl Ring {
         crate::bidding::cheapest_node(self, bats)
     }
 
-    /// Compile `sql` against the given node's metadata replica and
+    /// Compile `sql` against the given node's catalog and
     /// render both the front-end plan and its Data Cyclotron rewrite
     /// (EXPLAIN, Tables 1/2 style). Takes the node index like
     /// [`Ring::execute`] — each node compiles against its own replica.
@@ -2529,6 +2445,61 @@ mod tests {
         let ring = build();
         check(&ring, &[before, after]);
         ring.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A node defines a name once. An advert naming other fragments for a
+    /// table it knows — here `sys.t (b varchar)` from node 2, over the
+    /// node's own `sys.t (a int)` — changes nothing the node answers,
+    /// before or after a checkpoint cut past it and a restart.
+    #[test]
+    fn a_conflicting_advert_changes_nothing_before_or_after_a_restart() {
+        let dir = scratch_dir("conflict");
+        // A 1-byte trigger: every logged record brings a checkpoint on.
+        let node = durable_node(&dir, 1, None);
+        node.execute("create table t (a int)").unwrap();
+        node.execute("insert into t values (1), (2)").unwrap();
+        let b = CatalogCol {
+            name: "b".into(),
+            ty: batstore::ColType::Str,
+            bat: node_frag_id(NodeId(2), 1),
+            size: 0,
+            owner: NodeId(2),
+            version: 0,
+        };
+        let other = CatalogMsg {
+            origin: NodeId(2),
+            schema: "sys".into(),
+            table: "t".into(),
+            columns: vec![b],
+        };
+        node.send(Cmd::PublishTable { table: other, gossip: false }).unwrap();
+        let check = |node: &RingNode| {
+            assert_eq!(ints(&node.execute("select a from t order by a").unwrap()), [1, 2]);
+            assert!(node.explain_sql("select b from t").is_err(), "t(b) compiles");
+            assert!(node.execute("select b from t").is_err());
+        };
+        // `hotset` queues behind the advert: it has been handled.
+        node.hotset().unwrap();
+        check(&node);
+        let refused = node.obs().trace_events().into_iter().filter(|e| e.event == "gossip_refused");
+        assert_eq!(refused.count(), 1);
+
+        // Log something else, so a checkpoint is cut after the advert;
+        // shutdown waits for the one submitted.
+        let cut = node.counter("checkpoints").unwrap();
+        node.execute("create table u (x int)").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while node.counter("checkpoints").unwrap() <= cut {
+            assert!(Instant::now() < deadline, "no checkpoint after the advert");
+            node.hotset().unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        node.shutdown();
+
+        let node = durable_node(&dir, 1, None);
+        check(&node);
+        node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -39,9 +39,9 @@
 //!   resolve against the ring. [`engine::Ring`] wires n nodes in-process;
 //!   [`engine::RingNode`] hosts one node over any transport for
 //!   multi-process deployments (see the `dc-node` binary).
-//! * [`bidding`], [`intermediates`], [`versions`] — the paper's §6
-//!   future-work features: nomadic query placement by cost bids, result
-//!   caching in the ring, and multi-version updates.
+//! * [`bidding`] — the paper's §6.1 nomadic query placement by cost
+//!   bids. (§6.4's versions are the owner-applied counters every catalog
+//!   entry carries; see [`runtime::RingCatalog`].)
 //!
 //! Durability is provided by the `dc-persist` crate: give
 //! [`engine::NodeOptions`] a [`config::DataDir`] and the node
@@ -57,7 +57,6 @@ pub mod engine;
 pub mod error;
 pub mod hotset;
 pub mod ids;
-pub mod intermediates;
 pub mod loi;
 pub mod msg;
 pub mod proto;
@@ -66,7 +65,6 @@ pub mod routed;
 pub mod runtime;
 pub mod stats;
 pub mod transport;
-pub mod versions;
 
 pub use batstore::{ResultColumn, ResultSet};
 pub use catalog::{OwnedState, S1Catalog};

@@ -1,5 +1,12 @@
-//! The live-engine seam between the DBMS layer and the ring: blocking
-//! pin/unpin semantics (§4.2.1) implemented over channels and condvars.
+//! The live-engine seam between the DBMS layer and the ring: the node's
+//! table catalog, and blocking pin/unpin semantics (§4.2.1) implemented
+//! over channels and condvars.
+//!
+//! [`RingCatalog`] is everything a node knows about tables: one entry
+//! per `(schema, table)`, the [`CatalogMsg`] its owner gossips. The
+//! request path, the SQL compiler, routing, the hot-set view, bidding
+//! and checkpoints all read that entry, and only
+//! [`RingCatalog::publish`] writes it.
 //!
 //! Query threads call [`RingHooks`] (the [`mal::DcHooks`] implementation
 //! injected into plans by the DC optimizer); the node's event loop
@@ -8,10 +15,10 @@
 //! pinning query, not the event loop, turns it into a `Bat`.
 
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::msg::CatalogMsg;
+use crate::msg::{CatalogCol, CatalogMsg};
 use crate::transport::RingTransport;
 use batstore::ops::Mutation;
-use batstore::{storage, Bat, ColType, Column};
+use batstore::{storage, Bat, BatStore, Catalog, ColType, Column};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use mal::{DcHooks, MalError};
@@ -20,21 +27,62 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Ring-wide fragment naming: `schema.table.column` → fragment identity.
-/// `version` is the §6.4 counter as last advertised by the owner; every
-/// owner-side mutation bumps it and re-gossips the table, so replicas
-/// converge on one (size, version) view.
-#[derive(Clone, Copy, Debug)]
-pub struct FragInfo {
-    pub bat: BatId,
-    pub size: u64,
-    pub owner: NodeId,
-    pub version: u32,
+/// A node's table catalog. Each table is the [`CatalogMsg`] last
+/// published for it: column names and types, fragment ids, owners, and
+/// the sizes and §6.4 versions the owner last advertised. One lock
+/// guards it and the two indexes derived from it.
+#[derive(Default)]
+pub struct RingCatalog {
+    tables: RwLock<Tables>,
 }
 
 #[derive(Default)]
-pub struct RingCatalog {
-    cols: RwLock<HashMap<String, FragInfo>>,
+struct Tables {
+    /// `schema.table` → the table's entry.
+    by_name: HashMap<String, CatalogMsg>,
+    /// Fragment → the `schema.table` whose entry names it.
+    by_bat: HashMap<BatId, String>,
+    /// The same tables as zero-row columns: names and types, for the SQL
+    /// compiler.
+    compiler: Catalog,
+}
+
+/// What [`RingCatalog::publish`] did with an advert.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Publish {
+    /// A table the node did not know; the advert is its entry now.
+    Added,
+    /// The same fragments as the known table (column names, types,
+    /// fragment ids and owners, in order): its sizes and versions are
+    /// taken.
+    Refreshed,
+    /// Other fragments under a known name, or, for a new name, a fragment
+    /// another table names: the catalog is untouched.
+    Refused,
+}
+
+fn qual(schema: &str, table: &str) -> String {
+    format!("{schema}.{table}")
+}
+
+fn same_fragments(a: &[CatalogCol], b: &[CatalogCol]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| (&x.name, x.ty, x.bat, x.owner) == (&y.name, y.ty, y.bat, y.owner))
+}
+
+impl Tables {
+    fn outcome(&self, key: &str, c: &CatalogMsg) -> Publish {
+        match self.by_name.get(key) {
+            Some(known) if same_fragments(&known.columns, &c.columns) => Publish::Refreshed,
+            Some(_) => Publish::Refused,
+            None if c.columns.iter().any(|col| self.by_bat.contains_key(&col.bat)) => {
+                Publish::Refused
+            }
+            None => Publish::Added,
+        }
+    }
 }
 
 impl RingCatalog {
@@ -42,65 +90,77 @@ impl RingCatalog {
         Self::default()
     }
 
-    fn key(schema: &str, table: &str, column: &str) -> String {
-        format!("{schema}.{table}.{column}")
+    /// What [`RingCatalog::publish`] would do with `c`, changing nothing.
+    pub(crate) fn admits(&self, c: &CatalogMsg) -> Publish {
+        self.tables.read().outcome(&qual(&c.schema, &c.table), c)
     }
 
-    pub fn publish(&self, schema: &str, table: &str, column: &str, info: FragInfo) {
-        self.cols.write().insert(Self::key(schema, table, column), info);
-    }
-
-    pub fn lookup(&self, schema: &str, table: &str, column: &str) -> Option<FragInfo> {
-        self.cols.read().get(&Self::key(schema, table, column)).copied()
-    }
-
-    /// Whether any published column is this fragment.
-    pub fn names(&self, bat: BatId) -> bool {
-        self.cols.read().values().any(|info| info.bat == bat)
-    }
-
-    pub fn len(&self) -> usize {
-        self.cols.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Refresh a fragment's advertised size and version after an
-    /// owner-side mutation (§6.4): bidding and queue accounting should
-    /// see the new size, and replicas converge on the bumped version
-    /// once the owner re-gossips.
-    pub fn update_meta(&self, bat: BatId, size: u64, version: u32) {
-        let mut cols = self.cols.write();
-        for info in cols.values_mut() {
-            if info.bat == bat {
-                info.size = size;
-                info.version = version;
+    /// Publish an advert: the only write to a node's table metadata.
+    /// A name is defined once on a node; later adverts for it may only
+    /// refresh sizes and versions (see [`Publish`]).
+    pub fn publish(&self, c: &CatalogMsg) -> Publish {
+        let key = qual(&c.schema, &c.table);
+        let mut tables = self.tables.write();
+        let outcome = tables.outcome(&key, c);
+        if outcome == Publish::Added {
+            for col in &c.columns {
+                tables.by_bat.insert(col.bat, key.clone());
             }
+            let typed = c.columns.iter().map(|col| (col.name.as_str(), Column::empty(col.ty)));
+            tables
+                .compiler
+                .create_table_columnar(&mut BatStore::new(), &c.schema, &c.table, typed.collect())
+                .expect("the compiler's tables are the entries, and this name is new");
         }
+        if outcome != Publish::Refused {
+            tables.by_name.insert(key, c.clone());
+        }
+        outcome
     }
 
-    /// Reverse lookup: which `(schema, table)` a fragment belongs to (the
-    /// hot-set view names each owned fragment's table).
-    pub fn table_of(&self, bat: BatId) -> Option<(String, String)> {
-        let cols = self.cols.read();
-        cols.iter().find(|(_, info)| info.bat == bat).and_then(|(key, _)| {
-            // Keys are `schema.table.column`; identifiers contain no dots
-            // (the SQL layer only lexes word characters).
-            let mut parts = key.splitn(3, '.');
-            Some((parts.next()?.to_string(), parts.next()?.to_string()))
-        })
+    /// The table's entry.
+    pub fn table(&self, schema: &str, table: &str) -> Option<CatalogMsg> {
+        self.tables.read().by_name.get(&qual(schema, table)).cloned()
+    }
+
+    /// Every table's entry (what a checkpoint records).
+    pub(crate) fn tables(&self) -> Vec<CatalogMsg> {
+        self.tables.read().by_name.values().cloned().collect()
+    }
+
+    /// One column of the table's entry.
+    pub fn lookup(&self, schema: &str, table: &str, column: &str) -> Option<CatalogCol> {
+        let tables = self.tables.read();
+        let entry = tables.by_name.get(&qual(schema, table))?;
+        entry.columns.iter().find(|col| col.name == column).cloned()
+    }
+
+    /// Whether some table names this fragment.
+    pub fn names(&self, bat: BatId) -> bool {
+        self.tables.read().by_bat.contains_key(&bat)
+    }
+
+    /// The `schema.table` naming this fragment (the hot-set view's
+    /// `table` column).
+    pub fn table_of(&self, bat: BatId) -> Option<String> {
+        self.tables.read().by_bat.get(&bat).cloned()
+    }
+
+    /// Run `f` over the tables' names and types, as the SQL compiler
+    /// reads them.
+    pub(crate) fn with_compiler<R>(&self, f: impl FnOnce(&Catalog) -> R) -> R {
+        f(&self.tables.read().compiler)
     }
 
     /// How many of the given fragments each node owns (the data term of a
     /// §6.1 bid).
     pub fn owner_counts(&self, bats: &[BatId]) -> HashMap<NodeId, usize> {
-        let cols = self.cols.read();
+        let tables = self.tables.read();
         let mut counts: HashMap<NodeId, usize> = HashMap::new();
-        for info in cols.values() {
-            if bats.contains(&info.bat) {
-                *counts.entry(info.owner).or_default() += 1;
+        for bat in bats {
+            let entry = tables.by_bat.get(bat).and_then(|key| tables.by_name.get(key));
+            if let Some(col) = entry.and_then(|e| e.columns.iter().find(|col| col.bat == *bat)) {
+                *counts.entry(col.owner).or_default() += 1;
             }
         }
         counts
@@ -529,32 +589,105 @@ const MUT_ACK_TIMEOUT: &str = "timed out waiting for the mutation acknowledgemen
 mod tests {
     use super::*;
 
+    /// An advert for `schema.table` from `origin`: one column per
+    /// `(name, type, fragment)`, owned by node 2, at size 100, version 0.
+    fn advert(table: &str, origin: u16, cols: &[(&str, ColType, u32)]) -> CatalogMsg {
+        let columns = cols
+            .iter()
+            .map(|&(name, ty, bat)| CatalogCol {
+                name: name.to_string(),
+                ty,
+                bat: BatId(bat),
+                size: 100,
+                owner: NodeId(2),
+                version: 0,
+            })
+            .collect();
+        CatalogMsg { origin: NodeId(origin), schema: "sys".into(), table: table.into(), columns }
+    }
+
     #[test]
-    fn ring_catalog_publish_lookup() {
+    fn publish_adds_refreshes_or_refuses() {
         let c = RingCatalog::new();
-        assert!(c.is_empty());
-        c.publish(
-            "sys",
-            "t",
-            "id",
-            FragInfo { bat: BatId(7), size: 100, owner: NodeId(2), version: 0 },
+        let t = advert("t", 2, &[("id", ColType::Int, 7), ("name", ColType::Str, 8)]);
+        assert_eq!(c.admits(&t), Publish::Added);
+        assert_eq!(c.publish(&t), Publish::Added);
+        assert_eq!(c.table("sys", "t"), Some(t.clone()));
+        assert!(c.with_compiler(|cat| cat.table("sys", "t").is_ok()));
+
+        // The same fragments, gossiped on by another node at new sizes
+        // and versions: every column takes them.
+        let mut re = t.clone();
+        re.origin = NodeId(0);
+        for (i, col) in re.columns.iter_mut().enumerate() {
+            (col.size, col.version) = (250 + i as u64, 4 + i as u32);
+        }
+        assert_eq!(c.publish(&re), Publish::Refreshed);
+        let seen = ["id", "name"].map(|n| c.lookup("sys", "t", n).map(|f| (f.size, f.version)));
+        assert_eq!(seen, [Some((250, 4)), Some((251, 5))]);
+        assert_eq!(c.table("sys", "t"), Some(re.clone()));
+
+        // Other fragments under the name — another column, type, id,
+        // owner or order — leave the entry as it was.
+        let mut owner = re.clone();
+        owner.columns[1].owner = NodeId(1);
+        let mut order = re.clone();
+        order.columns.reverse();
+        for other in [
+            advert("t", 1, &[("b", ColType::Str, 0x0300_0001)]),
+            advert("t", 1, &[("id", ColType::Lng, 7), ("name", ColType::Str, 8)]),
+            advert("t", 1, &[("id", ColType::Int, 9), ("name", ColType::Str, 8)]),
+            advert("t", 1, &[("id", ColType::Int, 7)]),
+            owner,
+            order,
+        ] {
+            assert_eq!(c.admits(&other), Publish::Refused, "{other:?}");
+            assert_eq!(c.publish(&other), Publish::Refused, "{other:?}");
+            assert_eq!(c.table("sys", "t"), Some(re.clone()));
+            assert!(c.lookup("sys", "t", "b").is_none());
+        }
+        let names = c.with_compiler(|cat| {
+            cat.table("sys", "t")
+                .unwrap()
+                .columns
+                .iter()
+                .map(|d| d.name.clone())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(names, ["id", "name"]);
+
+        // A new name may not claim a fragment another table names.
+        let thief = advert("u", 1, &[("x", ColType::Int, 8)]);
+        assert_eq!(c.publish(&thief), Publish::Refused);
+        assert!(
+            c.table("sys", "u").is_none() && c.with_compiler(|cat| cat.table("sys", "u").is_err())
         );
-        let info = c.lookup("sys", "t", "id").unwrap();
-        assert_eq!(info.bat, BatId(7));
-        assert_eq!(info.owner, NodeId(2));
+        assert_eq!(c.tables(), [re]);
+    }
+
+    #[test]
+    fn fragments_resolve_to_their_table() {
+        let c = RingCatalog::new();
+        c.publish(&advert("t", 2, &[("id", ColType::Int, 7), ("name", ColType::Str, 8)]));
+        c.publish(&advert("u", 2, &[("x", ColType::Int, 9)]));
+        for (bat, table) in [(7, "sys.t"), (8, "sys.t"), (9, "sys.u")] {
+            assert!(c.names(BatId(bat)));
+            assert_eq!(c.table_of(BatId(bat)).as_deref(), Some(table));
+        }
+        assert!(!c.names(BatId(10)));
+        assert_eq!(c.table_of(BatId(10)), None);
+        let counts = c.owner_counts(&[BatId(7), BatId(9), BatId(10)]);
+        assert_eq!(counts, HashMap::from([(NodeId(2), 2)]));
         assert!(c.lookup("sys", "t", "nope").is_none());
-        assert_eq!(c.len(), 1);
-        // A mutation at the owner refreshes both size and version.
-        c.update_meta(BatId(7), 250, 4);
-        let info = c.lookup("sys", "t", "id").unwrap();
-        assert_eq!((info.size, info.version), (250, 4));
+        assert!(c.lookup("sys", "nope", "id").is_none());
     }
 
     #[test]
     fn tickets_are_fragment_ids_and_hooks_keep_nothing_per_statement() {
         let catalog = Arc::new(RingCatalog::new());
-        let info = FragInfo { bat: BatId(0x0100_0007), size: 100, owner: NodeId(2), version: 0 };
-        catalog.publish("sys", "t", "id", info);
+        catalog.publish(&advert("t", 2, &[("id", ColType::Int, 0x0100_0007)]));
+        // A refused advert hands out no tickets either.
+        catalog.publish(&advert("t", 1, &[("id", ColType::Int, 0x0100_0008)]));
         let (tx, rx) = crossbeam::channel::unbounded();
         let obs = Arc::new(dc_obs::Registry::new(0));
         let fabric = Arc::new(crate::transport::mem::ring(1).remove(0));

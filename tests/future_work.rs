@@ -1,11 +1,9 @@
 //! The paper's §6 outlook features exercised through the public API:
-//! nomadic placement by bids (§6.1), intermediate-result publication
-//! (§6.2), and multi-version updates (§6.4). The §6.3 pulsating-ring
-//! experiment lives in `paper_scenarios.rs` / `exp_scaling`.
+//! nomadic placement by bids (§6.1) and the version counter of
+//! multi-version updates (§6.4). The §6.3 pulsating-ring experiment
+//! lives in `paper_scenarios.rs` / `exp_scaling`.
 
 use datacyclotron::bidding::{choose, price, Bid, BidInput};
-use datacyclotron::intermediates::{is_intermediate, plan_signature, IntermediateRegistry};
-use datacyclotron::versions::{ReadAdmission, UpdateAdmission, VersionTable};
 use datacyclotron::{BatId, NodeId, QueryId};
 
 // ---- §6.1: nomadic query placement ------------------------------------
@@ -43,92 +41,7 @@ fn live_ring_placement_is_usable() {
     assert_eq!(rs.cell(0, 0), batstore::Val::Lng(3));
 }
 
-// ---- §6.2: result caching ----------------------------------------------
-
-#[test]
-fn intermediates_shared_across_queries() {
-    let reg = IntermediateRegistry::new();
-    // Two queries producing the same join fragment publish under the same
-    // plan signature; the second reuses the first's ring identity.
-    let sig = plan_signature(&[
-        "algebra.join(sys.t.id, reverse(sys.c.t_id))".into(),
-        "algebra.markT(#0, 0@0)".into(),
-    ]);
-    let (a, fresh_a) = reg.publish(&sig, NodeId(0), 4096);
-    let (b, fresh_b) = reg.publish(&sig, NodeId(2), 4096);
-    assert!(fresh_a && !fresh_b);
-    assert_eq!(a.bat, b.bat);
-    assert!(is_intermediate(a.bat), "reserved namespace");
-
-    // The intermediate circulates like base data: a DC node can own it.
-    let mut node = datacyclotron::DcNode::new(
-        NodeId(0),
-        datacyclotron::DcConfig::default(),
-        &dc_obs::Registry::new(0),
-    );
-    node.register_owned(a.bat, 4096);
-    let effects = node.on_request(datacyclotron::ReqMsg { origin: NodeId(1), bat: a.bat });
-    assert!(
-        effects.iter().any(|e| matches!(e, datacyclotron::Effect::LoadFromDisk { .. })),
-        "intermediates enter the ring through the ordinary protocol: {effects:?}"
-    );
-}
-
-#[test]
-fn invalidated_intermediate_is_republished() {
-    let reg = IntermediateRegistry::new();
-    let (a, _) = reg.publish("sig", NodeId(0), 100);
-    assert!(reg.invalidate("sig"));
-    let (b, fresh) = reg.publish("sig", NodeId(1), 120);
-    assert!(fresh);
-    assert_ne!(a.bat, b.bat, "a new version gets a new ring identity");
-}
-
 // ---- §6.4: multi-version updates ----------------------------------------
-
-#[test]
-fn update_lifecycle_with_concurrent_readers() {
-    let vt = VersionTable::new();
-    let bat = BatId(7);
-
-    // Reader sees version 0 before any update.
-    assert!(matches!(
-        vt.admit_read(bat, 0, false),
-        ReadAdmission::Serve { version: 0, stale: false }
-    ));
-
-    // Node 3 claims the update; the BAT circulates tagged `updating`.
-    assert!(matches!(vt.begin_update(bat, NodeId(3)), UpdateAdmission::Granted { .. }));
-
-    // A concurrent updater on another node must wait for the controller.
-    assert_eq!(vt.begin_update(bat, NodeId(5)), UpdateAdmission::Busy { controller: NodeId(3) });
-
-    // Relaxed readers keep using the flowing old version (flagged stale);
-    // strict readers wait.
-    assert!(matches!(
-        vt.admit_read(bat, 0, false),
-        ReadAdmission::Serve { version: 0, stale: true }
-    ));
-    assert_eq!(vt.admit_read(bat, 0, true), ReadAdmission::WaitForNewVersion);
-
-    // Commit: version bumps, strict readers of the new version proceed.
-    assert_eq!(vt.commit_update(bat, NodeId(3)).unwrap(), 1);
-    assert!(matches!(
-        vt.admit_read(bat, 1, true),
-        ReadAdmission::Serve { version: 1, stale: false }
-    ));
-    // The old circulating copy is permanently stale now.
-    assert!(matches!(
-        vt.admit_read(bat, 0, false),
-        ReadAdmission::Serve { version: 0, stale: true }
-    ));
-
-    // The freed BAT can be claimed by the other node.
-    assert!(matches!(
-        vt.begin_update(bat, NodeId(5)),
-        UpdateAdmission::Granted { version_being_replaced: 1 }
-    ));
-}
 
 #[test]
 fn version_header_flows_through_the_ring() {
@@ -152,8 +65,8 @@ fn version_header_flows_through_the_ring() {
 
 #[test]
 fn stale_cache_versions_detectable() {
-    // The local cache records the version it admitted; a version table
-    // comparison detects staleness for strict readers.
+    // The local cache records the version it admitted, so a reader can
+    // compare it with the version the owner's catalog entry advertises.
     let mut node = datacyclotron::DcNode::new(
         NodeId(1),
         datacyclotron::DcConfig::default(),
@@ -164,14 +77,4 @@ fn stale_cache_versions_detectable() {
     h.version = 1;
     node.on_bat(h, true);
     assert_eq!(node.cache.get(BatId(9)).unwrap().version, 1);
-
-    let vt = VersionTable::new();
-    vt.begin_update(BatId(9), NodeId(0));
-    vt.commit_update(BatId(9), NodeId(0)).unwrap();
-    vt.begin_update(BatId(9), NodeId(0));
-    vt.commit_update(BatId(9), NodeId(0)).unwrap(); // now version 2
-    assert_eq!(
-        vt.admit_read(BatId(9), node.cache.get(BatId(9)).unwrap().version, true),
-        ReadAdmission::WaitForNewVersion
-    );
 }

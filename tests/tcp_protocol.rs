@@ -136,7 +136,9 @@ fn request_travels_anticlockwise_and_bat_returns_clockwise() {
         bytes_in(0),
         bytes_in(1)
     );
-    assert!(count(0, "obs_ring_bat_frames_header_only") > 0);
+    // Node 0 counts a frame once its send returns, which can be after
+    // node 1 has forwarded it.
+    await_counter(&nodes[0], "obs_ring_bat_frames_header_only");
 
     for n in nodes {
         n.shutdown();
