@@ -19,8 +19,7 @@
 
 use datacyclotron::BatId;
 use dc_broadcast::{
-    partition_by_popularity, BroadcastSim, CachePolicy, ChannelConfig, IppSim, OnDemandSim,
-    PullPolicy, Schedule,
+    partition_by_popularity, BroadcastSim, ChannelConfig, OnDemandSim, PullPolicy, Schedule,
 };
 use dc_workloads::gaussian::{self, GaussianParams};
 use dc_workloads::micro::{self, MicroParams};
@@ -153,19 +152,13 @@ fn compare(title: &str, dataset: &Dataset, queries: &[QuerySpec], csv: &mut Stri
     );
 }
 
-/// The \[2\] threshold: sweep total load — flat push, consolidated pull,
-/// and their IPP interleave.
+/// The \[2\] threshold: sweep total load — flat push against
+/// consolidated pull.
 fn push_pull_sweep(dataset: &Dataset, scale: f64) {
-    println!("\n── Push vs. pull threshold, with the IPP hybrid (ref [2]) ──");
+    println!("\n── Push vs. pull threshold (ref [2]) ──");
     let all_items: Vec<BatId> = (0..dataset.len() as u32).map(BatId).collect();
-    let mut t = AsciiTable::new(&[
-        "load (q/s total)",
-        "raw pull (s)",
-        "merged pull (s)",
-        "push mean (s)",
-        "IPP mean (s)",
-    ]);
-    let mut csv = String::from("rate_qps,raw_pull_mean_s,pull_mean_s,push_mean_s,ipp_mean_s\n");
+    let mut t = AsciiTable::new(&["load (q/s total)", "merged pull (s)", "push mean (s)"]);
+    let mut csv = String::from("rate_qps,pull_mean_s,push_mean_s\n");
     for rate in [5.0, 20.0, 80.0, 320.0, 1280.0] {
         let rate = (rate * scale).max(1.0);
         let queries = micro::generate(
@@ -178,15 +171,6 @@ fn push_pull_sweep(dataset: &Dataset, scale: f64) {
             NODES,
             97,
         );
-        // The [1,2]-style server: no request consolidation.
-        let raw_pull = OnDemandSim::new(
-            dataset.clone(),
-            queries.clone(),
-            ChannelConfig::default(),
-            PullPolicy::Fcfs,
-        )
-        .without_consolidation()
-        .run();
         let pull = OnDemandSim::new(
             dataset.clone(),
             queries.clone(),
@@ -197,80 +181,31 @@ fn push_pull_sweep(dataset: &Dataset, scale: f64) {
         let push = BroadcastSim::new(
             Schedule::flat(&all_items).expect("non-empty database"),
             dataset.clone(),
-            queries.clone(),
-            ChannelConfig::default(),
-        )
-        .run();
-        let ipp = IppSim::new(
-            Schedule::flat(&all_items).expect("non-empty database"),
-            dataset.clone(),
             queries,
             ChannelConfig::default(),
         )
         .run();
         t.row(&[
             format!("{rate:.0}"),
-            format!("{:.2}", raw_pull.mean_lifetime()),
             format!("{:.2}", pull.mean_lifetime()),
             format!("{:.2}", push.mean_lifetime()),
-            format!("{:.2}", ipp.mean_lifetime()),
         ]);
         csv.push_str(&format!(
-            "{rate:.1},{:.4},{:.4},{:.4},{:.4}\n",
-            raw_pull.mean_lifetime(),
+            "{rate:.1},{:.4},{:.4}\n",
             pull.mean_lifetime(),
-            push.mean_lifetime(),
-            ipp.mean_lifetime()
+            push.mean_lifetime()
         ));
     }
     println!("{}", t.render());
     println!(
-        "Expected shape ([2]): raw (unconsolidated) pull is the [1,2] server —\n\
-         great lightly loaded, collapsing under duplicate floods at saturation\n\
-         (\"they fail to scale once the server load moves away from their\n\
-         optimality niche\"); pure push is constant at ~half a cycle; IPP stays\n\
-         near the better of the two across the spectrum. The 'merged' column\n\
-         adds request consolidation — the DC's request-absorption insight\n\
-         (§7: the prior systems \"do not combine client requests\") — which\n\
-         single-handedly removes the collapse."
+        "Expected shape ([2]): pull wins on a lightly loaded server; pure push\n\
+         is constant at ~half a cycle. The pull server merges duplicate\n\
+         requests — the DC's request-absorption insight (§7: the prior systems\n\
+         \"do not combine client requests\") — so it converges to push at\n\
+         saturation instead of collapsing."
     );
     let p = write_csv("baseline_pushpull.csv", &csv).unwrap();
     println!("CSV: {}", p.display());
-}
-
-/// \[1\]'s client-side storage management: no cache vs LRU vs PIX on the
-/// multi-disk program under the Gaussian workload.
-fn cache_ablation(dataset: &Dataset, queries: &[QuerySpec]) {
-    println!("\n── Client-cache policy on Broadcast Disks (ref [1]) ──");
-    let sched = disks_from_workload(dataset, queries);
-    let mut t =
-        AsciiTable::new(&["client cache (64 MB)", "mean life (s)", "p95 (s)", "cache hits"]);
-    let mut run = |name: &str, policy: Option<CachePolicy>| {
-        let mut sim = BroadcastSim::new(
-            sched.clone(),
-            dataset.clone(),
-            queries.to_vec(),
-            ChannelConfig::default(),
-        );
-        if let Some(p) = policy {
-            sim = sim.with_client_caches(64 << 20, p);
-        }
-        let m = sim.run();
-        t.row(&[
-            name.to_string(),
-            format!("{:.2}", m.mean_lifetime()),
-            format!("{:.2}", m.lifetime_quantile(0.95)),
-            format!("{}", m.cache_hits),
-        ]);
-    };
-    run("none", None);
-    run("LRU", Some(CachePolicy::Lru));
-    run("PIX", Some(CachePolicy::Pix));
-    println!("{}", t.render());
-    println!(
-        "Expected shape ([1]): caching helps; PIX ≥ LRU because it keeps\n\
-         the rarely-broadcast items that are expensive to miss."
-    );
 }
 
 fn main() {
@@ -317,7 +252,6 @@ fn main() {
     println!("\nComparison CSV: {}", p.display());
 
     push_pull_sweep(&dataset, scale);
-    cache_ablation(&dataset, &gauss);
 
     println!(
         "\nReading the comparison (honest trade-offs, not a clean sweep):\n\

@@ -37,15 +37,11 @@
 //! * per-fragment processing times follow the same `PerBat` execution
 //!   model as the ring simulator (§5.1).
 
-pub mod cache;
-pub mod ipp;
 pub mod measure;
 pub mod ondemand;
 pub mod schedule;
 pub mod sim;
 
-pub use cache::{CachePolicy, ClientCache};
-pub use ipp::IppSim;
 pub use measure::BcastMeasurements;
 pub use ondemand::{OnDemandSim, PullPolicy};
 pub use schedule::{partition_by_popularity, DiskSpec, Schedule, ScheduleError};

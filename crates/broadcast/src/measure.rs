@@ -21,11 +21,6 @@ pub struct BcastMeasurements {
     /// Pull mode only: transmissions that served more than one waiting
     /// query (request consolidation).
     pub coalesced_serves: u64,
-    /// Push mode with client caches: fragment accesses served locally.
-    pub cache_hits: u64,
-    /// IPP only: slots spent on the push program vs the pull queue.
-    pub push_slots: u64,
-    pub pull_slots: u64,
 }
 
 impl BcastMeasurements {

@@ -77,12 +77,6 @@ pub struct OnDemandSim {
     pending: HashMap<BatId, PendingItem>,
     /// FCFS arrival order of items in `pending`.
     fifo: std::collections::VecDeque<BatId>,
-    /// Merge duplicate requests into one queued transmission. This is
-    /// the DC's request-absorption insight applied server-side; the
-    /// systems §7 discusses lacked it ("It does not combine client
-    /// requests to reduce the stress on the channel"). Disabling it
-    /// reproduces \[2\]'s pull collapse under load.
-    consolidate: bool,
     busy: bool,
     m: BcastMeasurements,
 }
@@ -117,24 +111,9 @@ impl OnDemandSim {
             waiting: HashMap::new(),
             pending: HashMap::new(),
             fifo: std::collections::VecDeque::new(),
-            consolidate: true,
             busy: false,
             m: BcastMeasurements::default(),
         }
-    }
-
-    /// Disable request consolidation: every request queues its own
-    /// transmission, duplicates and all — the server model of \[1, 2\]
-    /// that §7 contrasts with the DC's request absorption. FCFS only
-    /// (MRF is defined over consolidated demand counts).
-    pub fn without_consolidation(mut self) -> Self {
-        assert_eq!(
-            self.policy,
-            PullPolicy::Fcfs,
-            "unconsolidated service is FCFS over raw requests"
-        );
-        self.consolidate = false;
-        self
     }
 
     /// Run until every query completes.
@@ -173,14 +152,6 @@ impl OnDemandSim {
 
     fn on_request(&mut self, now: SimTime, item: BatId) {
         self.m.requests_received += 1;
-        if !self.consolidate {
-            // Raw FCFS: one queued transmission per request.
-            self.fifo.push_back(item);
-            if !self.busy {
-                self.start_next(now);
-            }
-            return;
-        }
         match self.pending.entry(item) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 // Consolidated: the queued transmission will serve this
@@ -199,16 +170,6 @@ impl OnDemandSim {
 
     /// Pick the next item per policy and start its transmission.
     fn start_next(&mut self, now: SimTime) {
-        if !self.consolidate {
-            let Some(item) = self.fifo.pop_front() else {
-                self.busy = false;
-                return;
-            };
-            self.busy = true;
-            let tx = self.channel.tx_time(self.dataset.size_of(item));
-            self.events.schedule(now + tx, Ev::TxDone { item });
-            return;
-        }
         let item = match self.policy {
             PullPolicy::Fcfs => self.fifo.pop_front(),
             PullPolicy::Mrf => {
@@ -406,41 +367,20 @@ mod tests {
     }
 
     #[test]
-    fn unconsolidated_pull_collapses_under_load() {
-        // 60 queries for the same item in a burst. Consolidated: one
-        // transmission serves all. Unconsolidated ([1,2]'s server): 60
-        // queued transmissions — the first serves everyone, the other
-        // 59 burn the channel, and anything queued behind them waits a
-        // minute. This is the collapse [2] describes and the DC's
-        // request absorption prevents (§7).
+    fn an_in_flight_transmission_absorbs_nothing() {
+        // 60 queries for the same item in a burst. The transmission
+        // already in flight when the flood starts cannot absorb it, so
+        // item 0 goes out twice (in-flight + one consolidated queue
+        // entry), then the straggler's item 1.
         let ds = dataset(2, 1_000_000);
         let mut queries: Vec<QuerySpec> =
             (0..60u64).map(|i| one_query(SimTime::from_millis(i), vec![BatId(0)], 0)).collect();
-        // A straggler wanting the other item, queued behind the flood.
         queries.push(one_query(SimTime::from_millis(100), vec![BatId(1)], 0));
-        let run = |consolidate: bool| {
-            let sim =
-                OnDemandSim::new(ds.clone(), queries.clone(), slow_channel(), PullPolicy::Fcfs);
-            let sim = if consolidate { sim } else { sim.without_consolidation() };
-            sim.run()
-        };
-        let merged = run(true);
-        let raw = run(false);
-        assert_eq!(merged.completed, 61);
-        assert_eq!(raw.completed, 61);
-        // Consolidation merges everything queued; the one transmission
-        // already in flight when the flood starts cannot absorb, so
-        // item 0 goes out twice (in-flight + queued) plus item 1.
-        assert_eq!(merged.items_broadcast, 3);
-        assert_eq!(raw.items_broadcast, 61, "59 duplicate transmissions");
-        let straggler =
-            |m: &BcastMeasurements| m.lifetimes.iter().find(|&&(a, _, _)| a > 0.09).unwrap().1;
-        assert!(straggler(&merged) < 3.0, "{}", straggler(&merged));
-        assert!(
-            straggler(&raw) > 50.0,
-            "straggler must wait out the duplicate flood: {}",
-            straggler(&raw)
-        );
+        let m = OnDemandSim::new(ds, queries, slow_channel(), PullPolicy::Fcfs).run();
+        assert_eq!(m.completed, 61);
+        assert_eq!(m.items_broadcast, 3);
+        let straggler = m.lifetimes.iter().find(|&&(a, _, _)| a > 0.09).unwrap().1;
+        assert!(straggler < 3.0, "{straggler}");
     }
 
     #[test]

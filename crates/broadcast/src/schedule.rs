@@ -116,11 +116,6 @@ impl Schedule {
         Ok(Schedule { slots })
     }
 
-    /// The item sequence of one major cycle.
-    pub fn slots(&self) -> &[BatId] {
-        &self.slots
-    }
-
     /// Slots per major cycle.
     pub fn cycle_len(&self) -> usize {
         self.slots.len()
@@ -243,7 +238,8 @@ mod tests {
             DiskSpec { items: ids(1..5), frequency: 1 },
         ];
         let s = Schedule::broadcast_disks(&disks).unwrap();
-        let pos: Vec<usize> = (0..s.cycle_len()).filter(|&i| s.slots()[i] == BatId(0)).collect();
+        let pos: Vec<usize> =
+            (0..s.cycle_len()).filter(|&i| s.item_at(i as u64) == BatId(0)).collect();
         assert_eq!(pos.len(), 2);
         // Gaps between consecutive appearances (wrapping) differ by ≤ 1
         // slot: the algorithm's equal-spacing property.

@@ -13,7 +13,6 @@
 //! channel only for *active* predicates, so a query that registers just
 //! after its item went by waits (up to) a full period of that item.
 
-use crate::cache::{CachePolicy, ClientCache};
 use crate::measure::BcastMeasurements;
 use crate::schedule::Schedule;
 use datacyclotron::BatId;
@@ -74,11 +73,6 @@ pub struct BroadcastSim {
     qstate: Vec<QueryState>,
     pump_running: bool,
     next_seq: u64,
-    /// Per-client caches (\[1\]'s client-side storage management); the
-    /// index is the query's `node`. `None` = cacheless DataCycle model.
-    caches: Option<Vec<ClientCache>>,
-    /// Precomputed broadcast frequency per item (PIX's `x`).
-    freq: HashMap<BatId, usize>,
     m: BcastMeasurements,
 }
 
@@ -122,25 +116,8 @@ impl BroadcastSim {
             qstate,
             pump_running: false,
             next_seq: 0,
-            caches: None,
-            freq: HashMap::new(),
             m: BcastMeasurements::default(),
         }
-    }
-
-    /// Give every client node a broadcast cache of `capacity` bytes with
-    /// the chosen replacement policy (\[1\] §client-side storage
-    /// management). Received fragments are admitted; later queries on
-    /// the same node hit the cache instead of waiting for the channel.
-    pub fn with_client_caches(mut self, capacity: u64, policy: CachePolicy) -> Self {
-        let nodes = self.queries.iter().map(|q| q.node + 1).max().unwrap_or(1);
-        self.caches = Some((0..nodes).map(|_| ClientCache::new(capacity, policy)).collect());
-        let mut freq: HashMap<BatId, usize> = HashMap::new();
-        for &item in self.schedule.slots() {
-            *freq.entry(item).or_default() += 1;
-        }
-        self.freq = freq;
-        self
     }
 
     /// Run until every query completes. The pump idles when nothing is
@@ -172,25 +149,10 @@ impl BroadcastSim {
     }
 
     fn on_arrive(&mut self, now: SimTime, q: usize) {
-        let spec = self.queries[q].clone();
-        let mut any_miss = false;
-        for (i, &need) in spec.needs.iter().enumerate() {
-            // Cache check first: a hit starts processing immediately.
-            if let Some(caches) = &mut self.caches {
-                if caches[spec.node].contains(need) {
-                    caches[spec.node].touch(need, now);
-                    self.m.cache_hits += 1;
-                    let ExecModel::PerBat { proc } = &spec.model else {
-                        unreachable!("constructor rejects non-PerBat specs")
-                    };
-                    self.events.schedule(now + proc[i], Ev::ProcDone { q });
-                    continue;
-                }
-            }
+        for (i, &need) in self.queries[q].needs.iter().enumerate() {
             self.waiting.entry(need).or_default().push((q, i));
-            any_miss = true;
         }
-        if any_miss && !self.pump_running {
+        if !self.pump_running {
             self.pump_running = true;
             self.start_slot(now);
         }
@@ -220,15 +182,6 @@ impl BroadcastSim {
                 };
                 let done = now + self.channel.delay + proc[need_idx];
                 self.events.schedule(done, Ev::ProcDone { q });
-                // The receiving client offers the fragment to its cache.
-                let node = spec.node;
-                if let Some(caches) = &mut self.caches {
-                    let size = self.dataset.size_of(item);
-                    let freq = &self.freq;
-                    caches[node].admit(item, size, now + self.channel.delay, &|b| {
-                        freq.get(&b).copied().unwrap_or(0)
-                    });
-                }
             }
         }
 
@@ -405,68 +358,6 @@ mod tests {
         let sched = Schedule::flat(&[BatId(0)]).unwrap();
         let q = one_query(SimTime::ZERO, vec![BatId(1)], 0);
         let _ = BroadcastSim::new(sched, ds, vec![q], slow_channel());
-    }
-
-    #[test]
-    fn client_cache_serves_repeat_queries() {
-        let ds = dataset(4, 1_000_000);
-        let sched = Schedule::flat(&(0..4).map(BatId).collect::<Vec<_>>()).unwrap();
-        // Two queries on the same node for the same item, far apart: the
-        // second hits the cache and never touches the channel.
-        let q0 = one_query(SimTime::ZERO, vec![BatId(2)], 10);
-        let q1 = one_query(SimTime::from_secs(30), vec![BatId(2)], 10);
-        let m = BroadcastSim::new(sched, ds, vec![q0, q1], slow_channel())
-            .with_client_caches(8_000_000, CachePolicy::Lru)
-            .run();
-        assert_eq!(m.completed, 2);
-        assert_eq!(m.cache_hits, 1);
-        // Cache-hit lifetime is just the processing time.
-        let late = m.lifetimes.iter().find(|&&(a, _, _)| a > 1.0).unwrap().1;
-        assert!((late - 0.010).abs() < 1e-9, "{late}");
-        // Items 0,1,2 transmitted once; the pump never restarted.
-        assert_eq!(m.items_broadcast, 3);
-    }
-
-    #[test]
-    fn pix_beats_lru_on_multi_disk_access() {
-        // One node, cache fits exactly one item. Access alternates
-        // between a hot-disk item H (broadcast 6×/cycle, cheap to miss)
-        // and a cold-disk item C (1×/cycle, expensive to miss). LRU
-        // always keeps the last-used item — the wrong one half the
-        // time; PIX pins C and eats the cheap H misses.
-        let hot = BatId(0);
-        let cold = BatId(1);
-        let filler: Vec<BatId> = (2..8).map(BatId).collect();
-        let mut disks = vec![
-            DiskSpec { items: vec![hot], frequency: 6 },
-            DiskSpec { items: vec![cold], frequency: 1 },
-        ];
-        disks.push(DiskSpec { items: filler, frequency: 1 });
-        let sched = Schedule::broadcast_disks(&disks).unwrap();
-        let ds = dataset(8, 1_000_000);
-
-        let queries: Vec<QuerySpec> = (0..24u64)
-            .map(|i| {
-                let item = if i % 2 == 0 { hot } else { cold };
-                one_query(SimTime::from_millis(i * 2500), vec![item], 0)
-            })
-            .collect();
-
-        let run = |policy| {
-            BroadcastSim::new(sched.clone(), ds.clone(), queries.clone(), slow_channel())
-                .with_client_caches(1_000_000, policy)
-                .run()
-        };
-        let lru = run(CachePolicy::Lru);
-        let pix = run(CachePolicy::Pix);
-        assert_eq!(lru.completed, 24);
-        assert_eq!(pix.completed, 24);
-        assert!(
-            pix.mean_lifetime() < lru.mean_lifetime(),
-            "PIX {:.3}s must beat LRU {:.3}s on skewed-frequency access",
-            pix.mean_lifetime(),
-            lru.mean_lifetime()
-        );
     }
 
     #[test]

@@ -52,12 +52,6 @@ pub struct DcConfig {
     /// the fixed-LOIT behavior of §5.1; the paper's dynamic experiments
     /// use {0.1, 0.6, 1.1} (§5.2).
     pub loit_levels: Vec<f64>,
-    /// Starting ladder index.
-    pub loit_start: usize,
-    /// Raise LOIT one level when queue load exceeds this fraction (0.8).
-    pub high_watermark: f64,
-    /// Lower LOIT one level when queue load falls below this fraction (0.4).
-    pub low_watermark: f64,
     /// `loadAll` period: every T, postponed loads are retried oldest
     /// first (§4.2.3).
     pub load_interval: SimDuration,
@@ -74,13 +68,6 @@ pub struct DcConfig {
     /// checks, §4.2.1). Passing BATs with registered local interest are
     /// kept here, memory permitting.
     pub cache_capacity: u64,
-    /// Owner-side demand hold: keep a below-threshold BAT one more cycle
-    /// when requests arrived since its last pass and the queue is under
-    /// the high watermark. Not in the paper: without it, requests that
-    /// race a BAT's final cycle starve until `resend` (`exp_ablation`'s
-    /// sixth table measures both). Disable to get the paper's literal
-    /// Fig. 5.
-    pub demand_hold: bool,
 }
 
 impl Default for DcConfig {
@@ -88,14 +75,10 @@ impl Default for DcConfig {
         DcConfig {
             queue_capacity: 200 * 1024 * 1024,
             loit_levels: crate::loi::DEFAULT_LEVELS.to_vec(),
-            loit_start: 0,
-            high_watermark: crate::loi::DEFAULT_HIGH_WATERMARK,
-            low_watermark: crate::loi::DEFAULT_LOW_WATERMARK,
             load_interval: SimDuration::from_millis(100),
             resend_timeout: SimDuration::from_secs(5),
             lost_after: SimDuration::from_secs(15),
             cache_capacity: 512 * 1024 * 1024,
-            demand_hold: true,
         }
     }
 }
@@ -104,7 +87,6 @@ impl DcConfig {
     /// Fixed-threshold configuration for the §5.1 sweep.
     pub fn with_fixed_loit(mut self, loit: f64) -> Self {
         self.loit_levels = vec![loit];
-        self.loit_start = 0;
         self
     }
 
@@ -118,20 +100,11 @@ impl DcConfig {
         if self.loit_levels.is_empty() {
             return Err("loit_levels must not be empty".into());
         }
-        if self.loit_start >= self.loit_levels.len() {
-            return Err("loit_start out of range".into());
-        }
         if !self.loit_levels.windows(2).all(|w| w[0] < w[1]) {
             return Err("loit_levels must be strictly increasing".into());
         }
         if self.queue_capacity == 0 {
             return Err("queue_capacity must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.low_watermark)
-            || !(0.0..=1.0).contains(&self.high_watermark)
-            || self.low_watermark >= self.high_watermark
-        {
-            return Err("watermarks must satisfy 0 <= low < high <= 1".into());
         }
         Ok(())
     }
@@ -148,8 +121,6 @@ mod tests {
         assert_eq!(c.queue_capacity, 200 * 1024 * 1024);
         assert_eq!(c.loit_levels, crate::loi::DEFAULT_LEVELS.to_vec());
         assert_eq!(c.loit_levels, vec![0.1, 0.6, 1.1], "§5.2 experiment ladder");
-        assert_eq!(c.high_watermark, 0.8);
-        assert_eq!(c.low_watermark, 0.4);
     }
 
     #[test]
@@ -174,16 +145,10 @@ mod tests {
         c.loit_levels.clear();
         assert!(c.validate().is_err());
 
-        let c = DcConfig { loit_start: 9, ..DcConfig::default() };
-        assert!(c.validate().is_err());
-
         let c = DcConfig { loit_levels: vec![0.5, 0.2], ..DcConfig::default() };
         assert!(c.validate().is_err());
 
         let c = DcConfig { queue_capacity: 0, ..DcConfig::default() };
-        assert!(c.validate().is_err());
-
-        let c = DcConfig { low_watermark: 0.9, ..DcConfig::default() };
         assert!(c.validate().is_err());
     }
 }

@@ -1815,22 +1815,12 @@ impl Ring {
         self.nodes[node_idx].run_plan(qid, plan)
     }
 
-    /// Node placement by §6.1 bidding: returns the cheapest node for a
-    /// query needing `bats` fragments.
-    pub fn place_query(&self, bats: &[BatId]) -> usize {
-        crate::bidding::cheapest_node(self, bats)
-    }
-
     /// Compile `sql` against the given node's catalog and
     /// render both the front-end plan and its Data Cyclotron rewrite
     /// (EXPLAIN, Tables 1/2 style). Takes the node index like
     /// [`Ring::execute`] — each node compiles against its own replica.
     pub fn explain_sql(&self, node_idx: usize, sql: &str) -> Result<(String, String), MalError> {
         self.nodes[node_idx].explain_sql(sql)
-    }
-
-    pub(crate) fn ring_catalog(&self) -> &RingCatalog {
-        self.nodes[0].ring_catalog()
     }
 
     pub fn shutdown(mut self) {

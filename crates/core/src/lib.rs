@@ -38,10 +38,9 @@
 //!   with the DC optimizer injecting `request`/`pin`/`unpin` calls that
 //!   resolve against the ring. [`engine::Ring`] wires n nodes in-process;
 //!   [`engine::RingNode`] hosts one node over any transport for
-//!   multi-process deployments (see the `dc-node` binary).
-//! * [`bidding`] — the paper's §6.1 nomadic query placement by cost
-//!   bids. (§6.4's versions are the owner-applied counters every catalog
-//!   entry carries; see [`runtime::RingCatalog`].)
+//!   multi-process deployments (see the `dc-node` binary). §6.4's
+//!   versions are the owner-applied counters every catalog entry
+//!   carries; see [`runtime::RingCatalog`].
 //!
 //! Durability is provided by the `dc-persist` crate: give
 //! [`engine::NodeOptions`] a [`config::DataDir`] and the node
@@ -50,7 +49,6 @@
 //! spawn — a killed process restarts with its data intact and merely
 //! re-advertises its fragments on the ring.
 
-pub mod bidding;
 pub mod catalog;
 pub mod config;
 pub mod engine;

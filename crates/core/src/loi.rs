@@ -1,9 +1,8 @@
 //! The level-of-interest metric (paper Eq. 1) and the adaptive LOIT
 //! threshold ladder. This module is the single source of truth for the
 //! LOI arithmetic *and* the paper's ladder parameters: every consumer
-//! (the live engine config, the offline sims, the ablation benches)
-//! takes the levels and watermarks from here instead of repeating the
-//! §5.2 literals.
+//! (the live engine config, the offline sims) takes the levels and
+//! watermarks from here instead of repeating the §5.2 literals.
 
 /// The experiment ladder of §5.2: LOIT levels {0.1, 0.6, 1.1}.
 pub const DEFAULT_LEVELS: [f64; 3] = [0.1, 0.6, 1.1];
@@ -42,13 +41,14 @@ pub struct LoitLadder {
 }
 
 impl LoitLadder {
-    pub fn new(levels: Vec<f64>, start: usize) -> Self {
-        assert!(!levels.is_empty() && start < levels.len());
-        LoitLadder { levels, idx: start }
+    /// A ladder starting at its lowest level.
+    pub fn new(levels: Vec<f64>) -> Self {
+        assert!(!levels.is_empty());
+        LoitLadder { levels, idx: 0 }
     }
 
     pub fn fixed(level: f64) -> Self {
-        LoitLadder::new(vec![level], 0)
+        LoitLadder::new(vec![level])
     }
 
     /// The current threshold.
@@ -60,17 +60,13 @@ impl LoitLadder {
         self.idx
     }
 
-    pub fn is_dynamic(&self) -> bool {
-        self.levels.len() > 1
-    }
-
-    /// One adaptation step from the observed queue-load fraction.
-    /// Returns the direction taken, if any.
-    pub fn adapt(&mut self, load_fraction: f64, high: f64, low: f64) -> Option<Direction> {
-        if load_fraction > high && self.idx + 1 < self.levels.len() {
+    /// One adaptation step from the observed queue-load fraction, at the
+    /// §5.2 watermarks. Returns the direction taken, if any.
+    pub fn adapt(&mut self, load_fraction: f64) -> Option<Direction> {
+        if load_fraction > DEFAULT_HIGH_WATERMARK && self.idx + 1 < self.levels.len() {
             self.idx += 1;
             Some(Direction::Raised)
-        } else if load_fraction < low && self.idx > 0 {
+        } else if load_fraction < DEFAULT_LOW_WATERMARK && self.idx > 0 {
             self.idx -= 1;
             Some(Direction::Lowered)
         } else {
@@ -135,26 +131,25 @@ mod tests {
 
     #[test]
     fn ladder_adapts_with_hysteresis() {
-        let mut lad = LoitLadder::new(DEFAULT_LEVELS.to_vec(), 0);
+        let mut lad = LoitLadder::new(DEFAULT_LEVELS.to_vec());
         assert_eq!(lad.current(), 0.1);
-        assert_eq!(lad.adapt(0.85, 0.8, 0.4), Some(Direction::Raised));
+        assert_eq!(lad.adapt(0.85), Some(Direction::Raised));
         assert_eq!(lad.current(), 0.6);
-        assert_eq!(lad.adapt(0.85, 0.8, 0.4), Some(Direction::Raised));
+        assert_eq!(lad.adapt(0.85), Some(Direction::Raised));
         assert_eq!(lad.current(), 1.1);
         // Already at top: no change.
-        assert_eq!(lad.adapt(0.95, 0.8, 0.4), None);
+        assert_eq!(lad.adapt(0.95), None);
         // Mid-band: no change.
-        assert_eq!(lad.adapt(0.6, 0.8, 0.4), None);
-        assert_eq!(lad.adapt(0.3, 0.8, 0.4), Some(Direction::Lowered));
+        assert_eq!(lad.adapt(0.6), None);
+        assert_eq!(lad.adapt(0.3), Some(Direction::Lowered));
         assert_eq!(lad.current(), 0.6);
     }
 
     #[test]
     fn fixed_ladder_never_moves() {
         let mut lad = LoitLadder::fixed(0.5);
-        assert!(!lad.is_dynamic());
-        assert_eq!(lad.adapt(1.0, 0.8, 0.4), None);
-        assert_eq!(lad.adapt(0.0, 0.8, 0.4), None);
+        assert_eq!(lad.adapt(1.0), None);
+        assert_eq!(lad.adapt(0.0), None);
         assert_eq!(lad.current(), 0.5);
     }
 }

@@ -39,7 +39,7 @@
 use crate::catalog::{OwnedState, S1Catalog};
 use crate::config::DcConfig;
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::loi::{new_loi, LoitLadder};
+use crate::loi::{new_loi, LoitLadder, DEFAULT_HIGH_WATERMARK};
 use crate::msg::{BatHeader, ReqMsg};
 use crate::requests::{LocalCache, S2Requests};
 use crate::stats::NodeStats;
@@ -108,7 +108,7 @@ impl DcNode {
     /// A node counting into `obs` (see [`NodeStats`]).
     pub fn new(id: NodeId, cfg: DcConfig, obs: &dc_obs::Registry) -> Self {
         cfg.validate().expect("invalid DcConfig");
-        let ladder = LoitLadder::new(cfg.loit_levels.clone(), cfg.loit_start);
+        let ladder = LoitLadder::new(cfg.loit_levels.clone());
         let cache = LocalCache::new(cfg.cache_capacity);
         DcNode {
             id,
@@ -137,7 +137,7 @@ impl DcNode {
 
     /// The "local BAT queue load" of §4.4: this owner's bytes currently
     /// occupying the storage ring, as a fraction of its buffer capacity.
-    pub fn queue_load_fraction(&self) -> f64 {
+    fn queue_load_fraction(&self) -> f64 {
         self.s1.hot_bytes() as f64 / self.cfg.queue_capacity as f64
     }
 
@@ -399,7 +399,7 @@ impl DcNode {
     fn hot_set_management(&mut self, mut h: BatHeader, payload: bool) -> Vec<Effect> {
         let now = self.now;
         let loit = self.ladder.current();
-        let overloaded = self.queue_load_fraction() >= self.cfg.high_watermark;
+        let overloaded = self.queue_load_fraction() >= DEFAULT_HIGH_WATERMARK;
         let Some(owned) = self.s1.get_mut(h.bat) else {
             // A BAT claiming us as owner that we do not know: ownership
             // moved (pulsating rings) — forward the frame as it came.
@@ -413,16 +413,16 @@ impl DcNode {
         // Requests that reached us mid-cycle (outcome 2) were ignored on
         // the promise that the circulating BAT would serve them. That
         // promise is kept twice over. The next cycle carries the payload
-        // (only for them: unasked, the header goes round alone). And —
-        // demand hold — unloading now would strand those requesters until
-        // their resend timers fire, then force the disk reload anyway:
-        // grant one more cycle, unless the queue is under capacity
-        // pressure, where Fig. 5's eviction must win (the requester is
-        // rescued by resend, the paper's §4.2.3 recovery path).
+        // (only for them: unasked, the header goes round alone). And the
+        // owner holds the BAT one more cycle, which Fig. 5 does not:
+        // unloading now would strand those requesters until their resend
+        // timers fire, then force the disk reload anyway. Under capacity
+        // pressure Fig. 5's eviction wins (the requester is rescued by
+        // resend, the paper's §4.2.3 recovery path).
         let asked = owned.interest_since_pass > 0;
-        let demand_hold = self.cfg.demand_hold && asked && !overloaded;
+        let hold = asked && !overloaded;
         owned.interest_since_pass = 0;
-        if nl < loit && !demand_hold {
+        if nl < loit && !hold {
             owned.state = OwnedState::OnDisk;
             self.stats.bats_unloaded.inc();
             return vec![Effect::Unload(h.bat)];
@@ -474,7 +474,7 @@ impl DcNode {
         // LOIT ladder from the local queue load (§5.2: above 80% raise a
         // level, below 40% lower a level).
         let load = self.queue_load_fraction();
-        if self.ladder.adapt(load, self.cfg.high_watermark, self.cfg.low_watermark).is_some() {
+        if self.ladder.adapt(load).is_some() {
             self.stats.loit_transitions.inc();
         }
 
@@ -1002,20 +1002,6 @@ mod tests {
         let eff = n.on_bat(h, true);
         assert_eq!(eff, vec![Effect::Unload(BatId(3))]);
         assert_eq!(n.stats.bats_unloaded.get(), 1);
-    }
-
-    #[test]
-    fn demand_hold_can_be_disabled() {
-        // With the flag off, the owner follows Fig. 5 literally and
-        // unloads despite the pending mid-cycle request.
-        let cfg = DcConfig { loit_levels: vec![0.5], demand_hold: false, ..DcConfig::default() };
-        let mut n = DcNode::new(NodeId(0), cfg, &dc_obs::Registry::new(0));
-        n.register_owned(BatId(3), 100);
-        n.s1.set_state(BatId(3), OwnedState::InRing { last_seen: SimTime::ZERO });
-        assert!(n.on_request(ReqMsg { origin: NodeId(4), bat: BatId(3) }).is_empty());
-        let h = BatHeader::fresh(NodeId(0), BatId(3), 100);
-        assert_eq!(n.on_bat(h, true), vec![Effect::Unload(BatId(3))]);
-        assert_eq!(n.stats.demand_holds.get(), 0);
     }
 
     #[test]

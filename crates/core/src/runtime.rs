@@ -4,8 +4,8 @@
 //!
 //! [`RingCatalog`] is everything a node knows about tables: one entry
 //! per `(schema, table)`, the [`CatalogMsg`] its owner gossips. The
-//! request path, the SQL compiler, routing, the hot-set view, bidding
-//! and checkpoints all read that entry, and only
+//! request path, the SQL compiler, routing, the hot-set view and
+//! checkpoints all read that entry, and only
 //! [`RingCatalog::publish`] writes it.
 //!
 //! Query threads call [`RingHooks`] (the [`mal::DcHooks`] implementation
@@ -14,7 +14,7 @@
 //! hands them is a [`Frag`], the fragment as the node holds it — the
 //! pinning query, not the event loop, turns it into a `Bat`.
 
-use crate::ids::{BatId, NodeId, QueryId};
+use crate::ids::{BatId, QueryId};
 use crate::msg::{CatalogCol, CatalogMsg};
 use crate::transport::RingTransport;
 use batstore::ops::Mutation;
@@ -150,20 +150,6 @@ impl RingCatalog {
     /// reads them.
     pub(crate) fn with_compiler<R>(&self, f: impl FnOnce(&Catalog) -> R) -> R {
         f(&self.tables.read().compiler)
-    }
-
-    /// How many of the given fragments each node owns (the data term of a
-    /// §6.1 bid).
-    pub fn owner_counts(&self, bats: &[BatId]) -> HashMap<NodeId, usize> {
-        let tables = self.tables.read();
-        let mut counts: HashMap<NodeId, usize> = HashMap::new();
-        for bat in bats {
-            let entry = tables.by_bat.get(bat).and_then(|key| tables.by_name.get(key));
-            if let Some(col) = entry.and_then(|e| e.columns.iter().find(|col| col.bat == *bat)) {
-                *counts.entry(col.owner).or_default() += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -588,6 +574,7 @@ const MUT_ACK_TIMEOUT: &str = "timed out waiting for the mutation acknowledgemen
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
 
     /// An advert for `schema.table` from `origin`: one column per
     /// `(name, type, fragment)`, owned by node 2, at size 100, version 0.
@@ -676,8 +663,6 @@ mod tests {
         }
         assert!(!c.names(BatId(10)));
         assert_eq!(c.table_of(BatId(10)), None);
-        let counts = c.owner_counts(&[BatId(7), BatId(9), BatId(10)]);
-        assert_eq!(counts, HashMap::from([(NodeId(2), 2)]));
         assert!(c.lookup("sys", "t", "nope").is_none());
         assert!(c.lookup("sys", "nope", "id").is_none());
     }

@@ -33,7 +33,8 @@ dc_obs::counters! {
         /// Own BATs pulled out of the ring by LOI decision.
         bats_unloaded,
         /// Below-threshold BATs kept one more cycle because requests
-        /// arrived mid-cycle (see [`crate::DcConfig::demand_hold`]).
+        /// arrived mid-cycle (the owner's demand hold, which is not in the
+        /// paper; see [`crate::proto::DcNode::on_bat`]).
         demand_holds,
         /// Own BATs (re-)loaded into the ring.
         bats_loaded,

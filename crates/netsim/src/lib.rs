@@ -10,8 +10,7 @@
 //!   the paper (10 Gb/s, 350 µs, DropTail),
 //! * [`DetRng`] — a seeded RNG with the distributions the workloads need
 //!   (uniform, Gaussian via Box–Muller),
-//! * [`metrics`] — time-series / histogram recorders for the figures,
-//! * [`rdma`] — the CPU-cost model behind the paper's Figure 1.
+//! * [`metrics`] — time-series / histogram recorders for the figures.
 //!
 //! Everything is deterministic: the same seed and the same schedule of
 //! calls produce bit-identical traces, which the property tests assert.
@@ -19,7 +18,6 @@
 pub mod events;
 pub mod link;
 pub mod metrics;
-pub mod rdma;
 pub mod rng;
 pub mod time;
 

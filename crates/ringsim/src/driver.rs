@@ -71,18 +71,6 @@ impl SimParams {
     }
 }
 
-/// Where a query settles (§6.1 nomadic queries).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Settle on the node the workload spec names (the paper's default:
-    /// queries execute where they arrive).
-    #[default]
-    AsSpecified,
-    /// Nomadic: auction the query to the cheapest node by the §6.1
-    /// heuristic (data ownership, active queries, queue load).
-    Bid,
-}
-
 enum Ev {
     Arrive(usize),
     BatMsg {
@@ -164,12 +152,7 @@ pub struct RingSim {
     blocked: HashMap<(usize, u32), Vec<(usize, usize)>>,
     /// Optional workload tag attribution for BATs (Fig. 8a).
     bat_tag: Option<Box<dyn Fn(BatId) -> Option<u32> + Send>>,
-    placement: PlacementPolicy,
     split: Option<SplitTracker>,
-    /// Node each query actually settled on (may differ from the spec
-    /// under bid placement).
-    settled_on: Vec<usize>,
-    active_queries: Vec<usize>,
     /// Every node of the run counts into this one registry, so it holds
     /// the ring-wide totals (`m.stats` reads them).
     obs: dc_obs::Registry,
@@ -222,7 +205,6 @@ impl RingSim {
             .map(|s| QueryState { outstanding: s.needs.len(), finished: false, failed: false })
             .collect();
 
-        let settled_on = queries.iter().map(|q| q.node).collect();
         RingSim {
             params,
             nodes: sim_nodes,
@@ -232,10 +214,7 @@ impl RingSim {
             events,
             blocked: HashMap::new(),
             bat_tag: None,
-            placement: PlacementPolicy::default(),
             split: None,
-            settled_on,
-            active_queries: vec![0; nodes],
             m: Measurements::new(NodeStats::register(&obs)),
             obs,
             registered_so_far: 0,
@@ -244,17 +223,11 @@ impl RingSim {
         }
     }
 
-    /// Use §6.1 nomadic placement instead of the spec's node.
-    pub fn with_placement(mut self, policy: PlacementPolicy) -> Self {
-        self.placement = policy;
-        self
-    }
-
     /// §6.1 intra-query parallelism: split every query into owner-affine
     /// sub-queries (see [`split::split_queries`]) and account lifetimes
     /// per *parent* query. Apply this directly after [`RingSim::new`] —
     /// it rebuilds the event schedule, so earlier [`Self::with_growth`]
-    /// calls would be lost (placement and taggers are carried over).
+    /// calls would be lost (a tagger is carried over).
     pub fn with_split(self, params: SplitParams) -> Self {
         assert_eq!(
             self.registered_so_far, 0,
@@ -263,7 +236,6 @@ impl RingSim {
         let nodes = self.nodes.len();
         let (parts, map) = split::split_queries(&self.queries, &self.dataset, &params);
         let mut sim = RingSim::new(nodes, self.dataset, parts, self.params);
-        sim.placement = self.placement;
         sim.bat_tag = self.bat_tag;
         sim.split = Some(SplitTracker::new(map));
         sim
@@ -292,32 +264,8 @@ impl RingSim {
             cores: self.params.cores_per_node.map(CoreSched::new),
             disk_free: now,
         });
-        self.active_queries.push(0);
         self.events.schedule(now + self.params.tick, Ev::Tick { node: id });
         self.m.ring_sizes.push(now, self.nodes.len() as f64);
-    }
-
-    /// The §6.1 auction: every node bids on data ownership and current
-    /// load; the cheapest wins.
-    fn auction(&self, q: usize) -> usize {
-        let needs = &self.queries[q].needs;
-        let bids: Vec<datacyclotron::bidding::Bid> = (0..self.nodes.len())
-            .map(|i| {
-                let local = needs.iter().filter(|b| self.dataset.owner_of(**b) == i).count();
-                let input = datacyclotron::bidding::BidInput {
-                    local_fragments: local,
-                    total_fragments: needs.len(),
-                    active_queries: self.active_queries[i],
-                    cores: self.params.cores_per_node.unwrap_or(4),
-                    queue_load: self.nodes[i].dc.queue_load_fraction(),
-                };
-                datacyclotron::bidding::Bid {
-                    node: NodeId(i as u16),
-                    price: datacyclotron::bidding::price(&input),
-                }
-            })
-            .collect();
-        datacyclotron::bidding::choose(&bids).map(|n| n.0 as usize).unwrap_or(0)
     }
 
     /// Attribute ring space to workload tags (Fig. 8a).
@@ -400,12 +348,7 @@ impl RingSim {
             self.m.registered.push(now, self.registered_so_far as f64);
         }
         let spec = self.queries[q].clone();
-        let node = match self.placement {
-            PlacementPolicy::AsSpecified => spec.node,
-            PlacementPolicy::Bid => self.auction(q),
-        };
-        self.settled_on[q] = node;
-        self.active_queries[node] += 1;
+        let node = spec.node;
         let qid = QueryId(q as u64);
         self.sync(node, now);
         // Requests for the whole footprint go out immediately (the DC
@@ -441,7 +384,7 @@ impl RingSim {
     /// PerBat: one fragment fully processed.
     fn on_proc_done(&mut self, now: SimTime, q: usize, need_idx: usize) {
         let spec = &self.queries[q];
-        let node = self.settled_on[q];
+        let node = spec.node;
         let bat = spec.needs[need_idx];
         let qid = QueryId(q as u64);
         self.sync(node, now);
@@ -458,7 +401,7 @@ impl RingSim {
     /// finish.
     fn on_seg_done(&mut self, now: SimTime, q: usize, seg: usize) {
         let spec = self.queries[q].clone();
-        let node = self.settled_on[q];
+        let node = spec.node;
         let qid = QueryId(q as u64);
         let ExecModel::PinSchedule { segments } = &spec.model else {
             unreachable!("SegDone only fires for PinSchedule queries")
@@ -534,9 +477,8 @@ impl RingSim {
                 }
             }
         }
-        let node = self.settled_on[q];
+        let node = self.queries[q].node;
         let qid = QueryId(q as u64);
-        self.active_queries[node] = self.active_queries[node].saturating_sub(1);
         let effects = self.nodes[node].dc.query_done(qid);
         self.apply(now, node, effects);
     }
@@ -555,8 +497,7 @@ impl RingSim {
                 tr.failed_parents += 1;
             }
         }
-        let node = self.settled_on[q];
-        self.active_queries[node] = self.active_queries[node].saturating_sub(1);
+        let node = self.queries[q].node;
         let effects = self.nodes[node].dc.query_done(QueryId(q as u64));
         self.apply(now, node, effects);
     }
@@ -1044,7 +985,7 @@ mod tests {
     }
 
     #[test]
-    fn split_composes_with_bid_placement() {
+    fn split_completes_a_micro_workload() {
         let nodes = 4;
         let ds = small_dataset(nodes);
         let qs = micro::generate(
@@ -1058,10 +999,8 @@ mod tests {
             29,
         );
         let total = qs.len();
-        let m = RingSim::new(nodes, ds, qs, small_params())
-            .with_placement(PlacementPolicy::Bid)
-            .with_split(SplitParams::default())
-            .run();
+        let m =
+            RingSim::new(nodes, ds, qs, small_params()).with_split(SplitParams::default()).run();
         assert_eq!(m.completed, total);
     }
 
@@ -1085,35 +1024,5 @@ mod tests {
         let (a, b) = (mk(), mk());
         assert_eq!(a.lifetimes, b.lifetimes);
         assert_eq!(a.stats.requests_dispatched.get(), b.stats.requests_dispatched.get());
-    }
-
-    #[test]
-    fn bid_placement_completes_and_uses_ownership() {
-        use dc_workloads::spec::{ExecModel, QuerySpec};
-        let nodes = 4;
-        let ds = small_dataset(nodes);
-        // Queries whose footprint is owned by one node each; the spec
-        // places them all on node 0, the auction should spread them.
-        let mut qs = Vec::new();
-        for i in 0..24u32 {
-            let bat = BatId(i % ds.len() as u32);
-            qs.push(QuerySpec {
-                arrival: SimTime::from_millis(i as u64 * 10),
-                node: 0,
-                needs: vec![bat],
-                model: ExecModel::PerBat { proc: vec![SimDuration::from_millis(50)] },
-                tag: 0,
-            });
-        }
-        let m = RingSim::new(nodes, ds.clone(), qs.clone(), small_params())
-            .with_placement(PlacementPolicy::Bid)
-            .run();
-        assert_eq!(m.completed, 24);
-        // Ownership placement means no ring traffic at all for
-        // single-fragment queries: every pin resolves locally.
-        assert_eq!(m.stats.requests_dispatched.get(), 0, "bids should land on owners");
-        // Contrast: fixed placement on node 0 must use the ring.
-        let m0 = RingSim::new(nodes, ds, qs, small_params()).run();
-        assert!(m0.stats.requests_dispatched.get() > 0);
     }
 }

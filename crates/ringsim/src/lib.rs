@@ -19,6 +19,6 @@ pub mod report;
 pub mod split;
 
 pub use cores::CoreSched;
-pub use driver::{PlacementPolicy, RingSim, SimParams};
+pub use driver::{RingSim, SimParams};
 pub use measure::Measurements;
 pub use split::{SplitMap, SplitParams};

@@ -34,8 +34,7 @@ fn main() {
     let out = ring.execute(0, sql).expect("query");
     println!("{}", out.render());
 
-    // 4. Queries settle anywhere — run from every node and from the
-    //    node the §6.1 bidding would pick.
+    // 4. Queries settle anywhere: run from every node.
     for node in 0..3 {
         let rs = ring.execute(node, "select amount from c where amount >= 30").expect("query");
         let amounts: Vec<_> = (0..rs.row_count()).map(|r| rs.cell(r, 0)).collect();

@@ -13,7 +13,7 @@
 //!   `datacyclotron::transport`),
 //! * [`dc_workloads`] — the paper's workload generators,
 //! * [`dc_broadcast`] — the §7 related-work baselines (DataCycle,
-//!   Broadcast Disks, on-demand pull, IPP).
+//!   Broadcast Disks, on-demand pull).
 
 pub use batstore;
 pub use datacyclotron;

@@ -116,18 +116,6 @@ fn heavy_concurrency_many_nodes() {
 }
 
 #[test]
-fn bidding_places_queries_on_data_owners() {
-    let ring = ring_under_test(4);
-    // The footprint fragments live somewhere; the chosen node must be a
-    // valid index and execution from it must work.
-    let bat = |col| ring.node(0).ring_catalog().lookup("sys", "sales", col).unwrap().bat;
-    let node = ring.place_query(&[bat("k"), bat("region")]);
-    assert!(node < 4);
-    let rs = ring.execute(node, "select count(*) from sales").unwrap();
-    assert_eq!(rs.cell(0, 0), Val::Lng(200));
-}
-
-#[test]
 fn errors_propagate_cleanly() {
     let ring = ring_under_test(2);
     assert!(ring.execute(0, "select ghost from sales").is_err());
@@ -298,9 +286,9 @@ fn registry_holds_exactly_what_plans_call() {
         record(&plan);
         record(&mal::dc_optimize(&plan));
     }
-    // The textual plans: the paper's Table 1 and its DC rewrite (Table 2,
-    // `exp_plans`), and the `io.print` plans of the interpreter's and
-    // the optimizer's tests.
+    // The textual plans: the paper's Table 1 and its DC rewrite (Table 2),
+    // and the `io.print` plans of the interpreter's and the optimizer's
+    // tests.
     let table1 = mal::parse_program(mal::parser::PAPER_TABLE1).unwrap();
     let printed = "function user.q():void;\nX1 := io.stdout();\nio.print(X1);\nend q;";
     for plan in [mal::dc_optimize(&table1), table1, mal::parse_program(printed).unwrap()] {

@@ -186,3 +186,42 @@ fn fig10_11_bigger_ring_longer_bat_lives() {
         vogue_cycles(small)
     );
 }
+
+/// The Experiments docs cannot drift: README.md's table and `dc-bench`'s
+/// module doc each name exactly the binaries in `crates/bench/src/bin/`,
+/// once each.
+#[test]
+fn the_experiment_tables_name_exactly_the_harness_binaries() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/src/bin");
+    let mut binaries: Vec<String> = std::fs::read_dir(dir)
+        .expect("the harness binaries")
+        .map(|entry| entry.expect("a directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| path.file_stem().expect("a file name").to_string_lossy().into_owned())
+        .collect();
+    binaries.sort();
+    assert!(!binaries.is_empty());
+    let readme = include_str!("../README.md");
+    let readme = readme.split("\n## Experiments").nth(1).expect("an Experiments section");
+    let bench_doc = include_str!("../crates/bench/src/lib.rs");
+    assert_eq!(table_binaries(readme, "| Binary"), binaries, "README.md's Experiments table");
+    assert_eq!(table_binaries(bench_doc, "| binary"), binaries, "dc-bench's module doc");
+}
+
+/// The first column of the first Markdown table in `doc` whose header row
+/// starts with `header` (a `//!` doc prefix is ignored), sorted. Each cell
+/// must be one code span.
+fn table_binaries(doc: &str, header: &str) -> Vec<String> {
+    let lines = doc.lines().map(|line| line.trim_start_matches("//!").trim());
+    let rows = lines.skip_while(|line| !line.starts_with(header)).skip(2);
+    let mut names: Vec<String> = rows
+        .take_while(|row| row.starts_with('|'))
+        .map(|row| {
+            let cell = row.split('|').nth(1).expect("a first column").trim();
+            let name = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`'));
+            name.unwrap_or_else(|| panic!("not a binary name: {cell:?}")).to_string()
+        })
+        .collect();
+    names.sort();
+    names
+}
