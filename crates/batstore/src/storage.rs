@@ -17,8 +17,7 @@ use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
 use crate::value::ColType;
-use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DCB1";
@@ -165,30 +164,8 @@ pub fn read_bat(r: &mut &[u8]) -> Result<Bat> {
     Bat::new(head, tail)
 }
 
-/// Save to a file crash-safely: write to a temp file in the same
-/// directory, fsync it, then atomically rename into place (plus a
-/// best-effort directory sync). A crash mid-checkpoint leaves either the
-/// previous complete snapshot or none — never a torn one.
-pub fn save_bat(path: &Path, bat: &Bat) -> Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("bat");
-    let tmp = dir.join(format!(".{name}.tmp"));
-    {
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        write_bat(&mut w, bat)?;
-        w.flush()?;
-        w.get_ref().sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
-/// Load from a file: one read sized from the file's metadata, then an
-/// in-memory decode.
+/// Load from a file — one `dc-persist` wrote with [`write_bat`]: one
+/// read sized from the file's metadata, then an in-memory decode.
 pub fn load_bat(path: &Path) -> Result<Bat> {
     bat_from_bytes(&std::fs::read(path)?)
 }
@@ -249,12 +226,19 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("batstore_test_file_rt");
+        let dir = std::env::temp_dir().join(format!("batstore_file_rt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("x.bat");
-        let b = Bat::dense(Column::from(vec!["persist", "me"]));
-        save_bat(&path, &b).unwrap();
-        let back = load_bat(&path).unwrap();
-        assert_eq!(back.bun(1).1, Val::Str("me".into()));
+        for b in [Bat::dense(Column::from(vec!["persist", "me"])), Bat::empty(ColType::Int)] {
+            let mut w = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+            write_bat(&mut w, &b).unwrap();
+            w.into_inner().unwrap().sync_all().unwrap();
+            let back = load_bat(&path).unwrap();
+            assert_eq!(back.count(), b.count());
+            for i in 0..b.count() {
+                assert_eq!(back.bun(i), b.bun(i));
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -276,17 +260,6 @@ mod tests {
         let mut bytes = bat_to_bytes(&Bat::dense(Column::from(vec![1])));
         bytes[5] = 99;
         assert!(bat_from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn save_is_atomic_no_temp_left_behind() {
-        let dir = std::env::temp_dir().join(format!("batstore_atomic_{}", std::process::id()));
-        let path = dir.join("x.bat");
-        save_bat(&path, &Bat::dense(Column::from(vec![1, 2]))).unwrap();
-        save_bat(&path, &Bat::dense(Column::from(vec![3, 4, 5]))).unwrap();
-        assert_eq!(load_bat(&path).unwrap().count(), 3, "second save replaced the first");
-        assert!(!dir.join(".x.bat.tmp").exists(), "temp renamed away");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

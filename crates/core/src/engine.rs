@@ -15,16 +15,20 @@
 //! each node keeps one catalog ([`RingCatalog`]), kept in sync by
 //! [`DcMsg::Catalog`] gossip circulating once around the ring, and
 //! statements for a remote owner's fragments travel there as
-//! [`DcMsg::Routed`] messages (§6.4; see [`crate::routed`]).
+//! [`DcMsg::Routed`] messages (§6.4; see [`crate::routed`]): every write,
+//! and every SELECT that aggregates one table another node owns, which
+//! runs at that owner and comes back as its result.
 
 use crate::catalog::OwnedState;
 use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
 use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot};
 use crate::ids::{BatId, NodeId, QueryId};
-use crate::msg::{AckMsg, CatalogCol, CatalogMsg, DcMsg};
+use crate::msg::{AckMsg, Answer, CatalogCol, CatalogMsg, DcMsg, RoutedMsg, RoutedStmt};
 use crate::proto::{DcNode, Effect, PinOutcome};
-use crate::routed::{describe, Due, Pending, Routed};
+use crate::routed::{
+    describe, Admit, Caller, Due, Pending, Routed, PUSHED_BACKLOG, PUSHED_RESULT_MAX,
+};
 use crate::runtime::{CatalogNotify, Cmd, Frag, Publish, RingCatalog, RingHooks, Waiter};
 use crate::stats::EngineStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
@@ -37,9 +41,9 @@ use dc_persist::{
 };
 use mal::{MalError, SessionCtx};
 use netsim::SimTime;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -151,6 +155,9 @@ pub enum NodeEvent {
     /// The checkpointer finished the snapshot in flight; `committed`
     /// says whether it is now the node's checkpoint.
     Checkpointed { committed: bool },
+    /// A SELECT pushed to this node as owner has run: the thread that
+    /// ran it hands the result back, for the loop to send.
+    Answered { origin: NodeId, epoch: u64, id: u64, result: Result<ResultSet, DcError> },
 }
 
 /// The payload of the `Bat` frame being handled — a frame that came as
@@ -193,6 +200,14 @@ struct NodeCtx {
     transport: Arc<dyn RingTransport>,
     /// This node's table catalog.
     catalog: Arc<RingCatalog>,
+    /// The statement path pushed SELECTs run through on this node.
+    statements: Arc<Statements>,
+    /// Pushed SELECTs waiting for the one running to finish
+    /// ([`NodeCtx::start_pushed`]); these and that one are what `routed`
+    /// holds.
+    pushed: VecDeque<PushedRun>,
+    /// Whether a pushed SELECT is running.
+    pushed_running: bool,
     /// Owned fragment payloads ("local disk"): cells holding the
     /// authoritative `Bat` alone; every payload send encodes it anew.
     disk: HashMap<BatId, Frag>,
@@ -248,9 +263,10 @@ fn msg_kind(msg: &DcMsg) -> usize {
         DcMsg::Bat { .. } => 0,
         DcMsg::Request(_) => 1,
         DcMsg::Catalog(_) => 2,
-        DcMsg::Routed(r) => match r.m.op {
-            MutOp::Insert(_) => 3,
-            MutOp::Update(_) | MutOp::Delete => 4,
+        DcMsg::Routed(r) => match &r.stmt {
+            RoutedStmt::Mutate(m) if matches!(m.op, MutOp::Insert(_)) => 3,
+            RoutedStmt::Mutate(_) => 4,
+            RoutedStmt::Select { .. } => 6,
         },
         DcMsg::Ack(_) => 5,
     }
@@ -258,13 +274,14 @@ fn msg_kind(msg: &DcMsg) -> usize {
 
 /// The histogram names backing [`NodeCtx::msg_hists`], in [`msg_kind`]
 /// order.
-const MSG_HIST_NAMES: [&str; 6] = [
+const MSG_HIST_NAMES: [&str; 7] = [
     "dc_msg_bat_handle_us",
     "dc_msg_request_handle_us",
     "dc_msg_catalog_handle_us",
     "dc_msg_append_handle_us",
     "dc_msg_mutate_handle_us",
     "dc_msg_ack_handle_us",
+    "dc_msg_select_handle_us",
 ];
 
 /// The end-to-end statement latency histograms, in [`stmt_kind`] order:
@@ -316,6 +333,97 @@ impl SqlMetrics {
     }
 }
 
+/// A node's statement path: compile against its catalog through its
+/// template cache, then run on the dataflow interpreter against its
+/// hooks. The node's handle runs every statement a caller issues through
+/// it, and its event loop every SELECT another node pushed here.
+struct Statements {
+    tx: Sender<NodeEvent>,
+    hooks: Arc<RingHooks>,
+    /// The session plans run in. Its catalog and store hold nothing:
+    /// ring plans never `sql.bind`, and the data lives in the ring.
+    session: Arc<SessionCtx>,
+    catalog: Arc<RingCatalog>,
+    templates: mal::TemplateCache,
+    sql_metrics: SqlMetrics,
+    next_query: AtomicU64,
+}
+
+impl Statements {
+    fn next_query(&self) -> u64 {
+        self.next_query.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Compile and run `sql` on this node, wherever its fragments are:
+    /// how a SELECT pushed here runs.
+    fn run(&self, sql: &str) -> Result<ResultSet, DcError> {
+        let qid = self.next_query();
+        let (template, params) = self.compile(sql)?;
+        Ok(self.run_bound(qid, &template, &params)?)
+    }
+
+    /// The query template (§3.2) of `sql`'s shape and the statement's own
+    /// literals to bind to its parameter slots. Only a shape this node
+    /// has not cached is code-generated (against this node's catalog) and
+    /// optimized; a compile error caches nothing.
+    fn compile(&self, sql: &str) -> Result<(Arc<mal::Program>, Vec<mal::Const>), MalError> {
+        let parsed = sqlfront::parse_template(sql)?;
+        let params = parsed.bindings()?;
+        if let Some(template) = self.templates.get(&parsed.key) {
+            self.sql_metrics.template_hits.inc();
+            return Ok((template, params));
+        }
+        let plan = self.catalog.with_compiler(|c| sqlfront::compile_stmt(&parsed.stmt, c))?;
+        let template = self.templates.insert(parsed.key, sqlfront::optimize(&plan));
+        self.sql_metrics.template_misses.inc();
+        self.sql_metrics.template_entries.set(self.templates.len() as i64);
+        Ok((template, params))
+    }
+
+    /// Run a compiled plan with `params` bound to its parameter slots,
+    /// as query `qid`, returning the typed result the plan's sink
+    /// published.
+    fn run_bound(
+        &self,
+        qid: u64,
+        plan: &mal::Program,
+        params: &[mal::Const],
+    ) -> Result<ResultSet, MalError> {
+        // A per-query session sharing the node's hooks.
+        let session =
+            SessionCtx::new(Arc::clone(&self.session.catalog), Arc::clone(&self.session.store))
+                .with_dc(self.hooks.clone() as Arc<dyn mal::DcHooks>)
+                .with_query_id(qid);
+        let result = mal::run_dataflow_bound(plan, params, &session, 4);
+        // Always clean up interest, success or failure.
+        let _ = self.tx.send(NodeEvent::Cmd(Cmd::QueryDone { query: QueryId(qid) }));
+        result?;
+        Ok(session.take_result())
+    }
+}
+
+/// A SELECT another node pushed here, queued to run.
+struct PushedRun {
+    origin: NodeId,
+    epoch: u64,
+    id: u64,
+    sql: String,
+}
+
+/// Run a pushed SELECT through the node's own statement path — its pins
+/// are owner-local, a spilled column is re-admitted as for any local
+/// statement — and hand the result back ([`NodeEvent::Answered`]) for the
+/// event loop to send.
+fn run_pushed(statements: &Statements, PushedRun { origin, epoch, id, sql }: PushedRun) {
+    // A panic is answered, not lost with the thread: unanswered, the
+    // statement would stay held, and its origin waiting, for good.
+    let run = std::panic::AssertUnwindSafe(|| statements.run(&sql));
+    let result = std::panic::catch_unwind(run).unwrap_or_else(|_| {
+        Err(DcError::Exec("the statement panicked at the fragment owner".into()))
+    });
+    let _ = statements.tx.send(NodeEvent::Answered { origin, epoch, id, result });
+}
+
 impl NodeCtx {
     /// `at` on the protocol's clock: time since the node started.
     fn sim_time(&self, at: Instant) -> SimTime {
@@ -347,6 +455,11 @@ impl NodeCtx {
                     }
                 }
                 Ok(NodeEvent::Checkpointed { committed }) => self.on_checkpointed(committed),
+                Ok(NodeEvent::Answered { origin, epoch, id, result }) => {
+                    self.pushed_running = false;
+                    self.answer_pushed(origin, epoch, id, result);
+                    self.start_pushed();
+                }
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
             }
@@ -404,29 +517,124 @@ impl NodeCtx {
     /// Send a routed statement's first attempt and register it for
     /// ack-tracking. A failed first send (severed edge) is absorbed: the
     /// retry schedule re-sends it, and the budget bounds the wait.
-    fn route(&mut self, m: Mutation, waiter: Arc<Waiter<u64>>) {
-        let p = self.routed.begin(self.node.id, m, waiter, Instant::now());
+    fn route(&mut self, stmt: RoutedStmt, caller: Caller) {
+        let p = self.routed.begin(self.node.id, stmt, caller, Instant::now());
         self.obs.trace(p.msg.epoch, p.msg.id, "route", p.what());
         let _ = self.transport.send_data(DcMsg::Routed(p.msg.clone()));
     }
 
-    /// Deliver a routed statement's result to its origin: resolved
+    /// Deliver a routed statement's answer to its origin: resolved
     /// locally when ownership moved to us mid-flight, otherwise as an
     /// [`AckMsg`] clockwise. A lost ack is counted loudly, but the
-    /// origin's retry will re-deliver the statement and the dedup cache
-    /// will re-send this result.
-    fn answer_routed(&mut self, origin: NodeId, epoch: u64, id: u64, result: Result<u64, String>) {
+    /// origin's retry will re-deliver the statement, and the dedup cache
+    /// will re-send a mutation's result (a SELECT runs again).
+    fn answer_routed(&mut self, origin: NodeId, epoch: u64, id: u64, answer: Answer) {
         self.obs.trace(epoch, id, "ack_sent", format!("to {origin}"));
-        let ack = AckMsg { target: origin, epoch, id, result };
         if origin == self.node.id {
-            self.finish_routed(ack);
-        } else if let Err(e) = self.transport.send_data(DcMsg::Ack(ack)) {
+            self.take_answer(epoch, id, answer);
+            return;
+        }
+        let ack = AckMsg { target: origin, epoch, id, answer };
+        if let Err(e) = self.transport.send_data(DcMsg::Ack(ack)) {
             self.stats.mutation_acks_lost.inc();
             eprintln!(
-                "[dc-node {}] statement {} applied but its ack could not be sent: {e}",
+                "[dc-node {}] statement {} answered but its ack could not be sent: {e}",
                 self.node.id, id
             );
         }
+    }
+
+    /// A SELECT pushed here, as its table's owner, is queued to run
+    /// ([`NodeCtx::start_pushed`]). A re-delivery of one held already is
+    /// answered [`Answer::Running`] and not run again; one past the
+    /// backlog is declined, and its origin runs it itself.
+    fn take_pushed(&mut self, r: &RoutedMsg, sql: &str) {
+        let (origin, epoch, id) = (r.origin, r.epoch, r.id);
+        let answer = match self.routed.admit((origin.0, epoch, id)) {
+            Admit::Run => {
+                self.pushed.push_back(PushedRun { origin, epoch, id, sql: sql.to_string() });
+                return self.start_pushed();
+            }
+            Admit::Running => {
+                self.obs.trace(epoch, id, "dedup", "select re-delivered while running");
+                Answer::Running
+            }
+            Admit::Busy => {
+                Answer::Declined(format!("the owner holds {PUSHED_BACKLOG} pushed statements"))
+            }
+        };
+        self.answer_routed(origin, epoch, id, answer);
+    }
+
+    /// Start the next queued pushed SELECT unless one is running. The
+    /// event loop never runs one: each runs on a thread of its own that
+    /// ends with the run, one at a time, so a node nobody pushes to keeps
+    /// no thread for it.
+    fn start_pushed(&mut self) {
+        while !self.pushed_running {
+            let Some(run) = self.pushed.pop_front() else { return };
+            let (origin, epoch, id) = (run.origin, run.epoch, run.id);
+            let statements = Arc::clone(&self.statements);
+            let thread = std::thread::Builder::new().name("dc-pushed-select".into());
+            match thread.spawn(move || run_pushed(&statements, run)) {
+                Ok(_) => self.pushed_running = true,
+                Err(e) => {
+                    let err =
+                        DcError::Ring(format!("cannot start a thread for the statement: {e}"));
+                    self.answer_pushed(origin, epoch, id, Err(err));
+                }
+            }
+        }
+    }
+
+    /// A pushed SELECT has run here: it is no longer held, and its result
+    /// goes back to its origin — unless it is too large to travel as one
+    /// frame ([`PUSHED_RESULT_MAX`]), when the origin is told to run the
+    /// statement itself.
+    fn answer_pushed(
+        &mut self,
+        origin: NodeId,
+        epoch: u64,
+        id: u64,
+        result: Result<ResultSet, DcError>,
+    ) {
+        self.routed.release((origin.0, epoch, id));
+        let detail = match &result {
+            Ok(rs) => format!("select, {} rows", rs.row_count()),
+            Err(e) => format!("select failed: {e}"),
+        };
+        self.obs.trace(epoch, id, "apply", detail);
+        let size = result.as_ref().map_or(0, crate::msg::result_wire_size);
+        let answer = if size > PUSHED_RESULT_MAX {
+            Answer::Declined(format!("the result is {size} bytes, over {PUSHED_RESULT_MAX}"))
+        } else {
+            Answer::Selected(result)
+        };
+        self.answer_routed(origin, epoch, id, answer);
+    }
+
+    /// A routed mutation at its owner. A retry re-delivers the same
+    /// statement id; the dedup cache replays the first outcome instead of
+    /// growing or rewriting the fragments twice.
+    fn apply_routed(&mut self, r: &RoutedMsg, m: &Mutation) -> Result<u64, String> {
+        let what = describe(&r.stmt);
+        let key = (r.origin.0, r.epoch, r.id);
+        if let Some(cached) = self.routed.applied(key).cloned() {
+            self.stats.mutations_deduped.inc();
+            self.obs.trace(r.epoch, r.id, "dedup", format!("{what} re-delivered"));
+            return cached;
+        }
+        let applied = self.apply_mutation(m);
+        let detail = match &applied {
+            Ok(rows) => format!("{what}, {rows} rows"),
+            Err(e) => format!("{what} failed: {e}"),
+        };
+        if let (MutOp::Insert(given), Err(_)) = (&m.op, &applied) {
+            self.stats.appends_dropped.add(given.len() as u64);
+        }
+        self.obs.trace(r.epoch, r.id, "apply", detail);
+        self.routed.remember(key, applied.clone());
+        applied
     }
 
     /// Append a durable change to the WAL (ahead of applying it); a
@@ -553,57 +761,32 @@ impl NodeCtx {
                 let _ = self.transport.send_data(DcMsg::Catalog(c));
             }
             DcMsg::Routed(r) => {
-                let m = &r.m;
-                if self.mutation_owner(&m.schema, &m.table) == Ok(self.node.id) {
-                    // A retry re-delivers the same statement id; the
-                    // dedup cache replays the first outcome instead of
-                    // growing or rewriting the fragments twice.
-                    let what = describe(m);
-                    let key = (r.origin.0, r.epoch, r.id);
+                let (schema, table) = r.stmt.table();
+                if self.mutation_owner(schema, table) == Ok(self.node.id) {
                     self.routed.forget_settled(&r);
-                    let result = match self.routed.applied(key) {
-                        Some(cached) => {
-                            self.stats.mutations_deduped.inc();
-                            self.obs.trace(r.epoch, r.id, "dedup", format!("{what} re-delivered"));
-                            cached.clone()
+                    match &r.stmt {
+                        RoutedStmt::Mutate(m) => {
+                            let result = self.apply_routed(&r, m);
+                            self.answer_routed(r.origin, r.epoch, r.id, Answer::Mutated(result));
                         }
-                        None => {
-                            let applied = self.apply_mutation(m);
-                            let detail = match &applied {
-                                Ok(rows) => format!("{what}, {rows} rows"),
-                                Err(e) => format!("{what} failed: {e}"),
-                            };
-                            if let (MutOp::Insert(given), Err(_)) = (&m.op, &applied) {
-                                self.stats.appends_dropped.add(given.len() as u64);
-                            }
-                            self.obs.trace(r.epoch, r.id, "apply", detail);
-                            self.routed.remember(key, applied.clone());
-                            applied
-                        }
-                    };
-                    self.answer_routed(r.origin, r.epoch, r.id, result);
+                        RoutedStmt::Select { sql, .. } => self.take_pushed(&r, sql),
+                    }
                 } else if r.origin != self.node.id {
                     let _ = self.transport.send_data(DcMsg::Routed(r));
                 } else {
                     // Back at the origin without finding an owner: the
                     // fragment is gone (the §4.2.3 analog of a request
                     // circling back); fail the blocked statement loudly.
-                    if let MutOp::Insert(_) = m.op {
+                    if let RoutedStmt::Mutate(Mutation { op: MutOp::Insert(_), .. }) = r.stmt {
                         self.stats.appends_dropped.inc();
                     }
-                    let err =
-                        format!("no owner found for {}.{} (fragments gone?)", m.schema, m.table);
-                    self.finish_routed(AckMsg {
-                        target: r.origin,
-                        epoch: r.epoch,
-                        id: r.id,
-                        result: Err(err),
-                    });
+                    let err = format!("no owner found for {schema}.{table} (fragments gone?)");
+                    self.finish_routed(r.epoch, r.id, Err(err));
                 }
             }
             DcMsg::Ack(a) => {
                 if a.target == self.node.id {
-                    self.finish_routed(a);
+                    self.take_answer(a.epoch, a.id, a.answer);
                 } else {
                     let _ = self.transport.send_data(DcMsg::Ack(a));
                 }
@@ -611,28 +794,48 @@ impl NodeCtx {
         }
     }
 
-    /// Resolve a routed statement's acknowledgement at its origin. An
-    /// ack that matches nothing pending (see [`Routed::ack`]) has no side
-    /// effects — counting failures there would double-book them.
-    fn finish_routed(&mut self, ack: AckMsg) {
-        let Some(p) = self.routed.ack(ack.epoch, ack.id) else { return };
-        let outcome = match &ack.result {
-            Ok(rows) => format!("{} ok, {rows} rows", p.what()),
-            Err(e) => format!("{} failed: {e}", p.what()),
-        };
-        self.obs.trace(ack.epoch, ack.id, "ack", outcome);
-        self.settle(p, ack.result);
+    /// An answer to a statement this node originated: a pushed SELECT
+    /// the owner is still running stays pending, with its budget started
+    /// over; any other answer resolves its statement.
+    fn take_answer(&mut self, epoch: u64, id: u64, answer: Answer) {
+        if !matches!(answer, Answer::Running) {
+            return self.finish_routed(epoch, id, Ok(answer));
+        }
+        if let Some(p) = self.routed.keep_alive(epoch, id, Instant::now()) {
+            let what = p.what();
+            self.obs.trace(epoch, id, "running", what);
+        }
     }
 
-    /// A routed statement this node originated is over (acked, or timed
-    /// out): book the outcome and wake the caller blocked on it.
-    fn settle(&mut self, p: Pending, result: Result<u64, String>) {
-        match (&p.msg.m.op, &result) {
-            (MutOp::Insert(_), Err(_)) => self.stats.appends_failed.inc(),
-            (_, Err(_)) => self.stats.mutations_failed.inc(),
-            _ => {}
+    /// Resolve a routed statement at its origin: with the owner's answer,
+    /// or (`Err`) because it came home unowned. One that matches nothing
+    /// pending (see [`Routed::ack`]) has no side effects — counting
+    /// failures there would double-book them.
+    fn finish_routed(&mut self, epoch: u64, id: u64, outcome: Result<Answer, String>) {
+        let Some(p) = self.routed.ack(epoch, id) else { return };
+        let detail = match &outcome {
+            Ok(Answer::Mutated(Ok(rows))) => format!("{} ok, {rows} rows", p.what()),
+            Ok(Answer::Selected(Ok(rs))) => format!("{} ok, {} rows", p.what(), rs.row_count()),
+            Ok(Answer::Selected(Err(e))) => format!("{} failed: {e}", p.what()),
+            Ok(Answer::Mutated(Err(e))) | Err(e) => format!("{} failed: {e}", p.what()),
+            Ok(Answer::Declined(why)) => format!("{} declined: {why}", p.what()),
+            Ok(Answer::Running) => format!("{} still running", p.what()),
+        };
+        self.obs.trace(epoch, id, "ack", detail);
+        self.settle(p, outcome);
+    }
+
+    /// A routed statement this node originated is over (answered, or
+    /// failed here): book a write's failure and wake the caller.
+    fn settle(&mut self, p: Pending, outcome: Result<Answer, String>) {
+        let failed = matches!(outcome, Err(_) | Ok(Answer::Mutated(Err(_))));
+        if let (RoutedStmt::Mutate(m), true) = (&p.msg.stmt, failed) {
+            match m.op {
+                MutOp::Insert(_) => self.stats.appends_failed.inc(),
+                MutOp::Update(_) | MutOp::Delete => self.stats.mutations_failed.inc(),
+            }
         }
-        p.waiter.fulfill(result);
+        p.caller.settle(outcome);
     }
 
     /// Guarantee the owned fragment's payload is in RAM, reloading the
@@ -906,9 +1109,16 @@ impl NodeCtx {
                         if !matches!(m.op, MutOp::Insert(_)) {
                             self.stats.mutations_routed.inc();
                         }
-                        self.route(m, ack);
+                        self.route(RoutedStmt::Mutate(m), Caller::Mutation(ack));
                     }
                 }
+            }
+            Cmd::PushSelect { schema, table, sql, answer, alive } => {
+                self.stats.selects_pushed.inc();
+                self.route(
+                    RoutedStmt::Select { schema, table, sql },
+                    Caller::Select { answer, alive },
+                );
             }
             Cmd::Hotset { ack } => {
                 ack.fulfill(Ok(self.hotset_snapshot()));
@@ -992,15 +1202,14 @@ impl NodeCtx {
     /// loaded) tables take no INSERT, UPDATE or DELETE for now.
     fn mutation_owner(&self, schema: &str, table: &str) -> Result<NodeId, String> {
         let entry = self.table_entry(schema, table)?;
-        let mut owners = entry.columns.iter().map(|col| col.owner);
-        let first = owners.next().ok_or_else(|| format!("{schema}.{table} has no columns"))?;
-        if owners.any(|o| o != first) {
-            return Err(format!(
+        match entry.sole_owner() {
+            Some(owner) => Ok(owner),
+            None if entry.columns.is_empty() => Err(format!("{schema}.{table} has no columns")),
+            None => Err(format!(
                 "mutating {schema}.{table} is not supported: its fragments are owned by \
                  multiple nodes and a split mutation would not be atomic"
-            ));
+            )),
         }
-        Ok(first)
     }
 
     /// Apply a logical INSERT/UPDATE/DELETE at this node, the fragment
@@ -1216,16 +1425,15 @@ impl Default for NodeOptions {
 pub struct RingNode {
     pub id: NodeId,
     tx: Sender<NodeEvent>,
-    hooks: Arc<RingHooks>,
-    session: Arc<SessionCtx>,
     catalog: Arc<RingCatalog>,
     notify: Arc<CatalogNotify>,
     transport: Arc<dyn RingTransport>,
     event_loop: Option<JoinHandle<()>>,
-    next_query: AtomicU64,
     next_frag: Arc<AtomicU32>,
-    templates: mal::TemplateCache,
-    sql_metrics: SqlMetrics,
+    statements: Arc<Statements>,
+    /// How long a statement waits for a pushed SELECT's answer without
+    /// hearing that the owner is still running it.
+    pin_timeout: Duration,
 }
 
 impl RingNode {
@@ -1373,12 +1581,31 @@ impl RingNode {
         // A zero `load_interval` would turn the loop's sleep into a spin.
         let load_interval =
             Duration::from_nanos(opts.cfg.load_interval.as_nanos()).max(Duration::from_millis(1));
+        let hooks = Arc::new(RingHooks::new(
+            tx.clone(),
+            Arc::clone(&catalog),
+            opts.pin_timeout,
+            Arc::clone(&obs),
+            Arc::clone(&transport),
+        ));
+        let statements = Arc::new(Statements {
+            tx: tx.clone(),
+            hooks,
+            session: Arc::new(SessionCtx::new(Default::default(), Default::default())),
+            catalog: Arc::clone(&catalog),
+            templates: mal::TemplateCache::new(),
+            sql_metrics: SqlMetrics::new(&obs),
+            next_query: AtomicU64::new(1),
+        });
         let ctx = NodeCtx {
             node,
             stats,
             rx,
             transport: Arc::clone(&transport),
             catalog: Arc::clone(&catalog),
+            statements: Arc::clone(&statements),
+            pushed: VecDeque::new(),
+            pushed_running: false,
             disk,
             cache: HashMap::new(),
             waiting: HashMap::new(),
@@ -1410,20 +1637,6 @@ impl RingNode {
             let _ = sink_tx.send(NodeEvent::Ring(msg));
         }));
 
-        let hooks = Arc::new(RingHooks::new(
-            tx.clone(),
-            Arc::clone(&catalog),
-            opts.pin_timeout,
-            Arc::clone(&obs),
-            Arc::clone(&transport),
-        ));
-        // The session's catalog and store hold nothing: ring plans never
-        // `sql.bind`, and the data lives in the ring.
-        let session = Arc::new(
-            SessionCtx::new(Default::default(), Default::default())
-                .with_dc(hooks.clone() as Arc<dyn mal::DcHooks>),
-        );
-
         // Recovered tables with fragments owned here re-enter the ring's
         // metadata: peers that restarted (or joined) while we were down
         // learn them again; everyone else applies them idempotently. The
@@ -1435,16 +1648,13 @@ impl RingNode {
         Ok(RingNode {
             id,
             tx,
-            hooks,
-            session,
             catalog,
             notify,
             transport,
-            sql_metrics: SqlMetrics::new(&obs),
             event_loop: Some(event_loop),
-            next_query: AtomicU64::new(1),
             next_frag,
-            templates: mal::TemplateCache::new(),
+            statements,
+            pin_timeout: opts.pin_timeout,
         })
     }
 
@@ -1490,71 +1700,78 @@ impl RingNode {
     /// wire protocol ships these columns, and text is rendered only at
     /// edges that want text.
     pub fn execute(&self, sql: &str) -> Result<ResultSet, DcError> {
-        self.run_sql(sql).map_err(DcError::from)
+        self.run_sql(sql)
     }
 
     /// The choke point every SQL entry path funnels through
-    /// ([`RingNode::execute`] and [`Ring::execute`]): compile + run, with
-    /// end-to-end latency recorded per
-    /// statement kind and statement/error counters bumped — so the
-    /// in-process ring, `dcsh`, and the wire server all feed the same
-    /// `stmt_*_us` histograms.
-    fn run_sql(&self, sql: &str) -> Result<ResultSet, MalError> {
-        let qid = self.next_query.fetch_add(1, Ordering::Relaxed);
+    /// ([`RingNode::execute`] and [`Ring::execute`]): compile, then run
+    /// here — or at the owner, for a SELECT [`RingNode::pushed_to`] names
+    /// a table for — with end-to-end latency recorded per statement kind
+    /// and statement/error counters bumped, so the in-process ring,
+    /// `dcsh`, and the wire server all feed the same `stmt_*_us`
+    /// histograms.
+    fn run_sql(&self, sql: &str) -> Result<ResultSet, DcError> {
+        let s = &self.statements;
+        let qid = s.next_query();
         let start = Instant::now();
-        let result = self
-            .compile(sql)
-            .and_then(|(template, params)| self.run_bound(qid, &template, &params));
-        self.sql_metrics.statements.inc();
+        let result = s.compile(sql).map_err(DcError::from).and_then(|(template, params)| {
+            if let Some((schema, table)) = self.pushed_to(&template) {
+                if let Some(rs) = self.push_select(schema, table, sql)? {
+                    return Ok(rs);
+                }
+            }
+            // Not pushed, or declined by the owner: run here.
+            Ok(s.run_bound(qid, &template, &params)?)
+        });
+        s.sql_metrics.statements.inc();
         if result.is_err() {
-            self.sql_metrics.errors.inc();
+            s.sql_metrics.errors.inc();
         }
-        self.sql_metrics.stmt_hists[stmt_kind(sql)].record_elapsed_micros(start);
+        s.sql_metrics.stmt_hists[stmt_kind(sql)].record_elapsed_micros(start);
         result
     }
 
-    /// The query template (§3.2) of `sql`'s shape and the statement's own
-    /// literals to bind to its parameter slots. Only a shape this node
-    /// has not cached is code-generated (against this node's catalog) and
-    /// optimized; a compile error caches nothing.
-    fn compile(&self, sql: &str) -> Result<(Arc<mal::Program>, Vec<mal::Const>), MalError> {
-        let parsed = sqlfront::parse_template(sql)?;
-        let params = parsed.bindings()?;
-        if let Some(template) = self.templates.get(&parsed.key) {
-            self.sql_metrics.template_hits.inc();
-            return Ok((template, params));
-        }
-        let plan = self.catalog.with_compiler(|c| sqlfront::compile_stmt(&parsed.stmt, c))?;
-        let template = self.templates.insert(parsed.key, sqlfront::optimize(&plan));
-        self.sql_metrics.template_misses.inc();
-        self.sql_metrics.template_entries.set(self.templates.len() as i64);
-        Ok((template, params))
+    /// The table whose owner runs `plan` instead of this node: a
+    /// single-table aggregate ([`sqlfront::single_table_aggregate`]) over
+    /// a table one other node owns whole sends only its text there and
+    /// gets only its result back, where running it here would pull every
+    /// column it reads off the ring. The plan's shape and the catalog's
+    /// owner decide; nothing else does.
+    fn pushed_to(&self, plan: &mal::Program) -> Option<(String, String)> {
+        let (schema, table) = sqlfront::single_table_aggregate(plan)?;
+        let owner = self.catalog.table(schema, table)?.sole_owner()?;
+        (owner != self.id).then(|| (schema.to_string(), table.to_string()))
+    }
+
+    /// Route `sql` to `schema.table`'s owner and wait for what it makes
+    /// of it: its result, its failure as the owner classified it, or
+    /// `None` — the owner declined, and this node runs the statement. A
+    /// read may run at the owner as long as it would here: the wait goes
+    /// on while the owner says it is still running it, and the routed
+    /// path fails it, classified, once the owner falls silent.
+    fn push_select(
+        &self,
+        schema: String,
+        table: String,
+        sql: &str,
+    ) -> Result<Option<ResultSet>, DcError> {
+        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
+        let (sql, reply, beat) = (sql.to_string(), Arc::clone(&answer), Arc::clone(&alive));
+        self.send(Cmd::PushSelect { schema, table, sql, answer: reply, alive: beat })?;
+        let outcome = loop {
+            match answer.wait_timeout(self.pin_timeout) {
+                Some(outcome) => break outcome,
+                None if alive.swap(false, Ordering::Relaxed) => {}
+                None => break Err("timed out waiting for the fragment owner's answer".into()),
+            }
+        };
+        outcome.map_err(|e| DcError::from(MalError::Dc(e)))?.transpose()
     }
 
     /// Execute an already-compiled MAL plan with the given query id,
     /// returning the typed result the plan's sink published.
     pub fn run_plan(&self, qid: u64, plan: &mal::Program) -> Result<ResultSet, MalError> {
-        self.run_bound(qid, plan, &plan.params)
-    }
-
-    /// [`RingNode::run_plan`] with `params` bound to the plan's
-    /// parameter slots in place of its own.
-    fn run_bound(
-        &self,
-        qid: u64,
-        plan: &mal::Program,
-        params: &[mal::Const],
-    ) -> Result<ResultSet, MalError> {
-        // A per-query session sharing the node's hooks.
-        let session =
-            SessionCtx::new(Arc::clone(&self.session.catalog), Arc::clone(&self.session.store))
-                .with_dc(self.hooks.clone() as Arc<dyn mal::DcHooks>)
-                .with_query_id(qid);
-        let result = mal::run_dataflow_bound(plan, params, &session, 4);
-        // Always clean up interest, success or failure.
-        let _ = self.tx.send(NodeEvent::Cmd(Cmd::QueryDone { query: QueryId(qid) }));
-        result?;
-        Ok(session.take_result())
+        self.statements.run_bound(qid, plan, &plan.params)
     }
 
     /// Render the front-end plan and the optimized plan that runs.
@@ -1626,7 +1843,7 @@ impl RingNode {
     /// `obs_ring_frames_rejected`, which the transport counts, is read
     /// from it by this call.
     pub fn obs(&self) -> &Arc<dc_obs::Registry> {
-        self.hooks.registry()
+        self.statements.hooks.registry()
     }
 
     /// The value of this node's counter `name` — the `dc.stats` row of
@@ -2005,7 +2222,7 @@ mod tests {
             "select c.t_id, c.t_id from t, c where c.t_id = t.id",
         ] {
             let (_, explained) = ring.explain_sql(0, sql).unwrap();
-            let (runs, _) = ring.node(0).compile(sql).unwrap();
+            let (runs, _) = ring.node(0).statements.compile(sql).unwrap();
             assert_eq!(explained, runs.to_string(), "{sql}");
         }
     }

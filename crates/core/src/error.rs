@@ -9,7 +9,7 @@
 use mal::MalError;
 use std::fmt;
 
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DcError {
     /// The SQL (or MAL) text did not parse.
     Parse(String),

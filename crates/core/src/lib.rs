@@ -27,9 +27,11 @@
 //! * [`msg`] — ring message types and their binary codec, including the
 //!   catalog-replication and routed-statement messages of a distributed
 //!   deployment.
-//! * [`routed`] — how a statement reaches its fragment owner exactly
-//!   once: the origin's pending/retry table and the owner's dedup cache
-//!   behind routed INSERT, UPDATE and DELETE.
+//! * [`routed`] — how a statement reaches its fragment owner: the
+//!   origin's pending/retry table and the owner's dedup cache behind
+//!   routed INSERT, UPDATE and DELETE (applied exactly once), and behind
+//!   single-table aggregates pushed to their table's owner (run there,
+//!   answered with their result).
 //! * [`transport`] — the §4.3 network-layer seam ([`RingTransport`])
 //!   plus the default in-process fabric; the TCP fabric lives in the
 //!   `dc-transport` crate.

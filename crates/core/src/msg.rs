@@ -14,12 +14,15 @@
 //! [`Frame`] that *refers* to the payload a `Bat` message already holds
 //! (a transport writes the pieces with one vectored write), and the
 //! decoder takes the received frame whole ([`decode_frame`]) and hands
-//! back a payload that is a slice of it. A routed statement is
-//! [`Mutation::encode`]'s form, the one the owner's WAL logs it in.
+//! back a payload that is a slice of it. A routed mutation is
+//! [`Mutation::encode`]'s form, the one the owner's WAL logs it in; a
+//! pushed SELECT travels as its SQL text and comes back as the `DCR1`
+//! form of its [`ResultSet`].
 
+use crate::error::DcError;
 use crate::ids::{BatId, NodeId};
 pub use batstore::ops::{MutOp, Mutation};
-use batstore::{ColType, RowPredicate, Val};
+use batstore::{ColType, ResultSet, RowPredicate, Val};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// The administrative header a circulating BAT carries for hot-set
@@ -117,14 +120,24 @@ impl CatalogMsg {
         let names: usize = self.columns.iter().map(|c| c.name.len() + 21).sum();
         (16 + self.schema.len() + self.table.len() + names) as u64
     }
+
+    /// The one node owning every column of the table: where its routed
+    /// statements run. `None` for a table without columns or one spread
+    /// over several owners.
+    pub fn sole_owner(&self) -> Option<NodeId> {
+        let owner = self.columns.first()?.owner;
+        self.columns.iter().all(|c| c.owner == owner).then_some(owner)
+    }
 }
 
 /// A statement traveling clockwise toward the fragment owner, which
-/// applies it at most once and answers with an [`AckMsg`]. `(epoch, id)`
+/// answers it with one [`AckMsg`] — a mutation applied at most once, a
+/// SELECT run whenever it arrives while the owner is not already running
+/// it. `(epoch, id)`
 /// identifies the statement: `id` counts statements within one origin
 /// incarnation and `epoch` is the origin's per-boot nonce, so ids reused
 /// after an origin restart can never alias a prior incarnation's
-/// statements in the owner's dedup cache. A retried frame deduplicates
+/// statements in the owner's dedup cache. A retried mutation deduplicates
 /// at the owner instead of applying twice. If the message returns to its
 /// origin the owner is gone and the origin fails the statement.
 #[derive(Clone, Debug, PartialEq)]
@@ -137,6 +150,12 @@ pub struct RoutedMsg {
     /// statements below it is settled and never sent again, so the owner
     /// may forget their results.
     pub settled_below: u64,
+    pub stmt: RoutedStmt,
+}
+
+/// What a [`RoutedMsg`] asks of the owner of one table.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RoutedStmt {
     /// The SQL INSERT/UPDATE/DELETE (§6.4: "when a node N processes an
     /// update request, for a BAT f…" — the owner rewrites its
     /// authoritative copy and bumps the version). It is *logical* — new
@@ -144,7 +163,21 @@ pub struct RoutedMsg {
     /// computed anywhere else could be stale by the time it arrives, and
     /// it is one message, so the owner applies every column in a single
     /// event and statements from several nodes never interleave mid-row.
-    pub m: Mutation,
+    Mutate(Mutation),
+    /// A SELECT that reads `schema.table` alone, as its SQL text: the
+    /// owner compiles and runs it against its own fragments and answers
+    /// with the result, so only the result crosses the ring.
+    Select { schema: String, table: String, sql: String },
+}
+
+impl RoutedStmt {
+    /// The table whose owner the statement is for.
+    pub fn table(&self) -> (&str, &str) {
+        match self {
+            RoutedStmt::Mutate(m) => (&m.schema, &m.table),
+            RoutedStmt::Select { schema, table, .. } => (schema, table),
+        }
+    }
 }
 
 /// The owner's answer to a [`RoutedMsg`], traveling clockwise until it
@@ -157,8 +190,24 @@ pub struct AckMsg {
     /// The acknowledged statement's origin-boot epoch, echoed back.
     pub epoch: u64,
     pub id: u64,
-    /// Affected-row count, or the owner-side failure.
-    pub result: Result<u64, String>,
+    pub answer: Answer,
+}
+
+/// The owner's answer to a routed statement, of the statement's kind.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Answer {
+    /// A mutation's affected-row count, or the owner-side failure.
+    Mutated(Result<u64, String>),
+    /// A pushed SELECT's result, or its failure, classified as the run
+    /// at the owner classified it.
+    Selected(Result<ResultSet, DcError>),
+    /// A pushed SELECT re-delivered while the owner still runs it: not
+    /// run again, and the origin's retry budget starts over.
+    Running,
+    /// A pushed SELECT the owner will not answer with its result — its
+    /// backlog is full, or the result is too large to send as one frame
+    /// — and why: the origin runs the statement itself.
+    Declined(String),
 }
 
 /// Everything that flows between neighbors.
@@ -196,6 +245,16 @@ fn pred_wire_size(p: &RowPredicate) -> u64 {
         }
 }
 
+/// The wire bytes of a pushed SELECT's result in its ack: each column as
+/// `DCR1` holds it, three labels and a dense BAT (22 bytes of header, then
+/// its values).
+pub fn result_wire_size(rs: &ResultSet) -> u64 {
+    let col = |c: &batstore::ResultColumn| {
+        28 + c.table.len() + c.name.len() + c.sql_type.len() + c.data.byte_size()
+    };
+    rs.columns.iter().map(col).sum::<usize>() as u64
+}
+
 impl DcMsg {
     pub fn wire_size(&self) -> u64 {
         match self {
@@ -204,7 +263,10 @@ impl DcMsg {
             DcMsg::Bat { payload: None, .. } => HEADER_WIRE_BYTES,
             DcMsg::Request(_) => REQUEST_WIRE_BYTES,
             DcMsg::Catalog(c) => c.wire_size(),
-            DcMsg::Routed(RoutedMsg { m, .. }) => {
+            DcMsg::Routed(RoutedMsg {
+                stmt: RoutedStmt::Select { schema, table, sql }, ..
+            }) => (35 + schema.len() + table.len() + sql.len()) as u64,
+            DcMsg::Routed(RoutedMsg { stmt: RoutedStmt::Mutate(m), .. }) => {
                 let op = match &m.op {
                     // A column travels as a dense BAT: 22 bytes of header
                     // (magic, type tags, row count, head) and its values.
@@ -221,7 +283,13 @@ impl DcMsg {
                     + op
                     + m.preds.iter().map(pred_wire_size).sum::<u64>()
             }
-            DcMsg::Ack(a) => 32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0),
+            DcMsg::Ack(a) => match &a.answer {
+                Answer::Mutated(r) => 32 + r.as_ref().err().map_or(0, |e| e.len() as u64),
+                Answer::Selected(Err(e)) => 33 + e.message().len() as u64,
+                Answer::Running => 32,
+                Answer::Declined(why) => 32 + why.len() as u64,
+                Answer::Selected(Ok(rs)) => 32 + result_wire_size(rs),
+            },
         }
     }
 }
@@ -231,6 +299,35 @@ const TAG_REQ: u8 = 2;
 const TAG_CATALOG: u8 = 3;
 const TAG_ROUTED: u8 = 4;
 const TAG_ACK: u8 = 5;
+const TAG_SELECT: u8 = 7;
+
+/// An ack's answer kind: the byte after its statement id.
+const MUTATE_FAILED: u8 = 0;
+const MUTATED: u8 = 1;
+const SELECTED: u8 = 2;
+const SELECT_FAILED: u8 = 3;
+const RUNNING: u8 = 4;
+const DECLINED: u8 = 5;
+
+/// A [`DcError`]'s class on the wire, and back.
+fn error_class(e: &DcError) -> u8 {
+    match e {
+        DcError::Parse(_) => 0,
+        DcError::Plan(_) => 1,
+        DcError::Exec(_) => 2,
+        DcError::Ring(_) => 3,
+    }
+}
+
+fn classified(class: u8, msg: String) -> Result<DcError, String> {
+    Ok(match class {
+        0 => DcError::Parse(msg),
+        1 => DcError::Plan(msg),
+        2 => DcError::Exec(msg),
+        3 => DcError::Ring(msg),
+        other => return Err(format!("unknown error class {other}")),
+    })
+}
 
 fn put_str(b: &mut BytesMut, s: &str) {
     // Identifiers longer than a u16 length cannot be framed. Truncate at
@@ -363,15 +460,30 @@ pub fn frame(msg: &DcMsg) -> Frame {
             b
         }
         DcMsg::Routed(r) => {
-            let mut body = Vec::with_capacity(msg.wire_size() as usize);
-            r.m.encode(&mut body);
-            let mut b = BytesMut::with_capacity(27 + body.len());
-            b.put_u8(TAG_ROUTED);
+            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
+            b.put_u8(match r.stmt {
+                RoutedStmt::Mutate(_) => TAG_ROUTED,
+                RoutedStmt::Select { .. } => TAG_SELECT,
+            });
             b.put_u16_le(r.origin.0);
             b.put_u64_le(r.epoch);
             b.put_u64_le(r.id);
             b.put_u64_le(r.settled_below);
-            b.put_slice(&body);
+            match &r.stmt {
+                RoutedStmt::Mutate(m) => {
+                    let mut body = Vec::with_capacity(msg.wire_size() as usize);
+                    m.encode(&mut body);
+                    b.put_slice(&body);
+                }
+                RoutedStmt::Select { schema, table, sql } => {
+                    put_str(&mut b, schema);
+                    put_str(&mut b, table);
+                    // Statement text is no identifier: a u32 length, so a
+                    // long IN list is never cut short.
+                    b.put_u32_le(sql.len() as u32);
+                    b.put_slice(sql.as_bytes());
+                }
+            }
             b
         }
         DcMsg::Ack(a) => {
@@ -380,20 +492,75 @@ pub fn frame(msg: &DcMsg) -> Frame {
             b.put_u16_le(a.target.0);
             b.put_u64_le(a.epoch);
             b.put_u64_le(a.id);
-            match &a.result {
-                Ok(n) => {
-                    b.put_u8(1);
-                    b.put_u64_le(*n);
-                }
-                Err(e) => {
-                    b.put_u8(0);
-                    put_str(&mut b, e);
-                }
-            }
+            put_answer(&mut b, &a.answer);
             b
         }
     };
     Frame { head, cuts }
+}
+
+fn put_answer(b: &mut BytesMut, answer: &Answer) {
+    let failed = |b: &mut BytesMut, e: &DcError| {
+        b.put_u8(SELECT_FAILED);
+        b.put_u8(error_class(e));
+        put_str(b, e.message());
+    };
+    match answer {
+        Answer::Mutated(Ok(n)) => {
+            b.put_u8(MUTATED);
+            b.put_u64_le(*n);
+        }
+        Answer::Mutated(Err(e)) => {
+            b.put_u8(MUTATE_FAILED);
+            put_str(b, e);
+        }
+        Answer::Selected(Ok(rs)) => {
+            let mut blob = Vec::new();
+            match rs.write_to(&mut blob) {
+                Ok(()) => {
+                    b.put_u8(SELECTED);
+                    b.put_slice(&blob);
+                }
+                // More columns, or longer labels, than `DCR1` can frame.
+                Err(e) => failed(b, &DcError::Exec(format!("the result cannot be sent: {e}"))),
+            }
+        }
+        Answer::Selected(Err(e)) => failed(b, e),
+        Answer::Running => b.put_u8(RUNNING),
+        Answer::Declined(why) => {
+            b.put_u8(DECLINED);
+            put_str(b, why);
+        }
+    }
+}
+
+fn get_answer(buf: &mut &[u8]) -> Result<Answer, String> {
+    if buf.remaining() < 1 {
+        return Err("truncated ack".into());
+    }
+    Ok(match buf.get_u8() {
+        MUTATED => {
+            if buf.remaining() < 8 {
+                return Err("truncated ack count".into());
+            }
+            Answer::Mutated(Ok(buf.get_u64_le()))
+        }
+        MUTATE_FAILED => Answer::Mutated(Err(get_str(buf)?)),
+        SELECTED => {
+            let rs = ResultSet::read_from(buf).map_err(|e| format!("ack result: {e}"))?;
+            Answer::Selected(Ok(rs))
+        }
+        SELECT_FAILED => {
+            if buf.remaining() < 1 {
+                return Err("truncated ack error class".into());
+            }
+            let class = buf.get_u8();
+            Answer::Selected(Err(classified(class, get_str(buf)?)?))
+        }
+        RUNNING => Answer::Running,
+        DECLINED => Answer::Declined(get_str(buf)?),
+        other => return Err(format!("unknown ack answer {other}")),
+    })
 }
 
 /// Deserialize a message from borrowed bytes; rejects truncated or
@@ -486,7 +653,7 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
             }
             Ok(DcMsg::Catalog(CatalogMsg { origin, schema, table, columns }))
         }
-        TAG_ROUTED => {
+        TAG_ROUTED | TAG_SELECT => {
             if buf.remaining() < 26 {
                 return Err("truncated routed header".into());
             }
@@ -494,26 +661,32 @@ pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
             let epoch = buf.get_u64_le();
             let id = buf.get_u64_le();
             let settled_below = buf.get_u64_le();
-            let m = Mutation::decode(&mut buf)?;
-            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, settled_below, m }))
+            let stmt = if tag == TAG_ROUTED {
+                RoutedStmt::Mutate(Mutation::decode(&mut buf)?)
+            } else {
+                let schema = get_str(&mut buf)?;
+                let table = get_str(&mut buf)?;
+                if buf.remaining() < 4 {
+                    return Err("truncated statement length".into());
+                }
+                let len = buf.get_u32_le() as usize;
+                let Some(text) = buf.get(..len) else {
+                    return Err(format!("truncated statement: want {len}, have {}", buf.len()));
+                };
+                let sql = std::str::from_utf8(text).map_err(|e| format!("bad utf8: {e}"))?;
+                RoutedStmt::Select { schema, table, sql: sql.to_string() }
+            };
+            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, settled_below, stmt }))
         }
         TAG_ACK => {
-            if buf.remaining() < 19 {
+            if buf.remaining() < 18 {
                 return Err("truncated ack".into());
             }
             let target = NodeId(buf.get_u16_le());
             let epoch = buf.get_u64_le();
             let id = buf.get_u64_le();
-            let result = match buf.get_u8() {
-                1 => {
-                    if buf.remaining() < 8 {
-                        return Err("truncated ack count".into());
-                    }
-                    Ok(buf.get_u64_le())
-                }
-                _ => Err(get_str(&mut buf)?),
-            };
-            Ok(DcMsg::Ack(AckMsg { target, epoch, id, result }))
+            let answer = get_answer(&mut buf)?;
+            Ok(DcMsg::Ack(AckMsg { target, epoch, id, answer }))
         }
         other => Err(format!("unknown message tag {other}")),
     }
@@ -637,12 +810,16 @@ mod tests {
     }
 
     fn routed(m: Mutation) -> DcMsg {
+        routed_stmt(RoutedStmt::Mutate(m))
+    }
+
+    fn routed_stmt(stmt: RoutedStmt) -> DcMsg {
         DcMsg::Routed(RoutedMsg {
             origin: NodeId(2),
             epoch: 0xdead_beef_cafe,
             id: 77,
             settled_below: 75,
-            m,
+            stmt,
         })
     }
 
@@ -724,18 +901,42 @@ mod tests {
 
     #[test]
     fn ack_round_trip_both_outcomes() {
-        let ok = DcMsg::Ack(AckMsg { target: NodeId(1), epoch: 5, id: 9, result: Ok(4) });
+        let ack = |id, answer| DcMsg::Ack(AckMsg { target: NodeId(1), epoch: 5, id, answer });
+        let ok = ack(9, Answer::Mutated(Ok(4)));
         assert_eq!(decode(&encode(&ok)).unwrap(), ok);
-        let err = DcMsg::Ack(AckMsg {
-            target: NodeId(3),
-            epoch: 6,
-            id: 10,
-            result: Err("no owner found".into()),
-        });
+        let err = ack(10, Answer::Mutated(Err("no owner found".into())));
         let enc = encode(&err);
         assert_eq!(decode(&enc).unwrap(), err);
         for cut in [1, 4, 11, 18, enc.len() - 1] {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
+        }
+        // A mutation's answer kept its bytes: the kind, then the count.
+        assert_eq!(encode(&ok)[19..], [1, 4, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn pushed_select_and_its_answers_round_trip() {
+        let select = routed_stmt(RoutedStmt::Select {
+            schema: "sys".into(),
+            table: "lineitem".into(),
+            sql: "select count(*) from lineitem where l_quantity < 24".into(),
+        });
+        let enc = encode(&select);
+        assert_eq!(enc[0], TAG_SELECT);
+        assert_eq!(decode(&enc).unwrap(), select);
+        assert_eq!(enc.len() as u64, select.wire_size());
+        let mut rs = ResultSet::new();
+        let count = batstore::Bat::dense(batstore::Column::from(vec![7i64]));
+        rs.push_column("sys", "count", "lng", std::sync::Arc::new(count));
+        for answer in [
+            Answer::Selected(Ok(rs)),
+            Answer::Selected(Err(DcError::Exec("avg over zero rows".into()))),
+            Answer::Selected(Err(DcError::Ring("pin timed out".into()))),
+            Answer::Running,
+            Answer::Declined("the result is too large".into()),
+        ] {
+            let ack = DcMsg::Ack(AckMsg { target: NodeId(0), epoch: 1, id: 2, answer });
+            assert_eq!(decode(&encode(&ack)).unwrap(), ack);
         }
     }
 

@@ -73,6 +73,11 @@ pub enum Effect {
     QueryError { bat: BatId, queries: Vec<QueryId> },
 }
 
+/// The cycle count Eq. 1 ages an owner-local pin's score by: the score
+/// before the pin counts half, so a fragment pinned again and again
+/// approaches 2 and one left alone keeps what it had.
+const LOCAL_PIN_CYCLES: u32 = 2;
+
 /// Result of a pin attempt (§4.2.1: "The pin() request checks the local
 /// cache for availability. If it not available, query execution blocks").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,7 +183,12 @@ impl DcNode {
     /// was already served re-dispatches a fresh request — the fragment
     /// must come around again).
     pub fn pin(&mut self, query: QueryId, bat: BatId) -> (PinOutcome, Vec<Effect>) {
-        if self.s1.is_owner(bat) {
+        if let Some(owned) = self.s1.get_mut(bat) {
+            // A statement run here is interest too: Eq. 1 scores the pin
+            // as an owner pass would score a cycle of one hop on which one
+            // node (this one) used the fragment, so the hot set keeps
+            // what owner-local statements read.
+            owned.last_loi = new_loi(owned.last_loi, 1, 1, LOCAL_PIN_CYCLES);
             return (PinOutcome::OwnedLocal, Vec::new());
         }
         if self.cache.pin(bat) {
@@ -1118,6 +1128,31 @@ mod tests {
         assert_eq!(n.pin(QueryId(1), BatId(1)).0, PinOutcome::OwnedLocal);
         assert!(n.unpin(QueryId(1), BatId(1)).is_empty());
         assert_eq!(n.stats.requests_dispatched.get(), 0);
+    }
+
+    /// An owner-local pin counts as interest: the fragment it read ranks
+    /// behind one nobody touched when the budget picks spill victims,
+    /// though it was loaded first and has the lower id.
+    #[test]
+    fn owner_local_pin_keeps_its_fragment_off_the_spill_list() {
+        let mut n = node(0);
+        n.register_owned(BatId(1), 100);
+        n.register_owned(BatId(2), 100);
+        let candidates = |n: &DcNode| {
+            [BatId(1), BatId(2)].map(|b| (b, n.s1.get(b).unwrap().last_loi, 100)).to_vec()
+        };
+        assert_eq!(crate::hotset::spill_victims(candidates(&n), 1), [BatId(1)], "ties: lower id");
+        assert_eq!(n.pin(QueryId(1), BatId(1)).0, PinOutcome::OwnedLocal);
+        let pinned = n.s1.get(BatId(1)).unwrap().last_loi;
+        assert_eq!(pinned, new_loi(0.0, 1, 1, LOCAL_PIN_CYCLES));
+        assert_eq!(crate::hotset::spill_victims(candidates(&n), 1), [BatId(2)]);
+        assert_eq!(crate::hotset::spill_victims(candidates(&n), 150), [BatId(2), BatId(1)]);
+        // Pinned again and again, the score rises toward its bound.
+        for q in 2..10 {
+            n.pin(QueryId(q), BatId(1));
+        }
+        let again = n.s1.get(BatId(1)).unwrap().last_loi;
+        assert!(pinned < again && again < 2.0, "{pinned} < {again} < 2");
     }
 
     #[test]

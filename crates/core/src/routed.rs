@@ -1,15 +1,24 @@
 //! The routed-request engine: how a statement reaches its fragment owner
-//! exactly once and how the answer gets back.
+//! and how the answer gets back.
 //!
 //! Every write goes to the fragment's owner (§6.4), so INSERT and
-//! UPDATE/DELETE share one discipline. The origin stamps the statement
-//! `(boot epoch, id)`, sends it clockwise as a [`RoutedMsg`] and keeps it
-//! in the pending table; an attempt whose [`crate::msg::AckMsg`] misses
-//! its deadline is resent with doubled backoff, and once the retry budget
-//! is spent the statement fails with a classified timeout. The owner
-//! remembers each `(origin, epoch, id)` result, so a re-delivered frame
-//! (a duplicate, or a retry racing a slow ack) replays the first answer
-//! instead of applying twice.
+//! UPDATE/DELETE share one discipline, and a SELECT that reads one
+//! remote table whole goes there too, to come back as its result. The
+//! origin stamps the statement `(boot epoch, id)`, sends it clockwise as
+//! a [`RoutedMsg`] and keeps it in the pending table; an attempt whose
+//! [`crate::msg::AckMsg`] misses its deadline is resent with doubled
+//! backoff, and once the retry budget is spent the statement fails with a
+//! classified timeout. The owner remembers each `(origin, epoch, id)`
+//! mutation result, so a re-delivered frame (a duplicate, or a retry
+//! racing a slow ack) replays the first answer instead of applying twice.
+//! A SELECT's result is not remembered — it may be large, and running a
+//! read again is harmless — but the owner holds the keys of the SELECTs
+//! it is running: a re-delivery of one is answered
+//! [`Answer::Running`] instead of being run again, and that answer starts
+//! the origin's retry budget over, so a read may run as long as it needs
+//! while an owner that stops answering still fails it within the budget.
+//! The owner holds at most [`PUSHED_BACKLOG`] SELECTs and declines the
+//! next ([`Answer::Declined`]); its origin then runs it itself.
 //!
 //! The owner keeps a result exactly as long as its origin may send the
 //! statement again. Every frame carries the origin's lowest still-pending
@@ -24,10 +33,13 @@
 //! `now` in, sends the frames, counts and traces it hands back, and
 //! sleeps until [`Routed::next_deadline`].
 
+use crate::error::DcError;
 use crate::ids::NodeId;
-use crate::msg::{DcMsg, MutOp, Mutation, RoutedMsg};
+use crate::msg::{Answer, DcMsg, MutOp, RoutedMsg, RoutedStmt};
 use crate::runtime::Waiter;
-use std::collections::HashMap;
+use batstore::ResultSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,6 +48,24 @@ use std::time::{Duration, Instant};
 /// aliasing entries its prior incarnation left behind.
 pub type StmtKey = (u16, u64, u64);
 
+/// Pushed SELECTs an owner holds — running, or queued behind the one
+/// running — before it declines the next: a hot table's owner takes on
+/// no more than this much of its readers' work.
+pub const PUSHED_BACKLOG: usize = 4;
+
+/// The largest result, in wire bytes ([`crate::msg::result_wire_size`]),
+/// an owner sends back for a pushed SELECT. An answer travels as one
+/// frame through every node between owner and origin, where the columns
+/// the statement reads would each travel as a frame of their own; an
+/// aggregate whose result grows this large (a DISTINCT, a GROUP BY on a
+/// near-unique key) is declined, and its origin runs it itself.
+pub const PUSHED_RESULT_MAX: u64 = 1 << 20;
+
+/// What a pushed SELECT's caller is handed: the owner's result or its
+/// classified failure, or `None` when the owner declined and the caller
+/// runs the statement itself.
+pub type Pushed = Option<Result<ResultSet, DcError>>;
+
 /// One routed statement awaiting its owner acknowledgement at the
 /// origin, with everything needed to resend it and to fail it loudly.
 pub struct Pending {
@@ -43,7 +73,7 @@ pub struct Pending {
     /// the owner, so resending one that *was* applied is safe).
     pub msg: RoutedMsg,
     /// The caller blocked on the answer.
-    pub waiter: Arc<Waiter<u64>>,
+    pub caller: Caller,
     /// Sends so far.
     pub attempts: u32,
     /// When the current attempt gives up and the next begins.
@@ -53,28 +83,77 @@ pub struct Pending {
     retries_left: u32,
 }
 
-/// `"mutation on sys.acct"`, `"append on sys.acct"` — a routed statement
-/// as traces and errors name it.
-pub fn describe(m: &Mutation) -> String {
-    let kind = if matches!(m.op, MutOp::Insert(_)) { "append" } else { "mutation" };
-    format!("{kind} on {}.{}", m.schema, m.table)
+/// Who waits for a routed statement, in the form its answer takes.
+pub enum Caller {
+    /// A mutation's caller, for the owner's affected-row count.
+    Mutation(Arc<Waiter<u64>>),
+    /// A pushed SELECT's caller, for what the owner made of it; `alive`
+    /// is set each time the owner says it is still running it, so the
+    /// caller keeps waiting.
+    Select { answer: Arc<Waiter<Pushed>>, alive: Arc<AtomicBool> },
+}
+
+impl Caller {
+    /// Wake the caller with the owner's answer, or with why the origin
+    /// gave up (`Err`). An answer of the other kind — only a forged frame
+    /// could carry one — fails the statement.
+    pub fn settle(&self, outcome: Result<Answer, String>) {
+        let mismatch = || "the owner answered another kind of statement".to_string();
+        match (self, outcome) {
+            (Caller::Mutation(w), Ok(Answer::Mutated(r))) => w.fulfill(r),
+            (Caller::Mutation(w), other) => w.fulfill(Err(other.err().unwrap_or_else(mismatch))),
+            (Caller::Select { answer, .. }, Ok(Answer::Selected(r))) => answer.fulfill(Ok(Some(r))),
+            (Caller::Select { answer, .. }, Ok(Answer::Declined(_))) => answer.fulfill(Ok(None)),
+            (Caller::Select { answer, .. }, other) => {
+                answer.fulfill(Err(other.err().unwrap_or_else(mismatch)))
+            }
+        }
+    }
+}
+
+/// What an owner does with a pushed SELECT that reaches it
+/// ([`Routed::admit`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Admit {
+    /// Run it: it is now held until [`Routed::release`].
+    Run,
+    /// It is held already: answer [`Answer::Running`].
+    Running,
+    /// [`PUSHED_BACKLOG`] others are held: answer [`Answer::Declined`].
+    Busy,
+}
+
+/// `"mutation on sys.acct"`, `"append on sys.acct"`, `"select on
+/// sys.acct"` — a routed statement as traces and errors name it.
+pub fn describe(stmt: &RoutedStmt) -> String {
+    let kind = match stmt {
+        RoutedStmt::Mutate(m) if matches!(m.op, MutOp::Insert(_)) => "append",
+        RoutedStmt::Mutate(_) => "mutation",
+        RoutedStmt::Select { .. } => "select",
+    };
+    let (schema, table) = stmt.table();
+    format!("{kind} on {schema}.{table}")
 }
 
 impl Pending {
     /// The statement as traces and errors name it ([`describe`]).
     pub fn what(&self) -> String {
-        describe(&self.msg.m)
+        describe(&self.msg.stmt)
     }
 
     /// The classified error a statement fails with once its retry
-    /// budget is spent.
+    /// budget is spent. Only a write can have half-happened.
     pub fn timeout_error(&self) -> String {
-        format!(
-            "{} timed out after {} attempts: no acknowledgement from the fragment owner \
-             within the retry budget; whether it applied is unknown",
-            self.what(),
-            self.attempts
-        )
+        let missing = match self.msg.stmt {
+            RoutedStmt::Mutate(_) => {
+                "no acknowledgement from the fragment owner within the retry budget; \
+                 whether it applied is unknown"
+            }
+            RoutedStmt::Select { .. } => {
+                "no answer from the fragment owner within the retry budget"
+            }
+        };
+        format!("{} timed out after {} attempts: {missing}", self.what(), self.attempts)
     }
 }
 
@@ -99,6 +178,8 @@ pub struct Routed {
     pending: HashMap<u64, Pending>,
     /// Results of routed statements already applied here, as owner.
     applied: HashMap<StmtKey, Result<u64, String>>,
+    /// Pushed SELECTs this node, as owner, is running or has queued.
+    held: HashSet<StmtKey>,
 }
 
 impl Routed {
@@ -110,6 +191,7 @@ impl Routed {
             ack_retries,
             pending: HashMap::new(),
             applied: HashMap::new(),
+            held: HashSet::new(),
         }
     }
 
@@ -122,16 +204,16 @@ impl Routed {
     pub fn begin(
         &mut self,
         origin: NodeId,
-        m: Mutation,
-        waiter: Arc<Waiter<u64>>,
+        stmt: RoutedStmt,
+        caller: Caller,
         now: Instant,
     ) -> &Pending {
         let id = self.next_id;
         self.next_id += 1;
         let settled_below = self.pending.keys().copied().min().unwrap_or(id);
         let p = Pending {
-            msg: RoutedMsg { origin, epoch: self.epoch, id, settled_below, m },
-            waiter,
+            msg: RoutedMsg { origin, epoch: self.epoch, id, settled_below, stmt },
+            caller,
             attempts: 1,
             deadline: now + self.ack_timeout,
             backoff: self.ack_timeout * 2,
@@ -184,6 +266,24 @@ impl Routed {
         self.pending.remove(&id)
     }
 
+    /// The owner is still running pushed SELECT `id` ([`Answer::Running`]):
+    /// its retry budget starts over from `now`, and its caller hears that
+    /// the owner is alive. `None` (and no effect) when nothing pending
+    /// matches.
+    pub fn keep_alive(&mut self, epoch: u64, id: u64, now: Instant) -> Option<&Pending> {
+        if epoch != self.epoch {
+            return None;
+        }
+        let p = self.pending.get_mut(&id)?;
+        p.deadline = now + self.ack_timeout;
+        p.backoff = self.ack_timeout * 2;
+        p.retries_left = self.ack_retries;
+        if let Caller::Select { alive, .. } = &p.caller {
+            alive.store(true, Ordering::Relaxed);
+        }
+        Some(p)
+    }
+
     /// Drop the results of the statements `r`'s origin has settled: every
     /// one of its incarnation below `r.settled_below`. What is left is
     /// what origins may still resend, so the scan is short.
@@ -194,14 +294,35 @@ impl Routed {
         });
     }
 
-    /// The result this node, as owner, already answered `key` with.
+    /// The result this node, as owner, already answered the mutation
+    /// `key` with.
     pub fn applied(&self, key: StmtKey) -> Option<&Result<u64, String>> {
         self.applied.get(&key)
     }
 
-    /// Record the result of a routed statement applied here.
+    /// Record the result of a routed mutation applied here.
     pub fn remember(&mut self, key: StmtKey, result: Result<u64, String>) {
         self.applied.insert(key, result);
+    }
+
+    /// Whether this node, as owner, runs the pushed SELECT `key` now
+    /// delivered: not while it holds it already, nor while it holds
+    /// [`PUSHED_BACKLOG`] others.
+    pub fn admit(&mut self, key: StmtKey) -> Admit {
+        if self.held.contains(&key) {
+            Admit::Running
+        } else if self.held.len() >= PUSHED_BACKLOG {
+            Admit::Busy
+        } else {
+            self.held.insert(key);
+            Admit::Run
+        }
+    }
+
+    /// The pushed SELECT `key` has run here; a later delivery of it runs
+    /// it again.
+    pub fn release(&mut self, key: StmtKey) {
+        self.held.remove(&key);
     }
 }
 
@@ -212,12 +333,13 @@ mod tests {
     const TIMEOUT: Duration = Duration::from_millis(100);
     const ME: NodeId = NodeId(1);
 
-    fn mutate(table: &str) -> Mutation {
-        Mutation { schema: "sys".into(), table: table.into(), op: MutOp::Delete, preds: vec![] }
+    fn mutate(table: &str) -> RoutedStmt {
+        let (schema, table) = ("sys".into(), table.into());
+        RoutedStmt::Mutate(crate::msg::Mutation { schema, table, op: MutOp::Delete, preds: vec![] })
     }
 
-    fn waiter() -> Arc<Waiter<u64>> {
-        Arc::new(Waiter::default())
+    fn waiter() -> Caller {
+        Caller::Mutation(Arc::new(Waiter::default()))
     }
 
     #[test]
@@ -247,6 +369,25 @@ mod tests {
         assert!(err.starts_with("mutation on sys.acct timed out after 3 attempts"), "{err}");
         assert!(r.poll(t0 + TIMEOUT * 100).is_empty(), "a failed statement is forgotten");
         assert!(r.ack(7, id).is_none(), "a late ack finds nothing to resolve");
+
+        // A read that times out changed nothing, and its error says so by
+        // not saying otherwise.
+        let (schema, table, sql) =
+            ("sys".into(), "acct".into(), "select count(*) from acct".into());
+        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
+        let select = RoutedStmt::Select { schema, table, sql };
+        r.begin(ME, select, Caller::Select { answer: Arc::clone(&answer), alive }, t0);
+        let due = r.poll(t0 + TIMEOUT * 1_000);
+        let [Due::Resend { what, .. }] = &due[..] else { panic!("expected one resend") };
+        assert_eq!(what, "select on sys.acct");
+        assert!(matches!(r.poll(t0 + TIMEOUT * 2_000)[..], [Due::Resend { attempt: 3, .. }]));
+        let due = r.poll(t0 + TIMEOUT * 3_000);
+        let [Due::TimedOut(p)] = &due[..] else { panic!("expected a timeout") };
+        let err = p.timeout_error();
+        assert!(err.starts_with("select on sys.acct timed out after 3 attempts"), "{err}");
+        assert!(!err.contains("applied"), "{err}");
+        p.caller.settle(Err(err.clone()));
+        assert_eq!(answer.wait(Duration::ZERO).unwrap_err(), err);
     }
 
     #[test]
@@ -272,13 +413,81 @@ mod tests {
     fn foreign_epoch_ack_is_ignored_and_a_duplicate_resolves_once() {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 2);
-        let waiter = waiter();
-        let id = r.begin(ME, mutate("acct"), Arc::clone(&waiter), t0).msg.id;
+        let waiter = Arc::new(Waiter::default());
+        let id = r.begin(ME, mutate("acct"), Caller::Mutation(Arc::clone(&waiter)), t0).msg.id;
         assert!(r.ack(6, id).is_none(), "an ack from a prior incarnation resolves nothing");
         let p = r.ack(7, id).expect("the matching ack resolves the statement");
-        assert!(Arc::ptr_eq(&p.waiter, &waiter));
+        assert!(matches!(&p.caller, Caller::Mutation(w) if Arc::ptr_eq(w, &waiter)));
         assert!(r.ack(7, id).is_none(), "its duplicate does not");
+        // An answer of the wrong kind fails the statement instead of
+        // passing for its count.
+        p.caller.settle(Ok(Answer::Selected(Ok(ResultSet::new()))));
+        assert!(waiter.wait(Duration::ZERO).unwrap_err().contains("another kind"));
         assert!(r.poll(t0 + TIMEOUT * 100).is_empty(), "an acked statement is never resent");
+    }
+
+    fn select(answer: &Arc<Waiter<Pushed>>, alive: &Arc<AtomicBool>) -> (RoutedStmt, Caller) {
+        let (schema, table, sql) =
+            ("sys".into(), "acct".into(), "select count(*) from acct".into());
+        let caller = Caller::Select { answer: Arc::clone(answer), alive: Arc::clone(alive) };
+        (RoutedStmt::Select { schema, table, sql }, caller)
+    }
+
+    /// An owner that answers `Running` keeps a read alive past any number
+    /// of budgets; once it falls silent, the read fails within one.
+    #[test]
+    fn a_running_answer_starts_the_budget_over() {
+        let t0 = Instant::now();
+        let mut r = Routed::new(7, TIMEOUT, 1);
+        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
+        let (stmt, caller) = select(&answer, &alive);
+        let id = r.begin(ME, stmt, caller, t0).msg.id;
+        assert!(r.keep_alive(6, id, t0).is_none(), "another incarnation's answer");
+        // Each resend is answered `Running`, ten budgets (300ms) long.
+        let mut now = t0;
+        for _ in 0..10 {
+            now += TIMEOUT;
+            assert!(matches!(r.poll(now)[..], [Due::Resend { attempt: 2.., .. }]));
+            assert!(r.keep_alive(7, id, now).is_some());
+            assert!(alive.swap(false, Ordering::Relaxed), "the caller hears of it");
+            assert_eq!(r.next_deadline(), Some(now + TIMEOUT), "the first wait again");
+        }
+        // Then silence: one resend, and the budget is spent.
+        assert!(matches!(r.poll(now + TIMEOUT)[..], [Due::Resend { .. }]));
+        let due = r.poll(now + TIMEOUT * 3);
+        let [Due::TimedOut(p)] = &due[..] else { panic!("expected a timeout") };
+        assert_eq!(p.attempts, 12);
+        assert!(!alive.load(Ordering::Relaxed));
+        assert!(r.keep_alive(7, id, now).is_none(), "a settled read is not revived");
+    }
+
+    /// A declined read hands its caller `None`: it runs the statement
+    /// itself. A result hands it the result.
+    #[test]
+    fn a_pushed_select_settles_with_its_result_or_its_decline() {
+        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
+        let (_, caller) = select(&answer, &alive);
+        caller.settle(Ok(Answer::Declined("busy".into())));
+        assert_eq!(answer.wait(Duration::ZERO), Ok(None));
+        caller.settle(Ok(Answer::Selected(Err(DcError::Exec("boom".into())))));
+        assert_eq!(answer.wait(Duration::ZERO), Ok(Some(Err(DcError::Exec("boom".into())))));
+        caller.settle(Ok(Answer::Mutated(Ok(1))));
+        assert!(answer.wait(Duration::ZERO).unwrap_err().contains("another kind"));
+    }
+
+    #[test]
+    fn an_owner_holds_each_read_once_and_at_most_its_backlog() {
+        let mut r = Routed::new(7, TIMEOUT, 2);
+        for id in 0..PUSHED_BACKLOG as u64 {
+            assert_eq!(r.admit((2, 9, id)), Admit::Run);
+        }
+        assert_eq!(r.admit((2, 9, 0)), Admit::Running, "a re-delivery is not run again");
+        assert_eq!(r.admit((3, 9, 0)), Admit::Busy, "the backlog is full");
+        r.release((2, 9, 0));
+        assert_eq!(r.admit((3, 9, 0)), Admit::Run);
+        assert_eq!(r.admit((2, 9, 1)), Admit::Running);
+        r.release((2, 9, 1));
+        assert_eq!(r.admit((2, 9, 1)), Admit::Run, "a read that ran may run again");
     }
 
     #[test]
@@ -300,7 +509,7 @@ mod tests {
     /// A frame from `origin`'s incarnation `epoch`, whose statements below
     /// `settled_below` are settled.
     fn frame(origin: u16, epoch: u64, id: u64, settled_below: u64) -> RoutedMsg {
-        RoutedMsg { origin: NodeId(origin), epoch, id, settled_below, m: mutate("acct") }
+        RoutedMsg { origin: NodeId(origin), epoch, id, settled_below, stmt: mutate("acct") }
     }
 
     #[test]

@@ -253,13 +253,18 @@ impl<T> Waiter<T> {
     /// statement blocked on something other than a fragment pin (a
     /// mutation ack, say) fails with an error that names it.
     pub fn wait_for_outcome(&self, timeout: Duration, timeout_msg: &str) -> Result<T, String> {
+        self.wait_timeout(timeout).unwrap_or_else(|| Err(timeout_msg.to_string()))
+    }
+
+    /// Block until fulfilled, or `None` once `timeout` passes first.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, String>> {
         let mut slot = self.slot.lock();
         while slot.is_none() {
             if self.cv.wait_for(&mut slot, timeout).timed_out() && slot.is_none() {
-                return Err(timeout_msg.to_string());
+                return None;
             }
         }
-        slot.take().expect("checked above")
+        slot.take()
     }
 }
 
@@ -335,6 +340,18 @@ pub enum Cmd {
     /// [`crate::msg::AckMsg`] comes back — so the caller reports a
     /// correct affected-row count even for remote mutations.
     Mutate { m: Mutation, ack: Arc<Waiter<u64>> },
+    /// A SELECT that reads `schema.table` alone, a table another node
+    /// owns whole: routed to that owner as its SQL text (a
+    /// [`crate::msg::RoutedStmt::Select`]), `answer` fulfilled with what
+    /// the owner made of it, `alive` set whenever the owner says it is
+    /// still running it.
+    PushSelect {
+        schema: String,
+        table: String,
+        sql: String,
+        answer: Arc<Waiter<crate::routed::Pushed>>,
+        alive: Arc<std::sync::atomic::AtomicBool>,
+    },
     /// Publish externally-assembled table metadata into this node's
     /// catalogs (driver-side loads); optionally gossip it clockwise.
     PublishTable { table: CatalogMsg, gossip: bool },

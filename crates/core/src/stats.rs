@@ -84,10 +84,14 @@ dc_obs::counters! {
         /// Routed UPDATE/DELETE mutations that failed: the message cycled
         /// back without finding an owner, or the owner rejected it.
         mutations_failed,
-        /// Mutations this node applied (and made durable) whose
-        /// acknowledgement could not be sent back to the origin — the
-        /// origin times out and reports failure for a statement that
-        /// succeeded.
+        /// Single-table aggregates this node was asked for and sent to
+        /// the table's owner to run, instead of pulling its fragments.
+        selects_pushed,
+        /// Routed statements this node answered as owner — a mutation
+        /// applied and made durable, or a pushed SELECT run — whose
+        /// acknowledgement could not be sent back to the origin: the
+        /// origin retries, and a mutation it gives up on is reported as
+        /// failed though it succeeded.
         mutation_acks_lost,
         /// Routed statements re-delivered to this owner (duplicate frames,
         /// origin-side retries) and suppressed by the idempotent dedup

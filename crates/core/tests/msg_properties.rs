@@ -1,6 +1,7 @@
 //! Property tests for the ring message codec, covering the full `DcMsg`
 //! surface: the query-circulation path (`Bat`/`Request`), the routed
-//! path (`Routed` with each mutation op, `Ack`), and the circulate-once
+//! path (`Routed` with each mutation op and with a pushed SELECT, `Ack`
+//! with each kind of answer), and the circulate-once
 //! `Catalog` gossip. Arbitrary messages round-trip byte-exactly, every
 //! strict prefix of a valid frame is rejected (never mis-decoded or
 //! panicked on), hostile count/length prefixes neither panic nor provoke
@@ -17,11 +18,12 @@ use batstore::ops::CmpOp;
 use batstore::{ColType, Column, RowPredicate, Val};
 use bytes::Bytes;
 use datacyclotron::msg::{
-    decode, decode_frame, encode, frame, AckMsg, BatHeader, MutOp, Mutation, ReqMsg, RoutedMsg,
-    HEADER_WIRE_BYTES,
+    decode, decode_frame, encode, frame, AckMsg, Answer, BatHeader, MutOp, Mutation, ReqMsg,
+    RoutedMsg, RoutedStmt, HEADER_WIRE_BYTES,
 };
-use datacyclotron::{BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
+use datacyclotron::{BatId, CatalogCol, CatalogMsg, DcError, DcMsg, NodeId, ResultSet};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A deterministic value of the given kind. Doubles stay finite:
 /// `Val: PartialEq` treats NaN as unequal to itself, which would fail
@@ -63,14 +65,21 @@ fn pred_from(kind: u8, seed: i64, text: &str, nin: usize) -> RowPredicate {
     }
 }
 
-fn routed_from(seed: i64, m: Mutation) -> DcMsg {
+fn routed_from(seed: i64, stmt: RoutedStmt) -> DcMsg {
     DcMsg::Routed(RoutedMsg {
         origin: NodeId(seed.unsigned_abs() as u16),
         epoch: seed.unsigned_abs().wrapping_mul(31),
         id: seed.unsigned_abs().wrapping_mul(7),
         settled_below: seed.unsigned_abs().wrapping_mul(5),
-        m,
+        stmt,
     })
+}
+
+/// A pushed SELECT whose table name and text carry `text`.
+fn select_from(seed: i64, text: &str) -> DcMsg {
+    let (schema, table) = ("sys".to_string(), format!("t{text}"));
+    let sql = format!("select count(*), sum(a) from t{text} where s = '{text}' and a < {seed}");
+    routed_from(seed, RoutedStmt::Select { schema, table, sql })
 }
 
 fn mutate_from(kind: u8, seed: i64, text: &str, nassign: usize, npred: usize) -> DcMsg {
@@ -85,14 +94,14 @@ fn mutate_from(kind: u8, seed: i64, text: &str, nassign: usize, npred: usize) ->
     };
     routed_from(
         seed,
-        Mutation {
+        RoutedStmt::Mutate(Mutation {
             schema: "sys".into(),
             table: format!("t{}", kind % 7),
             op,
             preds: (0..npred)
                 .map(|i| pred_from(kind.wrapping_add(i as u8), seed + i as i64, text, 1 + i % 4))
                 .collect(),
-        },
+        }),
     )
 }
 
@@ -123,16 +132,42 @@ fn insert_from(kind: u8, seed: i64, text: &str, ncols: usize, nrows: usize) -> D
         op: MutOp::Insert(given),
         preds: vec![],
     };
-    routed_from(seed, m)
+    routed_from(seed, RoutedStmt::Mutate(m))
 }
 
-fn ack_from(seed: i64, text: &str) -> DcMsg {
+fn ack_with(seed: i64, answer: Answer) -> DcMsg {
     DcMsg::Ack(AckMsg {
         target: NodeId(seed.unsigned_abs() as u16),
         epoch: seed.unsigned_abs().wrapping_mul(13),
         id: seed.unsigned_abs(),
-        result: if seed % 2 == 0 { Ok(seed.unsigned_abs()) } else { Err(text.to_string()) },
+        answer,
     })
+}
+
+/// A mutation's answer: its count, or its failure.
+fn ack_from(seed: i64, text: &str) -> DcMsg {
+    let result = if seed % 2 == 0 { Ok(seed.unsigned_abs()) } else { Err(text.to_string()) };
+    ack_with(seed, Answer::Mutated(result))
+}
+
+/// A pushed SELECT's answer: `ncols` columns of `nrows` rows (with
+/// `text` as the info, if any) or, for an odd `kind`, a failure of the
+/// class `kind` picks.
+fn selected_from(kind: u8, seed: i64, text: &str, ncols: usize, nrows: usize) -> DcMsg {
+    if kind % 2 == 1 {
+        let err =
+            [DcError::Parse, DcError::Plan, DcError::Exec, DcError::Ring][kind as usize / 2 % 4];
+        return ack_with(seed, Answer::Selected(Err(err(text.to_string()))));
+    }
+    let mut rs = ResultSet::new();
+    rs.info = kind.is_multiple_of(4).then(|| text.to_string());
+    rs.affected = (kind % 8 == 2).then_some(seed.unsigned_abs());
+    for i in 0..ncols {
+        let col = column_from(kind.wrapping_add(i as u8), seed, text, nrows);
+        let ty = col.col_type().name();
+        rs.push_column("sys", format!("c{i}"), ty, Arc::new(batstore::Bat::dense(col)));
+    }
+    ack_with(seed, Answer::Selected(Ok(rs)))
 }
 
 fn catalog_from(kind: u8, seed: i64, text: &str, ncols: usize) -> DcMsg {
@@ -187,14 +222,17 @@ fn request_from(seed: i64) -> DcMsg {
 }
 
 /// One message of every `DcMsg` shape from the same inputs, `Routed`
-/// once per kind of op (`mutate_from` draws UPDATE or DELETE).
+/// once per kind of op (`mutate_from` draws UPDATE or DELETE) and once as
+/// a pushed SELECT, `Ack` once per kind of statement.
 fn messages(kind: u8, seed: i64, text: &str, n1: usize, n2: usize) -> Vec<DcMsg> {
     vec![
         bat_from(kind, seed, n1),
         request_from(seed),
         insert_from(kind, seed, text, n1, n2),
         mutate_from(kind, seed, text, n1, n2),
+        select_from(seed, text),
         ack_from(seed, text),
+        selected_from(kind, seed, text, n1, n2),
         catalog_from(kind, seed, text, n1),
     ]
 }
@@ -332,6 +370,13 @@ proptest! {
         let len = insert.len();
         insert[len - 4..len - 2].copy_from_slice(&count.to_le_bytes());
         prop_assert!(decode(&insert).is_err());
+
+        // A pushed SELECT's answer: a valid no-column result, then a lying
+        // column count.
+        let mut answer = encode(&selected_from(2, 7, "x", 0, 0)).to_vec();
+        let len = answer.len();
+        answer[len - 2..].copy_from_slice(&count.to_le_bytes());
+        prop_assert!(decode(&answer).is_err());
     }
 
     /// A BAT frame whose u64 payload-length field claims more bytes than
@@ -357,6 +402,21 @@ proptest! {
         prop_assert_eq!(&rows[46..50], b"DCB1");
         rows[52..60].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&rows).is_err());
+
+        // A pushed SELECT's answer: tag(1) + target(2) + epoch(8) + id(8)
+        // + answer kind(1) = 20 bytes, then "DCR1" and its flags; with
+        // info, the info's u32 length follows.
+        let with_info = encode(&selected_from(4, seed, "x", 1, 3)).to_vec();
+        prop_assert_eq!(&with_info[20..24], b"DCR1");
+        let mut info = with_info;
+        info[25..29].copy_from_slice(&(claim as u32 | 1 << 31).to_le_bytes());
+        prop_assert!(decode(&info).is_err());
+        // Without: the u16 column count, then one column's three labels
+        // ("sys", "c0", "int") and its BAT, whose row count lies.
+        let mut column = encode(&selected_from(6, seed, "x", 1, 3)).to_vec();
+        prop_assert_eq!(&column[41..45], b"DCB1");
+        column[47..55].copy_from_slice(&claim.to_le_bytes());
+        prop_assert!(decode(&column).is_err());
     }
 
     /// A string field whose u16 length prefix exceeds the remaining
@@ -364,12 +424,7 @@ proptest! {
     #[test]
     fn hostile_string_lengths_rejected(claim in 64u16..u16::MAX) {
         // Ack Err-result: the message text is the final field.
-        let wire = encode(&DcMsg::Ack(AckMsg {
-            target: NodeId(2),
-            epoch: 1,
-            id: 3,
-            result: Err("boom".into()),
-        }));
+        let wire = encode(&ack_with(2, Answer::Mutated(Err("boom".into()))));
         // tag(1) + target(2) + epoch(8) + id(8) + ok-flag(1) = 20 bytes
         // of header, then the u16 string length.
         let mut bytes = wire.to_vec();
@@ -380,6 +435,16 @@ proptest! {
         // epoch(8) + id(8) + settled_below(8) = 27 bytes.
         let mut bytes = encode(&mutate_from(1, 7, "x", 0, 0)).to_vec();
         bytes[27..29].copy_from_slice(&claim.to_le_bytes());
+        prop_assert!(decode(&bytes).is_err());
+
+        // Pushed SELECT: "sys"(2+3) and "tx"(2+2) follow the same 27
+        // bytes, then the u32 length of the statement text.
+        let mut bytes = encode(&select_from(7, "x")).to_vec();
+        bytes[36..40].copy_from_slice(&(claim as u32 | 1 << 16).to_le_bytes());
+        prop_assert!(decode(&bytes).is_err());
+        // A failed SELECT's answer: its class byte, then the message.
+        let mut bytes = encode(&selected_from(1, 2, "boom", 0, 0)).to_vec();
+        bytes[21..23].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bytes).is_err());
     }
 }

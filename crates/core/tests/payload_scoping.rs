@@ -11,7 +11,7 @@
 //! Then with threads: four engine nodes over the in-memory fabric,
 //! counting the bytes each one really received.
 
-use batstore::{Column, Val};
+use batstore::Column;
 use datacyclotron::msg::HEADER_WIRE_BYTES;
 use datacyclotron::transport::mem;
 use datacyclotron::{
@@ -431,8 +431,12 @@ fn bytes_reach_the_requester_and_headers_everybody_else() {
     let counter = |i: usize, name: &str| nodes[i].counter(name).unwrap();
     let data_in =
         |i: usize| (counter(i, "obs_ring_data_frames_in"), counter(i, "obs_ring_data_bytes_in"));
-    let sum = |i: usize| nodes[i].execute("select sum(x) from t").unwrap().cell(0, 0);
-    let total = Val::Lng((0..4096).sum());
+    // A projection: an aggregate would run at the owner and pull nothing.
+    let sum = |i: usize| {
+        let rs = nodes[i].execute("select x from t").unwrap();
+        (0..rs.row_count()).map(|r| rs.cell(r, 0).as_i64().unwrap()).sum::<i64>()
+    };
+    let total: i64 = (0..4096).sum();
     // The fragment's time in the ring is over once its owner unloads it.
     let unloaded = |times: u64| await_counter(&nodes[0], "bats_unloaded", |v| v >= times);
     let base: Vec<_> = (0..4).map(data_in).collect();

@@ -1793,4 +1793,39 @@ mod tests {
         assert!(compile_sql("select * from dc.stats where name = 'x'", &catalog).is_err());
         assert!(compile_sql("select count(*) from dc.stats", &catalog).is_err());
     }
+
+    /// A plan reads one table whole when it is one probe-less `aggr.scan`
+    /// over that table's columns; before and after the Data Cyclotron
+    /// rewrite alike.
+    #[test]
+    fn single_table_aggregates_are_told_apart_by_shape() {
+        let (catalog, _) = setup();
+        let table = |sql: &str| {
+            let plan = compile_sql(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let optimized = crate::optimize(&plan);
+            let found = crate::single_table_aggregate(&plan).map(|(s, t)| format!("{s}.{t}"));
+            let after = crate::single_table_aggregate(&optimized).map(|(s, t)| format!("{s}.{t}"));
+            assert_eq!(found, after, "{sql}");
+            found
+        };
+        for sql in [
+            "select count(*) from c",
+            "select t_id, sum(amount) from c where amount > 10 group by t_id order by t_id",
+            "select distinct t_id from c where amount < 40",
+        ] {
+            assert_eq!(table(sql).as_deref(), Some("sys.c"), "{sql}");
+        }
+        for sql in [
+            "select t_id, amount from c where amount > 10",
+            "select count(*) from t, c where c.t_id = t.id",
+            "select distinct count(*) from c group by t_id",
+            "update c set amount = 1 where t_id = 2",
+            "delete from c where t_id = 2",
+            "insert into c values (1, 2)",
+            "create table z (a int)",
+            "select name, value from dc.stats",
+        ] {
+            assert_eq!(table(sql), None, "{sql}");
+        }
+    }
 }

@@ -43,6 +43,40 @@ pub fn optimize(plan: &mal::Program) -> mal::Program {
     mal::dc_optimize(&mal::common_subexpression_eliminate(plan))
 }
 
+/// The one table a single-table aggregate reads: `Some((schema, table))`
+/// when the plan holds exactly one `aggr.scan`, with no probe stage, and
+/// every column it binds (`sql.bind`, or `datacyclotron.request` once
+/// optimized) belongs to that table; its only other `sql.*` calls build
+/// the result set. Projections, joins, DML, DDL and `dc.*` views answer
+/// `None`. The answer is a function of the plan's shape alone, so a
+/// cached template answers as every statement of its shape would.
+pub fn single_table_aggregate(plan: &mal::Program) -> Option<(&str, &str)> {
+    use mal::ast::{Arg, Const};
+    const RESULT_CALLS: [&str; 3] = ["resultSet", "rsCol", "exportResult"];
+    let mut scans = plan.instrs.iter().filter(|i| i.is("aggr", "scan"));
+    let probe = Arg::Const(Const::Str("probe".into()));
+    match (scans.next(), scans.next()) {
+        (Some(scan), None) if !scan.args.contains(&probe) => {}
+        _ => return None,
+    }
+    let mut table = None;
+    for i in &plan.instrs {
+        if i.is("sql", "bind") || i.is("datacyclotron", "request") {
+            let (Some(Arg::Const(Const::Str(s))), Some(Arg::Const(Const::Str(t)))) =
+                (i.args.first(), i.args.get(1))
+            else {
+                return None;
+            };
+            if *table.get_or_insert((s.as_str(), t.as_str())) != (s.as_str(), t.as_str()) {
+                return None;
+            }
+        } else if i.module == "sql" && !RESULT_CALLS.contains(&i.func.as_str()) {
+            return None;
+        }
+    }
+    table
+}
+
 /// Shared error shortcut.
 pub(crate) fn err(msg: impl Into<String>) -> MalError {
     MalError::Exec(msg.into())

@@ -696,7 +696,7 @@ mod tests {
                 target: NodeId(1),
                 epoch: 2,
                 id: 3,
-                result: Ok(4),
+                answer: datacyclotron::msg::Answer::Mutated(Ok(4)),
             }),
         ];
         let large = bat_of(340_000);

@@ -18,11 +18,11 @@ mod support;
 
 use batstore::ops::CmpOp;
 use batstore::{RowPredicate, Val};
-use datacyclotron::msg::{MutOp, Mutation, RoutedMsg};
+use datacyclotron::msg::{MutOp, Mutation, RoutedMsg, RoutedStmt};
 use datacyclotron::transport::mem;
 use datacyclotron::{
     BatHeader, DataDir, DcConfig, DcError, DcMsg, Edge, FaultEvent, FaultPlan, FaultTransport,
-    FsyncPolicy, NodeId, NodeOptions, RingNode, RingTransport,
+    FsyncPolicy, NodeId, NodeOptions, Ring, RingNode, RingTransport,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -307,7 +307,7 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
             epoch,
             id: 999,
             settled_below: 999,
-            m: Mutation {
+            stmt: RoutedStmt::Mutate(Mutation {
                 schema: "sys".into(),
                 table: "acct".into(),
                 op: MutOp::Update(vec![("bal".into(), Val::Int(bal))]),
@@ -316,7 +316,7 @@ fn restarted_origin_reusing_statement_ids_is_not_deduped() {
                     op: CmpOp::Eq,
                     value: Val::Int(1),
                 }],
-            },
+            }),
         })
     };
     // "First incarnation" of node 1 spends statement id 999 at the
@@ -414,9 +414,13 @@ fn dropped_first_payload_of_a_readmitted_fragment_is_resent() {
     ring.setup_acct();
     let rs = ring.nodes[0].execute("insert into acct values (1, 10), (2, 20)").unwrap();
     assert_eq!(rs.affected, Some(2));
-    // A statement that pins one fragment, `id`, and no other.
-    let total =
-        |node: usize| ring.nodes[node].execute("select sum(id) from acct").unwrap().cell(0, 0);
+    // A statement that pins one fragment, `id`, and no other: a
+    // projection, which node 1 pulls off the ring (an aggregate would run
+    // at the owner).
+    let total = |node: usize| {
+        let rs = ring.nodes[node].execute("select id from acct").unwrap();
+        Val::Lng((0..rs.row_count()).map(|r| rs.cell(r, 0).as_i64().unwrap()).sum())
+    };
 
     // One read puts `id` on the ring; unrenewed, its LOI decays, the
     // owner unloads it and — a budgeted node — spills it to its file.
@@ -448,6 +452,118 @@ fn dropped_first_payload_of_a_readmitted_fragment_is_resent() {
     // reloaded from disk once.
     assert_eq!(owner, [base[0] + 1, base[1] + 2, base[2] + 1]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A single-table aggregate issued away from its table runs at the owner,
+/// and only its answer comes back. When the owner's ack is dropped the
+/// origin resends, the owner runs the read again (reads are not
+/// deduplicated), and the answer is cell for cell the single-node one.
+#[test]
+fn pushed_select_whose_ack_is_dropped_is_resent_and_answers_exactly() {
+    let data = dc_workloads::tpch::sql::generate(1.0, 42);
+    let single = Ring::builder(1).build();
+    single.load_table("sys", "lineitem", data.lineitem.clone()).unwrap();
+    let expected = single.execute(0, dc_workloads::tpch::sql::Q6).unwrap();
+    single.shutdown();
+
+    let ring = chaos_ring(0xD20A, FaultPlan::quiet);
+    ring.set_chaos(false);
+    ring.nodes[0].load_table("sys", "lineitem", data.lineitem).unwrap();
+    for n in &ring.nodes {
+        n.wait_for_table_timeout("sys", "lineitem", Duration::from_secs(10)).unwrap();
+    }
+    ring.set_chaos(true);
+    settle();
+
+    // Node 0's next data frame is the ack on its way to node 1.
+    ring.faults[0].drop_next(Edge::Data, 1);
+    let got = ring.nodes[1].execute(dc_workloads::tpch::sql::Q6).unwrap();
+    assert_eq!(got, expected, "the pushed Q6 answers as one node does");
+    assert_eq!(ring.faults[0].stats().drops(), 1, "no ack was dropped");
+    assert!(ring.count(1, "retries") >= 1, "the origin never resent");
+    assert_eq!(ring.count(1, "selects_pushed"), 1, "one statement, however many sends");
+    for (i, n) in ring.nodes.iter().enumerate() {
+        assert_eq!(n.counter("ring_query_bytes_moved"), Some(0), "node {i} pulled a fragment");
+    }
+}
+
+/// A pushed SELECT that runs at its owner for many times the origin's
+/// whole retry budget still answers, and runs once: each resend finds it
+/// running, is answered so, and starts the budget over.
+#[test]
+fn pushed_select_running_past_the_ack_budget_runs_once_and_answers() {
+    // 5ms × (1+2+4) = 35ms of budget; the aggregate over two million
+    // rows runs for several times that at the owner.
+    const BUDGET: Duration = Duration::from_millis(35);
+    let ring = chaos_ring_with(0xD20C, FaultPlan::quiet, |_, opts| {
+        opts.ack_timeout = Duration::from_millis(5);
+        opts.ack_retries = 2;
+    });
+    ring.set_chaos(false);
+    let rows = 0..2_000_000i32;
+    let g = batstore::Column::from(rows.clone().map(|i| i % 3).collect::<Vec<_>>());
+    let v = batstore::Column::from(rows.clone().map(|i| i % 1_000).collect::<Vec<_>>());
+    ring.nodes[0].load_table("sys", "big", vec![("g", g), ("v", v)]).unwrap();
+    for n in &ring.nodes {
+        n.wait_for_table_timeout("sys", "big", Duration::from_secs(10)).unwrap();
+    }
+    // Per group: count, sum and max of the values above 1.
+    let mut want: Vec<[i64; 4]> = (0..3).map(|g| [g, 0, 0, 0]).collect();
+    for (g, v) in rows.map(|i| (i as usize % 3, i as i64 % 1_000)).filter(|&(_, v)| v > 1) {
+        want[g][1] += 1;
+        want[g][2] += v;
+        want[g][3] = want[g][3].max(v);
+    }
+
+    let sql = "select g, count(*), sum(v), max(v) from big where v > 1 group by g";
+    let t0 = Instant::now();
+    let rs = ring.nodes[1].execute(sql).unwrap();
+    let took = t0.elapsed();
+    let mut got: Vec<[i64; 4]> = (0..rs.row_count())
+        .map(|r| [0, 1, 2, 3].map(|c| rs.cell(r, c).as_i64().unwrap()))
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "the pushed aggregate's answer");
+    assert!(took > BUDGET, "the run ({took:?}) fit in one budget: the test proves nothing");
+    let events = |i: usize, event: &str| {
+        ring.nodes[i].obs().trace_events().into_iter().filter(|e| e.event == event).count()
+    };
+    assert_eq!(events(0, "apply"), 1, "the owner ran the statement more than once");
+    assert!(events(0, "dedup") >= 1, "no resend reached the owner while it ran");
+    assert!(events(1, "running") >= 1, "the origin never heard the owner was running");
+    assert_eq!(ring.count(1, "timeouts"), 0);
+    assert_eq!(ring.count(1, "selects_pushed"), 1);
+}
+
+/// A pushed SELECT whose owner edge is severed fails within the ack
+/// budget with a classified ring error — one that does not wonder whether
+/// a read applied — and answers once the edge heals.
+#[test]
+fn severed_owner_edge_fails_a_pushed_select_fast_and_heals() {
+    // One resend: a budget of 250ms × (1+2), so the suite does not wait
+    // out the full one the severed mutation test already covers.
+    let ring = chaos_ring_with(0xD20B, FaultPlan::quiet, |_, opts| opts.ack_retries = 1);
+    ring.setup_acct();
+    let rs = ring.nodes[0].execute("insert into acct values (1, 10), (2, 20)").unwrap();
+    assert_eq!(rs.affected, Some(2));
+    settle();
+
+    let sql = "select count(*), sum(bal) from acct";
+    ring.faults[1].sever(Edge::Data);
+    let t0 = Instant::now();
+    let err = ring.nodes[1].execute(sql).expect_err("no answer crosses a severed edge");
+    let elapsed = t0.elapsed();
+    assert!(elapsed < Duration::from_secs(5), "the pushed SELECT hung for {elapsed:?}");
+    assert!(matches!(err, DcError::Ring(_)), "expected a ring-classified error, got {err:?}");
+    assert!(err.message().contains("select on sys.acct timed out"), "unhelpful error: {err}");
+    assert!(!err.message().contains("applied"), "a read cannot have half-happened: {err}");
+    assert!(ring.count(1, "timeouts") >= 1, "timeout not counted");
+    assert_eq!(ring.count(1, "mutations_failed"), 0, "a read is no failed write");
+
+    ring.faults[1].heal(Edge::Data);
+    let rs = ring.nodes[1].execute(sql).unwrap();
+    assert_eq!((rs.cell(0, 0), rs.cell(0, 1)), (Val::Lng(2), Val::Lng(30)));
+    assert_eq!(ring.count(1, "selects_pushed"), 2);
 }
 
 /// A routed INSERT whose owner edge is severed fails loudly and shows

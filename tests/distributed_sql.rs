@@ -293,6 +293,41 @@ fn driver_loaded_tables_join_across_tcp_nodes() {
     }
 }
 
+/// A single-table aggregate issued away from its table runs at the owner
+/// — unless its result is too large to come back as one answer: then the
+/// owner declines, and the node asked runs it itself, pulling the column
+/// off the ring as it would for a projection. Either way the answer is
+/// the owner's own, and no frame goes unsent.
+#[test]
+fn a_pushed_aggregate_too_large_to_answer_runs_where_it_was_asked() {
+    let nodes = spawn_tcp_ring(3);
+    // 100 000 groups of an int key and a bigint count: ≈1.2 MB of result.
+    let keys: Vec<i32> = (0..100_000).map(|i| i * 7 % 100_000).collect();
+    nodes[0].load_table("sys", "wide", vec![("k", Column::from(keys))]).unwrap();
+    nodes[2].wait_for_table_timeout("sys", "wide", Duration::from_secs(10)).unwrap();
+
+    let small = "select count(*), max(k) from wide";
+    let rs = nodes[2].execute(small).unwrap();
+    assert_eq!(rows(&rs), [[Val::Lng(100_000), Val::Int(99_999)]]);
+    assert_eq!(nodes[2].counter("ring_query_bytes_moved"), Some(0), "a small answer is pushed");
+
+    let large = "select k, count(*) from wide group by k order by k";
+    let here = nodes[0].execute(large).unwrap();
+    assert_eq!(here.row_count(), 100_000);
+    let there = nodes[2].execute(large).unwrap();
+    assert_eq!(rows(&there), rows(&here));
+    assert_eq!(nodes[2].counter("selects_pushed"), Some(2), "both were pushed");
+    assert!(nodes[2].counter("ring_query_bytes_moved") > Some(0), "the column was not pulled");
+    let declined = nodes[2].obs().trace_events().into_iter().any(|e| e.detail.contains("declined"));
+    assert!(declined, "the owner did not decline the large answer");
+    for n in &nodes {
+        assert_eq!(n.counter("mutation_acks_lost"), Some(0), "node {}: an answer was lost", n.id);
+    }
+    for n in nodes {
+        n.shutdown();
+    }
+}
+
 /// The tentpole acceptance scenario: a `Session::query` over the framed
 /// TCP protocol returns a typed `ResultSet` whose columns and types
 /// match the in-process `RingNode::execute` result for the same

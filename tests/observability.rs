@@ -22,7 +22,8 @@ use std::time::Duration;
 /// The deployment the name-set tests read: a durable 3-node mem ring
 /// with a memory budget, the framed SQL front door on node 0, and a
 /// short CREATE/INSERT/UPDATE/SELECT workload — through that door, plus
-/// a routed UPDATE from node 1 and a ring read on node 2.
+/// a routed UPDATE from node 1 and an aggregate node 2 pushes to the
+/// owner.
 struct Pinned {
     nodes: Vec<Arc<RingNode>>,
     /// Node 0's framed SQL endpoint.
@@ -95,7 +96,7 @@ fn view_names(node: &RingNode, sql: &str) -> Vec<String> {
 
 /// `dc.stats` names on every node of the pinned deployment. The ledger
 /// and CI read counters by these names, so a rename shows up here first.
-const NODE_STATS: [&str; 57] = [
+const NODE_STATS: [&str; 58] = [
     "appends_applied",
     "appends_dropped",
     "appends_failed",
@@ -150,6 +151,7 @@ const NODE_STATS: [&str; 57] = [
     "requests_returned",
     "retries",
     "ring_query_bytes_moved",
+    "selects_pushed",
     "timeouts",
     "wal_bytes",
     "wal_records",

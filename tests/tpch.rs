@@ -82,7 +82,8 @@ fn tpch_subset_matches_single_node_over_tcp_ring() {
 /// is exactly what decides which hops carry bytes. Q1, Q3 and Q6, asked
 /// from every node of 3- and 4-node rings under every placement of the
 /// three tables on single owners, equal the single-node answers cell for
-/// cell, with no request ever re-sent.
+/// cell, with no request ever re-sent. Asked away from lineitem, Q1 and
+/// Q6 run at its owner and move no fragment; Q3 still pulls.
 #[test]
 fn tpch_subset_is_the_same_under_every_single_owner_placement() {
     let data = tpch::generate(1.0, 42);
@@ -116,9 +117,25 @@ fn tpch_subset_is_the_same_under_every_single_owner_placement() {
             }
             for ((name, stmt), expected) in tpch::queries().into_iter().zip(&expected) {
                 for node in 0..n {
+                    let counters = || {
+                        ["ring_query_bytes_moved", "selects_pushed"]
+                            .map(|c| ring.node(node).counter(c).unwrap())
+                    };
+                    let before = counters();
                     let got = ring.execute(node, stmt).unwrap();
                     let what = format!("{name} on node {node} of {n}, tables at {owners:?}");
                     assert_same_answer(&got, expected, &what);
+                    // Q1 and Q6 read lineitem alone: a node that does not
+                    // own it sends the statement to the owner and pulls
+                    // no fragment. Q3 joins, and pulls what it lacks.
+                    let after = counters();
+                    let (moved, pushed) = (after[0] - before[0], after[1] - before[1]);
+                    if name == "q3" {
+                        assert_eq!(pushed, 0, "{what}");
+                        assert!(owners.iter().all(|&o| o == node) || moved > 0, "{what}");
+                    } else {
+                        assert_eq!((moved, pushed), (0, (owners[2] != node) as u64), "{what}");
+                    }
                 }
             }
             for node in 0..n {
