@@ -16,8 +16,9 @@
 //! [`DcMsg::Catalog`] gossip circulating once around the ring, and
 //! statements for a remote owner's fragments travel there as
 //! [`DcMsg::Routed`] messages (§6.4; see [`crate::routed`]): every write,
-//! and every SELECT that aggregates one table another node owns, which
-//! runs at that owner and comes back as its result.
+//! and every aggregate that another node — the owner of one of its
+//! tables — receives fewer bytes to run, which runs there and comes back
+//! as its result.
 
 use crate::catalog::OwnedState;
 use crate::config::{DataDir, DcConfig};
@@ -29,7 +30,7 @@ use crate::proto::{DcNode, Effect, PinOutcome};
 use crate::routed::{
     describe, Admit, Caller, Due, Pending, Routed, PUSHED_BACKLOG, PUSHED_RESULT_MAX,
 };
-use crate::runtime::{CatalogNotify, Cmd, Frag, Publish, RingCatalog, RingHooks, Waiter};
+use crate::runtime::{CatalogNotify, Cmd, Frag, Publish, Push, RingCatalog, RingHooks, Waiter};
 use crate::stats::EngineStats;
 use crate::transport::{mem, MeteredTransport, RingTransport};
 use batstore::ops::{self, MutOp, Mutation};
@@ -515,11 +516,12 @@ impl NodeCtx {
     }
 
     /// Send a routed statement's first attempt and register it for
-    /// ack-tracking. A failed first send (severed edge) is absorbed: the
-    /// retry schedule re-sends it, and the budget bounds the wait.
-    fn route(&mut self, stmt: RoutedStmt, caller: Caller) {
+    /// ack-tracking; its `route` trace names it, then `why` it goes. A
+    /// failed first send (severed edge) is absorbed: the retry schedule
+    /// re-sends it, and the budget bounds the wait.
+    fn route(&mut self, stmt: RoutedStmt, caller: Caller, why: &str) {
         let p = self.routed.begin(self.node.id, stmt, caller, Instant::now());
-        self.obs.trace(p.msg.epoch, p.msg.id, "route", p.what());
+        self.obs.trace(p.msg.epoch, p.msg.id, "route", format!("{}{why}", p.what()));
         let _ = self.transport.send_data(DcMsg::Routed(p.msg.clone()));
     }
 
@@ -577,7 +579,10 @@ impl NodeCtx {
             let statements = Arc::clone(&self.statements);
             let thread = std::thread::Builder::new().name("dc-pushed-select".into());
             match thread.spawn(move || run_pushed(&statements, run)) {
-                Ok(_) => self.pushed_running = true,
+                Ok(_) => {
+                    self.pushed_running = true;
+                    self.obs.trace(epoch, id, "start", format!("select from {origin}"));
+                }
                 Err(e) => {
                     let err =
                         DcError::Ring(format!("cannot start a thread for the statement: {e}"));
@@ -649,25 +654,28 @@ impl NodeCtx {
         Ok(())
     }
 
-    /// Make an owned fragment's payload at `version` durable: its
-    /// `bats/<id>.v<version>.bat` file, synced, then the `FragMeta`
-    /// naming it, counting `rewritten` toward the checkpoint trigger.
-    /// Only after both is that version clean, so dropping the payload
-    /// costs no further I/O. A bulk load stores version 0 this way, a
-    /// dirty spill the version it is at.
+    /// Make owned fragments' payloads durable at their versions: their
+    /// `bats/<id>.v<version>.bat` files, synced as one batch
+    /// ([`dc_persist::DataDir::write_fragments`]), then a `FragMeta` naming
+    /// each, counting `rewritten` toward the checkpoint trigger once.
+    /// Only after both is a version clean, so dropping its payload costs
+    /// no further I/O. A bulk load stores its columns at version 0 this
+    /// way, a dirty spill one fragment at the version it is at.
     fn store_durably(
         &mut self,
-        bat: BatId,
-        version: u32,
-        payload: &Bat,
+        frags: &[(BatId, u32, &Bat)],
         rewritten: u64,
     ) -> Result<(), String> {
         let Some(p) = self.persist.as_ref() else { return Ok(()) };
         p.dir
-            .write_fragment(bat.0, version, payload)
+            .write_fragments(frags.iter().map(|&(bat, v, payload)| (bat.0, v, payload)), "tmp")
             .map_err(|e| format!("writing its file: {e}"))?;
-        self.log_durable(&WalRecord::FragMeta { bat: bat.0, version }, rewritten)?;
-        self.persist.as_mut().expect("checked above").durable.insert(bat, version);
+        let mut rewritten = rewritten;
+        for &(bat, version, _) in frags {
+            let rec = WalRecord::FragMeta { bat: bat.0, version };
+            self.log_durable(&rec, std::mem::take(&mut rewritten))?;
+            self.persist.as_mut().expect("checked above").durable.insert(bat, version);
+        }
         Ok(())
     }
 
@@ -905,7 +913,7 @@ impl NodeCtx {
         let (version, size) = (owned.version, owned.size);
         if p.durable.get(&bat) != Some(&version) {
             let (start, payload) = (Instant::now(), owned_bat(frag));
-            if let Err(e) = self.store_durably(bat, version, &payload, size) {
+            if let Err(e) = self.store_durably(&[(bat, version, &payload)], size) {
                 self.stats.obs_persist_errors.inc();
                 eprintln!("[dc-node {}] fragment {bat} v{version} not spilled: {e}", self.node.id);
                 return;
@@ -1074,23 +1082,23 @@ impl NodeCtx {
                 let effects = self.node.query_done(query);
                 self.execute(effects, None);
             }
-            Cmd::StoreOwned { bat, payload } => {
+            Cmd::StoreOwned { frags } => {
                 // Driver-side bulk load. A durability failure cannot
-                // reject it (no ack channel): the fragment stays resident
-                // and dirty — never dropped before its spill or a
-                // checkpoint has written it — and `obs_persist_errors` counts
-                // it.
-                if let Err(e) = self.store_durably(bat, 0, &payload, 0) {
+                // reject it (no ack channel): a fragment left without its
+                // record stays resident and dirty — never dropped before
+                // its spill or a checkpoint has written it — and
+                // `obs_persist_errors` counts the failed load.
+                let versions: Vec<_> = frags.iter().map(|(bat, p)| (*bat, 0, &**p)).collect();
+                if let Err(e) = self.store_durably(&versions, 0) {
                     self.stats.obs_persist_errors.inc();
-                    eprintln!(
-                        "[dc-node {}] fragment {bat} loaded but not durable: {e}",
-                        self.node.id
-                    );
+                    eprintln!("[dc-node {}] a bulk load is not durable: {e}", self.node.id);
                 }
-                let size = payload.byte_size() as u64;
-                self.disk.insert(bat, Frag::from_bat(payload));
-                self.note_resident(bat, size);
-                self.node.register_owned(bat, size);
+                for (bat, payload) in frags {
+                    let size = payload.byte_size() as u64;
+                    self.disk.insert(bat, Frag::from_bat(payload));
+                    self.note_resident(bat, size);
+                    self.node.register_owned(bat, size);
+                }
             }
             Cmd::CreateTable { schema, table, cols, ack } => {
                 ack.fulfill(self.create_table(&schema, &table, &cols));
@@ -1109,15 +1117,16 @@ impl NodeCtx {
                         if !matches!(m.op, MutOp::Insert(_)) {
                             self.stats.mutations_routed.inc();
                         }
-                        self.route(RoutedStmt::Mutate(m), Caller::Mutation(ack));
+                        self.route(RoutedStmt::Mutate(m), Caller::Mutation(ack), "");
                     }
                 }
             }
-            Cmd::PushSelect { schema, table, sql, answer, alive } => {
+            Cmd::PushSelect { push: Push { schema, table, there, here }, sql, answer, alive } => {
                 self.stats.selects_pushed.inc();
                 self.route(
                     RoutedStmt::Select { schema, table, sql },
                     Caller::Select { answer, alive },
+                    &format!(": {there} B there vs {here} B here"),
                 );
             }
             Cmd::Hotset { ack } => {
@@ -1667,30 +1676,39 @@ impl RingNode {
         table: &str,
         cols: Vec<(&str, Column)>,
     ) -> Result<(), MalError> {
-        let columns = cols
-            .into_iter()
-            .map(|(name, col)| self.store_column(name, col))
-            .collect::<Result<_, _>>()?;
         let table = CatalogMsg {
             origin: self.id,
             schema: schema.to_string(),
             table: table.to_string(),
-            columns,
+            columns: self.store_columns(cols)?,
         };
         self.send(Cmd::PublishTable { table, gossip: true })
     }
 
-    /// Hand `col` to this node as a new owned fragment and describe it
-    /// for the catalog. Its id comes from this node's allocator, like a
-    /// created table's, so it collides with no fragment this node owns,
-    /// recovered ones included.
-    fn store_column(&self, name: &str, col: Column) -> Result<CatalogCol, MalError> {
-        let bat = node_frag_id(self.id, self.next_frag.fetch_add(1, Ordering::Relaxed));
-        let ty = col.col_type();
-        let payload = Arc::new(Bat::dense(col));
-        let size = payload.byte_size() as u64;
-        self.send(Cmd::StoreOwned { bat, payload })?;
-        Ok(CatalogCol { name: name.to_string(), ty, bat, size, owner: self.id, version: 0 })
+    /// Hand `cols` to this node as new owned fragments, in one
+    /// [`Cmd::StoreOwned`], and describe them for the catalog. Their ids
+    /// come from this node's allocator, like a created table's, so they
+    /// collide with no fragment this node owns, recovered ones included.
+    fn store_columns(&self, cols: Vec<(&str, Column)>) -> Result<Vec<CatalogCol>, MalError> {
+        let mut frags = Vec::with_capacity(cols.len());
+        let mut columns = Vec::with_capacity(cols.len());
+        for (name, col) in cols {
+            let bat = node_frag_id(self.id, self.next_frag.fetch_add(1, Ordering::Relaxed));
+            let ty = col.col_type();
+            let payload = Arc::new(Bat::dense(col));
+            let size = payload.byte_size() as u64;
+            frags.push((bat, payload));
+            columns.push(CatalogCol {
+                name: name.to_string(),
+                ty,
+                bat,
+                size,
+                owner: self.id,
+                version: 0,
+            });
+        }
+        self.send(Cmd::StoreOwned { frags })?;
+        Ok(columns)
     }
 
     /// Compile and execute one SQL statement (SELECT, CREATE TABLE, or
@@ -1705,8 +1723,8 @@ impl RingNode {
 
     /// The choke point every SQL entry path funnels through
     /// ([`RingNode::execute`] and [`Ring::execute`]): compile, then run
-    /// here — or at the owner, for a SELECT [`RingNode::pushed_to`] names
-    /// a table for — with end-to-end latency recorded per statement kind
+    /// here — or at the owner [`RingNode::pushed_to`] names for an
+    /// aggregate — with end-to-end latency recorded per statement kind
     /// and statement/error counters bumped, so the in-process ring,
     /// `dcsh`, and the wire server all feed the same `stmt_*_us`
     /// histograms.
@@ -1715,8 +1733,8 @@ impl RingNode {
         let qid = s.next_query();
         let start = Instant::now();
         let result = s.compile(sql).map_err(DcError::from).and_then(|(template, params)| {
-            if let Some((schema, table)) = self.pushed_to(&template) {
-                if let Some(rs) = self.push_select(schema, table, sql)? {
+            if let Some(push) = self.pushed_to(&template) {
+                if let Some(rs) = self.push_select(push, sql)? {
                     return Ok(rs);
                 }
             }
@@ -1731,33 +1749,26 @@ impl RingNode {
         result
     }
 
-    /// The table whose owner runs `plan` instead of this node: a
-    /// single-table aggregate ([`sqlfront::single_table_aggregate`]) over
-    /// a table one other node owns whole sends only its text there and
-    /// gets only its result back, where running it here would pull every
-    /// column it reads off the ring. The plan's shape and the catalog's
-    /// owner decide; nothing else does.
-    fn pushed_to(&self, plan: &mal::Program) -> Option<(String, String)> {
-        let (schema, table) = sqlfront::single_table_aggregate(plan)?;
-        let owner = self.catalog.table(schema, table)?.sole_owner()?;
-        (owner != self.id).then(|| (schema.to_string(), table.to_string()))
+    /// Where `plan` runs instead of this node: an aggregate
+    /// ([`sqlfront::aggregate_reads`]) goes to the owner of one of its
+    /// tables when that node receives fewer of the bytes it reads
+    /// ([`RingCatalog::push_target`]). It sends only the text there and
+    /// gets only the result back. The plan's shape and the catalog decide;
+    /// nothing else does.
+    fn pushed_to(&self, plan: &mal::Program) -> Option<Push> {
+        self.catalog.push_target(self.id, &sqlfront::aggregate_reads(plan)?)
     }
 
-    /// Route `sql` to `schema.table`'s owner and wait for what it makes
+    /// Route `sql` to the owner `push` names and wait for what it makes
     /// of it: its result, its failure as the owner classified it, or
     /// `None` — the owner declined, and this node runs the statement. A
     /// read may run at the owner as long as it would here: the wait goes
     /// on while the owner says it is still running it, and the routed
     /// path fails it, classified, once the owner falls silent.
-    fn push_select(
-        &self,
-        schema: String,
-        table: String,
-        sql: &str,
-    ) -> Result<Option<ResultSet>, DcError> {
+    fn push_select(&self, push: Push, sql: &str) -> Result<Option<ResultSet>, DcError> {
         let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
         let (sql, reply, beat) = (sql.to_string(), Arc::clone(&answer), Arc::clone(&alive));
-        self.send(Cmd::PushSelect { schema, table, sql, answer: reply, alive: beat })?;
+        self.send(Cmd::PushSelect { push, sql, answer: reply, alive: beat })?;
         let outcome = loop {
             match answer.wait_timeout(self.pin_timeout) {
                 Some(outcome) => break outcome,
@@ -1992,12 +2003,17 @@ impl Ring {
         table: &str,
         cols: Vec<(&str, Column)>,
     ) -> Result<(), MalError> {
-        let n = self.nodes.len();
-        let columns = cols
+        let (n, count) = (self.nodes.len(), cols.len());
+        let mut shares: Vec<Vec<_>> = self.nodes.iter().map(|_| Vec::new()).collect();
+        for (idx, col) in cols.into_iter().enumerate() {
+            shares[idx % n].push(col);
+        }
+        let mut stored = shares
             .into_iter()
-            .enumerate()
-            .map(|(idx, (name, col))| self.nodes[idx % n].store_column(name, col))
-            .collect::<Result<_, _>>()?;
+            .zip(&self.nodes)
+            .map(|(share, node)| node.store_columns(share).map(Vec::into_iter))
+            .collect::<Result<Vec<_>, _>>()?;
+        let columns = (0..count).filter_map(|idx| stored[idx % n].next()).collect();
         let gossip = CatalogMsg {
             origin: self.nodes[0].id,
             schema: schema.to_string(),

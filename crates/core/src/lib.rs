@@ -30,8 +30,8 @@
 //! * [`routed`] — how a statement reaches its fragment owner: the
 //!   origin's pending/retry table and the owner's dedup cache behind
 //!   routed INSERT, UPDATE and DELETE (applied exactly once), and behind
-//!   single-table aggregates pushed to their table's owner (run there,
-//!   answered with their result).
+//!   aggregates pushed to the owner that receives the fewest of their
+//!   bytes (run there, answered with their result).
 //! * [`transport`] — the §4.3 network-layer seam ([`RingTransport`])
 //!   plus the default in-process fabric; the TCP fabric lives in the
 //!   `dc-transport` crate.

@@ -164,9 +164,10 @@ pub enum RoutedStmt {
     /// it is one message, so the owner applies every column in a single
     /// event and statements from several nodes never interleave mid-row.
     Mutate(Mutation),
-    /// A SELECT that reads `schema.table` alone, as its SQL text: the
-    /// owner compiles and runs it against its own fragments and answers
-    /// with the result, so only the result crosses the ring.
+    /// An aggregate SELECT, as its SQL text, for the node that owns
+    /// `schema.table` whole: it compiles and runs the statement — against
+    /// its own fragments and whatever else it reads, pulled off the ring
+    /// — and answers with the result, so only the result comes back.
     Select { schema: String, table: String, sql: String },
 }
 

@@ -14,7 +14,7 @@
 //! hands them is a [`Frag`], the fragment as the node holds it — the
 //! pinning query, not the event loop, turns it into a `Bat`.
 
-use crate::ids::{BatId, QueryId};
+use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::{CatalogCol, CatalogMsg};
 use crate::transport::RingTransport;
 use batstore::ops::Mutation;
@@ -59,6 +59,17 @@ pub enum Publish {
     /// Other fragments under a known name, or, for a new name, a fragment
     /// another table names: the catalog is untouched.
     Refused,
+}
+
+/// A statement [`RingCatalog::push_target`] sends away: to the owner of
+/// `schema.table`, which receives `there` bytes to run it where this node
+/// would receive `here`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Push {
+    pub schema: String,
+    pub table: String,
+    pub there: u64,
+    pub here: u64,
 }
 
 fn qual(schema: &str, table: &str) -> String {
@@ -144,6 +155,36 @@ impl RingCatalog {
     /// `table` column).
     pub fn table_of(&self, bat: BatId) -> Option<String> {
         self.tables.read().by_bat.get(&bat).cloned()
+    }
+
+    /// Where an aggregate that reads `reads` runs instead of `here`,
+    /// priced in the bytes a node must receive to run it — Beame, Koutris
+    /// and Suciu's load: the catalog size of every column read that the
+    /// node does not own. The sole owner of a table read that receives
+    /// the fewest (the lowest id among equals) is the target when that is
+    /// strictly fewer than `here` receives; ties stay here, and a table
+    /// spread over several owners names no target. `None` too when a
+    /// table or column read is unknown.
+    pub fn push_target(&self, here: NodeId, reads: &[(&str, &str, &str)]) -> Option<Push> {
+        let tables = self.tables.read();
+        let mut cols = Vec::with_capacity(reads.len());
+        let mut targets: Vec<(NodeId, &str, &str)> = Vec::new();
+        for &(schema, table, column) in reads {
+            let entry = tables.by_name.get(&qual(schema, table))?;
+            let col = entry.columns.iter().find(|col| col.name == column)?;
+            cols.push((col.owner, col.size));
+            if let Some(owner) = entry.sole_owner().filter(|&owner| owner != here) {
+                targets.push((owner, schema, table));
+            }
+        }
+        let price =
+            |node: NodeId| cols.iter().filter(|(owner, _)| *owner != node).map(|c| c.1).sum();
+        let (there, _, schema, table) = targets
+            .into_iter()
+            .map(|(owner, schema, table)| (price(owner), owner, schema, table))
+            .min_by_key(|&(bytes, owner, ..)| (bytes, owner))?;
+        let here = price(here);
+        (there < here).then(|| Push { schema: schema.into(), table: table.into(), there, here })
     }
 
     /// Run `f` over the tables' names and types, as the SQL compiler
@@ -323,8 +364,9 @@ pub enum Cmd {
     Unpin { query: QueryId, bat: BatId },
     /// All work for the query is done (cleanup of S2/S3/cache).
     QueryDone { query: QueryId },
-    /// Store an owned fragment payload at this node ("disk").
-    StoreOwned { bat: BatId, payload: Arc<Bat> },
+    /// Store owned fragment payloads at this node ("disk"): one bulk
+    /// load's columns, made durable as one batch.
+    StoreOwned { frags: Vec<(BatId, Arc<Bat>)> },
     /// SQL DDL: create a table whose (empty) column fragments this node
     /// owns; the metadata is gossiped clockwise around the ring.
     CreateTable {
@@ -340,14 +382,13 @@ pub enum Cmd {
     /// [`crate::msg::AckMsg`] comes back — so the caller reports a
     /// correct affected-row count even for remote mutations.
     Mutate { m: Mutation, ack: Arc<Waiter<u64>> },
-    /// A SELECT that reads `schema.table` alone, a table another node
-    /// owns whole: routed to that owner as its SQL text (a
-    /// [`crate::msg::RoutedStmt::Select`]), `answer` fulfilled with what
-    /// the owner made of it, `alive` set whenever the owner says it is
-    /// still running it.
+    /// An aggregate SELECT another node receives fewer bytes to run
+    /// ([`RingCatalog::push_target`]): routed to it as its SQL text (a
+    /// [`crate::msg::RoutedStmt::Select`] addressed by the table it owns
+    /// whole), `answer` fulfilled with what the owner made of it, `alive`
+    /// set whenever the owner says it is still running it.
     PushSelect {
-        schema: String,
-        table: String,
+        push: Push,
         sql: String,
         answer: Arc<Waiter<crate::routed::Pushed>>,
         alive: Arc<std::sync::atomic::AtomicBool>,
@@ -782,5 +823,127 @@ mod tests {
         let w: Waiter = Waiter::default();
         let e = w.wait(Duration::from_millis(20)).unwrap_err();
         assert!(e.contains("timed out"));
+    }
+
+    /// One table's `(column, owner, size)` triples.
+    type Owned<'a> = &'a [(&'a str, u16, u64)];
+
+    /// A catalog of the tables given, every column an int.
+    fn priced(tables: &[(&str, Owned)]) -> RingCatalog {
+        let c = RingCatalog::new();
+        let mut bat = 0;
+        for &(table, cols) in tables {
+            let columns = cols
+                .iter()
+                .map(|&(name, owner, size)| {
+                    bat += 1;
+                    CatalogCol {
+                        name: name.into(),
+                        ty: ColType::Int,
+                        bat: BatId(bat),
+                        size,
+                        owner: NodeId(owner),
+                        version: 0,
+                    }
+                })
+                .collect();
+            let msg = CatalogMsg {
+                origin: NodeId(0),
+                schema: "sys".into(),
+                table: table.into(),
+                columns,
+            };
+            assert_eq!(c.publish(&msg), Publish::Added);
+        }
+        c
+    }
+
+    /// `(table, there, here)` of where an aggregate reading `reads`
+    /// asked at `here` goes.
+    fn target(c: &RingCatalog, here: u16, reads: &[(&str, &str)]) -> Option<(String, u64, u64)> {
+        let reads: Vec<_> = reads.iter().map(|&(t, col)| ("sys", t, col)).collect();
+        let push = c.push_target(NodeId(here), &reads)?;
+        assert_eq!(push.schema, "sys");
+        Some((push.table, push.there, push.here))
+    }
+
+    #[test]
+    fn an_aggregate_goes_where_the_fewest_bytes_must_travel() {
+        // Q3's shape: customer at 0, orders at 1, lineitem at 2.
+        let c = priced(&[
+            ("customer", &[("c_key", 0, 50), ("c_seg", 0, 100)]),
+            ("orders", &[("o_key", 1, 100), ("o_cust", 1, 100)]),
+            ("lineitem", &[("l_key", 2, 400), ("l_price", 2, 400)]),
+        ]);
+        let q3 = [
+            ("customer", "c_key"),
+            ("customer", "c_seg"),
+            ("orders", "o_key"),
+            ("orders", "o_cust"),
+            ("lineitem", "l_key"),
+            ("lineitem", "l_price"),
+        ];
+        let to_lineitem = |here| Some(("lineitem".to_string(), 350, here));
+        assert_eq!(target(&c, 0, &q3), to_lineitem(1000));
+        assert_eq!(target(&c, 1, &q3), to_lineitem(950));
+        assert_eq!(target(&c, 2, &q3), None, "lineitem's owner runs it");
+        assert_eq!(target(&c, 3, &q3), to_lineitem(1150), "a node owning nothing");
+        // Unknown tables and columns are nobody's to run.
+        assert_eq!(target(&c, 0, &[("nope", "x")]), None);
+        assert_eq!(target(&c, 0, &[("orders", "nope")]), None);
+    }
+
+    #[test]
+    fn ties_and_empty_tables_stay_home() {
+        let c = priced(&[
+            ("a", &[("x", 0, 100)]),
+            ("b", &[("y", 1, 100)]),
+            ("c", &[("z", 2, 100)]),
+            ("empty", &[("e", 1, 0), ("f", 1, 0)]),
+        ]);
+        // Here and there receive 100 bytes each.
+        assert_eq!(target(&c, 0, &[("a", "x"), ("b", "y")]), None);
+        // Two targets receive as few: the lower id runs it.
+        assert_eq!(target(&c, 0, &[("b", "y"), ("c", "z")]), Some(("b".into(), 100, 200)));
+        assert_eq!(target(&c, 0, &[("c", "z"), ("b", "y")]), Some(("b".into(), 100, 200)));
+        // An empty table saves nothing anywhere, alone or joined.
+        assert_eq!(target(&c, 0, &[("empty", "e"), ("empty", "f")]), None);
+        assert_eq!(target(&c, 2, &[("empty", "e")]), None);
+        // Joined to a table here, its owner would receive more than here.
+        assert_eq!(target(&c, 0, &[("empty", "e"), ("a", "x")]), None);
+        // Joined to a table elsewhere, that table's owner receives nothing.
+        assert_eq!(target(&c, 0, &[("empty", "e"), ("c", "z")]), Some(("c".into(), 0, 100)));
+        assert_eq!(target(&c, 2, &[("empty", "e"), ("c", "z")]), None);
+    }
+
+    #[test]
+    fn a_table_split_over_owners_is_never_a_target() {
+        let c = priced(&[("split", &[("p", 1, 500), ("q", 2, 500)]), ("small", &[("s", 3, 10)])]);
+        let both = [("split", "p"), ("split", "q"), ("small", "s")];
+        // Node 1 would receive 510 bytes, but owns no table whole: the
+        // cheapest sole owner is node 3, which still saves on node 0.
+        assert_eq!(target(&c, 0, &both), Some(("small".into(), 1000, 1010)));
+        assert_eq!(target(&c, 1, &both), None, "510 here against 1000 there");
+        assert_eq!(target(&c, 0, &[("split", "p"), ("split", "q")]), None);
+    }
+
+    /// Over one table, the price says what the old structural rule said:
+    /// a non-empty table one other node owns whole is run there, and
+    /// nothing else is pushed.
+    #[test]
+    fn a_single_table_aggregate_goes_to_its_sole_owner() {
+        let c = priced(&[
+            ("whole", &[("a", 1, 40), ("b", 1, 8)]),
+            ("split", &[("a", 1, 40), ("b", 2, 8)]),
+        ]);
+        for here in 0..4 {
+            for reads in [&[("whole", "a"), ("whole", "b")][..], &[("whole", "b")]] {
+                let pushed = target(&c, here, reads).map(|(t, there, _)| (t, there));
+                let expected = (here != 1).then(|| ("whole".to_string(), 0));
+                assert_eq!(pushed, expected, "asked at {here}: {reads:?}");
+            }
+            let split = [("split", "a"), ("split", "b")];
+            assert_eq!(target(&c, here, &split), None, "asked at {here}");
+        }
     }
 }

@@ -84,8 +84,8 @@ dc_obs::counters! {
         /// Routed UPDATE/DELETE mutations that failed: the message cycled
         /// back without finding an owner, or the owner rejected it.
         mutations_failed,
-        /// Single-table aggregates this node was asked for and sent to
-        /// the table's owner to run, instead of pulling its fragments.
+        /// Aggregates this node was asked for and sent to the owner that
+        /// receives fewer of their bytes, instead of pulling them here.
         selects_pushed,
         /// Routed statements this node answered as owner — a mutation
         /// applied and made durable, or a pushed SELECT run — whose

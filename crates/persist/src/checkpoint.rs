@@ -18,7 +18,7 @@
 //! an uncommitted checkpoint cannot touch a file the committed one
 //! names.
 
-use crate::datadir::{sync_dir, write_atomic, write_bat_file, DataDir, Manifest};
+use crate::datadir::{write_atomic, DataDir, Manifest};
 use crate::wal::{encode_record, TableRec, WalRecord};
 use batstore::Bat;
 use std::io;
@@ -90,26 +90,24 @@ pub fn write_checkpoint(dir: &DataDir, snap: &Snapshot) -> io::Result<Checkpoint
 }
 
 /// The pre-commit phase of a checkpoint: give every resident
-/// `(fragment, version)` of the snapshot its file. A file that exists is
-/// complete (it was renamed into place) and holds exactly this payload
-/// (a bulk load or a spill wrote it, or recovery deleted whatever a crashed
-/// predecessor left), so it is skipped; `bats/` is synced once for all
-/// the files written.
+/// `(fragment, version)` of the snapshot its file, as one
+/// [`DataDir::write_fragments`] batch. A file that exists is complete (it
+/// was renamed into place) and holds exactly this payload (a bulk load
+/// or a spill wrote it, or recovery deleted whatever a crashed
+/// predecessor left), so it is skipped.
 pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result<CheckpointStats> {
     let mut stats = CheckpointStats::default();
+    let mut missing = Vec::new();
     for f in &snap.frags {
         let Some(payload) = &f.payload else { continue };
-        let path = dir.bat_path(f.bat, f.version);
-        if path.exists() {
+        if dir.bat_path(f.bat, f.version).exists() {
             stats.frags_skipped += 1;
         } else {
-            write_bat_file(&path, "ckpt.tmp", payload)?;
-            stats.frags_written += 1;
+            missing.push((f.bat, f.version, &**payload));
         }
     }
-    if stats.frags_written > 0 {
-        sync_dir(&dir.bats_dir());
-    }
+    stats.frags_written = missing.len() as u64;
+    dir.write_fragments(missing, "ckpt.tmp")?;
     Ok(stats)
 }
 

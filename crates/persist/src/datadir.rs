@@ -82,13 +82,29 @@ impl DataDir {
         self.bats_dir().join(format!("{bat}.v{version}.bat"))
     }
 
-    /// Give `(bat, version)` its file, durably: temp file, fsync, rename,
-    /// then a sync of `bats/` — done before any record names the file.
-    /// This is the event loop's write (a bulk load's, a spill's); the
-    /// checkpointer writes through its own temp file.
-    pub fn write_fragment(&self, bat: u32, version: u32, payload: &Bat) -> io::Result<()> {
-        write_bat_file(&self.bat_path(bat, version), "tmp", payload)?;
-        sync_dir(&self.bats_dir());
+    /// Give each `(bat, version)` of `frags` its file, durably, as one
+    /// batch: each through its own temp file `.<name>.<tmp>`, synced and
+    /// renamed into place, then one sync of `bats/` for them all — done
+    /// before any record names one of the files. The event loop (a bulk
+    /// load's files, a spill's) and the checkpointer pass different
+    /// `tmp`s: a spill may write the very version the snapshot in flight
+    /// carries, and then each renames its own complete, identical copy
+    /// into place.
+    pub fn write_fragments<'a>(
+        &self,
+        frags: impl IntoIterator<Item = (u32, u32, &'a Bat)>,
+        tmp: &str,
+    ) -> io::Result<()> {
+        let mut written = false;
+        for (bat, version, payload) in frags {
+            write_then_rename(&self.bat_path(bat, version), tmp, |w| {
+                storage::write_bat(w, payload).map_err(|e| io::Error::other(e.to_string()))
+            })?;
+            written = true;
+        }
+        if written {
+            sync_dir(&self.bats_dir());
+        }
         Ok(())
     }
 
@@ -175,17 +191,6 @@ impl DataDir {
 fn frag_of_file(name: &str) -> Option<(u32, u32)> {
     let (bat, rest) = name.trim_start_matches('.').split_once(".v")?;
     Some((bat.parse().ok()?, rest.split('.').next()?.parse().ok()?))
-}
-
-/// A fragment payload under `path`, complete or not at all (see
-/// [`write_then_rename`]), by way of the temp file `.<name>.<tmp>`. The
-/// event loop and the checkpointer pass different `tmp`s: a spill may
-/// write the very version the snapshot in flight carries, and then each
-/// renames its own complete, identical copy into place.
-pub(crate) fn write_bat_file(path: &Path, tmp: &str, payload: &Bat) -> io::Result<()> {
-    write_then_rename(path, tmp, |w| {
-        storage::write_bat(w, payload).map_err(|e| io::Error::other(e.to_string()))
-    })
 }
 
 /// Write `bytes` under `path` crash-safely: temp file in the same

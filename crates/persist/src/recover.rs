@@ -303,7 +303,7 @@ mod tests {
     /// What a bulk load of `vals` into fragment `bat` leaves on disk and
     /// in the log: the version-0 file, then the record naming it.
     fn load(dir: &DataDir, w: &mut WalWriter, bat: u32, vals: Vec<i32>) {
-        dir.write_fragment(bat, 0, &Bat::dense(Column::from(vals))).unwrap();
+        dir.write_fragments([(bat, 0, &Bat::dense(Column::from(vals)))], "tmp").unwrap();
         w.append(&WalRecord::FragMeta { bat, version: 0 }).unwrap();
     }
 
@@ -342,7 +342,7 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
         let dir = DataDir::open(&root).unwrap();
         // A load that crashed between its file and its record.
-        dir.write_fragment(7, 0, &Bat::dense(Column::from(vec![1]))).unwrap();
+        dir.write_fragments([(7, 0, &Bat::dense(Column::from(vec![1])))], "tmp").unwrap();
         let rec = recover(&dir, 0).unwrap();
         assert!(rec.tables.is_empty() && rec.frags.is_empty());
         assert_eq!(rec.next_gen, 1);
@@ -442,7 +442,7 @@ mod tests {
         let dir = DataDir::open(&root).unwrap();
         // The load's own file, then a checkpoint of the fragment at
         // version 2 with rows [1,2,3], whose GC collects the v0 file.
-        dir.write_fragment(7, 0, &Bat::dense(Column::from(vec![1]))).unwrap();
+        dir.write_fragments([(7, 0, &Bat::dense(Column::from(vec![1])))], "tmp").unwrap();
         write_checkpoint(&dir, &snap_of(&[1, 2, 3], 1)).unwrap(); // replay_from stale
         assert_eq!(bat_files(&dir), ["7.v3.bat"]);
         // The WAL still holds the whole history plus one newer INSERT.
@@ -901,7 +901,7 @@ mod tests {
                 Step::Record { frame, files } => {
                     for (bat, version, payload) in files {
                         if !dir.bat_path(*bat, *version).exists() {
-                            dir.write_fragment(*bat, *version, payload).unwrap();
+                            dir.write_fragments([(*bat, *version, &**payload)], "tmp").unwrap();
                         }
                     }
                     if records < crash {

@@ -1794,30 +1794,47 @@ mod tests {
         assert!(compile_sql("select count(*) from dc.stats", &catalog).is_err());
     }
 
-    /// A plan reads one table whole when it is one probe-less `aggr.scan`
-    /// over that table's columns; before and after the Data Cyclotron
-    /// rewrite alike.
+    /// An aggregate plan — one `aggr.scan`, over one table or through a
+    /// probe stage over a join — lists each column it reads once; before
+    /// and after the Data Cyclotron rewrite alike. Anything else lists
+    /// nothing.
     #[test]
-    fn single_table_aggregates_are_told_apart_by_shape() {
+    fn aggregate_plans_list_the_columns_they_read() {
         let (catalog, _) = setup();
-        let table = |sql: &str| {
+        let reads = |sql: &str| {
             let plan = compile_sql(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
             let optimized = crate::optimize(&plan);
-            let found = crate::single_table_aggregate(&plan).map(|(s, t)| format!("{s}.{t}"));
-            let after = crate::single_table_aggregate(&optimized).map(|(s, t)| format!("{s}.{t}"));
+            let listed = |p| {
+                crate::aggregate_reads(p).map(|reads| {
+                    let mut cols: Vec<_> =
+                        reads.iter().map(|(s, t, c)| format!("{s}.{t}.{c}")).collect();
+                    cols.sort();
+                    cols.join(" ")
+                })
+            };
+            let (found, after) = (listed(&plan), listed(&optimized));
             assert_eq!(found, after, "{sql}");
             found
         };
-        for sql in [
-            "select count(*) from c",
-            "select t_id, sum(amount) from c where amount > 10 group by t_id order by t_id",
-            "select distinct t_id from c where amount < 40",
+        for (sql, cols) in [
+            ("select count(*) from c", "sys.c.t_id"),
+            (
+                "select t_id, sum(amount) from c where amount > 10 group by t_id order by t_id",
+                "sys.c.amount sys.c.t_id",
+            ),
+            ("select distinct t_id from c where amount < 40", "sys.c.amount sys.c.t_id"),
+            ("select count(*) from t, c where c.t_id = t.id", "sys.c.t_id sys.t.id"),
+            (
+                "select t.id, sum(c.amount) from t, c where c.t_id = t.id group by t.id",
+                "sys.c.amount sys.c.t_id sys.t.id",
+            ),
+            ("select count(*) from c x, c y where x.t_id = y.t_id", "sys.c.t_id"),
         ] {
-            assert_eq!(table(sql).as_deref(), Some("sys.c"), "{sql}");
+            assert_eq!(reads(sql).as_deref(), Some(cols), "{sql}");
         }
         for sql in [
             "select t_id, amount from c where amount > 10",
-            "select count(*) from t, c where c.t_id = t.id",
+            "select c.t_id from t, c where c.t_id = t.id",
             "select distinct count(*) from c group by t_id",
             "update c set amount = 1 where t_id = 2",
             "delete from c where t_id = 2",
@@ -1825,7 +1842,7 @@ mod tests {
             "create table z (a int)",
             "select name, value from dc.stats",
         ] {
-            assert_eq!(table(sql), None, "{sql}");
+            assert_eq!(reads(sql), None, "{sql}");
         }
     }
 }

@@ -43,38 +43,37 @@ pub fn optimize(plan: &mal::Program) -> mal::Program {
     mal::dc_optimize(&mal::common_subexpression_eliminate(plan))
 }
 
-/// The one table a single-table aggregate reads: `Some((schema, table))`
-/// when the plan holds exactly one `aggr.scan`, with no probe stage, and
-/// every column it binds (`sql.bind`, or `datacyclotron.request` once
-/// optimized) belongs to that table; its only other `sql.*` calls build
-/// the result set. Projections, joins, DML, DDL and `dc.*` views answer
-/// `None`. The answer is a function of the plan's shape alone, so a
-/// cached template answers as every statement of its shape would.
-pub fn single_table_aggregate(plan: &mal::Program) -> Option<(&str, &str)> {
+/// The columns an aggregate plan reads, each `(schema, table, column)`
+/// once, in plan order: `Some` when the plan holds exactly one
+/// `aggr.scan` — over one table, or over a join through its probe stage
+/// — and its only `sql.*` calls besides the binds (`sql.bind`, or
+/// `datacyclotron.request` once optimized) build the result set.
+/// Projections, DML, DDL and `dc.*` views answer `None`. The answer is a
+/// function of the plan's shape alone, so a cached template answers as
+/// every statement of its shape would.
+pub fn aggregate_reads(plan: &mal::Program) -> Option<Vec<(&str, &str, &str)>> {
     use mal::ast::{Arg, Const};
     const RESULT_CALLS: [&str; 3] = ["resultSet", "rsCol", "exportResult"];
-    let mut scans = plan.instrs.iter().filter(|i| i.is("aggr", "scan"));
-    let probe = Arg::Const(Const::Str("probe".into()));
-    match (scans.next(), scans.next()) {
-        (Some(scan), None) if !scan.args.contains(&probe) => {}
-        _ => return None,
+    if plan.instrs.iter().filter(|i| i.is("aggr", "scan")).count() != 1 {
+        return None;
     }
-    let mut table = None;
+    let mut reads = Vec::new();
     for i in &plan.instrs {
         if i.is("sql", "bind") || i.is("datacyclotron", "request") {
-            let (Some(Arg::Const(Const::Str(s))), Some(Arg::Const(Const::Str(t)))) =
-                (i.args.first(), i.args.get(1))
+            let [Arg::Const(Const::Str(s)), Arg::Const(Const::Str(t)), Arg::Const(Const::Str(c)), ..] =
+                i.args.as_slice()
             else {
                 return None;
             };
-            if *table.get_or_insert((s.as_str(), t.as_str())) != (s.as_str(), t.as_str()) {
-                return None;
+            let read = (s.as_str(), t.as_str(), c.as_str());
+            if !reads.contains(&read) {
+                reads.push(read);
             }
         } else if i.module == "sql" && !RESULT_CALLS.contains(&i.func.as_str()) {
             return None;
         }
     }
-    table
+    Some(reads)
 }
 
 /// Shared error shortcut.

@@ -566,6 +566,75 @@ fn severed_owner_edge_fails_a_pushed_select_fast_and_heals() {
     assert_eq!(ring.count(1, "selects_pushed"), 2);
 }
 
+/// A pushed join whose build side stalls. Q3 asked at node 1 (customer)
+/// runs at node 2 (lineitem), which pulls orders from node 0 across node
+/// 0's data edge — the edge stalled here, which the statement's own route
+/// (1 → 2) does not cross. Held for less than the origin's retry budget,
+/// the run waits the stall out and answers as one node does, once; held
+/// past the budget, the statement fails classified instead of hanging,
+/// and once the edge flows again the same statement answers.
+#[test]
+fn pushed_join_whose_build_side_stalls_answers_once_or_fails_classified() {
+    use dc_workloads::tpch::sql as tpch;
+    let data = tpch::generate(1.0, 42);
+    let tables =
+        [("customer", data.customer), ("orders", data.orders), ("lineitem", data.lineitem)];
+    let single = Ring::builder(1).build();
+    for (table, cols) in &tables {
+        single.load_table("sys", table, cols.clone()).unwrap();
+    }
+    let expected = single.execute(0, tpch::Q3).unwrap();
+    single.shutdown();
+    let q3_ring = |ack_retries| {
+        let ring =
+            chaos_ring_with(0xD20D, FaultPlan::quiet, |_, opts| opts.ack_retries = ack_retries);
+        ring.set_chaos(false);
+        for ((table, cols), owner) in tables.iter().zip([1, 0, 2]) {
+            ring.nodes[owner].load_table("sys", table, cols.clone()).unwrap();
+        }
+        for n in &ring.nodes {
+            for (table, _) in &tables {
+                n.wait_for_table_timeout("sys", table, Duration::from_secs(10)).unwrap();
+            }
+        }
+        settle();
+        ring
+    };
+    let events = |ring: &ChaosRing, i: usize, event: &str| {
+        ring.nodes[i].obs().trace_events().into_iter().filter(|e| e.event == event).count()
+    };
+
+    // 600 ms against a 7.75 s budget.
+    let ring = q3_ring(ACK_RETRIES);
+    let stall = Duration::from_millis(600);
+    ring.faults[0].stall(Edge::Data, stall);
+    let t0 = Instant::now();
+    let got = ring.nodes[1].execute(tpch::Q3).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(got, expected, "the pushed Q3 answers as one node does");
+    assert!(took >= stall / 2, "answered in {took:?}: the stall held nothing");
+    assert_eq!(ring.count(1, "selects_pushed"), 1);
+    assert_eq!(events(&ring, 2, "apply"), 1, "lineitem's owner ran the statement more than once");
+    assert_eq!(ring.count(1, "ring_query_bytes_moved"), 0, "the asker pulled a fragment");
+    assert_eq!(ring.count(1, "timeouts"), 0);
+
+    // 1.5 s against a 250 ms × (1 + 2) budget: no answer crosses in time.
+    let ring = q3_ring(1);
+    let stall = Duration::from_millis(1500);
+    ring.faults[0].stall(Edge::Data, stall);
+    let t0 = Instant::now();
+    let err = ring.nodes[1].execute(tpch::Q3).expect_err("no answer crosses the stalled edge");
+    let took = t0.elapsed();
+    assert!(took < stall, "the pushed Q3 hung for {took:?}");
+    assert!(matches!(err, DcError::Ring(_)), "expected a ring-classified error, got {err:?}");
+    assert!(err.message().contains("select on sys.lineitem timed out"), "unhelpful error: {err}");
+    assert!(ring.count(1, "timeouts") >= 1, "timeout not counted");
+    std::thread::sleep(stall.saturating_sub(t0.elapsed()));
+    let got = ring.nodes[1].execute(tpch::Q3).unwrap();
+    assert_eq!(got, expected, "the stall lifted, the statement answers");
+    assert_eq!(ring.count(1, "selects_pushed"), 2);
+}
+
 /// A routed INSERT whose owner edge is severed fails loudly and shows
 /// up in `appends_failed` — the INSERT twin of `mutations_failed`, so
 /// failed routed appends are observable in `dc.stats`.

@@ -76,14 +76,48 @@ fn tpch_subset_matches_single_node_over_tcp_ring() {
     single.shutdown();
 }
 
+/// The columns one query reads, by table.
+type Reads = &'static [(&'static str, &'static [&'static str])];
+
+/// The columns each query of the subset reads: what a node lacking one
+/// of those tables receives to run the query.
+const READS: [(&str, Reads); 3] = [
+    (
+        "q1",
+        &[(
+            "lineitem",
+            &[
+                "l_returnflag",
+                "l_linestatus",
+                "l_quantity",
+                "l_extendedprice",
+                "l_discount",
+                "l_shipdate",
+            ],
+        )],
+    ),
+    (
+        "q3",
+        &[
+            ("customer", &["c_custkey", "c_mktsegment"]),
+            ("orders", &["o_custkey", "o_orderkey", "o_orderdate", "o_shippriority"]),
+            ("lineitem", &["l_orderkey", "l_extendedprice", "l_shipdate"]),
+        ],
+    ),
+    ("q6", &[("lineitem", &["l_extendedprice", "l_shipdate", "l_discount", "l_quantity"])]),
+];
+
 /// Where the data sits must not show in the answer (Ameloot et al.'s
 /// parallel-correctness: the same result under every distribution of the
 /// input) — and since payloads follow requests, where it sits and who asks
 /// is exactly what decides which hops carry bytes. Q1, Q3 and Q6, asked
 /// from every node of 3- and 4-node rings under every placement of the
 /// three tables on single owners, equal the single-node answers cell for
-/// cell, with no request ever re-sent. Asked away from lineitem, Q1 and
-/// Q6 run at its owner and move no fragment; Q3 still pulls.
+/// cell, with no request ever re-sent. Each runs on the node that must
+/// receive the fewest bytes of the columns it reads — the node asked
+/// when none receives strictly fewer, else the lowest such id. A pushed
+/// statement moves no fragment to the node asked, and the node that runs
+/// it pulls exactly the bytes of the columns it lacks.
 #[test]
 fn tpch_subset_is_the_same_under_every_single_owner_placement() {
     let data = tpch::generate(1.0, 42);
@@ -101,10 +135,24 @@ fn tpch_subset_is_the_same_under_every_single_owner_placement() {
     let expected: Vec<_> =
         tpch::queries().into_iter().map(|(_, stmt)| single.execute(0, stmt).unwrap()).collect();
     single.shutdown();
+    let bytes = |table: &str, column: &str| {
+        let cols = match table {
+            "customer" => &data.customer,
+            "orders" => &data.orders,
+            _ => &data.lineitem,
+        };
+        Rows(cols).column(column).byte_size() as u64
+    };
 
     for n in [3, 4] {
         for placement in 0..n * n * n {
             let owners = [placement % n, placement / n % n, placement / (n * n)];
+            let owner_of = |table: &str| {
+                ["customer", "orders", "lineitem"]
+                    .iter()
+                    .position(|t| *t == table)
+                    .map(|i| owners[i])
+            };
             let ring = Ring::builder(n).pin_timeout(Duration::from_secs(30)).build();
             for ((table, cols), &owner) in tables().into_iter().zip(&owners) {
                 ring.node(owner).load_table("sys", table, cols).unwrap();
@@ -115,26 +163,38 @@ fn tpch_subset_is_the_same_under_every_single_owner_placement() {
                     ring.node(node).wait_for_table_timeout("sys", table, waited).unwrap();
                 }
             }
-            for ((name, stmt), expected) in tpch::queries().into_iter().zip(&expected) {
+            for (((name, stmt), expected), (read_by, reads)) in
+                tpch::queries().into_iter().zip(&expected).zip(READS)
+            {
+                assert_eq!(name, read_by);
+                // What node `k` receives to run the statement.
+                let lacks = |k: usize| -> u64 {
+                    let lacked = reads.iter().filter(|(t, _)| owner_of(t) != Some(k));
+                    lacked.flat_map(|(t, cols)| cols.iter().map(move |c| bytes(t, c))).sum()
+                };
                 for node in 0..n {
-                    let counters = || {
+                    let runs = (0..n).min_by_key(|&k| (lacks(k), k != node, k)).unwrap();
+                    let counters = |k: usize| {
                         ["ring_query_bytes_moved", "selects_pushed"]
-                            .map(|c| ring.node(node).counter(c).unwrap())
+                            .map(|c| ring.node(k).counter(c).unwrap())
                     };
-                    let before = counters();
+                    let (asked, ran) = (counters(node), counters(runs));
                     let got = ring.execute(node, stmt).unwrap();
                     let what = format!("{name} on node {node} of {n}, tables at {owners:?}");
                     assert_same_answer(&got, expected, &what);
-                    // Q1 and Q6 read lineitem alone: a node that does not
-                    // own it sends the statement to the owner and pulls
-                    // no fragment. Q3 joins, and pulls what it lacks.
-                    let after = counters();
-                    let (moved, pushed) = (after[0] - before[0], after[1] - before[1]);
-                    if name == "q3" {
-                        assert_eq!(pushed, 0, "{what}");
-                        assert!(owners.iter().all(|&o| o == node) || moved > 0, "{what}");
-                    } else {
-                        assert_eq!((moved, pushed), (0, (owners[2] != node) as u64), "{what}");
+                    let pushed = counters(node)[1] - asked[1];
+                    assert_eq!(pushed, (runs != node) as u64, "{what}: pushed to {runs}?");
+                    assert_eq!(counters(runs)[0] - ran[0], lacks(runs), "{what}: run at {runs}");
+                    if runs != node {
+                        assert_eq!(counters(node)[0], asked[0], "{what}: the asker pulled");
+                        // The route names a table the runner owns, and why.
+                        let events = ring.node(node).obs().trace_events();
+                        let route = events.iter().rfind(|e| e.event == "route").unwrap();
+                        let why = format!(": {} B there vs {} B here", lacks(runs), lacks(node));
+                        let table = route.detail.strip_prefix("select on sys.");
+                        let table = table.and_then(|d| d.strip_suffix(&why));
+                        let owner = table.and_then(owner_of);
+                        assert_eq!(owner, Some(runs), "{what}: routed as {:?}", route.detail);
                     }
                 }
             }
