@@ -23,7 +23,7 @@
 use crate::catalog::OwnedState;
 use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
-use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot};
+use crate::hotset::{HotsetRow, HotsetSnapshot, OwnedStore, Payload};
 use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::{AckMsg, Answer, CatalogCol, CatalogMsg, DcMsg, RoutedMsg, RoutedStmt};
 use crate::proto::{DcNode, Effect, PinOutcome};
@@ -38,7 +38,7 @@ use batstore::{storage, Bat, Column, ResultSet};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dc_persist::{
-    CheckpointMetrics, Checkpointer, ColRec, FragSnap, Snapshot, TableRec, WalRecord, WalWriter,
+    CheckpointMetrics, Checkpointer, ColRec, Snapshot, TableRec, WalRecord, WalWriter,
 };
 use mal::{MalError, SessionCtx};
 use netsim::SimTime;
@@ -114,16 +114,10 @@ struct PersistCtx {
     checkpoint_wal_bytes: u64,
     bytes_since_checkpoint: u64,
     checkpointer: Checkpointer,
-    /// The fragment versions whose `bats/<id>.v<version>.bat` file a
-    /// committed record names — the `FragMeta` of a bulk load or a
-    /// spill, or the last checkpoint that named the fragment. A resident
-    /// fragment still at its durable version is *clean*: its RAM payload
-    /// can be dropped with no further I/O.
-    durable: HashMap<BatId, u32>,
     /// The versions named by the snapshot the checkpointer is writing —
     /// at most one, its outcome a [`NodeEvent::Checkpointed`]. They
-    /// become `durable` on commit.
-    in_flight: Option<HashMap<BatId, u32>>,
+    /// become durable ([`OwnedStore::committed`]) on commit.
+    in_flight: Option<Vec<(BatId, u32)>>,
     /// The tables (`schema.table`) the catalog holds whose `Table` record
     /// failed to log: the next advert of each logs it again.
     unlogged: HashSet<String>,
@@ -172,11 +166,6 @@ struct Inbound {
     frag: Frag,
 }
 
-/// The `Bat` of an owned fragment.
-fn owned_bat(frag: &Frag) -> Arc<Bat> {
-    frag.bat().expect("an owner's cell is built from its Bat")
-}
-
 /// A fresh statement-id epoch for one node incarnation. Statement ids
 /// restart at 1 on every spawn, so the dedup cache and ack matching key
 /// on `(origin, epoch, id)`: without the epoch, a restarted origin's
@@ -209,9 +198,6 @@ struct NodeCtx {
     pushed: VecDeque<PushedRun>,
     /// Whether a pushed SELECT is running.
     pushed_running: bool,
-    /// Owned fragment payloads ("local disk"): cells holding the
-    /// authoritative `Bat` alone; every payload send encodes it anew.
-    disk: HashMap<BatId, Frag>,
     /// Cached passing fragments (the §4.2.1 local cache): the very cells
     /// their frames arrived as.
     cache: HashMap<BatId, Frag>,
@@ -234,9 +220,9 @@ struct NodeCtx {
     /// Per-[`DcMsg`]-kind handling-latency histograms, indexed by
     /// [`msg_kind`] so the hot loop never does a name lookup.
     msg_hists: [Arc<dc_obs::Histogram>; MSG_HIST_NAMES.len()],
-    /// Residency accounting against the node's memory budget: which
-    /// owned fragments hold RAM, which are spilled to disk.
-    hotset: HotsetAccounting,
+    /// The owned fragments ("local disk"): each one's payload, resident
+    /// or spilled, and its durable version, held to the memory budget.
+    store: OwnedStore,
     /// How long a dirty spill took to write its file and record: a clean
     /// spill writes nothing and records no sample.
     spill_hist: Arc<dc_obs::Histogram>,
@@ -309,7 +295,7 @@ fn stmt_kind(sql: &str) -> usize {
         .unwrap_or(STMT_KEYWORDS.len())
 }
 
-/// Telemetry handles of the SQL choke point ([`RingNode::run_sql`]),
+/// Telemetry handles of the SQL choke point ([`RingNode::execute`]),
 /// resolved once at spawn so a statement costs atomic bumps, not
 /// registry lookups.
 struct SqlMetrics {
@@ -674,7 +660,7 @@ impl NodeCtx {
         for &(bat, version, _) in frags {
             let rec = WalRecord::FragMeta { bat: bat.0, version };
             self.log_durable(&rec, std::mem::take(&mut rewritten))?;
-            self.persist.as_mut().expect("checked above").durable.insert(bat, version);
+            self.store.stored(bat, version);
         }
         Ok(())
     }
@@ -702,24 +688,9 @@ impl NodeCtx {
         p.wal = wal;
         p.gen = next_gen;
         p.bytes_since_checkpoint = 0;
-        // Every resident fragment rides along with its payload; the
-        // writer skips the ones whose version already has its file.
-        let mut frags: Vec<FragSnap> = self
-            .disk
-            .iter()
-            .map(|(b, f)| FragSnap {
-                bat: b.0,
-                version: self.node.s1.get(*b).map(|o| o.version).unwrap_or(0),
-                payload: Some(owned_bat(f)),
-            })
-            .collect();
-        // Spilled fragments ride along payload-less: their at-rest copy
-        // is the file of the version they were spilled at, and the entry
-        // keeps that file out of garbage collection and the version in
-        // the catalog snapshot.
-        for (bat, info) in self.hotset.spilled_iter() {
-            frags.push(FragSnap { bat: bat.0, version: info.version, payload: None });
-        }
+        // The writer skips the resident fragments whose version already
+        // has its file.
+        let frags = self.store.snapshot(&self.node.s1);
         let names = frags.iter().map(|f| (BatId(f.bat), f.version)).collect();
         let snap = Snapshot {
             node: self.node.id.0,
@@ -735,16 +706,12 @@ impl NodeCtx {
 
     /// The checkpointer finished the snapshot in flight. On a commit the
     /// versions it names are durable, unless a load or a spill made a
-    /// later one durable meanwhile; on a failure `durable` stands. Either
-    /// way the next snapshot may go.
+    /// later one durable meanwhile; on a failure what was durable stands.
+    /// Either way the next snapshot may go.
     fn on_checkpointed(&mut self, committed: bool) {
-        let Some(p) = self.persist.as_mut() else { return };
-        let Some(named) = p.in_flight.take() else { return };
+        let Some(named) = self.persist.as_mut().and_then(|p| p.in_flight.take()) else { return };
         if committed {
-            for (bat, version) in named {
-                let durable = p.durable.entry(bat).or_insert(version);
-                *durable = (*durable).max(version);
-            }
+            self.store.committed(named);
         }
         self.checkpoint_due = true;
     }
@@ -846,46 +813,32 @@ impl NodeCtx {
         p.caller.settle(outcome);
     }
 
-    /// Guarantee the owned fragment's payload is in RAM, reloading the
-    /// file of the version it was spilled at if necessary. Returns
-    /// whether a disk reload happened. That version is the one the
-    /// catalog still records (spilled fragments are immutable —
-    /// mutations reload first), and the reloaded payload is clean: the
-    /// file it came from stays, so spilling it again costs nothing.
-    fn ensure_resident(&mut self, bat: BatId) -> Result<bool, String> {
-        if self.disk.contains_key(&bat) {
-            return Ok(false);
-        }
-        let Some(info) = self.hotset.spilled_get(bat) else {
-            return Err(format!("owned {bat} missing from disk"));
+    /// The owned fragment's payload, reloaded from the file of the
+    /// version it was spilled at if it is not in RAM. That version is the
+    /// one S1 still records (spilled fragments are immutable — mutations
+    /// reload first), and the reloaded payload is clean: the file it came
+    /// from stays, so spilling it again costs nothing. The budget is
+    /// enforced once the current event is handled, not now: the caller is
+    /// about to use the payload.
+    fn ensure_resident(&mut self, bat: BatId) -> Result<Arc<Bat>, String> {
+        let version = match (self.store.payload(bat), self.node.s1.get(bat)) {
+            (Some(Payload::Resident(payload)), _) => return Ok(Arc::clone(payload)),
+            (Some(Payload::Spilled), Some(owned)) => owned.version,
+            _ => return Err(format!("node {} does not own {bat}", self.node.id)),
         };
-        let Some(p) = self.persist.as_ref() else {
-            return Err(format!("owned {bat} spilled but the node has no data dir"));
-        };
+        let dir = &self.persist.as_ref().ok_or("a spill without a data dir")?.dir;
         let start = Instant::now();
-        let payload = storage::load_bat(&p.dir.bat_path(bat.0, info.version))
+        let payload = storage::load_bat(&dir.bat_path(bat.0, version))
+            .map(Arc::new)
             .map_err(|e| format!("reloading spilled {bat}: {e}"))?;
-        let size = payload.byte_size() as u64;
-        self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
-        self.hotset.note_reloaded(bat);
-        self.note_resident(bat, size);
+        self.store.reload(&self.node.s1, bat, Arc::clone(&payload));
+        self.budget_due = true;
         self.stats.loi_readmits.inc();
         self.readmit_hist.record_elapsed_micros(start);
-        self.obs.trace(
-            self.routed.epoch(),
-            0,
-            "readmit",
-            format!("{bat} reloaded from disk ({size} bytes, spilled at v{})", info.version),
-        );
-        Ok(true)
-    }
-
-    /// An owned payload is in RAM at `size` bytes: account for it, and
-    /// enforce the budget once the current event is handled (not now: the
-    /// caller is about to use the payload).
-    fn note_resident(&mut self, bat: BatId, size: u64) {
-        self.hotset.note_resident(bat, size);
-        self.budget_due = true;
+        let size = payload.byte_size();
+        let detail = format!("{bat} reloaded from disk ({size} bytes, spilled at v{version})");
+        self.obs.trace(self.routed.epoch(), 0, "readmit", detail);
+        Ok(payload)
     }
 
     /// Move a cold fragment's payload out of RAM, within the event that
@@ -897,22 +850,22 @@ impl NodeCtx {
     /// ([`NodeCtx::store_durably`]), whatever checkpoint is in flight:
     /// its GC deletes only versions below the ones it names. A victim
     /// whose write fails stays resident, counted in `obs_persist_errors`.
-    /// No-op if the
-    /// payload is not resident, without a data dir (nowhere to put the
-    /// at-rest copy), or without a memory budget (nothing to enforce: the
-    /// payload just stops circulating and stays resident, as on diskless
-    /// nodes).
+    /// No-op if the payload is not resident, or without a memory budget
+    /// (nothing to enforce: the payload just stops circulating and stays
+    /// resident). A node without a data dir has no budget: it has nowhere
+    /// to put the at-rest copy.
     fn spill(&mut self, bat: BatId) {
-        let Some(p) = self.persist.as_ref() else { return };
-        if self.hotset.mem_budget().is_none() {
+        if self.store.mem_budget().is_none() {
             return;
         }
-        let (Some(frag), Some(owned)) = (self.disk.get(&bat), self.node.s1.get(bat)) else {
+        let (Some(Payload::Resident(payload)), Some(owned)) =
+            (self.store.payload(bat), self.node.s1.get(bat))
+        else {
             return;
         };
-        let (version, size) = (owned.version, owned.size);
-        if p.durable.get(&bat) != Some(&version) {
-            let (start, payload) = (Instant::now(), owned_bat(frag));
+        let (payload, version, size) = (Arc::clone(payload), owned.version, owned.size);
+        if !self.store.is_clean(&self.node.s1, bat) {
+            let start = Instant::now();
             if let Err(e) = self.store_durably(&[(bat, version, &payload)], size) {
                 self.stats.obs_persist_errors.inc();
                 eprintln!("[dc-node {}] fragment {bat} v{version} not spilled: {e}", self.node.id);
@@ -920,8 +873,9 @@ impl NodeCtx {
             }
             self.spill_hist.record_elapsed_micros(start);
         }
-        self.disk.remove(&bat);
-        self.hotset.note_spilled(bat, version, size);
+        if !self.store.spill(&self.node.s1, bat) {
+            return;
+        }
         self.stats.loi_evictions.inc();
         self.obs.trace(
             self.routed.epoch(),
@@ -935,18 +889,7 @@ impl NodeCtx {
     /// memory budget. Runs after residency grew or an owned fragment left
     /// the ring.
     fn enforce_budget(&mut self) {
-        let excess = self.hotset.excess();
-        if self.persist.is_none() || excess == 0 {
-            return;
-        }
-        let candidates: Vec<(BatId, f64, u64)> = self
-            .node
-            .s1
-            .iter()
-            .filter(|(bat, o)| o.state == OwnedState::OnDisk && self.disk.contains_key(bat))
-            .map(|(bat, o)| (bat, o.last_loi, o.size))
-            .collect();
-        for bat in spill_victims(candidates, excess) {
+        for bat in self.store.victims(&self.node.s1) {
             self.spill(bat);
         }
     }
@@ -959,15 +902,12 @@ impl NodeCtx {
             .s1
             .iter()
             .map(|(bat, o)| {
-                let state = if self.hotset.is_spilled(bat) {
-                    "spilled"
-                } else {
-                    match o.state {
-                        OwnedState::InRing { .. } => "in-ring",
-                        OwnedState::Loading => "loading",
-                        OwnedState::Pending { .. } => "pending",
-                        OwnedState::OnDisk => "on-disk",
-                    }
+                let state = match (self.store.payload(bat), o.state) {
+                    (Some(Payload::Spilled), _) => "spilled",
+                    (_, OwnedState::InRing { .. }) => "in-ring",
+                    (_, OwnedState::Loading) => "loading",
+                    (_, OwnedState::Pending { .. }) => "pending",
+                    (_, OwnedState::OnDisk) => "on-disk",
                 };
                 let table = self.catalog.table_of(bat).unwrap_or_else(|| "?".into());
                 HotsetRow { bat, table, state, loi: o.last_loi, version: o.version, size: o.size }
@@ -978,9 +918,9 @@ impl NodeCtx {
             rows,
             loit: self.node.ladder.current(),
             loit_level: self.node.ladder.level_index(),
-            resident_bytes: self.hotset.resident_bytes(),
-            spilled_bytes: self.hotset.spilled_bytes(),
-            mem_budget: self.hotset.mem_budget(),
+            resident_bytes: self.store.resident_bytes(),
+            spilled_bytes: self.store.spilled_bytes(),
+            mem_budget: self.store.mem_budget(),
         }
     }
 
@@ -1025,20 +965,6 @@ impl NodeCtx {
         self.node.s1.get(bat).map(|o| o.version + 1).unwrap_or(1)
     }
 
-    /// Make `payload` an owned fragment's authoritative copy at
-    /// `version`: swap the disk payload and bump the version. Returns the
-    /// payload's size.
-    fn install(&mut self, bat: BatId, version: u32, payload: Bat) -> u64 {
-        let size = payload.byte_size() as u64;
-        self.disk.insert(bat, Frag::from_bat(Arc::new(payload)));
-        self.note_resident(bat, size);
-        if let Some(owned) = self.node.s1.get_mut(bat) {
-            owned.size = size;
-            owned.version = version;
-        }
-        size
-    }
-
     /// Returns true on shutdown.
     fn handle_cmd(&mut self, cmd: Cmd) -> bool {
         match cmd {
@@ -1053,13 +979,7 @@ impl NodeCtx {
                     PinOutcome::OwnedLocal => {
                         // The owned payload may have been spilled; a
                         // local pin re-admits it synchronously.
-                        let r = self.ensure_resident(bat).and_then(|_| {
-                            self.disk
-                                .get(&bat)
-                                .cloned()
-                                .ok_or_else(|| format!("owned fragment {bat} missing from disk"))
-                        });
-                        waiter.fulfill(r);
+                        waiter.fulfill(self.ensure_resident(bat).map(Frag::from_bat));
                     }
                     PinOutcome::Cached => {
                         let r = self
@@ -1088,16 +1008,14 @@ impl NodeCtx {
                 // record stays resident and dirty — never dropped before
                 // its spill or a checkpoint has written it — and
                 // `obs_persist_errors` counts the failed load.
+                for (bat, payload) in &frags {
+                    self.store.own(&mut self.node.s1, *bat, 0, Arc::clone(payload));
+                }
+                self.budget_due = true;
                 let versions: Vec<_> = frags.iter().map(|(bat, p)| (*bat, 0, &**p)).collect();
                 if let Err(e) = self.store_durably(&versions, 0) {
                     self.stats.obs_persist_errors.inc();
                     eprintln!("[dc-node {}] a bulk load is not durable: {e}", self.node.id);
-                }
-                for (bat, payload) in frags {
-                    let size = payload.byte_size() as u64;
-                    self.disk.insert(bat, Frag::from_bat(payload));
-                    self.note_resident(bat, size);
-                    self.node.register_owned(bat, size);
                 }
             }
             Cmd::CreateTable { schema, table, cols, ack } => {
@@ -1189,11 +1107,9 @@ impl NodeCtx {
         // on restart.
         self.log_durable(&WalRecord::Table(table_rec(&gossip)), 0)?;
         for (bat, payload) in payloads {
-            let size = payload.byte_size() as u64;
-            self.disk.insert(bat, Frag::from_bat(payload));
-            self.note_resident(bat, size);
-            self.node.register_owned(bat, size);
+            self.store.own(&mut self.node.s1, bat, 0, payload);
         }
+        self.budget_due = true;
         self.catalog.publish(&gossip);
         self.notify.bump();
         let _ = self.transport.send_data(DcMsg::Catalog(gossip));
@@ -1222,10 +1138,10 @@ impl NodeCtx {
     }
 
     /// Apply a logical INSERT/UPDATE/DELETE at this node, the fragment
-    /// owner (§6.4): stage it against the authoritative disk payloads
+    /// owner (§6.4): stage it against the authoritative payloads
     /// ([`ops::stage`], which WAL replay runs too), log the statement and
-    /// the versions it reaches as *one* record, then swap the disk
-    /// copies, bump the fragment versions, and publish and gossip the
+    /// the versions it reaches as *one* record, then install the next
+    /// versions ([`OwnedStore::install`]), and publish and gossip the
     /// table's next advert — one catalog write — so every replica
     /// converges on the new (size, version) view (§6.4's "propagates f").
     /// Because staging and logging precede every in-memory change,
@@ -1236,21 +1152,9 @@ impl NodeCtx {
         let mut advert = self.table_entry(&m.schema, &m.table)?;
         // Spilled columns reload first: a mutation must apply against the
         // RAM copy, bumping the version past the stale at-rest file.
-        for col in &advert.columns {
-            if self.node.s1.is_owner(col.bat) {
-                self.ensure_resident(col.bat)?;
-            }
-        }
         let mut cols = Vec::with_capacity(advert.columns.len());
         for col in &advert.columns {
-            if !self.node.s1.is_owner(col.bat) {
-                return Err(format!("node {} does not own {}.{}", self.node.id, m.schema, m.table));
-            }
-            let frag = self
-                .disk
-                .get(&col.bat)
-                .ok_or_else(|| format!("owned {} missing from disk", col.bat))?;
-            cols.push((col.name.as_str(), owned_bat(frag)));
+            cols.push((col.name.as_str(), self.ensure_resident(col.bat)?));
         }
         let staged = ops::stage(&cols, &m.op, &m.preds).map_err(|e| e.to_string())?;
         if staged.matched == 0 {
@@ -1276,9 +1180,10 @@ impl NodeCtx {
         self.log_durable(&WalRecord::Mutate { m: m.clone(), versions: logged }, rewritten)?;
         for ((i, version), (_, payload)) in versions.into_iter().zip(staged.columns) {
             let col = &mut advert.columns[i];
-            col.size = self.install(col.bat, version, payload);
+            col.size = self.store.install(&mut self.node.s1, col.bat, version, payload);
             col.version = version;
         }
+        self.budget_due = true;
         match &m.op {
             MutOp::Insert(given) => self.stats.appends_applied.add(given.len() as u64),
             MutOp::Update(_) | MutOp::Delete => self.stats.mutations_applied.inc(),
@@ -1302,10 +1207,12 @@ impl NodeCtx {
                     // encodes its `Bat` (fresh after writes) off the
                     // cell's lock, into a buffer that dies with the frame;
                     // anybody else relays the inbound bytes untouched.
-                    let payload = match self.disk.get(&header.bat) {
+                    let payload = match self.store.payload(header.bat) {
                         _ if !payload => None,
-                        Some(owned) => Some(Bytes::from(storage::bat_to_bytes(&owned_bat(owned)))),
-                        None => inbound.map(|i| i.wire.clone()),
+                        Some(Payload::Resident(owned)) => {
+                            Some(Bytes::from(storage::bat_to_bytes(owned)))
+                        }
+                        _ => inbound.map(|i| i.wire.clone()),
                     };
                     // A send error means the successor died; the ring
                     // must heal (pulsating rings, §6.3) — drop here.
@@ -1404,9 +1311,10 @@ pub struct NodeOptions {
     /// residency exceeds it, the coldest off-ring fragments (lowest
     /// Eq. 1 LOI) are spilled to the data dir and dropped from RAM, as
     /// is every fragment the owner unloads from the ring (Fig. 5).
-    /// Requires `data_dir`; ignored on diskless nodes (they have nowhere
-    /// to put the at-rest copy). `None` disables spilling: unloaded
-    /// fragments stay resident.
+    /// Requires `data_dir`; a diskless node has nowhere to put the
+    /// at-rest copy, so it neither enforces nor reports the budget
+    /// ([`HotsetSnapshot::mem_budget`] is `None`). `None` disables
+    /// spilling: unloaded fragments stay resident.
     pub mem_budget: Option<u64>,
 }
 
@@ -1478,8 +1386,7 @@ impl RingNode {
 
         let mut node = DcNode::new(id, opts.cfg.clone(), &obs);
         let stats = EngineStats::register(&obs);
-        let mut disk: HashMap<BatId, Frag> = HashMap::new();
-        let mut hotset = HotsetAccounting::new(opts.mem_budget, &obs);
+        let mut store = OwnedStore::new(opts.data_dir.as_ref().and(opts.mem_budget), &obs);
         let mut persist = None;
         let mut readvertise: Vec<CatalogMsg> = Vec::new();
 
@@ -1492,15 +1399,7 @@ impl RingNode {
 
             // Rebuild owned fragments ("local disk") and the S1 catalog.
             for (raw, f) in rec.frags {
-                let bat = BatId(raw);
-                let payload = f.bat;
-                let size = payload.byte_size() as u64;
-                node.register_owned(bat, size);
-                if let Some(owned) = node.s1.get_mut(bat) {
-                    owned.version = f.version;
-                }
-                hotset.note_resident(bat, size);
-                disk.insert(bat, Frag::from_bat(payload));
+                store.own(&mut node.s1, BatId(raw), f.version, f.bat);
             }
 
             // Rebuild the catalog; owned tables re-enter the gossip once
@@ -1509,11 +1408,8 @@ impl RingNode {
             for t in &rec.tables {
                 let mut c = catalog_msg(t);
                 for col in &mut c.columns {
-                    if let Some(f) = disk.get(&col.bat) {
-                        col.size = owned_bat(f).byte_size() as u64;
-                    }
                     if let Some(owned) = node.s1.get(col.bat) {
-                        col.version = owned.version;
+                        (col.size, col.version) = (owned.size, owned.version);
                     }
                 }
                 catalog.publish(&c);
@@ -1527,8 +1423,12 @@ impl RingNode {
             // this node's namespace — a fresh CREATE or load must never
             // collide with a recovered fragment.
             let ns = id.0 as u32 % 255 + 1;
-            let max_allocated =
-                disk.keys().filter(|b| b.0 >> 24 == ns).map(|b| b.0 & 0x00ff_ffff).max();
+            let max_allocated = node
+                .s1
+                .iter()
+                .filter(|(b, _)| b.0 >> 24 == ns)
+                .map(|(b, _)| b.0 & 0x00ff_ffff)
+                .max();
             if let Some(m) = max_allocated {
                 next_frag.store(m + 1, Ordering::Relaxed);
             }
@@ -1537,28 +1437,18 @@ impl RingNode {
             // fresh checkpoint + empty WAL, so the next crash replays a
             // short tail. Recovery left exactly the committed fragment
             // files, so only fragments the WAL tail moved are rewritten.
-            let durable: HashMap<BatId, u32> = disk
-                .keys()
-                .map(|b| (*b, node.s1.get(*b).map(|o| o.version).unwrap_or(0)))
-                .collect();
             let snap = Snapshot {
                 node: id.0,
                 replay_from: rec.next_gen,
                 tables: catalog.tables().iter().map(table_rec).collect(),
-                frags: disk
-                    .iter()
-                    .map(|(b, f)| FragSnap {
-                        bat: b.0,
-                        version: durable[b],
-                        payload: Some(owned_bat(f)),
-                    })
-                    .collect(),
+                frags: store.snapshot(&node.s1),
             };
             let checkpoint_metrics = CheckpointMetrics::register(&obs);
             checkpoint_metrics.count(
                 dc_persist::write_checkpoint(&pdir, &snap)
                     .map_err(|e| format!("startup checkpoint: {e}"))?,
             );
+            store.committed(snap.frags.iter().map(|f| (BatId(f.bat), f.version)));
             let mut wal = WalWriter::create(&pdir.wal_path(rec.next_gen), dd.fsync)
                 .map_err(|e| format!("creating WAL: {e}"))?;
             let wal_append_hist = obs.histogram("wal_append_us");
@@ -1577,7 +1467,6 @@ impl RingNode {
                 checkpoint_wal_bytes: dd.checkpoint_wal_bytes,
                 bytes_since_checkpoint: 0,
                 checkpointer,
-                durable,
                 in_flight: None,
                 unlogged: HashSet::new(),
                 wal_append_hist,
@@ -1615,7 +1504,6 @@ impl RingNode {
             statements: Arc::clone(&statements),
             pushed: VecDeque::new(),
             pushed_running: false,
-            disk,
             cache: HashMap::new(),
             waiting: HashMap::new(),
             next_frag: Arc::clone(&next_frag),
@@ -1624,7 +1512,7 @@ impl RingNode {
             persist,
             obs: Arc::clone(&obs),
             msg_hists: std::array::from_fn(|i| obs.histogram(MSG_HIST_NAMES[i])),
-            hotset,
+            store,
             spill_hist: obs.histogram("spill_us"),
             readmit_hist: obs.histogram("readmit_us"),
             loit_level,
@@ -1717,18 +1605,14 @@ impl RingNode {
     /// DML/DDL. This is the engine's canonical query entry point — the
     /// wire protocol ships these columns, and text is rendered only at
     /// edges that want text.
+    ///
+    /// It is the choke point every SQL entry path funnels through
+    /// ([`Ring::execute`] too): compile, then run here — or, for an
+    /// aggregate, at the owner that receives fewer of its bytes — with
+    /// end-to-end latency recorded per statement kind and statement/error
+    /// counters bumped, so the in-process ring, `dcsh`, and the wire
+    /// server all feed the same `stmt_*_us` histograms.
     pub fn execute(&self, sql: &str) -> Result<ResultSet, DcError> {
-        self.run_sql(sql)
-    }
-
-    /// The choke point every SQL entry path funnels through
-    /// ([`RingNode::execute`] and [`Ring::execute`]): compile, then run
-    /// here — or at the owner [`RingNode::pushed_to`] names for an
-    /// aggregate — with end-to-end latency recorded per statement kind
-    /// and statement/error counters bumped, so the in-process ring,
-    /// `dcsh`, and the wire server all feed the same `stmt_*_us`
-    /// histograms.
-    fn run_sql(&self, sql: &str) -> Result<ResultSet, DcError> {
         let s = &self.statements;
         let qid = s.next_query();
         let start = Instant::now();
@@ -2612,8 +2496,9 @@ mod tests {
                 _ => format!("update bulk set s = 'x{n}' where k >= {}", a * 3 + b),
             };
             node.execute(&sql).unwrap();
-            let rows = node.hotset().unwrap().rows;
-            spilled_past_v0 |= rows.iter().any(|r| r.state == "spilled" && r.version > 0);
+            let snap = node.hotset().unwrap();
+            assert_residency_adds_up(&node, &snap);
+            spilled_past_v0 |= snap.rows.iter().any(|r| r.state == "spilled" && r.version > 0);
         }
         assert_eq!(spilled_past_v0, mem_budget.is_some(), "a mutated fragment spilled");
         let state = |node: &RingNode| {
@@ -2633,6 +2518,18 @@ mod tests {
         assert_eq!(state(&node), before);
         node.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A node's residency totals are its hot-set rows' sizes, split by
+    /// whether the row is spilled, and `obs_hotset_spilled_frags` counts
+    /// the spilled rows.
+    fn assert_residency_adds_up(node: &RingNode, snap: &HotsetSnapshot) {
+        let spilled: Vec<&HotsetRow> = snap.rows.iter().filter(|r| r.state == "spilled").collect();
+        let spilled_bytes: u64 = spilled.iter().map(|r| r.size).sum();
+        let resident_bytes = snap.rows.iter().map(|r| r.size).sum::<u64>() - spilled_bytes;
+        assert_eq!((snap.resident_bytes, snap.spilled_bytes), (resident_bytes, spilled_bytes));
+        let gauge = node.obs().gauge_value("obs_hotset_spilled_frags");
+        assert_eq!(gauge, Some(spilled.len() as i64), "{snap:?}");
     }
 
     /// `Ring::load_table` takes each column's id from its owner's
@@ -3004,6 +2901,23 @@ mod tests {
             assert!(Instant::now() < deadline, "{spills} never spilled: {:?}", snap.rows);
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    /// A node without a data dir has nowhere to spill to: it neither
+    /// enforces a memory budget nor reports one.
+    #[test]
+    fn a_diskless_node_neither_holds_nor_reports_a_budget() {
+        let t = mem::ring(1).pop().expect("one node");
+        let opts = NodeOptions { mem_budget: Some(1), ..NodeOptions::default() };
+        let node = RingNode::spawn(NodeId(0), Arc::new(t) as Arc<dyn RingTransport>, opts);
+        node.load_table("sys", "t", vec![("x", Column::from(vec![3, 1, 2]))]).unwrap();
+        node.wait_for_table_timeout("sys", "t", Duration::from_secs(10)).unwrap();
+        assert_eq!(ints(&node.execute("select x from t order by x").unwrap()), [1, 2, 3]);
+        let snap = node.hotset().unwrap();
+        assert_eq!(snap.mem_budget, None);
+        assert_eq!(snap.spilled_bytes, 0);
+        assert_eq!(node.counter("loi_evictions"), Some(0));
+        node.shutdown();
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! * [`requests`] — structures S2 (outstanding requests) and S3 (blocked
 //!   pins), plus the local fragment cache the pins check (§4.2.1).
 //! * [`loi`] — the LOI formula and the LOIT ladder.
-//! * [`hotset`] — engine-side hot-set management: budgeted residency
-//!   accounting and coldest-first victim selection. A spill drops the
-//!   payload once its version has a file a record names, writing that
-//!   file first if a mutation moved the version.
+//! * [`hotset`] — engine-side hot-set management: the owner's one record
+//!   per owned fragment (payload resident or spilled, durable version),
+//!   budgeted residency and coldest-first victim selection. A spill
+//!   drops the payload once its version has a file a record names,
+//!   writing that file first if a mutation moved the version.
 //! * [`msg`] — ring message types and their binary codec, including the
 //!   catalog-replication and routed-statement messages of a distributed
 //!   deployment.

@@ -2,8 +2,9 @@
 //! and how the answer gets back.
 //!
 //! Every write goes to the fragment's owner (§6.4), so INSERT and
-//! UPDATE/DELETE share one discipline, and a SELECT that reads one
-//! remote table whole goes there too, to come back as its result. The
+//! UPDATE/DELETE share one discipline, and an aggregate — over one
+//! table or a join — that the owner of one of its tables must receive
+//! fewer bytes to answer goes there too, to come back as its result. The
 //! origin stamps the statement `(boot epoch, id)`, sends it clockwise as
 //! a [`RoutedMsg`] and keeps it in the pending table; an attempt whose
 //! [`crate::msg::AckMsg`] misses its deadline is resent with doubled
