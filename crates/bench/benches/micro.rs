@@ -21,6 +21,9 @@
 //! * the fused scan → group → aggregate operator on a Q1, a Q6, a
 //!   `count(*)` and a Q3 shape, the last with its hash-probe stage
 //!   (`bench_fused`; run with `-- fused`).
+//! * the per-node trace ring at its default size (`bench_trace`; run
+//!   with `-- trace`): one push of an `oltp_mix`-shaped event into a
+//!   full ring, and one `trace_events()` of a full ring.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use datacyclotron::msg::BatHeader;
@@ -394,6 +397,26 @@ fn bench_fused(c: &mut Criterion) {
     });
 }
 
+/// The trace ring at `DEFAULT_TRACE_CAP` (`cargo bench -p dc-bench
+/// --bench micro -- trace`): the price of one event on the event loop,
+/// and of reading a full ring back (`dc.trace`).
+fn bench_trace(c: &mut Criterion) {
+    use dc_obs::{Registry, DEFAULT_TRACE_CAP};
+
+    let obs = Registry::new(0);
+    let (epoch, what) = (0x1f2e_3d4c_5b6a_7988u64, "mutation on sys.kv");
+    let mut stmt = 0u64;
+    let mut push = |obs: &Registry| {
+        stmt += 1;
+        obs.trace(epoch, stmt, "apply", format_args!("{what}, {} rows", black_box(1)));
+    };
+    for _ in 0..DEFAULT_TRACE_CAP {
+        push(&obs);
+    }
+    c.bench_function("trace/push_full_ring", |b| b.iter(|| push(&obs)));
+    c.bench_function("trace/events_full_ring", |b| b.iter(|| black_box(obs.trace_events())));
+}
+
 criterion_group!(
     benches,
     bench_loi,
@@ -403,6 +426,7 @@ criterion_group!(
     bench_eventqueue,
     bench_interpreter,
     bench_kernels,
-    bench_fused
+    bench_fused,
+    bench_trace
 );
 criterion_main!(benches);

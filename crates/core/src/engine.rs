@@ -31,7 +31,7 @@ use crate::routed::{
     describe, Admit, Caller, Due, Pending, Routed, PUSHED_BACKLOG, PUSHED_RESULT_MAX,
 };
 use crate::runtime::{CatalogNotify, Cmd, Frag, Publish, Push, RingCatalog, RingHooks, Waiter};
-use crate::stats::EngineStats;
+use crate::stats::{trace, EngineStats};
 use crate::transport::{mem, MeteredTransport, RingTransport};
 use batstore::ops::{self, MutOp, Mutation};
 use batstore::{storage, Bat, Column, ResultSet};
@@ -484,16 +484,18 @@ impl NodeCtx {
             match due {
                 Due::Resend { id, what, attempt, frame } => {
                     self.stats.retries.inc();
-                    let detail = format!("{what}, attempt {attempt}");
-                    self.obs.trace(self.routed.epoch(), id, "retry", detail);
+                    let detail = format_args!("{what}, attempt {attempt}");
+                    self.obs.trace(self.routed.epoch(), id, trace::RETRY, detail);
                     // A failing resend (edge still severed) is fine: the
                     // next deadline fires again, and the budget bounds it.
                     let _ = self.transport.send_data(frame);
                 }
                 Due::TimedOut(p) => {
                     self.stats.timeouts.inc();
-                    let detail = format!("{} after {} attempts", p.what(), p.attempts);
-                    self.obs.trace(self.routed.epoch(), p.msg.id, "timeout", detail);
+                    let detail = std::fmt::from_fn(|f| {
+                        write!(f, "{} after {} attempts", p.what(), p.attempts)
+                    });
+                    self.obs.trace(self.routed.epoch(), p.msg.id, trace::TIMEOUT, detail);
                     let err = p.timeout_error();
                     self.settle(p, Err(err));
                 }
@@ -507,7 +509,7 @@ impl NodeCtx {
     /// re-sends it, and the budget bounds the wait.
     fn route(&mut self, stmt: RoutedStmt, caller: Caller, why: &str) {
         let p = self.routed.begin(self.node.id, stmt, caller, Instant::now());
-        self.obs.trace(p.msg.epoch, p.msg.id, "route", format!("{}{why}", p.what()));
+        self.obs.trace(p.msg.epoch, p.msg.id, trace::ROUTE, format_args!("{}{why}", p.what()));
         let _ = self.transport.send_data(DcMsg::Routed(p.msg.clone()));
     }
 
@@ -517,7 +519,7 @@ impl NodeCtx {
     /// origin's retry will re-deliver the statement, and the dedup cache
     /// will re-send a mutation's result (a SELECT runs again).
     fn answer_routed(&mut self, origin: NodeId, epoch: u64, id: u64, answer: Answer) {
-        self.obs.trace(epoch, id, "ack_sent", format!("to {origin}"));
+        self.obs.trace(epoch, id, trace::ACK_SENT, format_args!("to {origin}"));
         if origin == self.node.id {
             self.take_answer(epoch, id, answer);
             return;
@@ -544,7 +546,7 @@ impl NodeCtx {
                 return self.start_pushed();
             }
             Admit::Running => {
-                self.obs.trace(epoch, id, "dedup", "select re-delivered while running");
+                self.obs.trace(epoch, id, trace::DEDUP, "select re-delivered while running");
                 Answer::Running
             }
             Admit::Busy => {
@@ -567,7 +569,7 @@ impl NodeCtx {
             match thread.spawn(move || run_pushed(&statements, run)) {
                 Ok(_) => {
                     self.pushed_running = true;
-                    self.obs.trace(epoch, id, "start", format!("select from {origin}"));
+                    self.obs.trace(epoch, id, trace::START, format_args!("select from {origin}"));
                 }
                 Err(e) => {
                     let err =
@@ -590,11 +592,11 @@ impl NodeCtx {
         result: Result<ResultSet, DcError>,
     ) {
         self.routed.release((origin.0, epoch, id));
-        let detail = match &result {
-            Ok(rs) => format!("select, {} rows", rs.row_count()),
-            Err(e) => format!("select failed: {e}"),
-        };
-        self.obs.trace(epoch, id, "apply", detail);
+        let detail = std::fmt::from_fn(|f| match &result {
+            Ok(rs) => write!(f, "select, {} rows", rs.row_count()),
+            Err(e) => write!(f, "select failed: {e}"),
+        });
+        self.obs.trace(epoch, id, trace::APPLY, detail);
         let size = result.as_ref().map_or(0, crate::msg::result_wire_size);
         let answer = if size > PUSHED_RESULT_MAX {
             Answer::Declined(format!("the result is {size} bytes, over {PUSHED_RESULT_MAX}"))
@@ -612,18 +614,18 @@ impl NodeCtx {
         let key = (r.origin.0, r.epoch, r.id);
         if let Some(cached) = self.routed.applied(key).cloned() {
             self.stats.mutations_deduped.inc();
-            self.obs.trace(r.epoch, r.id, "dedup", format!("{what} re-delivered"));
+            self.obs.trace(r.epoch, r.id, trace::DEDUP, format_args!("{what} re-delivered"));
             return cached;
         }
         let applied = self.apply_mutation(m);
-        let detail = match &applied {
-            Ok(rows) => format!("{what}, {rows} rows"),
-            Err(e) => format!("{what} failed: {e}"),
-        };
+        let detail = std::fmt::from_fn(|f| match &applied {
+            Ok(rows) => write!(f, "{what}, {rows} rows"),
+            Err(e) => write!(f, "{what} failed: {e}"),
+        });
         if let (MutOp::Insert(given), Err(_)) = (&m.op, &applied) {
             self.stats.appends_dropped.add(given.len() as u64);
         }
-        self.obs.trace(r.epoch, r.id, "apply", detail);
+        self.obs.trace(r.epoch, r.id, trace::APPLY, detail);
         self.routed.remember(key, applied.clone());
         applied
     }
@@ -777,8 +779,7 @@ impl NodeCtx {
             return self.finish_routed(epoch, id, Ok(answer));
         }
         if let Some(p) = self.routed.keep_alive(epoch, id, Instant::now()) {
-            let what = p.what();
-            self.obs.trace(epoch, id, "running", what);
+            self.obs.trace(epoch, id, trace::RUNNING, p.what());
         }
     }
 
@@ -788,15 +789,15 @@ impl NodeCtx {
     /// failures there would double-book them.
     fn finish_routed(&mut self, epoch: u64, id: u64, outcome: Result<Answer, String>) {
         let Some(p) = self.routed.ack(epoch, id) else { return };
-        let detail = match &outcome {
-            Ok(Answer::Mutated(Ok(rows))) => format!("{} ok, {rows} rows", p.what()),
-            Ok(Answer::Selected(Ok(rs))) => format!("{} ok, {} rows", p.what(), rs.row_count()),
-            Ok(Answer::Selected(Err(e))) => format!("{} failed: {e}", p.what()),
-            Ok(Answer::Mutated(Err(e))) | Err(e) => format!("{} failed: {e}", p.what()),
-            Ok(Answer::Declined(why)) => format!("{} declined: {why}", p.what()),
-            Ok(Answer::Running) => format!("{} still running", p.what()),
-        };
-        self.obs.trace(epoch, id, "ack", detail);
+        let detail = std::fmt::from_fn(|f| match &outcome {
+            Ok(Answer::Mutated(Ok(rows))) => write!(f, "{} ok, {rows} rows", p.what()),
+            Ok(Answer::Selected(Ok(rs))) => write!(f, "{} ok, {} rows", p.what(), rs.row_count()),
+            Ok(Answer::Selected(Err(e))) => write!(f, "{} failed: {e}", p.what()),
+            Ok(Answer::Mutated(Err(e))) | Err(e) => write!(f, "{} failed: {e}", p.what()),
+            Ok(Answer::Declined(why)) => write!(f, "{} declined: {why}", p.what()),
+            Ok(Answer::Running) => write!(f, "{} still running", p.what()),
+        });
+        self.obs.trace(epoch, id, trace::ACK, detail);
         self.settle(p, outcome);
     }
 
@@ -836,8 +837,8 @@ impl NodeCtx {
         self.stats.loi_readmits.inc();
         self.readmit_hist.record_elapsed_micros(start);
         let size = payload.byte_size();
-        let detail = format!("{bat} reloaded from disk ({size} bytes, spilled at v{version})");
-        self.obs.trace(self.routed.epoch(), 0, "readmit", detail);
+        let detail = format_args!("{bat} reloaded from disk ({size} bytes, spilled at v{version})");
+        self.obs.trace(self.routed.epoch(), 0, trace::READMIT, detail);
         Ok(payload)
     }
 
@@ -877,12 +878,8 @@ impl NodeCtx {
             return;
         }
         self.stats.loi_evictions.inc();
-        self.obs.trace(
-            self.routed.epoch(),
-            0,
-            "evict",
-            format!("{bat} spilled ({size} bytes, v{version})"),
-        );
+        let detail = format_args!("{bat} spilled ({size} bytes, v{version})");
+        self.obs.trace(self.routed.epoch(), 0, trace::EVICT, detail);
     }
 
     /// Spill the coldest off-ring fragments until residency fits the
@@ -936,8 +933,9 @@ impl NodeCtx {
         let name = format!("{}.{}", c.schema, c.table);
         let outcome = self.catalog.admits(c);
         if outcome == Publish::Refused {
-            let detail = format!("{name} from {}: not the fragments this node knows", c.origin);
-            self.obs.trace(0, 0, "gossip_refused", detail);
+            let detail =
+                format_args!("{name} from {}: not the fragments this node knows", c.origin);
+            self.obs.trace(0, 0, trace::GOSSIP_REFUSED, detail);
             return;
         }
         let unlogged = self.persist.as_ref().is_some_and(|p| p.unlogged.contains(&name));
@@ -956,7 +954,7 @@ impl NodeCtx {
         }
         self.catalog.publish(c);
         self.stats.obs_gossip_applied.inc();
-        self.obs.trace(0, 0, "gossip", format!("{name} from {}", c.origin));
+        self.obs.trace(0, 0, trace::GOSSIP, format_args!("{name} from {}", c.origin));
         self.notify.bump();
     }
 

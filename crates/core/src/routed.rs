@@ -126,19 +126,19 @@ pub enum Admit {
 
 /// `"mutation on sys.acct"`, `"append on sys.acct"`, `"select on
 /// sys.acct"` — a routed statement as traces and errors name it.
-pub fn describe(stmt: &RoutedStmt) -> String {
+pub fn describe(stmt: &RoutedStmt) -> impl std::fmt::Display + '_ {
     let kind = match stmt {
         RoutedStmt::Mutate(m) if matches!(m.op, MutOp::Insert(_)) => "append",
         RoutedStmt::Mutate(_) => "mutation",
         RoutedStmt::Select { .. } => "select",
     };
     let (schema, table) = stmt.table();
-    format!("{kind} on {schema}.{table}")
+    std::fmt::from_fn(move |f| write!(f, "{kind} on {schema}.{table}"))
 }
 
 impl Pending {
     /// The statement as traces and errors name it ([`describe`]).
-    pub fn what(&self) -> String {
+    pub fn what(&self) -> impl std::fmt::Display + '_ {
         describe(&self.msg.stmt)
     }
 
@@ -240,7 +240,7 @@ impl Routed {
             p.backoff *= 2;
             due.push(Due::Resend {
                 id,
-                what: p.what(),
+                what: p.what().to_string(),
                 attempt: p.attempts,
                 frame: DcMsg::Routed(p.msg.clone()),
             });

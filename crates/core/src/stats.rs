@@ -3,7 +3,7 @@
 //! requests and loads per BAT (Fig. 9, kept in S1 at the owner) and
 //! request latencies (Fig. 10) — and the live engine's own. Each set is
 //! declared once, with [`dc_obs::counters!`]: a field's name is the name
-//! `dc.stats` and `dc-node metrics` show.
+//! `dc.stats` and `dc-node metrics` show. The engine's trace events: [`trace`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -128,6 +128,34 @@ dc_obs::counters! {
         /// gossiped table's WAL record, a bulk load's file or record, a
         /// dirty spill's file.
         obs_persist_errors,
+    }
+}
+
+/// A constant per trace event, holding the name `dc.trace` shows, and `ALL`.
+macro_rules! trace_events {
+    ($($id:ident = $name:literal,)*) => {
+        $(pub const $id: &str = $name;)*
+        pub const ALL: &[&str] = &[$($name,)*];
+    };
+}
+
+/// The events the live engine records in its node's trace ring; each has
+/// a row in ARCHITECTURE.md "Statement tracing".
+pub mod trace {
+    trace_events! {
+        ROUTE = "route",
+        RETRY = "retry",
+        TIMEOUT = "timeout",
+        START = "start",
+        APPLY = "apply",
+        DEDUP = "dedup",
+        ACK_SENT = "ack_sent",
+        RUNNING = "running",
+        ACK = "ack",
+        GOSSIP = "gossip",
+        GOSSIP_REFUSED = "gossip_refused",
+        READMIT = "readmit",
+        EVICT = "evict",
     }
 }
 

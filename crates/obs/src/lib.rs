@@ -20,17 +20,19 @@
 //!   statement carries it from the origin's `route` through the owner's
 //!   `apply`/`ack_sent` back to the origin's `ack`, so the full path of
 //!   a statement can be reconstructed by joining `dc.trace` rows across
-//!   nodes on that key.
+//!   nodes on that key. An event is a compact record in one byte ring:
+//!   ≈24 B for an engine event; `obs_trace_bytes` shows what it holds.
 //!
 //! The registry hands out `Arc` handles ([`Registry::counter`] and
 //! friends are get-or-create), so hot paths resolve a name once and then
 //! touch only the atomic. [`counters!`] declares a struct of such handles
 //! whose field names are the registered names.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Display;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Number of log₂ buckets in a [`Histogram`]: one per possible bit-width
@@ -296,54 +298,182 @@ pub struct TraceEvent {
 
 /// A bounded ring buffer of [`TraceEvent`]s: pushing past the capacity
 /// drops the oldest event, so tracing is always on and never grows.
+///
+/// Events are records back to back in one byte ring, each: the time as
+/// a LEB128 varint delta from the record before; the epoch and the event
+/// name, each a varint index into a table the ring owns (a slot is
+/// reused once no held record names it); `stmt` as a varint; the
+/// detail's byte length as a varint, then its UTF-8.
 pub struct TraceBuf {
+    node: u16,
+    /// Timestamps count from here (also the registry's start).
+    started: Instant,
     cap: usize,
-    buf: Mutex<VecDeque<TraceEvent>>,
+    records: Mutex<Records>,
 }
 
 impl TraceBuf {
-    pub fn new(cap: usize) -> TraceBuf {
-        TraceBuf { cap: cap.max(1), buf: Mutex::new(VecDeque::new()) }
+    pub fn new(node: u16, cap: usize) -> TraceBuf {
+        TraceBuf { node, started: Instant::now(), cap: cap.max(1), records: Mutex::default() }
     }
 
-    pub fn push(&self, ev: TraceEvent) {
-        let mut buf = lock(&self.buf);
-        if buf.len() >= self.cap {
-            buf.pop_front();
+    /// Append one event, formatting its detail straight into the ring,
+    /// and return the bytes the ring has allocated.
+    pub fn push(&self, epoch: u64, stmt: u64, event: &'static str, detail: &dyn Display) -> usize {
+        let mut r = self.records();
+        if r.len >= self.cap {
+            r.pop_front();
         }
-        buf.push_back(ev);
+        // Read under the lock, so records are in timestamp order.
+        let ts = self.started.elapsed().as_micros() as u64;
+        let dt = ts - std::mem::replace(&mut r.last_ts, ts);
+        for v in [dt, r.epochs.hold(epoch), r.names.hold(event), stmt] {
+            put_varint(v, |b| r.bytes.push_back(b));
+        }
+        let at = r.bytes.len();
+        let _ = write!(r.bytes, "{detail}");
+        // The length goes in front: each of its bytes shifts the detail.
+        let mut i = at;
+        put_varint((r.bytes.len() - at) as u64, |b| {
+            r.bytes.insert(i, b);
+            i += 1;
+        });
+        r.len += 1;
+        r.bytes.capacity() + r.epochs.allocated() + r.names.allocated()
     }
 
     /// Oldest-first copy of the buffered events.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        lock(&self.buf).iter().cloned().collect()
+        let r = &mut *self.records();
+        let (mut it, mut ts) = (r.bytes.make_contiguous().iter(), r.base_ts);
+        (0..r.len)
+            .map(|_| {
+                let [dt, epoch, name, stmt, len] = head(&mut it);
+                ts += dt;
+                let (detail, rest) = it.as_slice().split_at(len as usize);
+                it = rest.iter();
+                TraceEvent {
+                    ts_micros: ts,
+                    node: self.node,
+                    epoch: r.epochs.get(epoch),
+                    stmt,
+                    event: r.names.get(name),
+                    detail: String::from_utf8(detail.to_vec()).expect("written from a str"),
+                }
+            })
+            .collect()
     }
 
-    pub fn len(&self) -> usize {
-        lock(&self.buf).len()
+    /// The records, emptied if a push panicked (a detail's `Display`)
+    /// and may have left half a record.
+    fn records(&self) -> MutexGuard<'_, Records> {
+        self.records.lock().unwrap_or_else(|poisoned| {
+            self.records.clear_poison();
+            let mut r = poisoned.into_inner();
+            *r = Records::default();
+            r
+        })
+    }
+}
+
+/// A [`TraceBuf`]'s records and the tables they index.
+#[derive(Default)]
+struct Records {
+    bytes: VecDeque<u8>,
+    len: usize,
+    /// The timestamp the oldest record's delta counts from.
+    base_ts: u64,
+    /// The newest record's timestamp.
+    last_ts: u64,
+    epochs: Table<u64>,
+    names: Table<&'static str>,
+}
+
+impl Records {
+    fn pop_front(&mut self) {
+        let mut it = self.bytes.iter();
+        let [dt, epoch, name, _, len] = head(&mut it);
+        let used = self.bytes.len() - it.len() + len as usize;
+        self.bytes.drain(..used);
+        self.base_ts += dt;
+        self.epochs.release(epoch);
+        self.names.release(name);
+        self.len -= 1;
+    }
+}
+
+/// A record's varints: time delta, epoch index, name index, `stmt`,
+/// detail length.
+fn head<'a>(it: &mut impl Iterator<Item = &'a u8>) -> [u64; 5] {
+    std::array::from_fn(|_| {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = *it.next().expect("a whole record");
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    })
+}
+
+fn put_varint(mut v: u64, mut put: impl FnMut(u8)) {
+    while v >= 0x80 {
+        put(v as u8 | 0x80);
+        v >>= 7;
+    }
+    put(v as u8);
+}
+
+/// Values records name by index, each with the count of held records
+/// naming it; a slot no record names takes the next new value.
+#[derive(Default)]
+struct Table<T> {
+    slots: Vec<(T, usize)>,
+}
+
+impl<T: Copy + PartialEq> Table<T> {
+    fn hold(&mut self, v: T) -> u64 {
+        let live = self.slots.iter().position(|&(s, n)| n > 0 && s == v);
+        let free = || self.slots.iter().position(|&(_, n)| n == 0);
+        let i = live.or_else(free).unwrap_or(self.slots.len());
+        if i == self.slots.len() {
+            self.slots.push((v, 0));
+        }
+        self.slots[i] = (v, self.slots[i].1 + 1);
+        i as u64
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn release(&mut self, i: u64) {
+        self.slots[i as usize].1 -= 1;
+    }
+
+    fn get(&self, i: u64) -> T {
+        self.slots[i as usize].0
+    }
+
+    fn allocated(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<(T, usize)>()
     }
 }
 
 // ---- the registry --------------------------------------------------------
 
 /// Default capacity of a node's trace ring buffer: enough for thousands
-/// of routed statements at a few events each, bounded at well under a
-/// megabyte.
+/// of routed statements at a few events each. At `oltp_mix`'s events
+/// (≈24 B a record) a full ring allocates ≈128 KiB.
 pub const DEFAULT_TRACE_CAP: usize = 4096;
 
 /// One node's metric namespace: named counters, gauges, and histograms
 /// (get-or-create, handed out as `Arc`s) plus the trace ring buffer.
 pub struct Registry {
-    node: u16,
-    started: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
     trace: TraceBuf,
+    /// `obs_trace_bytes`, registered by the first trace event.
+    trace_bytes: OnceLock<Arc<Gauge>>,
 }
 
 impl Registry {
@@ -353,22 +483,21 @@ impl Registry {
 
     pub fn with_trace_cap(node: u16, cap: usize) -> Registry {
         Registry {
-            node,
-            started: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             hists: Mutex::new(BTreeMap::new()),
-            trace: TraceBuf::new(cap),
+            trace: TraceBuf::new(node, cap),
+            trace_bytes: OnceLock::new(),
         }
     }
 
     pub fn node(&self) -> u16 {
-        self.node
+        self.trace.node
     }
 
     /// Microseconds since this registry (its node) started.
     pub fn now_micros(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
+        self.trace.started.elapsed().as_micros() as u64
     }
 
     pub fn counter(&self, name: &str) -> Arc<Counter> {
@@ -414,16 +543,11 @@ impl Registry {
         lock(&self.gauges).get(name).map(|g| g.get())
     }
 
-    /// Record a trace event under the `(epoch, stmt)` span key.
-    pub fn trace(&self, epoch: u64, stmt: u64, event: &'static str, detail: impl Into<String>) {
-        self.trace.push(TraceEvent {
-            ts_micros: self.now_micros(),
-            node: self.node,
-            epoch,
-            stmt,
-            event,
-            detail: detail.into(),
-        });
+    /// Record a trace event under the `(epoch, stmt)` span key, and set
+    /// the gauge `obs_trace_bytes` to the bytes the ring has allocated.
+    pub fn trace(&self, epoch: u64, stmt: u64, event: &'static str, detail: impl Display) {
+        let bytes = self.trace.push(epoch, stmt, event, &detail);
+        self.trace_bytes.get_or_init(|| self.gauge("obs_trace_bytes")).set(bytes as i64);
     }
 
     /// Oldest-first copy of the trace ring buffer.
@@ -624,6 +748,150 @@ mod tests {
         assert_eq!(evs.last().unwrap().stmt, 9);
         assert!(evs.iter().all(|e| e.node == 3 && e.epoch == 7));
         assert!(evs.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros));
+    }
+
+    /// Three hundred event names, past one index byte: leaked once and
+    /// shared by every case.
+    fn many_names() -> &'static [&'static str] {
+        static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
+        NAMES.get_or_init(|| {
+            (0..300).map(|i| &*Box::leak(format!("ev{i}").into_boxed_str())).collect()
+        })
+    }
+
+    /// A detail of exactly `len` bytes: `fill` as often as it fits, then
+    /// ASCII.
+    fn detail_of(len: usize, fill: char) -> String {
+        let mut s: String = std::iter::repeat_n(fill, len / fill.len_utf8()).collect();
+        s.extend(std::iter::repeat_n('a', len - s.len()));
+        s
+    }
+
+    /// An event's fields but its timestamp.
+    fn key(e: &TraceEvent) -> (u16, u64, u64, &'static str, &str) {
+        (e.node, e.epoch, e.stmt, e.event, &e.detail)
+    }
+
+    /// Push `events` into a ring of capacity `cap` and, after every push,
+    /// hold `trace_events` to a model that keeps whole events and drops
+    /// the oldest past the cap. The model stamps each event with the
+    /// clock before its push; the ring's stamp must lie between that and
+    /// the clock after it.
+    fn check_against_model(cap: usize, events: Vec<(u64, u64, &'static str, String)>) {
+        let r = Registry::with_trace_cap(5, cap);
+        let mut model: VecDeque<(TraceEvent, u64)> = VecDeque::new();
+        for (epoch, stmt, event, detail) in events {
+            let before = r.now_micros();
+            r.trace(epoch, stmt, event, &detail);
+            if model.len() >= cap {
+                model.pop_front();
+            }
+            let ev = TraceEvent { ts_micros: before, node: 5, epoch, stmt, event, detail };
+            model.push_back((ev, r.now_micros()));
+            let got = r.trace_events();
+            assert!(got.iter().map(key).eq(model.iter().map(|(e, _)| key(e))), "{got:?}");
+            for (g, (want, after)) in got.iter().zip(&model) {
+                assert!((want.ts_micros..=*after).contains(&g.ts_micros), "{g:?} vs {want:?}");
+            }
+            // A table is never longer than the values the held records name.
+            let held = r.trace.records();
+            assert!(held.epochs.slots.len() <= cap && held.names.slots.len() <= cap);
+        }
+    }
+
+    /// A `u64` that is often an edge: 0, `u64::MAX`, or one of three
+    /// small values.
+    fn edgy(pick: u8, any: u64) -> u64 {
+        match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => any % 3 + 1,
+            _ => any,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Small rings hold what a ring of whole events holds, across
+        /// details of every varint-length boundary and multi-byte UTF-8.
+        #[test]
+        fn small_rings_match_a_ring_of_whole_events(
+            cap in 1usize..=8,
+            events in proptest::collection::vec(
+                (0u8..4, proptest::any::<u64>(), 0u8..4, 0usize..300, 0usize..12, 0usize..4),
+                1..24,
+            ),
+        ) {
+            const LENS: [usize; 6] = [0, 127, 128, 16_383, 16_384, 1];
+            const FILLS: [char; 4] = ['a', 'é', '€', '𝄞'];
+            let events = events
+                .into_iter()
+                .map(|(e, x, s, name, len, fill)| {
+                    let len = LENS.get(len).copied().unwrap_or(x as usize % 200);
+                    let (epoch, stmt) = (edgy(e, x), edgy(s, x.rotate_left(17)));
+                    (epoch, stmt, many_names()[name], detail_of(len, FILLS[fill]))
+                })
+                .collect();
+            check_against_model(cap, events);
+        }
+    }
+
+    proptest::proptest! {
+        // Each case decodes its whole ring after each of ~300 pushes.
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// A ring holding more than 256 distinct epochs and names at once
+        /// indexes its tables past one byte.
+        #[test]
+        fn wide_tables_match_a_ring_of_whole_events(
+            cap in 257usize..=320,
+            seed in proptest::any::<u64>(),
+        ) {
+            let events = (0..cap as u64 + 40)
+                .map(|i| (seed ^ i, i, many_names()[i as usize % 300], format!("d{i}")))
+                .collect();
+            check_against_model(cap, events);
+        }
+    }
+
+    /// A detail whose `Display` panics mid-record costs the ring its
+    /// events, not its use.
+    #[test]
+    fn a_panicking_detail_empties_the_ring() {
+        let r = Arc::new(Registry::with_trace_cap(0, 8));
+        r.trace(1, 1, "route", "kept until the panic");
+        let boom = std::fmt::from_fn(|f| {
+            f.write_str("half")?;
+            panic!("a detail that panics")
+        });
+        let r2 = Arc::clone(&r);
+        assert!(std::thread::spawn(move || r2.trace(1, 2, "apply", boom)).join().is_err());
+        assert!(r.trace_events().is_empty());
+        r.trace(1, 3, "ack", "after");
+        let evs = r.trace_events();
+        assert_eq!((evs.len(), evs[0].stmt, evs[0].detail.as_str()), (1, 3, "after"));
+    }
+
+    /// A full default-size ring of `oltp_mix`-shaped events allocates at
+    /// most 48 bytes an event, and says so in `obs_trace_bytes`.
+    #[test]
+    fn a_full_ring_of_oltp_events_costs_under_48_bytes_an_event() {
+        let r = Registry::with_trace_cap(0, DEFAULT_TRACE_CAP);
+        let (mine, theirs) = (0x1f2e_3d4c_5b6a_7988, 0x0123_4567_89ab_cdef);
+        for i in 0..2 * DEFAULT_TRACE_CAP as u64 {
+            let stmt = 1000 + i / 5;
+            match i % 5 {
+                0 => r.trace(0, 0, "gossip", "sys.kv from 0"),
+                1 => r.trace(mine, stmt, "route", "mutation on sys.kv"),
+                2 => r.trace(theirs, stmt, "apply", "mutation on sys.kv, 1 rows"),
+                3 => r.trace(theirs, stmt, "ack_sent", "to 1"),
+                _ => r.trace(mine, stmt, "ack", "mutation on sys.kv ok, 1 rows"),
+            }
+        }
+        assert_eq!(r.trace_events().len(), DEFAULT_TRACE_CAP);
+        let bytes = r.gauge_value("obs_trace_bytes").expect("the gauge is registered");
+        assert!(bytes <= 48 * DEFAULT_TRACE_CAP as i64, "{bytes} bytes");
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn view_names(node: &RingNode, sql: &str) -> Vec<String> {
 
 /// `dc.stats` names on every node of the pinned deployment. The ledger
 /// and CI read counters by these names, so a rename shows up here first.
-const NODE_STATS: [&str; 58] = [
+const NODE_STATS: [&str; 59] = [
     "appends_applied",
     "appends_dropped",
     "appends_failed",
@@ -140,6 +140,7 @@ const NODE_STATS: [&str; 58] = [
     "obs_template_entries",
     "obs_template_hits",
     "obs_template_misses",
+    "obs_trace_bytes",
     "query_errors",
     "recovered_frags",
     "recovered_wal_records",
@@ -416,4 +417,41 @@ fn the_observability_table_names_what_a_node_reports() {
     assert!(phantom.is_empty(), "documented, but no node reports them: {phantom:?}");
     let undocumented: Vec<_> = reported.difference(&documented).collect();
     assert!(undocumented.is_empty(), "reported, but not in ARCHITECTURE.md: {undocumented:?}");
+}
+
+/// Every event name in ARCHITECTURE.md's "Statement tracing" table: the
+/// code spans of its first column, with nothing but `/` between them.
+fn documented_trace_events() -> Vec<String> {
+    let doc = include_str!("../ARCHITECTURE.md");
+    let section =
+        doc.split("**Statement tracing.**").nth(1).expect("a Statement tracing paragraph");
+    let rows = section.lines().skip_while(|l| !l.starts_with("| event")).skip(2);
+    let mut names = Vec::new();
+    for row in rows.take_while(|l| l.starts_with('|')) {
+        let cell = row.split('|').nth(1).expect("a first column");
+        for (i, part) in cell.split('`').enumerate() {
+            if i % 2 == 1 {
+                names.push(part.to_string());
+            } else {
+                assert!(matches!(part.trim(), "" | "/"), "not an event name: {part:?} in {row}");
+            }
+        }
+    }
+    names
+}
+
+/// The "Statement tracing" table cannot drift from the code: it has a
+/// row for each event the engine records, and each event it shows is
+/// one the engine records.
+#[test]
+fn the_trace_table_names_every_event_the_engine_records() {
+    use std::collections::BTreeSet;
+    let recorded: BTreeSet<String> =
+        datacyclotron::stats::trace::ALL.iter().map(|e| e.to_string()).collect();
+    assert_eq!(recorded.len(), datacyclotron::stats::trace::ALL.len(), "an event named twice");
+    let documented: BTreeSet<String> = documented_trace_events().into_iter().collect();
+    let phantom: Vec<_> = documented.difference(&recorded).collect();
+    assert!(phantom.is_empty(), "documented, but the engine records no such event: {phantom:?}");
+    let undocumented: Vec<_> = recorded.difference(&documented).collect();
+    assert!(undocumented.is_empty(), "recorded, but not in ARCHITECTURE.md: {undocumented:?}");
 }
