@@ -7,7 +7,7 @@ pub use dc_persist::FsyncPolicy;
 
 /// Durable node-local storage: where this node's "cold data resides on
 /// attached disks" (§3). When set on
-/// [`NodeOptions`](crate::engine::NodeOptions), the node write-ahead
+/// [`NodeOptions`](crate::node::NodeOptions), the node write-ahead
 /// logs every durable mutation, checkpoints owned fragments in the
 /// background, and recovers catalog + fragments from the directory on
 /// startup — a SIGKILL'd process restarts with its data intact.

@@ -1,7 +1,7 @@
 //! The engine's query-API error type.
 //!
 //! The MAL layer reports everything as [`MalError`]; the engine's typed
-//! query API ([`crate::engine::RingNode::execute`]) classifies those
+//! query API ([`crate::node::RingNode::execute`]) classifies those
 //! into what a *client* needs to distinguish: did the statement fail to
 //! parse, fail to plan, fail while executing, or did the ring itself
 //! fail (node down, fragment gone, pin timeout)?

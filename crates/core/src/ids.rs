@@ -34,6 +34,16 @@ impl fmt::Display for QueryId {
     }
 }
 
+/// The id of the `n`th fragment a node allocates, created or loaded: the
+/// top byte is `(node % 255) + 1`, so ids of different owners never
+/// collide and never overflow `u32`, and a restarted node resumes past
+/// every id it recovered. Node 255 shares node 0's namespace — rings
+/// that large are beyond this engine's scope (rings in the paper top out
+/// at 64).
+pub(crate) fn node_frag_id(node: NodeId, n: u32) -> BatId {
+    BatId(((node.0 as u32 % 255 + 1) << 24) | (n & 0x00ff_ffff))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,21 +36,24 @@
 //! * [`transport`] — the §4.3 network-layer seam ([`RingTransport`])
 //!   plus the default in-process fabric; the TCP fabric lives in the
 //!   `dc-transport` crate.
-//! * [`engine`] / [`runtime`] — a live multi-threaded ring: every node
-//!   runs the MonetDB-style DBMS layer (`batstore` + `mal` + `sqlfront`)
-//!   with the DC optimizer injecting `request`/`pin`/`unpin` calls that
-//!   resolve against the ring. [`engine::Ring`] wires n nodes in-process;
-//!   [`engine::RingNode`] hosts one node over any transport for
-//!   multi-process deployments (see the `dc-node` binary). §6.4's
-//!   versions are the owner-applied counters every catalog entry
+//! * [`engine`] / [`node`] / [`runtime`] — a live multi-threaded ring:
+//!   every node runs the MonetDB-style DBMS layer (`batstore` + `mal` +
+//!   `sqlfront`) with the DC optimizer injecting `request`/`pin`/`unpin`
+//!   calls that resolve against the ring. [`engine`] is a node's event
+//!   loop; [`node::RingNode`] hosts one node over any transport for
+//!   multi-process deployments (see the `dc-node` binary), and
+//!   [`node::Ring`] wires n nodes in-process; [`runtime::RingHooks`] is a
+//!   node's one handle, its statement path and the hooks its plans call.
+//!   §6.4's versions are the owner-applied counters every catalog entry
 //!   carries; see [`runtime::RingCatalog`].
 //!
 //! Durability is provided by the `dc-persist` crate: give
-//! [`engine::NodeOptions`] a [`config::DataDir`] and the node
+//! [`node::NodeOptions`] a [`config::DataDir`] and the node
 //! write-ahead logs every durable mutation, checkpoints owned fragments
 //! in the background, and recovers catalog + fragments from disk on
 //! spawn — a killed process restarts with its data intact and merely
-//! re-advertises its fragments on the ring.
+//! re-advertises its fragments on the ring. The event loop writes
+//! through one `dc_persist::Log`, which alone knows WAL generations.
 
 pub mod catalog;
 pub mod config;
@@ -60,6 +63,7 @@ pub mod hotset;
 pub mod ids;
 pub mod loi;
 pub mod msg;
+pub mod node;
 pub mod proto;
 pub mod requests;
 pub mod routed;
@@ -70,12 +74,12 @@ pub mod transport;
 pub use batstore::{ResultColumn, ResultSet};
 pub use catalog::{OwnedState, S1Catalog};
 pub use config::{DataDir, DcConfig, FsyncPolicy};
-pub use engine::{NodeOptions, Ring, RingBuilder, RingNode};
 pub use error::DcError;
 pub use hotset::{HotsetRow, HotsetSnapshot};
 pub use ids::{BatId, NodeId, QueryId};
 pub use loi::{new_loi, LoitLadder};
 pub use msg::{decode, decode_frame, encode, BatHeader, CatalogCol, CatalogMsg, DcMsg, ReqMsg};
+pub use node::{NodeOptions, Ring, RingBuilder, RingNode};
 pub use proto::{DcNode, Effect, PinOutcome};
 pub use stats::{FaultStats, NodeStats};
 pub use transport::fault::{Edge, FaultEvent, FaultPlan, FaultTransport};

@@ -8,22 +8,27 @@
 //! checkpoints all read that entry, and only
 //! [`RingCatalog::publish`] writes it.
 //!
-//! Query threads call [`RingHooks`] (the [`mal::DcHooks`] implementation
-//! injected into plans by the DC optimizer); the node's event loop
-//! fulfills waiters when fragments arrive from the predecessor. What it
-//! hands them is a [`Frag`], the fragment as the node holds it — the
-//! pinning query, not the event loop, turns it into a `Bat`.
+//! [`RingHooks`] is a node's one handle: its statement path (compile
+//! through the template cache, run on the dataflow interpreter) and the
+//! [`mal::DcHooks`] implementation the DC optimizer injects into plans.
+//! Query threads call it; the node's event loop fulfills waiters when
+//! fragments arrive from the predecessor. What it hands them is a
+//! [`Frag`], the fragment as the node holds it — the pinning query, not
+//! the event loop, turns it into a `Bat`.
 
-use crate::ids::{BatId, NodeId, QueryId};
+use crate::engine::NodeEvent;
+use crate::error::DcError;
+use crate::ids::{node_frag_id, BatId, NodeId, QueryId};
 use crate::msg::{CatalogCol, CatalogMsg};
 use crate::transport::RingTransport;
 use batstore::ops::Mutation;
-use batstore::{storage, Bat, BatStore, Catalog, ColType, Column};
+use batstore::{storage, Bat, BatStore, Catalog, ColType, Column, ResultSet};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
-use mal::{DcHooks, MalError};
+use mal::{DcHooks, MalError, SessionCtx};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -265,6 +270,46 @@ impl Frag {
     }
 }
 
+/// A node's fragment-id allocator for created and loaded tables, shared
+/// by its handle and its event loop: ids in the node's own namespace
+/// ([`node_frag_id`]), so allocations on different ring members never
+/// collide.
+pub(crate) struct FragIds {
+    node: NodeId,
+    next: AtomicU32,
+}
+
+impl FragIds {
+    pub(crate) fn new(node: NodeId) -> FragIds {
+        FragIds { node, next: AtomicU32::new(1) }
+    }
+
+    /// New fragments this node owns, one per named payload: the catalog
+    /// columns naming them, at version 0, and the payloads to own.
+    pub(crate) fn columns(
+        &self,
+        named: impl IntoIterator<Item = (String, Bat)>,
+    ) -> (Vec<CatalogCol>, Vec<(BatId, Arc<Bat>)>) {
+        let column = |(name, payload): (String, Bat)| {
+            let bat = node_frag_id(self.node, self.next.fetch_add(1, Ordering::Relaxed));
+            let (ty, size) = (payload.tail().col_type(), payload.byte_size() as u64);
+            let col = CatalogCol { name, ty, bat, size, owner: self.node, version: 0 };
+            (col, (bat, Arc::new(payload)))
+        };
+        named.into_iter().map(column).unzip()
+    }
+
+    /// Allocate past every id of this node's namespace in `taken`: a
+    /// fresh CREATE or load must never collide with a recovered fragment.
+    pub(crate) fn resume_past(&self, taken: impl IntoIterator<Item = BatId>) {
+        let ns = node_frag_id(self.node, 0).0;
+        let past = taken.into_iter().filter(|b| b.0 & 0xff00_0000 == ns).map(|b| b.0 - ns + 1);
+        if let Some(next) = past.max() {
+            self.next.fetch_max(next, Ordering::Relaxed);
+        }
+    }
+}
+
 /// A blocked caller fulfilled by the node event loop: pins wait for a
 /// [`Frag`], DDL/DML commands wait for a row count.
 pub struct Waiter<T = Frag> {
@@ -404,29 +449,102 @@ pub enum Cmd {
     Shutdown,
 }
 
-/// The [`DcHooks`] implementation wired into MAL plans on ring nodes.
+/// The end-to-end statement latency histograms, in [`stmt_kind`] order:
+/// one per [`STMT_KEYWORDS`] entry, then the pool for everything else.
+const STMT_HIST_NAMES: [&str; STMT_KEYWORDS.len() + 1] = [
+    "stmt_select_us",
+    "stmt_insert_us",
+    "stmt_update_us",
+    "stmt_delete_us",
+    "stmt_create_us",
+    "stmt_other_us",
+];
+
+const STMT_KEYWORDS: [&str; 5] = ["select", "insert", "update", "delete", "create"];
+
+/// Which [`STMT_HIST_NAMES`] histogram a SQL statement lands in, by its
+/// leading keyword. Unknown statement shapes pool into `stmt_other_us`
+/// rather than minting unbounded histogram names from user input.
+fn stmt_kind(sql: &str) -> usize {
+    let first = sql.split_whitespace().next().unwrap_or("");
+    STMT_KEYWORDS
+        .iter()
+        .position(|kw| first.eq_ignore_ascii_case(kw))
+        .unwrap_or(STMT_KEYWORDS.len())
+}
+
+/// Telemetry handles of the SQL choke point
+/// ([`crate::RingNode::execute`]), resolved once at spawn so a statement
+/// costs atomic bumps, not registry lookups.
+struct SqlMetrics {
+    statements: Arc<dc_obs::Counter>,
+    errors: Arc<dc_obs::Counter>,
+    stmt_hists: [Arc<dc_obs::Histogram>; STMT_HIST_NAMES.len()],
+    template_hits: Arc<dc_obs::Counter>,
+    template_misses: Arc<dc_obs::Counter>,
+    template_entries: Arc<dc_obs::Gauge>,
+}
+
+impl SqlMetrics {
+    fn new(obs: &dc_obs::Registry) -> SqlMetrics {
+        SqlMetrics {
+            statements: obs.counter("obs_sql_statements"),
+            errors: obs.counter("obs_sql_errors"),
+            stmt_hists: std::array::from_fn(|i| obs.histogram(STMT_HIST_NAMES[i])),
+            template_hits: obs.counter("obs_template_hits"),
+            template_misses: obs.counter("obs_template_misses"),
+            template_entries: obs.gauge("obs_template_entries"),
+        }
+    }
+}
+
+/// A node's one handle, shared by the node's API, its event loop and
+/// every plan it runs: the [`DcHooks`] wired into MAL plans, and the
+/// statement path — compile against the node's catalog through its
+/// template cache, then run on the dataflow interpreter against these
+/// hooks. The node's API runs every statement a caller issues through
+/// it, and its event loop every SELECT another node pushed here.
 pub struct RingHooks {
-    tx: Sender<super::engine::NodeEvent>,
-    catalog: Arc<RingCatalog>,
-    pin_timeout: Duration,
+    pub(crate) tx: Sender<NodeEvent>,
+    pub(crate) catalog: Arc<RingCatalog>,
+    /// How long a blocked `pin`, a DDL/DML ack or a hot-set snapshot
+    /// waits, and how long a pushed SELECT's origin waits without hearing
+    /// that the owner is still running it.
+    pub(crate) pin_timeout: Duration,
     /// The node's telemetry registry; `dc.*` system views read from it.
-    obs: Arc<dc_obs::Registry>,
+    pub(crate) obs: Arc<dc_obs::Registry>,
     /// The node's transport, which counts the frames it refused itself.
-    transport: Arc<dyn RingTransport>,
+    pub(crate) transport: Arc<dyn RingTransport>,
     /// That count, as the registry shows it.
     frames_rejected: Arc<dc_obs::Gauge>,
+    /// The session plans run in. Its catalog and store hold nothing:
+    /// ring plans never `sql.bind`, and the data lives in the ring.
+    session: SessionCtx,
+    templates: mal::TemplateCache,
+    sql_metrics: SqlMetrics,
+    next_query: AtomicU64,
 }
 
 impl RingHooks {
     pub(crate) fn new(
-        tx: Sender<super::engine::NodeEvent>,
+        tx: Sender<NodeEvent>,
         catalog: Arc<RingCatalog>,
         pin_timeout: Duration,
         obs: Arc<dc_obs::Registry>,
         transport: Arc<dyn RingTransport>,
     ) -> RingHooks {
-        let frames_rejected = obs.gauge("obs_ring_frames_rejected");
-        RingHooks { tx, catalog, pin_timeout, obs, transport, frames_rejected }
+        RingHooks {
+            tx,
+            catalog,
+            pin_timeout,
+            frames_rejected: obs.gauge("obs_ring_frames_rejected"),
+            transport,
+            session: SessionCtx::new(Default::default(), Default::default()),
+            templates: mal::TemplateCache::new(),
+            sql_metrics: SqlMetrics::new(&obs),
+            next_query: AtomicU64::new(1),
+            obs,
+        }
     }
 
     /// The node's registry, as every surface reads it: with the
@@ -436,9 +554,74 @@ impl RingHooks {
         &self.obs
     }
 
+    pub(crate) fn next_query(&self) -> u64 {
+        self.next_query.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Compile and run `sql` on this node, wherever its fragments are:
+    /// how a SELECT pushed here runs.
+    pub(crate) fn run(self: &Arc<Self>, sql: &str) -> Result<ResultSet, DcError> {
+        let qid = self.next_query();
+        let (template, params) = self.compile(sql)?;
+        Ok(self.run_bound(qid, &template, &params)?)
+    }
+
+    /// The query template (§3.2) of `sql`'s shape and the statement's own
+    /// literals to bind to its parameter slots. Only a shape this node
+    /// has not cached is code-generated (against this node's catalog) and
+    /// optimized; a compile error caches nothing.
+    pub(crate) fn compile(
+        &self,
+        sql: &str,
+    ) -> Result<(Arc<mal::Program>, Vec<mal::Const>), MalError> {
+        let parsed = sqlfront::parse_template(sql)?;
+        let params = parsed.bindings()?;
+        if let Some(template) = self.templates.get(&parsed.key) {
+            self.sql_metrics.template_hits.inc();
+            return Ok((template, params));
+        }
+        let plan = self.catalog.with_compiler(|c| sqlfront::compile_stmt(&parsed.stmt, c))?;
+        let template = self.templates.insert(parsed.key, sqlfront::optimize(&plan));
+        self.sql_metrics.template_misses.inc();
+        self.sql_metrics.template_entries.set(self.templates.len() as i64);
+        Ok((template, params))
+    }
+
+    /// Run a compiled plan with `params` bound to its parameter slots,
+    /// as query `qid`, returning the typed result the plan's sink
+    /// published.
+    pub(crate) fn run_bound(
+        self: &Arc<Self>,
+        qid: u64,
+        plan: &mal::Program,
+        params: &[mal::Const],
+    ) -> Result<ResultSet, MalError> {
+        // A per-query session sharing the node's hooks.
+        let session =
+            SessionCtx::new(Arc::clone(&self.session.catalog), Arc::clone(&self.session.store))
+                .with_dc(Arc::clone(self) as Arc<dyn DcHooks>)
+                .with_query_id(qid);
+        let result = mal::run_dataflow_bound(plan, params, &session, 4);
+        // Always clean up interest, success or failure.
+        let _ = self.send(Cmd::QueryDone { query: QueryId(qid) });
+        result?;
+        Ok(session.take_result())
+    }
+
+    /// Count one statement `sql` that started at `start` and `failed` or
+    /// not, under its kind's latency histogram.
+    pub(crate) fn count_statement(&self, sql: &str, start: Instant, failed: bool) {
+        let m = &self.sql_metrics;
+        m.statements.inc();
+        if failed {
+            m.errors.inc();
+        }
+        m.stmt_hists[stmt_kind(sql)].record_elapsed_micros(start);
+    }
+
     /// Snapshot the event loop's hot-set view (per-fragment residency
     /// and LOI; node-wide residency totals and LOIT position).
-    fn hotset_snapshot(&self) -> Result<crate::hotset::HotsetSnapshot, MalError> {
+    pub(crate) fn hotset_snapshot(&self) -> Result<crate::hotset::HotsetSnapshot, MalError> {
         let ack = Arc::new(Waiter::<crate::hotset::HotsetSnapshot>::default());
         self.send(Cmd::Hotset { ack: Arc::clone(&ack) })?;
         ack.wait_for_outcome(self.pin_timeout, "hotset request timed out").map_err(MalError::Dc)
@@ -454,10 +637,8 @@ impl RingHooks {
             .ok_or_else(|| MalError::Dc(format!("unknown ticket {ticket}")))
     }
 
-    fn send(&self, cmd: Cmd) -> Result<(), MalError> {
-        self.tx
-            .send(super::engine::NodeEvent::Cmd(cmd))
-            .map_err(|_| MalError::Dc("ring node is down".into()))
+    pub(crate) fn send(&self, cmd: Cmd) -> Result<(), MalError> {
+        self.tx.send(NodeEvent::Cmd(cmd)).map_err(|_| MalError::Dc("ring node is down".into()))
     }
 }
 
@@ -522,105 +703,77 @@ impl DcHooks for RingHooks {
         ack.wait_for_outcome(self.pin_timeout, MUT_ACK_TIMEOUT).map_err(MalError::Dc)
     }
 
-    fn sys_view(&self, _query: u64, view: &str) -> Result<batstore::ResultSet, MalError> {
-        match view {
+    fn sys_view(&self, _query: u64, view: &str) -> Result<ResultSet, MalError> {
+        let cols = match view {
             "stats" => {
-                let (names, values) = self.registry().stats().into_iter().unzip();
-                let mut rs = batstore::ResultSet::new();
-                push_str_col(&mut rs, "dc.stats", "name", names);
-                push_lng_col(&mut rs, "dc.stats", "value", values);
-                Ok(rs)
+                let stats = self.registry().stats();
+                vec![
+                    ("name", "str", strs(stats.iter().map(|(name, _)| name.as_str()))),
+                    ("value", "lng", Column::from(stats.iter().map(|s| s.1).collect::<Vec<_>>())),
+                ]
             }
             "latency" => {
                 let hists = self.obs.histograms();
-                let mut names = Vec::with_capacity(hists.len());
-                let (mut counts, mut p50s, mut p95s, mut p99s, mut maxes) =
-                    (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                for (name, snap) in hists {
-                    names.push(name);
-                    counts.push(snap.count as i64);
-                    p50s.push(snap.p50() as i64);
-                    p95s.push(snap.p95() as i64);
-                    p99s.push(snap.p99() as i64);
-                    maxes.push(snap.max as i64);
-                }
-                let mut rs = batstore::ResultSet::new();
-                push_str_col(&mut rs, "dc.latency", "name", names);
-                push_lng_col(&mut rs, "dc.latency", "count", counts);
-                push_lng_col(&mut rs, "dc.latency", "p50_us", p50s);
-                push_lng_col(&mut rs, "dc.latency", "p95_us", p95s);
-                push_lng_col(&mut rs, "dc.latency", "p99_us", p99s);
-                push_lng_col(&mut rs, "dc.latency", "max_us", maxes);
-                Ok(rs)
+                let stat = |f: fn(&dc_obs::HistogramSnapshot) -> u64| {
+                    Column::from(hists.iter().map(|(_, h)| f(h) as i64).collect::<Vec<_>>())
+                };
+                vec![
+                    ("name", "str", strs(hists.iter().map(|(name, _)| name.as_str()))),
+                    ("count", "lng", stat(|h| h.count)),
+                    ("p50_us", "lng", stat(|h| h.p50())),
+                    ("p95_us", "lng", stat(|h| h.p95())),
+                    ("p99_us", "lng", stat(|h| h.p99())),
+                    ("max_us", "lng", stat(|h| h.max)),
+                ]
             }
             "trace" => {
                 let events = self.obs.trace_events();
-                let (mut ts, mut nodes, mut epochs, mut stmts) =
-                    (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                let (mut kinds, mut details) = (Vec::new(), Vec::new());
-                for e in events {
-                    ts.push(e.ts_micros as i64);
-                    nodes.push(e.node as i32);
+                let lng = |f: fn(&dc_obs::TraceEvent) -> u64| {
+                    Column::from(events.iter().map(|e| f(e) as i64).collect::<Vec<_>>())
+                };
+                let nodes: Vec<i32> = events.iter().map(|e| e.node as i32).collect();
+                vec![
+                    ("ts_us", "lng", lng(|e| e.ts_micros)),
+                    ("node", "int", Column::from(nodes)),
                     // Boot epochs are u64 nonces; the wrapping cast
                     // preserves equality, which is all the span join
                     // needs.
-                    epochs.push(e.epoch as i64);
-                    stmts.push(e.stmt as i64);
-                    kinds.push(e.event.to_string());
-                    details.push(e.detail);
-                }
-                let mut rs = batstore::ResultSet::new();
-                push_lng_col(&mut rs, "dc.trace", "ts_us", ts);
-                rs.push_column(
-                    "dc.trace",
-                    "node",
-                    "int",
-                    Arc::new(Bat::dense(Column::from(nodes))),
-                );
-                push_lng_col(&mut rs, "dc.trace", "epoch", epochs);
-                push_lng_col(&mut rs, "dc.trace", "stmt", stmts);
-                push_str_col(&mut rs, "dc.trace", "event", kinds);
-                push_str_col(&mut rs, "dc.trace", "detail", details);
-                Ok(rs)
+                    ("epoch", "lng", lng(|e| e.epoch)),
+                    ("stmt", "lng", lng(|e| e.stmt)),
+                    ("event", "str", strs(events.iter().map(|e| e.event))),
+                    ("detail", "str", strs(events.iter().map(|e| e.detail.as_str()))),
+                ]
             }
             "hotset" => {
-                let snap = self.hotset_snapshot()?;
-                let n = snap.rows.len();
-                let (mut bats, mut tables, mut states) =
-                    (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
-                let (mut lois, mut versions, mut sizes) =
-                    (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
-                for r in snap.rows {
-                    bats.push(r.bat.0 as i64);
-                    tables.push(r.table);
-                    states.push(r.state.to_string());
-                    lois.push(r.loi);
-                    versions.push(r.version as i64);
-                    sizes.push(r.size as i64);
-                }
-                let mut rs = batstore::ResultSet::new();
-                push_lng_col(&mut rs, "dc.hotset", "bat", bats);
-                push_str_col(&mut rs, "dc.hotset", "table", tables);
-                push_str_col(&mut rs, "dc.hotset", "state", states);
-                rs.push_column("dc.hotset", "loi", "dbl", Arc::new(Bat::dense(Column::from(lois))));
-                push_lng_col(&mut rs, "dc.hotset", "version", versions);
-                push_lng_col(&mut rs, "dc.hotset", "size_bytes", sizes);
-                Ok(rs)
+                let rows = self.hotset_snapshot()?.rows;
+                let lng = |f: fn(&crate::hotset::HotsetRow) -> i64| {
+                    Column::from(rows.iter().map(f).collect::<Vec<_>>())
+                };
+                vec![
+                    ("bat", "lng", lng(|r| r.bat.0 as i64)),
+                    ("table", "str", strs(rows.iter().map(|r| r.table.as_str()))),
+                    ("state", "str", strs(rows.iter().map(|r| r.state))),
+                    ("loi", "dbl", Column::from(rows.iter().map(|r| r.loi).collect::<Vec<_>>())),
+                    ("version", "lng", lng(|r| r.version as i64)),
+                    ("size_bytes", "lng", lng(|r| r.size as i64)),
+                ]
             }
-            other => Err(MalError::Dc(format!(
-                "unknown system view dc.{other} (have: stats, latency, trace, hotset)"
-            ))),
+            other => {
+                return Err(MalError::Dc(format!(
+                    "unknown system view dc.{other} (have: stats, latency, trace, hotset)"
+                )))
+            }
+        };
+        let mut rs = ResultSet::new();
+        for (name, sql_type, col) in cols {
+            rs.push_column(format!("dc.{view}"), name, sql_type, Arc::new(Bat::dense(col)));
         }
+        Ok(rs)
     }
 }
 
-fn push_str_col(rs: &mut batstore::ResultSet, table: &str, name: &str, vals: Vec<String>) {
-    let refs: Vec<&str> = vals.iter().map(String::as_str).collect();
-    rs.push_column(table, name, "str", Arc::new(Bat::dense(Column::from(refs))));
-}
-
-fn push_lng_col(rs: &mut batstore::ResultSet, table: &str, name: &str, vals: Vec<i64>) {
-    rs.push_column(table, name, "lng", Arc::new(Bat::dense(Column::from(vals))));
+fn strs<'a>(vals: impl Iterator<Item = &'a str>) -> Column {
+    Column::from(vals.collect::<Vec<_>>())
 }
 
 /// Timeout message for a routed mutation whose ack never returned: the

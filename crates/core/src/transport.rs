@@ -12,9 +12,9 @@
 //! trait. Two fabrics implement it:
 //!
 //! * [`mem`] (here) — in-process channels, the default fast path used by
-//!   [`crate::engine::Ring`],
+//!   [`crate::node::Ring`],
 //! * `dc_transport::tcp` — a real TCP ring with length-prefixed frames,
-//!   dropped into [`crate::engine::RingNode`] for multi-process
+//!   dropped into [`crate::node::RingNode`] for multi-process
 //!   deployments.
 //!
 //! A third implementation, [`fault::FaultTransport`], wraps either

@@ -142,10 +142,10 @@ impl CheckpointMetrics {
         }
     }
 
-    /// Book the fragment files of one committed checkpoint. (Public for
-    /// the startup compaction, which runs [`write_checkpoint`] inline
-    /// and stays out of the duration histogram.)
-    pub fn count(&self, stats: CheckpointStats) {
+    /// Book the fragment files of one committed checkpoint. (The
+    /// startup compaction, which runs [`write_checkpoint`] inline, books
+    /// them this way and stays out of the duration histogram.)
+    pub(crate) fn count(&self, stats: CheckpointStats) {
         self.frags_written.add(stats.frags_written);
         self.frags_skipped.add(stats.frags_skipped);
     }

@@ -20,15 +20,19 @@
 //!   appender, and tear-tolerant replay.
 //! * [`checkpoint`] — snapshot writer plus the background
 //!   [`Checkpointer`] thread.
+//! * [`log`] — [`Log`], a node's one handle on all of the above: the WAL
+//!   generation it appends to, when it rotates and checkpoints, and the
+//!   recovery and compaction it opens with.
 //! * [`mod@recover`] — the startup path, idempotent across
 //!   checkpoint/WAL overlap by fragment version.
 //!
-//! The crate deliberately depends only on `batstore`: the engine (in
-//! `datacyclotron`) adapts its ring types to these records, keeping the
-//! storage layer free of protocol concerns.
+//! The crate deliberately depends only on `batstore` (and `dc-obs` for
+//! its timings): the engine (in `datacyclotron`) adapts its ring types to
+//! these records, keeping the storage layer free of protocol concerns.
 
 pub mod checkpoint;
 pub mod datadir;
+pub mod log;
 pub mod recover;
 pub mod wal;
 
@@ -36,5 +40,6 @@ pub use checkpoint::{
     write_checkpoint, CheckpointMetrics, CheckpointStats, Checkpointer, FragSnap, Snapshot,
 };
 pub use datadir::{DataDir, Manifest};
+pub use log::{Log, State};
 pub use recover::{recover, RecFrag, Recovered};
 pub use wal::{replay_wal, ColRec, FsyncPolicy, TableRec, WalRecord, WalWriter};

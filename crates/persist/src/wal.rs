@@ -327,9 +327,8 @@ pub struct WalWriter {
 impl WalWriter {
     /// Create (truncating) the WAL file at `path`.
     pub fn create(path: &Path, policy: FsyncPolicy) -> std::io::Result<WalWriter> {
-        let file = OpenOptions::new().create(true).write(true).truncate(true).open(path)?;
         Ok(WalWriter {
-            file,
+            file: open_truncated(path)?,
             policy,
             unsynced: 0,
             bytes: 0,
@@ -341,11 +340,21 @@ impl WalWriter {
 
     /// Attach latency histograms: `append` records every
     /// [`WalWriter::append`] (inclusive of its policy fsync), `sync`
-    /// records every physical [`WalWriter::sync`]. Survives nothing —
-    /// re-attach after rotating to a fresh writer.
+    /// records every physical [`WalWriter::sync`]. They stay attached
+    /// across [`WalWriter::rotate`].
     pub fn set_metrics(&mut self, append: Arc<dc_obs::Histogram>, sync: Arc<dc_obs::Histogram>) {
         self.append_hist = Some(append);
         self.sync_hist = Some(sync);
+    }
+
+    /// Append to a fresh (truncated) file at `path` from here on, under
+    /// the same fsync policy and histograms. Whatever the policy left
+    /// unsynced in the file appended to until now stays so. On an error
+    /// the writer goes on appending where it did.
+    pub fn rotate(&mut self, path: &Path) -> std::io::Result<()> {
+        self.file = open_truncated(path)?;
+        self.unsynced = 0;
+        Ok(())
     }
 
     /// Append one record; returns the frame size in bytes. The record is
@@ -382,6 +391,10 @@ impl WalWriter {
         }
         Ok(())
     }
+}
+
+fn open_truncated(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new().create(true).write(true).truncate(true).open(path)
 }
 
 /// The outcome of replaying one WAL file.

@@ -455,3 +455,65 @@ fn the_trace_table_names_every_event_the_engine_records() {
     let undocumented: Vec<_> = recorded.difference(&documented).collect();
     assert!(undocumented.is_empty(), "recorded, but not in ARCHITECTURE.md: {undocumented:?}");
 }
+
+/// Every code span of the duty column of ARCHITECTURE.md's "One
+/// protocol, two drivers" table: the functions and types the event
+/// loop's duties are.
+fn documented_duties() -> Vec<String> {
+    let doc = include_str!("../ARCHITECTURE.md");
+    let section = doc.split("## One protocol, two drivers").nth(1).expect("the drivers section");
+    let rows = section.lines().skip_while(|l| !l.starts_with("| duty")).skip(2);
+    let mut names = Vec::new();
+    for row in rows.take_while(|l| l.starts_with('|')) {
+        let cell = row.split('|').nth(1).expect("a first column");
+        names.extend(cell.split('`').skip(1).step_by(2).map(str::to_string));
+    }
+    names
+}
+
+/// The Rust sources under `crates/core/src`, one string per file.
+fn core_sources() -> Vec<String> {
+    let mut dirs = vec![PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/core/src")];
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a source dir") {
+            let path = entry.expect("a dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(std::fs::read_to_string(&path).expect("a source file"));
+            }
+        }
+    }
+    files
+}
+
+/// The duty → trigger table cannot outlive the code it names: every
+/// function or type in its duty column is defined under
+/// `crates/core/src` — a method in a file that implements its type.
+#[test]
+fn the_duty_table_names_what_the_engine_defines() {
+    let sources = core_sources();
+    let defines = |src: &str, kinds: &[&str], name: &str| {
+        kinds.iter().any(|kind| {
+            [" ", "(", "<", ";", " {"]
+                .iter()
+                .any(|end| src.contains(&format!("{kind} {name}{end}")))
+        })
+    };
+    let duties = documented_duties();
+    assert!(duties.len() >= 4, "the duty column names too little: {duties:?}");
+    for duty in duties {
+        let name = duty.trim_end_matches("()");
+        let found = match name.rsplit_once("::") {
+            Some((ty, method)) => sources
+                .iter()
+                .any(|src| defines(src, &["impl"], ty) && defines(src, &["fn"], method)),
+            None => {
+                let kinds = ["fn", "struct", "enum", "trait", "type"];
+                sources.iter().any(|src| defines(src, &kinds, name))
+            }
+        };
+        assert!(found, "ARCHITECTURE.md's duty table names `{duty}`, which crates/core/src lacks");
+    }
+}
