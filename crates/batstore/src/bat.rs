@@ -158,7 +158,7 @@ impl Bat {
         };
         let mut tail = self.tail.clone();
         tail.try_extend(vals)?;
-        Ok(Bat::dense_from(seq, tail))
+        Ok(Bat::dense_from(seq, tail.settled()))
     }
 
     /// Gather rows by position into a new BAT. An arbitrary index list

@@ -203,30 +203,8 @@ impl Catalog {
         Ok(staged.matched)
     }
 
-    pub fn drop_table(&mut self, store: &mut BatStore, schema: &str, table: &str) -> Result<()> {
-        let def = self
-            .tables
-            .remove(&qual(schema, table))
-            .ok_or_else(|| BatError::NotFound(qual(schema, table)))?;
-        for c in &def.columns {
-            let _ = store.remove(c.bat);
-        }
-        Ok(())
-    }
-
     pub fn table(&self, schema: &str, table: &str) -> Result<&TableDef> {
         self.tables.get(&qual(schema, table)).ok_or_else(|| BatError::NotFound(qual(schema, table)))
-    }
-
-    /// Find a table by bare name across schemas (SQL front-end
-    /// convenience; ambiguity is an error).
-    pub fn table_by_name(&self, table: &str) -> Result<&TableDef> {
-        let mut hits = self.tables.values().filter(|t| t.name == table);
-        let first = hits.next().ok_or_else(|| BatError::NotFound(table.to_string()))?;
-        if hits.next().is_some() {
-            return Err(BatError::Invalid(format!("ambiguous table name: {table}")));
-        }
-        Ok(first)
     }
 
     /// `sql.bind(schema, table, column, access)` — resolve a persistent
@@ -298,23 +276,6 @@ mod tests {
             &[vec![Val::Int(1)]],
         );
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn drop_table_frees_bats() {
-        let (mut cat, mut store) = setup();
-        assert_eq!(store.len(), 2);
-        cat.drop_table(&mut store, "sys", "t").unwrap();
-        assert_eq!(store.len(), 0);
-        assert!(cat.table("sys", "t").is_err());
-    }
-
-    #[test]
-    fn table_by_name_unique() {
-        let (mut cat, mut store) = setup();
-        assert_eq!(cat.table_by_name("t").unwrap().row_count, 2);
-        cat.create_table(&mut store, "other", "t", &[("x", ColType::Int)], &[]).unwrap();
-        assert!(cat.table_by_name("t").is_err(), "ambiguous now");
     }
 
     /// A mutation of `sys.t`.

@@ -64,7 +64,8 @@ impl Column {
         }
     }
 
-    /// In-memory footprint of the values (what the ring protocols count).
+    /// In-memory footprint of the values (what the ring protocols, the
+    /// hot-set budget and the catalog count).
     pub fn byte_size(&self) -> usize {
         match self {
             Column::Void { .. } => 0,
@@ -75,6 +76,16 @@ impl Column {
             Column::Str(v) => v.byte_size(),
             Column::Bool(v) => v.len(),
             Column::Date(v) => v.len() * 4,
+        }
+    }
+
+    /// Bytes the values take on the wire and on disk: [`Column::byte_size`],
+    /// but a `str` column's in the plain layout — its offsets and values —
+    /// whatever form it has in memory. Every encoder sizes by this.
+    pub fn wire_size(&self) -> usize {
+        match self {
+            Column::Str(v) => 4 * (v.len() + 1) + v.heap_len(),
+            other => other.byte_size(),
         }
     }
 
@@ -155,7 +166,8 @@ impl Column {
             Column::Int(v) => Column::Int(idx.map(|i| v[i]).collect()),
             Column::Lng(v) => Column::Lng(idx.map(|i| v[i]).collect()),
             Column::Dbl(v) => Column::Dbl(idx.map(|i| v[i]).collect()),
-            Column::Str(v) => Column::Str(v.gather_iter(idx)),
+            // One copy of the string gather serves every index type.
+            Column::Str(v) => Column::Str(v.gather(&idx.collect::<Vec<_>>())),
             Column::Bool(v) => Column::Bool(idx.map(|i| v[i]).collect()),
             Column::Date(v) => Column::Date(idx.map(|i| v[i]).collect()),
         }
@@ -173,6 +185,15 @@ impl Column {
             Column::Str(v) => Column::Str(v.slice(lo, hi)),
             Column::Bool(v) => Column::Bool(v[lo..hi].to_vec()),
             Column::Date(v) => Column::Date(v[lo..hi].to_vec()),
+        }
+    }
+
+    /// A `str` column [`StrCol::settled`], any other as it is: how a
+    /// kernel that builds a fragment's next version hands it over.
+    pub(crate) fn settled(self) -> Column {
+        match self {
+            Column::Str(s) => Column::Str(s.settled()),
+            other => other,
         }
     }
 

@@ -10,6 +10,7 @@
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
+use crate::heap::StrCol;
 use crate::ops::cells::{with_keys, Cells};
 use crate::ops::hash::{Chains, Key};
 use std::cmp::Ordering;
@@ -70,8 +71,12 @@ fn grouping(b: &Bat, gids: Vec<u64>) -> Bat {
 /// * `ext`: `group-id → representative tail value` (one BUN per group,
 ///   in first-appearance order).
 pub fn group_by(b: &Bat) -> (Bat, Bat) {
-    let (gids, reps) =
-        with_keys!(b.tail(), |keys| group_rows(keys)).expect("a BAT's rows fit the group table");
+    // A coded string column groups by its codes: each value has one.
+    let grouped = match b.tail().as_str_col().and_then(StrCol::codes) {
+        Some(codes) => group_rows(codes),
+        None => with_keys!(b.tail(), |keys| group_rows(keys)),
+    };
+    let (gids, reps) = grouped.expect("a BAT's rows fit the group table");
     let ext = Bat::with_props(
         Column::Void { seq: 0, len: reps.len() },
         b.tail().gather(&reps),

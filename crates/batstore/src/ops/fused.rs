@@ -40,9 +40,10 @@
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
+use crate::heap::StrCol;
 use crate::ops::aggregate::{beats, narrow_sum};
 use crate::ops::cells::{with_cells, with_key_pair, with_keys, Cells};
-use crate::ops::hash::{check_rows, Chains, Key};
+use crate::ops::hash::{check_rows, Chains, Key, NIL};
 use crate::ops::scan::{Pred, Scan, BATCH};
 use crate::ops::RowPredicate;
 use crate::value::ColType;
@@ -297,14 +298,18 @@ trait KeyColumn {
     /// Write to `out[j]` the code of the batch's `j`-th row: the number
     /// its value has among the column's distinct values seen so far.
     fn codes(&mut self, batch: Batch<'_>, out: &mut [u32; BATCH]);
+
+    /// How many distinct values have been numbered so far.
+    fn seen(&self) -> usize;
 }
 
-struct Coded<C: Cells> {
+/// A key numbered through a hash table of its values.
+struct ByValue<C: Cells> {
     cells: C,
     seen: Codes<C::Cell>,
 }
 
-impl<C: Cells> KeyColumn for Coded<C>
+impl<C: Cells> KeyColumn for ByValue<C>
 where
     C::Cell: Key,
 {
@@ -312,16 +317,100 @@ where
         let seen = &mut self.seen;
         batch.each(self.cells, |j, _, key| out[j] = seen.code(key));
     }
+
+    fn seen(&self) -> usize {
+        self.seen.keys.len()
+    }
+}
+
+/// A coded string key, numbered through its dictionary codes: one load
+/// of a 256-entry table per row, no hash and no string compare.
+struct ByCode<'a> {
+    codes: &'a [u8],
+    numbers: [u32; 256],
+    seen: u32,
+}
+
+impl KeyColumn for ByCode<'_> {
+    fn codes(&mut self, batch: Batch<'_>, out: &mut [u32; BATCH]) {
+        let ByCode { codes, numbers, seen } = self;
+        batch.each(*codes, |j, _, code| {
+            let number = &mut numbers[usize::from(code)];
+            if *number == NIL {
+                (*number, *seen) = (*seen, *seen + 1);
+            }
+            out[j] = *number;
+        });
+    }
+
+    fn seen(&self) -> usize {
+        self.seen as usize
+    }
 }
 
 fn key_column(bat: &Bat) -> Box<dyn KeyColumn + '_> {
-    fn coded<'a, C: Cells + 'a>(cells: C) -> Box<dyn KeyColumn + 'a>
+    fn by_value<'a, C: Cells + 'a>(cells: C) -> Box<dyn KeyColumn + 'a>
     where
         C::Cell: Key,
     {
-        Box::new(Coded { cells, seen: Codes::new() })
+        Box::new(ByValue { cells, seen: Codes::new() })
     }
-    with_keys!(bat.tail(), |cells| coded(cells))
+    if let Some(codes) = bat.tail().as_str_col().and_then(StrCol::codes) {
+        return Box::new(ByCode { codes, numbers: [NIL; 256], seen: 0 });
+    }
+    with_keys!(bat.tail(), |cells| by_value(cells))
+}
+
+/// Slots a dense [`Refine`] table may grow to (64 KiB of `u32`).
+const DENSE_MAX: usize = 1 << 14;
+
+/// A group refined by one more key: each `(group so far, code)` pair
+/// numbered as it first appears, at `group * width + code` of a dense
+/// table whose width the first codes fix and whose rows grow with the
+/// groups. Once a code outgrows the width or the table would pass
+/// [`DENSE_MAX`] slots, the pairs are numbered by hash, in the same order.
+#[derive(Default)]
+struct Refine {
+    slots: Vec<u32>,
+    width: usize,
+    pairs: Vec<(u32, u32)>,
+    hashed: Option<Codes<u64>>,
+}
+
+impl Refine {
+    /// Replace each of `gids` (below `groups`) by the number of its pair
+    /// with the code beside it (below `seen`); returns how many groups
+    /// there are now.
+    fn refine(&mut self, gids: &mut [u32], codes: &[u32], groups: usize, seen: usize) -> usize {
+        if self.width == 0 && seen > 0 {
+            self.width = seen.next_power_of_two();
+        }
+        let size = groups.next_power_of_two().saturating_mul(self.width);
+        if self.hashed.is_none() && (seen > self.width || size > DENSE_MAX) {
+            let mut hashed = Codes::new();
+            for &(g, c) in &self.pairs {
+                hashed.code(u64::from(g) << 32 | u64::from(c));
+            }
+            self.hashed = Some(hashed);
+        }
+        let Refine { slots, width, pairs, hashed } = self;
+        let Some(hashed) = hashed else {
+            slots.resize(size.max(slots.len()), NIL);
+            for (gid, &code) in gids.iter_mut().zip(codes) {
+                let slot = &mut slots[*gid as usize * *width + code as usize];
+                if *slot == NIL {
+                    *slot = pairs.len() as u32;
+                    pairs.push((*gid, code));
+                }
+                *gid = *slot;
+            }
+            return pairs.len();
+        };
+        for (gid, &code) in gids.iter_mut().zip(codes) {
+            *gid = hashed.code(u64::from(*gid) << 32 | u64::from(code));
+        }
+        hashed.keys.len()
+    }
 }
 
 /// One aggregate's accumulators, a slot per group.
@@ -461,9 +550,8 @@ fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
 /// positions of its side ([`SCANNED`] or [`BUILD`]).
 struct Rounds<'a> {
     keys: Vec<(usize, Box<dyn KeyColumn + 'a>)>,
-    /// Per key after the first: `(group so far, this key's code)` pairs,
-    /// numbered as they appear — the refined group.
-    refined: Vec<Codes<u64>>,
+    /// Per key after the first: the group refined by its code.
+    refined: Vec<Refine>,
     /// Each group's first row, on either side.
     firsts: Vec<[usize; 2]>,
     /// How many rows qualified.
@@ -488,11 +576,10 @@ impl Rounds<'_> {
             // One typed pass per key column gives each row a small code;
             // combining the codes is integer work.
             first.codes(sides[*side], &mut self.gids);
+            let mut groups = first.seen();
             for ((side, key), refined) in more.iter_mut().zip(&mut self.refined) {
                 key.codes(sides[*side], &mut self.codes);
-                for (gid, &code) in self.gids[..n].iter_mut().zip(&self.codes) {
-                    *gid = refined.code(u64::from(*gid) << 32 | u64::from(code));
-                }
+                groups = refined.refine(&mut self.gids[..n], &self.codes[..n], groups, key.seen());
             }
             let ids = &self.gids[..n];
             for (j, &gid) in ids.iter().enumerate() {
@@ -577,7 +664,7 @@ pub fn scan_aggregate(
     let counted = aggs.iter().any(|a| matches!(a, Aggregate::Count | Aggregate::Avg(_)));
     let mut rounds = Rounds {
         keys: key_cols.iter().map(|(side, b)| (*side, key_column(b))).collect(),
-        refined: keys.iter().skip(1).map(|_| Codes::new()).collect(),
+        refined: keys.iter().skip(1).map(|_| Refine::default()).collect(),
         firsts: Vec::new(),
         qualified: 0,
         counts: counted.then(Vec::new),

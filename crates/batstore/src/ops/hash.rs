@@ -53,6 +53,12 @@ impl Key for i32 {
     }
 }
 
+impl Key for u8 {
+    fn hash(self, seed: &Seed) -> u64 {
+        u64::from(self).hash(seed)
+    }
+}
+
 impl Key for bool {
     fn hash(self, seed: &Seed) -> u64 {
         u64::from(self).hash(seed)
@@ -97,7 +103,7 @@ impl<K: Key> Key for (u64, K) {
     }
 }
 
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// Row positions travel between kernels as `u32`; a BAT they could not
 /// address is refused, not truncated.

@@ -21,7 +21,7 @@
 mod aggregate;
 mod cells;
 mod fused;
-mod hash;
+pub(crate) mod hash;
 mod join;
 mod mutate;
 #[cfg(test)]

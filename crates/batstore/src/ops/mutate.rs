@@ -253,7 +253,7 @@ pub fn scatter_const(b: &Bat, rows: &[usize], v: &Val) -> Result<Bat> {
     let mut with_new = b.tail().clone();
     with_new.push(v)?;
     let tail = with_new.gather_iter((0..n).map(|i| if hit[i] { n } else { i }));
-    Ok(Bat::dense_from(seq, tail))
+    Ok(Bat::dense_from(seq, tail.settled()))
 }
 
 /// A new BAT with the BUNs at `rows` (any order, duplicates allowed)
@@ -271,7 +271,7 @@ pub fn erase_rows(b: &Bat, rows: &[usize]) -> Result<Bat> {
         drop[r] = true;
     }
     let keep: Vec<usize> = (0..b.count()).filter(|&i| !drop[i]).collect();
-    Ok(Bat::dense_from(seq, b.tail().gather(&keep)))
+    Ok(Bat::dense_from(seq, b.tail().gather(&keep).settled()))
 }
 
 // ---- codec ---------------------------------------------------------------

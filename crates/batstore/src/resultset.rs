@@ -8,9 +8,9 @@
 //! [`crate::storage`] for column payloads. The TCP client protocol
 //! *streams* a result as `ResultHeader` + `RowBatch` frames (see the
 //! `dc-client` crate), so large results never materialize as one
-//! buffer; the single-blob `DCR1` form below serializes a whole result
-//! self-contained — for caching or persisting results and for codec
-//! round-trip testing:
+//! buffer; the single-blob `DCR1` form ([`ResultSet::write_to`])
+//! serializes a whole result self-contained — a pushed aggregate's
+//! answer rides in its ack so:
 //! ```text
 //! magic  "DCR1"
 //! u8     flags (bit 0: affected present, bit 1: info present)
@@ -222,19 +222,6 @@ impl ResultSet {
         }
         Ok(rs)
     }
-
-    /// The self-contained single-blob form (`DCR1`). The TCP client
-    /// protocol streams results as frames instead; use this to cache or
-    /// persist a whole result.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out).expect("Vec<u8> writes are infallible");
-        out
-    }
-
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<ResultSet> {
-        ResultSet::read_from(&mut bytes)
-    }
 }
 
 fn write_label(w: &mut impl Write, s: &str) -> Result<()> {
@@ -284,6 +271,12 @@ mod tests {
     use super::*;
     use crate::column::Column;
 
+    fn blob(rs: &ResultSet) -> Vec<u8> {
+        let mut out = Vec::new();
+        rs.write_to(&mut out).unwrap();
+        out
+    }
+
     fn sample() -> ResultSet {
         let mut rs = ResultSet::new();
         rs.push_column("sys.c", "t_id", "int", Arc::new(Bat::dense(Column::from(vec![2, 2, 3]))));
@@ -328,7 +321,7 @@ mod tests {
                 rs
             },
         ] {
-            let back = ResultSet::from_bytes(&rs.to_bytes()).unwrap();
+            let back = ResultSet::read_from(&mut &blob(&rs)[..]).unwrap();
             assert_eq!(back, rs);
         }
     }
@@ -345,11 +338,11 @@ mod tests {
 
     #[test]
     fn corrupt_input_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = blob(&sample());
         bytes[0] = b'X';
-        assert!(matches!(ResultSet::from_bytes(&bytes), Err(BatError::Corrupt(_))));
-        let bytes = sample().to_bytes();
-        assert!(ResultSet::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+        assert!(matches!(ResultSet::read_from(&mut &bytes[..]), Err(BatError::Corrupt(_))));
+        let bytes = blob(&sample());
+        assert!(ResultSet::read_from(&mut &bytes[..bytes.len() - 3]).is_err());
     }
 
     #[test]
@@ -359,13 +352,13 @@ mod tests {
         bytes.extend_from_slice(MAGIC);
         bytes.push(FLAG_INFO);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(ResultSet::from_bytes(&bytes).is_err());
+        assert!(ResultSet::read_from(&mut &bytes[..]).is_err());
     }
 
     #[test]
     fn unknown_flags_rejected() {
-        let mut bytes = ResultSet::new().to_bytes();
+        let mut bytes = blob(&ResultSet::new());
         bytes[4] = 0x80;
-        assert!(ResultSet::from_bytes(&bytes).is_err());
+        assert!(ResultSet::read_from(&mut &bytes[..]).is_err());
     }
 }

@@ -68,16 +68,19 @@ fn write_column(w: &mut impl Write, c: &Column) -> Result<()> {
         Column::Int(v) | Column::Date(v) => write_fixed(w, v, i32::to_le_bytes)?,
         Column::Lng(v) => write_fixed(w, v, i64::to_le_bytes)?,
         Column::Dbl(v) => write_fixed(w, v, f64::to_le_bytes)?,
-        Column::Str(s) => {
-            let (offs, bytes) = s.raw_parts();
-            write_u64(w, offs.len() as u64)?;
-            write_fixed(w, offs, u32::to_le_bytes)?;
-            write_u64(w, bytes.len() as u64)?;
-            w.write_all(bytes)?;
-        }
+        Column::Str(s) => write_str(w, s)?,
         Column::Bool(v) => write_fixed(w, v, |x| [x as u8])?,
     }
     Ok(())
+}
+
+/// A `Str` column's payload in its plain layout, whatever its form in
+/// memory: the offset count, the offsets, the heap length, the heap.
+fn write_str(w: &mut impl Write, s: &StrCol) -> Result<()> {
+    write_u64(w, s.len() as u64 + 1)?;
+    s.offsets(&mut |offs| write_fixed(w, offs, u32::to_le_bytes))?;
+    write_u64(w, s.heap_len() as u64)?;
+    s.heap(&mut |bytes| Ok(w.write_all(bytes)?))
 }
 
 /// The next `n` bytes of `r`, taken off its front. `n` comes from a
@@ -180,12 +183,12 @@ pub fn bat_to_bytes(bat: &Bat) -> Vec<u8> {
 
 /// The length of `bat`'s `DCB1` encoding: magic, two tags and the row
 /// count, then each column — a `Void` one its seq, a `Str` one its two
-/// counts beside the values.
-fn encoded_len(bat: &Bat) -> usize {
+/// counts beside the values in their plain layout.
+pub fn encoded_len(bat: &Bat) -> usize {
     let column = |c: &Column| match c {
         Column::Void { .. } => 8,
-        Column::Str(_) => 16 + c.byte_size(),
-        _ => c.byte_size(),
+        Column::Str(_) => 16 + c.wire_size(),
+        _ => c.wire_size(),
     };
     14 + column(bat.head()) + column(bat.tail())
 }
@@ -314,11 +317,18 @@ mod tests {
                 Column::Lng(v) => v.iter().for_each(|x| w.extend_from_slice(&x.to_le_bytes())),
                 Column::Dbl(v) => v.iter().for_each(|x| w.extend_from_slice(&x.to_le_bytes())),
                 Column::Str(s) => {
-                    let (offs, bytes) = s.raw_parts();
-                    w.extend_from_slice(&(offs.len() as u64).to_le_bytes());
-                    offs.iter().for_each(|o| w.extend_from_slice(&o.to_le_bytes()));
-                    w.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                    w.extend_from_slice(bytes);
+                    // The plain layout from the values alone, whatever
+                    // the column's form.
+                    let heap: Vec<u8> = s.iter().flat_map(str::bytes).collect();
+                    w.extend_from_slice(&(s.len() as u64 + 1).to_le_bytes());
+                    w.extend_from_slice(&0u32.to_le_bytes());
+                    let mut end = 0u32;
+                    for v in s.iter() {
+                        end += v.len() as u32;
+                        w.extend_from_slice(&end.to_le_bytes());
+                    }
+                    w.extend_from_slice(&(heap.len() as u64).to_le_bytes());
+                    w.extend_from_slice(&heap);
                 }
                 Column::Bool(v) => v.iter().for_each(|&x| w.push(x as u8)),
             }
@@ -472,8 +482,7 @@ mod tests {
                     Column::Dbl(v) => (v.len(), v.capacity()),
                     Column::Bool(v) => (v.len(), v.capacity()),
                     Column::Str(s) => {
-                        let (offs, heap) = s.raw_parts();
-                        assert_eq!(s.capacity(), (offs.len(), heap.len()), "str x {n}");
+                        assert_eq!(s.slack(), 0, "str x {n}");
                         continue;
                     }
                 };

@@ -18,8 +18,9 @@
 //! * the `batstore::ops` kernels at 64 k rows, one benchmark per
 //!   algorithm a BAT's properties can select (`bench_kernels`): per-row
 //!   cost is the reading ÷ 65 536,
-//! * the fused scan → group → aggregate operator on a Q1, a Q6, a
-//!   `count(*)` and a Q3 shape, the last with its hash-probe stage
+//! * the fused scan → group → aggregate operator on a Q1 shape (by its
+//!   two dictionary-coded flag columns, and by two `lng` columns), a Q6,
+//!   a `count(*)` and a Q3 shape, the last with its hash-probe stage
 //!   (`bench_fused`; run with `-- fused`).
 //! * the per-node trace ring at its default size (`bench_trace`; run
 //!   with `-- trace`): one push of an `oltp_mix`-shaped event into a
@@ -350,6 +351,15 @@ fn bench_fused(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 ops::scan_aggregate(&table, N, &q1_pred, None, &["1", "2"], &q1_aggs).unwrap(),
+            )
+        })
+    });
+    // The same, grouped by two `lng` columns (11 and 50 values): no
+    // dictionary codes, so each key is numbered by hash.
+    c.bench_function("fused/q1_lng_keys", |b| {
+        b.iter(|| {
+            black_box(
+                ops::scan_aggregate(&table, N, &q1_pred, None, &["5", "3"], &q1_aggs).unwrap(),
             )
         })
     });

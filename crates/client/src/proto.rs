@@ -342,10 +342,10 @@ pub const MAX_BATCH_BYTES: usize = 8 << 20;
 pub fn result_frames(rs: &ResultSet, batch_rows: usize) -> Vec<Frame> {
     let rows = rs.row_count();
     // Bound by bytes too: estimate the per-row wire cost from the tail
-    // columns' in-memory footprint (the wire form is within a small
-    // constant of it).
-    let total_bytes: usize = rs.columns.iter().map(|c| c.data.tail().byte_size()).sum();
-    let row_bytes = total_bytes.checked_div(rows).map_or(0, |b| b.max(1));
+    // columns' wire size (not their in-memory one: a coded string column
+    // of a few long values is a fraction of its wire form).
+    let total_bytes: usize = rs.columns.iter().map(|c| c.data.tail().wire_size()).sum();
+    let row_bytes = if rows == 0 { 0 } else { total_bytes.div_ceil(rows).max(1) };
     let batch_rows = match row_bytes {
         0 => batch_rows.max(1),
         _ => batch_rows.max(1).min((MAX_BATCH_BYTES / row_bytes).max(1)),
@@ -569,6 +569,27 @@ mod tests {
             }
         }
         assert_eq!(rows, 200, "no rows lost to batching");
+    }
+
+    #[test]
+    fn coded_strings_are_batched_by_their_wire_size() {
+        // 256 distinct 4 KiB values over 4 096 rows: about 1 MiB in
+        // memory (coded), 16 MiB on the wire.
+        let values: Vec<String> = (0..256).map(|i| format!("{i:04}").repeat(1024)).collect();
+        let col = Column::Str((0..4096).map(|r| &values[r % 256]).collect());
+        assert!(col.byte_size() * 8 < col.wire_size(), "coded in memory");
+        let mut rs = ResultSet::new();
+        rs.push_column("sys.t", "s", "str", Arc::new(Bat::dense(col)));
+        let frames = result_frames(&rs, DEFAULT_BATCH_ROWS);
+        let mut rows = 0;
+        for f in &frames[1..frames.len() - 1] {
+            let Frame::RowBatch { cols } = f else { panic!("{f:?}") };
+            let wire: usize = cols.iter().map(|b| storage::bat_to_bytes(b).len()).sum();
+            assert_eq!(wire, cols.iter().map(storage::encoded_len).sum::<usize>());
+            assert!(wire <= MAX_BATCH_BYTES, "a batch of {wire} bytes");
+            rows += cols[0].count();
+        }
+        assert_eq!(rows, 4096);
     }
 
     #[test]

@@ -97,7 +97,9 @@ proptest! {
                                    affected in any::<bool>(),
                                    info in any::<bool>()) {
         let rs = result_set_from(ncols, rows, seed, affected, info);
-        prop_assert_eq!(ResultSet::from_bytes(&rs.to_bytes()).unwrap(), rs);
+        let mut blob = Vec::new();
+        rs.write_to(&mut blob).unwrap();
+        prop_assert_eq!(ResultSet::read_from(&mut &blob[..]).unwrap(), rs);
     }
 
     #[test]
@@ -132,7 +134,7 @@ proptest! {
     fn garbage_never_panics_the_decoders(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode(&bytes);
         let _ = read_frame(&mut &bytes[..], DEFAULT_MAX_FRAME);
-        let _ = ResultSet::from_bytes(&bytes);
+        let _ = ResultSet::read_from(&mut &bytes[..]);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::error::DcError;
 use crate::ids::{BatId, NodeId};
 pub use batstore::ops::{MutOp, Mutation};
-use batstore::{ColType, ResultSet, RowPredicate, Val};
+use batstore::{storage, ColType, ResultSet, RowPredicate, Val};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// The administrative header a circulating BAT carries for hot-set
@@ -65,9 +65,9 @@ impl BatHeader {
         }
     }
 
-    /// Bytes a frame carrying this BAT occupies on the wire (header +
-    /// payload). A header travelling alone costs [`HEADER_WIRE_BYTES`];
-    /// see [`DcMsg::wire_size`].
+    /// Bytes a frame carrying this BAT occupies when its payload is
+    /// `size` bytes (header + payload), as the ring simulator bills it. A
+    /// live frame is billed what it carries ([`DcMsg::wire_size`]).
     pub fn wire_size(&self) -> u64 {
         HEADER_WIRE_BYTES + self.size
     }
@@ -247,11 +247,11 @@ fn pred_wire_size(p: &RowPredicate) -> u64 {
 }
 
 /// The wire bytes of a pushed SELECT's result in its ack: each column as
-/// `DCR1` holds it, three labels and a dense BAT (22 bytes of header, then
-/// its values).
+/// `DCR1` holds it, three length-prefixed labels and its BAT's `DCB1`
+/// encoding.
 pub fn result_wire_size(rs: &ResultSet) -> u64 {
     let col = |c: &batstore::ResultColumn| {
-        28 + c.table.len() + c.name.len() + c.sql_type.len() + c.data.byte_size()
+        6 + c.table.len() + c.name.len() + c.sql_type.len() + storage::encoded_len(&c.data)
     };
     rs.columns.iter().map(col).sum::<usize>() as u64
 }
@@ -259,8 +259,10 @@ pub fn result_wire_size(rs: &ResultSet) -> u64 {
 impl DcMsg {
     pub fn wire_size(&self) -> u64 {
         match self {
-            // A header travelling alone is billed for the header alone.
-            DcMsg::Bat { header, payload: Some(_) } => header.wire_size(),
+            // A header travelling alone is billed for the header alone,
+            // a payload for its encoded bytes (the header's size is what
+            // the fragment takes in memory).
+            DcMsg::Bat { payload: Some(p), .. } => HEADER_WIRE_BYTES + p.len() as u64,
             DcMsg::Bat { payload: None, .. } => HEADER_WIRE_BYTES,
             DcMsg::Request(_) => REQUEST_WIRE_BYTES,
             DcMsg::Catalog(c) => c.wire_size(),
@@ -272,7 +274,7 @@ impl DcMsg {
                     // A column travels as a dense BAT: 22 bytes of header
                     // (magic, type tags, row count, head) and its values.
                     MutOp::Insert(given) => {
-                        given.iter().map(|(n, c)| 28 + n.len() as u64 + c.byte_size() as u64).sum()
+                        given.iter().map(|(n, c)| 28 + n.len() as u64 + c.wire_size() as u64).sum()
                     }
                     MutOp::Update(a) => {
                         a.iter().map(|(n, v)| 2 + n.len() as u64 + val_wire_size(v)).sum()
@@ -939,6 +941,30 @@ mod tests {
             let ack = DcMsg::Ack(AckMsg { target: NodeId(0), epoch: 1, id: 2, answer });
             assert_eq!(decode(&encode(&ack)).unwrap(), ack);
         }
+    }
+
+    #[test]
+    fn a_result_is_sized_by_its_wire_form_not_its_memory() {
+        // 256 distinct 4 KiB values over 4 096 rows: about 1 MiB in
+        // memory (coded), 16 MiB on the wire.
+        let values: Vec<String> = (0..256).map(|i| format!("{i:04}").repeat(1024)).collect();
+        let col = batstore::Column::Str((0..4096).map(|r| &values[r % 256]).collect());
+        assert!(col.byte_size() * 8 < col.wire_size(), "coded in memory");
+        let bat = batstore::Bat::dense(col);
+        assert_eq!(storage::encoded_len(&bat), storage::bat_to_bytes(&bat).len());
+        let mut rs = ResultSet::new();
+        rs.push_column("sys.t", "s", "str", std::sync::Arc::new(bat));
+        let mut blob = Vec::new();
+        rs.write_to(&mut blob).unwrap();
+        // `DCR1`'s magic, flags and column count, then the columns.
+        assert_eq!(result_wire_size(&rs), blob.len() as u64 - 7);
+        let ack = DcMsg::Ack(AckMsg {
+            target: NodeId(0),
+            epoch: 1,
+            id: 2,
+            answer: Answer::Selected(Ok(rs)),
+        });
+        assert!(ack.wire_size() > crate::routed::PUSHED_RESULT_MAX, "declined, not shipped");
     }
 
     #[test]

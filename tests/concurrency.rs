@@ -108,9 +108,12 @@ fn dc_stats_over_framed_connection_matches_node_stats() {
         assert_eq!(names(&after), names(&before), "the probe registered nothing");
         let held = |i: usize| [before[i].1, after[i].1].contains(&over_wire[i].1);
         if (0..over_wire.len()).all(held) {
+            // Bytes moved, not deliveries: a payload that beats the
+            // projection's pin is served from the cache and delivers
+            // nothing, but its bytes came off the ring either way.
             assert!(
-                over_wire.iter().any(|(n, v)| n == "deliveries" && *v > 0),
-                "workload left no deliveries: {over_wire:?}"
+                over_wire.iter().any(|(n, v)| n == "ring_query_bytes_moved" && *v > 0),
+                "workload moved no fragment bytes: {over_wire:?}"
             );
             break;
         }

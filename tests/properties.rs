@@ -95,6 +95,72 @@ proptest! {
     }
 }
 
+// ---- string columns: the coded form against a plain twin ------------------
+
+proptest! {
+    /// A column built from values — coded, since it holds few distinct
+    /// ones — and its twin built by `push`, which stays plain, driven
+    /// through the same operations: runs of pushes past the 256th
+    /// distinct value, pushes of known values, gathers and slices down to
+    /// 0 and 1 rows. After each, every read, the value equality, the wire
+    /// size and the `DCB1` bytes agree. The pool holds the empty string,
+    /// multi-byte UTF-8, and `"a"` beside `"a\0"`.
+    #[test]
+    fn a_coded_string_column_behaves_as_its_plain_twin(
+        picks in prop::collection::vec(any::<u32>(), 0..300),
+        steps in prop::collection::vec(any::<u32>(), 0..24),
+    ) {
+        use batstore::{storage, StrCol};
+        const POOL: [&str; 7] = ["", "a", "a\0", "héllo", "日本語", "N", "a string of some length"];
+        let values: Vec<&str> = picks.iter().map(|&p| POOL[p as usize % POOL.len()]).collect();
+        let mut coded: StrCol = values.iter().collect();
+        let mut plain = StrCol::new();
+        values.iter().for_each(|s| plain.push(s));
+        if values.len() > 8 {
+            prop_assert!(coded.byte_size() < plain.byte_size(), "built from values, coded");
+        }
+        let wire = |c: &StrCol| {
+            let col = Column::Str(c.clone());
+            (col.wire_size(), storage::bat_to_bytes(&Bat::dense(col)))
+        };
+        let mut fresh = 0;
+        for &step in &steps {
+            let (n, arg) = (coded.len(), step as usize >> 2);
+            match step % 4 {
+                0 => {
+                    for _ in 0..arg % 64 {
+                        let v = format!("new {fresh}");
+                        fresh += 1;
+                        coded.push(&v);
+                        plain.push(&v);
+                    }
+                }
+                1 => {
+                    coded.push(POOL[arg % POOL.len()]);
+                    plain.push(POOL[arg % POOL.len()]);
+                }
+                2 => {
+                    let idx: Vec<usize> = match n {
+                        0 => Vec::new(),
+                        _ => (0..arg % 4).map(|k| (arg >> 2).wrapping_mul(k + 7) % n).collect(),
+                    };
+                    (coded, plain) = (coded.gather(&idx), plain.gather(&idx));
+                }
+                _ => {
+                    let lo = arg % (n + 1);
+                    let hi = lo + (arg >> 8) % (n - lo + 1);
+                    (coded, plain) = (coded.slice(lo, hi), plain.slice(lo, hi));
+                }
+            }
+            prop_assert_eq!(coded.len(), plain.len());
+            prop_assert!((0..coded.len()).all(|i| coded.get(i) == plain.get(i)));
+            prop_assert!(coded.iter().eq(plain.iter()));
+            prop_assert_eq!(&coded, &plain);
+            prop_assert_eq!(wire(&coded), wire(&plain));
+        }
+    }
+}
+
 // ---- typed kernels vs `Val`-level oracles ---------------------------------
 //
 // The kernels pick an algorithm from a BAT's column types and claimed
@@ -430,12 +496,21 @@ proptest! {
 mod fused {
     use super::kernels::{canon, column, comparable, constant};
     use batstore::ops::{Aggregate, CmpOp, RowPredicate};
-    use batstore::{BatError, ColType, Column, Val};
+    use batstore::{BatError, ColType, Column, StrCol, Val};
     use std::cmp::Ordering;
 
-    /// The table's columns: one of each type SQL can declare.
-    pub const TYPES: [ColType; 6] =
-        [ColType::Int, ColType::Lng, ColType::Dbl, ColType::Date, ColType::Str, ColType::Bool];
+    /// The table's columns: one of each type SQL can declare, and two
+    /// more `str` ones, so that string columns come in both forms.
+    pub const TYPES: [ColType; 8] = [
+        ColType::Int,
+        ColType::Lng,
+        ColType::Dbl,
+        ColType::Date,
+        ColType::Str,
+        ColType::Bool,
+        ColType::Str,
+        ColType::Str,
+    ];
     pub const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ne, CmpOp::Ge, CmpOp::Gt];
 
     /// Draws the statement's shape from a list of dice.
@@ -450,7 +525,11 @@ mod fused {
 
     /// `rows` values per column, each column drawing its own values from
     /// the pools of `kernels::column` (extremes that overflow a sum,
-    /// `NaN`, both zeros, neighbours above 2^53, the empty string).
+    /// `NaN`, both zeros, neighbours above 2^53, the empty string). Of
+    /// the `str` columns, column 4 is built from values (dictionary-coded
+    /// once it has a dozen or so rows), column 6 from the same pool by
+    /// `push` (plain), and column 7 from up to 600 distinct values (coded
+    /// only while it holds at most 256).
     pub fn table(picks: &[u32]) -> Vec<Column> {
         TYPES
             .iter()
@@ -460,7 +539,15 @@ mod fused {
                     .iter()
                     .map(|p| p.rotate_left(5 * c as u32) ^ (c as u32 * 0x9E37))
                     .collect();
-                column(ty, &own)
+                match (c, column(ty, &own)) {
+                    (6, Column::Str(coded)) => {
+                        let mut plain = StrCol::new();
+                        coded.iter().for_each(|s| plain.push(s));
+                        Column::Str(plain)
+                    }
+                    (7, _) => Column::Str(own.iter().map(|p| format!("k{}", p % 600)).collect()),
+                    (_, col) => col,
+                }
             })
             .collect()
     }
@@ -727,7 +814,9 @@ mod fused {
 proptest! {
     /// Column types × 0–3 conjuncts of every kind and constant type
     /// (mixed int/`dbl` bounds, out-of-range and mismatched literals in
-    /// any position, empty IN lists) × 0–3 keys × every aggregate — or,
+    /// any position, empty IN lists) × 0–3 keys of mixed types (a `str`
+    /// one dictionary-coded, plain, or past 256 distinct values) × every
+    /// aggregate — or,
     /// with a key, none at all (DISTINCT) — over tables of up to three
     /// batches: the fused kernel answers what the row-at-a-time evaluation
     /// answers, or fails the way it fails.
@@ -758,7 +847,7 @@ proptest! {
     /// The probe stage against nested loops: a scanned table of up to
     /// three batches joined to a build side of up to 40 rows (empty
     /// included, sorted now and then) on an `int`, `lng`, `dbl` or `str`
-    /// key drawn from pools
+    /// key (coded or plain on either side) drawn from pools
     /// where keys recur on both sides (many-to-many; `NaN` and both zeros
     /// matched by bit pattern), now and then on keys of two domains;
     /// conjuncts as above, one statement in eight keeping no row; keys and
@@ -782,11 +871,11 @@ proptest! {
         if dice.roll(4) == 0 {
             build = build.into_iter().map(|c| c.gather(&c.sort_perm(false))).collect();
         }
-        // `int`, `lng`, `dbl`, `str`: one statement in eight joins two
-        // different ones.
-        let domains = [0, 1, 2, 4];
-        let key = domains[dice.roll(4)];
-        let build_key = if dice.roll(8) == 0 { domains[dice.roll(4)] } else { key };
+        // `int`, `lng`, `dbl` and the three `str` columns: one statement
+        // in eight joins two different ones.
+        let domains = [0, 1, 2, 4, 6, 7];
+        let key = domains[dice.roll(6)];
+        let build_key = if dice.roll(8) == 0 { domains[dice.roll(6)] } else { key };
         let mut preds: Vec<_> = (0..dice.roll(4)).map(|_| predicate(&mut dice)).collect();
         if dice.roll(8) == 0 {
             let none = Val::Int(i32::MIN);
