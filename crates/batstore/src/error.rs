@@ -60,6 +60,13 @@ impl From<std::io::Error> for BatError {
     }
 }
 
+/// Input a [`crate::wire::Reader`] refused is corrupt.
+impl From<crate::wire::Error> for BatError {
+    fn from(e: crate::wire::Error) -> Self {
+        BatError::Corrupt(e.into())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,9 @@
 //! * [`storage`] — binary persistence (the "cold data on attached disks"
 //!   of the paper's data loader),
 //! * [`resultset`] — typed query results (named, typed columns plus
-//!   DDL/DML outcomes) with a binary wire form reusing the BAT encoding.
+//!   DDL/DML outcomes) with a binary wire form reusing the BAT encoding,
+//! * [`wire`] — the checked byte reader and the writers every binary
+//!   format of the system is encoded and decoded with.
 
 pub mod bat;
 pub mod catalog;
@@ -29,6 +31,7 @@ pub mod ops;
 pub mod resultset;
 pub mod storage;
 pub mod value;
+pub mod wire;
 
 pub use bat::{Bat, Props};
 pub use catalog::{BatKey, BatStore, Catalog, ColDef, TableDef};

@@ -24,6 +24,7 @@ use crate::ops::scan::{Pred, Scan};
 use crate::ops::CmpOp;
 use crate::storage;
 use crate::value::Val;
+use crate::wire::{put_f64, put_i32, put_i64, put_str16, put_u16, put_u64, Reader};
 use std::sync::Arc;
 
 /// What a [`Mutation`] does to the table.
@@ -301,170 +302,111 @@ const PRED_IN: u8 = 3;
 
 const MAX_FIELD: usize = u16::MAX as usize;
 
-fn put_u16(out: &mut Vec<u8>, n: usize) {
-    out.extend_from_slice(&(n.min(MAX_FIELD) as u16).to_le_bytes());
-}
-
-/// A string longer than a `u16` length is cut at a char boundary rather
-/// than framed corruptly; [`Mutation::check_encodable`] is what keeps one
-/// from getting here.
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let mut len = s.len().min(MAX_FIELD);
-    while !s.is_char_boundary(len) {
-        len -= 1;
-    }
-    put_u16(out, len);
-    out.extend_from_slice(&s.as_bytes()[..len]);
+/// A count in its `u16` field. A longer list is cut rather than framed
+/// corruptly, as [`put_str16`] cuts a string; [`Mutation::check_encodable`]
+/// is what keeps either from getting here.
+fn count(n: usize) -> u16 {
+    n.min(MAX_FIELD) as u16
 }
 
 fn put_val(out: &mut Vec<u8>, v: &Val) {
+    out.push(match v {
+        Val::Nil => VAL_NIL,
+        Val::Oid(_) => VAL_OID,
+        Val::Int(_) => VAL_INT,
+        Val::Lng(_) => VAL_LNG,
+        Val::Dbl(_) => VAL_DBL,
+        Val::Str(_) => VAL_STR,
+        Val::Bool(_) => VAL_BOOL,
+        Val::Date(_) => VAL_DATE,
+    });
     match v {
-        Val::Nil => out.push(VAL_NIL),
-        Val::Oid(x) => {
-            out.push(VAL_OID);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Val::Int(x) => {
-            out.push(VAL_INT);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Val::Lng(x) => {
-            out.push(VAL_LNG);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Val::Dbl(x) => {
-            out.push(VAL_DBL);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Val::Str(s) => {
-            out.push(VAL_STR);
-            put_str(out, s);
-        }
-        Val::Bool(x) => {
-            out.push(VAL_BOOL);
-            out.push(*x as u8);
-        }
-        Val::Date(x) => {
-            out.push(VAL_DATE);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        Val::Nil => {}
+        Val::Oid(x) => put_u64(out, *x),
+        Val::Int(x) | Val::Date(x) => put_i32(out, *x),
+        Val::Lng(x) => put_i64(out, *x),
+        Val::Dbl(x) => put_f64(out, *x),
+        Val::Str(s) => put_str16(out, s),
+        Val::Bool(x) => out.push(u8::from(*x)),
     }
 }
 
 fn put_pred(out: &mut Vec<u8>, p: &RowPredicate) {
+    out.push(match p {
+        RowPredicate::Cmp { .. } => PRED_CMP,
+        RowPredicate::Between { .. } => PRED_BETWEEN,
+        RowPredicate::InList { .. } => PRED_IN,
+    });
+    put_str16(out, p.column());
     match p {
-        RowPredicate::Cmp { column, op, value } => {
-            out.push(PRED_CMP);
-            put_str(out, column);
-            put_str(out, op.symbol());
+        RowPredicate::Cmp { op, value, .. } => {
+            put_str16(out, op.symbol());
             put_val(out, value);
         }
-        RowPredicate::Between { column, lo, hi } => {
-            out.push(PRED_BETWEEN);
-            put_str(out, column);
+        RowPredicate::Between { lo, hi, .. } => {
             put_val(out, lo);
             put_val(out, hi);
         }
-        RowPredicate::InList { column, values } => {
-            out.push(PRED_IN);
-            put_str(out, column);
-            put_u16(out, values.len());
-            for v in values.iter().take(MAX_FIELD) {
-                put_val(out, v);
-            }
+        RowPredicate::InList { values, .. } => {
+            put_u16(out, count(values.len()));
+            values.iter().take(MAX_FIELD).for_each(|v| put_val(out, v));
         }
     }
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> std::result::Result<&'a [u8], String> {
-    if buf.len() < n {
-        return Err(format!("truncated {what}: want {n}, have {}", buf.len()));
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
-}
-
-fn get_array<const N: usize>(buf: &mut &[u8], what: &str) -> std::result::Result<[u8; N], String> {
-    Ok(take(buf, N, what)?.try_into().expect("take returned N bytes"))
-}
-
-fn get_u8(buf: &mut &[u8], what: &str) -> std::result::Result<u8, String> {
-    Ok(take(buf, 1, what)?[0])
-}
-
-fn get_u16(buf: &mut &[u8], what: &str) -> std::result::Result<usize, String> {
-    Ok(u16::from_le_bytes(get_array(buf, what)?) as usize)
-}
-
-fn get_str(buf: &mut &[u8]) -> std::result::Result<String, String> {
-    let len = get_u16(buf, "string length")?;
-    let bytes = take(buf, len, "string")?;
-    String::from_utf8(bytes.to_vec()).map_err(|e| format!("bad utf8: {e}"))
-}
-
-fn get_val(buf: &mut &[u8]) -> std::result::Result<Val, String> {
-    Ok(match get_u8(buf, "value tag")? {
+fn read_val(r: &mut Reader) -> std::result::Result<Val, String> {
+    Ok(match r.u8("value tag")? {
         VAL_NIL => Val::Nil,
-        VAL_OID => Val::Oid(u64::from_le_bytes(get_array(buf, "value")?)),
-        VAL_INT => Val::Int(i32::from_le_bytes(get_array(buf, "value")?)),
-        VAL_LNG => Val::Lng(i64::from_le_bytes(get_array(buf, "value")?)),
-        VAL_DBL => Val::Dbl(f64::from_le_bytes(get_array(buf, "value")?)),
-        VAL_STR => Val::Str(get_str(buf)?),
-        VAL_BOOL => Val::Bool(get_u8(buf, "value")? != 0),
-        VAL_DATE => Val::Date(i32::from_le_bytes(get_array(buf, "value")?)),
+        VAL_OID => Val::Oid(r.u64("value")?),
+        VAL_INT => Val::Int(r.i32("value")?),
+        VAL_LNG => Val::Lng(r.i64("value")?),
+        VAL_DBL => Val::Dbl(r.f64("value")?),
+        VAL_STR => Val::Str(r.str16("string")?),
+        VAL_BOOL => Val::Bool(r.u8("value")? != 0),
+        VAL_DATE => Val::Date(r.i32("value")?),
         other => return Err(format!("unknown value tag {other}")),
     })
 }
 
-fn get_pred(buf: &mut &[u8]) -> std::result::Result<RowPredicate, String> {
-    match get_u8(buf, "predicate tag")? {
+fn read_pred(r: &mut Reader) -> std::result::Result<RowPredicate, String> {
+    let tag = r.u8("predicate tag")?;
+    let column = r.str16("predicate column")?;
+    Ok(match tag {
         PRED_CMP => {
-            let column = get_str(buf)?;
-            let sym = get_str(buf)?;
+            let sym = r.str16("comparison")?;
             let op = CmpOp::from_symbol(&sym).ok_or_else(|| format!("bad op '{sym}'"))?;
-            Ok(RowPredicate::Cmp { column, op, value: get_val(buf)? })
+            RowPredicate::Cmp { column, op, value: read_val(r)? }
         }
-        PRED_BETWEEN => {
-            let column = get_str(buf)?;
-            let lo = get_val(buf)?;
-            Ok(RowPredicate::Between { column, lo, hi: get_val(buf)? })
-        }
+        PRED_BETWEEN => RowPredicate::Between { column, lo: read_val(r)?, hi: read_val(r)? },
         PRED_IN => {
-            let column = get_str(buf)?;
-            let n = get_u16(buf, "in-list count")?;
-            // Each value is at least its tag byte: bound the allocation
-            // by what the buffer can hold.
-            let mut values = Vec::with_capacity(n.min(buf.len()));
-            for _ in 0..n {
-                values.push(get_val(buf)?);
-            }
-            Ok(RowPredicate::InList { column, values })
+            let n = r.u16("in-list count")?;
+            let values = (0..n).map(|_| read_val(r)).collect::<std::result::Result<_, _>>()?;
+            RowPredicate::InList { column, values }
         }
-        other => Err(format!("unknown predicate tag {other}")),
-    }
+        other => return Err(format!("unknown predicate tag {other}")),
+    })
 }
 
 impl Mutation {
     /// Append the mutation's binary form to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        put_str(out, &self.schema);
-        put_str(out, &self.table);
+        put_str16(out, &self.schema);
+        put_str16(out, &self.table);
         match &self.op {
             MutOp::Update(assigns) => {
                 out.push(OP_UPDATE);
-                put_u16(out, assigns.len());
+                put_u16(out, count(assigns.len()));
                 for (name, v) in assigns.iter().take(MAX_FIELD) {
-                    put_str(out, name);
+                    put_str16(out, name);
                     put_val(out, v);
                 }
             }
             MutOp::Delete => out.push(OP_DELETE),
             MutOp::Insert(given) => {
                 out.push(OP_INSERT);
-                put_u16(out, given.len());
+                put_u16(out, count(given.len()));
                 for (name, vals) in given.iter().take(MAX_FIELD) {
-                    put_str(out, name);
+                    put_str16(out, name);
                     // The length goes in front once the BAT is written.
                     let at = out.len();
                     out.extend_from_slice(&[0; 4]);
@@ -474,48 +416,44 @@ impl Mutation {
                 }
             }
         }
-        put_u16(out, self.preds.len());
-        for p in self.preds.iter().take(MAX_FIELD) {
-            put_pred(out, p);
-        }
+        put_u16(out, count(self.preds.len()));
+        self.preds.iter().take(MAX_FIELD).for_each(|p| put_pred(out, p));
     }
 
     /// Read one mutation off the front of `buf`, advancing it; rejects a
     /// truncated or malformed encoding without allocating what its counts
     /// claim.
     pub fn decode(buf: &mut &[u8]) -> std::result::Result<Mutation, String> {
-        let schema = get_str(buf)?;
-        let table = get_str(buf)?;
-        let op = match get_u8(buf, "mutation op")? {
+        let mut r = Reader::new(buf);
+        let schema = r.str16("schema")?;
+        let table = r.str16("table")?;
+        let op = match r.u8("mutation op")? {
             OP_UPDATE => {
-                let n = get_u16(buf, "assignment count")?;
-                let mut assigns = Vec::with_capacity(n.min(buf.len()));
-                for _ in 0..n {
-                    let name = get_str(buf)?;
-                    assigns.push((name, get_val(buf)?));
-                }
-                MutOp::Update(assigns)
+                let n = r.u16("assignment count")?;
+                let assign = |r: &mut Reader| Ok((r.str16("column")?, read_val(r)?));
+                MutOp::Update(
+                    (0..n).map(|_| assign(&mut r)).collect::<std::result::Result<_, String>>()?,
+                )
             }
             OP_DELETE => MutOp::Delete,
             OP_INSERT => {
-                let n = get_u16(buf, "column count")?;
-                let mut given = Vec::with_capacity(n.min(buf.len()));
-                for _ in 0..n {
-                    let name = get_str(buf)?;
-                    let len = u32::from_le_bytes(get_array(buf, "column length")?) as usize;
-                    let bat = storage::bat_from_bytes(take(buf, len, "column")?)
+                let n = r.u16("column count")?;
+                let column = |r: &mut Reader| {
+                    let name = r.str16("column name")?;
+                    let len = r.u32("column length")? as usize;
+                    let bat = storage::bat_from_bytes(r.bytes(len, "column")?)
                         .map_err(|e| format!("column '{name}': {e}"))?;
-                    given.push((name, bat.tail().clone()));
-                }
-                MutOp::Insert(given)
+                    Ok((name, bat.tail().clone()))
+                };
+                MutOp::Insert(
+                    (0..n).map(|_| column(&mut r)).collect::<std::result::Result<_, String>>()?,
+                )
             }
             other => return Err(format!("unknown mutation op tag {other}")),
         };
-        let n = get_u16(buf, "predicate count")?;
-        let mut preds = Vec::with_capacity(n.min(buf.len()));
-        for _ in 0..n {
-            preds.push(get_pred(buf)?);
-        }
+        let n = r.u16("predicate count")?;
+        let preds = (0..n).map(|_| read_pred(&mut r)).collect::<std::result::Result<_, _>>()?;
+        *buf = r.rest();
         Ok(Mutation { schema, table, op, preds })
     }
 

@@ -23,23 +23,20 @@
 //!   u16 len + bytes   declared SQL type
 //!   BAT               column data (self-delimiting, storage format)
 //! ```
-//! Decoding follows the same hostile-length discipline as
-//! [`crate::storage::read_bat`]: claimed lengths never turn into upfront
-//! allocations — buffers grow only as bytes actually arrive.
+//! Decoding reads through a [`crate::wire::Reader`], as
+//! [`crate::storage::read_bat`] does: a claimed length is checked
+//! against the bytes present before anything is allocated for it.
 
 use crate::bat::Bat;
 use crate::error::{BatError, Result};
 use crate::storage;
 use crate::value::{ColType, Val};
-use std::io::{Read, Write};
+use crate::wire::{put_label, put_str32, put_u16, put_u64, Reader};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DCR1";
 const FLAG_AFFECTED: u8 = 1;
 const FLAG_INFO: u8 = 2;
-
-/// Cap on any single up-front allocation while decoding (bytes).
-const MAX_PREALLOC: usize = 64 * 1024;
 
 /// One named, typed output column. `sql_type` is the *declared* type
 /// label the SQL layer advertises (`lng` for COUNT, etc.); the physical
@@ -160,110 +157,57 @@ impl ResultSet {
         s
     }
 
-    /// Serialize to any writer (see the module docs for the layout).
-    pub fn write_to(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(MAGIC)?;
-        let mut flags = 0u8;
-        if self.affected.is_some() {
-            flags |= FLAG_AFFECTED;
-        }
-        if self.info.is_some() {
-            flags |= FLAG_INFO;
-        }
-        w.write_all(&[flags])?;
-        if let Some(n) = self.affected {
-            w.write_all(&n.to_le_bytes())?;
-        }
-        if let Some(info) = &self.info {
-            write_text(w, info)?;
-        }
+    /// Serialize to the end of `out` (see the module docs for the
+    /// layout). More columns, or a longer label, than the layout can
+    /// frame is an error.
+    pub fn write_to(&self, out: &mut Vec<u8>) -> Result<()> {
         let ncols = u16::try_from(self.columns.len())
             .map_err(|_| BatError::Invalid(format!("{} columns", self.columns.len())))?;
-        w.write_all(&ncols.to_le_bytes())?;
+        out.extend_from_slice(MAGIC);
+        out.push(
+            (u8::from(self.affected.is_some()) * FLAG_AFFECTED)
+                | (u8::from(self.info.is_some()) * FLAG_INFO),
+        );
+        if let Some(n) = self.affected {
+            put_u64(out, n);
+        }
+        if let Some(info) = &self.info {
+            put_str32(out, info);
+        }
+        put_u16(out, ncols);
         for c in &self.columns {
-            write_label(w, &c.table)?;
-            write_label(w, &c.name)?;
-            write_label(w, &c.sql_type)?;
-            storage::write_bat(w, &c.data)?;
+            for label in [&c.table, &c.name, &c.sql_type] {
+                put_label(out, label).map_err(BatError::Invalid)?;
+            }
+            storage::write_bat(out, &c.data)?;
         }
         Ok(())
     }
 
-    /// Deserialize from the front of `r`; rejects corrupt or foreign input.
-    pub fn read_from(r: &mut &[u8]) -> Result<ResultSet> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+    /// Deserialize from the front of `buf`, leaving `buf` just past it;
+    /// rejects corrupt or foreign input.
+    pub fn read_from(buf: &mut &[u8]) -> Result<ResultSet> {
+        let mut r = Reader::new(buf);
+        if r.bytes(4, "result-set magic")? != MAGIC {
             return Err(BatError::Corrupt("bad result-set magic".into()));
         }
-        let mut flags = [0u8; 1];
-        r.read_exact(&mut flags)?;
-        if flags[0] & !(FLAG_AFFECTED | FLAG_INFO) != 0 {
-            return Err(BatError::Corrupt(format!("unknown result-set flags {:#x}", flags[0])));
+        let flags = r.u8("result-set flags")?;
+        if flags & !(FLAG_AFFECTED | FLAG_INFO) != 0 {
+            return Err(BatError::Corrupt(format!("unknown result-set flags {flags:#x}")));
         }
-        let mut rs = ResultSet::new();
-        if flags[0] & FLAG_AFFECTED != 0 {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            rs.affected = Some(u64::from_le_bytes(b));
-        }
-        if flags[0] & FLAG_INFO != 0 {
-            rs.info = Some(read_text(r)?);
-        }
-        let mut b = [0u8; 2];
-        r.read_exact(&mut b)?;
-        let ncols = u16::from_le_bytes(b) as usize;
-        for _ in 0..ncols {
-            let table = read_label(r)?;
-            let name = read_label(r)?;
-            let sql_type = read_label(r)?;
-            let data = Arc::new(storage::read_bat(r)?);
+        let affected = (flags & FLAG_AFFECTED != 0).then(|| r.u64("affected rows")).transpose()?;
+        let info = (flags & FLAG_INFO != 0).then(|| r.str32("info")).transpose()?;
+        let mut rs = ResultSet { affected, info, ..ResultSet::new() };
+        for _ in 0..r.u16("column count")? {
+            let table = r.str16("table label")?;
+            let name = r.str16("column name")?;
+            let sql_type = r.str16("column type")?;
+            let data = Arc::new(r.nested(storage::read_bat)?);
             rs.columns.push(ResultColumn { table, name, sql_type, data });
         }
+        *buf = r.rest();
         Ok(rs)
     }
-}
-
-fn write_label(w: &mut impl Write, s: &str) -> Result<()> {
-    let len = u16::try_from(s.len())
-        .map_err(|_| BatError::Invalid(format!("label of {} bytes", s.len())))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(s.as_bytes())?;
-    Ok(())
-}
-
-fn read_label(r: &mut impl Read) -> Result<String> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    read_utf8(r, u16::from_le_bytes(b) as u64)
-}
-
-fn write_text(w: &mut impl Write, s: &str) -> Result<()> {
-    let len = u32::try_from(s.len())
-        .map_err(|_| BatError::Invalid(format!("info of {} bytes", s.len())))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(s.as_bytes())?;
-    Ok(())
-}
-
-fn read_text(r: &mut impl Read) -> Result<String> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    read_utf8(r, u32::from_le_bytes(b) as u64)
-}
-
-/// Read exactly `len` UTF-8 bytes, growing toward the claimed length
-/// only as bytes arrive (a lying prefix hits EOF, not an allocation).
-fn read_utf8(r: &mut impl Read, len: u64) -> Result<String> {
-    let mut bytes = Vec::with_capacity((len as usize).min(MAX_PREALLOC));
-    r.take(len).read_to_end(&mut bytes)?;
-    if (bytes.len() as u64) < len {
-        return Err(BatError::Corrupt(format!(
-            "truncated string: want {len} bytes, got {}",
-            bytes.len()
-        )));
-    }
-    String::from_utf8(bytes).map_err(|e| BatError::Corrupt(format!("bad utf8: {e}")))
 }
 
 #[cfg(test)]

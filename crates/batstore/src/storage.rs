@@ -17,24 +17,14 @@ use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
 use crate::value::ColType;
-use std::io::{Read, Write};
+use crate::wire::Reader;
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DCB1";
 
 fn tag_type(b: u8) -> Result<ColType> {
     ColType::from_tag(b).ok_or_else(|| BatError::Corrupt(format!("unknown type tag {b}")))
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> Result<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Rows a fixed-width column moves per `write_all`: the staging buffer
@@ -63,7 +53,7 @@ fn write_fixed<const W: usize, T: Copy>(
 
 fn write_column(w: &mut impl Write, c: &Column) -> Result<()> {
     match c {
-        Column::Void { seq, .. } => write_u64(w, *seq)?,
+        Column::Void { seq, .. } => w.write_all(&seq.to_le_bytes())?,
         Column::Oid(v) => write_fixed(w, v, u64::to_le_bytes)?,
         Column::Int(v) | Column::Date(v) => write_fixed(w, v, i32::to_le_bytes)?,
         Column::Lng(v) => write_fixed(w, v, i64::to_le_bytes)?,
@@ -77,54 +67,43 @@ fn write_column(w: &mut impl Write, c: &Column) -> Result<()> {
 /// A `Str` column's payload in its plain layout, whatever its form in
 /// memory: the offset count, the offsets, the heap length, the heap.
 fn write_str(w: &mut impl Write, s: &StrCol) -> Result<()> {
-    write_u64(w, s.len() as u64 + 1)?;
+    w.write_all(&(s.len() as u64 + 1).to_le_bytes())?;
     s.offsets(&mut |offs| write_fixed(w, offs, u32::to_le_bytes))?;
-    write_u64(w, s.heap_len() as u64)?;
+    w.write_all(&(s.heap_len() as u64).to_le_bytes())?;
     s.heap(&mut |bytes| Ok(w.write_all(bytes)?))
-}
-
-/// The next `n` bytes of `r`, taken off its front. `n` comes from a
-/// length claimed in the input, so the bytes must be there before
-/// anything is allocated for them.
-fn take<'a>(r: &mut &'a [u8], n: Option<usize>, what: &str) -> Result<&'a [u8]> {
-    let Some(bytes) = n.and_then(|n| r.get(..n)) else {
-        return Err(BatError::Corrupt(format!("truncated {what}: {} bytes left", r.len())));
-    };
-    *r = &r[bytes.len()..];
-    Ok(bytes)
 }
 
 /// Decode `len` fixed-width elements into a vector of exactly that
 /// length and capacity.
 fn read_fixed<const W: usize, T>(
-    r: &mut &[u8],
+    r: &mut Reader,
     len: usize,
     decode: impl Fn([u8; W]) -> T,
 ) -> Result<Vec<T>> {
-    let bytes = take(r, len.checked_mul(W), "column")?;
+    let bytes = r.bytes(len.saturating_mul(W), "column")?;
     Ok(bytes
         .chunks_exact(W)
         .map(|b| decode(b.try_into().expect("chunks_exact yields W")))
         .collect())
 }
 
-fn read_column(r: &mut &[u8], ty: ColType, len: usize) -> Result<Column> {
+fn read_column(r: &mut Reader, ty: ColType, len: usize) -> Result<Column> {
     Ok(match ty {
-        ColType::Void => Column::Void { seq: read_u64(r)?, len },
+        ColType::Void => Column::Void { seq: r.u64("void seq")?, len },
         ColType::Oid => Column::Oid(read_fixed(r, len, u64::from_le_bytes)?),
         ColType::Int => Column::Int(read_fixed(r, len, i32::from_le_bytes)?),
         ColType::Lng => Column::Lng(read_fixed(r, len, i64::from_le_bytes)?),
         ColType::Dbl => Column::Dbl(read_fixed(r, len, f64::from_le_bytes)?),
         ColType::Str => {
-            let noffs = read_u64(r)? as usize;
+            let noffs = r.u64("str offset count")? as usize;
             if Some(noffs) != len.checked_add(1) {
                 return Err(BatError::Corrupt(format!(
                     "str offsets {noffs} disagree with row count {len}"
                 )));
             }
             let offs = read_fixed(r, noffs, u32::from_le_bytes)?;
-            let nbytes = usize::try_from(read_u64(r)?).ok();
-            let bytes = take(r, nbytes, "string heap")?.to_vec();
+            let nbytes = usize::try_from(r.u64("string heap length")?).unwrap_or(usize::MAX);
+            let bytes = r.bytes(nbytes, "string heap")?.to_vec();
             Column::Str(StrCol::from_raw_parts(offs, bytes).map_err(BatError::Corrupt)?)
         }
         ColType::Bool => Column::Bool(read_fixed(r, len, |b: [u8; 1]| b[0] != 0)?),
@@ -146,24 +125,24 @@ pub fn write_dense(w: &mut impl Write, tail: &Column) -> Result<()> {
 fn write_parts(w: &mut impl Write, head: &Column, tail: &Column) -> Result<()> {
     w.write_all(MAGIC)?;
     w.write_all(&[head.col_type().tag(), tail.col_type().tag()])?;
-    write_u64(w, head.len() as u64)?;
+    w.write_all(&(head.len() as u64).to_le_bytes())?;
     write_column(w, head)?;
     write_column(w, tail)?;
     Ok(())
 }
 
-/// Deserialize a BAT from the front of `r`, leaving `r` just past it.
-/// Every claimed count is checked against the bytes `r` still holds.
-pub fn read_bat(r: &mut &[u8]) -> Result<Bat> {
-    let mut start = [0u8; 6];
-    r.read_exact(&mut start)?;
-    if start[..4] != MAGIC[..] {
+/// Deserialize a BAT from the front of `buf`, leaving `buf` just past
+/// it. Every claimed count is checked against the bytes `buf` still holds.
+pub fn read_bat(buf: &mut &[u8]) -> Result<Bat> {
+    let mut r = Reader::new(buf);
+    if r.bytes(4, "magic")? != MAGIC {
         return Err(BatError::Corrupt("bad magic".into()));
     }
-    let (ht, tt) = (tag_type(start[4])?, tag_type(start[5])?);
-    let len = read_u64(r)? as usize;
-    let head = read_column(r, ht, len)?;
-    let tail = read_column(r, tt, len)?;
+    let (ht, tt) = (tag_type(r.u8("head type")?)?, tag_type(r.u8("tail type")?)?);
+    let len = r.u64("row count")? as usize;
+    let head = read_column(&mut r, ht, len)?;
+    let tail = read_column(&mut r, tt, len)?;
+    *buf = r.rest();
     Bat::new(head, tail)
 }
 
@@ -306,6 +285,13 @@ mod tests {
     /// files, WAL records, frames from an older peer) is still in use.
     mod oracle {
         use super::*;
+        use std::io::Read;
+
+        fn read_u64(r: &mut impl Read) -> Result<u64> {
+            let mut b = [0u8; 8];
+            r.read_exact(&mut b)?;
+            Ok(u64::from_le_bytes(b))
+        }
 
         fn write_column(w: &mut Vec<u8>, c: &Column) {
             match c {

@@ -2,10 +2,10 @@
 //! speaks.
 //!
 //! Every frame is a `u32` little-endian body length followed by the
-//! body: a one-byte tag plus a tag-specific payload. Reads are capped
-//! ([`DEFAULT_MAX_FRAME`]) and never allocate a claimed length up front
-//! — the same hostile-prefix discipline as the ring fabric's
-//! `read_frame_capped` and `batstore::storage::read_bat`.
+//! body: a one-byte tag plus a tag-specific payload. Frames are read
+//! with the ring fabric's framing and bodies decoded with its checked
+//! reader (`batstore::wire`): reads are capped ([`DEFAULT_MAX_FRAME`])
+//! and never allocate a claimed length up front.
 //!
 //! ```text
 //! client                                server
@@ -30,9 +30,9 @@
 //! wire are the same bytes the ring itself ships — columns are
 //! serialized once at the edge, not rendered to strings at every hop.
 
-use batstore::storage;
-use batstore::{Bat, ColType, Column, ResultSet};
-use std::io::{Read, Write};
+use batstore::wire::{self, put_label, put_str32, put_u16, put_u64, Reader};
+use batstore::{storage, Bat, ColType, Column, ResultSet};
+use std::io::{self, Read, Write};
 
 /// Protocol version spoken by this build; bumped on incompatible frame
 /// changes. `Hello` frames carry it both ways.
@@ -42,8 +42,8 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// peer dialing the wrong port) is rejected immediately.
 pub const HELLO_MAGIC: [u8; 4] = *b"DCQP";
 
-/// Default cap on a single frame (64 MiB), matching the ring fabric.
-pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
+/// Default cap on a single frame (64 MiB), the ring fabric's.
+pub use batstore::wire::MAX_FRAME as DEFAULT_MAX_FRAME;
 
 /// Rows per `RowBatch` frame when a server slices a result.
 pub const DEFAULT_BATCH_ROWS: usize = 8192;
@@ -126,47 +126,9 @@ pub enum Frame {
     Done,
 }
 
-fn put_u16_str(out: &mut Vec<u8>, s: &str) -> Result<(), String> {
-    let len = u16::try_from(s.len()).map_err(|_| format!("label of {} bytes", s.len()))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_u32_str(out: &mut Vec<u8>, s: &str) -> Result<(), String> {
-    let len = u32::try_from(s.len()).map_err(|_| format!("text of {} bytes", s.len()))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn get_exact<const N: usize>(r: &mut &[u8]) -> Result<[u8; N], String> {
-    let mut b = [0u8; N];
-    r.read_exact(&mut b).map_err(|_| "truncated frame".to_string())?;
-    Ok(b)
-}
-
-fn get_str(r: &mut &[u8], len: usize) -> Result<String, String> {
-    if r.len() < len {
-        return Err(format!("truncated string: want {len}, have {}", r.len()));
-    }
-    let s = std::str::from_utf8(&r[..len]).map_err(|e| format!("bad utf8: {e}"))?.to_string();
-    *r = &r[len..];
-    Ok(s)
-}
-
-fn get_u16_str(r: &mut &[u8]) -> Result<String, String> {
-    let len = u16::from_le_bytes(get_exact(r)?) as usize;
-    get_str(r, len)
-}
-
-fn get_u32_str(r: &mut &[u8]) -> Result<String, String> {
-    let len = u32::from_le_bytes(get_exact(r)?) as usize;
-    get_str(r, len)
-}
-
 /// Serialize a frame body (tag + payload, without the length prefix).
 pub fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
+    let count = |n: usize| u16::try_from(n).map_err(|_| format!("{n} columns"));
     let mut out = Vec::new();
     match frame {
         Frame::Hello { version } => {
@@ -176,38 +138,31 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
         }
         Frame::Query { sql } => {
             out.push(TAG_QUERY);
-            put_u32_str(&mut out, sql)?;
+            put_str32(&mut out, sql);
         }
         Frame::ResultHeader { columns, affected, info } => {
             out.push(TAG_RESULT_HEADER);
-            let mut flags = 0u8;
-            if affected.is_some() {
-                flags |= FLAG_AFFECTED;
-            }
-            if info.is_some() {
-                flags |= FLAG_INFO;
-            }
-            out.push(flags);
+            out.push(
+                (u8::from(affected.is_some()) * FLAG_AFFECTED)
+                    | (u8::from(info.is_some()) * FLAG_INFO),
+            );
             if let Some(n) = affected {
-                out.extend_from_slice(&n.to_le_bytes());
+                put_u64(&mut out, *n);
             }
             if let Some(text) = info {
-                put_u32_str(&mut out, text)?;
+                put_str32(&mut out, text);
             }
-            let ncols =
-                u16::try_from(columns.len()).map_err(|_| format!("{} columns", columns.len()))?;
-            out.extend_from_slice(&ncols.to_le_bytes());
+            put_u16(&mut out, count(columns.len())?);
             for c in columns {
-                put_u16_str(&mut out, &c.table)?;
-                put_u16_str(&mut out, &c.name)?;
-                put_u16_str(&mut out, &c.sql_type)?;
+                for label in [&c.table, &c.name, &c.sql_type] {
+                    put_label(&mut out, label)?;
+                }
                 out.push(c.ty.tag());
             }
         }
         Frame::RowBatch { cols } => {
             out.push(TAG_ROW_BATCH);
-            let ncols = u16::try_from(cols.len()).map_err(|_| format!("{} columns", cols.len()))?;
-            out.extend_from_slice(&ncols.to_le_bytes());
+            put_u16(&mut out, count(cols.len())?);
             for b in cols {
                 storage::write_bat(&mut out, b).map_err(|e| e.to_string())?;
             }
@@ -215,84 +170,68 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
         Frame::Error { kind, message } => {
             out.push(TAG_ERROR);
             out.push(kind.tag());
-            put_u32_str(&mut out, message)?;
+            put_str32(&mut out, message);
         }
         Frame::Done => out.push(TAG_DONE),
     }
     Ok(out)
 }
 
+fn read_col_meta(r: &mut Reader) -> Result<ColMeta, String> {
+    let table = r.str16("table label")?;
+    let name = r.str16("column name")?;
+    let sql_type = r.str16("column type")?;
+    let ty = ColType::from_tag(r.u8("column type tag")?).ok_or("unknown column type tag")?;
+    Ok(ColMeta { table, name, sql_type, ty })
+}
+
 /// Deserialize a frame body; rejects truncated, trailing-garbage, or
 /// foreign input.
 pub fn decode(body: &[u8]) -> Result<Frame, String> {
-    let mut r = body;
-    let tag = get_exact::<1>(&mut r)?[0];
-    let frame = match tag {
+    let mut r = Reader::new(body);
+    let frame = match r.u8("frame tag")? {
         TAG_HELLO => {
-            let magic: [u8; 4] = get_exact(&mut r)?;
-            if magic != HELLO_MAGIC {
+            if r.array::<4>("hello magic")? != HELLO_MAGIC {
                 return Err("bad hello magic (not a dc-node SQL endpoint?)".into());
             }
-            Frame::Hello { version: get_exact::<1>(&mut r)?[0] }
+            Frame::Hello { version: r.u8("protocol version")? }
         }
-        TAG_QUERY => Frame::Query { sql: get_u32_str(&mut r)? },
+        TAG_QUERY => Frame::Query { sql: r.str32("query")? },
         TAG_RESULT_HEADER => {
-            let flags = get_exact::<1>(&mut r)?[0];
+            let flags = r.u8("result flags")?;
             if flags & !(FLAG_AFFECTED | FLAG_INFO) != 0 {
                 return Err(format!("unknown result flags {flags:#x}"));
             }
-            let affected = if flags & FLAG_AFFECTED != 0 {
-                Some(u64::from_le_bytes(get_exact(&mut r)?))
-            } else {
-                None
-            };
-            let info = if flags & FLAG_INFO != 0 { Some(get_u32_str(&mut r)?) } else { None };
-            let ncols = u16::from_le_bytes(get_exact(&mut r)?) as usize;
-            let mut columns = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                let table = get_u16_str(&mut r)?;
-                let name = get_u16_str(&mut r)?;
-                let sql_type = get_u16_str(&mut r)?;
-                let ty = ColType::from_tag(get_exact::<1>(&mut r)?[0])
-                    .ok_or_else(|| "unknown column type tag".to_string())?;
-                columns.push(ColMeta { table, name, sql_type, ty });
-            }
+            let affected =
+                (flags & FLAG_AFFECTED != 0).then(|| r.u64("affected rows")).transpose()?;
+            let info = (flags & FLAG_INFO != 0).then(|| r.str32("info")).transpose()?;
+            let n = r.u16("column count")?;
+            let columns = (0..n).map(|_| read_col_meta(&mut r)).collect::<Result<_, _>>()?;
             Frame::ResultHeader { columns, affected, info }
         }
         TAG_ROW_BATCH => {
-            let ncols = u16::from_le_bytes(get_exact(&mut r)?) as usize;
-            let mut cols = Vec::with_capacity(ncols.min(1024));
-            for _ in 0..ncols {
-                cols.push(storage::read_bat(&mut r).map_err(|e| e.to_string())?);
-            }
-            Frame::RowBatch { cols }
+            let n = r.u16("column count")?;
+            let bat = |r: &mut Reader| r.nested(storage::read_bat).map_err(|e| e.to_string());
+            Frame::RowBatch { cols: (0..n).map(|_| bat(&mut r)).collect::<Result<_, _>>()? }
         }
         TAG_ERROR => {
-            let kind = ErrorKind::from_tag(get_exact::<1>(&mut r)?[0])
-                .ok_or_else(|| "unknown error kind tag".to_string())?;
-            Frame::Error { kind, message: get_u32_str(&mut r)? }
+            let kind = ErrorKind::from_tag(r.u8("error kind")?).ok_or("unknown error kind tag")?;
+            Frame::Error { kind, message: r.str32("error message")? }
         }
         TAG_DONE => Frame::Done,
         other => return Err(format!("unknown frame tag {other}")),
     };
-    if !r.is_empty() {
-        return Err(format!("{} trailing bytes after frame", r.len()));
+    if !r.rest().is_empty() {
+        return Err(format!("{} trailing bytes after frame", r.rest().len()));
     }
     Ok(frame)
 }
 
 /// Write one length-prefixed frame. A body beyond the `u32` prefix
 /// range is refused — a wrapped length would desynchronize the stream.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    let body =
-        encode(frame).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let len = u32::try_from(body.len()).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("frame body of {} bytes cannot be length-prefixed", body.len()),
-        )
-    })?;
-    w.write_all(&len.to_le_bytes())?;
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    let body = encode(frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    w.write_all(&wire::prefix(body.len())?)?;
     w.write_all(&body)?;
     w.flush()
 }
@@ -300,31 +239,11 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 /// Read one length-prefixed frame, rejecting bodies above `max_frame`.
 /// `Ok(None)` on clean EOF (connection closed between frames); EOF
 /// inside a frame is an error. The body buffer grows only as bytes
-/// arrive, so a hostile length prefix cannot force an allocation.
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> std::io::Result<Option<Frame>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf[..1]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    r.read_exact(&mut len_buf[1..])?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_frame {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {max_frame}-byte cap"),
-        ));
-    }
-    let mut body = Vec::new();
-    r.take(len as u64).read_to_end(&mut body)?;
-    if body.len() < len {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("truncated frame: want {len} bytes, got {}", body.len()),
-        ));
-    }
-    decode(&body).map(Some).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+/// arrive, so a hostile length prefix cannot force an allocation
+/// ([`wire::read_prefixed`]).
+pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<Frame>> {
+    let Some(body) = wire::read_prefixed(r, max_frame)? else { return Ok(None) };
+    decode(&body).map(Some).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Soft byte budget per `RowBatch` frame. Batches are bounded by bytes

@@ -96,8 +96,8 @@ pub enum NodeEvent {
     Ring(DcMsg),
     /// DBMS-layer command (request/pin/unpin/…).
     Cmd(Cmd),
-    /// The checkpointer finished the snapshot in flight; `committed`
-    /// says whether it is now the node's checkpoint.
+    /// The log's checkpoint writer finished the snapshot in flight;
+    /// `committed` says whether it is now the node's checkpoint.
     Checkpointed { committed: bool },
     /// A SELECT pushed to this node as owner has run: the thread that
     /// ran it hands the result back, for the loop to send.
@@ -576,9 +576,7 @@ impl NodeCtx {
     /// no-op for diskless nodes. `rewritten`: see [`Log::append`].
     fn log_durable(&mut self, rec: &WalRecord, rewritten: u64) -> Result<(), String> {
         if let Some(log) = self.log.as_mut() {
-            let n = log.append(rec, rewritten)?;
-            self.stats.wal_records.inc();
-            self.stats.wal_bytes.add(n);
+            log.append(rec, rewritten)?;
             self.checkpoint_due = true;
         }
         Ok(())
@@ -592,16 +590,14 @@ impl NodeCtx {
     /// one fragment at the version it is at.
     fn store_durably(&mut self, frags: &[(u32, u32, &Bat)], rewritten: u64) -> Result<(), String> {
         let Some(log) = self.log.as_mut() else { return Ok(()) };
-        log.store(frags, rewritten, |bat, version, n| {
-            self.stats.wal_records.inc();
-            self.stats.wal_bytes.add(n);
+        log.store(frags, rewritten, |bat, version| {
             self.checkpoint_due = true;
             self.store.stored(BatId(bat), version);
         })
     }
 
     /// Once enough WAL has accumulated, hand a snapshot of owned
-    /// fragments + catalog to the background checkpointer
+    /// fragments + catalog to the log's checkpoint writer
     /// ([`Log::checkpoint`]). Runs after an event that appended to the
     /// WAL or settled the previous checkpoint — never between a record
     /// and the change it logs.
@@ -609,15 +605,13 @@ impl NodeCtx {
         let Some(log) = self.log.as_mut() else { return };
         // The writer skips the resident fragments whose version already
         // has its file.
-        if log.checkpoint(|| durable_state(&self.catalog, &self.store, &self.node)) {
-            self.stats.checkpoints.inc();
-        }
+        log.checkpoint(|| durable_state(&self.catalog, &self.store, &self.node));
     }
 
-    /// The checkpointer finished the snapshot in flight. On a commit the
-    /// versions it names are durable, unless a load or a spill made a
-    /// later one durable meanwhile; on a failure what was durable stands.
-    /// Either way the next snapshot may go.
+    /// The log's checkpoint writer finished the snapshot in flight. On a
+    /// commit the versions it names are durable, unless a load or a spill
+    /// made a later one durable meanwhile; on a failure what was durable
+    /// stands. Either way the next snapshot may go.
     fn on_checkpointed(&mut self, committed: bool) {
         let Some(log) = self.log.as_mut() else { return };
         self.store.committed(log.settle(committed).into_iter().map(|(bat, v)| (BatId(bat), v)));

@@ -605,6 +605,31 @@ fn assert_residency_adds_up(node: &RingNode, snap: &HotsetSnapshot) {
     assert_eq!(gauge, Some(spilled.len() as i64), "{snap:?}");
 }
 
+/// A bulk load may name nothing SQL could not: a name too long for its
+/// `u16` length field was once logged cut mid-char, and the record that
+/// no longer decoded read as a torn tail — every durable table after it
+/// was gone on the next restart.
+#[test]
+fn an_over_long_name_is_refused_and_later_tables_survive_a_restart() {
+    let dir = scratch_dir("long_name");
+    let node = durable_node(&dir, 16 << 20, None);
+    let long = format!("{}é", "c".repeat(65_534));
+    for (schema, table, column) in
+        [(long.as_str(), "t", "c"), ("sys", long.as_str(), "c"), ("sys", "t", long.as_str())]
+    {
+        let err = node.load_table(schema, table, vec![(column, Column::from(vec![1]))]);
+        assert!(err.unwrap_err().to_string().contains("65536 bytes (max 1024)"));
+    }
+    node.load_table("sys", "u", vec![("x", Column::from(vec![5, 6]))]).unwrap();
+    node.shutdown();
+
+    let node = durable_node(&dir, 16 << 20, None);
+    assert_eq!(ints(&node.execute("select count(*) from u").unwrap()), [2]);
+    assert!(node.execute("select count(*) from t").is_err(), "nothing of t was loaded");
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `Ring::load_table` takes each column's id from its owner's
 /// allocator, which a restart resumes past every recovered id: a
 /// table loaded after a restart leaves the ones loaded before intact.

@@ -8,8 +8,8 @@
 //! metadata clockwise so every node can compile SQL without a shared
 //! catalog, and [`RoutedMsg`] carries a statement clockwise to the
 //! fragment owner (§6.4 updates), answered by one [`AckMsg`]. The codec
-//! is a hand-written little-endian layout over `bytes` — small,
-//! allocation-light, and fully round-trip tested. It never copies a
+//! is a little-endian layout written and read with `batstore::wire`, so
+//! every read of a peer's frame is checked. It never copies a
 //! fragment: the encoder yields a
 //! [`Frame`] that *refers* to the payload a `Bat` message already holds
 //! (a transport writes the pieces with one vectored write), and the
@@ -22,8 +22,9 @@
 use crate::error::DcError;
 use crate::ids::{BatId, NodeId};
 pub use batstore::ops::{MutOp, Mutation};
+use batstore::wire::{put_f64, put_str16, put_str32, put_u16, put_u32, put_u64, Reader};
 use batstore::{storage, ColType, ResultSet, RowPredicate, Val};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// The administrative header a circulating BAT carries for hot-set
 /// management (§4.2.3).
@@ -332,32 +333,6 @@ fn classified(class: u8, msg: String) -> Result<DcError, String> {
     })
 }
 
-fn put_str(b: &mut BytesMut, s: &str) {
-    // Identifiers longer than a u16 length cannot be framed. Truncate at
-    // a char boundary rather than writing a corrupt frame that would
-    // kill the peer's reader loop (the SQL layer rejects absurd
-    // identifiers long before this point).
-    let mut len = s.len().min(u16::MAX as usize);
-    while !s.is_char_boundary(len) {
-        len -= 1;
-    }
-    b.put_u16_le(len as u16);
-    b.put_slice(&s.as_bytes()[..len]);
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, String> {
-    if buf.remaining() < 2 {
-        return Err("truncated string length".into());
-    }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(format!("truncated string: want {len}, have {}", buf.remaining()));
-    }
-    let s = std::str::from_utf8(&buf[..len]).map_err(|e| format!("bad utf8: {e}"))?.to_string();
-    buf.advance(len);
-    Ok(s)
-}
-
 /// An encoded message, not yet contiguous: `head` is every byte the
 /// encoder produced itself, and each cut is a payload the message already
 /// held (a `Bat`'s fragment) with the position in `head` it follows. A
@@ -365,7 +340,7 @@ fn get_str(buf: &mut &[u8]) -> Result<String, String> {
 /// second copy of a fragment; [`Frame::into_bytes`] concatenates for
 /// callers that want one buffer.
 pub struct Frame {
-    head: BytesMut,
+    head: Vec<u8>,
     /// `(at, payload)`: `payload` sits between `head[..at]` and
     /// `head[at..]`; `at` ascends.
     cuts: Vec<(usize, Bytes)>,
@@ -398,13 +373,9 @@ impl Frame {
     /// it is; one with payloads is copied together.
     pub fn into_bytes(self) -> Bytes {
         if self.cuts.is_empty() {
-            return self.head.freeze();
+            return Bytes::from(self.head);
         }
-        let mut out = BytesMut::with_capacity(self.len());
-        for piece in self.pieces() {
-            out.put_slice(piece);
-        }
-        out.freeze()
+        Bytes::from(self.pieces().collect::<Vec<_>>().concat())
     }
 }
 
@@ -417,152 +388,140 @@ pub fn encode(msg: &DcMsg) -> Bytes {
 /// payloads.
 pub fn frame(msg: &DcMsg) -> Frame {
     let mut cuts = Vec::new();
-    let head = match msg {
-        DcMsg::Bat { header, payload } => {
-            let plen = payload.as_ref().map(|p| p.len()).unwrap_or(0);
-            let mut b = BytesMut::with_capacity(48);
-            b.put_u8(TAG_BAT);
-            b.put_u16_le(header.owner.0);
-            b.put_u32_le(header.bat.0);
-            b.put_u64_le(header.size);
-            b.put_f64_le(header.loi);
-            b.put_u32_le(header.copies);
-            b.put_u32_le(header.hops);
-            b.put_u32_le(header.cycles);
-            b.put_u32_le(header.version);
-            b.put_u8(header.updating as u8);
-            b.put_u64_le(plen as u64);
+    let cap = match msg {
+        DcMsg::Bat { .. } => 48,
+        _ => msg.wire_size() as usize + 16,
+    };
+    let mut b = Vec::with_capacity(cap);
+    match msg {
+        DcMsg::Bat { header: h, payload } => {
+            b.push(TAG_BAT);
+            put_u16(&mut b, h.owner.0);
+            put_u32(&mut b, h.bat.0);
+            put_u64(&mut b, h.size);
+            put_f64(&mut b, h.loi);
+            for v in [h.copies, h.hops, h.cycles, h.version] {
+                put_u32(&mut b, v);
+            }
+            b.push(u8::from(h.updating));
+            put_u64(&mut b, payload.as_ref().map_or(0, |p| p.len() as u64));
             if let Some(p) = payload {
                 cuts.push((b.len(), p.clone()));
             }
-            b
         }
         DcMsg::Request(r) => {
-            let mut b = BytesMut::with_capacity(8);
-            b.put_u8(TAG_REQ);
-            b.put_u16_le(r.origin.0);
-            b.put_u32_le(r.bat.0);
-            b
+            b.push(TAG_REQ);
+            put_u16(&mut b, r.origin.0);
+            put_u32(&mut b, r.bat.0);
         }
         DcMsg::Catalog(c) => {
-            let mut b = BytesMut::with_capacity(c.wire_size() as usize + 16);
-            b.put_u8(TAG_CATALOG);
-            b.put_u16_le(c.origin.0);
-            put_str(&mut b, &c.schema);
-            put_str(&mut b, &c.table);
+            b.push(TAG_CATALOG);
+            put_u16(&mut b, c.origin.0);
+            put_str16(&mut b, &c.schema);
+            put_str16(&mut b, &c.table);
             let ncols = c.columns.len().min(u16::MAX as usize);
-            b.put_u16_le(ncols as u16);
+            put_u16(&mut b, ncols as u16);
             for col in c.columns.iter().take(ncols) {
-                put_str(&mut b, &col.name);
-                b.put_u8(col.ty.tag());
-                b.put_u32_le(col.bat.0);
-                b.put_u64_le(col.size);
-                b.put_u16_le(col.owner.0);
-                b.put_u32_le(col.version);
+                put_str16(&mut b, &col.name);
+                b.push(col.ty.tag());
+                put_u32(&mut b, col.bat.0);
+                put_u64(&mut b, col.size);
+                put_u16(&mut b, col.owner.0);
+                put_u32(&mut b, col.version);
             }
-            b
         }
         DcMsg::Routed(r) => {
-            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
-            b.put_u8(match r.stmt {
+            b.push(match r.stmt {
                 RoutedStmt::Mutate(_) => TAG_ROUTED,
                 RoutedStmt::Select { .. } => TAG_SELECT,
             });
-            b.put_u16_le(r.origin.0);
-            b.put_u64_le(r.epoch);
-            b.put_u64_le(r.id);
-            b.put_u64_le(r.settled_below);
+            put_u16(&mut b, r.origin.0);
+            for v in [r.epoch, r.id, r.settled_below] {
+                put_u64(&mut b, v);
+            }
             match &r.stmt {
-                RoutedStmt::Mutate(m) => {
-                    let mut body = Vec::with_capacity(msg.wire_size() as usize);
-                    m.encode(&mut body);
-                    b.put_slice(&body);
-                }
+                RoutedStmt::Mutate(m) => m.encode(&mut b),
                 RoutedStmt::Select { schema, table, sql } => {
-                    put_str(&mut b, schema);
-                    put_str(&mut b, table);
+                    put_str16(&mut b, schema);
+                    put_str16(&mut b, table);
                     // Statement text is no identifier: a u32 length, so a
                     // long IN list is never cut short.
-                    b.put_u32_le(sql.len() as u32);
-                    b.put_slice(sql.as_bytes());
+                    put_str32(&mut b, sql);
                 }
             }
-            b
         }
         DcMsg::Ack(a) => {
-            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
-            b.put_u8(TAG_ACK);
-            b.put_u16_le(a.target.0);
-            b.put_u64_le(a.epoch);
-            b.put_u64_le(a.id);
+            b.push(TAG_ACK);
+            put_u16(&mut b, a.target.0);
+            put_u64(&mut b, a.epoch);
+            put_u64(&mut b, a.id);
             put_answer(&mut b, &a.answer);
-            b
         }
-    };
-    Frame { head, cuts }
+    }
+    Frame { head: b, cuts }
 }
 
-fn put_answer(b: &mut BytesMut, answer: &Answer) {
-    let failed = |b: &mut BytesMut, e: &DcError| {
-        b.put_u8(SELECT_FAILED);
-        b.put_u8(error_class(e));
-        put_str(b, e.message());
+fn put_answer(b: &mut Vec<u8>, answer: &Answer) {
+    let failed = |b: &mut Vec<u8>, e: &DcError| {
+        b.push(SELECT_FAILED);
+        b.push(error_class(e));
+        put_str16(b, e.message());
     };
     match answer {
         Answer::Mutated(Ok(n)) => {
-            b.put_u8(MUTATED);
-            b.put_u64_le(*n);
+            b.push(MUTATED);
+            put_u64(b, *n);
         }
         Answer::Mutated(Err(e)) => {
-            b.put_u8(MUTATE_FAILED);
-            put_str(b, e);
+            b.push(MUTATE_FAILED);
+            put_str16(b, e);
         }
         Answer::Selected(Ok(rs)) => {
-            let mut blob = Vec::new();
-            match rs.write_to(&mut blob) {
-                Ok(()) => {
-                    b.put_u8(SELECTED);
-                    b.put_slice(&blob);
-                }
-                // More columns, or longer labels, than `DCR1` can frame.
-                Err(e) => failed(b, &DcError::Exec(format!("the result cannot be sent: {e}"))),
+            let at = b.len();
+            b.push(SELECTED);
+            // More columns, or longer labels, than `DCR1` can frame.
+            if let Err(e) = rs.write_to(b) {
+                b.truncate(at);
+                failed(b, &DcError::Exec(format!("the result cannot be sent: {e}")));
             }
         }
         Answer::Selected(Err(e)) => failed(b, e),
-        Answer::Running => b.put_u8(RUNNING),
+        Answer::Running => b.push(RUNNING),
         Answer::Declined(why) => {
-            b.put_u8(DECLINED);
-            put_str(b, why);
+            b.push(DECLINED);
+            put_str16(b, why);
         }
     }
 }
 
-fn get_answer(buf: &mut &[u8]) -> Result<Answer, String> {
-    if buf.remaining() < 1 {
-        return Err("truncated ack".into());
-    }
-    Ok(match buf.get_u8() {
-        MUTATED => {
-            if buf.remaining() < 8 {
-                return Err("truncated ack count".into());
-            }
-            Answer::Mutated(Ok(buf.get_u64_le()))
-        }
-        MUTATE_FAILED => Answer::Mutated(Err(get_str(buf)?)),
+fn read_answer(r: &mut Reader) -> Result<Answer, String> {
+    Ok(match r.u8("ack answer")? {
+        MUTATED => Answer::Mutated(Ok(r.u64("ack count")?)),
+        MUTATE_FAILED => Answer::Mutated(Err(r.str16("ack error")?)),
         SELECTED => {
-            let rs = ResultSet::read_from(buf).map_err(|e| format!("ack result: {e}"))?;
+            let rs = r.nested(ResultSet::read_from).map_err(|e| format!("ack result: {e}"))?;
             Answer::Selected(Ok(rs))
         }
         SELECT_FAILED => {
-            if buf.remaining() < 1 {
-                return Err("truncated ack error class".into());
-            }
-            let class = buf.get_u8();
-            Answer::Selected(Err(classified(class, get_str(buf)?)?))
+            let class = r.u8("ack error class")?;
+            Answer::Selected(Err(classified(class, r.str16("ack error")?)?))
         }
         RUNNING => Answer::Running,
-        DECLINED => Answer::Declined(get_str(buf)?),
+        DECLINED => Answer::Declined(r.str16("ack reason")?),
         other => return Err(format!("unknown ack answer {other}")),
+    })
+}
+
+fn read_catalog_col(r: &mut Reader) -> Result<CatalogCol, String> {
+    let name = r.str16("catalog column name")?;
+    let ty = ColType::from_tag(r.u8("catalog column")?).ok_or("unknown column type tag")?;
+    Ok(CatalogCol {
+        name,
+        ty,
+        bat: BatId(r.u32("catalog column")?),
+        size: r.u64("catalog column")?,
+        owner: NodeId(r.u16("catalog column")?),
+        version: r.u32("catalog column")?,
     })
 }
 
@@ -578,121 +537,68 @@ pub fn decode(buf: &[u8]) -> Result<DcMsg, String> {
 /// The frame is taken whole so that a `Bat` payload comes back as a
 /// slice sharing its allocation — no fragment byte is copied.
 pub fn decode_frame(frame: Bytes) -> Result<DcMsg, String> {
-    let mut buf: &[u8] = &frame;
-    // Where `buf` stands in `frame`, for slicing payloads out of it.
-    let at = |buf: &[u8]| frame.len() - buf.len();
-    if buf.is_empty() {
-        return Err("empty frame".into());
-    }
-    let tag = buf.get_u8();
-    match tag {
+    let mut r = Reader::new(&frame);
+    let tag = r.u8("message tag")?;
+    Ok(match tag {
         TAG_BAT => {
-            // 39 header bytes + the 8-byte payload length that follows.
-            if buf.remaining() < 47 {
-                return Err("truncated BAT header".into());
-            }
             let header = BatHeader {
-                owner: NodeId(buf.get_u16_le()),
-                bat: BatId(buf.get_u32_le()),
-                size: buf.get_u64_le(),
-                loi: buf.get_f64_le(),
-                copies: buf.get_u32_le(),
-                hops: buf.get_u32_le(),
-                cycles: buf.get_u32_le(),
-                version: buf.get_u32_le(),
-                updating: buf.get_u8() != 0,
+                owner: NodeId(r.u16("BAT header")?),
+                bat: BatId(r.u32("BAT header")?),
+                size: r.u64("BAT header")?,
+                loi: r.f64("BAT header")?,
+                copies: r.u32("BAT header")?,
+                hops: r.u32("BAT header")?,
+                cycles: r.u32("BAT header")?,
+                version: r.u32("BAT header")?,
+                updating: r.u8("BAT header")? != 0,
             };
             // Eq. 1 over a NaN or infinite score never falls below the
             // threshold again: such a fragment could never leave the ring.
             if !header.loi.is_finite() {
                 return Err(format!("BAT header with a non-finite LOI ({})", header.loi));
             }
-            let plen = buf.get_u64_le() as usize;
-            if buf.remaining() < plen {
-                return Err(format!(
-                    "truncated BAT payload: want {plen}, have {}",
-                    buf.remaining()
-                ));
-            }
-            let payload = (plen > 0).then(|| frame.slice(at(buf)..at(buf) + plen));
-            Ok(DcMsg::Bat { header, payload })
+            let plen = r.u64("BAT payload length")?;
+            let at = r.consumed();
+            let payload = r.bytes(usize::try_from(plen).unwrap_or(usize::MAX), "BAT payload")?;
+            let payload = (plen > 0).then(|| frame.slice(at..at + payload.len()));
+            DcMsg::Bat { header, payload }
         }
-        TAG_REQ => {
-            if buf.remaining() < 6 {
-                return Err("truncated request".into());
-            }
-            Ok(DcMsg::Request(ReqMsg {
-                origin: NodeId(buf.get_u16_le()),
-                bat: BatId(buf.get_u32_le()),
-            }))
-        }
+        TAG_REQ => DcMsg::Request(ReqMsg {
+            origin: NodeId(r.u16("request")?),
+            bat: BatId(r.u32("request")?),
+        }),
         TAG_CATALOG => {
-            if buf.remaining() < 2 {
-                return Err("truncated catalog origin".into());
-            }
-            let origin = NodeId(buf.get_u16_le());
-            let schema = get_str(&mut buf)?;
-            let table = get_str(&mut buf)?;
-            if buf.remaining() < 2 {
-                return Err("truncated catalog column count".into());
-            }
-            let n = buf.get_u16_le() as usize;
-            let mut columns = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let name = get_str(&mut buf)?;
-                if buf.remaining() < 19 {
-                    return Err("truncated catalog column".into());
-                }
-                let ty = ColType::from_tag(buf.get_u8())
-                    .ok_or_else(|| "unknown column type tag".to_string())?;
-                columns.push(CatalogCol {
-                    name,
-                    ty,
-                    bat: BatId(buf.get_u32_le()),
-                    size: buf.get_u64_le(),
-                    owner: NodeId(buf.get_u16_le()),
-                    version: buf.get_u32_le(),
-                });
-            }
-            Ok(DcMsg::Catalog(CatalogMsg { origin, schema, table, columns }))
+            let origin = NodeId(r.u16("catalog origin")?);
+            let schema = r.str16("catalog schema")?;
+            let table = r.str16("catalog table")?;
+            let n = r.u16("catalog column count")?;
+            let columns = (0..n).map(|_| read_catalog_col(&mut r)).collect::<Result<_, _>>()?;
+            DcMsg::Catalog(CatalogMsg { origin, schema, table, columns })
         }
         TAG_ROUTED | TAG_SELECT => {
-            if buf.remaining() < 26 {
-                return Err("truncated routed header".into());
-            }
-            let origin = NodeId(buf.get_u16_le());
-            let epoch = buf.get_u64_le();
-            let id = buf.get_u64_le();
-            let settled_below = buf.get_u64_le();
+            let origin = NodeId(r.u16("routed header")?);
+            let epoch = r.u64("routed header")?;
+            let id = r.u64("routed header")?;
+            let settled_below = r.u64("routed header")?;
             let stmt = if tag == TAG_ROUTED {
-                RoutedStmt::Mutate(Mutation::decode(&mut buf)?)
+                RoutedStmt::Mutate(r.nested(Mutation::decode)?)
             } else {
-                let schema = get_str(&mut buf)?;
-                let table = get_str(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err("truncated statement length".into());
+                RoutedStmt::Select {
+                    schema: r.str16("statement schema")?,
+                    table: r.str16("statement table")?,
+                    sql: r.str32("statement")?,
                 }
-                let len = buf.get_u32_le() as usize;
-                let Some(text) = buf.get(..len) else {
-                    return Err(format!("truncated statement: want {len}, have {}", buf.len()));
-                };
-                let sql = std::str::from_utf8(text).map_err(|e| format!("bad utf8: {e}"))?;
-                RoutedStmt::Select { schema, table, sql: sql.to_string() }
             };
-            Ok(DcMsg::Routed(RoutedMsg { origin, epoch, id, settled_below, stmt }))
+            DcMsg::Routed(RoutedMsg { origin, epoch, id, settled_below, stmt })
         }
         TAG_ACK => {
-            if buf.remaining() < 18 {
-                return Err("truncated ack".into());
-            }
-            let target = NodeId(buf.get_u16_le());
-            let epoch = buf.get_u64_le();
-            let id = buf.get_u64_le();
-            let answer = get_answer(&mut buf)?;
-            Ok(DcMsg::Ack(AckMsg { target, epoch, id, answer }))
+            let target = NodeId(r.u16("ack")?);
+            let epoch = r.u64("ack")?;
+            let id = r.u64("ack")?;
+            DcMsg::Ack(AckMsg { target, epoch, id, answer: read_answer(&mut r)? })
         }
-        other => Err(format!("unknown message tag {other}")),
-    }
+        other => return Err(format!("unknown message tag {other}")),
+    })
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ use crate::transport::{mem, MeteredTransport, RingTransport};
 use batstore::{Bat, Column, ResultSet};
 use crossbeam::channel::unbounded;
 use mal::MalError;
+use sqlfront::parser::MAX_IDENT;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -148,13 +149,15 @@ impl RingNode {
 
     /// Load a table owned entirely by this node (each node of a real
     /// deployment loads its own share from local storage); the metadata
-    /// replicates around the ring.
+    /// replicates around the ring. A name longer than SQL lets an
+    /// identifier be is refused.
     pub fn load_table(
         &self,
         schema: &str,
         table: &str,
         cols: Vec<(&str, Column)>,
     ) -> Result<(), MalError> {
+        check_names(schema, table, &cols)?;
         let table = CatalogMsg {
             origin: self.id,
             schema: schema.to_string(),
@@ -444,13 +447,15 @@ impl Ring {
     /// round-robin — the paper's startup placement ("the BATs are
     /// randomly assigned to nodes in the ring"). The metadata gossip
     /// starts at the first owner and the call returns once every node's
-    /// replica has it.
+    /// replica has it. A name longer than SQL lets an identifier be is
+    /// refused.
     pub fn load_table(
         &self,
         schema: &str,
         table: &str,
         cols: Vec<(&str, Column)>,
     ) -> Result<(), MalError> {
+        check_names(schema, table, &cols)?;
         let (n, count) = (self.nodes.len(), cols.len());
         let mut shares: Vec<Vec<_>> = self.nodes.iter().map(|_| Vec::new()).collect();
         for (idx, col) in cols.into_iter().enumerate() {
@@ -508,5 +513,19 @@ impl Ring {
         for mut n in self.nodes.drain(..) {
             n.stop();
         }
+    }
+}
+
+/// A bulk load's schema, table and column names keep to the SQL
+/// parser's identifier limit: every name is logged and gossiped behind a
+/// `u16` length, and one cut to fit would name another table or column.
+fn check_names(schema: &str, table: &str, cols: &[(&str, Column)]) -> Result<(), MalError> {
+    let mut names = [schema, table].into_iter().chain(cols.iter().map(|(name, _)| *name));
+    match names.find(|name| name.len() > MAX_IDENT) {
+        Some(name) => Err(MalError::BadCall(format!(
+            "load_table: a name of {} bytes (max {MAX_IDENT})",
+            name.len()
+        ))),
+        None => Ok(()),
     }
 }

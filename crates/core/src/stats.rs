@@ -104,12 +104,6 @@ dc_obs::counters! {
         /// Routed statements failed loudly at this origin after the whole
         /// retry budget elapsed without an acknowledgement.
         timeouts,
-        /// WAL records logged ahead of durable mutations (dc-persist).
-        wal_records,
-        /// WAL bytes appended (frame bytes, including headers).
-        wal_bytes,
-        /// Background checkpoints started (WAL rotations).
-        checkpoints,
         /// Owned fragments rebuilt from disk at startup.
         recovered_frags,
         /// WAL records replayed during startup recovery.

@@ -3,8 +3,8 @@
 //!
 //! A checkpoint is written *behind* a running node: the event loop
 //! captures a [`Snapshot`] (cheap — fragment payloads are `Arc`-shared),
-//! rotates to a fresh WAL generation, and hands the snapshot to the
-//! [`Checkpointer`] thread. The thread writes the payload of every
+//! rotates to a fresh WAL generation, and hands the snapshot to its
+//! log's writer thread ([`crate::Log`]). The thread writes the payload of every
 //! `(fragment, version)` that has no file yet — each pair is written at
 //! most once, under a name no committed checkpoint refers to — then
 //! commits by atomically replacing `catalog.snap` (which fragment
@@ -22,9 +22,7 @@ use crate::datadir::{write_atomic, DataDir, Manifest};
 use crate::wal::{encode_record, TableRec, WalRecord};
 use batstore::Bat;
 use std::io;
-use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// One owned fragment at checkpoint time.
 #[derive(Clone)]
@@ -109,89 +107,6 @@ pub(crate) fn write_fragment_files(dir: &DataDir, snap: &Snapshot) -> io::Result
     stats.frags_written = missing.len() as u64;
     dir.write_fragments(missing, "ckpt.tmp")?;
     Ok(stats)
-}
-
-/// A background thread writing the snapshots it is handed, in order,
-/// and reporting each outcome — whether it committed — to the callback
-/// it was spawned with. The owner keeps at most one in flight and learns
-/// of the commit from that report; nothing here is polled.
-pub struct Checkpointer {
-    tx: Option<Sender<Snapshot>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Telemetry handles the checkpoint writers feed: how long each
-/// committed checkpoint took (microseconds) and how many fragment
-/// payloads it wrote versus found already on disk — "incremental" made
-/// checkable on a live node.
-#[derive(Clone)]
-pub struct CheckpointMetrics {
-    duration: Arc<dc_obs::Histogram>,
-    frags_written: Arc<dc_obs::Counter>,
-    frags_skipped: Arc<dc_obs::Counter>,
-}
-
-impl CheckpointMetrics {
-    /// Resolve `checkpoint_us`, `obs_checkpoint_frags_written` and
-    /// `obs_checkpoint_frags_skipped` in `obs`.
-    pub fn register(obs: &dc_obs::Registry) -> CheckpointMetrics {
-        CheckpointMetrics {
-            duration: obs.histogram("checkpoint_us"),
-            frags_written: obs.counter("obs_checkpoint_frags_written"),
-            frags_skipped: obs.counter("obs_checkpoint_frags_skipped"),
-        }
-    }
-
-    /// Book the fragment files of one committed checkpoint. (The
-    /// startup compaction, which runs [`write_checkpoint`] inline, books
-    /// them this way and stays out of the duration histogram.)
-    pub(crate) fn count(&self, stats: CheckpointStats) {
-        self.frags_written.add(stats.frags_written);
-        self.frags_skipped.add(stats.frags_skipped);
-    }
-}
-
-impl Checkpointer {
-    /// Start the writer. `done(committed)` runs on its thread once per
-    /// submitted snapshot, after the commit and its cleanup — or after
-    /// the failure, which leaves the node on the previous checkpoint and
-    /// a longer WAL: only durability compaction is lost.
-    pub fn spawn(
-        dir: DataDir,
-        metrics: CheckpointMetrics,
-        mut done: impl FnMut(bool) + Send + 'static,
-    ) -> Checkpointer {
-        let (tx, rx) = channel::<Snapshot>();
-        let handle = std::thread::spawn(move || {
-            while let Ok(snap) = rx.recv() {
-                let start = std::time::Instant::now();
-                let result = write_checkpoint(&dir, &snap);
-                match &result {
-                    Err(e) => eprintln!("[dc-persist] checkpoint failed: {e}"),
-                    Ok(stats) => {
-                        metrics.duration.record_elapsed_micros(start);
-                        metrics.count(*stats);
-                    }
-                }
-                done(result.is_ok());
-            }
-        });
-        Checkpointer { tx: Some(tx), handle: Some(handle) }
-    }
-
-    /// Hand a snapshot to the writer; false if its thread is gone.
-    pub fn submit(&self, snap: Snapshot) -> bool {
-        self.tx.as_ref().expect("live until drop").send(snap).is_ok()
-    }
-}
-
-impl Drop for Checkpointer {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,37 +225,6 @@ mod tests {
         assert!(dir.bat_path(5, 2).exists(), "spilled file must not be GC'd");
         let back = storage::load_bat(&dir.bat_path(5, 2)).unwrap();
         assert_eq!(back.count(), 3, "spilled payload untouched");
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn background_checkpointer_reports_each_outcome() {
-        let root = scratch("bg");
-        let dir = DataDir::open(&root).unwrap();
-        let obs = dc_obs::Registry::new(1);
-        let (tx, done) = std::sync::mpsc::channel();
-        let ck = Checkpointer::spawn(dir.clone(), CheckpointMetrics::register(&obs), move |ok| {
-            let _ = tx.send(ok);
-        });
-        let outcome = || done.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-        assert!(ck.submit(snap(1, 3)));
-        assert!(outcome(), "committed");
-        assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 3);
-        assert!(ck.submit(snap(1, 4)));
-        assert!(outcome());
-        assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 4);
-        // A snapshot whose fragment file cannot be written fails, says
-        // so, and leaves the committed checkpoint in place.
-        std::fs::create_dir(dir.bats_dir().join(".6.v0.bat.ckpt.tmp")).unwrap();
-        let mut blocked = snap(1, 5);
-        blocked.frags[0].bat = 6;
-        blocked.frags[0].version = 0;
-        assert!(ck.submit(blocked));
-        assert!(!outcome(), "reported as failed");
-        assert_eq!(dir.read_manifest().unwrap().unwrap().replay_from, 4);
-        assert_eq!(obs.counter_value("obs_checkpoint_frags_written"), Some(1));
-        assert_eq!(obs.counter_value("obs_checkpoint_frags_skipped"), Some(1));
-        assert_eq!(obs.histogram("checkpoint_us").snapshot().count, 2);
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -21,13 +21,14 @@
 //! is the only file mutated in place, and its
 //! frames carry CRCs precisely so a torn tail is detectable.
 
+use batstore::wire::{put_u16, put_u64, Reader};
 use batstore::{storage, Bat};
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-const MANIFEST_MAGIC: &[u8; 4] = b"DCM1";
+const MANIFEST_MAGIC: [u8; 4] = *b"DCM1";
 
 /// What the manifest pins down: whose data this is and where replay
 /// starts.
@@ -86,7 +87,7 @@ impl DataDir {
     /// batch: each through its own temp file `.<name>.<tmp>`, synced and
     /// renamed into place, then one sync of `bats/` for them all — done
     /// before any record names one of the files. The event loop (a bulk
-    /// load's files, a spill's) and the checkpointer pass different
+    /// load's files, a spill's) and the checkpoint writer pass different
     /// `tmp`s: a spill may write the very version the snapshot in flight
     /// carries, and then each renames its own complete, identical copy
     /// into place.
@@ -165,22 +166,21 @@ impl DataDir {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        if bytes.len() != 14 || &bytes[..4] != MANIFEST_MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "corrupt MANIFEST"));
+        let mut r = Reader::new(&bytes);
+        match (r.array("magic"), r.u16("node"), r.u64("replay start"), r.rest().len()) {
+            (Ok(MANIFEST_MAGIC), Ok(node), Ok(replay_from), 0) => {
+                Ok(Some(Manifest { node, replay_from }))
+            }
+            _ => Err(io::Error::new(io::ErrorKind::InvalidData, "corrupt MANIFEST")),
         }
-        Ok(Some(Manifest {
-            node: u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes")),
-            replay_from: u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes")),
-        }))
     }
 
     /// Atomically replace the manifest: the single commit point of a
     /// checkpoint.
     pub fn write_manifest(&self, m: &Manifest) -> io::Result<()> {
-        let mut bytes = Vec::with_capacity(14);
-        bytes.extend_from_slice(MANIFEST_MAGIC);
-        bytes.extend_from_slice(&m.node.to_le_bytes());
-        bytes.extend_from_slice(&m.replay_from.to_le_bytes());
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        put_u16(&mut bytes, m.node);
+        put_u64(&mut bytes, m.replay_from);
         write_atomic(&self.manifest_path(), &bytes)
     }
 }

@@ -18,11 +18,11 @@
 //!   manifest, the single commit point of a checkpoint.
 //! * [`wal`] — CRC-framed records ([`WalRecord`]), the fsync policy, the
 //!   appender, and tear-tolerant replay.
-//! * [`checkpoint`] — snapshot writer plus the background
-//!   [`Checkpointer`] thread.
+//! * [`checkpoint`] — the snapshot writer.
 //! * [`log`] — [`Log`], a node's one handle on all of the above: the WAL
-//!   generation it appends to, when it rotates and checkpoints, and the
-//!   recovery and compaction it opens with.
+//!   generation it appends to, when it rotates and checkpoints, the
+//!   thread that writes its checkpoints, what it counts, and the recovery
+//!   and compaction it opens with.
 //! * [`mod@recover`] — the startup path, idempotent across
 //!   checkpoint/WAL overlap by fragment version.
 //!
@@ -36,9 +36,7 @@ pub mod log;
 pub mod recover;
 pub mod wal;
 
-pub use checkpoint::{
-    write_checkpoint, CheckpointMetrics, CheckpointStats, Checkpointer, FragSnap, Snapshot,
-};
+pub use checkpoint::{write_checkpoint, CheckpointStats, FragSnap, Snapshot};
 pub use datadir::{DataDir, Manifest};
 pub use log::{Log, State};
 pub use recover::{recover, RecFrag, Recovered};

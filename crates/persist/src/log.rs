@@ -1,18 +1,46 @@
 //! A node's durable log: [`Log`] owns the WAL generation protocol whole —
 //! which generation the node appends to, when it rotates, and where the
-//! replay of each checkpoint starts. The node says what the records and
-//! snapshots hold; it names no generation.
+//! replay of each checkpoint starts — and the thread that writes its
+//! checkpoints behind it. The node says what the records and snapshots
+//! hold; it names no generation.
 
-use crate::checkpoint::{write_checkpoint, CheckpointMetrics, Checkpointer, FragSnap, Snapshot};
+use crate::checkpoint::{write_checkpoint, CheckpointStats, FragSnap, Snapshot};
 use crate::datadir::DataDir;
 use crate::recover::{recover, Recovered};
 use crate::wal::{FsyncPolicy, TableRec, WalRecord, WalWriter};
 use batstore::Bat;
 use std::path::Path;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// What a checkpoint holds of a node: every table it knows and every
 /// fragment it owns.
 pub type State = (Vec<TableRec>, Vec<FragSnap>);
+
+dc_obs::counters! {
+    /// What a log counts, in the registry it is opened with.
+    struct LogStats {
+        /// WAL records appended.
+        wal_records,
+        /// WAL bytes appended (frame bytes, including headers).
+        wal_bytes,
+        /// Background checkpoints started (WAL rotations).
+        checkpoints,
+        /// Fragment payload files the checkpoints wrote …
+        obs_checkpoint_frags_written,
+        /// … and those they found on disk at their version already:
+        /// "incremental" made checkable on a live node.
+        obs_checkpoint_frags_skipped,
+    }
+}
+
+impl LogStats {
+    fn count(&self, stats: CheckpointStats) {
+        self.obs_checkpoint_frags_written.add(stats.frags_written);
+        self.obs_checkpoint_frags_skipped.add(stats.frags_skipped);
+    }
+}
 
 /// A node's durable log (see the module docs).
 pub struct Log {
@@ -24,9 +52,12 @@ pub struct Log {
     checkpoint_wal_bytes: u64,
     /// Bytes counted toward the checkpoint trigger since the last one.
     since_checkpoint: u64,
-    checkpointer: Checkpointer,
-    /// What the snapshot the checkpointer is writing names, if any.
+    /// What the snapshot the writer is writing names, if any.
     in_flight: Option<Vec<(u32, u32)>>,
+    stats: Arc<LogStats>,
+    /// The checkpoint writer thread and the channel that hands it
+    /// snapshots; taken when the log drops.
+    writer: Option<(Sender<Snapshot>, JoinHandle<()>)>,
 }
 
 impl Log {
@@ -36,9 +67,12 @@ impl Log {
     /// `wal_fsync_us`), and compact the node's state into a checkpoint
     /// replayed from there. This compaction is synchronous: after a torn
     /// tail the next recovery stops at the tear, so it must have moved
-    /// replay past it before anything is appended. `done(committed)`
-    /// reports each background checkpoint's outcome. Returns the log and
-    /// the `(fragment, version)`s the compaction made durable.
+    /// replay past it before anything is appended. Later checkpoints are
+    /// written, in order, by a thread the log spawns: `done(committed)`
+    /// runs on it once per snapshot, after the commit and its cleanup —
+    /// or after the failure, which leaves the node on the previous
+    /// checkpoint and a longer WAL. Returns the log and the `(fragment,
+    /// version)`s the compaction made durable.
     pub fn open(
         root: &Path,
         node: u16,
@@ -46,7 +80,7 @@ impl Log {
         checkpoint_wal_bytes: u64,
         obs: &dc_obs::Registry,
         rebuild: impl FnOnce(Recovered) -> State,
-        done: impl FnMut(bool) + Send + 'static,
+        mut done: impl FnMut(bool) + Send + 'static,
     ) -> Result<(Log, Vec<(u32, u32)>), String> {
         let dir =
             DataDir::open(root).map_err(|e| format!("opening data dir {}: {e}", root.display()))?;
@@ -55,9 +89,28 @@ impl Log {
         let mut wal = WalWriter::create(&dir.wal_path(gen), fsync)
             .map_err(|e| format!("creating WAL: {e}"))?;
         wal.set_metrics(obs.histogram("wal_append_us"), obs.histogram("wal_fsync_us"));
-        let metrics = CheckpointMetrics::register(obs);
+        let stats = Arc::new(LogStats::register(obs));
+        let (to_writer, snapshots) = channel::<Snapshot>();
+        let writer = {
+            let (dir, stats, duration) =
+                (dir.clone(), Arc::clone(&stats), obs.histogram("checkpoint_us"));
+            let writer = std::thread::spawn(move || {
+                while let Ok(snap) = snapshots.recv() {
+                    let start = std::time::Instant::now();
+                    let result = write_checkpoint(&dir, &snap);
+                    match &result {
+                        Err(e) => eprintln!("[dc-persist] checkpoint failed: {e}"),
+                        Ok(written) => {
+                            duration.record_elapsed_micros(start);
+                            stats.count(*written);
+                        }
+                    }
+                    done(result.is_ok());
+                }
+            });
+            (to_writer, writer)
+        };
         let log = Log {
-            checkpointer: Checkpointer::spawn(dir.clone(), metrics.clone(), done),
             dir,
             node,
             wal,
@@ -65,12 +118,15 @@ impl Log {
             checkpoint_wal_bytes,
             since_checkpoint: 0,
             in_flight: None,
+            stats,
+            writer: Some(writer),
         };
-        // Only the fragments the WAL tail moved lack their files.
+        // Only the fragments the WAL tail moved lack their files. The
+        // compaction's files are counted, its time is not.
         let snap = log.snapshot(rebuild(recovered));
-        let stats =
+        let written =
             write_checkpoint(&log.dir, &snap).map_err(|e| format!("startup checkpoint: {e}"))?;
-        metrics.count(stats);
+        log.stats.count(written);
         Ok((log, names(&snap)))
     }
 
@@ -85,18 +141,20 @@ impl Log {
     /// rebuilds, or the file whose predecessor a spill leaves to GC).
     pub fn append(&mut self, rec: &WalRecord, rewritten: u64) -> Result<u64, String> {
         let n = self.wal.append(rec).map_err(|e| format!("wal append: {e}"))?;
+        self.stats.wal_records.inc();
+        self.stats.wal_bytes.add(n);
         self.since_checkpoint += n + rewritten;
         Ok(n)
     }
 
     /// Make fragment versions durable: their files, synced as one batch,
     /// then a `FragMeta` naming each, the first counting `rewritten` too;
-    /// `landed(bat, version, frame)` runs as each record is appended.
+    /// `landed(bat, version)` runs as each record is appended.
     pub fn store(
         &mut self,
         frags: &[(u32, u32, &Bat)],
         rewritten: u64,
-        mut landed: impl FnMut(u32, u32, u64),
+        mut landed: impl FnMut(u32, u32),
     ) -> Result<(), String> {
         self.dir
             .write_fragments(frags.iter().copied(), "tmp")
@@ -104,7 +162,8 @@ impl Log {
         let mut rewritten = rewritten;
         for &(bat, version, _) in frags {
             let rec = WalRecord::FragMeta { bat, version };
-            landed(bat, version, self.append(&rec, std::mem::take(&mut rewritten))?);
+            self.append(&rec, std::mem::take(&mut rewritten))?;
+            landed(bat, version);
         }
         Ok(())
     }
@@ -125,9 +184,11 @@ impl Log {
         self.since_checkpoint = 0;
         let snap = self.snapshot(state());
         let named = names(&snap);
-        let submitted = self.checkpointer.submit(snap);
+        let (to_writer, _) = self.writer.as_ref().expect("live until drop");
+        let submitted = to_writer.send(snap).is_ok();
         if submitted {
             self.in_flight = Some(named);
+            self.stats.checkpoints.inc();
         }
         submitted
     }
@@ -146,6 +207,16 @@ impl Log {
     /// `state` as a checkpoint replayed from the current generation.
     fn snapshot(&self, (tables, frags): State) -> Snapshot {
         Snapshot { node: self.node, replay_from: self.gen, tables, frags }
+    }
+}
+
+impl Drop for Log {
+    /// The writer finishes the snapshot in flight, then the log joins it.
+    fn drop(&mut self) {
+        if let Some((to_writer, writer)) = self.writer.take() {
+            drop(to_writer);
+            let _ = writer.join();
+        }
     }
 }
 
@@ -230,14 +301,47 @@ mod tests {
     }
 
     #[test]
+    fn the_writer_reports_each_outcome_and_the_log_counts_what_it_did() {
+        let root = scratch("bg");
+        let obs = dc_obs::Registry::new(1);
+        let (tx, done) = channel();
+        let report = move |ok| {
+            let _ = tx.send(ok);
+        };
+        let rebuild = |_| state(0, vec![1, 2, 3]);
+        let (mut log, _) = Log::open(&root, 1, FsyncPolicy::Off, 0, &obs, rebuild, report).unwrap();
+        let outcome = || done.recv_timeout(Duration::from_secs(10)).unwrap();
+        let frame = log.append(&WalRecord::FragMeta { bat: 7, version: 0 }, 0).unwrap();
+        assert!(log.checkpoint(|| state(0, vec![1, 2, 3])));
+        assert!(outcome(), "committed");
+        assert_eq!((log.settle(true), generations(&log)), (vec![(7, 0)], (vec![2], 2)));
+        // A snapshot whose fragment file cannot be written fails, says
+        // so, and leaves the committed checkpoint in place.
+        std::fs::create_dir(log.dir().bats_dir().join(".8.v0.bat.ckpt.tmp")).unwrap();
+        let payload = Some(Arc::new(Bat::dense(Column::from(vec![4]))));
+        assert!(log.checkpoint(|| (vec![table()], vec![FragSnap { bat: 8, version: 0, payload }])));
+        assert!(!outcome(), "reported as failed");
+        assert_eq!((log.settle(false), generations(&log).1), (vec![], 2));
+        // The startup compaction wrote v0's file and the first background
+        // checkpoint found it; only background checkpoints are timed.
+        let count = |name| obs.counter_value(name).unwrap();
+        assert_eq!((count("wal_records"), count("wal_bytes")), (1, frame));
+        assert_eq!(count("checkpoints"), 2);
+        assert_eq!(count("obs_checkpoint_frags_written"), 1);
+        assert_eq!(count("obs_checkpoint_frags_skipped"), 1);
+        assert_eq!(obs.histogram("checkpoint_us").snapshot().count, 1);
+        drop(log);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn stored_versions_land_in_order_and_count_toward_the_trigger() {
         let root = scratch("store");
         let (mut log, _, _) = open(&root, 1 << 20, 0);
         let (a, b) = (Bat::dense(Column::from(vec![1])), Bat::dense(Column::from(vec![2])));
         let mut landed = Vec::new();
-        log.store(&[(8, 0, &a), (9, 3, &b)], 1 << 20, |bat, v, n| landed.push((bat, v, n > 0)))
-            .unwrap();
-        assert_eq!(landed, [(8, 0, true), (9, 3, true)]);
+        log.store(&[(8, 0, &a), (9, 3, &b)], 1 << 20, |bat, v| landed.push((bat, v))).unwrap();
+        assert_eq!(landed, [(8, 0), (9, 3)]);
         assert!(log.dir().bat_path(8, 0).exists() && log.dir().bat_path(9, 3).exists());
         assert!(log.checkpoint(|| state(0, vec![1, 2])), "`rewritten` counted once is enough");
         std::fs::remove_dir_all(&root).ok();

@@ -19,6 +19,7 @@
 //! refused, by name, because replaying around it would lose data.
 
 use batstore::ops::Mutation;
+use batstore::wire::{put_str16, put_u16, put_u32, put_u64, Reader};
 use batstore::ColType;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -155,80 +156,39 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // ---- codec --------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
-}
-
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.0.len() < n {
-            return Err(format!("record truncated: want {n} bytes, have {}", self.0.len()));
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("bad utf8: {e}"))
-    }
-}
-
 /// Serialize a record payload (tag + body, no frame header).
 fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     let mut out = Vec::new();
     match rec {
         WalRecord::Table(t) => {
             out.push(TAG_TABLE);
-            out.extend_from_slice(&t.origin.to_le_bytes());
-            put_str(&mut out, &t.schema);
-            put_str(&mut out, &t.table);
+            put_u16(&mut out, t.origin);
+            put_str16(&mut out, &t.schema);
+            put_str16(&mut out, &t.table);
             let ncols = t.cols.len().min(u16::MAX as usize);
-            out.extend_from_slice(&(ncols as u16).to_le_bytes());
+            put_u16(&mut out, ncols as u16);
             for c in t.cols.iter().take(ncols) {
-                put_str(&mut out, &c.name);
+                put_str16(&mut out, &c.name);
                 out.push(c.ty.tag());
-                out.extend_from_slice(&c.bat.to_le_bytes());
-                out.extend_from_slice(&c.size.to_le_bytes());
-                out.extend_from_slice(&c.owner.to_le_bytes());
+                put_u32(&mut out, c.bat);
+                put_u64(&mut out, c.size);
+                put_u16(&mut out, c.owner);
             }
         }
         WalRecord::Mutate { m, versions } => {
             out.push(TAG_MUTATE);
             m.encode(&mut out);
             let n = versions.len().min(u16::MAX as usize);
-            out.extend_from_slice(&(n as u16).to_le_bytes());
-            for (bat, version) in versions.iter().take(n) {
-                out.extend_from_slice(&bat.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
+            put_u16(&mut out, n as u16);
+            for &(bat, version) in versions.iter().take(n) {
+                put_u32(&mut out, bat);
+                put_u32(&mut out, version);
             }
         }
         WalRecord::FragMeta { bat, version } => {
             out.push(TAG_FRAG_META);
-            out.extend_from_slice(&bat.to_le_bytes());
-            out.extend_from_slice(&version.to_le_bytes());
+            put_u32(&mut out, *bat);
+            put_u32(&mut out, *version);
         }
     }
     out
@@ -238,41 +198,43 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let payload = encode_payload(rec);
     let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    put_u32(&mut out, payload.len() as u32);
+    put_u32(&mut out, crc32(&payload));
     out.extend_from_slice(&payload);
     out
 }
 
+fn read_col(r: &mut Reader) -> Result<ColRec, String> {
+    let name = r.str16("column name")?;
+    let ty = ColType::from_tag(r.u8("column type")?).ok_or("unknown column type tag")?;
+    Ok(ColRec { name, ty, bat: r.u32("column")?, size: r.u64("column")?, owner: r.u16("column")? })
+}
+
 /// Deserialize one record payload (as framed by [`encode_record`]).
 pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
-    let mut c = Cursor(payload);
-    match c.u8()? {
+    let mut r = Reader::new(payload);
+    Ok(match r.u8("record tag")? {
         TAG_TABLE => {
-            let origin = c.u16()?;
-            let schema = c.str()?;
-            let table = c.str()?;
-            let ncols = c.u16()? as usize;
-            let mut cols = Vec::with_capacity(ncols.min(1024));
-            for _ in 0..ncols {
-                let name = c.str()?;
-                let ty = ColType::from_tag(c.u8()?).ok_or("unknown column type tag")?;
-                cols.push(ColRec { name, ty, bat: c.u32()?, size: c.u64()?, owner: c.u16()? });
-            }
-            Ok(WalRecord::Table(TableRec { origin, schema, table, cols }))
+            let origin = r.u16("table origin")?;
+            let schema = r.str16("schema")?;
+            let table = r.str16("table")?;
+            let n = r.u16("column count")?;
+            let cols = (0..n).map(|_| read_col(&mut r)).collect::<Result<_, _>>()?;
+            WalRecord::Table(TableRec { origin, schema, table, cols })
         }
-        TAG_FRAG_META => Ok(WalRecord::FragMeta { bat: c.u32()?, version: c.u32()? }),
+        TAG_FRAG_META => {
+            WalRecord::FragMeta { bat: r.u32("fragment")?, version: r.u32("version")? }
+        }
         TAG_MUTATE => {
-            let m = Mutation::decode(&mut c.0)?;
-            let n = c.u16()? as usize;
-            let mut versions = Vec::with_capacity(n.min(c.0.len() / 8));
-            for _ in 0..n {
-                versions.push((c.u32()?, c.u32()?));
-            }
-            Ok(WalRecord::Mutate { m, versions })
+            let m = r.nested(Mutation::decode)?;
+            let n = r.u16("version count")?;
+            let versions = (0..n)
+                .map(|_| Ok((r.u32("fragment")?, r.u32("version")?)))
+                .collect::<Result<_, String>>()?;
+            WalRecord::Mutate { m, versions }
         }
-        other => Err(format!("unknown record tag {other}")),
-    }
+        other => return Err(format!("unknown record tag {other}")),
+    })
 }
 
 /// Parse a buffer of concatenated frames, stopping cleanly at the first
@@ -280,18 +242,17 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
 /// records before the tear and whether one was found — or an error
 /// naming the kind, when an intact frame holds a record kind an older build
 /// wrote and this one does not read (the module's retired-kind table).
-pub fn decode_frames(mut buf: &[u8]) -> Result<(Vec<WalRecord>, bool), String> {
+pub fn decode_frames(buf: &[u8]) -> Result<(Vec<WalRecord>, bool), String> {
     let mut records = Vec::new();
-    while buf.len() >= 8 {
-        let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD || buf.len() - 8 < len {
+    let mut r = Reader::new(buf);
+    while !r.rest().is_empty() {
+        let (Ok(len), Ok(crc)) = (r.u32("frame length"), r.u32("frame checksum")) else {
             return Ok((records, true));
-        }
-        let payload = &buf[8..8 + len];
-        if crc32(payload) != crc {
-            return Ok((records, true));
-        }
+        };
+        let payload = match r.bytes(len as usize, "record") {
+            Ok(payload) if payload.len() <= MAX_RECORD && crc32(payload) == crc => payload,
+            _ => return Ok((records, true)),
+        };
         if let Some((tag, kind)) = RETIRED.iter().find(|(t, _)| payload.first() == Some(t)) {
             return Err(format!(
                 "record {} holds a retired {kind} record (tag {tag}), written by an older build",
@@ -302,9 +263,8 @@ pub fn decode_frames(mut buf: &[u8]) -> Result<(Vec<WalRecord>, bool), String> {
             Ok(rec) => records.push(rec),
             Err(_) => return Ok((records, true)),
         }
-        buf = &buf[8 + len..];
     }
-    Ok((records, !buf.is_empty()))
+    Ok((records, false))
 }
 
 // ---- writer -------------------------------------------------------------

@@ -5,6 +5,11 @@ use crate::err;
 use batstore::Val;
 use mal::Result;
 
+/// The longest identifier, in bytes. Names travel in catalog gossip and
+/// WAL records behind `u16` lengths; the cap keeps far below that, so
+/// framing never bites.
+pub const MAX_IDENT: usize = 1024;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Word(String),
@@ -157,10 +162,8 @@ impl P {
 
     fn word(&mut self) -> Result<String> {
         match self.next()? {
-            // Identifiers travel in catalog gossip frames with u16
-            // lengths; cap them far below that so framing never bites.
-            Tok::Word(w) if w.len() > 1024 => {
-                Err(err(format!("identifier too long ({} chars, max 1024)", w.len())))
+            Tok::Word(w) if w.len() > MAX_IDENT => {
+                Err(err(format!("identifier too long ({} chars, max {MAX_IDENT})", w.len())))
             }
             Tok::Word(w) => Ok(w),
             other => Err(err(format!("expected identifier, got {other:?}"))),

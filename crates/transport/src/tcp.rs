@@ -27,6 +27,7 @@
 //! machinery (§4.2.3).
 
 use crate::{RingTransport, TransportError};
+use batstore::wire;
 use bytes::Bytes;
 use datacyclotron::msg::{decode_frame, frame, Frame};
 use datacyclotron::transport::{Inbox, Sink};
@@ -43,13 +44,7 @@ use std::time::Duration;
 /// can claim any length in the prefix; the cap bounds what we are
 /// willing to read, and [`read_frame_capped`] never allocates the
 /// claimed length up front — the buffer grows only as bytes arrive.
-pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
-
-/// The most a reader reserves on the word of a length prefix alone.
-/// Frames up to this size (every fragment of the sizes the ring is run
-/// with) are read into one exactly-sized buffer; a longer one starts
-/// here and doubles only as bytes actually arrive.
-const FRAME_RESERVE: usize = 1 << 20;
+pub use batstore::wire::MAX_FRAME as DEFAULT_MAX_FRAME;
 
 /// Capacity of the buffer an inbound stream is read through: room for
 /// several header, request and ack frames (all under 100 bytes), small
@@ -64,13 +59,7 @@ pub fn write_frame(stream: &mut impl Write, msg: &DcMsg) -> std::io::Result<()> 
 /// Length prefix, message head and payloads in one vectored write: no
 /// buffer is built to hold them together. Short writes are finished.
 fn write_pieces(stream: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    let len = u32::try_from(frame.len()).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("a message of {} bytes does not fit a frame's 32-bit length", frame.len()),
-        )
-    })?;
-    let prefix = len.to_le_bytes();
+    let prefix = wire::prefix(frame.len())?;
     let mut slices: Vec<IoSlice<'_>> =
         std::iter::once(&prefix[..]).chain(frame.pieces()).map(IoSlice::new).collect();
     let mut rest = &mut slices[..];
@@ -101,40 +90,8 @@ pub fn read_frame_capped(
     stream: &mut impl Read,
     max_frame: usize,
 ) -> std::io::Result<Option<DcMsg>> {
-    let mut len_buf = [0u8; 4];
-    // The first byte decides clean-close vs truncation.
-    match stream.read_exact(&mut len_buf[..1]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    stream.read_exact(&mut len_buf[1..])?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_frame {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {max_frame}-byte cap"),
-        ));
-    }
-    // One buffer, which becomes the message's payload. An unverified
-    // length never commits more than `FRAME_RESERVE`; past that the
-    // buffer at most doubles, and only once it is full of bytes that
-    // really arrived (`reserve_exact`, so it ends no larger than the
-    // frame). Reading through `take` fills exactly the spare capacity.
-    let mut buf = Vec::with_capacity(len.min(FRAME_RESERVE));
-    while buf.len() < len {
-        if buf.len() == buf.capacity() {
-            buf.reserve_exact((len - buf.len()).min(buf.len()));
-        }
-        let want = (buf.capacity() - buf.len()).min(len - buf.len());
-        let got = stream.by_ref().take(want as u64).read_to_end(&mut buf)?;
-        if got < want {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!("truncated frame: want {len} bytes, got {}", buf.len()),
-            ));
-        }
-    }
+    // One buffer, which becomes the message's payload.
+    let Some(buf) = wire::read_prefixed(stream, max_frame)? else { return Ok(None) };
     decode_frame(Bytes::from(buf))
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
@@ -496,6 +453,7 @@ impl TcpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batstore::wire::FRAME_RESERVE;
     use bytes::Bytes;
     use datacyclotron::msg::BatHeader;
     use datacyclotron::{BatId, NodeId, ReqMsg};
