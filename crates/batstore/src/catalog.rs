@@ -79,13 +79,6 @@ impl BatStore {
         Ok(())
     }
 
-    /// Drop a BAT (frees memory; the key stays burned).
-    pub fn remove(&mut self, key: BatKey) -> Result<Arc<Bat>> {
-        let slot =
-            self.bats.get_mut(key.0 as usize).ok_or_else(|| BatError::NotFound(key.to_string()))?;
-        slot.take().ok_or_else(|| BatError::NotFound(key.to_string()))
-    }
-
     pub fn len(&self) -> usize {
         self.bats.iter().filter(|b| b.is_some()).count()
     }
@@ -384,15 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn store_replace_and_remove() {
+    fn store_replace() {
         let mut store = BatStore::new();
         let k = store.insert(Bat::dense(Column::from(vec![1, 2, 3])));
         assert_eq!(store.get(k).unwrap().count(), 3);
         store.replace(k, Bat::dense(Column::from(vec![9]))).unwrap();
         assert_eq!(store.get(k).unwrap().count(), 1);
-        store.remove(k).unwrap();
-        assert!(store.get(k).is_err());
-        assert!(store.remove(k).is_err(), "double remove");
     }
 
     #[test]

@@ -205,17 +205,20 @@ fn bench_eventqueue(c: &mut Criterion) {
 
 fn bench_interpreter(c: &mut Criterion) {
     use batstore::{BatStore, Catalog, Column};
+    use mal::{Arg, Const, Instr, Program};
     use parking_lot::RwLock;
     use std::sync::Arc;
 
     // A 64-instruction straight-line plan over tiny BATs measures
     // dispatch overhead rather than kernel work.
-    let mut text = String::from("function user.bench():void;\nX0 := io.stdout();\n");
+    let mut prog = Program::new("user", "bench");
+    let x0 = prog.var("X0");
+    prog.push(Instr::assign(x0, "io", "stdout", vec![]));
     for i in 1..=63 {
-        text.push_str(&format!("X{i} := bat.literal(\"int\", {i});\n"));
+        let x = prog.var(&format!("X{i}"));
+        let literal = vec![Arg::Const(Const::Str("int".into())), Arg::Const(Const::Int(i))];
+        prog.push(Instr::assign(x, "bat", "literal", literal));
     }
-    text.push_str("end bench;\n");
-    let prog = mal::parse_program(&text).unwrap();
     assert_eq!(prog.len(), 64);
 
     let mut catalog = Catalog::new();

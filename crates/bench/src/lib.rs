@@ -15,8 +15,8 @@
 //! | `exp_baselines`| §7 related-work baselines       |
 //!
 //! Figure 1 has no binary. Tables 1 and 2 (the paper's MAL plan and its
-//! Data Cyclotron rewrite) are asserted exactly by `mal`'s optimizer test
-//! `reproduces_paper_table2_exactly`.
+//! Data Cyclotron rewrite) are checked as printed text by `mal`'s
+//! optimizer test `reproduces_paper_table2_exactly`.
 //!
 //! Each prints human-readable tables/plots to stdout and writes CSV
 //! series to `target/experiments/`. The environment variable `DC_SCALE`

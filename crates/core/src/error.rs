@@ -11,7 +11,7 @@ use std::fmt;
 
 #[derive(Clone, Debug, PartialEq)]
 pub enum DcError {
-    /// The SQL (or MAL) text did not parse.
+    /// The SQL text did not parse.
     Parse(String),
     /// The statement parsed but the plan is invalid: unknown function,
     /// undefined variable, bad call arity or types.
@@ -44,7 +44,7 @@ impl From<MalError> for DcError {
     fn from(e: MalError) -> DcError {
         let msg = e.to_string();
         match e {
-            MalError::Parse { .. } => DcError::Parse(msg),
+            MalError::Parse(_) => DcError::Parse(msg),
             MalError::UnknownFunction(_) | MalError::BadCall(_) | MalError::Undefined(_) => {
                 DcError::Plan(msg)
             }
@@ -60,9 +60,9 @@ mod tests {
 
     #[test]
     fn classification() {
-        let e: DcError = MalError::Parse { line: 1, msg: "bad".into() }.into();
+        let e: DcError = MalError::Parse("bad".into()).into();
         assert!(matches!(e, DcError::Parse(_)));
-        assert!(e.to_string().contains("line 1"));
+        assert_eq!(e.message(), "parse error: bad");
         let e: DcError = MalError::UnknownFunction("no.such".into()).into();
         assert!(matches!(e, DcError::Plan(_)));
         let e: DcError = MalError::Dc("ring node is down".into()).into();

@@ -206,6 +206,32 @@ impl fmt::Display for Program {
     }
 }
 
+/// The paper's Table 1: `select c.t_id from t, c where c.t_id = t.id`,
+/// with the paper's own variable names — the free slots among them are
+/// what the DC rewrite numbers its tickets by.
+#[cfg(test)]
+pub(crate) fn paper_table1() -> Program {
+    let mut p = Program::new("user", "s1_2");
+    let [x1, x6, x9, x10, x13, x14, x15, x16, x22] =
+        ["X1", "X6", "X9", "X10", "X13", "X14", "X15", "X16", "X22"].map(|n| p.var(n));
+    let s = |v: &str| Arg::Const(Const::Str(v.into()));
+    let int = |v: i64| Arg::Const(Const::Int(v));
+    let v = Arg::Var;
+    p.push(Instr::assign(x1, "sql", "bind", vec![s("sys"), s("t"), s("id"), int(0)]));
+    p.push(Instr::assign(x6, "sql", "bind", vec![s("sys"), s("c"), s("t_id"), int(0)]));
+    p.push(Instr::assign(x9, "bat", "reverse", vec![v(x6)]));
+    p.push(Instr::assign(x10, "algebra", "join", vec![v(x1), v(x9)]));
+    p.push(Instr::assign(x13, "algebra", "markT", vec![v(x10), Arg::Const(Const::Oid(0))]));
+    p.push(Instr::assign(x14, "bat", "reverse", vec![v(x13)]));
+    p.push(Instr::assign(x15, "algebra", "join", vec![v(x14), v(x1)]));
+    p.push(Instr::assign(x16, "sql", "resultSet", vec![int(1), int(1), v(x15)]));
+    let rs_col = vec![v(x16), s("sys.c"), s("t_id"), s("int"), int(32), int(0), v(x15)];
+    p.push(Instr::call("sql", "rsCol", rs_col));
+    p.push(Instr::assign(x22, "io", "stdout", vec![]));
+    p.push(Instr::call("sql", "exportResult", vec![v(x22), v(x16)]));
+    p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,8 +4,8 @@ use std::fmt;
 
 #[derive(Debug)]
 pub enum MalError {
-    /// Syntax error with line number.
-    Parse { line: usize, msg: String },
+    /// The statement text did not parse.
+    Parse(String),
     /// Call to a function no module provides.
     UnknownFunction(String),
     /// Wrong number or type of arguments; message names the call.
@@ -26,7 +26,7 @@ pub type Result<T> = std::result::Result<T, MalError>;
 impl fmt::Display for MalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MalError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
+            MalError::Parse(msg) => write!(f, "parse error: {msg}"),
             MalError::UnknownFunction(name) => write!(f, "unknown function: {name}"),
             MalError::BadCall(msg) => write!(f, "bad call: {msg}"),
             MalError::Undefined(v) => write!(f, "undefined variable: {v}"),
@@ -58,8 +58,8 @@ mod tests {
 
     #[test]
     fn messages() {
-        let e = MalError::Parse { line: 3, msg: "expected ';'".into() };
-        assert!(e.to_string().contains("line 3"));
+        let e = MalError::Parse("expected 'select'".into());
+        assert_eq!(e.to_string(), "parse error: expected 'select'");
         assert!(MalError::UnknownFunction("foo.bar".into()).to_string().contains("foo.bar"));
     }
 

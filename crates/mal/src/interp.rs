@@ -452,7 +452,7 @@ impl<'a> Run<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_program, PAPER_TABLE1};
+    use crate::ast::paper_table1;
     use batstore::{BatStore, Catalog, Column};
     use parking_lot::RwLock;
     use std::sync::Arc;
@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn paper_plan_runs_sequentially() {
-        let prog = parse_program(PAPER_TABLE1).unwrap();
+        let prog = paper_table1();
         let ctx = paper_ctx();
         run_sequential(&prog, &ctx).unwrap();
         let out = ctx.take_output();
@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn paper_plan_runs_dataflow() {
-        let prog = parse_program(PAPER_TABLE1).unwrap();
+        let prog = paper_table1();
         let ctx = paper_ctx();
         run_dataflow(&prog, &ctx, 4).unwrap();
         let out = ctx.take_output();
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn dataflow_matches_sequential_output() {
-        let prog = parse_program(PAPER_TABLE1).unwrap();
+        let prog = paper_table1();
         let c1 = paper_ctx();
         run_sequential(&prog, &c1).unwrap();
         let c2 = paper_ctx();
@@ -567,17 +567,18 @@ mod tests {
     #[test]
     fn unread_results_are_dropped_and_live_ones_returned() {
         // X1 is read by nothing and goes at once; nothing is left over.
-        let prog = parse_program("function user.q():void;\nX1 := bat.literal(\"int\", 7);\nend q;")
-            .unwrap();
+        let mut prog = Program::new("user", "q");
+        let x1 = prog.var("X1");
+        let literal = vec![Arg::Const(Const::Str("int".into())), Arg::Const(Const::Int(7))];
+        prog.push(Instr::assign(x1, "bat", "literal", literal));
         let ctx = paper_ctx();
         assert_eq!(reader_counts(&prog), vec![0]);
         assert!(run_sequential(&prog, &ctx).unwrap()[0].is_none());
         // A value read twice by one instruction is counted twice and
         // released once, after that instruction.
-        let prog = parse_program(
-            "function user.q():void;\nX1 := bat.literal(\"int\", 7);\nX2 := algebra.kunion(X1, X1);\nio.print(X2);\nend q;",
-        )
-        .unwrap();
+        let x2 = prog.var("X2");
+        prog.push(Instr::assign(x2, "algebra", "kunion", vec![Arg::Var(x1), Arg::Var(x1)]));
+        prog.push(Instr::call("io", "print", vec![Arg::Var(x2)]));
         assert_eq!(reader_counts(&prog), vec![2, 1]);
         for env in [run_sequential(&prog, &ctx).unwrap(), run_dataflow(&prog, &ctx, 2).unwrap()] {
             assert!(env.iter().all(Option::is_none));
@@ -715,7 +716,9 @@ mod tests {
 
     #[test]
     fn unknown_function_reported() {
-        let prog = parse_program("function user.q():void;\nX1 := no.such(1);\nend q;").unwrap();
+        let mut prog = Program::new("user", "q");
+        let x1 = prog.var("X1");
+        prog.push(Instr::assign(x1, "no", "such", vec![Arg::Const(Const::Int(1))]));
         let ctx = paper_ctx();
         let e = run_sequential(&prog, &ctx).unwrap_err();
         assert!(matches!(e, MalError::UnknownFunction(_)));
@@ -725,8 +728,9 @@ mod tests {
 
     #[test]
     fn undefined_variable_reported() {
-        let prog =
-            parse_program("function user.q():void;\nX1 := bat.reverse(Xghost);\nend q;").unwrap();
+        let mut prog = Program::new("user", "q");
+        let (x1, ghost) = (prog.var("X1"), prog.var("Xghost"));
+        prog.push(Instr::assign(x1, "bat", "reverse", vec![Arg::Var(ghost)]));
         let ctx = paper_ctx();
         assert!(matches!(run_sequential(&prog, &ctx).unwrap_err(), MalError::Undefined(_)));
     }
@@ -772,7 +776,7 @@ mod tests {
 
     #[test]
     fn dependencies_order_barecalls() {
-        let prog = parse_program(PAPER_TABLE1).unwrap();
+        let prog = paper_table1();
         let deps = dependencies(&prog);
         // Instr 8 is sql.rsCol(X16, …) (bare); instr 10 is
         // sql.exportResult(X22, X16). exportResult must depend on rsCol.
@@ -788,10 +792,12 @@ mod tests {
         // itself; but a bare call is treated as a writer, so instr 2
         // depends on instr 1 (anti-dep), and instr 3 reading X1 depends
         // on instr 2.
-        let prog = parse_program(
-            "function user.q():void;\nX1 := io.stdout();\nX2 := io.stdout();\nio.print(X1);\nio.print(X1);\nend q;",
-        )
-        .unwrap();
+        let mut prog = Program::new("user", "q");
+        let (x1, x2) = (prog.var("X1"), prog.var("X2"));
+        prog.push(Instr::assign(x1, "io", "stdout", vec![]));
+        prog.push(Instr::assign(x2, "io", "stdout", vec![]));
+        prog.push(Instr::call("io", "print", vec![Arg::Var(x1)]));
+        prog.push(Instr::call("io", "print", vec![Arg::Var(x1)]));
         let deps = dependencies(&prog);
         assert_eq!(deps[2], vec![0]);
         assert!(deps[3].contains(&2), "second bare call ordered after first");
@@ -799,7 +805,7 @@ mod tests {
 
     #[test]
     fn empty_program() {
-        let prog = parse_program("function user.q():void;\nend q;").unwrap();
+        let prog = Program::new("user", "q");
         let ctx = paper_ctx();
         assert!(run_dataflow(&prog, &ctx, 4).unwrap().is_empty());
     }

@@ -4,9 +4,10 @@
 //! programs over BATs, interpreted by concurrent threads following
 //! dataflow dependencies (paper §3.2). This crate implements:
 //!
-//! * [`ast`] — programs, instructions, variables and constants,
-//! * [`parser`] — a parser for the textual MAL subset the paper prints
-//!   (Tables 1 and 2 round-trip),
+//! * [`ast`] — programs, instructions, variables and constants. Plans
+//!   are built, never parsed: front-ends construct the AST, and its
+//!   printer gives the textual form of the paper's Tables 1 and 2, which
+//!   the optimizer's tests compare as printed text,
 //! * [`interp`] — a sequential and a dataflow-parallel interpreter with a
 //!   per-instruction overhead well under the paper's 1 µs budget,
 //! * [`modules`] — the built-in operator modules (`bat`, `algebra`,
@@ -26,7 +27,6 @@ pub mod error;
 pub mod interp;
 pub mod modules;
 pub mod optimizer;
-pub mod parser;
 pub mod template;
 pub mod value;
 
@@ -37,6 +37,5 @@ pub use interp::{run_dataflow, run_dataflow_bound, run_sequential};
 pub use optimizer::{
     common_subexpression_eliminate, dc_optimize, dead_code_eliminate, expression_key,
 };
-pub use parser::parse_program;
 pub use template::TemplateCache;
 pub use value::{MVal, ResultSet};

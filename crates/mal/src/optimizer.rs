@@ -161,71 +161,80 @@ pub fn dead_code_eliminate(prog: &Program) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_program, PAPER_TABLE1};
+    use crate::ast::{paper_table1, Const};
+
+    /// The paper's Table 1, as the printer writes it.
+    const TABLE1: &str = r#"function user.s1_2():void;
+    X1 := sql.bind("sys", "t", "id", 0);
+    X6 := sql.bind("sys", "c", "t_id", 0);
+    X9 := bat.reverse(X6);
+    X10 := algebra.join(X1, X9);
+    X13 := algebra.markT(X10, 0@0);
+    X14 := bat.reverse(X13);
+    X15 := algebra.join(X14, X1);
+    X16 := sql.resultSet(1, 1, X15);
+    sql.rsCol(X16, "sys.c", "t_id", "int", 32, 0, X15);
+    X22 := io.stdout();
+    sql.exportResult(X22, X16);
+end s1_2;
+"#;
 
     /// The paper's Table 2: the Table 1 plan after the DC optimizer.
-    const PAPER_TABLE2: &str = r#"
-function user.s1_2():void;
-    X2 := datacyclotron.request("sys","t","id",0);
-    X3 := datacyclotron.request("sys","c","t_id",0);
+    const TABLE2: &str = r#"function user.s1_2():void;
+    X2 := datacyclotron.request("sys", "t", "id", 0);
+    X3 := datacyclotron.request("sys", "c", "t_id", 0);
     X6 := datacyclotron.pin(X3);
     X9 := bat.reverse(X6);
     X1 := datacyclotron.pin(X2);
     X10 := algebra.join(X1, X9);
-    X13 := algebra.markT(X10,0@0);
+    X13 := algebra.markT(X10, 0@0);
     X14 := bat.reverse(X13);
     X15 := algebra.join(X14, X1);
-    X16 := sql.resultSet(1,1,X15);
-    sql.rsCol(X16,"sys.c","t_id","int",32,0,X15);
+    X16 := sql.resultSet(1, 1, X15);
+    sql.rsCol(X16, "sys.c", "t_id", "int", 32, 0, X15);
     X22 := io.stdout();
-    sql.exportResult(X22,X16);
+    sql.exportResult(X22, X16);
     datacyclotron.unpin(X6);
     datacyclotron.unpin(X1);
 end s1_2;
 "#;
 
-    fn shape(p: &Program) -> Vec<(String, Vec<String>, Vec<String>)> {
-        p.instrs
-            .iter()
-            .map(|i| {
-                (
-                    i.qualified_name(),
-                    i.targets.iter().map(|t| p.var_name(*t).to_string()).collect(),
-                    i.args
-                        .iter()
-                        .map(|a| match a {
-                            Arg::Var(v) => p.var_name(*v).to_string(),
-                            Arg::Const(c) => c.to_string(),
-                            Arg::Param(slot) => format!("A{slot}"),
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
+    /// `target := sql.bind("sys", "t", "id", 0)`.
+    fn bind(p: &mut Program, target: &str) -> VarId {
+        let x = p.var(target);
+        let s = |v: &str| Arg::Const(Const::Str(v.into()));
+        let args = vec![s("sys"), s("t"), s("id"), Arg::Const(Const::Int(0))];
+        p.push(Instr::assign(x, "sql", "bind", args));
+        x
+    }
+
+    /// `target := module.func(args…)` over variables.
+    fn call(p: &mut Program, target: &str, module: &str, func: &str, args: &[VarId]) -> VarId {
+        let x = p.var(target);
+        p.push(Instr::assign(x, module, func, args.iter().map(|&a| Arg::Var(a)).collect()));
+        x
+    }
+
+    fn print(p: &mut Program, v: VarId) {
+        p.push(Instr::call("io", "print", vec![Arg::Var(v)]));
     }
 
     #[test]
     fn reproduces_paper_table2_exactly() {
-        let table1 = parse_program(PAPER_TABLE1).unwrap();
-        let optimized = dc_optimize(&table1);
-        let expected = parse_program(PAPER_TABLE2).unwrap();
-        assert_eq!(
-            shape(&optimized),
-            shape(&expected),
-            "\noptimized:\n{optimized}\nexpected:\n{expected}"
-        );
+        assert_eq!(paper_table1().to_string(), TABLE1);
+        assert_eq!(dc_optimize(&paper_table1()).to_string(), TABLE2);
     }
 
     #[test]
     fn requests_hoisted_and_nonblocking_first() {
-        let optimized = dc_optimize(&parse_program(PAPER_TABLE1).unwrap());
+        let optimized = dc_optimize(&paper_table1());
         assert!(optimized.instrs[0].is("datacyclotron", "request"));
         assert!(optimized.instrs[1].is("datacyclotron", "request"));
     }
 
     #[test]
     fn pin_before_first_use() {
-        let optimized = dc_optimize(&parse_program(PAPER_TABLE1).unwrap());
+        let optimized = dc_optimize(&paper_table1());
         let pin_x6 = optimized
             .instrs
             .iter()
@@ -237,7 +246,7 @@ end s1_2;
 
     #[test]
     fn unpins_at_end_in_pin_order() {
-        let optimized = dc_optimize(&parse_program(PAPER_TABLE1).unwrap());
+        let optimized = dc_optimize(&paper_table1());
         let n = optimized.len();
         assert!(optimized.instrs[n - 2].is("datacyclotron", "unpin"));
         assert!(optimized.instrs[n - 1].is("datacyclotron", "unpin"));
@@ -251,10 +260,9 @@ end s1_2;
 
     #[test]
     fn unused_bind_becomes_prefetch_without_pin() {
-        let p = parse_program(
-            "function user.q():void;\nX1 := sql.bind(\"sys\",\"t\",\"id\",0);\nX9 := io.stdout();\nend q;",
-        )
-        .unwrap();
+        let mut p = Program::new("user", "q");
+        bind(&mut p, "X1");
+        call(&mut p, "X9", "io", "stdout", &[]);
         let o = dc_optimize(&p);
         assert!(o.instrs.iter().any(|i| i.is("datacyclotron", "request")));
         assert!(!o.instrs.iter().any(|i| i.is("datacyclotron", "pin")));
@@ -263,17 +271,17 @@ end s1_2;
 
     #[test]
     fn idempotent_on_plans_without_binds() {
-        let p = parse_program("function user.q():void;\nX1 := io.stdout();\nend q;").unwrap();
-        let o = dc_optimize(&p);
-        assert_eq!(shape(&o), shape(&p));
+        let mut p = Program::new("user", "q");
+        call(&mut p, "X1", "io", "stdout", &[]);
+        assert_eq!(dc_optimize(&p), p);
     }
 
     #[test]
     fn dce_removes_dead_pure_code() {
-        let p = parse_program(
-            "function user.q():void;\nX0 := io.stdout();\nX1 := bat.reverse(X0);\nio.print(X0);\nend q;",
-        )
-        .unwrap();
+        let mut p = Program::new("user", "q");
+        let x0 = call(&mut p, "X0", "io", "stdout", &[]);
+        call(&mut p, "X1", "bat", "reverse", &[x0]);
+        print(&mut p, x0);
         let o = dead_code_eliminate(&p);
         // bat.reverse(X0) assigns X1 which nobody reads → dropped.
         assert_eq!(o.len(), 2, "{o}");
@@ -282,23 +290,18 @@ end s1_2;
 
     #[test]
     fn dce_keeps_effectful_calls() {
-        let p = parse_program(PAPER_TABLE1).unwrap();
-        let o = dead_code_eliminate(&p);
-        assert_eq!(o.len(), p.len(), "paper plan has no dead code");
+        let p = paper_table1();
+        assert_eq!(dead_code_eliminate(&p), p, "paper plan has no dead code");
     }
 
     #[test]
     fn cse_merges_duplicate_pure_work() {
-        let p = parse_program(
-            "function user.q():void;\n\
-             X0 := sql.bind(\"sys\",\"t\",\"id\",0);\n\
-             X1 := bat.reverse(X0);\n\
-             X2 := bat.reverse(X0);\n\
-             X3 := algebra.join(X1, X2);\n\
-             io.print(X3);\n\
-             end q;",
-        )
-        .unwrap();
+        let mut p = Program::new("user", "q");
+        let x0 = bind(&mut p, "X0");
+        let x1 = call(&mut p, "X1", "bat", "reverse", &[x0]);
+        let x2 = call(&mut p, "X2", "bat", "reverse", &[x0]);
+        let x3 = call(&mut p, "X3", "algebra", "join", &[x1, x2]);
+        print(&mut p, x3);
         let o = common_subexpression_eliminate(&p);
         assert_eq!(o.len(), p.len() - 1, "one duplicate reverse removed:\n{o}");
         // The join now references X1 twice.
@@ -309,18 +312,16 @@ end s1_2;
     #[test]
     fn cse_transitive_through_substitution() {
         // X2 duplicates X1; X4 duplicates X3 only *after* X2 → X1.
-        let p = parse_program(
-            "function user.q():void;\n\
-             X0 := sql.bind(\"sys\",\"t\",\"id\",0);\n\
-             X1 := bat.reverse(X0);\n\
-             X2 := bat.reverse(X0);\n\
-             X3 := algebra.markT(X1, 0@0);\n\
-             X4 := algebra.markT(X2, 0@0);\n\
-             io.print(X3);\n\
-             io.print(X4);\n\
-             end q;",
-        )
-        .unwrap();
+        let mut p = Program::new("user", "q");
+        let x0 = bind(&mut p, "X0");
+        let x1 = call(&mut p, "X1", "bat", "reverse", &[x0]);
+        let x2 = call(&mut p, "X2", "bat", "reverse", &[x0]);
+        let (x3, x4) = (p.var("X3"), p.var("X4"));
+        let oid0 = Arg::Const(Const::Oid(0));
+        p.push(Instr::assign(x3, "algebra", "markT", vec![Arg::Var(x1), oid0.clone()]));
+        p.push(Instr::assign(x4, "algebra", "markT", vec![Arg::Var(x2), oid0]));
+        print(&mut p, x3);
+        print(&mut p, x4);
         let o = common_subexpression_eliminate(&p);
         assert_eq!(o.len(), p.len() - 2, "{o}");
     }
@@ -330,9 +331,9 @@ end s1_2;
         // A0 and A1 are bound to the same value today; a later binding of
         // the template may differ, so only the repeated A0 may merge.
         let mut p = Program::new("user", "q");
-        let ty = || Arg::Const(crate::ast::Const::Str("int".into()));
+        let ty = || Arg::Const(Const::Str("int".into()));
         let (a, b, c) = (p.var("X1"), p.var("X2"), p.var("X3"));
-        p.params = vec![crate::ast::Const::Int(7), crate::ast::Const::Int(7)];
+        p.params = vec![Const::Int(7), Const::Int(7)];
         p.push(Instr::assign(a, "bat", "literal", vec![ty(), Arg::Param(0)]));
         p.push(Instr::assign(b, "bat", "literal", vec![ty(), Arg::Param(1)]));
         p.push(Instr::assign(c, "bat", "literal", vec![ty(), Arg::Param(0)]));
@@ -347,16 +348,14 @@ end s1_2;
 
     #[test]
     fn cse_never_merges_effectful_or_dc_calls() {
-        let p = parse_program(
-            "function user.q():void;\n\
-             X0 := sql.bind(\"sys\",\"t\",\"id\",0);\n\
-             X1 := sql.bind(\"sys\",\"t\",\"id\",0);\n\
-             X2 := io.stdout();\n\
-             X3 := io.stdout();\n\
-             io.print(X0);\nio.print(X1);\nio.print(X2);\nio.print(X3);\n\
-             end q;",
-        )
-        .unwrap();
+        let mut p = Program::new("user", "q");
+        let x0 = bind(&mut p, "X0");
+        let x1 = bind(&mut p, "X1");
+        let x2 = call(&mut p, "X2", "io", "stdout", &[]);
+        let x3 = call(&mut p, "X3", "io", "stdout", &[]);
+        for x in [x0, x1, x2, x3] {
+            print(&mut p, x);
+        }
         let o = common_subexpression_eliminate(&p);
         assert_eq!(o.len(), p.len(), "sql/io calls must never merge");
     }
@@ -364,9 +363,8 @@ end s1_2;
     #[test]
     fn cse_preserves_semantics_on_generated_plans() {
         // The paper's plan has no duplicates; CSE must be a no-op.
-        let p = parse_program(PAPER_TABLE1).unwrap();
-        let o = common_subexpression_eliminate(&p);
-        assert_eq!(o.len(), p.len());
+        let p = paper_table1();
+        assert_eq!(common_subexpression_eliminate(&p), p);
     }
 
     #[test]
@@ -374,12 +372,7 @@ end s1_2;
         let mut p = Program::new("user", "q");
         let a = p.var("Xa");
         let t = p.var("Xt");
-        let i = Instr::assign(
-            t,
-            "algebra",
-            "join",
-            vec![Arg::Var(a), Arg::Const(crate::ast::Const::Oid(0))],
-        );
+        let i = Instr::assign(t, "algebra", "join", vec![Arg::Var(a), Arg::Const(Const::Oid(0))]);
         assert_eq!(expression_key(&i, &p), "algebra.join(Xa,0@0)");
     }
 }

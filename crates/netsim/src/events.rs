@@ -70,11 +70,6 @@ impl<E> EventQueue<E> {
         Some((s.at, s.event))
     }
 
-    /// Time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -138,10 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
+    fn scheduling_does_not_advance_the_clock() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(7), ());
-        assert_eq!(q.peek_time().unwrap().as_millis(), 7);
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());

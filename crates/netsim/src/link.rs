@@ -25,15 +25,6 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// The paper's configuration: 10 Gb/s, 350 µs, 200 MB node buffers.
-    pub fn paper_default() -> Self {
-        LinkConfig {
-            bandwidth_bps: 10_000_000_000,
-            delay: SimDuration::from_micros(350),
-            queue_capacity_bytes: 200 * 1024 * 1024,
-        }
-    }
-
     /// Time to serialize `bytes` onto the wire at this bandwidth.
     pub fn tx_time(&self, bytes: u64) -> SimDuration {
         // bytes * 8 / bps seconds, computed in nanoseconds to avoid float
@@ -94,12 +85,6 @@ impl Link {
         self.queued_bytes(now) as f64 / self.cfg.queue_capacity_bytes as f64
     }
 
-    /// Would a message of `bytes` fit right now without being dropped?
-    pub fn would_fit(&mut self, now: SimTime, bytes: u64) -> bool {
-        self.expire(now);
-        self.queued_bytes + bytes <= self.cfg.queue_capacity_bytes
-    }
-
     /// Offer a message of `bytes` to the link at time `now`.
     pub fn enqueue(&mut self, now: SimTime, bytes: u64) -> EnqueueOutcome {
         self.expire(now);
@@ -145,9 +130,8 @@ mod tests {
 
     #[test]
     fn tx_time_matches_bandwidth() {
-        let cfg = LinkConfig::paper_default();
         // 10 Gb/s = 1.25 GB/s; 1.25 MB should take 1 ms.
-        let t = cfg.tx_time(1_250_000);
+        let t = mk(10, 350, 200).config().tx_time(1_250_000);
         assert_eq!(t.as_nanos(), 1_000_000);
     }
 
@@ -220,8 +204,6 @@ mod tests {
         let _ = l.enqueue(SimTime::ZERO, cap / 2);
         let f = l.load_fraction(SimTime::ZERO);
         assert!((f - 0.5).abs() < 1e-9, "load={f}");
-        assert!(l.would_fit(SimTime::ZERO, cap / 2));
-        assert!(!l.would_fit(SimTime::ZERO, cap / 2 + 1));
     }
 
     #[test]

@@ -45,19 +45,6 @@ impl TimeSeries {
             Err(i) => Some(self.points[i - 1].1),
         }
     }
-
-    /// Downsample to at most `n` evenly spaced points (keeps first/last).
-    pub fn downsample(&self, n: usize) -> TimeSeries {
-        if self.points.len() <= n || n < 2 {
-            return self.clone();
-        }
-        let mut out = Vec::with_capacity(n);
-        let step = (self.points.len() - 1) as f64 / (n - 1) as f64;
-        for k in 0..n {
-            out.push(self.points[(k as f64 * step).round() as usize]);
-        }
-        TimeSeries { points: out }
-    }
 }
 
 /// A histogram with fixed-width buckets over `[0, width * nbuckets)`;
@@ -152,18 +139,6 @@ mod tests {
         assert_eq!(s.value_at(3.0), Some(20.0));
         assert_eq!(s.value_at(9.0), Some(40.0));
         assert_eq!(s.last_value(), Some(40.0));
-    }
-
-    #[test]
-    fn timeseries_downsample_keeps_ends() {
-        let mut s = TimeSeries::new();
-        for i in 0..1000 {
-            s.push_secs(i as f64, i as f64);
-        }
-        let d = s.downsample(10);
-        assert_eq!(d.len(), 10);
-        assert_eq!(d.points[0], (0.0, 0.0));
-        assert_eq!(d.points[9], (999.0, 999.0));
     }
 
     #[test]

@@ -62,21 +62,6 @@ impl DetRng {
     pub fn normal(&mut self, mean: f64, stddev: f64) -> f64 {
         mean + stddev * self.std_normal()
     }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.inner.random_range(0..=i);
-            xs.swap(i, j);
-        }
-    }
-
-    /// Fork a child RNG with a derived seed; used to give each simulated
-    /// node / workload its own independent deterministic stream.
-    pub fn fork(&mut self, label: u64) -> DetRng {
-        let s: u64 = self.inner.random();
-        DetRng::new(s ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
 }
 
 #[cfg(test)]
@@ -126,26 +111,5 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!((mean - 500.0).abs() < 1.0, "mean={mean}");
         assert!((var.sqrt() - 50.0).abs() < 1.0, "sd={}", var.sqrt());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(3);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle left input unchanged");
-    }
-
-    #[test]
-    fn fork_streams_independent() {
-        let mut root = DetRng::new(9);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        let a: Vec<u64> = (0..8).map(|_| c1.uniform_u64(0, 1 << 40)).collect();
-        let b: Vec<u64> = (0..8).map(|_| c2.uniform_u64(0, 1 << 40)).collect();
-        assert_ne!(a, b);
     }
 }

@@ -495,11 +495,6 @@ impl Registry {
         self.trace.node
     }
 
-    /// Microseconds since this registry (its node) started.
-    pub fn now_micros(&self) -> u64 {
-        self.trace.started.elapsed().as_micros() as u64
-    }
-
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut m = lock(&self.counters);
         if let Some(c) = m.get(name) {
@@ -779,15 +774,16 @@ mod tests {
     /// the clock after it.
     fn check_against_model(cap: usize, events: Vec<(u64, u64, &'static str, String)>) {
         let r = Registry::with_trace_cap(5, cap);
+        let now_micros = || r.trace.started.elapsed().as_micros() as u64;
         let mut model: VecDeque<(TraceEvent, u64)> = VecDeque::new();
         for (epoch, stmt, event, detail) in events {
-            let before = r.now_micros();
+            let before = now_micros();
             r.trace(epoch, stmt, event, &detail);
             if model.len() >= cap {
                 model.pop_front();
             }
             let ev = TraceEvent { ts_micros: before, node: 5, epoch, stmt, event, detail };
-            model.push_back((ev, r.now_micros()));
+            model.push_back((ev, now_micros()));
             let got = r.trace_events();
             assert!(got.iter().map(key).eq(model.iter().map(|(e, _)| key(e))), "{got:?}");
             for (g, (want, after)) in got.iter().zip(&model) {

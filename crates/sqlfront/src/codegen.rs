@@ -67,11 +67,15 @@
 //! output columns.
 
 use crate::ast::*;
-use crate::err;
 use batstore::{Catalog, ColType, Val};
 use mal::ast::{Arg, Const, Instr, Program, VarId};
-use mal::Result;
+use mal::{MalError, Result};
 use std::collections::HashMap;
+
+/// A statement that parsed but cannot be compiled against the catalog.
+fn err(msg: impl Into<String>) -> MalError {
+    MalError::Exec(msg.into())
+}
 
 struct Gen<'a> {
     prog: Program,
@@ -1460,9 +1464,11 @@ mod tests {
         let (catalog, store) = setup();
         let prog =
             crate::compile_sql_dc("select c.t_id from t, c where c.t_id = t.id", &catalog).unwrap();
-        assert!(prog.instrs[0].is("datacyclotron", "request"), "{prog}");
-        assert!(prog.instrs.iter().any(|i| i.is("datacyclotron", "pin")));
-        assert!(prog.instrs.iter().any(|i| i.is("datacyclotron", "unpin")));
+        // The paper's Table 2, opcode for opcode: no dead instruction.
+        let ops: Vec<&str> = prog.instrs.iter().map(|i| i.func.as_str()).collect();
+        let table2 = "request request pin reverse pin join markT reverse join resultSet rsCol \
+                      stdout exportResult unpin unpin";
+        assert_eq!(ops.join(" "), table2, "{prog}");
         // And it still runs (LocalHooks path).
         let ctx = SessionCtx::new(Arc::new(RwLock::new(catalog)), store);
         run_sequential(&prog, &ctx).unwrap();

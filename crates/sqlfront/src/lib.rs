@@ -29,7 +29,7 @@ pub use ast::{CreateStmt, Expr, InsertStmt, Literal, OrderKey, Query, SelectItem
 pub use codegen::{compile, compile_sql, compile_stmt};
 pub use parser::{parse_query, parse_stmt, parse_template, StmtTemplate};
 
-use mal::{MalError, Result};
+use mal::Result;
 
 /// Convenience: parse + compile + [`optimize`] in one call.
 pub fn compile_sql_dc(sql: &str, catalog: &batstore::Catalog) -> Result<mal::Program> {
@@ -37,10 +37,10 @@ pub fn compile_sql_dc(sql: &str, catalog: &batstore::Catalog) -> Result<mal::Pro
 }
 
 /// The optimizer pipeline a compiled plan runs through before execution
-/// — CSE, then the Data Cyclotron rewrite — so what EXPLAIN shows is
-/// what runs.
+/// — CSE, dead-code elimination, then the Data Cyclotron rewrite — so
+/// what EXPLAIN shows is what runs.
 pub fn optimize(plan: &mal::Program) -> mal::Program {
-    mal::dc_optimize(&mal::common_subexpression_eliminate(plan))
+    mal::dc_optimize(&mal::dead_code_eliminate(&mal::common_subexpression_eliminate(plan)))
 }
 
 /// The columns an aggregate plan reads, each `(schema, table, column)`
@@ -74,9 +74,4 @@ pub fn aggregate_reads(plan: &mal::Program) -> Option<Vec<(&str, &str, &str)>> {
         }
     }
     Some(reads)
-}
-
-/// Shared error shortcut.
-pub(crate) fn err(msg: impl Into<String>) -> MalError {
-    MalError::Exec(msg.into())
 }

@@ -1,14 +1,18 @@
 //! Recursive-descent parser for the SQL subset.
 
 use crate::ast::*;
-use crate::err;
 use batstore::Val;
-use mal::Result;
+use mal::{MalError, Result};
 
 /// The longest identifier, in bytes. Names travel in catalog gossip and
 /// WAL records behind `u16` lengths; the cap keeps far below that, so
 /// framing never bites.
 pub const MAX_IDENT: usize = 1024;
+
+/// A syntax error: the text is not a statement of the subset.
+fn err(msg: impl Into<String>) -> MalError {
+    MalError::Parse(msg.into())
+}
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
@@ -757,13 +761,21 @@ mod tests {
 
     #[test]
     fn errors() {
-        assert!(parse_query("frobnicate t").is_err());
-        assert!(parse_query("select from t").is_err());
-        assert!(parse_query("select a from t where a ~ 3").is_err());
-        assert!(parse_query("select a from t where 'oops").is_err());
-        assert!(parse_query("select a from t limit x").is_err());
-        assert!(parse_query("select a from t extra junk??").is_err());
-        assert!(parse_query("select a from t where a < b",).is_err(), "non-equi column cmp");
+        for bad in [
+            "frobnicate t",
+            "selec k from sales",
+            "select from t",
+            "select a from t where a ~ 3",
+            "select a from t where 'oops",
+            "select a from t limit x",
+            "select a from t extra junk??",
+            "select a from t where a < b", // non-equi column cmp
+        ] {
+            let e = parse_query(bad).unwrap_err();
+            assert!(matches!(e, MalError::Parse(_)), "{bad}: {e:?}");
+        }
+        let e = parse_stmt("create table t (a blob)").unwrap_err();
+        assert!(matches!(e, MalError::Parse(_)), "{e:?}");
     }
 
     #[test]

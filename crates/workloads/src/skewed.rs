@@ -56,17 +56,6 @@ pub fn wave_data(dataset_len: usize, skew: u32) -> Vec<BatId> {
     (0..dataset_len as u32).filter(|id| id % skew == 0).map(BatId).collect()
 }
 
-/// DH_i: the part of D_i not used by any other wave (for the Fig. 8a
-/// per-hot-set accounting). `waves` lists all skews in play.
-pub fn disjoint_hot_set(dataset_len: usize, skew: u32, all_skews: &[u32]) -> Vec<BatId> {
-    (0..dataset_len as u32)
-        .filter(|id| {
-            id % skew == 0 && all_skews.iter().all(|&other| other == skew || id % other != 0)
-        })
-        .map(BatId)
-        .collect()
-}
-
 /// Tag for a BAT: the lowest-indexed wave whose D_i contains it (used to
 /// attribute ring space in Fig. 8a); `None` when no wave uses it.
 pub fn bat_wave_tag(bat: BatId, skews: &[u32]) -> Option<u32> {
@@ -146,26 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn dh4_contained_in_d1() {
-        // Multiples of 9 are multiples of 3: DH for skew 9 is empty
-        // against {3,5,7,9}; the containment the paper notes.
-        let dh9 = disjoint_hot_set(1000, 9, &[3, 5, 7, 9]);
-        assert!(dh9.is_empty());
+    fn d4_contained_in_d1() {
+        // Multiples of 9 are multiples of 3: the containment the paper
+        // notes.
         let d9 = wave_data(1000, 9);
         let d3 = wave_data(1000, 3);
         assert!(d9.iter().all(|b| d3.contains(b)), "D4 ⊂ D1");
-    }
-
-    #[test]
-    fn dh_sets_disjoint() {
-        let skews = [3u32, 5, 7];
-        let sets: Vec<Vec<BatId>> =
-            skews.iter().map(|&s| disjoint_hot_set(1000, s, &skews)).collect();
-        for i in 0..sets.len() {
-            for j in (i + 1)..sets.len() {
-                assert!(sets[i].iter().all(|b| !sets[j].contains(b)));
-            }
-        }
     }
 
     #[test]

@@ -358,6 +358,15 @@ fn framed_client_matches_in_process_execute() {
     let err = session.query("select nope from nowhere").unwrap_err();
     assert!(matches!(err, ClientError::Server { kind: dc_client::ErrorKind::Exec, .. }), "{err:?}");
     assert!(err.to_string().contains("nowhere"), "{err}");
+    // A syntax error is classified as one, over the wire and in process.
+    let err = session.query("selec k from sales").unwrap_err();
+    assert!(
+        matches!(err, ClientError::Server { kind: dc_client::ErrorKind::Parse, .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("expected 'select'"), "{err}");
+    let err = nodes[1].execute("selec k from sales").unwrap_err();
+    assert!(matches!(err, datacyclotron::DcError::Parse(_)), "{err:?}");
 
     let stmt = "select k, v from kv order by k";
     let over_wire = session.query(stmt).unwrap();

@@ -234,9 +234,9 @@ fn distinct_keeps_first_appearances_and_both_zeros() {
 
 /// The MAL registry holds exactly the functions plans call: what
 /// `sqlfront` emits for a corpus that reaches every branch of its code
-/// generator (before and after the DC rewrite), and what the checked-in
-/// textual plans use. A function nothing calls is an orphan to delete; a
-/// called one that is missing would fail at run time.
+/// generator (before and after the DC rewrite), and the `io.print` the
+/// unit tests' plans call. A function nothing calls is an orphan to
+/// delete; a called one that is missing would fail at run time.
 #[test]
 fn registry_holds_exactly_what_plans_call() {
     use std::collections::BTreeSet;
@@ -286,14 +286,12 @@ fn registry_holds_exactly_what_plans_call() {
         record(&plan);
         record(&mal::dc_optimize(&plan));
     }
-    // The textual plans: the paper's Table 1 and its DC rewrite (Table 2),
-    // and the `io.print` plans of the interpreter's and the optimizer's
-    // tests.
-    let table1 = mal::parse_program(mal::parser::PAPER_TABLE1).unwrap();
-    let printed = "function user.q():void;\nX1 := io.stdout();\nio.print(X1);\nend q;";
-    for plan in [mal::dc_optimize(&table1), table1, mal::parse_program(printed).unwrap()] {
-        record(&plan);
-    }
+    // The `io.print` plans of the interpreter's and the optimizer's tests.
+    let mut printed = mal::Program::new("user", "q");
+    let x1 = printed.var("X1");
+    printed.push(mal::Instr::assign(x1, "io", "stdout", vec![]));
+    printed.push(mal::Instr::call("io", "print", vec![mal::Arg::Var(x1)]));
+    record(&printed);
 
     let registered: BTreeSet<(String, String)> = mal::modules::Registry::standard()
         .names()
