@@ -4,6 +4,7 @@
 
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
+use crate::lng::LngCol;
 use crate::value::{ColType, Val};
 use std::cmp::Ordering;
 
@@ -16,7 +17,7 @@ pub enum Column {
     },
     Oid(Vec<u64>),
     Int(Vec<i32>),
-    Lng(Vec<i64>),
+    Lng(LngCol),
     Dbl(Vec<f64>),
     Str(StrCol),
     Bool(Vec<bool>),
@@ -71,7 +72,7 @@ impl Column {
             Column::Void { .. } => 0,
             Column::Oid(v) => v.len() * 8,
             Column::Int(v) => v.len() * 4,
-            Column::Lng(v) => v.len() * 8,
+            Column::Lng(v) => v.byte_size(),
             Column::Dbl(v) => v.len() * 8,
             Column::Str(v) => v.byte_size(),
             Column::Bool(v) => v.len(),
@@ -80,11 +81,13 @@ impl Column {
     }
 
     /// Bytes the values take on the wire and on disk: [`Column::byte_size`],
-    /// but a `str` column's in the plain layout — its offsets and values —
-    /// whatever form it has in memory. Every encoder sizes by this.
+    /// but a `str` or `lng` column's in the plain layout — offsets and
+    /// values, 8 bytes a value — whatever form it has in memory. Every
+    /// encoder sizes by this.
     pub fn wire_size(&self) -> usize {
         match self {
             Column::Str(v) => 4 * (v.len() + 1) + v.heap_len(),
+            Column::Lng(v) => 8 * v.len(),
             other => other.byte_size(),
         }
     }
@@ -97,7 +100,7 @@ impl Column {
             }
             Column::Oid(v) => Val::Oid(v[i]),
             Column::Int(v) => Val::Int(v[i]),
-            Column::Lng(v) => Val::Lng(v[i]),
+            Column::Lng(v) => Val::Lng(v.get(i)),
             Column::Dbl(v) => Val::Dbl(v[i]),
             Column::Str(v) => Val::Str(v.get(i).to_string()),
             Column::Bool(v) => Val::Bool(v[i]),
@@ -111,7 +114,7 @@ impl Column {
             Column::Void { seq, .. } => Key::Num(seq + i as u64),
             Column::Oid(v) => Key::Num(v[i]),
             Column::Int(v) => Key::Num(v[i] as i64 as u64),
-            Column::Lng(v) => Key::Num(v[i] as u64),
+            Column::Lng(v) => Key::Num(v.get(i) as u64),
             Column::Dbl(v) => Key::Num(v[i].to_bits()),
             Column::Str(v) => Key::Str(v.get(i)),
             Column::Bool(v) => Key::Num(v[i] as u64),
@@ -164,9 +167,10 @@ impl Column {
             ),
             Column::Oid(v) => Column::Oid(idx.map(|i| v[i]).collect()),
             Column::Int(v) => Column::Int(idx.map(|i| v[i]).collect()),
-            Column::Lng(v) => Column::Lng(idx.map(|i| v[i]).collect()),
+            // One copy of the `lng` and string gathers serves every
+            // index type.
+            Column::Lng(v) => Column::Lng(v.gather(&idx.collect::<Vec<_>>())),
             Column::Dbl(v) => Column::Dbl(idx.map(|i| v[i]).collect()),
-            // One copy of the string gather serves every index type.
             Column::Str(v) => Column::Str(v.gather(&idx.collect::<Vec<_>>())),
             Column::Bool(v) => Column::Bool(idx.map(|i| v[i]).collect()),
             Column::Date(v) => Column::Date(idx.map(|i| v[i]).collect()),
@@ -180,7 +184,7 @@ impl Column {
             Column::Void { seq, .. } => Column::Void { seq: seq + lo as u64, len: hi - lo },
             Column::Oid(v) => Column::Oid(v[lo..hi].to_vec()),
             Column::Int(v) => Column::Int(v[lo..hi].to_vec()),
-            Column::Lng(v) => Column::Lng(v[lo..hi].to_vec()),
+            Column::Lng(v) => Column::Lng(v.slice(lo, hi)),
             Column::Dbl(v) => Column::Dbl(v[lo..hi].to_vec()),
             Column::Str(v) => Column::Str(v.slice(lo, hi)),
             Column::Bool(v) => Column::Bool(v[lo..hi].to_vec()),
@@ -188,11 +192,13 @@ impl Column {
         }
     }
 
-    /// A `str` column [`StrCol::settled`], any other as it is: how a
-    /// kernel that builds a fragment's next version hands it over.
+    /// A `str` column [`StrCol::settled`], an `lng` one
+    /// [`LngCol::settled`], any other as it is: how a kernel that builds a
+    /// fragment's next version hands it over.
     pub(crate) fn settled(self) -> Column {
         match self {
             Column::Str(s) => Column::Str(s.settled()),
+            Column::Lng(v) => Column::Lng(v.settled()),
             other => other,
         }
     }
@@ -269,7 +275,7 @@ impl Column {
                 Ok(())
             }
             (Column::Lng(a), Column::Lng(b)) => {
-                a.extend_from_slice(b);
+                b.iter().for_each(|x| a.push(x));
                 Ok(())
             }
             (Column::Dbl(a), Column::Dbl(b)) => {
@@ -307,7 +313,7 @@ impl Column {
             ColType::Void => Column::Void { seq: 0, len: 0 },
             ColType::Oid => Column::Oid(Vec::new()),
             ColType::Int => Column::Int(Vec::new()),
-            ColType::Lng => Column::Lng(Vec::new()),
+            ColType::Lng => Column::Lng(Vec::new().into()),
             ColType::Dbl => Column::Dbl(Vec::new()),
             ColType::Str => Column::Str(StrCol::new()),
             ColType::Bool => Column::Bool(Vec::new()),
@@ -321,7 +327,7 @@ impl Column {
             Column::Void { .. } => true,
             Column::Oid(v) => v.windows(2).all(|w| w[0] <= w[1]),
             Column::Int(v) => v.windows(2).all(|w| w[0] <= w[1]),
-            Column::Lng(v) => v.windows(2).all(|w| w[0] <= w[1]),
+            Column::Lng(v) => v.is_sorted(),
             Column::Dbl(v) => v.windows(2).all(|w| dbl_order(w[0], w[1]) != Ordering::Greater),
             Column::Str(v) => (1..v.len()).all(|i| v.get(i - 1) <= v.get(i)),
             Column::Bool(v) => v.windows(2).all(|w| w[0] <= w[1]),
@@ -354,7 +360,7 @@ impl Column {
             }
             Column::Oid(v) => idx.sort_by_key(|&i| v[i]),
             Column::Int(v) => idx.sort_by_key(|&i| v[i]),
-            Column::Lng(v) => idx.sort_by_key(|&i| v[i]),
+            Column::Lng(v) => v.sort_by_value(&mut idx),
             Column::Dbl(v) => idx.sort_by(|&a, &b| dbl_order(v[a], v[b])),
             Column::Str(v) => idx.sort_by(|&a, &b| v.get(a).cmp(v.get(b))),
             Column::Bool(v) => idx.sort_by_key(|&i| v[i]),
@@ -376,12 +382,6 @@ impl Column {
     pub fn as_int(&self) -> Option<&[i32]> {
         match self {
             Column::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-    pub fn as_lng(&self) -> Option<&[i64]> {
-        match self {
-            Column::Lng(v) => Some(v),
             _ => None,
         }
     }
@@ -416,9 +416,10 @@ impl From<Vec<i32>> for Column {
         Column::Int(v)
     }
 }
+/// Narrow when that is smaller ([`LngCol`]).
 impl From<Vec<i64>> for Column {
     fn from(v: Vec<i64>) -> Self {
-        Column::Lng(v)
+        Column::Lng(v.into())
     }
 }
 impl From<Vec<f64>> for Column {
@@ -460,9 +461,9 @@ mod tests {
         assert_eq!(s.get(2), Val::Str("c".into()));
 
         // Int extends Lng/Dbl via the push coercions.
-        let mut l = Column::Lng(vec![1]);
+        let mut l = Column::from(vec![1i64]);
         l.try_extend(&Column::from(vec![2, 3])).unwrap();
-        assert_eq!(l, Column::Lng(vec![1, 2, 3]));
+        assert_eq!(l, Column::from(vec![1i64, 2, 3]));
 
         let mut v = Column::Void { seq: 5, len: 2 };
         v.try_extend(&Column::Void { seq: 0, len: 3 }).unwrap();
@@ -562,6 +563,41 @@ mod tests {
         assert!(sorted.is_sorted());
         assert!(!Column::from(vec![nan, 1.0]).is_sorted());
         assert!(Column::from(vec![nan, nan]).is_sorted());
+    }
+
+    #[test]
+    fn a_narrow_lng_column_reads_as_its_plain_twin() {
+        let vals = [7i64, -3, 7, 250, -3];
+        let narrow = Column::from(vals.to_vec());
+        let mut plain = Column::empty(ColType::Lng);
+        vals.iter().for_each(|&x| plain.push(&Val::Lng(x)).unwrap());
+        assert_eq!((narrow.byte_size(), plain.byte_size()), (5, 5 * 8));
+        assert_eq!((narrow.wire_size(), &narrow), (plain.wire_size(), &plain));
+        for i in 0..vals.len() {
+            assert_eq!(narrow.key(i), plain.key(i));
+            for c in [Val::Int(7), Val::Lng(-4), Val::Dbl(249.5)] {
+                assert_eq!(narrow.cmp_val(i, &c), plain.cmp_val(i, &c));
+            }
+        }
+        for desc in [false, true] {
+            assert_eq!(narrow.sort_perm(desc), plain.sort_perm(desc));
+        }
+        assert_eq!((narrow.is_sorted(), narrow.is_key()), (false, false));
+        let sorted = narrow.gather(&narrow.sort_perm(false));
+        assert!(sorted.is_sorted() && !sorted.slice(0, 2).is_key() && sorted.slice(1, 3).is_key());
+        assert_eq!((sorted.byte_size(), sorted.slice(1, 3).byte_size()), (5, 2), "kept narrow");
+        // A column of both ends of `i64` stays plain.
+        assert_eq!(Column::from(vec![i64::MIN, i64::MAX]).byte_size(), 16);
+        // Extends keep the form while the values fit, then widen exactly.
+        let mut grown = narrow.clone();
+        grown.try_extend(&plain).unwrap();
+        grown.try_extend(&Column::from(vec![5, 6])).unwrap();
+        assert_eq!(grown.byte_size(), 12);
+        grown.try_extend(&Column::from(vec![i64::MAX])).unwrap();
+        assert_eq!(
+            (grown.byte_size(), grown.get(12), grown.get(3)),
+            (13 * 8, Val::Lng(i64::MAX), Val::Lng(250))
+        );
     }
 
     #[test]

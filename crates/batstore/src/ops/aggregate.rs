@@ -115,23 +115,22 @@ fn group_slot(g: u64, ngroups: usize) -> Result<usize> {
 /// aligned with `grp`). Integer sums accumulate in `i128`; one that
 /// leaves 64-bit range is a classified [`BatError::Overflow`].
 pub fn grouped_sum(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
+    fn int_sums<C: Cells>(cells: C, ids: &[u64], ngroups: usize) -> Result<Bat>
+    where
+        C::Cell: Into<i128>,
+    {
+        let mut acc = vec![0i128; ngroups];
+        for (x, &g) in cells.cells().zip(ids) {
+            acc[group_slot(g, ngroups)?] += x.into();
+        }
+        let sums = acc.into_iter().map(narrow_sum).collect::<Result<Vec<i64>>>()?;
+        Ok(Bat::dense(Column::from(sums)))
+    }
     check_grouped(vals, grp)?;
     let ids = group_ids(grp)?;
     match vals.tail() {
-        Column::Int(v) => {
-            let mut acc = vec![0i128; ngroups];
-            for (i, &g) in ids.iter().enumerate() {
-                acc[group_slot(g, ngroups)?] += v[i] as i128;
-            }
-            Ok(Bat::dense(Column::Lng(narrow_grouped(acc)?)))
-        }
-        Column::Lng(v) => {
-            let mut acc = vec![0i128; ngroups];
-            for (i, &g) in ids.iter().enumerate() {
-                acc[group_slot(g, ngroups)?] += v[i] as i128;
-            }
-            Ok(Bat::dense(Column::Lng(narrow_grouped(acc)?)))
-        }
+        Column::Int(v) => int_sums(&v[..], ids, ngroups),
+        Column::Lng(v) => int_sums(v, ids, ngroups),
         Column::Dbl(v) => {
             let mut acc = vec![0f64; ngroups];
             for (i, &g) in ids.iter().enumerate() {
@@ -144,10 +143,6 @@ pub fn grouped_sum(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
             got: other.col_type().name().to_string(),
         }),
     }
-}
-
-fn narrow_grouped(acc: Vec<i128>) -> Result<Vec<i64>> {
-    acc.into_iter().map(narrow_sum).collect()
 }
 
 #[cfg(test)]
@@ -175,7 +170,7 @@ mod tests {
         let b = vals();
         let (grp, ext) = group_by(&b);
         let s = grouped_sum(&b, &grp, ext.count()).unwrap();
-        assert_eq!(s.tail().as_lng().unwrap(), &[30, 40, 30]);
+        assert_eq!(s.tail(), &Column::from(vec![30i64, 40, 30]));
         let strings = Bat::dense(Column::from(vec!["a", "b", "a", "b", "a", "b"]));
         assert!(grouped_sum(&strings, &grp, ext.count()).is_err());
     }
@@ -200,7 +195,7 @@ mod tests {
         let vals = Bat::dense(Column::from(vec![i64::MIN, -1i64, 7]));
         assert!(matches!(grouped_sum(&vals, &grp, 2), Err(BatError::Overflow(_))));
         let vals = Bat::dense(Column::from(vec![i64::MAX, i64::MIN, 7]));
-        assert_eq!(grouped_sum(&vals, &grp, 2).unwrap().tail().as_lng().unwrap(), &[-1, 7]);
+        assert_eq!(grouped_sum(&vals, &grp, 2).unwrap().tail(), &Column::from(vec![-1i64, 7]));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! `with_cells!` / `with_keys!` / `with_key_pair!` macros instantiate it
 //! per column type: inside, a row is a machine value read from the raw
 //! slice (`i32`, `i64`, `u64`, `f64`, `bool`, `&str`, or a computed oid
-//! for `void`) — never a [`crate::Val`].
+//! for `void`; an `lng` column's `i64` from either form) — never a
+//! [`crate::Val`].
 
 use crate::heap::StrCol;
+use crate::lng::LngCol;
 
 /// Positional read access to the values of one column.
 pub(crate) trait Cells: Copy {
@@ -72,6 +74,19 @@ impl<'a> Cells for &'a StrCol {
     }
 }
 
+/// An `lng` column in either form, a branch on the form per row.
+impl Cells for &LngCol {
+    type Cell = i64;
+
+    fn len(self) -> usize {
+        LngCol::len(self)
+    }
+
+    fn at(self, i: usize) -> i64 {
+        LngCol::get(self, i)
+    }
+}
+
 /// A `dbl` column as the equality kernels (join, set operations,
 /// grouping) see it: bit patterns, so `NaN` equals itself and `0.0`
 /// differs from `-0.0` on every path alike. Bit patterns are not ordered
@@ -113,7 +128,7 @@ macro_rules! dispatch_cells {
                 $body
             }
             C::Lng(v) => {
-                let ($v, $w) = (&v[..], C::Lng);
+                let ($v, $w) = (v, |v: Vec<i64>| C::Lng(v.into()));
                 $body
             }
             C::Dbl(v) => {
@@ -182,7 +197,7 @@ macro_rules! with_key_pair {
                 $body
             }
             (C::Lng(x), C::Lng(y)) => {
-                let ($a, $b) = (&x[..], &y[..]);
+                let ($a, $b) = (x, y);
                 $body
             }
             (C::Dbl(x), C::Dbl(y)) => {

@@ -16,7 +16,8 @@
 //! 2. Groups are numbered in first-appearance order over the qualifying
 //!    rows in position order.
 //! 3. Integer sums accumulate in `i128` and narrow once
-//!    ([`BatError::Overflow`]); `dbl` sums add in position order; `avg`
+//!    ([`BatError::Overflow`]), a narrow `lng` column's as offsets plus
+//!    count × base; `dbl` sums add in position order; `avg`
 //!    is the narrowed sum over the count; `min`/`max` keep the first of
 //!    equals. With no key there is exactly one output row, also when no
 //!    row qualifies — `count` and `sum` are then 0, while `avg`, `min`
@@ -35,16 +36,18 @@
 //!
 //! Per row there is no `Val` and no `dyn` call: columns are dispatched on
 //! their type once per statement into boxed typed stages, and a stage is
-//! called once per batch.
+//! called once per batch. A conjunct or sum over an `lng` column reads its
+//! raw values (a narrow one's offsets), other stages its `i64` cells.
 
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
+use crate::lng::by_form;
 use crate::ops::aggregate::{beats, narrow_sum};
 use crate::ops::cells::{with_cells, with_key_pair, with_keys, Cells};
 use crate::ops::hash::{check_rows, Chains, Key, NIL};
-use crate::ops::scan::{Pred, Scan, BATCH};
+use crate::ops::scan::{offset_test, Pred, Scan, BATCH};
 use crate::ops::RowPredicate;
 use crate::value::ColType;
 use std::cell::Cell;
@@ -197,7 +200,18 @@ fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 
         return Err(BatError::Invalid("IN list must not be empty".into()));
     }
     let (ty, pred) = (bat.tail_type(), p.pred());
-    with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred))
+    // An `lng` column compares its raw values: a plain one's `i64`s, a
+    // narrow one's offsets, with the constants placed relative to its base.
+    let raw: Option<Box<dyn Conjunct + 'a>> = match bat.tail() {
+        Column::Lng(col) => by_form!(
+            col.form(),
+            |n, _| offset_test(ty, &pred, n.base)?
+                .map(|filter| Box::new(Filtered { cells: &n.offsets[..], filter }) as _),
+            |v| Some(filtered(&v[..], ty, &pred)?)
+        ),
+        _ => None,
+    };
+    raw.map_or_else(|| with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred)), Ok)
 }
 
 /// The probe stage, its hash table built over the build key.
@@ -425,10 +439,13 @@ trait Fold {
 }
 
 /// `sum` or `avg` of an integer column: exact in `i128`, narrowed once.
+/// A narrow `lng` column's offsets are summed, and each group's count
+/// times the base added at the end.
 struct IntSum<C> {
     cells: C,
     acc: Vec<i128>,
     avg: bool,
+    base: i64,
 }
 
 impl<C: Cells> Fold for IntSum<C>
@@ -448,15 +465,23 @@ where
         }
     }
 
-    fn finish(mut self: Box<Self>, counts: &[i64]) -> Result<Column> {
-        self.acc.resize(counts.len(), 0);
-        let sums = self.acc.into_iter().map(narrow_sum).collect::<Result<Vec<i64>>>()?;
-        Ok(if self.avg {
-            Column::Dbl(sums.iter().zip(counts).map(|(&s, &n)| s as f64 / n as f64).collect())
-        } else {
-            Column::Lng(sums)
-        })
+    fn finish(self: Box<Self>, counts: &[i64]) -> Result<Column> {
+        int_sums(self.acc, counts, self.base, self.avg)
     }
+}
+
+/// [`IntSum`]'s output, one copy for every cell type: per group the sum
+/// plus count × `base`, narrowed, or that over the count for `avg`.
+fn int_sums(mut acc: Vec<i128>, counts: &[i64], base: i64, avg: bool) -> Result<Column> {
+    acc.resize(counts.len(), 0);
+    let base = i128::from(base);
+    let sums = acc.into_iter().zip(counts).map(|(s, &n)| narrow_sum(s + i128::from(n) * base));
+    let sums = sums.collect::<Result<Vec<i64>>>()?;
+    Ok(if avg {
+        Column::Dbl(sums.iter().zip(counts).map(|(&s, &n)| s as f64 / n as f64).collect())
+    } else {
+        Column::from(sums)
+    })
 }
 
 /// `sum` or `avg` of a `dbl` column, added in position order.
@@ -516,6 +541,12 @@ impl<C: Cells> Fold for Extremum<'_, C> {
 }
 
 fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
+    fn sum<'a, C: Cells + 'a>(cells: C, base: i64, avg: bool) -> Box<dyn Fold + 'a>
+    where
+        C::Cell: Into<i128>,
+    {
+        Box::new(IntSum { cells, acc: Vec::new(), avg, base })
+    }
     fn extremum<'a, C: Cells + 'a>(
         column: &'a Column,
         cells: C,
@@ -528,9 +559,11 @@ fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
     Ok(match agg {
         Aggregate::Count => unreachable!("count(*) has no column to fold"),
         Aggregate::Sum(_) | Aggregate::Avg(_) => match column {
-            Column::Int(v) => Box::new(IntSum { cells: &v[..], acc: Vec::new(), avg }),
-            Column::Lng(v) => Box::new(IntSum { cells: &v[..], acc: Vec::new(), avg }),
-            Column::Oid(v) => Box::new(IntSum { cells: &v[..], acc: Vec::new(), avg }),
+            Column::Int(v) => sum(&v[..], 0, avg),
+            Column::Lng(v) => {
+                by_form!(v.form(), |n, _| sum(&n.offsets[..], n.base, avg), |v| sum(&v[..], 0, avg))
+            }
+            Column::Oid(v) => sum(&v[..], 0, avg),
             Column::Dbl(v) => Box::new(DblSum { cells: &v[..], acc: Vec::new(), avg }),
             other => {
                 return Err(BatError::TypeMismatch {
@@ -554,10 +587,8 @@ struct Rounds<'a> {
     refined: Vec<Refine>,
     /// Each group's first row, on either side.
     firsts: Vec<[usize; 2]>,
-    /// How many rows qualified.
-    qualified: usize,
-    /// Each group's row count, kept when an aggregate reads it.
-    counts: Option<Vec<i64>>,
+    /// Each group's row count.
+    counts: Vec<i64>,
     folds: Vec<(usize, Box<dyn Fold + 'a>)>,
     gids: [u32; BATCH],
     codes: [u32; BATCH],
@@ -570,7 +601,6 @@ impl Rounds<'_> {
     #[inline(never)]
     fn round(&mut self, sides: [Batch<'_>; 2]) {
         let n = sides[SCANNED].len();
-        self.qualified += n;
         let mut gids = None;
         if let Some(((side, first), more)) = self.keys.split_first_mut() {
             // One typed pass per key column gives each row a small code;
@@ -590,12 +620,10 @@ impl Rounds<'_> {
             gids = Some(ids);
         }
         let groups = if gids.is_some() { self.firsts.len() } else { 1 };
-        if let Some(counts) = &mut self.counts {
-            counts.resize(groups, 0);
-            match gids {
-                None => counts[0] += n as i64,
-                Some(gids) => gids.iter().for_each(|&g| counts[g as usize] += 1),
-            }
+        self.counts.resize(groups, 0);
+        match gids {
+            None => self.counts[0] += n as i64,
+            Some(gids) => gids.iter().for_each(|&g| self.counts[g as usize] += 1),
         }
         for (side, fold) in &mut self.folds {
             fold.fold(sides[*side], gids, groups);
@@ -661,13 +689,11 @@ pub fn scan_aggregate(
         .zip(&agg_cols)
         .filter_map(|(a, b)| b.as_ref().map(|(side, b)| Ok((*side, fold(a, b)?))))
         .collect::<Result<Vec<_>>>()?;
-    let counted = aggs.iter().any(|a| matches!(a, Aggregate::Count | Aggregate::Avg(_)));
     let mut rounds = Rounds {
         keys: key_cols.iter().map(|(side, b)| (*side, key_column(b))).collect(),
         refined: keys.iter().skip(1).map(|_| Refine::default()).collect(),
         firsts: Vec::new(),
-        qualified: 0,
-        counts: counted.then(Vec::new),
+        counts: Vec::new(),
         folds,
         gids: [0; BATCH],
         codes: [0; BATCH],
@@ -702,10 +728,8 @@ pub fn scan_aggregate(
         }
     }
 
-    let Rounds { firsts, qualified, counts, folds, .. } = rounds;
-    let groups = if keys.is_empty() { 1 } else { firsts.len() };
-    let mut counts = counts.unwrap_or_default();
-    counts.resize(groups, 0);
+    let Rounds { firsts, mut counts, folds, .. } = rounds;
+    counts.resize(if keys.is_empty() { 1 } else { firsts.len() }, 0);
     // Groups appear in scanned-row order, so a sorted scanned column stays
     // sorted; the build rows they first met follow no order.
     let mut out: Vec<Bat> = key_cols
@@ -716,11 +740,11 @@ pub fn scan_aggregate(
         })
         .collect();
     // The one group of an ungrouped aggregate exists without rows too.
-    let nothing = keys.is_empty() && qualified == 0;
+    let nothing = keys.is_empty() && counts[0] == 0;
     let mut folds = folds.into_iter();
     for agg in aggs {
         let column = match agg {
-            Aggregate::Count => Column::Lng(counts.clone()),
+            Aggregate::Count => Column::from(counts.clone()),
             Aggregate::Avg(_) | Aggregate::Min(_) | Aggregate::Max(_) if nothing => {
                 return Err(BatError::Invalid(format!(
                     "{} over zero rows is NULL, which this engine cannot represent",

@@ -614,7 +614,7 @@ mod tests {
         assert_eq!(tails, vec![Val::Int(1), Val::Int(99), Val::Int(3), Val::Int(99)]);
         assert_eq!(k.bun(1).1, Val::Int(2), "original untouched");
         // Coercion follows INSERT rules (Int literal into a Lng column).
-        let l = Bat::dense(Column::Lng(vec![10, 20]));
+        let l = Bat::dense(Column::from(vec![10i64, 20]));
         let out = scatter_const(&l, &[0], &Val::Int(5)).unwrap();
         assert_eq!(out.bun(0).1, Val::Lng(5));
         // Type mismatch and range errors are loud.
@@ -627,6 +627,30 @@ mod tests {
         let tails: Vec<Val> = (0..4).map(|i| out.bun(i).1).collect();
         assert_eq!(tails, vec![Val::Int(1), Val::Int(99), Val::Int(3), Val::Int(99)]);
         assert!(scatter_const(&k, &[9, 0], &Val::Int(1)).is_err());
+    }
+
+    #[test]
+    fn writes_out_of_a_narrow_columns_reach_widen_it_and_never_wrap() {
+        let narrow = Arc::new(Bat::dense(Column::from(vec![10i64, 20, 30])));
+        assert_eq!(narrow.byte_size(), 3, "one byte a row");
+        let cols = [("v", Arc::clone(&narrow))];
+        let values = |b: &Bat| b.tail().iter_vals().collect::<Vec<_>>();
+        for (x, size) in [(i64::MAX, 3 * 8), (i64::MIN, 3 * 8), (10 + 300, 3 * 2), (25, 3)] {
+            let set = MutOp::Update(vec![("v".into(), Val::Lng(x))]);
+            let at_20 =
+                [RowPredicate::Cmp { column: "v".into(), op: CmpOp::Eq, value: Val::Int(20) }];
+            let staged = stage(&cols, &set, &at_20).unwrap();
+            let out = &staged.columns[0].1;
+            assert_eq!(values(out), [Val::Lng(10), Val::Lng(x), Val::Lng(30)], "UPDATE to {x}");
+            assert_eq!(out.byte_size(), size, "UPDATE to {x}");
+            let add = MutOp::Insert(vec![("v".into(), Column::from(vec![x]))]);
+            let out = &stage(&cols, &add, &[]).unwrap().columns[0].1;
+            assert_eq!(values(out)[3], Val::Lng(x), "INSERT of {x}");
+        }
+        let far = -1i64 << 33;
+        let out = narrow.extend_tail(&Column::from(vec![far, 0])).unwrap();
+        assert_eq!(values(&out)[3..], [Val::Lng(far), Val::Lng(0)]);
+        assert_eq!(out.byte_size(), 5 * 8, "a span past 2^32 stays plain");
     }
 
     #[test]

@@ -277,8 +277,11 @@ pub(crate) trait Int: Copy + PartialOrd {
     fn to_f64(self) -> f64;
 }
 
+/// The integer storage types, each scanned through `$filter`: column types
+/// through [`IntFilter`], which also compares with `dbl` constants, a
+/// narrow `lng` column's offsets through exact [`Test`]s ([`offset_test`]).
 macro_rules! int_types {
-    ($($t:ty),*) => {$(
+    ($filter:ident, $resolve:expr; $($t:ty),*) => {$(
         impl Int for $t {
             fn place(c: i128) -> Const<$t> {
                 match <$t>::try_from(c) {
@@ -294,14 +297,14 @@ macro_rules! int_types {
         }
 
         impl Scan for $t {
-            type Filter<'p> = IntFilter<$t>;
+            type Filter<'p> = $filter<$t>;
 
-            fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<IntFilter<$t>> {
-                IntFilter::resolve(ty, pred)
+            fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<$filter<$t>> {
+                ($resolve)(ty, pred)
             }
 
             fn apply(
-                filter: &IntFilter<$t>,
+                filter: &$filter<$t>,
                 vals: impl Iterator<Item = $t>,
                 emit: Emit<'_, $t>,
             ) {
@@ -310,7 +313,33 @@ macro_rules! int_types {
         }
     )*};
 }
-int_types!(i32, i64, u64);
+int_types!(IntFilter, IntFilter::resolve; i32, i64, u64);
+int_types!(Test, |ty, pred| Test::resolve(pred, |v| place_int(ty, v, 0)); u8, u16, u32);
+
+impl<T: Int + Default> Test<T> {
+    fn apply(&self, vals: impl Iterator<Item = T>, emit: Emit<'_, T>) {
+        run(vals, |x| x, self, emit)
+    }
+}
+
+/// An integer constant placed among `T`'s values as its distance from
+/// `base`; `nil` below them all.
+fn place_int<T: Int>(ty: ColType, v: &Val, base: i128) -> Result<Const<T>> {
+    match v {
+        Val::Nil => Ok(Const::Below),
+        v => v.as_i128().map(|c| T::place(c - base)).ok_or_else(|| incomparable(ty, v)),
+    }
+}
+
+/// `p` over the offsets of a narrow `lng` column based at `base`, each
+/// constant placed as its distance from `base`. `None` when a constant is
+/// a `dbl`, which compares with the value as `f64`, not with its offset.
+pub(crate) fn offset_test<T: Int>(ty: ColType, p: &Pred<'_>, base: i64) -> Result<Option<Test<T>>> {
+    if p.consts().any(|v| matches!(v, Val::Dbl(_))) {
+        return Ok(None);
+    }
+    Test::resolve(p, |v| place_int(ty, v, base.into())).map(Some)
+}
 
 impl Int for bool {
     fn place(c: i128) -> Const<bool> {
@@ -353,10 +382,7 @@ impl<T: Int> IntTest<T> {
         if pred.consts().any(|v| matches!(v, Val::Dbl(_))) {
             return Ok(IntTest::Float(Test::resolve(pred, |v| place_f64(ty, v))?));
         }
-        Ok(IntTest::Exact(Test::resolve(pred, |v| match v {
-            Val::Nil => Ok(Const::Below),
-            v => v.as_i128().map(T::place).ok_or_else(|| incomparable(ty, v)),
-        })?))
+        Ok(IntTest::Exact(Test::resolve(pred, |v| place_int(ty, v, 0))?))
     }
 
     fn holds(&self, x: T) -> bool {

@@ -10,12 +10,14 @@
 //! head column payload, tail column payload
 //! ```
 //! Column payloads: `Void` stores only the seq; fixed-width types store
-//! the raw vector; `Str` stores offsets then bytes.
+//! the raw vector (an `lng` column its plain `i64`s, whatever its form in
+//! memory); `Str` stores offsets then bytes.
 
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
+use crate::lng::LngCol;
 use crate::value::ColType;
 use crate::wire::Reader;
 use std::io::Write;
@@ -56,7 +58,7 @@ fn write_column(w: &mut impl Write, c: &Column) -> Result<()> {
         Column::Void { seq, .. } => w.write_all(&seq.to_le_bytes())?,
         Column::Oid(v) => write_fixed(w, v, u64::to_le_bytes)?,
         Column::Int(v) | Column::Date(v) => write_fixed(w, v, i32::to_le_bytes)?,
-        Column::Lng(v) => write_fixed(w, v, i64::to_le_bytes)?,
+        Column::Lng(v) => v.blocks(&mut |vals| write_fixed(w, vals, i64::to_le_bytes))?,
         Column::Dbl(v) => write_fixed(w, v, f64::to_le_bytes)?,
         Column::Str(s) => write_str(w, s)?,
         Column::Bool(v) => write_fixed(w, v, |x| [x as u8])?,
@@ -92,7 +94,9 @@ fn read_column(r: &mut Reader, ty: ColType, len: usize) -> Result<Column> {
         ColType::Void => Column::Void { seq: r.u64("void seq")?, len },
         ColType::Oid => Column::Oid(read_fixed(r, len, u64::from_le_bytes)?),
         ColType::Int => Column::Int(read_fixed(r, len, i32::from_le_bytes)?),
-        ColType::Lng => Column::Lng(read_fixed(r, len, i64::from_le_bytes)?),
+        ColType::Lng => {
+            Column::Lng(LngCol::from_le_bytes(r.bytes(len.saturating_mul(8), "column")?))
+        }
         ColType::Dbl => Column::Dbl(read_fixed(r, len, f64::from_le_bytes)?),
         ColType::Str => {
             let noffs = r.u64("str offset count")? as usize;
@@ -348,7 +352,7 @@ mod tests {
                 ColType::Void => Column::Void { seq: read_u64(r)?, len },
                 ColType::Oid => Column::Oid(read_vec(r, len, u64::from_le_bytes)?),
                 ColType::Int => Column::Int(read_vec(r, len, i32::from_le_bytes)?),
-                ColType::Lng => Column::Lng(read_vec(r, len, i64::from_le_bytes)?),
+                ColType::Lng => Column::Lng(read_vec(r, len, i64::from_le_bytes)?.into()),
                 ColType::Dbl => Column::Dbl(read_vec(r, len, f64::from_le_bytes)?),
                 ColType::Str => {
                     let noffs = read_u64(r)? as usize;
@@ -414,6 +418,13 @@ mod tests {
         }
     }
 
+    /// `lng` columns of `n` values that narrow to `u8`, `u16` and `u32`
+    /// offsets from a negative base.
+    fn narrow_lngs(n: usize) -> [Column; 3] {
+        let Column::Lng(v) = column(ColType::Lng, n, 2) else { unreachable!() };
+        [56, 48, 32].map(|shift| Column::Lng(v.iter().map(|x| (x >> shift) - 7).collect()))
+    }
+
     /// Both head shapes the engine stores: dense from a non-zero `seq`,
     /// and materialised oids.
     fn heads(n: usize) -> [Column; 2] {
@@ -426,25 +437,26 @@ mod tests {
 
     #[test]
     fn bulk_codec_is_byte_identical_to_the_per_element_oracle() {
-        for ty in TYPES {
-            for n in LENGTHS {
-                for head in heads(n) {
-                    let bat = Bat::new(head, column(ty, n, 2)).unwrap();
-                    let what = format!("{:?} x {:?} x {n}", bat.head_type(), ty);
-                    let bytes = bat_to_bytes(&bat);
-                    assert_eq!(bytes, oracle::bat_to_bytes(&bat), "encode {what}");
-                    assert_eq!(bytes.capacity(), bytes.len(), "encode {what} reserves exactly");
-                    // Value-identical on decode, compared as bytes so a
-                    // `NaN` payload bit that moved would show.
-                    let back = bat_from_bytes(&bytes).unwrap();
-                    assert_eq!(oracle::bat_to_bytes(&back), bytes, "decode {what}");
-                    let old = oracle::bat_from_bytes(&bytes).unwrap();
-                    assert_eq!(oracle::bat_to_bytes(&old), bytes, "oracle decode {what}");
-                    assert_eq!(
-                        (back.head_type(), back.tail_type(), back.count()),
-                        (bat.head_type(), ty, n)
-                    );
-                }
+        for n in LENGTHS {
+            let tails = TYPES.iter().map(|&ty| column(ty, n, 2)).chain(narrow_lngs(n));
+            for (tail, head) in tails.flat_map(|t| heads(n).map(|h| (t.clone(), h))) {
+                let (ty, size) = (tail.col_type(), tail.byte_size());
+                let bat = Bat::new(head, tail).unwrap();
+                let what = format!("{:?} x {ty:?} of {size} B x {n}", bat.head_type());
+                let bytes = bat_to_bytes(&bat);
+                assert_eq!(bytes, oracle::bat_to_bytes(&bat), "encode {what}");
+                assert_eq!(bytes.capacity(), bytes.len(), "encode {what} reserves exactly");
+                // Value-identical on decode, compared as bytes so a
+                // `NaN` payload bit that moved would show; in the same
+                // in-memory form.
+                let back = bat_from_bytes(&bytes).unwrap();
+                assert_eq!(oracle::bat_to_bytes(&back), bytes, "decode {what}");
+                let old = oracle::bat_from_bytes(&bytes).unwrap();
+                assert_eq!(oracle::bat_to_bytes(&old), bytes, "oracle decode {what}");
+                assert_eq!(
+                    (back.head_type(), back.tail_type(), back.count(), back.tail().byte_size()),
+                    (bat.head_type(), ty, n, size)
+                );
             }
         }
     }
@@ -464,7 +476,10 @@ mod tests {
                     Column::Void { .. } => continue,
                     Column::Oid(v) => (v.len(), v.capacity()),
                     Column::Int(v) | Column::Date(v) => (v.len(), v.capacity()),
-                    Column::Lng(v) => (v.len(), v.capacity()),
+                    Column::Lng(v) => {
+                        assert_eq!(v.slack(), 0, "lng x {n}");
+                        continue;
+                    }
                     Column::Dbl(v) => (v.len(), v.capacity()),
                     Column::Bool(v) => (v.len(), v.capacity()),
                     Column::Str(s) => {

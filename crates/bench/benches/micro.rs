@@ -314,13 +314,17 @@ fn bench_fused(c: &mut Criterion) {
     const N: usize = 1 << 16;
     let random = |i: usize, salt: u64| splitmix(i as u64 ^ salt << 32);
     // A lineitem in miniature: a date over seven years, two flag columns,
-    // three `lng` measures.
+    // three `lng` measures — built from values, so narrow (`u8`, `u32`
+    // and `u8` offsets) — and wide twins of the measures, whose last row
+    // lies 2^40 away, so that they stay plain.
     let date =
         |i: usize| 19_920_101 + (random(i, 1) % 7) as i32 * 10_000 + (random(i, 2) % 1_231) as i32;
-    let lng = |salt: u64, range: usize| {
-        Arc::new(Bat::dense(Column::Lng(
-            (0..N).map(|i| (random(i, salt) % range) as i64).collect(),
-        )))
+    let values = |salt: u64, range: usize| (0..N).map(move |i| (random(i, salt) % range) as i64);
+    let lng =
+        |salt: u64, range: usize| Arc::new(Bat::dense(Column::Lng(values(salt, range).collect())));
+    let wide = |salt: u64, range: usize| {
+        let far = values(salt, range).take(N - 1).chain([1 << 40]);
+        Arc::new(Bat::dense(Column::from(far.collect::<Vec<_>>())))
     };
     let flags = |salt: u64, pool: &[&'static str]| {
         let v: Vec<&str> = (0..N).map(|i| pool[random(i, salt) % pool.len()]).collect();
@@ -336,6 +340,9 @@ fn bench_fused(c: &mut Criterion) {
         lng(6, 100_000),
         lng(7, 11),
         Arc::new(Bat::dense(Column::Int((0..N).map(|i| (random(i, 8) % ORDERS) as i32).collect()))),
+        wide(5, 50),
+        wide(6, 100_000),
+        wide(7, 11),
     ];
     let table = |name: &str| name.parse::<usize>().ok().map(|i| Arc::clone(&cols[i]));
     let column = |i: usize| i.to_string();
@@ -382,6 +389,20 @@ fn bench_fused(c: &mut Criterion) {
     c.bench_function("fused/q6_shape", |b| {
         b.iter(|| {
             black_box(ops::scan_aggregate(&table, N, &q6_preds, None, &[], &q6_aggs).unwrap())
+        })
+    });
+    // The same over the wide twins, which hold the same values but for
+    // the last row, which no conjunct keeps.
+    let q6_wide_preds = [
+        between(0, 19_940_101, 19_941_231),
+        between(9, 5, 7),
+        RowPredicate::Cmp { column: column(7), op: CmpOp::Lt, value: Val::Int(24) },
+    ];
+    let q6_wide_aggs = [Aggregate::Sum(column(8)), Aggregate::Count];
+    c.bench_function("fused/q6_shape_wide", |b| {
+        b.iter(|| {
+            let out = ops::scan_aggregate(&table, N, &q6_wide_preds, None, &[], &q6_wide_aggs);
+            black_box(out.unwrap())
         })
     });
     c.bench_function("fused/count_star", |b| {

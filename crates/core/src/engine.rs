@@ -38,7 +38,7 @@ use crate::transport::RingTransport;
 use batstore::ops::{self, MutOp, Mutation};
 use batstore::{storage, Bat, ResultSet};
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, Sender};
 use dc_persist::{ColRec, Log, Recovered, TableRec, WalRecord};
 use netsim::SimTime;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -148,6 +148,9 @@ pub(crate) struct NodeCtx {
     pushed: VecDeque<PushedRun>,
     /// Whether a pushed SELECT is running.
     pushed_running: bool,
+    /// The channel to the node's pushed-SELECT runner, once the first push
+    /// started it ([`NodeCtx::start_pushed`]).
+    runner: Option<Sender<PushedRun>>,
     /// Cached passing fragments (the §4.2.1 local cache): the very cells
     /// their frames arrived as.
     cache: HashMap<BatId, Frag>,
@@ -237,7 +240,7 @@ struct PushedRun {
 /// statement — and hand the result back ([`NodeEvent::Answered`]) for the
 /// event loop to send.
 fn run_pushed(hooks: &Arc<RingHooks>, PushedRun { origin, epoch, id, sql }: PushedRun) {
-    // A panic is answered, not lost with the thread: unanswered, the
+    // A panic is answered, and the runner runs on: unanswered, the
     // statement would stay held, and its origin waiting, for good.
     let run = std::panic::AssertUnwindSafe(|| hooks.run(&sql));
     let result = std::panic::catch_unwind(run).unwrap_or_else(|_| {
@@ -330,6 +333,7 @@ impl NodeCtx {
             catalog,
             pushed: VecDeque::new(),
             pushed_running: false,
+            runner: None,
             cache: HashMap::new(),
             waiting: HashMap::new(),
             frag_ids,
@@ -498,24 +502,29 @@ impl NodeCtx {
         self.answer_routed(origin, epoch, id, answer);
     }
 
-    /// Start the next queued pushed SELECT unless one is running. The
-    /// event loop never runs one: each runs on a thread of its own that
-    /// ends with the run, one at a time, so a node nobody pushes to keeps
-    /// no thread for it.
+    /// Start the next queued pushed SELECT unless one is running, on the
+    /// node's runner thread, which the first one starts and which ends
+    /// when its channel closes with the event loop. It is not joined: its
+    /// statement may wait on a pin the stopped loop never answers.
     fn start_pushed(&mut self) {
         while !self.pushed_running {
             let Some(run) = self.pushed.pop_front() else { return };
             let (origin, epoch, id) = (run.origin, run.epoch, run.id);
-            let hooks = Arc::clone(&self.hooks);
-            let thread = std::thread::Builder::new().name("dc-pushed-select".into());
-            match thread.spawn(move || run_pushed(&hooks, run)) {
-                Ok(_) => {
+            if self.runner.is_none() {
+                let (runs, queue) = crossbeam::channel::unbounded::<PushedRun>();
+                let hooks = Arc::clone(&self.hooks);
+                let thread = std::thread::Builder::new().name("dc-pushed-select".into());
+                let spawned =
+                    thread.spawn(move || queue.iter().for_each(|r| run_pushed(&hooks, r)));
+                self.runner = spawned.is_ok().then_some(runs);
+            }
+            match self.runner.as_ref().map(|runs| runs.send(run)) {
+                Some(Ok(())) => {
                     self.pushed_running = true;
                     self.obs.trace(epoch, id, trace::START, format_args!("select from {origin}"));
                 }
-                Err(e) => {
-                    let err =
-                        DcError::Ring(format!("cannot start a thread for the statement: {e}"));
+                _ => {
+                    let err = DcError::Ring("the pushed-select runner could not start".into());
                     self.answer_pushed(origin, epoch, id, Err(err));
                 }
             }

@@ -41,6 +41,14 @@ fn dcb1_bats() {
     assert!(coded.byte_size() < coded.wire_size(), "dictionary-coded in memory");
     let plain = Column::from(vec!["a", "", "wörld"]);
     assert_eq!(plain.byte_size(), plain.wire_size(), "plain in memory");
+    // An `lng` column narrowed to `u32` offsets, and its twin built by
+    // pushes, which stays plain: the same bytes.
+    let narrow = Column::from(vec![100i64, 100_000, -7]);
+    let mut plain_lng = Column::empty(ColType::Lng);
+    [100, 100_000, -7].into_iter().for_each(|x| plain_lng.push(&Val::Lng(x)).unwrap());
+    assert_eq!((narrow.byte_size(), plain_lng.byte_size()), (3 * 4, 3 * 8));
+    let lngs = "444342310003030000000000000000000000000000006400000000000000a086010000000000f9ff\
+                ffffffffffff";
     let cases = [
         (
             "int",
@@ -49,7 +57,7 @@ fn dcb1_bats() {
         ),
         (
             "oid x lng",
-            Bat::new(Column::Oid(vec![5, 9]), Column::Lng(vec![-1, 1 << 40])).unwrap(),
+            Bat::new(Column::Oid(vec![5, 9]), Column::from(vec![-1i64, 1 << 40])).unwrap(),
             "444342310103020000000000000005000000000000000900000000000000ffffffffffffffff0000\
              000000010000",
         ),
@@ -74,6 +82,8 @@ fn dcb1_bats() {
             "44434231000101000000000000000000000000000000ffffffffffffffff",
         ),
         ("empty", Bat::empty(ColType::Int), "44434231000200000000000000000000000000000000"),
+        ("narrow lng", Bat::dense(narrow), lngs),
+        ("plain lng", Bat::dense(plain_lng), lngs),
         (
             "plain str",
             Bat::dense(plain),

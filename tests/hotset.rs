@@ -210,6 +210,49 @@ fn owner_restart_recovers_spilled_fragments() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A loaded `lng` column is narrow in memory — four bytes a row here, not
+/// eight — and its owner accounts it so: `dc.hotset` reports the narrow
+/// `size_bytes` while the fragment is resident and once it has spilled,
+/// and the re-admission that answers a read decodes it to that size again.
+#[test]
+fn a_narrow_lng_fragment_keeps_its_size_across_spill_and_readmission() {
+    let dir = scratch("narrow");
+    let ring = budget_ring(&dir);
+    // 500 prices spanning more than 2^16 and less than 2^32.
+    let prices: Vec<i64> = (0..ROWS as i64).map(|k| 100 + k * 200).collect();
+    let total: i64 = prices.iter().sum();
+    ring.node(0).load_table("sys", "prices", vec![("p", Column::from(prices))]).unwrap();
+    let bat =
+        ring.node(0).hotset().unwrap().rows.iter().find(|r| r.table == "sys.prices").unwrap().bat;
+    // `dc.hotset`'s state and size_bytes of the prices fragment.
+    let row = || {
+        let rs = ring.execute(0, "select bat, state, size_bytes from dc.hotset").unwrap();
+        let r = (0..rs.row_count()).find(|&r| rs.cell(r, 0) == Val::Lng(bat.0.into())).unwrap();
+        (rs.cell(r, 1), rs.cell(r, 2))
+    };
+    let narrow = Val::Lng(ROWS as i64 * 4);
+    assert_eq!(row().1, narrow, "loaded at its narrow size");
+
+    // Oversubscribe the budget: the untouched prices, loaded first, spill.
+    load_dataset(&ring);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while row().0 != Val::from("spilled") {
+        assert!(Instant::now() < deadline, "the prices never spilled");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert_eq!(row().1, narrow, "spilled at its narrow size");
+
+    let rs = ring.execute(1, "select sum(p) from prices").unwrap();
+    assert_eq!(rs.cell(0, 0), Val::Lng(total), "the prices survived the spill");
+    let readmitted = ring.node(0).obs().trace_events().into_iter().any(|e| {
+        e.event == "readmit"
+            && e.detail.starts_with(&format!("{bat} reloaded from disk ({} bytes", ROWS * 4))
+    });
+    assert!(readmitted, "re-admitted at its narrow size");
+    assert_eq!(row().1, narrow, "and accounted at it");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Budgeted write traffic, measured rather than asserted: one-row
 /// INSERTs into a two-column table larger than its owner's budget, while
 /// another node reads a small table the same owner holds. Every INSERT

@@ -161,6 +161,147 @@ proptest! {
     }
 }
 
+// ---- lng columns: the narrow form against a plain twin --------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The same `lng` values built from values — narrow: a base and a
+    /// `u8`, `u16` or `u32` offset a row — and by `push`, which stays
+    /// plain, through every kernel that reads them: theta and range
+    /// selects and IN, the fused aggregate (each aggregate, grouped and
+    /// not, its conjuncts on the narrow column, with and without a probe
+    /// joining on it), join, sort, grouping, grouped sums, gather, slice
+    /// and the `DCB1` round trip. Each answers cell for cell what it
+    /// answers for the twin, or fails alike. Bases reach both ends of
+    /// `i64`; spans run from one distinct value to 2^32 - 1; columns from
+    /// empty to three batches.
+    #[test]
+    fn a_narrow_lng_column_answers_as_its_plain_twin(
+        shape in (0usize..4, -300i64..300, 0usize..4, 0u64..70_000),
+        picks in prop::collection::vec(any::<u32>(), 0..700),
+        consts in prop::collection::vec(any::<u32>(), 6),
+    ) {
+        use batstore::ops::{Aggregate, CmpOp, Probe, RowPredicate};
+        use batstore::{storage, BatError};
+        use std::sync::Arc;
+
+        let (base, near, span, reach) = shape;
+        let base = [i64::MIN, -70_000, near, i64::MAX - 70_000][base];
+        let span = [0, 1 + reach % 255, 256 + reach, u64::from(u32::MAX)][span];
+        let at = |p: u32| base.saturating_add((u64::from(p) % (span + 1)) as i64);
+        let vals: Vec<i64> = picks.iter().map(|&p| at(p)).collect();
+        let narrow = Column::from(vals.clone());
+        let mut plain = Column::empty(ColType::Lng);
+        vals.iter().for_each(|&x| plain.push(&Val::Lng(x)).unwrap());
+        prop_assert_eq!(&narrow, &plain);
+        if !vals.is_empty() {
+            prop_assert!(narrow.byte_size() <= vals.len() * 4, "built from values, narrow");
+        }
+        prop_assert_eq!(plain.byte_size(), vals.len() * 8, "pushed, plain");
+
+        // Results compare as BATs: by value, and by the claims made.
+        type Out = Result<Vec<Bat>, String>;
+        let outs = |r: Result<Vec<Bat>, BatError>| -> Out { r.map_err(|e| e.to_string()) };
+        let one = |r: Result<Bat, BatError>| outs(r.map(|b| vec![b]));
+        let both = |f: &dyn Fn(&Column) -> Out| (f(&narrow), f(&plain));
+
+        // Constants inside, at and past both ends, as `lng`, `int` and `dbl`.
+        let mut constants: Vec<Val> = consts.iter().map(|&c| Val::Lng(at(c))).collect();
+        let (lo, hi) = (at(0), base.saturating_add(span as i64));
+        constants.extend([lo.saturating_sub(1), hi.saturating_add(1)].map(Val::Lng));
+        constants.extend([Val::Int(consts[0] as i32 % 600 - 300), Val::Dbl(lo as f64 + 0.5)]);
+        let dense = |c: &Column| Bat::dense(c.clone());
+        for c in &constants {
+            for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ne, CmpOp::Ge, CmpOp::Gt] {
+                let (n, p) = both(&|col| one(ops::theta_select(&dense(col), op, c)));
+                prop_assert_eq!(n, p, "{:?} {:?}", op, c);
+            }
+        }
+        for (c, d) in constants.iter().zip(constants.iter().rev()) {
+            let (n, p) = both(&|col| one(ops::select_range(&dense(col), c, d)));
+            prop_assert_eq!(n, p, "between {:?} and {:?}", c, d);
+        }
+
+        // The fused operator: its conjuncts on the column, its keys and
+        // aggregates over it, and a probe stage joining on it.
+        let k = Column::from(picks.iter().map(|p| (p % 3) as i32).collect::<Vec<_>>());
+        let preds = [
+            RowPredicate::Cmp { column: "v".into(), op: CmpOp::Ge, value: constants[0].clone() },
+            RowPredicate::Between { column: "v".into(), lo: constants[1].clone(), hi: constants[2].clone() },
+            RowPredicate::InList { column: "v".into(), values: constants[3..].to_vec() },
+            RowPredicate::Cmp { column: "v".into(), op: CmpOp::Ne, value: constants[4].clone() },
+        ];
+        let aggs = [
+            Aggregate::Sum("v".into()),
+            Aggregate::Avg("v".into()),
+            Aggregate::Min("v".into()),
+            Aggregate::Max("v".into()),
+            Aggregate::Count,
+        ];
+        let build = Bat::dense(Column::from(vals.iter().step_by(3).copied().collect::<Vec<_>>()));
+        let fused = |col: &Column, preds: &[RowPredicate], key: Option<&str>, probed: bool| {
+            let table = [("v", Arc::new(dense(col))), ("k", Arc::new(dense(&k)))];
+            let lookup =
+                |name: &str| table.iter().find(|(t, _)| *t == name).map(|(_, b)| Arc::clone(b));
+            let probe = Probe { key: "v", build_key: &build, build: &|_| None };
+            let (keys, probe): (Vec<&str>, _) = (key.into_iter().collect(), probed.then_some(&probe));
+            // `avg`, `min` and `max` over no rows fail alike; `count` and
+            // `sum` answer anyway.
+            let sums = [Aggregate::Sum("v".into()), Aggregate::Count];
+            [&aggs[..], &sums[..]].map(|aggs| {
+                outs(ops::scan_aggregate(&lookup, vals.len(), preds, probe, &keys, aggs))
+            })
+        };
+        for (p, key) in [(0, None), (1, Some("k")), (2, Some("v")), (3, None), (4, Some("k"))] {
+            for probed in [false, true] {
+                let (n, pl) = (fused(&narrow, &preds[..p], key, probed), fused(&plain, &preds[..p], key, probed));
+                prop_assert_eq!(n, pl, "preds {} keys {:?} probe {}", p, key, probed);
+            }
+        }
+        let rows = |col: &Column| {
+            let lookup = |_: &str| Some(Arc::new(dense(col)));
+            ops::matching_rows(&lookup, vals.len(), &preds[2..3]).map_err(|e| e.to_string())
+        };
+        prop_assert_eq!(rows(&narrow), rows(&plain), "IN through matching_rows");
+
+        // Join (as either side), sort, grouping, gather and slice.
+        let (n, pl) = both(&|col| {
+            let b = dense(col);
+            let (grp, ext) = ops::group_by(&b);
+            let idx: Vec<usize> = consts.iter().map(|&c| c as usize % vals.len().max(1)).collect();
+            let idx = if vals.is_empty() { Vec::new() } else { idx };
+            let (lo, hi) = (vals.len() / 3, vals.len() - vals.len() / 4);
+            let by_k = ops::group_by(&dense(&k)).0;
+            Ok(vec![
+                ops::join(&b, &ops::reverse(&build)).unwrap(),
+                ops::join(&build, &ops::reverse(&b)).unwrap(),
+                ops::sort_tail(&b, false),
+                ops::sort_tail(&b, true),
+                grp.clone(),
+                ext.clone(),
+                ops::grouped_sum(&dense(&k), &grp, ext.count()).unwrap(),
+                ops::grouped_sum(&b, &by_k, 3).map_err(|e| e.to_string())?,
+                dense(&col.gather(&idx)),
+                dense(&col.slice(lo, hi)),
+                dense(&col.slice(0, vals.len().min(1))),
+            ])
+        });
+        prop_assert_eq!(n, pl, "join, sort, grouping, gather, slice");
+        let (gathered, sliced) = (narrow.gather(&[0, 0]), narrow.slice(0, vals.len().min(1)));
+        if !vals.is_empty() {
+            prop_assert!(gathered.byte_size() <= 8 && sliced.byte_size() <= 4, "kept narrow");
+        }
+
+        // `DCB1`: the same bytes, and a decode takes the narrow form.
+        let bytes = storage::bat_to_bytes(&dense(&narrow));
+        prop_assert_eq!(&bytes, &storage::bat_to_bytes(&dense(&plain)));
+        let back = storage::bat_from_bytes(&bytes).unwrap();
+        prop_assert_eq!(back.tail(), &plain);
+        prop_assert_eq!(back.tail().byte_size(), narrow.byte_size());
+    }
+}
+
 // ---- typed kernels vs `Val`-level oracles ---------------------------------
 //
 // The kernels pick an algorithm from a BAT's column types and claimed
@@ -197,7 +338,7 @@ mod kernels {
             ColType::Oid => Column::Oid(of(&[0, 1, 2, 3, 4, 5, 8, u64::MAX - 1, u64::MAX], picks)),
             ColType::Int => Column::Int(of(&ints, picks)),
             ColType::Date => Column::Date(of(&ints, picks)),
-            ColType::Lng => Column::Lng(of(
+            ColType::Lng => Column::from(of(
                 &[i64::MIN, -BIG - 1, -1, 0, 1, 2, 3, BIG, BIG + 1, BIG + 2, i64::MAX],
                 picks,
             )),

@@ -13,7 +13,7 @@
 
 mod support;
 
-use batstore::{Column, ResultSet, Val};
+use batstore::{Column, LngCol, ResultSet, Val};
 use datacyclotron::Ring;
 use dc_workloads::tpch::sql as tpch;
 use std::collections::BTreeMap;
@@ -217,8 +217,11 @@ impl Rows<'_> {
     fn ints(&self, name: &str) -> &[i32] {
         self.column(name).as_int().unwrap_or_else(|| panic!("{name} is not int"))
     }
-    fn lngs(&self, name: &str) -> &[i64] {
-        self.column(name).as_lng().unwrap_or_else(|| panic!("{name} is not lng"))
+    fn lngs(&self, name: &str) -> &LngCol {
+        match self.column(name) {
+            Column::Lng(v) => v,
+            _ => panic!("{name} is not lng"),
+        }
     }
     fn strs(&self, name: &str) -> Vec<&str> {
         self.column(name)
@@ -254,7 +257,8 @@ fn row_at_a_time(data: &tpch::TpchData) -> Vec<(&'static str, Vec<Vec<Val>>)> {
                 groups.len() - 1
             });
             let g = &mut groups[slot];
-            (g.2, g.3, g.4, g.5) = (g.2 + quantity[i], g.3 + price[i], g.4 + discount[i], g.5 + 1);
+            (g.2, g.3, g.4, g.5) =
+                (g.2 + quantity.get(i), g.3 + price.get(i), g.4 + discount.get(i), g.5 + 1);
         }
     }
     groups.sort_by_key(|g| g.0);
@@ -288,7 +292,7 @@ fn row_at_a_time(data: &tpch::TpchData) -> Vec<(&'static str, Vec<Vec<Val>>)> {
             for li in (0..l_orderkey.len()).filter(|&li| l_orderkey[li] == orderkey[oi]) {
                 if shipdate[li] > 19950315 {
                     *revenue.entry((orderkey[oi], orderdate[oi], priority[oi])).or_insert(0) +=
-                        price[li];
+                        price.get(li);
                 }
             }
         }
@@ -303,12 +307,12 @@ fn row_at_a_time(data: &tpch::TpchData) -> Vec<(&'static str, Vec<Vec<Val>>)> {
 
     // Q6.
     let (mut sum, mut n) = (0i64, 0i64);
-    for i in 0..shipdate.len() {
-        if (19940101..=19941231).contains(&shipdate[i])
-            && (5..=7).contains(&discount[i])
-            && quantity[i] < 24
+    for (i, day) in shipdate.iter().enumerate() {
+        if (19940101..=19941231).contains(day)
+            && (5..=7).contains(&discount.get(i))
+            && quantity.get(i) < 24
         {
-            (sum, n) = (sum + price[i], n + 1);
+            (sum, n) = (sum + price.get(i), n + 1);
         }
     }
     vec![("q1", q1), ("q3", q3), ("q6", vec![vec![Val::Lng(sum), Val::Lng(n)]])]
@@ -378,7 +382,7 @@ fn join_cases() -> Vec<JoinCase> {
             },
             key: |t, (c, o, _)| vec![t.c.val("c_mktsegment", c), t.o.val("o_shippriority", o)],
             fold: |t, rows| {
-                let sum = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice")[o]).sum();
+                let sum = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice").get(o)).sum();
                 vec![count(rows), Val::Lng(sum)]
             },
             order: None,
@@ -394,12 +398,12 @@ fn join_cases() -> Vec<JoinCase> {
             lineitem: false,
             keep: |t, (c, o, _)| {
                 ["BUILDING", "MACHINERY"].contains(&t.c.strs("c_mktsegment")[c])
-                    && t.o.lngs("o_totalprice")[o] > 100000
+                    && t.o.lngs("o_totalprice").get(o) > 100000
             },
             key: |t, (c, _, _)| vec![t.c.val("c_nationkey", c)],
             fold: |t, rows| {
                 let dates = rows.iter().map(|&(_, o, _)| t.o.ints("o_orderdate")[o]);
-                let prices = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice")[o]);
+                let prices = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice").get(o));
                 let (min, max) = (dates.min().expect("a row"), prices.max().expect("a row"));
                 vec![Val::Int(min), Val::Lng(max), count(rows)]
             },
@@ -425,8 +429,9 @@ fn join_cases() -> Vec<JoinCase> {
                 vec![t.c.val("c_mktsegment", c), t.o.val("o_shippriority", o), flag]
             },
             fold: |t, rows| {
-                let quantity = rows.iter().map(|&(_, _, l)| t.l.lngs("l_quantity")[l]).sum();
-                let discount: i64 = rows.iter().map(|&(_, _, l)| t.l.lngs("l_discount")[l]).sum();
+                let quantity = rows.iter().map(|&(_, _, l)| t.l.lngs("l_quantity").get(l)).sum();
+                let discount: i64 =
+                    rows.iter().map(|&(_, _, l)| t.l.lngs("l_discount").get(l)).sum();
                 let avg = Val::Dbl(discount as f64 / rows.len() as f64);
                 vec![Val::Lng(quantity), avg, count(rows)]
             },
@@ -444,13 +449,13 @@ fn join_cases() -> Vec<JoinCase> {
             lineitem: true,
             keep: |t, (c, o, l)| {
                 t.c.strs("c_mktsegment")[c] != "HOUSEHOLD"
-                    && t.o.lngs("o_totalprice")[o] < 400000
-                    && (2..=8).contains(&t.l.lngs("l_discount")[l])
+                    && t.o.lngs("o_totalprice").get(o) < 400000
+                    && (2..=8).contains(&t.l.lngs("l_discount").get(l))
             },
             key: |t, (c, o, _)| vec![t.o.val("o_orderkey", o), t.c.val("c_nationkey", c)],
             fold: |t, rows| {
-                let price = rows.iter().map(|&(_, _, l)| t.l.lngs("l_extendedprice")[l]).sum();
-                let total = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice")[o]).max();
+                let price = rows.iter().map(|&(_, _, l)| t.l.lngs("l_extendedprice").get(l)).sum();
+                let total = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice").get(o)).max();
                 let custkey = rows.iter().map(|&(c, _, _)| t.c.ints("c_custkey")[c]).min();
                 let (total, custkey) = (total.expect("a row"), custkey.expect("a row"));
                 vec![Val::Lng(price), Val::Lng(total), Val::Int(custkey)]
@@ -464,10 +469,12 @@ fn join_cases() -> Vec<JoinCase> {
                   inner join lineitem l on l.l_orderkey = o.o_orderkey \
                   where c.c_nationkey <> 3 and l.l_quantity < 10",
             lineitem: true,
-            keep: |t, (c, _, l)| t.c.ints("c_nationkey")[c] != 3 && t.l.lngs("l_quantity")[l] < 10,
+            keep: |t, (c, _, l)| {
+                t.c.ints("c_nationkey")[c] != 3 && t.l.lngs("l_quantity").get(l) < 10
+            },
             key: |_, _| Vec::new(),
             fold: |t, rows| {
-                let total = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice")[o]).sum();
+                let total = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice").get(o)).sum();
                 vec![count(rows), Val::Lng(total)]
             },
             order: None,
