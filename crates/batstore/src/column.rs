@@ -4,7 +4,7 @@
 
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
-use crate::lng::LngCol;
+use crate::int::IntCol;
 use crate::value::{ColType, Val};
 use std::cmp::Ordering;
 
@@ -16,13 +16,13 @@ pub enum Column {
         len: usize,
     },
     Oid(Vec<u64>),
-    Int(Vec<i32>),
-    Lng(LngCol),
+    Int(IntCol<i32>),
+    Lng(IntCol<i64>),
     Dbl(Vec<f64>),
     Str(StrCol),
     Bool(Vec<bool>),
     /// Days since epoch.
-    Date(Vec<i32>),
+    Date(IntCol<i32>),
 }
 
 /// Borrowed key for hashing/equality across column types: numerics are
@@ -39,12 +39,11 @@ impl Column {
         match self {
             Column::Void { len, .. } => *len,
             Column::Oid(v) => v.len(),
-            Column::Int(v) => v.len(),
+            Column::Int(v) | Column::Date(v) => v.len(),
             Column::Lng(v) => v.len(),
             Column::Dbl(v) => v.len(),
             Column::Str(v) => v.len(),
             Column::Bool(v) => v.len(),
-            Column::Date(v) => v.len(),
         }
     }
 
@@ -71,22 +70,22 @@ impl Column {
         match self {
             Column::Void { .. } => 0,
             Column::Oid(v) => v.len() * 8,
-            Column::Int(v) => v.len() * 4,
+            Column::Int(v) | Column::Date(v) => v.byte_size(),
             Column::Lng(v) => v.byte_size(),
             Column::Dbl(v) => v.len() * 8,
             Column::Str(v) => v.byte_size(),
             Column::Bool(v) => v.len(),
-            Column::Date(v) => v.len() * 4,
         }
     }
 
     /// Bytes the values take on the wire and on disk: [`Column::byte_size`],
-    /// but a `str` or `lng` column's in the plain layout — offsets and
-    /// values, 8 bytes a value — whatever form it has in memory. Every
-    /// encoder sizes by this.
+    /// but a `str` or integer column's in the plain layout — offsets and
+    /// values, 4 bytes an `int` or `date`, 8 an `lng` — whatever form it
+    /// has in memory. Every encoder sizes by this.
     pub fn wire_size(&self) -> usize {
         match self {
             Column::Str(v) => 4 * (v.len() + 1) + v.heap_len(),
+            Column::Int(v) | Column::Date(v) => 4 * v.len(),
             Column::Lng(v) => 8 * v.len(),
             other => other.byte_size(),
         }
@@ -99,12 +98,12 @@ impl Column {
                 Val::Oid(seq + i as u64)
             }
             Column::Oid(v) => Val::Oid(v[i]),
-            Column::Int(v) => Val::Int(v[i]),
+            Column::Int(v) => Val::Int(v.get(i)),
             Column::Lng(v) => Val::Lng(v.get(i)),
             Column::Dbl(v) => Val::Dbl(v[i]),
             Column::Str(v) => Val::Str(v.get(i).to_string()),
             Column::Bool(v) => Val::Bool(v[i]),
-            Column::Date(v) => Val::Date(v[i]),
+            Column::Date(v) => Val::Date(v.get(i)),
         }
     }
 
@@ -113,12 +112,11 @@ impl Column {
         match self {
             Column::Void { seq, .. } => Key::Num(seq + i as u64),
             Column::Oid(v) => Key::Num(v[i]),
-            Column::Int(v) => Key::Num(v[i] as i64 as u64),
+            Column::Int(v) | Column::Date(v) => Key::Num(v.get(i) as i64 as u64),
             Column::Lng(v) => Key::Num(v.get(i) as u64),
             Column::Dbl(v) => Key::Num(v[i].to_bits()),
             Column::Str(v) => Key::Str(v.get(i)),
             Column::Bool(v) => Key::Num(v[i] as u64),
-            Column::Date(v) => Key::Num(v[i] as i64 as u64),
         }
     }
 
@@ -166,14 +164,13 @@ impl Column {
                 .collect(),
             ),
             Column::Oid(v) => Column::Oid(idx.map(|i| v[i]).collect()),
-            Column::Int(v) => Column::Int(idx.map(|i| v[i]).collect()),
-            // One copy of the `lng` and string gathers serves every
-            // index type.
-            Column::Lng(v) => Column::Lng(v.gather(&idx.collect::<Vec<_>>())),
+            Column::Int(v) => Column::Int(v.gather(idx)),
+            Column::Lng(v) => Column::Lng(v.gather(idx)),
             Column::Dbl(v) => Column::Dbl(idx.map(|i| v[i]).collect()),
+            // One copy of the string gather serves every index type.
             Column::Str(v) => Column::Str(v.gather(&idx.collect::<Vec<_>>())),
             Column::Bool(v) => Column::Bool(idx.map(|i| v[i]).collect()),
-            Column::Date(v) => Column::Date(idx.map(|i| v[i]).collect()),
+            Column::Date(v) => Column::Date(v.gather(idx)),
         }
     }
 
@@ -183,21 +180,23 @@ impl Column {
         match self {
             Column::Void { seq, .. } => Column::Void { seq: seq + lo as u64, len: hi - lo },
             Column::Oid(v) => Column::Oid(v[lo..hi].to_vec()),
-            Column::Int(v) => Column::Int(v[lo..hi].to_vec()),
+            Column::Int(v) => Column::Int(v.slice(lo, hi)),
             Column::Lng(v) => Column::Lng(v.slice(lo, hi)),
             Column::Dbl(v) => Column::Dbl(v[lo..hi].to_vec()),
             Column::Str(v) => Column::Str(v.slice(lo, hi)),
             Column::Bool(v) => Column::Bool(v[lo..hi].to_vec()),
-            Column::Date(v) => Column::Date(v[lo..hi].to_vec()),
+            Column::Date(v) => Column::Date(v.slice(lo, hi)),
         }
     }
 
-    /// A `str` column [`StrCol::settled`], an `lng` one
-    /// [`LngCol::settled`], any other as it is: how a kernel that builds a
+    /// A `str` column [`StrCol::settled`], an integer one
+    /// [`IntCol::settled`], any other as it is: how a kernel that builds a
     /// fragment's next version hands it over.
     pub(crate) fn settled(self) -> Column {
         match self {
             Column::Str(s) => Column::Str(s.settled()),
+            Column::Int(v) => Column::Int(v.settled()),
+            Column::Date(v) => Column::Date(v.settled()),
             Column::Lng(v) => Column::Lng(v.settled()),
             other => other,
         }
@@ -215,7 +214,7 @@ impl Column {
                 vec.push(*x);
                 Ok(())
             }
-            (Column::Int(vec), Val::Int(x)) => {
+            (Column::Int(vec), Val::Int(x)) | (Column::Date(vec), Val::Date(x)) => {
                 vec.push(*x);
                 Ok(())
             }
@@ -247,10 +246,6 @@ impl Column {
                 vec.push(*b);
                 Ok(())
             }
-            (Column::Date(vec), Val::Date(d)) => {
-                vec.push(*d);
-                Ok(())
-            }
             (me, v) => Err(BatError::TypeMismatch {
                 expected: me.col_type().name(),
                 got: format!("{v:?}"),
@@ -270,8 +265,8 @@ impl Column {
                 a.extend_from_slice(b);
                 Ok(())
             }
-            (Column::Int(a), Column::Int(b)) => {
-                a.extend_from_slice(b);
+            (Column::Int(a), Column::Int(b)) | (Column::Date(a), Column::Date(b)) => {
+                b.iter().for_each(|x| a.push(x));
                 Ok(())
             }
             (Column::Lng(a), Column::Lng(b)) => {
@@ -292,10 +287,6 @@ impl Column {
                 a.extend_from_slice(b);
                 Ok(())
             }
-            (Column::Date(a), Column::Date(b)) => {
-                a.extend_from_slice(b);
-                Ok(())
-            }
             // Fall back to element-wise pushes for the push-coercible
             // pairs (Int→Lng, Int/Lng→Dbl).
             (me, other) => {
@@ -312,12 +303,12 @@ impl Column {
         match ty {
             ColType::Void => Column::Void { seq: 0, len: 0 },
             ColType::Oid => Column::Oid(Vec::new()),
-            ColType::Int => Column::Int(Vec::new()),
+            ColType::Int => Column::Int(Vec::new().into()),
             ColType::Lng => Column::Lng(Vec::new().into()),
             ColType::Dbl => Column::Dbl(Vec::new()),
             ColType::Str => Column::Str(StrCol::new()),
             ColType::Bool => Column::Bool(Vec::new()),
-            ColType::Date => Column::Date(Vec::new()),
+            ColType::Date => Column::Date(Vec::new().into()),
         }
     }
 
@@ -326,12 +317,11 @@ impl Column {
         match self {
             Column::Void { .. } => true,
             Column::Oid(v) => v.windows(2).all(|w| w[0] <= w[1]),
-            Column::Int(v) => v.windows(2).all(|w| w[0] <= w[1]),
+            Column::Int(v) | Column::Date(v) => v.is_sorted(),
             Column::Lng(v) => v.is_sorted(),
             Column::Dbl(v) => v.windows(2).all(|w| dbl_order(w[0], w[1]) != Ordering::Greater),
             Column::Str(v) => (1..v.len()).all(|i| v.get(i - 1) <= v.get(i)),
             Column::Bool(v) => v.windows(2).all(|w| w[0] <= w[1]),
-            Column::Date(v) => v.windows(2).all(|w| w[0] <= w[1]),
         }
     }
 
@@ -359,12 +349,11 @@ impl Column {
                 return idx;
             }
             Column::Oid(v) => idx.sort_by_key(|&i| v[i]),
-            Column::Int(v) => idx.sort_by_key(|&i| v[i]),
+            Column::Int(v) | Column::Date(v) => v.sort_by_value(&mut idx),
             Column::Lng(v) => v.sort_by_value(&mut idx),
             Column::Dbl(v) => idx.sort_by(|&a, &b| dbl_order(v[a], v[b])),
             Column::Str(v) => idx.sort_by(|&a, &b| v.get(a).cmp(v.get(b))),
             Column::Bool(v) => idx.sort_by_key(|&i| v[i]),
-            Column::Date(v) => idx.sort_by_key(|&i| v[i]),
         }
         if descending {
             idx.reverse();
@@ -376,12 +365,6 @@ impl Column {
     pub fn as_oid(&self) -> Option<&[u64]> {
         match self {
             Column::Oid(v) => Some(v),
-            _ => None,
-        }
-    }
-    pub fn as_int(&self) -> Option<&[i32]> {
-        match self {
-            Column::Int(v) => Some(v),
             _ => None,
         }
     }
@@ -411,12 +394,13 @@ fn dbl_order(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
+/// Narrow when that is smaller ([`IntCol`]).
 impl From<Vec<i32>> for Column {
     fn from(v: Vec<i32>) -> Self {
-        Column::Int(v)
+        Column::Int(v.into())
     }
 }
-/// Narrow when that is smaller ([`LngCol`]).
+/// Narrow when that is smaller ([`IntCol`]).
 impl From<Vec<i64>> for Column {
     fn from(v: Vec<i64>) -> Self {
         Column::Lng(v.into())
@@ -454,7 +438,7 @@ mod tests {
     fn try_extend_same_and_coerced_types() {
         let mut c = Column::from(vec![1, 2]);
         c.try_extend(&Column::from(vec![3])).unwrap();
-        assert_eq!(c, Column::Int(vec![1, 2, 3]));
+        assert_eq!(c, Column::Int(vec![1, 2, 3].into()));
 
         let mut s = Column::from(vec!["a"]);
         s.try_extend(&Column::from(vec!["b", "c"])).unwrap();
@@ -483,7 +467,7 @@ mod tests {
     #[test]
     fn gather_each_type() {
         let idx = [2usize, 0];
-        assert_eq!(Column::from(vec![1, 2, 3]).gather(&idx), Column::Int(vec![3, 1]));
+        assert_eq!(Column::from(vec![1, 2, 3]).gather(&idx), Column::Int(vec![3, 1].into()));
         assert_eq!(Column::from(vec!["a", "b", "c"]).gather(&idx), Column::from(vec!["c", "a"]));
         assert_eq!(Column::Void { seq: 5, len: 3 }.gather(&idx), Column::Oid(vec![7, 5]));
     }
@@ -496,7 +480,7 @@ mod tests {
 
     #[test]
     fn slice_copies_the_sub_range_of_each_type() {
-        assert_eq!(Column::from(vec![1, 2, 3, 4]).slice(1, 3), Column::Int(vec![2, 3]));
+        assert_eq!(Column::from(vec![1, 2, 3, 4]).slice(1, 3), Column::Int(vec![2, 3].into()));
         assert_eq!(Column::from(vec![1.5, 2.5]).slice(2, 2), Column::Dbl(vec![]));
         assert_eq!(Column::from(vec!["a", "bc", "d"]).slice(1, 3), Column::from(vec!["bc", "d"]));
         assert_eq!(Column::Bool(vec![true, false]).slice(0, 1), Column::Bool(vec![true]));
@@ -543,7 +527,7 @@ mod tests {
         assert_eq!(perm, vec![1, 2, 0]);
         assert!(c.gather(&perm).is_sorted());
         let desc = c.sort_perm(true);
-        assert_eq!(c.gather(&desc), Column::Int(vec![3, 2, 1]));
+        assert_eq!(c.gather(&desc), Column::Int(vec![3, 2, 1].into()));
     }
 
     #[test]

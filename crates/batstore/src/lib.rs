@@ -27,7 +27,7 @@ pub mod catalog;
 pub mod column;
 pub mod error;
 pub mod heap;
-pub mod lng;
+pub mod int;
 pub mod ops;
 pub mod resultset;
 pub mod storage;
@@ -39,7 +39,7 @@ pub use catalog::{BatKey, BatStore, Catalog, ColDef, TableDef};
 pub use column::Column;
 pub use error::{BatError, Result};
 pub use heap::StrCol;
-pub use lng::LngCol;
+pub use int::IntCol;
 pub use ops::RowPredicate;
 pub use resultset::{ResultColumn, ResultSet};
 pub use value::{ColType, Val};

@@ -11,7 +11,7 @@ use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
-use crate::ops::cells::{with_keys, Cells};
+use crate::ops::cells::{with_keys, Cells, Ints};
 use crate::ops::hash::{Chains, Key};
 use std::cmp::Ordering;
 
@@ -129,8 +129,8 @@ pub fn grouped_sum(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
     check_grouped(vals, grp)?;
     let ids = group_ids(grp)?;
     match vals.tail() {
-        Column::Int(v) => int_sums(&v[..], ids, ngroups),
-        Column::Lng(v) => int_sums(v, ids, ngroups),
+        Column::Int(v) => int_sums(Ints::of(v), ids, ngroups),
+        Column::Lng(v) => int_sums(Ints::of(v), ids, ngroups),
         Column::Dbl(v) => {
             let mut acc = vec![0f64; ngroups];
             for (i, &g) in ids.iter().enumerate() {

@@ -3,12 +3,12 @@
 //! A kernel is written once, generic over [`Cells`], and the
 //! `with_cells!` / `with_keys!` / `with_key_pair!` macros instantiate it
 //! per column type: inside, a row is a machine value read from the raw
-//! slice (`i32`, `i64`, `u64`, `f64`, `bool`, `&str`, or a computed oid
-//! for `void`; an `lng` column's `i64` from either form) — never a
+//! slice (`u64`, `f64`, `bool`, `&str`, or a computed oid for `void`; an
+//! integer column's `i32` or `i64` from either form) — never a
 //! [`crate::Val`].
 
 use crate::heap::StrCol;
-use crate::lng::LngCol;
+use crate::int::{Form, IntCol, Wide};
 
 /// Positional read access to the values of one column.
 pub(crate) trait Cells: Copy {
@@ -74,16 +74,52 @@ impl<'a> Cells for &'a StrCol {
     }
 }
 
-/// An `lng` column in either form, a branch on the form per row.
-impl Cells for &LngCol {
-    type Cell = i64;
+/// An integer column in either form, unpacked once: a plain one's cells,
+/// or a narrow one's base and offsets. A read branches on the form per
+/// row, but on a value the kernel holds, not on memory behind the column
+/// that its own writes might change, so the branch stays out of the
+/// loads and is predicted.
+#[derive(Clone, Copy)]
+pub(crate) enum Ints<'a, W> {
+    Plain(&'a [W]),
+    U8(W, &'a [u8]),
+    U16(W, &'a [u16]),
+    U32(W, &'a [u32]),
+}
 
+impl<'a, W: Wide> Ints<'a, W> {
+    pub fn of(col: &'a IntCol<W>) -> Ints<'a, W> {
+        match col.form() {
+            Form::Plain(v) => Ints::Plain(v),
+            Form::U8(n) => Ints::U8(n.base, &n.offsets),
+            Form::U16(n) => Ints::U16(n.base, &n.offsets),
+            Form::U32(n) => Ints::U32(n.base, &n.offsets),
+        }
+    }
+}
+
+impl<W: Wide> Cells for Ints<'_, W> {
+    type Cell = W;
+
+    #[inline(always)]
     fn len(self) -> usize {
-        LngCol::len(self)
+        match self {
+            Ints::Plain(v) => v.len(),
+            Ints::U8(_, o) => o.len(),
+            Ints::U16(_, o) => o.len(),
+            Ints::U32(_, o) => o.len(),
+        }
     }
 
-    fn at(self, i: usize) -> i64 {
-        LngCol::get(self, i)
+    #[inline(always)]
+    fn at(self, i: usize) -> W {
+        let at = |base: W, offset: u32| W::cast(base.to_i64() + i64::from(offset));
+        match self {
+            Ints::Plain(v) => v[i],
+            Ints::U8(base, o) => at(base, o[i].into()),
+            Ints::U16(base, o) => at(base, o[i].into()),
+            Ints::U32(base, o) => at(base, o[i]),
+        }
     }
 }
 
@@ -124,11 +160,11 @@ macro_rules! dispatch_cells {
                 $body
             }
             C::Int(v) => {
-                let ($v, $w) = (&v[..], C::Int);
+                let ($v, $w) = ($crate::ops::cells::Ints::of(v), |v: Vec<i32>| C::Int(v.into()));
                 $body
             }
             C::Lng(v) => {
-                let ($v, $w) = (v, |v: Vec<i64>| C::Lng(v.into()));
+                let ($v, $w) = ($crate::ops::cells::Ints::of(v), |v: Vec<i64>| C::Lng(v.into()));
                 $body
             }
             C::Dbl(v) => {
@@ -144,7 +180,7 @@ macro_rules! dispatch_cells {
                 $body
             }
             C::Date(v) => {
-                let ($v, $w) = (&v[..], C::Date);
+                let ($v, $w) = ($crate::ops::cells::Ints::of(v), |v: Vec<i32>| C::Date(v.into()));
                 $body
             }
         }
@@ -174,7 +210,7 @@ macro_rules! with_keys {
 macro_rules! with_key_pair {
     ($l:expr, $r:expr, |$a:ident, $b:ident| $body:expr, $mismatch:expr) => {{
         use $crate::column::Column as C;
-        use $crate::ops::cells::{Bits, Dense};
+        use $crate::ops::cells::{Bits, Dense, Ints};
         match ($l, $r) {
             (C::Void { seq: s1, len: n1 }, C::Void { seq: s2, len: n2 }) => {
                 let ($a, $b) = (Dense { seq: *s1, len: *n1 }, Dense { seq: *s2, len: *n2 });
@@ -193,11 +229,11 @@ macro_rules! with_key_pair {
                 $body
             }
             (C::Int(x), C::Int(y)) | (C::Date(x), C::Date(y)) => {
-                let ($a, $b) = (&x[..], &y[..]);
+                let ($a, $b) = (Ints::of(x), Ints::of(y));
                 $body
             }
             (C::Lng(x), C::Lng(y)) => {
-                let ($a, $b) = (x, y);
+                let ($a, $b) = (Ints::of(x), Ints::of(y));
                 $body
             }
             (C::Dbl(x), C::Dbl(y)) => {

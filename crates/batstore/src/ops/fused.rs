@@ -16,7 +16,7 @@
 //! 2. Groups are numbered in first-appearance order over the qualifying
 //!    rows in position order.
 //! 3. Integer sums accumulate in `i128` and narrow once
-//!    ([`BatError::Overflow`]), a narrow `lng` column's as offsets plus
+//!    ([`BatError::Overflow`]), a narrow column's as offsets plus
 //!    count × base; `dbl` sums add in position order; `avg`
 //!    is the narrowed sum over the count; `min`/`max` keep the first of
 //!    equals. With no key there is exactly one output row, also when no
@@ -36,14 +36,15 @@
 //!
 //! Per row there is no `Val` and no `dyn` call: columns are dispatched on
 //! their type once per statement into boxed typed stages, and a stage is
-//! called once per batch. A conjunct or sum over an `lng` column reads its
-//! raw values (a narrow one's offsets), other stages its `i64` cells.
+//! called once per batch. A conjunct, sum or group key over an integer
+//! column reads its raw values (a narrow one's offsets), other stages its
+//! cells.
 
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
-use crate::lng::by_form;
+use crate::int::{by_form, Form, IntCol, Wide};
 use crate::ops::aggregate::{beats, narrow_sum};
 use crate::ops::cells::{with_cells, with_key_pair, with_keys, Cells};
 use crate::ops::hash::{check_rows, Chains, Key, NIL};
@@ -199,16 +200,25 @@ fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 
     if matches!(p, RowPredicate::InList { values, .. } if values.is_empty()) {
         return Err(BatError::Invalid("IN list must not be empty".into()));
     }
-    let (ty, pred) = (bat.tail_type(), p.pred());
-    // An `lng` column compares its raw values: a plain one's `i64`s, a
-    // narrow one's offsets, with the constants placed relative to its base.
-    let raw: Option<Box<dyn Conjunct + 'a>> = match bat.tail() {
-        Column::Lng(col) => by_form!(
+    /// An integer column compares its raw values: a plain one's cells, a
+    /// narrow one's offsets, with the constants placed relative to its
+    /// base; `None` when a constant is a `dbl`.
+    fn raw<'p, W: Wide + Scan>(
+        col: &'p IntCol<W>,
+        ty: ColType,
+        pred: &Pred<'p>,
+    ) -> Result<Option<Box<dyn Conjunct + 'p>>> {
+        Ok(by_form!(
             col.form(),
-            |n, _| offset_test(ty, &pred, n.base)?
+            |n, _| offset_test(ty, pred, n.base.to_i64())?
                 .map(|filter| Box::new(Filtered { cells: &n.offsets[..], filter }) as _),
-            |v| Some(filtered(&v[..], ty, &pred)?)
-        ),
+            |v| Some(filtered(&v[..], ty, pred)?)
+        ))
+    }
+    let (ty, pred) = (bat.tail_type(), p.pred());
+    let raw = match bat.tail() {
+        Column::Int(col) | Column::Date(col) => raw(col, ty, &pred)?,
+        Column::Lng(col) => raw(col, ty, &pred)?,
         _ => None,
     };
     raw.map_or_else(|| with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred)), Ok)
@@ -369,10 +379,28 @@ fn key_column(bat: &Bat) -> Box<dyn KeyColumn + '_> {
     {
         Box::new(ByValue { cells, seen: Codes::new() })
     }
-    if let Some(codes) = bat.tail().as_str_col().and_then(StrCol::codes) {
-        return Box::new(ByCode { codes, numbers: [NIL; 256], seen: 0 });
+    fn by_code(codes: &[u8]) -> Box<dyn KeyColumn + '_> {
+        Box::new(ByCode { codes, numbers: [NIL; 256], seen: 0 })
     }
-    with_keys!(bat.tail(), |cells| by_value(cells))
+    /// An integer key by its raw cells: `u8` offsets like dictionary
+    /// codes, wider ones and plain cells by value — offsets equate as
+    /// their values do.
+    fn by_cell<W: Wide + Key>(col: &IntCol<W>) -> Box<dyn KeyColumn + '_> {
+        match col.form() {
+            Form::U8(n) => by_code(&n.offsets),
+            Form::U16(n) => by_value(&n.offsets[..]),
+            Form::U32(n) => by_value(&n.offsets[..]),
+            Form::Plain(v) => by_value(&v[..]),
+        }
+    }
+    match bat.tail() {
+        Column::Int(col) | Column::Date(col) => by_cell(col),
+        Column::Lng(col) => by_cell(col),
+        other => match other.as_str_col().and_then(StrCol::codes) {
+            Some(codes) => by_code(codes),
+            None => with_keys!(other, |cells| by_value(cells)),
+        },
+    }
 }
 
 /// Slots a dense [`Refine`] table may grow to (64 KiB of `u32`).
@@ -439,8 +467,8 @@ trait Fold {
 }
 
 /// `sum` or `avg` of an integer column: exact in `i128`, narrowed once.
-/// A narrow `lng` column's offsets are summed, and each group's count
-/// times the base added at the end.
+/// A narrow column's offsets are summed, and each group's count times the
+/// base added at the end.
 struct IntSum<C> {
     cells: C,
     acc: Vec<i128>,
@@ -547,6 +575,11 @@ fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
     {
         Box::new(IntSum { cells, acc: Vec::new(), avg, base })
     }
+    fn int_sum<W: Wide>(col: &IntCol<W>, avg: bool) -> Box<dyn Fold + '_> {
+        by_form!(col.form(), |n, _| sum(&n.offsets[..], n.base.to_i64(), avg), |v| {
+            sum(&v[..], 0, avg)
+        })
+    }
     fn extremum<'a, C: Cells + 'a>(
         column: &'a Column,
         cells: C,
@@ -559,10 +592,8 @@ fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
     Ok(match agg {
         Aggregate::Count => unreachable!("count(*) has no column to fold"),
         Aggregate::Sum(_) | Aggregate::Avg(_) => match column {
-            Column::Int(v) => sum(&v[..], 0, avg),
-            Column::Lng(v) => {
-                by_form!(v.form(), |n, _| sum(&n.offsets[..], n.base, avg), |v| sum(&v[..], 0, avg))
-            }
+            Column::Int(v) => int_sum(v, avg),
+            Column::Lng(v) => int_sum(v, avg),
             Column::Oid(v) => sum(&v[..], 0, avg),
             Column::Dbl(v) => Box::new(DblSum { cells: &v[..], acc: Vec::new(), avg }),
             other => {

@@ -59,6 +59,18 @@ impl Key for u8 {
     }
 }
 
+impl Key for u16 {
+    fn hash(self, seed: &Seed) -> u64 {
+        u64::from(self).hash(seed)
+    }
+}
+
+impl Key for u32 {
+    fn hash(self, seed: &Seed) -> u64 {
+        u64::from(self).hash(seed)
+    }
+}
+
 impl Key for bool {
     fn hash(self, seed: &Seed) -> u64 {
         u64::from(self).hash(seed)

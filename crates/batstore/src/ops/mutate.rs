@@ -651,6 +651,24 @@ mod tests {
         let out = narrow.extend_tail(&Column::from(vec![far, 0])).unwrap();
         assert_eq!(values(&out)[3..], [Val::Lng(far), Val::Lng(0)]);
         assert_eq!(out.byte_size(), 5 * 8, "a span past 2^32 stays plain");
+
+        // An `int` column: `u8` and `u16` offsets, else plain.
+        let narrow = Arc::new(Bat::dense(Column::from(vec![10, 20, 30])));
+        let cols = [("v", Arc::clone(&narrow))];
+        for (x, size) in [(i32::MAX, 3 * 4), (i32::MIN, 3 * 4), (10 + 300, 3 * 2), (25, 3)] {
+            let set = MutOp::Update(vec![("v".into(), Val::Int(x))]);
+            let at_20 =
+                [RowPredicate::Cmp { column: "v".into(), op: CmpOp::Eq, value: Val::Int(20) }];
+            let out = &stage(&cols, &set, &at_20).unwrap().columns[0].1;
+            assert_eq!(values(out), [Val::Int(10), Val::Int(x), Val::Int(30)], "UPDATE to {x}");
+            assert_eq!(out.byte_size(), size, "UPDATE to {x}");
+            let add = MutOp::Insert(vec![("v".into(), Column::from(vec![x]))]);
+            let out = &stage(&cols, &add, &[]).unwrap().columns[0].1;
+            assert_eq!(values(out)[3], Val::Int(x), "INSERT of {x}");
+        }
+        let out = narrow.extend_tail(&Column::from(vec![10 + 65_536, 0])).unwrap();
+        assert_eq!(values(&out)[3..], [Val::Int(65_546), Val::Int(0)]);
+        assert_eq!(out.byte_size(), 5 * 4, "a span past 2^16 stays plain");
     }
 
     #[test]

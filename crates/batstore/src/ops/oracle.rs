@@ -485,9 +485,11 @@ mod sweep {
         }
         // Different domains do not join, on any path.
         let ints = Bat::dense(Column::from(vec![1, 2]));
-        for other in
-            [Column::from(vec![1i64, 2]), Column::from(vec!["1", "2"]), Column::Date(vec![1, 2])]
-        {
+        for other in [
+            Column::from(vec![1i64, 2]),
+            Column::from(vec!["1", "2"]),
+            Column::Date(vec![1, 2].into()),
+        ] {
             let r = ops::reverse(&Bat::dense(other));
             assert_same(ops::join(&ints, &r), join(&ints, &r), "mixed domains");
             assert!(matches!(

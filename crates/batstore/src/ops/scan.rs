@@ -279,7 +279,7 @@ pub(crate) trait Int: Copy + PartialOrd {
 
 /// The integer storage types, each scanned through `$filter`: column types
 /// through [`IntFilter`], which also compares with `dbl` constants, a
-/// narrow `lng` column's offsets through exact [`Test`]s ([`offset_test`]).
+/// narrow integer column's offsets through exact [`Test`]s ([`offset_test`]).
 macro_rules! int_types {
     ($filter:ident, $resolve:expr; $($t:ty),*) => {$(
         impl Int for $t {
@@ -331,7 +331,7 @@ fn place_int<T: Int>(ty: ColType, v: &Val, base: i128) -> Result<Const<T>> {
     }
 }
 
-/// `p` over the offsets of a narrow `lng` column based at `base`, each
+/// `p` over the offsets of a narrow integer column based at `base`, each
 /// constant placed as its distance from `base`. `None` when a constant is
 /// a `dbl`, which compares with the value as `f64`, not with its offset.
 pub(crate) fn offset_test<T: Int>(ty: ColType, p: &Pred<'_>, base: i64) -> Result<Option<Test<T>>> {

@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn kunion_with_empty_sides() {
         let a = Bat::new(Column::Oid(vec![1]), Column::from(vec![5])).unwrap();
-        let e = Bat::new(Column::Oid(vec![]), Column::Int(vec![])).unwrap();
+        let e = Bat::new(Column::Oid(vec![]), Column::Int(vec![].into())).unwrap();
         assert_eq!(kunion(&a, &e).unwrap().count(), 1);
         assert_eq!(kunion(&e, &a).unwrap().count(), 1);
     }

@@ -10,14 +10,14 @@
 //! head column payload, tail column payload
 //! ```
 //! Column payloads: `Void` stores only the seq; fixed-width types store
-//! the raw vector (an `lng` column its plain `i64`s, whatever its form in
-//! memory); `Str` stores offsets then bytes.
+//! the raw vector (an integer column its plain `i32`s or `i64`s, whatever
+//! its form in memory); `Str` stores offsets then bytes.
 
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrCol;
-use crate::lng::LngCol;
+use crate::int::{IntCol, Wide};
 use crate::value::ColType;
 use crate::wire::Reader;
 use std::io::Write;
@@ -57,7 +57,9 @@ fn write_column(w: &mut impl Write, c: &Column) -> Result<()> {
     match c {
         Column::Void { seq, .. } => w.write_all(&seq.to_le_bytes())?,
         Column::Oid(v) => write_fixed(w, v, u64::to_le_bytes)?,
-        Column::Int(v) | Column::Date(v) => write_fixed(w, v, i32::to_le_bytes)?,
+        Column::Int(v) | Column::Date(v) => {
+            v.blocks(&mut |vals| write_fixed(w, vals, i32::to_le_bytes))?
+        }
         Column::Lng(v) => v.blocks(&mut |vals| write_fixed(w, vals, i64::to_le_bytes))?,
         Column::Dbl(v) => write_fixed(w, v, f64::to_le_bytes)?,
         Column::Str(s) => write_str(w, s)?,
@@ -93,10 +95,8 @@ fn read_column(r: &mut Reader, ty: ColType, len: usize) -> Result<Column> {
     Ok(match ty {
         ColType::Void => Column::Void { seq: r.u64("void seq")?, len },
         ColType::Oid => Column::Oid(read_fixed(r, len, u64::from_le_bytes)?),
-        ColType::Int => Column::Int(read_fixed(r, len, i32::from_le_bytes)?),
-        ColType::Lng => {
-            Column::Lng(LngCol::from_le_bytes(r.bytes(len.saturating_mul(8), "column")?))
-        }
+        ColType::Int => Column::Int(read_int(r, len)?),
+        ColType::Lng => Column::Lng(read_int(r, len)?),
         ColType::Dbl => Column::Dbl(read_fixed(r, len, f64::from_le_bytes)?),
         ColType::Str => {
             let noffs = r.u64("str offset count")? as usize;
@@ -111,8 +111,13 @@ fn read_column(r: &mut Reader, ty: ColType, len: usize) -> Result<Column> {
             Column::Str(StrCol::from_raw_parts(offs, bytes).map_err(BatError::Corrupt)?)
         }
         ColType::Bool => Column::Bool(read_fixed(r, len, |b: [u8; 1]| b[0] != 0)?),
-        ColType::Date => Column::Date(read_fixed(r, len, i32::from_le_bytes)?),
+        ColType::Date => Column::Date(read_int(r, len)?),
     })
+}
+
+/// Decode `len` integer cells into the form their values take.
+fn read_int<W: Wide>(r: &mut Reader, len: usize) -> Result<IntCol<W>> {
+    Ok(IntCol::from_le_bytes(r.bytes(len.saturating_mul(size_of::<W>()), "column")?))
 }
 
 /// Serialize a BAT to any writer.
@@ -192,7 +197,7 @@ mod tests {
             Bat::dense(Column::from(vec![1.5, -2.25])),
             Bat::dense(Column::from(vec!["hello", "", "wörld"])),
             Bat::new(Column::Oid(vec![5, 9]), Column::Bool(vec![true, false])).unwrap(),
-            Bat::new(Column::from(vec![7i32]), Column::Date(vec![19000])).unwrap(),
+            Bat::new(Column::from(vec![7i32]), Column::Date(vec![19000].into())).unwrap(),
             Bat::empty(ColType::Int),
             Bat::dense_from(100, Column::from(vec![42])),
         ]
@@ -351,7 +356,7 @@ mod tests {
             Ok(match ty {
                 ColType::Void => Column::Void { seq: read_u64(r)?, len },
                 ColType::Oid => Column::Oid(read_vec(r, len, u64::from_le_bytes)?),
-                ColType::Int => Column::Int(read_vec(r, len, i32::from_le_bytes)?),
+                ColType::Int => Column::Int(read_vec(r, len, i32::from_le_bytes)?.into()),
                 ColType::Lng => Column::Lng(read_vec(r, len, i64::from_le_bytes)?.into()),
                 ColType::Dbl => Column::Dbl(read_vec(r, len, f64::from_le_bytes)?),
                 ColType::Str => {
@@ -363,7 +368,7 @@ mod tests {
                     Column::Str(StrCol::from_raw_parts(offs, bytes).map_err(BatError::Corrupt)?)
                 }
                 ColType::Bool => Column::Bool(read_vec(r, len, |b: [u8; 1]| b[0] != 0)?),
-                ColType::Date => Column::Date(read_vec(r, len, i32::from_le_bytes)?),
+                ColType::Date => Column::Date(read_vec(r, len, i32::from_le_bytes)?.into()),
             })
         }
 
@@ -418,11 +423,15 @@ mod tests {
         }
     }
 
-    /// `lng` columns of `n` values that narrow to `u8`, `u16` and `u32`
-    /// offsets from a negative base.
-    fn narrow_lngs(n: usize) -> [Column; 3] {
+    /// Integer columns of `n` values that narrow to every offset narrower
+    /// than their cell, from a negative base: `lng` to `u8`, `u16` and
+    /// `u32`, `int` and `date` to `u8` and `u16`.
+    fn narrow_ints(n: usize) -> Vec<Column> {
         let Column::Lng(v) = column(ColType::Lng, n, 2) else { unreachable!() };
-        [56, 48, 32].map(|shift| Column::Lng(v.iter().map(|x| (x >> shift) - 7).collect()))
+        let lng = |shift: u32| Column::Lng(v.iter().map(|x| (x >> shift) - 7).collect());
+        let int = |shift: u32| v.iter().map(|x| ((x >> shift) - 7) as i32).collect::<IntCol<i32>>();
+        let ints = [56, 48].map(|shift| [Column::Int(int(shift)), Column::Date(int(shift))]);
+        [56, 48, 32].map(lng).into_iter().chain(ints.into_iter().flatten()).collect()
     }
 
     /// Both head shapes the engine stores: dense from a non-zero `seq`,
@@ -438,7 +447,7 @@ mod tests {
     #[test]
     fn bulk_codec_is_byte_identical_to_the_per_element_oracle() {
         for n in LENGTHS {
-            let tails = TYPES.iter().map(|&ty| column(ty, n, 2)).chain(narrow_lngs(n));
+            let tails = TYPES.iter().map(|&ty| column(ty, n, 2)).chain(narrow_ints(n));
             for (tail, head) in tails.flat_map(|t| heads(n).map(|h| (t.clone(), h))) {
                 let (ty, size) = (tail.col_type(), tail.byte_size());
                 let bat = Bat::new(head, tail).unwrap();
@@ -475,7 +484,10 @@ mod tests {
                 let (len, cap) = match back.tail() {
                     Column::Void { .. } => continue,
                     Column::Oid(v) => (v.len(), v.capacity()),
-                    Column::Int(v) | Column::Date(v) => (v.len(), v.capacity()),
+                    Column::Int(v) | Column::Date(v) => {
+                        assert_eq!(v.slack(), 0, "{ty:?} x {n}");
+                        continue;
+                    }
                     Column::Lng(v) => {
                         assert_eq!(v.slack(), 0, "lng x {n}");
                         continue;

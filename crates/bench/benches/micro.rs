@@ -20,8 +20,9 @@
 //!   cost is the reading ÷ 65 536,
 //! * the fused scan → group → aggregate operator on a Q1 shape (by its
 //!   two dictionary-coded flag columns, and by two `lng` columns), a Q6,
-//!   a `count(*)` and a Q3 shape, the last with its hash-probe stage
-//!   (`bench_fused`; run with `-- fused`).
+//!   a `count(*)`, a Q3 shape, the last with its hash-probe stage, and
+//!   `hotset_sweep`'s read of one of its tables (`bench_fused`; run with
+//!   `-- fused`).
 //! * the per-node trace ring at its default size (`bench_trace`; run
 //!   with `-- trace`): one push of an `oltp_mix`-shaped event into a
 //!   full ring, and one `trace_events()` of a full ring.
@@ -426,6 +427,29 @@ fn bench_fused(c: &mut Criterion) {
         b.iter(|| {
             let keys = ["o_orderdate"];
             let out = ops::scan_aggregate(&table, N, &q3_pred, Some(&probe), &keys, &q3_aggs);
+            black_box(out.unwrap())
+        })
+    });
+
+    // `hotset_sweep`'s read: `count(*), sum(a) where b < 5` over one of
+    // its 20 000-row tables, whose `k`, `a` and `b` (20 000, 1 000 and 10
+    // values) are narrow `int` columns.
+    const SWEEP: usize = 20_000;
+    let sweep = [
+        (0..SWEEP as i32).collect(),
+        (0..SWEEP).map(|i| (random(i, 9) % 1_000) as i32).collect(),
+        (0..SWEEP).map(|i| (random(i, 10) % 10) as i32).collect::<Vec<_>>(),
+    ]
+    .map(|v| Arc::new(Bat::dense(Column::from(v))));
+    let sweep_table = |name: &str| {
+        let at = ["k", "a", "b"].iter().position(|c| *c == name);
+        at.map(|i| Arc::clone(&sweep[i]))
+    };
+    let sweep_pred = [RowPredicate::Cmp { column: "b".into(), op: CmpOp::Lt, value: Val::Int(5) }];
+    let sweep_aggs = [Aggregate::Count, Aggregate::Sum("a".into())];
+    c.bench_function("fused/hotset_shape", |b| {
+        b.iter(|| {
+            let out = ops::scan_aggregate(&sweep_table, SWEEP, &sweep_pred, None, &[], &sweep_aggs);
             black_box(out.unwrap())
         })
     });

@@ -394,7 +394,7 @@ mod tests {
                 affected: None,
                 info: Some("note\n".into()),
             },
-            Frame::RowBatch { cols: vec![Bat::dense(Column::Int(vec![1, 2, 3]))] },
+            Frame::RowBatch { cols: vec![Bat::dense(Column::Int(vec![1, 2, 3].into()))] },
             Frame::Error { kind: ErrorKind::Exec, message: "no such table".into() },
             Frame::Done,
         ] {
@@ -526,12 +526,12 @@ mod tests {
         let Frame::ResultHeader { columns, affected, info } = frames[0].clone() else { panic!() };
         let mut asm = ResultAssembler::new(columns.clone(), affected, info.clone());
         // Wrong column count.
-        assert!(asm.push(vec![Bat::dense(Column::Int(vec![1]))]).is_err());
+        assert!(asm.push(vec![Bat::dense(Column::Int(vec![1].into()))]).is_err());
         // Wrong type in the second column.
-        let bad = vec![Bat::dense(Column::Int(vec![1])), Bat::dense(Column::Dbl(vec![1.0]))];
+        let bad = vec![Bat::dense(Column::Int(vec![1].into())), Bat::dense(Column::Dbl(vec![1.0]))];
         assert!(asm.push(bad).is_err());
         // Ragged batch.
-        let ragged = vec![Bat::dense(Column::Int(vec![1, 2])), Bat::dense(vec!["a"].into())];
+        let ragged = vec![Bat::dense(Column::Int(vec![1, 2].into())), Bat::dense(vec!["a"].into())];
         assert!(asm.push(ragged).is_err());
     }
 }

@@ -143,7 +143,7 @@ proptest! {
             0 => Frame::Hello { version: 1 },
             1 => Frame::Query { sql: "select 1 from t".into() },
             2 => Frame::ResultHeader { columns: vec![], affected: Some(9), info: None },
-            3 => Frame::RowBatch { cols: vec![Bat::dense(Column::Int(vec![1, 2, 3]))] },
+            3 => Frame::RowBatch { cols: vec![Bat::dense(Column::Int(vec![1, 2, 3].into()))] },
             4 => Frame::Error { kind: dc_client::ErrorKind::Exec, message: "boom".into() },
             _ => Frame::Done,
         };

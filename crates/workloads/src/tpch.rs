@@ -776,12 +776,12 @@ pub mod sql {
             let ncust = rows(&a.customer) as i32;
             let nord = rows(&a.orders) as i32;
             if let Column::Int(v) = &a.orders[1].1 {
-                assert!(v.iter().all(|&c| (1..=ncust).contains(&c)));
+                assert!(v.iter().all(|c| (1..=ncust).contains(&c)));
             } else {
                 panic!("o_custkey not Int");
             }
             if let Column::Int(v) = &a.lineitem[0].1 {
-                assert!(v.iter().all(|&o| (1..=nord).contains(&o)));
+                assert!(v.iter().all(|o| (1..=nord).contains(&o)));
             } else {
                 panic!("l_orderkey not Int");
             }
@@ -800,7 +800,7 @@ pub mod sql {
         fn dates_are_valid_yyyymmdd() {
             let d = generate(1.0, 3);
             if let Column::Int(v) = &d.lineitem[6].1 {
-                for &x in v {
+                for x in v.iter() {
                     let (y, m, day) = (x / 10000, (x / 100) % 100, x % 100);
                     assert!((1992..=1998).contains(&y), "{x}");
                     assert!((1..=12).contains(&m), "{x}");

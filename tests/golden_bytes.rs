@@ -49,12 +49,26 @@ fn dcb1_bats() {
     assert_eq!((narrow.byte_size(), plain_lng.byte_size()), (3 * 4, 3 * 8));
     let lngs = "444342310003030000000000000000000000000000006400000000000000a086010000000000f9ff\
                 ffffffffffff";
+    // `int` and `date` columns narrowed to `u8` and `u16` offsets, each
+    // beside its plain twin built by pushes: the same bytes.
+    let pushed = |ty, vals: Vec<Val>| {
+        let mut c = Column::empty(ty);
+        vals.iter().for_each(|v| c.push(v).unwrap());
+        c
+    };
+    let plain_int = pushed(ColType::Int, vec![Val::Int(1), Val::Int(-2), Val::Int(3)]);
+    let plain_date = pushed(ColType::Date, vec![Val::Date(19_000), Val::Date(-1)]);
+    let (narrow_int, narrow_date) =
+        (Column::from(vec![1, -2, 3]), Column::Date(vec![19_000, -1].into()));
+    assert_eq!((narrow_int.byte_size(), plain_int.byte_size()), (3, 3 * 4));
+    assert_eq!((narrow_date.byte_size(), plain_date.byte_size()), (2 * 2, 2 * 4));
+    let (ints, dates) = (
+        "4443423100020300000000000000070000000000000001000000feffffff03000000",
+        "44434231000702000000000000000000000000000000384a0000ffffffff",
+    );
     let cases = [
-        (
-            "int",
-            Bat::dense_from(7, Column::from(vec![1, -2, 3])),
-            "4443423100020300000000000000070000000000000001000000feffffff03000000",
-        ),
+        ("int", Bat::dense_from(7, plain_int), ints),
+        ("narrow int", Bat::dense_from(7, narrow_int), ints),
         (
             "oid x lng",
             Bat::new(Column::Oid(vec![5, 9]), Column::from(vec![-1i64, 1 << 40])).unwrap(),
@@ -71,11 +85,8 @@ fn dcb1_bats() {
             Bat::dense(Column::Bool(vec![true, false, true])),
             "44434231000603000000000000000000000000000000010001",
         ),
-        (
-            "date",
-            Bat::dense(Column::Date(vec![19_000, -1])),
-            "44434231000702000000000000000000000000000000384a0000ffffffff",
-        ),
+        ("date", Bat::dense(plain_date), dates),
+        ("narrow date", Bat::dense(narrow_date), dates),
         (
             "oid",
             Bat::dense(Column::Oid(vec![u64::MAX])),

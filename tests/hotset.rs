@@ -13,10 +13,11 @@ use datacyclotron::{FsyncPolicy, Ring};
 use std::time::{Duration, Instant};
 
 /// Per-node resident budget for the scenario. Each loaded fragment is
-/// 500 × 4-byte ints (~2 KiB); with 20 three-column tables spread
-/// round-robin every node owns ~20 fragments (~40 KiB), five times its
-/// budget — the spill machinery *must* engage to fit.
-const BUDGET: u64 = 8 << 10;
+/// 500 ints, narrow in memory: 1 000 bytes for `k` and `a` (two-byte
+/// offsets), 500 for `b` (one-byte); with 20 three-column tables every
+/// node owns one column of each — 20 fragments, 10–20 KB, 2.5 to 5 times
+/// its budget — so the spill machinery *must* engage to fit.
+const BUDGET: u64 = 4 << 10;
 const TABLES: usize = 20;
 const ROWS: i32 = 500;
 
@@ -62,10 +63,10 @@ fn dataset_over_budget_spills_and_readmits_with_exact_results() {
     let dir = scratch("accept");
     let ring = budget_ring(&dir);
     // cold_log lives wholly on node 0 and alone exceeds the node's
-    // budget (1500 rows × 2 int columns ≈ 12 KiB > 8 KiB): once every
-    // bulk-loaded fragment has spilled, the residual excess forces
-    // cold_log's coldest fragment to disk too — a spilled target for
-    // the routed-write test below.
+    // budget (1500 rows × 2 int columns, two bytes a row: 6 KB > 4 KiB):
+    // once every bulk-loaded fragment has spilled, the residual excess
+    // forces cold_log's coldest fragment to disk too — a spilled target
+    // for the routed-write test below.
     ring.execute(0, "create table cold_log (id int, v int)").unwrap();
     ring.node(1).wait_for_table_timeout("sys", "cold_log", Duration::from_secs(10)).unwrap();
     ring.node(2).wait_for_table_timeout("sys", "cold_log", Duration::from_secs(10)).unwrap();
@@ -210,18 +211,15 @@ fn owner_restart_recovers_spilled_fragments() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A loaded `lng` column is narrow in memory — four bytes a row here, not
-/// eight — and its owner accounts it so: `dc.hotset` reports the narrow
-/// `size_bytes` while the fragment is resident and once it has spilled,
-/// and the re-admission that answers a read decodes it to that size again.
-#[test]
-fn a_narrow_lng_fragment_keeps_its_size_across_spill_and_readmission() {
-    let dir = scratch("narrow");
+/// A loaded integer column is narrow in memory — `width` bytes a row, not
+/// its cell's — and its owner accounts it so: `dc.hotset` reports the
+/// narrow `size_bytes` while the fragment is resident and once it has
+/// spilled, and the re-admission that answers a read decodes it to that
+/// size again. `sum` is the column's sum.
+fn a_narrow_fragment_keeps_its_size(tag: &str, column: Column, width: i64, sum: i64) {
+    let dir = scratch(tag);
     let ring = budget_ring(&dir);
-    // 500 prices spanning more than 2^16 and less than 2^32.
-    let prices: Vec<i64> = (0..ROWS as i64).map(|k| 100 + k * 200).collect();
-    let total: i64 = prices.iter().sum();
-    ring.node(0).load_table("sys", "prices", vec![("p", Column::from(prices))]).unwrap();
+    ring.node(0).load_table("sys", "prices", vec![("p", column)]).unwrap();
     let bat =
         ring.node(0).hotset().unwrap().rows.iter().find(|r| r.table == "sys.prices").unwrap().bat;
     // `dc.hotset`'s state and size_bytes of the prices fragment.
@@ -230,7 +228,7 @@ fn a_narrow_lng_fragment_keeps_its_size_across_spill_and_readmission() {
         let r = (0..rs.row_count()).find(|&r| rs.cell(r, 0) == Val::Lng(bat.0.into())).unwrap();
         (rs.cell(r, 1), rs.cell(r, 2))
     };
-    let narrow = Val::Lng(ROWS as i64 * 4);
+    let narrow = Val::Lng(ROWS as i64 * width);
     assert_eq!(row().1, narrow, "loaded at its narrow size");
 
     // Oversubscribe the budget: the untouched prices, loaded first, spill.
@@ -243,14 +241,33 @@ fn a_narrow_lng_fragment_keeps_its_size_across_spill_and_readmission() {
     assert_eq!(row().1, narrow, "spilled at its narrow size");
 
     let rs = ring.execute(1, "select sum(p) from prices").unwrap();
-    assert_eq!(rs.cell(0, 0), Val::Lng(total), "the prices survived the spill");
+    assert_eq!(rs.cell(0, 0), Val::Lng(sum), "the prices survived the spill");
     let readmitted = ring.node(0).obs().trace_events().into_iter().any(|e| {
         e.event == "readmit"
-            && e.detail.starts_with(&format!("{bat} reloaded from disk ({} bytes", ROWS * 4))
+            && e.detail
+                .starts_with(&format!("{bat} reloaded from disk ({} bytes", ROWS as i64 * width))
     });
     assert!(readmitted, "re-admitted at its narrow size");
     assert_eq!(row().1, narrow, "and accounted at it");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 500 `lng` prices spanning more than 2^16 and less than 2^32: four
+/// bytes a row, not eight.
+#[test]
+fn a_narrow_lng_fragment_keeps_its_size_across_spill_and_readmission() {
+    let prices: Vec<i64> = (0..ROWS as i64).map(|k| 100 + k * 200).collect();
+    let total = prices.iter().sum();
+    a_narrow_fragment_keeps_its_size("narrow_lng", Column::from(prices), 4, total);
+}
+
+/// 500 `int` prices spanning more than 2^8 and less than 2^16 from a
+/// negative base: two bytes a row, not four.
+#[test]
+fn a_narrow_int_fragment_keeps_its_size_across_spill_and_readmission() {
+    let prices: Vec<i32> = (0..ROWS).map(|k| -70_000 + k * 100).collect();
+    let total = prices.iter().map(|&p| i64::from(p)).sum();
+    a_narrow_fragment_keeps_its_size("narrow_int", Column::from(prices), 2, total);
 }
 
 /// Budgeted write traffic, measured rather than asserted: one-row

@@ -14,7 +14,12 @@ use proptest::prelude::*;
 // ---- batstore vs reference models --------------------------------------
 
 fn int_bat(vals: &[i32]) -> Bat {
-    Bat::dense(Column::Int(vals.to_vec()))
+    Bat::dense(Column::from(vals.to_vec()))
+}
+
+fn ints(c: &Column) -> Vec<i32> {
+    let Column::Int(v) = c else { panic!("not an int column: {c:?}") };
+    v.iter().collect()
 }
 
 proptest! {
@@ -24,7 +29,7 @@ proptest! {
         let b = int_bat(&vals);
         let got = ops::select_range(&b, &Val::Int(lo), &Val::Int(hi)).unwrap();
         let want: Vec<i32> = vals.iter().copied().filter(|&v| v >= lo && v <= hi).collect();
-        let got_tails: Vec<i32> = got.tail().as_int().unwrap().to_vec();
+        let got_tails = ints(got.tail());
         prop_assert_eq!(got_tails, want);
         // Heads are the original positions of survivors.
         for i in 0..got.count() {
@@ -53,7 +58,7 @@ proptest! {
         let b = int_bat(&vals);
         let s = ops::sort_tail(&b, false);
         prop_assert_eq!(s.count(), vals.len());
-        let tails: Vec<i32> = s.tail().as_int().unwrap().to_vec();
+        let tails = ints(s.tail());
         let mut sorted = vals.clone();
         sorted.sort_unstable();
         prop_assert_eq!(tails, sorted);
@@ -161,24 +166,25 @@ proptest! {
     }
 }
 
-// ---- lng columns: the narrow form against a plain twin --------------------
+// ---- integer columns: the narrow form against a plain twin ---------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The same `lng` values built from values — narrow: a base and a
-    /// `u8`, `u16` or `u32` offset a row — and by `push`, which stays
-    /// plain, through every kernel that reads them: theta and range
-    /// selects and IN, the fused aggregate (each aggregate, grouped and
-    /// not, its conjuncts on the narrow column, with and without a probe
-    /// joining on it), join, sort, grouping, grouped sums, gather, slice
-    /// and the `DCB1` round trip. Each answers cell for cell what it
-    /// answers for the twin, or fails alike. Bases reach both ends of
-    /// `i64`; spans run from one distinct value to 2^32 - 1; columns from
-    /// empty to three batches.
+    /// The same `lng`, `int` or `date` values built from values — narrow:
+    /// a base and a `u8`, `u16` or (`lng` only) `u32` offset a row — and
+    /// by `push`, which stays plain, through every kernel that reads
+    /// them: theta and range selects and IN, the fused aggregate (each
+    /// aggregate its type takes, grouped and not, its conjuncts on the
+    /// narrow column, with and without a probe joining on it), join, sort,
+    /// grouping, grouped sums, gather, slice and the `DCB1` round trip.
+    /// Each answers cell for cell what it answers for the twin, or fails
+    /// alike. Bases reach both ends of the cell type; spans run from one
+    /// distinct value to past the widest offset; columns from empty to
+    /// three batches.
     #[test]
-    fn a_narrow_lng_column_answers_as_its_plain_twin(
-        shape in (0usize..4, -300i64..300, 0usize..4, 0u64..70_000),
+    fn a_narrow_integer_column_answers_as_its_plain_twin(
+        shape in (0usize..3, 0usize..4, -300i64..300, 0usize..4, 0u64..70_000),
         picks in prop::collection::vec(any::<u32>(), 0..700),
         consts in prop::collection::vec(any::<u32>(), 6),
     ) {
@@ -186,19 +192,38 @@ proptest! {
         use batstore::{storage, BatError};
         use std::sync::Arc;
 
-        let (base, near, span, reach) = shape;
-        let base = [i64::MIN, -70_000, near, i64::MAX - 70_000][base];
-        let span = [0, 1 + reach % 255, 256 + reach, u64::from(u32::MAX)][span];
-        let at = |p: u32| base.saturating_add((u64::from(p) % (span + 1)) as i64);
+        let (ty, base, near, span, reach) = shape;
+        let ty = [ColType::Lng, ColType::Int, ColType::Date][ty];
+        let (lng, date) = (ty == ColType::Lng, ty == ColType::Date);
+        let (min, max) = if lng { (i64::MIN, i64::MAX) } else { (i32::MIN.into(), i32::MAX.into()) };
+        let base = [min, -70_000, near, max - 70_000][base];
+        let span = if lng {
+            [0, 1 + reach % 255, 256 + reach, u64::from(u32::MAX)][span]
+        } else {
+            [0, 1 + reach % 255, 256 + reach % 65_536, 1 << 31][span]
+        };
+        let at = |p: u32| base.saturating_add((u64::from(p) % (span + 1)) as i64).min(max);
+        let val = |x: i64| match ty {
+            ColType::Lng => Val::Lng(x),
+            ColType::Int => Val::Int(x as i32),
+            _ => Val::Date(x as i32),
+        };
+        // Built from values, as every load and kernel builds a column.
+        let built = |xs: Vec<i64>| match ty {
+            ColType::Lng => Column::from(xs),
+            ColType::Int => Column::Int(xs.into_iter().map(|x| x as i32).collect()),
+            _ => Column::Date(xs.into_iter().map(|x| x as i32).collect()),
+        };
         let vals: Vec<i64> = picks.iter().map(|&p| at(p)).collect();
-        let narrow = Column::from(vals.clone());
-        let mut plain = Column::empty(ColType::Lng);
-        vals.iter().for_each(|&x| plain.push(&Val::Lng(x)).unwrap());
+        let narrow = built(vals.clone());
+        let mut plain = Column::empty(ty);
+        vals.iter().for_each(|&x| plain.push(&val(x)).unwrap());
         prop_assert_eq!(&narrow, &plain);
-        if !vals.is_empty() {
-            prop_assert!(narrow.byte_size() <= vals.len() * 4, "built from values, narrow");
+        let wide = if lng { 8 } else { 4 };
+        prop_assert_eq!(plain.byte_size(), vals.len() * wide, "pushed, plain");
+        if span >> (4 * wide) == 0 {
+            prop_assert!(narrow.byte_size() <= vals.len() * wide / 2, "built from values, narrow");
         }
-        prop_assert_eq!(plain.byte_size(), vals.len() * 8, "pushed, plain");
 
         // Results compare as BATs: by value, and by the claims made.
         type Out = Result<Vec<Bat>, String>;
@@ -206,8 +231,9 @@ proptest! {
         let one = |r: Result<Bat, BatError>| outs(r.map(|b| vec![b]));
         let both = |f: &dyn Fn(&Column) -> Out| (f(&narrow), f(&plain));
 
-        // Constants inside, at and past both ends, as `lng`, `int` and `dbl`.
-        let mut constants: Vec<Val> = consts.iter().map(|&c| Val::Lng(at(c))).collect();
+        // Constants inside, at and past both ends, as the column's own
+        // type, `lng` and `int`, and `dbl`.
+        let mut constants: Vec<Val> = consts.iter().map(|&c| val(at(c))).collect();
         let (lo, hi) = (at(0), base.saturating_add(span as i64));
         constants.extend([lo.saturating_sub(1), hi.saturating_add(1)].map(Val::Lng));
         constants.extend([Val::Int(consts[0] as i32 % 600 - 300), Val::Dbl(lo as f64 + 0.5)]);
@@ -224,7 +250,8 @@ proptest! {
         }
 
         // The fused operator: its conjuncts on the column, its keys and
-        // aggregates over it, and a probe stage joining on it.
+        // aggregates over it, and a probe stage joining on it. A `date`
+        // takes no sum.
         let k = Column::from(picks.iter().map(|p| (p % 3) as i32).collect::<Vec<_>>());
         let preds = [
             RowPredicate::Cmp { column: "v".into(), op: CmpOp::Ge, value: constants[0].clone() },
@@ -239,7 +266,9 @@ proptest! {
             Aggregate::Max("v".into()),
             Aggregate::Count,
         ];
-        let build = Bat::dense(Column::from(vals.iter().step_by(3).copied().collect::<Vec<_>>()));
+        let aggs = &aggs[if date { 2 } else { 0 }..];
+        let build = built(vals.iter().step_by(3).copied().collect());
+        let build = Bat::dense(build);
         let fused = |col: &Column, preds: &[RowPredicate], key: Option<&str>, probed: bool| {
             let table = [("v", Arc::new(dense(col))), ("k", Arc::new(dense(&k)))];
             let lookup =
@@ -249,7 +278,8 @@ proptest! {
             // `avg`, `min` and `max` over no rows fail alike; `count` and
             // `sum` answer anyway.
             let sums = [Aggregate::Sum("v".into()), Aggregate::Count];
-            [&aggs[..], &sums[..]].map(|aggs| {
+            let sums = &sums[if date { 1 } else { 0 }..];
+            [aggs, sums].map(|aggs| {
                 outs(ops::scan_aggregate(&lookup, vals.len(), preds, probe, &keys, aggs))
             })
         };
@@ -265,32 +295,34 @@ proptest! {
         };
         prop_assert_eq!(rows(&narrow), rows(&plain), "IN through matching_rows");
 
-        // Join (as either side), sort, grouping, gather and slice.
-        let (n, pl) = both(&|col| {
+        // Join (as either side), sort, grouping, grouped sums (which fail
+        // alike on a `date` or an `lng` overflow), gather and slice.
+        let kernels = |col: &Column| {
             let b = dense(col);
             let (grp, ext) = ops::group_by(&b);
             let idx: Vec<usize> = consts.iter().map(|&c| c as usize % vals.len().max(1)).collect();
             let idx = if vals.is_empty() { Vec::new() } else { idx };
             let (lo, hi) = (vals.len() / 3, vals.len() - vals.len() / 4);
             let by_k = ops::group_by(&dense(&k)).0;
-            Ok(vec![
-                ops::join(&b, &ops::reverse(&build)).unwrap(),
-                ops::join(&build, &ops::reverse(&b)).unwrap(),
-                ops::sort_tail(&b, false),
-                ops::sort_tail(&b, true),
-                grp.clone(),
-                ext.clone(),
-                ops::grouped_sum(&dense(&k), &grp, ext.count()).unwrap(),
-                ops::grouped_sum(&b, &by_k, 3).map_err(|e| e.to_string())?,
-                dense(&col.gather(&idx)),
-                dense(&col.slice(lo, hi)),
-                dense(&col.slice(0, vals.len().min(1))),
-            ])
-        });
-        prop_assert_eq!(n, pl, "join, sort, grouping, gather, slice");
+            [
+                Ok(ops::join(&b, &ops::reverse(&build)).unwrap()),
+                Ok(ops::join(&build, &ops::reverse(&b)).unwrap()),
+                Ok(ops::sort_tail(&b, false)),
+                Ok(ops::sort_tail(&b, true)),
+                Ok(grp.clone()),
+                Ok(ext.clone()),
+                ops::grouped_sum(&dense(&k), &grp, ext.count()).map_err(|e| e.to_string()),
+                ops::grouped_sum(&b, &by_k, 3).map_err(|e| e.to_string()),
+                Ok(dense(&col.gather(&idx))),
+                Ok(dense(&col.slice(lo, hi))),
+                Ok(dense(&col.slice(0, vals.len().min(1)))),
+            ]
+        };
+        prop_assert_eq!(kernels(&narrow), kernels(&plain), "join, sort, grouping, gather, slice");
         let (gathered, sliced) = (narrow.gather(&[0, 0]), narrow.slice(0, vals.len().min(1)));
         if !vals.is_empty() {
-            prop_assert!(gathered.byte_size() <= 8 && sliced.byte_size() <= 4, "kept narrow");
+            let row = narrow.byte_size() / vals.len();
+            prop_assert_eq!((gathered.byte_size(), sliced.byte_size()), (2 * row, row), "kept the form");
         }
 
         // `DCB1`: the same bytes, and a decode takes the narrow form.
@@ -336,8 +368,8 @@ mod kernels {
         match ty {
             ColType::Void => Column::Void { seq: 3, len: picks.len() },
             ColType::Oid => Column::Oid(of(&[0, 1, 2, 3, 4, 5, 8, u64::MAX - 1, u64::MAX], picks)),
-            ColType::Int => Column::Int(of(&ints, picks)),
-            ColType::Date => Column::Date(of(&ints, picks)),
+            ColType::Int => Column::Int(of(&ints, picks).into()),
+            ColType::Date => Column::Date(of(&ints, picks).into()),
             ColType::Lng => Column::from(of(
                 &[i64::MIN, -BIG - 1, -1, 0, 1, 2, 3, BIG, BIG + 1, BIG + 2, i64::MAX],
                 picks,

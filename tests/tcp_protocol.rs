@@ -152,10 +152,10 @@ fn hot_set_expires_over_tcp() {
     // Owner node 0 with a fragment nobody re-pins: after its cycles the
     // LOI decays below the one level there is and the owner unloads it.
     let nodes = spawn_tcp_ring(2, DcConfig { loit_levels: vec![0.5], ..test_cfg() });
-    nodes[0].load_table("sys", "t", vec![("x", Column::Int(vec![1, 2, 3]))]).unwrap();
+    nodes[0].load_table("sys", "t", vec![("x", Column::Int(vec![1, 2, 3].into()))]).unwrap();
     nodes[1].wait_for_table_timeout("sys", "t", Duration::from_secs(10)).unwrap();
     let rs = nodes[1].execute("select x from t").unwrap();
-    assert_eq!(rs.columns[0].data.tail(), &Column::Int(vec![1, 2, 3]));
+    assert_eq!(rs.columns[0].data.tail(), &Column::Int(vec![1, 2, 3].into()));
 
     await_counter(&nodes[0], "bats_unloaded");
     let owner = ["bats_loaded", "bats_unloaded", "bats_lost"].map(|c| nodes[0].counter(c).unwrap());

@@ -13,7 +13,7 @@
 
 mod support;
 
-use batstore::{Column, LngCol, ResultSet, Val};
+use batstore::{Column, IntCol, ResultSet, Val};
 use datacyclotron::Ring;
 use dc_workloads::tpch::sql as tpch;
 use std::collections::BTreeMap;
@@ -214,10 +214,13 @@ impl Rows<'_> {
     fn column(&self, name: &str) -> &Column {
         &self.0.iter().find(|(n, _)| *n == name).unwrap_or_else(|| panic!("no column {name}")).1
     }
-    fn ints(&self, name: &str) -> &[i32] {
-        self.column(name).as_int().unwrap_or_else(|| panic!("{name} is not int"))
+    fn ints(&self, name: &str) -> &IntCol<i32> {
+        match self.column(name) {
+            Column::Int(v) => v,
+            _ => panic!("{name} is not int"),
+        }
     }
-    fn lngs(&self, name: &str) -> &LngCol {
+    fn lngs(&self, name: &str) -> &IntCol<i64> {
         match self.column(name) {
             Column::Lng(v) => v,
             _ => panic!("{name} is not lng"),
@@ -251,7 +254,7 @@ fn row_at_a_time(data: &tpch::TpchData) -> Vec<(&'static str, Vec<Vec<Val>>)> {
     let mut slot_of: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     let mut groups: Vec<(&str, &str, i64, i64, i64, i64)> = Vec::new();
     for i in 0..shipdate.len() {
-        if shipdate[i] <= 19980902 {
+        if shipdate.get(i) <= 19980902 {
             let slot = *slot_of.entry((flag[i], status[i])).or_insert_with(|| {
                 groups.push((flag[i], status[i], 0, 0, 0, 0));
                 groups.len() - 1
@@ -285,14 +288,15 @@ fn row_at_a_time(data: &tpch::TpchData) -> Vec<(&'static str, Vec<Vec<Val>>)> {
     let (orderdate, priority) = (o.ints("o_orderdate"), o.ints("o_shippriority"));
     let mut revenue: BTreeMap<(i32, i32, i32), i64> = BTreeMap::new();
     for ci in (0..custkey.len()).filter(|&ci| segment[ci] == "BUILDING") {
-        for oi in (0..orderkey.len()).filter(|&oi| o_custkey[oi] == custkey[ci]) {
-            if orderdate[oi] >= 19950315 {
+        for oi in (0..orderkey.len()).filter(|&oi| o_custkey.get(oi) == custkey.get(ci)) {
+            if orderdate.get(oi) >= 19950315 {
                 continue;
             }
-            for li in (0..l_orderkey.len()).filter(|&li| l_orderkey[li] == orderkey[oi]) {
-                if shipdate[li] > 19950315 {
-                    *revenue.entry((orderkey[oi], orderdate[oi], priority[oi])).or_insert(0) +=
-                        price.get(li);
+            for li in (0..l_orderkey.len()).filter(|&li| l_orderkey.get(li) == orderkey.get(oi)) {
+                if shipdate.get(li) > 19950315 {
+                    *revenue
+                        .entry((orderkey.get(oi), orderdate.get(oi), priority.get(oi)))
+                        .or_insert(0) += price.get(li);
                 }
             }
         }
@@ -308,7 +312,7 @@ fn row_at_a_time(data: &tpch::TpchData) -> Vec<(&'static str, Vec<Vec<Val>>)> {
     // Q6.
     let (mut sum, mut n) = (0i64, 0i64);
     for (i, day) in shipdate.iter().enumerate() {
-        if (19940101..=19941231).contains(day)
+        if (19940101..=19941231).contains(&day)
             && (5..=7).contains(&discount.get(i))
             && quantity.get(i) < 24
         {
@@ -378,7 +382,7 @@ fn join_cases() -> Vec<JoinCase> {
                   group by c.c_mktsegment, o.o_shippriority",
             lineitem: false,
             keep: |t, (c, o, _)| {
-                t.c.ints("c_nationkey")[c] < 12 && t.o.ints("o_orderdate")[o] >= 19950101
+                t.c.ints("c_nationkey").get(c) < 12 && t.o.ints("o_orderdate").get(o) >= 19950101
             },
             key: |t, (c, o, _)| vec![t.c.val("c_mktsegment", c), t.o.val("o_shippriority", o)],
             fold: |t, rows| {
@@ -402,7 +406,7 @@ fn join_cases() -> Vec<JoinCase> {
             },
             key: |t, (c, _, _)| vec![t.c.val("c_nationkey", c)],
             fold: |t, rows| {
-                let dates = rows.iter().map(|&(_, o, _)| t.o.ints("o_orderdate")[o]);
+                let dates = rows.iter().map(|&(_, o, _)| t.o.ints("o_orderdate").get(o));
                 let prices = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice").get(o));
                 let (min, max) = (dates.min().expect("a row"), prices.max().expect("a row"));
                 vec![Val::Int(min), Val::Lng(max), count(rows)]
@@ -420,9 +424,9 @@ fn join_cases() -> Vec<JoinCase> {
                   group by c.c_mktsegment, o.o_shippriority, l.l_returnflag",
             lineitem: true,
             keep: |t, (c, o, l)| {
-                t.c.ints("c_nationkey")[c] >= 5
-                    && (19930101..=19971231).contains(&t.o.ints("o_orderdate")[o])
-                    && t.l.ints("l_shipdate")[l] > 19940601
+                t.c.ints("c_nationkey").get(c) >= 5
+                    && (19930101..=19971231).contains(&t.o.ints("o_orderdate").get(o))
+                    && t.l.ints("l_shipdate").get(l) > 19940601
             },
             key: |t, (c, o, l)| {
                 let flag = t.l.val("l_returnflag", l);
@@ -456,7 +460,7 @@ fn join_cases() -> Vec<JoinCase> {
             fold: |t, rows| {
                 let price = rows.iter().map(|&(_, _, l)| t.l.lngs("l_extendedprice").get(l)).sum();
                 let total = rows.iter().map(|&(_, o, _)| t.o.lngs("o_totalprice").get(o)).max();
-                let custkey = rows.iter().map(|&(c, _, _)| t.c.ints("c_custkey")[c]).min();
+                let custkey = rows.iter().map(|&(c, _, _)| t.c.ints("c_custkey").get(c)).min();
                 let (total, custkey) = (total.expect("a row"), custkey.expect("a row"));
                 vec![Val::Lng(price), Val::Lng(total), Val::Int(custkey)]
             },
@@ -470,7 +474,7 @@ fn join_cases() -> Vec<JoinCase> {
                   where c.c_nationkey <> 3 and l.l_quantity < 10",
             lineitem: true,
             keep: |t, (c, _, l)| {
-                t.c.ints("c_nationkey")[c] != 3 && t.l.lngs("l_quantity").get(l) < 10
+                t.c.ints("c_nationkey").get(c) != 3 && t.l.lngs("l_quantity").get(l) < 10
             },
             key: |_, _| Vec::new(),
             fold: |t, rows| {
@@ -489,14 +493,16 @@ fn join_case_answer(data: &tpch::TpchData, case: &JoinCase) -> Vec<Vec<Val>> {
     let (custkey, o_custkey) = (t.c.ints("c_custkey"), t.o.ints("o_custkey"));
     let (orderkey, l_orderkey) = (t.o.ints("o_orderkey"), t.l.ints("l_orderkey"));
     let mut joined = Vec::new();
-    for (c, &key) in custkey.iter().enumerate() {
-        for o in (0..orderkey.len()).filter(|&o| o_custkey[o] == key) {
+    for (c, key) in custkey.iter().enumerate() {
+        for o in (0..orderkey.len()).filter(|&o| o_custkey.get(o) == key) {
             if !case.lineitem {
                 joined.push((c, o, 0));
                 continue;
             }
             joined.extend(
-                (0..l_orderkey.len()).filter(|&l| l_orderkey[l] == orderkey[o]).map(|l| (c, o, l)),
+                (0..l_orderkey.len())
+                    .filter(|&l| l_orderkey.get(l) == orderkey.get(o))
+                    .map(|l| (c, o, l)),
             );
         }
     }
