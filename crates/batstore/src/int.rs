@@ -73,7 +73,7 @@ impl<T: Copy + Into<i64> + TryFrom<u64>, W: Wide> Narrow<T, W> {
     }
 
     /// A narrow column of `offsets` at this one's base.
-    fn rebuilt(&self, offsets: Vec<T>) -> Box<Narrow<T, W>> {
+    pub(crate) fn rebuilt(&self, offsets: Vec<T>) -> Box<Narrow<T, W>> {
         Box::new(Narrow { base: self.base, offsets })
     }
 }
@@ -118,7 +118,7 @@ pub(crate) use by_form;
 
 /// An integer column, plain or narrow (see the module doc).
 #[derive(Clone, Debug)]
-pub struct IntCol<W>(Form<W>);
+pub struct IntCol<W>(pub(crate) Form<W>);
 
 /// The smallest and largest of `vals`; `None` when there are none.
 fn bounds<W: Wide>(mut vals: impl Iterator<Item = W>) -> Option<(W, W)> {
@@ -162,8 +162,23 @@ impl<W: Wide> IntCol<W> {
         by_form!(&self.0, |n, _| n.value(n.offsets[i]), |v| v[i])
     }
 
+    /// The values in order. Three of the four slices chained here are
+    /// empty, so the form is picked once: `fold`, which `collect`,
+    /// `extend` and `for_each` run, loops over each slice in turn.
     pub fn iter(&self) -> impl Iterator<Item = W> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
+        let (mut plain, mut base) = (&[][..], W::default());
+        let (mut o8, mut o16, mut o32) = (&[][..], &[][..], &[][..]);
+        match &self.0 {
+            Form::Plain(v) => plain = v,
+            Form::U8(n) => (o8, base) = (&n.offsets, n.base),
+            Form::U16(n) => (o16, base) = (&n.offsets, n.base),
+            Form::U32(n) => (o32, base) = (&n.offsets, n.base),
+        }
+        let at = move |o: i64| W::cast(base.to_i64() + o);
+        (plain.iter().copied())
+            .chain(o8.iter().map(move |&o| at(o.into())))
+            .chain(o16.iter().map(move |&o| at(o.into())))
+            .chain(o32.iter().map(move |&o| at(o.into())))
     }
 
     /// Bytes the column takes in memory — a plain one its cells', a
@@ -171,10 +186,6 @@ impl<W: Wide> IntCol<W> {
     /// catalog count.
     pub fn byte_size(&self) -> usize {
         by_form!(&self.0, |n, _| size_of_val(&n.offsets[..]), |v| size_of_val(&v[..]))
-    }
-
-    pub(crate) fn form(&self) -> &Form<W> {
-        &self.0
     }
 
     /// Append `x`; a narrow column whose offsets cannot hold it turns

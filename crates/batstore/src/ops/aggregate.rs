@@ -10,9 +10,8 @@
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::heap::StrCol;
-use crate::ops::cells::{with_keys, Cells, Ints};
-use crate::ops::hash::{Chains, Key};
+use crate::ops::cells::{int_cells, with_keys, Cells};
+use crate::ops::hash::{Codes, Key};
 use std::cmp::Ordering;
 
 /// Narrow an `i128` accumulator back to the `Lng` output type: a sum of
@@ -34,29 +33,19 @@ pub(crate) fn beats<T: PartialOrd>(x: T, best: T, want: Ordering) -> bool {
 }
 
 /// Group ids in first-appearance order for the keys `keys` yields, and
-/// the row each group first appeared at. Keys are hashed as the machine
-/// values they are ([`Key`]), into a table that holds one `u32` per
-/// group and compares against the representative row's key.
-fn group_rows<C: Cells>(keys: C) -> Result<(Vec<u64>, Vec<usize>)>
-where
-    C::Cell: Key,
-{
-    let mut table = Chains::growing();
+/// the row each group first appeared at. Keys are numbered as the
+/// machine values they are ([`Key`]), through [`Codes`].
+fn group_rows<C: Cells<Cell: Key>>(keys: C) -> (Vec<u64>, Vec<usize>) {
+    let (mut codes, mut reps) = (Codes::new(), Vec::new());
     let mut gids: Vec<u64> = Vec::with_capacity(keys.len());
-    let mut reps: Vec<usize> = Vec::new();
     for (i, key) in keys.cells().enumerate() {
-        let hash = key.hash(&table.seed);
-        let known = table.chain(hash).find(|&g| keys.at(reps[g]) == key);
-        let gid = match known {
-            Some(g) => g,
-            None => {
-                reps.push(i);
-                table.push(hash, |seed, g| keys.at(reps[g]).hash(seed))?
-            }
-        };
-        gids.push(gid as u64);
+        let gid = codes.code(key);
+        if gid as usize == reps.len() {
+            reps.push(i);
+        }
+        gids.push(gid.into());
     }
-    Ok((gids, reps))
+    (gids, reps)
 }
 
 /// The grouping BAT `b.head → group id`; it pairs one id with each BUN
@@ -71,12 +60,7 @@ fn grouping(b: &Bat, gids: Vec<u64>) -> Bat {
 /// * `ext`: `group-id → representative tail value` (one BUN per group,
 ///   in first-appearance order).
 pub fn group_by(b: &Bat) -> (Bat, Bat) {
-    // A coded string column groups by its codes: each value has one.
-    let grouped = match b.tail().as_str_col().and_then(StrCol::codes) {
-        Some(codes) => group_rows(codes),
-        None => with_keys!(b.tail(), |keys| group_rows(keys)),
-    };
-    let (gids, reps) = grouped.expect("a BAT's rows fit the group table");
+    let (gids, reps) = with_keys!(b.tail(), |keys| group_rows(keys));
     let ext = Bat::with_props(
         Column::Void { seq: 0, len: reps.len() },
         b.tail().gather(&reps),
@@ -115,13 +99,10 @@ fn group_slot(g: u64, ngroups: usize) -> Result<usize> {
 /// aligned with `grp`). Integer sums accumulate in `i128`; one that
 /// leaves 64-bit range is a classified [`BatError::Overflow`].
 pub fn grouped_sum(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
-    fn int_sums<C: Cells>(cells: C, ids: &[u64], ngroups: usize) -> Result<Bat>
-    where
-        C::Cell: Into<i128>,
-    {
-        let mut acc = vec![0i128; ngroups];
+    fn int_sums<C: Cells<Cell: Into<i128>>>(cells: C, ids: &[u64], ngroups: usize) -> Result<Bat> {
+        let (mut acc, base) = (vec![0i128; ngroups], i128::from(cells.base()));
         for (x, &g) in cells.cells().zip(ids) {
-            acc[group_slot(g, ngroups)?] += x.into();
+            acc[group_slot(g, ngroups)?] += base + x.into();
         }
         let sums = acc.into_iter().map(narrow_sum).collect::<Result<Vec<i64>>>()?;
         Ok(Bat::dense(Column::from(sums)))
@@ -129,8 +110,8 @@ pub fn grouped_sum(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
     check_grouped(vals, grp)?;
     let ids = group_ids(grp)?;
     match vals.tail() {
-        Column::Int(v) => int_sums(Ints::of(v), ids, ngroups),
-        Column::Lng(v) => int_sums(Ints::of(v), ids, ngroups),
+        Column::Int(v) => int_cells!(v, |cells| int_sums(cells, ids, ngroups)),
+        Column::Lng(v) => int_cells!(v, |cells| int_sums(cells, ids, ngroups)),
         Column::Dbl(v) => {
             let mut acc = vec![0f64; ngroups];
             for (i, &g) in ids.iter().enumerate() {

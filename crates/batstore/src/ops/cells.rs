@@ -2,15 +2,24 @@
 //!
 //! A kernel is written once, generic over [`Cells`], and the
 //! `with_cells!` / `with_keys!` / `with_key_pair!` macros instantiate it
-//! per column type: inside, a row is a machine value read from the raw
-//! slice (`u64`, `f64`, `bool`, `&str`, or a computed oid for `void`; an
-//! integer column's `i32` or `i64` from either form) — never a
-//! [`crate::Val`].
+//! per column type and form: inside, a row is a machine value read from
+//! the raw slice (`u64`, `f64`, `bool`, `&str`, or a computed oid for
+//! `void`) — never a [`crate::Val`].
+//!
+//! An integer column hands a kernel over one column its raw cells: a
+//! plain column's `i32` or `i64`, a narrow one's `u8`, `u16` or `u32`
+//! offsets ([`Offsets`]), each standing for [`Cells::base`] plus itself.
+//! Offsets order and equate as their values do, so such a kernel
+//! compares, hashes and sums them as they are and applies the base only
+//! at its edges: where it places a constant, rebuilds a column or
+//! finishes a sum. A kernel over two columns, whose bases differ, reads
+//! each through [`Values`]. Either way the form is picked once per
+//! kernel, and no row loop branches on it. For the same reason a coded
+//! string column hands the equality kernels over one column its codes.
 
 use crate::heap::StrCol;
-use crate::int::{Form, IntCol, Wide};
 
-/// Positional read access to the values of one column.
+/// Positional read access to the cells of one column.
 pub(crate) trait Cells: Copy {
     type Cell: Copy + PartialOrd;
 
@@ -24,6 +33,12 @@ pub(crate) trait Cells: Copy {
 
     fn cells(self) -> impl Iterator<Item = Self::Cell> + Clone {
         (0..self.len()).map(move |i| self.at(i))
+    }
+
+    /// What the value of a cell is offset from: a narrow integer
+    /// column's base, 0 for every other column.
+    fn base(self) -> i64 {
+        0
     }
 }
 
@@ -74,52 +89,54 @@ impl<'a> Cells for &'a StrCol {
     }
 }
 
-/// An integer column in either form, unpacked once: a plain one's cells,
-/// or a narrow one's base and offsets. A read branches on the form per
-/// row, but on a value the kernel holds, not on memory behind the column
-/// that its own writes might change, so the branch stays out of the
-/// loads and is predicted.
+/// A narrow integer column's offsets: the value of row `i` is
+/// `base + offsets[i]`.
 #[derive(Clone, Copy)]
-pub(crate) enum Ints<'a, W> {
-    Plain(&'a [W]),
-    U8(W, &'a [u8]),
-    U16(W, &'a [u16]),
-    U32(W, &'a [u32]),
+pub(crate) struct Offsets<'a, T> {
+    pub base: i64,
+    pub offsets: &'a [T],
 }
 
-impl<'a, W: Wide> Ints<'a, W> {
-    pub fn of(col: &'a IntCol<W>) -> Ints<'a, W> {
-        match col.form() {
-            Form::Plain(v) => Ints::Plain(v),
-            Form::U8(n) => Ints::U8(n.base, &n.offsets),
-            Form::U16(n) => Ints::U16(n.base, &n.offsets),
-            Form::U32(n) => Ints::U32(n.base, &n.offsets),
-        }
-    }
-}
+impl<T: Copy + PartialOrd> Cells for Offsets<'_, T> {
+    type Cell = T;
 
-impl<W: Wide> Cells for Ints<'_, W> {
-    type Cell = W;
-
-    #[inline(always)]
     fn len(self) -> usize {
-        match self {
-            Ints::Plain(v) => v.len(),
-            Ints::U8(_, o) => o.len(),
-            Ints::U16(_, o) => o.len(),
-            Ints::U32(_, o) => o.len(),
-        }
+        self.offsets.len()
+    }
+
+    fn at(self, i: usize) -> T {
+        self.offsets[i]
+    }
+
+    fn cells(self) -> impl Iterator<Item = T> + Clone {
+        self.offsets.iter().copied()
+    }
+
+    fn base(self) -> i64 {
+        self.base
+    }
+}
+
+/// An integer column's values, `base + cell`: how the kernels over two
+/// columns read each side.
+#[derive(Clone, Copy)]
+pub(crate) struct Values<C>(pub C);
+
+impl<C: Cells<Cell: Into<i64>>> Cells for Values<C> {
+    type Cell = i64;
+
+    fn len(self) -> usize {
+        self.0.len()
     }
 
     #[inline(always)]
-    fn at(self, i: usize) -> W {
-        let at = |base: W, offset: u32| W::cast(base.to_i64() + i64::from(offset));
-        match self {
-            Ints::Plain(v) => v[i],
-            Ints::U8(base, o) => at(base, o[i].into()),
-            Ints::U16(base, o) => at(base, o[i].into()),
-            Ints::U32(base, o) => at(base, o[i]),
-        }
+    fn at(self, i: usize) -> i64 {
+        self.0.base() + self.0.at(i).into()
+    }
+
+    fn cells(self) -> impl Iterator<Item = i64> + Clone {
+        let base = self.0.base();
+        self.0.cells().map(move |x| base + x.into())
     }
 }
 
@@ -144,12 +161,51 @@ impl Cells for Bits<'_> {
     }
 }
 
+/// `$body` with `$v` bound to the raw cells of the integer column `$col`
+/// — a plain one's `&[W]`, a narrow one's [`Offsets`] — and, given a
+/// `$wrap`, `$w` to the function that makes a column of that form (at
+/// that base) from such cells, through `$wrap`: one instantiation of
+/// `$body` per form.
+macro_rules! int_cells {
+    ($col:expr, |$v:ident| $body:expr) => {{
+        use $crate::int::Wide;
+        $crate::int::by_form!(
+            &$col.0,
+            |n, _| {
+                let $v = $crate::ops::cells::Offsets { base: n.base.to_i64(), offsets: &n.offsets };
+                $body
+            },
+            |v| {
+                let $v = &v[..];
+                $body
+            }
+        )
+    }};
+    ($col:expr, $wrap:expr, |$v:ident, $w:ident| $body:expr) => {{
+        use $crate::int::{Form, IntCol, Wide};
+        $crate::int::by_form!(
+            &$col.0,
+            |n, w| {
+                let $v = $crate::ops::cells::Offsets { base: n.base.to_i64(), offsets: &n.offsets };
+                let $w = |offsets| $wrap(IntCol(w(offsets)));
+                $body
+            },
+            |v| {
+                let ($v, $w) = (&v[..], |v| $wrap(IntCol(Form::Plain(v))));
+                $body
+            }
+        )
+    }};
+}
+
 /// `$body` with `$v` bound to the [`Cells`] view of `$col` (`dbl` wrapped
-/// by `$dbl`) and `$w` to the constructor that turns that type's values
-/// back into a column: one instantiation of `$body` per column type.
+/// by `$dbl`) and `$w` to the constructor that turns such cells back into
+/// a column of the same type and form: one instantiation of `$body` per
+/// column type and form.
 macro_rules! dispatch_cells {
     ($col:expr, $dbl:expr, |$v:ident, $w:ident| $body:expr) => {{
         use $crate::column::Column as C;
+        use $crate::ops::cells::int_cells;
         match $col {
             C::Void { seq, len } => {
                 let ($v, $w) = ($crate::ops::cells::Dense { seq: *seq, len: *len }, C::Oid);
@@ -159,14 +215,8 @@ macro_rules! dispatch_cells {
                 let ($v, $w) = (&v[..], C::Oid);
                 $body
             }
-            C::Int(v) => {
-                let ($v, $w) = ($crate::ops::cells::Ints::of(v), |v: Vec<i32>| C::Int(v.into()));
-                $body
-            }
-            C::Lng(v) => {
-                let ($v, $w) = ($crate::ops::cells::Ints::of(v), |v: Vec<i64>| C::Lng(v.into()));
-                $body
-            }
+            C::Int(v) => int_cells!(v, C::Int, |$v, $w| $body),
+            C::Lng(v) => int_cells!(v, C::Lng, |$v, $w| $body),
             C::Dbl(v) => {
                 let ($v, $w) = ($dbl(&v[..]), C::Dbl);
                 $body
@@ -179,15 +229,12 @@ macro_rules! dispatch_cells {
                 let ($v, $w) = (&v[..], C::Bool);
                 $body
             }
-            C::Date(v) => {
-                let ($v, $w) = ($crate::ops::cells::Ints::of(v), |v: Vec<i32>| C::Date(v.into()));
-                $body
-            }
+            C::Date(v) => int_cells!(v, C::Date, |$v, $w| $body),
         }
     }};
 }
 
-/// The values as they compare: `dbl` cells are `f64`.
+/// The cells as they compare: `dbl` cells are `f64`.
 macro_rules! with_cells {
     ($col:expr, |$v:ident| $body:expr) => {
         $crate::ops::cells::with_cells!($col, |$v, _rebuild| $body)
@@ -197,20 +244,31 @@ macro_rules! with_cells {
     };
 }
 
-/// The values as they equate and hash: `dbl` cells are [`Bits`].
+/// The cells as they equate and hash within one column: `dbl` cells are
+/// [`Bits`], and a coded string column's are its codes — the dictionary
+/// holds each value once, so codes equate as the values do.
 macro_rules! with_keys {
-    ($col:expr, |$v:ident| $body:expr) => {
-        $crate::ops::cells::dispatch_cells!($col, $crate::ops::cells::Bits, |$v, _rebuild| $body)
-    };
+    ($col:expr, |$v:ident| $body:expr) => {{
+        let col: &$crate::column::Column = $col;
+        match col.as_str_col().and_then($crate::heap::StrCol::codes) {
+            Some($v) => $body,
+            None => $crate::ops::cells::dispatch_cells!(
+                col,
+                $crate::ops::cells::Bits,
+                |$v, _rebuild| $body
+            ),
+        }
+    }};
 }
 
 /// `$body` with `$a`, `$b` bound to the key views of two columns of one
-/// join domain (equal types, `void` and `oid` sharing one); `$mismatch`
-/// for any other pair.
+/// join domain (equal types, `void` and `oid` sharing one; an integer
+/// column's [`Values`], per form of each side); `$mismatch` for any other
+/// pair.
 macro_rules! with_key_pair {
     ($l:expr, $r:expr, |$a:ident, $b:ident| $body:expr, $mismatch:expr) => {{
         use $crate::column::Column as C;
-        use $crate::ops::cells::{Bits, Dense, Ints};
+        use $crate::ops::cells::{int_cells, Bits, Dense, Values};
         match ($l, $r) {
             (C::Void { seq: s1, len: n1 }, C::Void { seq: s2, len: n2 }) => {
                 let ($a, $b) = (Dense { seq: *s1, len: *n1 }, Dense { seq: *s2, len: *n2 });
@@ -228,14 +286,18 @@ macro_rules! with_key_pair {
                 let ($a, $b) = (&x[..], &y[..]);
                 $body
             }
-            (C::Int(x), C::Int(y)) | (C::Date(x), C::Date(y)) => {
-                let ($a, $b) = (Ints::of(x), Ints::of(y));
-                $body
-            }
-            (C::Lng(x), C::Lng(y)) => {
-                let ($a, $b) = (Ints::of(x), Ints::of(y));
-                $body
-            }
+            (C::Int(x), C::Int(y)) | (C::Date(x), C::Date(y)) => int_cells!(x, |x| {
+                int_cells!(y, |y| {
+                    let ($a, $b) = (Values(x), Values(y));
+                    $body
+                })
+            }),
+            (C::Lng(x), C::Lng(y)) => int_cells!(x, |x| {
+                int_cells!(y, |y| {
+                    let ($a, $b) = (Values(x), Values(y));
+                    $body
+                })
+            }),
             (C::Dbl(x), C::Dbl(y)) => {
                 let ($a, $b) = (Bits(&x[..]), Bits(&y[..]));
                 $body
@@ -253,4 +315,4 @@ macro_rules! with_key_pair {
     }};
 }
 
-pub(crate) use {dispatch_cells, with_cells, with_key_pair, with_keys};
+pub(crate) use {dispatch_cells, int_cells, with_cells, with_key_pair, with_keys};

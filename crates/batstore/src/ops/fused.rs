@@ -35,20 +35,19 @@
 //!    the join result is built.
 //!
 //! Per row there is no `Val` and no `dyn` call: columns are dispatched on
-//! their type once per statement into boxed typed stages, and a stage is
-//! called once per batch. A conjunct, sum or group key over an integer
-//! column reads its raw values (a narrow one's offsets), other stages its
-//! cells.
+//! their type and form once per statement into boxed typed stages, and a
+//! stage is called once per batch. Each stage reads its column's raw
+//! cells, as every kernel over one column does (a narrow integer
+//! column's offsets, a coded string key's codes); only the probe reads
+//! values, as the join does.
 
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::heap::StrCol;
-use crate::int::{by_form, Form, IntCol, Wide};
 use crate::ops::aggregate::{beats, narrow_sum};
-use crate::ops::cells::{with_cells, with_key_pair, with_keys, Cells};
-use crate::ops::hash::{check_rows, Chains, Key, NIL};
-use crate::ops::scan::{offset_test, Pred, Scan, BATCH};
+use crate::ops::cells::{int_cells, with_cells, with_key_pair, with_keys, Cells};
+use crate::ops::hash::{check_rows, Chains, Codes, Key, NIL};
+use crate::ops::scan::{Pred, Scan, BATCH};
 use crate::ops::RowPredicate;
 use crate::value::ColType;
 use std::cell::Cell;
@@ -187,41 +186,18 @@ where
 }
 
 fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 'a>> {
-    fn filtered<'p, C: Cells + 'p>(
+    fn filtered<'p, C: Cells<Cell: Scan> + 'p>(
         cells: C,
         ty: ColType,
         pred: &Pred<'p>,
-    ) -> Result<Box<dyn Conjunct + 'p>>
-    where
-        C::Cell: Scan,
-    {
-        Ok(Box::new(Filtered { cells, filter: C::Cell::resolve(ty, pred)? }))
+    ) -> Result<Box<dyn Conjunct + 'p>> {
+        Ok(Box::new(Filtered { cells, filter: C::Cell::resolve(ty, pred, cells.base())? }))
     }
     if matches!(p, RowPredicate::InList { values, .. } if values.is_empty()) {
         return Err(BatError::Invalid("IN list must not be empty".into()));
     }
-    /// An integer column compares its raw values: a plain one's cells, a
-    /// narrow one's offsets, with the constants placed relative to its
-    /// base; `None` when a constant is a `dbl`.
-    fn raw<'p, W: Wide + Scan>(
-        col: &'p IntCol<W>,
-        ty: ColType,
-        pred: &Pred<'p>,
-    ) -> Result<Option<Box<dyn Conjunct + 'p>>> {
-        Ok(by_form!(
-            col.form(),
-            |n, _| offset_test(ty, pred, n.base.to_i64())?
-                .map(|filter| Box::new(Filtered { cells: &n.offsets[..], filter }) as _),
-            |v| Some(filtered(&v[..], ty, pred)?)
-        ))
-    }
     let (ty, pred) = (bat.tail_type(), p.pred());
-    let raw = match bat.tail() {
-        Column::Int(col) | Column::Date(col) => raw(col, ty, &pred)?,
-        Column::Lng(col) => raw(col, ty, &pred)?,
-        _ => None,
-    };
-    raw.map_or_else(|| with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred)), Ok)
+    with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred))
 }
 
 /// The probe stage, its hash table built over the build key.
@@ -282,41 +258,6 @@ fn matcher<'a>(scanned: &'a Bat, build: &'a Bat) -> Result<Box<dyn Matcher + 'a>
     with_key_pair!(scanned.tail(), build.tail(), |a, b| hashed(a, b), Err(mismatch()))
 }
 
-/// Distinct keys, numbered in first-appearance order.
-struct Codes<K> {
-    table: Chains,
-    keys: Vec<K>,
-}
-
-impl<K: Key> Codes<K> {
-    fn new() -> Codes<K> {
-        Codes { table: Chains::growing(), keys: Vec::new() }
-    }
-
-    #[inline(always)]
-    fn code(&mut self, key: K) -> u32 {
-        let hash = key.hash(&self.table.seed);
-        let known = self.table.chain(hash).find(|&c| self.keys[c] == key);
-        match known {
-            Some(code) => code as u32,
-            None => self.admit(key, hash),
-        }
-    }
-
-    /// A key not seen before takes the next number: once per distinct
-    /// key, so kept out of the per-row loop.
-    #[cold]
-    #[inline(never)]
-    fn admit(&mut self, key: K, hash: u64) -> u32 {
-        let Codes { table, keys } = self;
-        let code = table
-            .push(hash, |seed, c| keys[c].hash(seed))
-            .expect("distinct keys are no more than the rows, whose number was checked");
-        keys.push(key);
-        code as u32
-    }
-}
-
 /// One GROUP BY column.
 trait KeyColumn {
     /// Write to `out[j]` the code of the batch's `j`-th row: the number
@@ -327,7 +268,7 @@ trait KeyColumn {
     fn seen(&self) -> usize;
 }
 
-/// A key numbered through a hash table of its values.
+/// A key numbered by its cells ([`Codes`]).
 struct ByValue<C: Cells> {
     cells: C,
     seen: Codes<C::Cell>,
@@ -347,60 +288,11 @@ where
     }
 }
 
-/// A coded string key, numbered through its dictionary codes: one load
-/// of a 256-entry table per row, no hash and no string compare.
-struct ByCode<'a> {
-    codes: &'a [u8],
-    numbers: [u32; 256],
-    seen: u32,
-}
-
-impl KeyColumn for ByCode<'_> {
-    fn codes(&mut self, batch: Batch<'_>, out: &mut [u32; BATCH]) {
-        let ByCode { codes, numbers, seen } = self;
-        batch.each(*codes, |j, _, code| {
-            let number = &mut numbers[usize::from(code)];
-            if *number == NIL {
-                (*number, *seen) = (*seen, *seen + 1);
-            }
-            out[j] = *number;
-        });
-    }
-
-    fn seen(&self) -> usize {
-        self.seen as usize
-    }
-}
-
 fn key_column(bat: &Bat) -> Box<dyn KeyColumn + '_> {
-    fn by_value<'a, C: Cells + 'a>(cells: C) -> Box<dyn KeyColumn + 'a>
-    where
-        C::Cell: Key,
-    {
+    fn by_value<'a, C: Cells<Cell: Key> + 'a>(cells: C) -> Box<dyn KeyColumn + 'a> {
         Box::new(ByValue { cells, seen: Codes::new() })
     }
-    fn by_code(codes: &[u8]) -> Box<dyn KeyColumn + '_> {
-        Box::new(ByCode { codes, numbers: [NIL; 256], seen: 0 })
-    }
-    /// An integer key by its raw cells: `u8` offsets like dictionary
-    /// codes, wider ones and plain cells by value — offsets equate as
-    /// their values do.
-    fn by_cell<W: Wide + Key>(col: &IntCol<W>) -> Box<dyn KeyColumn + '_> {
-        match col.form() {
-            Form::U8(n) => by_code(&n.offsets),
-            Form::U16(n) => by_value(&n.offsets[..]),
-            Form::U32(n) => by_value(&n.offsets[..]),
-            Form::Plain(v) => by_value(&v[..]),
-        }
-    }
-    match bat.tail() {
-        Column::Int(col) | Column::Date(col) => by_cell(col),
-        Column::Lng(col) => by_cell(col),
-        other => match other.as_str_col().and_then(StrCol::codes) {
-            Some(codes) => by_code(codes),
-            None => with_keys!(other, |cells| by_value(cells)),
-        },
-    }
+    with_keys!(bat.tail(), |cells| by_value(cells))
 }
 
 /// Slots a dense [`Refine`] table may grow to (64 KiB of `u32`).
@@ -467,13 +359,12 @@ trait Fold {
 }
 
 /// `sum` or `avg` of an integer column: exact in `i128`, narrowed once.
-/// A narrow column's offsets are summed, and each group's count times the
-/// base added at the end.
+/// The cells are summed, and each group's count times their base added
+/// at the end.
 struct IntSum<C> {
     cells: C,
     acc: Vec<i128>,
     avg: bool,
-    base: i64,
 }
 
 impl<C: Cells> Fold for IntSum<C>
@@ -494,7 +385,7 @@ where
     }
 
     fn finish(self: Box<Self>, counts: &[i64]) -> Result<Column> {
-        int_sums(self.acc, counts, self.base, self.avg)
+        int_sums(self.acc, counts, self.cells.base(), self.avg)
     }
 }
 
@@ -569,16 +460,8 @@ impl<C: Cells> Fold for Extremum<'_, C> {
 }
 
 fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
-    fn sum<'a, C: Cells + 'a>(cells: C, base: i64, avg: bool) -> Box<dyn Fold + 'a>
-    where
-        C::Cell: Into<i128>,
-    {
-        Box::new(IntSum { cells, acc: Vec::new(), avg, base })
-    }
-    fn int_sum<W: Wide>(col: &IntCol<W>, avg: bool) -> Box<dyn Fold + '_> {
-        by_form!(col.form(), |n, _| sum(&n.offsets[..], n.base.to_i64(), avg), |v| {
-            sum(&v[..], 0, avg)
-        })
+    fn sum<'a, C: Cells<Cell: Into<i128>> + 'a>(cells: C, avg: bool) -> Box<dyn Fold + 'a> {
+        Box::new(IntSum { cells, acc: Vec::new(), avg })
     }
     fn extremum<'a, C: Cells + 'a>(
         column: &'a Column,
@@ -592,9 +475,9 @@ fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
     Ok(match agg {
         Aggregate::Count => unreachable!("count(*) has no column to fold"),
         Aggregate::Sum(_) | Aggregate::Avg(_) => match column {
-            Column::Int(v) => int_sum(v, avg),
-            Column::Lng(v) => int_sum(v, avg),
-            Column::Oid(v) => sum(&v[..], 0, avg),
+            Column::Int(v) => int_cells!(v, |cells| sum(cells, avg)),
+            Column::Lng(v) => int_cells!(v, |cells| sum(cells, avg)),
+            Column::Oid(v) => sum(&v[..], avg),
             Column::Dbl(v) => Box::new(DblSum { cells: &v[..], acc: Vec::new(), avg }),
             other => {
                 return Err(BatError::TypeMismatch {

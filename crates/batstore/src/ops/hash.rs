@@ -33,6 +33,13 @@ fn fold(a: u64, b: u64) -> u64 {
 /// enum around it.
 pub(crate) trait Key: Copy + PartialEq {
     fn hash(self, seed: &Seed) -> u64;
+
+    /// A key of one byte — a dictionary code, a `u8` offset — as an
+    /// index into a 256-entry table, which [`Codes`] numbers it through
+    /// instead of hashing it.
+    fn byte(self) -> Option<u8> {
+        None
+    }
 }
 
 impl Key for u64 {
@@ -56,6 +63,10 @@ impl Key for i32 {
 impl Key for u8 {
     fn hash(self, seed: &Seed) -> u64 {
         u64::from(self).hash(seed)
+    }
+
+    fn byte(self) -> Option<u8> {
+        Some(self)
     }
 }
 
@@ -205,6 +216,56 @@ impl Chains {
         self.next.push(self.heads[b]);
         self.heads[b] = id as u32;
         Ok(id)
+    }
+}
+
+/// Distinct keys, numbered in first-appearance order.
+pub(crate) struct Codes<K> {
+    table: Chains,
+    /// A byte key's number, by the byte.
+    bytes: [u32; 256],
+    pub keys: Vec<K>,
+}
+
+impl<K: Key> Codes<K> {
+    pub fn new() -> Codes<K> {
+        Codes { table: Chains::growing(), bytes: [NIL; 256], keys: Vec::new() }
+    }
+
+    #[inline(always)]
+    pub fn code(&mut self, key: K) -> u32 {
+        if let Some(byte) = key.byte() {
+            let code = self.bytes[usize::from(byte)];
+            return if code == NIL { self.admit_byte(key, byte) } else { code };
+        }
+        let hash = key.hash(&self.table.seed);
+        let known = self.table.chain(hash).find(|&c| self.keys[c] == key);
+        match known {
+            Some(code) => code as u32,
+            None => self.admit(key, hash),
+        }
+    }
+
+    /// A key not seen before takes the next number: once per distinct
+    /// key, so kept out of the per-row loop.
+    #[cold]
+    #[inline(never)]
+    fn admit(&mut self, key: K, hash: u64) -> u32 {
+        let Codes { table, keys, .. } = self;
+        let code = table
+            .push(hash, |seed, c| keys[c].hash(seed))
+            .expect("a column's distinct keys fit the table's 32-bit ids");
+        keys.push(key);
+        code as u32
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn admit_byte(&mut self, key: K, byte: u8) -> u32 {
+        let code = self.keys.len() as u32;
+        self.bytes[usize::from(byte)] = code;
+        self.keys.push(key);
+        code
     }
 }
 

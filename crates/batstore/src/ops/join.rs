@@ -85,7 +85,8 @@ fn fetch(l: &Bat, oids: impl Iterator<Item = u64> + Clone, seq: u64, r: &Bat) ->
 }
 
 /// Matching positions `(li, ri)`, `l`-major: merged when both columns
-/// are `sorted` on cells that order as their values do, hashed otherwise.
+/// are `sorted` on cells that order as their values do, hashed otherwise,
+/// with the table built on the smaller side.
 fn pairs<A, B>(l: A, r: B, sorted: bool) -> Result<(Vec<u32>, Vec<u32>)>
 where
     A: Cells,
@@ -93,10 +94,13 @@ where
     A::Cell: Key,
 {
     if sorted && A::ORDERED {
-        Ok(merge_pairs(l, r))
-    } else {
-        hash_pairs(l, r)
+        return Ok(merge_pairs(l, r));
     }
+    if r.len() <= l.len() {
+        return probe(l, r);
+    }
+    let (ri, li) = probe(r, l)?;
+    Ok(l_major(li, ri, l.len()))
 }
 
 /// Matching positions `(li, ri)` of two ascending columns.
@@ -124,38 +128,35 @@ fn merge_pairs<A: Cells, B: Cells<Cell = A::Cell>>(l: A, r: B) -> (Vec<u32>, Vec
     (li, ri)
 }
 
-/// Matching positions `(li, ri)` of two columns in any order. The table
-/// is built on the smaller side; its chains yield ascending positions.
-fn hash_pairs<A, B>(l: A, r: B) -> Result<(Vec<u32>, Vec<u32>)>
+/// Matching positions `(li, ri)` of two columns in any order, `l`-major:
+/// a table built on `r`, whose chains yield ascending positions, probed
+/// in `l` order.
+fn probe<A, B>(l: A, r: B) -> Result<(Vec<u32>, Vec<u32>)>
 where
     A: Cells,
     B: Cells<Cell = A::Cell>,
     A::Cell: Key,
 {
     let (mut li, mut ri) = (Vec::new(), Vec::new());
-    if r.len() <= l.len() {
-        let table = Chains::over(r)?;
-        for (i, key) in l.cells().enumerate() {
-            for j in table.chain(key.hash(&table.seed)).filter(|&j| r.at(j) == key) {
-                li.push(i as u32);
-                ri.push(j as u32);
-            }
-        }
-        return Ok((li, ri));
-    }
-    // Built on `l`, probed in `r` order: the pairs arrive `r`-major.
-    // Counting them per `l` row and placing each at its row's next slot
-    // is a stable sort back to `l`-major order.
-    let table = Chains::over(l)?;
-    let mut next = vec![0usize; l.len() + 1];
-    for (j, key) in r.cells().enumerate() {
-        for i in table.chain(key.hash(&table.seed)).filter(|&i| l.at(i) == key) {
+    let table = Chains::over(r)?;
+    for (i, key) in l.cells().enumerate() {
+        for j in table.chain(key.hash(&table.seed)).filter(|&j| r.at(j) == key) {
             li.push(i as u32);
             ri.push(j as u32);
-            next[i + 1] += 1;
         }
     }
-    for i in 0..l.len() {
+    Ok((li, ri))
+}
+
+/// The pairs `(li, ri)`, `r`-major and for one `r` row by ascending `l`
+/// position, reordered `l`-major: counting them per `l` row (of
+/// `l_rows`) and placing each at its row's next slot is a stable sort.
+fn l_major(li: Vec<u32>, ri: Vec<u32>, l_rows: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut next = vec![0usize; l_rows + 1];
+    for &i in &li {
+        next[i as usize + 1] += 1;
+    }
+    for i in 0..l_rows {
         next[i + 1] += next[i];
     }
     let (mut lo, mut ro) = (vec![0u32; li.len()], vec![0u32; ri.len()]);
@@ -164,7 +165,7 @@ where
         (lo[*at], ro[*at]) = (i, j);
         *at += 1;
     }
-    Ok((lo, ro))
+    (lo, ro)
 }
 
 #[cfg(test)]

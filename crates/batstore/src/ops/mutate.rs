@@ -19,8 +19,8 @@
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::ops::cells::{with_cells, Cells};
-use crate::ops::scan::{Pred, Scan};
+use crate::ops::cells::with_cells;
+use crate::ops::scan::{scan, Pred};
 use crate::ops::CmpOp;
 use crate::storage;
 use crate::value::Val;
@@ -200,7 +200,7 @@ pub fn matching_rows(
         let (col, pred) = (bat.tail(), p.pred());
         let (ty, mut hits) = (col.col_type(), Vec::new());
         with_cells!(col, |vals| {
-            Scan::scan(vals.cells(), ty, &pred, &mut |rows, _| hits.extend_from_slice(rows))
+            scan(vals, ty, &pred, &mut |rows, _| hits.extend_from_slice(rows))
         })?;
         // Both lists ascend: keep the earlier conjuncts' rows this one
         // matched too.

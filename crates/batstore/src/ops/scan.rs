@@ -5,8 +5,9 @@
 //! A predicate is resolved **once** against the column's type
 //! ([`Scan::resolve`], apart from running it, [`Scan::apply`], so that a
 //! statement's every conjunct is checked before any row is read): its
-//! constants are placed in the column's own value space (an `int` column
-//! compares `i32` to `i32`), or found to lie outside it (every `i32` is
+//! constants are placed in the column's own cell space (an `int` column
+//! compares `i32` to `i32`, a narrow one its offsets to each constant's
+//! distance from its base), or found to lie outside it (every `i32` is
 //! below `5_000_000_000`, so `<` keeps all rows and `=` none), or the
 //! pair is found incomparable — a string against a number is a
 //! [`BatError::TypeMismatch`] decided from the two types, whatever the
@@ -19,6 +20,7 @@
 //! included; `nil` sorts below every value.
 
 use crate::error::{BatError, Result};
+use crate::ops::cells::Cells;
 use crate::ops::CmpOp;
 use crate::value::{ColType, Val};
 use std::cmp::Ordering;
@@ -215,37 +217,38 @@ fn place_f64(ty: ColType, v: &Val) -> Result<Const<f64>> {
     }
 }
 
-/// A value type a column stores, able to filter itself.
+/// A cell type a column stores, able to filter itself.
 pub(crate) trait Scan: Copy + Default {
-    /// A predicate with its constants placed among this type's values.
+    /// A predicate with its constants placed among this type's cells.
     type Filter<'p>;
 
-    /// Place `pred`'s constants against a column of type `ty`. This is
+    /// Place `pred`'s constants against a column of type `ty` whose
+    /// cells stand for `base` plus themselves ([`Cells::base`]). This is
     /// where a literal the column cannot be compared with is refused:
     /// once per predicate, before any row is read.
-    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<Self::Filter<'p>>;
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>, base: i64) -> Result<Self::Filter<'p>>;
 
-    /// Call `emit(positions, values)` with the values of `vals` that
+    /// Call `emit(positions, cells)` with the cells of `vals` that
     /// satisfy `filter` and where they sit in `vals`, a batch at a
     /// time, in order.
     fn apply(filter: &Self::Filter<'_>, vals: impl Iterator<Item = Self>, emit: Emit<'_, Self>);
+}
 
-    /// [`Scan::resolve`], then [`Scan::apply`] over a whole column.
-    fn scan(
-        vals: impl Iterator<Item = Self>,
-        ty: ColType,
-        pred: &Pred<'_>,
-        emit: Emit<'_, Self>,
-    ) -> Result<()> {
-        Self::apply(&Self::resolve(ty, pred)?, vals, emit);
-        Ok(())
-    }
+/// [`Scan::resolve`], then [`Scan::apply`] over a whole column's cells.
+pub(crate) fn scan<C: Cells<Cell: Scan>>(
+    cells: C,
+    ty: ColType,
+    pred: &Pred<'_>,
+    emit: Emit<'_, C::Cell>,
+) -> Result<()> {
+    C::Cell::apply(&C::Cell::resolve(ty, pred, cells.base())?, cells.cells(), emit);
+    Ok(())
 }
 
 impl Scan for f64 {
     type Filter<'p> = Test<f64>;
 
-    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<Test<f64>> {
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>, _base: i64) -> Result<Test<f64>> {
         Test::resolve(pred, |v| place_f64(ty, v))
     }
 
@@ -257,7 +260,7 @@ impl Scan for f64 {
 impl<'s> Scan for &'s str {
     type Filter<'p> = Test<&'p str>;
 
-    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<Test<&'p str>> {
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>, _base: i64) -> Result<Test<&'p str>> {
         Test::resolve(pred, |v| match v {
             Val::Nil => Ok(Const::Below),
             Val::Str(s) => Ok(Const::Is(s.as_str())),
@@ -270,18 +273,15 @@ impl<'s> Scan for &'s str {
     }
 }
 
-/// An integer-class storage type (`bool` counts as 0/1).
-pub(crate) trait Int: Copy + PartialOrd {
+/// An integer-class cell type (`bool` counts as 0/1): a column's own
+/// cell, or a narrow column's offset.
+pub(crate) trait Int: Copy + PartialOrd + Default + Into<i128> {
     /// Where the exact integer `c` falls among this type's values.
     fn place(c: i128) -> Const<Self>;
-    fn to_f64(self) -> f64;
 }
 
-/// The integer storage types, each scanned through `$filter`: column types
-/// through [`IntFilter`], which also compares with `dbl` constants, a
-/// narrow integer column's offsets through exact [`Test`]s ([`offset_test`]).
 macro_rules! int_types {
-    ($filter:ident, $resolve:expr; $($t:ty),*) => {$(
+    ($($t:ty),*) => {$(
         impl Int for $t {
             fn place(c: i128) -> Const<$t> {
                 match <$t>::try_from(c) {
@@ -290,35 +290,31 @@ macro_rules! int_types {
                     Err(_) => Const::Above,
                 }
             }
-
-            fn to_f64(self) -> f64 {
-                self as f64
-            }
-        }
-
-        impl Scan for $t {
-            type Filter<'p> = $filter<$t>;
-
-            fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<$filter<$t>> {
-                ($resolve)(ty, pred)
-            }
-
-            fn apply(
-                filter: &$filter<$t>,
-                vals: impl Iterator<Item = $t>,
-                emit: Emit<'_, $t>,
-            ) {
-                filter.apply(vals, emit)
-            }
         }
     )*};
 }
-int_types!(IntFilter, IntFilter::resolve; i32, i64, u64);
-int_types!(Test, |ty, pred| Test::resolve(pred, |v| place_int(ty, v, 0)); u8, u16, u32);
+int_types!(i32, i64, u64, u8, u16, u32);
 
-impl<T: Int + Default> Test<T> {
-    fn apply(&self, vals: impl Iterator<Item = T>, emit: Emit<'_, T>) {
-        run(vals, |x| x, self, emit)
+impl Int for bool {
+    fn place(c: i128) -> Const<bool> {
+        match c {
+            0 => Const::Is(false),
+            1 => Const::Is(true),
+            c if c < 0 => Const::Below,
+            _ => Const::Above,
+        }
+    }
+}
+
+impl<T: Int> Scan for T {
+    type Filter<'p> = IntFilter<T>;
+
+    fn resolve<'p>(ty: ColType, pred: &Pred<'p>, base: i64) -> Result<IntFilter<T>> {
+        IntFilter::resolve(ty, pred, base)
+    }
+
+    fn apply(filter: &IntFilter<T>, vals: impl Iterator<Item = T>, emit: Emit<'_, T>) {
+        filter.apply(vals, emit)
     }
 }
 
@@ -331,64 +327,34 @@ fn place_int<T: Int>(ty: ColType, v: &Val, base: i128) -> Result<Const<T>> {
     }
 }
 
-/// `p` over the offsets of a narrow integer column based at `base`, each
-/// constant placed as its distance from `base`. `None` when a constant is
-/// a `dbl`, which compares with the value as `f64`, not with its offset.
-pub(crate) fn offset_test<T: Int>(ty: ColType, p: &Pred<'_>, base: i64) -> Result<Option<Test<T>>> {
-    if p.consts().any(|v| matches!(v, Val::Dbl(_))) {
-        return Ok(None);
-    }
-    Test::resolve(p, |v| place_int(ty, v, base.into())).map(Some)
-}
-
-impl Int for bool {
-    fn place(c: i128) -> Const<bool> {
-        match c {
-            0 => Const::Is(false),
-            1 => Const::Is(true),
-            c if c < 0 => Const::Below,
-            _ => Const::Above,
-        }
-    }
-
-    fn to_f64(self) -> f64 {
-        f64::from(u8::from(self))
-    }
-}
-
-impl Scan for bool {
-    type Filter<'p> = IntFilter<bool>;
-
-    fn resolve<'p>(ty: ColType, pred: &Pred<'p>) -> Result<IntFilter<bool>> {
-        IntFilter::resolve(ty, pred)
-    }
-
-    fn apply(filter: &IntFilter<bool>, vals: impl Iterator<Item = bool>, emit: Emit<'_, bool>) {
-        filter.apply(vals, emit)
-    }
+/// The value a cell at `base` stands for, as `f64`: exact in `i128`,
+/// rounded once, as [`Val::as_f64`] rounds the value itself.
+fn value_f64<T: Int>(x: T, base: i64) -> f64 {
+    (i128::from(base) + x.into()) as f64
 }
 
 /// An integer column's predicate in the one space all its constants
-/// share: the column's own type when they are integers, `f64` when they
-/// are `dbl`.
+/// share: its cells' when they are integers, each placed as its distance
+/// from the base; `f64` when they are `dbl`, which compare with the
+/// value the cell at the base stands for.
 pub(crate) enum IntTest<T> {
     Exact(Test<T>),
-    Float(Test<f64>),
+    Float(Test<f64>, i64),
 }
 
 impl<T: Int> IntTest<T> {
     /// `pred`'s constants must not mix integers with `dbl`s.
-    fn resolve(ty: ColType, pred: &Pred<'_>) -> Result<IntTest<T>> {
+    fn resolve(ty: ColType, pred: &Pred<'_>, base: i64) -> Result<IntTest<T>> {
         if pred.consts().any(|v| matches!(v, Val::Dbl(_))) {
-            return Ok(IntTest::Float(Test::resolve(pred, |v| place_f64(ty, v))?));
+            return Ok(IntTest::Float(f64::resolve(ty, pred, base)?, base));
         }
-        Ok(IntTest::Exact(Test::resolve(pred, |v| place_int(ty, v, 0))?))
+        Ok(IntTest::Exact(Test::resolve(pred, |v| place_int(ty, v, base.into()))?))
     }
 
     fn holds(&self, x: T) -> bool {
         match self {
             IntTest::Exact(t) => t.holds(x),
-            IntTest::Float(t) => t.holds(x.to_f64()),
+            IntTest::Float(t, base) => t.holds(value_f64(x, *base)),
         }
     }
 }
@@ -405,25 +371,36 @@ pub(crate) enum IntFilter<T> {
     Any(Vec<IntTest<T>>),
 }
 
-impl<T: Int + Default> IntFilter<T> {
-    fn resolve(ty: ColType, pred: &Pred<'_>) -> Result<IntFilter<T>> {
+impl<T: Int> IntFilter<T> {
+    fn resolve(ty: ColType, pred: &Pred<'_>, base: i64) -> Result<IntFilter<T>> {
         let dbls = pred.consts().filter(|v| matches!(v, Val::Dbl(_))).count();
         let ints = pred.consts().filter(|v| v.as_i128().is_some()).count();
         if dbls == 0 || ints == 0 {
-            return Ok(IntFilter::One(IntTest::resolve(ty, pred)?));
+            return Ok(IntFilter::One(IntTest::resolve(ty, pred, base)?));
         }
         let parts =
-            pred.singles().iter().map(|p| IntTest::resolve(ty, p)).collect::<Result<_>>()?;
+            pred.singles().iter().map(|p| IntTest::resolve(ty, p, base)).collect::<Result<_>>()?;
         Ok(match pred {
             Pred::In(_) => IntFilter::Any(parts),
             _ => IntFilter::All(parts),
         })
     }
 
-    fn apply(&self, vals: impl Iterator<Item = T>, emit: Emit<'_, T>) {
+    fn apply(&self, mut vals: impl Iterator<Item = T>, emit: Emit<'_, T>) {
         match self {
             IntFilter::One(IntTest::Exact(test)) => run(vals, |x| x, test, emit),
-            IntFilter::One(IntTest::Float(test)) => run(vals, T::to_f64, test, emit),
+            _ => self.apply_dbl(&mut vals, emit),
+        }
+    }
+
+    /// [`IntFilter::apply`] with a `dbl` constant, which integer columns
+    /// rarely meet: a test per row rather than a loop per shape, and out
+    /// of line, so that the exact loops compile as tight as on their own.
+    #[cold]
+    #[inline(never)]
+    fn apply_dbl(&self, vals: &mut dyn Iterator<Item = T>, emit: Emit<'_, T>) {
+        match self {
+            IntFilter::One(test) => pass(vals, |x| test.holds(x), emit),
             IntFilter::All(parts) => pass(vals, |x| parts.iter().all(|p| p.holds(x)), emit),
             IntFilter::Any(parts) => pass(vals, |x| parts.iter().any(|p| p.holds(x)), emit),
         }

@@ -7,7 +7,7 @@ use crate::column::Column;
 use crate::error::Result;
 use crate::heap::StrCol;
 use crate::ops::cells::{with_cells, Cells};
-use crate::ops::scan::{Pred, Scan};
+use crate::ops::scan::{scan, Pred, Scan};
 use crate::value::{ColType, Val};
 use std::cmp::Ordering;
 
@@ -91,20 +91,19 @@ impl Kept<&str> for StrCol {
     }
 }
 
-/// One pass of the typed scan over the tail, writing each qualifying
-/// BUN's head oid and tail value as it is found. A filter keeps its
-/// input's order and drops rows only, so every claim of the input holds
-/// of the output.
+/// One pass of the typed scan over the tail's cells, writing each
+/// qualifying BUN's head oid and tail cell as it is found. A filter
+/// keeps its input's order and form and drops rows only, so every claim
+/// of the input holds of the output.
 fn filter(b: &Bat, pred: &Pred<'_>) -> Result<Bat> {
     let ty = b.tail_type();
-    let (head, tail) =
-        with_cells!(b.tail(), |vals, wrap| kept(b.head(), vals.cells(), ty, pred, wrap))?;
+    let (head, tail) = with_cells!(b.tail(), |vals, wrap| kept(b.head(), vals, ty, pred, wrap))?;
     Bat::with_props(head, tail, b.props())
 }
 
-fn kept<T: Scan, O: Kept<T>>(
+fn kept<C: Cells<Cell: Scan>, O: Kept<C::Cell>>(
     head: &Column,
-    vals: impl Iterator<Item = T>,
+    vals: C,
     ty: ColType,
     pred: &Pred<'_>,
     wrap: impl FnOnce(O) -> Column,
@@ -113,7 +112,7 @@ fn kept<T: Scan, O: Kept<T>>(
     let head = match head {
         Column::Void { seq, .. } => {
             let mut oids = Vec::new();
-            T::scan(vals, ty, pred, &mut |rows, xs| {
+            scan(vals, ty, pred, &mut |rows, xs| {
                 oids.extend(rows.iter().map(|&i| seq + i as u64));
                 tail.keep(xs);
             })?;
@@ -121,7 +120,7 @@ fn kept<T: Scan, O: Kept<T>>(
         }
         Column::Oid(h) => {
             let mut oids = Vec::new();
-            T::scan(vals, ty, pred, &mut |rows, xs| {
+            scan(vals, ty, pred, &mut |rows, xs| {
                 oids.extend(rows.iter().map(|&i| h[i]));
                 tail.keep(xs);
             })?;
@@ -131,7 +130,7 @@ fn kept<T: Scan, O: Kept<T>>(
         // positions and fetch the heads once.
         other => {
             let mut kept_rows = Vec::new();
-            T::scan(vals, ty, pred, &mut |rows, xs| {
+            scan(vals, ty, pred, &mut |rows, xs| {
                 kept_rows.extend_from_slice(rows);
                 tail.keep(xs);
             })?;
@@ -241,6 +240,24 @@ mod tests {
         let r = crate::ops::reverse(&b);
         let s = uselect(&r, &Val::Oid(11)).unwrap();
         assert_eq!(s.bun(0), (Val::Int(2), Val::Oid(11)));
+    }
+
+    #[test]
+    fn a_select_keeps_its_inputs_form_and_base() {
+        use crate::int::{Form, IntCol};
+        // Based at 1 000 with `u16` offsets; the smallest value is not
+        // kept, and the output is still based at 1 000.
+        let b = Bat::dense(Column::from(vec![1_900, 1_000, 1_500, 1_200]));
+        for (op, c) in [(CmpOp::Ge, Val::Int(1_200)), (CmpOp::Gt, Val::Dbl(1_199.5))] {
+            let s = theta_select(&b, op, &c).unwrap();
+            let Column::Int(IntCol(Form::U16(n))) = s.tail() else { panic!("{:?}", s.tail()) };
+            assert_eq!((n.base, &n.offsets[..]), (1_000, &[900, 500, 200][..]), "{c:?}");
+        }
+        // A plain column (built by pushes) selects plain.
+        let mut plain = Column::empty(crate::value::ColType::Int);
+        [1_900, 1_000].iter().for_each(|&x| plain.push(&Val::Int(x)).unwrap());
+        let s = uselect(&Bat::dense(plain), &Val::Int(1_900)).unwrap();
+        assert!(matches!(s.tail(), Column::Int(IntCol(Form::Plain(v))) if v == &[1_900]));
     }
 
     #[test]

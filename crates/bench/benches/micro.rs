@@ -16,8 +16,9 @@
 //!   per instruction" (§3.2); `mal_interpreter_per_instruction` measures
 //!   a 64-instruction plan, so per-instruction cost is the reading ÷ 64,
 //! * the `batstore::ops` kernels at 64 k rows, one benchmark per
-//!   algorithm a BAT's properties can select (`bench_kernels`): per-row
-//!   cost is the reading ÷ 65 536,
+//!   algorithm a BAT's properties can select, and the UPDATE/DELETE
+//!   predicate scan (`bench_kernels`): per-row cost is the reading ÷
+//!   65 536,
 //! * the fused scan → group → aggregate operator on a Q1 shape (by its
 //!   two dictionary-coded flag columns, and by two `lng` columns), a Q6,
 //!   a `count(*)`, a Q3 shape, the last with its hash-probe stage, and
@@ -243,10 +244,12 @@ fn splitmix(x: u64) -> usize {
 }
 
 /// Each kernel path at 64 k rows: the positional, merge and hash joins,
-/// the typed scan on three column types, the merge and hash semijoins,
-/// and grouping at a handful and at thousands of distinct keys.
+/// the typed scan on three column types and through `matching_rows`, the
+/// merge and hash semijoins, and grouping at a handful and at thousands
+/// of distinct keys.
 fn bench_kernels(c: &mut Criterion) {
     use batstore::{ops, Bat, Column, Val};
+    use std::sync::Arc;
 
     const N: usize = 1 << 16;
     let random = |i: usize| splitmix(i as u64);
@@ -283,6 +286,14 @@ fn bench_kernels(c: &mut Criterion) {
     });
     c.bench_function("kernel_select_str_64k", |b| {
         b.iter(|| black_box(ops::uselect(&strs, &Val::from("NO")).unwrap()))
+    });
+    // `oltp_mix`'s write side: the rows an UPDATE or DELETE matches.
+    let table = Arc::new(ints.clone());
+    let lookup = |_: &str| Some(Arc::clone(&table));
+    let (lo, hi) = (Val::Int(2_500), Val::Int(5_000));
+    let between = [ops::RowPredicate::Between { column: "v".into(), lo, hi }];
+    c.bench_function("kernel_matching_rows_int_64k", |b| {
+        b.iter(|| black_box(ops::matching_rows(&lookup, N, &between).unwrap()))
     });
 
     // The same two candidate lists, ascending (merge) and with the

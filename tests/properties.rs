@@ -177,7 +177,10 @@ proptest! {
     /// them: theta and range selects and IN, the fused aggregate (each
     /// aggregate its type takes, grouped and not, its conjuncts on the
     /// narrow column, with and without a probe joining on it), join, sort,
-    /// grouping, grouped sums, gather, slice and the `DCB1` round trip.
+    /// grouping, grouped sums, gather, slice and the `DCB1` round trip;
+    /// and, sorted, against a sorted column of a lower base and another
+    /// span, each side narrow or plain: the merge join both ways round,
+    /// and `semijoin` and `kunion` by merge and by hash.
     /// Each answers cell for cell what it answers for the twin, or fails
     /// alike. Bases reach both ends of the cell type; spans run from one
     /// distinct value to past the widest offset; columns from empty to
@@ -323,6 +326,43 @@ proptest! {
         if !vals.is_empty() {
             let row = narrow.byte_size() / vals.len();
             prop_assert_eq!((gathered.byte_size(), sliced.byte_size()), (2 * row, row), "kept the form");
+        }
+
+        // Sorted, against a sorted other based at or below it and
+        // reaching up to 70 000 past it (another width, or plain): the
+        // joins merge, and so do the set operations on the two as heads;
+        // with the unsorted column as one head they hash.
+        let twins = |xs: &[i64]| {
+            let mut plain = Column::empty(ty);
+            xs.iter().for_each(|&x| plain.push(&val(x)).unwrap());
+            (built(xs.to_vec()), plain)
+        };
+        let mut sorted = vals.clone();
+        sorted.sort_unstable();
+        let mut other: Vec<i64> = sorted.iter().step_by(3).copied().collect();
+        let far = i64::from(consts[1] % 70_000);
+        other.extend([lo.saturating_sub(1).max(min), hi.saturating_add(far).min(max)]);
+        other.sort_unstable();
+        let pair_ops = |a: &Column, b: &Column, unsorted: &Column| {
+            let (ra, rb, ru) = (ops::reverse(&dense(a)), ops::reverse(&dense(b)), ops::reverse(&dense(unsorted)));
+            [
+                ops::join(&dense(a), &rb),
+                ops::join(&dense(b), &ra),
+                ops::semijoin(&ra, &rb),
+                ops::semijoin(&rb, &ra),
+                ops::kunion(&ra, &rb),
+                ops::kunion(&rb, &ra),
+                ops::semijoin(&ru, &rb),
+                ops::semijoin(&rb, &ru),
+                ops::kunion(&ru, &rb),
+                ops::kunion(&rb, &ru),
+            ]
+            .map(|r| r.map_err(|e| e.to_string()))
+        };
+        let ((a, a_plain), (b, b_plain)) = (twins(&sorted), twins(&other));
+        let want = pair_ops(&a_plain, &b_plain, &plain);
+        for (a, b, unsorted) in [(&a, &b, &narrow), (&a, &b_plain, &narrow), (&a_plain, &b, &plain)] {
+            prop_assert_eq!(pair_ops(a, b, unsorted), want.clone(), "sorted pairs");
         }
 
         // `DCB1`: the same bytes, and a decode takes the narrow form.
