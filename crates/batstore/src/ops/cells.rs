@@ -13,11 +13,14 @@
 //! compares, hashes and sums them as they are and applies the base only
 //! at its edges: where it places a constant, rebuilds a column or
 //! finishes a sum. A kernel over two columns, whose bases differ, reads
-//! each through [`Values`]. Either way the form is picked once per
-//! kernel, and no row loop branches on it. For the same reason a coded
-//! string column hands the equality kernels over one column its codes.
+//! the side it keeps through [`Values`] and the side it walks a [`Batch`]
+//! at a time as values ([`Walk`]). Either way the form is picked once per
+//! kernel or block, and no row loop branches on it. For the same reason a
+//! coded string column hands the equality kernels over one column its
+//! codes.
 
 use crate::heap::StrCol;
+use crate::int::{by_form, IntCol, Wide};
 
 /// Positional read access to the cells of one column.
 pub(crate) trait Cells: Copy {
@@ -117,8 +120,8 @@ impl<T: Copy + PartialOrd> Cells for Offsets<'_, T> {
     }
 }
 
-/// An integer column's values, `base + cell`: how the kernels over two
-/// columns read each side.
+/// An integer column's values, `base + cell`: how a kernel over two
+/// columns reads the side it keeps.
 #[derive(Clone, Copy)]
 pub(crate) struct Values<C>(pub C);
 
@@ -133,10 +136,69 @@ impl<C: Cells<Cell: Into<i64>>> Cells for Values<C> {
     fn at(self, i: usize) -> i64 {
         self.0.base() + self.0.at(i).into()
     }
+}
 
-    fn cells(self) -> impl Iterator<Item = i64> + Clone {
-        let base = self.0.base();
-        self.0.cells().map(move |x| base + x.into())
+/// Row positions a kernel reads a column at: a range, or a list.
+#[derive(Clone, Copy)]
+pub(crate) enum Batch<'a> {
+    Range(usize, usize),
+    Rows(&'a [usize]),
+}
+
+impl Batch<'_> {
+    pub fn len(self) -> usize {
+        match self {
+            Batch::Range(lo, hi) => hi - lo,
+            Batch::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// The position of the batch's `j`-th row.
+    pub fn at(self, j: usize) -> usize {
+        match self {
+            Batch::Range(lo, _) => lo + j,
+            Batch::Rows(rows) => rows[j],
+        }
+    }
+
+    /// `f(j, i, cell)` for the batch's `j`-th row, which sits at
+    /// position `i` of `cells`.
+    #[inline(always)]
+    pub fn each<C: Cells>(self, cells: C, mut f: impl FnMut(usize, usize, C::Cell)) {
+        match self {
+            Batch::Range(lo, hi) => (lo..hi).enumerate().for_each(|(j, i)| f(j, i, cells.at(i))),
+            Batch::Rows(rows) => rows.iter().enumerate().for_each(|(j, &i)| f(j, i, cells.at(i))),
+        }
+    }
+}
+
+/// The side a kernel over two columns walks, read a [`Batch`] at a time
+/// into a block: a column view's cells, an integer column's values
+/// whatever its form, which is picked once per block.
+pub(crate) trait Walk: Copy {
+    type Cell: Copy + PartialOrd;
+
+    /// Write the cells at `rows` to the front of `out`.
+    fn read(self, rows: Batch<'_>, out: &mut [Self::Cell]);
+}
+
+impl<C: Cells> Walk for C {
+    type Cell = C::Cell;
+
+    fn read(self, rows: Batch<'_>, out: &mut [C::Cell]) {
+        rows.each(self, |j, _, x| out[j] = x);
+    }
+}
+
+impl<W: Wide> Walk for &IntCol<W> {
+    type Cell = i64;
+
+    fn read(self, rows: Batch<'_>, out: &mut [i64]) {
+        by_form!(
+            &self.0,
+            |n, _| rows.each(&n.offsets[..], |j, _, o| out[j] = n.base.to_i64() + i64::from(o)),
+            |v| rows.each(&v[..], |j, _, x| out[j] = x.to_i64())
+        )
     }
 }
 
@@ -261,15 +323,16 @@ macro_rules! with_keys {
     }};
 }
 
-/// `$body` with `$a`, `$b` bound to the key views of two columns of one
-/// join domain (equal types, `void` and `oid` sharing one; an integer
-/// column's [`Values`], per form of each side); `$mismatch` for any other
-/// pair.
+/// `$body` with `$a` bound to the [`Walk`] of `$walked` and `$b` to the
+/// key view of `$kept`, two columns of one join domain (equal types,
+/// `void` and `oid` sharing one); `$mismatch` for any other pair. One
+/// instantiation of `$body` per form of `$kept` — an integer column's
+/// [`Values`] — and per type, not form, of `$walked`.
 macro_rules! with_key_pair {
-    ($l:expr, $r:expr, |$a:ident, $b:ident| $body:expr, $mismatch:expr) => {{
+    ($walked:expr, $kept:expr, |$a:ident, $b:ident| $body:expr, $mismatch:expr) => {{
         use $crate::column::Column as C;
         use $crate::ops::cells::{int_cells, Bits, Dense, Values};
-        match ($l, $r) {
+        match ($walked, $kept) {
             (C::Void { seq: s1, len: n1 }, C::Void { seq: s2, len: n2 }) => {
                 let ($a, $b) = (Dense { seq: *s1, len: *n1 }, Dense { seq: *s2, len: *n2 });
                 $body
@@ -286,17 +349,13 @@ macro_rules! with_key_pair {
                 let ($a, $b) = (&x[..], &y[..]);
                 $body
             }
-            (C::Int(x), C::Int(y)) | (C::Date(x), C::Date(y)) => int_cells!(x, |x| {
-                int_cells!(y, |y| {
-                    let ($a, $b) = (Values(x), Values(y));
-                    $body
-                })
+            (C::Int(x), C::Int(y)) | (C::Date(x), C::Date(y)) => int_cells!(y, |y| {
+                let ($a, $b) = (x, Values(y));
+                $body
             }),
-            (C::Lng(x), C::Lng(y)) => int_cells!(x, |x| {
-                int_cells!(y, |y| {
-                    let ($a, $b) = (Values(x), Values(y));
-                    $body
-                })
+            (C::Lng(x), C::Lng(y)) => int_cells!(y, |y| {
+                let ($a, $b) = (x, Values(y));
+                $body
             }),
             (C::Dbl(x), C::Dbl(y)) => {
                 let ($a, $b) = (Bits(&x[..]), Bits(&y[..]));

@@ -25,14 +25,15 @@
 //! 4. With no predicate a batch is a range of positions, not a list, and
 //!    an ungrouped `count` reads no row at all.
 //! 5. With a [`Probe`] stage the rows are those of the scanned table
-//!    joined to a build side on one key, matched as [`crate::ops::join`]
-//!    matches (`dbl` by bit pattern). The hash table is built over the
-//!    build key once; each batch of qualifying scanned rows is probed into
-//!    it, and keys and aggregates read either side. A joined row is a
-//!    scanned row and a build row, in scanned-row order and, for one
-//!    scanned row, in build order — so groups number in first appearance
-//!    over the scanned table's positions, then build order. No column of
-//!    the join result is built.
+//!    joined to a build side on one key, matched as
+//!    [`crate::ops::join()`] matches (`dbl` by bit pattern), by the one
+//!    matcher (`ops::matcher`): a hash table built over the build key
+//!    once, each batch of qualifying scanned rows walked into it; keys
+//!    and aggregates read either side. A joined row is a scanned row and
+//!    a build row, in scanned-row order and, for one scanned row, in
+//!    build order — so groups number in first appearance over the
+//!    scanned table's positions, then build order. No column of the join
+//!    result is built.
 //!
 //! Per row there is no `Val` and no `dyn` call: columns are dispatched on
 //! their type and form once per statement into boxed typed stages, and a
@@ -45,8 +46,9 @@ use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::ops::aggregate::{beats, narrow_sum};
-use crate::ops::cells::{int_cells, with_cells, with_key_pair, with_keys, Cells};
-use crate::ops::hash::{check_rows, Chains, Codes, Key, NIL};
+use crate::ops::cells::{int_cells, with_cells, with_keys, Batch, Cells};
+use crate::ops::hash::{check_rows, Codes, Key, NIL};
+use crate::ops::matcher::matcher;
 use crate::ops::scan::{Pred, Scan, BATCH};
 use crate::ops::RowPredicate;
 use crate::value::ColType;
@@ -103,43 +105,6 @@ pub struct Probe<'a> {
 /// or the build side's. Index into the two batches a round works on.
 const SCANNED: usize = 0;
 const BUILD: usize = 1;
-
-/// The row positions one round works on: a range while nothing has
-/// filtered the rows, else the positions the conjuncts kept (ascending).
-#[derive(Clone, Copy)]
-enum Batch<'a> {
-    Range(usize, usize),
-    Rows(&'a [usize]),
-}
-
-impl Batch<'_> {
-    fn len(self) -> usize {
-        match self {
-            Batch::Range(lo, hi) => hi - lo,
-            Batch::Rows(rows) => rows.len(),
-        }
-    }
-
-    /// The position of the batch's `j`-th row.
-    fn at(self, j: usize) -> usize {
-        match self {
-            Batch::Range(lo, _) => lo + j,
-            Batch::Rows(rows) => rows[j],
-        }
-    }
-
-    /// `f(j, i, cell)` for the batch's `j`-th row, which sits at
-    /// position `i` of `cells`.
-    #[inline(always)]
-    fn each<C: Cells>(self, cells: C, mut f: impl FnMut(usize, usize, C::Cell)) {
-        match self {
-            Batch::Range(lo, hi) => (lo..hi).enumerate().for_each(|(j, i)| f(j, i, cells.at(i))),
-            Batch::Rows(rows) => {
-                rows.iter().enumerate().for_each(|(j, &i)| f(j, i, cells.at(i)));
-            }
-        }
-    }
-}
 
 /// One WHERE conjunct over its column, resolved.
 trait Conjunct {
@@ -198,64 +163,6 @@ fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 
     }
     let (ty, pred) = (bat.tail_type(), p.pred());
     with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred))
-}
-
-/// The probe stage, its hash table built over the build key.
-trait Matcher {
-    /// Hand `sink` the joined rows of the batch's scanned rows as
-    /// `(scanned, build)` position lists, up to [`BATCH`] pairs at a
-    /// time: in the batch's order, and for one scanned row by ascending
-    /// build position.
-    fn pairs(&self, batch: Batch<'_>, sink: &mut dyn FnMut(&[usize], &[usize]));
-}
-
-struct Hashed<A, B> {
-    scanned: A,
-    build: B,
-    table: Chains,
-}
-
-impl<A: Cells, B: Cells<Cell = A::Cell>> Matcher for Hashed<A, B>
-where
-    A::Cell: Key,
-{
-    fn pairs(&self, batch: Batch<'_>, sink: &mut dyn FnMut(&[usize], &[usize])) {
-        let Hashed { build, table, .. } = self;
-        let (mut at, mut to, mut n) = ([0; BATCH], [0; BATCH], 0);
-        batch.each(self.scanned, |_, i, key| {
-            // Chains yield ascending ids: build order within one row.
-            for j in table.chain(key.hash(&table.seed)).filter(|&j| build.at(j) == key) {
-                (at[n], to[n]) = (i, j);
-                n += 1;
-                if n == BATCH {
-                    sink(&at, &to);
-                    n = 0;
-                }
-            }
-        });
-        if n > 0 {
-            sink(&at[..n], &to[..n]);
-        }
-    }
-}
-
-/// The probe stage over two join columns of one domain (as
-/// [`crate::ops::join`] pairs them), its table built on `build`.
-fn matcher<'a>(scanned: &'a Bat, build: &'a Bat) -> Result<Box<dyn Matcher + 'a>> {
-    fn hashed<'a, A, B>(scanned: A, build: B) -> Result<Box<dyn Matcher + 'a>>
-    where
-        A: Cells + 'a,
-        B: Cells<Cell = A::Cell> + 'a,
-        A::Cell: Key,
-    {
-        let table = Chains::over(build)?;
-        Ok(Box::new(Hashed { scanned, build, table }))
-    }
-    let mismatch = || BatError::TypeMismatch {
-        expected: scanned.tail_type().name(),
-        got: build.tail_type().name().to_string(),
-    };
-    with_key_pair!(scanned.tail(), build.tail(), |a, b| hashed(a, b), Err(mismatch()))
 }
 
 /// One GROUP BY column.
@@ -596,7 +503,8 @@ pub fn scan_aggregate(
     // Everything is placed against its column's type before a row is read.
     let conjuncts =
         preds.iter().zip(&pred_cols).map(|(p, b)| conjunct(b, p)).collect::<Result<Vec<_>>>()?;
-    let matcher = probe.zip(join_col.as_deref()).map(|(p, col)| matcher(col, p.build_key));
+    let matcher =
+        probe.zip(join_col.as_deref()).map(|(p, b)| matcher(b.tail(), p.build_key.tail(), false));
     let matcher = matcher.transpose()?;
     let folds = aggs
         .iter()
@@ -616,7 +524,7 @@ pub fn scan_aggregate(
     // column reads the build side, which is then the scanned rows again.
     let mut feed = |batch: Batch<'_>| match &matcher {
         None => rounds.round([batch; 2]),
-        Some(m) => m.pairs(batch, &mut |at, to| rounds.round([Batch::Rows(at), Batch::Rows(to)])),
+        Some(m) => m(batch, false, &mut |at, to| rounds.round([Batch::Rows(at), Batch::Rows(to)])),
     };
 
     match conjuncts.split_first() {

@@ -9,9 +9,10 @@
 //!    sequence base *is* the position, so the join is one bounds-checked
 //!    gather. Every projection `sqlfront` emits (`join(candidates,
 //!    column)`) is this.
-//! 2. `l.tail` and `r.head` both claim ascending order — a typed **merge**
-//!    (never for `dbl`, whose keys are bit patterns and not so ordered).
-//! 3. Otherwise a typed **hash** join, built on the smaller side.
+//! 2. `l.tail` and `r.head` both claim ascending order (never `dbl`) —
+//!    the [`matcher`]'s **merge**, walking `l`.
+//! 3. Otherwise the [`matcher`]'s **hash** table, on the smaller side
+//!    (on `r` for a `dbl` key both claim sorted).
 //!
 //! Every path emits the same BUNs in the same order: `l`-major, and
 //! within one `l` row by ascending `r` position.
@@ -19,8 +20,9 @@
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::ops::cells::{with_key_pair, Cells};
-use crate::ops::hash::{check_rows, Chains, Key};
+use crate::ops::cells::Batch;
+use crate::ops::hash::check_rows;
+use crate::ops::matcher::matcher;
 
 /// `algebra.join(l, r)`: inner equi-join of `l.tail` with `r.head`,
 /// producing `(l.head, r.tail)` pairs in l-major order.
@@ -36,10 +38,17 @@ pub fn join(l: &Bat, r: &Bat) -> Result<Bat> {
             _ => Err(mismatch()),
         };
     }
+    if !l.tail().join_compatible(r.head()) {
+        return Err(mismatch());
+    }
     check_rows(l.count().max(r.count()))?;
     let sorted = l.props().tail_sorted && r.props().head_sorted;
-    let (li, ri) =
-        with_key_pair!(l.tail(), r.head(), |a, b| pairs(a, b, sorted)?, return Err(mismatch()));
+    let (li, ri) = if sorted || r.count() <= l.count() {
+        matches(l.tail(), r.head(), sorted)?
+    } else {
+        let (ri, li) = matches(r.head(), l.tail(), false)?;
+        l_major(li, ri, l.count())
+    };
     // `li` never decreases, so the output head is ordered as `l`'s is.
     let props = Props {
         tail_sorted: false,
@@ -52,6 +61,17 @@ pub fn join(l: &Bat, r: &Bat) -> Result<Bat> {
         r.tail().gather_iter(ri.iter().map(|&j| j as usize)),
         props,
     )
+}
+
+/// Every matching pair of positions `(walked, kept)`, walked-major.
+fn matches(walked: &Column, kept: &Column, sorted: bool) -> Result<(Vec<u32>, Vec<u32>)> {
+    let (mut wi, mut ki) = (Vec::new(), Vec::new());
+    let rows = Batch::Range(0, walked.len());
+    matcher(walked, kept, sorted)?(rows, false, &mut |at, to| {
+        wi.extend(at.iter().map(|&i| i as u32));
+        ki.extend(to.iter().map(|&j| j as u32));
+    });
+    Ok((wi, ki))
 }
 
 /// The join against a dense head starting at `seq`: `oids` are `l`'s
@@ -82,70 +102,6 @@ fn fetch(l: &Bat, oids: impl Iterator<Item = u64> + Clone, seq: u64, r: &Bat) ->
         no_nil: true,
     };
     Bat::with_props(head, tail, props)
-}
-
-/// Matching positions `(li, ri)`, `l`-major: merged when both columns
-/// are `sorted` on cells that order as their values do, hashed otherwise,
-/// with the table built on the smaller side.
-fn pairs<A, B>(l: A, r: B, sorted: bool) -> Result<(Vec<u32>, Vec<u32>)>
-where
-    A: Cells,
-    B: Cells<Cell = A::Cell>,
-    A::Cell: Key,
-{
-    if sorted && A::ORDERED {
-        return Ok(merge_pairs(l, r));
-    }
-    if r.len() <= l.len() {
-        return probe(l, r);
-    }
-    let (ri, li) = probe(r, l)?;
-    Ok(l_major(li, ri, l.len()))
-}
-
-/// Matching positions `(li, ri)` of two ascending columns.
-fn merge_pairs<A: Cells, B: Cells<Cell = A::Cell>>(l: A, r: B) -> (Vec<u32>, Vec<u32>) {
-    let (mut li, mut ri) = (Vec::new(), Vec::new());
-    let (n, m) = (l.len(), r.len());
-    let mut j = 0;
-    for i in 0..n {
-        let key = l.at(i);
-        while j < m && r.at(j) < key {
-            j += 1;
-        }
-        if j == m {
-            break;
-        }
-        // The whole run of equal keys; `j` stays at its start, since the
-        // next `l` row may match the same run.
-        let mut run = j;
-        while run < m && r.at(run) == key {
-            li.push(i as u32);
-            ri.push(run as u32);
-            run += 1;
-        }
-    }
-    (li, ri)
-}
-
-/// Matching positions `(li, ri)` of two columns in any order, `l`-major:
-/// a table built on `r`, whose chains yield ascending positions, probed
-/// in `l` order.
-fn probe<A, B>(l: A, r: B) -> Result<(Vec<u32>, Vec<u32>)>
-where
-    A: Cells,
-    B: Cells<Cell = A::Cell>,
-    A::Cell: Key,
-{
-    let (mut li, mut ri) = (Vec::new(), Vec::new());
-    let table = Chains::over(r)?;
-    for (i, key) in l.cells().enumerate() {
-        for j in table.chain(key.hash(&table.seed)).filter(|&j| r.at(j) == key) {
-            li.push(i as u32);
-            ri.push(j as u32);
-        }
-    }
-    Ok((li, ri))
 }
 
 /// The pairs `(li, ri)`, `r`-major and for one `r` row by ascending `l`

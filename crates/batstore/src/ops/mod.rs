@@ -23,6 +23,7 @@ mod cells;
 mod fused;
 pub(crate) mod hash;
 mod join;
+mod matcher;
 mod mutate;
 #[cfg(test)]
 mod oracle;

@@ -2,55 +2,27 @@
 //! `l` whose head appears in `r`'s head) and `kunion`.
 //!
 //! Membership is tested by what the two heads know about themselves
-//! (§3.1): `r`'s head `void` — a range test, no table at all; both heads
-//! claiming ascending order (selections keep their input's order, so
-//! candidate lists nearly always do) — a merge; otherwise a typed hash
-//! set of `r`'s heads.
+//! (§3.1): `r`'s head `void` — a range test, no table at all; otherwise
+//! the [`matcher`] walks `l`'s heads against `r`'s, stopping at a row's
+//! first match — a merge when both heads claim ascending order
+//! (selections keep their input's order, so candidate lists nearly
+//! always do), a hash set of `r`'s heads otherwise.
 
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::ops::cells::{with_key_pair, Cells};
-use crate::ops::hash::{check_rows, Chains, Key};
+use crate::ops::cells::Batch;
+use crate::ops::hash::check_rows;
+use crate::ops::matcher::matcher;
 use crate::value::ColType;
 
 fn mismatch(l: ColType, r: ColType) -> BatError {
     BatError::TypeMismatch { expected: l.name(), got: r.name().to_string() }
 }
 
-/// Positions of `l` whose value is among `r`'s (`want`) or is not
-/// (`!want`), ascending: by a merge when both columns are `sorted` on
-/// cells that order as their values do, through a hash set otherwise.
-fn member_rows<A, B>(l: A, r: B, sorted: bool, want: bool) -> Result<Vec<u32>>
-where
-    A: Cells,
-    B: Cells<Cell = A::Cell>,
-    A::Cell: Key,
-{
-    let mut rows = Vec::new();
-    if sorted && A::ORDERED {
-        let (m, mut j) = (r.len(), 0);
-        for (i, key) in l.cells().enumerate() {
-            while j < m && r.at(j) < key {
-                j += 1;
-            }
-            if (j < m && r.at(j) == key) == want {
-                rows.push(i as u32);
-            }
-        }
-    } else {
-        let set = Chains::over(r)?;
-        for (i, key) in l.cells().enumerate() {
-            if set.chain(key.hash(&set.seed)).any(|j| r.at(j) == key) == want {
-                rows.push(i as u32);
-            }
-        }
-    }
-    Ok(rows)
-}
-
-/// [`member_rows`] of two head columns, by the cheapest test their
-/// types and claims allow.
+/// Positions of `l` whose head is among `r`'s heads (`want`) or is not
+/// (`!want`), ascending, by the cheapest test their types and claims
+/// allow.
 fn head_member_rows(l: &Bat, r: &Bat, want: bool) -> Result<Vec<u32>> {
     check_rows(l.count().max(r.count()))?;
     if let Column::Void { seq, len } = *r.head() {
@@ -66,12 +38,23 @@ fn head_member_rows(l: &Bat, r: &Bat, want: bool) -> Result<Vec<u32>> {
         };
     }
     let sorted = l.props().head_sorted && r.props().head_sorted;
-    with_key_pair!(
-        l.head(),
-        r.head(),
-        |a, b| member_rows(a, b, sorted, want),
-        Err(mismatch(l.head_type(), r.head_type()))
-    )
+    let (n, mut rows, mut next) = (l.count() as u32, Vec::new(), 0);
+    // A row's first match decides it; the rows between two matched ones
+    // matched nothing.
+    matcher(l.head(), r.head(), sorted)?(Batch::Range(0, l.count()), true, &mut |at, _| {
+        if want {
+            rows.extend(at.iter().map(|&i| i as u32));
+        } else {
+            for &i in at {
+                rows.extend(next..i as u32);
+                next = i as u32 + 1;
+            }
+        }
+    });
+    if !want {
+        rows.extend(next..n);
+    }
+    Ok(rows)
 }
 
 /// The BUNs of `l` at `rows` (ascending). Dropping rows keeps order and

@@ -243,7 +243,8 @@ fn splitmix(x: u64) -> usize {
     ((z ^ (z >> 31)) >> 1) as usize
 }
 
-/// Each kernel path at 64 k rows: the positional, merge and hash joins,
+/// Each kernel path at 64 k rows: the positional, merge and hash joins
+/// (the hash one also on keys of two forms),
 /// the typed scan on three column types and through `matching_rows`, the
 /// merge and hash semijoins, and grouping at a handful and at thousands
 /// of distinct keys.
@@ -260,6 +261,9 @@ fn bench_kernels(c: &mut Criterion) {
     let strs = Bat::dense(Column::from(flags));
 
     // Positional: a candidate list (every other row) fetched from a column.
+    // Its median is layout-bound: it has moved by ±35 % between builds
+    // whose code for this loop is byte-identical, so no kernel result
+    // should be read from it.
     let candidates = Bat::dense(Column::Oid((0..N as u64).step_by(2).collect()));
     c.bench_function("kernel_join_positional_32k_of_64k", |b| {
         b.iter(|| black_box(ops::join(&candidates, &lngs).unwrap()))
@@ -276,6 +280,17 @@ fn bench_kernels(c: &mut Criterion) {
     });
     c.bench_function("kernel_join_hash_fk_pk_64k_x_16k", |b| {
         b.iter(|| black_box(ops::join(&fk_shuffled, &pk).unwrap()))
+    });
+    // The hash join on `lng` keys of two forms: 16 k primary keys four
+    // apart (`u16` offsets), and 64 k foreign keys among them but for one
+    // row in 64, which lies far above every key (`u32` offsets).
+    let pk_lng = ops::reverse(&Bat::dense(Column::Lng((0..N as i64 / 4).map(|k| 4 * k).collect())));
+    let fk_lng =
+        (0..N).map(|i| if i % 64 == 0 { 1 << 20 } else { 4 * (random(i) % (N / 4)) as i64 });
+    let fk_lng = Bat::dense(Column::Lng(fk_lng.collect()));
+    assert_eq!((pk_lng.head().byte_size(), fk_lng.tail().byte_size()), (2 * N / 4, 4 * N));
+    c.bench_function("kernel_join_hash_mixed_forms_64k_x_16k", |b| {
+        b.iter(|| black_box(ops::join(&fk_lng, &pk_lng).unwrap()))
     });
 
     c.bench_function("kernel_select_int_64k", |b| {

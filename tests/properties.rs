@@ -176,8 +176,10 @@ proptest! {
     /// by `push`, which stays plain, through every kernel that reads
     /// them: theta and range selects and IN, the fused aggregate (each
     /// aggregate its type takes, grouped and not, its conjuncts on the
-    /// narrow column, with and without a probe joining on it), join, sort,
-    /// grouping, grouped sums, gather, slice and the `DCB1` round trip;
+    /// narrow column, with and without a probe joining on it) and join,
+    /// against a build side narrow at the column's width, narrow at
+    /// another and plain; sort, grouping, grouped sums, gather, slice and
+    /// the `DCB1` round trip;
     /// and, sorted, against a sorted column of a lower base and another
     /// span, each side narrow or plain: the merge join both ways round,
     /// and `semijoin` and `kunion` by merge and by hash.
@@ -270,27 +272,64 @@ proptest! {
             Aggregate::Count,
         ];
         let aggs = &aggs[if date { 2 } else { 0 }..];
-        let build = built(vals.iter().step_by(3).copied().collect());
-        let build = Bat::dense(build);
-        let fused = |col: &Column, preds: &[RowPredicate], key: Option<&str>, probed: bool| {
+        // The probe's build key and the join's other side, each built
+        // (narrow) and pushed (plain): every third value, and values
+        // narrow at another width — `u16` beside a `u8` column, `u8` (its
+        // values within 255 of the base) beside any other.
+        let twins = |xs: &[i64]| {
+            let mut plain = Column::empty(ty);
+            xs.iter().for_each(|&x| plain.push(&val(x)).unwrap());
+            (built(xs.to_vec()), plain)
+        };
+        let thirds = vals.iter().step_by(3).copied();
+        let other_width: Vec<i64> = if narrow.byte_size() == vals.len() {
+            thirds.clone().chain([lo, lo + 256]).collect()
+        } else {
+            vals.iter().copied().filter(|x| x - lo < 256).step_by(3).chain([lo]).collect()
+        };
+        let builds = [thirds.collect(), other_width].map(|xs: Vec<i64>| {
+            let (n, p) = twins(&xs);
+            (Bat::dense(n), Bat::dense(p))
+        });
+        let fused = |col: &Column, build: Option<&Bat>, preds: &[RowPredicate], key: Option<&str>| {
             let table = [("v", Arc::new(dense(col))), ("k", Arc::new(dense(&k)))];
             let lookup =
                 |name: &str| table.iter().find(|(t, _)| *t == name).map(|(_, b)| Arc::clone(b));
-            let probe = Probe { key: "v", build_key: &build, build: &|_| None };
-            let (keys, probe): (Vec<&str>, _) = (key.into_iter().collect(), probed.then_some(&probe));
+            let probe = build.map(|build_key| Probe { key: "v", build_key, build: &|_| None });
+            let keys: Vec<&str> = key.into_iter().collect();
             // `avg`, `min` and `max` over no rows fail alike; `count` and
             // `sum` answer anyway.
             let sums = [Aggregate::Sum("v".into()), Aggregate::Count];
             let sums = &sums[if date { 1 } else { 0 }..];
             [aggs, sums].map(|aggs| {
-                outs(ops::scan_aggregate(&lookup, vals.len(), preds, probe, &keys, aggs))
+                outs(ops::scan_aggregate(&lookup, vals.len(), preds, probe.as_ref(), &keys, aggs))
             })
         };
+        // Join (as either side).
+        let joins = |col: &Column, build: &Bat| {
+            let b = dense(col);
+            [ops::join(&b, &ops::reverse(build)), ops::join(build, &ops::reverse(&b))]
+                .map(|r| r.map_err(|e| e.to_string()))
+        };
+        // Narrow × narrow (at the column's width and at another), narrow ×
+        // plain and plain × narrow, each against plain × plain.
+        let [(thirds, thirds_plain), (other, other_plain)] = &builds;
+        let plains = [thirds_plain, other_plain];
+        let pairs = [(&narrow, thirds, 0), (&narrow, thirds_plain, 0), (&plain, thirds, 0), (&narrow, other, 1)];
         for (p, key) in [(0, None), (1, Some("k")), (2, Some("v")), (3, None), (4, Some("k"))] {
-            for probed in [false, true] {
-                let (n, pl) = (fused(&narrow, &preds[..p], key, probed), fused(&plain, &preds[..p], key, probed));
-                prop_assert_eq!(n, pl, "preds {} keys {:?} probe {}", p, key, probed);
+            let preds = &preds[..p];
+            let (n, pl) = (fused(&narrow, None, preds, key), fused(&plain, None, preds, key));
+            prop_assert_eq!(n, pl, "preds {} keys {:?}", p, key);
+            // Every form of the build side under a range of rows and under
+            // a list; the column's own width under the rest.
+            let want = plains.map(|b| fused(&plain, Some(b), preds, key));
+            for &(col, build, twin) in &pairs[..if p <= 1 { 4 } else { 1 }] {
+                let got = fused(col, Some(build), preds, key);
+                prop_assert_eq!(&got, &want[twin], "preds {} keys {:?} probed", p, key);
             }
+        }
+        for (col, build, twin) in pairs {
+            prop_assert_eq!(joins(col, build), joins(&plain, plains[twin]), "join");
         }
         let rows = |col: &Column| {
             let lookup = |_: &str| Some(Arc::new(dense(col)));
@@ -298,8 +337,8 @@ proptest! {
         };
         prop_assert_eq!(rows(&narrow), rows(&plain), "IN through matching_rows");
 
-        // Join (as either side), sort, grouping, grouped sums (which fail
-        // alike on a `date` or an `lng` overflow), gather and slice.
+        // Sort, grouping, grouped sums (which fail alike on a `date` or an
+        // `lng` overflow), gather and slice.
         let kernels = |col: &Column| {
             let b = dense(col);
             let (grp, ext) = ops::group_by(&b);
@@ -308,8 +347,6 @@ proptest! {
             let (lo, hi) = (vals.len() / 3, vals.len() - vals.len() / 4);
             let by_k = ops::group_by(&dense(&k)).0;
             [
-                Ok(ops::join(&b, &ops::reverse(&build)).unwrap()),
-                Ok(ops::join(&build, &ops::reverse(&b)).unwrap()),
                 Ok(ops::sort_tail(&b, false)),
                 Ok(ops::sort_tail(&b, true)),
                 Ok(grp.clone()),
@@ -321,7 +358,7 @@ proptest! {
                 Ok(dense(&col.slice(0, vals.len().min(1)))),
             ]
         };
-        prop_assert_eq!(kernels(&narrow), kernels(&plain), "join, sort, grouping, gather, slice");
+        prop_assert_eq!(kernels(&narrow), kernels(&plain), "sort, grouping, gather, slice");
         let (gathered, sliced) = (narrow.gather(&[0, 0]), narrow.slice(0, vals.len().min(1)));
         if !vals.is_empty() {
             let row = narrow.byte_size() / vals.len();
@@ -332,11 +369,6 @@ proptest! {
         // reaching up to 70 000 past it (another width, or plain): the
         // joins merge, and so do the set operations on the two as heads;
         // with the unsorted column as one head they hash.
-        let twins = |xs: &[i64]| {
-            let mut plain = Column::empty(ty);
-            xs.iter().for_each(|&x| plain.push(&val(x)).unwrap());
-            (built(xs.to_vec()), plain)
-        };
         let mut sorted = vals.clone();
         sorted.sort_unstable();
         let mut other: Vec<i64> = sorted.iter().step_by(3).copied().collect();
