@@ -12,9 +12,8 @@
 use crate::error::Result;
 use std::fmt::Debug;
 
-/// Values a narrow column is decoded into at a time, on the stack: for an
-/// encoder, and for the side a kernel over two columns walks.
-pub(crate) const BLOCK: usize = 1024;
+/// Values a narrow column hands an encoder at a time.
+const BLOCK: usize = 1024;
 
 /// The wide cell of an [`IntCol`]: `i32` (`int`, `date`) or `i64` (`lng`).
 pub trait Wide: Copy + Ord + Default + Debug + Into<i128> {

@@ -503,8 +503,9 @@ pub fn scan_aggregate(
     // Everything is placed against its column's type before a row is read.
     let conjuncts =
         preds.iter().zip(&pred_cols).map(|(p, b)| conjunct(b, p)).collect::<Result<Vec<_>>>()?;
-    let matcher =
-        probe.zip(join_col.as_deref()).map(|(p, b)| matcher(b.tail(), p.build_key.tail(), false));
+    let matcher = probe
+        .zip(join_col.as_deref())
+        .map(|(p, b)| matcher(b.tail(), p.build_key.tail(), false, false));
     let matcher = matcher.transpose()?;
     let folds = aggs
         .iter()
@@ -524,7 +525,7 @@ pub fn scan_aggregate(
     // column reads the build side, which is then the scanned rows again.
     let mut feed = |batch: Batch<'_>| match &matcher {
         None => rounds.round([batch; 2]),
-        Some(m) => m(batch, false, &mut |at, to| rounds.round([Batch::Rows(at), Batch::Rows(to)])),
+        Some(m) => m(batch, &mut |at, to| rounds.round([Batch::Rows(at), Batch::Rows(to)])),
     };
 
     match conjuncts.split_first() {

@@ -48,18 +48,17 @@ impl Key for u64 {
     }
 }
 
-/// Every other integer key (`bool` as 0 or 1) hashes as itself cast to
-/// a `u64`.
-macro_rules! word_keys {
-    ($($t:ty),*) => {$(
-        impl Key for $t {
-            fn hash(self, seed: &Seed) -> u64 {
-                (self as u64).hash(seed)
-            }
-        }
-    )*};
+impl Key for i64 {
+    fn hash(self, seed: &Seed) -> u64 {
+        (self as u64).hash(seed)
+    }
 }
-word_keys!(i64, i32, u16, u32, bool);
+
+impl Key for i32 {
+    fn hash(self, seed: &Seed) -> u64 {
+        (self as u32 as u64).hash(seed)
+    }
+}
 
 impl Key for u8 {
     fn hash(self, seed: &Seed) -> u64 {
@@ -68,6 +67,24 @@ impl Key for u8 {
 
     fn byte(self) -> Option<u8> {
         Some(self)
+    }
+}
+
+impl Key for u16 {
+    fn hash(self, seed: &Seed) -> u64 {
+        u64::from(self).hash(seed)
+    }
+}
+
+impl Key for u32 {
+    fn hash(self, seed: &Seed) -> u64 {
+        u64::from(self).hash(seed)
+    }
+}
+
+impl Key for bool {
+    fn hash(self, seed: &Seed) -> u64 {
+        u64::from(self).hash(seed)
     }
 }
 

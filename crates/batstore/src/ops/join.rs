@@ -67,7 +67,7 @@ pub fn join(l: &Bat, r: &Bat) -> Result<Bat> {
 fn matches(walked: &Column, kept: &Column, sorted: bool) -> Result<(Vec<u32>, Vec<u32>)> {
     let (mut wi, mut ki) = (Vec::new(), Vec::new());
     let rows = Batch::Range(0, walked.len());
-    matcher(walked, kept, sorted)?(rows, false, &mut |at, to| {
+    matcher(walked, kept, sorted, false)?(rows, &mut |at, to| {
         wi.extend(at.iter().map(|&i| i as u32));
         ki.extend(to.iter().map(|&j| j as u32));
     });

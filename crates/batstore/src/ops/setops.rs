@@ -41,7 +41,7 @@ fn head_member_rows(l: &Bat, r: &Bat, want: bool) -> Result<Vec<u32>> {
     let (n, mut rows, mut next) = (l.count() as u32, Vec::new(), 0);
     // A row's first match decides it; the rows between two matched ones
     // matched nothing.
-    matcher(l.head(), r.head(), sorted)?(Batch::Range(0, l.count()), true, &mut |at, _| {
+    matcher(l.head(), r.head(), sorted, true)?(Batch::Range(0, l.count()), &mut |at, _| {
         if want {
             rows.extend(at.iter().map(|&i| i as u32));
         } else {
