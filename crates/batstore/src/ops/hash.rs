@@ -48,16 +48,24 @@ impl Key for u64 {
     }
 }
 
-impl Key for i64 {
-    fn hash(self, seed: &Seed) -> u64 {
-        (self as u64).hash(seed)
-    }
+/// The other word-sized keys: each hashes as the `u64` its cast gives.
+macro_rules! word_keys {
+    ($($t:ty => |$k:ident| $cast:expr;)*) => {$(
+        impl Key for $t {
+            fn hash(self, seed: &Seed) -> u64 {
+                let $k = self;
+                $cast.hash(seed)
+            }
+        }
+    )*};
 }
 
-impl Key for i32 {
-    fn hash(self, seed: &Seed) -> u64 {
-        (self as u32 as u64).hash(seed)
-    }
+word_keys! {
+    i64 => |k| k as u64;
+    i32 => |k| k as u32 as u64;
+    u16 => |k| u64::from(k);
+    u32 => |k| u64::from(k);
+    bool => |k| u64::from(k);
 }
 
 impl Key for u8 {
@@ -67,24 +75,6 @@ impl Key for u8 {
 
     fn byte(self) -> Option<u8> {
         Some(self)
-    }
-}
-
-impl Key for u16 {
-    fn hash(self, seed: &Seed) -> u64 {
-        u64::from(self).hash(seed)
-    }
-}
-
-impl Key for u32 {
-    fn hash(self, seed: &Seed) -> u64 {
-        u64::from(self).hash(seed)
-    }
-}
-
-impl Key for bool {
-    fn hash(self, seed: &Seed) -> u64 {
-        u64::from(self).hash(seed)
     }
 }
 

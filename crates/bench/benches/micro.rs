@@ -27,6 +27,15 @@
 //! * the per-node trace ring at its default size (`bench_trace`; run
 //!   with `-- trace`): one push of an `oltp_mix`-shaped event into a
 //!   full ring, and one `trace_events()` of a full ring.
+//!
+//! Comparing two revisions of a kernel: a median here moves by ±20–35 %
+//! on byte-identical code when the code's layout shifts (a join at
+//! 32 k of 64 k rows by ±35 %, a `lng` range select by ±20 %), so no
+//! kernel difference under ≈15 % can be read off a plain build. Build
+//! both sides with
+//! `RUSTFLAGS="-C llvm-args=-align-all-functions=6 -C llvm-args=-align-all-nofallthru-blocks=5"`,
+//! which pins functions and blocks to fixed alignments, and run the two
+//! binaries in alternating pairs (A, B, A, B, …), comparing each pair.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use datacyclotron::msg::BatHeader;

@@ -1,9 +1,9 @@
 //! # dc-bench — the experiment harness
 //!
-//! One binary per figure or table of the paper's §5 evaluation, and one
-//! for the §7 baselines. The same index is in the README's "Experiments"
-//! section, and `tests/paper_scenarios.rs` checks that both name exactly
-//! the binaries in `src/bin/`:
+//! One binary per figure or table of the paper's §5 evaluation. The same
+//! index is in the README's "Experiments" section, and
+//! `tests/paper_scenarios.rs` checks that both name exactly the binaries
+//! in `src/bin/`:
 //!
 //! | binary         | reproduces                      |
 //! |----------------|---------------------------------|
@@ -12,7 +12,6 @@
 //! | `exp_gaussian` | Figures 9a, 9b                  |
 //! | `exp_tpch`     | Table 4                         |
 //! | `exp_scaling`  | Figures 10 and 11               |
-//! | `exp_baselines`| §7 related-work baselines       |
 //!
 //! Figure 1 has no binary. Tables 1 and 2 (the paper's MAL plan and its
 //! Data Cyclotron rewrite) are checked as printed text by `mal`'s
@@ -24,10 +23,11 @@
 //! quick runs, e.g. `DC_SCALE=0.1 cargo run --release -p dc-bench --bin
 //! exp_loit`.
 //!
-//! The Criterion micro-benches (`benches/micro.rs`, `benches/kernel.rs`,
-//! `benches/baselines.rs`) cover the hot protocol and kernel paths —
-//! including the paper's "below one µsec per instruction" interpreter
-//! claim — and the §7 baseline machinery.
+//! The Criterion micro-benches cover the hot paths: `benches/micro.rs`
+//! the protocol, the interpreter (the paper's "below one µsec per
+//! instruction" claim) and the kernels at 64 k rows, `benches/kernel.rs`
+//! the kernels at 1 M rows, `benches/persist.rs` the WAL and recovery,
+//! and `benches/results.rs` result delivery.
 
 /// Workload scale factor from `DC_SCALE` (see [`parse_scale`]). A value
 /// it refuses ends the process with a message: a figure at the wrong

@@ -637,7 +637,6 @@ impl RingSim {
                 let slot = self.m.max_request_latency.entry(bat.0).or_insert(0.0);
                 *slot = slot.max(lat.as_secs_f64());
             }
-            self.m.data_link_bytes += n.data.bytes_sent;
         }
 
         // CPU utilization against the makespan (bounded-cores runs).

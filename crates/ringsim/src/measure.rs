@@ -34,10 +34,6 @@ pub struct Measurements {
     /// DropTail losses.
     pub bat_drops: u64,
     pub request_drops: u64,
-    /// Bytes the clockwise data links carried: every BAT hop, header and
-    /// payload (the protocol's own `bytes_forwarded` counts only hops on
-    /// which it would have *chosen* to ship the payload).
-    pub data_link_bytes: u64,
     /// CPU utilization (Table 4; only meaningful with bounded cores).
     pub cpu_utilization: f64,
     /// Ring size over time (§6.3 pulsating rings; one point per growth).
@@ -69,7 +65,6 @@ impl Measurements {
             max_request_latency: BTreeMap::new(),
             bat_drops: 0,
             request_drops: 0,
-            data_link_bytes: 0,
             cpu_utilization: 0.0,
             ring_sizes: TimeSeries::default(),
             stats,

@@ -11,13 +11,10 @@
 //! * [`dc_transport`] — the TCP ring transport and the `dc-node`
 //!   distributed server binary (the in-process fabric lives in
 //!   `datacyclotron::transport`),
-//! * [`dc_workloads`] — the paper's workload generators,
-//! * [`dc_broadcast`] — the §7 related-work baselines (DataCycle,
-//!   Broadcast Disks, on-demand pull).
+//! * [`dc_workloads`] — the paper's workload generators.
 
 pub use batstore;
 pub use datacyclotron;
-pub use dc_broadcast;
 pub use dc_transport;
 pub use dc_workloads;
 pub use mal;

@@ -187,6 +187,38 @@ fn fig10_11_bigger_ring_longer_bat_lives() {
     );
 }
 
+#[test]
+fn split_ring_handles_the_gaussian_workload() {
+    // §6.1 splitting composes with the skewed access pattern and still
+    // completes everything while cutting ring requests. Five nodes hold
+    // 500 MB over 100 fragments.
+    let nodes = 5;
+    let dataset = || Dataset::uniform(100, 500 << 20, 2 << 20, 8 << 20, nodes, 7);
+    let queries = gaussian::generate(
+        &GaussianParams {
+            mean: 50.0,
+            stddev: 6.0,
+            base: MicroParams {
+                queries_per_second_per_node: 4.0,
+                duration: SimDuration::from_secs(5),
+                ..MicroParams::default()
+            },
+        },
+        &dataset(),
+        nodes,
+        31,
+    );
+    let total = queries.len();
+    let params = SimParams::default().with_queue_capacity(128 << 20);
+    let whole = RingSim::new(nodes, dataset(), queries.clone(), params.clone()).run();
+    let split = RingSim::new(nodes, dataset(), queries, params)
+        .with_split(ringsim::SplitParams::default())
+        .run();
+    assert_eq!(whole.completed, total);
+    assert_eq!(split.completed, total);
+    assert!(split.stats.requests_dispatched.get() < whole.stats.requests_dispatched.get());
+}
+
 /// The Experiments docs cannot drift: README.md's table and `dc-bench`'s
 /// module doc each name exactly the binaries in `crates/bench/src/bin/`,
 /// once each.

@@ -1361,39 +1361,9 @@ proptest! {
     }
 }
 
-// ---- broadcast schedules & §6.1 splitting --------------------------------
+// ---- §6.1 splitting ------------------------------------------------------
 
 proptest! {
-    /// Broadcast Disks invariant: every item of a disk with frequency f
-    /// appears exactly f times per major cycle, whatever the disk
-    /// layout (Acharya et al.'s construction).
-    #[test]
-    fn broadcast_disk_frequencies_exact(
-        sizes in prop::collection::vec(1usize..8, 1..4),
-        freqs in prop::collection::vec(1u32..6, 4),
-    ) {
-        let mut disks = Vec::new();
-        let mut next = 0u32;
-        for (i, &n) in sizes.iter().enumerate() {
-            let items: Vec<BatId> = (next..next + n as u32).map(BatId).collect();
-            next += n as u32;
-            disks.push(dc_broadcast::DiskSpec { items, frequency: freqs[i % freqs.len()] });
-        }
-        let sched = dc_broadcast::Schedule::broadcast_disks(&disks).unwrap();
-        for d in &disks {
-            for &item in &d.items {
-                prop_assert_eq!(
-                    sched.frequency_of(item),
-                    d.frequency as usize,
-                    "item {} on a frequency-{} disk", item.0, d.frequency
-                );
-            }
-        }
-        // Cycle length is the sum of item-appearances.
-        let want: usize = disks.iter().map(|d| d.items.len() * d.frequency as usize).sum();
-        prop_assert_eq!(sched.cycle_len(), want);
-    }
-
     /// §6.1 splitting preserves the workload exactly: the parts'
     /// fragment footprints and processing times are a partition of the
     /// parent's, every part settles on the owner of its first fragment,
@@ -1450,44 +1420,6 @@ proptest! {
         got.sort_unstable();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    /// Pull-server consolidation: however many queries want the same
-    /// item while it is queued, it is transmitted at most once per
-    /// queueing — total transmissions never exceed total requests and
-    /// every query completes.
-    #[test]
-    fn ondemand_serves_everything_with_consolidation(
-        wants in prop::collection::vec(0u32..6, 1..40),
-    ) {
-        use dc_workloads::{ExecModel, QuerySpec};
-        use netsim::{SimDuration, SimTime};
-        let dataset = dc_workloads::Dataset { sizes: vec![1 << 16; 6], owners: vec![0; 6] };
-        let queries: Vec<QuerySpec> = wants
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| QuerySpec {
-                arrival: SimTime::from_millis(i as u64),
-                node: 0,
-                needs: vec![BatId(w)],
-                model: ExecModel::PerBat { proc: vec![SimDuration::from_millis(1)] },
-                tag: 0,
-            })
-            .collect();
-        let total = queries.len();
-        let m = dc_broadcast::OnDemandSim::new(
-            dataset,
-            queries,
-            dc_broadcast::ChannelConfig::default(),
-            dc_broadcast::PullPolicy::Fcfs,
-        )
-        .run();
-        prop_assert_eq!(m.completed, total);
-        prop_assert_eq!(m.requests_received, total as u64);
-        prop_assert!(m.items_broadcast <= total as u64);
-        // At least one transmission per distinct wanted item.
-        let distinct = wants.iter().collect::<std::collections::HashSet<_>>().len() as u64;
-        prop_assert!(m.items_broadcast >= distinct);
     }
 }
 
