@@ -1,8 +1,10 @@
 //! Grouping by one column (`group_by`) and a grouped sum over it
-//! (`grouped_sum`): MonetDB's two-step aggregation. No plan emits them —
-//! every aggregation `sqlfront` compiles is one [`scan_aggregate`] — but
-//! the ledger times them on each workload's own columns. Also the two
-//! pieces the fused operator shares: the `i128` sum narrowing and the
+//! (`grouped_sum`): MonetDB's two-step aggregation, each running one
+//! stage of the fused operator ([`scan_aggregate`]) — the key stage for
+//! `group_by`, the sum fold for `grouped_sum`. No plan emits them (every
+//! aggregation `sqlfront` compiles is one [`scan_aggregate`]), so the
+//! ledger's rows for them time the stages `aggr.scan` runs. Also the two
+//! pieces the fused stages share: the `i128` sum narrowing and the
 //! extremum comparison.
 //!
 //! [`scan_aggregate`]: crate::ops::scan_aggregate
@@ -10,8 +12,10 @@
 use crate::bat::{Bat, Props};
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::ops::cells::{int_cells, with_keys, Cells};
-use crate::ops::hash::{Codes, Key};
+use crate::ops::cells::Batch;
+use crate::ops::fused::{dense, key_column, sum_fold};
+use crate::ops::hash::check_rows;
+use crate::ops::scan::BATCH;
 use std::cmp::Ordering;
 
 /// Narrow an `i128` accumulator back to the `Lng` output type: a sum of
@@ -32,98 +36,69 @@ pub(crate) fn beats<T: PartialOrd>(x: T, best: T, want: Ordering) -> bool {
     }
 }
 
-/// Group ids in first-appearance order for the keys `keys` yields, and
-/// the row each group first appeared at. Keys are numbered as the
-/// machine values they are ([`Key`]), through [`Codes`].
-fn group_rows<C: Cells<Cell: Key>>(keys: C) -> (Vec<u64>, Vec<usize>) {
-    let (mut codes, mut reps) = (Codes::new(), Vec::new());
-    let mut gids: Vec<u64> = Vec::with_capacity(keys.len());
-    for (i, key) in keys.cells().enumerate() {
-        let gid = codes.code(key);
-        if gid as usize == reps.len() {
-            reps.push(i);
-        }
-        gids.push(gid.into());
-    }
-    (gids, reps)
-}
-
-/// The grouping BAT `b.head → group id`; it pairs one id with each BUN
-/// of `b`, whose head claims it therefore keeps.
-fn grouping(b: &Bat, gids: Vec<u64>) -> Bat {
-    let props = Props { tail_sorted: false, ..b.props() };
-    Bat::with_props(b.head().clone(), Column::Oid(gids), props).expect("one id per BUN")
-}
-
 /// `group.new(b)`: group BUNs by tail value. Returns `(grp, ext)`:
-/// * `grp`: `b.head → group-id` (one BUN per input BUN),
-/// * `ext`: `group-id → representative tail value` (one BUN per group,
-///   in first-appearance order).
+/// * `grp`: `b.head → group-id` (one BUN per input BUN), in
+///   first-appearance order; it keeps `b`'s head claims,
+/// * `ext`: `group-id → representative tail value` (one BUN per group:
+///   the tail at the group's first row).
 pub fn group_by(b: &Bat) -> (Bat, Bat) {
-    let (gids, reps) = with_keys!(b.tail(), |keys| group_rows(keys));
-    let ext = Bat::with_props(
-        Column::Void { seq: 0, len: reps.len() },
-        b.tail().gather(&reps),
-        Props { tail_sorted: false, head_sorted: true, head_key: true, no_nil: true },
-    )
-    .expect("parallel");
-    (grouping(b, gids), ext)
-}
-
-fn group_ids(grp: &Bat) -> Result<&[u64]> {
-    grp.tail().as_oid().ok_or(BatError::TypeMismatch {
-        expected: "oid group ids",
-        got: grp.tail_type().name().to_string(),
-    })
-}
-
-fn check_grouped(vals: &Bat, grp: &Bat) -> Result<()> {
-    if vals.count() != grp.count() {
-        return Err(BatError::LengthMismatch { left: vals.count(), right: grp.count() });
+    let (mut key, n) = (key_column(b), b.count());
+    let (mut gids, mut firsts, mut codes) = (Vec::with_capacity(n), Vec::new(), [0; BATCH]);
+    for lo in (0..n).step_by(BATCH) {
+        let batch = Batch::Range(lo, n.min(lo + BATCH));
+        key.codes(batch, &mut codes);
+        let codes = &codes[..batch.len()];
+        // Only a batch that numbered new values holds first rows. Each
+        // row fills the next free slot; only a value's first row, whose
+        // code is that slot's number, keeps it (no branch on the codes).
+        if key.seen() > firsts.len() {
+            let mut next = firsts.len();
+            firsts.resize(key.seen() + 1, 0);
+            for (i, &code) in (lo..).zip(codes) {
+                firsts[next] = i;
+                next += usize::from(code as usize == next);
+            }
+            firsts.truncate(next);
+        }
+        gids.extend(codes.iter().map(|&code| u64::from(code)));
     }
-    Ok(())
-}
-
-/// A group id produced by [`group_by`] must address an
-/// accumulator slot; a stale or foreign grouping BAT must fail the
-/// query, not panic the kernel on an out-of-bounds index.
-fn group_slot(g: u64, ngroups: usize) -> Result<usize> {
-    let slot = g as usize;
-    if slot >= ngroups {
-        return Err(BatError::Invalid(format!("group id {g} out of range (ngroups {ngroups})")));
-    }
-    Ok(slot)
+    let props = Props { tail_sorted: false, ..b.props() };
+    let grp = Bat::with_props(b.head().clone(), Column::Oid(gids), props).expect("one id per BUN");
+    (grp, dense(b.tail().gather(&firsts), false))
 }
 
 /// MonetDB's `aggr.sumFor`: the sum per group over `vals` (positionally
-/// aligned with `grp`). Integer sums accumulate in `i128`; one that
-/// leaves 64-bit range is a classified [`BatError::Overflow`].
+/// aligned with `grp`, whose tail holds oid group ids below `ngroups`).
+/// Integer sums accumulate in `i128`; one that leaves 64-bit range is a
+/// classified [`BatError::Overflow`]. A stale or foreign grouping BAT —
+/// an id at or past `ngroups` — fails the query rather than the kernel.
 pub fn grouped_sum(vals: &Bat, grp: &Bat, ngroups: usize) -> Result<Bat> {
-    fn int_sums<C: Cells<Cell: Into<i128>>>(cells: C, ids: &[u64], ngroups: usize) -> Result<Bat> {
-        let (mut acc, base) = (vec![0i128; ngroups], i128::from(cells.base()));
-        for (x, &g) in cells.cells().zip(ids) {
-            acc[group_slot(g, ngroups)?] += base + x.into();
-        }
-        let sums = acc.into_iter().map(narrow_sum).collect::<Result<Vec<i64>>>()?;
-        Ok(Bat::dense(Column::from(sums)))
+    if vals.count() != grp.count() {
+        return Err(BatError::LengthMismatch { left: vals.count(), right: grp.count() });
     }
-    check_grouped(vals, grp)?;
-    let ids = group_ids(grp)?;
-    match vals.tail() {
-        Column::Int(v) => int_cells!(v, |cells| int_sums(cells, ids, ngroups)),
-        Column::Lng(v) => int_cells!(v, |cells| int_sums(cells, ids, ngroups)),
-        Column::Dbl(v) => {
-            let mut acc = vec![0f64; ngroups];
-            for (i, &g) in ids.iter().enumerate() {
-                acc[group_slot(g, ngroups)?] += v[i];
-            }
-            Ok(Bat::dense(Column::Dbl(acc)))
-        }
-        other => Err(BatError::TypeMismatch {
-            expected: "numeric",
-            got: other.col_type().name().to_string(),
-        }),
+    let ids = grp.tail().as_oid().ok_or(BatError::TypeMismatch {
+        expected: "oid group ids",
+        got: grp.tail_type().name().to_string(),
+    })?;
+    let mut fold = match vals.tail() {
+        Column::Oid(_) => Err(BatError::TypeMismatch { expected: "numeric", got: "oid".into() }),
+        column => sum_fold(column, false),
+    }?;
+    // The stage indexes its slots by the ids, as 32-bit numbers.
+    check_rows(ngroups)?;
+    if let Some(g) = ids.iter().find(|&&g| g >= ngroups as u64) {
+        return Err(BatError::Invalid(format!("group id {g} out of range (ngroups {ngroups})")));
     }
+    let (mut counts, mut gids) = (vec![0i64; ngroups], [0u32; BATCH]);
+    for (lo, chunk) in (0..).step_by(BATCH).zip(ids.chunks(BATCH)) {
+        for (gid, &g) in gids.iter_mut().zip(chunk) {
+            *gid = g as u32;
+            counts[g as usize] += 1;
+        }
+        let batch = Batch::Range(lo, lo + chunk.len());
+        fold.fold(batch, Some(&gids[..chunk.len()]), ngroups);
+    }
+    Ok(Bat::dense(fold.finish(&counts)?))
 }
 
 #[cfg(test)]

@@ -2,10 +2,13 @@
 //! rows that evaluates a conjunction of single-column predicates, groups
 //! the survivors by zero or more key columns and folds `count` / `sum` /
 //! `avg` / `min` / `max` — [`BATCH`] row positions at a time, never
-//! building a column-length intermediate. It is the SELECT-side sibling
-//! of [`matching_rows`](crate::ops::matching_rows): the same
-//! [`RowPredicate`] conjuncts over columns found through a lookup, the
-//! same scan core, the same batches.
+//! building a column-length intermediate. Its WHERE, key and fold stages
+//! are the only code in `batstore::ops` that filters rows, numbers groups
+//! and sums them: [`matching_rows`](crate::ops::matching_rows) runs the
+//! WHERE stage ([`filter`]) and collects the positions,
+//! [`group_by`](crate::ops::group_by) the key stage ([`key_column`])
+//! over one column, and [`grouped_sum`](crate::ops::grouped_sum) the sum
+//! fold ([`sum_fold`]) over the group ids it is given.
 //!
 //! What it answers, cell for cell:
 //!
@@ -107,7 +110,7 @@ const SCANNED: usize = 0;
 const BUILD: usize = 1;
 
 /// One WHERE conjunct over its column, resolved.
-trait Conjunct {
+pub(crate) trait Conjunct {
     /// Scan the whole column, handing on the positions that qualify a
     /// batch at a time.
     fn drive(&self, sink: &mut dyn FnMut(&[usize]));
@@ -150,7 +153,10 @@ where
     }
 }
 
-fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 'a>> {
+/// `p` resolved against its column `bat`: an empty `IN` list, or a
+/// literal the column's type cannot be compared with, is refused here,
+/// whatever the rows hold.
+pub(crate) fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 'a>> {
     fn filtered<'p, C: Cells<Cell: Scan> + 'p>(
         cells: C,
         ty: ColType,
@@ -165,8 +171,49 @@ fn conjunct<'a>(bat: &'a Bat, p: &'a RowPredicate) -> Result<Box<dyn Conjunct + 
     with_cells!(bat.tail(), |cells| filtered(cells, ty, &pred))
 }
 
+/// The WHERE stage: hand `feed`, a batch at a time and in ascending
+/// order, the positions of the `row_count` rows every one of `conjuncts`
+/// holds of. The first conjunct scans its column; each later one tests
+/// only the rows the ones before it kept. With no conjunct every row
+/// qualifies, fed as ranges of `step` (> 0) positions.
+pub(crate) fn filter(
+    conjuncts: &[Box<dyn Conjunct + '_>],
+    row_count: usize,
+    step: usize,
+    mut feed: impl FnMut(Batch<'_>),
+) {
+    match conjuncts.split_first() {
+        None => {
+            for lo in (0..row_count).step_by(step) {
+                feed(Batch::Range(lo, row_count.min(lo + step)));
+            }
+        }
+        Some((first, [])) => first.drive(&mut |rows| feed(Batch::Rows(rows))),
+        Some((first, rest)) => {
+            let mut kept = [0; BATCH];
+            first.drive(&mut |rows| {
+                let mut n = rows.len();
+                kept[..n].copy_from_slice(rows);
+                for conjunct in rest {
+                    n = conjunct.refine(&mut kept[..n]);
+                }
+                feed(Batch::Rows(&kept[..n]));
+            });
+        }
+    }
+}
+
+/// The column `name` as a lookup found it, which must hold `rows` rows.
+pub(crate) fn fetch(found: Option<Arc<Bat>>, name: &str, rows: usize) -> Result<Arc<Bat>> {
+    let bat = found.ok_or_else(|| BatError::NotFound(format!("column '{name}'")))?;
+    if bat.count() != rows {
+        return Err(BatError::LengthMismatch { left: bat.count(), right: rows });
+    }
+    Ok(bat)
+}
+
 /// One GROUP BY column.
-trait KeyColumn {
+pub(crate) trait KeyColumn {
     /// Write to `out[j]` the code of the batch's `j`-th row: the number
     /// its value has among the column's distinct values seen so far.
     fn codes(&mut self, batch: Batch<'_>, out: &mut [u32; BATCH]);
@@ -186,8 +233,17 @@ where
     C::Cell: Key,
 {
     fn codes(&mut self, batch: Batch<'_>, out: &mut [u32; BATCH]) {
-        let seen = &mut self.seen;
-        batch.each(self.cells, |j, _, key| out[j] = seen.code(key));
+        // One loop per arm rather than `Batch::each`, whose closure, a
+        // whole hash probe, is then not inlined at its two call sites.
+        let (cells, seen) = (self.cells, &mut self.seen);
+        match batch {
+            Batch::Range(lo, hi) => {
+                out.iter_mut().zip(lo..hi).for_each(|(o, i)| *o = seen.code(cells.at(i)))
+            }
+            Batch::Rows(rows) => {
+                out.iter_mut().zip(rows).for_each(|(o, &i)| *o = seen.code(cells.at(i)))
+            }
+        }
     }
 
     fn seen(&self) -> usize {
@@ -195,7 +251,8 @@ where
     }
 }
 
-fn key_column(bat: &Bat) -> Box<dyn KeyColumn + '_> {
+/// The key stage over `bat`'s tail, numbering its values by [`Codes`].
+pub(crate) fn key_column(bat: &Bat) -> Box<dyn KeyColumn + '_> {
     fn by_value<'a, C: Cells<Cell: Key> + 'a>(cells: C) -> Box<dyn KeyColumn + 'a> {
         Box::new(ByValue { cells, seen: Codes::new() })
     }
@@ -255,7 +312,7 @@ impl Refine {
 }
 
 /// One aggregate's accumulators, a slot per group.
-trait Fold {
+pub(crate) trait Fold {
     /// Fold the batch's cells into their rows' groups: `gids[j]` for its
     /// `j`-th row, group 0 for every row when there are no keys.
     fn fold(&mut self, batch: Batch<'_>, gids: Option<&[u32]>, groups: usize);
@@ -366,10 +423,26 @@ impl<C: Cells> Fold for Extremum<'_, C> {
     }
 }
 
-fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
+/// The `sum` (or `avg`) fold stage over `column`: [`IntSum`] or [`DblSum`].
+pub(crate) fn sum_fold(column: &Column, avg: bool) -> Result<Box<dyn Fold + '_>> {
     fn sum<'a, C: Cells<Cell: Into<i128>> + 'a>(cells: C, avg: bool) -> Box<dyn Fold + 'a> {
         Box::new(IntSum { cells, acc: Vec::new(), avg })
     }
+    Ok(match column {
+        Column::Int(v) => int_cells!(v, |cells| sum(cells, avg)),
+        Column::Lng(v) => int_cells!(v, |cells| sum(cells, avg)),
+        Column::Oid(v) => sum(&v[..], avg),
+        Column::Dbl(v) => Box::new(DblSum { cells: &v[..], acc: Vec::new(), avg }),
+        other => {
+            return Err(BatError::TypeMismatch {
+                expected: "numeric",
+                got: other.col_type().name().to_string(),
+            })
+        }
+    })
+}
+
+fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
     fn extremum<'a, C: Cells + 'a>(
         column: &'a Column,
         cells: C,
@@ -378,21 +451,10 @@ fn fold<'a>(agg: &Aggregate, bat: &'a Bat) -> Result<Box<dyn Fold + 'a>> {
         Box::new(Extremum { column, cells, best: Vec::new(), want })
     }
     let column = bat.tail();
-    let avg = matches!(agg, Aggregate::Avg(_));
     Ok(match agg {
         Aggregate::Count => unreachable!("count(*) has no column to fold"),
-        Aggregate::Sum(_) | Aggregate::Avg(_) => match column {
-            Column::Int(v) => int_cells!(v, |cells| sum(cells, avg)),
-            Column::Lng(v) => int_cells!(v, |cells| sum(cells, avg)),
-            Column::Oid(v) => sum(&v[..], avg),
-            Column::Dbl(v) => Box::new(DblSum { cells: &v[..], acc: Vec::new(), avg }),
-            other => {
-                return Err(BatError::TypeMismatch {
-                    expected: "numeric",
-                    got: other.col_type().name().to_string(),
-                })
-            }
-        },
+        Aggregate::Sum(_) => sum_fold(column, false)?,
+        Aggregate::Avg(_) => sum_fold(column, true)?,
         Aggregate::Min(_) => with_cells!(column, |cells| extremum(column, cells, Ordering::Less)),
         Aggregate::Max(_) => {
             with_cells!(column, |cells| extremum(column, cells, Ordering::Greater))
@@ -453,7 +515,7 @@ impl Rounds<'_> {
 }
 
 /// A dense output BAT over `tail`.
-fn dense(tail: Column, tail_sorted: bool) -> Bat {
+pub(crate) fn dense(tail: Column, tail_sorted: bool) -> Bat {
     let props = Props { tail_sorted, head_sorted: true, head_key: true, no_nil: true };
     Bat::with_props(Column::Void { seq: 0, len: tail.len() }, tail, props).expect("parallel")
 }
@@ -480,22 +542,13 @@ pub fn scan_aggregate(
     aggs: &[Aggregate],
 ) -> Result<Vec<Bat>> {
     check_rows(row_count)?;
-    let sized = |bat: Arc<Bat>, rows: usize| {
-        if bat.count() != rows {
-            return Err(BatError::LengthMismatch { left: bat.count(), right: rows });
-        }
-        Ok(bat)
-    };
-    let fetch = |name: &str| {
-        let bat = lookup(name).ok_or_else(|| BatError::NotFound(format!("column '{name}'")))?;
-        sized(bat, row_count)
-    };
+    let scanned = |name: &str| fetch(lookup(name), name, row_count);
     let operand = |name: &str| match probe.and_then(|p| Some(((p.build)(name)?, p))) {
-        Some((bat, p)) => Ok((BUILD, sized(bat, p.build_key.count())?)),
-        None => Ok((SCANNED, fetch(name)?)),
+        Some((bat, p)) => Ok((BUILD, fetch(Some(bat), name, p.build_key.count())?)),
+        None => Ok((SCANNED, scanned(name)?)),
     };
-    let pred_cols = preds.iter().map(|p| fetch(p.column())).collect::<Result<Vec<_>>>()?;
-    let join_col = probe.map(|p| fetch(p.key)).transpose()?;
+    let pred_cols = preds.iter().map(|p| scanned(p.column())).collect::<Result<Vec<_>>>()?;
+    let join_col = probe.map(|p| scanned(p.key)).transpose()?;
     let key_cols = keys.iter().map(|k| operand(k)).collect::<Result<Vec<_>>>()?;
     let agg_cols =
         aggs.iter().map(|a| a.column().map(operand).transpose()).collect::<Result<Vec<_>>>()?;
@@ -523,33 +576,14 @@ pub fn scan_aggregate(
     };
     // The qualifying rows, or what they join; without a probe stage no
     // column reads the build side, which is then the scanned rows again.
-    let mut feed = |batch: Batch<'_>| match &matcher {
+    let feed = |batch: Batch<'_>| match &matcher {
         None => rounds.round([batch; 2]),
         Some(m) => m(batch, &mut |at, to| rounds.round([Batch::Rows(at), Batch::Rows(to)])),
     };
-
-    match conjuncts.split_first() {
-        // Unfiltered rows need no position list; without keys there is
-        // no per-row group id to buffer either, so all rows are one batch.
-        None => {
-            let step = if keys.is_empty() { row_count.max(1) } else { BATCH };
-            for lo in (0..row_count).step_by(step) {
-                feed(Batch::Range(lo, row_count.min(lo + step)));
-            }
-        }
-        Some((first, [])) => first.drive(&mut |rows| feed(Batch::Rows(rows))),
-        Some((first, rest)) => {
-            let mut kept = [0; BATCH];
-            first.drive(&mut |rows| {
-                let mut n = rows.len();
-                kept[..n].copy_from_slice(rows);
-                for conjunct in rest {
-                    n = conjunct.refine(&mut kept[..n]);
-                }
-                feed(Batch::Rows(&kept[..n]));
-            });
-        }
-    }
+    // Unfiltered rows need no position list; without keys there is no
+    // per-row group id to buffer either, so all rows are one batch.
+    let step = if keys.is_empty() { row_count.max(1) } else { BATCH };
+    filter(&conjuncts, row_count, step, feed);
 
     let Rounds { firsts, mut counts, folds, .. } = rounds;
     counts.resize(if keys.is_empty() { 1 } else { firsts.len() }, 0);

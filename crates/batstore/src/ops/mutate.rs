@@ -19,8 +19,9 @@
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::ops::cells::with_cells;
-use crate::ops::scan::{scan, Pred};
+use crate::ops::cells::Batch;
+use crate::ops::fused::{conjunct, fetch, filter};
+use crate::ops::scan::Pred;
 use crate::ops::CmpOp;
 use crate::storage;
 use crate::value::Val;
@@ -179,53 +180,56 @@ impl RowPredicate {
 
 /// Row positions (ascending) satisfying the conjunction of `preds` over
 /// the table's columns, resolved through `lookup`. With no predicates,
-/// every row matches. Each predicate is one pass of the typed scan (the
-/// selections' core) over its column: a literal the column's type cannot
-/// be compared with fails loudly, whatever the rows hold.
+/// every row matches. This is the WHERE stage of [`scan_aggregate`]: the
+/// first conjunct scans its column, each later one tests only the rows
+/// the ones before it kept. Conjuncts are looked up
+/// and resolved one at a time, in list order, before any row is read, so
+/// the error is the first bad conjunct's: its column missing or of
+/// another length, an empty `IN` list, or a literal its column's type
+/// cannot be compared with, whatever the rows hold.
+///
+/// [`scan_aggregate`]: crate::ops::scan_aggregate
 pub fn matching_rows(
     lookup: &dyn Fn(&str) -> Option<Arc<Bat>>,
     row_count: usize,
     preds: &[RowPredicate],
 ) -> Result<Vec<usize>> {
-    let mut rows: Option<Vec<usize>> = None;
-    for p in preds {
-        let bat = lookup(p.column())
-            .ok_or_else(|| BatError::NotFound(format!("column '{}'", p.column())))?;
-        if bat.count() != row_count {
-            return Err(BatError::LengthMismatch { left: bat.count(), right: row_count });
-        }
-        if matches!(p, RowPredicate::InList { values, .. } if values.is_empty()) {
-            return Err(BatError::Invalid("IN list must not be empty".into()));
-        }
-        let (col, pred) = (bat.tail(), p.pred());
-        let (ty, mut hits) = (col.col_type(), Vec::new());
-        with_cells!(col, |vals| {
-            scan(vals, ty, &pred, &mut |rows, _| hits.extend_from_slice(rows))
-        })?;
-        // Both lists ascend: keep the earlier conjuncts' rows this one
-        // matched too.
-        if let Some(rows) = &rows {
-            let mut earlier = rows.iter().copied().peekable();
-            hits.retain(|&i| {
-                while earlier.next_if(|&j| j < i).is_some() {}
-                earlier.peek() == Some(&i)
-            });
-        }
-        rows = Some(hits);
-    }
-    Ok(rows.unwrap_or_else(|| (0..row_count).collect()))
+    // The columns up to the first that cannot be fetched; each of those
+    // conjuncts is resolved before that failure is reported.
+    let mut cols = Vec::with_capacity(preds.len());
+    let fetched: Result<()> = preds.iter().try_for_each(|p| {
+        cols.push(fetch(lookup(p.column()), p.column(), row_count)?);
+        Ok(())
+    });
+    let conjuncts = preds.iter().zip(&cols).map(|(p, b)| conjunct(b, p));
+    let conjuncts = conjuncts.collect::<Result<Vec<_>>>()?;
+    fetched?;
+    let mut rows = Vec::new();
+    filter(&conjuncts, row_count, row_count.max(1), |batch| match batch {
+        Batch::Range(lo, hi) => rows.extend(lo..hi),
+        Batch::Rows(at) => rows.extend_from_slice(at),
+    });
+    Ok(rows)
 }
 
-/// The void-head sequence of a persistent column BAT; mutation targets
-/// must be dense (the storage shape `extend_tail` also requires).
-fn dense_seq(b: &Bat) -> Result<u64> {
-    match b.head() {
-        Column::Void { seq, .. } => Ok(*seq),
-        other => Err(BatError::Invalid(format!(
+/// A selective mutation's target `b`: the void-head sequence of a
+/// persistent column BAT (mutation targets must be dense, the storage
+/// shape `extend_tail` also requires), and per row whether `rows` (any
+/// order, duplicates allowed, each bounds-checked) names it.
+fn target(b: &Bat, rows: &[usize]) -> Result<(u64, Vec<bool>)> {
+    let Column::Void { seq, .. } = b.head() else {
+        return Err(BatError::Invalid(format!(
             "selective mutation needs a dense (void-head) BAT, got {} head",
-            other.col_type()
-        ))),
+            b.head().col_type()
+        )));
+    };
+    let mut named = vec![false; b.count()];
+    for &r in rows {
+        let out_of_range =
+            || BatError::Invalid(format!("row {r} out of range for a {}-row BAT", b.count()));
+        *named.get_mut(r).ok_or_else(out_of_range)? = true;
     }
+    Ok((*seq, named))
 }
 
 /// A new BAT with `v` written at each position in `rows` (any order,
@@ -233,17 +237,7 @@ fn dense_seq(b: &Bat) -> Result<u64> {
 /// other BUN untouched — the UPDATE kernel. The value coerces into the
 /// column type exactly as INSERT appends do.
 pub fn scatter_const(b: &Bat, rows: &[usize], v: &Val) -> Result<Bat> {
-    let seq = dense_seq(b)?;
-    let mut hit = vec![false; b.count()];
-    for &r in rows {
-        if r >= b.count() {
-            return Err(BatError::Invalid(format!(
-                "row {r} out of range for a {}-row BAT",
-                b.count()
-            )));
-        }
-        hit[r] = true;
-    }
+    let (seq, hit) = target(b, rows)?;
     if let Column::Void { .. } = b.tail() {
         return Err(BatError::Invalid("a void tail holds no constant".into()));
     }
@@ -260,17 +254,7 @@ pub fn scatter_const(b: &Bat, rows: &[usize], v: &Val) -> Result<Bat> {
 /// A new BAT with the BUNs at `rows` (any order, duplicates allowed)
 /// removed and the void head kept dense — the DELETE kernel.
 pub fn erase_rows(b: &Bat, rows: &[usize]) -> Result<Bat> {
-    let seq = dense_seq(b)?;
-    let mut drop = vec![false; b.count()];
-    for &r in rows {
-        if r >= b.count() {
-            return Err(BatError::Invalid(format!(
-                "row {r} out of range for a {}-row BAT",
-                b.count()
-            )));
-        }
-        drop[r] = true;
-    }
+    let (seq, drop) = target(b, rows)?;
     let keep: Vec<usize> = (0..b.count()).filter(|&i| !drop[i]).collect();
     Ok(Bat::dense_from(seq, b.tail().gather(&keep).settled()))
 }

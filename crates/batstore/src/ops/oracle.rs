@@ -420,15 +420,45 @@ mod sweep {
                     }
                 })
                 .collect();
-            let (typed, oracle) =
-                (ops::matching_rows(&lookup, n, &preds), matching_rows(&lookup, n, &preds));
-            match (typed, oracle) {
-                (Ok(t), Ok(o)) => assert_eq!(t, o, "{preds:?}"),
-                (Err(t), Err(o)) => {
-                    assert_eq!(std::mem::discriminant(&t), std::mem::discriminant(&o), "{preds:?}")
-                }
-                (t, o) => panic!("{preds:?}: typed {t:?}, oracle {o:?}"),
+            assert_same_rows(&lookup, n, &preds);
+        }
+        // The first bad conjunct in list order is the error: a literal
+        // its column cannot compare with before a missing column and
+        // after one, an empty `IN` before such a literal and after one.
+        let cols: Vec<Arc<Bat>> =
+            TYPES.iter().map(|&ty| Arc::new(Bat::dense(column(ty, n, &mut rng)))).collect();
+        let lookup = |name: &str| name.parse::<usize>().ok().and_then(|i| cols.get(i).cloned());
+        let cmp = |column: &str, value: Val| RowPredicate::Cmp {
+            column: column.into(),
+            op: CmpOp::Lt,
+            value,
+        };
+        let mismatched = cmp("2", Val::from("ab"));
+        let missing = cmp(&TYPES.len().to_string(), Val::Int(1));
+        let empty_in = RowPredicate::InList { column: "3".into(), values: vec![] };
+        for preds in [
+            [mismatched.clone(), missing.clone()],
+            [missing, mismatched.clone()],
+            [empty_in.clone(), mismatched.clone()],
+            [mismatched, empty_in],
+        ] {
+            assert_same_rows(&lookup, n, &preds);
+        }
+    }
+
+    /// The typed `matching_rows` and the oracle's: the same rows, or the
+    /// same kind of error.
+    fn assert_same_rows(
+        lookup: &dyn Fn(&str) -> Option<Arc<Bat>>,
+        n: usize,
+        preds: &[RowPredicate],
+    ) {
+        match (ops::matching_rows(lookup, n, preds), matching_rows(lookup, n, preds)) {
+            (Ok(t), Ok(o)) => assert_eq!(t, o, "{preds:?}"),
+            (Err(t), Err(o)) => {
+                assert_eq!(std::mem::discriminant(&t), std::mem::discriminant(&o), "{preds:?}")
             }
+            (t, o) => panic!("{preds:?}: typed {t:?}, oracle {o:?}"),
         }
     }
 

@@ -1,6 +1,6 @@
 //! The typed scan core: every selection (`select_range`, `theta_select`,
-//! `uselect`), `matching_rows` and each conjunct of the fused
-//! `scan_aggregate` filters through [`Scan`].
+//! `uselect`) and each conjunct of the WHERE stage `scan_aggregate` and
+//! `matching_rows` share filters through [`Scan`].
 //!
 //! A predicate is resolved **once** against the column's type
 //! ([`Scan::resolve`], apart from running it, [`Scan::apply`], so that a

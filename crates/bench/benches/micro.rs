@@ -253,8 +253,8 @@ fn splitmix(x: u64) -> usize {
 }
 
 /// Each kernel path at 64 k rows: the positional, merge and hash joins
-/// (the hash one also on keys of two forms),
-/// the typed scan on three column types and through `matching_rows`, the
+/// (the hash one also on keys of two forms), the typed scan on three
+/// column types and through `matching_rows` (one conjunct and two), the
 /// merge and hash semijoins, and grouping at a handful and at thousands
 /// of distinct keys.
 fn bench_kernels(c: &mut Criterion) {
@@ -318,6 +318,17 @@ fn bench_kernels(c: &mut Criterion) {
     let between = [ops::RowPredicate::Between { column: "v".into(), lo, hi }];
     c.bench_function("kernel_matching_rows_int_64k", |b| {
         b.iter(|| black_box(ops::matching_rows(&lookup, N, &between).unwrap()))
+    });
+    // The same range and a second conjunct, on another column, that
+    // keeps about one in a hundred of its rows.
+    let other = (0..N).map(|i| (splitmix(!(i as u64)) % 100) as i32);
+    let other = Arc::new(Bat::dense(Column::Int(other.collect())));
+    let lookup = |name: &str| Some(Arc::clone(if name == "v" { &table } else { &other }));
+    let rare =
+        ops::RowPredicate::Cmp { column: "w".into(), op: ops::CmpOp::Eq, value: Val::Int(7) };
+    let two = [between[0].clone(), rare];
+    c.bench_function("kernel_matching_rows_two_conjuncts_64k", |b| {
+        b.iter(|| black_box(ops::matching_rows(&lookup, N, &two).unwrap()))
     });
 
     // The same two candidate lists, ascending (merge) and with the

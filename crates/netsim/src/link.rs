@@ -51,27 +51,11 @@ pub struct Link {
     /// Messages accepted but not yet fully serialized: (depart_time, bytes).
     in_queue: VecDeque<(SimTime, u64)>,
     queued_bytes: u64,
-    // Statistics.
-    pub accepted: u64,
-    pub dropped: u64,
-    pub bytes_sent: u64,
 }
 
 impl Link {
     pub fn new(cfg: LinkConfig) -> Self {
-        Link {
-            cfg,
-            busy_until: SimTime::ZERO,
-            in_queue: VecDeque::new(),
-            queued_bytes: 0,
-            accepted: 0,
-            dropped: 0,
-            bytes_sent: 0,
-        }
-    }
-
-    pub fn config(&self) -> &LinkConfig {
-        &self.cfg
+        Link { cfg, busy_until: SimTime::ZERO, in_queue: VecDeque::new(), queued_bytes: 0 }
     }
 
     /// Bytes sitting in (or currently leaving) the sender queue at `now`.
@@ -80,16 +64,10 @@ impl Link {
         self.queued_bytes
     }
 
-    /// Fraction of the queue capacity occupied at `now`, in `[0, 1+]`.
-    pub fn load_fraction(&mut self, now: SimTime) -> f64 {
-        self.queued_bytes(now) as f64 / self.cfg.queue_capacity_bytes as f64
-    }
-
     /// Offer a message of `bytes` to the link at time `now`.
     pub fn enqueue(&mut self, now: SimTime, bytes: u64) -> EnqueueOutcome {
         self.expire(now);
         if self.queued_bytes + bytes > self.cfg.queue_capacity_bytes {
-            self.dropped += 1;
             return EnqueueOutcome::Dropped;
         }
         let start = self.busy_until.max(now);
@@ -98,8 +76,6 @@ impl Link {
         self.busy_until = departs;
         self.in_queue.push_back((departs, bytes));
         self.queued_bytes += bytes;
-        self.accepted += 1;
-        self.bytes_sent += bytes;
         EnqueueOutcome::Accepted { departs, arrives }
     }
 
@@ -120,18 +96,22 @@ impl Link {
 mod tests {
     use super::*;
 
-    fn mk(bw_gbps: u64, delay_us: u64, cap_mb: u64) -> Link {
-        Link::new(LinkConfig {
+    fn cfg(bw_gbps: u64, delay_us: u64, cap_mb: u64) -> LinkConfig {
+        LinkConfig {
             bandwidth_bps: bw_gbps * 1_000_000_000,
             delay: SimDuration::from_micros(delay_us),
             queue_capacity_bytes: cap_mb * 1024 * 1024,
-        })
+        }
+    }
+
+    fn mk(bw_gbps: u64, delay_us: u64, cap_mb: u64) -> Link {
+        Link::new(cfg(bw_gbps, delay_us, cap_mb))
     }
 
     #[test]
     fn tx_time_matches_bandwidth() {
         // 10 Gb/s = 1.25 GB/s; 1.25 MB should take 1 ms.
-        let t = mk(10, 350, 200).config().tx_time(1_250_000);
+        let t = cfg(10, 350, 200).tx_time(1_250_000);
         assert_eq!(t.as_nanos(), 1_000_000);
     }
 
@@ -168,8 +148,6 @@ mod tests {
         let mut l = mk(10, 350, 1); // 1 MiB capacity
         assert!(matches!(l.enqueue(SimTime::ZERO, 800_000), EnqueueOutcome::Accepted { .. }));
         assert_eq!(l.enqueue(SimTime::ZERO, 800_000), EnqueueOutcome::Dropped);
-        assert_eq!(l.dropped, 1);
-        assert_eq!(l.accepted, 1);
     }
 
     #[test]
@@ -195,24 +173,5 @@ mod tests {
             }
             _ => panic!(),
         }
-    }
-
-    #[test]
-    fn load_fraction_reflects_queue() {
-        let mut l = mk(10, 0, 10);
-        let cap = 10 * 1024 * 1024;
-        let _ = l.enqueue(SimTime::ZERO, cap / 2);
-        let f = l.load_fraction(SimTime::ZERO);
-        assert!((f - 0.5).abs() < 1e-9, "load={f}");
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut l = mk(10, 0, 200);
-        for _ in 0..5 {
-            let _ = l.enqueue(SimTime::ZERO, 1000);
-        }
-        assert_eq!(l.accepted, 5);
-        assert_eq!(l.bytes_sent, 5000);
     }
 }
