@@ -24,6 +24,9 @@
 //!   a `count(*)`, a Q3 shape, the last with its hash-probe stage, and
 //!   `hotset_sweep`'s read of one of its tables (`bench_fused`; run with
 //!   `-- fused`).
+//! * a node's statement path without TCP (`bench_statement`; run with
+//!   `-- statement`): TPC-H Q1, Q3 and a point SELECT through
+//!   `Ring::execute` on a one-node in-memory ring,
 //! * the per-node trace ring at its default size (`bench_trace`; run
 //!   with `-- trace`): one push of an `oltp_mix`-shaped event into a
 //!   full ring, and one `trace_events()` of a full ring.
@@ -501,6 +504,31 @@ fn bench_fused(c: &mut Criterion) {
     });
 }
 
+/// A node's whole statement path without TCP (`cargo bench -p dc-bench
+/// --bench micro -- statement`): TPC-H Q1 and Q3 and a point SELECT, each
+/// through `Ring::execute` on a one-node in-memory ring that owns the
+/// scale-1 tables — template lookup and binding, linear interpretation,
+/// local pins through the event loop, kernels and the typed result.
+fn bench_statement(c: &mut Criterion) {
+    use dc_workloads::tpch::sql as tpch;
+
+    let ring = datacyclotron::Ring::builder(1).build();
+    let data = tpch::generate(1.0, 42);
+    for (name, table) in
+        [("customer", data.customer), ("orders", data.orders), ("lineitem", data.lineitem)]
+    {
+        ring.load_table("sys", name, table).unwrap();
+    }
+    let point = "select o_custkey, o_orderdate, o_totalprice from orders where o_orderkey = 42";
+    for (name, sql) in [("q1", tpch::Q1), ("q3", tpch::Q3), ("point_select", point)] {
+        assert!(ring.execute(0, sql).unwrap().row_count() > 0, "{name} answers no row");
+        c.bench_function(&format!("statement/{name}"), |b| {
+            b.iter(|| black_box(ring.execute(0, sql).unwrap()))
+        });
+    }
+    ring.shutdown();
+}
+
 /// The trace ring at `DEFAULT_TRACE_CAP` (`cargo bench -p dc-bench
 /// --bench micro -- trace`): the price of one event on the event loop,
 /// and of reading a full ring back (`dc.trace`).
@@ -531,6 +559,7 @@ criterion_group!(
     bench_interpreter,
     bench_kernels,
     bench_fused,
+    bench_statement,
     bench_trace
 );
 criterion_main!(benches);

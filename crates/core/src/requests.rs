@@ -137,8 +137,6 @@ pub struct LocalCache {
     slots: HashMap<BatId, CacheSlot>,
     pub bytes: u64,
     pub capacity: u64,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -152,7 +150,7 @@ pub struct CacheSlot {
 
 impl LocalCache {
     pub fn new(capacity: u64) -> Self {
-        LocalCache { slots: HashMap::new(), bytes: 0, capacity, hits: 0, misses: 0 }
+        LocalCache { slots: HashMap::new(), bytes: 0, capacity }
     }
 
     pub fn contains(&self, bat: BatId) -> bool {
@@ -180,17 +178,7 @@ impl LocalCache {
 
     /// A pin served from cache.
     pub fn pin(&mut self, bat: BatId) -> bool {
-        match self.slots.get_mut(&bat) {
-            Some(s) => {
-                s.active_pins += 1;
-                self.hits += 1;
-                true
-            }
-            None => {
-                self.misses += 1;
-                false
-            }
-        }
+        self.slots.get_mut(&bat).map(|s| s.active_pins += 1).is_some()
     }
 
     /// Release one pin; returns true when the slot has no active pins
@@ -295,7 +283,6 @@ mod tests {
         assert_eq!(c.evict_if_unpinned(BatId(1)), 50);
         assert_eq!(c.bytes, 0);
         assert!(!c.pin(BatId(1)), "gone");
-        assert_eq!((c.hits, c.misses), (2, 1));
     }
 
     #[test]

@@ -601,7 +601,10 @@ impl RingHooks {
             SessionCtx::new(Arc::clone(&self.session.catalog), Arc::clone(&self.session.store))
                 .with_dc(Arc::clone(self) as Arc<dyn DcHooks>)
                 .with_query_id(qid);
-        let result = mal::run_dataflow_bound(plan, params, &session, 4);
+        // Linear, on the thread that executes the statement (§3.2): the
+        // DC optimizer sends every request before the first pin, so the
+        // pins' ring waits overlap each other without a worker thread.
+        let result = mal::run_sequential_bound(plan, params, &session);
         // Always clean up interest, success or failure.
         let _ = self.send(Cmd::QueryDone { query: QueryId(qid) });
         result?;

@@ -4,6 +4,10 @@
 //! * [`run_sequential`] — "The MAL program is interpreted in a linear
 //!   fashion. The overhead of the interpreter is kept low, well below one
 //!   µsec per instruction" (§3.2) — the micro benchmark checks ours is.
+//!   A ring node runs every statement this way ([`run_sequential_bound`]
+//!   with the statement's binding), on the thread that executes it: the
+//!   DC optimizer sends every `request` before the first `pin`, so the
+//!   pins' ring waits overlap one another without a worker thread.
 //! * [`run_dataflow`] — "The MAL plan is executed using concurrent
 //!   interpreter threads following the dataflow dependencies" (§4.1).
 //!   Blocking `pin` calls park only their worker; independent instruction
@@ -11,7 +15,8 @@
 //!   with ring data arrival. The calling thread is the first worker; a
 //!   further one is started only for work that can run beside the busy
 //!   ones (`Run::workers_wanted`), so a plan that is one chain runs
-//!   on the caller alone.
+//!   on the caller alone. Single-node references and tests call it; the
+//!   engine does not.
 //!
 //! Both modes free an intermediate as soon as its last reader has run
 //! (§4.1: `unpin` "releases the BAT"): the environment gives the value up
@@ -129,6 +134,13 @@ pub fn run_sequential(prog: &Program, ctx: &SessionCtx) -> Result<Env> {
     run_sequential_with(prog, &prog.params, ctx, Registry::shared())
 }
 
+/// [`run_sequential`] with `params` bound to the plan's slots in place of
+/// its own: how a cached query template (§3.2) runs another statement of
+/// the same shape, and how a node runs every statement.
+pub fn run_sequential_bound(prog: &Program, params: &[Const], ctx: &SessionCtx) -> Result<Env> {
+    run_sequential_with(prog, params, ctx, Registry::shared())
+}
+
 pub fn run_sequential_with(
     prog: &Program,
     params: &[Const],
@@ -221,18 +233,6 @@ struct SchedState {
 /// plan's own parameter bindings.
 pub fn run_dataflow(prog: &Program, ctx: &SessionCtx, threads: usize) -> Result<Env> {
     run_dataflow_with(prog, &prog.params, ctx, Registry::shared(), threads)
-}
-
-/// [`run_dataflow`] with `params` bound to the plan's slots in place of
-/// its own: how a cached query template (§3.2) runs another statement of
-/// the same shape.
-pub fn run_dataflow_bound(
-    prog: &Program,
-    params: &[Const],
-    ctx: &SessionCtx,
-    threads: usize,
-) -> Result<Env> {
-    run_dataflow_with(prog, params, ctx, Registry::shared(), threads)
 }
 
 pub fn run_dataflow_with(
@@ -764,12 +764,12 @@ mod tests {
         assert_eq!(rows(&ctx), 1, "id >= 3");
         run_dataflow(&prog, &ctx, 4).unwrap();
         assert_eq!(rows(&ctx), 1);
-        run_dataflow_bound(&prog, &[Const::Int(2)], &ctx, 4).unwrap();
+        run_sequential_bound(&prog, &[Const::Int(2)], &ctx).unwrap();
         assert_eq!(rows(&ctx), 2, "id >= 2, bound over the default");
         assert_eq!(prog.params, vec![Const::Int(3)], "binding leaves the template alone");
         // A binding fills exactly the plan's slots.
         for bad in [&[][..], &[Const::Int(1), Const::Int(2)][..]] {
-            let e = run_dataflow_bound(&prog, bad, &ctx, 4).unwrap_err();
+            let e = run_sequential_bound(&prog, bad, &ctx).unwrap_err();
             assert!(matches!(e, MalError::BadCall(_)), "{e}");
         }
     }

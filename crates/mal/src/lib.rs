@@ -33,7 +33,7 @@ pub mod value;
 pub use ast::{Arg, Const, Instr, Program, VarId};
 pub use context::{DcHooks, LocalHooks, SessionCtx};
 pub use error::{MalError, Result};
-pub use interp::{run_dataflow, run_dataflow_bound, run_sequential};
+pub use interp::{run_dataflow, run_sequential, run_sequential_bound};
 pub use optimizer::{
     common_subexpression_eliminate, dc_optimize, dead_code_eliminate, expression_key,
 };

@@ -232,6 +232,54 @@ fn distinct_keeps_first_appearances_and_both_zeros() {
     );
 }
 
+/// A catalog holding the TPC-H tables, `sales`, `dims` and an empty
+/// `kv (k int, v varchar)`: what the plan corpora below compile against.
+fn corpus_catalog() -> Catalog {
+    let mut catalog = Catalog::new();
+    let mut store = BatStore::new();
+    let data = dc_workloads::tpch::sql::generate(0.25, 7);
+    for (name, table) in
+        [("customer", data.customer), ("orders", data.orders), ("lineitem", data.lineitem)]
+    {
+        catalog.create_table_columnar(&mut store, "sys", name, table).unwrap();
+    }
+    catalog.create_table_columnar(&mut store, "sys", "sales", sales_columns()).unwrap();
+    catalog.create_table_columnar(&mut store, "sys", "dims", dims_columns()).unwrap();
+    let kv = [("k", batstore::ColType::Int), ("v", batstore::ColType::Str)];
+    catalog.create_table(&mut store, "sys", "kv", &kv, &[]).unwrap();
+    catalog
+}
+
+/// A node interprets each plan linearly, so what keeps a statement's
+/// ring waits overlapping is the plan's order: every
+/// `datacyclotron.request` is sent before the first `datacyclotron.pin`
+/// blocks (§4.1). Checked on the plan a node runs (`sqlfront::optimize`)
+/// for every SELECT shape `sqlfront` emits.
+#[test]
+fn every_request_precedes_the_first_pin() {
+    let catalog = corpus_catalog();
+    let shapes = [
+        ("point select", "select region, amount from sales where k = 7"),
+        ("join projection", "select dims.label from sales, dims where sales.k = dims.k"),
+        ("group by", "select region, sum(amount), count(*) from sales group by region"),
+        ("distinct", "select distinct region from sales where amount > 10"),
+        ("order by / limit", "select k, amount from sales order by amount desc limit 5"),
+    ];
+    for (shape, sql) in dc_workloads::tpch::sql::queries().into_iter().chain(shapes) {
+        let plan = sqlfront::compile_sql_dc(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let at = |func: &str| {
+            let calls = plan.instrs.iter().enumerate();
+            calls.filter(|(_, i)| i.is("datacyclotron", func)).map(|(at, _)| at).collect::<Vec<_>>()
+        };
+        let (requests, pins) = (at("request"), at("pin"));
+        assert!(!requests.is_empty() && !pins.is_empty(), "{shape}: no ring fetch in\n{plan}");
+        assert!(
+            requests.iter().max() < pins.iter().min(),
+            "{shape}: a request follows the first pin in\n{plan}"
+        );
+    }
+}
+
 /// The MAL registry holds exactly the functions plans call: what
 /// `sqlfront` emits for a corpus that reaches every branch of its code
 /// generator (before and after the DC rewrite), and the `io.print` the
@@ -241,18 +289,7 @@ fn distinct_keeps_first_appearances_and_both_zeros() {
 fn registry_holds_exactly_what_plans_call() {
     use std::collections::BTreeSet;
 
-    let mut catalog = Catalog::new();
-    let mut store = BatStore::new();
-    let data = dc_workloads::tpch::sql::generate(0.25, 7);
-    for (name, table) in [("customer", data.customer), ("orders", data.orders)] {
-        catalog.create_table_columnar(&mut store, "sys", name, table).unwrap();
-    }
-    catalog.create_table_columnar(&mut store, "sys", "lineitem", data.lineitem).unwrap();
-    catalog.create_table_columnar(&mut store, "sys", "sales", sales_columns()).unwrap();
-    catalog.create_table_columnar(&mut store, "sys", "dims", dims_columns()).unwrap();
-    let kv = [("k", batstore::ColType::Int), ("v", batstore::ColType::Str)];
-    catalog.create_table(&mut store, "sys", "kv", &kv, &[]).unwrap();
-
+    let catalog = corpus_catalog();
     let corpus = [
         // README "The SQL subset" and its walkthroughs.
         "create table logs (k int, b bigint, d double, s varchar(8), f boolean, t date)",
