@@ -90,11 +90,6 @@ impl DcConfig {
         self
     }
 
-    pub fn with_queue_capacity(mut self, bytes: u64) -> Self {
-        self.queue_capacity = bytes;
-        self
-    }
-
     /// Validate invariants; called by drivers at startup.
     pub fn validate(&self) -> Result<(), String> {
         if self.loit_levels.is_empty() {

@@ -9,10 +9,11 @@
 //! `dc_transport::tcp::join_ring` and the identical engine runs as one
 //! process of a real distributed deployment.
 //!
-//! Queries execute on caller threads through the full DBMS stack:
-//! SQL → MAL → DC optimizer → dataflow interpreter, with `pin` calls
-//! blocking until fragments flow past. Table metadata is *not* shared:
-//! each node keeps one catalog ([`RingCatalog`]), kept in sync by
+//! Queries execute on caller threads through the full DBMS stack: SQL →
+//! MAL → DC optimizer → `mal::run_sequential_bound`, which interprets the
+//! plan linearly on the thread that executes the statement, with `pin`
+//! calls blocking until fragments flow past. Table metadata is *not*
+//! shared: each node keeps one catalog ([`RingCatalog`]), kept in sync by
 //! [`DcMsg::Catalog`] gossip circulating once around the ring, and
 //! statements for a remote owner's fragments travel there as
 //! [`DcMsg::Routed`] messages (§6.4; see [`crate::routed`]): every write,
@@ -31,7 +32,7 @@ use crate::routed::{
     describe, Admit, Caller, Due, Pending, Routed, PUSHED_BACKLOG, PUSHED_RESULT_MAX,
 };
 use crate::runtime::{
-    CatalogNotify, Cmd, Frag, FragIds, Publish, Push, RingCatalog, RingHooks, Waiter,
+    CatalogNotify, Cmd, Frag, FragIds, Publish, Push, Reply, RingCatalog, RingHooks,
 };
 use crate::stats::{trace, EngineStats};
 use crate::transport::RingTransport;
@@ -41,9 +42,10 @@ use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use dc_persist::{ColRec, Log, Recovered, TableRec, WalRecord};
 use netsim::SimTime;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Durable form of a catalog message (what the WAL and snapshots hold).
@@ -142,20 +144,16 @@ pub(crate) struct NodeCtx {
     catalog: Arc<RingCatalog>,
     /// The node's handle: pushed SELECTs run through its statement path.
     hooks: Arc<RingHooks>,
-    /// Pushed SELECTs waiting for the one running to finish
-    /// ([`NodeCtx::start_pushed`]); these and that one are what `routed`
-    /// holds.
-    pushed: VecDeque<PushedRun>,
-    /// Whether a pushed SELECT is running.
-    pushed_running: bool,
-    /// The channel to the node's pushed-SELECT runner, once the first push
-    /// started it ([`NodeCtx::start_pushed`]).
-    runner: Option<Sender<PushedRun>>,
+    /// The node's pushed-SELECT runner, once the first push started it
+    /// ([`NodeCtx::take_pushed`]): its channel, the one queue of the
+    /// pushed SELECTs `routed` holds, and its thread, which
+    /// [`NodeCtx::run`] hands back to be joined.
+    runner: Option<(Sender<PushedRun>, JoinHandle<()>)>,
     /// Cached passing fragments (the §4.2.1 local cache): the very cells
     /// their frames arrived as.
     cache: HashMap<BatId, Frag>,
     /// Blocked pins per BAT.
-    waiting: HashMap<BatId, Vec<(QueryId, Arc<Waiter>)>>,
+    waiting: HashMap<BatId, Vec<(QueryId, Reply<Frag>)>>,
     /// Fragment-id allocator for created and loaded tables, shared with
     /// the node handle.
     frag_ids: Arc<FragIds>,
@@ -240,6 +238,7 @@ struct PushedRun {
 /// statement — and hand the result back ([`NodeEvent::Answered`]) for the
 /// event loop to send.
 fn run_pushed(hooks: &Arc<RingHooks>, PushedRun { origin, epoch, id, sql }: PushedRun) {
+    hooks.obs.trace(epoch, id, trace::START, format_args!("select from {origin}"));
     // A panic is answered, and the runner runs on: unanswered, the
     // statement would stay held, and its origin waiting, for good.
     let run = std::panic::AssertUnwindSafe(|| hooks.run(&sql));
@@ -331,8 +330,6 @@ impl NodeCtx {
             rx,
             transport: Arc::clone(&hooks.transport),
             catalog,
-            pushed: VecDeque::new(),
-            pushed_running: false,
             runner: None,
             cache: HashMap::new(),
             waiting: HashMap::new(),
@@ -369,7 +366,13 @@ impl NodeCtx {
     /// duties whose deadline passed (so a steady stream of frames cannot
     /// starve them), then the budget and checkpoint triggers the event
     /// itself set.
-    pub(crate) fn run(mut self) {
+    ///
+    /// On its way out the loop drops itself, and with it every [`Reply`]
+    /// it holds and every command still queued: each caller blocked on
+    /// this node hears at once that it is down, the pushed SELECT running
+    /// included. What it returns is the runner's thread, which then ends
+    /// and which the caller joins.
+    pub(crate) fn run(mut self) -> Option<JoinHandle<()>> {
         loop {
             let next_due =
                 self.routed.next_deadline().map_or(self.next_tick, |d| d.min(self.next_tick));
@@ -384,17 +387,15 @@ impl NodeCtx {
                 }
                 Ok(NodeEvent::Cmd(cmd)) => {
                     if self.handle_cmd(cmd) {
-                        return; // shutdown
+                        break; // shutdown
                     }
                 }
                 Ok(NodeEvent::Checkpointed { committed }) => self.on_checkpointed(committed),
                 Ok(NodeEvent::Answered { origin, epoch, id, result }) => {
-                    self.pushed_running = false;
                     self.answer_pushed(origin, epoch, id, result);
-                    self.start_pushed();
                 }
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
             }
             let now = Instant::now();
             if now >= self.next_tick {
@@ -419,6 +420,7 @@ impl NodeCtx {
                 self.maybe_checkpoint();
             }
         }
+        self.runner.take().map(|(_, thread)| thread)
     }
 
     /// Resend routed statements whose ack deadline passed, and fail the
@@ -480,16 +482,21 @@ impl NodeCtx {
         }
     }
 
-    /// A SELECT pushed here, as its table's owner, is queued to run
-    /// ([`NodeCtx::start_pushed`]). A re-delivery of one held already is
-    /// answered [`Answer::Running`] and not run again; one past the
-    /// backlog is declined, and its origin runs it itself.
+    /// A SELECT pushed here, as its table's owner, is queued on the
+    /// node's runner thread, which runs one at a time and which the first
+    /// push starts. A re-delivery of one held already is answered
+    /// [`Answer::Running`] and not run again; one past the backlog is
+    /// declined, and its origin runs it itself.
     fn take_pushed(&mut self, r: &RoutedMsg, sql: &str) {
         let (origin, epoch, id) = (r.origin, r.epoch, r.id);
         let answer = match self.routed.admit((origin.0, epoch, id)) {
             Admit::Run => {
-                self.pushed.push_back(PushedRun { origin, epoch, id, sql: sql.to_string() });
-                return self.start_pushed();
+                let run = PushedRun { origin, epoch, id, sql: sql.to_string() };
+                if self.runner().is_some_and(|runs| runs.send(run).is_ok()) {
+                    return;
+                }
+                let err = DcError::Ring("the pushed-select runner could not start".into());
+                return self.answer_pushed(origin, epoch, id, Err(err));
             }
             Admit::Running => {
                 self.obs.trace(epoch, id, trace::DEDUP, "select re-delivered while running");
@@ -502,33 +509,17 @@ impl NodeCtx {
         self.answer_routed(origin, epoch, id, answer);
     }
 
-    /// Start the next queued pushed SELECT unless one is running, on the
-    /// node's runner thread, which the first one starts and which ends
-    /// when its channel closes with the event loop. It is not joined: its
-    /// statement may wait on a pin the stopped loop never answers.
-    fn start_pushed(&mut self) {
-        while !self.pushed_running {
-            let Some(run) = self.pushed.pop_front() else { return };
-            let (origin, epoch, id) = (run.origin, run.epoch, run.id);
-            if self.runner.is_none() {
-                let (runs, queue) = crossbeam::channel::unbounded::<PushedRun>();
-                let hooks = Arc::clone(&self.hooks);
-                let thread = std::thread::Builder::new().name("dc-pushed-select".into());
-                let spawned =
-                    thread.spawn(move || queue.iter().for_each(|r| run_pushed(&hooks, r)));
-                self.runner = spawned.is_ok().then_some(runs);
-            }
-            match self.runner.as_ref().map(|runs| runs.send(run)) {
-                Some(Ok(())) => {
-                    self.pushed_running = true;
-                    self.obs.trace(epoch, id, trace::START, format_args!("select from {origin}"));
-                }
-                _ => {
-                    let err = DcError::Ring("the pushed-select runner could not start".into());
-                    self.answer_pushed(origin, epoch, id, Err(err));
-                }
-            }
+    /// The channel to the node's pushed-SELECT runner, started if this is
+    /// the first push; `None` if its thread could not be spawned.
+    fn runner(&mut self) -> Option<&Sender<PushedRun>> {
+        if self.runner.is_none() {
+            let (runs, queue) = crossbeam::channel::unbounded::<PushedRun>();
+            let hooks = Arc::clone(&self.hooks);
+            let thread = std::thread::Builder::new().name("dc-pushed-select".into());
+            let spawned = thread.spawn(move || queue.iter().for_each(|r| run_pushed(&hooks, r)));
+            self.runner = spawned.ok().map(|thread| (runs, thread));
         }
+        self.runner.as_ref().map(|(runs, _)| runs)
     }
 
     /// A pushed SELECT has run here: it is no longer held, and its result
@@ -874,27 +865,24 @@ impl NodeCtx {
                 let effects = self.node.local_request(query, bat);
                 self.execute(effects, None);
             }
-            Cmd::Pin { query, bat, waiter } => {
+            Cmd::Pin { query, bat, reply } => {
                 let (outcome, effects) = self.node.pin(query, bat);
                 self.execute(effects, None);
-                match outcome {
-                    PinOutcome::OwnedLocal => {
-                        // The owned payload may have been spilled; a
-                        // local pin re-admits it synchronously.
-                        waiter.fulfill(self.ensure_resident(bat).map(Frag::from_bat));
-                    }
-                    PinOutcome::Cached => {
-                        let r = self
-                            .cache
-                            .get(&bat)
-                            .cloned()
-                            .ok_or_else(|| format!("cached fragment {bat} missing payload"));
-                        waiter.fulfill(r);
-                    }
+                let frag = match outcome {
+                    // The owned payload may have been spilled; a local pin
+                    // re-admits it synchronously.
+                    PinOutcome::OwnedLocal => self.ensure_resident(bat).map(Frag::from_bat),
+                    PinOutcome::Cached => self
+                        .cache
+                        .get(&bat)
+                        .cloned()
+                        .ok_or_else(|| format!("cached fragment {bat} missing payload")),
                     PinOutcome::MustWait => {
-                        self.waiting.entry(bat).or_default().push((query, waiter));
+                        self.waiting.entry(bat).or_default().push((query, reply));
+                        return false;
                     }
-                }
+                };
+                let _ = reply.send(frag);
             }
             Cmd::Unpin { query, bat } => {
                 let effects = self.node.unpin(query, bat);
@@ -921,14 +909,18 @@ impl NodeCtx {
                 }
             }
             Cmd::CreateTable { schema, table, cols, ack } => {
-                ack.fulfill(self.create_table(&schema, &table, &cols));
+                let _ = ack.send(self.create_table(&schema, &table, &cols));
             }
             Cmd::Mutate { m, ack } => {
                 // The ring and the WAL carry the statement in one encoding;
                 // one it cannot hold is refused before anything happens.
                 match m.check_encodable().and_then(|()| self.mutation_owner(&m.schema, &m.table)) {
-                    Err(e) => ack.fulfill(Err(e)),
-                    Ok(owner) if owner == self.node.id => ack.fulfill(self.apply_mutation(&m)),
+                    Err(e) => {
+                        let _ = ack.send(Err(e));
+                    }
+                    Ok(owner) if owner == self.node.id => {
+                        let _ = ack.send(self.apply_mutation(&m));
+                    }
                     Ok(_) => {
                         // Route the logical mutation clockwise to the
                         // owner; the ack resolves when the Ack comes
@@ -950,7 +942,7 @@ impl NodeCtx {
                 );
             }
             Cmd::Hotset { ack } => {
-                ack.fulfill(Ok(self.hotset_snapshot()));
+                let _ = ack.send(Ok(self.hotset_snapshot()));
             }
             Cmd::PublishTable { table, gossip } => {
                 self.apply_catalog(&table);
@@ -1143,8 +1135,8 @@ impl NodeCtx {
                         if !keep.is_empty() {
                             self.waiting.insert(header.bat, keep);
                         }
-                        for (_, w) in to_serve {
-                            w.fulfill(frag.clone().ok_or_else(|| {
+                        for (_, reply) in to_serve {
+                            let _ = reply.send(frag.clone().ok_or_else(|| {
                                 format!("fragment {} payload unavailable", header.bat)
                             }));
                         }
@@ -1160,9 +1152,10 @@ impl NodeCtx {
                 }
                 Effect::QueryError { bat, queries } => {
                     if let Some(list) = self.waiting.remove(&bat) {
-                        for (q, w) in list {
+                        for (q, reply) in list {
                             if queries.contains(&q) {
-                                w.fulfill(Err(format!("{bat} does not exist in the database")));
+                                let _ = reply
+                                    .send(Err(format!("{bat} does not exist in the database")));
                             }
                         }
                     }

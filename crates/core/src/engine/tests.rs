@@ -1041,11 +1041,24 @@ fn remote_insert_routes_to_owner() {
     assert_eq!(ints(&rs), [70], "acknowledged, so applied at the owner");
 }
 
-/// A fabric member that hands the test every frame its node sends
-/// clockwise, and lets the test play the rest of the ring.
+/// A fabric member that hands the test every frame its node sends, on
+/// either edge, and lets the test play the rest of the ring.
 struct Tap {
     sent: Sender<DcMsg>,
     sink: parking_lot::Mutex<Option<crate::transport::Sink>>,
+}
+
+impl Tap {
+    /// A node over a new tap, and what the tap hands on.
+    fn node() -> (RingNode, Arc<Tap>, crossbeam::channel::Receiver<DcMsg>) {
+        let (tx, sent) = unbounded();
+        let tap = Arc::new(Tap { sent: tx, sink: Default::default() });
+        (RingNode::spawn(NodeId(0), tap.clone(), NodeOptions::default()), tap, sent)
+    }
+
+    fn deliver(&self, msg: DcMsg) {
+        (self.sink.lock().as_mut().expect("attached"))(msg)
+    }
 }
 
 impl RingTransport for Tap {
@@ -1053,7 +1066,8 @@ impl RingTransport for Tap {
         let _ = self.sent.send(msg);
         Ok(())
     }
-    fn send_request(&self, _: DcMsg) -> Result<(), crate::transport::TransportError> {
+    fn send_request(&self, msg: DcMsg) -> Result<(), crate::transport::TransportError> {
+        let _ = self.sent.send(msg);
         Ok(())
     }
     fn recv(&self) -> Option<DcMsg> {
@@ -1069,16 +1083,13 @@ impl RingTransport for Tap {
 
 #[test]
 fn an_owner_encodes_every_payload_send_and_holds_its_bat_alone() {
-    let (tx, sent) = unbounded();
-    let tap = Arc::new(Tap { sent: tx, sink: Default::default() });
-    let node = RingNode::spawn(NodeId(0), tap.clone(), NodeOptions::default());
+    let (node, tap, sent) = Tap::node();
     let column = Column::from(vec![1, 2, 3]);
     let want = storage::bat_to_bytes(&Bat::dense(column.clone()));
     node.load_table("sys", "t", vec![("x", column)]).unwrap();
     node.wait_for_table_timeout("sys", "t", Duration::from_secs(10)).unwrap();
     let bat = node.ring_catalog().lookup("sys", "t", "x").unwrap().bat;
-    let deliver = |msg| (tap.sink.lock().as_mut().expect("attached"))(msg);
-    let ask = || deliver(DcMsg::Request(crate::msg::ReqMsg { origin: NodeId(1), bat }));
+    let ask = || tap.deliver(DcMsg::Request(crate::msg::ReqMsg { origin: NodeId(1), bat }));
     let next_payload = || loop {
         match sent.recv_timeout(Duration::from_secs(10)).expect("a frame") {
             DcMsg::Bat { header, payload: Some(bytes) } => return (header, bytes),
@@ -1092,15 +1103,101 @@ fn an_owner_encodes_every_payload_send_and_holds_its_bat_alone() {
     ask();
     let (header, first) = next_payload();
     ask();
-    deliver(DcMsg::Bat { header, payload: None });
+    tap.deliver(DcMsg::Bat { header, payload: None });
     let (_, second) = next_payload();
     assert_eq!((&first[..], &second[..]), (&want[..], &want[..]));
     assert_ne!(first.as_ptr(), second.as_ptr(), "each send encodes its own buffer");
 
     // What the owner holds for the fragment is its `Bat`, nothing more.
-    let waiter = Arc::new(Waiter::default());
-    node.hooks.send(Cmd::Pin { query: QueryId(1), bat, waiter: Arc::clone(&waiter) }).unwrap();
-    let cell = waiter.wait(Duration::from_secs(10)).unwrap();
+    let pin = |reply| Cmd::Pin { query: QueryId(1), bat, reply };
+    let cell = node.hooks.ask(pin, "no pin").unwrap();
     assert_eq!(format!("{cell:?}"), "Frag::Bat(3 rows)");
     node.shutdown();
+}
+
+/// Publish at `node` a table `sys.far (y int)` that node 1 owns, and wait
+/// until the node's catalog holds it. Behind a tap nothing plays node 1,
+/// so a pin of its fragment waits for a frame that never comes.
+fn far_table(node: &RingNode) -> BatId {
+    let bat = node_frag_id(NodeId(1), 1);
+    let y = CatalogCol {
+        name: "y".into(),
+        ty: batstore::ColType::Int,
+        bat,
+        size: 12,
+        owner: NodeId(1),
+        version: 0,
+    };
+    let far = CatalogMsg {
+        origin: NodeId(1),
+        schema: "sys".into(),
+        table: "far".into(),
+        columns: vec![y],
+    };
+    node.hooks.send(Cmd::PublishTable { table: far, gossip: false }).unwrap();
+    node.wait_for_table_timeout("sys", "far", Duration::from_secs(10)).unwrap();
+    bat
+}
+
+/// Wait until the node asks the ring for `bat`, then a little longer: the
+/// statement that asked pins it right after its requests, and the pause
+/// lets that pin reach the loop before the test stops it. Nothing outside
+/// the loop sees a pin wait, so no barrier can stand in for the pause; a
+/// pin that reaches a stopped loop fails at once all the same.
+fn await_request(sent: &crossbeam::channel::Receiver<DcMsg>, bat: BatId) {
+    loop {
+        match sent.recv_timeout(Duration::from_secs(10)).expect("a request") {
+            DcMsg::Request(r) if r.bat == bat => break,
+            _ => continue,
+        }
+    }
+    std::thread::sleep(Duration::from_millis(100));
+}
+
+/// A node that stops answers the statement blocked on its pin at once,
+/// not when the pin's 30 s timeout runs out.
+#[test]
+fn a_select_blocked_on_a_pin_fails_at_once_when_its_node_stops() {
+    let (node, _tap, sent) = Tap::node();
+    assert_eq!(NodeOptions::default().pin_timeout, Duration::from_secs(30));
+    let bat = far_table(&node);
+    std::thread::scope(|s| {
+        let select = s.spawn(|| node.execute("select y from far"));
+        await_request(&sent, bat);
+        node.hooks.send(Cmd::Shutdown).unwrap();
+        let stopped = Instant::now();
+        let err = select.join().unwrap().unwrap_err();
+        assert!(stopped.elapsed() < Duration::from_secs(1), "waited {:?}", stopped.elapsed());
+        assert!(err.message().contains("ring node is down"), "{err}");
+    });
+    node.shutdown();
+}
+
+/// Stopping an owner whose pushed-SELECT runner is blocked in such a pin
+/// returns at once, and the runner has ended: it held the node's handle,
+/// and nothing else does.
+#[test]
+fn stopping_an_owner_joins_its_runner_blocked_in_a_pin() {
+    let (node, tap, sent) = Tap::node();
+    node.load_table("sys", "own", vec![("x", Column::from(vec![1, 2, 3]))]).unwrap();
+    node.wait_for_table_timeout("sys", "own", Duration::from_secs(10)).unwrap();
+    let bat = far_table(&node);
+    let (schema, table) = ("sys".into(), "own".into());
+    let sql = "select count(*) from own, far where own.x = far.y".into();
+    let stmt = RoutedStmt::Select { schema, table, sql };
+    tap.deliver(DcMsg::Routed(RoutedMsg {
+        origin: NodeId(1),
+        epoch: 1,
+        id: 1,
+        settled_below: 1,
+        stmt,
+    }));
+    await_request(&sent, bat);
+    let starts = node.obs().trace_events().into_iter().filter(|e| e.event == trace::START);
+    assert_eq!(starts.count(), 1, "the runner took the SELECT up");
+    let hooks = Arc::clone(&node.hooks);
+    let stopping = Instant::now();
+    node.shutdown();
+    assert!(stopping.elapsed() < Duration::from_secs(1), "waited {:?}", stopping.elapsed());
+    assert_eq!(Arc::strong_count(&hooks), 1, "the runner still holds the node's handle");
 }

@@ -12,10 +12,10 @@ use crate::error::DcError;
 use crate::hotset::HotsetSnapshot;
 use crate::ids::NodeId;
 use crate::msg::{CatalogCol, CatalogMsg};
-use crate::runtime::{CatalogNotify, Cmd, FragIds, Push, RingCatalog, RingHooks, Waiter};
+use crate::runtime::{answered, CatalogNotify, Cmd, FragIds, Push, RingCatalog, RingHooks};
 use crate::transport::{mem, MeteredTransport, RingTransport};
 use batstore::{Bat, Column, ResultSet};
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError};
 use mal::MalError;
 use sqlfront::parser::MAX_IDENT;
 use std::path::PathBuf;
@@ -82,7 +82,9 @@ pub struct RingNode {
     pub(crate) hooks: Arc<RingHooks>,
     notify: Arc<CatalogNotify>,
     frag_ids: Arc<FragIds>,
-    event_loop: Option<JoinHandle<()>>,
+    /// The event loop's thread; it ends with the pushed-SELECT runner's,
+    /// if a push started one.
+    event_loop: Option<JoinHandle<Option<JoinHandle<()>>>>,
 }
 
 impl RingNode {
@@ -225,14 +227,13 @@ impl RingNode {
     /// on while the owner says it is still running it, and the routed
     /// path fails it, classified, once the owner falls silent.
     fn push_select(&self, push: Push, sql: &str) -> Result<Option<ResultSet>, DcError> {
-        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
-        let (sql, reply, beat) = (sql.to_string(), Arc::clone(&answer), Arc::clone(&alive));
+        let ((reply, answer), alive) = (bounded(1), Arc::new(AtomicBool::new(false)));
+        let (sql, beat) = (sql.to_string(), Arc::clone(&alive));
         self.hooks.send(Cmd::PushSelect { push, sql, answer: reply, alive: beat })?;
         let outcome = loop {
-            match answer.wait_timeout(self.hooks.pin_timeout) {
-                Some(outcome) => break outcome,
-                None if alive.swap(false, Ordering::Relaxed) => {}
-                None => break Err("timed out waiting for the fragment owner's answer".into()),
+            match answer.recv_timeout(self.hooks.pin_timeout) {
+                Err(RecvTimeoutError::Timeout) if alive.swap(false, Ordering::Relaxed) => {}
+                got => break answered(got, "timed out waiting for the fragment owner's answer"),
             }
         };
         outcome.map_err(|e| DcError::from(MalError::Dc(e)))?.transpose()
@@ -323,15 +324,18 @@ impl RingNode {
         &self.hooks.catalog
     }
 
+    /// The loop answers every caller still waiting on it as it ends, the
+    /// runner's statement included, so the runner is joined after it.
     fn stop(&mut self) {
         let _ = self.hooks.send(Cmd::Shutdown);
-        if let Some(t) = self.event_loop.take() {
-            let _ = t.join();
+        if let Some(Ok(Some(runner))) = self.event_loop.take().map(JoinHandle::join) {
+            let _ = runner.join();
         }
         self.hooks.transport.close();
     }
 
-    /// Stop the node: event loop, then transport links.
+    /// Stop the node: event loop and pushed-SELECT runner, then transport
+    /// links.
     pub fn shutdown(mut self) {
         self.stop();
     }

@@ -37,7 +37,7 @@
 use crate::error::DcError;
 use crate::ids::NodeId;
 use crate::msg::{Answer, DcMsg, MutOp, RoutedMsg, RoutedStmt};
-use crate::runtime::Waiter;
+use crate::runtime::Reply;
 use batstore::ResultSet;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,29 +84,35 @@ pub struct Pending {
     retries_left: u32,
 }
 
-/// Who waits for a routed statement, in the form its answer takes.
+/// Who waits for a routed statement, in the form its answer takes: the
+/// reply its caller waits on, which a node that stops drops unanswered.
 pub enum Caller {
     /// A mutation's caller, for the owner's affected-row count.
-    Mutation(Arc<Waiter<u64>>),
+    Mutation(Reply<u64>),
     /// A pushed SELECT's caller, for what the owner made of it; `alive`
     /// is set each time the owner says it is still running it, so the
     /// caller keeps waiting.
-    Select { answer: Arc<Waiter<Pushed>>, alive: Arc<AtomicBool> },
+    Select { answer: Reply<Pushed>, alive: Arc<AtomicBool> },
 }
 
 impl Caller {
     /// Wake the caller with the owner's answer, or with why the origin
     /// gave up (`Err`). An answer of the other kind — only a forged frame
-    /// could carry one — fails the statement.
-    pub fn settle(&self, outcome: Result<Answer, String>) {
+    /// could carry one — fails the statement. A caller that gave up
+    /// waiting hears nothing.
+    pub fn settle(self, outcome: Result<Answer, String>) {
         let mismatch = || "the owner answered another kind of statement".to_string();
         match (self, outcome) {
-            (Caller::Mutation(w), Ok(Answer::Mutated(r))) => w.fulfill(r),
-            (Caller::Mutation(w), other) => w.fulfill(Err(other.err().unwrap_or_else(mismatch))),
-            (Caller::Select { answer, .. }, Ok(Answer::Selected(r))) => answer.fulfill(Ok(Some(r))),
-            (Caller::Select { answer, .. }, Ok(Answer::Declined(_))) => answer.fulfill(Ok(None)),
+            (Caller::Mutation(ack), Ok(Answer::Mutated(r))) => drop(ack.send(r)),
+            (Caller::Mutation(ack), other) => {
+                drop(ack.send(Err(other.err().unwrap_or_else(mismatch))))
+            }
+            (Caller::Select { answer, .. }, Ok(Answer::Selected(r))) => {
+                drop(answer.send(Ok(Some(r))))
+            }
+            (Caller::Select { answer, .. }, Ok(Answer::Declined(_))) => drop(answer.send(Ok(None))),
             (Caller::Select { answer, .. }, other) => {
-                answer.fulfill(Err(other.err().unwrap_or_else(mismatch)))
+                drop(answer.send(Err(other.err().unwrap_or_else(mismatch))))
             }
         }
     }
@@ -330,6 +336,7 @@ impl Routed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::bounded;
 
     const TIMEOUT: Duration = Duration::from_millis(100);
     const ME: NodeId = NodeId(1);
@@ -340,7 +347,7 @@ mod tests {
     }
 
     fn waiter() -> Caller {
-        Caller::Mutation(Arc::new(Waiter::default()))
+        Caller::Mutation(bounded(1).0)
     }
 
     #[test]
@@ -375,20 +382,20 @@ mod tests {
         // not saying otherwise.
         let (schema, table, sql) =
             ("sys".into(), "acct".into(), "select count(*) from acct".into());
-        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
+        let ((reply, answer), alive) = (bounded(1), Arc::new(AtomicBool::new(false)));
         let select = RoutedStmt::Select { schema, table, sql };
-        r.begin(ME, select, Caller::Select { answer: Arc::clone(&answer), alive }, t0);
+        r.begin(ME, select, Caller::Select { answer: reply, alive }, t0);
         let due = r.poll(t0 + TIMEOUT * 1_000);
         let [Due::Resend { what, .. }] = &due[..] else { panic!("expected one resend") };
         assert_eq!(what, "select on sys.acct");
         assert!(matches!(r.poll(t0 + TIMEOUT * 2_000)[..], [Due::Resend { attempt: 3, .. }]));
-        let due = r.poll(t0 + TIMEOUT * 3_000);
-        let [Due::TimedOut(p)] = &due[..] else { panic!("expected a timeout") };
+        let due = <[Due; 1]>::try_from(r.poll(t0 + TIMEOUT * 3_000));
+        let Ok([Due::TimedOut(p)]) = due else { panic!("expected a timeout") };
         let err = p.timeout_error();
         assert!(err.starts_with("select on sys.acct timed out after 3 attempts"), "{err}");
         assert!(!err.contains("applied"), "{err}");
         p.caller.settle(Err(err.clone()));
-        assert_eq!(answer.wait(Duration::ZERO).unwrap_err(), err);
+        assert_eq!(answer.try_recv().unwrap().unwrap_err(), err);
     }
 
     #[test]
@@ -414,23 +421,23 @@ mod tests {
     fn foreign_epoch_ack_is_ignored_and_a_duplicate_resolves_once() {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 2);
-        let waiter = Arc::new(Waiter::default());
-        let id = r.begin(ME, mutate("acct"), Caller::Mutation(Arc::clone(&waiter)), t0).msg.id;
+        let (reply, waiter) = bounded(1);
+        let id = r.begin(ME, mutate("acct"), Caller::Mutation(reply), t0).msg.id;
         assert!(r.ack(6, id).is_none(), "an ack from a prior incarnation resolves nothing");
         let p = r.ack(7, id).expect("the matching ack resolves the statement");
-        assert!(matches!(&p.caller, Caller::Mutation(w) if Arc::ptr_eq(w, &waiter)));
+        assert!(matches!(&p.caller, Caller::Mutation(_)));
         assert!(r.ack(7, id).is_none(), "its duplicate does not");
         // An answer of the wrong kind fails the statement instead of
-        // passing for its count.
+        // passing for its count — and it reaches this statement's caller.
         p.caller.settle(Ok(Answer::Selected(Ok(ResultSet::new()))));
-        assert!(waiter.wait(Duration::ZERO).unwrap_err().contains("another kind"));
+        assert!(waiter.try_recv().unwrap().unwrap_err().contains("another kind"));
         assert!(r.poll(t0 + TIMEOUT * 100).is_empty(), "an acked statement is never resent");
     }
 
-    fn select(answer: &Arc<Waiter<Pushed>>, alive: &Arc<AtomicBool>) -> (RoutedStmt, Caller) {
+    fn select(answer: &Reply<Pushed>, alive: &Arc<AtomicBool>) -> (RoutedStmt, Caller) {
         let (schema, table, sql) =
             ("sys".into(), "acct".into(), "select count(*) from acct".into());
-        let caller = Caller::Select { answer: Arc::clone(answer), alive: Arc::clone(alive) };
+        let caller = Caller::Select { answer: answer.clone(), alive: Arc::clone(alive) };
         (RoutedStmt::Select { schema, table, sql }, caller)
     }
 
@@ -440,8 +447,8 @@ mod tests {
     fn a_running_answer_starts_the_budget_over() {
         let t0 = Instant::now();
         let mut r = Routed::new(7, TIMEOUT, 1);
-        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
-        let (stmt, caller) = select(&answer, &alive);
+        let ((reply, _answer), alive) = (bounded(1), Arc::new(AtomicBool::new(false)));
+        let (stmt, caller) = select(&reply, &alive);
         let id = r.begin(ME, stmt, caller, t0).msg.id;
         assert!(r.keep_alive(6, id, t0).is_none(), "another incarnation's answer");
         // Each resend is answered `Running`, ten budgets (300ms) long.
@@ -466,14 +473,14 @@ mod tests {
     /// itself. A result hands it the result.
     #[test]
     fn a_pushed_select_settles_with_its_result_or_its_decline() {
-        let (answer, alive) = (Arc::new(Waiter::default()), Arc::new(AtomicBool::new(false)));
-        let (_, caller) = select(&answer, &alive);
-        caller.settle(Ok(Answer::Declined("busy".into())));
-        assert_eq!(answer.wait(Duration::ZERO), Ok(None));
-        caller.settle(Ok(Answer::Selected(Err(DcError::Exec("boom".into())))));
-        assert_eq!(answer.wait(Duration::ZERO), Ok(Some(Err(DcError::Exec("boom".into())))));
-        caller.settle(Ok(Answer::Mutated(Ok(1))));
-        assert!(answer.wait(Duration::ZERO).unwrap_err().contains("another kind"));
+        let ((reply, answer), alive) = (bounded(1), Arc::new(AtomicBool::new(false)));
+        let settle = |outcome| select(&reply, &alive).1.settle(outcome);
+        settle(Ok(Answer::Declined("busy".into())));
+        assert_eq!(answer.try_recv().unwrap(), Ok(None));
+        settle(Ok(Answer::Selected(Err(DcError::Exec("boom".into())))));
+        assert_eq!(answer.try_recv().unwrap(), Ok(Some(Err(DcError::Exec("boom".into())))));
+        settle(Ok(Answer::Mutated(Ok(1))));
+        assert!(answer.try_recv().unwrap().unwrap_err().contains("another kind"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The live-engine seam between the DBMS layer and the ring: the node's
 //! table catalog, and blocking pin/unpin semantics (§4.2.1) implemented
-//! over channels and condvars.
+//! over channels.
 //!
 //! [`RingCatalog`] is everything a node knows about tables: one entry
 //! per `(schema, table)`, the [`CatalogMsg`] its owner gossips. The
@@ -9,10 +9,12 @@
 //! [`RingCatalog::publish`] writes it.
 //!
 //! [`RingHooks`] is a node's one handle: its statement path (compile
-//! through the template cache, run on the dataflow interpreter) and the
-//! [`mal::DcHooks`] implementation the DC optimizer injects into plans.
-//! Query threads call it; the node's event loop fulfills waiters when
-//! fragments arrive from the predecessor. What it hands them is a
+//! through the template cache, then interpret linearly with
+//! `mal::run_sequential_bound` on the thread that executes the statement)
+//! and the [`mal::DcHooks`] implementation the DC optimizer injects into
+//! plans. Query threads call it, and each command that needs an answer
+//! carries a one-shot [`Reply`]; the node's event loop answers a pin when
+//! its fragment arrives from the predecessor. What it hands the pin is a
 //! [`Frag`], the fragment as the node holds it — the pinning query, not
 //! the event loop, turns it into a `Bat`.
 
@@ -24,7 +26,7 @@ use crate::transport::RingTransport;
 use batstore::ops::Mutation;
 use batstore::{storage, Bat, BatStore, Catalog, ColType, Column, ResultSet};
 use bytes::Bytes;
-use crossbeam::channel::Sender;
+use crossbeam::channel::{RecvTimeoutError, Sender};
 use mal::{DcHooks, MalError, SessionCtx};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
@@ -310,49 +312,27 @@ impl FragIds {
     }
 }
 
-/// A blocked caller fulfilled by the node event loop: pins wait for a
-/// [`Frag`], DDL/DML commands wait for a row count.
-pub struct Waiter<T = Frag> {
-    slot: Mutex<Option<Result<T, String>>>,
-    cv: Condvar,
-}
+/// How the event loop answers a caller blocked on it: the sending half of
+/// a one-shot channel (`bounded(1)`) whose receiving half the caller waits
+/// on. The loop sends once; a reply it drops unanswered — because the loop
+/// stopped — wakes the caller at once (`RingHooks::ask`).
+pub type Reply<T> = Sender<Result<T, String>>;
 
-impl<T> Default for Waiter<T> {
-    fn default() -> Self {
-        Waiter { slot: Mutex::new(None), cv: Condvar::new() }
+/// What a caller makes of its wait on a [`Reply`]: the answer, `timed_out`
+/// once the wait ran out, or [`NODE_DOWN`] when the loop dropped the reply.
+pub(crate) fn answered<T>(
+    got: Result<Result<T, String>, RecvTimeoutError>,
+    timed_out: &str,
+) -> Result<T, String> {
+    match got {
+        Ok(answer) => answer,
+        Err(RecvTimeoutError::Timeout) => Err(timed_out.to_string()),
+        Err(RecvTimeoutError::Disconnected) => Err(NODE_DOWN.to_string()),
     }
 }
 
-impl<T> Waiter<T> {
-    pub fn fulfill(&self, result: Result<T, String>) {
-        let mut slot = self.slot.lock();
-        *slot = Some(result);
-        self.cv.notify_all();
-    }
-
-    /// Block until fulfilled or the deadline passes.
-    pub fn wait(&self, timeout: Duration) -> Result<T, String> {
-        self.wait_for_outcome(timeout, "pin timed out waiting for fragment")
-    }
-
-    /// [`Waiter::wait`] with a caller-supplied timeout message, so a
-    /// statement blocked on something other than a fragment pin (a
-    /// mutation ack, say) fails with an error that names it.
-    pub fn wait_for_outcome(&self, timeout: Duration, timeout_msg: &str) -> Result<T, String> {
-        self.wait_timeout(timeout).unwrap_or_else(|| Err(timeout_msg.to_string()))
-    }
-
-    /// Block until fulfilled, or `None` once `timeout` passes first.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, String>> {
-        let mut slot = self.slot.lock();
-        while slot.is_none() {
-            if self.cv.wait_for(&mut slot, timeout).timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-        slot.take()
-    }
-}
+/// Why a command to a node whose event loop has stopped fails.
+const NODE_DOWN: &str = "ring node is down";
 
 /// Wakes table-metadata waiters when catalog state changes: the event
 /// loop bumps the epoch after every applied gossip or local DDL, and
@@ -403,8 +383,8 @@ impl CatalogNotify {
 pub enum Cmd {
     /// Register interest (the `datacyclotron.request` call).
     Request { query: QueryId, bat: BatId },
-    /// Blocking pin; the waiter is fulfilled with the fragment's cell.
-    Pin { query: QueryId, bat: BatId, waiter: Arc<Waiter> },
+    /// Blocking pin, answered with the fragment's cell.
+    Pin { query: QueryId, bat: BatId, reply: Reply<Frag> },
     /// Release a pin.
     Unpin { query: QueryId, bat: BatId },
     /// All work for the query is done (cleanup of S2/S3/cache).
@@ -414,28 +394,23 @@ pub enum Cmd {
     StoreOwned { frags: Vec<(BatId, Arc<Bat>)> },
     /// SQL DDL: create a table whose (empty) column fragments this node
     /// owns; the metadata is gossiped clockwise around the ring.
-    CreateTable {
-        schema: String,
-        table: String,
-        cols: Vec<(String, ColType)>,
-        ack: Arc<Waiter<u64>>,
-    },
+    CreateTable { schema: String, table: String, cols: Vec<(String, ColType)>, ack: Reply<u64> },
     /// SQL INSERT/UPDATE/DELETE: a logical mutation. Applied in place
     /// when this node owns the table's fragments (version bump +
     /// re-advertise, §6.4); otherwise routed clockwise to the owner as a
-    /// [`crate::msg::RoutedMsg`], with the ack fulfilled when the owner's
+    /// [`crate::msg::RoutedMsg`], with the ack answered when the owner's
     /// [`crate::msg::AckMsg`] comes back — so the caller reports a
     /// correct affected-row count even for remote mutations.
-    Mutate { m: Mutation, ack: Arc<Waiter<u64>> },
+    Mutate { m: Mutation, ack: Reply<u64> },
     /// An aggregate SELECT another node receives fewer bytes to run
     /// ([`RingCatalog::push_target`]): routed to it as its SQL text (a
     /// [`crate::msg::RoutedStmt::Select`] addressed by the table it owns
-    /// whole), `answer` fulfilled with what the owner made of it, `alive`
-    /// set whenever the owner says it is still running it.
+    /// whole), `answer` sent what the owner made of it, `alive` set
+    /// whenever the owner says it is still running it.
     PushSelect {
         push: Push,
         sql: String,
-        answer: Arc<Waiter<crate::routed::Pushed>>,
+        answer: Reply<crate::routed::Pushed>,
         alive: Arc<std::sync::atomic::AtomicBool>,
     },
     /// Publish externally-assembled table metadata into this node's
@@ -444,7 +419,7 @@ pub enum Cmd {
     /// Snapshot this node's hot-set view: per-fragment residency state
     /// and LOI, plus the node totals (the `dc.hotset` system view and
     /// the dcsh `.hotset` meta-statement read this).
-    Hotset { ack: Arc<Waiter<crate::hotset::HotsetSnapshot>> },
+    Hotset { ack: Reply<crate::hotset::HotsetSnapshot> },
     /// Stop the event loop.
     Shutdown,
 }
@@ -501,9 +476,11 @@ impl SqlMetrics {
 /// A node's one handle, shared by the node's API, its event loop and
 /// every plan it runs: the [`DcHooks`] wired into MAL plans, and the
 /// statement path — compile against the node's catalog through its
-/// template cache, then run on the dataflow interpreter against these
-/// hooks. The node's API runs every statement a caller issues through
-/// it, and its event loop every SELECT another node pushed here.
+/// template cache, then interpret the plan linearly
+/// (`mal::run_sequential_bound`) against these hooks, on the thread that
+/// executes the statement. The node's API runs every statement a caller
+/// issues through it, and the node's pushed-SELECT runner every SELECT
+/// another node pushed here.
 pub struct RingHooks {
     pub(crate) tx: Sender<NodeEvent>,
     pub(crate) catalog: Arc<RingCatalog>,
@@ -625,9 +602,7 @@ impl RingHooks {
     /// Snapshot the event loop's hot-set view (per-fragment residency
     /// and LOI; node-wide residency totals and LOIT position).
     pub(crate) fn hotset_snapshot(&self) -> Result<crate::hotset::HotsetSnapshot, MalError> {
-        let ack = Arc::new(Waiter::<crate::hotset::HotsetSnapshot>::default());
-        self.send(Cmd::Hotset { ack: Arc::clone(&ack) })?;
-        ack.wait_for_outcome(self.pin_timeout, "hotset request timed out").map_err(MalError::Dc)
+        self.ask(|ack| Cmd::Hotset { ack }, "hotset request timed out")
     }
 
     /// A ticket is the fragment's id, so the hooks keep nothing per
@@ -641,7 +616,21 @@ impl RingHooks {
     }
 
     pub(crate) fn send(&self, cmd: Cmd) -> Result<(), MalError> {
-        self.tx.send(NodeEvent::Cmd(cmd)).map_err(|_| MalError::Dc("ring node is down".into()))
+        self.tx.send(NodeEvent::Cmd(cmd)).map_err(|_| MalError::Dc(NODE_DOWN.into()))
+    }
+
+    /// Send the command `cmd` builds around a fresh one-shot [`Reply`],
+    /// and wait up to `pin_timeout` for the event loop's answer: it fails
+    /// with `timed_out` once the wait runs out, and with [`NODE_DOWN`] as
+    /// soon as the loop stops without answering.
+    pub(crate) fn ask<T>(
+        &self,
+        cmd: impl FnOnce(Reply<T>) -> Cmd,
+        timed_out: &str,
+    ) -> Result<T, MalError> {
+        let (reply, answer) = crossbeam::channel::bounded(1);
+        self.send(cmd(reply))?;
+        answered(answer.recv_timeout(self.pin_timeout), timed_out).map_err(MalError::Dc)
     }
 }
 
@@ -663,9 +652,7 @@ impl DcHooks for RingHooks {
 
     fn pin(&self, query: u64, ticket: u64) -> Result<Arc<Bat>, MalError> {
         let bat = self.bat_of_ticket(ticket)?;
-        let waiter = Arc::new(Waiter::default());
-        self.send(Cmd::Pin { query: QueryId(query), bat, waiter: Arc::clone(&waiter) })?;
-        let frag = waiter.wait(self.pin_timeout).map_err(MalError::Dc)?;
+        let frag = self.ask(|reply| Cmd::Pin { query: QueryId(query), bat, reply }, PIN_TIMEOUT)?;
         // The decode (if this fragment came off the ring and nobody
         // pinned it yet) happens here, on the query's thread; the event
         // loop has long since forwarded the frame.
@@ -690,20 +677,12 @@ impl DcHooks for RingHooks {
         table: &str,
         cols: &[(String, ColType)],
     ) -> Result<(), MalError> {
-        let ack = Arc::new(Waiter::<u64>::default());
-        self.send(Cmd::CreateTable {
-            schema: schema.to_string(),
-            table: table.to_string(),
-            cols: cols.to_vec(),
-            ack: Arc::clone(&ack),
-        })?;
-        ack.wait(self.pin_timeout).map(|_| ()).map_err(MalError::Dc)
+        let (schema, table, cols) = (schema.to_string(), table.to_string(), cols.to_vec());
+        self.ask(|ack| Cmd::CreateTable { schema, table, cols, ack }, PIN_TIMEOUT).map(|_| ())
     }
 
     fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64, MalError> {
-        let ack = Arc::new(Waiter::<u64>::default());
-        self.send(Cmd::Mutate { m, ack: Arc::clone(&ack) })?;
-        ack.wait_for_outcome(self.pin_timeout, MUT_ACK_TIMEOUT).map_err(MalError::Dc)
+        self.ask(|ack| Cmd::Mutate { m, ack }, MUT_ACK_TIMEOUT)
     }
 
     fn sys_view(&self, _query: u64, view: &str) -> Result<ResultSet, MalError> {
@@ -778,6 +757,10 @@ impl DcHooks for RingHooks {
 fn strs<'a>(vals: impl Iterator<Item = &'a str>) -> Column {
     Column::from(vals.collect::<Vec<_>>())
 }
+
+/// Timeout message for a pin whose fragment never came, and for a
+/// CREATE TABLE the event loop never answered.
+const PIN_TIMEOUT: &str = "pin timed out waiting for fragment";
 
 /// Timeout message for a routed mutation whose ack never returned: the
 /// owner may or may not have applied it (that status is unknowable from
@@ -908,6 +891,42 @@ mod tests {
         assert_eq!(rx.len(), 10_001, "an unknown ticket reaches no event loop");
     }
 
+    /// A command `ask` sends is answered, runs out its wait and fails with
+    /// its own message, or fails at once when the loop drops its reply.
+    #[test]
+    fn ask_is_answered_times_out_or_hears_the_node_is_down() {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let obs = Arc::new(dc_obs::Registry::new(0));
+        let fabric = Arc::new(crate::transport::mem::ring(1).remove(0));
+        let timeout = Duration::from_millis(200);
+        let hooks = RingHooks::new(tx, Arc::new(RingCatalog::new()), timeout, obs, fabric);
+        // The event loop: answers the first command, holds the second's
+        // reply until the loop ends, drops the third's.
+        let event_loop = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for (i, ev) in rx.iter().enumerate() {
+                let NodeEvent::Cmd(Cmd::CreateTable { ack, .. }) = ev else { panic!("a create") };
+                match i {
+                    0 => ack.send(Ok(7)).unwrap(),
+                    1 => held.push(ack),
+                    _ => drop(ack),
+                }
+            }
+        });
+        let ask = || {
+            let create =
+                |ack| Cmd::CreateTable { schema: "s".into(), table: "t".into(), cols: vec![], ack };
+            hooks.ask(create, "create timed out")
+        };
+        assert_eq!(ask().unwrap(), 7);
+        let start = Instant::now();
+        assert!(matches!(ask(), Err(MalError::Dc(e)) if e == "create timed out"));
+        assert!(start.elapsed() >= timeout, "the wait ran out");
+        assert!(matches!(ask(), Err(MalError::Dc(e)) if e == NODE_DOWN), "not the timeout");
+        drop(hooks);
+        event_loop.join().unwrap();
+    }
+
     #[test]
     fn catalog_notify_wakes_waiters_and_times_out() {
         let n = Arc::new(CatalogNotify::new());
@@ -924,26 +943,6 @@ mod tests {
         h.join().unwrap();
         // A bump that landed before the wait is seen immediately.
         assert!(n.wait_past(seen, Instant::now() + Duration::from_secs(5)));
-    }
-
-    #[test]
-    fn waiter_fulfill_before_wait() {
-        let w: Waiter = Waiter::default();
-        w.fulfill(Err("nope".into()));
-        assert_eq!(w.wait(Duration::from_millis(10)).unwrap_err(), "nope");
-    }
-
-    #[test]
-    fn waiter_fulfilled_across_threads() {
-        let w = Arc::new(Waiter::default());
-        let w2 = Arc::clone(&w);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            w2.fulfill(Ok(Frag::from_bat(Arc::new(Bat::dense(batstore::Column::from(vec![1]))))));
-        });
-        let got = w.wait(Duration::from_secs(5)).unwrap();
-        assert_eq!(got.bat().unwrap().count(), 1);
-        h.join().unwrap();
     }
 
     #[test]
@@ -972,13 +971,6 @@ mod tests {
         assert!(e.contains("not a valid BAT"), "{e}");
         assert_eq!(frag.clone().bat().unwrap_err(), e, "same answer for every pin");
         assert_eq!(format!("{frag:?}"), format!("Frag::Corrupt({e})"), "the bytes are let go");
-    }
-
-    #[test]
-    fn waiter_times_out() {
-        let w: Waiter = Waiter::default();
-        let e = w.wait(Duration::from_millis(20)).unwrap_err();
-        assert!(e.contains("timed out"));
     }
 
     /// One table's `(column, owner, size)` triples.
