@@ -677,8 +677,9 @@ impl DcHooks for RingHooks {
         table: &str,
         cols: &[(String, ColType)],
     ) -> Result<(), MalError> {
+        let timed_out = format!("CREATE TABLE {schema}.{table} timed out waiting for its node");
         let (schema, table, cols) = (schema.to_string(), table.to_string(), cols.to_vec());
-        self.ask(|ack| Cmd::CreateTable { schema, table, cols, ack }, PIN_TIMEOUT).map(|_| ())
+        self.ask(|ack| Cmd::CreateTable { schema, table, cols, ack }, &timed_out).map(|_| ())
     }
 
     fn mutate_rows(&self, _query: u64, m: Mutation) -> Result<u64, MalError> {
@@ -758,8 +759,7 @@ fn strs<'a>(vals: impl Iterator<Item = &'a str>) -> Column {
     Column::from(vals.collect::<Vec<_>>())
 }
 
-/// Timeout message for a pin whose fragment never came, and for a
-/// CREATE TABLE the event loop never answered.
+/// Timeout message for a pin whose fragment never came.
 const PIN_TIMEOUT: &str = "pin timed out waiting for fragment";
 
 /// Timeout message for a routed mutation whose ack never returned: the
@@ -772,6 +772,7 @@ const MUT_ACK_TIMEOUT: &str = "timed out waiting for the mutation acknowledgemen
 mod tests {
     use super::*;
     use crate::ids::NodeId;
+    use crossbeam::channel::Receiver;
 
     /// An advert for `schema.table` from `origin`: one column per
     /// `(name, type, fragment)`, owned by node 2, at size 100, version 0.
@@ -879,7 +880,8 @@ mod tests {
         for query in 0..10_000 {
             assert_eq!(hooks.request(query, "sys", "t", "id").unwrap(), 0x0100_0007);
         }
-        assert_eq!(rx.len(), 10_000, "one `Cmd::Request` each, nothing else");
+        let queued = || std::iter::from_fn(|| rx.try_recv().ok()).count();
+        assert_eq!(queued(), 10_000, "one `Cmd::Request` each, nothing else");
         hooks.unpin(1, 0x0100_0007).unwrap();
         // Ids the catalog does not name, or that no fragment id can be.
         for ticket in [0, 0x0100_0008, u64::MAX] {
@@ -888,18 +890,24 @@ mod tests {
             let e = hooks.pin(1, ticket).map(|_| ()).unwrap_err().to_string();
             assert!(e.contains("unknown ticket"), "{e}");
         }
-        assert_eq!(rx.len(), 10_001, "an unknown ticket reaches no event loop");
+        assert_eq!(queued(), 1, "the `Cmd::Unpin`: an unknown ticket reaches no event loop");
+    }
+
+    /// Hooks with no catalog over a loop channel whose receiver the test
+    /// holds, waiting `timeout` for each answer.
+    fn hooks_over(timeout: Duration) -> (RingHooks, Receiver<NodeEvent>) {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let obs = Arc::new(dc_obs::Registry::new(0));
+        let fabric = Arc::new(crate::transport::mem::ring(1).remove(0));
+        (RingHooks::new(tx, Arc::new(RingCatalog::new()), timeout, obs, fabric), rx)
     }
 
     /// A command `ask` sends is answered, runs out its wait and fails with
     /// its own message, or fails at once when the loop drops its reply.
     #[test]
     fn ask_is_answered_times_out_or_hears_the_node_is_down() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let obs = Arc::new(dc_obs::Registry::new(0));
-        let fabric = Arc::new(crate::transport::mem::ring(1).remove(0));
         let timeout = Duration::from_millis(200);
-        let hooks = RingHooks::new(tx, Arc::new(RingCatalog::new()), timeout, obs, fabric);
+        let (hooks, rx) = hooks_over(timeout);
         // The event loop: answers the first command, holds the second's
         // reply until the loop ends, drops the third's.
         let event_loop = std::thread::spawn(move || {
@@ -925,6 +933,36 @@ mod tests {
         assert!(matches!(ask(), Err(MalError::Dc(e)) if e == NODE_DOWN), "not the timeout");
         drop(hooks);
         event_loop.join().unwrap();
+    }
+
+    /// A loop that stops drops its receiver, and with it every queued
+    /// command and its `Reply`: the caller hears at once that the node is
+    /// down, not after its wait.
+    #[test]
+    fn a_command_queued_when_the_loop_stops_fails_at_once() {
+        let (hooks, rx) = hooks_over(Duration::from_secs(30));
+        let tx = hooks.tx.clone();
+        let asker = std::thread::spawn(move || {
+            let create =
+                |ack| Cmd::CreateTable { schema: "s".into(), table: "t".into(), cols: vec![], ack };
+            hooks.ask(create, "create timed out")
+        });
+        // Taken off and put back: the command is known to be queued.
+        tx.send(rx.recv().unwrap()).unwrap();
+        let stopped = Instant::now();
+        drop(rx);
+        let e = asker.join().unwrap().unwrap_err();
+        assert!(matches!(e, MalError::Dc(ref e) if e == NODE_DOWN), "{e}");
+        assert!(stopped.elapsed() < Duration::from_secs(1), "{:?}", stopped.elapsed());
+    }
+
+    /// A CREATE TABLE the loop never answers times out naming the table,
+    /// not a pin the statement never made.
+    #[test]
+    fn an_unanswered_create_table_names_its_table() {
+        let (hooks, _unread) = hooks_over(Duration::from_millis(50));
+        let e = hooks.create_table(1, "sys", "orders", &[]).unwrap_err().to_string();
+        assert!(e.contains("CREATE TABLE sys.orders timed out"), "{e}");
     }
 
     #[test]

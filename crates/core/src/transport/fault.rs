@@ -409,12 +409,12 @@ mod tests {
     }
 
     /// The observing side of a wrapped pair: a drainer thread pumps the
-    /// peer node's blocking `recv` into an mpsc channel so tests can
+    /// peer node's blocking `recv` into a channel so tests can
     /// wait with a timeout. Dropping the peer closes the node, which
     /// unblocks and retires the drainer.
     struct Peer {
         node: Arc<mem::MemNode>,
-        rx: std::sync::mpsc::Receiver<DcMsg>,
+        rx: crossbeam::channel::Receiver<DcMsg>,
     }
 
     impl Peer {
@@ -439,7 +439,7 @@ mod tests {
         let mut ring = mem::ring(2);
         let node = Arc::new(ring.pop().expect("two nodes"));
         let inner = Arc::new(ring.pop().expect("two nodes")) as Arc<dyn RingTransport>;
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = crossbeam::channel::unbounded();
         let pump = Arc::clone(&node);
         std::thread::spawn(move || {
             while let Some(m) = pump.recv() {

@@ -12,11 +12,9 @@
 //!   interpreter threads following the dataflow dependencies" (§4.1).
 //!   Blocking `pin` calls park only their worker; independent instruction
 //!   threads keep running, which is exactly how query execution overlaps
-//!   with ring data arrival. The calling thread is the first worker; a
-//!   further one is started only for work that can run beside the busy
-//!   ones (`Run::workers_wanted`), so a plan that is one chain runs
-//!   on the caller alone. Single-node references and tests call it; the
-//!   engine does not.
+//!   with ring data arrival. The calling thread and `threads - 1` workers
+//!   started with it take ready instructions under one lock. Single-node
+//!   references and tests call it; the engine does not.
 //!
 //! Both modes free an intermediate as soon as its last reader has run
 //! (§4.1: `unpin` "releases the BAT"): the environment gives the value up
@@ -208,24 +206,28 @@ fn dependencies(prog: &Program) -> Vec<Vec<usize>> {
 }
 
 struct Shared {
-    env: Mutex<SchedState>,
+    state: Mutex<SchedState>,
     cond: Condvar,
+}
+
+impl Shared {
+    /// End the run with `e`: every worker leaves at its next look.
+    fn fail(&self, st: &mut SchedState, e: MalError) {
+        st.error = Some(e);
+        self.cond.notify_all();
+    }
 }
 
 struct SchedState {
     env: Env,
     /// Reads of each variable still to come (see [`complete`]).
     readers: Vec<u32>,
+    /// Dependencies of each instruction that have not run yet.
     remaining: Vec<usize>,
     ready: VecDeque<usize>,
-    /// Which instructions are being executed right now …
-    running: Vec<bool>,
-    /// … and how many.
+    /// Instructions being executed right now.
     inflight: usize,
     completed: usize,
-    /// Workers alive, the calling thread included; one that has been
-    /// spawned and not started yet counts.
-    workers: usize,
     error: Option<MalError>,
 }
 
@@ -235,6 +237,8 @@ pub fn run_dataflow(prog: &Program, ctx: &SessionCtx, threads: usize) -> Result<
     run_dataflow_with(prog, &prog.params, ctx, Registry::shared(), threads)
 }
 
+/// The calling thread and `threads - 1` workers started beside it take
+/// the next ready instruction in turn; at width 1 the plan runs linearly.
 pub fn run_dataflow_with(
     prog: &Program,
     params: &[Const],
@@ -242,210 +246,122 @@ pub fn run_dataflow_with(
     registry: &Registry,
     threads: usize,
 ) -> Result<Env> {
-    dataflow(prog, params, ctx, registry, threads).0
-}
-
-/// [`run_dataflow_with`], also telling how many worker threads the run
-/// started beside the calling one.
-fn dataflow(
-    prog: &Program,
-    params: &[Const],
-    ctx: &SessionCtx,
-    registry: &Registry,
-    threads: usize,
-) -> (Result<Env>, usize) {
-    if let Err(e) = check_binding(prog, params) {
-        return (Err(e), 0);
-    }
     let n = prog.instrs.len();
-    if n == 0 {
-        return (Ok(vec![None; prog.vars.len()]), 0);
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return run_sequential_with(prog, params, ctx, registry);
     }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return (run_sequential_with(prog, params, ctx, registry), 0);
-    }
+    check_binding(prog, params)?;
 
     let deps = dependencies(prog);
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut remaining = vec![0usize; n];
     for (i, dep) in deps.iter().enumerate() {
-        remaining[i] = dep.len();
         for &d in dep {
             dependents[d].push(i);
         }
     }
+    let remaining: Vec<usize> = deps.iter().map(Vec::len).collect();
     let ready: VecDeque<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
 
     let shared = Shared {
-        env: Mutex::new(SchedState {
+        state: Mutex::new(SchedState {
             env: vec![None; prog.vars.len()],
             readers: reader_counts(prog),
             remaining,
             ready,
-            running: vec![false; n],
             inflight: 0,
             completed: 0,
-            workers: 1,
             error: None,
         }),
         cond: Condvar::new(),
     };
-    let (deps, dependents) = (&deps[..], &dependents[..]);
-    let run = Run { prog, params, ctx, registry, shared: &shared, deps, dependents, threads };
-
-    // The calling thread is the first worker, and for a plan with
-    // nothing to run beside (see `Run::workers_wanted`) the only one.
-    std::thread::scope(|scope| run.work(scope));
-
-    let state = shared.env.into_inner();
-    let spawned = state.workers - 1;
-    match state.error {
-        Some(e) => (Err(e), spawned),
-        None => (Ok(state.env), spawned),
-    }
-}
-
-/// What every worker of one dataflow run shares.
-#[derive(Clone, Copy)]
-struct Run<'a> {
-    prog: &'a Program,
-    params: &'a [Const],
-    ctx: &'a SessionCtx,
-    registry: &'a Registry,
-    shared: &'a Shared,
-    deps: &'a [Vec<usize>],
-    dependents: &'a [Vec<usize>],
-    threads: usize,
-}
-
-impl<'a> Run<'a> {
-    /// How many new workers the worker that has just taken instruction
-    /// `taken` should leave behind for what is still ready. A thread
-    /// costs some 20 µs to start — more than most statements'
-    /// instructions take — so one is started only for work that can run
-    /// *beside* what the live workers are doing:
-    ///
-    /// * every live worker is busy (a `pin` blocked on the ring is), the
-    ///   width allows another, and
-    /// * `taken` has inputs and something waits for it — an instruction
-    ///   without inputs (`request`, `io.stdout`) computes from the plan's
-    ///   constants, not from data, one nothing waits for (`unpin`,
-    ///   `exportResult`) closes a value: both are over before a thread
-    ///   could start — and
-    /// * a ready instruction is all that a further one still waits for,
-    ///   besides what *other* workers are running: taking it now lets
-    ///   that one start earlier. One worker per such instruction.
-    ///
-    /// A ready instruction whose every consumer also waits for `taken`,
-    /// or for something neither done nor running (the `pin`s in front of
-    /// one fused aggregation), is left to the next worker that comes
-    /// free — this one, as a rule, and no later than its consumer could
-    /// have started.
-    fn workers_wanted(&self, st: &SchedState, taken: usize) -> usize {
-        if st.workers > st.inflight
-            || self.deps[taken].is_empty()
-            || self.dependents[taken].is_empty()
-        {
-            return 0;
+    let worker = || work(prog, params, ctx, registry, &dependents, &shared);
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
         }
-        let releases = |d: usize| {
-            let elsewhere = |&&i: &&usize| st.running[i] && i != taken;
-            st.remaining[d] == 1 + self.deps[d].iter().filter(elsewhere).count()
-        };
-        let worth_a_worker = |&&i: &&usize| self.dependents[i].iter().any(|&d| releases(d));
-        st.ready.iter().filter(worth_a_worker).count().min(self.threads - st.workers)
+        worker();
+    });
+
+    let state = shared.state.into_inner();
+    match state.error {
+        Some(e) => Err(e),
+        None => Ok(state.env),
     }
+}
 
-    fn work<'scope>(self, scope: &'scope std::thread::Scope<'scope, 'a>)
-    where
-        'a: 'scope,
-    {
-        let Run { prog, params, ctx, registry, shared, dependents, .. } = self;
-        let total = prog.instrs.len();
-        loop {
-            let (idx, args, wanted) = {
-                let mut st = shared.env.lock();
-                loop {
-                    if st.error.is_some() || st.completed == total {
-                        return;
-                    }
-                    if let Some(idx) = st.ready.pop_front() {
-                        let instr = &prog.instrs[idx];
-                        match resolve_args(instr, &st.env, prog, params) {
-                            Ok(args) => {
-                                st.inflight += 1;
-                                st.running[idx] = true;
-                                let wanted = self.workers_wanted(&st, idx);
-                                st.workers += wanted;
-                                break (idx, args, wanted);
-                            }
-                            Err(e) => {
-                                st.error = Some(e);
-                                shared.cond.notify_all();
-                                return;
-                            }
-                        }
-                    }
-                    // Nothing ready: if nothing is in flight either, the plan
-                    // has a dependency cycle (cannot happen for straight-line
-                    // MAL, but guard anyway).
-                    if st.inflight == 0 {
-                        st.error = Some(MalError::Exec("dataflow stalled (cyclic plan?)".into()));
-                        shared.cond.notify_all();
-                        return;
-                    }
-                    shared.cond.wait(&mut st);
-                }
-            };
-
-            // Started with the lock released: the others go on meanwhile.
-            for _ in 0..wanted {
-                scope.spawn(move || self.work(scope));
-            }
-
-            let instr = &prog.instrs[idx];
-            let result = match registry.lookup(&instr.module, &instr.func) {
-                Some(f) => f(ctx, &args),
-                None => Err(MalError::UnknownFunction(instr.qualified_name())),
-            };
-
-            // Release the argument clones before queueing for the lock.
-            drop(args);
-
-            let mut guard = shared.env.lock();
-            let st = &mut *guard;
-            st.inflight -= 1;
-            st.running[idx] = false;
-            match result.and_then(|outs| complete(instr, outs, &mut st.env, &mut st.readers)) {
-                Err(e) => {
-                    st.error = Some(e);
-                    shared.cond.notify_all();
+/// One worker of a dataflow run: take a ready instruction, run it with
+/// the lock released, publish its results and whatever it made ready,
+/// until the plan is done or has failed.
+fn work(
+    prog: &Program,
+    params: &[Const],
+    ctx: &SessionCtx,
+    registry: &Registry,
+    dependents: &[Vec<usize>],
+    shared: &Shared,
+) {
+    let total = prog.instrs.len();
+    loop {
+        let (idx, args) = {
+            let mut st = shared.state.lock();
+            loop {
+                if st.error.is_some() || st.completed == total {
                     return;
                 }
-                Ok(dead) => {
-                    st.completed += 1;
-                    for &d in &dependents[idx] {
-                        st.remaining[d] -= 1;
-                        if st.remaining[d] == 0 {
-                            st.ready.push_back(d);
+                if let Some(idx) = st.ready.pop_front() {
+                    match resolve_args(&prog.instrs[idx], &st.env, prog, params) {
+                        Ok(args) => {
+                            st.inflight += 1;
+                            break (idx, args);
                         }
-                    }
-                    // Only a worker waiting for work has anything to wake for.
-                    if st.workers > st.inflight + 1 {
-                        shared.cond.notify_all();
-                    }
-                    let done = st.completed == total;
-                    // Freeing a column is the allocator's time, not the
-                    // scheduler's: the other workers get the lock first.
-                    drop(guard);
-                    drop(dead);
-                    if done {
-                        return;
+                        Err(e) => return shared.fail(&mut st, e),
                     }
                 }
+                // Nothing ready: if nothing is in flight either, the plan
+                // has a dependency cycle (cannot happen for straight-line
+                // MAL, but guard anyway).
+                if st.inflight == 0 {
+                    let e = MalError::Exec("dataflow stalled (cyclic plan?)".into());
+                    return shared.fail(&mut st, e);
+                }
+                shared.cond.wait(&mut st);
+            }
+        };
+
+        let instr = &prog.instrs[idx];
+        let result = match registry.lookup(&instr.module, &instr.func) {
+            Some(f) => f(ctx, &args),
+            None => Err(MalError::UnknownFunction(instr.qualified_name())),
+        };
+
+        // Release the argument clones before queueing for the lock.
+        drop(args);
+
+        let mut guard = shared.state.lock();
+        let st = &mut *guard;
+        st.inflight -= 1;
+        let dead = match result.and_then(|outs| complete(instr, outs, &mut st.env, &mut st.readers))
+        {
+            Ok(dead) => dead,
+            Err(e) => return shared.fail(st, e),
+        };
+        st.completed += 1;
+        let before = st.ready.len();
+        for &d in &dependents[idx] {
+            st.remaining[d] -= 1;
+            if st.remaining[d] == 0 {
+                st.ready.push_back(d);
             }
         }
+        // Waiting workers wake for new work, or to leave once all is done.
+        if st.ready.len() > before || st.completed == total {
+            shared.cond.notify_all();
+        }
+        // Freeing a column is the allocator's time, not the scheduler's:
+        // the other workers get the lock first.
+        drop(guard);
+        drop(dead);
     }
 }
 
@@ -648,40 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn a_plan_with_nothing_to_run_beside_starts_no_thread() {
-        let registry = meeting_registry();
-        let ctx = paper_ctx();
-        // A chain: never two instructions ready.
-        let chain = plan_of(&[
-            ("src", &[]),
-            ("step", &[0]),
-            ("step", &[1]),
-            ("step", &[2]),
-            ("step", &[3]),
-            ("step", &[4]),
-        ]);
-        // The shape of a fused aggregation: requests, a pin behind each,
-        // one instruction that needs every pin, then a chain. The pins are
-        // ready together, but none of them lets anything start earlier.
-        let fan_in = plan_of(&[
-            ("src", &[]),
-            ("src", &[]),
-            ("src", &[]),
-            ("step", &[0]),
-            ("step", &[1]),
-            ("step", &[2]),
-            ("step", &[3, 4, 5]),
-            ("step", &[6]),
-            ("step", &[7]),
-        ]);
-        for (what, prog) in [("chain", &chain), ("fan-in", &fan_in)] {
-            let (env, spawned) = dataflow(prog, &[], &ctx, &registry, 4);
-            env.unwrap();
-            assert_eq!(spawned, 0, "{what}");
-        }
-    }
-
-    #[test]
     fn independent_chains_still_run_beside_each_other() {
         let registry = meeting_registry();
         // Two chains that share nothing; the second link of each waits
@@ -694,13 +576,10 @@ mod tests {
             ("step", &[2]),
             ("step", &[3]),
         ]);
-        let (env, spawned) = dataflow(&prog, &[], &paper_ctx(), &registry, 4);
-        env.unwrap();
-        assert_eq!(spawned, 1, "one worker beside the caller is all two chains need");
-        // A blocked instruction counts as busy: what becomes ready behind
-        // it, and would let its consumer start, gets a worker. Here the
-        // join of two branches, one of which blocks until the other's
-        // work is running.
+        run_dataflow_with(&prog, &[], &paper_ctx(), &registry, 4).unwrap();
+        // A blocked instruction parks only its worker: what becomes ready
+        // behind it runs on another. Here the join of two branches, one
+        // of which blocks until the other's work is running.
         let prog = plan_of(&[
             ("src", &[]),
             ("meet", &[0]),
@@ -708,9 +587,7 @@ mod tests {
             ("meet", &[2]),
             ("step", &[1, 3]),
         ]);
-        let (env, spawned) = dataflow(&prog, &[], &paper_ctx(), &meeting_registry(), 4);
-        env.unwrap();
-        assert_eq!(spawned, 1);
+        run_dataflow_with(&prog, &[], &paper_ctx(), &meeting_registry(), 4).unwrap();
         // At width 1 the same plan could never meet: it is not run here.
     }
 

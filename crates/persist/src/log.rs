@@ -9,8 +9,8 @@ use crate::datadir::DataDir;
 use crate::recover::{recover, Recovered};
 use crate::wal::{FsyncPolicy, TableRec, WalRecord, WalWriter};
 use batstore::Bat;
+use crossbeam::channel::{unbounded, Sender};
 use std::path::Path;
-use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -90,7 +90,7 @@ impl Log {
             .map_err(|e| format!("creating WAL: {e}"))?;
         wal.set_metrics(obs.histogram("wal_append_us"), obs.histogram("wal_fsync_us"));
         let stats = Arc::new(LogStats::register(obs));
-        let (to_writer, snapshots) = channel::<Snapshot>();
+        let (to_writer, snapshots) = unbounded::<Snapshot>();
         let writer = {
             let (dir, stats, duration) =
                 (dir.clone(), Arc::clone(&stats), obs.histogram("checkpoint_us"));
@@ -229,7 +229,7 @@ mod tests {
     use super::*;
     use crate::wal::ColRec;
     use batstore::{ColType, Column};
-    use std::sync::mpsc::{channel, Receiver};
+    use crossbeam::channel::Receiver;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -252,7 +252,7 @@ mod tests {
     /// A log at `root` whose node owns fragment 7 at `version`, and the
     /// outcomes of its background checkpoints.
     fn open(root: &Path, threshold: u64, version: u32) -> (Log, Vec<(u32, u32)>, Receiver<bool>) {
-        let (tx, done) = channel();
+        let (tx, done) = unbounded();
         let obs = dc_obs::Registry::new(0);
         let rebuild = |_| state(version, vec![1, 2]);
         let ok = move |ok| {
@@ -304,7 +304,7 @@ mod tests {
     fn the_writer_reports_each_outcome_and_the_log_counts_what_it_did() {
         let root = scratch("bg");
         let obs = dc_obs::Registry::new(1);
-        let (tx, done) = channel();
+        let (tx, done) = unbounded();
         let report = move |ok| {
             let _ = tx.send(ok);
         };
