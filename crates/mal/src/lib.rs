@@ -1,14 +1,14 @@
 //! # mal — the MonetDB Assembly Language layer
 //!
 //! MonetDB front-ends compile queries into MAL plans: straight-line
-//! programs over BATs, interpreted by concurrent threads following
-//! dataflow dependencies (paper §3.2). This crate implements:
+//! programs over BATs, interpreted one instruction after the other
+//! (paper §3.2). This crate implements:
 //!
 //! * [`ast`] — programs, instructions, variables and constants. Plans
 //!   are built, never parsed: front-ends construct the AST, and its
 //!   printer gives the textual form of the paper's Tables 1 and 2, which
 //!   the optimizer's tests compare as printed text,
-//! * [`interp`] — a sequential and a dataflow-parallel interpreter with a
+//! * [`interp`] — the linear interpreter every plan runs on, with a
 //!   per-instruction overhead well under the paper's 1 µs budget,
 //! * [`modules`] — the built-in operator modules (`bat`, `algebra`,
 //!   `aggr`, `sql`, `io`) bound to the `batstore` kernel, and the

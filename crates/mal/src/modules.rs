@@ -56,8 +56,7 @@ impl Registry {
     }
 
     /// The process-wide [`Registry::standard`], built on first use: what
-    /// [`crate::run_dataflow`] and [`crate::run_sequential`] interpret
-    /// every statement against.
+    /// [`crate::run_sequential`] interprets every statement against.
     pub fn shared() -> &'static Registry {
         static SHARED: OnceLock<Registry> = OnceLock::new();
         SHARED.get_or_init(Registry::standard)

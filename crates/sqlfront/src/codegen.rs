@@ -1331,7 +1331,7 @@ mod tests {
         let (catalog, store) = setup();
         let prog = crate::compile_sql_dc(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
         let ctx = SessionCtx::new(Arc::new(RwLock::new(catalog)), store);
-        mal::run_dataflow(&prog, &ctx, 4)?;
+        mal::run_sequential(&prog, &ctx)?;
         Ok(ctx.take_result())
     }
 

@@ -253,8 +253,10 @@ fn corpus_catalog() -> Catalog {
 /// A node interprets each plan linearly, so what keeps a statement's
 /// ring waits overlapping is the plan's order: every
 /// `datacyclotron.request` is sent before the first `datacyclotron.pin`
-/// blocks (§4.1). Checked on the plan a node runs (`sqlfront::optimize`)
-/// for every SELECT shape `sqlfront` emits.
+/// blocks (§4.1). Checked for every SELECT shape `sqlfront` emits, on
+/// `compile_sql_dc`'s plan and on the template a node caches and runs
+/// (`RingHooks::compile`: `parse_template` → `compile_stmt` →
+/// `sqlfront::optimize`, each literal in a parameter slot).
 #[test]
 fn every_request_precedes_the_first_pin() {
     let catalog = corpus_catalog();
@@ -264,19 +266,34 @@ fn every_request_precedes_the_first_pin() {
         ("group by", "select region, sum(amount), count(*) from sales group by region"),
         ("distinct", "select distinct region from sales where amount > 10"),
         ("order by / limit", "select k, amount from sales order by amount desc limit 5"),
+        ("filtered aggregate", "select count(*), sum(amount) from sales where k < 5"),
     ];
     for (shape, sql) in dc_workloads::tpch::sql::queries().into_iter().chain(shapes) {
-        let plan = sqlfront::compile_sql_dc(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let at = |func: &str| {
-            let calls = plan.instrs.iter().enumerate();
-            calls.filter(|(_, i)| i.is("datacyclotron", func)).map(|(at, _)| at).collect::<Vec<_>>()
+        let compiled = || -> mal::Result<_> {
+            let parsed = sqlfront::parse_template(sql)?;
+            let template = sqlfront::optimize(&sqlfront::compile_stmt(&parsed.stmt, &catalog)?);
+            Ok((template, parsed.bindings()?, sqlfront::compile_sql_dc(sql, &catalog)?))
         };
-        let (requests, pins) = (at("request"), at("pin"));
-        assert!(!requests.is_empty() && !pins.is_empty(), "{shape}: no ring fetch in\n{plan}");
-        assert!(
-            requests.iter().max() < pins.iter().min(),
-            "{shape}: a request follows the first pin in\n{plan}"
-        );
+        let (template, bindings, plan) = compiled().unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(template.params, bindings, "{shape}: the template's slots in\n{template}");
+        for (path, plan) in [("compile_sql_dc", &plan), ("cached template", &template)] {
+            let at = |func: &str| {
+                let calls = plan.instrs.iter().enumerate();
+                calls
+                    .filter(|(_, i)| i.is("datacyclotron", func))
+                    .map(|(at, _)| at)
+                    .collect::<Vec<_>>()
+            };
+            let (requests, pins) = (at("request"), at("pin"));
+            assert!(
+                !requests.is_empty() && !pins.is_empty(),
+                "{shape} ({path}): no ring fetch in\n{plan}"
+            );
+            assert!(
+                requests.iter().max() < pins.iter().min(),
+                "{shape} ({path}): a request follows the first pin in\n{plan}"
+            );
+        }
     }
 }
 
